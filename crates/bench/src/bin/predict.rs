@@ -1,15 +1,17 @@
-//! Packed-vs-float prediction microbenchmark.
+//! Bit-domain-vs-float prediction microbenchmark.
 //!
 //! ```text
 //! cargo run --release -p pnw-bench --bin predict -- [--quick]
 //!     [--iters N] [--out BENCH_predict.json]
 //! ```
 //!
-//! Prints a ns/op table and writes `BENCH_predict.json` (the prediction
-//! perf-trajectory file) in the working directory. `--quick` shrinks the
-//! iteration count for CI smoke runs.
+//! Prints the ns/op tables (byte-LUT kernel vs float scan; folded per-bit
+//! kernel vs project + scan on 784 B images) and writes `BENCH_predict.json`
+//! (the prediction perf-trajectory file) in the working directory.
+//! `--quick` shrinks the iteration and training-sample counts for CI smoke
+//! runs.
 
-use pnw_bench::predictbench::{default_cases, run_sweep, write_json};
+use pnw_bench::predictbench::{default_cases, measure_pca_case, run_sweep, write_json};
 use pnw_bench::Scale;
 
 fn main() {
@@ -58,7 +60,26 @@ fn main() {
             r.value_size, r.k, r.packed_ns, r.packed_scalar_ns, r.float_ns, r.speedup, r.simd_speedup
         );
     }
-    match write_json(&out, &results) {
+
+    let pca_iters = iters / 4;
+    println!("\nPCA-configured model — folded per-bit kernel vs project + PCA-space scan ({pca_iters} iters)");
+    println!(
+        "{:>10} {:>6} {:>6} {:>9} {:>12} {:>14} {:>9}",
+        "value", "K", "comps", "set bits", "folded(ns)", "proj+scan(ns)", "speedup"
+    );
+    let pca = [measure_pca_case(
+        scale.pick(512, 4096),
+        10,
+        pca_iters,
+        0xACE5,
+    )];
+    for r in &pca {
+        println!(
+            "{:>9}B {:>6} {:>6} {:>9.0} {:>12.1} {:>14.1} {:>8.1}x",
+            r.value_size, r.k, r.components, r.set_bits, r.folded_ns, r.project_scan_ns, r.speedup
+        );
+    }
+    match write_json(&out, &results, &pca, scale == Scale::Quick) {
         Ok(()) => println!("\nwrote {}", out.display()),
         Err(e) => eprintln!("error writing {}: {e}", out.display()),
     }

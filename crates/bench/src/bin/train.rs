@@ -5,11 +5,12 @@
 //!     [--out BENCH_train.json]
 //! ```
 //!
-//! Prints a ms/retrain table and writes `BENCH_train.json` (the training
-//! perf-trajectory file) in the working directory. `--quick` divides the
-//! sample counts by 20 for CI smoke runs.
+//! Prints the ms/retrain tables (packed vs float Lloyd; the PCA-configured
+//! route, packed vs float, on 784 B images) and writes `BENCH_train.json`
+//! (the training perf-trajectory file) in the working directory. `--quick`
+//! divides the sample counts for CI smoke runs.
 
-use pnw_bench::trainbench::{default_cases, run_sweep, write_json};
+use pnw_bench::trainbench::{default_cases, measure_pca_case, run_sweep, write_json};
 use pnw_bench::Scale;
 
 fn main() {
@@ -45,7 +46,38 @@ fn main() {
             r.value_size, r.k, r.samples, r.packed_ms, r.float_ms, r.speedup, r.inertia_ratio
         );
     }
-    match write_json(&out, &results) {
+
+    println!(
+        "\nPCA-configured retrain — packed Gram fit + byte-domain projection vs float pipeline"
+    );
+    println!(
+        "{:>10} {:>6} {:>9} {:>11} {:>11} {:>12} {:>12} {:>9} {:>9}",
+        "value",
+        "K",
+        "samples",
+        "fit pk(ms)",
+        "fit fl(ms)",
+        "packed(ms)",
+        "float(ms)",
+        "speedup",
+        "SSE-ratio"
+    );
+    let pca = [measure_pca_case(scale.pick(512, 4096), 10, 0xACE5)];
+    for r in &pca {
+        println!(
+            "{:>9}B {:>6} {:>9} {:>11.1} {:>11.1} {:>12.1} {:>12.1} {:>8.1}x {:>9.4}",
+            r.value_size,
+            r.k,
+            r.samples,
+            r.packed_fit_ms,
+            r.float_fit_ms,
+            r.packed_ms,
+            r.float_ms,
+            r.speedup,
+            r.inertia_ratio
+        );
+    }
+    match write_json(&out, &results, &pca, scale == Scale::Quick) {
         Ok(()) => println!("\nwrote {}", out.display()),
         Err(e) => eprintln!("error writing {}: {e}", out.display()),
     }

@@ -20,10 +20,12 @@
 //!   old `KvStore` adapter shim is gone.)
 //! * [`predictbench`] — the prediction-kernel microbenchmark: packed
 //!   bit-domain LUT path vs the reference float featurize-then-scan path,
-//!   across value sizes and cluster counts (`BENCH_predict.json`).
+//!   across value sizes and cluster counts, and the folded per-bit kernel
+//!   of PCA-configured models vs project-then-scan (`BENCH_predict.json`).
 //! * [`trainbench`] — the retraining benchmark: the packed bit-domain
 //!   training pipeline vs the float featurize-then-Lloyd reference, across
-//!   value sizes, cluster counts and sample counts (`BENCH_train.json`).
+//!   value sizes, cluster counts and sample counts, and the packed vs
+//!   float PCA route (`BENCH_train.json`).
 //! * [`scenario`] — the scenario engine: declarative phased workloads
 //!   (per-phase key distribution, op mix, value-pattern family, TTL,
 //!   arrival rate, burst/quiesce) replayed against any `Store` backend
@@ -51,6 +53,12 @@ pub mod serverbench;
 pub mod table;
 pub mod throughput;
 pub mod trainbench;
+
+/// Logical cores of this host, stamped into the bench artifacts (0 if the
+/// platform cannot say).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
+}
 
 /// Experiment scale, so harnesses run both as smoke tests and full repros.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,25 +1,34 @@
-//! Packed-vs-float prediction microbenchmark.
+//! Bit-domain-vs-float prediction microbenchmark.
 //!
 //! The paper budgets 5–6 µs of model latency per PUT (§VI-D, Figure 6);
-//! the bit-domain LUT kernel ([`pnw_ml::packed`]) replaces the float
-//! featurize-then-scan path on that budget's critical path. This module
-//! measures both implementations on the *same trained model* across value
-//! sizes and cluster counts, reporting ns/op — the numbers recorded in
-//! `BENCH_predict.json` by the `predict` binary.
+//! the bit-domain kernels replace the float paths on that budget's critical
+//! path. This module measures each kernel against the float path it
+//! replaced on the *same trained model*, reporting ns/op — the numbers
+//! recorded in `BENCH_predict.json` by the `predict` binary:
 //!
-//! PCA is disabled for these cases (threshold raised above every measured
-//! size) so the float baseline is always the full featurize + dense-scan
-//! pipeline the packed kernel replaces; PCA-configured models keep the
-//! sparse projector path in production and are out of scope here.
+//! * the byte-LUT kernel ([`pnw_ml::packed`]) against featurize + dense
+//!   scan, across value sizes and cluster counts. PCA is disabled for these
+//!   cases (threshold raised above every measured size) so the float
+//!   baseline is always the full pipeline the packed kernel replaces;
+//! * the folded per-bit kernel of PCA-configured models
+//!   ([`pnw_ml::pca::FoldedPredictor`]) against project + PCA-space scan, on
+//!   784 B image values at K = 10 ([`measure_pca_case`]).
 
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
+use pnw_core::model::stride_sample;
 use pnw_core::{ModelManager, PcaPolicy, PnwConfig, PredictScratch};
 use pnw_ml::featurize::bits_to_features;
-use pnw_ml::packed::PackedPredictor;
+use pnw_ml::kmeans::{KMeans, KMeansConfig};
+use pnw_ml::packed::{popcount_bytes, PackedPredictor};
+use pnw_ml::packedmatrix::PackedMatrix;
+use pnw_ml::pca::Pca;
+use pnw_workloads::{ImageStyle, TemplateImages, Workload as _};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+use crate::host_cores;
 
 /// One (value size, cluster count) measurement point.
 #[derive(Debug, Clone, Copy)]
@@ -98,6 +107,25 @@ pub fn trained_manager(case: PredictCase, seed: u64) -> ModelManager {
     m
 }
 
+/// ns per call of `predict` over `iters` probes drawn in rotation, after an
+/// eighth of that as warm-up. The predictions are folded into `sink` so
+/// the calls cannot be elided.
+fn time_ns(
+    probes: &[Vec<u8>],
+    iters: u64,
+    sink: &mut usize,
+    mut predict: impl FnMut(&[u8]) -> usize,
+) -> f64 {
+    for v in probes.iter().cycle().take((iters / 8).max(1) as usize) {
+        *sink ^= predict(v);
+    }
+    let t0 = Instant::now();
+    for v in probes.iter().cycle().take(iters as usize) {
+        *sink ^= predict(black_box(v));
+    }
+    t0.elapsed().as_nanos() as f64 / iters as f64
+}
+
 /// Measures one case: `iters` timed predictions per path (clamped to ≥ 1
 /// so the ns/op division is always defined) over a rotating probe set,
 /// after an eighth of that as warm-up.
@@ -108,38 +136,23 @@ pub fn measure_case(case: PredictCase, iters: u64, seed: u64) -> PredictResult {
     let mut scratch = PredictScratch::new();
 
     let mut sink = 0usize;
-    for (i, v) in probes.iter().cycle().take((iters / 8).max(1) as usize).enumerate() {
-        sink ^= m.predict_into(v, &mut scratch) ^ i;
-    }
-    let t0 = Instant::now();
-    for v in probes.iter().cycle().take(iters as usize) {
-        sink ^= m.predict_into(black_box(v), &mut scratch);
-    }
-    let packed_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
+    let packed_ns = time_ns(&probes, iters, &mut sink, |v| {
+        m.predict_into(v, &mut scratch)
+    });
 
     // Same LUT tables, scalar accumulator forced: what the packed path
     // costs on a host without usable vector units.
     let packed = PackedPredictor::from_centroids(m.kmeans().centroids());
     let mut dist = vec![0.0f32; m.k()];
-    for v in probes.iter().cycle().take((iters / 8).max(1) as usize) {
-        sink ^= packed.distances_into_scalar(v, &mut dist);
-    }
-    let t0 = Instant::now();
-    for v in probes.iter().cycle().take(iters as usize) {
-        sink ^= packed.distances_into_scalar(black_box(v), &mut dist);
-    }
-    let packed_scalar_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
+    let packed_scalar_ns = time_ns(&probes, iters, &mut sink, |v| {
+        packed.distances_into_scalar(v, &mut dist)
+    });
 
     // Reference float path: featurize into a fresh feature vector, dense
     // K×d scan — exactly what every PUT paid before the packed kernel.
-    for v in probes.iter().cycle().take((iters / 8).max(1) as usize) {
-        sink ^= m.kmeans().predict(&bits_to_features(v));
-    }
-    let t0 = Instant::now();
-    for v in probes.iter().cycle().take(iters as usize) {
-        sink ^= m.kmeans().predict(&bits_to_features(black_box(v)));
-    }
-    let float_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
+    let float_ns = time_ns(&probes, iters, &mut sink, |v| {
+        m.kmeans().predict(&bits_to_features(v))
+    });
     black_box(sink);
 
     PredictResult {
@@ -154,15 +167,123 @@ pub fn measure_case(case: PredictCase, iters: u64, seed: u64) -> PredictResult {
     }
 }
 
+/// ns/op results for the PCA-configured case.
+#[derive(Debug, Clone)]
+pub struct PcaPredictResult {
+    /// Value size in bytes.
+    pub value_size: usize,
+    /// Cluster count K actually fitted.
+    pub k: usize,
+    /// PCA components retained.
+    pub components: usize,
+    /// Timed iterations per path.
+    pub iters: u64,
+    /// Mean set bits per probe value — the folded kernel's cost driver.
+    pub set_bits: f64,
+    /// Folded per-bit kernel (K lanes per set bit), nanoseconds per
+    /// prediction.
+    pub folded_ns: f64,
+    /// Byte-domain projection (`components` lanes per set bit) followed by
+    /// the K × `components` PCA-space scan, nanoseconds per prediction.
+    pub project_scan_ns: f64,
+    /// `project_scan_ns / folded_ns`.
+    pub speedup: f64,
+}
+
+/// `n` 784 B image values, Digits and Fashion alternating — sparse strokes
+/// and dense textures, the two ends of the set-bit range the per-bit
+/// kernels' cost tracks.
+pub fn image_values(n: usize, seed: u64) -> Vec<Vec<u8>> {
+    let mut digits = TemplateImages::new(ImageStyle::Digits, seed);
+    let mut fashion = TemplateImages::new(ImageStyle::Fashion, seed);
+    (0..n)
+        .map(|i| {
+            if i % 2 == 0 {
+                digits.next_value()
+            } else {
+                fashion.next_value()
+            }
+        })
+        .collect()
+}
+
+/// Measures the PCA-configured point: one model (basis on a ≤256-row
+/// subsample of `samples` image values, K-means in PCA space, K = `k`)
+/// predicted through both paths over a rotating probe set.
+///
+/// # Panics
+/// Panics if the two paths disagree on more than 1% of the probes (they
+/// may differ on genuine near-ties only).
+pub fn measure_pca_case(samples: usize, k: usize, iters: u64, seed: u64) -> PcaPredictResult {
+    let iters = iters.max(1);
+    let policy = PcaPolicy::default();
+    let values = image_values(samples, seed ^ 0xFEED);
+    let basis: Vec<&Vec<u8>> = stride_sample(values.len(), policy.sample)
+        .into_iter()
+        .map(|i| &values[i])
+        .collect();
+    let projector =
+        Pca::fit_packed(&PackedMatrix::from_values(&basis), policy.components).bit_projector();
+    let kmeans = KMeans::fit(
+        &projector.project_values(&values),
+        &KMeansConfig::new(k).with_seed(seed),
+    );
+    let folded = projector.fold(kmeans.centroids());
+
+    let probes = image_values(64, seed ^ 0xBEEF);
+    let mut features = vec![0.0f32; projector.n_components()];
+    let mut dist = vec![0.0f32; kmeans.k()];
+    let disagree = probes
+        .iter()
+        .filter(|v| {
+            projector.project_into(v, &mut features);
+            kmeans.distances_into(&features, &mut dist) != folded.scores_into(v, &mut dist)
+        })
+        .count();
+    assert!(
+        disagree * 100 <= probes.len(),
+        "{disagree} of {} probes",
+        probes.len()
+    );
+
+    let mut sink = 0usize;
+    let folded_ns = time_ns(&probes, iters, &mut sink, |v| {
+        folded.scores_into(v, &mut dist)
+    });
+    // What every PCA-configured PUT paid before the fold.
+    let project_scan_ns = time_ns(&probes, iters, &mut sink, |v| {
+        projector.project_into(v, &mut features);
+        kmeans.distances_into(&features, &mut dist)
+    });
+    black_box(sink);
+
+    PcaPredictResult {
+        value_size: values[0].len(),
+        k: kmeans.k(),
+        components: projector.n_components(),
+        iters,
+        set_bits: probes.iter().map(|v| popcount_bytes(v) as f64).sum::<f64>()
+            / probes.len() as f64,
+        folded_ns,
+        project_scan_ns,
+        speedup: project_scan_ns / folded_ns.max(1e-9),
+    }
+}
+
 /// Runs the whole sweep.
 pub fn run_sweep(cases: &[PredictCase], iters: u64, seed: u64) -> Vec<PredictResult> {
     cases.iter().map(|&c| measure_case(c, iters, seed)).collect()
 }
 
 /// Serializes results as JSON (hand-rolled, like the throughput harness —
-/// the workspace has no JSON dependency) for `BENCH_predict.json`.
-pub fn to_json(results: &[PredictResult]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"predict\",\n  \"unit\": \"ns/op\",\n  \"results\": [\n");
+/// the workspace has no JSON dependency) for `BENCH_predict.json`, stamped
+/// with the host's core count and whether this was a `--quick` smoke.
+pub fn to_json(results: &[PredictResult], pca: &[PcaPredictResult], quick: bool) -> String {
+    let mut out = format!(
+        "{{\n  \"bench\": \"predict\",\n  \"unit\": \"ns/op\",\n  \"host_cores\": {},\n  \
+         \"quick\": {quick},\n  \"results\": [\n",
+        host_cores()
+    );
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"value_size\": {}, \"k\": {}, \"iters\": {}, \
@@ -179,13 +300,35 @@ pub fn to_json(results: &[PredictResult]) -> String {
             if i + 1 < results.len() { "," } else { "" },
         ));
     }
+    out.push_str("  ],\n  \"pca_results\": [\n");
+    for (i, r) in pca.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"value_size\": {}, \"k\": {}, \"components\": {}, \"iters\": {}, \
+             \"set_bits\": {:.0}, \"folded_ns\": {:.1}, \"project_scan_ns\": {:.1}, \
+             \"speedup\": {:.2}}}{}\n",
+            r.value_size,
+            r.k,
+            r.components,
+            r.iters,
+            r.set_bits,
+            r.folded_ns,
+            r.project_scan_ns,
+            r.speedup,
+            if i + 1 < pca.len() { "," } else { "" },
+        ));
+    }
     out.push_str("  ]\n}\n");
     out
 }
 
 /// Writes [`to_json`] output to `path`.
-pub fn write_json(path: &Path, results: &[PredictResult]) -> std::io::Result<()> {
-    std::fs::write(path, to_json(results))
+pub fn write_json(
+    path: &Path,
+    results: &[PredictResult],
+    pca: &[PcaPredictResult],
+    quick: bool,
+) -> std::io::Result<()> {
+    std::fs::write(path, to_json(results, pca, quick))
 }
 
 #[cfg(test)]
@@ -205,8 +348,33 @@ mod tests {
     }
 
     #[test]
+    fn pca_case_produces_sane_numbers() {
+        let r = measure_pca_case(96, 4, 200, 7);
+        assert_eq!((r.value_size, r.k), (784, 4));
+        assert!(r.components > 0 && r.components <= PcaPolicy::default().components);
+        assert!(r.set_bits > 0.0 && r.folded_ns > 0.0 && r.project_scan_ns > 0.0);
+        assert!(r.speedup > 0.0);
+    }
+
+    #[test]
     fn json_shape() {
-        let j = to_json(&run_sweep(&[PredictCase { value_size: 8, k: 2 }], 100, 3));
+        let j = to_json(
+            &run_sweep(
+                &[PredictCase {
+                    value_size: 8,
+                    k: 2,
+                }],
+                100,
+                3,
+            ),
+            &[measure_pca_case(64, 2, 50, 3)],
+            true,
+        );
+        assert!(j.contains("\"host_cores\""));
+        assert!(j.contains("\"quick\": true"));
+        assert!(j.contains("\"pca_results\""));
+        assert!(j.contains("\"folded_ns\""));
+        assert!(j.contains("\"project_scan_ns\""));
         assert!(j.contains("\"bench\": \"predict\""));
         assert!(j.contains("\"packed_ns\""));
         assert!(j.contains("\"packed_scalar_ns\""));

@@ -10,6 +10,12 @@
 //! algorithm from the same seed, so the comparison is representation-only;
 //! the recorded `inertia_ratio` guards against quality drift.
 //!
+//! PCA-configured models get their own row ([`measure_pca_case`]): the
+//! packed route (AND-popcount Gram fit on a packed subsample, byte-domain
+//! projection, fold) against the float route it replaced (featurize the
+//! whole training set, float Gram fit, matrix transform), on 784 B image
+//! values at K = 10.
+//!
 //! The numbers land in `BENCH_train.json` via the `train` binary; the
 //! acceptance point is 64 B / K = 16 / 100k samples.
 
@@ -17,12 +23,16 @@ use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
+use pnw_core::model::stride_sample;
+use pnw_core::PcaPolicy;
 use pnw_ml::featurize::featurize_values;
 use pnw_ml::kmeans::{KMeans, KMeansConfig};
 use pnw_ml::packedmatrix::PackedMatrix;
+use pnw_ml::pca::Pca;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::Scale;
+use crate::predictbench::image_values;
+use crate::{host_cores, Scale};
 
 /// Lloyd iteration cap for both paths: enough for family-structured data
 /// to converge, low enough that the float baseline finishes in CI time.
@@ -132,15 +142,94 @@ pub fn measure_case(case: TrainCase, seed: u64) -> TrainResult {
     }
 }
 
+/// Wall-clock results for the PCA-configured case, in milliseconds.
+#[derive(Debug, Clone)]
+pub struct PcaTrainResult {
+    /// Value size in bytes.
+    pub value_size: usize,
+    /// Cluster count K actually fitted.
+    pub k: usize,
+    /// Samples trained on.
+    pub samples: usize,
+    /// Rows the PCA basis was fit on.
+    pub basis_rows: usize,
+    /// Packed basis fit alone: pack the subsample, AND-popcount Gram,
+    /// eigensolve, axes.
+    pub packed_fit_ms: f64,
+    /// Float basis fit alone on the (already featurized) subsample.
+    pub float_fit_ms: f64,
+    /// Whole packed retrain: basis fit, byte-domain projection, K-means,
+    /// fold.
+    pub packed_ms: f64,
+    /// Whole float retrain: featurize every sample, basis fit, matrix
+    /// transform, K-means, projector table.
+    pub float_ms: f64,
+    /// `float_ms / packed_ms`.
+    pub speedup: f64,
+    /// `packed.inertia / float.inertia` in their (near-identical) PCA
+    /// spaces — the quality guard.
+    pub inertia_ratio: f64,
+}
+
+/// Measures one PCA-configured retrain per route on identical image values
+/// with identical seeds, iteration caps and the default [`PcaPolicy`].
+pub fn measure_pca_case(samples: usize, k: usize, seed: u64) -> PcaTrainResult {
+    let policy = PcaPolicy::default();
+    let values = image_values(samples, seed ^ 0xFEED);
+    let basis_idx = stride_sample(values.len(), policy.sample);
+    let cfg = KMeansConfig::new(k)
+        .with_seed(seed)
+        .with_max_iters(MAX_ITERS);
+
+    let t0 = Instant::now();
+    let basis: Vec<&Vec<u8>> = basis_idx.iter().map(|&i| &values[i]).collect();
+    let pca = Pca::fit_packed(&PackedMatrix::from_values(&basis), policy.components);
+    let packed_fit_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let projector = pca.bit_projector();
+    let packed = KMeans::fit(&projector.project_values(black_box(&values)), &cfg);
+    black_box(projector.fold(packed.centroids()));
+    let packed_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+    // What every PCA-configured retrain paid before: the whole training set
+    // as one f32 per bit.
+    let t0 = Instant::now();
+    let bits = featurize_values(black_box(&values));
+    let sample = bits.select_rows(&basis_idx);
+    let t1 = Instant::now();
+    let pca = Pca::fit(&sample, policy.components);
+    let float_fit_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let float = KMeans::fit(&pca.transform(&bits), &cfg);
+    black_box(pca.bit_projector());
+    let float_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+    PcaTrainResult {
+        value_size: values[0].len(),
+        k: packed.k(),
+        samples,
+        basis_rows: basis_idx.len(),
+        packed_fit_ms,
+        float_fit_ms,
+        packed_ms,
+        float_ms,
+        speedup: float_ms / packed_ms.max(1e-9),
+        inertia_ratio: packed.inertia as f64 / (float.inertia as f64).max(1e-9),
+    }
+}
+
 /// Runs the whole sweep.
 pub fn run_sweep(cases: &[TrainCase], seed: u64) -> Vec<TrainResult> {
     cases.iter().map(|&c| measure_case(c, seed)).collect()
 }
 
 /// Serializes results as JSON (hand-rolled, like the other harnesses — the
-/// workspace has no JSON dependency) for `BENCH_train.json`.
-pub fn to_json(results: &[TrainResult]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"train\",\n  \"unit\": \"ms/retrain\",\n  \"results\": [\n");
+/// workspace has no JSON dependency) for `BENCH_train.json`, stamped with
+/// the host's core count and whether this was a `--quick` smoke.
+pub fn to_json(results: &[TrainResult], pca: &[PcaTrainResult], quick: bool) -> String {
+    let mut out = format!(
+        "{{\n  \"bench\": \"train\",\n  \"unit\": \"ms/retrain\",\n  \"host_cores\": {},\n  \
+         \"quick\": {quick},\n  \"results\": [\n",
+        host_cores()
+    );
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"value_size\": {}, \"k\": {}, \"samples\": {}, \
@@ -156,13 +245,38 @@ pub fn to_json(results: &[TrainResult]) -> String {
             if i + 1 < results.len() { "," } else { "" },
         ));
     }
+    out.push_str("  ],\n  \"pca_results\": [\n");
+    for (i, r) in pca.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"value_size\": {}, \"k\": {}, \"samples\": {}, \"basis_rows\": {}, \
+             \"packed_fit_ms\": {:.1}, \"float_fit_ms\": {:.1}, \
+             \"packed_ms\": {:.1}, \"float_ms\": {:.1}, \"speedup\": {:.2}, \
+             \"inertia_ratio\": {:.4}}}{}\n",
+            r.value_size,
+            r.k,
+            r.samples,
+            r.basis_rows,
+            r.packed_fit_ms,
+            r.float_fit_ms,
+            r.packed_ms,
+            r.float_ms,
+            r.speedup,
+            r.inertia_ratio,
+            if i + 1 < pca.len() { "," } else { "" },
+        ));
+    }
     out.push_str("  ]\n}\n");
     out
 }
 
 /// Writes [`to_json`] output to `path`.
-pub fn write_json(path: &Path, results: &[TrainResult]) -> std::io::Result<()> {
-    std::fs::write(path, to_json(results))
+pub fn write_json(
+    path: &Path,
+    results: &[TrainResult],
+    pca: &[PcaTrainResult],
+    quick: bool,
+) -> std::io::Result<()> {
+    std::fs::write(path, to_json(results, pca, quick))
 }
 
 #[cfg(test)]
@@ -194,15 +308,40 @@ mod tests {
     }
 
     #[test]
+    fn pca_case_routes_agree_on_quality() {
+        let r = measure_pca_case(96, 4, 7);
+        assert_eq!(
+            (r.value_size, r.k, r.samples, r.basis_rows),
+            (784, 4, 96, 96)
+        );
+        assert!(r.packed_fit_ms > 0.0 && r.float_fit_ms > 0.0);
+        assert!(r.packed_ms >= r.packed_fit_ms && r.float_ms >= r.float_fit_ms);
+        // Same basis up to rounding, same seed: the same clustering.
+        assert!(
+            (r.inertia_ratio - 1.0).abs() < 0.01,
+            "inertia_ratio {}",
+            r.inertia_ratio
+        );
+    }
+
+    #[test]
     fn json_shape() {
-        let j = to_json(&run_sweep(
-            &[TrainCase {
-                value_size: 8,
-                k: 2,
-                samples: 300,
-            }],
-            3,
-        ));
+        let j = to_json(
+            &run_sweep(
+                &[TrainCase {
+                    value_size: 8,
+                    k: 2,
+                    samples: 300,
+                }],
+                3,
+            ),
+            &[measure_pca_case(64, 2, 3)],
+            true,
+        );
+        assert!(j.contains("\"host_cores\""));
+        assert!(j.contains("\"quick\": true"));
+        assert!(j.contains("\"pca_results\""));
+        assert!(j.contains("\"packed_fit_ms\""));
         assert!(j.contains("\"bench\": \"train\""));
         assert!(j.contains("\"packed_ms\""));
         assert!(j.contains("\"speedup\""));

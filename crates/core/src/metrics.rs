@@ -12,8 +12,8 @@ pub struct OpReport {
     pub cluster: usize,
     /// Whether the allocation fell back to a non-predicted cluster.
     pub fallback: bool,
-    /// Model prediction time (featurize + PCA projection + centroid scan) —
-    /// the "latency of prediction per item" series of Figure 6.
+    /// Model prediction time (the bit-domain score kernel over the raw
+    /// bytes) — the "latency of prediction per item" series of Figure 6.
     pub predict: Duration,
     /// Stats of the *value* write alone — Figure 6 counts bit updates per
     /// 512 bits of item data, excluding index/header bookkeeping.
@@ -32,6 +32,26 @@ impl OpReport {
     }
 }
 
+/// Where a training run's wall clock went, phase by phase. The phases run
+/// back to back on the training thread; what they leave of
+/// [`TrainStats::last_train_wall`] is the reservoir sampling around them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrainPhases {
+    /// Fitting the PCA basis on the packed subsample (Gram matrix,
+    /// eigensolve, axis recovery, projector table). `ZERO` for models at or
+    /// below the PCA threshold.
+    pub pca_fit: Duration,
+    /// Projecting the training set into PCA space from its bytes. `ZERO`
+    /// for models at or below the PCA threshold.
+    pub project: Duration,
+    /// K selection and Lloyd iterations (including packing the samples,
+    /// for models at or below the PCA threshold).
+    pub kmeans: Duration,
+    /// Building the prediction table: the fold of the basis into the
+    /// centroids, or the byte LUT.
+    pub table_build: Duration,
+}
+
 /// Retrain observability: what the last completed training run cost and
 /// used, plus the model epoch (install/swap counter). Lives on the trainer
 /// and is surfaced through [`StoreSnapshot::train`].
@@ -40,6 +60,8 @@ pub struct TrainStats {
     /// Wall-clock time of the last completed training run (the Figure 11
     /// measurement), `ZERO` before the first.
     pub last_train_wall: Duration,
+    /// The phase split of `last_train_wall`.
+    pub phases: TrainPhases,
     /// Training-snapshot size before the reservoir cap.
     pub samples_pre_cap: usize,
     /// Samples actually trained on (≤ `train_sample_cap`).

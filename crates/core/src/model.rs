@@ -1,57 +1,68 @@
-//! The ML model lifecycle: packed-domain training, PCA, background
-//! retraining, and immutable epoch-numbered prediction snapshots (§V-A.1).
+//! The ML model lifecycle: bit-domain training, PCA, background retraining,
+//! and immutable epoch-numbered prediction snapshots (§V-A.1).
 //!
 //! *"The ML model is constructed on DRAM as it does not need to be
 //! persistent and can be reconstructed after a crash."* Two types split the
 //! paper's "model" along its read/write seam:
 //!
-//! * [`ModelSnapshot`] — the immutable prediction state (centroids, packed
-//!   LUTs, PCA projector), shared as an `Arc` and swapped wholesale at each
-//!   (re)train. Prediction through a snapshot takes **no lock**: every
-//!   [`ShardEngine`](crate::ShardEngine) holds its own `Arc` clone and a
-//!   publish replaces it under the shard's existing lock, so a reader can
-//!   never observe a half-updated model.
+//! * [`ModelSnapshot`] — the immutable prediction state (centroids and the
+//!   bit-domain score table built from them), shared as an `Arc` and
+//!   swapped wholesale at each (re)train. Prediction through a snapshot
+//!   takes **no lock**: every [`ShardEngine`](crate::ShardEngine) holds its
+//!   own `Arc` clone and a publish replaces it under the shard's existing
+//!   lock, so a reader can never observe a half-updated model.
 //! * [`ModelManager`] — the trainer: configuration, the background-training
 //!   channel, retrain counters. Touched only on train/install boundaries,
 //!   never on the op hot path.
 //!
-//! Training runs in the packed bit domain end to end for raw bit-feature
-//! models ([`pnw_ml::packedmatrix`]): the sampled values are packed into
-//! `u64` words instead of being expanded 32× into floats, and both the
-//! assignment and centroid-update steps run on words. PCA-configured
-//! models keep the float pipeline (projected space is not 0/1). Training
-//! snapshots are capped by deterministic reservoir sampling
-//! ([`reservoir_sample`], `train_sample_cap` on [`PnwConfig`]) so retrain
-//! cost stops scaling with data-zone size.
+//! Every model predicts the same way — K affine scores over the value's
+//! bits, argmin wins — and nothing on either path expands a value into
+//! floats. What differs with [`PnwConfig::uses_pca`] is the table layout
+//! and the training route:
+//!
+//! * **At or below the PCA threshold** the samples are packed into `u64`
+//!   words ([`pnw_ml::packedmatrix`]), K-means runs on the words, and
+//!   prediction gathers from a byte LUT ([`pnw_ml::packed`]: `256·K` floats
+//!   per value byte, one stripe add per byte).
+//! * **Above it** the PCA basis is fit on a packed subsample (AND-popcount
+//!   Gram matrix), the training set is projected straight from its bytes,
+//!   K-means runs in PCA space, and the basis is then *folded into the
+//!   centroids* ([`pnw_ml::pca::FoldedPredictor`]: `K` floats per value
+//!   bit, one stripe add per set bit). A byte LUT over a 784 B value would
+//!   be 8 MB at K = 10 and miss cache on every lookup; the per-bit table is
+//!   400 KB.
+//!
+//! The tables are built by whoever runs the fit — the background trainer
+//! thread, for background retrains — so installing a model is an epoch bump
+//! and an `Arc` swap. Training snapshots are capped by deterministic
+//! reservoir sampling ([`reservoir_sample`], `train_sample_cap` on
+//! [`PnwConfig`]) so retrain cost stops scaling with data-zone size.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pnw_ml::featurize::bits_into_features;
-use pnw_ml::kmeans::{KMeans, KMeansConfig};
+use pnw_ml::kmeans::{KMeans, KMeansConfig, TrainSet};
 use pnw_ml::matrix::Matrix;
 use pnw_ml::packed::PackedPredictor;
 use pnw_ml::packedmatrix::PackedMatrix;
-use pnw_ml::pca::{BitProjector, Pca};
+use pnw_ml::pca::{FoldedPredictor, Pca};
 
 use crate::config::PnwConfig;
-use crate::metrics::TrainStats;
+use crate::metrics::{TrainPhases, TrainStats};
 
 /// Reusable buffers for the allocation-free prediction path.
 ///
 /// Snapshots are shared read-only across shards, so the mutable scratch
 /// lives with the caller — each [`ShardEngine`](crate::ShardEngine) owns
 /// one and threads it through every prediction, making steady-state
-/// PUT/DELETE heap-allocation-free. Buffers grow to the model's K (and the
-/// PCA component count) on first use and are reused afterwards.
+/// PUT/DELETE heap-allocation-free. Buffers grow to the model's K on first
+/// use and are reused afterwards.
 #[derive(Debug, Default)]
 pub struct PredictScratch {
-    /// PCA-space feature buffer (projector models only).
-    features: Vec<f32>,
-    /// Per-cluster squared distances from the last
-    /// [`ModelSnapshot::predict_into`] call.
+    /// Per-cluster scores from the last [`ModelSnapshot::predict_into`]
+    /// call.
     dist: Vec<f32>,
     /// Cluster-index buffer for [`ModelSnapshot::ranked_after_predict`].
     ranking: Vec<usize>,
@@ -63,39 +74,64 @@ impl PredictScratch {
         Self::default()
     }
 
-    /// Per-cluster squared distances from the last prediction (empty
-    /// before the first [`ModelSnapshot::predict_into`] call).
+    /// Per-cluster scores from the last prediction (empty before the first
+    /// [`ModelSnapshot::predict_into`] call), lower = nearer.
+    ///
+    /// For models at or below the PCA threshold these are the squared
+    /// distances to each centroid. For PCA-configured models they are the
+    /// squared PCA-space distances **minus `‖y‖²`**, a constant of the
+    /// value that the folded kernel never computes: the argmin, the ranking
+    /// and every difference `d[a] − d[b]` are those of the true distances,
+    /// the absolute numbers are not (and can be negative).
     pub fn distances(&self) -> &[f32] {
         &self.dist
     }
 }
 
-/// Result of one training run.
-pub struct TrainedModel {
-    /// The fitted K-means model (over raw bits or PCA space).
-    pub kmeans: KMeans,
-    /// The PCA basis, when the value size warranted one.
-    pub pca: Option<Pca>,
-    /// Wall-clock training time (the Figure 11 measurement).
-    pub elapsed: Duration,
-    /// Snapshot size before the reservoir cap.
-    pub samples_pre_cap: usize,
-    /// Samples actually trained on (≤ `train_sample_cap`).
-    pub samples_post_cap: usize,
+/// The score table of one snapshot. Which kernel a store uses follows
+/// [`PnwConfig::uses_pca`] and nothing else.
+enum Scorer {
+    /// Byte LUT — values at or below the PCA threshold.
+    Lut(PackedPredictor),
+    /// Per-bit table — values above it.
+    Bits(FoldedPredictor),
 }
 
-/// The immutable prediction state of one trained (or untrained) model:
-/// centroids, the packed bit-domain LUTs, and the PCA projector when one
-/// applies. Epoch-numbered; published as an `Arc` and never mutated, so
-/// predictions take no lock and can never see a torn model.
+/// The model that has learned nothing: one all-zeros centroid over the raw
+/// bits, so predictions are total (matching a store whose cells are all
+/// zero), scored by the kernel the store's value size calls for.
+fn zero_model(value_bits: usize, per_bit: bool) -> (KMeans, Scorer) {
+    let zero = Matrix::zeros(1, value_bits);
+    let scorer = if per_bit {
+        Scorer::Bits(FoldedPredictor::over_bits(&zero))
+    } else {
+        Scorer::Lut(PackedPredictor::from_centroids(&zero))
+    };
+    (KMeans::from_centroids(zero, 0), scorer)
+}
+
+/// Result of one training run: everything a snapshot holds but its epoch.
+struct TrainedModel {
+    kmeans: KMeans,
+    scorer: Scorer,
+    /// Wall-clock training time (the Figure 11 measurement).
+    elapsed: Duration,
+    phases: TrainPhases,
+    /// Snapshot size before the reservoir cap.
+    samples_pre_cap: usize,
+    /// Samples actually trained on (≤ `train_sample_cap`).
+    samples_post_cap: usize,
+}
+
+/// The immutable prediction state of one trained (or untrained) model: the
+/// centroids and the bit-domain score table built from them. Epoch-numbered;
+/// published as an `Arc` and never mutated, so predictions take no lock and
+/// can never see a torn model.
 pub struct ModelSnapshot {
     value_bits: usize,
     kmeans: KMeans,
-    /// Fast byte→PCA-space projector (PCA models only).
-    projector: Option<BitProjector>,
-    /// Bit-domain LUT predictor over the centroids (non-PCA models only).
-    /// Built once when the snapshot is created, read-only afterwards.
-    packed: Option<PackedPredictor>,
+    /// Built once by the training run, read-only afterwards.
+    scorer: Scorer,
     trained: bool,
     /// Install counter: 0 for the untrained placeholder, then one per
     /// completed (re)train. Monotonic per store.
@@ -104,16 +140,14 @@ pub struct ModelSnapshot {
 
 impl ModelSnapshot {
     /// The untrained placeholder: one all-zeros centroid over raw bits, so
-    /// predictions are total from the first operation (matching a store
-    /// whose cells are all zero).
-    pub fn untrained(value_bits: usize) -> Self {
+    /// predictions are total from the first operation.
+    pub fn untrained(cfg: &PnwConfig) -> Self {
+        let value_bits = cfg.value_size * 8;
+        let (kmeans, scorer) = zero_model(value_bits, cfg.uses_pca());
         ModelSnapshot {
             value_bits,
-            kmeans: KMeans::from_centroids(Matrix::zeros(1, value_bits), 0),
-            projector: None,
-            packed: Some(PackedPredictor::from_centroids(&Matrix::zeros(
-                1, value_bits,
-            ))),
+            kmeans,
+            scorer,
             trained: false,
             epoch: 0,
         }
@@ -134,23 +168,22 @@ impl ModelSnapshot {
         self.kmeans.k()
     }
 
-    /// Dimensionality of the model's feature space: the PCA component
-    /// count for projector models, the raw bit count otherwise.
+    /// Dimensionality of the space K-means ran in: the PCA component count
+    /// for PCA-configured models, the raw bit count otherwise.
     pub fn feature_dims(&self) -> usize {
-        match &self.projector {
-            Some(p) => p.n_components(),
-            None => self.value_bits,
-        }
+        self.kmeans.dims()
     }
 
-    /// Whether predictions go through the bit-domain packed LUT kernel
-    /// (false for PCA models, which keep the sparse projector).
+    /// Whether predictions gather from the byte LUT
+    /// ([`PackedPredictor`]) — false for PCA-configured models, which score
+    /// through the per-bit folded table ([`FoldedPredictor`]).
     pub fn uses_packed(&self) -> bool {
-        self.packed.is_some()
+        matches!(self.scorer, Scorer::Lut(_))
     }
 
     /// The fitted K-means model — the reference float path the equivalence
-    /// tests and the predict microbench compare the packed kernel against.
+    /// tests and the predict microbench compare the bit-domain kernels
+    /// against. Its centroids live in [`ModelSnapshot::feature_dims`] space.
     pub fn kmeans(&self) -> &KMeans {
         &self.kmeans
     }
@@ -167,34 +200,20 @@ impl ModelSnapshot {
     /// Predicts the cluster for a value with zero heap allocation
     /// (buffers in `scratch` are reused across calls).
     ///
-    /// Non-PCA models go through the bit-domain packed LUT kernel
-    /// (`‖c‖² + popcount(x) − 2⟨c,x⟩` over the raw bytes — see
-    /// [`pnw_ml::packed`]); PCA models project through the sparse
-    /// [`BitProjector`] into the scratch feature buffer and scan the
-    /// (small) PCA-space centroids. Either way `scratch` afterwards holds
-    /// the per-cluster distances, so a fallback ranking costs one argsort,
-    /// not a second scan ([`ModelSnapshot::ranked_after_predict`]).
+    /// Either kernel reads the raw bytes and leaves the per-cluster scores
+    /// in `scratch` (see [`PredictScratch::distances`]), so a fallback
+    /// ranking costs one argsort, not a second scan
+    /// ([`ModelSnapshot::ranked_after_predict`]).
     pub fn predict_into(&self, value: &[u8], scratch: &mut PredictScratch) -> usize {
         debug_assert_eq!(value.len() * 8, self.value_bits);
         scratch.dist.resize(self.kmeans.k(), 0.0);
-        if let Some(packed) = &self.packed {
-            packed.distances_into(value, &mut scratch.dist)
-        } else if let Some(p) = &self.projector {
-            scratch.features.resize(p.n_components(), 0.0);
-            p.project_into(value, &mut scratch.features);
-            self.kmeans
-                .distances_into(&scratch.features, &mut scratch.dist)
-        } else {
-            // Defensive fallback (install always builds one of the two):
-            // the reference float path through the scratch feature buffer.
-            scratch.features.resize(self.value_bits, 0.0);
-            bits_into_features(value, &mut scratch.features);
-            self.kmeans
-                .distances_into(&scratch.features, &mut scratch.dist)
+        match &self.scorer {
+            Scorer::Lut(lut) => lut.distances_into(value, &mut scratch.dist),
+            Scorer::Bits(folded) => folded.scores_into(value, &mut scratch.dist),
         }
     }
 
-    /// Ranks all clusters nearest-first from the distances the last
+    /// Ranks all clusters nearest-first from the scores the last
     /// [`ModelSnapshot::predict_into`] call left in `scratch` — the lazy
     /// half of the split prediction: the pool only asks for this when the
     /// predicted cluster's free list is empty, so the sort is never paid on
@@ -211,11 +230,11 @@ impl ModelSnapshot {
     }
 }
 
-/// Owns the training machinery and the current published snapshot.
-pub struct ModelManager {
+/// What a training run needs from the store's configuration.
+#[derive(Clone, Copy)]
+struct TrainParams {
     clusters: usize,
     auto_k: Option<(usize, usize)>,
-    seed: u64,
     threads: usize,
     iters: usize,
     value_bits: usize,
@@ -223,12 +242,16 @@ pub struct ModelManager {
     pca_components: usize,
     pca_sample: usize,
     sample_cap: usize,
+}
 
+/// Owns the training machinery and the current published snapshot.
+pub struct ModelManager {
+    params: TrainParams,
+    seed: u64,
     current: Arc<ModelSnapshot>,
-    retrains: u64,
-    last_train: Duration,
-    samples_pre_cap: usize,
-    samples_post_cap: usize,
+    /// Cost and inputs of the last completed run; `epoch` doubles as the
+    /// completed-run counter.
+    stats: TrainStats,
     /// In-flight background training run. Behind a `Mutex` only so that the
     /// manager stays `Sync`; mutating methods go through `get_mut` (no lock
     /// traffic).
@@ -239,23 +262,21 @@ impl ModelManager {
     /// Creates an untrained manager; predictions all map to cluster 0 until
     /// the first training (matching a store whose cells are all zero).
     pub fn new(cfg: &PnwConfig) -> Self {
-        let value_bits = cfg.value_size * 8;
         ModelManager {
-            clusters: cfg.clusters,
-            auto_k: cfg.auto_k,
+            params: TrainParams {
+                clusters: cfg.clusters,
+                auto_k: cfg.auto_k,
+                threads: cfg.train_threads,
+                iters: cfg.train_iters,
+                value_bits: cfg.value_size * 8,
+                use_pca: cfg.uses_pca(),
+                pca_components: cfg.pca.components,
+                pca_sample: cfg.pca.sample,
+                sample_cap: cfg.train_sample_cap,
+            },
             seed: cfg.seed,
-            threads: cfg.train_threads,
-            iters: cfg.train_iters,
-            value_bits,
-            use_pca: cfg.uses_pca(),
-            pca_components: cfg.pca.components,
-            pca_sample: cfg.pca.sample,
-            sample_cap: cfg.train_sample_cap,
-            current: Arc::new(ModelSnapshot::untrained(value_bits)),
-            retrains: 0,
-            last_train: Duration::ZERO,
-            samples_pre_cap: 0,
-            samples_post_cap: 0,
+            current: Arc::new(ModelSnapshot::untrained(cfg)),
+            stats: TrainStats::default(),
             pending: Mutex::new(None),
         }
     }
@@ -273,18 +294,14 @@ impl ModelManager {
 
     /// Completed training runs.
     pub fn retrains(&self) -> u64 {
-        self.retrains
+        self.stats.epoch
     }
 
-    /// Retrain observability: last-train wall clock, snapshot sizes before
-    /// and after the reservoir cap, and the model epoch.
+    /// Retrain observability: last-train wall clock and its phase split,
+    /// snapshot sizes before and after the reservoir cap, and the model
+    /// epoch.
     pub fn train_stats(&self) -> TrainStats {
-        TrainStats {
-            last_train_wall: self.last_train,
-            samples_pre_cap: self.samples_pre_cap,
-            samples_post_cap: self.samples_post_cap,
-            epoch: self.retrains,
-        }
+        self.stats.clone()
     }
 
     /// Current number of clusters (1 until trained).
@@ -317,99 +334,82 @@ impl ModelManager {
         self.current.feature_dims()
     }
 
-    /// Whether the current snapshot predicts through the packed LUT kernel.
+    /// [`ModelSnapshot::uses_packed`] of the current snapshot.
     pub fn uses_packed(&self) -> bool {
         self.current.uses_packed()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn fit(
-        values: &[Vec<u8>],
-        clusters: usize,
-        auto_k: Option<(usize, usize)>,
-        seed: u64,
-        threads: usize,
-        iters: usize,
-        use_pca: bool,
-        pca_components: usize,
-        pca_sample: usize,
-        sample_cap: usize,
-    ) -> TrainedModel {
+    /// The per-run training seed: deterministic, distinct per retrain.
+    fn next_seed(&self) -> u64 {
+        self.seed.wrapping_add(self.stats.epoch)
+    }
+
+    /// One whole training run, score table included — everything the
+    /// caller's thread (the background trainer's, for background retrains)
+    /// can do ahead of the install.
+    fn fit(values: &[Vec<u8>], p: &TrainParams, seed: u64) -> TrainedModel {
         let start = Instant::now();
-        let samples_pre_cap = values.len();
         // Deterministic reservoir cap: retrain cost stops scaling with
         // data-zone size. Seeded by the (per-retrain) training seed.
-        let capped: Vec<&[u8]> = reservoir_sample(values.len(), sample_cap, seed)
+        let capped: Vec<&[u8]> = reservoir_sample(values.len(), p.sample_cap, seed)
             .into_iter()
             .map(|i| values[i].as_slice())
             .collect();
-        let samples_post_cap = capped.len();
 
-        let kmeans_cfg = |k: usize| {
-            KMeansConfig::new(k)
-                .with_seed(seed)
-                .with_threads(threads)
-                .with_max_iters(iters)
-        };
+        let mut phases = TrainPhases::default();
+        let (kmeans, scorer) = if capped.is_empty() {
+            zero_model(p.value_bits, p.use_pca)
+        } else if p.use_pca {
+            // Fit the basis on a packed subsample (the eigensolve is cubic),
+            // project every sample straight from its bytes, cluster in PCA
+            // space, fold the basis into the centroids.
+            let t = Instant::now();
+            let sample: Vec<&[u8]> = stride_sample(capped.len(), p.pca_sample)
+                .into_iter()
+                .map(|i| capped[i])
+                .collect();
+            let projector = Pca::fit_packed(&PackedMatrix::from_values(&sample), p.pca_components)
+                .bit_projector();
+            phases.pca_fit = t.elapsed();
 
-        let (pca, kmeans) = if use_pca && !capped.is_empty() {
-            // Float pipeline: PCA space is not 0/1, so featurize, fit the
-            // basis on a subsample (the eigensolve is cubic), project, fit.
-            let bits = featurize_parallel(&capped, threads);
-            let sample_idx: Vec<usize> = stride_sample(bits.rows(), pca_sample);
-            let sample = bits.select_rows(&sample_idx);
-            let pca = Pca::fit_with_threads(&sample, pca_components, threads);
-            let projected = pca.transform_with_threads(&bits, threads);
-            let k = match auto_k {
-                Some((lo, hi)) if projected.rows() > 0 => {
-                    let sweep = projected.select_rows(&stride_sample(projected.rows(), 512));
-                    elbow_k(&sweep, lo, hi, seed)
-                }
-                _ => clusters,
-            };
-            (Some(pca), KMeans::fit(&projected, &kmeans_cfg(k)))
+            let t = Instant::now();
+            let projected = projector.project_values(&capped);
+            phases.project = t.elapsed();
+
+            let t = Instant::now();
+            let kmeans = fit_kmeans(&projected, p, seed);
+            phases.kmeans = t.elapsed();
+
+            let t = Instant::now();
+            let scorer = Scorer::Bits(projector.fold(kmeans.centroids()));
+            phases.table_build = t.elapsed();
+            (kmeans, scorer)
         } else {
             // Packed bit-domain pipeline: no float tensor, no featurize.
-            let packed = PackedMatrix::from_values(&capped);
-            let k = match auto_k {
-                // The elbow sweep runs on a ≤512-row float subsample — the
-                // one place the bit path still expands to floats, bounded
-                // and cold.
-                Some((lo, hi)) if packed.rows() > 0 => {
-                    let sweep_idx = stride_sample(packed.rows(), 512);
-                    let sweep =
-                        pnw_ml::kmeans::TrainSet::select(&packed, &sweep_idx).to_matrix();
-                    elbow_k(&sweep, lo, hi, seed)
-                }
-                _ => clusters,
-            };
-            (None, KMeans::fit_set(&packed, &kmeans_cfg(k)))
+            let t = Instant::now();
+            let kmeans = fit_kmeans(&PackedMatrix::from_values(&capped), p, seed);
+            phases.kmeans = t.elapsed();
+
+            let t = Instant::now();
+            let scorer = Scorer::Lut(PackedPredictor::from_centroids(kmeans.centroids()));
+            phases.table_build = t.elapsed();
+            (kmeans, scorer)
         };
 
         TrainedModel {
             kmeans,
-            pca,
+            scorer,
             elapsed: start.elapsed(),
-            samples_pre_cap,
-            samples_post_cap,
+            phases,
+            samples_pre_cap: values.len(),
+            samples_post_cap: capped.len(),
         }
     }
 
     /// Trains synchronously on a snapshot of data-zone values (Algorithm 1)
     /// and installs the result. Returns the training time.
     pub fn train(&mut self, values: &[Vec<u8>]) -> Duration {
-        let m = Self::fit(
-            values,
-            self.clusters,
-            self.auto_k,
-            self.seed.wrapping_add(self.retrains),
-            self.threads,
-            self.iters,
-            self.use_pca,
-            self.pca_components,
-            self.pca_sample,
-            self.sample_cap,
-        );
+        let m = Self::fit(values, &self.params, self.next_seed());
         let elapsed = m.elapsed;
         self.install(m);
         elapsed
@@ -428,19 +428,7 @@ impl ModelManager {
             return;
         }
         let (tx, rx) = sync_channel(1);
-        let (clusters, auto_k, seed, threads, iters) = (
-            self.clusters,
-            self.auto_k,
-            self.seed.wrapping_add(self.retrains),
-            self.threads,
-            self.iters,
-        );
-        let (use_pca, pca_components, pca_sample, sample_cap) = (
-            self.use_pca,
-            self.pca_components,
-            self.pca_sample,
-            self.sample_cap,
-        );
+        let (params, seed) = (self.params, self.next_seed());
         std::thread::spawn(move || {
             // Drop guard: the flag fires on *every* exit — after the send
             // on success (so a ready observation always finds the model in
@@ -457,18 +445,7 @@ impl ModelManager {
                 }
             }
             let signal = SignalOnDrop(done);
-            let m = Self::fit(
-                &values,
-                clusters,
-                auto_k,
-                seed,
-                threads,
-                iters,
-                use_pca,
-                pca_components,
-                pca_sample,
-                sample_cap,
-            );
+            let m = Self::fit(&values, &params, seed);
             // Receiver may have been dropped (store torn down) — ignore.
             let _ = tx.send(m);
             drop(signal);
@@ -523,27 +500,48 @@ impl ModelManager {
         }
     }
 
+    /// Publishes a finished run: bump the epoch, swap the `Arc`. The score
+    /// table came with the model, so nothing here scales with the value
+    /// size — this runs on a client's op path.
     fn install(&mut self, m: TrainedModel) {
-        self.retrains += 1;
-        self.last_train = m.elapsed;
-        self.samples_pre_cap = m.samples_pre_cap;
-        self.samples_post_cap = m.samples_post_cap;
-        // Build the new snapshot's packed LUTs once per swap — the per-op
-        // hot path only ever reads them. PCA models predict in projected
-        // space, where inputs are no longer 0/1, so they keep the
-        // projector path.
-        let projector = m.pca.as_ref().map(Pca::bit_projector);
-        let packed = (projector.is_none() && m.kmeans.dims() == self.value_bits)
-            .then(|| PackedPredictor::from_centroids(m.kmeans.centroids()));
+        self.stats = TrainStats {
+            last_train_wall: m.elapsed,
+            phases: m.phases,
+            samples_pre_cap: m.samples_pre_cap,
+            samples_post_cap: m.samples_post_cap,
+            epoch: self.stats.epoch + 1,
+        };
         self.current = Arc::new(ModelSnapshot {
-            value_bits: self.value_bits,
+            value_bits: self.params.value_bits,
             kmeans: m.kmeans,
-            projector,
-            packed,
+            scorer: m.scorer,
             trained: true,
-            epoch: self.retrains,
+            epoch: self.stats.epoch,
         });
     }
+}
+
+/// Picks K (the elbow method when `auto_k` is set) and runs Lloyd on either
+/// training-set representation.
+fn fit_kmeans<D: TrainSet>(data: &D, p: &TrainParams, seed: u64) -> KMeans {
+    let k = match p.auto_k {
+        Some((lo, hi)) => {
+            // The sweep runs on a ≤512-row float subsample — the one place
+            // the bit route still expands to floats, bounded and cold.
+            let idx = stride_sample(data.n_samples(), 512);
+            let mut sweep = Matrix::zeros(idx.len(), data.n_dims());
+            for (row, &i) in idx.iter().enumerate() {
+                data.write_row(i, sweep.row_mut(row));
+            }
+            elbow_k(&sweep, lo, hi, seed)
+        }
+        None => p.clusters,
+    };
+    let cfg = KMeansConfig::new(k)
+        .with_seed(seed)
+        .with_threads(p.threads)
+        .with_max_iters(p.iters);
+    KMeans::fit_set(data, &cfg)
 }
 
 /// Elbow-method K selection (§V-A.1, Figure 4): sweep the SSE curve over
@@ -553,46 +551,6 @@ fn elbow_k(sweep: &Matrix, lo: usize, hi: usize, seed: u64) -> usize {
     let ks: Vec<usize> = (lo..=hi.min(sweep.rows().max(lo))).collect();
     let curve = pnw_ml::elbow::sse_curve(sweep, &ks, seed);
     pnw_ml::elbow::elbow_point(&curve)
-}
-
-/// Builds the samples × bits training matrix, splitting rows across
-/// `threads` workers. Only the PCA pipeline pays this cost now; the bit
-/// path trains on [`PackedMatrix`] directly.
-fn featurize_parallel<V: AsRef<[u8]> + Sync>(values: &[V], threads: usize) -> Matrix {
-    let n = values.len();
-    if n == 0 {
-        return Matrix::zeros(0, 0);
-    }
-    let bits = values[0].as_ref().len() * 8;
-    let mut m = Matrix::zeros(n, bits);
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        for (i, v) in values.iter().enumerate() {
-            bits_into_features(v.as_ref(), m.row_mut(i));
-        }
-        return m;
-    }
-    let chunk = n.div_ceil(threads);
-    let mut bands: Vec<&mut [f32]> = Vec::new();
-    {
-        let mut rest = m.as_mut_slice();
-        while !rest.is_empty() {
-            let take = (chunk * bits).min(rest.len());
-            let (band, r) = rest.split_at_mut(take);
-            bands.push(band);
-            rest = r;
-        }
-    }
-    std::thread::scope(|scope| {
-        for (t, band) in bands.into_iter().enumerate() {
-            scope.spawn(move || {
-                for (off, dst) in band.chunks_mut(bits).enumerate() {
-                    bits_into_features(values[t * chunk + off].as_ref(), dst);
-                }
-            });
-        }
-    });
-    m
 }
 
 /// Evenly-strided subsample of `0..n`, at most `cap` indices.
@@ -715,17 +673,7 @@ mod tests {
         let cfg = PnwConfig::new(32, 256).with_clusters(2); // 2048 bits > threshold
         assert!(cfg.uses_pca());
         let mut m = ModelManager::new(&cfg);
-        let mut values = Vec::new();
-        for i in 0..30u8 {
-            let mut a = vec![0u8; 256];
-            a[..128].fill(0xFF);
-            a[200] = i;
-            values.push(a);
-            let mut b = vec![0u8; 256];
-            b[128..].fill(0xFF);
-            b[10] = i;
-            values.push(b);
-        }
+        let values = two_macro_patterns();
         m.train(&values);
         // Features are PCA-projected: at most the requested components (the
         // basis truncates to the data's actual rank), far below 2048 bits.
@@ -778,11 +726,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pca_model_keeps_projector_path_with_scratch() {
-        let cfg = PnwConfig::new(32, 256).with_clusters(2);
-        let mut m = ModelManager::new(&cfg);
-        assert!(m.uses_packed(), "untrained model is bit-domain");
+    /// Two 256 B macro-patterns with a little per-sample variation.
+    fn two_macro_patterns() -> Vec<Vec<u8>> {
         let mut values = Vec::new();
         for i in 0..30u8 {
             let mut a = vec![0u8; 256];
@@ -794,13 +739,27 @@ mod tests {
             b[10] = i;
             values.push(b);
         }
+        values
+    }
+
+    #[test]
+    fn pca_model_scores_through_the_per_bit_table() {
+        let cfg = PnwConfig::new(32, 256).with_clusters(2);
+        let mut m = ModelManager::new(&cfg);
+        assert!(
+            !m.uses_packed(),
+            "the kernel follows uses_pca() from the placeholder on"
+        );
+        assert_eq!(m.predict(&[0xA5; 256]), 0);
+        let values = two_macro_patterns();
         m.train(&values);
-        assert!(!m.uses_packed(), "PCA model keeps the projector path");
+        assert!(!m.uses_packed());
         let mut scratch = PredictScratch::new();
         for v in values.iter().take(8) {
             let c = m.predict_into(v, &mut scratch);
-            // The scratch distances are the full PCA-space scan; their
-            // argmin must be the returned cluster.
+            // The scratch holds one score per cluster; their argmin must be
+            // the returned cluster.
+            assert_eq!(scratch.distances().len(), m.k());
             let best = scratch
                 .distances()
                 .iter()
@@ -809,6 +768,50 @@ mod tests {
                 .unwrap()
                 .0;
             assert_eq!(c, best);
+        }
+    }
+
+    #[test]
+    fn train_stats_split_the_wall_clock_by_phase() {
+        let mut m = ModelManager::new(&PnwConfig::new(32, 256).with_clusters(2));
+        m.train(&two_macro_patterns());
+        let s = m.train_stats();
+        let p = s.phases;
+        for phase in [p.pca_fit, p.project, p.kmeans, p.table_build] {
+            assert!(phase > Duration::ZERO, "{p:?}");
+        }
+        assert!(p.pca_fit + p.project + p.kmeans + p.table_build <= s.last_train_wall);
+
+        // At or below the PCA threshold there is no basis and no projection.
+        let mut m = ModelManager::new(&small_cfg());
+        m.train(&[vec![0, 0, 0, 1], vec![0xFF, 0xFF, 0xFF, 0xF0]]);
+        let p = m.train_stats().phases;
+        assert_eq!((p.pca_fit, p.project), (Duration::ZERO, Duration::ZERO));
+        assert!(p.kmeans > Duration::ZERO && p.table_build > Duration::ZERO);
+    }
+
+    /// A zone of identical values has no variance: PCA keeps no axis, the
+    /// centroids have no coordinates, and every value ties on cluster 0.
+    #[test]
+    fn pca_model_survives_a_constant_training_set() {
+        let cfg = PnwConfig::new(32, 256).with_clusters(3);
+        let mut m = ModelManager::new(&cfg);
+        m.train(&vec![vec![0u8; 256]; 32]);
+        assert_eq!(m.feature_dims(), 0);
+        let mut scratch = PredictScratch::new();
+        assert_eq!(m.predict_into(&[0x3C; 256], &mut scratch), 0);
+        assert_eq!(m.ranked_after_predict(&mut scratch).len(), m.k());
+    }
+
+    #[test]
+    fn training_on_nothing_keeps_the_zero_centroid() {
+        for cfg in [small_cfg(), PnwConfig::new(32, 256)] {
+            let mut m = ModelManager::new(&cfg);
+            m.train(&[]);
+            assert!(m.is_trained());
+            assert_eq!(m.k(), 1);
+            assert_eq!(m.predict(&vec![0xFF; cfg.value_size]), 0);
+            assert_eq!(m.train_stats().samples_post_cap, 0);
         }
     }
 

@@ -287,15 +287,14 @@ pub struct ShardEngine {
     /// the DeletePut update skip Algorithm 3's peek + predict when the
     /// bucket was written under the model that is still installed.
     labels: Vec<u16>,
-    /// Per-shard prediction scratch (distances, ranking, PCA features) —
+    /// Per-shard prediction scratch (scores, ranking) —
     /// the model is shared and read-only, the mutable buffers live here so
     /// steady-state PUT/DELETE allocates nothing.
     scratch: PredictScratch,
     /// Reusable bucket image for the PUT write (header + value); the pad
     /// bytes `[1..8]` are zeroed once and never touched again.
     bucket_img: Vec<u8>,
-    /// Reusable value buffer for DELETE's content relabeling and
-    /// maintenance scans.
+    /// Reusable value buffer for the scrubber's and recovery's CRC scans.
     value_buf: Vec<u8>,
     /// WAL appender when this shard is file-backed; `None` keeps the
     /// volatile op path bit-for-bit unchanged.
@@ -406,7 +405,7 @@ impl ShardEngine {
             vec![0u8; HDR_BYTES + cfg.value_size],
             vec![0u8; cfg.value_size],
         );
-        let model = Arc::new(ModelSnapshot::untrained(cfg.value_size * 8));
+        let model = Arc::new(ModelSnapshot::untrained(&cfg));
         Ok(ShardEngine {
             cfg,
             dev,
@@ -546,11 +545,7 @@ impl ShardEngine {
         let add = buckets.min(self.reserve_remaining());
         let first = self.active_buckets as u32;
         for b in first..first + add as u32 {
-            let vaddr = self.bucket_addr(b) + HDR_BYTES;
-            self.dev
-                .peek_into(vaddr, &mut self.value_buf)
-                .expect("bucket in range");
-            let label = self.model.predict_into(&self.value_buf, &mut self.scratch);
+            let label = self.label_stored(b).expect("bucket in range");
             self.pool.push(label, b);
         }
         self.active_buckets += add;
@@ -1194,8 +1189,8 @@ impl ShardEngine {
 
     /// Algorithm 3 minus the pool push: resets the flag bit (line 2, a
     /// one-bit NVM update) and labels the stored content (lines 3–4) —
-    /// through the shard's reusable value buffer and prediction scratch,
-    /// so DELETE allocates nothing. The caller decides *when* the bucket
+    /// from the cached label or straight from the cells, so DELETE
+    /// allocates nothing. The caller decides *when* the bucket
     /// rejoins the pool (immediately for volatile shards, after the WAL
     /// commit point for durable ones).
     fn clear_bucket(&mut self, addr: u64) -> Result<(usize, u32), PnwError> {
@@ -1209,9 +1204,7 @@ impl ShardEngine {
         let label = if cached != LABEL_STALE && (cached as usize) < self.model.k() {
             cached as usize
         } else {
-            let vaddr = self.bucket_addr(bucket) + HDR_BYTES;
-            self.dev.peek_into(vaddr, &mut self.value_buf)?;
-            self.model.predict_into(&self.value_buf, &mut self.scratch)
+            self.label_stored(bucket)?
         };
         self.live -= 1;
         Ok((label, bucket))
@@ -1569,19 +1562,21 @@ impl ShardEngine {
         self.pool.rebuild_tiered(clusters, tiered);
     }
 
-    /// Labels each bucket's stored content under the current snapshot,
-    /// through the shard's reusable buffers.
+    /// Labels `bucket`'s stored content under the current snapshot
+    /// (Algorithm 3 lines 3–4), predicting straight from the device cells —
+    /// no copy, no allocation, no device statistics.
+    fn label_stored(&mut self, bucket: u32) -> Result<usize, PnwError> {
+        let vaddr = self.bucket_addr(bucket) + HDR_BYTES;
+        let value = self.dev.peek(vaddr, self.cfg.value_size)?;
+        Ok(self.model.predict_into(value, &mut self.scratch))
+    }
+
+    /// [`ShardEngine::label_stored`] for each of `buckets`.
     fn labels_of(&mut self, buckets: Vec<u32>) -> Vec<(u32, usize)> {
-        let mut out = Vec::with_capacity(buckets.len());
-        for b in buckets {
-            let vaddr = self.bucket_addr(b) + HDR_BYTES;
-            self.dev
-                .peek_into(vaddr, &mut self.value_buf)
-                .expect("bucket in range");
-            let label = self.model.predict_into(&self.value_buf, &mut self.scratch);
-            out.push((b, label));
-        }
-        out
+        buckets
+            .into_iter()
+            .map(|b| (b, self.label_stored(b).expect("bucket in range")))
+            .collect()
     }
 
     /// Collects a training snapshot: the contents of all data-zone buckets
@@ -1679,7 +1674,7 @@ impl ShardEngine {
         // The model is DRAM-resident and lost with the crash; predictions
         // fall back to the untrained placeholder until the caller retrains
         // and installs (the pool above is single-cluster to match).
-        self.model = Arc::new(ModelSnapshot::untrained(self.cfg.value_size * 8));
+        self.model = Arc::new(ModelSnapshot::untrained(&self.cfg));
         self.labels.fill(LABEL_STALE);
         Ok(())
     }

@@ -504,8 +504,8 @@ impl PnwStore {
         self.inner.read().unwrap().model.predict(value)
     }
 
-    /// The current immutable model snapshot (centroids, packed LUTs,
-    /// projector) — an `Arc` clone, safe to inspect outside the lock.
+    /// The current immutable model snapshot (centroids and their score
+    /// table) — an `Arc` clone, safe to inspect outside the lock.
     pub fn model_snapshot(&self) -> std::sync::Arc<crate::model::ModelSnapshot> {
         self.inner.read().unwrap().model.snapshot()
     }

@@ -46,8 +46,8 @@ impl Assignment {
 /// A K-means training set. Implemented by the dense float [`Matrix`] and by
 /// the packed bit matrix; [`KMeans::fit_set`] and
 /// [`MiniBatchKMeans::fit_set`](crate::minibatch::MiniBatchKMeans::fit_set)
-/// are generic over it, so the float path survives for PCA-projected models
-/// while raw bit-feature models train without featurization.
+/// are generic over it, so K-means over PCA space (floats) and over raw bit
+/// features (packed, no featurization) share one fit.
 ///
 /// Centroids stay fractional `f32` either way — only the *samples* are
 /// representation-specific.
@@ -311,9 +311,10 @@ impl KMeans {
     }
 
     /// Squared distance from `x` to every centroid, written into `out`;
-    /// returns the argmin cluster. The allocation-free kernel behind the
-    /// PCA-space prediction path (bit-feature models use the packed LUT
-    /// predictor in [`crate::packed`] instead).
+    /// returns the argmin cluster. The allocation-free float scan — the
+    /// reference the bit-domain predictors ([`crate::packed`] over raw bit
+    /// features, [`crate::pca::FoldedPredictor`] over PCA space) are tested
+    /// against.
     ///
     /// # Panics
     /// Panics if `out.len() != self.k()`.

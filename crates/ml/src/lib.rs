@@ -12,7 +12,10 @@
 //!   retraining.
 //! * [`pca`] — principal component analysis via a symmetric eigensolver
 //!   (Householder tridiagonalization + implicit-shift QL), reporting the
-//!   explained-variance-ratio curve of Figure 3.
+//!   explained-variance-ratio curve of Figure 3; for bit-valued data the
+//!   fit (AND-popcount Gram matrix), the projection and the prediction
+//!   (basis folded into the centroids: K floats per value bit) all run
+//!   straight from the packed bytes.
 //! * [`elbow`] — SSE-vs-K curves and knee detection (Figure 4).
 //! * [`featurize`] — the bit-per-dimension encoding of §V-A.1: *"each memory
 //!   location is encoded as a vector of bits, each of which is used as a
@@ -73,4 +76,4 @@ pub use matrix::Matrix;
 pub use minibatch::MiniBatchKMeans;
 pub use packed::PackedPredictor;
 pub use packedmatrix::PackedMatrix;
-pub use pca::Pca;
+pub use pca::{BitProjector, FoldedPredictor, Pca};

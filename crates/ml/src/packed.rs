@@ -50,8 +50,8 @@ impl PackedPredictor {
     ///
     /// # Panics
     /// Panics if the feature dimensionality is not a whole number of bytes
-    /// (bit-feature models always are; PCA-space models must keep the
-    /// float path).
+    /// (bit-feature models always are; centroids in PCA space go through
+    /// [`BitProjector::fold`](crate::pca::BitProjector::fold) instead).
     pub fn from_centroids(centroids: &Matrix) -> Self {
         let dims = centroids.cols();
         assert!(

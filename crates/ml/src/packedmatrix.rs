@@ -117,6 +117,37 @@ impl PackedMatrix {
         crate::simd::hamming_words(self.row_words(i), self.row_words(j))
     }
 
+    /// Bits rows `i` and `j` share (one AND + popcount per word pair) — on
+    /// 0/1 features this *is* their inner product, the Gram entry
+    /// [`Pca::fit_packed`](crate::pca::Pca::fit_packed) needs.
+    #[inline]
+    pub fn shared_bits(&self, i: usize, j: usize) -> u64 {
+        crate::simd::and_popcount_words(self.row_words(i), self.row_words(j))
+    }
+
+    /// Calls `f` with the index of every set bit of row `i`, ascending.
+    #[inline]
+    pub fn for_each_set_bit(&self, i: usize, mut f: impl FnMut(usize)) {
+        for (wi, &word) in self.row_words(i).iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                f(wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+    }
+
+    /// Column-wise mean (the fraction of rows with each bit set), like
+    /// [`Matrix::col_mean`]. Zero vector when empty.
+    pub fn col_mean(&self) -> Vec<f32> {
+        let mut counts = vec![0u32; self.dims()];
+        for i in 0..self.rows {
+            self.for_each_set_bit(i, |j| counts[j] += 1);
+        }
+        let n = self.rows.max(1) as f32;
+        counts.into_iter().map(|c| c as f32 / n).collect()
+    }
+
     /// DRAM held by the packed rows, in bytes — `1/32` of the float tensor
     /// the old pipeline materialized.
     pub fn packed_bytes(&self) -> usize {
@@ -137,13 +168,7 @@ impl PackedMatrix {
     /// the integer centroid accumulator of the packed update step.
     #[inline]
     fn count_bits_into(&self, i: usize, bitcounts: &mut [u32]) {
-        for (wi, &word) in self.row_words(i).iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                bitcounts[wi * 64 + w.trailing_zeros() as usize] += 1;
-                w &= w - 1;
-            }
-        }
+        self.for_each_set_bit(i, |j| bitcounts[j] += 1);
     }
 }
 
@@ -173,13 +198,7 @@ impl TrainSet for PackedMatrix {
         // Cold path (empty-cluster repair), so ‖c‖² is computed in place.
         let norm: f32 = centroid.iter().map(|&v| v * v).sum();
         let mut dot = 0.0f32;
-        for (wi, &word) in self.row_words(i).iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                dot += centroid[wi * 64 + w.trailing_zeros() as usize];
-                w &= w - 1;
-            }
-        }
+        self.for_each_set_bit(i, |j| dot += centroid[j]);
         norm + self.popcounts[i] as f32 - 2.0 * dot
     }
 

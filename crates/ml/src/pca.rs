@@ -9,10 +9,33 @@
 //! Implementation: the Gram trick. For n samples × d features with n ≤ d we
 //! eigendecompose the n×n Gram matrix instead of the d×d covariance — the
 //! nonzero eigenvalues coincide and each covariance eigenvector is recovered
-//! as `Xᵀu / ‖Xᵀu‖`. When d < n the covariance is decomposed directly.
+//! as `Xᵀu / ‖Xᵀu‖`. When d < n the float fit decomposes the covariance
+//! directly.
+//!
+//! The inputs are always bits, so the store's path never leaves the bit
+//! domain:
+//!
+//! * **Fit** — [`Pca::fit_packed`] builds the Gram matrix from a
+//!   [`PackedMatrix`] by AND-popcount (`⟨xᵢ, xⱼ⟩` of two 0/1 rows is the
+//!   number of bits they share) and centers it in f64
+//!   (`⟨xᵢ−μ, xⱼ−μ⟩ = Gᵢⱼ − rᵢ − rⱼ + m`); [`Pca::fit`] on a float matrix
+//!   is the reference it is tested against.
+//! * **Project** — [`BitProjector`] maps raw bytes to PCA space as an affine
+//!   function of the set bits, `y = o + Σ_{set bits j} W[:, j]` with
+//!   `o = −Wμ`.
+//! * **Predict** — [`FoldedPredictor`] folds the basis into the PCA-space
+//!   centroids: `‖y − c_k‖² = ‖y‖² + b_k − 2⟨g_k, x⟩` with `g_k = Wᵀc_k`
+//!   (one float per value bit) and `b_k = ‖c_k‖² − 2 c_k·o`. `‖y‖²` is the
+//!   same for every k, so the argmin and the nearest-first ranking need only
+//!   the K affine scores `b_k − 2⟨g_k, x⟩` — K lanes per set bit instead of
+//!   `n_components` lanes plus a K × `n_components` scan.
+//!
+//! Both affine maps share one table layout and one kernel
+//! ([`crate::simd`]'s per-set-bit accumulation).
 
 use crate::linalg::sym_eigen;
 use crate::matrix::Matrix;
+use crate::packedmatrix::PackedMatrix;
 
 /// A fitted PCA projection.
 #[derive(Debug, Clone)]
@@ -28,91 +51,36 @@ pub struct Pca {
 
 impl Pca {
     /// Fits on `data` (samples × features), retaining `n_components`
-    /// components (clamped to the spectrum's length). Single-threaded; see
-    /// [`Pca::fit_with_threads`] for the multicore variant Figure 11 times.
+    /// components (clamped to the spectrum's length) — the float reference;
+    /// the store fits bit-valued samples with [`Pca::fit_packed`].
     pub fn fit(data: &Matrix, n_components: usize) -> Pca {
-        Self::fit_with_threads(data, n_components, 1)
-    }
-
-    /// Fits with `threads` workers parallelizing the Gram-matrix build (the
-    /// dominant cost for wide data).
-    pub fn fit_with_threads(data: &Matrix, n_components: usize, threads: usize) -> Pca {
         let n = data.rows();
         let d = data.cols();
         if n == 0 || d == 0 {
-            return Pca {
-                mean: vec![0.0; d],
-                components: Matrix::zeros(0, d),
-                spectrum: Vec::new(),
-                total_variance: 0.0,
-            };
+            return Pca::empty(d);
         }
         let mean = data.col_mean();
         let xc = data.centered(&mean);
         let denom = (n.max(2) - 1) as f64;
 
         let (spectrum, components) = if n <= d {
-            // Gram trick: G[i][j] = <xi, xj> / (n-1). Rows are independent,
-            // so they parallelize over contiguous chunks.
+            // Gram trick: G[i][j] = <xi, xj> / (n-1).
             let mut g = vec![0.0f64; n * n];
-            let threads = threads.max(1).min(n.max(1));
-            if threads == 1 {
-                for i in 0..n {
-                    for j in 0..=i {
-                        let v = f64::from(crate::matrix::dot(xc.row(i), xc.row(j))) / denom;
-                        g[i * n + j] = v;
-                        g[j * n + i] = v;
-                    }
-                }
-            } else {
-                let chunk = n.div_ceil(threads);
-                let row_chunks: Vec<&mut [f64]> = g.chunks_mut(chunk * n).collect();
-                std::thread::scope(|scope| {
-                    for (t, rows) in row_chunks.into_iter().enumerate() {
-                        let xc = &xc;
-                        scope.spawn(move || {
-                            for (off, row) in rows.chunks_mut(n).enumerate() {
-                                let i = t * chunk + off;
-                                for (j, slot) in row.iter_mut().enumerate().take(i + 1) {
-                                    *slot =
-                                        f64::from(crate::matrix::dot(xc.row(i), xc.row(j))) / denom;
-                                }
-                            }
-                        });
-                    }
-                });
-                // Mirror the lower triangle.
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        g[i * n + j] = g[j * n + i];
-                    }
+            for i in 0..n {
+                for j in 0..=i {
+                    let v = f64::from(crate::matrix::dot(xc.row(i), xc.row(j))) / denom;
+                    g[i * n + j] = v;
+                    g[j * n + i] = v;
                 }
             }
-            let eig = sym_eigen(&g, n);
-            let keep = n_components.min(n);
-            let mut comp = Matrix::zeros(keep, d);
-            let mut kept = 0;
-            for (lam, u) in eig.values.iter().zip(&eig.vectors) {
-                if kept == keep {
-                    break;
+            axes_from_gram(&g, n, n_components, |kept| {
+                let mut w = Matrix::zeros(kept.len(), d);
+                for (c, u) in kept.iter().enumerate() {
+                    let uf: Vec<f32> = u.iter().map(|&x| x as f32).collect();
+                    w.row_mut(c).copy_from_slice(&xc.t_mat_vec(&uf));
                 }
-                if *lam <= 1e-12 {
-                    break; // null space — no principal axis to recover
-                }
-                // w = Xcᵀ u, normalized.
-                let uf: Vec<f32> = u.iter().map(|&x| x as f32).collect();
-                let mut w = xc.t_mat_vec(&uf);
-                let norm: f32 = w.iter().map(|x| x * x).sum::<f32>().sqrt();
-                if norm > 0.0 {
-                    for x in &mut w {
-                        *x /= norm;
-                    }
-                }
-                comp.row_mut(kept).copy_from_slice(&w);
-                kept += 1;
-            }
-            let comp = truncate_rows(comp, kept, d);
-            (eig.values, comp)
+                w
+            })
         } else {
             // Direct covariance: C = XcᵀXc / (n-1), d×d.
             let mut c = vec![0.0f64; d * d];
@@ -144,7 +112,79 @@ impl Pca {
             }
             (eig.values, comp)
         };
+        Pca::from_parts(mean, components, spectrum)
+    }
 
+    /// [`Pca::fit`] for bit-valued samples, without ever expanding them to
+    /// floats: the Gram matrix is AND-popcounts over the packed rows,
+    /// double-centered in f64, and the principal axes are recovered by
+    /// walking each row's set bits. Always takes the Gram route (the
+    /// eigensolve is n×n, and callers cap n), so for d < n the spectrum
+    /// carries n − d trailing zeros the covariance route would not.
+    pub fn fit_packed(data: &PackedMatrix, n_components: usize) -> Pca {
+        let n = data.rows();
+        let d = data.dims();
+        if n == 0 || d == 0 {
+            return Pca::empty(d);
+        }
+        let mean = data.col_mean();
+        let denom = (n.max(2) - 1) as f64;
+
+        // G[i][j] = |xi ∧ xj| is an exact integer; centering needs only its
+        // row means r and grand mean m.
+        let mut g = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in 0..=i {
+                let shared = data.shared_bits(i, j) as f64;
+                g[i * n + j] = shared;
+                g[j * n + i] = shared;
+            }
+        }
+        let row_mean: Vec<f64> = g
+            .chunks_exact(n)
+            .map(|row| row.iter().sum::<f64>() / n as f64)
+            .collect();
+        let grand_mean = row_mean.iter().sum::<f64>() / n as f64;
+        for (i, row) in g.chunks_exact_mut(n).enumerate() {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = (*v - row_mean[i] - row_mean[j] + grand_mean) / denom;
+            }
+        }
+
+        let (spectrum, components) = axes_from_gram(&g, n, n_components, |kept| {
+            // Xcᵀu = Σᵢ uᵢ·xᵢ − μ·Σᵢ uᵢ for every kept u at once: bit-major
+            // accumulators, so each set bit adds one contiguous stripe.
+            let nk = kept.len();
+            let mut by_bit = vec![0.0f64; d * nk];
+            let mut coef = vec![0.0f64; nk];
+            for i in 0..n {
+                for (c, u) in coef.iter_mut().zip(kept) {
+                    *c = u[i];
+                }
+                data.for_each_set_bit(i, |j| {
+                    for (acc, c) in by_bit[j * nk..(j + 1) * nk].iter_mut().zip(&coef) {
+                        *acc += c;
+                    }
+                });
+            }
+            let u_sum: Vec<f64> = kept.iter().map(|u| u.iter().sum()).collect();
+            let mut w = Matrix::zeros(nk, d);
+            for (j, stripe) in by_bit.chunks_exact(nk.max(1)).enumerate() {
+                for (c, &acc) in stripe.iter().enumerate() {
+                    w.set(c, j, (acc - f64::from(mean[j]) * u_sum[c]) as f32);
+                }
+            }
+            w
+        });
+        Pca::from_parts(mean, components, spectrum)
+    }
+
+    /// The fit of no data: no components, zero mean.
+    fn empty(d: usize) -> Pca {
+        Pca::from_parts(vec![0.0; d], Matrix::zeros(0, d), Vec::new())
+    }
+
+    fn from_parts(mean: Vec<f32>, components: Matrix, spectrum: Vec<f64>) -> Pca {
         let spectrum: Vec<f64> = spectrum.into_iter().map(|v| v.max(0.0)).collect();
         let total_variance: f64 = spectrum.iter().sum();
         Pca {
@@ -209,76 +249,132 @@ impl Pca {
 
     /// Projects every row of `data`.
     pub fn transform(&self, data: &Matrix) -> Matrix {
-        self.transform_with_threads(data, 1)
-    }
-
-    /// Projects every row of `data` with `threads` workers.
-    pub fn transform_with_threads(&self, data: &Matrix, threads: usize) -> Matrix {
-        let n = data.rows();
-        if n == 0 {
+        if data.rows() == 0 {
             return Matrix::zeros(0, self.n_components());
         }
-        let threads = threads.max(1).min(n);
-        if threads == 1 {
-            let rows: Vec<Vec<f32>> = data.iter_rows().map(|r| self.transform_row(r)).collect();
-            return Matrix::from_rows(&rows);
-        }
-        let nc = self.n_components();
-        let mut out = Matrix::zeros(n, nc);
-        let chunk = n.div_ceil(threads);
-        // Split the output into per-thread row bands.
-        let mut bands: Vec<&mut [f32]> = Vec::new();
-        {
-            let mut rest = out.as_mut_slice();
-            while !rest.is_empty() {
-                let take = (chunk * nc).min(rest.len());
-                let (band, r) = rest.split_at_mut(take);
-                bands.push(band);
-                rest = r;
-            }
-        }
-        std::thread::scope(|scope| {
-            for (t, band) in bands.into_iter().enumerate() {
-                scope.spawn(move || {
-                    for (off, dst) in band.chunks_mut(nc).enumerate() {
-                        let i = t * chunk + off;
-                        dst.copy_from_slice(&self.transform_row(data.row(i)));
-                    }
-                });
-            }
-        });
-        out
+        let rows: Vec<Vec<f32>> = data.iter_rows().map(|r| self.transform_row(r)).collect();
+        Matrix::from_rows(&rows)
+    }
+
+    /// Builds the byte-level fast projector for this basis. The input
+    /// dimensionality must be a whole number of bytes (bit features).
+    pub fn bit_projector(&self) -> BitProjector {
+        // offset[c] = -W[c]·mean
+        let offset: Vec<f32> = (0..self.n_components())
+            .map(|c| -crate::matrix::dot(self.components.row(c), &self.mean))
+            .collect();
+        BitProjector::new(self.input_dims(), offset, |j, c| self.components.get(c, j))
     }
 }
 
-/// A projection of raw *byte* values straight into PCA space, skipping the
-/// intermediate bit-feature vector.
+/// Eigendecomposes a centered, `1/(n−1)`-scaled n×n Gram matrix and
+/// recovers the leading principal axes: `back_project` maps the kept
+/// eigenvectors `u` (at most `keep`, null-space ones dropped) to the rows
+/// `Xcᵀu`, which are normalized here. Returns the full spectrum and the
+/// axes.
+fn axes_from_gram(
+    g: &[f64],
+    n: usize,
+    keep: usize,
+    back_project: impl FnOnce(&[&[f64]]) -> Matrix,
+) -> (Vec<f64>, Matrix) {
+    let eig = sym_eigen(g, n);
+    let kept: Vec<&[f64]> = eig
+        .values
+        .iter()
+        .zip(&eig.vectors)
+        .take(keep)
+        // Null space — no principal axis to recover.
+        .take_while(|(lam, _)| **lam > 1e-12)
+        .map(|(_, u)| u.as_slice())
+        .collect();
+    let mut axes = back_project(&kept);
+    for c in 0..axes.rows() {
+        let row = axes.row_mut(c);
+        let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if norm > 0.0 {
+            for x in row {
+                *x /= norm;
+            }
+        }
+    }
+    (eig.values, axes)
+}
+
+/// Row stride of a per-bit table with `n` outputs: padded to whole 8-lane
+/// SIMD registers. A single output stays unpadded — that is the untrained
+/// placeholder model (one all-zero score), which is never worth 8× the
+/// memory.
+fn padded_lanes(n: usize) -> usize {
+    if n <= 1 {
+        n
+    } else {
+        n.next_multiple_of(8)
+    }
+}
+
+/// An affine map from a raw *byte* value's bits to `n_components` floats,
+/// `y = offset + Σ_{set bits j} table[j]` — for a PCA basis, the projection
+/// `W(x − μ)` without the intermediate bit-feature vector.
 ///
-/// For a value with `s` set bits, projection costs `s × n_components`
-/// additions instead of `dims × n_components` multiply-adds — a large win
-/// for the sparse datasets (bags-of-words, access samples) and a constant
-/// win in allocations for everything. The component matrix is stored
-/// transposed (dims × n_components) so each set bit touches one contiguous
-/// stripe.
+/// For a value with `s` set bits this costs `s × n_components` additions
+/// instead of `dims × n_components` multiply-adds — a large win for the
+/// sparse datasets (bags-of-words, access samples) and a constant win in
+/// allocations for everything. The table holds one row per bit-feature,
+/// padded to whole SIMD registers, so each set bit adds one contiguous
+/// stripe ([`crate::simd`]'s per-set-bit kernel).
 #[derive(Debug, Clone)]
 pub struct BitProjector {
-    n_components: usize,
     input_bytes: usize,
-    /// dims × n_components, row per bit-feature.
-    transposed: Vec<f32>,
-    /// `-Wᵀ·mean`, the constant term of `W(x - mean)` for 0/1 features.
+    /// Row stride of `table` (`offset.len()` padded, see [`padded_lanes`]).
+    lanes: usize,
+    /// dims × lanes, row per bit-feature; pad lanes are zero.
+    table: Vec<f32>,
+    /// The constant term — `-W·mean` for a PCA basis.
     offset: Vec<f32>,
 }
 
 impl BitProjector {
+    /// The map over `dims` bit-features with constant term `offset` and
+    /// `weight(j, c)` the contribution of bit `j` to output `c`.
+    ///
+    /// # Panics
+    /// Panics if `dims` is not a whole number of bytes.
+    fn new(dims: usize, offset: Vec<f32>, weight: impl Fn(usize, usize) -> f32) -> Self {
+        assert_eq!(dims % 8, 0, "bit features are byte-aligned");
+        let lanes = padded_lanes(offset.len());
+        let mut table = vec![0.0f32; dims * lanes];
+        for (j, row) in table.chunks_exact_mut(lanes.max(1)).enumerate() {
+            for (c, slot) in row[..offset.len()].iter_mut().enumerate() {
+                *slot = weight(j, c);
+            }
+        }
+        BitProjector {
+            input_bytes: dims / 8,
+            lanes,
+            table,
+            offset,
+        }
+    }
+
     /// Number of output components.
     pub fn n_components(&self) -> usize {
-        self.n_components
+        self.offset.len()
+    }
+
+    /// Expected input length in bytes.
+    pub fn input_bytes(&self) -> usize {
+        self.input_bytes
+    }
+
+    /// DRAM held by the table and the constant term, in bytes.
+    pub fn table_bytes(&self) -> usize {
+        (self.table.len() + self.offset.len()) * std::mem::size_of::<f32>()
     }
 
     /// Projects a raw byte value (must match the fitted dimensionality).
     pub fn project(&self, bytes: &[u8]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.n_components];
+        let mut y = vec![0.0f32; self.n_components()];
         self.project_into(bytes, &mut y);
         y
     }
@@ -291,59 +387,114 @@ impl BitProjector {
     /// `out.len() != self.n_components()`.
     pub fn project_into(&self, bytes: &[u8], out: &mut [f32]) {
         assert_eq!(bytes.len(), self.input_bytes, "dimension mismatch");
-        assert_eq!(out.len(), self.n_components, "output buffer mismatch");
-        let y = out;
-        y.copy_from_slice(&self.offset);
-        let nc = self.n_components;
-        for (i, &b) in bytes.iter().enumerate() {
-            let mut rest = b;
-            while rest != 0 {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let row = &self.transposed[(i * 8 + bit) * nc..(i * 8 + bit + 1) * nc];
-                for (o, w) in y.iter_mut().zip(row) {
-                    *o += w;
-                }
-            }
-        }
+        assert_eq!(out.len(), self.n_components(), "output buffer mismatch");
+        out.copy_from_slice(&self.offset);
+        crate::simd::bit_accumulate(&self.table, self.lanes, bytes, out);
     }
-}
 
-impl Pca {
-    /// Builds the byte-level fast projector for this basis. The input
-    /// dimensionality must be a whole number of bytes (bit features).
-    pub fn bit_projector(&self) -> BitProjector {
-        let dims = self.components.cols();
-        assert_eq!(dims % 8, 0, "bit projector needs byte-aligned features");
-        let nc = self.components.rows();
-        let mut transposed = vec![0.0f32; dims * nc];
-        for c in 0..nc {
-            for (j, &w) in self.components.row(c).iter().enumerate() {
-                transposed[j * nc + c] = w;
-            }
+    /// Projects every value into one samples × `n_components` matrix — the
+    /// training set's trip to PCA space, straight from the stored bytes.
+    pub fn project_values<V: AsRef<[u8]>>(&self, values: &[V]) -> Matrix {
+        let mut out = Matrix::zeros(values.len(), self.n_components());
+        for (i, v) in values.iter().enumerate() {
+            self.project_into(v.as_ref(), out.row_mut(i));
         }
-        // offset[c] = -W[c]·mean
-        let offset: Vec<f32> = (0..nc)
-            .map(|c| -crate::matrix::dot(self.components.row(c), &self.mean))
+        out
+    }
+
+    /// Folds centroids living in this projection's output space back onto
+    /// the value bits (see the module docs): the result scores a raw value
+    /// against every centroid without projecting it.
+    ///
+    /// # Panics
+    /// Panics if `centroids.cols() != self.n_components()`.
+    pub fn fold(&self, centroids: &Matrix) -> FoldedPredictor {
+        let nc = self.n_components();
+        assert_eq!(centroids.cols(), nc, "centroids are not in projected space");
+        // b_k = ‖c_k‖² − 2 c_k·o
+        let bias = (0..centroids.rows())
+            .map(|k| {
+                let b: f64 = centroids
+                    .row(k)
+                    .iter()
+                    .zip(&self.offset)
+                    .map(|(&x, &o)| f64::from(x) * (f64::from(x) - 2.0 * f64::from(o)))
+                    .sum();
+                b as f32
+            })
             .collect();
-        BitProjector {
-            n_components: nc,
-            input_bytes: dims / 8,
-            transposed,
-            offset,
-        }
+        // weight(j, k) = −2·g_k[j] = −2·Σ_c W[c][j]·c_k[c]; the factor is
+        // folded in here so a score is one accumulation, no epilogue.
+        FoldedPredictor(BitProjector::new(self.input_bytes * 8, bias, |j, k| {
+            let g: f64 = self.table[j * self.lanes..][..nc]
+                .iter()
+                .zip(centroids.row(k))
+                .map(|(&w, &c)| f64::from(w) * f64::from(c))
+                .sum();
+            (-2.0 * g) as f32
+        }))
     }
 }
 
-fn truncate_rows(m: Matrix, rows: usize, cols: usize) -> Matrix {
-    if m.rows() == rows {
-        return m;
+/// K-means prediction over a value's bits with the feature map folded into
+/// the centroids: K affine scores `b_k − 2⟨g_k, x⟩`, each the squared
+/// distance to centroid k in the model's feature space **minus the
+/// per-value constant** `‖y‖²` (see the module docs). Argmin, ranking and
+/// pairwise score differences are those of the true distances; absolute
+/// values are not, and may be negative.
+///
+/// The per-bit counterpart of the byte-LUT
+/// [`PackedPredictor`](crate::packed::PackedPredictor): `K` floats per value
+/// *bit* instead of `256·K` per value byte, so it stays cache-sized for
+/// large values, at a cost that tracks the value's set-bit count.
+#[derive(Debug, Clone)]
+pub struct FoldedPredictor(BitProjector);
+
+impl FoldedPredictor {
+    /// The fold of the identity map: centroids over the raw bit features
+    /// themselves (`g_k = c_k`, `b_k = ‖c_k‖²`).
+    ///
+    /// # Panics
+    /// Panics if the feature dimensionality is not a whole number of bytes.
+    pub fn over_bits(centroids: &Matrix) -> Self {
+        let norms = (0..centroids.rows())
+            .map(|k| centroids.row(k).iter().map(|&v| v * v).sum())
+            .collect();
+        FoldedPredictor(BitProjector::new(centroids.cols(), norms, |j, k| {
+            -2.0 * centroids.get(k, j)
+        }))
     }
-    let mut out = Matrix::zeros(rows, cols);
-    for i in 0..rows {
-        out.row_mut(i).copy_from_slice(m.row(i));
+
+    /// Number of clusters.
+    pub fn k(&self) -> usize {
+        self.0.n_components()
     }
-    out
+
+    /// Expected input length in bytes.
+    pub fn input_bytes(&self) -> usize {
+        self.0.input_bytes
+    }
+
+    /// DRAM held by the per-bit table and the biases, in bytes.
+    pub fn table_bytes(&self) -> usize {
+        self.0.table_bytes()
+    }
+
+    /// Writes the K scores of `bytes` into `out` and returns the argmin
+    /// cluster (ties toward the lower index). Performs no allocation.
+    ///
+    /// # Panics
+    /// Panics if `bytes.len() != input_bytes` or `out.len() != k`.
+    pub fn scores_into(&self, bytes: &[u8], out: &mut [f32]) -> usize {
+        self.0.project_into(bytes, out);
+        let mut best = (0usize, f32::INFINITY);
+        for (c, &s) in out.iter().enumerate() {
+            if s < best.1 {
+                best = (c, s);
+            }
+        }
+        best.0
+    }
 }
 
 #[cfg(test)]
@@ -451,7 +602,9 @@ mod tests {
     #[test]
     fn bit_projector_matches_transform_row() {
         use crate::featurize::{bits_to_features, featurize_values};
-        let values: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i, i.wrapping_mul(3), 0x0F, i]).collect();
+        let values: Vec<Vec<u8>> = (0..20u8)
+            .map(|i| vec![i, i.wrapping_mul(3), 0x0F, i])
+            .collect();
         let data = featurize_values(&values);
         let pca = Pca::fit(&data, 3);
         let proj = pca.bit_projector();
@@ -484,6 +637,167 @@ mod tests {
                     .sum();
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!((d - expect).abs() < 1e-3, "({i},{j}) dot={d}");
+            }
+        }
+    }
+
+    #[test]
+    fn over_bits_scores_are_packed_distances_minus_popcount() {
+        use crate::packed::{popcount_bytes, PackedPredictor};
+        let mut rng = StdRng::seed_from_u64(9);
+        for k in [1usize, 2, 10] {
+            let rows: Vec<Vec<f32>> = (0..k)
+                .map(|_| (0..13 * 8).map(|_| rng.gen::<f32>()).collect())
+                .collect();
+            let centroids = Matrix::from_rows(&rows);
+            let folded = FoldedPredictor::over_bits(&centroids);
+            let packed = PackedPredictor::from_centroids(&centroids);
+            assert_eq!((folded.k(), folded.input_bytes()), (k, 13));
+            let (mut scores, mut dist) = (vec![0.0f32; k], vec![0.0f32; k]);
+            for _ in 0..50 {
+                let v: Vec<u8> = (0..13).map(|_| rng.gen()).collect();
+                let a = folded.scores_into(&v, &mut scores);
+                let b = packed.distances_into(&v, &mut dist);
+                let pop = popcount_bytes(&v) as f32;
+                for (s, d) in scores.iter().zip(&dist) {
+                    assert!(
+                        (s + pop - d).abs() <= 1e-3 * (1.0 + d),
+                        "{s} + {pop} vs {d}"
+                    );
+                }
+                dist.sort_by(f32::total_cmp);
+                if k == 1 || dist[1] - dist[0] > 1e-3 * (1.0 + dist[0]) {
+                    assert_eq!(a, b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_output_tables_stay_unpadded() {
+        // The untrained placeholder of a 784 B store: 4 bytes per value bit.
+        let placeholder = FoldedPredictor::over_bits(&Matrix::zeros(1, 784 * 8));
+        assert_eq!(placeholder.table_bytes(), (784 * 8 + 1) * 4);
+        assert_eq!(placeholder.scores_into(&[0xFF; 784], &mut [7.0]), 0);
+        // K = 10 pads to two 8-lane registers per bit.
+        let trained = FoldedPredictor::over_bits(&Matrix::zeros(10, 784 * 8));
+        assert_eq!(trained.table_bytes(), (784 * 8 * 16 + 10) * 4);
+    }
+
+    #[test]
+    fn fit_packed_handles_degenerate_inputs() {
+        let empty = Pca::fit_packed(&PackedMatrix::from_values::<Vec<u8>>(&[]), 4);
+        assert_eq!(empty.n_components(), 0);
+        // Identical rows: zero variance, no axis to recover, projector total.
+        let constant = Pca::fit_packed(&PackedMatrix::from_values(&[[0x5Au8; 16]; 6]), 4);
+        assert_eq!(constant.n_components(), 0);
+        assert!(constant.total_variance.abs() < 1e-9);
+        assert!(constant.bit_projector().project(&[0u8; 16]).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::featurize::featurize_values;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Random byte values around a few random family prototypes (each byte
+    /// of a sample is its family's with probability ¾, uniform otherwise):
+    /// a handful of dominant principal axes over a noisy tail.
+    fn family_values(rng: &mut StdRng, n: usize, bytes: usize) -> Vec<Vec<u8>> {
+        let protos: Vec<Vec<u8>> = (0..3)
+            .map(|_| (0..bytes).map(|_| rng.gen()).collect())
+            .collect();
+        (0..n)
+            .map(|i| {
+                protos[i % 3]
+                    .iter()
+                    .map(|&b| {
+                        if rng.gen::<f32>() < 0.75 {
+                            b
+                        } else {
+                            rng.gen()
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn cosine(a: &[f32], b: &[f32]) -> f64 {
+        let dot = |x: &[f32], y: &[f32]| -> f64 {
+            x.iter()
+                .zip(y)
+                .map(|(&p, &q)| f64::from(p) * f64::from(q))
+                .sum()
+        };
+        dot(a, b) / (dot(a, a) * dot(b, b)).sqrt()
+    }
+
+    proptest! {
+        /// The packed-Gram fit is the float fit: same spectrum (to 1e-6 of
+        /// its largest eigenvalue — the float side rounds its Gram entries
+        /// in f32, the packed side's are exact integers) and the same
+        /// retained axes up to sign, wherever the eigenvalue gap makes the
+        /// axis well defined. 64 cases × ≥ 16 values each.
+        #[test]
+        fn packed_fit_matches_float_fit(
+            seed in 0u64..u64::MAX,
+            value_bytes in 8usize..64,
+            n in 16usize..48,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let values = family_values(&mut rng, n, value_bytes);
+            let keep = 6;
+            let float = Pca::fit(&featurize_values(&values), keep);
+            let packed = Pca::fit_packed(&PackedMatrix::from_values(&values), keep);
+            prop_assert_eq!(packed.mean.len(), float.mean.len());
+            for (p, f) in packed.mean.iter().zip(&float.mean) {
+                prop_assert!((p - f).abs() < 1e-6);
+            }
+
+            let top = float.spectrum[0];
+            // n ≤ d here, so both took the Gram route: equal lengths.
+            prop_assert_eq!(packed.spectrum.len(), float.spectrum.len());
+            for (i, (p, f)) in packed.spectrum.iter().zip(&float.spectrum).enumerate() {
+                prop_assert!((p - f).abs() <= 1e-6 * top, "eigenvalue {}: {} vs {}", i, p, f);
+            }
+            prop_assert_eq!(packed.n_components(), float.n_components());
+            for c in 0..packed.n_components() {
+                let gap = (c > 0)
+                    .then(|| float.spectrum[c - 1] - float.spectrum[c])
+                    .into_iter()
+                    .chain(float.spectrum.get(c + 1).map(|next| float.spectrum[c] - next))
+                    .fold(f64::INFINITY, f64::min);
+                if gap > 1e-2 * top {
+                    let cos = cosine(packed.components.row(c), float.components.row(c));
+                    prop_assert!(cos.abs() > 0.999, "axis {}: cos {}", c, cos);
+                }
+            }
+        }
+
+        /// Training's projection, straight from the bytes, is the float
+        /// `transform` of the featurized values. One fitted basis serves 16
+        /// probes per case (64 cases): values it was fit on and fresh ones.
+        #[test]
+        fn byte_domain_projection_matches_float_transform(
+            seed in 0u64..u64::MAX,
+            value_bytes in 8usize..64,
+            n in 16usize..48,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let values = family_values(&mut rng, n, value_bytes);
+            let pca = Pca::fit_packed(&PackedMatrix::from_values(&values), 6);
+            let mut probes: Vec<Vec<u8>> = values[..8].to_vec();
+            probes.extend(family_values(&mut rng, 8, value_bytes));
+            let fast = pca.bit_projector().project_values(&probes);
+            let slow = pca.transform(&featurize_values(&probes));
+            prop_assert_eq!((fast.rows(), fast.cols()), (slow.rows(), slow.cols()));
+            for (i, (a, b)) in fast.as_slice().iter().zip(slow.as_slice()).enumerate() {
+                prop_assert!((a - b).abs() < 1e-3, "element {}: {} vs {}", i, a, b);
             }
         }
     }

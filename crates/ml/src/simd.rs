@@ -1,19 +1,22 @@
 //! Vectorized inner kernels for the packed bit-domain paths.
 //!
-//! Two kernels dominate prediction and training: the LUT-gather
+//! Three kernels dominate prediction and training: the LUT-gather
 //! accumulation of [`crate::packed::PackedPredictor`] (one K-float stripe
-//! add per value byte) and `u64` popcounts. Both are vectorized here with
-//! `std::arch::x86_64` intrinsics behind **runtime** feature detection —
-//! the workspace stays dependency-free and portable, and every dispatch
-//! falls back to the scalar reference on non-x86 targets or older CPUs.
+//! add per value byte), the per-set-bit accumulation behind
+//! [`crate::pca::BitProjector`] and [`crate::pca::FoldedPredictor`] (one
+//! stripe add per set value *bit*), and `u64` popcounts. All are vectorized
+//! here with `std::arch::x86_64` intrinsics behind **runtime** feature
+//! detection — the workspace stays dependency-free and portable, and every
+//! dispatch falls back to the scalar reference on non-x86 targets or older
+//! CPUs.
 //!
-//! **Bit-for-bit contract:** the SIMD LUT kernels accumulate each
-//! centroid's partial dot product in exactly the same byte-position order
-//! as the scalar reference (each centroid lane is an independent chain of
-//! f32 adds over positions 0..n). f32 addition per lane is therefore the
-//! *same* sequence of operations, so SIMD and scalar results are identical
-//! to the last bit — property-tested in [`crate::packed`]. Popcounts are
-//! integer and exact by construction.
+//! **Bit-for-bit contract:** each SIMD kernel performs, per output lane,
+//! exactly the same sequence of f32 additions as its scalar reference —
+//! the LUT kernels one chain in byte-position order, the per-bit kernel
+//! four chains filled in a fixed rotation and combined in a fixed order —
+//! so SIMD and scalar results are identical to the last bit
+//! (property-tested in [`crate::packed`] and below). Popcounts are integer
+//! and exact by construction.
 
 /// Whether the vectorized (AVX2) LUT kernels are active on this CPU.
 /// `false` means every call takes the scalar reference path.
@@ -116,6 +119,150 @@ unsafe fn lut_accumulate_avx2<const N: usize>(lut: &[f32], k: usize, bytes: &[u8
         }
         for (i, a) in acc.iter().enumerate() {
             _mm256_storeu_ps(out.as_mut_ptr().add(i * 8), *a);
+        }
+    }
+}
+
+/// Independent partial sums per output lane in the per-bit kernel. One
+/// chain would cost a dependent f32 add (~4 cycles) per set bit; four
+/// chains keep the adders busy instead of waiting on each other.
+pub(crate) const BIT_PARTIALS: usize = 4;
+
+/// The value bytes as little-endian `u64` words, the tail zero-padded — bit
+/// `j` of word `w` is bit-feature `64·w + j` (LSB-first within each byte,
+/// as [`crate::featurize::bits_to_features`] numbers them).
+#[inline(always)]
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let chunks = bytes.chunks_exact(8);
+    let rest = chunks.remainder();
+    let mut pad = [0u8; 8];
+    pad[..rest.len()].copy_from_slice(rest);
+    chunks
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
+        .chain((!rest.is_empty()).then(|| u64::from_le_bytes(pad)))
+}
+
+/// Scalar reference for the per-set-bit accumulation: for every set bit
+/// `j` of `bytes`, adds row `j` of `table` (`lanes` floats per bit) into
+/// `out`, which holds a running sum (the affine map's constant term) on
+/// entry. Only the first `out.len() <= lanes` lanes are produced.
+///
+/// Summation order, per lane — the contract the SIMD kernel reproduces:
+/// within each `u64` word the set bits are visited in ascending order and
+/// the i-th one goes to partial sum `i % BIT_PARTIALS`; at the end
+/// `out += (p0 + p1) + (p2 + p3)`.
+pub(crate) fn bit_accumulate_scalar(table: &[f32], lanes: usize, bytes: &[u8], out: &mut [f32]) {
+    // Eight lanes at a time so the partial sums live on the stack; lanes
+    // never interact, so the blocking does not change any result.
+    for (block, out) in out.chunks_mut(8).enumerate() {
+        let mut p = [[0.0f32; 8]; BIT_PARTIALS];
+        for (wi, mut w) in le_words(bytes).enumerate() {
+            let mut turn = 0;
+            while w != 0 {
+                let row = (wi * 64 + w.trailing_zeros() as usize) * lanes + block * 8;
+                w &= w - 1;
+                for (acc, &x) in p[turn].iter_mut().zip(&table[row..row + out.len()]) {
+                    *acc += x;
+                }
+                turn = (turn + 1) % BIT_PARTIALS;
+            }
+        }
+        for (l, o) in out.iter_mut().enumerate() {
+            *o += (p[0][l] + p[1][l]) + (p[2][l] + p[3][l]);
+        }
+    }
+}
+
+/// Per-set-bit accumulation with runtime SIMD dispatch. Semantically (and
+/// bit-for-bit) identical to [`bit_accumulate_scalar`]. The AVX2 kernel
+/// needs rows padded to a multiple of 8 lanes; any other `lanes` takes the
+/// scalar path.
+///
+/// # Panics
+/// Panics if `out.len() > lanes` or `table` holds fewer than
+/// `bytes.len() * 8 * lanes` floats.
+#[inline]
+pub(crate) fn bit_accumulate(table: &[f32], lanes: usize, bytes: &[u8], out: &mut [f32]) {
+    assert!(out.len() <= lanes, "more outputs than table lanes");
+    assert!(
+        table.len() >= bytes.len() * 8 * lanes,
+        "per-bit table shorter than the value"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if lanes.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx2") {
+            // Up to 32 lanes (4 registers × BIT_PARTIALS = all 16 ymm) per
+            // pass over the bits; wider tables take several passes.
+            let mut first = 0;
+            while first < out.len() {
+                let n = ((lanes - first) / 8).min(4);
+                let end = out.len().min(first + 8 * n);
+                let out = &mut out[first..end];
+                // SAFETY: AVX2 confirmed at runtime. Every set bit of the
+                // (zero-padded) words indexes a row below `bytes.len() * 8`
+                // and the kernel reads lanes `first..first + 8n <= lanes` of
+                // it — inside `table` by the assert above.
+                unsafe {
+                    match n {
+                        1 => bit_accumulate_avx2::<1>(table, lanes, first, bytes, out),
+                        2 => bit_accumulate_avx2::<2>(table, lanes, first, bytes, out),
+                        3 => bit_accumulate_avx2::<3>(table, lanes, first, bytes, out),
+                        _ => bit_accumulate_avx2::<4>(table, lanes, first, bytes, out),
+                    }
+                }
+                first = end;
+            }
+            return;
+        }
+    }
+    bit_accumulate_scalar(table, lanes, bytes, out);
+}
+
+/// AVX2 per-bit kernel over lanes `first..first + 8N` of each row: `N`
+/// registers per partial sum, [`BIT_PARTIALS`] partial sums, the same
+/// rotation and combine order as [`bit_accumulate_scalar`].
+///
+/// # Safety
+/// Caller must verify AVX2 at runtime; `table` must hold
+/// `bytes.len() * 8 * lanes` floats, `first + 8 * N <= lanes` and
+/// `out.len() <= 8 * N`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn bit_accumulate_avx2<const N: usize>(
+    table: &[f32],
+    lanes: usize,
+    first: usize,
+    bytes: &[u8],
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    unsafe {
+        let mut acc = [[_mm256_setzero_ps(); N]; BIT_PARTIALS];
+        for (wi, mut w) in le_words(bytes).enumerate() {
+            let word = table.as_ptr().add(wi * 64 * lanes + first);
+            while w != 0 {
+                for p in &mut acc {
+                    let row = word.add(w.trailing_zeros() as usize * lanes);
+                    w &= w - 1;
+                    for (i, a) in p.iter_mut().enumerate() {
+                        *a = _mm256_add_ps(*a, _mm256_loadu_ps(row.add(i * 8)));
+                    }
+                    if w == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        let mut sums = [[0.0f32; 8]; N];
+        for (i, s) in sums.iter_mut().enumerate() {
+            let sum = _mm256_add_ps(
+                _mm256_add_ps(acc[0][i], acc[1][i]),
+                _mm256_add_ps(acc[2][i], acc[3][i]),
+            );
+            _mm256_storeu_ps(s.as_mut_ptr(), sum);
+        }
+        for (o, s) in out.iter_mut().zip(sums.iter().flatten()) {
+            *o += s;
         }
     }
 }
@@ -236,6 +383,39 @@ unsafe fn hamming_words_popcnt(a: &[u64], b: &[u64]) -> u64 {
     hamming_words_impl(a, b)
 }
 
+/// AND-popcount (shared set bits — the inner product of two 0/1 vectors)
+/// between two equal-length word slices.
+#[inline]
+pub fn and_popcount_words(a: &[u64], b: &[u64]) -> u64 {
+    debug_assert_eq!(a.len(), b.len());
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: feature checked the line above.
+            return unsafe { and_popcount_words_popcnt(a, b) };
+        }
+    }
+    and_popcount_words_impl(a, b)
+}
+
+#[inline(always)]
+fn and_popcount_words_impl(a: &[u64], b: &[u64]) -> u64 {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| (x & y).count_ones() as u64)
+        .sum()
+}
+
+/// Hardware-popcnt variant of [`and_popcount_words`].
+///
+/// # Safety
+/// Caller must verify `popcnt` support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+unsafe fn and_popcount_words_popcnt(a: &[u64], b: &[u64]) -> u64 {
+    and_popcount_words_impl(a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +466,64 @@ mod tests {
                     scalar.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
                     "k={k} n={n}"
                 );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Probe values per generated table: 64 cases × 16 = 1 024 probes.
+    const PROBES: usize = 16;
+
+    proptest! {
+        /// The dispatched per-bit kernel and its scalar reference agree
+        /// **bit-for-bit**: value widths with and without a `u64` tail,
+        /// every K the store pads differently (1 stays one lane, the rest
+        /// round up to whole registers; 33 → 40 lanes takes two passes),
+        /// sparse to dense values, and a non-zero running sum on entry.
+        #[test]
+        fn bit_accumulate_simd_matches_scalar_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            value_bytes in 1usize..100,
+            k in prop_oneof![Just(1usize), Just(3), Just(8), Just(10), Just(16), Just(17), Just(32), Just(33)],
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let lanes = if k == 1 { 1 } else { k.next_multiple_of(8) };
+            let table: Vec<f32> = (0..value_bytes * 8 * lanes)
+                .map(|_| rng.gen::<f32>() * 2.0 - 1.0)
+                .collect();
+            let init: Vec<f32> = (0..k).map(|_| rng.gen::<f32>() * 100.0).collect();
+            for probe in 0..PROBES {
+                // Density sweeps from a few set bits to nearly all of them.
+                let keep = (probe + 1) as f32 / (PROBES + 1) as f32;
+                let value: Vec<u8> = (0..value_bytes)
+                    .map(|_| (0..8).fold(0u8, |b, bit| b | (u8::from(rng.gen::<f32>() < keep) << bit)))
+                    .collect();
+                let (mut simd, mut scalar) = (init.clone(), init.clone());
+                bit_accumulate(&table, lanes, &value, &mut simd);
+                bit_accumulate_scalar(&table, lanes, &value, &mut scalar);
+                prop_assert_eq!(
+                    simd.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+                    scalar.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+                    "k={} bytes={} probe={}", k, value_bytes, probe
+                );
+                // And both are the sum they claim to be.
+                for (c, &got) in scalar.iter().enumerate() {
+                    let want: f64 = f64::from(init[c])
+                        + (0..value_bytes * 8)
+                            .filter(|j| value[j / 8] >> (j % 8) & 1 == 1)
+                            .map(|j| f64::from(table[j * lanes + c]))
+                            .sum::<f64>();
+                    prop_assert!(
+                        (f64::from(got) - want).abs() <= 1e-3 * (1.0 + want.abs()),
+                        "lane {}: {} vs {}", c, got, want
+                    );
+                }
             }
         }
     }

@@ -183,7 +183,8 @@ fn run_command(store: &PnwStore, line: &str) -> Result<String, String> {
             Ok(format!(
                 "live {} / {} buckets ({} free), K={}, retrains {}\n\
                  puts {} gets {} deletes {}, fallbacks {}\n\
-                 bit flips/512b: {:.2}, lines/write: {:.2}, mean predict {:?}",
+                 bit flips/512b: {:.2}, lines/write: {:.2}, mean predict {:?}\n\
+                 last train {:?} (pca fit {:?}, project {:?}, kmeans {:?}, tables {:?})",
                 s.live,
                 s.capacity,
                 s.free,
@@ -196,6 +197,11 @@ fn run_command(store: &PnwStore, line: &str) -> Result<String, String> {
                 s.device.mean_flips_per_512(),
                 s.device.mean_lines_per_write(),
                 s.mean_predict_latency(),
+                s.train.last_train_wall,
+                s.train.phases.pca_fit,
+                s.train.phases.project,
+                s.train.phases.kmeans,
+                s.train.phases.table_build,
             ))
         }
         "save" => {

@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 
-use pnw_core::{IndexPlacement, PnwConfig, PnwStore, RetrainMode, UpdatePolicy};
+use pnw_core::{IndexPlacement, PnwConfig, PnwStore, RetrainMode, ShardedPnwStore, UpdatePolicy};
 use pnw_workloads::{DatasetKind, Workload};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Every dataset round-trips through the store: what you put is what you
 /// get, across training, steering and deletes.
@@ -144,6 +145,90 @@ fn background_retraining_under_pressure() {
     let v = w.next_value();
     store.put(1000, &v).expect("room");
     assert_eq!(store.get(1000).unwrap().unwrap(), v);
+}
+
+/// The PCA route end to end: a 160 B store (1280 bits, past the PCA
+/// threshold) on a replacement stream, retraining in the background, is
+/// driven through a shift from one set of value families to another. It
+/// must keep installing models, and placement must recover: flips/PUT end
+/// below the level right after the shift, when the model and the free
+/// buckets both still belonged to the old families.
+#[test]
+fn pca_store_recovers_from_a_family_shift_in_the_background() {
+    const VALUE: usize = 160;
+    const WORKING_SET: u64 = 360;
+    let cfg = PnwConfig::new(512, VALUE)
+        .with_clusters(4)
+        .with_shards(2)
+        // The working set sits past the load factor: retraining stays armed.
+        .with_load_factor(0.5)
+        .with_retrain(RetrainMode::Background);
+    assert!(cfg.uses_pca());
+    let store = ShardedPnwStore::new(cfg);
+
+    let mut rng = StdRng::seed_from_u64(0xD21F7);
+    // A family is a random prototype; a sample redraws ~5% of its bytes.
+    let mut families = |n: usize| -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|_| (0..VALUE).map(|_| rng.gen()).collect())
+            .collect()
+    };
+    let (old, new) = (families(4), families(4));
+    let mut noise = StdRng::seed_from_u64(7);
+    let mut sample = |set: &[Vec<u8>], key: u64| -> Vec<u8> {
+        set[(key % 4) as usize]
+            .iter()
+            .map(|&b| {
+                if noise.gen::<f32>() < 0.05 {
+                    noise.gen()
+                } else {
+                    b
+                }
+            })
+            .collect()
+    };
+    let mut next_key = 0u64;
+    // `n` replacement PUTs from `set`; returns bit flips per PUT.
+    let mut run = |set: &[Vec<u8>], n: u64| -> f64 {
+        let mut flips = 0u64;
+        for _ in 0..n {
+            if next_key >= WORKING_SET {
+                assert!(store.delete(next_key - WORKING_SET).expect("delete"));
+            }
+            let r = store.put(next_key, &sample(set, next_key)).expect("room");
+            flips += r.total_write.total_bit_flips();
+            next_key += 1;
+        }
+        flips as f64 / n as f64
+    };
+
+    run(&old, 2 * WORKING_SET);
+    store.wait_for_retrain();
+    assert!(
+        store.retrains() >= 1,
+        "the preload must have armed a retrain"
+    );
+    run(&old, WORKING_SET);
+
+    let after_shift = run(&new, 100);
+    // Turn the zone over twice, let a model trained on it install, and give
+    // the pool a window under that model.
+    run(&new, 2 * WORKING_SET);
+    store.wait_for_retrain();
+    run(&new, 100);
+    store.wait_for_retrain();
+    let settled = run(&new, 100);
+
+    assert!(store.retrains() >= 2, "retrains: {}", store.retrains());
+    assert!(!store.snapshot().train.phases.pca_fit.is_zero());
+    assert!(
+        settled < after_shift * 0.75,
+        "flips/PUT {after_shift:.0} right after the shift, {settled:.0} at the end"
+    );
+    // The newest working set reads back intact.
+    for key in next_key - WORKING_SET..next_key {
+        assert!(store.get(key).expect("device ok").is_some(), "key {key}");
+    }
 }
 
 /// GET-heavy workloads leave the data zone untouched. GETs go through the

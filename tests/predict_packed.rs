@@ -1,17 +1,23 @@
-//! Equivalence of the packed bit-domain prediction kernel with the
-//! reference float featurize-then-scan path, at the [`ModelManager`]
-//! level: random trained models, the PCA-configured projector path, and
-//! the post-retrain LUT-rebuild case.
+//! Equivalence of the bit-domain prediction kernels with their reference
+//! float paths: the byte-LUT kernel against featurize-then-scan at the
+//! [`ModelManager`] level (random trained models, the post-retrain
+//! LUT-rebuild case), and the folded per-bit kernel of PCA-configured
+//! models against project-then-scan.
 //!
 //! Exactness contract: distances agree within f32 ulp-level tolerance (the
 //! two paths sum in different orders), and argmin/ranking agree whenever
 //! the float path's distance margins exceed that tolerance — genuine
 //! near-ties may resolve either way under reordered f32 summation, which
-//! is as exact as f32 arithmetic admits.
+//! is as exact as f32 arithmetic admits. The folded kernel never computes
+//! the per-value constant `‖y‖²`, so for it the contract is on distance
+//! *differences* between clusters, not on absolute distances.
 
 use pnw::core_api::{ModelManager, PnwConfig, PredictScratch};
 use pnw_ml::featurize::bits_to_features;
+use pnw_ml::kmeans::{KMeans, KMeansConfig};
 use pnw_ml::matrix::sq_dist;
+use pnw_ml::packedmatrix::PackedMatrix;
+use pnw_ml::pca::Pca;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -98,24 +104,89 @@ proptest! {
     }
 }
 
-/// PCA-configured models keep the sparse projector path, and the split
-/// scratch prediction still matches the reference featurize + scan.
+proptest! {
+    /// Folding the PCA basis into the centroids changes no decision: for
+    /// each probe the folded scores and project-then-`distances_into`
+    /// agree on every pairwise difference `d[a] − d[b]` within tolerance,
+    /// on the argmin whenever the float margin is decisive, and on the
+    /// nearest-first ranking up to near-ties. One fitted model serves 16
+    /// probes per case (64 cases): values it trained on and fresh ones.
+    #[test]
+    fn folded_scores_match_project_then_scan(
+        seed in 0u64..10_000,
+        value_bytes in 129usize..200,
+        k in 1usize..12,
+        components in 1usize..12,
+    ) {
+        let values = random_values(64, value_bytes, 4, seed);
+        let basis: Vec<&Vec<u8>> = values.iter().step_by(2).collect();
+        let projector = Pca::fit_packed(&PackedMatrix::from_values(&basis), components)
+            .bit_projector();
+        let kmeans = KMeans::fit(
+            &projector.project_values(&values),
+            &KMeansConfig::new(k).with_seed(seed),
+        );
+        let folded = projector.fold(kmeans.centroids());
+        prop_assert_eq!(folded.k(), kmeans.k());
+
+        let mut probes = values[..8].to_vec();
+        probes.extend(random_values(8, value_bytes, 5, seed ^ 0xF01D));
+        let mut features = vec![0.0f32; projector.n_components()];
+        let (mut dist, mut scores) = (vec![0.0f32; kmeans.k()], vec![0.0f32; kmeans.k()]);
+        for v in &probes {
+            projector.project_into(v, &mut features);
+            let float_argmin = kmeans.distances_into(&features, &mut dist);
+            let folded_argmin = folded.scores_into(v, &mut scores);
+            let tol = tol(dist.iter().copied().fold(0.0, f32::max));
+
+            for a in 0..kmeans.k() {
+                for b in 0..a {
+                    let (want, got) = (dist[a] - dist[b], scores[a] - scores[b]);
+                    prop_assert!(
+                        (want - got).abs() <= tol,
+                        "d[{}] - d[{}]: float {} vs folded {}", a, b, want, got
+                    );
+                }
+            }
+            let mut sorted = dist.clone();
+            sorted.sort_by(f32::total_cmp);
+            if sorted.len() == 1 || sorted[1] - sorted[0] > tol {
+                prop_assert_eq!(folded_argmin, float_argmin);
+            }
+            let mut ranking: Vec<usize> = (0..kmeans.k()).collect();
+            ranking.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+            prop_assert_eq!(ranking[0], folded_argmin);
+            for w in ranking.windows(2) {
+                prop_assert!(
+                    dist[w[0]] <= dist[w[1]] + tol,
+                    "ranking {:?} not sorted under float distances {:?}", ranking, dist
+                );
+            }
+        }
+    }
+}
+
+/// PCA-configured managers score through the folded per-bit table from the
+/// placeholder on; the split scratch prediction is self-consistent and the
+/// trained model separates the families it was trained on.
 #[test]
 fn pca_model_predicts_identically_through_scratch() {
     // 160 B = 1280 bits > the default 1024-bit PCA threshold.
     let cfg = PnwConfig::new(128, 160).with_clusters(3).with_seed(21);
     assert!(cfg.uses_pca());
     let mut m = ModelManager::new(&cfg);
-    let values = random_values(60, 160, 3, 77);
-    m.train(&values);
     assert!(
         !m.uses_packed(),
-        "PCA space is not 0/1: the projector path must stay"
+        "a byte LUT over 160 B would not fit cache"
     );
+    let values = random_values(60, 160, 3, 77);
+    m.train(&values);
+    assert!(!m.uses_packed());
+    assert!(m.feature_dims() <= cfg.pca.components);
     let mut scratch = PredictScratch::new();
+    let mut labels = Vec::new();
     for v in &values {
-        // In PCA space both paths scan the same float features, so the
-        // prediction must be the argmin of the scratch distances exactly.
+        // The prediction must be the argmin of the scratch scores exactly.
         let c = m.predict_into(v, &mut scratch);
         let best = scratch
             .distances()
@@ -128,7 +199,13 @@ fn pca_model_predicts_identically_through_scratch() {
         let ranked = m.ranked_after_predict(&mut scratch);
         assert_eq!(c, ranked[0]);
         assert_eq!(ranked.len(), m.k());
+        labels.push(c);
     }
+    // `random_values` deals the three fill families round-robin.
+    for (i, &l) in labels.iter().enumerate() {
+        assert_eq!(l, labels[i % 3], "value {i} left its family's cluster");
+    }
+    assert!(labels[0] != labels[1] && labels[1] != labels[2] && labels[0] != labels[2]);
 }
 
 /// Retraining swaps centroids; the packed LUTs must be rebuilt with them
