@@ -5,13 +5,13 @@
 //! cargo run --release -p pnw-bench --bin throughput -- [--quick]
 //!     [--store pnw|fptree|lsm|path] [--batch N]
 //!     [--threads 1,2,4] [--shards N] [--ops N] [--value-size N]
-//!     [--mix mixed|write|read] [--write-only] [--locked-reads]
+//!     [--mix mixed|write|read] [--write-only]
 //!     [--no-latency] [--out BENCH_throughput.json]
 //! ```
 //!
 //! With no backend/batch/mix flags, the full suite runs: the classic mixed
 //! per-op sweep over the sharded PNW store (with emulated device latency),
-//! a GET-heavy 90/10 read-scaling comparison of locked vs lock-free reads,
+//! a GET-heavy 90/10 read-scaling sweep over the lock-free read path,
 //! then a batched-vs-per-op PUT comparison at batch 64 with latency
 //! emulation off — the configuration where software-path overhead, which
 //! batching amortizes, is what's measured. All rows land in one
@@ -93,7 +93,6 @@ fn parse_args() -> Result<Args, String> {
                 out.cfg.mix = OpMix::write_only();
                 out.explicit = true;
             }
-            "--locked-reads" => out.cfg.locked_reads = true,
             "--no-latency" => out.cfg.emulate_latency = false,
             "--out" => out.out = grab("--out")?.into(),
             other => return Err(format!("unknown flag '{other}'")),
@@ -104,12 +103,11 @@ fn parse_args() -> Result<Args, String> {
 
 fn print_header() {
     println!(
-        "{:>12} {:>7} {:>7} {:>6} {:>8} {:>10} {:>12} {:>12} {:>12} {:>9} {:>9} {:>8} {:>8} {:>8}",
+        "{:>12} {:>7} {:>7} {:>6} {:>10} {:>12} {:>12} {:>12} {:>9} {:>9} {:>8} {:>8} {:>8}",
         "backend",
         "threads",
         "shards",
         "batch",
-        "reads",
         "ops",
         "ops/sec",
         "p50(ns)",
@@ -124,12 +122,11 @@ fn print_header() {
 
 fn print_row(r: &ThroughputReport) {
     println!(
-        "{:>12} {:>7} {:>7} {:>6} {:>8} {:>10} {:>12.0} {:>12} {:>12} {:>9} {:>9} {:>8} {:>8} {:>8}",
+        "{:>12} {:>7} {:>7} {:>6} {:>10} {:>12.0} {:>12} {:>12} {:>9} {:>9} {:>8} {:>8} {:>8}",
         r.backend,
         r.threads,
         r.shards,
         r.batch,
-        if r.locked_reads { "locked" } else { "seqlock" },
         r.total_ops,
         r.ops_per_sec,
         r.p50_modeled_ns,
@@ -186,28 +183,15 @@ fn main() {
     run_sweep(&args.cfg, &args.threads, &mut reports);
 
     if !args.explicit {
-        // Read scaling: the 90/10 GET-heavy mix with the engine-lock read
-        // path versus the lock-free seqlock path, interleaved per thread
-        // count so host noise hits both alike. Latency emulation stays on
-        // (clients wait on the modeled device, as in the mixed sweep) —
-        // what changes is whether waiting writers stall readers.
-        println!("\nGET-heavy read scaling (90% get / 10% put, locked vs lock-free reads):");
+        // Read scaling: the 90/10 GET-heavy mix. Latency emulation stays
+        // on (clients wait on the modeled device, as in the mixed sweep).
+        println!("\nGET-heavy read scaling (90% get / 10% put):");
         print_header();
         let read_base = ThroughputConfig {
             mix: OpMix::read_heavy(),
             ..args.cfg.clone()
         };
-        for &t in &args.threads {
-            for locked_reads in [true, false] {
-                let r = run(&ThroughputConfig {
-                    threads: t,
-                    locked_reads,
-                    ..read_base.clone()
-                });
-                print_row(&r);
-                reports.push(r);
-            }
-        }
+        run_sweep(&read_base, &args.threads, &mut reports);
 
         // The batched-vs-per-op comparison: write-only, latency emulation
         // off (the sleep would otherwise mask the amortized software

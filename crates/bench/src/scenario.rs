@@ -6,8 +6,8 @@
 //! which bit-pattern family the values come from ([`ValueSource`]), an
 //! optional per-PUT TTL, an optional offered arrival rate and optional
 //! burst/quiesce cycling. [`replay`] drives the phases in order against a
-//! `&dyn Store` — the sharded PNW store, the single-threaded reference
-//! store, or any Figure 9 baseline — and emits **windowed time-series
+//! `&dyn Store` — the PNW store at any shard count or any Figure 9
+//! baseline — and emits **windowed time-series
 //! metrics** ([`WindowRow`]): ops/s, value-bit flips per PUT, completed
 //! retrains, the published model epoch, mean prediction latency, live
 //! keys and TTL expiry/eviction counts per window.

@@ -116,7 +116,7 @@ impl OpMix {
     }
 
     /// A GET-heavy workload: 90% GET / 10% PUT (YCSB-B shape) — the mix
-    /// where lock-free reads versus locked reads is most visible.
+    /// where the lock-free read path carries most of the traffic.
     pub fn read_heavy() -> Self {
         OpMix {
             put_pct: 10,
@@ -157,10 +157,6 @@ pub struct ThroughputConfig {
     pub latency_scale: u32,
     /// Sleep the (scaled) modeled latency after every operation.
     pub emulate_latency: bool,
-    /// Route GETs through the shard engine lock instead of the lock-free
-    /// seqlock path (PNW backend only) — the before/after comparison knob
-    /// for read scaling.
-    pub locked_reads: bool,
     /// Sampling interval for the windowed time series (bit flips per PUT,
     /// retrains, model epoch per window); 0 disables the sampler.
     pub window_ms: u64,
@@ -182,7 +178,6 @@ impl Default for ThroughputConfig {
             seed: 0xBEE5,
             latency_scale: 10,
             emulate_latency: true,
-            locked_reads: false,
             window_ms: 0,
         }
     }
@@ -226,9 +221,6 @@ pub struct ThroughputReport {
     pub shards: usize,
     /// Batch size used (0 = per-op).
     pub batch: usize,
-    /// Whether GETs went through the engine lock instead of the lock-free
-    /// seqlock path.
-    pub locked_reads: bool,
     /// Operations completed (all threads).
     pub total_ops: u64,
     /// Wall-clock time of the measured window.
@@ -349,8 +341,7 @@ fn build_store(cfg: &ThroughputConfig) -> Arc<dyn Store> {
                 .with_seed(cfg.seed)
                 .with_shards(cfg.shards)
                 .with_load_factor(0.95)
-                .with_retrain(RetrainMode::Background)
-                .with_locked_reads(cfg.locked_reads);
+                .with_retrain(RetrainMode::Background);
             let store = ShardedPnwStore::new(store_cfg);
             for key in 0..cfg.key_space / 2 {
                 let v = value_for(key, cfg.value_size, &mut warm_rng);
@@ -615,7 +606,6 @@ pub fn run(cfg: &ThroughputConfig) -> ThroughputReport {
             1
         },
         batch: cfg.batch,
-        locked_reads: cfg.locked_reads,
         total_ops,
         elapsed,
         ops_per_sec: total_ops as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -680,7 +670,7 @@ pub fn to_json(reports: &[ThroughputReport]) -> String {
             .join(", ");
         out.push_str(&format!(
             "    {{\"loop_mode\": \"{}\", \"backend\": \"{}\", \"threads\": {}, \"shards\": {}, \
-             \"batch\": {}, \"locked_reads\": {}, \"total_ops\": {}, \
+             \"batch\": {}, \"total_ops\": {}, \
              \"elapsed_ms\": {:.3}, \"ops_per_sec\": {:.1}, \
              \"p50_modeled_ns\": {}, \"p99_modeled_ns\": {}, \
              \"predict_p50_ns\": {}, \"predict_p99_ns\": {}, \
@@ -695,7 +685,6 @@ pub fn to_json(reports: &[ThroughputReport]) -> String {
             r.threads,
             r.shards,
             r.batch,
-            r.locked_reads,
             r.total_ops,
             r.elapsed.as_secs_f64() * 1e3,
             r.ops_per_sec,
@@ -856,28 +845,22 @@ mod tests {
     }
 
     #[test]
-    fn read_heavy_mix_runs_on_both_read_paths() {
-        for locked_reads in [false, true] {
-            let cfg = ThroughputConfig {
-                threads: 2,
-                shards: 2,
-                ops_per_thread: 200,
-                key_space: 256,
-                value_size: 16,
-                clusters: 2,
-                mix: OpMix::read_heavy(),
-                emulate_latency: false,
-                locked_reads,
-                ..Default::default()
-            };
-            let r = run(&cfg);
-            assert_eq!(r.locked_reads, locked_reads);
-            assert_eq!(r.total_ops, 400);
-            assert!(r.gets > r.puts, "90/10 mix must be read-dominated");
-            assert_eq!(r.deletes, 0);
-            let j = to_json(&[r]);
-            assert!(j.contains(&format!("\"locked_reads\": {locked_reads}")));
-        }
+    fn read_heavy_mix_runs() {
+        let cfg = ThroughputConfig {
+            threads: 2,
+            shards: 2,
+            ops_per_thread: 200,
+            key_space: 256,
+            value_size: 16,
+            clusters: 2,
+            mix: OpMix::read_heavy(),
+            emulate_latency: false,
+            ..Default::default()
+        };
+        let r = run(&cfg);
+        assert_eq!(r.total_ops, 400);
+        assert!(r.gets > r.puts, "90/10 mix must be read-dominated");
+        assert_eq!(r.deletes, 0);
     }
 
     #[test]

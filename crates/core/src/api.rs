@@ -4,8 +4,8 @@
 //! through one interface. This module is that interface made first-class:
 //!
 //! * [`Store`] — the `&self`-based key/value contract every backend
-//!   implements: [`PnwStore`](crate::PnwStore),
-//!   [`ShardedPnwStore`](crate::ShardedPnwStore), and the three baselines
+//!   implements: [`PnwStore`](crate::PnwStore) (an alias of
+//!   [`ShardedPnwStore`](crate::ShardedPnwStore)) and the three baselines
 //!   in `pnw-baselines`. Because every method takes `&self`, any backend
 //!   can be shared across threads behind an `Arc<dyn Store>` and driven by
 //!   the same concurrent harness.
@@ -52,8 +52,8 @@ use crate::metrics::{OpReport, StoreSnapshot};
 /// §IV).
 ///
 /// All methods take `&self`: implementations provide their own interior
-/// mutability (per-shard locks for the sharded store, one store-wide lock
-/// for the single-threaded backends), so any backend can be wrapped in an
+/// mutability (per-shard locks for the PNW store, one store-wide lock
+/// for the baselines), so any backend can be wrapped in an
 /// [`std::sync::Arc`] and driven from several threads.
 pub trait Store: Send + Sync {
     /// Store name as it appears in Figure 9 and harness output.

@@ -183,18 +183,15 @@ pub struct PnwConfig {
     /// counts on a training subsample. `clusters` is then only the initial
     /// placeholder.
     pub auto_k: Option<(usize, usize)>,
-    /// Shard count for [`ShardedPnwStore`](crate::ShardedPnwStore): the
-    /// data zone is split into this many independent slices, each with its
-    /// own device region, index and address pool, routed by key hash. `1`
-    /// (the default) reproduces the single-threaded
-    /// [`PnwStore`](crate::PnwStore) behavior bit-for-bit. Ignored by
-    /// `PnwStore` itself.
+    /// Shard count: the data zone is split into this many independent
+    /// slices, each with its own device region, index and address pool,
+    /// routed by key hash. `1` (the default) is the paper's Figure 2
+    /// system — one data zone, one index, one pool.
     pub shards: usize,
     /// Where the store's state lives between processes:
     /// [`BackingMode::Volatile`] (default) for the in-process emulated
     /// device, [`BackingMode::File`] for a durable directory opened with
-    /// [`PnwStore::open`](crate::PnwStore::open) /
-    /// [`ShardedPnwStore::open`](crate::ShardedPnwStore::open).
+    /// [`PnwStore::open`](crate::PnwStore::open).
     pub backing: BackingMode,
     /// Capacity of each shard's bounded write queue in the sharded
     /// store's single-writer path. A writer that finds the shard's engine
@@ -202,12 +199,6 @@ pub struct PnwConfig {
     /// fails with [`StoreError::Backpressure`](crate::StoreError) instead
     /// of convoying on a lock. Does not affect geometry or placement.
     pub shard_queue_depth: usize,
-    /// Forces [`ShardedPnwStore`](crate::ShardedPnwStore) GETs through
-    /// the shard engine lock instead of the lock-free seqlock-validated
-    /// read view — the before/after comparison knob for the read-path
-    /// benchmarks. Defaults to `false` (lock-free reads). Does not affect
-    /// stored bytes or placement.
-    pub locked_reads: bool,
     /// End-to-end data integrity (default `true`): every PUT seals a
     /// CRC-32 of `key ‖ value` into the bucket header and read-verifies
     /// the bucket before acknowledging (DCW-style write-verify — a PUT
@@ -229,14 +220,13 @@ pub struct PnwConfig {
     /// (default `1.0` — deterministic wear-out, the testing setting).
     /// Only meaningful with `endurance_writes` set.
     pub stuck_latch_probability: f64,
-    /// Background scrub rate in buckets per second for
-    /// [`ShardedPnwStore`](crate::ShardedPnwStore). When set, a
+    /// Background scrub rate in buckets per second. When set, a
     /// low-priority thread walks the shards bucket-by-bucket through the
     /// lock-free read view, verifies each sealed CRC, repairs corrupt
     /// buckets from the durable layer when a clean copy exists and
     /// retires buckets sitting on stuck media. `None` (default): no
     /// background thread; explicit
-    /// [`scrub_pass`](crate::ShardedPnwStore::scrub_pass) calls still
+    /// [`scrub_pass`](crate::PnwStore::scrub_pass) calls still
     /// work.
     pub scrub_rate: Option<u32>,
     /// Per-key TTL/expiry support (default `false`). When on, the store
@@ -283,7 +273,6 @@ impl PnwConfig {
             shards: 1,
             backing: BackingMode::Volatile,
             shard_queue_depth: 1024,
-            locked_reads: false,
             integrity: true,
             endurance_writes: None,
             stuck_latch_probability: 1.0,
@@ -365,8 +354,7 @@ impl PnwConfig {
         self
     }
 
-    /// Sets the shard count for
-    /// [`ShardedPnwStore`](crate::ShardedPnwStore) (clamped to ≥ 1).
+    /// Sets the shard count (clamped to ≥ 1).
     pub fn with_shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
         self
@@ -375,13 +363,6 @@ impl PnwConfig {
     /// Sets the per-shard write-queue depth (clamped to ≥ 1).
     pub fn with_shard_queue_depth(mut self, depth: usize) -> Self {
         self.shard_queue_depth = depth.max(1);
-        self
-    }
-
-    /// Routes sharded-store GETs through the shard lock instead of the
-    /// lock-free read view (benchmark comparison knob).
-    pub fn with_locked_reads(mut self, locked: bool) -> Self {
-        self.locked_reads = locked;
         self
     }
 
@@ -409,7 +390,7 @@ impl PnwConfig {
     }
 
     /// Enables the background scrubber at `buckets_per_sec` (clamped to
-    /// ≥ 1) on [`ShardedPnwStore`](crate::ShardedPnwStore).
+    /// ≥ 1).
     pub fn with_scrub(mut self, buckets_per_sec: u32) -> Self {
         self.scrub_rate = Some(buckets_per_sec.max(1));
         self
@@ -442,7 +423,7 @@ impl PnwConfig {
         self.value_size * 8 > self.pca.threshold_bits
     }
 
-    /// Checks the invariants every store frontend relies on. The builder
+    /// Checks the invariants the store relies on. The builder
     /// methods clamp their inputs, but all fields are public — this is the
     /// boundary check for hand-assembled configs.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -532,8 +513,6 @@ mod tests {
         assert_eq!(PnwConfig::new(8, 8).with_shards(4).shards, 4);
         assert_eq!(PnwConfig::new(8, 8).with_shard_queue_depth(0).shard_queue_depth, 1);
         assert_eq!(PnwConfig::new(8, 8).with_shard_queue_depth(64).shard_queue_depth, 64);
-        assert!(PnwConfig::new(8, 8).with_locked_reads(true).locked_reads);
-        assert!(!PnwConfig::new(8, 8).locked_reads);
         assert_eq!(PnwConfig::new(8, 8).with_train_sample_cap(99).train_sample_cap, 99);
         assert_eq!(PnwConfig::new(8, 8).with_endurance(0).endurance_writes, Some(1));
         assert_eq!(PnwConfig::new(8, 8).with_scrub(0).scrub_rate, Some(1));

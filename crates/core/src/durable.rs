@@ -708,7 +708,7 @@ impl DurableStore {
     /// Cuts a checkpoint: write-new → fsync → rename → superblock bump →
     /// WAL truncation. The caller must have synced the shard data devices
     /// first and must hold out writers for the duration of the state
-    /// collection (the store frontends do both).
+    /// collection (the store does both).
     pub fn checkpoint(&mut self, shards: &[ShardCheckpoint]) -> Result<(), StoreError> {
         assert_eq!(shards.len(), self.n_shards, "one checkpoint entry per shard");
         let new_epoch = self.epoch + 1;

@@ -1,7 +1,7 @@
 //! The unified store error.
 //!
 //! One error enum serves every [`Store`](crate::api::Store) backend: the
-//! PNW stores in this crate and the baseline stores in `pnw-baselines`.
+//! PNW store in this crate and the baseline stores in `pnw-baselines`.
 //! Before the API unification each surface had its own enum (`PnwError`
 //! here, a `StoreError` in `pnw-baselines`) and the bench crate bridged
 //! them with a lossy adapter that collapsed `ModelUnavailable` into

@@ -17,18 +17,16 @@
 //!   NVM Path Hashing (Figure 2b), both via `pnw-index`.
 //! * **K/V data zone** — fixed-size buckets on the emulated NVM device.
 //!
-//! Two store frontends compose these pieces:
-//!
-//! * [`PnwStore`] — the single-threaded reference store the figure
-//!   harnesses drive; one [`shard::ShardEngine`] plus a private model.
-//! * [`ShardedPnwStore`] — N engines routed by key hash behind per-shard
-//!   locks, sharing one background-retrained model; PUT/GET/DELETE take
-//!   `&self` and scale across threads. `shards = 1` reproduces
-//!   [`PnwStore`] bit-for-bit.
+//! One store type composes these pieces: [`ShardedPnwStore`] — N
+//! [`shard::ShardEngine`]s routed by key hash, single-writer with
+//! lock-free GETs per shard, sharing one background-retrained model;
+//! PUT/GET/DELETE take `&self` and scale across threads. [`PnwStore`] is
+//! a plain alias for it: with the default `shards = 1` it is the Figure 2
+//! system the figure harnesses drive.
 //!
 //! ## The public API
 //!
-//! Every store frontend — and the baseline stores in `pnw-baselines` —
+//! The store — and the baseline stores in `pnw-baselines` —
 //! implements the [`api::Store`] trait: `&self`-based `put` / `get` /
 //! `get_into` / `delete` / `snapshot` with the unified
 //! [`StoreError`], plus the batched-write entry point
@@ -85,7 +83,6 @@ pub mod model;
 pub mod pool;
 pub mod shard;
 pub mod sharded;
-pub mod store;
 
 pub use api::{Batch, BatchReport, Op, Store};
 pub use config::{
@@ -100,4 +97,15 @@ pub use model::{ModelManager, ModelSnapshot, PredictScratch};
 pub use pool::DynamicAddressPool;
 pub use shard::{now_unix_ms, PutPath, ShardEngine};
 pub use sharded::ShardedPnwStore;
-pub use store::PnwStore;
+
+/// The PNW store under its paper name: a plain alias of
+/// [`ShardedPnwStore`], which at the default `shards = 1` is the
+/// single-data-zone system of Figure 2.
+pub type PnwStore = ShardedPnwStore;
+
+// The deleted `PnwStore` frontend's unit suite, kept at its `store::tests`
+// path so the same test IDs now hold the unified type to it.
+#[cfg(test)]
+mod store {
+    mod tests;
+}

@@ -453,11 +453,6 @@ impl ModelManager {
         *self.pending.get_mut().unwrap() = Some(rx);
     }
 
-    /// [`ModelManager::train_in_background_with`] without a completion flag.
-    pub fn train_in_background(&mut self, values: Vec<Vec<u8>>) {
-        self.train_in_background_with(values, None);
-    }
-
     /// Whether a background run is in flight.
     pub fn training_in_progress(&self) -> bool {
         self.pending.lock().unwrap().is_some()
@@ -564,8 +559,8 @@ pub fn stride_sample(n: usize, cap: usize) -> Vec<usize> {
 /// Deterministic reservoir sample (Algorithm R) of `cap` indices from
 /// `0..n`, sorted ascending. Identity when `n <= cap`; the same
 /// `(n, cap, seed)` always yields the same indices, so capped retraining
-/// stays reproducible (and `shards = 1` stays bit-for-bit equivalent to the
-/// single-threaded store).
+/// stays reproducible (the golden-stats regression in `tests/sharded.rs`
+/// depends on it).
 pub fn reservoir_sample(n: usize, cap: usize, seed: u64) -> Vec<usize> {
     if n <= cap {
         return (0..n).collect();
@@ -635,7 +630,7 @@ mod tests {
     fn background_training_installs() {
         let mut m = ModelManager::new(&small_cfg());
         let values: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i, 0, 0, 0]).collect();
-        m.train_in_background(values);
+        m.train_in_background_with(values, None);
         assert!(m.training_in_progress());
         assert!(m.wait_for_background());
         assert!(m.is_trained());
@@ -662,8 +657,8 @@ mod tests {
     fn second_background_request_is_noop_while_pending() {
         let mut m = ModelManager::new(&small_cfg());
         let values: Vec<Vec<u8>> = (0..200u8).map(|i| vec![i, i, 0, 0]).collect();
-        m.train_in_background(values.clone());
-        m.train_in_background(values); // ignored
+        m.train_in_background_with(values.clone(), None);
+        m.train_in_background_with(values, None); // ignored
         m.wait_for_background();
         assert_eq!(m.retrains(), 1);
     }

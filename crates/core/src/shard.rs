@@ -229,7 +229,7 @@ impl Drop for WriteBracket {
 }
 
 /// Validates a value against a configuration's value size — the one
-/// implementation behind both store frontends' early rejection.
+/// implementation behind the store's early rejection and the engine's own.
 pub(crate) fn check_value(cfg: &PnwConfig, value: &[u8]) -> Result<(), PnwError> {
     if value.len() != cfg.value_size {
         return Err(PnwError::WrongValueSize {
@@ -317,25 +317,17 @@ pub struct ShardEngine {
 impl ShardEngine {
     /// Creates an engine with a fresh zeroed device slice.
     pub fn new(cfg: PnwConfig) -> Self {
-        Self::with_device(cfg, None)
-    }
-
-    pub(crate) fn with_device(cfg: PnwConfig, image: Option<Vec<u8>>) -> Self {
-        Self::build(cfg, image, None).expect("volatile device construction cannot fail")
+        Self::build(cfg, None).expect("volatile device construction cannot fail")
     }
 
     /// Creates an engine over a write-through file-backed device at
     /// `path` (fallible: the backing file may be unreadable or of the
     /// wrong size for this geometry).
     pub(crate) fn open_file(cfg: PnwConfig, path: std::path::PathBuf) -> Result<Self, PnwError> {
-        Self::build(cfg, None, Some(path))
+        Self::build(cfg, Some(path))
     }
 
-    fn build(
-        cfg: PnwConfig,
-        image: Option<Vec<u8>>,
-        file: Option<std::path::PathBuf>,
-    ) -> Result<Self, PnwError> {
+    fn build(cfg: PnwConfig, file: Option<std::path::PathBuf>) -> Result<Self, PnwError> {
         let bucket_size = (HDR_BYTES + cfg.value_size).next_multiple_of(8);
         let total_buckets = cfg.capacity + cfg.reserve_buckets;
         let data_bytes = total_buckets * bucket_size;
@@ -374,19 +366,9 @@ impl ShardEngine {
                 seed: cfg.seed,
             });
         }
-        let dev = match (image, file) {
-            (Some(image), None) => {
-                assert_eq!(
-                    image.len(),
-                    total,
-                    "image size does not match the configured geometry"
-                );
-                NvmDevice::from_image(nvm_cfg, image)
-            }
-            (None, Some(path)) => {
-                NvmDevice::open(nvm_cfg.with_backing(DeviceBacking::File(path)))?
-            }
-            _ => NvmDevice::new(nvm_cfg),
+        let dev = match file {
+            Some(path) => NvmDevice::open(nvm_cfg.with_backing(DeviceBacking::File(path)))?,
+            None => NvmDevice::new(nvm_cfg),
         };
         let index: Box<dyn KeyIndex> = match index_region {
             Some(r) => Box::new(PathHashIndex::create(r, index_leaves)),
@@ -579,13 +561,6 @@ impl ShardEngine {
     fn peek_value(&self, bucket: u32) -> Result<Vec<u8>, PnwError> {
         let addr = self.bucket_addr(bucket) + HDR_BYTES;
         Ok(self.dev.peek(addr, self.cfg.value_size)?.to_vec())
-    }
-
-    /// Physical byte address a key's bucket currently occupies (diagnostics
-    /// and tests; takes no locks, records no stats).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn locate(&self, key: u64) -> Result<Option<u64>, PnwError> {
-        Ok(self.index.lookup(&self.dev, key)?)
     }
 
     #[cfg(test)]
@@ -995,9 +970,9 @@ impl ShardEngine {
         self.push_free(cluster, bucket);
     }
 
-    /// Executes one batch group against this engine — the one loop behind
-    /// both PNW frontends' [`Store::apply`](crate::Store::apply)
-    /// overrides. PUTs run [`ShardEngine::put_unreported`]; after every
+    /// Executes one batch group against this engine — the loop behind the
+    /// store's [`Store::apply`](crate::Store::apply) override. PUTs run
+    /// [`ShardEngine::put_unreported`]; after every
     /// fresh PUT the §V-C reserve extension runs at exactly the per-op
     /// path's op boundary (so a batch never reports `Full` where the same
     /// ops issued individually would have extended the zone mid-stream).
@@ -1886,12 +1861,6 @@ impl ShardEngine {
     /// Access to the pool (read-only).
     pub fn pool(&self) -> &DynamicAddressPool {
         &self.pool
-    }
-
-    /// Persists the device's cell image (the NVM part's durable state) to a
-    /// file.
-    pub fn save_image(&self, path: &std::path::Path) -> std::io::Result<()> {
-        self.dev.save_image(path)
     }
 }
 

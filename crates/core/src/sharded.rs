@@ -1,8 +1,11 @@
-//! The sharded, thread-safe PNW store.
+//! The PNW store: the one frontend over [`ShardEngine`].
 //!
-//! [`ShardedPnwStore`] splits the data zone into N independent
+//! [`ShardedPnwStore`] — also exported as [`PnwStore`](crate::PnwStore),
+//! a plain alias — splits the data zone into N independent
 //! [`ShardEngine`]s — each with its own device slice, hash index and
-//! dynamic address pool — and routes every key to one shard by hash.
+//! dynamic address pool — and routes every key to one shard by hash. With
+//! the default `shards = 1` it is the paper's Figure 2 system exactly as
+//! Algorithms 1–3 describe it; the figure harnesses drive it that way.
 //! Operations on different shards run fully in parallel. Within one shard
 //! the concurrency model is **single-writer / lock-free readers**:
 //!
@@ -16,8 +19,7 @@
 //!   executes it and fills the slot. A full queue returns
 //!   [`StoreError::Backpressure`] instead of blocking — explicit feedback
 //!   in place of lock convoying. A single-threaded client always wins the
-//!   `try_lock`, so with `shards = 1` the store behaves byte-for-byte
-//!   like the single-threaded [`PnwStore`](crate::PnwStore).
+//!   `try_lock`, so it only ever takes the inline path.
 //!
 //! * **Reads (seqlock validation).** GETs take **zero locks** in steady
 //!   state. Each shard publishes a read view at construction — a
@@ -28,14 +30,15 @@
 //!   the sequence: unchanged means the copy is a consistent snapshot;
 //!   changed means a writer raced and the GET retries. Every engine
 //!   mutation brackets itself with the sequence, so a reader can never
-//!   return torn bytes. [`PnwConfig::locked_reads`] routes GETs through
-//!   the engine mutex instead — the before/after comparison knob for the
-//!   read-scaling benchmarks.
+//!   return torn bytes. A GET goes through the engine mutex only when
+//!   the shard's index offers no [`IndexReader`] or a validated snapshot
+//!   needs the engine's typed error — chosen by the code, never by an
+//!   option.
 //!
 //! The ML model is the one deliberately *shared* component: the paper
 //! keeps it in DRAM, read-mostly, retrained in the background
 //! (§V-C/§V-A.1). Every shard holds its own `Arc` of the current
-//! immutable [`ModelSnapshot`](crate::model::ModelSnapshot); the trainer
+//! immutable [`ModelSnapshot`]; the trainer
 //! ([`ModelManager`]) lives behind a `Mutex` taken only at train/install
 //! boundaries, with completion signalled through one `AtomicBool` the op
 //! path polls (a single acquire load — false in steady state).
@@ -51,14 +54,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use pnw_index::IndexReader;
-use pnw_nvm_sim::{CellView, DeviceStats, WearCdf, WriteStats};
+use pnw_nvm_sim::{CellView, DeviceStats, LatencyModel, NvmDevice, WearCdf, WriteStats};
 
 use crate::api::{Batch, BatchReport, Op, Store};
 use crate::config::{BackingMode, PnwConfig, RetrainMode};
 use crate::durable::{geometry_hash, DurableStore, ShardCheckpoint};
 use crate::error::{PnwError, StoreError};
 use crate::metrics::{OpReport, StoreSnapshot};
-use crate::model::ModelManager;
+use crate::model::{ModelManager, ModelSnapshot};
 use crate::shard::{
     bucket_crc, now_unix_ms, PutPath, ScanGeometry, ShardEngine, ShardSync, EXPIRY_BYTES,
     FLAG_VALID, HDR_BYTES,
@@ -475,8 +478,6 @@ impl ShardedPnwStore {
     /// reader and cell view are probed under seqlock validation — an
     /// uncontended read costs two sequence loads on top of the probe, and
     /// a read racing a writer retries until it observes a quiet interval.
-    /// With [`PnwConfig::locked_reads`] the GET takes the engine lock
-    /// instead (the pre-seqlock behavior, kept as a benchmark baseline).
     pub fn get(&self, key: u64) -> Result<Option<Vec<u8>>, PnwError> {
         let mut v = vec![0u8; self.cfg.value_size];
         Ok(self.get_into(key, &mut v)?.then_some(v))
@@ -493,9 +494,6 @@ impl ShardedPnwStore {
             });
         }
         let sh = &self.shards[self.shard_of(key)];
-        if self.cfg.locked_reads {
-            return sh.engine.lock().unwrap().get_into(key, out);
-        }
         let Some(reader) = &sh.reader else {
             return sh.engine.lock().unwrap().get_into(key, out);
         };
@@ -625,9 +623,8 @@ impl ShardedPnwStore {
     }
 
     /// One shard's contribution to [`ShardedPnwStore::scan`]: the
-    /// lock-free walk with retry, or the engine-locked fallback when
-    /// `locked_reads` is set, no index reader exists, or validation keeps
-    /// losing to writers.
+    /// lock-free walk with retry, or the engine-locked fallback when no
+    /// index reader exists or validation keeps losing to writers.
     fn scan_shard(
         &self,
         sid: usize,
@@ -638,8 +635,7 @@ impl ShardedPnwStore {
         /// Whole-shard snapshot attempts before conceding to the lock.
         const SCAN_RETRIES: usize = 8;
         let sh = &self.shards[sid];
-        let reader = if self.cfg.locked_reads { None } else { sh.reader.as_ref() };
-        let Some(reader) = reader else {
+        let Some(reader) = &sh.reader else {
             out.extend(sh.engine.lock().unwrap().scan_range(lo, hi)?);
             return Ok(());
         };
@@ -806,9 +802,13 @@ impl ShardedPnwStore {
 
     /// Live key count across all shards.
     pub fn len(&self) -> usize {
+        self.sum_shards(ShardEngine::len)
+    }
+
+    fn sum_shards(&self, count: impl Fn(&ShardEngine) -> usize) -> usize {
         self.shards
             .iter()
-            .map(|s| s.engine.lock().unwrap().len())
+            .map(|s| count(&s.engine.lock().unwrap()))
             .sum()
     }
 
@@ -855,17 +855,97 @@ impl ShardedPnwStore {
     /// zones of all shards (the per-shard CDFs merged into one
     /// population).
     pub fn word_wear_cdf(&self) -> WearCdf {
+        self.merged_wear_cdf(|dev, start, len| Some(dev.word_wear_cdf(start, len)))
+            .expect("at least one shard")
+    }
+
+    /// Figure-13-style per-bit wear CDF over the combined active data
+    /// zones; `None` unless the store was built with
+    /// [`PnwConfig::with_bit_wear`]`(true)`.
+    pub fn bit_wear_cdf(&self) -> Option<WearCdf> {
+        self.merged_wear_cdf(NvmDevice::bit_wear_cdf)
+    }
+
+    /// One CDF per shard over that shard's active data zone, merged into
+    /// one population.
+    fn merged_wear_cdf(
+        &self,
+        cdf: impl Fn(&NvmDevice, usize, usize) -> Option<WearCdf>,
+    ) -> Option<WearCdf> {
         let mut merged: Option<WearCdf> = None;
         for s in self.shards.iter() {
             let shard = s.engine.lock().unwrap();
             let (start, len) = shard.data_zone_range();
-            let cdf = shard.device().word_wear_cdf(start, len);
+            let part = cdf(shard.device(), start, len)?;
             merged = Some(match merged {
-                Some(m) => m.merge(&cdf),
-                None => cdf,
+                Some(m) => m.merge(&part),
+                None => part,
             });
         }
-        merged.expect("at least one shard")
+        merged
+    }
+
+    /// Clears every shard's wear counters (Figures 12/13 measure wear over
+    /// a stream that excludes warm-up writes).
+    pub fn reset_wear(&self) {
+        for s in self.shards.iter() {
+            s.engine.lock().unwrap().reset_wear();
+        }
+    }
+
+    /// The devices' latency model (every shard is built with the same one).
+    pub fn latency_model(&self) -> LatencyModel {
+        let engine = self.shards[0].engine.lock().unwrap();
+        engine.device().latency_model()
+    }
+
+    /// Buckets currently in the active data zone, across all shards.
+    pub fn active_capacity(&self) -> usize {
+        self.sum_shards(ShardEngine::active_capacity)
+    }
+
+    /// Reserved buckets not yet activated, across all shards.
+    pub fn reserve_remaining(&self) -> usize {
+        self.sum_shards(ShardEngine::reserve_remaining)
+    }
+
+    /// Extends the data zone by up to `buckets` reserved buckets (§V-C),
+    /// split across shards the way capacity is.
+    ///
+    /// The freshly-activated addresses join each shard's dynamic address
+    /// pool under the current model's labels; nothing in the NVM hash
+    /// index moves — *"our method to expand the size of a cluster does not
+    /// impose any extra writes to the NVM"*. Call
+    /// [`ShardedPnwStore::retrain_now`] (or rely on the load-factor
+    /// trigger) to refresh the model on the grown zone.
+    ///
+    /// Returns how many buckets were activated (0 when the reserve is
+    /// exhausted).
+    pub fn extend_zone(&self, buckets: usize) -> usize {
+        let n = self.shards.len();
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| s.engine.lock().unwrap().extend_zone(split(buckets, n, i)))
+            .sum()
+    }
+
+    /// Pre-fills every *free* bucket's cells with values from `gen`,
+    /// leaving them free. This reproduces the paper's experimental setup
+    /// (§VI-B: *"we first have set aside 5K buckets as the 'old data' on
+    /// the NVM"*): the pool then steers incoming writes onto bit-similar
+    /// stale content. Call [`ShardedPnwStore::retrain_now`] afterwards so
+    /// the model learns the prefilled distribution. Returns how many
+    /// buckets were filled.
+    pub fn prefill_free_buckets(
+        &self,
+        mut gen: impl FnMut() -> Vec<u8>,
+    ) -> Result<usize, StoreError> {
+        let mut filled = 0;
+        for s in self.shards.iter() {
+            filled += s.engine.lock().unwrap().prefill_free_buckets(&mut gen)?;
+        }
+        Ok(filled)
     }
 
     /// Aggregated point-in-time snapshot: counters summed across shards,
@@ -951,9 +1031,9 @@ impl ShardedPnwStore {
     /// new model is installed — and every shard's pool relabeled — at a
     /// later operation boundary.
     pub fn retrain_in_background(&self) {
-        let snapshot = self.training_snapshot();
         let mut trainer = self.trainer.lock().unwrap();
         if !trainer.training_in_progress() {
+            let snapshot = self.training_snapshot();
             trainer.train_in_background_with(snapshot, Some(Arc::clone(&self.model_ready)));
         }
     }
@@ -982,6 +1062,38 @@ impl ShardedPnwStore {
     /// Model epoch (install/swap count) of the published snapshot.
     pub fn model_epoch(&self) -> u64 {
         self.trainer.lock().unwrap().snapshot().epoch()
+    }
+
+    /// Current cluster count K of the trained model.
+    pub fn model_k(&self) -> usize {
+        self.trainer.lock().unwrap().k()
+    }
+
+    /// Predicts the cluster for a value under the current model (the
+    /// standalone prediction kernel, for benches and diagnostics).
+    pub fn predict(&self, value: &[u8]) -> usize {
+        self.trainer.lock().unwrap().predict(value)
+    }
+
+    /// The current immutable model snapshot (centroids and their score
+    /// table) — an `Arc` clone, safe to inspect outside any lock.
+    pub fn model_snapshot(&self) -> Arc<ModelSnapshot> {
+        self.trainer.lock().unwrap().snapshot()
+    }
+
+    /// Simulates a power failure followed by a restart: the DRAM state
+    /// (index if [`IndexPlacement::Dram`](crate::IndexPlacement::Dram),
+    /// model, pool) is discarded and rebuilt from NVM, exactly as §V-A.3
+    /// describes for each architecture.
+    pub fn crash_and_recover(&self) -> Result<(), PnwError> {
+        for s in self.shards.iter() {
+            s.engine.lock().unwrap().recover_structures()?;
+        }
+        // The model is DRAM-resident: reconstruct it by retraining
+        // (§V-A.1: "can be reconstructed after a crash").
+        *self.trainer.lock().unwrap() = ModelManager::new(&self.cfg);
+        self.retrain_now()?;
+        Ok(())
     }
 
     /// Publishes the trainer's current snapshot to every shard: one `Arc`
@@ -1042,19 +1154,11 @@ impl ShardedPnwStore {
                 self.maintenance.store(false, Ordering::Release);
             }
             RetrainMode::Background => {
-                let snapshot = self.training_snapshot();
-                let mut trainer = self.trainer.lock().unwrap();
-                if trainer.training_in_progress() {
-                    // A run is already pending; let its install clear the flag.
-                } else {
-                    trainer.train_in_background_with(
-                        snapshot,
-                        Some(Arc::clone(&self.model_ready)),
-                    );
-                }
+                self.retrain_in_background();
                 // The maintenance flag stays set until install_if_ready()
-                // swaps the model in — that is what stops every subsequent
-                // PUT from re-snapshotting the data zone.
+                // swaps the model in (also when a run was already pending)
+                // — that is what stops every subsequent PUT from
+                // re-snapshotting the data zone.
             }
         }
     }
@@ -1356,25 +1460,6 @@ mod tests {
             let miss = s.with_shard_write_held(0, || s.get(8).unwrap());
             assert_eq!(miss, None);
         }
-    }
-
-    /// With `locked_reads` the GET path goes through the engine mutex —
-    /// same results, used as the before/after benchmark baseline.
-    #[test]
-    fn locked_reads_fallback_matches() {
-        let s = ShardedPnwStore::new(
-            PnwConfig::new(32, 8)
-                .with_clusters(1)
-                .with_shards(2)
-                .with_locked_reads(true),
-        );
-        for k in 0..16u64 {
-            s.put(k, &k.to_le_bytes()).unwrap();
-        }
-        for k in 0..16u64 {
-            assert_eq!(s.get(k).unwrap().unwrap(), k.to_le_bytes());
-        }
-        assert_eq!(s.get(99).unwrap(), None);
     }
 
     /// A saturated shard queue rejects with `Backpressure` instead of

@@ -5,12 +5,14 @@
 //! pnw> put 1 hello world
 //! pnw> get 1
 //! pnw> stats
-//! pnw> save /tmp/zone.img
+//! pnw> checkpoint
 //! ```
 //!
 //! Commands: `put <key> <text>`, `get <key>`, `del <key>`, `train`,
-//! `stats`, `extend <buckets>`, `save <path>`, `help`, `quit`.
-//! Start with `--image <path>` to reopen a saved cell image.
+//! `stats`, `extend <buckets>`, `checkpoint`, `help`, `quit`.
+//! Start with `--path <dir>` for a durable store: the directory is
+//! created on first use, every acknowledged command survives a kill, and
+//! a later run with the same geometry flags reopens it.
 //!
 //! `pnw-cli --throughput [--threads 1,2,4] [--shards N] [--ops N]` skips
 //! the shell and runs the multi-threaded throughput sweep over the sharded
@@ -26,7 +28,7 @@ struct CliArgs {
     value_size: usize,
     clusters: usize,
     reserve: usize,
-    image: Option<std::path::PathBuf>,
+    path: Option<std::path::PathBuf>,
     throughput: bool,
     threads: Vec<usize>,
     shards: usize,
@@ -39,7 +41,7 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         value_size: 64,
         clusters: 8,
         reserve: 0,
-        image: None,
+        path: None,
         throughput: false,
         threads: vec![1, 2, 4],
         shards: 8,
@@ -59,7 +61,7 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             }
             "--clusters" => out.clusters = grab("--clusters")?.parse().map_err(|e| format!("{e}"))?,
             "--reserve" => out.reserve = grab("--reserve")?.parse().map_err(|e| format!("{e}"))?,
-            "--image" => out.image = Some(grab("--image")?.into()),
+            "--path" => out.path = Some(grab("--path")?.into()),
             "--throughput" => out.throughput = true,
             "--threads" => {
                 out.threads = grab("--threads")?
@@ -204,14 +206,14 @@ fn run_command(store: &PnwStore, line: &str) -> Result<String, String> {
                 s.train.phases.table_build,
             ))
         }
-        "save" => {
-            let path = parts.next().ok_or("usage: save <path>")?;
-            store
-                .save_image(std::path::Path::new(path))
-                .map_err(|e| e.to_string())?;
-            Ok(format!("saved cell image to {path}"))
+        "checkpoint" => {
+            if !store.is_durable() {
+                return Ok("volatile store: nothing to checkpoint (start with --path DIR)".into());
+            }
+            store.checkpoint().map_err(|e| e.to_string())?;
+            Ok("checkpoint cut, WAL truncated".into())
         }
-        "help" => Ok("commands: put get del train extend stats save help quit".into()),
+        "help" => Ok("commands: put get del train extend stats checkpoint help quit".into()),
         other => Err(format!("unknown command '{other}' (try help)")),
     }
 }
@@ -220,7 +222,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "pnw-cli [--capacity N] [--value-size N] [--clusters K] [--reserve N] [--image PATH]\n\
+            "pnw-cli [--capacity N] [--value-size N] [--clusters K] [--reserve N] [--path DIR]\n\
              pnw-cli --throughput [--threads 1,2,4] [--shards N] [--ops N] [--value-size N]"
         );
         return;
@@ -239,18 +241,18 @@ fn main() {
     let cfg = PnwConfig::new(args.capacity, args.value_size)
         .with_clusters(args.clusters)
         .with_reserve(args.reserve);
-    let store = match &args.image {
-        Some(path) if path.exists() => match PnwStore::load_image(cfg, path) {
+    let store = match &args.path {
+        Some(dir) => match PnwStore::open(cfg.with_path(dir)) {
             Ok(s) => {
-                println!("reopened image {} ({} live keys)", path.display(), s.len());
+                println!("opened {} ({} live keys)", dir.display(), s.len());
                 s
             }
             Err(e) => {
-                eprintln!("error: cannot open image: {e}");
+                eprintln!("error: cannot open {}: {e}", dir.display());
                 std::process::exit(2);
             }
         },
-        _ => PnwStore::new(cfg),
+        None => PnwStore::new(cfg),
     };
 
     let stdin = std::io::stdin();
@@ -274,10 +276,9 @@ fn main() {
             Err(e) => println!("error: {e}"),
         }
     }
-    if let Some(path) = &args.image {
-        if store.save_image(path).is_ok() {
-            println!("saved image to {}", path.display());
-        }
+    if let Err(e) = store.close() {
+        eprintln!("error: final checkpoint failed: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -337,6 +338,9 @@ mod tests {
         assert_eq!(run_command(&store, "del 1").unwrap(), "deleted");
         assert_eq!(run_command(&store, "get 1").unwrap(), "(not found)");
         assert!(run_command(&store, "stats").unwrap().contains("live 0"));
+        assert!(run_command(&store, "checkpoint")
+            .unwrap()
+            .contains("volatile"));
         assert!(run_command(&store, "nope").is_err());
         assert_eq!(run_command(&store, "").unwrap(), "");
     }

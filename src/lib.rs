@@ -37,9 +37,10 @@
 //!
 //! ## One `Store` trait, batched writes
 //!
-//! Every backend — [`PnwStore`], [`ShardedPnwStore`], and the three
-//! baseline stores in `pnw-baselines` — implements the `&self`-based
-//! [`Store`] trait, so one harness drives them all, per-op or in
+//! Every backend — the PNW store ([`PnwStore`] is a plain alias of
+//! [`ShardedPnwStore`]; `shards` defaults to 1) and the three baseline
+//! stores in `pnw-baselines` — implements the `&self`-based [`Store`]
+//! trait, so one harness drives them all, per-op or in
 //! [`Batch`]es:
 //!
 //! ```
@@ -58,10 +59,10 @@
 //!
 //! ## Concurrent store
 //!
-//! [`ShardedPnwStore`] serves PUT/GET/DELETE from many threads at once:
-//! keys are routed to independent shards by hash, and all shards share one
-//! background-retrained model. `shards = 1` reproduces [`PnwStore`]
-//! bit-for-bit.
+//! The store serves PUT/GET/DELETE from many threads at once: with
+//! [`PnwConfig::with_shards`] keys are routed to independent shards by
+//! hash, and all shards share one background-retrained model. GETs take
+//! no lock at any shard count.
 //!
 //! ```
 //! use std::sync::Arc;

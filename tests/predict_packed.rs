@@ -238,7 +238,7 @@ fn background_install_rebuilds_luts() {
     let cfg = PnwConfig::new(256, 8).with_clusters(3).with_seed(9);
     let mut m = ModelManager::new(&cfg);
     let values = random_values(96, 8, 3, 3);
-    m.train_in_background(values.clone());
+    m.train_in_background_with(values.clone(), None);
     assert!(m.wait_for_background());
     assert!(m.uses_packed());
     assert_equivalent(&m, &values);

@@ -5,9 +5,10 @@
 //!
 //! Two levels:
 //!
-//! * **Store level** — a durable [`PnwStore`] runs random put / update /
-//!   delete traffic; at a random point either a metadata tear (mid-WAL
-//!   record) or a data-zone torn write is armed. The reference model
+//! * **Store level** — a durable [`PnwStore`] at 1 or 4 shards runs random
+//!   put / update / delete traffic; at a random point either a metadata
+//!   tear (mid-WAL record) or a data-zone torn write is armed. The
+//!   reference model
 //!   records exactly the acknowledged ops; the reopened store must match
 //!   it key-for-key, bit-for-bit.
 //! * **Device level** — a file-backed [`NvmDevice`] takes word-aligned
@@ -43,6 +44,14 @@ enum Op {
     Delete(u64),
 }
 
+impl Op {
+    fn key(&self) -> u64 {
+        match self {
+            Op::Put(k, _) | Op::Delete(k) => *k,
+        }
+    }
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (0u64..16, proptest::collection::vec(any::<u8>(), 8))
@@ -56,8 +65,8 @@ enum Crash {
     /// Tear the WAL frame of the `skip`-th metadata append from the armed
     /// point, keeping `keep` bytes of it.
     Wal { skip: u64, keep: usize },
-    /// Tear the next data-zone (or NVM-index) device write after `words`
-    /// persisted words.
+    /// Tear the next data-zone (or NVM-index) device write on the shard
+    /// the armed-at op routes to, after `words` persisted words.
     Data { words: usize },
 }
 
@@ -72,12 +81,15 @@ fn run_store_case(
     ops: Vec<Op>,
     crash_at: usize,
     crash: Crash,
+    shards: usize,
     placement: IndexPlacement,
 ) -> Result<(), TestCaseError> {
     let dir = case_dir("store");
-    let cfg = PnwConfig::new(32, 8)
+    // 32 buckets per shard: even if every key routes to one shard it fits.
+    let cfg = PnwConfig::new(32 * shards, 8)
         .with_clusters(2)
         .with_seed(17)
+        .with_shards(shards)
         .with_index(placement)
         .with_path(&dir);
 
@@ -93,7 +105,7 @@ fn run_store_case(
                     skip,
                     keep_bytes: keep,
                 }),
-                Crash::Data { words } => store.arm_torn_write(words),
+                Crash::Data { words } => store.arm_torn_write(store.shard_of_key(op.key()), words),
             }
         }
         match op {
@@ -148,8 +160,9 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..30),
         crash_at in 0usize..30,
         crash in crash_strategy(),
+        shards in prop_oneof![Just(1usize), Just(4usize)],
     ) {
-        run_store_case(ops, crash_at, crash, IndexPlacement::Dram)?;
+        run_store_case(ops, crash_at, crash, shards, IndexPlacement::Dram)?;
     }
 
     /// NVM Path-Hashing index: the torn index region is rebuilt from the
@@ -159,8 +172,9 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..30),
         crash_at in 0usize..30,
         crash in crash_strategy(),
+        shards in prop_oneof![Just(1usize), Just(4usize)],
     ) {
-        run_store_case(ops, crash_at, crash, IndexPlacement::Nvm)?;
+        run_store_case(ops, crash_at, crash, shards, IndexPlacement::Nvm)?;
     }
 
     /// File-backed device, both write modes, torn write at a random index:

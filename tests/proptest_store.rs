@@ -27,15 +27,23 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The shard counts every store property runs at.
+fn shards_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(4usize)]
+}
+
 fn check_against_model(
     ops: Vec<Op>,
+    shards: usize,
     placement: IndexPlacement,
     policy: UpdatePolicy,
 ) -> Result<(), TestCaseError> {
+    // 32 buckets per shard: even if every key routes to one shard it fits.
     let store = PnwStore::new(
-        PnwConfig::new(32, 8)
+        PnwConfig::new(32 * shards, 8)
             .with_clusters(3)
             .with_seed(17)
+            .with_shards(shards)
             .with_index(placement)
             .with_update_policy(policy),
     );
@@ -44,7 +52,7 @@ fn check_against_model(
     for op in ops {
         match op {
             Op::Put(k, v) => {
-                store.put(k, &v).expect("capacity 32 > key space 24");
+                store.put(k, &v).expect("shard capacity 32 > key space 24");
                 model.insert(k, v);
             }
             Op::Get(k) => {
@@ -76,21 +84,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The store behaves exactly like a hash map, under every combination
-    /// of index placement and update policy, with retraining and crashes
-    /// interleaved arbitrarily.
+    /// of index placement and update policy, at 1 and at 4 shards, with
+    /// retraining and crashes interleaved arbitrarily.
     #[test]
-    fn store_matches_hashmap_dram_deleteput(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        check_against_model(ops, IndexPlacement::Dram, UpdatePolicy::DeletePut)?;
+    fn store_matches_hashmap_dram_deleteput(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+        shards in shards_strategy(),
+    ) {
+        check_against_model(ops, shards, IndexPlacement::Dram, UpdatePolicy::DeletePut)?;
     }
 
     #[test]
-    fn store_matches_hashmap_dram_inplace(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        check_against_model(ops, IndexPlacement::Dram, UpdatePolicy::InPlace)?;
+    fn store_matches_hashmap_dram_inplace(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+        shards in shards_strategy(),
+    ) {
+        check_against_model(ops, shards, IndexPlacement::Dram, UpdatePolicy::InPlace)?;
     }
 
     #[test]
-    fn store_matches_hashmap_nvm_index(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        check_against_model(ops, IndexPlacement::Nvm, UpdatePolicy::DeletePut)?;
+    fn store_matches_hashmap_nvm_index(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+        shards in shards_strategy(),
+    ) {
+        check_against_model(ops, shards, IndexPlacement::Nvm, UpdatePolicy::DeletePut)?;
     }
 
     /// Device-level conservation: differential flips never exceed the

@@ -321,7 +321,7 @@ fn matrix_torn_data_write_is_unacknowledged() {
     let store = PnwStore::open(cfg.clone()).unwrap();
     let expected = apply_op_mix(&store, 21);
     // Tear after one persisted word of the next data-zone write.
-    store.arm_torn_write(1);
+    store.arm_torn_write(0, 1);
     assert!(store.put(999, &vec![0xEE; vs]).is_err());
     drop(store);
 

@@ -1,102 +1,86 @@
 //! Workspace-level tests for the sharded concurrent store: model-based
-//! multi-threaded stress, single-shard equivalence with [`PnwStore`], and
+//! multi-threaded stress, the one-shard golden-accounting regression, and
 //! bit-flip conservation across shards.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pnw::core_api::{PnwConfig, PnwStore, RetrainMode, ShardedPnwStore};
-use pnw_nvm_sim::DeviceStats;
+use pnw::core_api::{PnwConfig, RetrainMode, ShardedPnwStore};
+use pnw_nvm_sim::{DeviceStats, WriteStats};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// One step of the seeded reference workload.
-enum Op {
-    Put(u64, [u8; 16]),
-    Get(u64),
-    Delete(u64),
-    Retrain,
-}
-
-/// Drives a seeded workload of puts, overwrites, gets, deletes and
-/// retrains through one applier closure, so the single-threaded and
-/// sharded stores see byte-identical operation sequences.
-fn drive(mut apply: impl FnMut(Op)) {
+/// Drives the seeded reference workload of puts, overwrites, gets,
+/// deletes and one retrain. PUT failures (`Full`) are part of the recorded
+/// sequence and ignored, exactly as when the golden numbers were taken.
+fn drive(store: &ShardedPnwStore) {
     let mut rng = StdRng::seed_from_u64(0xD1CE);
     // Warm with two bit-pattern families, train, then churn.
     for k in 0..96u64 {
         let fill = if k % 2 == 0 { 0x00 } else { 0xFF };
-        apply(Op::Put(k, [fill; 16]));
+        let _ = store.put(k, &[fill; 16]);
     }
-    apply(Op::Retrain);
+    store.retrain_now().unwrap();
     for _ in 0..400 {
         let k = rng.gen_range(0..128u64);
         match rng.gen_range(0..10u8) {
             0..=5 => {
                 let mut v = [if k % 2 == 0 { 0x00u8 } else { 0xFFu8 }; 16];
                 v[15] = rng.gen();
-                apply(Op::Put(k, v));
+                let _ = store.put(k, &v);
             }
-            6..=7 => apply(Op::Get(k)),
-            _ => apply(Op::Delete(k)),
+            6..=7 => {
+                store.get(k).unwrap();
+            }
+            _ => {
+                store.delete(k).unwrap();
+            }
         }
     }
 }
 
-/// The acceptance criterion: `shards = 1` reproduces the single-threaded
-/// store's device accounting bit-for-bit on the same seeded workload.
+/// Golden-stats regression: at `shards = 1` the store reproduces, bit for
+/// bit, the device accounting the deleted single-threaded `PnwStore`
+/// frontend produced on this seeded workload. The literals were recorded
+/// from that frontend at commit f7ca638 (where a two-type equivalence test
+/// showed both agree); any drift in placement, retraining or write
+/// accounting shows up here.
 #[test]
-fn single_shard_matches_pnw_store_exactly() {
-    let cfg = PnwConfig::new(256, 16)
-        .with_clusters(3)
-        .with_seed(99)
-        .with_load_factor(0.6)
-        .with_retrain(RetrainMode::OnLoadFactor);
+fn one_shard_reproduces_the_reference_accounting() {
+    let store = ShardedPnwStore::new(
+        PnwConfig::new(256, 16)
+            .with_clusters(3)
+            .with_seed(99)
+            .with_load_factor(0.6)
+            .with_retrain(RetrainMode::OnLoadFactor)
+            .with_shards(1),
+    );
+    drive(&store);
 
-    let single = PnwStore::new(cfg.clone());
-    drive(|op| match op {
-        Op::Put(k, v) => {
-            let _ = single.put(k, &v);
-        }
-        Op::Get(k) => {
-            let _ = single.get(k).unwrap();
-        }
-        Op::Delete(k) => {
-            let _ = single.delete(k).unwrap();
-        }
-        Op::Retrain => {
-            single.retrain_now().unwrap();
-        }
-    });
-
-    let sharded = ShardedPnwStore::new(cfg.with_shards(1));
-    drive(|op| match op {
-        Op::Put(k, v) => {
-            let _ = sharded.put(k, &v);
-        }
-        Op::Get(k) => {
-            let _ = sharded.get(k).unwrap();
-        }
-        Op::Delete(k) => {
-            let _ = sharded.delete(k).unwrap();
-        }
-        Op::Retrain => {
-            sharded.retrain_now().unwrap();
-        }
-    });
-
-    // Identical bit flips, words written, lines written, ops — the whole
+    // Bit flips, words written, lines written, ops — the whole
     // DeviceStats struct.
-    assert_eq!(single.device_stats(), sharded.device_stats());
-    assert_eq!(single.len(), sharded.len());
-    for k in 0..128u64 {
-        assert_eq!(single.get(k).unwrap(), sharded.get(k).unwrap(), "key {k}");
-    }
-    let (s1, s2) = (single.snapshot(), sharded.snapshot());
-    assert_eq!(s1.puts, s2.puts);
-    assert_eq!(s1.deletes, s2.deletes);
-    assert_eq!(s1.free, s2.free);
-    assert_eq!(s1.fallbacks, s2.fallbacks);
-    assert_eq!(s1.retrains, s2.retrains);
+    assert_eq!(
+        store.device_stats(),
+        DeviceStats {
+            totals: WriteStats {
+                bit_flips: 14103,
+                aux_bit_flips: 0,
+                bits_addressed: 87696,
+                words_written: 1227,
+                lines_written: 577,
+                lines_read: 577,
+            },
+            write_ops: 577,
+            read_ops: 0,
+            bytes_read: 0,
+        }
+    );
+    assert_eq!(store.len(), 93);
+    let snap = store.snapshot();
+    assert_eq!(snap.puts, 335);
+    assert_eq!(snap.deletes, 67);
+    assert_eq!(snap.free, 163);
+    assert_eq!(snap.fallbacks, 1);
+    assert_eq!(snap.retrains, 1);
 }
 
 /// Multi-threaded stress against a `HashMap` reference model: each thread

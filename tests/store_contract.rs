@@ -1,15 +1,16 @@
-//! The [`Store`] trait conformance suite: one contract, five backends.
+//! The [`Store`] trait conformance suite: one contract, four backends.
 //!
 //! Every behavioral guarantee the trait documents is exercised against
-//! `PnwStore`, `ShardedPnwStore` and the three baseline stores through
-//! `Box<dyn Store>` — the exact surface the Figure 9 harness and the
+//! the PNW store (at 1 and at 4 shards) and the three baseline stores
+//! through `Box<dyn Store>` — the exact surface the Figure 9 harness and the
 //! throughput harness drive. If a backend drifts from the contract, it
 //! fails here, not in a harness.
 
-use pnw::core_api::{Batch, Op, PnwConfig, PnwStore, RetrainMode, ShardedPnwStore, Store, StoreError};
+use pnw::core_api::{Batch, Op, PnwConfig, PnwStore, RetrainMode, Store, StoreError};
 use pnw_baselines::{FpTreeLike, NoveLsmLike, PathHashStore};
 
-/// Fresh instances of all five backends at the given geometry.
+/// Fresh instances of all four backends at the given geometry — PNW
+/// twice, at 1 and at 4 shards.
 fn backends(capacity: usize, value_size: usize) -> Vec<Box<dyn Store>> {
     let cfg = PnwConfig::new(capacity, value_size)
         .with_clusters(2.min(capacity))
@@ -17,7 +18,7 @@ fn backends(capacity: usize, value_size: usize) -> Vec<Box<dyn Store>> {
         .with_retrain(RetrainMode::Manual);
     vec![
         Box::new(PnwStore::new(cfg.clone())),
-        Box::new(ShardedPnwStore::new(cfg.with_shards(4))),
+        Box::new(PnwStore::new(cfg.with_shards(4))),
         Box::new(FpTreeLike::new(capacity, value_size)),
         Box::new(NoveLsmLike::new(capacity, value_size)),
         Box::new(PathHashStore::new(capacity, value_size)),
@@ -170,81 +171,85 @@ fn batch_apply_is_equivalent_to_per_op_on_every_backend() {
     }
 }
 
-/// The acceptance criterion for the batch path: a single-shard
-/// `ShardedPnwStore` driven through `apply` produces *bit-for-bit* the
-/// same device state and accounting as the reference `PnwStore` driven
-/// per-op — the batch fast path changes cost, never writes.
+/// The acceptance criterion for the batch path: the store driven through
+/// `apply` produces *bit-for-bit* the same device state and accounting as
+/// the same store driven per-op, at 1 and at 4 shards — the batch fast
+/// path changes cost, never writes.
 #[test]
-fn single_shard_batch_path_matches_pnw_store_bit_for_bit() {
-    let cfg = PnwConfig::new(256, 16)
-        .with_clusters(3)
-        .with_seed(99)
-        .with_retrain(RetrainMode::Manual);
-    let single = PnwStore::new(cfg.clone());
-    let sharded = ShardedPnwStore::new(cfg.with_shards(1));
-
-    // Phase 1: warm both with two bit-pattern families, then train.
-    for k in 0..96u64 {
-        let fill = if k % 2 == 0 { 0x00 } else { 0xFF };
-        single.put(k, &[fill; 16]).unwrap();
-    }
-    let mut warm = Batch::new();
-    for k in 0..96u64 {
-        let fill = if k % 2 == 0 { 0x00 } else { 0xFF };
-        warm.put(k, &[fill; 16]);
-    }
-    assert!(sharded.apply(&warm).all_ok());
-    single.retrain_now().unwrap();
-    sharded.retrain_now().unwrap();
-
-    // Phase 2: seeded churn — per-op on the reference, batches of 16 on
-    // the sharded store, identical op order.
+fn batch_path_matches_per_op_bit_for_bit() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(0xD1CE);
-    let mut ops: Vec<Op> = Vec::new();
-    for _ in 0..400 {
-        let k = rng.gen_range(0..128u64);
-        if rng.gen_range(0..10u8) < 7 {
-            let mut v = [if k % 2 == 0 { 0x00u8 } else { 0xFFu8 }; 16];
-            v[15] = rng.gen();
-            ops.push(Op::Put {
-                key: k,
-                value: v.to_vec(),
-            });
-        } else {
-            ops.push(Op::Delete { key: k });
-        }
-    }
-    for op in &ops {
-        match op {
-            Op::Put { key, value } => {
-                let _ = single.put(*key, value);
-            }
-            Op::Delete { key } => {
-                let _ = single.delete(*key);
-            }
-        }
-    }
-    for chunk in ops.chunks(16) {
-        let mut batch = Batch::with_capacity(chunk.len());
-        for op in chunk {
-            batch.push(op.clone());
-        }
-        let _ = sharded.apply(&batch);
-    }
+    for shards in [1, 4] {
+        let cfg = PnwConfig::new(256, 16)
+            .with_clusters(3)
+            .with_seed(99)
+            .with_retrain(RetrainMode::Manual)
+            .with_shards(shards);
+        let per_op = PnwStore::new(cfg.clone());
+        let batched = PnwStore::new(cfg);
 
-    // Identical bit flips, words written, lines written, ops — the whole
-    // DeviceStats struct — plus contents and counters.
-    assert_eq!(single.device_stats(), sharded.device_stats());
-    assert_eq!(single.len(), sharded.len());
-    for k in 0..128u64 {
-        assert_eq!(single.get(k).unwrap(), sharded.get(k).unwrap(), "key {k}");
+        // Phase 1: warm both with two bit-pattern families, then train.
+        let mut warm = Batch::new();
+        for k in 0..96u64 {
+            let fill = if k % 2 == 0 { 0x00 } else { 0xFF };
+            per_op.put(k, &[fill; 16]).unwrap();
+            warm.put(k, &[fill; 16]);
+        }
+        assert!(batched.apply(&warm).all_ok());
+        per_op.retrain_now().unwrap();
+        batched.retrain_now().unwrap();
+
+        // Phase 2: seeded churn — per-op on one store, batches of 16 on
+        // the other, identical op order.
+        let mut rng = StdRng::seed_from_u64(0xD1CE);
+        let mut ops: Vec<Op> = Vec::new();
+        for _ in 0..400 {
+            let k = rng.gen_range(0..128u64);
+            if rng.gen_range(0..10u8) < 7 {
+                let mut v = [if k % 2 == 0 { 0x00u8 } else { 0xFFu8 }; 16];
+                v[15] = rng.gen();
+                ops.push(Op::Put {
+                    key: k,
+                    value: v.to_vec(),
+                });
+            } else {
+                ops.push(Op::Delete { key: k });
+            }
+        }
+        for op in &ops {
+            match op {
+                Op::Put { key, value } => {
+                    let _ = per_op.put(*key, value);
+                }
+                Op::Delete { key } => {
+                    let _ = per_op.delete(*key);
+                }
+            }
+        }
+        for chunk in ops.chunks(16) {
+            let mut batch = Batch::with_capacity(chunk.len());
+            for op in chunk {
+                batch.push(op.clone());
+            }
+            let _ = batched.apply(&batch);
+        }
+
+        // Identical bit flips, words written, lines written, ops — the
+        // whole DeviceStats struct — plus contents and counters.
+        assert_eq!(
+            per_op.device_stats(),
+            batched.device_stats(),
+            "{shards} shards"
+        );
+        assert_eq!(per_op.len(), batched.len(), "{shards} shards");
+        for k in 0..128u64 {
+            assert_eq!(per_op.get(k).unwrap(), batched.get(k).unwrap(), "key {k}");
+        }
+        let (s1, s2) = (per_op.snapshot(), batched.snapshot());
+        assert_eq!(s1.puts, s2.puts);
+        assert_eq!(s1.deletes, s2.deletes);
+        assert_eq!(s1.free, s2.free);
+        assert_eq!(s1.fallbacks, s2.fallbacks);
     }
-    let (s1, s2) = (single.snapshot(), sharded.snapshot());
-    assert_eq!(s1.puts, s2.puts);
-    assert_eq!(s1.deletes, s2.deletes);
-    assert_eq!(s1.free, s2.free);
-    assert_eq!(s1.fallbacks, s2.fallbacks);
 }
 
 /// Regression for the batch/per-op maintenance divergence: a batch must
@@ -271,18 +276,12 @@ fn batch_extends_from_reserve_exactly_like_per_op() {
     for k in 0..12u64 {
         batch.put(k, &[k as u8; 8]);
     }
-    let batched = PnwStore::new(cfg.clone());
+    let batched = PnwStore::new(cfg);
     let r = batched.apply(&batch);
     assert!(r.all_ok(), "batch must extend instead of failing: {:?}", r.failures);
     assert_eq!(batched.len(), 12);
     assert_eq!(batched.active_capacity(), per_op.active_capacity());
     assert_eq!(batched.device_stats(), per_op.device_stats());
-
-    let sharded = ShardedPnwStore::new(cfg.with_shards(1));
-    let r = sharded.apply(&batch);
-    assert!(r.all_ok(), "{:?}", r.failures);
-    assert_eq!(sharded.len(), 12);
-    assert_eq!(sharded.device_stats(), per_op.device_stats());
 }
 
 /// Regression for the deleted adapter's lossy error mapping: no backend
@@ -325,64 +324,44 @@ fn durable_cfg(capacity: usize, value_size: usize, dir: &std::path::Path) -> Pnw
 }
 
 /// The round-trip contract holds for a file-backed store *across* a
-/// drop-and-reopen cycle in the middle of the op mix — on both PNW
-/// frontends.
+/// drop-and-reopen cycle in the middle of the op mix — at 1 and at 4
+/// shards.
 #[test]
 fn file_backed_round_trips_survive_reopen_cycles() {
-    // Single-threaded frontend.
-    let dir = contract_dir("roundtrip_single");
-    let cfg = durable_cfg(128, 16, &dir);
-    let s = PnwStore::open(cfg.clone()).unwrap();
-    for k in 0..48u64 {
-        s.put(k, &[k as u8; 16]).unwrap();
-    }
-    s.close().unwrap();
+    for shards in [1, 4] {
+        let dir = contract_dir(&format!("roundtrip_{shards}"));
+        let cfg = durable_cfg(128, 16, &dir).with_shards(shards);
+        let s = PnwStore::open(cfg.clone()).unwrap();
+        for k in 0..48u64 {
+            s.put(k, &[k as u8; 16]).unwrap();
+        }
+        s.close().unwrap();
 
-    let s = PnwStore::open(cfg.clone()).unwrap();
-    for k in 0..24u64 {
-        s.put(k, &[0xD0 | (k % 4) as u8; 16]).unwrap();
-    }
-    for k in 0..12u64 {
-        assert!(s.delete(k).unwrap());
-        assert!(!s.delete(k).unwrap());
-    }
-    s.close().unwrap();
+        let s = PnwStore::open(cfg.clone()).unwrap();
+        for k in 0..24u64 {
+            s.put(k, &[0xD0 | (k % 4) as u8; 16]).unwrap();
+        }
+        for k in 0..12u64 {
+            assert!(s.delete(k).unwrap());
+            assert!(!s.delete(k).unwrap());
+        }
+        s.close().unwrap();
 
-    let s = PnwStore::open(cfg).unwrap();
-    assert_eq!(s.len(), 36);
-    assert_eq!(s.get(0).unwrap(), None);
-    for k in 12..24u64 {
-        assert_eq!(s.get(k).unwrap().unwrap(), vec![0xD0 | (k % 4) as u8; 16]);
+        let s = PnwStore::open(cfg).unwrap();
+        assert_eq!(s.len(), 36, "{shards} shards");
+        assert_eq!(s.get(0).unwrap(), None);
+        for k in 12..24u64 {
+            assert_eq!(s.get(k).unwrap().unwrap(), vec![0xD0 | (k % 4) as u8; 16]);
+        }
+        for k in 24..48u64 {
+            assert_eq!(s.get(k).unwrap().unwrap(), vec![k as u8; 16]);
+            let mut buf = [0u8; 16];
+            assert!(s.get_into(k, &mut buf).unwrap());
+            assert_eq!(buf, [k as u8; 16]);
+        }
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    for k in 24..48u64 {
-        assert_eq!(s.get(k).unwrap().unwrap(), vec![k as u8; 16]);
-        let mut buf = [0u8; 16];
-        assert!(s.get_into(k, &mut buf).unwrap());
-        assert_eq!(buf, [k as u8; 16]);
-    }
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Sharded frontend, same mix.
-    let dir = contract_dir("roundtrip_sharded");
-    let cfg = durable_cfg(128, 16, &dir).with_shards(4);
-    let s = ShardedPnwStore::open(cfg.clone()).unwrap();
-    for k in 0..48u64 {
-        s.put(k, &[k as u8; 16]).unwrap();
-    }
-    s.close().unwrap();
-    let s = ShardedPnwStore::open(cfg.clone()).unwrap();
-    for k in 0..12u64 {
-        assert!(s.delete(k).unwrap());
-    }
-    s.close().unwrap();
-    let s = ShardedPnwStore::open(cfg).unwrap();
-    assert_eq!(s.len(), 36);
-    for k in 12..48u64 {
-        assert_eq!(s.get(k).unwrap().unwrap(), vec![k as u8; 16]);
-    }
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A file-backed store that filled up still reports `Full` — not a panic,
@@ -478,13 +457,13 @@ fn file_backed_batch_apply_equals_per_op_across_reopen() {
 }
 
 // ---------------------------------------------------------------------------
-// Integrity: detected corruption surfaces identically on both PNW frontends.
+// Integrity: detected corruption surfaces identically at 1 and 4 shards.
 // ---------------------------------------------------------------------------
 
 /// A stuck bit under a sealed value turns the next read of that key into
 /// a typed `Corruption { key, .. }` error — never silently wrong bytes —
-/// and the contract is identical on the locked frontend and the sharded
-/// (lock-free-read) frontend. Unaffected keys keep serving.
+/// and the contract is identical at 1 and at 4 shards. Unaffected keys
+/// keep serving.
 #[test]
 fn corruption_surfaces_identically_on_both_pnw_frontends() {
     let cfg = PnwConfig::new(64, 16)
@@ -492,53 +471,43 @@ fn corruption_surfaces_identically_on_both_pnw_frontends() {
         .with_seed(11)
         .with_retrain(RetrainMode::Manual);
 
-    let single = PnwStore::new(cfg.clone());
-    let sharded = ShardedPnwStore::new(cfg.clone().with_shards(4));
-
-    let check = |name: &str,
-                 store: &dyn Store,
-                 arm: &dyn Fn(u64, u32, bool) -> Result<bool, StoreError>| {
+    for shards in [1, 4] {
+        let store = PnwStore::new(cfg.clone().with_shards(shards));
         for k in 0..8u64 {
             store.put(k, &[0u8; 16]).unwrap();
         }
-        assert!(arm(5, 3, true).unwrap(), "{name}: key 5 must be present to arm");
+        assert!(
+            store.arm_stuck_at_key(5, 3, true).unwrap(),
+            "{shards} shards: key 5 must be present to arm"
+        );
         // Both read entry points report the same typed error...
         match store.get(5) {
-            Err(StoreError::Corruption { key, .. }) => assert_eq!(key, 5, "{name}"),
-            other => panic!("{name}: get must surface Corruption, got {other:?}"),
+            Err(StoreError::Corruption { key, .. }) => assert_eq!(key, 5, "{shards} shards"),
+            other => panic!("{shards} shards: get must surface Corruption, got {other:?}"),
         }
         match store.get_into(5, &mut [0u8; 16]) {
-            Err(StoreError::Corruption { key, .. }) => assert_eq!(key, 5, "{name}"),
-            other => panic!("{name}: get_into must surface Corruption, got {other:?}"),
+            Err(StoreError::Corruption { key, .. }) => assert_eq!(key, 5, "{shards} shards"),
+            other => panic!("{shards} shards: get_into must surface Corruption, got {other:?}"),
         }
         // ...and the blast radius is one key: every other key still reads.
         for k in (0..8u64).filter(|&k| k != 5) {
-            assert_eq!(store.get(k).unwrap().unwrap(), vec![0u8; 16], "{name} key {k}");
+            assert_eq!(store.get(k).unwrap().unwrap(), vec![0u8; 16], "key {k}");
         }
-        assert!(store.snapshot().scrub.crc_failures >= 1, "{name}");
-    };
-    check("pnw", &single, &|k, b, s| single.arm_stuck_at_key(k, b, s));
-    check("sharded-pnw", &sharded, &|k, b, s| sharded.arm_stuck_at_key(k, b, s));
+        assert!(store.snapshot().scrub.crc_failures >= 1, "{shards} shards");
 
-    // With integrity off both frontends revert to the old contract: the
-    // stuck bit reads back silently (no CRC, no error) — the benchmark
-    // baseline, bit-identical to the pre-integrity format.
-    let off = cfg.with_integrity(false);
-    let single = PnwStore::new(off.clone());
-    let sharded = ShardedPnwStore::new(off.with_shards(4));
-    for (name, store, armed) in [
-        ("pnw-off", &single as &dyn Store, single.arm_stuck_at_key(5, 3, true)),
-        ("sharded-off", &sharded as &dyn Store, sharded.arm_stuck_at_key(5, 3, true)),
-    ] {
+        // With integrity off the store reverts to the old contract: the
+        // stuck bit reads back silently (no CRC, no error) — the benchmark
+        // baseline, bit-identical to the pre-integrity format.
+        let off = PnwStore::new(cfg.clone().with_integrity(false).with_shards(shards));
         // Arm before the key exists: absent key, nothing to arm against.
-        assert!(!armed.unwrap(), "{name}");
-        store.put(5, &[0u8; 16]).unwrap();
-        assert_eq!(store.get(5).unwrap().unwrap(), vec![0u8; 16], "{name}");
+        assert!(!off.arm_stuck_at_key(5, 3, true).unwrap(), "{shards} shards");
+        off.put(5, &[0u8; 16]).unwrap();
+        assert_eq!(off.get(5).unwrap().unwrap(), vec![0u8; 16], "{shards} shards");
     }
 }
 
 // ---------------------------------------------------------------------------
-// Range scans: one ordered-scan contract, five backends.
+// Range scans: one ordered-scan contract, four backends.
 // ---------------------------------------------------------------------------
 
 fn scan_keys(entries: &[(u64, Vec<u8>)]) -> Vec<u64> {
@@ -586,7 +555,7 @@ fn scan_spans_shards_and_matches_point_gets() {
         .with_seed(11)
         .with_retrain(RetrainMode::Manual)
         .with_shards(4);
-    let s = ShardedPnwStore::new(cfg);
+    let s = PnwStore::new(cfg);
     // Consecutive keys land on different shards under any reasonable
     // partition, so [0, 95] crosses all four.
     for k in 0..96u64 {
@@ -645,7 +614,7 @@ fn scan_never_observes_torn_values_under_concurrent_writes() {
 }
 
 // ---------------------------------------------------------------------------
-// TTL: lazy expiry on the read path, on both PNW frontends.
+// TTL: lazy expiry on the read path, at 1 and at 4 shards.
 // ---------------------------------------------------------------------------
 
 /// Past its deadline a key disappears from GET, `get_into` and scans —
@@ -659,12 +628,9 @@ fn ttl_expired_keys_hide_from_get_and_scan() {
         .with_seed(11)
         .with_retrain(RetrainMode::Manual)
         .with_ttl();
-    let frontends: Vec<Box<dyn Store>> = vec![
-        Box::new(PnwStore::new(cfg.clone())),
-        Box::new(ShardedPnwStore::new(cfg.with_shards(4))),
-    ];
-    for s in frontends {
-        let name = s.name();
+    for shards in [1, 4] {
+        let s = PnwStore::new(cfg.clone().with_shards(shards));
+        let name = format!("{shards} shards");
         assert!(s.supports_ttl(), "{name}");
         let deadline = now_unix_ms() + 120;
         s.put_with_expiry(1, &[0x11; 16], deadline).unwrap();
@@ -724,7 +690,7 @@ fn ttl_expiry_survives_kill_and_reopen() {
 }
 
 /// Every backend is driveable concurrently through `Arc<dyn Store>` — the
-/// contract that lets one throughput harness serve all five.
+/// contract that lets one throughput harness serve all four.
 #[test]
 fn every_backend_serves_concurrent_clients() {
     for s in backends(512, 8) {
