@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the hot kernels: the Hamming distance,
-//! featurization, PCA projection, model prediction and the write schemes.
+//! the device's differential write, featurization, PCA projection, model
+//! prediction and the write schemes.
 //!
 //! The paper reports 5–6 µs prediction latency per item on 2015-era
 //! hardware (§VI-D); `predict/*` measures our equivalent.
@@ -10,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pnw_core::{PnwConfig, PnwStore, RetrainMode, UpdatePolicy};
 use pnw_ml::featurize::bits_to_features;
 use pnw_nvm_sim::device::hamming;
-use pnw_nvm_sim::{NvmConfig, NvmDevice};
+use pnw_nvm_sim::{NvmConfig, NvmDevice, WriteMode};
 use pnw_schemes::{apply, make_scheme, SchemeKind};
 use pnw_workloads::{DatasetKind, Workload};
 
@@ -21,6 +22,27 @@ fn bench_hamming(c: &mut Criterion) {
         let b = vec![0x5Au8; size];
         g.bench_function(format!("{size}B"), |bench| {
             bench.iter(|| hamming(black_box(&a), black_box(&b)))
+        });
+    }
+    g.finish();
+}
+
+/// One whole-bucket `Diff` write (16 B header + 64 B / 784 B value) with
+/// every value word dirty — the kernel's worst case; a clean word costs it
+/// a load and a compare.
+fn bench_device_write_diff(c: &mut Criterion) {
+    let mut g = c.benchmark_group("device_write_diff");
+    for size in [80usize, 800] {
+        let mut dev = NvmDevice::new(NvmConfig::default().with_size(64 * size));
+        let mut img = vec![0u8; size];
+        let mut i = 0usize;
+        g.bench_function(format!("{size}B"), |bench| {
+            bench.iter(|| {
+                i += 1;
+                img[16..].fill(i as u8);
+                dev.write((i % 64) * size, black_box(&img), WriteMode::Diff)
+                    .unwrap()
+            })
         });
     }
     g.finish();
@@ -124,6 +146,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_hamming, bench_featurize, bench_predict, bench_schemes, bench_store_ops
+    targets = bench_hamming, bench_device_write_diff, bench_featurize, bench_predict, bench_schemes, bench_store_ops
 }
 criterion_main!(benches);

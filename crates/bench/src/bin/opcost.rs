@@ -1,8 +1,9 @@
-//! Cost-breakdown probe for the batched PUT hot path: times each layer of
-//! one batched overwrite in isolation — device bucket write, lock-free
-//! index insert/remove, Zipf sampling, value generation — and the
-//! end-to-end `Store::apply` per-op cost, so a perf regression can be
-//! pinned to a layer without a system profiler.
+//! Cost-breakdown probe for the PUT hot path: times each layer of one
+//! overwrite in isolation — device bucket write, lock-free index
+//! insert/remove, Zipf sampling, value generation — and the end-to-end
+//! cost per PUT through `Store::apply` (batched, unreported) and
+//! `Store::put` (per-op, reported) at 64 B and 784 B values, so a perf
+//! regression can be pinned to a layer without a system profiler.
 //!
 //! ```text
 //! cargo run --release -p pnw-bench --bin opcost
@@ -17,6 +18,8 @@ use pnw_nvm_sim::{NvmConfig, NvmDevice, WriteMode};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const VALUE: usize = 64;
+/// The image-sized value of the drift workloads (28 × 28 pixels).
+const IMAGE_VALUE: usize = 784;
 const HDR: usize = 16;
 
 fn time<R>(label: &str, iters: u64, mut f: impl FnMut() -> R) {
@@ -28,20 +31,85 @@ fn time<R>(label: &str, iters: u64, mut f: impl FnMut() -> R) {
     println!("{label:<44} {ns:>9.1} ns/op");
 }
 
+/// One whole-bucket differential write (header + `value` bytes, every
+/// value word dirty) — the diff + wear accounting cost of a placement.
+fn device_bucket_row(value: usize, iters: u64, rng: &mut StdRng) {
+    let bucket = HDR + value;
+    let mut dev = NvmDevice::new(NvmConfig::default().with_size(4096 * bucket));
+    let mut img = vec![0u8; bucket];
+    time(
+        &format!("device: {bucket}B bucket write (diff+wear)"),
+        iters,
+        || {
+            let addr = (rng.gen_range(0..4096usize)) * bucket;
+            img[HDR..].fill(rng.gen());
+            dev.write(addr, &img, WriteMode::Diff).unwrap()
+        },
+    );
+}
+
+/// End to end: Zipf overwrites against a warmed, trained sharded store,
+/// batched 64 at a time (the write-only throughput row) and one reported
+/// `Store::put` at a time.
+fn store_rows(value: usize, iters: u64, zipf: &Zipfian, rng: &mut StdRng) {
+    let store = ShardedPnwStore::new(
+        PnwConfig::new(8192, value)
+            .with_clusters(4)
+            .with_shards(8)
+            .with_seed(3)
+            .with_load_factor(0.95)
+            .with_retrain(RetrainMode::Background),
+    );
+    let mut val = vec![0xA5u8; value];
+    for key in 0..2048u64 {
+        refresh_tail(&mut val, rng);
+        store.put(key, &val).unwrap();
+    }
+    store.retrain_now().unwrap();
+
+    let mut batch = Batch::with_capacity(64);
+    let batches = iters / 64;
+    let t0 = Instant::now();
+    for _ in 0..batches {
+        batch.clear();
+        for _ in 0..64 {
+            refresh_tail(&mut val, rng);
+            batch.put(zipf.sample(rng), &val);
+        }
+        let r = store.apply(&batch);
+        assert!(r.all_ok(), "{:?}", r.failures);
+    }
+    let ns = t0.elapsed().as_nanos() as f64 / (batches * 64) as f64;
+    let label = format!("store: {value}B batched overwrite end-to-end");
+    println!("{label:<44} {ns:>9.1} ns/op");
+
+    time(
+        &format!("store: {value}B per-op put end-to-end"),
+        iters,
+        || {
+            refresh_tail(&mut val, rng);
+            store.put(zipf.sample(rng), &val).unwrap()
+        },
+    );
+}
+
+/// A fresh version of a value: same fill, new last eight bytes.
+fn refresh_tail(val: &mut [u8], rng: &mut StdRng) {
+    let tail = val.len() - 8;
+    for b in &mut val[tail..] {
+        *b = rng.gen();
+    }
+}
+
 fn main() {
     let iters = 200_000u64;
-    println!("Batched-PUT layer costs ({iters} iters each):\n");
+    println!("PUT layer costs ({iters} iters each):\n");
 
-    // Device: one 80-byte bucket write (header + 64-B value), overwrite
-    // mode — the flag-diff + wear accounting cost of every placement.
-    let mut dev = NvmDevice::new(NvmConfig::default().with_size(4096 * (HDR + VALUE)));
-    let mut img = vec![0u8; HDR + VALUE];
     let mut rng = StdRng::seed_from_u64(1);
-    time("device: 80B bucket write (diff+wear)", iters, || {
-        let addr = (rng.gen_range(0..4096usize)) * (HDR + VALUE);
-        img[HDR..].fill(rng.gen());
-        dev.write(addr, &img, WriteMode::Diff).unwrap()
-    });
+    device_bucket_row(VALUE, iters, &mut rng);
+    device_bucket_row(IMAGE_VALUE, iters, &mut rng);
+    let mut dev = NvmDevice::new(NvmConfig::default().with_size(4096 * (HDR + VALUE)));
+    let mut img = [0u8; HDR + VALUE];
     time("device: 8B flag-word write", iters, || {
         let addr = (rng.gen_range(0..4096usize)) * (HDR + VALUE);
         dev.write(addr, &[rng.gen::<u8>(), 0, 0, 0, 0, 0, 0, 0], WriteMode::Diff)
@@ -67,47 +135,9 @@ fn main() {
     time("harness: zipf sample", iters, || zipf.sample(&mut rng));
     time("harness: value fill (reused buf)", iters, || {
         img[HDR..].iter_mut().for_each(|b| *b = 0xA5);
-        let tail = img.len() - 8;
-        for b in &mut img[tail..] {
-            *b = rng.gen();
-        }
+        refresh_tail(&mut img, &mut rng);
     });
 
-    // End to end: batched overwrites against the warmed sharded store —
-    // the number the write-only throughput row reports.
-    let store = ShardedPnwStore::new(
-        PnwConfig::new(8192, VALUE)
-            .with_clusters(4)
-            .with_shards(8)
-            .with_seed(3)
-            .with_load_factor(0.95)
-            .with_retrain(RetrainMode::Background),
-    );
-    let mut warm = StdRng::seed_from_u64(2);
-    for key in 0..2048u64 {
-        let mut v = vec![0xA5u8; VALUE];
-        for b in &mut v[VALUE - 8..] {
-            *b = warm.gen();
-        }
-        store.put(key, &v).unwrap();
-    }
-    store.retrain_now().unwrap();
-    let mut batch = Batch::with_capacity(64);
-    let mut val = vec![0xA5u8; VALUE];
-    let batches = iters / 64;
-    let t0 = Instant::now();
-    for _ in 0..batches {
-        batch.clear();
-        for _ in 0..64 {
-            let key = zipf.sample(&mut rng);
-            for b in &mut val[VALUE - 8..] {
-                *b = rng.gen();
-            }
-            batch.put(key, &val);
-        }
-        let r = store.apply(&batch);
-        assert!(r.all_ok(), "{:?}", r.failures);
-    }
-    let ns = t0.elapsed().as_nanos() as f64 / (batches * 64) as f64;
-    println!("{:<44} {ns:>9.1} ns/op", "store: batched overwrite end-to-end");
+    store_rows(VALUE, iters, &zipf, &mut rng);
+    store_rows(IMAGE_VALUE, iters / 4, &zipf, &mut rng);
 }

@@ -590,21 +590,21 @@ impl ShardEngine {
     /// PUT for the batch path: performs *exactly* the same device, index
     /// and pool mutations as [`ShardEngine::put`] — so batched and per-op
     /// writes are bit-for-bit identical on the device — but skips the
-    /// per-op reporting that [`OpReport`] needs: no stats snapshot/delta,
-    /// no value-only [`NvmDevice::diff_stats`] preview pass, no wall-clock
-    /// prediction timing. [`Store::apply`](crate::Store::apply) charges the
-    /// whole batch from one device-stats delta instead; the only counter
-    /// the batch path does not feed is the snapshot's `predict_total`.
+    /// per-op reporting that [`OpReport`] needs: no stats snapshot/delta
+    /// and no wall-clock prediction timing (the value's share of the write
+    /// is nothing to skip — it falls out of the one device pass either
+    /// way). [`Store::apply`](crate::Store::apply) charges the whole batch
+    /// from one device-stats delta instead; the only counter the batch
+    /// path does not feed is the snapshot's `predict_total`.
     pub fn put_unreported(&mut self, key: u64, value: &[u8]) -> Result<PutPath, PnwError> {
         self.put_impl(key, value, 0, false).map(|(_, path)| path)
     }
 
     /// The one PUT implementation behind both entry points. `report`
-    /// toggles only side-effect-free instrumentation (stats snapshots, the
-    /// value-only [`NvmDevice::diff_stats`] preview, wall-clock timing) —
-    /// device, index and pool mutations are identical either way, which is
-    /// what lets the batch path skip the bookkeeping without forking the
-    /// write path.
+    /// toggles only side-effect-free instrumentation (the stats snapshot
+    /// and the two clock reads around prediction) — device, index and pool
+    /// mutations are identical either way, which is what lets the batch
+    /// path skip the bookkeeping without forking the write path.
     fn put_impl(
         &mut self,
         key: u64,
@@ -658,7 +658,7 @@ impl ShardEngine {
         let predict = t0.map_or(Duration::ZERO, |t| t.elapsed());
         self.predict_total += predict;
 
-        let placed = self.place_sealed(key, value, cluster, &mut deferred, report);
+        let placed = self.place_sealed(key, value, cluster, &mut deferred);
         let (bucket, fallback, value_write) = match placed {
             Ok(hit) => hit,
             // Ring retention: a full zone first reclaims expired buckets,
@@ -669,7 +669,7 @@ impl ShardEngine {
                 if !self.ring_reclaim()? {
                     return Err(PnwError::Full);
                 }
-                self.place_sealed(key, value, cluster, &mut deferred, report)?
+                self.place_sealed(key, value, cluster, &mut deferred)?
             }
             Err(e) => return Err(e),
         };
@@ -741,15 +741,15 @@ impl ShardEngine {
         let before = report.then(|| self.dev.stats().clone());
         let b = self.bucket_of_addr(addr);
         let vstats = if self.cfg.integrity {
-            // Value-only accounting is previewed (the actual write covers
-            // the header too, to refresh the seal).
-            let vstats = if report {
-                self.dev.diff_stats(addr as usize + HDR_BYTES, value)?
-            } else {
-                WriteStats::default()
-            };
+            // The write covers the header too, to refresh the seal; the
+            // value's share of it comes back from the same pass.
             self.seal_bucket_img(key, value);
-            self.dev.write(addr as usize, &self.bucket_img, WriteMode::Diff)?;
+            let (_, vstats) = self.dev.write_split(
+                addr as usize,
+                &self.bucket_img,
+                WriteMode::Diff,
+                HDR_BYTES,
+            )?;
             self.check_durable_write()?;
             if !self.bucket_matches_img(addr as usize)? {
                 // Stuck media, caught before the ack: unlink, retire, and
@@ -827,7 +827,6 @@ impl ShardEngine {
         value: &[u8],
         cluster: usize,
         deferred: &mut Option<(usize, u32)>,
-        report: bool,
     ) -> Result<(u32, bool, WriteStats), PnwError> {
         loop {
             // Line 2: get an address from the dynamic address pool. The
@@ -846,15 +845,12 @@ impl ShardEngine {
 
             // Lines 3–6: one differential write covers the whole bucket
             // (header + value share cache lines; writing them separately
-            // would double-count dirty lines). Value-only accounting is
-            // previewed first for the Figure 6 metric.
-            let value_write = if report {
-                self.dev.diff_stats(addr + HDR_BYTES, value)?
-            } else {
-                WriteStats::default()
-            };
+            // would double-count dirty lines). The same pass returns the
+            // value's share of the charge, the Figure 6 metric.
             self.seal_bucket_img(key, value);
-            self.dev.write(addr, &self.bucket_img, WriteMode::Diff)?;
+            let (_, value_write) =
+                self.dev
+                    .write_split(addr, &self.bucket_img, WriteMode::Diff, HDR_BYTES)?;
             self.check_durable_write()?;
             if !self.cfg.integrity || self.bucket_matches_img(addr)? {
                 return Ok((bucket, fallback, value_write));
@@ -1426,7 +1422,7 @@ impl ShardEngine {
         self.retire(from)?;
         let cluster = self.model.predict_into(value, &mut self.scratch);
         let mut deferred = None;
-        let (bucket, _, _) = self.place_sealed(key, value, cluster, &mut deferred, false)?;
+        let (bucket, _, _) = self.place_sealed(key, value, cluster, &mut deferred)?;
         let addr = self.bucket_addr(bucket);
         // The deadline moves with the value.
         self.stamp_expiry(bucket, deadline)?;

@@ -19,7 +19,9 @@
 //!   executes it and fills the slot. A full queue returns
 //!   [`StoreError::Backpressure`] instead of blocking — explicit feedback
 //!   in place of lock convoying. A single-threaded client always wins the
-//!   `try_lock`, so it only ever takes the inline path.
+//!   `try_lock`, so it only ever takes the inline path — and the engine
+//!   lock is the only lock it takes: whether anything is queued is read
+//!   from an atomic depth counter, not from the queue's mutex.
 //!
 //! * **Reads (seqlock validation).** GETs take **zero locks** in steady
 //!   state. Each shard publishes a read view at construction — a
@@ -49,7 +51,7 @@
 //! *after* releasing the engine lock.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -122,6 +124,11 @@ struct Shard {
     engine: Mutex<ShardEngine>,
     /// Commands awaiting the current combiner; bounded by `queue_cap`.
     queue: Mutex<VecDeque<OwnedOp>>,
+    /// `queue.len()`, stored under the queue mutex after every push and
+    /// pop, so a combiner learns "nothing queued" from one load instead of
+    /// a lock round-trip. See [`ShardedPnwStore::finish_write`] for the
+    /// ordering that keeps a push from being missed.
+    queue_depth: AtomicUsize,
     queue_cap: usize,
     /// Lock-free view of the shard's device cells (stable for the
     /// engine's lifetime — the cell buffer never moves).
@@ -145,6 +152,7 @@ impl Shard {
         Shard {
             engine: Mutex::new(engine),
             queue: Mutex::new(VecDeque::new()),
+            queue_depth: AtomicUsize::new(0),
             queue_cap,
             view,
             reader,
@@ -185,6 +193,10 @@ pub struct ShardedPnwStore {
     /// few buckets per visit under that shard's engine lock, so it is
     /// just another (rate-limited) writer in the concurrency model.
     scrub_thread: Option<std::thread::JoinHandle<()>>,
+    /// How long a queued writer sleeps between combiner checks: always
+    /// [`SLOT_WAIT`], except in the test that raises it to show no writer
+    /// depends on the timeout to be served.
+    slot_wait: Duration,
 }
 
 impl Drop for ShardedPnwStore {
@@ -252,6 +264,7 @@ impl ShardedPnwStore {
             durable: None,
             scrub_stop,
             scrub_thread,
+            slot_wait: SLOT_WAIT,
         }
     }
 
@@ -310,6 +323,7 @@ impl ShardedPnwStore {
             durable: Some(Mutex::new(durable)),
             scrub_stop,
             scrub_thread,
+            slot_wait: SLOT_WAIT,
         };
         if !fresh && !store.is_empty() {
             // The model is DRAM-resident and died with the process;
@@ -717,6 +731,11 @@ impl ShardedPnwStore {
             });
         }
         q.push_back(op);
+        sh.queue_depth.store(q.len(), Ordering::SeqCst);
+        drop(q);
+        // Pairs with the fence in `finish_write`: the depth store is
+        // ordered before this writer's next engine `try_lock`.
+        fence(Ordering::SeqCst);
         Ok(())
     }
 
@@ -739,7 +758,7 @@ impl ShardedPnwStore {
             if done.is_some() {
                 continue;
             }
-            let _ = slot.cv.wait_timeout(done, SLOT_WAIT).unwrap();
+            let _ = slot.cv.wait_timeout(done, self.slot_wait).unwrap();
         }
     }
 
@@ -747,8 +766,15 @@ impl ShardedPnwStore {
     /// combining drain). Returns whether any op made retraining due.
     fn drain_queue(&self, sh: &Shard, eng: &mut ShardEngine) -> bool {
         let mut due = false;
-        loop {
-            let op = sh.queue.lock().unwrap().pop_front();
+        // An empty queue costs one load, not a lock: a push racing this
+        // read is `finish_write`'s to catch, after the engine is released.
+        while sh.queue_depth.load(Ordering::SeqCst) != 0 {
+            let op = {
+                let mut q = sh.queue.lock().unwrap();
+                let op = q.pop_front();
+                sh.queue_depth.store(q.len(), Ordering::SeqCst);
+                op
+            };
             let Some(op) = op else { break };
             match op {
                 OwnedOp::Put {
@@ -785,11 +811,19 @@ impl ShardedPnwStore {
     /// where a writer queued between our last drain and the lock release.
     /// Waiters also self-recover via their timed wait, so one recheck is
     /// enough.
+    ///
+    /// The recheck reads the depth counter, not the queue. No push is
+    /// missed: the writer does *push, store depth, fence, `try_lock`*, the
+    /// combiner *unlock, fence, load depth*. The two `SeqCst` fences are
+    /// totally ordered; if the writer's comes first this load sees its
+    /// push, and if ours comes first its `try_lock` sees the engine free
+    /// (or held by a later combiner, which owes the same recheck).
     fn finish_write(&self, sh: &Shard, due: bool) {
         if due {
             self.trigger_retrain_policy();
         }
-        if !sh.queue.lock().unwrap().is_empty() {
+        fence(Ordering::SeqCst);
+        if sh.queue_depth.load(Ordering::SeqCst) != 0 {
             if let Ok(mut eng) = sh.engine.try_lock() {
                 let due = self.drain_queue(sh, &mut eng);
                 drop(eng);
@@ -1497,6 +1531,164 @@ mod tests {
             "one op queues and lands, one backs off: {results:?}"
         );
         assert_eq!(s.len(), 1);
+    }
+
+    /// `queue.len()` as the queue mutex and the lock-free counter see it;
+    /// they must agree whenever the mutex is free.
+    fn queue_depth(sh: &Shard) -> usize {
+        let q = sh.queue.lock().unwrap();
+        assert_eq!(sh.queue_depth.load(Ordering::SeqCst), q.len());
+        q.len()
+    }
+
+    /// Every kind of queued command — PUT, DELETE, a batch group — is
+    /// executed in queue order and answered with its own reply; the depth
+    /// counter follows the queue up to the cap, where `Backpressure` names
+    /// it, and back down to zero.
+    #[test]
+    fn queued_commands_complete_and_the_depth_counter_tracks_the_queue() {
+        let s = Arc::new(ShardedPnwStore::new(
+            PnwConfig::new(64, 8)
+                .with_clusters(1)
+                .with_shards(1)
+                .with_shard_queue_depth(3),
+        ));
+        s.put(1, &[1; 8]).unwrap();
+        let sh = &s.shards[0];
+        assert_eq!(queue_depth(sh), 0);
+
+        // Each writer is started only once the one before it is queued, so
+        // the queue order is PUT 2, DELETE 1, group.
+        let queued = |depth: usize| {
+            while queue_depth(sh) < depth {
+                std::thread::yield_now();
+            }
+        };
+        let (put, delete, group, rejected) = s.with_shard_write_held(0, || {
+            let t = Arc::clone(&s);
+            let put = std::thread::spawn(move || t.put(2, &[2; 8]));
+            queued(1);
+            let t = Arc::clone(&s);
+            let delete = std::thread::spawn(move || t.delete(1));
+            queued(2);
+            let t = Arc::clone(&s);
+            let group = std::thread::spawn(move || {
+                let mut b = Batch::new();
+                b.put(3, &[3; 8]);
+                b.delete(2);
+                b.put(4, &[4; 8]);
+                t.apply(&b)
+            });
+            queued(3);
+            // At the cap: turned away with the true depth, queue untouched.
+            let rejected = s.put(9, &[9; 8]);
+            assert_eq!(queue_depth(sh), 3);
+            (put, delete, group, rejected)
+        });
+        assert!(
+            matches!(
+                rejected,
+                Err(StoreError::Backpressure { shard: 0, depth: 3 })
+            ),
+            "{rejected:?}"
+        );
+        assert!(put.join().unwrap().is_ok());
+        assert_eq!(delete.join().unwrap(), Ok(true));
+        let report = group.join().unwrap();
+        assert!(report.all_ok(), "{:?}", report.failures);
+        // The group's DELETE found the key the queued PUT ahead of it wrote.
+        assert_eq!(
+            (report.puts, report.deletes, report.deleted_existing),
+            (2, 1, 1)
+        );
+
+        assert_eq!(queue_depth(sh), 0);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.get(3).unwrap(), Some(vec![3; 8]));
+        assert_eq!(s.get(4).unwrap(), Some(vec![4; 8]));
+        assert_eq!(s.get(1).unwrap(), None);
+        assert_eq!(s.get(2).unwrap(), None);
+    }
+
+    /// Two writers race one op each per round on one shard, with the timed
+    /// wait that papers over a missed hand-off raised to an hour: whenever
+    /// one of them queues behind the other, the other — a real combiner,
+    /// not the test hook — must execute the command in its drain or its
+    /// post-release recheck, or the round never ends. A spinning rendezvous
+    /// and 1 KiB values make the two ops of a round overlap.
+    #[test]
+    fn a_combiner_serves_queued_writers_without_their_timeout() {
+        const ROUNDS: usize = 3000;
+        let mut s = ShardedPnwStore::new(
+            PnwConfig::new(64, 1024)
+                .with_clusters(1)
+                .with_shards(1)
+                .with_retrain(RetrainMode::Manual),
+        );
+        s.slot_wait = Duration::from_secs(3600);
+        let s = Arc::new(s);
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for t in 0..2u64 {
+            let (s, arrived, done_tx) = (Arc::clone(&s), Arc::clone(&arrived), done_tx.clone());
+            std::thread::spawn(move || {
+                // Each writer owns its eight keys, so it knows every reply.
+                let mut stored = [false; 8];
+                for r in 0..ROUNDS {
+                    let key = t * 8 + (r % 8) as u64;
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    while arrived.load(Ordering::SeqCst) < 2 * (r + 1) {
+                        std::thread::yield_now();
+                    }
+                    if t == 1 && r % 3 == 2 {
+                        assert_eq!(s.delete(key), Ok(stored[r % 8]));
+                        stored[r % 8] = false;
+                    } else {
+                        s.put(key, &[r as u8; 1024]).unwrap();
+                        stored[r % 8] = true;
+                    }
+                }
+                done_tx.send(stored.iter().filter(|&&p| p).count()).unwrap();
+            });
+        }
+        let live: usize = (0..2)
+            .map(|_| {
+                done_rx
+                    .recv_timeout(Duration::from_secs(120))
+                    .expect("a queued writer was never served")
+            })
+            .sum();
+        assert_eq!(queue_depth(&s.shards[0]), 0);
+        assert_eq!(s.len(), live);
+    }
+
+    /// The state a combiner leaves behind when a writer queues between its
+    /// last drain and its unlock — engine free, one command waiting, nobody
+    /// awake to run it — is exactly what `finish_write` must notice from
+    /// the depth counter and clear.
+    #[test]
+    fn the_post_release_recheck_runs_a_command_queued_after_the_last_drain() {
+        let s = ShardedPnwStore::new(PnwConfig::new(64, 8).with_clusters(1).with_shards(1));
+        let sh = &s.shards[0];
+        let slot = Arc::new(OpSlot::default());
+        s.enqueue(
+            0,
+            OwnedOp::Put {
+                key: 7,
+                value: vec![7; 8],
+                expires_at_ms: 0,
+                slot: Arc::clone(&slot),
+            },
+        )
+        .unwrap();
+        assert_eq!(queue_depth(sh), 1);
+        s.finish_write(sh, false);
+        assert!(matches!(
+            slot.done.lock().unwrap().take(),
+            Some(CmdReply::Put(Ok(_)))
+        ));
+        assert_eq!(queue_depth(sh), 0);
+        assert_eq!(s.get(7).unwrap(), Some(vec![7; 8]));
     }
 
     #[test]

@@ -16,13 +16,18 @@
 //!   differ, update memory bit"*).
 
 use crate::backing::{DeviceBacking, FileBacking};
-use crate::fault::{FaultConfig, FaultState, StuckAtConfig, StuckWord};
+use crate::fault::{FaultConfig, FaultState, StuckAtConfig};
 use crate::geometry::Geometry;
 use crate::latency::LatencyModel;
 use crate::stats::{DeviceStats, WriteStats};
-use crate::wear::{WearCdf, WearTracker};
+use crate::wear::{record_flips, WearCdf, WearTracker};
 use std::cell::UnsafeCell;
 use std::sync::Arc;
+
+/// Bytes per device word: the unit the write kernel loads, XORs and
+/// programs. [`NvmDevice::new`] / [`NvmDevice::open`] reject any other
+/// [`Geometry::word_bytes`].
+const WORD_BYTES: usize = 8;
 
 /// Errors returned by device operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,6 +46,12 @@ pub enum NvmError {
     /// A file-backed operation failed in the filesystem (the `ErrorKind`
     /// is carried so the error stays `Clone + PartialEq`).
     Io(std::io::ErrorKind),
+    /// The configured geometry's word is not the 8 bytes the write kernel
+    /// programs at a time.
+    WordSize {
+        /// The rejected `Geometry::word_bytes`.
+        word_bytes: usize,
+    },
 }
 
 impl std::fmt::Display for NvmError {
@@ -53,6 +64,10 @@ impl std::fmt::Display for NvmError {
             ),
             NvmError::Crashed => write!(f, "device is in crashed state"),
             NvmError::Io(kind) => write!(f, "backing-file I/O error: {kind}"),
+            NvmError::WordSize { word_bytes } => write!(
+                f,
+                "device words are {WORD_BYTES} bytes, geometry asks for {word_bytes}"
+            ),
         }
     }
 }
@@ -114,12 +129,6 @@ impl NvmConfig {
         self
     }
 
-    /// Sets the geometry.
-    pub fn with_geometry(mut self, g: Geometry) -> Self {
-        self.geometry = g;
-        self
-    }
-
     /// Sets the latency model.
     pub fn with_latency(mut self, m: LatencyModel) -> Self {
         self.latency = m;
@@ -172,7 +181,7 @@ impl std::fmt::Debug for CellBuf {
 impl CellBuf {
     fn new_zeroed(len: usize) -> Self {
         CellBuf {
-            words: UnsafeCell::new(vec![0u64; len.div_ceil(8)].into_boxed_slice()),
+            words: UnsafeCell::new(vec![0u64; len.div_ceil(WORD_BYTES)].into_boxed_slice()),
             len,
         }
     }
@@ -196,6 +205,16 @@ impl CellBuf {
     #[allow(clippy::mut_from_ref)]
     unsafe fn slice_mut(&self) -> &mut [u8] {
         unsafe { std::slice::from_raw_parts_mut(self.base(), self.len) }
+    }
+
+    /// The cells as the 8-byte device words the write kernel programs.
+    ///
+    /// # Safety
+    /// As for [`CellBuf::slice_mut`], and no byte view from `slice` /
+    /// `slice_mut` may be live at the same time.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn words_mut(&self) -> &mut [u64] {
+        unsafe { &mut *self.words.get() }
     }
 
     /// # Safety
@@ -299,11 +318,17 @@ impl NvmDevice {
     ///
     /// # Panics
     /// Panics if `cfg.backing` is [`DeviceBacking::File`] — file-backed
-    /// devices are created with the fallible [`NvmDevice::open`].
+    /// devices are created with the fallible [`NvmDevice::open`] — or if
+    /// `cfg.geometry.word_bytes` is not 8.
     pub fn new(cfg: NvmConfig) -> Self {
         assert!(
             cfg.backing == DeviceBacking::Volatile,
             "file-backed devices must be created with NvmDevice::open"
+        );
+        assert!(
+            cfg.geometry.word_bytes == WORD_BYTES,
+            "device words are {WORD_BYTES} bytes, geometry asks for {}",
+            cfg.geometry.word_bytes
         );
         NvmDevice {
             data: Arc::new(CellBuf::new_zeroed(cfg.size)),
@@ -341,7 +366,15 @@ impl NvmDevice {
     /// left behind. Session counters (stats, wear, fault state) always
     /// start fresh; a durable caller restores them from its checkpoint via
     /// [`NvmDevice::restore_stats`] / [`NvmDevice::restore_wear`].
+    ///
+    /// A geometry whose `word_bytes` is not 8 is rejected with
+    /// [`NvmError::WordSize`].
     pub fn open(cfg: NvmConfig) -> Result<Self, NvmError> {
+        if cfg.geometry.word_bytes != WORD_BYTES {
+            return Err(NvmError::WordSize {
+                word_bytes: cfg.geometry.word_bytes,
+            });
+        }
         let (backing, data) = match &cfg.backing {
             DeviceBacking::Volatile => (None, CellBuf::new_zeroed(cfg.size)),
             DeviceBacking::File(path) => {
@@ -464,130 +497,155 @@ impl NvmDevice {
     /// of the payload's words is persisted and the device transitions to the
     /// crashed state; the returned stats cover only the persisted prefix.
     pub fn write(&mut self, addr: usize, new: &[u8], mode: WriteMode) -> Result<WriteStats, NvmError> {
+        self.write_split(addr, new, mode, new.len())
+            .map(|(total, _)| total)
+    }
+
+    /// [`NvmDevice::write`], also returning — from the same pass over the
+    /// cells — the share of the charge that belongs to `new[split..]`: what
+    /// a write of just those bytes at `addr + split` would have been
+    /// charged (in `Diff` mode, exactly what [`NvmDevice::diff_stats`]
+    /// previews for them). Lets a caller that bundles several logical
+    /// fields into one physical write (the PNW store's bucket header +
+    /// value) keep per-field accounting while reading the old cells once.
+    ///
+    /// Returns `(total, tail)`. A `split` past the end yields an empty
+    /// tail; on a torn write both cover only the persisted prefix.
+    pub fn write_split(
+        &mut self,
+        addr: usize,
+        new: &[u8],
+        mode: WriteMode,
+        split: usize,
+    ) -> Result<(WriteStats, WriteStats), NvmError> {
         self.check(addr, new.len())?;
 
         // Fault injection: truncate the effective payload on a torn write.
-        let effective_len = match self.fault.arm_write(new.len(), self.geometry.word_bytes) {
-            Some(torn_len) => torn_len,
-            None => new.len(),
+        let new = match self.fault.arm_write(new.len(), WORD_BYTES) {
+            Some(torn_len) => &new[..torn_len],
+            None => new,
         };
-        let new = &new[..effective_len];
+        let end = addr + new.len();
+        let tail_at = addr + split.min(new.len());
 
-        let mut s = WriteStats {
-            bits_addressed: (new.len() as u64) * 8,
+        let stats_over = |from: usize| WriteStats {
+            bits_addressed: ((end - from) as u64) * 8,
+            lines_read: match mode {
+                WriteMode::Raw => 0,
+                WriteMode::Diff => self.geometry.lines_spanned(from, end - from) as u64,
+            },
             ..Default::default()
         };
-        if mode == WriteMode::Diff {
-            s.lines_read = self.geometry.lines_spanned(addr, new.len()) as u64;
-        }
+        let (mut total, mut tail) = (stats_over(addr), stats_over(tail_at));
 
-        let mut dirty_words = 0u64;
-        let mut last_dirty_line = usize::MAX;
-        let mut dirty_lines = 0u64;
-        // The coalesced dirty run currently being flushed through to the
-        // backing file (Diff mode flushes exactly the words that changed).
-        let mut flush_run: Option<(usize, usize)> = None;
-        // One flag keeps the stuck-at machinery entirely off the common
-        // path: false unless a bit is already stuck or latching is armed.
-        let stuck_active = self.fault.stuck_active();
+        if !new.is_empty() {
+            let geometry = self.geometry;
+            // One flag keeps the stuck-at machinery entirely off the common
+            // path: false unless a bit is already stuck or latching is armed.
+            let stuck_active = self.fault.stuck_active();
+            let first = addr / WORD_BYTES;
+            let last = (end - 1) / WORD_BYTES;
+            // SAFETY: `&mut self` makes this the unique writer and no byte
+            // view of the cells is live; concurrent CellView readers are
+            // volatile and seqlock-validated.
+            let words = unsafe { &mut self.data.words_mut()[first..=last] };
+            let (word_writes, mut bit_flips) = self.wear.counters_mut();
+            let word_writes = &mut word_writes[first..=last];
+            // End of the cache line holding the last dirty word (of the
+            // whole write / of the tail): a dirty word at or past it opens
+            // a new dirty line.
+            let (mut line_end, mut tail_line_end) = (0usize, 0usize);
+            // The coalesced dirty run awaiting its flush to the backing
+            // file (only the bytes that were programmed reach the file).
+            let mut flush_run: Option<(usize, usize)> = None;
 
-        let buf = Arc::clone(&self.data);
-        // SAFETY: `&mut self` makes this the unique writer; concurrent
-        // CellView readers are volatile and seqlock-validated.
-        let cells: &mut [u8] = unsafe { buf.slice_mut() };
-        for (widx, range) in self.geometry.words_in(addr, new.len()) {
-            let off = range.start - addr;
-            let new_chunk = &new[off..off + range.len()];
+            for i in 0..words.len() {
+                let pos = (first + i) * WORD_BYTES;
+                // The bytes of this word the payload covers: all eight,
+                // except in an unaligned head or tail word.
+                let (lo, hi) = (pos.max(addr), (pos + WORD_BYTES).min(end));
+                let chunk = &new[lo - addr..hi - addr];
+                let (new_word, mask) = match <[u8; WORD_BYTES]>::try_from(chunk) {
+                    Ok(full) => (u64::from_le_bytes(full), u64::MAX),
+                    Err(_) => (
+                        tail_word(chunk) << ((lo - pos) * 8),
+                        byte_mask(lo - pos, hi - pos),
+                    ),
+                };
+                let old = u64::from_le(words[i]);
+                // Raw programs (and charges) every covered cell; Diff only
+                // the ones that differ — and skips a clean word outright.
+                let charged = match mode {
+                    WriteMode::Raw => mask,
+                    WriteMode::Diff => (old ^ new_word) & mask,
+                };
+                if charged == 0 {
+                    continue;
+                }
 
-            let word_dirty = match mode {
-                WriteMode::Raw => {
-                    // Every cell is programmed and charged; wear is one
-                    // batched call over the range, not one per bit.
-                    s.bit_flips += (range.len() as u64) * 8;
-                    self.wear.record_range_flips(range.start, range.len());
-                    true
+                total.bit_flips += u64::from(charged.count_ones());
+                total.words_written += 1;
+                if pos >= line_end {
+                    total.lines_written += 1;
+                    line_end = (geometry.line_of(pos) + 1) * geometry.line_bytes;
                 }
-                WriteMode::Diff => {
-                    // One XOR-diff pass per device word on u64 lanes (byte
-                    // tail separate): yields the flip count *and* records
-                    // per-bit wear from the same masks, replacing the old
-                    // byte-at-a-time × bit-at-a-time loops.
-                    let diff_bits = diff_and_record_flips(
-                        &mut self.wear,
-                        range.start,
-                        &cells[range.clone()],
-                        new_chunk,
-                    );
-                    s.bit_flips += diff_bits;
-                    diff_bits > 0
+                let tail_charged = if lo >= tail_at {
+                    charged
+                } else if hi <= tail_at {
+                    0
+                } else {
+                    charged & byte_mask(tail_at - pos, WORD_BYTES)
+                };
+                if tail_charged != 0 {
+                    tail.bit_flips += u64::from(tail_charged.count_ones());
+                    tail.words_written += 1;
+                    if pos >= tail_line_end {
+                        tail.lines_written += 1;
+                        tail_line_end = line_end;
+                    }
                 }
-            };
-            if word_dirty {
-                dirty_words += 1;
-                self.wear.record_word_write(widx);
-                let line = self.geometry.line_of(range.start);
-                if line != last_dirty_line {
-                    dirty_lines += 1;
-                    last_dirty_line = line;
+
+                word_writes[i] = word_writes[i].saturating_add(1);
+                if let Some(bits) = bit_flips.as_deref_mut() {
+                    record_flips(bits, pos, charged);
                 }
-                if self.backing.is_some() {
+
+                let mut word = (old & !mask) | (new_word & mask);
+                if stuck_active {
+                    // Wear-induced latching: a dirty write to an
+                    // over-endurance word may latch one bit at its
+                    // just-written value.
+                    self.fault
+                        .maybe_latch(first + i, word_writes[i], u64::BITS, word);
+                    // Re-impose every stuck bit over what was just
+                    // programmed, before the run reaches the backing file:
+                    // reads (locked, peek, or lock-free CellView) then
+                    // serve the stuck value with no special-casing anywhere
+                    // else.
+                    if let Some(sw) = self.fault.stuck_word(first + i) {
+                        word = sw.apply(word);
+                    }
+                }
+                words[i] = word.to_le();
+
+                if let Some(backing) = &self.backing {
                     flush_run = match flush_run {
-                        Some((start, end)) if end == range.start => Some((start, range.end)),
+                        Some((start, run_end)) if run_end == lo => Some((start, hi)),
                         Some(run) => {
-                            Self::flush_range(self.backing.as_ref(), cells, run)?;
-                            Some((range.start, range.end))
+                            flush_run_to(backing, words, first, run)?;
+                            Some((lo, hi))
                         }
-                        None => Some((range.start, range.end)),
+                        None => Some((lo, hi)),
                     };
                 }
             }
-            cells[range.clone()].copy_from_slice(new_chunk);
-            if stuck_active {
-                // Wear-induced latching: a dirty write to an over-endurance
-                // word may latch one bit at its just-written value.
-                if word_dirty {
-                    let word_val =
-                        word_image(cells, widx * self.geometry.word_bytes, self.geometry.word_bytes);
-                    self.fault.maybe_latch(
-                        widx,
-                        self.wear.word_writes()[widx],
-                        (self.geometry.word_bytes.min(8) * 8) as u32,
-                        word_val,
-                    );
-                }
-                // Re-impose every stuck bit over what was just programmed,
-                // before the run reaches the backing file: reads (locked,
-                // peek, or lock-free CellView) then serve the stuck value
-                // with no special-casing anywhere else.
-                if let Some(sw) = self.fault.stuck_word(widx) {
-                    apply_stuck(cells, self.geometry.word_bytes, widx, sw);
-                }
+            if let (Some(backing), Some(run)) = (&self.backing, flush_run) {
+                flush_run_to(backing, words, first, run)?;
             }
         }
-        if let Some(run) = flush_run {
-            Self::flush_range(self.backing.as_ref(), cells, run)?;
-        }
 
-        s.words_written = dirty_words;
-        s.lines_written = dirty_lines;
-        self.stats.record_write(&s);
-        Ok(s)
-    }
-
-    /// Writes the image bytes of `[start, end)` through to the backing
-    /// file. Called after the run's image bytes are updated (runs are
-    /// flushed once the *next* dirty word is non-adjacent, by which point
-    /// every byte of the run has been copied into the image — except the
-    /// final run, flushed after the loop).
-    fn flush_range(
-        backing: Option<&FileBacking>,
-        data: &[u8],
-        (start, end): (usize, usize),
-    ) -> Result<(), NvmError> {
-        match backing {
-            Some(b) => b.write_range(start, &data[start..end]),
-            None => Ok(()),
-        }
+        self.stats.record_write(&total);
+        Ok((total, tail))
     }
 
     /// Computes what a [`WriteMode::Diff`] write of `new` at `addr` *would*
@@ -753,8 +811,9 @@ impl NvmDevice {
 /// Hamming distance between two equal-length byte slices.
 ///
 /// Operates on `u64` words — one XOR + popcount per 8 bytes — with the
-/// byte tail folded into a single zero-padded word; this is the hot kernel
-/// of the whole simulator.
+/// byte tail folded into a single zero-padded word. The kernel of
+/// [`NvmDevice::diff_stats`] and of the write schemes' flip counting; the
+/// device's own write path diffs in place (see [`NvmDevice::write_split`]).
 #[inline]
 pub fn hamming(a: &[u8], b: &[u8]) -> u64 {
     debug_assert_eq!(a.len(), b.len());
@@ -781,56 +840,28 @@ fn tail_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(pad)
 }
 
-/// Loads the (up to 64-bit) little-endian image of the word starting at
-/// byte `start`, clamped to the device end.
+/// Mask of bytes `lo..hi` (`lo < hi <= 8`) of a little-endian word.
 #[inline]
-fn word_image(cells: &[u8], start: usize, word_bytes: usize) -> u64 {
-    let end = (start + word_bytes.min(8)).min(cells.len());
-    tail_word(&cells[start..end])
+fn byte_mask(lo: usize, hi: usize) -> u64 {
+    (u64::MAX >> ((WORD_BYTES - (hi - lo)) * 8)) << (lo * 8)
 }
 
-/// Overlays a word's stuck bits onto the cell image.
-#[inline]
-fn apply_stuck(cells: &mut [u8], word_bytes: usize, widx: usize, sw: StuckWord) {
-    let start = widx * word_bytes;
-    let end = (start + word_bytes.min(8)).min(cells.len());
-    for (i, byte) in cells[start..end].iter_mut().enumerate() {
-        let m = (sw.mask >> (i * 8)) as u8;
-        if m != 0 {
-            *byte = (*byte & !m) | ((sw.vals >> (i * 8)) as u8 & m);
-        }
-    }
-}
-
-/// XOR-diff scan of two equal-length chunks starting at absolute byte
-/// address `start`: returns the Hamming distance and records each flipped
-/// bit in `wear` (a no-op when bit tracking is off), one wear call per
-/// dirty `u64` word instead of one per bit.
-#[inline]
-fn diff_and_record_flips(wear: &mut WearTracker, start: usize, old: &[u8], new: &[u8]) -> u64 {
-    debug_assert_eq!(old.len(), new.len());
-    let mut flips = 0u64;
-    let mut pos = start;
-    let mut chunks_o = old.chunks_exact(8);
-    let mut chunks_n = new.chunks_exact(8);
-    for (co, cn) in (&mut chunks_o).zip(&mut chunks_n) {
-        let xor = u64::from_le_bytes(co.try_into().unwrap())
-            ^ u64::from_le_bytes(cn.try_into().unwrap());
-        if xor != 0 {
-            flips += xor.count_ones() as u64;
-            wear.record_word_flips(pos, xor);
-        }
-        pos += 8;
-    }
-    let (ro, rn) = (chunks_o.remainder(), chunks_n.remainder());
-    if !ro.is_empty() {
-        let xor = tail_word(ro) ^ tail_word(rn);
-        if xor != 0 {
-            flips += xor.count_ones() as u64;
-            wear.record_word_flips(pos, xor);
-        }
-    }
-    flips
+/// Writes the dirty byte run `[start, end)` (absolute addresses) through
+/// to the backing file, out of `words`, whose first word is device word
+/// `first`. A run is flushed once the next dirty word is non-adjacent or
+/// the write ends, by which point every word of it has been programmed.
+fn flush_run_to(
+    backing: &FileBacking,
+    words: &[u64],
+    first: usize,
+    (start, end): (usize, usize),
+) -> Result<(), NvmError> {
+    // SAFETY: initialized `u64`s are valid as eight `u8`s each, and `u8`
+    // has no alignment requirement; the view borrows `words`.
+    let bytes: &[u8] =
+        unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), words.len() * WORD_BYTES) };
+    let base = first * WORD_BYTES;
+    backing.write_range(start, &bytes[start - base..end - base])
 }
 
 #[cfg(test)]
@@ -1159,6 +1190,32 @@ mod tests {
     fn new_rejects_file_backing() {
         let (cfg, _path) = file_cfg("newpanic", 64);
         let _ = NvmDevice::new(cfg);
+    }
+
+    fn narrow_words(mut cfg: NvmConfig) -> NvmConfig {
+        cfg.geometry = Geometry::new(4, 32);
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "device words are 8 bytes, geometry asks for 4")]
+    fn new_rejects_other_word_sizes() {
+        let _ = NvmDevice::new(narrow_words(NvmConfig::default()));
+    }
+
+    #[test]
+    fn open_rejects_other_word_sizes() {
+        let (cfg, path) = file_cfg("wordsize", 64);
+        for cfg in [narrow_words(cfg), narrow_words(NvmConfig::default())] {
+            assert_eq!(
+                NvmDevice::open(cfg).unwrap_err(),
+                NvmError::WordSize { word_bytes: 4 }
+            );
+        }
+        assert!(
+            !path.exists(),
+            "rejected before the backing file is touched"
+        );
     }
 
     #[test]

@@ -51,10 +51,16 @@ impl Geometry {
         addr / self.word_bytes
     }
 
-    /// Index of the cache line containing byte address `addr`.
+    /// Index of the cache line containing byte address `addr`. Under
+    /// every write, so a power-of-two line size (every real one) is a
+    /// shift, not a division by a value the compiler cannot see.
     #[inline]
     pub fn line_of(&self, addr: usize) -> usize {
-        addr / self.line_bytes
+        if self.line_bytes.is_power_of_two() {
+            addr >> self.line_bytes.trailing_zeros()
+        } else {
+            addr / self.line_bytes
+        }
     }
 
     /// Number of distinct words overlapped by the byte range `[addr, addr+len)`.
@@ -68,7 +74,10 @@ impl Geometry {
     /// Number of distinct cache lines overlapped by `[addr, addr+len)`.
     #[inline]
     pub fn lines_spanned(&self, addr: usize, len: usize) -> usize {
-        span(addr, len, self.line_bytes)
+        if len == 0 {
+            return 0;
+        }
+        self.line_of(addr + len - 1) - self.line_of(addr) + 1
     }
 
     /// Iterator over `(word_index, byte_range)` pairs covering
@@ -196,6 +205,21 @@ mod tests {
         let g = Geometry::new(4, 32);
         assert_eq!(g.words_spanned(0, 9), 3);
         assert_eq!(g.lines_spanned(0, 33), 2);
+    }
+
+    #[test]
+    fn line_math_agrees_off_the_power_of_two_path() {
+        let g = Geometry::new(8, 24);
+        for addr in 0..100 {
+            assert_eq!(g.line_of(addr), addr / 24);
+            for len in 0..60 {
+                assert_eq!(
+                    g.lines_spanned(addr, len),
+                    g.lines_in(addr, len).count(),
+                    "{addr}+{len}"
+                );
+            }
+        }
     }
 }
 

@@ -67,31 +67,17 @@ impl WearTracker {
     /// maps directly to counter index `addr*8 + b`. One call covers a whole
     /// device word; the bit-scan only visits set bits.
     #[inline]
-    pub fn record_word_flips(&mut self, addr: usize, mut xor: u64) {
+    pub fn record_word_flips(&mut self, addr: usize, xor: u64) {
         if let Some(bits) = self.bit_flips.as_mut() {
-            let base = addr * 8;
-            while xor != 0 {
-                let b = xor.trailing_zeros() as usize;
-                if let Some(slot) = bits.get_mut(base + b) {
-                    *slot = slot.saturating_add(1);
-                }
-                xor &= xor - 1;
-            }
+            record_flips(bits, addr, xor);
         }
     }
 
-    /// Records one flip on *every* bit of the `len` bytes starting at
-    /// `addr` — a Raw write programs every cell. One call per range instead
-    /// of one per bit.
-    #[inline]
-    pub fn record_range_flips(&mut self, addr: usize, len: usize) {
-        if let Some(bits) = self.bit_flips.as_mut() {
-            let a = (addr * 8).min(bits.len());
-            let b = ((addr + len) * 8).min(bits.len());
-            for slot in &mut bits[a..b] {
-                *slot = slot.saturating_add(1);
-            }
-        }
+    /// Both counter arrays at once, for the device's write kernel, which
+    /// bumps words by direct index and bits through [`record_flips`] while
+    /// it also holds the cells and the fault state.
+    pub(crate) fn counters_mut(&mut self) -> (&mut [u32], Option<&mut [u16]>) {
+        (&mut self.word_writes, self.bit_flips.as_deref_mut())
     }
 
     /// Writes-per-word counter slice.
@@ -184,6 +170,21 @@ impl WearTracker {
                 *a = a.saturating_add(*b);
             }
         }
+    }
+}
+
+/// Bumps the per-bit counter of every set bit of `xor`, the little-endian
+/// image of (up to) 8 bytes starting at byte `addr`. Bits past the end of
+/// `bits` are ignored.
+#[inline]
+pub(crate) fn record_flips(bits: &mut [u16], addr: usize, mut xor: u64) {
+    let base = addr * 8;
+    while xor != 0 {
+        let b = xor.trailing_zeros() as usize;
+        if let Some(slot) = bits.get_mut(base + b) {
+            *slot = slot.saturating_add(1);
+        }
+        xor &= xor - 1;
     }
 }
 
@@ -354,20 +355,6 @@ mod tests {
         let mut c = WearTracker::new(16, 8, false);
         c.record_word_flips(0, u64::MAX);
         assert!(c.bit_flips().is_none());
-    }
-
-    #[test]
-    fn range_flips_cover_every_bit_once() {
-        let mut t = WearTracker::new(16, 8, true);
-        t.record_range_flips(2, 3);
-        let bits = t.bit_flips().unwrap();
-        for (i, &b) in bits.iter().enumerate() {
-            let expect = u16::from((16..40).contains(&i));
-            assert_eq!(b, expect, "bit {i}");
-        }
-        // Out-of-range tail is clamped, not panicked.
-        t.record_range_flips(14, 10);
-        assert_eq!(t.bit_flips().unwrap()[127], 1);
     }
 
     #[test]
