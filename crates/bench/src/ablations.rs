@@ -1,16 +1,17 @@
-//! Quality-side ablations: how each design choice affects *bit flips*
-//! (Criterion's `ablations` bench covers the time side).
-//!
-//! Run with: `cargo run --release -p pnw-bench --bin ablations [--quick]`
+//! Quality-side ablations (`pnw-bench ablations`): how each design choice
+//! affects *bit flips* (Criterion's `ablations` bench covers the time
+//! side).
 
-use pnw_bench::replace::{run_pnw, ReplaceParams};
-use pnw_bench::table::{f2, Table};
-use pnw_bench::Scale;
 use pnw_core::{PcaPolicy, PnwConfig, PnwStore, RetrainMode, UpdatePolicy};
 use pnw_workloads::{DatasetKind, Workload};
 
-fn main() {
-    let scale = Scale::from_env();
+use crate::replace::{run_pnw, ReplaceParams};
+use crate::table::{f2, Table};
+use crate::Scale;
+
+/// Prints the three ablation tables: update policy, PCA on/off, K
+/// sensitivity.
+pub fn run(scale: Scale) {
     println!("== PNW design-choice ablations (bit-flip side) ==\n");
     update_policy(scale);
     pca_quality(scale);

@@ -1,8 +1,7 @@
 //! One function per paper table/figure.
 //!
 //! Every function returns a [`Table`] whose rows mirror what the paper
-//! plots, so the binaries just print them. `EXPERIMENTS.md` records the
-//! paper-reported vs measured values for each.
+//! plots, so `pnw-bench fig N` / `table N` just print them.
 
 use pnw_core::{IndexPlacement, PnwConfig, PnwStore, RetrainMode, Store};
 use pnw_ml::elbow::{elbow_point, sse_curve};
@@ -149,7 +148,7 @@ pub fn fig7(scale: Scale) -> Table {
     // paper's full item sizes (800×600 frames ≈ 480 KB ≈ 7500 cache lines)
     // prediction is <1% of the write cost; at this harness's scaled-down
     // item sizes it dominates, so the device-only row is the one whose
-    // *shape* reproduces Figure 7. EXPERIMENTS.md discusses both.
+    // *shape* reproduces Figure 7.
     let mut row = vec!["PNW k=20 (device only)".to_string()];
     for col in &columns {
         let conv = col[0].latency_ns.max(1e-9);

@@ -1,57 +1,61 @@
-//! # pnw-bench — the experiment harness
+//! # pnw-bench — the paper-reproduction and scenario harness
 //!
-//! One module per concern:
+//! One binary, `pnw-bench <subcommand>` (`src/main.rs` parses the
+//! arguments once and dispatches), over one module per concern. Store
+//! throughput and latency are *not* measured here: that is the job of the
+//! repository's benchmark (`BENCHMARK.json`, the standalone `benchmark/`
+//! crate).
 //!
 //! * [`replace`] — the replacement-workload engines behind Figures 6 and 7:
 //!   warm a data zone with "old data", then stream new items over it, either
 //!   through a write scheme (baselines, in-place updates) or through the PNW
 //!   store (predicted placement).
 //! * [`figures`] — one function per paper table/figure, returning the rows
-//!   the paper plots. Every function takes a [`Scale`] so the same code
-//!   runs as a quick smoke test or a full reproduction.
-//! * [`table`] — plain-text table rendering for the harness binaries.
-//! * [`throughput`] — the multi-threaded throughput harness over any
-//!   [`Store`](pnw_core::Store) backend (sharded PNW, single-lock PNW,
-//!   FPTree, NoveLSM, Path hashing): configurable thread count,
-//!   PUT/GET/DELETE mix, Zipfian keys and an optional
-//!   [`Store::apply`](pnw_core::Store::apply) batch size, reporting
-//!   ops/sec plus p50/p99 modeled and prediction latency. (Figure 9 and
-//!   this harness drive every backend through the one `Store` trait — the
-//!   old `KvStore` adapter shim is gone.)
+//!   the paper plots (`fig N`, `table N`, `repro-all`). Every function
+//!   takes a [`Scale`] so the same code runs as a quick smoke test or a
+//!   full reproduction. Figure 9 drives all four backends (PNW, FPTree,
+//!   NoveLSM, Path hashing) through the one [`Store`](pnw_core::Store)
+//!   trait.
+//! * [`ablations`] — bit-flip-side design-choice ablations (`ablations`).
+//! * [`opcost`] — the per-layer PUT cost probe (`opcost`).
 //! * [`predictbench`] — the prediction-kernel microbenchmark: packed
 //!   bit-domain LUT path vs the reference float featurize-then-scan path,
 //!   across value sizes and cluster counts, and the folded per-bit kernel
-//!   of PCA-configured models vs project-then-scan (`BENCH_predict.json`).
+//!   of PCA-configured models vs project-then-scan (`predict`,
+//!   `BENCH_predict.json`).
 //! * [`trainbench`] — the retraining benchmark: the packed bit-domain
 //!   training pipeline vs the float featurize-then-Lloyd reference, across
 //!   value sizes, cluster counts and sample counts, and the packed vs
-//!   float PCA route (`BENCH_train.json`).
+//!   float PCA route (`train`, `BENCH_train.json`).
 //! * [`scenario`] — the scenario engine: declarative phased workloads
 //!   (per-phase key distribution, op mix, value-pattern family, TTL,
 //!   arrival rate, burst/quiesce) replayed against any `Store` backend
 //!   with windowed time-series metrics — flips/PUT, retrains, model
 //!   epoch, prediction latency, TTL expiry/eviction per window
-//!   (`BENCH_scenario.json`).
+//!   (`scenario`, `BENCH_scenario.json`).
+//! * [`scrub`] — integrity and scrubbing overhead on wear-out media
+//!   (`scrub`, `BENCH_scrub.json`).
 //! * [`serverbench`] — the open-loop, coordinated-omission-safe load
-//!   generator against a running `pnw-server`: Poisson arrivals at a
+//!   generator against a running `pnw-server` (Poisson arrivals at a
 //!   fixed offered rate, sojourn-time percentiles from *scheduled*
-//!   arrival, bounded full-jitter retries, and scheduled fault injection
-//!   (connection kills, torn frames, corrupt frames)
-//!   (`BENCH_server.json`).
-//!
-//! Binaries (`cargo run --release -p pnw-bench --bin <name>`):
-//! `fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table1 table2
-//! repro_all throughput predict train server_load scenario`.
+//!   arrival, bounded full-jitter retries, scheduled fault injection) and
+//!   the scripted crash/restart/drain robustness run built on it
+//!   (`server-load`).
+//! * [`report`] — the one JSON report writer and artifact stamp.
+//! * [`table`] — plain-text table rendering.
 
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod figures;
+pub mod opcost;
 pub mod predictbench;
 pub mod replace;
+pub mod report;
 pub mod scenario;
+pub mod scrub;
 pub mod serverbench;
 pub mod table;
-pub mod throughput;
 pub mod trainbench;
 
 /// Logical cores of this host, stamped into the bench artifacts (0 if the
@@ -61,27 +65,16 @@ pub fn host_cores() -> usize {
 }
 
 /// Experiment scale, so harnesses run both as smoke tests and full repros.
+/// `pnw-bench` parses `--quick` once and passes the scale down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds-scale: CI / `cargo bench` smoke runs.
+    /// Seconds-scale: CI smoke runs.
     Quick,
-    /// Minutes-scale: the numbers recorded in `EXPERIMENTS.md`.
+    /// Minutes-scale: the committed `BENCH_*.json` artifacts.
     Full,
 }
 
 impl Scale {
-    /// Reads the scale from argv (`--quick`) or the `PNW_SCALE` env var
-    /// (`quick`/`full`). Defaults to `Full` for binaries.
-    pub fn from_env() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            return Scale::Quick;
-        }
-        match std::env::var("PNW_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Full,
-        }
-    }
-
     /// Picks between quick and full parameter values.
     pub fn pick<T>(&self, quick: T, full: T) -> T {
         match self {

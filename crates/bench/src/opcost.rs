@@ -1,21 +1,20 @@
-//! Cost-breakdown probe for the PUT hot path: times each layer of one
-//! overwrite in isolation — device bucket write, lock-free index
-//! insert/remove, Zipf sampling, value generation — and the end-to-end
-//! cost per PUT through `Store::apply` (batched, unreported) and
-//! `Store::put` (per-op, reported) at 64 B and 784 B values, so a perf
-//! regression can be pinned to a layer without a system profiler.
-//!
-//! ```text
-//! cargo run --release -p pnw-bench --bin opcost
-//! ```
+//! Cost-breakdown probe for the PUT hot path (`pnw-bench opcost`): times
+//! each layer of one overwrite in isolation — device bucket write,
+//! lock-free index insert/remove, Zipf sampling, value generation — and
+//! the end-to-end cost per PUT through `Store::apply` (batched,
+//! unreported) and `Store::put` (per-op, reported) at 64 B and 784 B
+//! values, so a perf regression can be pinned to a layer without a system
+//! profiler.
 
 use std::time::Instant;
 
-use pnw_bench::throughput::Zipfian;
 use pnw_core::{Batch, PnwConfig, RetrainMode, ShardedPnwStore, Store};
 use pnw_index::{AtomicHashIndex, KeyIndex};
 use pnw_nvm_sim::{NvmConfig, NvmDevice, WriteMode};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+use crate::scenario::Zipfian;
+use crate::Scale;
 
 const VALUE: usize = 64;
 /// The image-sized value of the drift workloads (28 × 28 pixels).
@@ -49,8 +48,7 @@ fn device_bucket_row(value: usize, iters: u64, rng: &mut StdRng) {
 }
 
 /// End to end: Zipf overwrites against a warmed, trained sharded store,
-/// batched 64 at a time (the write-only throughput row) and one reported
-/// `Store::put` at a time.
+/// batched 64 at a time and one reported `Store::put` at a time.
 fn store_rows(value: usize, iters: u64, zipf: &Zipfian, rng: &mut StdRng) {
     let store = ShardedPnwStore::new(
         PnwConfig::new(8192, value)
@@ -101,8 +99,10 @@ fn refresh_tail(val: &mut [u8], rng: &mut StdRng) {
     }
 }
 
-fn main() {
-    let iters = 200_000u64;
+/// Prints one ns/op row per layer (20 000 iterations each on a quick run,
+/// 200 000 on a full one).
+pub fn run(scale: Scale) {
+    let iters = scale.pick(20_000u64, 200_000);
     println!("PUT layer costs ({iters} iters each):\n");
 
     let mut rng = StdRng::seed_from_u64(1);

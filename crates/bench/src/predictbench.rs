@@ -4,7 +4,7 @@
 //! the bit-domain kernels replace the float paths on that budget's critical
 //! path. This module measures each kernel against the float path it
 //! replaced on the *same trained model*, reporting ns/op — the numbers
-//! recorded in `BENCH_predict.json` by the `predict` binary:
+//! `pnw-bench predict` records in `BENCH_predict.json`:
 //!
 //! * the byte-LUT kernel ([`pnw_ml::packed`]) against featurize + dense
 //!   scan, across value sizes and cluster counts. PCA is disabled for these
@@ -15,7 +15,6 @@
 //!   784 B image values at K = 10 ([`measure_pca_case`]).
 
 use std::hint::black_box;
-use std::path::Path;
 use std::time::Instant;
 
 use pnw_core::model::stride_sample;
@@ -28,7 +27,8 @@ use pnw_ml::pca::Pca;
 use pnw_workloads::{ImageStyle, TemplateImages, Workload as _};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::host_cores;
+use crate::report::{num, rows_table, Json, Report};
+use crate::{obj, Scale};
 
 /// One (value size, cluster count) measurement point.
 #[derive(Debug, Clone, Copy)]
@@ -75,8 +75,8 @@ pub struct PredictResult {
 }
 
 /// Deterministic value generator: `families` byte-fill patterns plus a
-/// random tail, the same shape the throughput harness writes.
-fn gen_values(n: usize, value_size: usize, families: usize, seed: u64) -> Vec<Vec<u8>> {
+/// random tail — enough structure for K-means to find real clusters.
+pub(crate) fn gen_values(n: usize, value_size: usize, families: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
@@ -275,60 +275,48 @@ pub fn run_sweep(cases: &[PredictCase], iters: u64, seed: u64) -> Vec<PredictRes
     cases.iter().map(|&c| measure_case(c, iters, seed)).collect()
 }
 
-/// Serializes results as JSON (hand-rolled, like the throughput harness —
-/// the workspace has no JSON dependency) for `BENCH_predict.json`, stamped
-/// with the host's core count and whether this was a `--quick` smoke.
-pub fn to_json(results: &[PredictResult], pca: &[PcaPredictResult], quick: bool) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"predict\",\n  \"unit\": \"ns/op\",\n  \"host_cores\": {},\n  \
-         \"quick\": {quick},\n  \"results\": [\n",
-        host_cores()
-    );
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"value_size\": {}, \"k\": {}, \"iters\": {}, \
-             \"packed_ns\": {:.1}, \"packed_scalar_ns\": {:.1}, \"float_ns\": {:.1}, \
-             \"speedup\": {:.2}, \"simd_speedup\": {:.2}}}{}\n",
-            r.value_size,
-            r.k,
-            r.iters,
-            r.packed_ns,
-            r.packed_scalar_ns,
-            r.float_ns,
-            r.speedup,
-            r.simd_speedup,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"pca_results\": [\n");
-    for (i, r) in pca.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"value_size\": {}, \"k\": {}, \"components\": {}, \"iters\": {}, \
-             \"set_bits\": {:.0}, \"folded_ns\": {:.1}, \"project_scan_ns\": {:.1}, \
-             \"speedup\": {:.2}}}{}\n",
-            r.value_size,
-            r.k,
-            r.components,
-            r.iters,
-            r.set_bits,
-            r.folded_ns,
-            r.project_scan_ns,
-            r.speedup,
-            if i + 1 < pca.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
+/// The whole benchmark: runs the byte-LUT sweep (`iters` timed
+/// predictions per path and case, by default 20 000 quick / 200 000 full)
+/// and the PCA-configured case at a quarter of that, prints both result
+/// tables and returns them as the `predict` report.
+pub fn run(scale: Scale, iters: Option<u64>) -> Report {
+    let iters = iters.unwrap_or(scale.pick(20_000, 200_000));
+    let results: Vec<Json> = run_sweep(&default_cases(), iters, 0xACE5)
+        .iter()
+        .map(|r| {
+            obj! {
+                "value_size": r.value_size,
+                "k": r.k,
+                "iters": r.iters,
+                "packed_ns": num(r.packed_ns, 1),
+                "packed_scalar_ns": num(r.packed_scalar_ns, 1),
+                "float_ns": num(r.float_ns, 1),
+                "speedup": num(r.speedup, 2),
+                "simd_speedup": num(r.simd_speedup, 2),
+            }
+        })
+        .collect();
+    println!("Prediction kernel — packed LUT (SIMD and scalar) vs float featurize+scan, ns/op");
+    println!("{}", rows_table(&results).render());
 
-/// Writes [`to_json`] output to `path`.
-pub fn write_json(
-    path: &Path,
-    results: &[PredictResult],
-    pca: &[PcaPredictResult],
-    quick: bool,
-) -> std::io::Result<()> {
-    std::fs::write(path, to_json(results, pca, quick))
+    let r = measure_pca_case(scale.pick(512, 4096), 10, iters / 4, 0xACE5);
+    let pca = vec![obj! {
+        "value_size": r.value_size,
+        "k": r.k,
+        "components": r.components,
+        "iters": r.iters,
+        "set_bits": num(r.set_bits, 0),
+        "folded_ns": num(r.folded_ns, 1),
+        "project_scan_ns": num(r.project_scan_ns, 1),
+        "speedup": num(r.speedup, 2),
+    }];
+    println!("PCA-configured model — folded per-bit kernel vs project + PCA-space scan, ns/op");
+    println!("{}", rows_table(&pca).render());
+
+    Report::new("predict", scale)
+        .field("unit", "ns/op")
+        .field("results", results)
+        .field("pca_results", pca)
 }
 
 #[cfg(test)]
@@ -354,32 +342,6 @@ mod tests {
         assert!(r.components > 0 && r.components <= PcaPolicy::default().components);
         assert!(r.set_bits > 0.0 && r.folded_ns > 0.0 && r.project_scan_ns > 0.0);
         assert!(r.speedup > 0.0);
-    }
-
-    #[test]
-    fn json_shape() {
-        let j = to_json(
-            &run_sweep(
-                &[PredictCase {
-                    value_size: 8,
-                    k: 2,
-                }],
-                100,
-                3,
-            ),
-            &[measure_pca_case(64, 2, 50, 3)],
-            true,
-        );
-        assert!(j.contains("\"host_cores\""));
-        assert!(j.contains("\"quick\": true"));
-        assert!(j.contains("\"pca_results\""));
-        assert!(j.contains("\"folded_ns\""));
-        assert!(j.contains("\"project_scan_ns\""));
-        assert!(j.contains("\"bench\": \"predict\""));
-        assert!(j.contains("\"packed_ns\""));
-        assert!(j.contains("\"packed_scalar_ns\""));
-        assert!(j.contains("\"speedup\""));
-        assert!(j.contains("\"simd_speedup\""));
     }
 
     #[test]

@@ -38,7 +38,6 @@
 //! family the model clusters by — rather than the byte length.
 
 use std::collections::VecDeque;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,8 +47,69 @@ use pnw_core::{
 use pnw_workloads::{ImageStyle, TemplateImages, VideoConfig, VideoFrames, Workload};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::throughput::{OpMix, Zipfian};
-use crate::Scale;
+use crate::report::{num, rows_table, Json, Report};
+use crate::{obj, Scale};
+
+/// Operation mix in percent; must sum to 100.
+#[derive(Debug, Clone, Copy)]
+pub struct OpMix {
+    /// PUT share (fresh writes and updates).
+    pub put_pct: u8,
+    /// GET share.
+    pub get_pct: u8,
+    /// DELETE share.
+    pub del_pct: u8,
+}
+
+impl OpMix {
+    /// The default mixed workload: 40% PUT / 50% GET / 10% DELETE.
+    pub fn mixed() -> Self {
+        OpMix {
+            put_pct: 40,
+            get_pct: 50,
+            del_pct: 10,
+        }
+    }
+
+    /// A write-only workload (the paper's replacement-stream shape).
+    pub fn write_only() -> Self {
+        OpMix {
+            put_pct: 100,
+            get_pct: 0,
+            del_pct: 0,
+        }
+    }
+}
+
+/// Zipfian rank sampler over `0..n` via an inverted CDF table.
+#[derive(Debug, Clone)]
+pub struct Zipfian {
+    cum: Vec<f64>,
+}
+
+impl Zipfian {
+    /// Builds the popularity distribution `p(rank) ∝ 1/(rank+1)^theta`.
+    pub fn new(n: usize, theta: f64) -> Self {
+        assert!(n > 0, "empty key space");
+        let mut cum = Vec::with_capacity(n);
+        let mut acc = 0.0f64;
+        for r in 0..n {
+            acc += 1.0 / ((r + 1) as f64).powf(theta);
+            cum.push(acc);
+        }
+        let total = acc;
+        for c in &mut cum {
+            *c /= total;
+        }
+        Zipfian { cum }
+    }
+
+    /// Draws one rank (0 = most popular).
+    pub fn sample(&self, rng: &mut StdRng) -> u64 {
+        let u: f64 = rng.gen();
+        self.cum.partition_point(|&c| c < u) as u64
+    }
+}
 
 /// Where a phase's values come from.
 #[derive(Debug, Clone)]
@@ -352,8 +412,8 @@ pub fn replay(store: &dyn Store, sc: &Scenario) -> ScenarioReport {
 /// `first_key` — keys `0..first_key` are assumed live from warm-up and
 /// seed the driver's working-set ring (oldest first). The driver is
 /// single-threaded and deterministic given the seed (modulo wall-clock
-/// TTL deadlines); concurrency benchmarks live in
-/// [`throughput`](crate::throughput), not here.
+/// TTL deadlines); concurrency is the `benchmark/` crate's subject, not
+/// this engine's.
 pub fn replay_from(store: &dyn Store, sc: &Scenario, first_key: u64) -> ScenarioReport {
     assert!(sc.window_ops > 0, "window_ops must be positive");
     let value_size = store.value_size();
@@ -656,69 +716,76 @@ pub fn replay_spec(store: &dyn Store, spec: &Spec) -> ScenarioReport {
     replay_from(store, &spec.scenario, spec.warm as u64)
 }
 
-// ---------------------------------------------------------------------------
-// JSON.
-
-/// Serializes reports as JSON (hand-rolled — the workspace has no JSON
-/// dependency) for the committed artifact `BENCH_scenario.json`.
-pub fn to_json(reports: &[ScenarioReport]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"scenario\",\n  \"results\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", \"ttl\": {}, \
-             \"recovery_ratio\": {:.4}, \"full_errors\": {},\n",
-            r.scenario, r.backend, r.ttl, r.recovery_ratio, r.full_errors
-        ));
-        out.push_str("     \"phases\": [\n");
-        for (j, p) in r.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "       {{\"phase\": \"{}\", \"windows\": {}, \
-                 \"steady_flips_per_put\": {:.3}, \"steady_flips_per_512\": {:.3}, \
-                 \"retrains\": {}}}{}\n",
-                p.phase,
-                p.windows,
-                p.steady_flips_per_put,
-                p.steady_flips_per_512,
-                p.retrains,
-                if j + 1 < r.phases.len() { "," } else { "" },
-            ));
+/// Replays each spec against a freshly built store, prints the per-phase
+/// summary and returns the windowed series as the `scenario` report.
+pub fn run(specs: &[Spec], scale: Scale) -> Report {
+    let mut results = Vec::new();
+    for spec in specs {
+        println!(
+            "== scenario '{}' ({} phases, window {} ops) ==",
+            spec.scenario.name,
+            spec.scenario.phases.len(),
+            spec.scenario.window_ops
+        );
+        let store = build_store(spec);
+        let r = replay_spec(&*store, spec);
+        let phases: Vec<Json> = r
+            .phases
+            .iter()
+            .map(|p| {
+                obj! {
+                    "phase": p.phase.as_str(),
+                    "windows": p.windows,
+                    "steady_flips_per_put": num(p.steady_flips_per_put, 3),
+                    "steady_flips_per_512": num(p.steady_flips_per_512, 3),
+                    "retrains": p.retrains,
+                }
+            })
+            .collect();
+        println!("{}", rows_table(&phases).render());
+        println!(
+            "recovery ratio (last/first steady flips/PUT): {:.3}   ttl: {}   full errors: {}",
+            r.recovery_ratio, r.ttl, r.full_errors
+        );
+        if r.ttl {
+            let expired: u64 = r.windows.iter().map(|w| w.expired).sum();
+            let evicted: u64 = r.windows.iter().map(|w| w.evicted).sum();
+            println!("retention: {expired} expired, {evicted} evicted");
         }
-        out.push_str("     ],\n     \"windows\": [\n");
-        for (j, w) in r.windows.iter().enumerate() {
-            out.push_str(&format!(
-                "       {{\"phase\": \"{}\", \"window\": {}, \"ops\": {}, \
-                 \"wall_ms\": {:.3}, \"ops_per_sec\": {:.1}, \"puts\": {}, \
-                 \"value_flips\": {}, \"flips_per_put\": {:.3}, \
-                 \"flips_per_512\": {:.3}, \"retrains\": {}, \"model_epoch\": {}, \
-                 \"mean_predict_ns\": {}, \"live\": {}, \"expired\": {}, \
-                 \"evicted\": {}}}{}\n",
-                w.phase,
-                w.window,
-                w.ops,
-                w.wall_ms,
-                w.ops_per_sec,
-                w.puts,
-                w.value_flips,
-                w.flips_per_put,
-                w.flips_per_512,
-                w.retrains,
-                w.model_epoch,
-                w.mean_predict_ns,
-                w.live,
-                w.expired,
-                w.evicted,
-                if j + 1 < r.windows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str(&format!("     ]}}{}\n", if i + 1 < reports.len() { "," } else { "" }));
+        let windows: Vec<Json> = r
+            .windows
+            .iter()
+            .map(|w| {
+                obj! {
+                    "phase": w.phase.as_str(),
+                    "window": w.window,
+                    "ops": w.ops,
+                    "wall_ms": num(w.wall_ms, 3),
+                    "ops_per_sec": num(w.ops_per_sec, 1),
+                    "puts": w.puts,
+                    "value_flips": w.value_flips,
+                    "flips_per_put": num(w.flips_per_put, 3),
+                    "flips_per_512": num(w.flips_per_512, 3),
+                    "retrains": w.retrains,
+                    "model_epoch": w.model_epoch,
+                    "mean_predict_ns": w.mean_predict_ns,
+                    "live": w.live,
+                    "expired": w.expired,
+                    "evicted": w.evicted,
+                }
+            })
+            .collect();
+        results.push(obj! {
+            "scenario": r.scenario.as_str(),
+            "backend": r.backend.as_str(),
+            "ttl": r.ttl,
+            "recovery_ratio": num(r.recovery_ratio, 4),
+            "full_errors": r.full_errors,
+            "phases": phases,
+            "windows": windows,
+        });
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes [`to_json`] output to `path`.
-pub fn write_json(path: &Path, reports: &[ScenarioReport]) -> std::io::Result<()> {
-    std::fs::write(path, to_json(reports))
+    Report::new("scenario", scale).field("results", results)
 }
 
 #[cfg(test)]
@@ -741,10 +808,6 @@ mod tests {
         let first = r.windows.first().unwrap().model_epoch;
         let last = r.windows.last().unwrap().model_epoch;
         assert!(last > first, "model epoch never advanced: {first} -> {last}");
-        let j = to_json(&[r]);
-        assert!(j.contains("\"scenario\": \"drift\""));
-        assert!(j.contains("\"flips_per_put\""));
-        assert!(j.contains("\"model_epoch\""));
     }
 
     #[test]
@@ -761,6 +824,29 @@ mod tests {
         assert!(reclaimed > 0, "ring retention never reclaimed a frame");
         // The driver never deletes, so the store alone bounded occupancy.
         assert!(store.len() <= spec.store_cfg.capacity);
+    }
+
+    #[test]
+    fn zipf_is_a_distribution_and_skewed() {
+        let z = Zipfian::new(100, 0.99);
+        assert_eq!(z.cum.len(), 100);
+        assert!((z.cum.last().unwrap() - 1.0).abs() < 1e-12);
+        assert!(z.cum.windows(2).all(|w| w[1] >= w[0]));
+        // Head dominance: rank 0 carries more mass than ranks 50..100 together.
+        let head = z.cum[0];
+        let tail = z.cum[99] - z.cum[49];
+        assert!(head > tail, "head {head} vs tail {tail}");
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..500 {
+            assert!(z.sample(&mut rng) < 100);
+        }
+    }
+
+    #[test]
+    fn uniform_theta_zero() {
+        let z = Zipfian::new(4, 0.0);
+        assert!((z.cum[0] - 0.25).abs() < 1e-12);
+        assert!((z.cum[1] - 0.50).abs() < 1e-12);
     }
 
     #[test]

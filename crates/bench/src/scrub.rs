@@ -1,12 +1,7 @@
-//! Integrity and scrubbing overhead bench — the wear-out robustness
-//! trajectory file `BENCH_scrub.json`.
+//! Integrity and scrubbing overhead bench (`pnw-bench scrub`) — the
+//! wear-out robustness trajectory file `BENCH_scrub.json`.
 //!
-//! ```text
-//! cargo run --release -p pnw-bench --bin scrub -- [--quick]
-//!     [--threads N] [--ops N] [--out BENCH_scrub.json]
-//! ```
-//!
-//! Three sections, all on the sharded store with lock-free reads:
+//! Four sections, all on the sharded store with lock-free reads:
 //!
 //! 1. **GET overhead** — the same key set read with integrity off versus
 //!    on (seal at PUT, CRC-32C verify on every GET), measured two ways:
@@ -14,8 +9,7 @@
 //!    relative overhead, since a read costs almost nothing), and the
 //!    *serving* path, where every GET also pays the modeled NVM read
 //!    latency at 1x, spin-waited for nanosecond accuracy (`sleep` cannot
-//!    hit 100ns-scale waits; the throughput harness's `emulate_latency`
-//!    uses 10x for the same reason). The 15% budget applies to the
+//!    hit 100ns-scale waits). The 15% budget applies to the
 //!    serving path — the cost a client of this store observes.
 //! 2. **PUT overhead** — same comparison on the raw write path (seal +
 //!    write-verify read-back).
@@ -23,18 +17,21 @@
 //!    scrubber running against wear-out media (finite endurance, latching
 //!    cells): throughput with the scrubber stealing cycles, plus the
 //!    scrub counters proving it actually scanned/repaired/retired.
+//! 4. **Time to detect** — stuck-at faults armed under live values, and
+//!    how long the background scrubber takes to find every one.
 //!
 //! Each throughput number is the best of three interleaved runs, so a
 //! noisy host window hits both sides of a comparison alike.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use pnw_bench::Scale;
 use pnw_core::{PnwConfig, RetrainMode, ShardedPnwStore};
 use pnw_nvm_sim::LatencyModel;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+use crate::report::{num, Report};
+use crate::{obj, Scale};
 
 const VALUE_SIZE: usize = 64;
 const KEYS: u64 = 4_096;
@@ -44,40 +41,6 @@ const GET_BUDGET_PCT: f64 = 15.0;
 /// Background scrub rate for the time-to-detect section: a full pass over
 /// the 8192-bucket store every ~160ms.
 const DETECT_SCRUB_RATE: u32 = 50_000;
-
-struct Args {
-    threads: usize,
-    ops_per_thread: usize,
-    out: std::path::PathBuf,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let scale = Scale::from_env();
-    let mut out = Args {
-        threads: 4,
-        ops_per_thread: scale.pick(20_000, 200_000),
-        out: "BENCH_scrub.json".into(),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        let mut grab = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--quick" => {} // consumed by Scale::from_env
-            "--threads" => out.threads = grab("--threads")?.parse().map_err(|e| format!("{e}"))?,
-            "--ops" => {
-                out.ops_per_thread = grab("--ops")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--out" => out.out = grab("--out")?.into(),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(out)
-}
 
 fn base_cfg() -> PnwConfig {
     PnwConfig::new(KEYS as usize * 2, VALUE_SIZE)
@@ -118,29 +81,33 @@ fn drive(
     put_pct: u8,
     device_ns: u64,
 ) -> f64 {
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let failures = Arc::new(AtomicU64::new(0));
+    let barrier = Arc::new(Barrier::new(threads));
+    // Workers stamp their own start and end against this shared epoch:
+    // with more workers than cores the coordinator can be descheduled for
+    // the whole run, so a clock it starts after the barrier lands
+    // arbitrarily late.
+    let epoch = Instant::now();
     let mut handles = Vec::new();
     for t in 0..threads {
         let s = Arc::clone(s);
         let barrier = Arc::clone(&barrier);
-        let failures = Arc::clone(&failures);
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(0xBEEF + t as u64);
             let mut buf = vec![0u8; VALUE_SIZE];
             let mut val = vec![0u8; VALUE_SIZE];
             barrier.wait();
+            let started = epoch.elapsed();
             for _ in 0..ops_per_thread {
                 let k = rng.gen_range(0..KEYS);
                 if rng.gen_range(0..100u8) < put_pct {
                     fill_random(&mut rng, &mut val);
-                    if s.put(k, &val).is_err() {
-                        failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else if s.get_into(k, &mut buf).is_err() {
-                    // On worn media a GET may loudly report Corruption —
-                    // counted, never panicked on: loud loss is the contract.
-                    failures.fetch_add(1, Ordering::Relaxed);
+                    // On worn media a PUT may find the store full of
+                    // retired buckets and a GET may loudly report
+                    // Corruption — tolerated, never panicked on: loud
+                    // loss is the contract.
+                    let _ = s.put(k, &val);
+                } else {
+                    let _ = s.get_into(k, &mut buf);
                 }
                 if device_ns > 0 {
                     let t0 = Instant::now();
@@ -149,14 +116,16 @@ fn drive(
                     }
                 }
             }
+            (started, epoch.elapsed())
         }));
     }
-    barrier.wait();
-    let start = Instant::now();
+    let (mut first, mut last) = (Duration::MAX, Duration::ZERO);
     for h in handles {
-        h.join().expect("worker");
+        let (started, ended) = h.join().expect("worker");
+        first = first.min(started);
+        last = last.max(ended);
     }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+    let elapsed = last.saturating_sub(first).as_secs_f64().max(1e-9);
     (threads * ops_per_thread) as f64 / elapsed
 }
 
@@ -178,17 +147,14 @@ fn overhead_pct(off: f64, on: f64) -> f64 {
     }
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+/// Runs the four sections with `threads` workers (`ops_per_thread`
+/// defaults to 20 000 quick / 200 000 full), prints each result line and
+/// returns the `scrub` report.
+pub fn run(scale: Scale, threads: usize, ops_per_thread: Option<usize>) -> Report {
+    let ops_per_thread = ops_per_thread.unwrap_or(scale.pick(20_000, 200_000));
     println!(
         "Integrity/scrub overhead — {} threads, {} ops/thread, {} keys x {}B",
-        args.threads, args.ops_per_thread, KEYS, VALUE_SIZE
+        threads, ops_per_thread, KEYS, VALUE_SIZE
     );
 
     // 1. GET path: integrity off vs on — raw software path, then the
@@ -199,16 +165,16 @@ fn main() {
     let s_off = warmed(base_cfg().with_integrity(false));
     let s_on = warmed(base_cfg());
     let (raw_off, raw_on) = best_of_3(
-        || drive(&s_off, args.threads, args.ops_per_thread, 0, 0),
-        || drive(&s_on, args.threads, args.ops_per_thread, 0, 0),
+        || drive(&s_off, threads, ops_per_thread, 0, 0),
+        || drive(&s_on, threads, ops_per_thread, 0, 0),
     );
     let raw_pct = overhead_pct(raw_off, raw_on);
     println!(
         "GET raw:     integrity off {raw_off:>12.0} ops/s   on {raw_on:>12.0} ops/s   overhead {raw_pct:+.1}%"
     );
     let (get_off, get_on) = best_of_3(
-        || drive(&s_off, args.threads, args.ops_per_thread / 2, 0, read_ns),
-        || drive(&s_on, args.threads, args.ops_per_thread / 2, 0, read_ns),
+        || drive(&s_off, threads, ops_per_thread / 2, 0, read_ns),
+        || drive(&s_on, threads, ops_per_thread / 2, 0, read_ns),
     );
     let get_pct = overhead_pct(get_off, get_on);
     println!(
@@ -220,8 +186,8 @@ fn main() {
 
     // 2. PUT path: seal + write-verify vs neither.
     let (put_off, put_on) = best_of_3(
-        || drive(&s_off, args.threads, args.ops_per_thread / 4, 100, 0),
-        || drive(&s_on, args.threads, args.ops_per_thread / 4, 100, 0),
+        || drive(&s_off, threads, ops_per_thread / 4, 100, 0),
+        || drive(&s_on, threads, ops_per_thread / 4, 100, 0),
     );
     let put_pct = overhead_pct(put_off, put_on);
     println!(
@@ -238,7 +204,7 @@ fn main() {
             .with_stuck_latch_probability(0.002)
             .with_scrub(20_000),
     );
-    let mixed = drive(&worn, args.threads, args.ops_per_thread / 4, 40, 0);
+    let mixed = drive(&worn, threads, ops_per_thread / 4, 40, 0);
     let snap = worn.snapshot();
     println!(
         "SCRUB under load: {mixed:.0} ops/s — scanned {}, crc_failures {}, repairs {}, retired {}, stuck_bits {}",
@@ -257,14 +223,14 @@ fn main() {
         det.arm_stuck_at_key(k, bit, !set).unwrap();
     }
     let armed_at = Instant::now();
-    let deadline = armed_at + std::time::Duration::from_secs(30);
+    let deadline = armed_at + Duration::from_secs(30);
     let mut detect_ms = None;
     while Instant::now() < deadline {
         if det.snapshot().scrub.crc_failures >= n_faults {
             detect_ms = Some(armed_at.elapsed().as_secs_f64() * 1e3);
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
     }
     match detect_ms {
         Some(ms) => println!(
@@ -273,50 +239,51 @@ fn main() {
         None => eprintln!("warning: scrubber missed armed faults within 30s"),
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"scrub\",\n  \"threads\": {},\n  \"ops_per_thread\": {},\n  \
-         \"value_size\": {},\n  \"keys\": {},\n  \
-         \"get_raw\": {{\"ops_per_sec_integrity_off\": {:.1}, \
-         \"ops_per_sec_integrity_on\": {:.1}, \"overhead_pct\": {:.2}}},\n  \
-         \"get_serving\": {{\"modeled_read_ns\": {}, \"ops_per_sec_integrity_off\": {:.1}, \
-         \"ops_per_sec_integrity_on\": {:.1}, \"overhead_pct\": {:.2}, \"budget_pct\": {:.1}, \
-         \"within_budget\": {}}},\n  \"put_raw\": {{\"ops_per_sec_integrity_off\": {:.1}, \
-         \"ops_per_sec_integrity_on\": {:.1}, \"overhead_pct\": {:.2}}},\n  \
-         \"scrub_under_load\": {{\"ops_per_sec\": {:.1}, \"scanned\": {}, \"crc_failures\": {}, \
-         \"repairs\": {}, \"retired\": {}, \"stuck_bits\": {}, \"capacity\": {}, \"live\": {}}},\n  \
-         \"time_to_detect\": {{\"faults_armed\": {}, \"scrub_rate_buckets_per_sec\": {}, \
-         \"detect_ms\": {}, \"all_detected\": {}}}\n}}\n",
-        args.threads,
-        args.ops_per_thread,
-        VALUE_SIZE,
-        KEYS,
-        raw_off,
-        raw_on,
-        raw_pct,
-        read_ns,
-        get_off,
-        get_on,
-        get_pct,
-        GET_BUDGET_PCT,
-        get_pct <= GET_BUDGET_PCT,
-        put_off,
-        put_on,
-        put_pct,
-        mixed,
-        snap.scrub.scanned,
-        snap.scrub.crc_failures,
-        snap.scrub.repairs,
-        snap.scrub.retired,
-        snap.scrub.stuck_bits,
-        snap.capacity,
-        snap.live,
-        n_faults,
-        DETECT_SCRUB_RATE,
-        detect_ms.map_or("null".to_string(), |ms| format!("{ms:.1}")),
-        detect_ms.is_some(),
-    );
-    match std::fs::write(&args.out, &json) {
-        Ok(()) => println!("\nwrote {}", args.out.display()),
-        Err(e) => eprintln!("error writing {}: {e}", args.out.display()),
-    }
+    let ab = |off: f64, on: f64, pct: f64| {
+        obj! {
+            "ops_per_sec_integrity_off": num(off, 1),
+            "ops_per_sec_integrity_on": num(on, 1),
+            "overhead_pct": num(pct, 2),
+        }
+    };
+    Report::new("scrub", scale)
+        .field("threads", threads)
+        .field("ops_per_thread", ops_per_thread)
+        .field("value_size", VALUE_SIZE)
+        .field("keys", KEYS)
+        .field("get_raw", ab(raw_off, raw_on, raw_pct))
+        .field(
+            "get_serving",
+            obj! {
+                "modeled_read_ns": read_ns,
+                "ops_per_sec_integrity_off": num(get_off, 1),
+                "ops_per_sec_integrity_on": num(get_on, 1),
+                "overhead_pct": num(get_pct, 2),
+                "budget_pct": num(GET_BUDGET_PCT, 1),
+                "within_budget": get_pct <= GET_BUDGET_PCT,
+            },
+        )
+        .field("put_raw", ab(put_off, put_on, put_pct))
+        .field(
+            "scrub_under_load",
+            obj! {
+                "ops_per_sec": num(mixed, 1),
+                "scanned": snap.scrub.scanned,
+                "crc_failures": snap.scrub.crc_failures,
+                "repairs": snap.scrub.repairs,
+                "retired": snap.scrub.retired,
+                "stuck_bits": snap.scrub.stuck_bits,
+                "capacity": snap.capacity,
+                "live": snap.live,
+            },
+        )
+        .field(
+            "time_to_detect",
+            obj! {
+                "faults_armed": n_faults,
+                "scrub_rate_buckets_per_sec": DETECT_SCRUB_RATE,
+                "detect_ms": num(detect_ms.unwrap_or(f64::NAN), 1),
+                "all_detected": detect_ms.is_some(),
+            },
+        )
 }

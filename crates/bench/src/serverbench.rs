@@ -1,10 +1,11 @@
 //! Open-loop load generation against a running
-//! [`pnw_server::Server`] — the serving-layer counterpart of the
-//! closed-loop [`throughput`](crate::throughput) harness.
+//! [`pnw_server::Server`], and the scripted crash/restart/drain
+//! robustness run built on it ([`run_crash_restart`], `pnw-bench
+//! server-load`).
 //!
 //! # Open loop, and why it matters
 //!
-//! The closed-loop harness issues each op only after the previous one
+//! A closed-loop client issues each op only after the previous one
 //! completes: when the store slows down, the *offered load drops with
 //! it*, which hides queueing delay — the coordinated-omission trap. This
 //! harness instead schedules arrivals from a **Poisson process at a fixed
@@ -15,8 +16,8 @@
 //! so p99 at loads past saturation shows the queue growing instead of a
 //! flattering service time.
 //!
-//! Reports are labeled `loop_mode: "open"`; never compare them against
-//! `"closed"` rows as if they measured the same quantity.
+//! Report rows are labeled `loop_mode: "open"`; never compare them
+//! against closed-loop numbers as if they measured the same quantity.
 //!
 //! # Retries and faults
 //!
@@ -30,14 +31,20 @@
 //! verifying mid-load that one abused connection never takes the server
 //! (or the other workers) down.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use pnw_server::{Client, ClientError, Request, RetryPolicy, ServerAddr, WireError};
+use pnw_core::{PnwConfig, ShardedPnwStore, Store};
+use pnw_server::{
+    Client, ClientError, Request, RetryPolicy, Server, ServerAddr, ServerConfig, WireError,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::throughput::OpMix;
+use crate::report::{num, Json, Report};
+use crate::scenario::OpMix;
+use crate::{obj, Scale};
 
 /// When and how workers inject faults, in ops per worker (0 = never).
 #[derive(Debug, Clone, Copy, Default)]
@@ -109,8 +116,6 @@ impl Default for LoadConfig {
 /// Results of one open-loop run at one offered load.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// Always `"open"` (see the module docs).
-    pub loop_mode: &'static str,
     /// Worker connections.
     pub connections: usize,
     /// The offered (scheduled) arrival rate, ops/sec.
@@ -340,7 +345,6 @@ pub fn run_open_loop(addr: &ServerAddr, cfg: &LoadConfig) -> LoadReport {
     };
     let completed = tally.completed.load(Ordering::Relaxed);
     LoadReport {
-        loop_mode: "open",
         connections: cfg.connections,
         offered_ops_per_sec: cfg.offered_ops_per_sec,
         achieved_ops_per_sec: completed as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -362,57 +366,203 @@ pub fn run_open_loop(addr: &ServerAddr, cfg: &LoadConfig) -> LoadReport {
     }
 }
 
-/// Serializes open-loop reports as JSON (hand-rolled like the rest of the
-/// perf-trajectory files) for `BENCH_server.json`.
-pub fn to_json(reports: &[LoadReport]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"server_open_loop\",\n  \"results\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"loop_mode\": \"{}\", \"connections\": {}, \
-             \"offered_ops_per_sec\": {:.1}, \"achieved_ops_per_sec\": {:.1}, \
-             \"completed\": {}, \"failed\": {}, \"retries\": {}, \
-             \"backpressure\": {}, \"overloaded\": {}, \
-             \"deadline_exceeded\": {}, \"draining\": {}, \
-             \"corruption\": {}, \
-             \"faults_injected\": {}, \"reconnects\": {}, \
-             \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}, \
-             \"elapsed_ms\": {:.3}}}{}\n",
-            r.loop_mode,
-            r.connections,
-            r.offered_ops_per_sec,
-            r.achieved_ops_per_sec,
-            r.completed,
-            r.failed,
-            r.retries,
-            r.backpressure,
-            r.overloaded,
-            r.deadline_exceeded,
-            r.draining,
-            r.corruption,
-            r.faults_injected,
-            r.reconnects,
-            r.p50_us,
-            r.p90_us,
-            r.p99_us,
-            r.max_us,
-            r.elapsed.as_secs_f64() * 1e3,
-            if i + 1 < reports.len() { "," } else { "" },
-        ));
+fn report_row(r: &LoadReport) -> Json {
+    obj! {
+        "loop_mode": "open",
+        "connections": r.connections,
+        "offered_ops_per_sec": num(r.offered_ops_per_sec, 1),
+        "achieved_ops_per_sec": num(r.achieved_ops_per_sec, 1),
+        "completed": r.completed,
+        "failed": r.failed,
+        "retries": r.retries,
+        "backpressure": r.backpressure,
+        "overloaded": r.overloaded,
+        "deadline_exceeded": r.deadline_exceeded,
+        "draining": r.draining,
+        "corruption": r.corruption,
+        "faults_injected": r.faults_injected,
+        "reconnects": r.reconnects,
+        "p50_us": r.p50_us,
+        "p90_us": r.p90_us,
+        "p99_us": r.p99_us,
+        "max_us": r.max_us,
+        "elapsed_ms": num(r.elapsed.as_secs_f64() * 1e3, 3),
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// Writes [`to_json`] output to `path`.
-pub fn write_json(path: &std::path::Path, reports: &[LoadReport]) -> std::io::Result<()> {
-    std::fs::write(path, to_json(reports))
+/// The scripted robustness run behind `pnw-bench server-load` (the CI
+/// `server-smoke` and `wear-matrix` lanes), all in one process:
+///
+/// 1. Open a **durable** sharded store in a temp dir and serve it over a
+///    Unix socket.
+/// 2. Phase 1: open-loop load at a moderate offered rate **with fault
+///    injection on** — connection kills, torn frames, corrupt frames.
+/// 3. Kill the server **without a checkpoint** (simulated crash), reopen
+///    the store from the same directory (WAL replay), restart the server
+///    on the same socket; clients reconnect.
+/// 4. Phase 2: open-loop load **past saturation** against a deliberately
+///    small admission gate — backpressure/overload rejections and backlog
+///    growth must show up as typed errors and p99, not as a wedged server.
+/// 5. Write both load points (`out`, or stdout) and drain gracefully.
+///    `Ok` only if the drain was clean.
+///
+/// `wear` runs the same script on wearing-out media: a low endurance
+/// threshold with probabilistic stuck-at latching, the background
+/// scrubber on, and a small key space so hot words genuinely cross the
+/// threshold mid-run. The contract tightens: the server must stay up
+/// through the latching, any corruption must surface as the *typed*
+/// non-retryable wire error (counted per phase, never a quarantine or a
+/// crash), the wear machinery must demonstrably engage (latched bits or
+/// retired buckets in the final snapshot), and the drain must still be
+/// clean.
+pub fn run_crash_restart(
+    value_size: usize,
+    wear: bool,
+    scale: Scale,
+    out: Option<&Path>,
+) -> Result<(), String> {
+    let dir = std::env::temp_dir().join(format!("pnw-server-load-{}", std::process::id()));
+    let store_dir = dir.join("store");
+    std::fs::create_dir_all(&store_dir)
+        .map_err(|e| format!("cannot create {}: {e}", store_dir.display()))?;
+    let addr = ServerAddr::Unix(dir.join("pnw.sock"));
+    let result = crash_restart(value_size, wear, scale, out, &store_dir, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
+fn crash_restart(
+    value_size: usize,
+    wear: bool,
+    scale: Scale,
+    out: Option<&Path>,
+    store_dir: &Path,
+    addr: &ServerAddr,
+) -> Result<(), String> {
+    let store_cfg = || {
+        let mut c = PnwConfig::new(scale.pick(16_384, 131_072), value_size)
+            .with_clusters(4)
+            .with_shards(4)
+            .with_path(store_dir);
+        if wear {
+            // Endurance 2 with a 10% latch draw: the shrunken key space
+            // below rewrites hot words well past the threshold mid-run,
+            // so cells genuinely latch while the background scrubber
+            // races the clients to the damage.
+            c = c.with_endurance(2).with_stuck_latch_probability(0.1).with_scrub(20_000);
+        }
+        c
+    };
+    // Wear mode concentrates the load on few keys so per-word write
+    // counts actually cross the endurance threshold within a CI run.
+    let key_space = if wear { 96 } else { 4_096 };
+    let open_store = || -> Result<Arc<dyn Store>, String> {
+        Ok(Arc::new(
+            ShardedPnwStore::open(store_cfg()).map_err(|e| format!("open store: {e}"))?,
+        ))
+    };
+
+    // Phase 1: moderate load, faults on, durable server.
+    let server = Server::start(open_store()?, addr, ServerConfig::default())
+        .map_err(|e| format!("bind {addr}: {e}"))?;
+    println!("server-load: phase 1 (faults on) against {addr}");
+    let phase1 = run_open_loop(
+        addr,
+        &LoadConfig {
+            connections: 4,
+            // Below this host class's saturation point (~3k/s synchronous
+            // durable PUTs over 4 conns) so phase 1 is the healthy
+            // baseline and phase 2 is the one past saturation.
+            offered_ops_per_sec: scale.pick(1_000.0, 2_000.0),
+            arrivals_per_conn: scale.pick(300, 5_000),
+            value_size,
+            key_space,
+            faults: FaultPlan::aggressive(),
+            retry: RetryPolicy { max_retries: 6, ..Default::default() },
+            seed: 0xFA17,
+            ..Default::default()
+        },
+    );
+    println!("phase1: {}", report_row(&phase1));
+    if phase1.completed == 0 {
+        return Err("phase 1 completed nothing".into());
+    }
+    if phase1.faults_injected == 0 {
+        return Err("phase 1 injected no faults".into());
+    }
+
+    // Simulated crash: no checkpoint — the reopen below must replay the
+    // WAL. The store object is dropped with the server.
+    let stats = server.stats();
+    println!(
+        "server-load: killing server (no checkpoint); stats: ok {} err {} quarantined {}",
+        stats.requests_ok, stats.requests_err, stats.quarantined
+    );
+    server.abort();
+
+    // Restart on the same socket, same durable dir; a small admission
+    // gate makes the saturation point cheap to reach. Keep a handle on
+    // the store so the wear machinery can be audited after the drain.
+    let store = open_store()?;
+    let server = Server::start(
+        store.clone(),
+        addr,
+        ServerConfig { max_inflight: 2, max_waiting: 8, ..ServerConfig::default() },
+    )
+    .map_err(|e| format!("rebind {addr}: {e}"))?;
+    println!("server-load: restarted after crash (WAL replayed); phase 2 past saturation");
+    let phase2 = run_open_loop(
+        addr,
+        &LoadConfig {
+            connections: 8,
+            offered_ops_per_sec: scale.pick(60_000.0, 200_000.0),
+            arrivals_per_conn: scale.pick(250, 3_000),
+            value_size,
+            key_space,
+            deadline: Some(Duration::from_millis(100)),
+            retry: RetryPolicy { max_retries: 2, ..Default::default() },
+            seed: 0x5A70,
+            ..Default::default()
+        },
+    );
+    println!("phase2: {}", report_row(&phase2));
+    let saturated = phase2.achieved_ops_per_sec < phase2.offered_ops_per_sec * 0.9
+        || phase2.overloaded + phase2.backpressure + phase2.deadline_exceeded > 0
+        || phase2.p99_us > phase1.p99_us.saturating_mul(4);
+    if !saturated {
+        println!("server-load: warning: phase 2 did not visibly saturate this host");
+    }
+
+    let corruption_answers = phase1.corruption + phase2.corruption;
+    Report::new("server_open_loop", scale)
+        .field("results", vec![report_row(&phase1), report_row(&phase2)])
+        .write_json(out)
+        .map_err(|e| format!("write json: {e}"))?;
+
+    // Graceful drain gates the exit code — the CI lane's whole point.
+    let report = server.drain().map_err(|e| format!("drain checkpoint: {e}"))?;
+    if !report.clean {
+        return Err(format!("drain forced {} straggler connection(s)", report.stragglers));
+    }
+    println!("server-load: clean drain in {:?}", report.elapsed);
+
+    let scrub = store.snapshot().scrub;
+    println!(
+        "server-load: scrub: scanned {} crc_failures {} repairs {} retired {} \
+         stuck_bits {}; typed corruption answers {corruption_answers}",
+        scrub.scanned, scrub.crc_failures, scrub.repairs, scrub.retired, scrub.stuck_bits,
+    );
+    if wear && scrub.stuck_bits == 0 && scrub.retired == 0 {
+        // A wear run where nothing latched tested nothing — the knobs
+        // above are tuned so this cannot happen on an honest run.
+        return Err("wear mode latched no bits and retired no buckets".into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnw_core::{PnwConfig, ShardedPnwStore, Store};
-    use pnw_server::{Server, ServerConfig};
 
     fn start_server(value_size: usize) -> Server {
         let store: Arc<dyn Store> = Arc::new(ShardedPnwStore::new(
@@ -438,14 +588,10 @@ mod tests {
             ..Default::default()
         };
         let r = run_open_loop(server.local_addr(), &cfg);
-        assert_eq!(r.loop_mode, "open");
         assert_eq!(r.completed + r.failed, 300);
         assert_eq!(r.failed, 0, "unloaded server must complete everything");
         assert!(r.achieved_ops_per_sec > 0.0);
         assert!(r.p50_us <= r.p99_us && r.p99_us <= r.max_us);
-        let j = to_json(&[r]);
-        assert!(j.contains("\"bench\": \"server_open_loop\""));
-        assert!(j.contains("\"loop_mode\": \"open\""));
         server.drain().unwrap();
     }
 

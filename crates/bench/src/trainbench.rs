@@ -16,11 +16,10 @@
 //! whole training set, float Gram fit, matrix transform), on 784 B image
 //! values at K = 10.
 //!
-//! The numbers land in `BENCH_train.json` via the `train` binary; the
+//! `pnw-bench train` records the numbers in `BENCH_train.json`; the
 //! acceptance point is 64 B / K = 16 / 100k samples.
 
 use std::hint::black_box;
-use std::path::Path;
 use std::time::Instant;
 
 use pnw_core::model::stride_sample;
@@ -29,10 +28,10 @@ use pnw_ml::featurize::featurize_values;
 use pnw_ml::kmeans::{KMeans, KMeansConfig};
 use pnw_ml::packedmatrix::PackedMatrix;
 use pnw_ml::pca::Pca;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::predictbench::image_values;
-use crate::{host_cores, Scale};
+use crate::predictbench::{gen_values, image_values};
+use crate::report::{num, rows_table, Json, Report};
+use crate::{obj, Scale};
 
 /// Lloyd iteration cap for both paths: enough for family-structured data
 /// to converge, low enough that the float baseline finishes in CI time.
@@ -90,24 +89,6 @@ pub struct TrainResult {
     /// `packed.inertia / float.inertia` — 1.0 when the two fits converge to
     /// the same objective (quality guard; representation must not cost SSE).
     pub inertia_ratio: f64,
-}
-
-/// Deterministic value generator: `families` byte-fill patterns plus a
-/// random tail, the same shape the predict bench and throughput harness
-/// use — enough structure for K-means to find real clusters.
-fn gen_values(n: usize, value_size: usize, families: usize, seed: u64) -> Vec<Vec<u8>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let fill = (255 / families.max(1) * (i % families.max(1))) as u8;
-            let mut v = vec![fill; value_size];
-            let tail = value_size.min(4);
-            for b in &mut v[value_size - tail..] {
-                *b = rng.gen();
-            }
-            v
-        })
-        .collect()
 }
 
 /// Measures one case: one full retrain per path on identical values with
@@ -221,62 +202,47 @@ pub fn run_sweep(cases: &[TrainCase], seed: u64) -> Vec<TrainResult> {
     cases.iter().map(|&c| measure_case(c, seed)).collect()
 }
 
-/// Serializes results as JSON (hand-rolled, like the other harnesses — the
-/// workspace has no JSON dependency) for `BENCH_train.json`, stamped with
-/// the host's core count and whether this was a `--quick` smoke.
-pub fn to_json(results: &[TrainResult], pca: &[PcaTrainResult], quick: bool) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"train\",\n  \"unit\": \"ms/retrain\",\n  \"host_cores\": {},\n  \
-         \"quick\": {quick},\n  \"results\": [\n",
-        host_cores()
-    );
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"value_size\": {}, \"k\": {}, \"samples\": {}, \
-             \"packed_ms\": {:.1}, \"float_ms\": {:.1}, \"speedup\": {:.2}, \
-             \"inertia_ratio\": {:.4}}}{}\n",
-            r.value_size,
-            r.k,
-            r.samples,
-            r.packed_ms,
-            r.float_ms,
-            r.speedup,
-            r.inertia_ratio,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"pca_results\": [\n");
-    for (i, r) in pca.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"value_size\": {}, \"k\": {}, \"samples\": {}, \"basis_rows\": {}, \
-             \"packed_fit_ms\": {:.1}, \"float_fit_ms\": {:.1}, \
-             \"packed_ms\": {:.1}, \"float_ms\": {:.1}, \"speedup\": {:.2}, \
-             \"inertia_ratio\": {:.4}}}{}\n",
-            r.value_size,
-            r.k,
-            r.samples,
-            r.basis_rows,
-            r.packed_fit_ms,
-            r.float_fit_ms,
-            r.packed_ms,
-            r.float_ms,
-            r.speedup,
-            r.inertia_ratio,
-            if i + 1 < pca.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
+/// The whole benchmark: runs the packed-vs-float sweep and the
+/// PCA-configured case, prints both result tables and returns them as the
+/// `train` report.
+pub fn run(scale: Scale) -> Report {
+    let results: Vec<Json> = run_sweep(&default_cases(scale), 0xACE5)
+        .iter()
+        .map(|r| {
+            obj! {
+                "value_size": r.value_size,
+                "k": r.k,
+                "samples": r.samples,
+                "packed_ms": num(r.packed_ms, 1),
+                "float_ms": num(r.float_ms, 1),
+                "speedup": num(r.speedup, 2),
+                "inertia_ratio": num(r.inertia_ratio, 4),
+            }
+        })
+        .collect();
+    println!("Training pipeline — packed bit-domain vs float featurize+Lloyd, ms/retrain");
+    println!("{}", rows_table(&results).render());
 
-/// Writes [`to_json`] output to `path`.
-pub fn write_json(
-    path: &Path,
-    results: &[TrainResult],
-    pca: &[PcaTrainResult],
-    quick: bool,
-) -> std::io::Result<()> {
-    std::fs::write(path, to_json(results, pca, quick))
+    let r = measure_pca_case(scale.pick(512, 4096), 10, 0xACE5);
+    let pca = vec![obj! {
+        "value_size": r.value_size,
+        "k": r.k,
+        "samples": r.samples,
+        "basis_rows": r.basis_rows,
+        "packed_fit_ms": num(r.packed_fit_ms, 1),
+        "float_fit_ms": num(r.float_fit_ms, 1),
+        "packed_ms": num(r.packed_ms, 1),
+        "float_ms": num(r.float_ms, 1),
+        "speedup": num(r.speedup, 2),
+        "inertia_ratio": num(r.inertia_ratio, 4),
+    }];
+    println!("PCA-configured retrain — packed Gram fit + byte-domain projection vs float pipeline");
+    println!("{}", rows_table(&pca).render());
+
+    Report::new("train", scale)
+        .field("unit", "ms/retrain")
+        .field("results", results)
+        .field("pca_results", pca)
 }
 
 #[cfg(test)]
@@ -322,30 +288,6 @@ mod tests {
             "inertia_ratio {}",
             r.inertia_ratio
         );
-    }
-
-    #[test]
-    fn json_shape() {
-        let j = to_json(
-            &run_sweep(
-                &[TrainCase {
-                    value_size: 8,
-                    k: 2,
-                    samples: 300,
-                }],
-                3,
-            ),
-            &[measure_pca_case(64, 2, 3)],
-            true,
-        );
-        assert!(j.contains("\"host_cores\""));
-        assert!(j.contains("\"quick\": true"));
-        assert!(j.contains("\"pca_results\""));
-        assert!(j.contains("\"packed_fit_ms\""));
-        assert!(j.contains("\"bench\": \"train\""));
-        assert!(j.contains("\"packed_ms\""));
-        assert!(j.contains("\"speedup\""));
-        assert!(j.contains("\"inertia_ratio\""));
     }
 
     #[test]

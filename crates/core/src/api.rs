@@ -323,11 +323,6 @@ pub struct BatchReport {
     /// Aggregate modeled NVM latency of the batch's writes under the
     /// device latency model.
     pub modeled_latency: Duration,
-    /// Sampled prediction latencies (nanoseconds) from the batch path:
-    /// PNW backends time the model-prediction kernel on a stride of the
-    /// batch's fresh PUTs (full per-op instrumentation would defeat the
-    /// batch path's purpose). Empty for backends without a model.
-    pub predict_samples: Vec<u64>,
 }
 
 impl BatchReport {

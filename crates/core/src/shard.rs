@@ -66,10 +66,6 @@ pub fn now_unix_ms() -> u64 {
 /// current model and must be re-predicted on demand.
 const LABEL_STALE: u16 = u16::MAX;
 
-/// Every 16th fresh PUT of a batch group runs the fully-instrumented path
-/// so batched throughput rows carry real prediction latencies.
-const PREDICT_SAMPLE_STRIDE: u64 = 16;
-
 #[inline]
 fn label_u16(cluster: usize) -> u16 {
     if cluster >= LABEL_STALE as usize {
@@ -979,10 +975,6 @@ impl ShardEngine {
     /// end of the group commits them all. No op is acknowledged before
     /// `apply` returns, so the commit point the callers observe is
     /// unchanged — a crash mid-group loses only unacknowledged ops.
-    ///
-    /// Every [`PREDICT_SAMPLE_STRIDE`]th fresh PUT runs the fully-timed
-    /// [`ShardEngine::put`] path (device-identical to the unreported one)
-    /// and its prediction latency lands in `report.predict_samples`.
     pub(crate) fn apply_group(
         &mut self,
         ops: &[crate::api::Op],
@@ -995,36 +987,20 @@ impl ShardEngine {
             d.begin_group();
         }
         let mut due = false;
-        let mut fresh_puts = 0u64;
         let mut last_idx = 0usize;
         for i in idxs {
             last_idx = i;
             match &ops[i] {
-                Op::Put { key, value } => {
-                    let res = if fresh_puts.is_multiple_of(PREDICT_SAMPLE_STRIDE) {
-                        self.put(*key, value).map(|(r, path)| {
-                            if path == PutPath::Fresh {
-                                report.predict_samples.push(r.predict.as_nanos() as u64);
-                            }
-                            path
-                        })
-                    } else {
-                        self.put_unreported(*key, value)
-                    };
-                    match res {
-                        Ok(path) => {
-                            report.puts += 1;
-                            if path == PutPath::Fresh {
-                                fresh_puts += 1;
-                                if self.retrain_due() {
-                                    self.extend_from_reserve_if_due();
-                                    due = true;
-                                }
-                            }
+                Op::Put { key, value } => match self.put_unreported(*key, value) {
+                    Ok(path) => {
+                        report.puts += 1;
+                        if path == PutPath::Fresh && self.retrain_due() {
+                            self.extend_from_reserve_if_due();
+                            due = true;
                         }
-                        Err(e) => report.failures.push((i, e)),
                     }
-                }
+                    Err(e) => report.failures.push((i, e)),
+                },
                 Op::Delete { key } => match self.delete(*key) {
                     Ok(existed) => {
                         report.deletes += 1;

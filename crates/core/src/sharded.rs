@@ -1349,7 +1349,6 @@ impl Store for ShardedPnwStore {
             report.deleted_existing += frag.deleted_existing;
             report.write_stats += delta;
             report.modeled_latency += modeled;
-            report.predict_samples.extend(frag.predict_samples);
             // The queued group saw local indices 0..len; map back to
             // batch positions.
             for (local, e) in frag.failures {
@@ -1818,10 +1817,6 @@ mod tests {
         assert_eq!(r.puts, 56);
         assert_eq!(r.deleted_existing, 12);
         assert!(r.write_stats.bit_flips > 0);
-        assert!(
-            !r.predict_samples.is_empty(),
-            "batched rows must carry sampled prediction latencies"
-        );
 
         for op in batch.ops() {
             match op {

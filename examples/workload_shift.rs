@@ -12,8 +12,7 @@
 //!
 //! Run with: `cargo run --release --example workload_shift`
 
-use pnw_bench::scenario::{replay, KeyDist, Phase, Scenario, ValueSource};
-use pnw_bench::throughput::OpMix;
+use pnw_bench::scenario::{replay, KeyDist, OpMix, Phase, Scenario, ValueSource};
 use pnw_core::{PnwConfig, PnwStore, RetrainMode};
 use pnw_workloads::{ImageStyle, TemplateImages, Workload};
 

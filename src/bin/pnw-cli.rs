@@ -13,14 +13,9 @@
 //! Start with `--path <dir>` for a durable store: the directory is
 //! created on first use, every acknowledged command survives a kill, and
 //! a later run with the same geometry flags reopens it.
-//!
-//! `pnw-cli --throughput [--threads 1,2,4] [--shards N] [--ops N]` skips
-//! the shell and runs the multi-threaded throughput sweep over the sharded
-//! store instead, writing `BENCH_throughput.json`.
 
 use std::io::{BufRead, Write};
 
-use pnw::throughput::{self, ThroughputConfig};
 use pnw_core::{PnwConfig, PnwStore};
 
 struct CliArgs {
@@ -29,10 +24,6 @@ struct CliArgs {
     clusters: usize,
     reserve: usize,
     path: Option<std::path::PathBuf>,
-    throughput: bool,
-    threads: Vec<usize>,
-    shards: usize,
-    ops: usize,
 }
 
 fn parse_args(args: &[String]) -> Result<CliArgs, String> {
@@ -42,10 +33,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         clusters: 8,
         reserve: 0,
         path: None,
-        throughput: false,
-        threads: vec![1, 2, 4],
-        shards: 8,
-        ops: 2_000,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -62,50 +49,10 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--clusters" => out.clusters = grab("--clusters")?.parse().map_err(|e| format!("{e}"))?,
             "--reserve" => out.reserve = grab("--reserve")?.parse().map_err(|e| format!("{e}"))?,
             "--path" => out.path = Some(grab("--path")?.into()),
-            "--throughput" => out.throughput = true,
-            "--threads" => {
-                out.threads = grab("--threads")?
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|e| format!("bad thread count: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if out.threads.is_empty() {
-                    return Err("--threads needs at least one value".into());
-                }
-            }
-            "--shards" => out.shards = grab("--shards")?.parse().map_err(|e| format!("{e}"))?,
-            "--ops" => out.ops = grab("--ops")?.parse().map_err(|e| format!("{e}"))?,
             other => return Err(format!("unknown flag '{other}' (see --help)")),
         }
     }
     Ok(out)
-}
-
-/// Runs the multi-threaded throughput sweep and writes
-/// `BENCH_throughput.json`.
-fn run_throughput(args: &CliArgs) {
-    let base = ThroughputConfig {
-        shards: args.shards,
-        ops_per_thread: args.ops,
-        value_size: args.value_size,
-        clusters: args.clusters.max(1),
-        ..Default::default()
-    };
-    println!(
-        "throughput sweep: threads {:?}, {} shards, {} ops/thread",
-        args.threads, base.shards, base.ops_per_thread
-    );
-    let reports = throughput::sweep(&base, &args.threads);
-    for r in &reports {
-        println!(
-            "  {} threads: {:.0} ops/sec (p50 {} ns, p99 {} ns, {} full)",
-            r.threads, r.ops_per_sec, r.p50_modeled_ns, r.p99_modeled_ns, r.full_errors
-        );
-    }
-    let path = std::path::Path::new("BENCH_throughput.json");
-    match throughput::write_json(path, &reports) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("error writing {}: {e}", path.display()),
-    }
 }
 
 /// Pads or truncates a UTF-8 payload to the store's fixed value size.
@@ -222,8 +169,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "pnw-cli [--capacity N] [--value-size N] [--clusters K] [--reserve N] [--path DIR]\n\
-             pnw-cli --throughput [--threads 1,2,4] [--shards N] [--ops N] [--value-size N]"
+            "pnw-cli [--capacity N] [--value-size N] [--clusters K] [--reserve N] [--path DIR]"
         );
         return;
     }
@@ -234,10 +180,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.throughput {
-        run_throughput(&args);
-        return;
-    }
     let cfg = PnwConfig::new(args.capacity, args.value_size)
         .with_clusters(args.clusters)
         .with_reserve(args.reserve);
@@ -305,28 +247,8 @@ mod tests {
         .unwrap();
         assert_eq!(a.capacity, 64);
         assert_eq!(a.value_size, 16);
-        assert!(!a.throughput);
         assert!(parse_args(&["--bogus".into()]).is_err());
         assert!(parse_args(&["--capacity".into()]).is_err());
-    }
-
-    #[test]
-    fn throughput_arg_parsing() {
-        let a = parse_args(&[
-            "--throughput".into(),
-            "--threads".into(),
-            "1,2,8".into(),
-            "--shards".into(),
-            "4".into(),
-            "--ops".into(),
-            "100".into(),
-        ])
-        .unwrap();
-        assert!(a.throughput);
-        assert_eq!(a.threads, vec![1, 2, 8]);
-        assert_eq!(a.shards, 4);
-        assert_eq!(a.ops, 100);
-        assert!(parse_args(&["--threads".into(), "".into()]).is_err());
     }
 
     #[test]

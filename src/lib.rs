@@ -87,8 +87,9 @@
 //! assert_eq!(store.len(), 64);
 //! ```
 //!
-//! The [`throughput`] module (re-exported from `pnw-bench`) measures how
-//! this scales: `cargo run --release -p pnw-bench --bin throughput`.
+//! How this scales is measured by the repository's benchmark
+//! (`BENCHMARK.json`, the standalone `benchmark/` crate): the `get-heavy`
+//! workload runs one client thread per core against the sharded store.
 //!
 //! ## Durable persistence
 //!
@@ -121,7 +122,6 @@
 pub use pnw_core as core_api;
 pub use pnw_server as server;
 
-pub use pnw_bench::throughput;
 pub use pnw_core::{
     BackingMode, Batch, BatchReport, ConfigError, MetaTarget, MetaTear, Op, PnwConfig, PnwStore,
     ShardedPnwStore, Store, StoreError,

@@ -2,8 +2,8 @@
 //!
 //! Every behavioral guarantee the trait documents is exercised against
 //! the PNW store (at 1 and at 4 shards) and the three baseline stores
-//! through `Box<dyn Store>` — the exact surface the Figure 9 harness and the
-//! throughput harness drive. If a backend drifts from the contract, it
+//! through `Box<dyn Store>` — the exact surface the Figure 9 harness, the
+//! scenario engine and the server drive. If a backend drifts from the contract, it
 //! fails here, not in a harness.
 
 use pnw::core_api::{Batch, Op, PnwConfig, PnwStore, RetrainMode, Store, StoreError};
@@ -690,7 +690,7 @@ fn ttl_expiry_survives_kill_and_reopen() {
 }
 
 /// Every backend is driveable concurrently through `Arc<dyn Store>` — the
-/// contract that lets one throughput harness serve all four.
+/// contract that lets one server or load driver serve all four.
 #[test]
 fn every_backend_serves_concurrent_clients() {
     for s in backends(512, 8) {
