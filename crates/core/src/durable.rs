@@ -212,6 +212,10 @@ pub(crate) struct DurableShard {
     /// what the scrubber repairs corrupt buckets from. Cleared when a
     /// checkpoint truncates the WAL.
     values: HashMap<u64, Vec<u8>>,
+    /// Test switch: the next [`DurableShard::end_group`] reports a failed
+    /// sync instead of syncing.
+    #[cfg(test)]
+    pub fail_next_sync: bool,
 }
 
 impl DurableShard {
@@ -228,6 +232,10 @@ impl DurableShard {
     /// per shard group instead of one per record).
     pub fn end_group(&mut self) -> Result<(), StoreError> {
         self.defer_sync = false;
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_sync) {
+            return Err(io_err(std::io::ErrorKind::Other.into()));
+        }
         if std::mem::take(&mut self.dirty) {
             self.wal.sync_data().map_err(io_err)?;
         }
@@ -810,6 +818,8 @@ impl DurableStore {
             dirty: false,
             max_payload: self.max_payload,
             values: HashMap::new(),
+            #[cfg(test)]
+            fail_next_sync: false,
         })
     }
 

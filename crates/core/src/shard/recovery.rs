@@ -1,0 +1,246 @@
+//! Recovery: rebuilding the DRAM-side structures after a crash, reconciling
+//! the data zone with the WAL-derived committed map, and the shard's
+//! checkpoint contribution.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use pnw_index::{KeyIndex, PathHashIndex};
+use pnw_nvm_sim::{DeviceStats, NvmError, WriteMode};
+
+use super::seqlock::WriteBracket;
+use super::{value_addr, Header, ShardEngine, LABEL_STALE};
+use crate::config::IndexPlacement;
+use crate::durable::{DurableShard, ShardCheckpoint};
+use crate::error::PnwError;
+use crate::model::ModelSnapshot;
+use crate::pool::DynamicAddressPool;
+
+impl ShardEngine {
+    /// Simulates a power failure followed by a restart of this shard: the
+    /// DRAM-side index (if [`IndexPlacement::Dram`]) and pool are discarded
+    /// and rebuilt from NVM, exactly as §V-A.3 describes; the model
+    /// snapshot reverts to the untrained placeholder. The caller owns the
+    /// trainer and must retrain + [`ShardEngine::install_model`]
+    /// afterwards (the model *"can be reconstructed after a crash"*,
+    /// §V-A.1).
+    pub fn recover_structures(&mut self) -> Result<(), PnwError> {
+        let _w = WriteBracket::enter(&self.sync);
+        self.dev.crash();
+        self.dev.recover();
+
+        // Rebuild the index *in place* (wipe + rescan rather than a new
+        // allocation): lock-free readers hold a handle to the index's
+        // storage, which must stay the same object across recovery.
+        let rescan = match self.cfg.index {
+            IndexPlacement::Dram => {
+                self.index.clear(&mut self.dev)?;
+                self.live = 0;
+                true
+            }
+            IndexPlacement::Nvm => {
+                let region = self.index_region.expect("nvm index has a region");
+                let idx = PathHashIndex::recover(region, self.index_leaves, &self.dev);
+                self.live = idx.len();
+                self.index = Box::new(idx);
+                false
+            }
+        };
+
+        // One walk over the data-zone headers, skipping retired media: a
+        // DRAM index is re-linked from the valid ones, and the non-valid
+        // ones rebuild the pool under the untrained single-cluster
+        // placeholder; the caller retrains next.
+        self.pool = DynamicAddressPool::new(1, self.effective_capacity());
+        for b in 0..self.active_buckets as u32 {
+            if self.retired.contains(&b) {
+                continue;
+            }
+            let (addr, hdr) = self.header(b)?;
+            if !hdr.valid {
+                let worn = self.bucket_worn(b);
+                self.pool.push_tier(0, b, worn);
+            } else if rescan {
+                self.index.insert(&mut self.dev, hdr.key, addr as u64)?;
+                self.live += 1;
+            }
+        }
+        // The model is DRAM-resident and lost with the crash; predictions
+        // fall back to the untrained placeholder until the caller retrains
+        // and installs (the pool above is single-cluster to match).
+        self.model = Arc::new(ModelSnapshot::untrained(&self.cfg));
+        self.labels.fill(LABEL_STALE);
+        Ok(())
+    }
+
+    /// Sets the active-zone size directly (recovery: the WAL-replayed
+    /// extension state), clamped to the provisioned bucket range.
+    pub(crate) fn set_active_buckets(&mut self, n: usize) {
+        self.active_buckets = n.min(self.layout.buckets());
+        self.pool.set_capacity(self.effective_capacity());
+    }
+
+    /// Seeds the permanent-retirement set from recovery (checkpointed
+    /// list + WAL-replayed retire records). Call *before* the repair and
+    /// structure-recovery scans so they skip damaged media.
+    pub(crate) fn restore_retired(&mut self, retired: &[u32]) {
+        self.retired.extend(retired.iter().copied());
+        self.scrub.retired = self.retired.len() as u64;
+        self.pool.set_capacity(self.effective_capacity());
+    }
+
+    /// Re-links committed keys whose buckets are retired: the recovery
+    /// scans skip retired media, but such a key must stay addressable so
+    /// its loss surfaces as a typed [`PnwError::Corruption`] on GET —
+    /// never as a silent miss. Call after
+    /// [`ShardEngine::recover_structures`].
+    pub(crate) fn reindex_retired_committed(
+        &mut self,
+        committed: &HashMap<u64, u64>,
+    ) -> Result<(), PnwError> {
+        let _w = WriteBracket::enter(&self.sync);
+        for (&key, &addr) in committed {
+            let b = self.bucket_of_addr(addr)?;
+            if self.retired.contains(&b) && self.index.lookup(&self.dev, key)?.is_none() {
+                self.index.insert(&mut self.dev, key, addr)?;
+                self.live += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Drops the WAL value mirror after a successful checkpoint (the
+    /// checkpointed device image is now the repair source of record for
+    /// everything the truncated WAL no longer covers).
+    pub(crate) fn clear_wal_values(&mut self) {
+        if let Some(d) = &mut self.durable {
+            d.clear_values();
+        }
+    }
+
+    /// Reconciles the data zone with the WAL-derived committed map after a
+    /// crash — the step that turns "whatever the torn device holds" into
+    /// exactly the committed state, before [`ShardEngine::recover_structures`]
+    /// rebuilds the DRAM-side structures from the repaired zone:
+    ///
+    /// 1. any valid-flagged bucket whose `(key, addr)` is *not* committed
+    ///    (a torn or unacknowledged put, or a committed delete whose flag
+    ///    clear preceded the WAL record) has its flag cleared;
+    /// 2. any committed `(key, addr)` whose flag is clear (an
+    ///    unacknowledged delete or update that tore after the flag clear)
+    ///    has its full header re-stamped — the value bytes are intact,
+    ///    because deletion only ever touches the flag byte;
+    /// 3. with an NVM-resident index, the index region (whose internal
+    ///    writes are not individually WAL-framed) is zeroed and rebuilt
+    ///    from the committed map alone.
+    pub(crate) fn repair_after_replay(
+        &mut self,
+        committed: &HashMap<u64, u64>,
+    ) -> Result<(), PnwError> {
+        let _w = WriteBracket::enter(&self.sync);
+        self.labels.fill(LABEL_STALE);
+        for b in 0..self.active_buckets as u32 {
+            if self.retired.contains(&b) {
+                // Retired media is left exactly as found: repairing it
+                // would write to known-damaged cells, and its committed
+                // keys are re-linked by `reindex_retired_committed`.
+                continue;
+            }
+            let (addr, hdr) = self.header(b)?;
+            let committed_here = committed.get(&hdr.key) == Some(&(addr as u64));
+            if hdr.valid && !committed_here {
+                self.clear_flag(addr)?;
+            } else if !hdr.valid && committed_here {
+                // The flag-only clear this repair undoes never touched the
+                // CRC bytes, but the header is written whole — re-seal it
+                // from the (intact) value instead of zeroing the seal.
+                self.dev.peek_into(value_addr(addr), &mut self.value_buf)?;
+                let fixed = Header::sealing(hdr.key, &self.value_buf, self.cfg.integrity);
+                self.dev.write(addr, &fixed.encode(), WriteMode::Diff)?;
+            }
+        }
+        if let Some(region) = self.index_region {
+            // A torn crash can leave the path-hash region mid-update;
+            // its buckets carry no CRCs, so rebuild it wholesale from the
+            // committed map.
+            self.dev
+                .write(region.start, &vec![0u8; region.len], WriteMode::Diff)?;
+            let mut idx = PathHashIndex::create(region, self.index_leaves);
+            for (&key, &addr) in committed {
+                idx.insert(&mut self.dev, key, addr)?;
+            }
+            self.index = Box::new(idx);
+        }
+        Ok(())
+    }
+
+    /// The committed `(key, address)` pairs as the data zone's headers
+    /// state them. Only meaningful at a quiescent cut on a durable shard
+    /// (no op in flight, device not crashed): then every tenant
+    /// corresponds to a WAL-acknowledged put and vice versa. A stale image
+    /// (the flag byte can be stuck and unclearable; the key lives
+    /// elsewhere now) is no tenant and is left out.
+    pub(crate) fn committed_entries(&self) -> Result<Vec<(u64, u64)>, PnwError> {
+        let mut out = Vec::with_capacity(self.live);
+        for b in 0..self.active_buckets as u32 {
+            if let Some((addr, hdr)) = self.tenant(b)? {
+                out.push((hdr.key, addr as u64));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Collects this shard's checkpoint contribution at a quiescent cut.
+    pub(crate) fn checkpoint_state(&self) -> Result<ShardCheckpoint, PnwError> {
+        let mut retired: Vec<u32> = self.retired.iter().copied().collect();
+        retired.sort_unstable();
+        Ok(ShardCheckpoint {
+            active: self.active_buckets as u64,
+            entries: self.committed_entries()?,
+            stats: self.dev.stats().clone(),
+            word_writes: self.dev.wear().word_writes().to_vec(),
+            bit_flips: self.dev.wear().bit_flips().map(<[u16]>::to_vec),
+            retired,
+        })
+    }
+
+    /// Restores checkpointed device counters after recovery repair (last,
+    /// so the repair's own writes do not perturb the restored values).
+    pub(crate) fn restore_device_counters(
+        &mut self,
+        stats: DeviceStats,
+        word_writes: &[u32],
+        bit_flips: Option<&[u16]>,
+    ) {
+        self.dev.restore_stats(stats);
+        if !word_writes.is_empty() {
+            self.dev.restore_wear(word_writes, bit_flips);
+        }
+    }
+
+    /// Attaches the WAL appender that makes this shard durable.
+    pub(crate) fn attach_durable(&mut self, d: DurableShard) {
+        self.durable = Some(d);
+    }
+
+    /// Flushes the device's backing file; refuses on a crashed device (a
+    /// checkpoint must never be cut from post-crash state).
+    pub(crate) fn sync_device(&self) -> Result<(), PnwError> {
+        if self.dev.is_crashed() {
+            return Err(NvmError::Crashed.into());
+        }
+        Ok(self.dev.sync()?)
+    }
+
+    /// Arms a torn write on this shard's device (test hook).
+    pub(crate) fn arm_torn_write(&mut self, words: usize) {
+        self.dev.arm_torn_write(words);
+    }
+
+    /// Makes this shard's next group-commit sync fail (test hook).
+    #[cfg(test)]
+    pub(crate) fn fail_next_group_sync(&mut self) {
+        let durable = self.durable.as_mut().expect("a durable shard");
+        durable.fail_next_sync = true;
+    }
+}

@@ -1,0 +1,251 @@
+use super::bucket::bucket_crc;
+use super::*;
+use crate::config::UpdatePolicy;
+
+#[test]
+fn engine_is_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<ShardEngine>();
+}
+
+#[test]
+fn engine_put_get_delete_with_own_snapshot() {
+    let cfg = PnwConfig::new(32, 8).with_clusters(2);
+    let mut e = ShardEngine::new(cfg);
+    assert_eq!(e.model().epoch(), 0, "fresh engine holds the placeholder");
+    let (r, path) = e.put(1, &[0xAA; 8]).unwrap();
+    assert_eq!(path, PutPath::Fresh);
+    assert!(r.total_write.bit_flips > 0);
+    assert_eq!(e.get(1).unwrap().unwrap(), vec![0xAA; 8]);
+    assert!(e.delete(1).unwrap());
+    assert_eq!(e.get(1).unwrap(), None);
+    assert!(e.is_empty());
+}
+
+#[test]
+fn engine_get_records_no_device_reads() {
+    let cfg = PnwConfig::new(16, 8).with_clusters(1);
+    let mut e = ShardEngine::new(cfg);
+    e.put(7, &[1; 8]).unwrap();
+    let reads = e.device_stats().read_ops;
+    for _ in 0..10 {
+        e.get(7).unwrap();
+    }
+    assert_eq!(e.device_stats().read_ops, reads);
+    assert_eq!(e.snapshot(TrainStats::default()).gets, 10);
+}
+
+#[test]
+fn in_place_put_reports_its_path() {
+    let cfg = PnwConfig::new(16, 8)
+        .with_clusters(1)
+        .with_update_policy(UpdatePolicy::InPlace);
+    let mut e = ShardEngine::new(cfg);
+    let (_, p1) = e.put(5, &[0; 8]).unwrap();
+    let (_, p2) = e.put(5, &[1; 8]).unwrap();
+    assert_eq!(p1, PutPath::Fresh);
+    assert_eq!(p2, PutPath::InPlace);
+}
+
+/// The batch-path PUT must leave the device in a bit-for-bit identical
+/// state to the reporting PUT — same writes, same index traffic, same
+/// pool decisions — under both update policies.
+#[test]
+fn put_unreported_matches_put_exactly() {
+    for policy in [UpdatePolicy::DeletePut, UpdatePolicy::InPlace] {
+        let cfg = PnwConfig::new(64, 8)
+            .with_clusters(2)
+            .with_seed(5)
+            .with_update_policy(policy);
+        let mut a = ShardEngine::new(cfg.clone());
+        let mut b = ShardEngine::new(cfg);
+        for round in 0..3u8 {
+            for k in 0..24u64 {
+                let v = [k as u8 ^ (round * 0x3B); 8];
+                let (_, path_a) = a.put(k, &v).unwrap();
+                let path_b = b.put_unreported(k, &v).unwrap();
+                assert_eq!(path_a, path_b, "key {k} round {round}");
+            }
+            for k in (0..24u64).step_by(5) {
+                assert_eq!(a.delete(k).unwrap(), b.delete(k).unwrap());
+            }
+        }
+        assert_eq!(a.device_stats(), b.device_stats(), "{policy:?}");
+        assert_eq!(a.len(), b.len());
+        let (sa, sb) = (
+            a.snapshot(TrainStats::default()),
+            b.snapshot(TrainStats::default()),
+        );
+        assert_eq!(sa.puts, sb.puts);
+        assert_eq!(sa.free, sb.free);
+    }
+}
+
+#[test]
+fn put_unreported_reports_full() {
+    let mut e = ShardEngine::new(PnwConfig::new(2, 8).with_clusters(1));
+    e.put_unreported(1, &[1; 8]).unwrap();
+    e.put_unreported(2, &[2; 8]).unwrap();
+    assert!(matches!(
+        e.put_unreported(3, &[3; 8]),
+        Err(PnwError::Full)
+    ));
+    assert!(matches!(
+        e.put_unreported(4, &[0; 4]),
+        Err(PnwError::WrongValueSize { expected: 8, got: 4 })
+    ));
+}
+
+#[test]
+fn install_model_swaps_snapshot_and_relabels_together() {
+    let cfg = PnwConfig::new(32, 8).with_clusters(2);
+    let mut mgr = crate::model::ModelManager::new(&cfg);
+    let mut e = ShardEngine::new(cfg);
+    let values: Vec<Vec<u8>> = (0..32)
+        .map(|i| vec![if i % 2 == 0 { 0x00u8 } else { 0xFF }; 8])
+        .collect();
+    mgr.train(&values);
+    e.install_model(mgr.snapshot());
+    assert_eq!(e.model().epoch(), 1);
+    assert_eq!(e.model().k(), 2);
+    // Pool now has one free list per cluster of the *installed* model.
+    assert_eq!(e.pool().clusters(), 2);
+}
+
+/// A GET must never return corrupt bytes: a stuck bit that flips the
+/// stored value surfaces as a typed, non-retryable [`Corruption`]
+/// error carrying the key and shard.
+#[test]
+fn get_detects_corruption_from_stuck_bit() {
+    let mut e = ShardEngine::new(PnwConfig::new(8, 8).with_clusters(1));
+    e.put(1, &[0u8; 8]).unwrap();
+    assert!(e.arm_stuck_at_key(1, 3, true).unwrap());
+    assert!(!e.arm_stuck_at_key(99, 0, true).unwrap(), "absent key");
+    assert!(matches!(
+        e.get(1),
+        Err(PnwError::Corruption { key: 1, shard: 0 })
+    ));
+    let snap = e.snapshot(TrainStats::default());
+    assert!(snap.scrub.crc_failures >= 1);
+    assert_eq!(snap.scrub.stuck_bits, 1);
+}
+
+/// Write-verify at PUT: a bucket whose media can no longer hold the
+/// sealed image is retired permanently and capacity shrinks honestly —
+/// the store reports `Full` rather than silently storing bad bytes.
+#[test]
+fn write_verify_retires_stuck_bucket() {
+    let mut e = ShardEngine::new(PnwConfig::new(1, 8).with_clusters(1));
+    e.put(1, &[0u8; 8]).unwrap();
+    assert!(e.arm_stuck_at_key(1, 0, true).unwrap());
+    assert!(e.delete(1).unwrap());
+    // The only bucket has a stuck-at-one cell over a zero value: the
+    // verify read can't match the sealed image, so the bucket retires
+    // and the (now empty) pool reports Full.
+    assert!(matches!(e.put(2, &[0u8; 8]), Err(PnwError::Full)));
+    let snap = e.snapshot(TrainStats::default());
+    assert_eq!(snap.scrub.retired, 1);
+    assert_eq!(snap.scrub.crc_failures, 1);
+    assert_eq!(snap.capacity, 0, "capacity shrinks by the retired bucket");
+    assert_eq!(e.len(), 0);
+}
+
+/// Scrub with no durable copy to repair from: the damage is loud, not
+/// silent — the bucket retires, the key stays indexed, and every GET
+/// of it reports corruption instead of pretending the key is gone.
+#[test]
+fn scrub_without_durable_copy_retires_loudly() {
+    let mut e = ShardEngine::new(PnwConfig::new(4, 8).with_clusters(1));
+    e.put(1, &[0u8; 8]).unwrap();
+    assert!(e.arm_stuck_at_key(1, 5, true).unwrap());
+    let s = e.scrub_pass().unwrap();
+    assert_eq!(s.crc_failures, 1);
+    assert_eq!(s.repairs, 0, "volatile store has no clean copy");
+    assert_eq!(s.retired, 1);
+    assert_eq!(e.len(), 1, "loud loss: the key stays indexed");
+    assert!(matches!(
+        e.get(1),
+        Err(PnwError::Corruption { key: 1, .. })
+    ));
+}
+
+/// Scrub proactively relocates a still-readable value off stuck media:
+/// the stuck bit happens to match the stored polarity (CRC passes),
+/// but the bucket is a time bomb — the value moves to clean media and
+/// the damaged bucket retires.
+#[test]
+fn scrub_relocates_valid_value_off_stuck_media() {
+    let mut e = ShardEngine::new(PnwConfig::new(4, 8).with_clusters(1));
+    e.put(1, &[0xFFu8; 8]).unwrap();
+    // Stored bit is 1 and the cell latches at 1: CRC still verifies.
+    assert!(e.arm_stuck_at_key(1, 0, true).unwrap());
+    let s = e.scrub_pass().unwrap();
+    assert_eq!(s.crc_failures, 0);
+    assert_eq!(s.repairs, 1);
+    assert_eq!(s.retired, 1);
+    assert_eq!(e.get(1).unwrap().unwrap(), vec![0xFF; 8]);
+    let snap = e.snapshot(TrainStats::default());
+    assert_eq!(snap.capacity, 3);
+    assert_eq!(snap.scrub.stuck_bits, 1);
+}
+
+/// With integrity off the CRC home bytes (header [4..8]) stay zero —
+/// the sealed layout is bit-identical to the pre-integrity format.
+/// With it on, the stored CRC is exactly [`bucket_crc`]. Either way the
+/// sealed image is, byte for byte, the on-device format every store file
+/// so far was written in.
+#[test]
+fn crc_home_bytes_follow_the_integrity_knob() {
+    let value = [0xABu8; 8];
+    let mut on = ShardEngine::new(PnwConfig::new(8, 8).with_clusters(1));
+    let mut off =
+        ShardEngine::new(PnwConfig::new(8, 8).with_clusters(1).with_integrity(false));
+    on.put(1, &value).unwrap();
+    off.put(1, &value).unwrap();
+    let addr_on = on.index.lookup(&on.dev, 1).unwrap().unwrap() as usize;
+    let hdr_on = on.dev.peek(addr_on, HDR_BYTES).unwrap();
+    let stored = u32::from_le_bytes(hdr_on[4..8].try_into().unwrap());
+    assert_eq!(stored, bucket_crc(1, &value));
+    assert_ne!(stored, 0);
+    let addr_off = off.index.lookup(&off.dev, 1).unwrap().unwrap() as usize;
+    let hdr_off = off.dev.peek(addr_off, HDR_BYTES).unwrap();
+    assert_eq!(&hdr_off[4..8], &[0u8; 4], "integrity off seals zeros");
+    // Golden bytes: flag 0x01, pad [1..4] zero, CRC-32C LE at [4..8] (the
+    // Castagnoli CRC of `01 00 00 00 00 00 00 00 AB×8`), key LE at [8..16],
+    // then the value.
+    const GOLDEN_CRC: [u8; 4] = [0x25, 0x62, 0x81, 0xA4];
+    let golden = |crc: [u8; 4]| {
+        let mut img = vec![0x01, 0, 0, 0];
+        img.extend(crc);
+        img.extend([1, 0, 0, 0, 0, 0, 0, 0]);
+        img.extend(value);
+        img
+    };
+    assert_eq!(on.dev.peek(addr_on, HDR_BYTES + 8).unwrap(), golden(GOLDEN_CRC));
+    assert_eq!(off.dev.peek(addr_off, HDR_BYTES + 8).unwrap(), golden([0; 4]));
+    assert_eq!(Header::decode(hdr_on), Header::sealing(1, &value, true));
+    assert_eq!(Header::sealing(1, &value, true).encode(), hdr_on);
+    // And the off path never reports corruption, even for bad media.
+    assert!(off.arm_stuck_at_key(1, 2, true).unwrap());
+    assert!(off.get(1).is_ok());
+}
+
+/// An index entry naming no bucket of the zone — the zero address a torn
+/// path-hash probe can return, with the NVM index placing the data zone at
+/// a non-zero offset — is a typed error on the locked TTL path, not an
+/// `addr - data_start` underflow.
+#[test]
+fn out_of_zone_index_address_is_an_error_not_an_underflow() {
+    let cfg = PnwConfig::new(8, 8)
+        .with_clusters(1)
+        .with_ttl()
+        .with_index(IndexPlacement::Nvm);
+    let e = ShardEngine::new(cfg);
+    let start = e.layout.data_start() as u64;
+    assert!(start > 0, "the index region comes first");
+    for addr in [0, start - 1, start + 5, start + 8 * e.layout.bucket_size() as u64] {
+        let err = e.addr_expired(addr, now_unix_ms()).unwrap_err();
+        assert!(matches!(err, PnwError::Nvm(NvmError::OutOfBounds { .. })), "{addr}: {err:?}");
+    }
+    assert_eq!(e.addr_expired(start, now_unix_ms()), Ok(false));
+}

@@ -1,0 +1,107 @@
+//! The file-backed store: opening (and recovering) a durable directory,
+//! cutting checkpoints, and the metadata fault hook the recovery tests use.
+
+use std::sync::Mutex;
+
+use super::{shard_config, shard_count, split, Shard, ShardedPnwStore};
+use crate::config::{BackingMode, PnwConfig};
+use crate::durable::{geometry_hash, DurableStore, ShardCheckpoint};
+use crate::error::StoreError;
+use crate::shard::ShardEngine;
+
+impl ShardedPnwStore {
+    /// Opens a store according to `cfg.backing`.
+    ///
+    /// * [`BackingMode::Volatile`] — equivalent to [`ShardedPnwStore::new`]
+    ///   but non-panicking on invalid configs.
+    /// * [`BackingMode::File`] — opens (or initializes) the durable
+    ///   directory. Each shard gets its own backing file and WAL; one
+    ///   superblock/checkpoint pair covers them all, so a checkpoint is
+    ///   atomic across shards. Recovery replays every shard's WAL over the
+    ///   last checkpoint and repairs each shard's data zone to exactly its
+    ///   committed key set.
+    pub fn open(cfg: PnwConfig) -> Result<Self, StoreError> {
+        let cfg = cfg.build()?;
+        let BackingMode::File(dir) = cfg.backing.clone() else {
+            return Ok(ShardedPnwStore::new(cfg));
+        };
+        let n = shard_count(&cfg);
+        let initial = (0..n)
+            .map(|i| ShardCheckpoint::fresh(split(cfg.capacity, n, i) as u64))
+            .collect();
+        let (durable, recovered, fresh) =
+            DurableStore::open(&dir, geometry_hash(&cfg, n), cfg.value_size, initial)?;
+        let mut shards = Vec::with_capacity(n);
+        for (i, rec) in recovered.into_iter().enumerate() {
+            let mut engine =
+                ShardEngine::open_file(shard_config(&cfg, n, i), durable.data_path(i))?;
+            engine.set_active_buckets(rec.active as usize);
+            // Retirement is restored before repair so neither the repair
+            // pass nor pool recovery resurrects a retired bucket.
+            engine.restore_retired(&rec.retired);
+            engine.repair_after_replay(&rec.committed)?;
+            engine.recover_structures()?;
+            engine.reindex_retired_committed(&rec.committed)?;
+            // Counters restore last so the repair's own writes don't
+            // perturb the checkpointed values.
+            engine.restore_device_counters(rec.stats, &rec.word_writes, rec.bit_flips.as_deref());
+            let mut appender = durable.wal_appender(i)?;
+            appender.preload_values(rec.values);
+            engine.attach_durable(appender);
+            shards.push(Shard::wrap(engine, i, &cfg));
+        }
+        let store = ShardedPnwStore::assemble(cfg, shards, Some(Mutex::new(durable)));
+        if !fresh && !store.is_empty() {
+            // The model is DRAM-resident and died with the process;
+            // reconstruct it from the recovered data zones (§V-A.1).
+            store.retrain_now()?;
+        }
+        Ok(store)
+    }
+
+    /// Cuts a durable checkpoint: quiesces writers by holding every
+    /// shard's engine lock, flushes each device backing, snapshots the
+    /// committed state of all shards and runs the write-new → fsync →
+    /// rename → superblock-bump protocol once for the whole store. Every
+    /// shard WAL is truncated afterwards. No-op on a volatile store.
+    pub fn checkpoint(&self) -> Result<(), StoreError> {
+        let Some(durable) = &self.durable else {
+            return Ok(());
+        };
+        let mut durable = durable.lock().unwrap();
+        // Engine locks taken in shard order (a cross-shard quiescent
+        // point; in-flight seqlock readers don't touch durable state).
+        let mut guards: Vec<_> = self.engines().collect();
+        let mut states = Vec::with_capacity(guards.len());
+        for g in &guards {
+            g.sync_device()?;
+            states.push(g.checkpoint_state()?);
+        }
+        durable.checkpoint(&states)?;
+        // The WALs were truncated; drop the in-memory value mirrors that
+        // backed scrub repairs for the truncated records.
+        for g in &mut guards {
+            g.clear_wal_values();
+        }
+        Ok(())
+    }
+
+    /// Closes the store cleanly: cuts a final checkpoint (on a durable
+    /// store) and drops it.
+    pub fn close(self) -> Result<(), StoreError> {
+        self.checkpoint()
+    }
+
+    /// Whether this store persists to a file backing.
+    pub fn is_durable(&self) -> bool {
+        self.durable.is_some()
+    }
+
+    /// Arms a deterministic metadata tear (superblock / WAL / checkpoint)
+    /// on a durable store; no-op on a volatile one (test hook).
+    pub fn arm_meta_tear(&self, tear: pnw_nvm_sim::MetaTear) {
+        if let Some(d) = &self.durable {
+            d.lock().unwrap().arm_meta_tear(tear);
+        }
+    }
+}

@@ -1,0 +1,557 @@
+use super::combine::OpSlot;
+use super::*;
+use crate::config::RetrainMode;
+
+#[test]
+fn store_is_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<ShardedPnwStore>();
+}
+
+#[test]
+fn split_distributes_remainders() {
+    let parts: Vec<usize> = (0..3).map(|i| split(10, 3, i)).collect();
+    assert_eq!(parts, vec![4, 3, 3]);
+    assert_eq!((0..4).map(|i| split(8, 4, i)).sum::<usize>(), 8);
+    assert_eq!(split(0, 4, 0), 0);
+}
+
+#[test]
+fn basic_roundtrip_across_shards() {
+    let s = ShardedPnwStore::new(PnwConfig::new(64, 8).with_clusters(2).with_shards(4));
+    assert_eq!(s.shard_count(), 4);
+    for k in 0..32u64 {
+        s.put(k, &[k as u8; 8]).unwrap();
+    }
+    assert_eq!(s.len(), 32);
+    for k in 0..32u64 {
+        assert_eq!(s.get(k).unwrap().unwrap(), vec![k as u8; 8]);
+    }
+    assert!(s.delete(5).unwrap());
+    assert!(!s.delete(5).unwrap());
+    assert_eq!(s.get(5).unwrap(), None);
+    assert_eq!(s.len(), 31);
+}
+
+#[test]
+fn shard_count_clamped_to_capacity() {
+    let s = ShardedPnwStore::new(PnwConfig::new(2, 8).with_shards(16));
+    assert_eq!(s.shard_count(), 2);
+}
+
+#[test]
+fn wrong_value_size_rejected_before_routing() {
+    let s = ShardedPnwStore::new(PnwConfig::new(16, 8).with_shards(2));
+    assert!(matches!(
+        s.put(1, &[0u8; 3]),
+        Err(PnwError::WrongValueSize { expected: 8, got: 3 })
+    ));
+}
+
+/// A GET must complete while another thread holds the shard's engine
+/// lock for writing — the proof that the steady-state read path takes
+/// zero locks. (A locked read here would deadlock: the engine mutex is
+/// held by the *same* thread for the duration of the closure.)
+#[test]
+fn get_takes_no_lock_while_writer_holds_the_shard() {
+    for placement in [
+        crate::IndexPlacement::Dram,
+        crate::IndexPlacement::Nvm,
+    ] {
+        let s = ShardedPnwStore::new(
+            PnwConfig::new(32, 8)
+                .with_clusters(1)
+                .with_shards(1)
+                .with_index(placement),
+        );
+        s.put(7, &[0xAB; 8]).unwrap();
+        let got = s.with_shard_write_held(0, || s.get(7).unwrap());
+        assert_eq!(got.unwrap(), vec![0xAB; 8], "{placement:?}");
+        let miss = s.with_shard_write_held(0, || s.get(8).unwrap());
+        assert_eq!(miss, None);
+    }
+}
+
+/// A saturated shard queue rejects with `Backpressure` instead of
+/// convoying on the engine lock; the queued op completes once the
+/// writer releases.
+#[test]
+fn queue_backpressure_rejects_when_full() {
+    let s = Arc::new(ShardedPnwStore::new(
+        PnwConfig::new(64, 8)
+            .with_clusters(1)
+            .with_shards(1)
+            .with_shard_queue_depth(1),
+    ));
+    let handles = s.with_shard_write_held(0, || {
+        let hs: Vec<_> = (0..2u64)
+            .map(|t| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || s.put(100 + t, &[t as u8; 8]))
+            })
+            .collect();
+        // Let both writers hit the contended path: one queues (depth
+        // 1), the other must observe the full queue.
+        std::thread::sleep(Duration::from_millis(100));
+        hs
+    });
+    let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let rejected = results
+        .iter()
+        .filter(|r| matches!(r, Err(StoreError::Backpressure { shard: 0, depth: 1 })))
+        .count();
+    let applied = results.iter().filter(|r| r.is_ok()).count();
+    assert_eq!(
+        (applied, rejected),
+        (1, 1),
+        "one op queues and lands, one backs off: {results:?}"
+    );
+    assert_eq!(s.len(), 1);
+}
+
+/// `queue.len()` as the queue mutex and the lock-free counter see it;
+/// they must agree whenever the mutex is free.
+fn queue_depth(sh: &Shard) -> usize {
+    let q = sh.queue.lock().unwrap();
+    assert_eq!(sh.queue_depth.load(Ordering::SeqCst), q.len());
+    q.len()
+}
+
+/// Every kind of queued command — PUT, DELETE, a batch group — is
+/// executed in queue order and answered with its own reply; the depth
+/// counter follows the queue up to the cap, where `Backpressure` names
+/// it, and back down to zero.
+#[test]
+fn queued_commands_complete_and_the_depth_counter_tracks_the_queue() {
+    let s = Arc::new(ShardedPnwStore::new(
+        PnwConfig::new(64, 8)
+            .with_clusters(1)
+            .with_shards(1)
+            .with_shard_queue_depth(3),
+    ));
+    s.put(1, &[1; 8]).unwrap();
+    let sh = &s.shards[0];
+    assert_eq!(queue_depth(sh), 0);
+
+    // Each writer is started only once the one before it is queued, so
+    // the queue order is PUT 2, DELETE 1, group.
+    let queued = |depth: usize| {
+        while queue_depth(sh) < depth {
+            std::thread::yield_now();
+        }
+    };
+    let (put, delete, group, rejected) = s.with_shard_write_held(0, || {
+        let t = Arc::clone(&s);
+        let put = std::thread::spawn(move || t.put(2, &[2; 8]));
+        queued(1);
+        let t = Arc::clone(&s);
+        let delete = std::thread::spawn(move || t.delete(1));
+        queued(2);
+        let t = Arc::clone(&s);
+        let group = std::thread::spawn(move || {
+            let mut b = Batch::new();
+            b.put(3, &[3; 8]);
+            b.delete(2);
+            b.put(4, &[4; 8]);
+            t.apply(&b)
+        });
+        queued(3);
+        // At the cap: turned away with the true depth, queue untouched.
+        let rejected = s.put(9, &[9; 8]);
+        assert_eq!(queue_depth(sh), 3);
+        (put, delete, group, rejected)
+    });
+    assert!(
+        matches!(
+            rejected,
+            Err(StoreError::Backpressure { shard: 0, depth: 3 })
+        ),
+        "{rejected:?}"
+    );
+    assert!(put.join().unwrap().is_ok());
+    assert_eq!(delete.join().unwrap(), Ok(true));
+    let report = group.join().unwrap();
+    assert!(report.all_ok(), "{:?}", report.failures);
+    // The group's DELETE found the key the queued PUT ahead of it wrote.
+    assert_eq!(
+        (report.puts, report.deletes, report.deleted_existing),
+        (2, 1, 1)
+    );
+
+    assert_eq!(queue_depth(sh), 0);
+    assert_eq!(s.len(), 2);
+    assert_eq!(s.get(3).unwrap(), Some(vec![3; 8]));
+    assert_eq!(s.get(4).unwrap(), Some(vec![4; 8]));
+    assert_eq!(s.get(1).unwrap(), None);
+    assert_eq!(s.get(2).unwrap(), None);
+}
+
+/// Two writers race one op each per round on one shard, with the timed
+/// wait that papers over a missed hand-off raised to an hour: whenever
+/// one of them queues behind the other, the other — a real combiner,
+/// not the test hook — must execute the command in its drain or its
+/// post-release recheck, or the round never ends. A spinning rendezvous
+/// and 1 KiB values make the two ops of a round overlap.
+#[test]
+fn a_combiner_serves_queued_writers_without_their_timeout() {
+    const ROUNDS: usize = 3000;
+    let mut s = ShardedPnwStore::new(
+        PnwConfig::new(64, 1024)
+            .with_clusters(1)
+            .with_shards(1)
+            .with_retrain(RetrainMode::Manual),
+    );
+    s.slot_wait = Duration::from_secs(3600);
+    let s = Arc::new(s);
+    let arrived = Arc::new(AtomicUsize::new(0));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    for t in 0..2u64 {
+        let (s, arrived, done_tx) = (Arc::clone(&s), Arc::clone(&arrived), done_tx.clone());
+        std::thread::spawn(move || {
+            // Each writer owns its eight keys, so it knows every reply.
+            let mut stored = [false; 8];
+            for r in 0..ROUNDS {
+                let key = t * 8 + (r % 8) as u64;
+                arrived.fetch_add(1, Ordering::SeqCst);
+                while arrived.load(Ordering::SeqCst) < 2 * (r + 1) {
+                    std::thread::yield_now();
+                }
+                if t == 1 && r % 3 == 2 {
+                    assert_eq!(s.delete(key), Ok(stored[r % 8]));
+                    stored[r % 8] = false;
+                } else {
+                    s.put(key, &[r as u8; 1024]).unwrap();
+                    stored[r % 8] = true;
+                }
+            }
+            done_tx.send(stored.iter().filter(|&&p| p).count()).unwrap();
+        });
+    }
+    let live: usize = (0..2)
+        .map(|_| {
+            done_rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("a queued writer was never served")
+        })
+        .sum();
+    assert_eq!(queue_depth(&s.shards[0]), 0);
+    assert_eq!(s.len(), live);
+}
+
+/// The state a combiner leaves behind when a writer queues between its
+/// last drain and its unlock — engine free, one command waiting, nobody
+/// awake to run it — is exactly what `finish_write` must notice from
+/// the depth counter and clear.
+#[test]
+fn the_post_release_recheck_runs_a_command_queued_after_the_last_drain() {
+    let s = ShardedPnwStore::new(PnwConfig::new(64, 8).with_clusters(1).with_shards(1));
+    let sh = &s.shards[0];
+    let slot = Arc::new(OpSlot::new());
+    s.enqueue(
+        0,
+        OwnedOp::Put {
+            key: 7,
+            value: vec![7; 8],
+            expires_at_ms: 0,
+            slot: Arc::clone(&slot),
+        },
+    )
+    .unwrap();
+    assert_eq!(queue_depth(sh), 1);
+    s.finish_write(sh, false);
+    assert!(matches!(
+        slot.done.lock().unwrap().take(),
+        Some(Ok(_))
+    ));
+    assert_eq!(queue_depth(sh), 0);
+    assert_eq!(s.get(7).unwrap(), Some(vec![7; 8]));
+}
+
+#[test]
+fn merged_stats_are_the_sum_of_shard_stats() {
+    let s = ShardedPnwStore::new(PnwConfig::new(64, 8).with_clusters(2).with_shards(4));
+    for k in 0..40u64 {
+        s.put(k, &(k * 11).to_le_bytes()).unwrap();
+    }
+    for k in 0..10u64 {
+        s.delete(k).unwrap();
+    }
+    let merged = s.device_stats();
+    let manual = DeviceStats::merged(s.per_shard_device_stats().iter());
+    assert_eq!(merged, manual);
+    assert!(merged.totals.bit_flips > 0);
+    // Bit-flip conservation: no shard's flips are lost or double
+    // counted in the merge.
+    let sum: u64 = s
+        .per_shard_device_stats()
+        .iter()
+        .map(|d| d.totals.bit_flips)
+        .sum();
+    assert_eq!(merged.totals.bit_flips, sum);
+}
+
+#[test]
+fn retrain_relabels_every_shard() {
+    let s = ShardedPnwStore::new(PnwConfig::new(64, 8).with_clusters(2).with_shards(2));
+    for k in 0..32u64 {
+        let v = if k % 2 == 0 { [0x00u8; 8] } else { [0xFFu8; 8] };
+        s.put(k, &v).unwrap();
+    }
+    s.retrain_now().unwrap();
+    assert!(s.is_trained());
+    assert_eq!(s.retrains(), 1);
+    let snap = s.snapshot();
+    assert_eq!(snap.k, 2);
+    assert_eq!(snap.live, 32);
+}
+
+#[test]
+fn background_retrain_swaps_on_finish() {
+    let s = ShardedPnwStore::new(
+        PnwConfig::new(64, 8)
+            .with_clusters(2)
+            .with_shards(2)
+            .with_load_factor(0.25)
+            .with_retrain(RetrainMode::Background),
+    );
+    for k in 0..48u64 {
+        s.put(k, &(k * 7).to_le_bytes()).unwrap();
+    }
+    s.wait_for_retrain();
+    assert!(s.is_trained());
+    assert!(s.retrains() >= 1);
+    // The store keeps serving after the swap.
+    s.put(999, &[3u8; 8]).unwrap();
+    assert_eq!(s.get(999).unwrap().unwrap(), vec![3u8; 8]);
+}
+
+#[test]
+fn background_retrain_does_not_block_zone_extension() {
+    // Regression: extension must run on every due PUT even while a
+    // background training run is pending — a shard with reserve left
+    // must never report Full just because the maintenance flag is
+    // held by an uninstalled retrain.
+    let s = ShardedPnwStore::new(
+        PnwConfig::new(32, 8)
+            .with_clusters(2)
+            .with_shards(1)
+            .with_reserve(96)
+            .with_load_factor(0.5)
+            .with_retrain(RetrainMode::Background),
+    );
+    for k in 0..100u64 {
+        s.put(k, &(k * 3).to_le_bytes())
+            .expect("reserve must absorb every put");
+    }
+    assert!(s.snapshot().capacity > 32, "zone must have extended");
+    s.wait_for_retrain();
+    assert!(s.is_trained());
+}
+
+#[test]
+fn concurrent_puts_and_gets_smoke() {
+    let s = Arc::new(ShardedPnwStore::new(
+        PnwConfig::new(256, 8).with_clusters(2).with_shards(4),
+    ));
+    let mut handles = Vec::new();
+    for t in 0..4u64 {
+        let s = Arc::clone(&s);
+        handles.push(std::thread::spawn(move || {
+            for i in 0..50u64 {
+                let key = t * 1000 + i;
+                s.put(key, &key.to_le_bytes()).unwrap();
+                assert_eq!(s.get(key).unwrap().unwrap(), key.to_le_bytes().to_vec());
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(s.len(), 200);
+}
+
+/// Batched apply on the sharded store must be semantically identical
+/// to issuing the same ops one by one — same final contents, same
+/// counters — while taking each shard lock once per batch.
+#[test]
+fn apply_equals_per_op_across_shards() {
+    let cfg = PnwConfig::new(128, 8).with_clusters(2).with_shards(4);
+    let batched = ShardedPnwStore::new(cfg.clone());
+    let per_op = ShardedPnwStore::new(cfg);
+
+    let mut batch = crate::Batch::new();
+    for k in 0..48u64 {
+        batch.put(k, &[(k % 7) as u8; 8]);
+    }
+    for k in (0..48u64).step_by(4) {
+        batch.delete(k);
+    }
+    for k in 0..8u64 {
+        batch.put(k, &[0xCC; 8]);
+    }
+    let r = batched.apply(&batch);
+    assert!(r.all_ok());
+    assert_eq!(r.puts, 56);
+    assert_eq!(r.deleted_existing, 12);
+    assert!(r.write_stats.bit_flips > 0);
+
+    for op in batch.ops() {
+        match op {
+            crate::Op::Put { key, value } => {
+                per_op.put(*key, value).unwrap();
+            }
+            crate::Op::Delete { key } => {
+                per_op.delete(*key).unwrap();
+            }
+        }
+    }
+    assert_eq!(batched.len(), per_op.len());
+    assert_eq!(batched.device_stats(), per_op.device_stats());
+    for k in 0..48u64 {
+        assert_eq!(batched.get(k).unwrap(), per_op.get(k).unwrap(), "key {k}");
+    }
+    let (sa, sb) = (batched.snapshot(), per_op.snapshot());
+    assert_eq!(sa.puts, sb.puts);
+    assert_eq!(sa.deletes, sb.deletes);
+    assert_eq!(sa.free, sb.free);
+}
+
+#[test]
+fn apply_reports_failures_with_batch_indices() {
+    let s = ShardedPnwStore::new(PnwConfig::new(4, 8).with_clusters(1).with_shards(2));
+    let mut batch = crate::Batch::new();
+    for k in 0..8u64 {
+        batch.put(k, &[k as u8; 8]); // only 4 fit
+    }
+    batch.put(99, &[0; 3]); // wrong size, index 8
+    let r = s.apply(&batch);
+    assert_eq!(r.puts, 4);
+    assert_eq!(r.failures.len(), 5);
+    // Failure indices are sorted by batch position despite shard
+    // grouping, and the wrong-size op is reported as such.
+    assert!(r.failures.windows(2).all(|w| w[0].0 < w[1].0));
+    assert!(matches!(
+        r.failures.last().unwrap(),
+        (8, PnwError::WrongValueSize { .. })
+    ));
+    assert_eq!(s.len(), 4);
+}
+
+#[test]
+fn concurrent_batches_and_reads_smoke() {
+    let s = Arc::new(ShardedPnwStore::new(
+        PnwConfig::new(512, 8).with_clusters(2).with_shards(4),
+    ));
+    let mut handles = Vec::new();
+    for t in 0..3u64 {
+        let s = Arc::clone(&s);
+        handles.push(std::thread::spawn(move || {
+            let mut batch = crate::Batch::with_capacity(16);
+            for round in 0..4u64 {
+                batch.clear();
+                for i in 0..16u64 {
+                    let key = t * 1000 + round * 16 + i;
+                    batch.put(key, &key.to_le_bytes());
+                }
+                let r = s.apply(&batch);
+                assert!(r.all_ok(), "{:?}", r.failures);
+                for i in 0..16u64 {
+                    let key = t * 1000 + round * 16 + i;
+                    assert_eq!(s.get(key).unwrap().unwrap(), key.to_le_bytes());
+                }
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(s.len(), 3 * 64);
+}
+
+#[test]
+fn durable_sharded_store_round_trips_across_reopen() {
+    let dir = std::env::temp_dir().join(format!("pnw_sharded_{}_rt", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PnwConfig::new(64, 8)
+        .with_clusters(2)
+        .with_shards(4)
+        .with_seed(7);
+    {
+        let s = ShardedPnwStore::open(cfg.clone().with_path(&dir)).unwrap();
+        assert!(s.is_durable());
+        assert_eq!(s.shard_count(), 4);
+        for k in 0..32u64 {
+            s.put(k, &(k * 5).to_le_bytes()).unwrap();
+        }
+        assert!(s.delete(7).unwrap());
+        s.close().unwrap();
+    }
+    let s = ShardedPnwStore::open(cfg.with_path(&dir)).unwrap();
+    assert_eq!(s.len(), 31);
+    assert_eq!(s.get(7).unwrap(), None);
+    for k in (0..32u64).filter(|&k| k != 7) {
+        assert_eq!(s.get(k).unwrap().unwrap(), (k * 5).to_le_bytes());
+    }
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn merged_wear_cdf_covers_all_shards() {
+    let s = ShardedPnwStore::new(PnwConfig::new(32, 8).with_clusters(1).with_shards(4));
+    for k in 0..24u64 {
+        s.put(k, &(!k).to_le_bytes()).unwrap();
+    }
+    let cdf = s.word_wear_cdf();
+    // Population = every data-zone word of every shard: 32 buckets ×
+    // 3 words (16 B header + 8 B value).
+    assert_eq!(cdf.population, 32 * 3);
+    assert!(cdf.max() >= 1);
+}
+
+/// A group whose one commit sync fails completed nothing: its counts are
+/// taken back and every op that had not already failed on its own carries
+/// the sync error — run inline and through the combining queue alike.
+#[test]
+fn a_failed_group_sync_completes_no_op_inline_or_queued() {
+    let dir = std::env::temp_dir().join(format!("pnw_sharded_{}_sync", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PnwConfig::new(64, 8).with_clusters(1).with_shards(1);
+    let s = Arc::new(ShardedPnwStore::open(cfg.with_path(&dir)).unwrap());
+    let batch = || {
+        let mut b = Batch::new();
+        b.put(1, &[1; 8]).put(2, &[0; 3]).delete(1).put(3, &[3; 8]);
+        b
+    };
+    let check = |r: BatchReport, route: &str| {
+        assert_eq!(r.completed(), 0, "{route}: {r:?}");
+        assert_eq!((r.puts, r.deletes, r.deleted_existing), (0, 0, 0), "{route}");
+        let idxs: Vec<usize> = r.failures.iter().map(|f| f.0).collect();
+        assert_eq!(idxs, [0, 1, 2, 3], "{route}: one failure per op, in batch order");
+        for (i, e) in &r.failures {
+            let own = matches!(e, StoreError::WrongValueSize { .. });
+            assert_eq!(own, *i == 1, "{route}: op {i} keeps its own error, the rest the sync's: {e:?}");
+            assert!(own || matches!(e, StoreError::Nvm(_)), "{route}: {e:?}");
+        }
+    };
+
+    s.shards[0].engine.lock().unwrap().fail_next_group_sync();
+    check(s.apply(&batch()), "inline");
+
+    s.shards[0].engine.lock().unwrap().fail_next_group_sync();
+    let queued = s.with_shard_write_held(0, || {
+        let t = Arc::clone(&s);
+        let h = std::thread::spawn(move || t.apply(&batch()));
+        while queue_depth(&s.shards[0]) == 0 {
+            std::thread::yield_now();
+        }
+        h
+    });
+    check(queued.join().unwrap(), "queued");
+
+    // The switch is one-shot: the next group commits.
+    let r = s.apply(&batch());
+    assert_eq!((r.completed(), r.failures.len()), (3, 1));
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}

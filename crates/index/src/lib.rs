@@ -3,9 +3,10 @@
 //! PNW's hash index (§V-A.3) maps each key to the NVM location holding its
 //! value. The paper discusses two placements and we implement both:
 //!
-//! * [`DramHashIndex`] — the Figure 2a architecture for small keys: the
-//!   index lives in DRAM, costs no NVM bit flips, but must be rebuilt after
-//!   a crash.
+//! * [`AtomicHashIndex`] — the Figure 2a architecture for small keys: the
+//!   index lives in DRAM (a fixed open-addressing table of atomics, so
+//!   readers probe it without a lock), costs no NVM bit flips, but must be
+//!   rebuilt after a crash.
 //! * [`PathHashIndex`] — the Figure 2b architecture: a write-friendly
 //!   *Path Hashing* table (Zuo & Hua, TPDS 2017) persisted in NVM. Path
 //!   hashing resolves collisions by walking up an inverted complete binary
@@ -20,13 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod atomic;
-pub mod dram;
 pub mod path_hash;
 pub mod reader;
 pub mod traits;
 
 pub use atomic::{AtomicHashIndex, AtomicTable};
-pub use dram::DramHashIndex;
 pub use path_hash::{PathHashIndex, PathHashReader};
 pub use reader::IndexReader;
 pub use traits::{IndexError, KeyIndex};

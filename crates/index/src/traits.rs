@@ -71,9 +71,10 @@ pub trait KeyIndex: Send + Sync {
         self.len() == 0
     }
 
-    /// A lock-free read handle for this index, if the implementation
-    /// supports concurrent probing (see [`crate::IndexReader`]). `None`
-    /// means readers must fall back to locked [`KeyIndex::lookup`] calls.
+    /// A lock-free read handle for this index (see [`crate::IndexReader`]).
+    /// Both indexes of this crate return `Some`; the `None` default is for
+    /// an implementation without a concurrent probe, whose readers then go
+    /// through [`KeyIndex::lookup`] under the owner's lock.
     fn reader(&self) -> Option<crate::IndexReader> {
         None
     }

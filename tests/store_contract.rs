@@ -504,6 +504,51 @@ fn corruption_surfaces_identically_on_both_pnw_frontends() {
         off.put(5, &[0u8; 16]).unwrap();
         assert_eq!(off.get(5).unwrap().unwrap(), vec![0u8; 16], "{shards} shards");
     }
+
+    // The locked and the lock-free read path are two walks over one bucket
+    // format. A bare engine (reads under its owner's reference) and a
+    // one-shard store (seqlock reads), fed the same ops, must answer every
+    // GET and scan alike — across live and expired TTL entries, a bucket
+    // the scrubber retired, and a bucket failing its CRC — on both index
+    // placements (the NVM one puts the data zone at a non-zero offset).
+    use pnw::core_api::{now_unix_ms, IndexPlacement, ShardEngine};
+    for index in [IndexPlacement::Dram, IndexPlacement::Nvm] {
+        let cfg = cfg.clone().with_ttl().with_index(index);
+        let (mut engine, store) = (ShardEngine::new(cfg.clone()), PnwStore::new(cfg));
+        let put = |engine: &mut ShardEngine, key: u64, deadline: u64| {
+            engine.put_with_expiry(key, &[key as u8; 16], deadline).unwrap();
+            store.put_with_expiry(key, &[key as u8; 16], deadline).unwrap();
+        };
+        let later = now_unix_ms() + 3_600_000;
+        (0..12u64).for_each(|k| put(&mut engine, k, if k % 2 == 0 { 0 } else { later }));
+        // Key 3 (0b11): a cell stuck at its stored polarity — the CRC
+        // holds, so the scrub relocates the value and retires the bucket.
+        assert!(engine.arm_stuck_at_key(3, 0, true).unwrap());
+        assert!(store.arm_stuck_at_key(3, 0, true).unwrap());
+        assert_eq!(engine.scrub_pass().unwrap().retired, 1, "{index:?}");
+        assert_eq!(store.scrub_pass().unwrap().retired, 1, "{index:?}");
+        // Overdue entries go in after the scrub (which would reclaim
+        // them); key 4 (0b100) then gets a cell stuck against its stored
+        // polarity, and is left unscrubbed: a CRC-failing bucket.
+        (12..16u64).for_each(|k| put(&mut engine, k, 1));
+        assert!(engine.arm_stuck_at_key(4, 0, true).unwrap());
+        assert!(store.arm_stuck_at_key(4, 0, true).unwrap());
+
+        for key in 0..17u64 {
+            let (mut locked, mut lock_free) = ([0u8; 16], [0u8; 16]);
+            let answer = engine.get_into(key, &mut locked);
+            assert_eq!(answer, store.get_into(key, &mut lock_free), "{index:?} key {key}");
+            match key {
+                4 => assert_eq!(answer, Err(StoreError::Corruption { key: 4, shard: 0 })),
+                12.. => assert_eq!(answer, Ok(false), "{index:?} key {key}: overdue or absent"),
+                _ => assert_eq!((answer, locked), (Ok(true), lock_free), "{index:?} key {key}"),
+            }
+        }
+        let scanned = engine.scan_range(0, 100).unwrap();
+        assert_eq!(scanned, store.scan(0, 100).unwrap(), "{index:?}");
+        let expected: Vec<u64> = (0..12).filter(|&k| k != 4).collect();
+        assert_eq!(scan_keys(&scanned), expected, "{index:?}: CRC-failing and overdue skipped");
+    }
 }
 
 // ---------------------------------------------------------------------------
