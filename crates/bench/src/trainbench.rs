@@ -14,7 +14,9 @@
 //! packed route (AND-popcount Gram fit on a packed subsample, byte-domain
 //! projection, fold) against the float route it replaced (featurize the
 //! whole training set, float Gram fit, matrix transform), on 784 B image
-//! values at K = 10.
+//! values at K = 10 — and beside the cold basis fit, what a background
+//! retrain pays instead: the warm refresh of the previous basis, and the
+//! label pass over the zone ([`measure_label_pass`]).
 //!
 //! `pnw-bench train` records the numbers in `BENCH_train.json`; the
 //! acceptance point is 64 B / K = 16 / 100k samples.
@@ -23,11 +25,11 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use pnw_core::model::stride_sample;
-use pnw_core::PcaPolicy;
+use pnw_core::{BasisFit, PcaPolicy, PnwConfig, ShardedPnwStore};
 use pnw_ml::featurize::featurize_values;
 use pnw_ml::kmeans::{KMeans, KMeansConfig};
 use pnw_ml::packedmatrix::PackedMatrix;
-use pnw_ml::pca::Pca;
+use pnw_ml::pca::{Pca, RefreshScratch};
 
 use crate::predictbench::{gen_values, image_values};
 use crate::report::{num, rows_table, Json, Report};
@@ -137,6 +139,10 @@ pub struct PcaTrainResult {
     /// Packed basis fit alone: pack the subsample, AND-popcount Gram,
     /// eigensolve, axes.
     pub packed_fit_ms: f64,
+    /// The same basis refreshed warm on the same subsample: pack, two
+    /// orthogonal-iteration steps — what a background retrain pays in place
+    /// of `packed_fit_ms`.
+    pub warm_fit_ms: f64,
     /// Float basis fit alone on the (already featurized) subsample.
     pub float_fit_ms: f64,
     /// Whole packed retrain: basis fit, byte-domain projection, K-means,
@@ -171,6 +177,16 @@ pub fn measure_pca_case(samples: usize, k: usize, seed: u64) -> PcaTrainResult {
     black_box(projector.fold(packed.centroids()));
     let packed_ms = t0.elapsed().as_secs_f64() * 1e3;
 
+    let mut warm = pca.clone();
+    let t0 = Instant::now();
+    let refreshed = warm.refresh_packed(
+        &PackedMatrix::from_values(&basis),
+        &mut RefreshScratch::default(),
+    );
+    let warm_fit_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert!(refreshed, "image samples keep every axis");
+    black_box(warm);
+
     // What every PCA-configured retrain paid before: the whole training set
     // as one f32 per bit.
     let t0 = Instant::now();
@@ -189,12 +205,40 @@ pub fn measure_pca_case(samples: usize, k: usize, seed: u64) -> PcaTrainResult {
         samples,
         basis_rows: basis_idx.len(),
         packed_fit_ms,
+        warm_fit_ms,
         float_fit_ms,
         packed_ms,
         float_ms,
         speedup: float_ms / packed_ms.max(1e-9),
         inertia_ratio: packed.inertia as f64 / (float.inertia as f64).max(1e-9),
     }
+}
+
+/// The label pass of one background retrain, in milliseconds per 32 768
+/// buckets: a 4-shard store of `buckets` 784 B image values (every bucket
+/// written, as the paper's set-up has it), trained once synchronously, then
+/// retrained in the background on a quiet zone — the trainer thread's
+/// lock-free walk, read off [`pnw_core::TrainPhases::label`].
+pub fn measure_label_pass(buckets: usize, k: usize, seed: u64) -> f64 {
+    let cfg = PnwConfig::new(buckets, 784).with_clusters(k).with_shards(4);
+    let store = ShardedPnwStore::new(cfg.with_seed(seed));
+    // A prime count, so that a strided sample of the cycle never aliases
+    // onto a handful of images.
+    let mut values = image_values(buckets.min(4099), seed ^ 0xFEED)
+        .into_iter()
+        .cycle();
+    let filled = store.prefill_free_buckets(|| values.next().expect("cycled"));
+    assert_eq!(filled.expect("image values fit"), buckets);
+    store.retrain_now().expect("first training");
+    store.retrain_in_background();
+    store.wait_for_retrain();
+    let train = store.snapshot().train;
+    assert_eq!((train.labelled, train.basis), (buckets, BasisFit::Warm));
+    assert_eq!(
+        train.predicted_at_install, 0,
+        "a quiet zone installs for free"
+    );
+    train.phases.label.as_secs_f64() * 1e3 * 32_768.0 / buckets as f64
 }
 
 /// Runs the whole sweep.
@@ -224,19 +268,27 @@ pub fn run(scale: Scale) -> Report {
     println!("{}", rows_table(&results).render());
 
     let r = measure_pca_case(scale.pick(512, 4096), 10, 0xACE5);
+    let label_ms = measure_label_pass(scale.pick(4096, 32_768), 10, 0xACE5);
     let pca = vec![obj! {
         "value_size": r.value_size,
         "k": r.k,
         "samples": r.samples,
         "basis_rows": r.basis_rows,
         "packed_fit_ms": num(r.packed_fit_ms, 1),
+        "warm_fit_ms": num(r.warm_fit_ms, 1),
+        "label_ms_per_32k": num(label_ms, 1),
         "float_fit_ms": num(r.float_fit_ms, 1),
         "packed_ms": num(r.packed_ms, 1),
         "float_ms": num(r.float_ms, 1),
         "speedup": num(r.speedup, 2),
         "inertia_ratio": num(r.inertia_ratio, 4),
     }];
-    println!("PCA-configured retrain — packed Gram fit + byte-domain projection vs float pipeline");
+    println!(
+        "PCA-configured retrain — packed Gram fit + byte-domain projection vs float pipeline;"
+    );
+    println!(
+        "a background retrain pays warm_fit_ms for the basis and label_ms_per_32k for the zone"
+    );
     println!("{}", rows_table(&pca).render());
 
     Report::new("train", scale)
@@ -280,7 +332,7 @@ mod tests {
             (r.value_size, r.k, r.samples, r.basis_rows),
             (784, 4, 96, 96)
         );
-        assert!(r.packed_fit_ms > 0.0 && r.float_fit_ms > 0.0);
+        assert!(r.packed_fit_ms > 0.0 && r.float_fit_ms > 0.0 && r.warm_fit_ms > 0.0);
         assert!(r.packed_ms >= r.packed_fit_ms && r.float_ms >= r.float_fit_ms);
         // Same basis up to rounding, same seed: the same clustering.
         assert!(
@@ -288,6 +340,11 @@ mod tests {
             "inertia_ratio {}",
             r.inertia_ratio
         );
+    }
+
+    #[test]
+    fn label_pass_is_measured_on_a_quiet_background_retrain() {
+        assert!(measure_label_pass(1024, 4, 7) > 0.0);
     }
 
     #[test]

@@ -48,8 +48,9 @@ pub enum RetrainMode {
     /// Synchronously when pool availability drops below the load factor.
     OnLoadFactor,
     /// A background thread retrains when availability drops below the load
-    /// factor; the store keeps serving from the old model and swaps when
-    /// training finishes (§V-C's "hide the re-training latency").
+    /// factor — it samples the zone, fits, and labels every bucket under
+    /// the new model; the store keeps serving from the old model and swaps
+    /// when that finishes (§V-C's "hide the re-training latency").
     Background,
 }
 

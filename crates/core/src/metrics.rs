@@ -32,40 +32,79 @@ impl OpReport {
     }
 }
 
-/// Where a training run's wall clock went, phase by phase. The phases run
-/// back to back on the training thread; what they leave of
-/// [`TrainStats::last_train_wall`] is the reservoir sampling around them.
+/// Where a training run's time went, phase by phase. The phases run back
+/// to back on the training thread; `sample` through `table_build` make up
+/// [`TrainStats::last_train_wall`] (what they leave of it is the reservoir
+/// draw), and `label` follows it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrainPhases {
-    /// Fitting the PCA basis on the packed subsample (Gram matrix,
-    /// eigensolve, axis recovery, projector table). `ZERO` for models at or
-    /// below the PCA threshold.
+    /// Planning the sample and reading the values the run keeps packed: the
+    /// PCA basis subsample, or — at or below the PCA threshold — the whole
+    /// training set. A background run reads them from the live zone under
+    /// seqlock validation.
+    pub sample: Duration,
+    /// Fitting the PCA basis on the packed subsample — cold (Gram matrix,
+    /// eigensolve, axis recovery) or warm (two orthogonal-iteration steps
+    /// from the previous basis), see [`TrainStats::basis`] — and building
+    /// the projector table. `ZERO` for models at or below the PCA
+    /// threshold.
     pub pca_fit: Duration,
-    /// Projecting the training set into PCA space from its bytes. `ZERO`
-    /// for models at or below the PCA threshold.
+    /// Projecting the training set into PCA space, each value as it is
+    /// read. `ZERO` for models at or below the PCA threshold.
     pub project: Duration,
-    /// K selection and Lloyd iterations (including packing the samples,
-    /// for models at or below the PCA threshold).
+    /// K selection and Lloyd iterations.
     pub kmeans: Duration,
     /// Building the prediction table: the fold of the basis into the
     /// centroids, or the byte LUT.
     pub table_build: Duration,
+    /// The label pass of a background run: predicting every active
+    /// bucket's stored content under the new model, lock-free, on the
+    /// trainer thread. `ZERO` for a synchronous train, whose install labels
+    /// under the engine locks instead.
+    pub label: Duration,
 }
 
-/// Retrain observability: what the last completed training run cost and
-/// used, plus the model epoch (install/swap counter). Lives on the trainer
-/// and is surfaced through [`StoreSnapshot::train`].
+/// How a training run came by its PCA basis.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum BasisFit {
+    /// No basis: the model is at or below the PCA threshold (or untrained).
+    #[default]
+    None,
+    /// Fit from nothing — every synchronous train, and a background run
+    /// with no usable previous basis.
+    Cold,
+    /// The previous run's basis, refreshed on the new sample.
+    Warm,
+}
+
+/// Retrain observability: what the last installed training run cost and
+/// used, what its install left to do, plus the model epoch (install/swap
+/// counter). Lives on the trainer and is surfaced through
+/// [`StoreSnapshot::train`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrainStats {
-    /// Wall-clock time of the last completed training run (the Figure 11
-    /// measurement), `ZERO` before the first.
+    /// Wall-clock time of the last installed run's fit, sampling included
+    /// (the Figure 11 measurement), `ZERO` before the first. A background
+    /// run's label pass comes on top ([`TrainPhases::label`]).
     pub last_train_wall: Duration,
-    /// The phase split of `last_train_wall`.
+    /// The phase split of the run.
     pub phases: TrainPhases,
+    /// Whether the run's PCA basis was fit cold or refreshed warm.
+    pub basis: BasisFit,
     /// Training-snapshot size before the reservoir cap.
     pub samples_pre_cap: usize,
     /// Samples actually trained on (≤ `train_sample_cap`).
     pub samples_post_cap: usize,
+    /// Buckets the run's label pass predicted off the write path (0 for a
+    /// synchronous train).
+    pub labelled: usize,
+    /// Of those, labels the install threw away: buckets rewritten while the
+    /// pass ran, or activated after it began.
+    pub stale_at_install: usize,
+    /// Predictions the install made under the engine locks: every free
+    /// bucket for a synchronous train, only the stale free ones after a
+    /// label pass.
+    pub predicted_at_install: usize,
     /// Model epoch: completed install/swap count (0 = untrained
     /// placeholder). Every published [`ModelSnapshot`](crate::model::ModelSnapshot)
     /// carries its epoch; this is the latest.

@@ -11,9 +11,9 @@
 //!   takes **no lock**: every [`ShardEngine`](crate::ShardEngine) holds its
 //!   own `Arc` clone and a publish replaces it under the shard's existing
 //!   lock, so a reader can never observe a half-updated model.
-//! * [`ModelManager`] — the trainer: configuration, the background-training
-//!   channel, retrain counters. Touched only on train/install boundaries,
-//!   never on the op hot path.
+//! * [`ModelManager`] — the trainer: configuration, the long-lived
+//!   `pnw-trainer` thread and its job channel, retrain counters. Touched
+//!   only on train/install boundaries, never on the op hot path.
 //!
 //! Every model predicts the same way — K affine scores over the value's
 //! bits, argmin wins — and nothing on either path expands a value into
@@ -32,25 +32,36 @@
 //!   be 8 MB at K = 10 and miss cache on every lookup; the per-bit table is
 //!   400 KB.
 //!
-//! The tables are built by whoever runs the fit — the background trainer
-//! thread, for background retrains — so installing a model is an epoch bump
-//! and an `Arc` swap. Training snapshots are capped by deterministic
-//! reservoir sampling ([`reservoir_sample`], `train_sample_cap` on
-//! [`PnwConfig`]) so retrain cost stops scaling with data-zone size.
+//! A run reads its values through a [`ZoneSource`]. A synchronous
+//! [`ModelManager::train`] gets a snapshot somebody took and fits cold —
+//! same values, same seed, same model. A background run
+//! ([`ModelManager::train_in_background_with`]) is everything the paper's
+//! Algorithm 1 does, off the writers' path (§V-C): the trainer thread takes
+//! its own strided sample from the live zone, projecting each value as it
+//! is read; refreshes the previous run's PCA basis *warm*
+//! ([`pnw_ml::pca::Pca::refresh_packed`]) instead of paying the eigensolve
+//! again; builds the snapshot; and labels every bucket of the zone under
+//! it. Model and labels travel to the installer together, so installing is
+//! an `Arc` swap and a pool rebuild with next to no predictions. A result
+//! that a synchronous train overtook is dropped, never installed over the
+//! newer model. Training samples are capped by deterministic reservoir
+//! sampling ([`reservoir_sample`], `train_sample_cap` on [`PnwConfig`]) so
+//! retrain cost stops scaling with data-zone size.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pnw_ml::kmeans::{KMeans, KMeansConfig, TrainSet};
 use pnw_ml::matrix::Matrix;
 use pnw_ml::packed::PackedPredictor;
 use pnw_ml::packedmatrix::PackedMatrix;
-use pnw_ml::pca::{FoldedPredictor, Pca};
+use pnw_ml::pca::{FoldedPredictor, Pca, RefreshScratch};
 
 use crate::config::PnwConfig;
-use crate::metrics::{TrainPhases, TrainStats};
+use crate::metrics::{BasisFit, TrainPhases, TrainStats};
 
 /// Reusable buffers for the allocation-free prediction path.
 ///
@@ -110,17 +121,17 @@ fn zero_model(value_bits: usize, per_bit: bool) -> (KMeans, Scorer) {
     (KMeans::from_centroids(zero, 0), scorer)
 }
 
-/// Result of one training run: everything a snapshot holds but its epoch.
+/// Result of one training run: the snapshot it would install, and what the
+/// manager keeps beside it.
 struct TrainedModel {
-    kmeans: KMeans,
-    scorer: Scorer,
-    /// Wall-clock training time (the Figure 11 measurement).
-    elapsed: Duration,
-    phases: TrainPhases,
-    /// Snapshot size before the reservoir cap.
-    samples_pre_cap: usize,
-    /// Samples actually trained on (≤ `train_sample_cap`).
-    samples_post_cap: usize,
+    /// Epoch-stamped by the run: a run started at epoch `e` builds snapshot
+    /// `e + 1`, and installs only if the manager is still at `e`.
+    snapshot: Arc<ModelSnapshot>,
+    /// The run's PCA basis (PCA-configured models only) — the next
+    /// background run's warm start.
+    basis: Option<Pca>,
+    /// Cost and inputs of the run; the install-side counters are still zero.
+    stats: TrainStats,
 }
 
 /// The immutable prediction state of one trained (or untrained) model: the
@@ -241,7 +252,145 @@ struct TrainParams {
     use_pca: bool,
     pca_components: usize,
     pca_sample: usize,
+    /// Values a zone sample may hold (`train_sample`).
+    zone_sample: usize,
     sample_cap: usize,
+}
+
+/// What a training run reads stored values through: a snapshot already
+/// taken (any `[Vec<u8>]`), or the live data zone, which the store's
+/// background trainer samples — and afterwards labels — without the
+/// writers' locks.
+pub trait ZoneSource: Send + Sync {
+    /// Where a strided sample of at most `cap` stored values sits, as
+    /// `(shard, bucket)` pairs in zone order.
+    fn sample_positions(&self, cap: usize) -> Vec<(u32, u32)>;
+
+    /// Copies the value stored at `at` into `out`. Never torn: a training
+    /// value is one that was stored.
+    fn read_value(&self, at: (u32, u32), out: &mut [u8]);
+
+    /// Predicts the stored content of every active bucket under `model`:
+    /// one label vector per shard, for the engines to adopt at install
+    /// (Algorithm 1 lines 4–5, off the writers' path). A source with no
+    /// zone behind it has nothing to label.
+    fn label_zone(&self, _model: &ModelSnapshot) -> Vec<Vec<u16>> {
+        Vec::new()
+    }
+}
+
+/// A snapshot already taken: every value is in the sample.
+impl ZoneSource for [Vec<u8>] {
+    fn sample_positions(&self, _cap: usize) -> Vec<(u32, u32)> {
+        (0..self.len() as u32).map(|i| (0, i)).collect()
+    }
+
+    fn read_value(&self, at: (u32, u32), out: &mut [u8]) {
+        out.copy_from_slice(&self[at.1 as usize]);
+    }
+}
+
+/// An owned snapshot, for handing to the trainer thread.
+impl ZoneSource for Vec<Vec<u8>> {
+    fn sample_positions(&self, cap: usize) -> Vec<(u32, u32)> {
+        self.as_slice().sample_positions(cap)
+    }
+
+    fn read_value(&self, at: (u32, u32), out: &mut [u8]) {
+        self.as_slice().read_value(at, out)
+    }
+}
+
+/// Reads the values at `positions` into a packed training set.
+fn read_packed<S: ZoneSource + ?Sized>(
+    src: &S,
+    positions: impl ExactSizeIterator<Item = (u32, u32)>,
+    value_bytes: usize,
+) -> PackedMatrix {
+    let mut flat = vec![0u8; positions.len() * value_bytes];
+    for (row, at) in flat.chunks_exact_mut(value_bytes.max(1)).zip(positions) {
+        src.read_value(at, row);
+    }
+    let rows: Vec<&[u8]> = flat.chunks_exact(value_bytes.max(1)).collect();
+    PackedMatrix::from_values(&rows)
+}
+
+/// One background run, as handed to the trainer thread.
+struct Job {
+    source: Arc<dyn ZoneSource>,
+    seed: u64,
+    /// The epoch the run's model installs as.
+    epoch: u64,
+    /// The previous run's basis, moved in for the warm refresh (and back
+    /// out with the result — it is never cloned).
+    basis: Option<Pca>,
+    /// Set once the result is queued, or the run died.
+    done: Option<Arc<AtomicBool>>,
+}
+
+/// Sets a run's completion flag on *every* exit from the run — after the
+/// send on success (so a ready observation always finds the result
+/// queued), and on unwind if the run panics (the result sender is dropped
+/// with the thread, so the observer sees Disconnected and clears its
+/// pending state instead of wedging background retraining forever).
+struct SignalOnDrop(Option<Arc<AtomicBool>>);
+
+impl Drop for SignalOnDrop {
+    fn drop(&mut self) {
+        if let Some(flag) = self.0.take() {
+            flag.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// The long-lived `pnw-trainer` thread of one manager: spawned by its
+/// first background run, fed jobs over a channel, joined when the manager
+/// drops.
+struct Trainer {
+    jobs: Sender<Job>,
+    /// Behind a `Mutex` only so that the manager stays `Sync`; it is never
+    /// locked, only reached through `get_mut`.
+    results: Mutex<Receiver<(TrainedModel, Vec<Vec<u16>>)>>,
+    thread: JoinHandle<()>,
+}
+
+impl Trainer {
+    fn spawn(params: TrainParams) -> Self {
+        let (jobs, job_rx) = channel::<Job>();
+        let (result_tx, results) = channel();
+        let thread = std::thread::Builder::new()
+            .name("pnw-trainer".into())
+            .spawn(move || {
+                // The refresh's per-bit tables stay with the thread: one
+                // allocation for the manager's lifetime, not one per run.
+                let mut scratch = RefreshScratch::default();
+                for job in job_rx {
+                    let signal = SignalOnDrop(job.done);
+                    let source = &*job.source;
+                    let mut m = fit(
+                        source,
+                        &params,
+                        job.seed,
+                        job.epoch,
+                        job.basis,
+                        &mut scratch,
+                    );
+                    let t = Instant::now();
+                    let labels = source.label_zone(&m.snapshot);
+                    m.stats.phases.label = t.elapsed();
+                    m.stats.labelled = labels.iter().map(Vec::len).sum();
+                    // The manager may be gone (store torn down) — ignore.
+                    let _ = result_tx.send((m, labels));
+                    drop(signal);
+                }
+            })
+            .expect("spawning the trainer thread");
+        Trainer {
+            jobs,
+            results: Mutex::new(results),
+            thread,
+        }
+    }
 }
 
 /// Owns the training machinery and the current published snapshot.
@@ -249,13 +398,24 @@ pub struct ModelManager {
     params: TrainParams,
     seed: u64,
     current: Arc<ModelSnapshot>,
-    /// Cost and inputs of the last completed run; `epoch` doubles as the
-    /// completed-run counter.
+    /// Cost and inputs of the last installed run; `epoch` doubles as the
+    /// install counter.
     stats: TrainStats,
-    /// In-flight background training run. Behind a `Mutex` only so that the
-    /// manager stays `Sync`; mutating methods go through `get_mut` (no lock
-    /// traffic).
-    pending: Mutex<Option<Receiver<TrainedModel>>>,
+    /// The last installed run's PCA basis, while no background run has it.
+    basis: Option<Pca>,
+    trainer: Option<Trainer>,
+    /// Whether a background run has been handed to the trainer thread and
+    /// its result not yet taken.
+    in_flight: bool,
+    /// The label pass that came with the last background install, until
+    /// the store publishes it ([`ModelManager::take_zone_labels`]).
+    zone_labels: Option<Vec<Vec<u16>>>,
+}
+
+impl Drop for ModelManager {
+    fn drop(&mut self) {
+        self.reap_trainer();
+    }
 }
 
 impl ModelManager {
@@ -272,12 +432,16 @@ impl ModelManager {
                 use_pca: cfg.uses_pca(),
                 pca_components: cfg.pca.components,
                 pca_sample: cfg.pca.sample,
+                zone_sample: cfg.train_sample,
                 sample_cap: cfg.train_sample_cap,
             },
             seed: cfg.seed,
             current: Arc::new(ModelSnapshot::untrained(cfg)),
             stats: TrainStats::default(),
-            pending: Mutex::new(None),
+            basis: None,
+            trainer: None,
+            in_flight: false,
+            zone_labels: None,
         }
     }
 
@@ -297,9 +461,9 @@ impl ModelManager {
         self.stats.epoch
     }
 
-    /// Retrain observability: last-train wall clock and its phase split,
-    /// snapshot sizes before and after the reservoir cap, and the model
-    /// epoch.
+    /// Retrain observability: what the last installed run cost, phase by
+    /// phase, what it trained on and labelled, what its install had left to
+    /// predict, and the model epoch.
     pub fn train_stats(&self) -> TrainStats {
         self.stats.clone()
     }
@@ -344,175 +508,242 @@ impl ModelManager {
         self.seed.wrapping_add(self.stats.epoch)
     }
 
-    /// One whole training run, score table included — everything the
-    /// caller's thread (the background trainer's, for background retrains)
-    /// can do ahead of the install.
-    fn fit(values: &[Vec<u8>], p: &TrainParams, seed: u64) -> TrainedModel {
-        let start = Instant::now();
-        // Deterministic reservoir cap: retrain cost stops scaling with
-        // data-zone size. Seeded by the (per-retrain) training seed.
-        let capped: Vec<&[u8]> = reservoir_sample(values.len(), p.sample_cap, seed)
-            .into_iter()
-            .map(|i| values[i].as_slice())
-            .collect();
-
-        let mut phases = TrainPhases::default();
-        let (kmeans, scorer) = if capped.is_empty() {
-            zero_model(p.value_bits, p.use_pca)
-        } else if p.use_pca {
-            // Fit the basis on a packed subsample (the eigensolve is cubic),
-            // project every sample straight from its bytes, cluster in PCA
-            // space, fold the basis into the centroids.
-            let t = Instant::now();
-            let sample: Vec<&[u8]> = stride_sample(capped.len(), p.pca_sample)
-                .into_iter()
-                .map(|i| capped[i])
-                .collect();
-            let projector = Pca::fit_packed(&PackedMatrix::from_values(&sample), p.pca_components)
-                .bit_projector();
-            phases.pca_fit = t.elapsed();
-
-            let t = Instant::now();
-            let projected = projector.project_values(&capped);
-            phases.project = t.elapsed();
-
-            let t = Instant::now();
-            let kmeans = fit_kmeans(&projected, p, seed);
-            phases.kmeans = t.elapsed();
-
-            let t = Instant::now();
-            let scorer = Scorer::Bits(projector.fold(kmeans.centroids()));
-            phases.table_build = t.elapsed();
-            (kmeans, scorer)
-        } else {
-            // Packed bit-domain pipeline: no float tensor, no featurize.
-            let t = Instant::now();
-            let kmeans = fit_kmeans(&PackedMatrix::from_values(&capped), p, seed);
-            phases.kmeans = t.elapsed();
-
-            let t = Instant::now();
-            let scorer = Scorer::Lut(PackedPredictor::from_centroids(kmeans.centroids()));
-            phases.table_build = t.elapsed();
-            (kmeans, scorer)
-        };
-
-        TrainedModel {
-            kmeans,
-            scorer,
-            elapsed: start.elapsed(),
-            phases,
-            samples_pre_cap: values.len(),
-            samples_post_cap: capped.len(),
-        }
-    }
-
     /// Trains synchronously on a snapshot of data-zone values (Algorithm 1)
-    /// and installs the result. Returns the training time.
+    /// and installs the result. Always a cold fit, so the same values and
+    /// seed give the same model. Returns the training time.
     pub fn train(&mut self, values: &[Vec<u8>]) -> Duration {
-        let m = Self::fit(values, &self.params, self.next_seed());
-        let elapsed = m.elapsed;
-        self.install(m);
+        let (seed, epoch) = (self.next_seed(), self.stats.epoch + 1);
+        let mut scratch = RefreshScratch::default();
+        let m = fit(values, &self.params, seed, epoch, None, &mut scratch);
+        let elapsed = m.stats.last_train_wall;
+        self.install(m, None);
         elapsed
     }
 
-    /// Starts a background training run on the snapshot. No-op if one is
-    /// already pending. When `done` is given, it is set (release-ordered)
-    /// after the trained model is queued — a store can poll that one atomic
-    /// on its op path instead of taking any lock.
+    /// Hands a background training run over `source` to the trainer thread
+    /// (spawning it on first use). No-op if one is already in flight. The
+    /// thread samples `source`, fits — refreshing the previous run's PCA
+    /// basis warm when there is one — and labels the zone under the new
+    /// model. When `done` is given, it is set (release-ordered) after the
+    /// result is queued — a store can poll that one atomic on its op path
+    /// instead of taking any lock.
     pub fn train_in_background_with(
         &mut self,
-        values: Vec<Vec<u8>>,
+        source: impl ZoneSource + 'static,
         done: Option<Arc<AtomicBool>>,
     ) {
-        if self.pending.get_mut().unwrap().is_some() {
+        if self.in_flight {
             return;
         }
-        let (tx, rx) = sync_channel(1);
-        let (params, seed) = (self.params, self.next_seed());
-        std::thread::spawn(move || {
-            // Drop guard: the flag fires on *every* exit — after the send
-            // on success (so a ready observation always finds the model in
-            // the channel), and on unwind if training panics (the sender
-            // is dropped first, so the observer's try_recv sees
-            // Disconnected and clears its pending state instead of wedging
-            // background retraining forever).
-            struct SignalOnDrop(Option<Arc<AtomicBool>>);
-            impl Drop for SignalOnDrop {
-                fn drop(&mut self) {
-                    if let Some(flag) = self.0.take() {
-                        flag.store(true, Ordering::Release);
-                    }
-                }
-            }
-            let signal = SignalOnDrop(done);
-            let m = Self::fit(&values, &params, seed);
-            // Receiver may have been dropped (store torn down) — ignore.
-            let _ = tx.send(m);
-            drop(signal);
-        });
-        *self.pending.get_mut().unwrap() = Some(rx);
+        let job = Job {
+            source: Arc::new(source),
+            seed: self.next_seed(),
+            epoch: self.stats.epoch + 1,
+            basis: self.basis.take(),
+            done,
+        };
+        let params = self.params;
+        let trainer = self.trainer.get_or_insert_with(|| Trainer::spawn(params));
+        // The thread only ends by panicking inside a run, and a run in
+        // flight is reaped before the next can start.
+        let sent = trainer.jobs.send(job);
+        sent.expect("an idle trainer thread is a live one");
+        self.in_flight = true;
     }
 
     /// Whether a background run is in flight.
     pub fn training_in_progress(&self) -> bool {
-        self.pending.lock().unwrap().is_some()
+        self.in_flight
     }
 
     /// Installs a finished background model if one is ready. Returns true
     /// when a swap happened (the store must then publish
-    /// [`ModelManager::snapshot`] to its engines, which relabel their
-    /// pools).
+    /// [`ModelManager::snapshot`] to its engines, with the label pass that
+    /// came with it). A result whose run started
+    /// before the current model was installed is dropped, not installed:
+    /// it was trained on older data than the model it would replace.
     pub fn try_install_background(&mut self) -> bool {
-        let pending = self.pending.get_mut().unwrap();
-        let Some(rx) = pending else {
-            return false;
+        self.take_background_result(false)
+    }
+
+    /// Blocks until the in-flight background run (if any) is installed.
+    pub fn wait_for_background(&mut self) -> bool {
+        self.take_background_result(true)
+    }
+
+    /// Takes the in-flight run's result — waiting for it, or only if it is
+    /// already queued — and installs it, unless a synchronous train has
+    /// installed since the run started. A run that died is reaped.
+    fn take_background_result(&mut self, wait: bool) -> bool {
+        let results = match &mut self.trainer {
+            Some(t) if self.in_flight => t.results.get_mut().expect("never locked"),
+            _ => return false,
         };
-        match rx.try_recv() {
-            Ok(m) => {
-                *pending = None;
-                self.install(m);
-                true
+        let run = if wait {
+            results.recv().map_err(|_| TryRecvError::Disconnected)
+        } else {
+            results.try_recv()
+        };
+        match run {
+            Ok((m, labels)) => {
+                self.in_flight = false;
+                let current = m.stats.epoch == self.stats.epoch + 1;
+                if current {
+                    self.install(m, Some(labels));
+                }
+                current
             }
             Err(TryRecvError::Empty) => false,
             Err(TryRecvError::Disconnected) => {
-                *pending = None;
+                self.reap_trainer();
                 false
             }
         }
     }
 
-    /// Blocks until the in-flight background run (if any) is installed.
-    pub fn wait_for_background(&mut self) -> bool {
-        let Some(rx) = self.pending.get_mut().unwrap().take() else {
-            return false;
-        };
-        match rx.recv() {
-            Ok(m) => {
-                self.install(m);
-                true
-            }
-            Err(_) => false,
+    /// The per-shard label vectors of the last background install, once.
+    /// `None` after a synchronous train or a second call: the engines then
+    /// label under their own locks.
+    pub(crate) fn take_zone_labels(&mut self) -> Option<Vec<Vec<u16>>> {
+        self.zone_labels.take()
+    }
+
+    /// Records what publishing the current model left the engines to do:
+    /// labels discarded as stale, and predictions made under the locks.
+    pub(crate) fn record_install(&mut self, stale: usize, predicted: usize) {
+        self.stats.stale_at_install = stale;
+        self.stats.predicted_at_install = predicted;
+    }
+
+    /// Ends the trainer thread, if there is one, and joins it: closing the
+    /// job channel stops its loop after the run it is on, and a run that
+    /// panicked has nothing left to report. The next background request
+    /// spawns a fresh thread.
+    fn reap_trainer(&mut self) {
+        self.in_flight = false;
+        if let Some(Trainer { jobs, thread, .. }) = self.trainer.take() {
+            drop(jobs);
+            let _ = thread.join();
         }
     }
 
-    /// Publishes a finished run: bump the epoch, swap the `Arc`. The score
-    /// table came with the model, so nothing here scales with the value
-    /// size — this runs on a client's op path.
-    fn install(&mut self, m: TrainedModel) {
-        self.stats = TrainStats {
-            last_train_wall: m.elapsed,
-            phases: m.phases,
-            samples_pre_cap: m.samples_pre_cap,
-            samples_post_cap: m.samples_post_cap,
-            epoch: self.stats.epoch + 1,
+    /// Publishes a finished run: swap the `Arc`, keep its basis and stats.
+    /// The snapshot came whole, so nothing here scales with the value size
+    /// — this runs on a client's op path.
+    fn install(&mut self, m: TrainedModel, labels: Option<Vec<Vec<u16>>>) {
+        self.current = m.snapshot;
+        self.basis = m.basis;
+        self.stats = m.stats;
+        self.zone_labels = labels;
+    }
+}
+
+/// One whole training run over `src`, score table and snapshot included —
+/// everything the caller's thread (the trainer thread's, for background
+/// retrains) can do ahead of the install. With `warm`, a PCA-configured run
+/// refreshes that basis instead of fitting one from nothing.
+fn fit<S: ZoneSource + ?Sized>(
+    src: &S,
+    p: &TrainParams,
+    seed: u64,
+    epoch: u64,
+    warm: Option<Pca>,
+    scratch: &mut RefreshScratch,
+) -> TrainedModel {
+    let start = Instant::now();
+    let value_bytes = p.value_bits / 8;
+    // Deterministic reservoir cap: retrain cost stops scaling with
+    // data-zone size. Seeded by the (per-retrain) training seed.
+    let zone = src.sample_positions(p.zone_sample);
+    let capped: Vec<(u32, u32)> = reservoir_sample(zone.len(), p.sample_cap, seed)
+        .into_iter()
+        .map(|i| zone[i])
+        .collect();
+
+    let mut phases = TrainPhases::default();
+    let (mut basis, mut basis_fit) = (None, BasisFit::None);
+    let (kmeans, scorer) = if capped.is_empty() {
+        zero_model(p.value_bits, p.use_pca)
+    } else if p.use_pca {
+        // Fit the basis on a packed subsample (the eigensolve is cubic),
+        // project every sample straight from its bytes as it is read,
+        // cluster in PCA space, fold the basis into the centroids.
+        let t = Instant::now();
+        let picks = stride_sample(capped.len(), p.pca_sample);
+        let sample = read_packed(src, picks.into_iter().map(|i| capped[i]), value_bytes);
+        phases.sample = t.elapsed();
+
+        let t = Instant::now();
+        // A basis that lost axes to a rank-poor sample starts over cold, so
+        // it can grow back.
+        let mut warm = warm.filter(|pca| pca.n_components() == p.pca_components);
+        let refreshed = warm
+            .as_mut()
+            .is_some_and(|pca| pca.refresh_packed(&sample, scratch));
+        let pca = match warm {
+            Some(pca) if refreshed => pca,
+            _ => Pca::fit_packed(&sample, p.pca_components),
         };
-        self.current = Arc::new(ModelSnapshot {
-            value_bits: self.params.value_bits,
-            kmeans: m.kmeans,
-            scorer: m.scorer,
+        basis_fit = if refreshed {
+            BasisFit::Warm
+        } else {
+            BasisFit::Cold
+        };
+        let projector = pca.bit_projector();
+        phases.pca_fit = t.elapsed();
+
+        let t = Instant::now();
+        let mut projected = Matrix::zeros(capped.len(), projector.n_components());
+        let mut value = vec![0u8; value_bytes];
+        for (i, &at) in capped.iter().enumerate() {
+            src.read_value(at, &mut value);
+            projector.project_into(&value, projected.row_mut(i));
+        }
+        phases.project = t.elapsed();
+
+        let t = Instant::now();
+        let kmeans = fit_kmeans(&projected, p, seed);
+        phases.kmeans = t.elapsed();
+
+        let t = Instant::now();
+        let scorer = Scorer::Bits(projector.fold(kmeans.centroids()));
+        phases.table_build = t.elapsed();
+        basis = Some(pca);
+        (kmeans, scorer)
+    } else {
+        // Packed bit-domain pipeline: no float tensor, no featurize.
+        let t = Instant::now();
+        let packed = read_packed(src, capped.iter().copied(), value_bytes);
+        phases.sample = t.elapsed();
+
+        let t = Instant::now();
+        let kmeans = fit_kmeans(&packed, p, seed);
+        phases.kmeans = t.elapsed();
+
+        let t = Instant::now();
+        let scorer = Scorer::Lut(PackedPredictor::from_centroids(kmeans.centroids()));
+        phases.table_build = t.elapsed();
+        (kmeans, scorer)
+    };
+
+    TrainedModel {
+        snapshot: Arc::new(ModelSnapshot {
+            value_bits: p.value_bits,
+            kmeans,
+            scorer,
             trained: true,
-            epoch: self.stats.epoch,
-        });
+            epoch,
+        }),
+        basis,
+        stats: TrainStats {
+            last_train_wall: start.elapsed(),
+            phases,
+            basis: basis_fit,
+            samples_pre_cap: zone.len(),
+            samples_post_cap: capped.len(),
+            epoch,
+            ..TrainStats::default()
+        },
     }
 }
 
@@ -660,6 +891,132 @@ mod tests {
         m.train_in_background_with(values.clone(), None);
         m.train_in_background_with(values, None); // ignored
         m.wait_for_background();
+        assert_eq!(m.retrains(), 1);
+    }
+
+    /// A zone source over fixed values that records which thread sampled
+    /// it, and panics on demand.
+    struct Probe {
+        values: Vec<Vec<u8>>,
+        sampled_on: Mutex<Vec<(std::thread::ThreadId, Option<String>)>>,
+        panic: bool,
+    }
+
+    /// The handle a run takes; the test keeps its own to look inside.
+    struct Shared(Arc<Probe>);
+
+    impl Probe {
+        fn over(values: Vec<Vec<u8>>, panic: bool) -> Arc<Self> {
+            Arc::new(Probe {
+                values,
+                sampled_on: Mutex::new(Vec::new()),
+                panic,
+            })
+        }
+    }
+
+    impl ZoneSource for Shared {
+        fn sample_positions(&self, cap: usize) -> Vec<(u32, u32)> {
+            assert!(!self.0.panic, "the probe was told to fail");
+            let t = std::thread::current();
+            let seen = (t.id(), t.name().map(String::from));
+            self.0.sampled_on.lock().unwrap().push(seen);
+            self.0.values.sample_positions(cap)
+        }
+
+        fn read_value(&self, at: (u32, u32), out: &mut [u8]) {
+            self.0.values.read_value(at, out)
+        }
+
+        fn label_zone(&self, model: &ModelSnapshot) -> Vec<Vec<u16>> {
+            let labels = self.0.values.iter().map(|v| model.predict(v) as u16);
+            vec![labels.collect()]
+        }
+    }
+
+    #[test]
+    fn a_background_result_older_than_the_installed_model_is_dropped() {
+        let mut m = ModelManager::new(&small_cfg());
+        let old: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i, 0, 0, 0]).collect();
+        let new: Vec<Vec<u8>> = (0..40u8).map(|i| vec![0xFF, 0xFF, i, 0xFF]).collect();
+        m.train_in_background_with(old, None);
+        // A synchronous train lands while the run is in flight (or queued,
+        // or done — its result is taken only below).
+        m.train(&new);
+        let installed = m.snapshot();
+        assert!(
+            !m.wait_for_background(),
+            "the older-data model must not install"
+        );
+        assert!(!m.training_in_progress());
+        assert!(Arc::ptr_eq(&installed, &m.snapshot()));
+        assert_eq!((m.retrains(), m.snapshot().epoch()), (1, 1));
+        assert!(m.take_zone_labels().is_none());
+        // The next run is unaffected.
+        m.train_in_background_with(new, None);
+        assert!(m.wait_for_background());
+        assert_eq!((m.retrains(), m.snapshot().epoch()), (2, 2));
+    }
+
+    #[test]
+    fn background_runs_share_one_named_thread_and_refresh_the_basis_warm() {
+        let cfg = PnwConfig::new(32, 256).with_clusters(2);
+        let mut m = ModelManager::new(&cfg);
+        // Two macro-patterns under enough noise that the sample's rank
+        // covers every configured axis (a rank-poor basis restarts cold).
+        let mut noisy = two_macro_patterns();
+        let mut lcg = 7u32;
+        for (i, v) in noisy.iter_mut().enumerate() {
+            for b in &mut v[(i % 2) * 128 + 32..][..48] {
+                lcg = lcg.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                *b ^= (lcg >> 24) as u8;
+            }
+        }
+        let probe = Probe::over(noisy, false);
+        m.train(&probe.values);
+        assert_eq!(m.feature_dims(), cfg.pca.components);
+        assert_eq!(m.train_stats().basis, BasisFit::Cold);
+        for epoch in 2..=3 {
+            m.train_in_background_with(Shared(Arc::clone(&probe)), None);
+            assert!(m.wait_for_background());
+            let s = m.train_stats();
+            assert_eq!((s.epoch, s.basis), (epoch, BasisFit::Warm));
+            assert_eq!(s.labelled, probe.values.len());
+            let labels = m
+                .take_zone_labels()
+                .expect("a background install has labels");
+            assert_eq!(labels.len(), 1);
+            for (v, &l) in probe.values.iter().zip(&labels[0]) {
+                assert_eq!(m.predict(v), l as usize);
+            }
+            assert!(m.take_zone_labels().is_none(), "taken once");
+        }
+        // The warm model still separates the two patterns.
+        assert_ne!(m.predict(&probe.values[0]), m.predict(&probe.values[1]));
+        // A synchronous train is always cold, and hands back no labels.
+        m.train(&probe.values);
+        assert_eq!(m.train_stats().basis, BasisFit::Cold);
+        assert_eq!(m.train_stats().labelled, 0);
+
+        let seen = probe.sampled_on.lock().unwrap();
+        assert_eq!(seen.len(), 2);
+        assert_eq!(seen[0], seen[1], "one thread for the manager's lifetime");
+        assert_eq!(seen[0].1.as_deref(), Some("pnw-trainer"));
+        assert_ne!(seen[0].0, std::thread::current().id());
+    }
+
+    #[test]
+    fn a_panicking_run_is_reaped_and_the_next_one_starts_fresh() {
+        let mut m = ModelManager::new(&small_cfg());
+        let values: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i, 0, 0, 0]).collect();
+        let done = Arc::new(AtomicBool::new(false));
+        let bad = Shared(Probe::over(values.clone(), true));
+        m.train_in_background_with(bad, Some(Arc::clone(&done)));
+        assert!(!m.wait_for_background());
+        assert!(done.load(Ordering::Acquire), "the flag fires on unwind too");
+        assert!(!m.training_in_progress() && !m.is_trained());
+        m.train_in_background_with(Shared(Probe::over(values, false)), None);
+        assert!(m.wait_for_background());
         assert_eq!(m.retrains(), 1);
     }
 

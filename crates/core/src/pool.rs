@@ -212,6 +212,18 @@ impl DynamicAddressPool {
         self.free += 1;
     }
 
+    /// Every free bucket with the cluster whose list it sits in (either
+    /// tier) — for the label-consistency checker.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let tiers = self
+            .lists
+            .iter()
+            .enumerate()
+            .chain(self.worn.iter().enumerate());
+        tiers.flat_map(|(c, list)| list.iter().map(move |&b| (c, b)))
+    }
+
     /// Drains all free buckets from both tiers (used when retraining
     /// relabels them).
     pub fn drain_all(&mut self) -> Vec<u32> {

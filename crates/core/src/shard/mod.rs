@@ -5,15 +5,21 @@
 //! address pool — plus an `Arc` of the current immutable
 //! [`ModelSnapshot`]: predictions read the shard's own snapshot clone, so
 //! the op path takes **zero model locks**. When a (re)train completes, the
-//! store publishes the new snapshot to every engine via
-//! [`ShardEngine::install_model`], which swaps the `Arc` and relabels the
-//! pool together under the shard's existing lock — the pool's labels and
-//! the model that produced them can never be observed out of sync.
+//! store publishes the new snapshot to every engine, which swaps the `Arc`
+//! and rebuilds the pool under it together, under the shard's existing
+//! lock — the pool's labels and the model that produced them can never be
+//! observed out of sync. A synchronous retrain
+//! ([`ShardEngine::install_model`]) predicts every free bucket there; a
+//! background retrain brings the labels with it — the trainer thread
+//! predicted them lock-free beforehand — and the install predicts only the
+//! buckets written since.
 //!
 //! One file per concern:
 //!
-//! * this file — the engine's state, construction, GET/scan, and the model
-//!   and pool bookkeeping every other concern shares;
+//! * this file — the engine's state, construction, GET/scan, and the pool
+//!   bookkeeping every other concern shares;
+//! * `labels` — the model snapshot, the cached content labels, the label
+//!   pass's rewritten-since record, and both installs;
 //! * `bucket` — the single definition of the data-zone bucket format
 //!   (`[ flags: u8 | pad ×3 | crc32c: u32 LE | key: u64 LE | value ]`,
 //!   rounded to whole words) and of the bucket ↔ address ↔ expiry-slot
@@ -34,6 +40,7 @@
 
 mod bucket;
 mod integrity;
+mod labels;
 mod placement;
 mod recovery;
 mod seqlock;
@@ -53,7 +60,7 @@ use crate::config::{IndexPlacement, PnwConfig};
 use crate::durable::DurableShard;
 use crate::error::PnwError;
 use crate::metrics::{ScrubStats, StoreSnapshot, TrainStats};
-use crate::model::{stride_sample, ModelSnapshot, PredictScratch};
+use crate::model::{ModelSnapshot, PredictScratch};
 use crate::pool::DynamicAddressPool;
 
 pub(crate) use bucket::{
@@ -76,7 +83,7 @@ pub fn now_unix_ms() -> u64 {
 const LABEL_STALE: u16 = u16::MAX;
 
 #[inline]
-fn label_u16(cluster: usize) -> u16 {
+pub(crate) fn label_u16(cluster: usize) -> u16 {
     cluster.min(LABEL_STALE as usize) as u16
 }
 
@@ -138,6 +145,9 @@ pub struct ShardEngine {
     /// the DeletePut update skip Algorithm 3's peek + predict when the
     /// bucket was written under the model that is still installed.
     labels: Vec<u16>,
+    /// The rewritten-since record of the label pass in flight, one bit per
+    /// provisioned bucket (`None` between passes): see `labels`.
+    rewritten: Option<Vec<u64>>,
     /// Per-shard prediction scratch (scores, ranking) —
     /// the model is shared and read-only, the mutable buffers live here so
     /// steady-state PUT/DELETE allocates nothing.
@@ -234,6 +244,8 @@ impl ShardEngine {
             vec![0u8; cfg.value_size],
         );
         let model = Arc::new(ModelSnapshot::untrained(&cfg));
+        let sync = Arc::<ShardSync>::default();
+        sync.set_active(active_buckets);
         Ok(ShardEngine {
             cfg,
             dev,
@@ -248,8 +260,9 @@ impl ShardEngine {
             predict_total: Duration::ZERO,
             puts: 0,
             deletes: 0,
-            sync: Arc::default(),
+            sync,
             labels: vec![LABEL_STALE; total_buckets],
+            rewritten: None,
             scratch: PredictScratch::new(),
             bucket_img,
             value_buf,
@@ -372,6 +385,7 @@ impl ShardEngine {
             self.pool.push(label, b);
         }
         self.active_buckets += add;
+        self.sync.set_active(self.active_buckets);
         self.pool.set_capacity(self.effective_capacity());
         if add > 0 {
             if let Some(d) = &mut self.durable {
@@ -556,11 +570,12 @@ impl ShardEngine {
             let v = gen();
             self.check_value(&v)?;
             let addr = value_addr(self.layout.addr(bucket));
+            self.mark_rewritten(bucket);
             self.dev.write(addr, &v, WriteMode::Raw)?;
             n += 1;
         }
         // Back into the pool under the (still current) model's labels.
-        let relabeled = self.labels_of(free);
+        let (relabeled, _) = self.labels_of(free);
         let k = self.model.k();
         self.rebuild_pool_tiered(k, relabeled);
         Ok(n)
@@ -575,59 +590,6 @@ impl ShardEngine {
             .map(|(b, l)| (b, l, self.bucket_worn(b)))
             .collect();
         self.pool.rebuild_tiered(clusters, tiered);
-    }
-
-    /// Labels `bucket`'s stored content under the current snapshot
-    /// (Algorithm 3 lines 3–4), predicting straight from the device cells —
-    /// no copy, no allocation, no device statistics.
-    #[inline]
-    fn label_stored(&mut self, bucket: u32) -> Result<usize, PnwError> {
-        let vaddr = value_addr(self.layout.addr(bucket));
-        let value = self.dev.peek(vaddr, self.cfg.value_size)?;
-        Ok(self.model.predict_into(value, &mut self.scratch))
-    }
-
-    /// [`ShardEngine::label_stored`] for each of `buckets`.
-    fn labels_of(&mut self, buckets: Vec<u32>) -> Vec<(u32, usize)> {
-        buckets
-            .into_iter()
-            .map(|b| (b, self.label_stored(b).expect("bucket in range")))
-            .collect()
-    }
-
-    /// Collects a training snapshot: the contents of all data-zone buckets
-    /// (Algorithm 1 trains on "all the available data in the NVM storage"),
-    /// subsampled to `cap` values.
-    pub fn training_values(&self, cap: usize) -> Vec<Vec<u8>> {
-        let idx = stride_sample(self.active_buckets, cap);
-        idx.iter()
-            .map(|&b| {
-                let vaddr = value_addr(self.layout.addr(b as u32));
-                let value = self.dev.peek(vaddr, self.cfg.value_size);
-                value.expect("bucket in range").to_vec()
-            })
-            .collect()
-    }
-
-    /// Publishes a freshly-trained model snapshot to this shard: swaps the
-    /// `Arc` and relabels all free buckets under the new centroids, both
-    /// under the shard lock the caller already holds — readers of this
-    /// shard can never see the pool and the model out of sync.
-    pub fn install_model(&mut self, snapshot: Arc<ModelSnapshot>) {
-        self.model = snapshot;
-        let free = self.pool.drain_all();
-        let relabeled = self.labels_of(free);
-        let k = self.model.k();
-        self.rebuild_pool_tiered(k, relabeled);
-        // Cached content labels were computed under the previous model;
-        // Algorithm 3 labels under the *current* one, so they all go
-        // stale and refresh lazily on the next delete/overwrite.
-        self.labels.fill(LABEL_STALE);
-    }
-
-    /// The shard's current model snapshot.
-    pub fn model(&self) -> &Arc<ModelSnapshot> {
-        &self.model
     }
 
     /// Point-in-time metrics snapshot; the trainer-owned fields come from

@@ -7,9 +7,7 @@ use std::time::{Duration, Instant};
 use pnw_nvm_sim::{DeviceStats, NvmError, WriteMode, WriteStats};
 
 use super::seqlock::WriteBracket;
-use super::{
-    label_u16, now_unix_ms, value_addr, Header, PutPath, ShardEngine, HDR_BYTES, LABEL_STALE,
-};
+use super::{label_u16, now_unix_ms, value_addr, Header, PutPath, ShardEngine, HDR_BYTES};
 use crate::api::{BatchReport, Op};
 use crate::config::UpdatePolicy;
 use crate::error::PnwError;
@@ -204,6 +202,7 @@ impl ShardEngine {
         let before = report.then(|| self.dev.stats().clone());
         let b = self.bucket_of_addr(addr)?;
         let addr = self.layout.addr(b);
+        self.mark_rewritten(b);
         let vstats = if self.cfg.integrity {
             // The write covers the header too, to refresh the seal; the
             // value's share of it comes back from the same pass.
@@ -234,7 +233,6 @@ impl ShardEngine {
             vstats
         };
         self.stamp_expiry(b, expires_at_ms)?;
-        self.labels[b as usize] = LABEL_STALE;
         self.puts += 1;
         let out = self.op_report(before, 0, false, Duration::ZERO, vstats);
         Ok(Some((out, PutPath::InPlace)))
@@ -313,6 +311,7 @@ impl ShardEngine {
             // would double-count dirty lines). The same pass returns the
             // value's share of the charge, the Figure 6 metric.
             self.seal_bucket_img(key, value);
+            self.mark_rewritten(bucket);
             let (_, value_write) =
                 self.dev
                     .write_split(addr, &self.bucket_img, WriteMode::Diff, HDR_BYTES)?;
@@ -481,16 +480,7 @@ impl ShardEngine {
     fn clear_bucket(&mut self, addr: u64) -> Result<(usize, u32), PnwError> {
         let bucket = self.bucket_of_addr(addr)?;
         self.clear_flag(addr as usize)?;
-        // Fast path: the label cached when this content was written is
-        // still valid (same model epoch, content untouched since), and
-        // prediction is deterministic — the cached label *is* what lines
-        // 3–4 would compute, without the value peek or the distance scan.
-        let cached = self.labels[bucket as usize];
-        let label = if cached != LABEL_STALE && (cached as usize) < self.model.k() {
-            cached as usize
-        } else {
-            self.label_stored(bucket)?
-        };
+        let (label, _) = self.content_label(bucket)?;
         self.live -= 1;
         Ok((label, bucket))
     }

@@ -70,6 +70,7 @@ impl ShardEngine {
         // and installs (the pool above is single-cluster to match).
         self.model = Arc::new(ModelSnapshot::untrained(&self.cfg));
         self.labels.fill(LABEL_STALE);
+        self.abandon_label_pass();
         Ok(())
     }
 
@@ -77,6 +78,7 @@ impl ShardEngine {
     /// extension state), clamped to the provisioned bucket range.
     pub(crate) fn set_active_buckets(&mut self, n: usize) {
         self.active_buckets = n.min(self.layout.buckets());
+        self.sync.set_active(self.active_buckets);
         self.pool.set_capacity(self.effective_capacity());
     }
 
@@ -139,6 +141,7 @@ impl ShardEngine {
     ) -> Result<(), PnwError> {
         let _w = WriteBracket::enter(&self.sync);
         self.labels.fill(LABEL_STALE);
+        self.abandon_label_pass();
         for b in 0..self.active_buckets as u32 {
             if self.retired.contains(&b) {
                 // Retired media is left exactly as found: repairing it

@@ -1,7 +1,7 @@
 //! The per-shard seqlock every engine mutation brackets, shared with the
 //! store's lock-free read path.
 
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The shard state the lock-free read path shares with its engine: the
@@ -23,6 +23,10 @@ pub(crate) struct ShardSync {
     /// CRC verification failures seen by GETs (readers hold no lock, so
     /// the counter lives with the GET counter).
     crc_failures: AtomicU64,
+    /// The engine's active-zone size in buckets, mirrored here whenever it
+    /// changes, so the trainer thread can plan a training sample without
+    /// the engine lock.
+    active: AtomicUsize,
 }
 
 impl ShardSync {
@@ -68,6 +72,17 @@ impl ShardSync {
     /// Read-path CRC verification failures so far.
     pub fn crc_failures(&self) -> u64 {
         self.crc_failures.load(Ordering::Relaxed)
+    }
+
+    /// Publishes the engine's active-zone size (engine owner only).
+    pub fn set_active(&self, buckets: usize) {
+        self.active.store(buckets, Ordering::Release);
+    }
+
+    /// Buckets in the active zone as last published — never more than are
+    /// provisioned, and the zone only grows while a store is open.
+    pub fn active(&self) -> usize {
+        self.active.load(Ordering::Acquire)
     }
 
     fn write_begin(&self) {

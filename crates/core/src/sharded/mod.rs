@@ -43,12 +43,21 @@
 //! immutable [`ModelSnapshot`](crate::ModelSnapshot); the trainer
 //! ([`ModelManager`]) lives behind a `Mutex` taken only at train/install
 //! boundaries, with completion signalled through one `AtomicBool` the op
-//! path polls (a single acquire load — false in steady state).
+//! path polls (a single acquire load — false in steady state). A
+//! background retrain costs the writers next to nothing: starting one is a
+//! channel send to the manager's `pnw-trainer` thread, which samples the
+//! zone through the shards' read views, fits, and labels every bucket
+//! under the new model; installing it is, per shard, an `Arc` swap and a
+//! pool rebuild from those labels. Status reads (`retrains`, `model_k`, …)
+//! go to an atomic epoch and shard 0's snapshot, never to the trainer lock.
 //!
 //! Lock order is always **trainer → shard engine → shard queue**; nothing
 //! acquires a lock to the left while holding one to the right, which
 //! makes the set deadlock-free. Combiners run retrain maintenance only
-//! *after* releasing the engine lock.
+//! *after* releasing the engine lock. The trainer thread is outside the
+//! order altogether: it takes one shard's engine lock at a time — O(1)
+//! under it, to open that shard's label pass — holding nothing else, and
+//! never the trainer lock.
 //!
 //! One file per concern: this file routes keys to shards and implements
 //! [`Store`]; `combine` is the write frontend (the combining queue and the
@@ -61,7 +70,7 @@ mod model;
 mod read;
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -116,8 +125,12 @@ pub struct ShardedPnwStore {
     /// The trainer: touched only at train/install boundaries, never by the
     /// op hot path (which predicts from per-shard snapshot `Arc`s).
     trainer: Mutex<ModelManager>,
-    /// Set (release-ordered) by the background training thread once its
-    /// model is queued; the op path polls this single atomic instead of
+    /// Epoch of the published model, stored after every shard has it:
+    /// what status reads load instead of taking the trainer lock, which
+    /// `wait_for_retrain` can hold for a whole training run.
+    epoch: AtomicU64,
+    /// Set (release-ordered) by the trainer thread once a background run's
+    /// result is queued; the op path polls this single atomic instead of
     /// taking any model lock.
     model_ready: Arc<AtomicBool>,
     /// Serializes zone-extension/retrain maintenance so a burst of
@@ -204,6 +217,7 @@ impl ShardedPnwStore {
             cfg,
             shards,
             trainer,
+            epoch: AtomicU64::new(0),
             model_ready: Arc::new(AtomicBool::new(false)),
             maintenance: AtomicBool::new(false),
             durable,
@@ -636,5 +650,7 @@ fn shard_config(cfg: &PnwConfig, n: usize, i: usize) -> PnwConfig {
     shard_cfg
 }
 
+#[cfg(test)]
+mod label_tests;
 #[cfg(test)]
 mod tests;

@@ -40,6 +40,32 @@ impl ReadView {
         }
     }
 
+    /// Buckets in the shard's active zone, as the engine last published it.
+    pub(super) fn active(&self) -> usize {
+        self.sync.active()
+    }
+
+    /// Copies bucket `b`'s value bytes out of the cells as they are right
+    /// now — possibly torn by a racing writer. For the label pass, which
+    /// discards what it made of a bucket written behind its back.
+    #[inline]
+    pub(super) fn value_racy(&self, b: u32, out: &mut [u8]) {
+        let read = self.view.read_into(value_addr(self.layout.addr(b)), out);
+        debug_assert!(read, "a provisioned bucket is inside the device");
+    }
+
+    /// Copies bucket `b`'s value bytes under seqlock validation: what comes
+    /// back was stored, whole, at some instant. For training samples.
+    pub(super) fn value_snapshot(&self, b: u32, out: &mut [u8]) {
+        loop {
+            let s1 = self.sync.read_begin();
+            self.value_racy(b, out);
+            if self.sync.read_validate(s1) {
+                return;
+            }
+        }
+    }
+
     /// Bucket `b`'s deadline (0 = none, or TTL off); `None` when the cell
     /// view refused the read.
     fn deadline(&self, b: u32) -> Option<u64> {

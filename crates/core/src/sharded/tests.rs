@@ -326,6 +326,36 @@ fn background_retrain_swaps_on_finish() {
 }
 
 #[test]
+fn a_background_result_older_than_a_synchronous_retrain_is_discarded() {
+    let s = ShardedPnwStore::new(PnwConfig::new(256, 8).with_clusters(2).with_shards(2));
+    for k in 0..128u64 {
+        s.put(k, &(k * 7).to_le_bytes()).unwrap();
+    }
+    s.retrain_in_background();
+    // Queued, in flight or finished — the run's result is only taken by
+    // `wait_for_retrain` below, after the synchronous model is in.
+    s.retrain_now().unwrap();
+    let sync = s.model_snapshot();
+    s.wait_for_retrain();
+    assert_eq!((s.retrains(), s.model_epoch()), (1, 1));
+    for e in s.engines() {
+        assert!(
+            Arc::ptr_eq(e.model(), &sync),
+            "the older-data model installed"
+        );
+        assert!(
+            !e.label_pass_running(),
+            "its label-pass record was left open"
+        );
+    }
+    assert!(!s.maintenance.load(Ordering::Acquire));
+    // The policy is armed again: the next run installs normally.
+    s.retrain_in_background();
+    s.wait_for_retrain();
+    assert_eq!((s.retrains(), s.model_epoch()), (2, 2));
+}
+
+#[test]
 fn background_retrain_does_not_block_zone_extension() {
     // Regression: extension must run on every due PUT even while a
     // background training run is pending — a shard with reserve left

@@ -76,4 +76,4 @@ pub use matrix::Matrix;
 pub use minibatch::MiniBatchKMeans;
 pub use packed::PackedPredictor;
 pub use packedmatrix::PackedMatrix;
-pub use pca::{BitProjector, FoldedPredictor, Pca};
+pub use pca::{BitProjector, FoldedPredictor, Pca, RefreshScratch};

@@ -179,6 +179,76 @@ impl Pca {
         Pca::from_parts(mean, components, spectrum)
     }
 
+    /// Re-fits this basis to `data` **warm**: two steps (`REFRESH_ITERS`) of
+    /// orthogonal (subspace) iteration on the sample covariance, started
+    /// from the axes already held, in place of [`Pca::fit_packed`]'s n×n
+    /// eigensolve. Each step is `Y = Xc·Wᵀ` (one per-set-bit projection per
+    /// sample row), `Z = Xcᵀ·Y` (the same per-set-bit stripe accumulation
+    /// the cold fit's back-projection does, then `− μ·Σy`), and modified
+    /// Gram–Schmidt over the rows of `Zᵀ`. The iteration tracks the
+    /// leading *subspace*, not the individual eigenpairs — there is no
+    /// Rayleigh–Ritz step, because K-means distances in the projected
+    /// space depend only on the subspace — so a refreshed basis carries no
+    /// spectrum ([`Pca::explained_variance_ratio`] is empty).
+    ///
+    /// Returns `false`, leaving the basis unspecified, when it cannot be
+    /// refreshed and the caller must fit cold: no axes to start from, a
+    /// dimension mismatch, fewer than two rows, or a Gram–Schmidt norm that
+    /// vanishes (the sample's rank fell below the axis count).
+    pub fn refresh_packed(&mut self, data: &PackedMatrix, scratch: &mut RefreshScratch) -> bool {
+        let (n, d, nc) = (data.rows(), data.dims(), self.n_components());
+        if n < 2 || nc == 0 || d != self.input_dims() {
+            return false;
+        }
+        self.mean = data.col_mean();
+        self.spectrum.clear();
+        self.total_variance = 0.0;
+        let lanes = padded_lanes(nc);
+        let RefreshScratch { table, by_bit, row } = scratch;
+        table.resize(d * lanes, 0.0);
+        by_bit.resize(d * lanes, 0.0);
+        row.resize(data.bytes_per_row(), 0);
+        let mut y = vec![0.0f32; nc];
+        for _ in 0..REFRESH_ITERS {
+            // The projector of the current axes, in the per-bit layout.
+            for (j, stripe) in table.chunks_exact_mut(lanes).enumerate() {
+                for (c, slot) in stripe[..nc].iter_mut().enumerate() {
+                    *slot = self.components.get(c, j);
+                }
+            }
+            let offset: Vec<f32> = (0..nc)
+                .map(|c| -crate::matrix::dot(self.components.row(c), &self.mean))
+                .collect();
+            by_bit.fill(0.0);
+            let mut y_sum = vec![0.0f64; nc];
+            for i in 0..n {
+                for (bytes, w) in row.chunks_mut(8).zip(data.row_words(i)) {
+                    bytes.copy_from_slice(&w.to_le_bytes()[..bytes.len()]);
+                }
+                y.copy_from_slice(&offset);
+                crate::simd::bit_accumulate(table, lanes, row, &mut y);
+                data.for_each_set_bit(i, |j| {
+                    for (acc, &v) in by_bit[j * lanes..][..nc].iter_mut().zip(&y) {
+                        *acc += v;
+                    }
+                });
+                for (s, &v) in y_sum.iter_mut().zip(&y) {
+                    *s += f64::from(v);
+                }
+            }
+            for (j, stripe) in by_bit.chunks_exact(lanes).enumerate() {
+                for (c, &acc) in stripe[..nc].iter().enumerate() {
+                    let z = f64::from(acc) - f64::from(self.mean[j]) * y_sum[c];
+                    self.components.set(c, j, z as f32);
+                }
+            }
+            if !orthonormalize_rows(&mut self.components) {
+                return false;
+            }
+        }
+        true
+    }
+
     /// The fit of no data: no components, zero mean.
     fn empty(d: usize) -> Pca {
         Pca::from_parts(vec![0.0; d], Matrix::zeros(0, d), Vec::new())
@@ -265,6 +335,48 @@ impl Pca {
             .collect();
         BitProjector::new(self.input_dims(), offset, |j, c| self.components.get(c, j))
     }
+}
+
+/// Orthogonal-iteration steps per [`Pca::refresh_packed`]. A constant, not
+/// a knob: on the drift workload 1, 2 and 4 steps placed equally well and
+/// cost 12 / 18 / 31 ms, and two is the fewest that re-converges inside
+/// three refreshes after a wholesale distribution shift.
+const REFRESH_ITERS: usize = 2;
+
+/// Buffers [`Pca::refresh_packed`] reuses from call to call (the thread
+/// that retrains keeps one): two `dims × n_components` per-bit tables and
+/// one unpacked sample row.
+#[derive(Debug, Default)]
+pub struct RefreshScratch {
+    table: Vec<f32>,
+    by_bit: Vec<f32>,
+    row: Vec<u8>,
+}
+
+/// Modified Gram–Schmidt over the rows of `m`, in place. `false` when a
+/// row has (numerically) nothing left after the earlier rows are taken out
+/// of it — the rows do not span `m.rows()` dimensions.
+fn orthonormalize_rows(m: &mut Matrix) -> bool {
+    let d = m.cols();
+    for c in 0..m.rows() {
+        let (done, rest) = m.as_mut_slice().split_at_mut(c * d);
+        let row = &mut rest[..d];
+        let before = crate::matrix::dot(row, row).sqrt();
+        for prev in done.chunks_exact(d) {
+            let r = crate::matrix::dot(prev, row);
+            for (x, &p) in row.iter_mut().zip(prev) {
+                *x -= r * p;
+            }
+        }
+        let norm = crate::matrix::dot(row, row).sqrt();
+        if norm <= 1e-5 * before || !norm.is_finite() {
+            return false;
+        }
+        for x in row {
+            *x /= norm;
+        }
+    }
+    true
 }
 
 /// Eigendecomposes a centered, `1/(n−1)`-scaled n×n Gram matrix and
@@ -503,6 +615,29 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Random byte values around a few random family prototypes (each byte
+    /// of a sample is its family's with probability ¾, uniform otherwise):
+    /// a handful of dominant principal axes over a noisy tail.
+    pub(super) fn family_values(rng: &mut StdRng, n: usize, bytes: usize) -> Vec<Vec<u8>> {
+        let protos: Vec<Vec<u8>> = (0..3)
+            .map(|_| (0..bytes).map(|_| rng.gen()).collect())
+            .collect();
+        (0..n)
+            .map(|i| {
+                protos[i % 3]
+                    .iter()
+                    .map(|&b| {
+                        if rng.gen::<f32>() < 0.75 {
+                            b
+                        } else {
+                            rng.gen()
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Data stretched along a known axis: y = 3x + noise.
     fn line_data(n: usize) -> Matrix {
         let mut rng = StdRng::seed_from_u64(17);
@@ -693,39 +828,121 @@ mod tests {
         assert_eq!(constant.n_components(), 0);
         assert!(constant.total_variance.abs() < 1e-9);
         assert!(constant.bit_projector().project(&[0u8; 16]).is_empty());
+
+        // The warm refresh declines all of these and leaves the fit to the
+        // caller: nothing to start from, the wrong width, too few rows, and
+        // a sample whose rank has fallen below the axis count.
+        let mut scratch = RefreshScratch::default();
+        let mut rng = StdRng::seed_from_u64(5);
+        let varied = PackedMatrix::from_values(&family_values(&mut rng, 24, 16));
+        assert!(!constant.clone().refresh_packed(&varied, &mut scratch));
+        let basis = Pca::fit_packed(&varied, 4);
+        assert_eq!(basis.n_components(), 4);
+        let wider = PackedMatrix::from_values(&family_values(&mut rng, 24, 24));
+        assert!(!basis.clone().refresh_packed(&wider, &mut scratch));
+        let one_row = PackedMatrix::from_values(&[[0x5Au8; 16]]);
+        assert!(!basis.clone().refresh_packed(&one_row, &mut scratch));
+        let flat = PackedMatrix::from_values(&[[0x5Au8; 16]; 6]);
+        assert!(!basis.clone().refresh_packed(&flat, &mut scratch));
+        let two_kinds = PackedMatrix::from_values(&[[0x5Au8; 16], [0xA5; 16], [0x5A; 16]]);
+        assert!(!basis.clone().refresh_packed(&two_kinds, &mut scratch));
+    }
+
+    /// Norm of unit `axis` after projection onto the span of `basis`' axes.
+    fn norm_inside(axis: &[f32], basis: &Pca) -> f64 {
+        let inside: f64 = (0..basis.n_components())
+            .map(|c| f64::from(crate::matrix::dot(axis, basis.components.row(c))).powi(2))
+            .sum();
+        inside.sqrt()
+    }
+
+    /// Variance of `values` along the basis' axes, summed over the axes.
+    fn captured_variance(basis: &Pca, values: &[Vec<u8>]) -> f64 {
+        let y = basis.bit_projector().project_values(values);
+        let mean = y.col_mean();
+        let sq: f64 = y
+            .iter_rows()
+            .flat_map(|r| r.iter().zip(&mean).map(|(&v, &m)| f64::from(v - m).powi(2)))
+            .sum();
+        sq / (values.len() - 1) as f64
+    }
+
+    #[test]
+    fn warm_refresh_keeps_the_cold_subspace_on_stationary_data() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut scratch = RefreshScratch::default();
+        for bytes in [16usize, 61, 160] {
+            let values = family_values(&mut rng, 96, bytes);
+            let data = PackedMatrix::from_values(&values);
+            // On the data it was fit on, the top-6 subspace is a fixed
+            // point of the iteration.
+            let cold = Pca::fit_packed(&data, 6);
+            let mut warm = cold.clone();
+            assert!(warm.refresh_packed(&data, &mut scratch));
+            assert_eq!(warm.n_components(), 6);
+            assert!(warm.explained_variance_ratio().is_empty());
+            for c in 0..6 {
+                let inside = norm_inside(warm.components.row(c), &cold);
+                assert!(inside >= 0.99, "{bytes} B, axis {c}: {inside}");
+            }
+            for (a, b) in [(0, 0), (0, 1), (2, 5), (5, 5)] {
+                let dot = crate::matrix::dot(warm.components.row(a), warm.components.row(b));
+                let want = if a == b { 1.0 } else { 0.0 };
+                assert!((dot - want).abs() < 1e-3, "({a},{b}) dot={dot}");
+            }
+            // A fresh draw from the same families: the two family axes are
+            // the same subspace again (the noise tail is nobody's).
+            let redraw: Vec<Vec<u8>> = values
+                .iter()
+                .map(|v| {
+                    v.iter()
+                        .map(|&b| if rng.gen::<f32>() < 0.1 { rng.gen() } else { b })
+                        .collect()
+                })
+                .collect();
+            let redraw = PackedMatrix::from_values(&redraw);
+            let mut warm = Pca::fit_packed(&data, 2);
+            assert!(warm.refresh_packed(&redraw, &mut scratch));
+            let cold = Pca::fit_packed(&redraw, 2);
+            for c in 0..2 {
+                let inside = norm_inside(warm.components.row(c), &cold);
+                assert!(inside >= 0.99, "{bytes} B redraw, axis {c}: {inside}");
+            }
+        }
+    }
+
+    #[test]
+    fn warm_refresh_follows_a_family_shift_within_three_refreshes() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut scratch = RefreshScratch::default();
+        for bytes in [32usize, 160] {
+            let old = family_values(&mut rng, 128, bytes);
+            let new = family_values(&mut rng, 128, bytes);
+            let mut basis = Pca::fit_packed(&PackedMatrix::from_values(&old), 6);
+            let new_data = PackedMatrix::from_values(&new);
+            let cold = captured_variance(&Pca::fit_packed(&new_data, 6), &new);
+            let before = captured_variance(&basis, &new);
+            assert!(
+                before < 0.8 * cold,
+                "the shift must matter: {before} vs {cold}"
+            );
+            for _ in 0..3 {
+                assert!(basis.refresh_packed(&new_data, &mut scratch));
+            }
+            let after = captured_variance(&basis, &new);
+            assert!(after >= 0.95 * cold, "{bytes} B: {after} vs cold {cold}");
+        }
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::family_values;
     use super::*;
     use crate::featurize::featurize_values;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// Random byte values around a few random family prototypes (each byte
-    /// of a sample is its family's with probability ¾, uniform otherwise):
-    /// a handful of dominant principal axes over a noisy tail.
-    fn family_values(rng: &mut StdRng, n: usize, bytes: usize) -> Vec<Vec<u8>> {
-        let protos: Vec<Vec<u8>> = (0..3)
-            .map(|_| (0..bytes).map(|_| rng.gen()).collect())
-            .collect();
-        (0..n)
-            .map(|i| {
-                protos[i % 3]
-                    .iter()
-                    .map(|&b| {
-                        if rng.gen::<f32>() < 0.75 {
-                            b
-                        } else {
-                            rng.gen()
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
+    use rand::SeedableRng;
 
     fn cosine(a: &[f32], b: &[f32]) -> f64 {
         let dot = |x: &[f32], y: &[f32]| -> f64 {

@@ -133,7 +133,8 @@ fn run_command(store: &PnwStore, line: &str) -> Result<String, String> {
                 "live {} / {} buckets ({} free), K={}, retrains {}\n\
                  puts {} gets {} deletes {}, fallbacks {}\n\
                  bit flips/512b: {:.2}, lines/write: {:.2}, mean predict {:?}\n\
-                 last train {:?} (pca fit {:?}, project {:?}, kmeans {:?}, tables {:?})",
+                 last train {:?} (sample {:?}, pca fit {:?} {:?}, project {:?}, kmeans {:?}, tables {:?})\n\
+                 label pass {:?}: {} labelled, {} stale at install, {} predicted at install",
                 s.live,
                 s.capacity,
                 s.free,
@@ -147,10 +148,16 @@ fn run_command(store: &PnwStore, line: &str) -> Result<String, String> {
                 s.device.mean_lines_per_write(),
                 s.mean_predict_latency(),
                 s.train.last_train_wall,
+                s.train.phases.sample,
                 s.train.phases.pca_fit,
+                s.train.basis,
                 s.train.phases.project,
                 s.train.phases.kmeans,
                 s.train.phases.table_build,
+                s.train.phases.label,
+                s.train.labelled,
+                s.train.stale_at_install,
+                s.train.predicted_at_install,
             ))
         }
         "checkpoint" => {

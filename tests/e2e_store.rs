@@ -231,6 +231,93 @@ fn pca_store_recovers_from_a_family_shift_in_the_background() {
     }
 }
 
+/// The paper's §VI-F shift, warm route against cold: two PCA-configured
+/// stores (784 B images) take the same replacement stream from Digits to
+/// Fashion and retrain after every window — one in the background (warm
+/// basis refresh, label pass, labelled install), one synchronously (cold
+/// Gram eigensolve, labels under the lock: what every retrain was before
+/// the refresh existed). The schedule is explicit (window, retrain, wait),
+/// so both series are the same on every host. The warm store's windowed
+/// flips/PUT must be back within 1.25× of the level Fashion settles at in
+/// no more PUTs than the cold store needs, and it must not pay more flips
+/// on the way.
+#[test]
+fn pca_store_reconverges_after_a_shift_as_fast_as_the_cold_fit_does() {
+    use pnw_workloads::{ImageStyle, TemplateImages};
+    const BUCKETS: usize = 512;
+    const WORKING_SET: u64 = 360;
+    const WINDOW: u64 = 120;
+
+    let run = |background: bool| -> (Vec<f64>, pnw_core::TrainStats) {
+        // A small basis keeps the unoptimised build quick.
+        let pca = pnw_core::PcaPolicy {
+            components: 8,
+            sample: 96,
+            ..Default::default()
+        };
+        let cfg = PnwConfig::new(BUCKETS, 784)
+            .with_clusters(10)
+            .with_shards(2)
+            .with_pca(pca);
+        assert!(cfg.uses_pca());
+        let store = ShardedPnwStore::new(cfg);
+        let mut digits = TemplateImages::new(ImageStyle::Digits, 5).with_stream_seed(29);
+        let mut fashion = TemplateImages::new(ImageStyle::Fashion, 5).with_stream_seed(29);
+        for key in 0..WORKING_SET {
+            store.put(key, &digits.next_value()).expect("preload fits");
+        }
+        store.retrain_now().expect("first training");
+        let mut next_key = WORKING_SET;
+        // One window of replacement PUTs, then one retrain on the zone as
+        // it stands; returns the window's bit flips per PUT.
+        let mut window = |images: &mut TemplateImages| -> f64 {
+            let mut flips = 0u64;
+            for _ in 0..WINDOW {
+                assert!(store.delete(next_key - WORKING_SET).expect("delete"));
+                let r = store.put(next_key, &images.next_value()).expect("room");
+                flips += r.total_write.total_bit_flips();
+                next_key += 1;
+            }
+            if background {
+                store.retrain_in_background();
+                store.wait_for_retrain();
+            } else {
+                store.retrain_now().expect("retrain");
+            }
+            flips as f64 / WINDOW as f64
+        };
+        for _ in 0..2 {
+            window(&mut digits);
+        }
+        let series = (0..12).map(|_| window(&mut fashion)).collect();
+        (series, store.snapshot().train)
+    };
+    let adapt_puts = |series: &[f64]| -> u64 {
+        let tail = &series[series.len() - series.len() / 4..];
+        let settled = tail.iter().sum::<f64>() / tail.len() as f64;
+        let last_high = series.iter().rposition(|&f| f > 1.25 * settled);
+        last_high.map_or(0, |w| w as u64 + 1) * WINDOW
+    };
+
+    let (warm, train) = run(true);
+    assert_eq!(train.basis, pnw_core::BasisFit::Warm);
+    assert_eq!((train.labelled, train.predicted_at_install), (BUCKETS, 0));
+    let (cold, train) = run(false);
+    assert_eq!(train.basis, pnw_core::BasisFit::Cold);
+    assert_eq!(train.labelled, 0);
+
+    println!("warm {warm:.0?} cold {cold:.0?}");
+    assert!(
+        adapt_puts(&warm) <= adapt_puts(&cold),
+        "warm {warm:.0?} re-converged later than cold {cold:.0?}"
+    );
+    let (warm_sum, cold_sum): (f64, f64) = (warm.iter().sum(), cold.iter().sum());
+    assert!(
+        warm_sum <= 1.05 * cold_sum,
+        "warm {warm:.0?} paid more flips than cold {cold:.0?}"
+    );
+}
+
 /// GET-heavy workloads leave the data zone untouched. GETs go through the
 /// lock-free `NvmDevice::peek` path (so concurrent readers never serialize
 /// on the device) and therefore record no device read statistics either —
