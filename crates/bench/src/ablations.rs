@@ -1,6 +1,8 @@
-//! Quality-side ablations (`pnw-bench ablations`): how each design choice
-//! affects *bit flips* (Criterion's `ablations` bench covers the time
-//! side).
+//! Design-choice ablations (`pnw-bench ablations`): how each choice
+//! affects *bit flips*, and what it costs in time where the choice is a
+//! latency trade-off (update policy, PCA on/off).
+
+use std::time::Instant;
 
 use pnw_core::{PcaPolicy, PnwConfig, PnwStore, RetrainMode, UpdatePolicy};
 use pnw_workloads::{DatasetKind, Workload};
@@ -12,17 +14,22 @@ use crate::Scale;
 /// Prints the three ablation tables: update policy, PCA on/off, K
 /// sensitivity.
 pub fn run(scale: Scale) {
-    println!("== PNW design-choice ablations (bit-flip side) ==\n");
+    println!("== PNW design-choice ablations ==\n");
     update_policy(scale);
     pca_quality(scale);
     k_sensitivity(scale);
 }
 
 /// DELETE+PUT steering vs in-place updates: the §V-B.3 trade-off made
-/// concrete — in-place sacrifices bit flips for the shorter path.
+/// concrete — in-place sacrifices bit flips for the shorter path. Both
+/// policies replay the same value stream.
 fn update_policy(scale: Scale) {
     let n = scale.pick(256, 2048);
-    let mut t = Table::new(vec!["update policy", "bit updates / 512 bits"]);
+    let mut t = Table::new(vec![
+        "update policy",
+        "bit updates / 512 bits",
+        "ns / update",
+    ]);
     for (name, policy) in [
         ("delete+put (endurance-first)", UpdatePolicy::DeletePut),
         ("in-place (latency-first)", UpdatePolicy::InPlace),
@@ -36,24 +43,27 @@ fn update_policy(scale: Scale) {
         );
         store.prefill_free_buckets(|| w.next_value()).expect("prefill");
         store.retrain_now().expect("train");
-        // Build a live set, then update every key twice.
-        for key in 0..(n / 2) as u64 {
+        // Build a live set, then update every key twice (values drawn
+        // before the clock starts).
+        let live = (n / 2) as u64;
+        for key in 0..live {
             store.put(key, &w.next_value()).expect("room");
         }
         store.reset_device_stats();
+        let updates: Vec<_> = (0..2 * live).map(|i| (i % live, w.next_value())).collect();
         let mut flips = 0u64;
         let mut bits = 0u64;
-        for round in 0..2 {
-            for key in 0..(n / 2) as u64 {
-                let _ = round;
-                let r = store.put(key, &w.next_value()).expect("update");
-                flips += r.value_write.total_bit_flips();
-                bits += r.value_write.bits_addressed;
-            }
+        let t0 = Instant::now();
+        for (key, v) in &updates {
+            let r = store.put(*key, v).expect("update");
+            flips += r.value_write.total_bit_flips();
+            bits += r.value_write.bits_addressed;
         }
+        let ns = t0.elapsed().as_nanos() as f64 / updates.len() as f64;
         t.row(vec![
             name.to_string(),
             f2(flips as f64 * 512.0 / bits.max(1) as f64),
+            format!("{ns:.0}"),
         ]);
     }
     println!("ablation: update policy (normal u32 stream)\n{}", t.render());

@@ -16,8 +16,8 @@
 //!   full reproduction. Figure 9 drives all four backends (PNW, FPTree,
 //!   NoveLSM, Path hashing) through the one [`Store`](pnw_core::Store)
 //!   trait.
-//! * [`ablations`] — bit-flip-side design-choice ablations (`ablations`).
-//! * [`opcost`] — the per-layer PUT cost probe (`opcost`).
+//! * [`ablations`] — design-choice ablations (`ablations`): bit flips per
+//!   choice, plus the time side of PCA on/off and the update policy.
 //! * [`predictbench`] — the prediction-kernel microbenchmark: packed
 //!   bit-domain LUT path vs the reference float featurize-then-scan path,
 //!   across value sizes and cluster counts, and the folded per-bit kernel
@@ -48,7 +48,6 @@
 
 pub mod ablations;
 pub mod figures;
-pub mod opcost;
 pub mod predictbench;
 pub mod replace;
 pub mod report;

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use pnw_bench::{
-    ablations, figures, opcost, predictbench, scenario, scrub, serverbench, trainbench, Scale,
+    ablations, figures, predictbench, scenario, scrub, serverbench, trainbench, Scale,
 };
 use pnw_workloads::DatasetKind;
 
@@ -18,8 +18,7 @@ usage: pnw-bench <subcommand> [--quick] [flags]
                    panel: amazon road sherbrooke traffic normal uniform
   table N          paper table 1 or 2
   repro-all        every table and figure in sequence
-  ablations        bit-flip-side design-choice ablations
-  opcost           per-layer PUT cost probe
+  ablations        design-choice ablations
   predict          prediction-kernel microbench    [--iters N] [--out PATH]
   train            retraining benchmark            [--out PATH]
   scenario         phased-workload replay          [--scenario drift|cctv|all] [--out PATH]
@@ -46,7 +45,6 @@ enum Cmd {
     Table(u32),
     ReproAll,
     Ablations,
-    Opcost,
     Predict { iters: Option<u64> },
     Train,
     Scenario(Which),
@@ -91,7 +89,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         ["table", n] => return Err(format!("no table '{n}'")),
         ["repro-all"] => Cmd::ReproAll,
         ["ablations"] => Cmd::Ablations,
-        ["opcost"] => Cmd::Opcost,
         ["predict"] => Cmd::Predict { iters: None },
         ["train"] => Cmd::Train,
         ["scenario"] => Cmd::Scenario(Which::All),
@@ -251,10 +248,6 @@ fn run(Args { cmd, scale, out }: Args) -> Result<(), String> {
             ablations::run(scale);
             None
         }
-        Cmd::Opcost => {
-            opcost::run(scale);
-            None
-        }
         Cmd::ServerLoad { wear, value_size } => {
             return serverbench::run_crash_restart(value_size, wear, scale, out.as_deref())
         }
@@ -329,7 +322,6 @@ mod tests {
         assert_eq!(ok("table 2"), (Cmd::Table(2), Full, None));
         assert_eq!(ok("repro-all --quick"), (Cmd::ReproAll, Quick, None));
         assert_eq!(ok("ablations"), (Cmd::Ablations, Full, None));
-        assert_eq!(ok("opcost --quick"), (Cmd::Opcost, Quick, None));
         assert_eq!(
             ok("predict --iters 50 --out /tmp/p.json"),
             (
@@ -390,9 +382,11 @@ mod tests {
             err("scenario --scenario mars"),
             "unknown scenario 'mars' (drift|cctv|all)"
         );
-        assert_eq!(
-            err("throughput"),
-            "unknown subcommand or arguments 'throughput'"
-        );
+        for gone in ["throughput", "opcost"] {
+            assert_eq!(
+                err(gone),
+                format!("unknown subcommand or arguments '{gone}'")
+            );
+        }
     }
 }

@@ -15,10 +15,11 @@
 //!   784 B image values at K = 10 ([`measure_pca_case`]).
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 use pnw_core::model::stride_sample;
-use pnw_core::{ModelManager, PcaPolicy, PnwConfig, PredictScratch};
+use pnw_core::{ModelManager, ModelSnapshot, PcaPolicy, PnwConfig, PredictScratch};
 use pnw_ml::featurize::bits_to_features;
 use pnw_ml::kmeans::{KMeans, KMeansConfig};
 use pnw_ml::packed::{popcount_bytes, PackedPredictor};
@@ -91,9 +92,9 @@ pub(crate) fn gen_values(n: usize, value_size: usize, families: usize, seed: u64
         .collect()
 }
 
-/// Trains a manager for one case (PCA disabled so the float baseline is
-/// the full bit-feature scan at every size).
-pub fn trained_manager(case: PredictCase, seed: u64) -> ModelManager {
+/// Trains a model for one case (PCA disabled so the float baseline is the
+/// full bit-feature scan at every size).
+pub fn trained_model(case: PredictCase, seed: u64) -> Arc<ModelSnapshot> {
     let cfg = PnwConfig::new(1024, case.value_size)
         .with_clusters(case.k)
         .with_seed(seed)
@@ -103,6 +104,7 @@ pub fn trained_manager(case: PredictCase, seed: u64) -> ModelManager {
         });
     let mut m = ModelManager::new(&cfg);
     m.train(&gen_values(512, case.value_size, case.k.max(4), seed ^ 0xFEED));
+    let m = m.snapshot();
     assert!(m.uses_packed(), "bench model must be bit-domain");
     m
 }
@@ -131,7 +133,7 @@ fn time_ns(
 /// after an eighth of that as warm-up.
 pub fn measure_case(case: PredictCase, iters: u64, seed: u64) -> PredictResult {
     let iters = iters.max(1);
-    let m = trained_manager(case, seed);
+    let m = trained_model(case, seed);
     let probes = gen_values(64, case.value_size, case.k.max(4), seed ^ 0xBEEF);
     let mut scratch = PredictScratch::new();
 
@@ -347,7 +349,7 @@ mod tests {
     #[test]
     fn both_paths_agree_on_predictions() {
         let case = PredictCase { value_size: 32, k: 8 };
-        let m = trained_manager(case, 11);
+        let m = trained_model(case, 11);
         let mut scratch = PredictScratch::new();
         for v in gen_values(32, 32, 8, 99) {
             assert_eq!(

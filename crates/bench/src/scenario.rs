@@ -38,7 +38,6 @@
 //! family the model clusters by — rather than the byte length.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pnw_core::{
@@ -689,7 +688,7 @@ pub fn cctv(scale: Scale) -> Spec {
 /// (keys `0..spec.warm`), trains the model on the warm set and resets the
 /// measurement window — the same warm-train-reset protocol every harness
 /// uses.
-pub fn build_store(spec: &Spec) -> Arc<dyn Store> {
+pub fn build_store(spec: &Spec) -> ShardedPnwStore {
     let store = ShardedPnwStore::new(spec.store_cfg.clone().with_shards(spec.shards));
     let mut rng = StdRng::seed_from_u64(spec.scenario.seed ^ 0x5EED);
     let mut vgen = spec.scenario.phases[0].values.build(spec.scenario.seed);
@@ -708,7 +707,7 @@ pub fn build_store(spec: &Spec) -> Arc<dyn Store> {
     }
     store.retrain_now().expect("warm-up training");
     store.reset_device_stats();
-    Arc::new(store)
+    store
 }
 
 /// [`replay_from`] with the spec's warm-set size as the key origin.
@@ -728,7 +727,7 @@ pub fn run(specs: &[Spec], scale: Scale) -> Report {
             spec.scenario.window_ops
         );
         let store = build_store(spec);
-        let r = replay_spec(&*store, spec);
+        let r = replay_spec(&store, spec);
         let phases: Vec<Json> = r
             .phases
             .iter()
@@ -792,22 +791,39 @@ pub fn run(specs: &[Spec], scale: Scale) -> Report {
 mod tests {
     use super::*;
 
+    /// Whether a background run *installs* before the quick replay ends is
+    /// a race with the trainer thread (6,000 PUTs against a debug-build fit
+    /// and label pass on a loaded host), so the test asserts what is not:
+    /// the replay starts a run, and installs are visible in the series.
     #[test]
     fn drift_quick_replays_and_reconverges() {
         let spec = drift(Scale::Quick);
         let store = build_store(&spec);
-        let r = replay_spec(&*store, &spec);
+        // A warm-up PUT may have started a run that `retrain_now` overtook;
+        // retire it, so any run in flight after the replay sampled replay
+        // data and installs.
+        store.wait_for_retrain();
+        let epoch0 = store.model_epoch();
+        let r = replay_spec(&store, &spec);
         assert_eq!(r.scenario, "drift");
         assert_eq!(r.phases.len(), 3);
         assert!(r.windows.len() >= 3, "windows: {}", r.windows.len());
         assert!(r.phases.iter().all(|p| p.steady_flips_per_put > 0.0));
-        // The background retrain must have fired during the run.
+        // Installs happen only at op boundaries: the windowed epochs never
+        // go back, and end where the per-phase retrain counts say.
+        assert!(r
+            .windows
+            .windows(2)
+            .all(|w| w[0].model_epoch <= w[1].model_epoch));
         let retrains: u64 = r.phases.iter().map(|p| p.retrains).sum();
-        assert!(retrains >= 1, "no retrain during the drift scenario");
-        // Model-epoch transitions are visible in the windowed series.
-        let first = r.windows.first().unwrap().model_epoch;
-        let last = r.windows.last().unwrap().model_epoch;
-        assert!(last > first, "model epoch never advanced: {first} -> {last}");
+        assert_eq!(r.windows.last().unwrap().model_epoch, epoch0 + retrains);
+        // The background retrain fired during the run: installed already,
+        // or in flight now.
+        store.wait_for_retrain();
+        assert!(
+            store.model_epoch() > epoch0,
+            "no background retrain started during the drift scenario"
+        );
     }
 
     #[test]
@@ -815,7 +831,7 @@ mod tests {
         let spec = cctv(Scale::Quick);
         let store = build_store(&spec);
         assert!(store.supports_ttl());
-        let r = replay_spec(&*store, &spec);
+        let r = replay_spec(&store, &spec);
         assert_eq!(r.phases.len(), 3);
         assert!(r.ttl);
         // Retention must have reclaimed something: frames either expired

@@ -468,41 +468,6 @@ impl ModelManager {
         self.stats.clone()
     }
 
-    /// Current number of clusters (1 until trained).
-    pub fn k(&self) -> usize {
-        self.current.k()
-    }
-
-    /// [`ModelSnapshot::predict`] on the current snapshot.
-    pub fn predict(&self, value: &[u8]) -> usize {
-        self.current.predict(value)
-    }
-
-    /// [`ModelSnapshot::predict_into`] on the current snapshot.
-    pub fn predict_into(&self, value: &[u8], scratch: &mut PredictScratch) -> usize {
-        self.current.predict_into(value, scratch)
-    }
-
-    /// [`ModelSnapshot::ranked_after_predict`] on the current snapshot.
-    pub fn ranked_after_predict<'a>(&self, scratch: &'a mut PredictScratch) -> &'a [usize] {
-        self.current.ranked_after_predict(scratch)
-    }
-
-    /// [`ModelSnapshot::kmeans`] of the current snapshot.
-    pub fn kmeans(&self) -> &KMeans {
-        self.current.kmeans()
-    }
-
-    /// [`ModelSnapshot::feature_dims`] of the current snapshot.
-    pub fn feature_dims(&self) -> usize {
-        self.current.feature_dims()
-    }
-
-    /// [`ModelSnapshot::uses_packed`] of the current snapshot.
-    pub fn uses_packed(&self) -> bool {
-        self.current.uses_packed()
-    }
-
     /// The per-run training seed: deterministic, distinct per retrain.
     fn next_seed(&self) -> u64 {
         self.seed.wrapping_add(self.stats.epoch)
@@ -832,9 +797,10 @@ mod tests {
     fn untrained_predicts_zero() {
         let m = ModelManager::new(&small_cfg());
         assert!(!m.is_trained());
-        assert_eq!(m.predict(&[0xFF, 0, 0, 0]), 0);
-        assert_eq!(m.k(), 1);
-        assert_eq!(m.snapshot().epoch(), 0);
+        let s = m.snapshot();
+        assert_eq!(s.predict(&[0xFF, 0, 0, 0]), 0);
+        assert_eq!(s.k(), 1);
+        assert_eq!(s.epoch(), 0);
     }
 
     #[test]
@@ -847,6 +813,7 @@ mod tests {
         }
         m.train(&values);
         assert!(m.is_trained());
+        let m = m.snapshot();
         assert_eq!(m.k(), 2);
         let lo = m.predict(&[0, 0, 0, 1]);
         let hi = m.predict(&[0xFF, 0xFF, 0xFF, 0xF1]);
@@ -974,7 +941,7 @@ mod tests {
         }
         let probe = Probe::over(noisy, false);
         m.train(&probe.values);
-        assert_eq!(m.feature_dims(), cfg.pca.components);
+        assert_eq!(m.snapshot().feature_dims(), cfg.pca.components);
         assert_eq!(m.train_stats().basis, BasisFit::Cold);
         for epoch in 2..=3 {
             m.train_in_background_with(Shared(Arc::clone(&probe)), None);
@@ -986,13 +953,18 @@ mod tests {
                 .take_zone_labels()
                 .expect("a background install has labels");
             assert_eq!(labels.len(), 1);
+            let model = m.snapshot();
             for (v, &l) in probe.values.iter().zip(&labels[0]) {
-                assert_eq!(m.predict(v), l as usize);
+                assert_eq!(model.predict(v), l as usize);
             }
             assert!(m.take_zone_labels().is_none(), "taken once");
         }
         // The warm model still separates the two patterns.
-        assert_ne!(m.predict(&probe.values[0]), m.predict(&probe.values[1]));
+        let model = m.snapshot();
+        assert_ne!(
+            model.predict(&probe.values[0]),
+            model.predict(&probe.values[1])
+        );
         // A synchronous train is always cold, and hands back no labels.
         m.train(&probe.values);
         assert_eq!(m.train_stats().basis, BasisFit::Cold);
@@ -1027,6 +999,7 @@ mod tests {
         let mut m = ModelManager::new(&cfg);
         let values = two_macro_patterns();
         m.train(&values);
+        let m = m.snapshot();
         // Features are PCA-projected: at most the requested components (the
         // basis truncates to the data's actual rank), far below 2048 bits.
         let dims = m.feature_dims();
@@ -1040,6 +1013,7 @@ mod tests {
         let mut m = ModelManager::new(&small_cfg());
         let values: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i, !i, i ^ 0x3C, i / 3]).collect();
         m.train(&values);
+        let m = m.snapshot();
         assert!(m.uses_packed());
         let mut scratch = PredictScratch::new();
         for v in &values {
@@ -1066,6 +1040,7 @@ mod tests {
             })
             .collect();
         m.train(&values);
+        let m = m.snapshot();
         let mut scratch = PredictScratch::new();
         let probe = [0xFFu8, 0xFF, 0xF0, 0x00];
         let cluster = m.predict_into(&probe, &mut scratch);
@@ -1098,13 +1073,15 @@ mod tests {
     fn pca_model_scores_through_the_per_bit_table() {
         let cfg = PnwConfig::new(32, 256).with_clusters(2);
         let mut m = ModelManager::new(&cfg);
+        let placeholder = m.snapshot();
         assert!(
-            !m.uses_packed(),
+            !placeholder.uses_packed(),
             "the kernel follows uses_pca() from the placeholder on"
         );
-        assert_eq!(m.predict(&[0xA5; 256]), 0);
+        assert_eq!(placeholder.predict(&[0xA5; 256]), 0);
         let values = two_macro_patterns();
         m.train(&values);
+        let m = m.snapshot();
         assert!(!m.uses_packed());
         let mut scratch = PredictScratch::new();
         for v in values.iter().take(8) {
@@ -1149,6 +1126,7 @@ mod tests {
         let cfg = PnwConfig::new(32, 256).with_clusters(3);
         let mut m = ModelManager::new(&cfg);
         m.train(&vec![vec![0u8; 256]; 32]);
+        let m = m.snapshot();
         assert_eq!(m.feature_dims(), 0);
         let mut scratch = PredictScratch::new();
         assert_eq!(m.predict_into(&[0x3C; 256], &mut scratch), 0);
@@ -1161,8 +1139,8 @@ mod tests {
             let mut m = ModelManager::new(&cfg);
             m.train(&[]);
             assert!(m.is_trained());
-            assert_eq!(m.k(), 1);
-            assert_eq!(m.predict(&vec![0xFF; cfg.value_size]), 0);
+            assert_eq!(m.snapshot().k(), 1);
+            assert_eq!(m.snapshot().predict(&vec![0xFF; cfg.value_size]), 0);
             assert_eq!(m.train_stats().samples_post_cap, 0);
         }
     }
@@ -1175,18 +1153,20 @@ mod tests {
         let mut both = low.clone();
         both.extend(high.clone());
         m.train(&both);
+        // The scratch is shaped by the old model first.
         let mut scratch = PredictScratch::new();
-        let before = m.predict_into(&[0xFF, 0xFF, 0xFF, 0xFF], &mut scratch);
+        m.snapshot()
+            .predict_into(&[0xFF, 0xFF, 0xFF, 0xFF], &mut scratch);
         // Retrain on *only* the low family: the swapped-in model must drive
         // predictions (stale LUTs would keep the old separation).
         m.train(&low);
+        let m = m.snapshot();
         for v in &both {
             assert_eq!(
                 m.predict_into(v, &mut scratch),
                 m.kmeans().predict(&bits_to_features(v)),
             );
         }
-        let _ = before;
     }
 
     #[test]
@@ -1251,7 +1231,10 @@ mod tests {
         // Capped training is itself deterministic.
         let mut m2 = ModelManager::new(&cfg);
         m2.train(&values);
-        assert_eq!(m.kmeans().centroids(), m2.kmeans().centroids());
+        assert_eq!(
+            m.snapshot().kmeans().centroids(),
+            m2.snapshot().kmeans().centroids()
+        );
     }
 
     #[test]
@@ -1269,7 +1252,7 @@ mod tests {
             values.push(v);
         }
         m.train(&values);
-        let k = m.k();
+        let k = m.snapshot().k();
         // 3 byte families × the parity sub-bit = between 3 and 6 real
         // clusters; the elbow must land in that structured range, not at
         // the extremes of the sweep.

@@ -44,10 +44,9 @@ impl Assignment {
 }
 
 /// A K-means training set. Implemented by the dense float [`Matrix`] and by
-/// the packed bit matrix; [`KMeans::fit_set`] and
-/// [`MiniBatchKMeans::fit_set`](crate::minibatch::MiniBatchKMeans::fit_set)
-/// are generic over it, so K-means over PCA space (floats) and over raw bit
-/// features (packed, no featurization) share one fit.
+/// the packed bit matrix; [`KMeans::fit_set`] is generic over it, so K-means
+/// over PCA space (floats) and over raw bit features (packed, no
+/// featurization) share one fit.
 ///
 /// Centroids stay fractional `f32` either way — only the *samples* are
 /// representation-specific.
@@ -72,16 +71,6 @@ pub trait TrainSet: Sync {
     /// One full assignment pass: labels every sample and accumulates the
     /// per-cluster counts, feature sums and the SSE.
     fn assign(&self, centroids: &Matrix, threads: usize, labels: &mut [usize]) -> Assignment;
-
-    /// Labels the samples selected by `idx` (`labels.len() == idx.len()`) —
-    /// the mini-batch assignment phase.
-    fn label_subset(&self, centroids: &Matrix, idx: &[usize], labels: &mut [usize]);
-
-    /// Copies the selected samples into a new training set of the same
-    /// representation.
-    fn select(&self, idx: &[usize]) -> Self
-    where
-        Self: Sized;
 }
 
 impl TrainSet for Matrix {
@@ -108,25 +97,6 @@ impl TrainSet for Matrix {
     fn assign(&self, centroids: &Matrix, threads: usize, labels: &mut [usize]) -> Assignment {
         assign(self, centroids, threads, labels)
     }
-
-    fn label_subset(&self, centroids: &Matrix, idx: &[usize], labels: &mut [usize]) {
-        for (l, &i) in labels.iter_mut().zip(idx) {
-            *l = nearest(centroids, self.row(i)).0;
-        }
-    }
-
-    fn select(&self, idx: &[usize]) -> Self {
-        self.select_rows(idx)
-    }
-}
-
-/// Centroid initialization strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Init {
-    /// k-means++ (D² weighting) — the scikit-learn default the paper used.
-    KMeansPlusPlus,
-    /// Uniformly random distinct samples (the ablation baseline).
-    Random,
 }
 
 /// Configuration for [`KMeans::fit`].
@@ -142,8 +112,6 @@ pub struct KMeansConfig {
     pub seed: u64,
     /// Worker threads for the assignment step (1 = single-core).
     pub threads: usize,
-    /// Initialization strategy.
-    pub init: Init,
 }
 
 impl KMeansConfig {
@@ -156,7 +124,6 @@ impl KMeansConfig {
             tol: 1e-4,
             seed: 0xC0FFEE,
             threads: 1,
-            init: Init::KMeansPlusPlus,
         }
     }
 
@@ -169,12 +136,6 @@ impl KMeansConfig {
     /// Sets the worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the initialization strategy.
-    pub fn with_init(mut self, init: Init) -> Self {
-        self.init = init;
         self
     }
 
@@ -219,10 +180,7 @@ impl KMeans {
         }
         let k = cfg.k.clamp(1, n);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut centroids = match cfg.init {
-            Init::KMeansPlusPlus => kmeans_pp_init(data, k, &mut rng),
-            Init::Random => random_init(data, k, &mut rng),
-        };
+        let mut centroids = kmeans_pp_init(data, k, &mut rng);
 
         let mut labels = vec![0usize; n];
         let mut inertia = f32::INFINITY;
@@ -268,9 +226,9 @@ impl KMeans {
         }
     }
 
-    /// Builds a model directly from centroids (used by mini-batch training
-    /// and model deserialization). `inertia` is set to NaN until computed
-    /// against data via [`KMeans::sse`].
+    /// Builds a model directly from centroids (the store's untrained
+    /// placeholder model). `inertia` is NaN; [`KMeans::sse`] computes it
+    /// against data.
     pub fn from_centroids(centroids: Matrix, iterations: usize) -> KMeans {
         KMeans {
             centroids,
@@ -438,17 +396,6 @@ fn gather<D: TrainSet>(data: &D, idx: &[usize]) -> Matrix {
     m
 }
 
-fn random_init<D: TrainSet>(data: &D, k: usize, rng: &mut StdRng) -> Matrix {
-    // Sample k distinct row indices (partial Fisher-Yates).
-    let n = data.n_samples();
-    let mut idx: Vec<usize> = (0..n).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        idx.swap(i, j);
-    }
-    gather(data, &idx[..k])
-}
-
 /// k-means++ seeding: first centroid uniform, then D²-weighted.
 ///
 /// Sample-to-sample distances go through [`TrainSet::sample_sq_dist`]; on
@@ -609,16 +556,6 @@ mod tests {
             assert_eq!(d, sq_dist(m.centroid(c), x));
             assert!(dist[argmin] <= d);
         }
-    }
-
-    #[test]
-    fn random_init_works_too() {
-        let data = blobs();
-        let m = KMeans::fit(
-            &data,
-            &KMeansConfig::new(3).with_seed(3).with_init(Init::Random),
-        );
-        assert!(m.inertia < 200.0);
     }
 
     #[test]

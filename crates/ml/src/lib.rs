@@ -8,8 +8,7 @@
 //!
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ initialization,
 //!   empty-cluster repair and multicore assignment (Figure 11 compares 1- vs
-//!   4-core training time), plus a mini-batch variant for cheap background
-//!   retraining.
+//!   4-core training time).
 //! * [`pca`] — principal component analysis via a symmetric eigensolver
 //!   (Householder tridiagonalization + implicit-shift QL), reporting the
 //!   explained-variance-ratio curve of Figure 3; for bit-valued data the
@@ -28,8 +27,8 @@
 //!   samples × bits set stored as `u64` words, fit without ever expanding
 //!   to the 32× larger float tensor (per-iteration byte LUTs for the
 //!   assignment step, integer bit-count accumulators for the centroid
-//!   update). [`kmeans::TrainSet`] is the seam: both `KMeans::fit_set` and
-//!   `MiniBatchKMeans::fit_set` accept either representation.
+//!   update). [`kmeans::TrainSet`] is the seam: `KMeans::fit_set` accepts
+//!   either representation.
 //! * [`matrix`] / [`linalg`] — the minimal dense-matrix layer underneath.
 //!
 //! ```
@@ -63,7 +62,6 @@ pub mod featurize;
 pub mod kmeans;
 pub mod linalg;
 pub mod matrix;
-pub mod minibatch;
 pub mod packed;
 pub mod packedmatrix;
 pub mod pca;
@@ -73,7 +71,6 @@ pub use elbow::{elbow_point, sse_curve};
 pub use featurize::{bits_to_features, features_to_bits};
 pub use kmeans::{KMeans, KMeansConfig, TrainSet};
 pub use matrix::Matrix;
-pub use minibatch::MiniBatchKMeans;
 pub use packed::PackedPredictor;
 pub use packedmatrix::PackedMatrix;
 pub use pca::{BitProjector, FoldedPredictor, Pca, RefreshScratch};

@@ -268,30 +268,6 @@ impl TrainSet for PackedMatrix {
         }
         merged
     }
-
-    fn label_subset(&self, centroids: &Matrix, idx: &[usize], labels: &mut [usize]) {
-        let lut = PackedPredictor::from_centroids(centroids);
-        let mut dist = vec![0.0f32; centroids.rows()];
-        for (l, &i) in labels.iter_mut().zip(idx) {
-            *l = lut.distances_from_words(self.row_words(i), self.popcounts[i], &mut dist);
-        }
-    }
-
-    fn select(&self, idx: &[usize]) -> Self {
-        let mut data = Vec::with_capacity(idx.len() * self.words_per_row);
-        let mut popcounts = Vec::with_capacity(idx.len());
-        for &i in idx {
-            data.extend_from_slice(self.row_words(i));
-            popcounts.push(self.popcounts[i]);
-        }
-        PackedMatrix {
-            rows: idx.len(),
-            bytes_per_row: self.bytes_per_row,
-            words_per_row: self.words_per_row,
-            data,
-            popcounts,
-        }
-    }
 }
 
 /// Deterministic family-structured test values (byte-fill families with a
@@ -299,12 +275,7 @@ impl TrainSet for PackedMatrix {
 /// every packed-vs-float training equivalence test in this crate, so the
 /// data shape those tests compare on cannot silently diverge.
 #[cfg(test)]
-pub(crate) fn family_test_values(
-    n: usize,
-    bytes: usize,
-    families: usize,
-    seed: u64,
-) -> Vec<Vec<u8>> {
+fn family_test_values(n: usize, bytes: usize, families: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     let mut next = move || {
         state ^= state << 13;
@@ -403,17 +374,6 @@ mod tests {
         assert_eq!(a1.counts, a4.counts);
         // Integer accumulators: sums are bit-identical across thread counts.
         assert_eq!(a1.sums, a4.sums);
-    }
-
-    #[test]
-    fn select_copies_rows_and_popcounts() {
-        let values = family_values(10, 4, 2, 9);
-        let packed = PackedMatrix::from_values(&values);
-        let sub = packed.select(&[7, 0, 3]);
-        assert_eq!(sub.rows(), 3);
-        assert_eq!(sub.row_words(0), packed.row_words(7));
-        assert_eq!(sub.popcount(1), packed.popcount(0));
-        assert_eq!(sub.row_words(2), packed.row_words(3));
     }
 
     #[test]

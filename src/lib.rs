@@ -16,14 +16,14 @@
 //! | Crate | Role |
 //! |---|---|
 //! | `pnw-core` | the PNW store: model manager, address pool, write path |
-//! | `pnw-ml` | K-means, mini-batch K-means, PCA, elbow method |
+//! | `pnw-ml` | K-means, PCA, elbow method |
 //! | `pnw-index` | DRAM hash index and NVM Path Hashing |
 //! | `pnw-nvm-sim` | emulated NVM device with bit-flip/wear accounting |
 //! | `pnw-schemes` | DCW, Flip-N-Write, MinShift, Captopril codecs |
 //! | `pnw-baselines` | FPTree-like, NoveLSM-like, Path-Hashing stores |
 //! | `pnw-workloads` | deterministic stand-ins for the paper's datasets |
 //! | `pnw-server` | socket front end + client: framing, backpressure, drain |
-//! | `pnw-bench` | figure/table reproduction harness and benches |
+//! | `pnw-bench` | figure/table reproduction, ablation and scenario harness |
 //!
 //! ## Quickstart
 //!

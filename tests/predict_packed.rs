@@ -1,7 +1,7 @@
 //! Equivalence of the bit-domain prediction kernels with their reference
-//! float paths: the byte-LUT kernel against featurize-then-scan at the
-//! [`ModelManager`] level (random trained models, the post-retrain
-//! LUT-rebuild case), and the folded per-bit kernel of PCA-configured
+//! float paths: the byte-LUT kernel against featurize-then-scan on the
+//! [`ModelManager`]'s published snapshot (random trained models, the
+//! post-retrain LUT-rebuild case), and the folded per-bit kernel of PCA-configured
 //! models against project-then-scan.
 //!
 //! Exactness contract: distances agree within f32 ulp-level tolerance (the
@@ -12,7 +12,7 @@
 //! the per-value constant `‖y‖²`, so for it the contract is on distance
 //! *differences* between clusters, not on absolute distances.
 
-use pnw::core_api::{ModelManager, PnwConfig, PredictScratch};
+use pnw::core_api::{ModelManager, ModelSnapshot, PnwConfig, PredictScratch};
 use pnw_ml::featurize::bits_to_features;
 use pnw_ml::kmeans::{KMeans, KMeansConfig};
 use pnw_ml::matrix::sq_dist;
@@ -42,7 +42,7 @@ fn tol(reference: f32) -> f32 {
 
 /// Asserts packed and float paths agree on `values` for `m`: distances
 /// within tolerance, argmin and ranking identical up to near-ties.
-fn assert_equivalent(m: &ModelManager, values: &[Vec<u8>]) {
+fn assert_equivalent(m: &ModelSnapshot, values: &[Vec<u8>]) {
     let mut scratch = PredictScratch::new();
     for v in values {
         let packed_argmin = m.predict_into(v, &mut scratch);
@@ -96,9 +96,10 @@ proptest! {
         let mut m = ModelManager::new(&cfg);
         let values = random_values(48, value_bytes, k.max(2), seed);
         // Untrained (single zero centroid) first…
-        assert_equivalent(&m, &values[..8]);
+        assert_equivalent(&m.snapshot(), &values[..8]);
         // …then trained.
         m.train(&values);
+        let m = m.snapshot();
         prop_assert!(m.uses_packed());
         assert_equivalent(&m, &values);
     }
@@ -176,11 +177,12 @@ fn pca_model_predicts_identically_through_scratch() {
     assert!(cfg.uses_pca());
     let mut m = ModelManager::new(&cfg);
     assert!(
-        !m.uses_packed(),
+        !m.snapshot().uses_packed(),
         "a byte LUT over 160 B would not fit cache"
     );
     let values = random_values(60, 160, 3, 77);
     m.train(&values);
+    let m = m.snapshot();
     assert!(!m.uses_packed());
     assert!(m.feature_dims() <= cfg.pca.components);
     let mut scratch = PredictScratch::new();
@@ -216,7 +218,7 @@ fn retrain_rebuilds_luts_and_stays_equivalent() {
     let mut m = ModelManager::new(&cfg);
     let first = random_values(64, 8, 2, 1);
     m.train(&first);
-    assert_equivalent(&m, &first);
+    assert_equivalent(&m.snapshot(), &first);
 
     // Retrain on a shifted distribution (different families, different K
     // structure) — equivalence must hold against the *new* centroids.
@@ -226,6 +228,7 @@ fn retrain_rebuilds_luts_and_stays_equivalent() {
     m4.train(&first);
     m4.train(&second);
     assert_eq!(m4.retrains(), 2);
+    let m4 = m4.snapshot();
     assert!(m4.uses_packed());
     assert_equivalent(&m4, &second);
     assert_equivalent(&m4, &first);
@@ -240,6 +243,7 @@ fn background_install_rebuilds_luts() {
     let values = random_values(96, 8, 3, 3);
     m.train_in_background_with(values.clone(), None);
     assert!(m.wait_for_background());
+    let m = m.snapshot();
     assert!(m.uses_packed());
     assert_equivalent(&m, &values);
 }
