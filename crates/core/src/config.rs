@@ -31,11 +31,22 @@ pub enum BackingMode {
 /// How UPDATE operations are executed (§V-B.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum UpdatePolicy {
-    /// Endurance-first (the paper's default): DELETE then PUT, so the new
-    /// version lands on the most bit-similar free location.
-    DeletePut,
-    /// Latency-first: update in place through the hash index, sacrificing
-    /// wear for one less indirection.
+    /// The default: each update is written where it flips the fewest
+    /// device bits — the key's own bucket, or the free bucket the pool
+    /// would hand out for the predicted cluster (the paper's "best memory
+    /// location an updated value should be written to"). Both costs are
+    /// exact: the sealed bucket image, header included, diffed against
+    /// each location's cells, plus the one-bit flag clear a relocation
+    /// leaves on the vacated bucket. Ties go in place. Three guards keep
+    /// wear and crash safety where delete-then-put had them: durable
+    /// shards always relocate (an in-place rewrite torn by a crash would
+    /// destroy the committed old value before the new one is logged), an
+    /// untrained store always relocates (so the zone a first training
+    /// samples is not left virgin), and a bucket takes at most
+    /// `MAX_IN_PLACE_RUN` = 7 consecutive in-place rewrites per tenancy.
+    Cheapest,
+    /// Wear-blind reference: every update rewrites the key's own bucket
+    /// through the hash index, whatever it costs.
     InPlace,
 }
 
@@ -261,7 +272,7 @@ impl PnwConfig {
             seed: 0x0050_4E57, // "PNW"
             load_factor: 0.9,
             index: IndexPlacement::Dram,
-            update_policy: UpdatePolicy::DeletePut,
+            update_policy: UpdatePolicy::Cheapest,
             retrain: RetrainMode::Manual,
             pca: PcaPolicy::default(),
             train_threads: 1,
@@ -489,7 +500,7 @@ mod tests {
         assert!(c.clusters >= 1);
         assert!((0.0..=1.0).contains(&c.load_factor));
         assert_eq!(c.index, IndexPlacement::Dram);
-        assert_eq!(c.update_policy, UpdatePolicy::DeletePut);
+        assert_eq!(c.update_policy, UpdatePolicy::Cheapest);
     }
 
     #[test]

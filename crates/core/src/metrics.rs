@@ -177,6 +177,10 @@ pub struct StoreSnapshot {
     pub predict_total: Duration,
     /// PUT operations served.
     pub puts: u64,
+    /// Of those, updates that rewrote the key's own bucket instead of
+    /// relocating ([`PutPath::InPlace`](crate::PutPath::InPlace)); 0 for
+    /// backends that make no such choice.
+    pub updates_in_place: u64,
     /// GET operations served.
     pub gets: u64,
     /// DELETE operations that removed an existing key (misses are not
@@ -238,6 +242,7 @@ mod tests {
             device: DeviceStats::default(),
             predict_total: Duration::from_micros(50),
             puts: 10,
+            updates_in_place: 0,
             gets: 0,
             deletes: 0,
             scrub: ScrubStats::default(),
@@ -259,6 +264,7 @@ mod tests {
             device: DeviceStats::default(),
             predict_total: Duration::ZERO,
             puts: 0,
+            updates_in_place: 0,
             gets: 0,
             deletes: 0,
             scrub: ScrubStats::default(),

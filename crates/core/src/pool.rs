@@ -139,9 +139,40 @@ impl DynamicAddressPool {
         cluster: usize,
         ranked: impl FnOnce() -> R,
     ) -> Option<(u32, bool)> {
-        if let Some(b) = self.lists.get_mut(cluster).and_then(VecDeque::pop_front) {
-            self.free -= 1;
-            return Some((b, false));
+        let (worn, c, fallback) = self.locate(cluster, ranked)?;
+        let tier = if worn { &mut self.worn } else { &mut self.lists };
+        let b = tier[c].pop_front().expect("located a non-empty list");
+        self.free -= 1;
+        self.fallbacks += u64::from(fallback);
+        Some((b, fallback))
+    }
+
+    /// The bucket [`DynamicAddressPool::pop`] would return for the same
+    /// arguments, without taking it — the same search, so a caller that
+    /// prices this candidate prices exactly what the next `pop` allocates.
+    pub fn peek<R: AsRef<[usize]>>(
+        &self,
+        cluster: usize,
+        ranked: impl FnOnce() -> R,
+    ) -> Option<u32> {
+        let (worn, c, _) = self.locate(cluster, ranked)?;
+        let tier = if worn { &self.worn } else { &self.lists };
+        tier[c].front().copied()
+    }
+
+    /// The one allocation search behind `pop` and `peek`: which tier
+    /// (`true` = worn) and list the next bucket comes from, and whether
+    /// that is a fallback.
+    #[inline]
+    fn locate<R: AsRef<[usize]>>(
+        &self,
+        cluster: usize,
+        ranked: impl FnOnce() -> R,
+    ) -> Option<(bool, usize, bool)> {
+        let nonempty =
+            |tier: &[VecDeque<u32>], c: usize| tier.get(c).is_some_and(|l| !l.is_empty());
+        if nonempty(&self.lists, cluster) {
+            return Some((false, cluster, false));
         }
         if self.free == 0 {
             // Nothing anywhere: don't pay for the ranking either.
@@ -151,48 +182,19 @@ impl DynamicAddressPool {
         // bucket in the right cluster: a cross-cluster placement costs a
         // few extra flips once, a near-endurance word lost costs capacity
         // forever. The ranking is computed exactly once and reused for
-        // both tiers.
+        // both tiers. In each tier: the predicted cluster (in the worn
+        // tier; still bit-similar, not a fallback), then ranked, then any
+        // non-empty list (ranked may be partial).
         let order = ranked();
         let order = order.as_ref();
-        for &c in order {
-            if c == cluster {
-                continue;
+        for (worn, tier) in [(false, &self.lists), (true, &self.worn)] {
+            if worn && nonempty(tier, cluster) {
+                return Some((true, cluster, false));
             }
-            if let Some(b) = self.lists.get_mut(c).and_then(VecDeque::pop_front) {
-                self.free -= 1;
-                self.fallbacks += 1;
-                return Some((b, true));
-            }
-        }
-        // Fresh last resort: any non-empty list (ranked may be partial).
-        for list in &mut self.lists {
-            if let Some(b) = list.pop_front() {
-                self.free -= 1;
-                self.fallbacks += 1;
-                return Some((b, true));
-            }
-        }
-        // Worn tier, same order: predicted cluster (still bit-similar, not
-        // a fallback), then ranked, then scan.
-        if let Some(b) = self.worn.get_mut(cluster).and_then(VecDeque::pop_front) {
-            self.free -= 1;
-            return Some((b, false));
-        }
-        for &c in order {
-            if c == cluster {
-                continue;
-            }
-            if let Some(b) = self.worn.get_mut(c).and_then(VecDeque::pop_front) {
-                self.free -= 1;
-                self.fallbacks += 1;
-                return Some((b, true));
-            }
-        }
-        for list in &mut self.worn {
-            if let Some(b) = list.pop_front() {
-                self.free -= 1;
-                self.fallbacks += 1;
-                return Some((b, true));
+            let ranked_hit = order.iter().find(|&&c| c != cluster && nonempty(tier, c));
+            let any = || tier.iter().position(|l| !l.is_empty());
+            if let Some(c) = ranked_hit.copied().or_else(any) {
+                return Some((worn, c, true));
             }
         }
         None
@@ -403,6 +405,33 @@ mod tests {
         let (b, fb) = p.pop(1, || [1]).unwrap();
         assert_eq!(b, 7);
         assert!(fb);
+    }
+
+    /// `peek` is `pop`'s search without the removal: through a hit, a
+    /// ranked fallback, the last-resort scan and the worn tier, the bucket
+    /// it names is the one the following `pop` hands out, and it changes
+    /// nothing (counters included).
+    #[test]
+    fn peek_agrees_with_the_following_pop() {
+        let mut p = DynamicAddressPool::new(4, 16);
+        p.push(1, 10);
+        p.push(1, 11);
+        p.push(3, 30);
+        p.push_tier(2, 20, true);
+        p.push_tier(0, 40, true);
+        let order = || [1, 0, 2, 3];
+        let mut popped = Vec::new();
+        for cluster in [1, 1, 1, 0, 2] {
+            let (free, fallbacks) = (p.free(), p.fallbacks());
+            let peeked = p.peek(cluster, order);
+            assert_eq!((p.free(), p.fallbacks()), (free, fallbacks), "peek is read-only");
+            let got = p.pop(cluster, order).map(|(b, _)| b);
+            assert_eq!(peeked, got, "cluster {cluster}");
+            popped.push(got.unwrap());
+        }
+        assert_eq!(popped, vec![10, 11, 30, 40, 20]);
+        assert_eq!(p.peek(0, order), None);
+        assert_eq!(p.pop(0, order), None);
     }
 
     #[test]

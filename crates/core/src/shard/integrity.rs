@@ -99,7 +99,8 @@ impl ShardEngine {
         self.retire(from)?;
         let cluster = self.model.predict_into(value, &mut self.scratch);
         let mut deferred = None;
-        let (bucket, _, _) = self.place_sealed(key, value, cluster, &mut deferred)?;
+        self.seal_bucket_img(key, value);
+        let (bucket, _, _) = self.place_sealed(key, cluster, &mut deferred)?;
         let addr = self.layout.addr(bucket);
         // The deadline moves with the value.
         self.stamp_expiry(bucket, deadline)?;

@@ -31,12 +31,13 @@ use crate::model::{stride_sample, ModelSnapshot};
 impl ShardEngine {
     /// Labels `bucket`'s stored content under the current snapshot
     /// (Algorithm 3 lines 3–4), predicting straight from the device cells —
-    /// no copy, no allocation, no device statistics.
+    /// no copy, no allocation, no device statistics, and the PUT's own
+    /// scores in `scratch` left alone.
     #[inline]
     pub(super) fn label_stored(&mut self, bucket: u32) -> Result<usize, PnwError> {
         let vaddr = value_addr(self.layout.addr(bucket));
         let value = self.dev.peek(vaddr, self.cfg.value_size)?;
-        Ok(self.model.predict_into(value, &mut self.scratch))
+        Ok(self.model.predict_into(value, &mut self.label_scratch))
     }
 
     /// `bucket`'s content label: the cached one when it is still valid

@@ -101,15 +101,18 @@ pub(crate) fn check_value(cfg: &PnwConfig, value: &[u8]) -> Result<(), PnwError>
 }
 
 /// Which code path a PUT took — callers use this to decide whether the
-/// retrain trigger should be evaluated (an in-place update touches neither
-/// the pool nor the model, so it never makes retraining due).
+/// retrain trigger should be evaluated (an in-place update takes nothing
+/// from the pool, so it never makes retraining due).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PutPath {
-    /// A fresh predicted allocation from the pool (also the DELETE-then-PUT
-    /// update path).
+    /// A predicted allocation from the pool: a new key, or an update that
+    /// relocated (its vacated bucket rejoins the pool once the replacement
+    /// is placed).
     Fresh,
-    /// An in-place update straight through the hash index
-    /// ([`UpdatePolicy::InPlace`](crate::UpdatePolicy::InPlace)).
+    /// The key's own bucket rewritten through the hash index: every update
+    /// under [`UpdatePolicy::InPlace`](crate::UpdatePolicy::InPlace), and
+    /// under [`UpdatePolicy::Cheapest`](crate::UpdatePolicy::Cheapest)
+    /// each update for which that flips no more bits than relocating.
     InPlace,
 }
 
@@ -142,7 +145,7 @@ pub struct ShardEngine {
     sync: Arc<ShardSync>,
     /// Per-bucket cached content label under the *current* model
     /// ([`LABEL_STALE`] = unknown, re-predict on demand). Lets DELETE and
-    /// the DeletePut update skip Algorithm 3's peek + predict when the
+    /// a relocating update skip Algorithm 3's peek + predict when the
     /// bucket was written under the model that is still installed.
     labels: Vec<u16>,
     /// The rewritten-since record of the label pass in flight, one bit per
@@ -152,6 +155,17 @@ pub struct ShardEngine {
     /// the model is shared and read-only, the mutable buffers live here so
     /// steady-state PUT/DELETE allocates nothing.
     scratch: PredictScratch,
+    /// The scratch stored-content labels are predicted in, apart from
+    /// `scratch`: labelling the bucket an update vacates must not clobber
+    /// the scores the update's pool pop ranks by.
+    label_scratch: PredictScratch,
+    /// Consecutive in-place rewrites of each provisioned bucket's current
+    /// tenancy (reset by every placement), capped at
+    /// [`MAX_IN_PLACE_RUN`](placement::MAX_IN_PLACE_RUN) under
+    /// [`UpdatePolicy::Cheapest`](crate::UpdatePolicy::Cheapest).
+    in_place_run: Vec<u8>,
+    /// PUTs that rewrote the key's own bucket ([`PutPath::InPlace`]).
+    updates_in_place: u64,
     /// Reusable bucket image for the PUT write (header + value).
     bucket_img: Vec<u8>,
     /// Reusable value buffer for the scrubber's and recovery's CRC scans.
@@ -264,6 +278,9 @@ impl ShardEngine {
             labels: vec![LABEL_STALE; total_buckets],
             rewritten: None,
             scratch: PredictScratch::new(),
+            label_scratch: PredictScratch::new(),
+            in_place_run: vec![0; total_buckets],
+            updates_in_place: 0,
             bucket_img,
             value_buf,
             durable: None,
@@ -606,6 +623,7 @@ impl ShardEngine {
             device: self.dev.stats().clone(),
             predict_total: self.predict_total,
             puts: self.puts,
+            updates_in_place: self.updates_in_place,
             gets: self.sync.gets(),
             deletes: self.deletes,
             scrub: {

@@ -4,14 +4,22 @@
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
+use pnw_nvm_sim::device::hamming;
 use pnw_nvm_sim::{DeviceStats, NvmError, WriteMode, WriteStats};
 
 use super::seqlock::WriteBracket;
-use super::{label_u16, now_unix_ms, value_addr, Header, PutPath, ShardEngine, HDR_BYTES};
+use super::{bucket, label_u16, now_unix_ms, value_addr, Header, PutPath, ShardEngine, HDR_BYTES};
 use crate::api::{BatchReport, Op};
 use crate::config::UpdatePolicy;
 use crate::error::PnwError;
 use crate::metrics::OpReport;
+
+/// The most consecutive in-place rewrites one tenancy of a bucket takes
+/// under [`UpdatePolicy::Cheapest`]; the next update relocates whatever the
+/// costs. Without the bound, a key whose in-place rewrite is always the
+/// cheaper would pin every write to one bucket and undo the pool's FIFO
+/// wear rotation (Figure 12).
+pub(crate) const MAX_IN_PLACE_RUN: u8 = 7;
 
 impl ShardEngine {
     /// PUT / UPDATE (Algorithm 2 + §V-B.3) under the shard's current model
@@ -87,15 +95,23 @@ impl ShardEngine {
     ) -> Result<(OpReport, PutPath), PnwError> {
         self.check_value(value)?;
         let _w = WriteBracket::enter(&self.sync);
+        // Sealed once: every location below is written, and priced, with
+        // this image.
+        self.seal_bucket_img(key, value);
+        // A relocating update's vacated bucket, held back until the
+        // replacement is placed (and, on a durable shard, WAL-committed):
+        // the relocation can then neither land back on it nor — torn by a
+        // crash — overwrite the committed old value.
         let mut deferred: Option<(usize, u32)> = None;
+        let mut predicted = None;
 
-        // UPDATE handling. The DeletePut path removes the index entry
-        // directly — `remove` already returns the old address, so the
-        // update costs one index probe, not a lookup followed by a removal.
         match self.cfg.update_policy {
             UpdatePolicy::InPlace => {
                 if let Some(addr) = self.index.get(&mut self.dev, key)? {
-                    if let Some(done) = self.put_in_place(key, value, addr, expires_at_ms, report)? {
+                    let b = self.bucket_of_addr(addr)?;
+                    if let Some(done) =
+                        self.put_in_place(key, value, b, expires_at_ms, report, None)?
+                    {
                         return Ok(done);
                     }
                     // The in-place target failed write-verify: the bucket
@@ -103,36 +119,41 @@ impl ShardEngine {
                     // fresh placement on healthy media.
                 }
             }
-            UpdatePolicy::DeletePut => {
-                // Endurance-first: free the old location (it returns to
-                // the pool under its content's label), then fall through
-                // to a fresh predicted write. On a durable shard the freed
-                // bucket is *deferred* — it joins the pool only after the
-                // replacement is WAL-committed, so a torn replacement
-                // write can never land on (and corrupt) the committed old
-                // value.
-                if let Some(addr) = self.index.remove(&mut self.dev, key)? {
-                    let (label, freed) = self.clear_bucket(addr)?;
-                    if self.durable.is_some() {
-                        deferred = Some((label, freed));
+            // The priced choice: volatile shards under a trained model.
+            UpdatePolicy::Cheapest if self.durable.is_none() && self.model.is_trained() => {
+                if let Some(addr) = self.index.get(&mut self.dev, key)? {
+                    let b = self.bucket_of_addr(addr)?;
+                    let (cluster, predict) = self.predict_timed(value, report);
+                    if self.in_place_is_cheaper(b, cluster)? {
+                        let p = Some((cluster, predict));
+                        if let Some(done) =
+                            self.put_in_place(key, value, b, expires_at_ms, report, p)?
+                        {
+                            return Ok(done);
+                        }
                     } else {
-                        self.push_free(label, freed);
+                        let _ = self.index.remove(&mut self.dev, key)?;
+                        deferred = Some(self.clear_bucket(addr)?);
                     }
+                    predicted = Some((cluster, predict));
+                }
+            }
+            UpdatePolicy::Cheapest => {
+                // Durable or untrained: always relocate. `remove` returns
+                // the old address, so this costs one index probe.
+                if let Some(addr) = self.index.remove(&mut self.dev, key)? {
+                    deferred = Some(self.clear_bucket(addr)?);
                 }
             }
         }
 
         let before = report.then(|| self.dev.stats().clone());
+        let (cluster, predict) = match predicted {
+            Some(p) => p,
+            None => self.predict_timed(value, report),
+        };
 
-        // Algorithm 2 line 1: predict the entry. The packed bit-domain
-        // kernel reads the raw bytes — no featurization, no allocation —
-        // and leaves the per-cluster distances in this shard's scratch.
-        let t0 = report.then(Instant::now);
-        let cluster = self.model.predict_into(value, &mut self.scratch);
-        let predict = t0.map_or(Duration::ZERO, |t| t.elapsed());
-        self.predict_total += predict;
-
-        let placed = self.place_sealed(key, value, cluster, &mut deferred);
+        let placed = self.place_sealed(key, cluster, &mut deferred);
         let (bucket, fallback, value_write) = match placed {
             Ok(hit) => hit,
             // Ring retention: a full zone first reclaims expired buckets,
@@ -143,7 +164,7 @@ impl ShardEngine {
                 if !self.ring_reclaim()? {
                     return Err(PnwError::Full);
                 }
-                self.place_sealed(key, value, cluster, &mut deferred)?
+                self.place_sealed(key, cluster, &mut deferred)?
             }
             Err(e) => return Err(e),
         };
@@ -185,28 +206,67 @@ impl ShardEngine {
         Ok((out, PutPath::Fresh))
     }
 
-    /// The [`UpdatePolicy::InPlace`] update: straight through the hash
-    /// index to the key's existing bucket. With integrity on, the whole
-    /// sealed image is rewritten (the stored CRC must track the value) and
-    /// write-verified; `None` means the media failed verification — the
-    /// bucket is retired, the key unlinked, and the caller re-places the
-    /// value on fresh media before acknowledging.
+    /// Algorithm 2 line 1: predict the entry. The packed bit-domain kernel
+    /// reads the raw bytes — no featurization, no allocation — and leaves
+    /// the per-cluster distances in this shard's scratch. Timed only when
+    /// the PUT reports.
+    #[inline]
+    fn predict_timed(&mut self, value: &[u8], report: bool) -> (usize, Duration) {
+        let t0 = report.then(Instant::now);
+        let cluster = self.model.predict_into(value, &mut self.scratch);
+        let predict = t0.map_or(Duration::ZERO, |t| t.elapsed());
+        self.predict_total += predict;
+        (cluster, predict)
+    }
+
+    /// The [`UpdatePolicy::Cheapest`] decision for an update of bucket
+    /// `b`'s tenant, the sealed image in hand: whether rewriting `b` flips
+    /// no more device bits than relocating — the image diffed against the
+    /// bucket the pool would hand out for `cluster` (`peek` runs `pop`'s
+    /// own search), plus the flag clear left on `b`. Ties, and an empty
+    /// pool, go in place; a tenancy past [`MAX_IN_PLACE_RUN`] in-place
+    /// rewrites relocates whatever the costs.
+    fn in_place_is_cheaper(&mut self, b: u32, cluster: usize) -> Result<bool, PnwError> {
+        if self.in_place_run[b as usize] >= MAX_IN_PLACE_RUN {
+            return Ok(false);
+        }
+        let candidate = {
+            let (pool, scratch, model) = (&self.pool, &mut self.scratch, &self.model);
+            pool.peek(cluster, || model.ranked_after_predict(scratch))
+        };
+        let Some(c) = candidate else {
+            return Ok(true);
+        };
+        let img = &self.bucket_img[..];
+        let here = self.dev.peek(self.layout.addr(b), img.len())?;
+        let there = self.dev.peek(self.layout.addr(c), img.len())?;
+        let relocate = hamming(there, img) + hamming(&here[..1], &bucket::FLAG_CLEARED);
+        Ok(hamming(here, img) <= relocate)
+    }
+
+    /// An update that rewrites the key's own bucket `b` — every update
+    /// under [`UpdatePolicy::InPlace`], the cheaper ones under
+    /// [`UpdatePolicy::Cheapest`], which passes in the prediction it priced
+    /// with (cached as `b`'s label and reported). With integrity on, the
+    /// whole sealed image is rewritten (the stored CRC must track the
+    /// value) and write-verified; `None` means the media failed
+    /// verification — the bucket is retired, the key unlinked, and the
+    /// caller re-places the value on fresh media before acknowledging.
     fn put_in_place(
         &mut self,
         key: u64,
         value: &[u8],
-        addr: u64,
+        b: u32,
         expires_at_ms: u64,
         report: bool,
+        predicted: Option<(usize, Duration)>,
     ) -> Result<Option<(OpReport, PutPath)>, PnwError> {
         let before = report.then(|| self.dev.stats().clone());
-        let b = self.bucket_of_addr(addr)?;
         let addr = self.layout.addr(b);
         self.mark_rewritten(b);
         let vstats = if self.cfg.integrity {
             // The write covers the header too, to refresh the seal; the
             // value's share of it comes back from the same pass.
-            self.seal_bucket_img(key, value);
             let (_, vstats) =
                 self.dev
                     .write_split(addr, &self.bucket_img, WriteMode::Diff, HDR_BYTES)?;
@@ -233,8 +293,14 @@ impl ShardEngine {
             vstats
         };
         self.stamp_expiry(b, expires_at_ms)?;
+        if let Some((cluster, _)) = predicted {
+            self.labels[b as usize] = label_u16(cluster);
+        }
+        self.in_place_run[b as usize] = self.in_place_run[b as usize].saturating_add(1);
+        self.updates_in_place += 1;
         self.puts += 1;
-        let out = self.op_report(before, 0, false, Duration::ZERO, vstats);
+        let (cluster, predict) = predicted.unwrap_or_default();
+        let out = self.op_report(before, cluster, false, predict, vstats);
         Ok(Some((out, PutPath::InPlace)))
     }
 
@@ -265,7 +331,7 @@ impl ShardEngine {
     /// Seals the reusable bucket image: the committed header (the CRC is
     /// zero when integrity is off — the header bytes then stay
     /// bit-identical to the pre-integrity layout) and the value.
-    fn seal_bucket_img(&mut self, key: u64, value: &[u8]) {
+    pub(super) fn seal_bucket_img(&mut self, key: u64, value: &[u8]) {
         let (hdr, img_value) = self.bucket_img.split_at_mut(HDR_BYTES);
         Header::sealing(key, value, self.cfg.integrity).encode_into(hdr);
         img_value.copy_from_slice(value);
@@ -279,15 +345,15 @@ impl ShardEngine {
     }
 
     /// Algorithm 2 lines 2–6 plus write-verify: pops pool candidates until
-    /// one's media accepts the sealed image bit-exact. A bucket that fails
-    /// the read-back (a stuck bit latched at the opposite polarity) is
-    /// retired permanently *before* the op is acknowledged and the
-    /// next-ranked candidate is tried; every failure shrinks the pool, so
-    /// the loop terminates.
+    /// one's media accepts the image [`ShardEngine::seal_bucket_img`] left
+    /// sealed, bit-exact. A bucket that fails the read-back (a stuck bit
+    /// latched at the opposite polarity) is retired permanently *before*
+    /// the op is acknowledged and the next-ranked candidate is tried; every
+    /// failure shrinks the pool, so the loop terminates. The placed bucket
+    /// starts a tenancy: its in-place run is reset.
     pub(super) fn place_sealed(
         &mut self,
         key: u64,
-        value: &[u8],
         cluster: usize,
         deferred: &mut Option<(usize, u32)>,
     ) -> Result<(u32, bool, WriteStats), PnwError> {
@@ -310,13 +376,13 @@ impl ShardEngine {
             // (header + value share cache lines; writing them separately
             // would double-count dirty lines). The same pass returns the
             // value's share of the charge, the Figure 6 metric.
-            self.seal_bucket_img(key, value);
             self.mark_rewritten(bucket);
             let (_, value_write) =
                 self.dev
                     .write_split(addr, &self.bucket_img, WriteMode::Diff, HDR_BYTES)?;
             self.check_durable_write()?;
             if !self.cfg.integrity || self.bucket_matches_img(addr)? {
+                self.in_place_run[bucket as usize] = 0;
                 return Ok((bucket, fallback, value_write));
             }
             self.scrub.crc_failures += 1;
@@ -337,11 +403,12 @@ impl ShardEngine {
         Ok(())
     }
 
-    /// The pool missed while a durable DeletePut update holds the freed
-    /// bucket back: at full capacity the freed bucket is the only
-    /// candidate. Commit the delete first — a tear mid-rewrite must then
-    /// surface as "key absent" at recovery, never as a corrupted committed
-    /// value (the inherent DeletePut crash window) — and re-pop.
+    /// The pool missed while a relocating update holds its vacated bucket
+    /// back: at full capacity that bucket is the only candidate. On a
+    /// durable shard, commit the delete first — a tear mid-rewrite must
+    /// then surface as "key absent" at recovery, never as a corrupted
+    /// committed value (the inherent relocation crash window); a volatile
+    /// shard has no WAL step. Then re-pop.
     fn forced_reuse(
         &mut self,
         key: u64,
@@ -351,10 +418,9 @@ impl ShardEngine {
         let Some((label, bucket)) = deferred.take() else {
             return Err(PnwError::Full);
         };
-        self.durable
-            .as_mut()
-            .expect("a deferred bucket implies a durable shard")
-            .log_delete(key)?;
+        if let Some(d) = &mut self.durable {
+            d.log_delete(key)?;
+        }
         // Retired media never re-enters placement, so with the pool
         // otherwise empty a retired freed bucket means there is genuinely
         // no space (the delete half stays committed).

@@ -1,4 +1,5 @@
 use super::bucket::bucket_crc;
+use super::placement::MAX_IN_PLACE_RUN;
 use super::*;
 use crate::config::UpdatePolicy;
 
@@ -52,7 +53,7 @@ fn in_place_put_reports_its_path() {
 /// pool decisions — under both update policies.
 #[test]
 fn put_unreported_matches_put_exactly() {
-    for policy in [UpdatePolicy::DeletePut, UpdatePolicy::InPlace] {
+    for policy in [UpdatePolicy::Cheapest, UpdatePolicy::InPlace] {
         let cfg = PnwConfig::new(64, 8)
             .with_clusters(2)
             .with_seed(5)
@@ -248,4 +249,186 @@ fn out_of_zone_index_address_is_an_error_not_an_underflow() {
         assert!(matches!(err, PnwError::Nvm(NvmError::OutOfBounds { .. })), "{addr}: {err:?}");
     }
     assert_eq!(e.addr_expired(start, now_unix_ms()), Ok(false));
+}
+
+// ---- UpdatePolicy::Cheapest: the per-update placement decision ----------
+
+const V: usize = 8;
+
+/// A volatile engine — every bucket virgin and free — under a model
+/// trained on two byte families, `0x00…` and `0xFF…`.
+fn trained(capacity: usize) -> ShardEngine {
+    let cfg = PnwConfig::new(capacity, V).with_clusters(2).with_seed(5);
+    let mut mgr = crate::model::ModelManager::new(&cfg);
+    let values: Vec<Vec<u8>> = (0..32).map(|i| vec![[0x00, 0xFF][i % 2]; V]).collect();
+    mgr.train(&values);
+    let mut e = ShardEngine::new(cfg);
+    e.install_model(mgr.snapshot());
+    e
+}
+
+/// The bucket the index links `key` to.
+fn bucket_of(e: &ShardEngine, key: u64) -> u32 {
+    let addr = e.index.lookup(&e.dev, key).unwrap().expect("key stored");
+    e.bucket_of_addr(addr).unwrap()
+}
+
+/// `0xFF…` with bit `i % 8` of the last byte cleared: any two of these
+/// differ in at most two bits.
+fn ff_minus(i: u32) -> [u8; V] {
+    let mut v = [0xFF; V];
+    v[V - 1] ^= 1 << (i % 8);
+    v
+}
+
+#[test]
+fn cheapest_goes_in_place_when_that_flips_fewer_bits() {
+    let mut e = trained(32);
+    e.put(1, &ff_minus(0)).unwrap();
+    let b = bucket_of(&e, 1);
+    // Two value bits and the seal's share, against a virgin candidate
+    // that needs the whole `0xFF…` value, the header and a flag clear.
+    let (r, path) = e.put(1, &ff_minus(1)).unwrap();
+    assert_eq!(path, PutPath::InPlace);
+    assert_eq!(bucket_of(&e, 1), b);
+    assert_eq!(e.in_place_run[b as usize], 1);
+    assert_eq!(e.snapshot(TrainStats::default()).updates_in_place, 1);
+    // The prediction it priced with is reported and cached.
+    let cluster = e.model().predict(&ff_minus(1));
+    assert_eq!(r.cluster, cluster);
+    assert_eq!(e.labels[b as usize], label_u16(cluster));
+    assert_eq!(e.get(1).unwrap().unwrap(), ff_minus(1));
+}
+
+#[test]
+fn cheapest_relocates_when_the_pool_candidate_flips_fewer_bits() {
+    let mut e = trained(32);
+    // Every free bucket already holds the new value's bytes.
+    e.prefill_free_buckets(|| vec![0xFF; V]).unwrap();
+    e.put(1, &[0x00; V]).unwrap();
+    let old = bucket_of(&e, 1);
+    let free = e.pool().free();
+    let (r, path) = e.put(1, &[0xFF; V]).unwrap();
+    assert_eq!(path, PutPath::Fresh);
+    assert_ne!(bucket_of(&e, 1), old);
+    assert_eq!(r.value_write.bit_flips, 0, "landed on its own bytes");
+    // The vacated bucket is flag-cleared and back in the pool.
+    assert!(!e.header(old).unwrap().1.valid);
+    assert_eq!(e.pool().free(), free);
+    assert_eq!(e.snapshot(TrainStats::default()).updates_in_place, 0);
+    assert_eq!(e.get(1).unwrap().unwrap(), [0xFF; V]);
+}
+
+#[test]
+fn the_eighth_consecutive_update_relocates_and_the_run_restarts() {
+    let mut e = trained(32);
+    e.put(1, &ff_minus(0)).unwrap();
+    let b = bucket_of(&e, 1);
+    for i in 1..=u32::from(MAX_IN_PLACE_RUN) {
+        assert_eq!(e.put(1, &ff_minus(i)).unwrap().1, PutPath::InPlace, "update {i}");
+    }
+    assert_eq!(e.in_place_run[b as usize], MAX_IN_PLACE_RUN);
+    // The eighth is still the cheaper in place, but the run is spent.
+    assert_eq!(e.put(1, &ff_minus(8)).unwrap().1, PutPath::Fresh);
+    let moved = bucket_of(&e, 1);
+    assert_ne!(moved, b);
+    assert_eq!(e.in_place_run[moved as usize], 0, "a new tenancy");
+    assert_eq!(e.put(1, &ff_minus(9)).unwrap().1, PutPath::InPlace);
+    assert_eq!(e.in_place_run[moved as usize], 1);
+}
+
+#[test]
+fn an_untrained_store_always_relocates() {
+    let mut e = ShardEngine::new(PnwConfig::new(32, V).with_clusters(2));
+    e.put(1, &[0xAB; V]).unwrap();
+    for _ in 0..3 {
+        // Rewriting the same bytes in place would flip nothing.
+        assert_eq!(e.put(1, &[0xAB; V]).unwrap().1, PutPath::Fresh);
+    }
+    assert_eq!(e.snapshot(TrainStats::default()).updates_in_place, 0);
+}
+
+#[test]
+fn a_durable_shard_always_relocates() {
+    let name = format!("pnw_shard_{}_durable_cheapest", std::process::id());
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PnwConfig::new(32, V).with_clusters(2).with_path(&dir);
+    let s = crate::PnwStore::open(cfg).unwrap();
+    for k in 0..16u64 {
+        s.put(k, &[[0x00, 0xFF][k as usize % 2]; V]).unwrap();
+    }
+    s.retrain_now().unwrap();
+    for k in 0..16u64 {
+        // Same bytes: in place would flip nothing, and still relocates.
+        s.put(k, &[[0x00, 0xFF][k as usize % 2]; V]).unwrap();
+    }
+    assert_eq!(s.snapshot().updates_in_place, 0);
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The 7 821-write regression: a relocation whose predicted free list is
+/// empty must fall back to another list, never pop the bucket it just
+/// vacated (which, pushed first, would sit alone in exactly that list).
+#[test]
+fn a_relocation_with_an_empty_predicted_list_never_reuses_the_vacated_bucket() {
+    let mut e = trained(8);
+    e.put(1, &ff_minus(0)).unwrap();
+    let b = bucket_of(&e, 1);
+    let cluster = e.model().predict(&ff_minus(0));
+    // Every free bucket is virgin, so the `0xFF…` list is empty.
+    assert_eq!(e.pool().free_in(cluster), 0);
+    for i in 1..=u32::from(MAX_IN_PLACE_RUN) {
+        e.put(1, &ff_minus(i)).unwrap();
+    }
+    let (r, path) = e.put(1, &ff_minus(0)).unwrap();
+    assert_eq!((path, r.fallback), (PutPath::Fresh, true));
+    assert_ne!(bucket_of(&e, 1), b);
+    assert_eq!(e.pool().free_in(cluster), 1, "the vacated bucket, afterwards");
+    e.check_labels();
+}
+
+/// In-place and relocating updates, fresh PUTs and deletes land while a
+/// label pass is open; its install still leaves every free bucket in its
+/// content's list and no tenant with a wrong cached label.
+#[test]
+fn labels_hold_across_mixed_updates_under_a_label_pass() {
+    let mut e = trained(64);
+    e.prefill_free_buckets(|| vec![0x00; V]).unwrap();
+    for k in 0..24u64 {
+        e.put(k, &[[0x00, 0xFF][k as usize % 2]; V]).unwrap();
+    }
+    let cfg = e.config().clone().with_seed(9);
+    let mut mgr = crate::model::ModelManager::new(&cfg);
+    mgr.train(&e.training_values(usize::MAX));
+    let next = mgr.snapshot();
+    // The pass reads the zone as it stands when it begins.
+    let active = e.begin_label_pass();
+    let labels: Vec<u16> = (0..active as u32)
+        .map(|b| {
+            let vaddr = value_addr(e.layout.addr(b));
+            label_u16(next.predict(e.dev.peek(vaddr, V).unwrap()))
+        })
+        .collect();
+    let mut paths = [0u32; 2];
+    for k in 0..24u64 {
+        // Odd keys take a one-bit change (in place); even keys move from
+        // `0x00…` to `0xFF…`, which no free bucket holds — in place too —
+        // or back, onto a prefilled `0x00…` bucket.
+        let v = if k % 2 == 1 { ff_minus(k as u32) } else { [0xFF; V] };
+        paths[usize::from(e.put(k, &v).unwrap().1 == PutPath::InPlace)] += 1;
+        if k % 4 == 0 {
+            paths[usize::from(e.put(k, &[0x00; V]).unwrap().1 == PutPath::InPlace)] += 1;
+        }
+    }
+    assert!(paths.iter().all(|&n| n > 0), "both paths taken: {paths:?}");
+    e.put(100, &[0xFF; V]).unwrap();
+    assert!(e.delete(3).unwrap());
+    e.install_labelled(next, &labels);
+    e.check_labels();
+    for k in (0..24u64).filter(|k| k % 4 == 0) {
+        e.put(k, &ff_minus(1)).unwrap();
+    }
+    e.check_labels();
 }

@@ -470,6 +470,7 @@ impl ShardedPnwStore {
             agg.device.merge(&p.device);
             agg.predict_total += p.predict_total;
             agg.puts += p.puts;
+            agg.updates_in_place += p.updates_in_place;
             agg.gets += p.gets;
             agg.deletes += p.deletes;
             agg.scrub.merge(&p.scrub);

@@ -151,13 +151,19 @@ fn in_place_update_policy() {
     assert_eq!(s.len(), 1);
 }
 
+/// The default `Cheapest` policy relocates an update when the pool's
+/// candidate is the cheaper write: the key's own bucket holds `0xAA…`, every
+/// free bucket already holds the new `0x55…`, so rewriting in place would
+/// flip all 64 value bits and moving flips none of them.
 #[test]
 fn delete_put_update_policy_changes_address() {
     let s = store(32, 8, 2);
+    s.prefill_free_buckets(|| vec![0x55u8; 8]).unwrap();
     s.put(5, &[0xAAu8; 8]).unwrap();
-    s.put(5, &[0x55u8; 8]).unwrap();
-    // The fresh PUT may reuse the just-freed address (it is in the pool),
-    // so only consistency is asserted, not that the address moved.
+    s.retrain_now().unwrap();
+    let r = s.put(5, &[0x55u8; 8]).unwrap();
+    assert_eq!(r.value_write.bit_flips, 0, "landed on a 0x55 bucket, not its own");
+    assert_eq!(s.snapshot().updates_in_place, 0);
     assert_eq!(s.len(), 1);
     assert_eq!(s.get(5).unwrap().unwrap(), vec![0x55u8; 8]);
 }

@@ -40,8 +40,8 @@ fn put_both(
     let addr = locate(a, key).expect("the PUT stored the key");
 
     let preview = twin.device().diff_stats(addr + HDR, v).unwrap();
-    // A DeletePut update first clears the old bucket's flag; that write is
-    // charged to the device but has never been part of the PUT's report.
+    // A relocating update also clears the vacated bucket's flag; that write
+    // is charged to the device but has never been part of the PUT's report.
     let unreported = match old_addr {
         Some(old) if path == PutPath::Fresh => twin.device().diff_stats(old, &[0]).unwrap(),
         _ => WriteStats::default(),
@@ -69,7 +69,7 @@ fn value(key: u64, round: u8) -> [u8; VALUE] {
 
 #[test]
 fn reported_puts_charge_what_the_preview_and_the_device_say() {
-    for policy in [UpdatePolicy::DeletePut, UpdatePolicy::InPlace] {
+    for policy in [UpdatePolicy::Cheapest, UpdatePolicy::InPlace] {
         for integrity in [true, false] {
             let cfg = PnwConfig::new(64, VALUE)
                 .with_clusters(2)
@@ -91,12 +91,13 @@ fn reported_puts_charge_what_the_preview_and_the_device_say() {
             trainer.train(&a.training_values(usize::MAX));
             a.install_model(trainer.snapshot());
             twin.install_model(trainer.snapshot());
-            // Updates, over old data, under the policy being tested.
-            for round in 1..4u8 {
+            // Updates, over old data, under the policy being tested — past
+            // the in-place run cap, so `Cheapest` must relocate some.
+            let mut paths = [0u32; 2];
+            for round in 1..10u8 {
                 for k in (0..32u64).rev() {
                     let (r, path) = put_both(&mut a, &mut twin, k, &value(k, round));
-                    let in_place = policy == UpdatePolicy::InPlace;
-                    assert_eq!(path == PutPath::InPlace, in_place, "{policy:?}");
+                    paths[usize::from(path == PutPath::InPlace)] += 1;
                     // The value's share never exceeds the whole write's.
                     assert!(r.value_write.bit_flips <= r.total_write.bit_flips);
                     value_bits += r.value_write;
@@ -104,6 +105,12 @@ fn reported_puts_charge_what_the_preview_and_the_device_say() {
                 assert!(a.delete(u64::from(round)).unwrap());
                 assert!(twin.delete(u64::from(round)).unwrap());
                 put_both(&mut a, &mut twin, u64::from(round), &value(9, round));
+            }
+            match policy {
+                UpdatePolicy::InPlace => assert_eq!(paths[0], 0, "{paths:?}"),
+                UpdatePolicy::Cheapest => {
+                    assert!(paths.iter().all(|&n| n > 0), "both paths taken: {paths:?}")
+                }
             }
             assert!(value_bits.bit_flips > 0 && value_bits.words_written > 0);
             assert_eq!(

@@ -87,6 +87,7 @@ pub(crate) fn baseline_snapshot(
         device,
         predict_total: std::time::Duration::ZERO,
         puts,
+        updates_in_place: 0,
         gets,
         deletes,
         scrub: pnw_core::ScrubStats::default(),

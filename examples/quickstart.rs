@@ -27,8 +27,9 @@ fn main() {
         train_time
     );
 
-    // Overwrite everything. PNW's delete-then-put update path steers each
-    // new version onto the free location with the closest bit pattern.
+    // Overwrite everything. Each update goes where it flips the fewest
+    // bits: its own bucket, or the free location with the closest bit
+    // pattern that the pool predicts for the new version.
     store.reset_device_stats();
     for k in 0..2048u64 {
         let value = make_value(k.wrapping_add(17));

@@ -22,7 +22,7 @@ fn every_dataset_roundtrips() {
             model.insert(key, v);
         }
         store.retrain_now().expect("train");
-        // Overwrite half (exercises delete-then-put steering).
+        // Overwrite half (exercises the priced update: in place or steered).
         for key in 0..16u64 {
             let v = w.next_value();
             store.put(key, &v).expect("update");
@@ -82,7 +82,7 @@ fn update_policies_agree_on_contents() {
         PnwStore::new(
             PnwConfig::new(128, vs)
                 .with_clusters(4)
-                .with_update_policy(UpdatePolicy::DeletePut),
+                .with_update_policy(UpdatePolicy::Cheapest),
         ),
         PnwStore::new(
             PnwConfig::new(128, vs)

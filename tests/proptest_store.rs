@@ -91,7 +91,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..60),
         shards in shards_strategy(),
     ) {
-        check_against_model(ops, shards, IndexPlacement::Dram, UpdatePolicy::DeletePut)?;
+        check_against_model(ops, shards, IndexPlacement::Dram, UpdatePolicy::Cheapest)?;
     }
 
     #[test]
@@ -107,7 +107,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..60),
         shards in shards_strategy(),
     ) {
-        check_against_model(ops, shards, IndexPlacement::Nvm, UpdatePolicy::DeletePut)?;
+        check_against_model(ops, shards, IndexPlacement::Nvm, UpdatePolicy::Cheapest)?;
     }
 
     /// Device-level conservation: differential flips never exceed the

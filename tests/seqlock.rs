@@ -25,11 +25,22 @@ fn encode(key: u64, version: u32) -> [u8; 16] {
     v
 }
 
+/// A value read back through a lock-free GET or scan must be one atomic
+/// version of `key`'s own value.
+fn assert_whole(key: u64, v: &[u8]) {
+    let lo = u64::from_le_bytes(v[..8].try_into().unwrap());
+    let hi = u64::from_le_bytes(v[8..].try_into().unwrap());
+    assert_eq!(lo, hi, "torn value for key {key}: {lo:#x} vs {hi:#x}");
+    assert_eq!(lo >> 32, key, "value from another key's bucket");
+}
+
 /// Writers churn disjoint key sets (puts, overwrites, deletes) while
-/// readers hammer the whole key space through the lock-free GET path and
-/// the main thread forces model swaps. Every validated read must be an
-/// atomic snapshot, and the final contents must equal the union of the
-/// writers' reference models.
+/// readers hammer the whole key space through the lock-free GET and scan
+/// paths and the main thread forces model swaps. The store is trained
+/// before the writers start, so overwrites take both update paths —
+/// rewriting the key's own bucket under the readers included. Every
+/// validated read must be an atomic snapshot, and the final contents must
+/// equal the union of the writers' reference models.
 #[test]
 fn lock_free_gets_never_observe_torn_values() {
     let store = Arc::new(ShardedPnwStore::new(
@@ -38,6 +49,7 @@ fn lock_free_gets_never_observe_torn_values() {
             .with_shards(4)
             .with_seed(11),
     ));
+    store.retrain_now().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
 
     let mut writers = Vec::new();
@@ -70,13 +82,18 @@ fn lock_free_gets_never_observe_torn_values() {
             let mut rng = StdRng::seed_from_u64(0x6EAD + r);
             let mut buf = vec![0u8; 16];
             let mut hits = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            for i in 0u64.. {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                if i % 64 == 0 {
+                    for (key, v) in store.scan(0, KEY_SPACE).expect("scan ok") {
+                        assert_whole(key, &v);
+                    }
+                }
                 let key = rng.gen_range(0..KEY_SPACE);
                 if store.get_into(key, &mut buf).expect("get ok") {
-                    let lo = u64::from_le_bytes(buf[..8].try_into().unwrap());
-                    let hi = u64::from_le_bytes(buf[8..].try_into().unwrap());
-                    assert_eq!(lo, hi, "torn value for key {key}: {lo:#x} vs {hi:#x}");
-                    assert_eq!(lo >> 32, key, "value from another key's bucket");
+                    assert_whole(key, &buf);
                     hits += 1;
                 }
             }
@@ -111,8 +128,9 @@ fn lock_free_gets_never_observe_torn_values() {
             None => assert_eq!(got, None, "key {key}"),
         }
     }
-    let gets = store.snapshot().gets;
-    assert!(gets >= hits, "validated reads are counted: {gets} >= {hits}");
+    let snap = store.snapshot();
+    assert!(snap.gets >= hits, "validated reads are counted: {} >= {hits}", snap.gets);
+    assert!(snap.updates_in_place > 0, "in-place rewrites raced the readers");
 }
 
 /// Liveness: GETs complete — from another thread and from the very thread
