@@ -792,7 +792,7 @@ mod tests {
     use super::*;
 
     /// Whether a background run *installs* before the quick replay ends is
-    /// a race with the trainer thread (6,000 PUTs against a debug-build fit
+    /// a race with the store's worker (6,000 PUTs against a debug-build fit
     /// and label pass on a loaded host), so the test asserts what is not:
     /// the replay starts a run, and installs are visible in the series.
     #[test]

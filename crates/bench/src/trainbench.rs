@@ -217,7 +217,7 @@ pub fn measure_pca_case(samples: usize, k: usize, seed: u64) -> PcaTrainResult {
 /// The label pass of one background retrain, in milliseconds per 32 768
 /// buckets: a 4-shard store of `buckets` 784 B image values (every bucket
 /// written, as the paper's set-up has it), trained once synchronously, then
-/// retrained in the background on a quiet zone — the trainer thread's
+/// retrained in the background on a quiet zone — the worker thread's
 /// lock-free walk, read off [`pnw_core::TrainPhases::label`].
 pub fn measure_label_pass(buckets: usize, k: usize, seed: u64) -> f64 {
     let cfg = PnwConfig::new(buckets, 784).with_clusters(k).with_shards(4);

@@ -56,12 +56,11 @@ pub enum RetrainMode {
     /// Only when [`PnwStore::retrain_now`](crate::PnwStore::retrain_now) is
     /// called.
     Manual,
-    /// Synchronously when pool availability drops below the load factor.
-    OnLoadFactor,
-    /// A background thread retrains when availability drops below the load
-    /// factor — it samples the zone, fits, and labels every bucket under
-    /// the new model; the store keeps serving from the old model and swaps
-    /// when that finishes (§V-C's "hide the re-training latency").
+    /// The store's worker thread retrains when availability drops below
+    /// the load factor — it samples the zone, fits, labels every bucket
+    /// under the new model and installs it shard by shard; the store keeps
+    /// serving from the old model meanwhile (§V-C's "hide the re-training
+    /// latency").
     Background,
 }
 
@@ -232,12 +231,12 @@ pub struct PnwConfig {
     /// (default `1.0` — deterministic wear-out, the testing setting).
     /// Only meaningful with `endurance_writes` set.
     pub stuck_latch_probability: f64,
-    /// Background scrub rate in buckets per second. When set, a
-    /// low-priority thread walks the shards bucket-by-bucket through the
-    /// lock-free read view, verifies each sealed CRC, repairs corrupt
-    /// buckets from the durable layer when a clean copy exists and
-    /// retires buckets sitting on stuck media. `None` (default): no
-    /// background thread; explicit
+    /// Background scrub rate in buckets per second. When set, the store's
+    /// worker thread, between its retrain jobs, walks the shards a few
+    /// buckets at a time under each shard's engine lock, verifies each
+    /// sealed CRC, repairs corrupt buckets from the durable layer when a
+    /// clean copy exists and retires buckets sitting on stuck media.
+    /// `None` (default): no background scrubbing; explicit
     /// [`scrub_pass`](crate::PnwStore::scrub_pass) calls still
     /// work.
     pub scrub_rate: Option<u32>,

@@ -93,7 +93,7 @@ pub use error::{PnwError, StoreError};
 // without depending on pnw-nvm-sim directly.
 pub use pnw_nvm_sim::{MetaTarget, MetaTear};
 pub use metrics::{BasisFit, OpReport, ScrubStats, StoreSnapshot, TrainPhases, TrainStats};
-pub use model::{ModelManager, ModelSnapshot, PredictScratch, ZoneSource};
+pub use model::{ModelManager, ModelSnapshot, PredictScratch};
 pub use pool::DynamicAddressPool;
 pub use shard::{now_unix_ms, PutPath, ShardEngine};
 pub use sharded::ShardedPnwStore;

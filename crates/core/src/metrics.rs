@@ -40,7 +40,7 @@ impl OpReport {
 pub struct TrainPhases {
     /// Planning the sample and reading the values the run keeps packed: the
     /// PCA basis subsample, or — at or below the PCA threshold — the whole
-    /// training set. A background run reads them from the live zone under
+    /// training set. A store's retrain reads them from the live zone under
     /// seqlock validation.
     pub sample: Duration,
     /// Fitting the PCA basis on the packed subsample — cold (Gram matrix,
@@ -59,7 +59,7 @@ pub struct TrainPhases {
     pub table_build: Duration,
     /// The label pass of a background run: predicting every active
     /// bucket's stored content under the new model, lock-free, on the
-    /// trainer thread. `ZERO` for a synchronous train, whose install labels
+    /// worker thread. `ZERO` for a synchronous train, whose install labels
     /// under the engine locks instead.
     pub label: Duration,
 }
@@ -79,8 +79,8 @@ pub enum BasisFit {
 
 /// Retrain observability: what the last installed training run cost and
 /// used, what its install left to do, plus the model epoch (install/swap
-/// counter). Lives on the trainer and is surfaced through
-/// [`StoreSnapshot::train`].
+/// counter). Kept by the trainer, published by the store's worker after
+/// each install and surfaced through [`StoreSnapshot::train`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrainStats {
     /// Wall-clock time of the last installed run's fit, sampling included

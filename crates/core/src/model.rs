@@ -1,5 +1,5 @@
-//! The ML model lifecycle: bit-domain training, PCA, background retraining,
-//! and immutable epoch-numbered prediction snapshots (§V-A.1).
+//! The ML model lifecycle: bit-domain training, PCA, warm zone refits, and
+//! immutable epoch-numbered prediction snapshots (§V-A.1).
 //!
 //! *"The ML model is constructed on DRAM as it does not need to be
 //! persistent and can be reconstructed after a crash."* Two types split the
@@ -11,9 +11,10 @@
 //!   takes **no lock**: every [`ShardEngine`](crate::ShardEngine) holds its
 //!   own `Arc` clone and a publish replaces it under the shard's existing
 //!   lock, so a reader can never observe a half-updated model.
-//! * [`ModelManager`] — the trainer: configuration, the long-lived
-//!   `pnw-trainer` thread and its job channel, retrain counters. Touched
-//!   only on train/install boundaries, never on the op hot path.
+//! * [`ModelManager`] — the trainer: configuration, the last run's PCA
+//!   basis, retrain counters. It has no thread of its own: a store's one
+//!   background worker owns it outright and runs it one training run at a
+//!   time, never on the op hot path.
 //!
 //! Every model predicts the same way — K affine scores over the value's
 //! bits, argmin wins — and nothing on either path expands a value into
@@ -32,26 +33,23 @@
 //!   be 8 MB at K = 10 and miss cache on every lookup; the per-bit table is
 //!   400 KB.
 //!
-//! A run reads its values through a [`ZoneSource`]. A synchronous
-//! [`ModelManager::train`] gets a snapshot somebody took and fits cold —
-//! same values, same seed, same model. A background run
-//! ([`ModelManager::train_in_background_with`]) is everything the paper's
-//! Algorithm 1 does, off the writers' path (§V-C): the trainer thread takes
-//! its own strided sample from the live zone, projecting each value as it
-//! is read; refreshes the previous run's PCA basis *warm*
+//! A run reads its values through a `ZoneSource`: a snapshot already taken,
+//! or the live data zone. [`ModelManager::train`] and the store's
+//! synchronous retrain fit cold — same values, same seed, same model. A
+//! zone fit, the store's background retrain, is everything the paper's
+//! Algorithm 1 does, off the writers' path (§V-C): it takes a strided
+//! sample of the live zone, projecting each value as it is read; refreshes
+//! the previous run's PCA basis *warm*
 //! ([`pnw_ml::pca::Pca::refresh_packed`]) instead of paying the eigensolve
 //! again; builds the snapshot; and labels every bucket of the zone under
-//! it. Model and labels travel to the installer together, so installing is
-//! an `Arc` swap and a pool rebuild with next to no predictions. A result
-//! that a synchronous train overtook is dropped, never installed over the
-//! newer model. Training samples are capped by deterministic reservoir
-//! sampling ([`reservoir_sample`], `train_sample_cap` on [`PnwConfig`]) so
-//! retrain cost stops scaling with data-zone size.
+//! it. Model and labels go to the installer together, so installing is an
+//! `Arc` swap and a pool rebuild with next to no predictions. Runs install
+//! in the order they run, so each one replaces the model before it.
+//! Training samples are capped by deterministic reservoir sampling
+//! ([`reservoir_sample`], `train_sample_cap` on [`PnwConfig`]) so retrain
+//! cost stops scaling with data-zone size.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pnw_ml::kmeans::{KMeans, KMeansConfig, TrainSet};
@@ -123,15 +121,22 @@ fn zero_model(value_bits: usize, per_bit: bool) -> (KMeans, Scorer) {
 
 /// Result of one training run: the snapshot it would install, and what the
 /// manager keeps beside it.
-struct TrainedModel {
-    /// Epoch-stamped by the run: a run started at epoch `e` builds snapshot
-    /// `e + 1`, and installs only if the manager is still at `e`.
+pub(crate) struct TrainedModel {
+    /// Stamped with its epoch when a manager installs it. Allocated by the
+    /// thread that ran the fit, like the tables inside it.
     snapshot: Arc<ModelSnapshot>,
-    /// The run's PCA basis (PCA-configured models only) — the next
-    /// background run's warm start.
+    /// The run's PCA basis (PCA-configured models only) — the next zone
+    /// fit's warm start.
     basis: Option<Pca>,
     /// Cost and inputs of the run; the install-side counters are still zero.
     stats: TrainStats,
+}
+
+impl TrainedModel {
+    /// How long the run took, sampling included.
+    pub(crate) fn fit_time(&self) -> Duration {
+        self.stats.last_train_wall
+    }
 }
 
 /// The immutable prediction state of one trained (or untrained) model: the
@@ -243,7 +248,9 @@ impl ModelSnapshot {
 
 /// What a training run needs from the store's configuration.
 #[derive(Clone, Copy)]
-struct TrainParams {
+pub(crate) struct TrainParams {
+    /// The store's seed; a run at epoch `e` is seeded with `seed + e`.
+    seed: u64,
     clusters: usize,
     auto_k: Option<(usize, usize)>,
     threads: usize,
@@ -257,11 +264,33 @@ struct TrainParams {
     sample_cap: usize,
 }
 
+impl TrainParams {
+    pub(crate) fn of(cfg: &PnwConfig) -> Self {
+        TrainParams {
+            seed: cfg.seed,
+            clusters: cfg.clusters,
+            auto_k: cfg.auto_k,
+            threads: cfg.train_threads,
+            iters: cfg.train_iters,
+            value_bits: cfg.value_size * 8,
+            use_pca: cfg.uses_pca(),
+            pca_components: cfg.pca.components,
+            pca_sample: cfg.pca.sample,
+            zone_sample: cfg.train_sample,
+            sample_cap: cfg.train_sample_cap,
+        }
+    }
+
+    /// The seed of a run at `epoch`: deterministic, distinct per retrain.
+    fn seed_at(&self, epoch: u64) -> u64 {
+        self.seed.wrapping_add(epoch)
+    }
+}
+
 /// What a training run reads stored values through: a snapshot already
 /// taken (any `[Vec<u8>]`), or the live data zone, which the store's
-/// background trainer samples — and afterwards labels — without the
-/// writers' locks.
-pub trait ZoneSource: Send + Sync {
+/// worker samples — and afterwards labels — without the writers' locks.
+pub(crate) trait ZoneSource {
     /// Where a strided sample of at most `cap` stored values sits, as
     /// `(shard, bucket)` pairs in zone order.
     fn sample_positions(&self, cap: usize) -> Vec<(u32, u32)>;
@@ -290,17 +319,6 @@ impl ZoneSource for [Vec<u8>] {
     }
 }
 
-/// An owned snapshot, for handing to the trainer thread.
-impl ZoneSource for Vec<Vec<u8>> {
-    fn sample_positions(&self, cap: usize) -> Vec<(u32, u32)> {
-        self.as_slice().sample_positions(cap)
-    }
-
-    fn read_value(&self, at: (u32, u32), out: &mut [u8]) {
-        self.as_slice().read_value(at, out)
-    }
-}
-
 /// Reads the values at `positions` into a packed training set.
 fn read_packed<S: ZoneSource + ?Sized>(
     src: &S,
@@ -315,107 +333,29 @@ fn read_packed<S: ZoneSource + ?Sized>(
     PackedMatrix::from_values(&rows)
 }
 
-/// One background run, as handed to the trainer thread.
-struct Job {
-    source: Arc<dyn ZoneSource>,
-    seed: u64,
-    /// The epoch the run's model installs as.
+/// A cold training run over `src` for a model at `epoch`: no basis to
+/// refresh, so the same values and epoch give the same model.
+pub(crate) fn fit_cold<S: ZoneSource + ?Sized>(
+    src: &S,
+    p: &TrainParams,
     epoch: u64,
-    /// The previous run's basis, moved in for the warm refresh (and back
-    /// out with the result — it is never cloned).
-    basis: Option<Pca>,
-    /// Set once the result is queued, or the run died.
-    done: Option<Arc<AtomicBool>>,
-}
-
-/// Sets a run's completion flag on *every* exit from the run — after the
-/// send on success (so a ready observation always finds the result
-/// queued), and on unwind if the run panics (the result sender is dropped
-/// with the thread, so the observer sees Disconnected and clears its
-/// pending state instead of wedging background retraining forever).
-struct SignalOnDrop(Option<Arc<AtomicBool>>);
-
-impl Drop for SignalOnDrop {
-    fn drop(&mut self) {
-        if let Some(flag) = self.0.take() {
-            flag.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// The long-lived `pnw-trainer` thread of one manager: spawned by its
-/// first background run, fed jobs over a channel, joined when the manager
-/// drops.
-struct Trainer {
-    jobs: Sender<Job>,
-    /// Behind a `Mutex` only so that the manager stays `Sync`; it is never
-    /// locked, only reached through `get_mut`.
-    results: Mutex<Receiver<(TrainedModel, Vec<Vec<u16>>)>>,
-    thread: JoinHandle<()>,
-}
-
-impl Trainer {
-    fn spawn(params: TrainParams) -> Self {
-        let (jobs, job_rx) = channel::<Job>();
-        let (result_tx, results) = channel();
-        let thread = std::thread::Builder::new()
-            .name("pnw-trainer".into())
-            .spawn(move || {
-                // The refresh's per-bit tables stay with the thread: one
-                // allocation for the manager's lifetime, not one per run.
-                let mut scratch = RefreshScratch::default();
-                for job in job_rx {
-                    let signal = SignalOnDrop(job.done);
-                    let source = &*job.source;
-                    let mut m = fit(
-                        source,
-                        &params,
-                        job.seed,
-                        job.epoch,
-                        job.basis,
-                        &mut scratch,
-                    );
-                    let t = Instant::now();
-                    let labels = source.label_zone(&m.snapshot);
-                    m.stats.phases.label = t.elapsed();
-                    m.stats.labelled = labels.iter().map(Vec::len).sum();
-                    // The manager may be gone (store torn down) — ignore.
-                    let _ = result_tx.send((m, labels));
-                    drop(signal);
-                }
-            })
-            .expect("spawning the trainer thread");
-        Trainer {
-            jobs,
-            results: Mutex::new(results),
-            thread,
-        }
-    }
+) -> TrainedModel {
+    let seed = p.seed_at(epoch);
+    fit(src, p, seed, None, &mut RefreshScratch::default())
 }
 
 /// Owns the training machinery and the current published snapshot.
 pub struct ModelManager {
     params: TrainParams,
-    seed: u64,
     current: Arc<ModelSnapshot>,
     /// Cost and inputs of the last installed run; `epoch` doubles as the
     /// install counter.
     stats: TrainStats,
-    /// The last installed run's PCA basis, while no background run has it.
+    /// The last installed run's PCA basis — the next zone fit's warm start.
     basis: Option<Pca>,
-    trainer: Option<Trainer>,
-    /// Whether a background run has been handed to the trainer thread and
-    /// its result not yet taken.
-    in_flight: bool,
-    /// The label pass that came with the last background install, until
-    /// the store publishes it ([`ModelManager::take_zone_labels`]).
-    zone_labels: Option<Vec<Vec<u16>>>,
-}
-
-impl Drop for ModelManager {
-    fn drop(&mut self) {
-        self.reap_trainer();
-    }
+    /// The warm refresh's per-bit tables: one allocation for the manager's
+    /// lifetime, not one per run.
+    scratch: RefreshScratch,
 }
 
 impl ModelManager {
@@ -423,25 +363,11 @@ impl ModelManager {
     /// the first training (matching a store whose cells are all zero).
     pub fn new(cfg: &PnwConfig) -> Self {
         ModelManager {
-            params: TrainParams {
-                clusters: cfg.clusters,
-                auto_k: cfg.auto_k,
-                threads: cfg.train_threads,
-                iters: cfg.train_iters,
-                value_bits: cfg.value_size * 8,
-                use_pca: cfg.uses_pca(),
-                pca_components: cfg.pca.components,
-                pca_sample: cfg.pca.sample,
-                zone_sample: cfg.train_sample,
-                sample_cap: cfg.train_sample_cap,
-            },
-            seed: cfg.seed,
+            params: TrainParams::of(cfg),
             current: Arc::new(ModelSnapshot::untrained(cfg)),
             stats: TrainStats::default(),
             basis: None,
-            trainer: None,
-            in_flight: false,
-            zone_labels: None,
+            scratch: RefreshScratch::default(),
         }
     }
 
@@ -451,7 +377,7 @@ impl ModelManager {
         Arc::clone(&self.current)
     }
 
-    /// Whether a training run has completed (fore- or background).
+    /// Whether a training run has completed.
     pub fn is_trained(&self) -> bool {
         self.current.is_trained()
     }
@@ -468,109 +394,30 @@ impl ModelManager {
         self.stats.clone()
     }
 
-    /// The per-run training seed: deterministic, distinct per retrain.
-    fn next_seed(&self) -> u64 {
-        self.seed.wrapping_add(self.stats.epoch)
-    }
-
     /// Trains synchronously on a snapshot of data-zone values (Algorithm 1)
     /// and installs the result. Always a cold fit, so the same values and
     /// seed give the same model. Returns the training time.
     pub fn train(&mut self, values: &[Vec<u8>]) -> Duration {
-        let (seed, epoch) = (self.next_seed(), self.stats.epoch + 1);
-        let mut scratch = RefreshScratch::default();
-        let m = fit(values, &self.params, seed, epoch, None, &mut scratch);
-        let elapsed = m.stats.last_train_wall;
-        self.install(m, None);
+        let m = fit_cold(values, &self.params, self.stats.epoch);
+        let elapsed = m.fit_time();
+        self.install(m);
         elapsed
     }
 
-    /// Hands a background training run over `source` to the trainer thread
-    /// (spawning it on first use). No-op if one is already in flight. The
-    /// thread samples `source`, fits — refreshing the previous run's PCA
-    /// basis warm when there is one — and labels the zone under the new
-    /// model. When `done` is given, it is set (release-ordered) after the
-    /// result is queued — a store can poll that one atomic on its op path
-    /// instead of taking any lock.
-    pub fn train_in_background_with(
-        &mut self,
-        source: impl ZoneSource + 'static,
-        done: Option<Arc<AtomicBool>>,
-    ) {
-        if self.in_flight {
-            return;
-        }
-        let job = Job {
-            source: Arc::new(source),
-            seed: self.next_seed(),
-            epoch: self.stats.epoch + 1,
-            basis: self.basis.take(),
-            done,
-        };
-        let params = self.params;
-        let trainer = self.trainer.get_or_insert_with(|| Trainer::spawn(params));
-        // The thread only ends by panicking inside a run, and a run in
-        // flight is reaped before the next can start.
-        let sent = trainer.jobs.send(job);
-        sent.expect("an idle trainer thread is a live one");
-        self.in_flight = true;
-    }
-
-    /// Whether a background run is in flight.
-    pub fn training_in_progress(&self) -> bool {
-        self.in_flight
-    }
-
-    /// Installs a finished background model if one is ready. Returns true
-    /// when a swap happened (the store must then publish
-    /// [`ModelManager::snapshot`] to its engines, with the label pass that
-    /// came with it). A result whose run started
-    /// before the current model was installed is dropped, not installed:
-    /// it was trained on older data than the model it would replace.
-    pub fn try_install_background(&mut self) -> bool {
-        self.take_background_result(false)
-    }
-
-    /// Blocks until the in-flight background run (if any) is installed.
-    pub fn wait_for_background(&mut self) -> bool {
-        self.take_background_result(true)
-    }
-
-    /// Takes the in-flight run's result — waiting for it, or only if it is
-    /// already queued — and installs it, unless a synchronous train has
-    /// installed since the run started. A run that died is reaped.
-    fn take_background_result(&mut self, wait: bool) -> bool {
-        let results = match &mut self.trainer {
-            Some(t) if self.in_flight => t.results.get_mut().expect("never locked"),
-            _ => return false,
-        };
-        let run = if wait {
-            results.recv().map_err(|_| TryRecvError::Disconnected)
-        } else {
-            results.try_recv()
-        };
-        match run {
-            Ok((m, labels)) => {
-                self.in_flight = false;
-                let current = m.stats.epoch == self.stats.epoch + 1;
-                if current {
-                    self.install(m, Some(labels));
-                }
-                current
-            }
-            Err(TryRecvError::Empty) => false,
-            Err(TryRecvError::Disconnected) => {
-                self.reap_trainer();
-                false
-            }
-        }
-    }
-
-    /// The per-shard label vectors of the last background install, once.
-    /// `None` after a synchronous train or a second call: the engines then
-    /// label under their own locks.
-    pub(crate) fn take_zone_labels(&mut self) -> Option<Vec<Vec<u16>>> {
-        self.zone_labels.take()
+    /// One background retrain's worth of training over the live `zone`:
+    /// samples it, fits — refreshing the previous run's PCA basis warm when
+    /// there is one — installs the model here and labels the zone under it.
+    /// Returns the labels, one vector per shard, for the engines' install.
+    pub(crate) fn fit_zone<S: ZoneSource + ?Sized>(&mut self, zone: &S) -> Vec<Vec<u16>> {
+        let seed = self.params.seed_at(self.stats.epoch);
+        let warm = self.basis.take();
+        let mut m = fit(zone, &self.params, seed, warm, &mut self.scratch);
+        let t = Instant::now();
+        let labels = zone.label_zone(&m.snapshot);
+        m.stats.phases.label = t.elapsed();
+        m.stats.labelled = labels.iter().map(Vec::len).sum();
+        self.install(m);
+        labels
     }
 
     /// Records what publishing the current model left the engines to do:
@@ -580,38 +427,28 @@ impl ModelManager {
         self.stats.predicted_at_install = predicted;
     }
 
-    /// Ends the trainer thread, if there is one, and joins it: closing the
-    /// job channel stops its loop after the run it is on, and a run that
-    /// panicked has nothing left to report. The next background request
-    /// spawns a fresh thread.
-    fn reap_trainer(&mut self) {
-        self.in_flight = false;
-        if let Some(Trainer { jobs, thread, .. }) = self.trainer.take() {
-            drop(jobs);
-            let _ = thread.join();
-        }
-    }
-
-    /// Publishes a finished run: swap the `Arc`, keep its basis and stats.
-    /// The snapshot came whole, so nothing here scales with the value size
-    /// — this runs on a client's op path.
-    fn install(&mut self, m: TrainedModel, labels: Option<Vec<Vec<u16>>>) {
+    /// Adopts a finished run — here or, for a store's synchronous retrain,
+    /// on the caller's thread — as the next epoch: its snapshot, basis and
+    /// stats.
+    pub(crate) fn install(&mut self, mut m: TrainedModel) {
+        let epoch = self.stats.epoch + 1;
+        let snapshot = Arc::get_mut(&mut m.snapshot).expect("a run's snapshot is its own");
+        snapshot.epoch = epoch;
+        m.stats.epoch = epoch;
         self.current = m.snapshot;
         self.basis = m.basis;
         self.stats = m.stats;
-        self.zone_labels = labels;
     }
 }
 
 /// One whole training run over `src`, score table and snapshot included —
-/// everything the caller's thread (the trainer thread's, for background
-/// retrains) can do ahead of the install. With `warm`, a PCA-configured run
-/// refreshes that basis instead of fitting one from nothing.
+/// everything that can happen ahead of the install. With `warm`, a
+/// PCA-configured run refreshes that basis instead of fitting one from
+/// nothing.
 fn fit<S: ZoneSource + ?Sized>(
     src: &S,
     p: &TrainParams,
     seed: u64,
-    epoch: u64,
     warm: Option<Pca>,
     scratch: &mut RefreshScratch,
 ) -> TrainedModel {
@@ -697,7 +534,7 @@ fn fit<S: ZoneSource + ?Sized>(
             kmeans,
             scorer,
             trained: true,
-            epoch,
+            epoch: 0,
         }),
         basis,
         stats: TrainStats {
@@ -706,7 +543,6 @@ fn fit<S: ZoneSource + ?Sized>(
             basis: basis_fit,
             samples_pre_cap: zone.len(),
             samples_post_cap: capped.len(),
-            epoch,
             ..TrainStats::default()
         },
     }
@@ -784,8 +620,8 @@ mod tests {
         PnwConfig::new(64, 4).with_clusters(2)
     }
 
-    /// The sharded store keeps the trainer behind a `Mutex` and snapshots
-    /// behind `Arc`s; both only compile if these are `Send + Sync`.
+    /// The store moves its manager onto its worker thread and shares
+    /// snapshots behind `Arc`s across every thread.
     #[test]
     fn manager_and_snapshot_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -824,109 +660,45 @@ mod tests {
         assert_eq!(m.ranked_after_predict(&mut scratch).len(), 2);
     }
 
-    #[test]
-    fn background_training_installs() {
-        let mut m = ModelManager::new(&small_cfg());
-        let values: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i, 0, 0, 0]).collect();
-        m.train_in_background_with(values, None);
-        assert!(m.training_in_progress());
-        assert!(m.wait_for_background());
-        assert!(m.is_trained());
-        assert_eq!(m.retrains(), 1);
-        assert!(!m.training_in_progress());
-        assert_eq!(m.snapshot().epoch(), 1);
-    }
+    /// A zone of fixed values, labelled the way the store's zone reader
+    /// labels it: one vector, one label per value.
+    struct Zone(Vec<Vec<u8>>);
 
-    #[test]
-    fn background_done_flag_set_after_model_is_ready() {
-        let mut m = ModelManager::new(&small_cfg());
-        let values: Vec<Vec<u8>> = (0..60u8).map(|i| vec![i, i / 2, 0, 0]).collect();
-        let done = Arc::new(AtomicBool::new(false));
-        m.train_in_background_with(values, Some(Arc::clone(&done)));
-        // Spin until the flag flips, then the model must install instantly.
-        while !done.load(Ordering::Acquire) {
-            std::thread::yield_now();
-        }
-        assert!(m.try_install_background(), "flag implies a queued model");
-        assert_eq!(m.retrains(), 1);
-    }
-
-    #[test]
-    fn second_background_request_is_noop_while_pending() {
-        let mut m = ModelManager::new(&small_cfg());
-        let values: Vec<Vec<u8>> = (0..200u8).map(|i| vec![i, i, 0, 0]).collect();
-        m.train_in_background_with(values.clone(), None);
-        m.train_in_background_with(values, None); // ignored
-        m.wait_for_background();
-        assert_eq!(m.retrains(), 1);
-    }
-
-    /// A zone source over fixed values that records which thread sampled
-    /// it, and panics on demand.
-    struct Probe {
-        values: Vec<Vec<u8>>,
-        sampled_on: Mutex<Vec<(std::thread::ThreadId, Option<String>)>>,
-        panic: bool,
-    }
-
-    /// The handle a run takes; the test keeps its own to look inside.
-    struct Shared(Arc<Probe>);
-
-    impl Probe {
-        fn over(values: Vec<Vec<u8>>, panic: bool) -> Arc<Self> {
-            Arc::new(Probe {
-                values,
-                sampled_on: Mutex::new(Vec::new()),
-                panic,
-            })
-        }
-    }
-
-    impl ZoneSource for Shared {
+    impl ZoneSource for Zone {
         fn sample_positions(&self, cap: usize) -> Vec<(u32, u32)> {
-            assert!(!self.0.panic, "the probe was told to fail");
-            let t = std::thread::current();
-            let seen = (t.id(), t.name().map(String::from));
-            self.0.sampled_on.lock().unwrap().push(seen);
-            self.0.values.sample_positions(cap)
+            self.0.sample_positions(cap)
         }
 
         fn read_value(&self, at: (u32, u32), out: &mut [u8]) {
-            self.0.values.read_value(at, out)
+            self.0.read_value(at, out)
         }
 
         fn label_zone(&self, model: &ModelSnapshot) -> Vec<Vec<u16>> {
-            let labels = self.0.values.iter().map(|v| model.predict(v) as u16);
-            vec![labels.collect()]
+            vec![self.0.iter().map(|v| model.predict(v) as u16).collect()]
+        }
+    }
+
+    /// A zone fit — the store's background retrain, here with no thread —
+    /// installs in the manager and hands back what the new model predicts
+    /// for every value, through the byte LUT it built.
+    #[test]
+    fn background_training_installs() {
+        let mut m = ModelManager::new(&small_cfg());
+        let zone = Zone((0..40u8).map(|i| vec![i, !i, 0, i / 3]).collect());
+        let labels = m.fit_zone(&zone);
+        assert!(m.is_trained());
+        assert_eq!((m.retrains(), m.snapshot().epoch()), (1, 1));
+        assert_eq!(m.train_stats().labelled, zone.0.len());
+        let model = m.snapshot();
+        assert!(model.uses_packed());
+        assert_eq!(labels.len(), 1);
+        for (v, &l) in zone.0.iter().zip(&labels[0]) {
+            assert_eq!(l as usize, model.kmeans().predict(&bits_to_features(v)));
         }
     }
 
     #[test]
-    fn a_background_result_older_than_the_installed_model_is_dropped() {
-        let mut m = ModelManager::new(&small_cfg());
-        let old: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i, 0, 0, 0]).collect();
-        let new: Vec<Vec<u8>> = (0..40u8).map(|i| vec![0xFF, 0xFF, i, 0xFF]).collect();
-        m.train_in_background_with(old, None);
-        // A synchronous train lands while the run is in flight (or queued,
-        // or done — its result is taken only below).
-        m.train(&new);
-        let installed = m.snapshot();
-        assert!(
-            !m.wait_for_background(),
-            "the older-data model must not install"
-        );
-        assert!(!m.training_in_progress());
-        assert!(Arc::ptr_eq(&installed, &m.snapshot()));
-        assert_eq!((m.retrains(), m.snapshot().epoch()), (1, 1));
-        assert!(m.take_zone_labels().is_none());
-        // The next run is unaffected.
-        m.train_in_background_with(new, None);
-        assert!(m.wait_for_background());
-        assert_eq!((m.retrains(), m.snapshot().epoch()), (2, 2));
-    }
-
-    #[test]
-    fn background_runs_share_one_named_thread_and_refresh_the_basis_warm() {
+    fn a_zone_fit_refreshes_the_basis_warm_and_labels_what_it_predicts() {
         let cfg = PnwConfig::new(32, 256).with_clusters(2);
         let mut m = ModelManager::new(&cfg);
         // Two macro-patterns under enough noise that the sample's rank
@@ -939,57 +711,27 @@ mod tests {
                 *b ^= (lcg >> 24) as u8;
             }
         }
-        let probe = Probe::over(noisy, false);
-        m.train(&probe.values);
+        let zone = Zone(noisy);
+        m.train(&zone.0);
         assert_eq!(m.snapshot().feature_dims(), cfg.pca.components);
         assert_eq!(m.train_stats().basis, BasisFit::Cold);
         for epoch in 2..=3 {
-            m.train_in_background_with(Shared(Arc::clone(&probe)), None);
-            assert!(m.wait_for_background());
+            let labels = m.fit_zone(&zone);
             let s = m.train_stats();
             assert_eq!((s.epoch, s.basis), (epoch, BasisFit::Warm));
-            assert_eq!(s.labelled, probe.values.len());
-            let labels = m
-                .take_zone_labels()
-                .expect("a background install has labels");
-            assert_eq!(labels.len(), 1);
+            assert_eq!(s.labelled, zone.0.len());
             let model = m.snapshot();
-            for (v, &l) in probe.values.iter().zip(&labels[0]) {
+            for (v, &l) in zone.0.iter().zip(&labels[0]) {
                 assert_eq!(model.predict(v), l as usize);
             }
-            assert!(m.take_zone_labels().is_none(), "taken once");
         }
         // The warm model still separates the two patterns.
         let model = m.snapshot();
-        assert_ne!(
-            model.predict(&probe.values[0]),
-            model.predict(&probe.values[1])
-        );
-        // A synchronous train is always cold, and hands back no labels.
-        m.train(&probe.values);
+        assert_ne!(model.predict(&zone.0[0]), model.predict(&zone.0[1]));
+        // A synchronous train is always cold, and labels nothing.
+        m.train(&zone.0);
         assert_eq!(m.train_stats().basis, BasisFit::Cold);
         assert_eq!(m.train_stats().labelled, 0);
-
-        let seen = probe.sampled_on.lock().unwrap();
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], seen[1], "one thread for the manager's lifetime");
-        assert_eq!(seen[0].1.as_deref(), Some("pnw-trainer"));
-        assert_ne!(seen[0].0, std::thread::current().id());
-    }
-
-    #[test]
-    fn a_panicking_run_is_reaped_and_the_next_one_starts_fresh() {
-        let mut m = ModelManager::new(&small_cfg());
-        let values: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i, 0, 0, 0]).collect();
-        let done = Arc::new(AtomicBool::new(false));
-        let bad = Shared(Probe::over(values.clone(), true));
-        m.train_in_background_with(bad, Some(Arc::clone(&done)));
-        assert!(!m.wait_for_background());
-        assert!(done.load(Ordering::Acquire), "the flag fires on unwind too");
-        assert!(!m.training_in_progress() && !m.is_trained());
-        m.train_in_background_with(Shared(Probe::over(values, false)), None);
-        assert!(m.wait_for_background());
-        assert_eq!(m.retrains(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * a synchronous install ([`ShardEngine::install_model`]) discards every
 //!   cached label and re-predicts the free buckets under the engine lock;
 //! * a background install ([`ShardEngine::install_labelled`]) arrives with
-//!   labels the trainer thread predicted lock-free while writers kept
+//!   labels the worker thread predicted lock-free while writers kept
 //!   writing. [`ShardEngine::begin_label_pass`] starts a *rewritten-since*
 //!   record under the engine lock before the pass reads anything; the three
 //!   sites mark it, under the lock, before they touch the device; the
@@ -124,8 +124,8 @@ impl ShardEngine {
     /// become the cached labels, minus every bucket rewritten since the
     /// pass began and every bucket it did not cover, and the pool is
     /// rebuilt from them — only the stale free buckets are predicted here.
-    /// Returns `(stale, predicted)`. With the record gone (recovery ran, or
-    /// another install got here first) the whole pass is stale.
+    /// Returns `(stale, predicted)`. With the record gone (recovery ran
+    /// since the pass began) the whole pass is stale.
     pub(crate) fn install_labelled(
         &mut self,
         snapshot: Arc<ModelSnapshot>,

@@ -10,7 +10,7 @@
 //! lock — the pool's labels and the model that produced them can never be
 //! observed out of sync. A synchronous retrain
 //! ([`ShardEngine::install_model`]) predicts every free bucket there; a
-//! background retrain brings the labels with it — the trainer thread
+//! background retrain brings the labels with it — the worker thread
 //! predicted them lock-free beforehand — and the install predicts only the
 //! buckets written since.
 //!

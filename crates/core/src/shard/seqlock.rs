@@ -24,7 +24,7 @@ pub(crate) struct ShardSync {
     /// the counter lives with the GET counter).
     crc_failures: AtomicU64,
     /// The engine's active-zone size in buckets, mirrored here whenever it
-    /// changes, so the trainer thread can plan a training sample without
+    /// changes, so the worker thread can plan a training sample without
     /// the engine lock.
     active: AtomicUsize,
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use pnw_nvm_sim::WriteStats;
 
-use super::{Shard, ShardedPnwStore};
+use super::{ModelState, Shard, ShardedPnwStore};
 use crate::api::{Batch, BatchReport, Op};
 use crate::error::StoreError;
 use crate::metrics::OpReport;
@@ -124,12 +124,12 @@ impl ShardedPnwStore {
         };
         let mut due = false;
         let reply = run(&mut eng, &mut due);
-        due |= self.drain_queue(sh, &mut eng);
+        due |= sh.drain(&mut eng);
         drop(eng);
         if let Some(deferred) = defer_retrain {
             *deferred |= std::mem::take(&mut due);
         }
-        self.finish_write(sh, due);
+        sh.finish_write(&self.model, due);
         reply
     }
 
@@ -191,9 +191,9 @@ impl ShardedPnwStore {
                 return reply;
             }
             if let Ok(mut eng) = sh.engine.try_lock() {
-                let due = self.drain_queue(sh, &mut eng);
+                let due = sh.drain(&mut eng);
                 drop(eng);
-                self.finish_write(sh, due);
+                sh.finish_write(&self.model, due);
                 continue;
             }
             let done = slot.done.lock().unwrap();
@@ -203,19 +203,21 @@ impl ShardedPnwStore {
             let _ = slot.cv.wait_timeout(done, self.slot_wait).unwrap();
         }
     }
+}
 
+impl Shard {
     /// Executes every queued command against the held engine (the flat
     /// combining drain). Returns whether any op made retraining due.
     #[inline]
-    fn drain_queue(&self, sh: &Shard, eng: &mut ShardEngine) -> bool {
+    fn drain(&self, eng: &mut ShardEngine) -> bool {
         let mut due = false;
         // An empty queue costs one load, not a lock: a push racing this
         // read is `finish_write`'s to catch, after the engine is released.
-        while sh.queue_depth.load(Ordering::SeqCst) != 0 {
+        while self.queue_depth.load(Ordering::SeqCst) != 0 {
             let op = {
-                let mut q = sh.queue.lock().unwrap();
+                let mut q = self.queue.lock().unwrap();
                 let op = q.pop_front();
-                sh.queue_depth.store(q.len(), Ordering::SeqCst);
+                self.queue_depth.store(q.len(), Ordering::SeqCst);
                 op
             };
             let Some(op) = op else { break };
@@ -248,28 +250,44 @@ impl ShardedPnwStore {
     /// push, and if ours comes first its `try_lock` sees the engine free
     /// (or held by a later combiner, which owes the same recheck).
     #[inline]
-    pub(super) fn finish_write(&self, sh: &Shard, due: bool) {
+    pub(super) fn finish_write(&self, model: &ModelState, due: bool) {
         if due {
-            self.trigger_retrain_policy();
+            model.retrain_due();
         }
         fence(Ordering::SeqCst);
-        if sh.queue_depth.load(Ordering::SeqCst) != 0 {
-            if let Ok(mut eng) = sh.engine.try_lock() {
-                let due = self.drain_queue(sh, &mut eng);
+        if self.queue_depth.load(Ordering::SeqCst) != 0 {
+            if let Ok(mut eng) = self.engine.try_lock() {
+                let due = self.drain(&mut eng);
                 drop(eng);
                 if due {
-                    self.trigger_retrain_policy();
+                    model.retrain_due();
                 }
             }
         }
     }
 
+    /// Runs `f` under the engine lock, waiting for it, and leaves the way a
+    /// combiner does: every command queued meanwhile is served before the
+    /// release, and [`Shard::finish_write`] runs after it. The store's
+    /// worker takes every engine lock through here, so a writer queued
+    /// behind it never sleeps out its timed wait.
+    pub(super) fn locked<R>(&self, model: &ModelState, f: impl FnOnce(&mut ShardEngine) -> R) -> R {
+        let poisoned = "a writer panicked while holding the shard engine";
+        let mut eng = self.engine.lock().expect(poisoned);
+        let reply = f(&mut eng);
+        let due = self.drain(&mut eng);
+        drop(eng);
+        self.finish_write(model, due);
+        reply
+    }
+}
+
+impl ShardedPnwStore {
     /// [`Store::apply`](crate::Store::apply): the batch is grouped by
     /// shard and each shard's group goes through the write frontend — one
     /// engine acquisition per group, inline or through the shard's
     /// combiner.
     pub(super) fn apply_batch(&self, batch: &Batch) -> BatchReport {
-        self.install_if_ready();
         let mut report = BatchReport::default();
         // Group op indices by shard with one counting sort (two flat
         // arrays, no per-shard Vec allocations), preserving batch order
@@ -329,7 +347,7 @@ impl ShardedPnwStore {
             absorb_group(&mut report, reply, |local| idxs[local] as usize);
         }
         if retrain_due {
-            self.trigger_retrain_policy();
+            self.model.retrain_due();
         }
         // Shard grouping visits ops out of submission order; report
         // failures by batch index regardless.

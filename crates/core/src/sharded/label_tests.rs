@@ -1,5 +1,5 @@
 //! Label consistency across background installs: whatever the writers did
-//! while the trainer thread's label pass ran, after the install every free
+//! while the worker thread's label pass ran, after the install every free
 //! bucket sits in the pool list its stored bytes predict and no tenant
 //! carries a wrong cached label ([`ShardEngine::check_labels`]). CI also
 //! runs these optimised (`cargo test --release -p pnw-core label_`), where
@@ -37,7 +37,7 @@ fn check(s: &ShardedPnwStore) {
     s.engines().for_each(|e| e.check_labels());
 }
 
-/// Spins until the trainer thread has begun its label pass on `shard`.
+/// Spins until the worker thread has begun its label pass on `shard`.
 fn wait_for_pass_on(s: &ShardedPnwStore, shard: usize) {
     while !s.shards[shard].engine.lock().unwrap().label_pass_running() {
         std::thread::yield_now();
@@ -45,11 +45,9 @@ fn wait_for_pass_on(s: &ShardedPnwStore, shard: usize) {
 }
 
 /// Starts a background run and holds it *inside* its label pass: shard 0's
-/// pass is open and the trainer thread cannot get past shard 1's engine
+/// pass is open and the worker thread cannot get past shard 1's engine
 /// lock, which the returned guard holds. While it is held no run can
-/// finish, so writes to shard 0 go through without an install. (Shard
-/// before trainer is the wrong lock order for production code; here no
-/// other thread wants either.)
+/// finish, so writes to shard 0 go through without an install.
 fn stall_inside_a_pass(s: &ShardedPnwStore) -> MutexGuard<'_, ShardEngine> {
     let held = s.shards[1].engine.lock().unwrap();
     s.retrain_in_background();
@@ -70,10 +68,7 @@ fn label_pass_install_on_a_quiescent_store_predicts_nothing() {
     s.wait_for_retrain();
     let t = s.snapshot().train;
     assert_eq!(t.epoch, 2);
-    assert_eq!(
-        t.labelled, 512,
-        "every active bucket, on the trainer thread"
-    );
+    assert_eq!(t.labelled, 512, "every active bucket, on the worker thread");
     assert_eq!((t.stale_at_install, t.predicted_at_install), (0, 0));
     assert!(!t.phases.label.is_zero() && !t.phases.sample.is_zero());
     check(&s);
@@ -102,7 +97,7 @@ fn label_writes_inside_a_pass_are_discarded_not_trusted() {
     for k in (200..240u64).filter(on_shard_0) {
         assert!(s.delete(k).unwrap());
     }
-    assert!(!s.model_ready.load(Ordering::Acquire));
+    assert_eq!(s.retrains(), 1, "no install while the pass is held");
     drop(held);
     s.wait_for_retrain();
     let t = s.snapshot().train;
@@ -161,9 +156,11 @@ fn label_consistency_holds_under_two_writers_and_repeated_installs() {
 fn label_consistency_survives_a_zone_extension_mid_pass() {
     let s = store(PnwConfig::new(512, VALUE).with_reserve(128));
     // Shard 0's pass is open: its new buckets lie past what the pass
-    // covers. Shard 1's may begin before or after its extension.
-    drop(stall_inside_a_pass(&s));
-    assert_eq!(s.extend_zone(128), 128);
+    // covers. Shard 1's pass begins after its extension.
+    let mut held = stall_inside_a_pass(&s);
+    assert_eq!(s.shards[0].engine.lock().unwrap().extend_zone(64), 64);
+    assert_eq!(held.extend_zone(64), 64);
+    drop(held);
     s.wait_for_retrain();
     let t = s.snapshot().train;
     assert!(t.stale_at_install >= 64, "shard 0's new buckets: {t:?}");
@@ -211,16 +208,14 @@ fn label_pass_in_flight_is_dropped_by_crash_and_recover() {
     let s = store(PnwConfig::new(512, VALUE));
     drop(stall_inside_a_pass(&s));
     s.crash_and_recover().unwrap();
-    // The old manager's thread was joined and its result never arrives;
-    // the synchronous retrain's install dropped the records it started.
+    // The run in flight installed before the recovery; its model went with
+    // the old manager, and the recovery's retrain is the fresh one's first.
     assert!(s.engines().all(|e| !e.label_pass_running()));
     assert_eq!(s.retrains(), 1, "a fresh manager, trained once");
     check(&s);
-    // The leftover completion flag is cleared by the next op, and the
-    // policy is armed again.
+    // The policy is armed again.
     s.put(5000, &value(5000)).unwrap();
-    assert!(!s.model_ready.load(Ordering::Acquire));
-    assert!(!s.maintenance.load(Ordering::Acquire));
+    assert!(!s.model.maintenance.load(Ordering::Acquire));
     s.retrain_in_background();
     s.wait_for_retrain();
     assert_eq!(s.retrains(), 2);

@@ -40,29 +40,30 @@
 //! The ML model is the one deliberately *shared* component: the paper
 //! keeps it in DRAM, read-mostly, retrained in the background
 //! (§V-C/§V-A.1). Every shard holds its own `Arc` of the current
-//! immutable [`ModelSnapshot`](crate::ModelSnapshot); the trainer
-//! ([`ModelManager`]) lives behind a `Mutex` taken only at train/install
-//! boundaries, with completion signalled through one `AtomicBool` the op
-//! path polls (a single acquire load — false in steady state). A
-//! background retrain costs the writers next to nothing: starting one is a
-//! channel send to the manager's `pnw-trainer` thread, which samples the
-//! zone through the shards' read views, fits, and labels every bucket
-//! under the new model; installing it is, per shard, an `Arc` swap and a
-//! pool rebuild from those labels. Status reads (`retrains`, `model_k`, …)
-//! go to an atomic epoch and shard 0's snapshot, never to the trainer lock.
+//! immutable [`ModelSnapshot`](crate::ModelSnapshot). The trainer
+//! ([`ModelManager`](crate::ModelManager)) belongs to the store's one
+//! background worker thread, which runs every background retrain and
+//! installs every model — a background run's, or one `retrain_now` fit on
+//! its caller's thread — in arrival order, one shard at a time: an `Arc`
+//! swap and a pool rebuild under that shard's engine lock, from the labels
+//! a background run predicted lock-free.
+//! With a scrub rate set, the same thread takes the scrubber's steps
+//! between jobs. Ops never poll for a finished model; a due op queues a
+//! background retrain with one atomic flag and a channel send. Status
+//! reads (`retrains`, `snapshot().train`, …) go to an atomic epoch and
+//! stats the worker publishes at install, never waiting for a run.
 //!
-//! Lock order is always **trainer → shard engine → shard queue**; nothing
-//! acquires a lock to the left while holding one to the right, which
-//! makes the set deadlock-free. Combiners run retrain maintenance only
-//! *after* releasing the engine lock. The trainer thread is outside the
-//! order altogether: it takes one shard's engine lock at a time — O(1)
-//! under it, to open that shard's label pass — holding nothing else, and
-//! never the trainer lock.
+//! Lock order is **shard engine → shard queue**; nothing takes an engine
+//! lock while holding a queue lock. The worker holds one engine lock at a
+//! time, and releases it the way a combiner does — serving every command
+//! queued behind it — so a queued writer is served as soon as it lets go.
+//! Combiners run the retrain policy only *after* releasing the engine lock.
 //!
 //! One file per concern: this file routes keys to shards and implements
 //! [`Store`]; `combine` is the write frontend (the combining queue and the
 //! batch path), `read` the lock-free GET and scan, `model` the model
-//! lifecycle, `durable` opening and checkpointing a file-backed store.
+//! lifecycle and the worker, `durable` opening and checkpointing a
+//! file-backed store.
 
 mod combine;
 mod durable;
@@ -70,8 +71,9 @@ mod model;
 mod read;
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pnw_nvm_sim::{DeviceStats, LatencyModel, NvmDevice, WearCdf};
@@ -81,9 +83,9 @@ use crate::config::{BackingMode, PnwConfig};
 use crate::durable::DurableStore;
 use crate::error::{PnwError, StoreError};
 use crate::metrics::{OpReport, StoreSnapshot};
-use crate::model::ModelManager;
 use crate::shard::ShardEngine;
 use combine::OwnedOp;
+use model::{Job, ModelState};
 use read::ReadView;
 
 /// One shard: the engine behind its writer mutex, the bounded command
@@ -94,8 +96,8 @@ struct Shard {
     queue: Mutex<VecDeque<OwnedOp>>,
     /// `queue.len()`, stored under the queue mutex after every push and
     /// pop, so a combiner learns "nothing queued" from one load instead of
-    /// a lock round-trip. See [`ShardedPnwStore::finish_write`] for the
-    /// ordering that keeps a push from being missed.
+    /// a lock round-trip. See [`Shard::finish_write`] for the ordering
+    /// that keeps a push from being missed.
     queue_depth: AtomicUsize,
     queue_cap: usize,
     /// What lock-free GETs and scans read this shard through.
@@ -122,46 +124,29 @@ impl Shard {
 pub struct ShardedPnwStore {
     cfg: PnwConfig,
     shards: Arc<Vec<Shard>>,
-    /// The trainer: touched only at train/install boundaries, never by the
-    /// op hot path (which predicts from per-shard snapshot `Arc`s).
-    trainer: Mutex<ModelManager>,
-    /// Epoch of the published model, stored after every shard has it:
-    /// what status reads load instead of taking the trainer lock, which
-    /// `wait_for_retrain` can hold for a whole training run.
-    epoch: AtomicU64,
-    /// Set (release-ordered) by the trainer thread once a background run's
-    /// result is queued; the op path polls this single atomic instead of
-    /// taking any model lock.
-    model_ready: Arc<AtomicBool>,
-    /// Serializes zone-extension/retrain maintenance so a burst of
-    /// concurrent PUTs past the load factor triggers one run, not a
-    /// stampede. In [`RetrainMode::Background`] it stays set until the
-    /// trained model installs.
-    maintenance: AtomicBool,
+    /// The published model's epoch and stats, and the way to the worker.
+    model: Arc<ModelState>,
+    /// The store's one background thread: it owns the trainer, runs the
+    /// background retrains, installs every model, and scrubs. Joined on
+    /// drop.
+    worker: Option<JoinHandle<()>>,
     /// The durable metadata controller when the store is file-backed
     /// (superblock, per-shard WALs, checkpoints). `None` on volatile
     /// stores. Locked only at checkpoint boundaries; the per-op WAL
     /// appends go through each shard's own [`DurableShard`]
     /// (crate::durable) handle under that shard's engine lock.
     durable: Option<Mutex<DurableStore>>,
-    /// Tells the background scrubber thread to exit; set in [`Drop`].
-    scrub_stop: Arc<AtomicBool>,
-    /// The background scrubber — spawned when [`PnwConfig::scrub_rate`]
-    /// is set, joined on drop. It rotates across shards CRC-verifying a
-    /// few buckets per visit under that shard's engine lock, so it is
-    /// just another (rate-limited) writer in the concurrency model.
-    scrub_thread: Option<std::thread::JoinHandle<()>>,
     /// How long a queued writer sleeps between combiner checks: always
-    /// [`SLOT_WAIT`], except in the test that raises it to show no writer
+    /// [`SLOT_WAIT`], except in the tests that raise it to show no writer
     /// depends on the timeout to be served.
     slot_wait: Duration,
 }
 
 impl Drop for ShardedPnwStore {
     fn drop(&mut self) {
-        self.scrub_stop.store(true, Ordering::Release);
-        if let Some(h) = self.scrub_thread.take() {
-            let _ = h.join();
+        self.model.submit(Job::Stop);
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
         }
     }
 }
@@ -206,23 +191,17 @@ impl ShardedPnwStore {
         ShardedPnwStore::assemble(cfg, shards, None)
     }
 
-    /// The store around its wrapped shards: a fresh trainer, the scrubber
-    /// thread, and the durable controller when there is one.
+    /// The store around its wrapped shards: its worker thread, with a fresh
+    /// trainer, and the durable controller when there is one.
     fn assemble(cfg: PnwConfig, shards: Vec<Shard>, durable: Option<Mutex<DurableStore>>) -> Self {
         let shards = Arc::new(shards);
-        let trainer = Mutex::new(ModelManager::new(&cfg));
-        let scrub_stop = Arc::new(AtomicBool::new(false));
-        let scrub_thread = spawn_scrubber(&cfg, &shards, &scrub_stop);
+        let (model, worker) = ModelState::spawn(&cfg, &shards);
         ShardedPnwStore {
             cfg,
             shards,
-            trainer,
-            epoch: AtomicU64::new(0),
-            model_ready: Arc::new(AtomicBool::new(false)),
-            maintenance: AtomicBool::new(false),
+            model,
+            worker: Some(worker),
             durable,
-            scrub_stop,
-            scrub_thread,
             slot_wait: SLOT_WAIT,
         }
     }
@@ -272,8 +251,8 @@ impl ShardedPnwStore {
     /// PUT / UPDATE (Algorithm 2 + §V-B.3), routed to the key's shard.
     ///
     /// Takes **zero model locks**: the prediction reads the shard's own
-    /// snapshot `Arc`, and the only model-related cost in steady state is
-    /// one relaxed-false atomic load of the background-completion flag.
+    /// snapshot `Arc`, and the model is installed by the store's worker,
+    /// never on the op path.
     /// On an uncontended shard the engine `try_lock` succeeds and the op
     /// runs inline; on a contended one the op is queued for the shard's
     /// current combiner (see the [module docs](self)).
@@ -294,7 +273,6 @@ impl ShardedPnwStore {
         expires_at_ms: u64,
     ) -> Result<OpReport, PnwError> {
         crate::shard::check_value(&self.cfg, value)?;
-        self.install_if_ready();
         self.write(
             self.shard_of(key),
             |eng, due| eng.put_and_extend(key, value, expires_at_ms, true, due),
@@ -310,7 +288,6 @@ impl ShardedPnwStore {
     /// DELETE (Algorithm 3), routed to the key's shard. Like PUT, takes no
     /// model lock, and combines through the shard queue under contention.
     pub fn delete(&self, key: u64) -> Result<bool, PnwError> {
-        self.install_if_ready();
         self.write(
             self.shard_of(key),
             |eng, _| eng.delete(key),
@@ -425,8 +402,8 @@ impl ShardedPnwStore {
     /// pool under the current model's labels; nothing in the NVM hash
     /// index moves — *"our method to expand the size of a cluster does not
     /// impose any extra writes to the NVM"*. Call
-    /// [`ShardedPnwStore::retrain_now`] (or rely on the load-factor
-    /// trigger) to refresh the model on the grown zone.
+    /// [`ShardedPnwStore::retrain_now`] (or rely on the background
+    /// retrain policy) to refresh the model on the grown zone.
     ///
     /// Returns how many buckets were activated (0 when the reserve is
     /// exhausted).
@@ -457,9 +434,9 @@ impl ShardedPnwStore {
     }
 
     /// Aggregated point-in-time snapshot: counters summed across shards,
-    /// train stats from the shared trainer.
+    /// train stats as the worker published them at the last install.
     pub fn snapshot(&self) -> StoreSnapshot {
-        let train = self.trainer.lock().unwrap().train_stats();
+        let train = self.model.train_stats();
         let mut parts = self.engines().map(|e| e.snapshot(train.clone()));
         let mut agg = parts.next().expect("at least one shard");
         for p in parts {
@@ -481,8 +458,9 @@ impl ShardedPnwStore {
     /// Runs one full synchronous scrub pass over every shard — every
     /// valid bucket is CRC-verified, proactively relocated off stuck
     /// media, repaired from the durable layer or retired — and returns
-    /// the aggregated cumulative scrub counters. The background scrubber
-    /// ([`PnwConfig::with_scrub`]) does the same work incrementally.
+    /// the aggregated cumulative scrub counters. With
+    /// [`PnwConfig::with_scrub`] the store's worker does the same work
+    /// incrementally, a few buckets per step.
     pub fn scrub_pass(&self) -> Result<crate::metrics::ScrubStats, StoreError> {
         let mut agg = crate::metrics::ScrubStats::default();
         for mut e in self.engines() {
@@ -598,44 +576,6 @@ fn shard_count(cfg: &PnwConfig) -> usize {
 
 fn split(total: usize, parts: usize, i: usize) -> usize {
     total / parts + usize::from(i < total % parts)
-}
-
-/// Spawns the background scrubber when [`PnwConfig::scrub_rate`] is set
-/// (and integrity is on — there is nothing to verify without CRCs): a
-/// thread that visits shards round-robin, scrubbing a small batch of
-/// buckets per visit under that shard's engine lock, and sleeps between
-/// visits so the steady-state rate stays at `rate` buckets per second
-/// across the whole store. The sleep is chunked so a stop request is
-/// honored within ~20 ms.
-fn spawn_scrubber(
-    cfg: &PnwConfig,
-    shards: &Arc<Vec<Shard>>,
-    stop: &Arc<AtomicBool>,
-) -> Option<std::thread::JoinHandle<()>> {
-    let rate = cfg.scrub_rate?.max(1);
-    if !cfg.integrity {
-        return None;
-    }
-    let shards = Arc::clone(shards);
-    let stop = Arc::clone(stop);
-    Some(std::thread::spawn(move || {
-        let batch = rate.clamp(1, 64);
-        let interval = Duration::from_secs_f64(f64::from(batch) / f64::from(rate));
-        let mut next = 0usize;
-        while !stop.load(Ordering::Acquire) {
-            {
-                let mut eng = shards[next].engine.lock().unwrap();
-                let _ = eng.scrub_step(batch);
-            }
-            next = (next + 1) % shards.len();
-            let mut remaining = interval;
-            while remaining > Duration::ZERO && !stop.load(Ordering::Acquire) {
-                let chunk = remaining.min(Duration::from_millis(20));
-                std::thread::sleep(chunk);
-                remaining = remaining.saturating_sub(chunk);
-            }
-        }
-    }))
 }
 
 /// The per-shard view of the whole-store configuration: capacity and

@@ -1,26 +1,291 @@
-//! Model lifecycle: synchronous and background retraining, the trainer
-//! thread's view of the shards, publishing a snapshot to every shard, and
-//! the §V-C retrain policy.
+//! Model lifecycle and background work: the store's one worker thread — it
+//! owns the [`ModelManager`], runs the background retrains, installs every
+//! model in arrival order, shard by shard, and takes the scrubber's steps
+//! between jobs — the view of the zone a fit reads, and the §V-C retrain
+//! policy.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Duration;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use super::{Shard, ShardedPnwStore};
-use crate::config::RetrainMode;
+use crate::config::{PnwConfig, RetrainMode};
 use crate::error::PnwError;
-use crate::model::{stride_sample, ModelManager, ModelSnapshot, PredictScratch, ZoneSource};
+use crate::metrics::TrainStats;
+use crate::model::{
+    fit_cold, stride_sample, ModelManager, ModelSnapshot, PredictScratch, TrainParams,
+    TrainedModel, ZoneSource,
+};
 
-/// The live data zone as the trainer thread sees it: every shard's
-/// lock-free read view, plus its engine lock — one shard's at a time,
-/// nothing else held, O(1) under it — to start a label pass's
-/// rewritten-since record.
-struct ZoneReader {
+/// A request to the store's worker. Jobs run one at a time in arrival
+/// order, so installs are serialized by construction.
+pub(super) enum Job {
+    /// A background retrain (§V-C), queued while `maintenance` was clear.
+    Background,
+    /// A synchronous retrain's install: `model`, fit on the caller's
+    /// thread, installed as the next epoch — of a fresh manager with
+    /// `reset`. The reply carries the install's panic, if it had one.
+    Install {
+        model: Box<TrainedModel>,
+        reset: bool,
+        reply: Sender<std::thread::Result<()>>,
+    },
+    /// Answered once every job queued before it has run.
+    Barrier(Sender<()>),
+    /// The store is going away.
+    Stop,
+}
+
+/// Nothing panics while holding the published stats: they are only copied.
+const STATS_POISONED: &str = "a panic while copying train stats";
+
+/// What the store, its writers and its worker share about the model.
+pub(super) struct ModelState {
+    jobs: Sender<Job>,
+    /// Whether ops that make retraining due queue a background retrain
+    /// ([`RetrainMode::Background`]).
+    background_policy: bool,
+    /// Epoch of the published model, stored after every shard has it: what
+    /// status reads load.
+    epoch: AtomicU64,
+    /// Set from the moment a background retrain is queued until the worker
+    /// has installed it (or the run died): what stops every due op from
+    /// queueing another.
+    pub(super) maintenance: AtomicBool,
+    /// What the last install cost and did, published by the worker after
+    /// it, so a status read never waits for a training run.
+    train: Mutex<TrainStats>,
+    /// Test hook: the worker runs it as its next background retrain or
+    /// install starts — to park the worker there, or to make the job panic.
+    #[cfg(test)]
+    pub(super) job_hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+impl ModelState {
+    /// A store's model state, and the worker thread it spawns for the
+    /// store's `shards`.
+    pub(super) fn spawn(cfg: &PnwConfig, shards: &Arc<Vec<Shard>>) -> (Arc<Self>, JoinHandle<()>) {
+        let (jobs, inbox) = channel();
+        let state = Arc::new(ModelState {
+            jobs,
+            background_policy: cfg.retrain == RetrainMode::Background,
+            epoch: AtomicU64::new(0),
+            maintenance: AtomicBool::new(false),
+            train: Mutex::default(),
+            #[cfg(test)]
+            job_hook: Mutex::default(),
+        });
+        // Nothing to verify without CRCs.
+        let scrub = cfg.scrub_rate.filter(|_| cfg.integrity).map(|rate| {
+            let batch = rate.clamp(1, 64);
+            Scrub {
+                batch,
+                interval: Duration::from_secs_f64(f64::from(batch) / f64::from(rate)),
+                shard: 0,
+                due: Instant::now(),
+            }
+        });
+        let worker = Worker {
+            cfg: cfg.clone(),
+            shards: Arc::clone(shards),
+            state: Arc::clone(&state),
+            manager: ModelManager::new(cfg),
+            scrub,
+        };
+        let thread = std::thread::Builder::new()
+            .name("pnw-worker".into())
+            .spawn(move || worker.run(inbox))
+            .expect("spawning the store's worker thread");
+        (state, thread)
+    }
+
+    /// Hands `job` to the worker. The worker outlives every job but
+    /// [`Job::Stop`], so a job is only lost once the store is going away.
+    pub(super) fn submit(&self, job: Job) {
+        let _ = self.jobs.send(job);
+    }
+
+    /// Queues a background retrain unless one is queued or running.
+    fn start_background(&self) {
+        use Ordering::{AcqRel, Acquire};
+        if self
+            .maintenance
+            .compare_exchange(false, true, AcqRel, Acquire)
+            .is_ok()
+        {
+            self.submit(Job::Background);
+        }
+    }
+
+    /// The §V-C policy, for an op that made retraining due. Runs after the
+    /// engine lock is released; takes no lock.
+    pub(super) fn retrain_due(&self) {
+        if self.background_policy {
+            self.start_background();
+        }
+    }
+
+    /// What the last install cost and did.
+    pub(super) fn train_stats(&self) -> TrainStats {
+        self.train.lock().expect(STATS_POISONED).clone()
+    }
+
+    /// Takes the test hook, if one is set, and runs it.
+    #[cfg(test)]
+    fn run_job_hook(&self) {
+        let hook = self.job_hook.lock().unwrap().take();
+        if let Some(hook) = hook {
+            hook();
+        }
+    }
+}
+
+/// The scrubber's schedule: `batch` buckets of one shard per step, shards
+/// in rotation, one step per `interval` — `scrub_rate` buckets a second
+/// across the store.
+struct Scrub {
+    batch: u32,
+    interval: Duration,
+    shard: usize,
+    due: Instant,
+}
+
+/// The store's one background thread (`pnw-worker`). It owns the store's
+/// [`ModelManager`] outright, runs [`Job`]s in arrival order, and takes a
+/// scrub step whenever one falls due between them. Every engine lock it
+/// takes goes through [`Shard::locked`], one shard at a time.
+struct Worker {
+    cfg: PnwConfig,
     shards: Arc<Vec<Shard>>,
+    state: Arc<ModelState>,
+    manager: ModelManager,
+    scrub: Option<Scrub>,
+}
+
+impl Worker {
+    /// The worker's loop. A job that panics ends with its panic reported on
+    /// this thread — and to a waiting `retrain_now` — and the loop goes on.
+    fn run(mut self, inbox: Receiver<Job>) {
+        while let Some(job) = self.next_job(&inbox) {
+            match job {
+                Job::Background => {
+                    // Installed or died, the policy is armed again.
+                    let _ = catch_unwind(AssertUnwindSafe(|| self.background()));
+                    self.state.maintenance.store(false, Ordering::Release);
+                }
+                Job::Install {
+                    model,
+                    reset,
+                    reply,
+                } => {
+                    if reset {
+                        self.manager = ModelManager::new(&self.cfg);
+                    }
+                    let _ = reply.send(catch_unwind(AssertUnwindSafe(|| self.install(model))));
+                }
+                Job::Barrier(reply) => {
+                    let _ = reply.send(());
+                }
+                Job::Stop => return,
+            }
+        }
+    }
+
+    /// The next job, taking every scrub step that falls due before it
+    /// arrives — and one between two jobs whenever a step is overdue.
+    fn next_job(&mut self, inbox: &Receiver<Job>) -> Option<Job> {
+        loop {
+            let Some(scrub) = &self.scrub else {
+                return inbox.recv().ok();
+            };
+            let wait = scrub.due.saturating_duration_since(Instant::now());
+            if !wait.is_zero() {
+                match inbox.recv_timeout(wait) {
+                    Ok(job) => return Some(job),
+                    Err(RecvTimeoutError::Disconnected) => return None,
+                    Err(RecvTimeoutError::Timeout) => {}
+                }
+            }
+            let _ = catch_unwind(AssertUnwindSafe(|| self.scrub_step()));
+        }
+    }
+
+    /// One scrub step: CRC-verify, repair or retire the next `batch`
+    /// buckets of the next shard in rotation.
+    fn scrub_step(&mut self) {
+        let Some(scrub) = &mut self.scrub else {
+            return;
+        };
+        let batch = scrub.batch;
+        self.shards[scrub.shard].locked(&self.state, |eng| {
+            let _ = eng.scrub_step(batch);
+        });
+        scrub.shard = (scrub.shard + 1) % self.shards.len();
+        scrub.due = Instant::now() + scrub.interval;
+    }
+
+    /// A background retrain (§V-C): a fit over the zone that refreshes the
+    /// PCA basis warm and labels every bucket, then installs that adopt the
+    /// labels.
+    fn background(&mut self) {
+        #[cfg(test)]
+        self.state.run_job_hook();
+        let zone = ZoneReader {
+            shards: &self.shards,
+            state: &self.state,
+            value_size: self.cfg.value_size,
+        };
+        let labels = self.manager.fit_zone(&zone);
+        self.publish(Some(&labels));
+    }
+
+    /// A synchronous retrain's install: the caller's model becomes the next
+    /// epoch, and each shard predicts its free buckets under it.
+    fn install(&mut self, model: Box<TrainedModel>) {
+        #[cfg(test)]
+        self.state.run_job_hook();
+        self.manager.install(*model);
+        self.publish(None);
+    }
+
+    /// Publishes the manager's model to every shard, one engine lock at a
+    /// time: an `Arc` swap and a pool rebuild — from `labels` when a label
+    /// pass came with the model, or by predicting every free bucket there
+    /// and then. Then the stats, then the epoch.
+    fn publish(&mut self, labels: Option<&[Vec<u16>]>) {
+        let snapshot = self.manager.snapshot();
+        let (mut stale, mut predicted) = (0, 0);
+        for (sid, sh) in self.shards.iter().enumerate() {
+            let model = Arc::clone(&snapshot);
+            let (s, p) = sh.locked(&self.state, |eng| match labels {
+                Some(labels) => eng.install_labelled(model, &labels[sid]),
+                None => (0, eng.install_model(model)),
+            });
+            stale += s;
+            predicted += p;
+        }
+        self.manager.record_install(stale, predicted);
+        *self.state.train.lock().expect(STATS_POISONED) = self.manager.train_stats();
+        self.state.epoch.store(snapshot.epoch(), Ordering::Release);
+    }
+}
+
+/// The live data zone as a fit sees it: every shard's lock-free read view —
+/// sampled at the positions
+/// [`ShardEngine::training_values`](crate::ShardEngine::training_values)
+/// copies, each value read seqlock-validated — plus, for the worker's label
+/// pass, its engine: one shard at a time, O(1) under the lock, to start the
+/// pass's rewritten-since record.
+struct ZoneReader<'a> {
+    shards: &'a [Shard],
+    state: &'a ModelState,
     value_size: usize,
 }
 
-impl ZoneSource for ZoneReader {
+impl ZoneSource for ZoneReader<'_> {
     fn sample_positions(&self, cap: usize) -> Vec<(u32, u32)> {
         let per_shard = cap.div_ceil(self.shards.len());
         let mut positions = Vec::new();
@@ -39,7 +304,7 @@ impl ZoneSource for ZoneReader {
         let mut scratch = PredictScratch::new();
         let mut value = vec![0u8; self.value_size];
         let label_shard = |s: &Shard| -> Vec<u16> {
-            let active = s.engine.lock().unwrap().begin_label_pass();
+            let active = s.locked(self.state, |eng| eng.begin_label_pass());
             let mut label = |b| {
                 s.read.value_racy(b, &mut value);
                 crate::shard::label_u16(model.predict_into(&value, &mut scratch))
@@ -51,59 +316,58 @@ impl ZoneSource for ZoneReader {
 }
 
 impl ShardedPnwStore {
-    /// Training snapshot across every shard's active data zone, capped at
-    /// `train_sample` values total (split evenly across shards).
-    fn training_snapshot(&self) -> Vec<Vec<u8>> {
-        let per_shard = self.cfg.train_sample.div_ceil(self.shards.len());
-        let mut values = Vec::new();
-        for s in self.shards.iter() {
-            values.extend(s.engine.lock().unwrap().training_values(per_shard));
-        }
-        values
-    }
-
-    /// Trains the shared model synchronously on all shards' data zones and
-    /// publishes the new snapshot — swapping each shard's `Arc` and
-    /// relabeling its pool under that shard's lock (Algorithm 1,
-    /// cross-shard). Deterministic: a cold fit on a snapshot taken under
-    /// the locks, labels predicted under the locks. Writers are held off
-    /// while their shard is snapshotted and again while it installs, not
-    /// while the model trains; under live traffic prefer
-    /// [`RetrainMode::Background`], whose installs predict almost nothing.
-    /// A background run in flight when this installs is discarded when it
-    /// finishes — it sampled older data. Returns training time.
+    /// Trains the shared model synchronously and publishes it to every
+    /// shard (Algorithm 1, cross-shard): a cold fit on this thread, on a
+    /// strided sample of every shard's active zone (`train_sample` values in
+    /// all, each read seqlock-validated), then the store's worker installs
+    /// it after every job queued before it — shard by shard under its engine
+    /// lock, an `Arc` swap and a relabel of every free bucket. Deterministic
+    /// on a quiet store. Writers are held off only while their own shard
+    /// installs; under live traffic prefer [`RetrainMode::Background`],
+    /// whose installs predict almost nothing. Returns the training time; a
+    /// panic in the install is resumed here.
     pub fn retrain_now(&self) -> Result<Duration, PnwError> {
-        let snapshot = self.training_snapshot();
-        let mut trainer = self.trainer.lock().unwrap();
-        let elapsed = trainer.train(&snapshot);
-        self.publish(&mut trainer);
-        Ok(elapsed)
+        Ok(self.retrain(false))
     }
 
-    /// Starts a background retraining run if none is in flight (§V-C): a
-    /// job for the trainer thread, which samples the zone through the
-    /// shards' read views, fits, and labels every bucket under the new
-    /// model. The model is installed — an `Arc` swap and a pool rebuild
-    /// from those labels, per shard — at a later operation boundary.
+    /// [`ShardedPnwStore::retrain_now`], for a fresh manager with `reset`.
+    /// The fit runs here, beside whatever the worker is running, so it
+    /// never waits for a background fit; its seed follows the published
+    /// epoch, as the manager's own fits do.
+    fn retrain(&self, reset: bool) -> Duration {
+        let epoch = if reset { 0 } else { self.retrains() };
+        let zone = ZoneReader {
+            shards: &self.shards,
+            state: &self.model,
+            value_size: self.cfg.value_size,
+        };
+        let model = Box::new(fit_cold(&zone, &TrainParams::of(&self.cfg), epoch));
+        let fit = model.fit_time();
+        let (reply, answer) = channel();
+        self.model.submit(Job::Install {
+            model,
+            reset,
+            reply,
+        });
+        if let Err(panic) = answer.recv().expect("the worker answers every job") {
+            resume_unwind(panic);
+        }
+        fit
+    }
+
+    /// Queues a background retrain (§V-C) unless one is queued or running:
+    /// the store's worker samples the zone through the shards' read views,
+    /// fits, labels every bucket under the new model and installs it — an
+    /// `Arc` swap and a pool rebuild from those labels, one shard at a time.
     pub fn retrain_in_background(&self) {
-        let mut trainer = self.trainer.lock().unwrap();
-        if !trainer.training_in_progress() {
-            let zone = ZoneReader {
-                shards: Arc::clone(&self.shards),
-                value_size: self.cfg.value_size,
-            };
-            trainer.train_in_background_with(zone, Some(Arc::clone(&self.model_ready)));
-        }
+        self.model.start_background();
     }
 
-    /// Blocks until an in-flight background retrain (if any) finishes, then
-    /// publishes its model to every shard.
+    /// Blocks until every retrain requested before this call has installed.
     pub fn wait_for_retrain(&self) {
-        let mut trainer = self.trainer.lock().unwrap();
-        if trainer.training_in_progress() {
-            let installed = trainer.wait_for_background();
-            self.end_background_run(&mut trainer, installed);
-        }
+        let (reply, answer) = channel();
+        self.model.submit(Job::Barrier(reply));
+        answer.recv().expect("the worker answers every job");
     }
 
     /// Whether the shared model has completed at least one training run.
@@ -114,7 +378,7 @@ impl ShardedPnwStore {
     /// Completed training runs of the shared model. One atomic load: a
     /// status read never queues behind a training run.
     pub fn retrains(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.model.epoch.load(Ordering::Acquire)
     }
 
     /// Model epoch (install/swap count) of the published snapshot.
@@ -143,105 +407,16 @@ impl ShardedPnwStore {
     /// Simulates a power failure followed by a restart: the DRAM state
     /// (index if [`IndexPlacement::Dram`](crate::IndexPlacement::Dram),
     /// model, pool) is discarded and rebuilt from NVM, exactly as §V-A.3
-    /// describes for each architecture.
+    /// describes for each architecture. Waits out the retrain in flight
+    /// first.
     pub fn crash_and_recover(&self) -> Result<(), PnwError> {
+        self.wait_for_retrain();
         for s in self.shards.iter() {
             s.engine.lock().unwrap().recover_structures()?;
         }
-        // The model is DRAM-resident: reconstruct it by retraining
-        // (§V-A.1: "can be reconstructed after a crash"). Dropping the old
-        // manager joins its trainer thread, so a background run caught
-        // mid-flight is over — and its result gone — before the retrain's
-        // install drops whatever label-pass records it started.
-        *self.trainer.lock().unwrap() = ModelManager::new(&self.cfg);
-        self.retrain_now()?;
+        // The model is DRAM-resident: reconstruct it by retraining from a
+        // fresh manager (§V-A.1: "can be reconstructed after a crash").
+        self.retrain(true);
         Ok(())
-    }
-
-    /// Publishes the trainer's current snapshot to every shard, each under
-    /// that shard's engine lock: one `Arc` swap and a pool rebuild — from
-    /// the label pass that came with a background run, or by predicting
-    /// every free bucket there and then.
-    fn publish(&self, trainer: &mut ModelManager) {
-        let snapshot = trainer.snapshot();
-        let labels = trainer.take_zone_labels();
-        let (mut stale, mut predicted) = (0, 0);
-        for (sid, mut eng) in self.engines().enumerate() {
-            let model = Arc::clone(&snapshot);
-            let (s, p) = match &labels {
-                Some(labels) => eng.install_labelled(model, &labels[sid]),
-                None => (0, eng.install_model(model)),
-            };
-            stale += s;
-            predicted += p;
-        }
-        trainer.record_install(stale, predicted);
-        self.epoch.store(snapshot.epoch(), Ordering::Release);
-    }
-
-    /// The store's half of a background run's end: publish the model it
-    /// installed — or, when it left none (the run died, or a synchronous
-    /// retrain overtook it), drop the label-pass records it started — and
-    /// re-arm the retrain policy.
-    fn end_background_run(&self, trainer: &mut ModelManager, installed: bool) {
-        if installed {
-            self.publish(trainer);
-        } else {
-            self.engines().for_each(|mut e| e.abandon_label_pass());
-        }
-        self.model_ready.store(false, Ordering::Release);
-        self.maintenance.store(false, Ordering::Release);
-    }
-
-    /// Steady-state fast path: one atomic load. Only when the trainer
-    /// thread has signalled completion does an op thread take the trainer
-    /// lock (non-blocking — a loser skips, the winner publishes).
-    #[inline]
-    pub(super) fn install_if_ready(&self) {
-        if !self.model_ready.load(Ordering::Acquire) {
-            return;
-        }
-        let Ok(mut trainer) = self.trainer.try_lock() else {
-            return;
-        };
-        let installed = trainer.try_install_background();
-        // Nothing installed and nothing in flight is a stale flag — the run
-        // was consumed by wait_for_retrain, died (the completion flag fires
-        // on unwind too), or was overtaken by a synchronous retrain. Clear
-        // up either way, so the fast path stays fast and a later due PUT
-        // can start a fresh run instead of wedging forever.
-        if installed || !trainer.training_in_progress() {
-            self.end_background_run(&mut trainer, installed);
-        }
-    }
-
-    /// The cross-shard half of maintenance: start (or run) a retrain per
-    /// policy, serialized by the `maintenance` flag. Takes no shard lock
-    /// up front (lock order stays trainer → shard).
-    pub(super) fn trigger_retrain_policy(&self) {
-        if self.cfg.retrain == RetrainMode::Manual {
-            return;
-        }
-        if self
-            .maintenance
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return;
-        }
-        match self.cfg.retrain {
-            RetrainMode::Manual => unreachable!("handled above"),
-            RetrainMode::OnLoadFactor => {
-                let _ = self.retrain_now();
-                self.maintenance.store(false, Ordering::Release);
-            }
-            RetrainMode::Background => {
-                self.retrain_in_background();
-                // The maintenance flag stays set until install_if_ready()
-                // swaps the model in (also when a run was already in
-                // flight) — that is what stops every subsequent due PUT
-                // from queueing another job.
-            }
-        }
     }
 }

@@ -1,3 +1,7 @@
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Receiver, Sender};
+
 use super::combine::OpSlot;
 use super::*;
 use crate::config::RetrainMode;
@@ -238,6 +242,29 @@ fn a_combiner_serves_queued_writers_without_their_timeout() {
     assert_eq!(s.len(), live);
 }
 
+/// The worker leaves an engine the way a combiner does: with scrub steps
+/// running back to back on the one shard and the timed wait raised to an
+/// hour, a writer whose PUT queues behind a step is still served.
+#[test]
+fn a_writer_queued_behind_a_scrub_step_is_served_without_its_timeout() {
+    let cfg = PnwConfig::new(256, 64).with_clusters(1).with_shards(1);
+    let mut s = ShardedPnwStore::new(cfg.with_scrub(1_000_000));
+    s.slot_wait = Duration::from_secs(3600);
+    let s = Arc::new(s);
+    let (done_tx, done) = channel();
+    let t = Arc::clone(&s);
+    std::thread::spawn(move || {
+        for i in 0..20_000u64 {
+            t.put(i % 128, &[i as u8; 64]).unwrap();
+        }
+        done_tx.send(()).unwrap();
+    });
+    done.recv_timeout(Duration::from_secs(120))
+        .expect("a PUT queued behind a scrub step was never served");
+    assert_eq!(queue_depth(&s.shards[0]), 0);
+    assert_eq!(s.len(), 128);
+}
+
 /// The state a combiner leaves behind when a writer queues between its
 /// last drain and its unlock — engine free, one command waiting, nobody
 /// awake to run it — is exactly what `finish_write` must notice from
@@ -258,7 +285,7 @@ fn the_post_release_recheck_runs_a_command_queued_after_the_last_drain() {
     )
     .unwrap();
     assert_eq!(queue_depth(sh), 1);
-    s.finish_write(sh, false);
+    sh.finish_write(&s.model, false);
     assert!(matches!(
         slot.done.lock().unwrap().take(),
         Some(Ok(_))
@@ -325,34 +352,117 @@ fn background_retrain_swaps_on_finish() {
     assert_eq!(s.get(999).unwrap().unwrap(), vec![3u8; 8]);
 }
 
-#[test]
-fn a_background_result_older_than_a_synchronous_retrain_is_discarded() {
+/// 128 keys of 8 B over two shards.
+fn filled() -> ShardedPnwStore {
     let s = ShardedPnwStore::new(PnwConfig::new(256, 8).with_clusters(2).with_shards(2));
     for k in 0..128u64 {
         s.put(k, &(k * 7).to_le_bytes()).unwrap();
     }
+    s
+}
+
+/// Parks the store's worker as its next background retrain or install
+/// starts: the first receiver hears once it is parked, and dropping the
+/// sender lets it go.
+fn park_next_job(s: &ShardedPnwStore) -> (Receiver<()>, Sender<()>) {
+    let (parked_tx, parked) = channel();
+    let (release, released) = channel::<()>();
+    *s.model.job_hook.lock().unwrap() = Some(Box::new(move || {
+        parked_tx.send(()).unwrap();
+        let _ = released.recv();
+    }));
+    (parked, release)
+}
+
+/// Jobs run in arrival order: a background retrain requested before a
+/// synchronous one installs first, as epoch 1, and the synchronous model —
+/// epoch 2, cold, labelling nothing — is the one left installed.
+#[test]
+fn a_background_run_then_a_synchronous_retrain_install_in_order() {
+    let s = filled();
     s.retrain_in_background();
-    // Queued, in flight or finished — the run's result is only taken by
-    // `wait_for_retrain` below, after the synchronous model is in.
     s.retrain_now().unwrap();
+    let t = s.snapshot().train;
+    assert_eq!((s.retrains(), t.epoch, t.labelled), (2, 2, 0));
     let sync = s.model_snapshot();
-    s.wait_for_retrain();
-    assert_eq!((s.retrains(), s.model_epoch()), (1, 1));
+    assert_eq!(sync.epoch(), 2);
     for e in s.engines() {
-        assert!(
-            Arc::ptr_eq(e.model(), &sync),
-            "the older-data model installed"
-        );
-        assert!(
-            !e.label_pass_running(),
-            "its label-pass record was left open"
-        );
+        assert!(Arc::ptr_eq(e.model(), &sync) && !e.label_pass_running());
     }
-    assert!(!s.maintenance.load(Ordering::Acquire));
-    // The policy is armed again: the next run installs normally.
+    assert!(!s.model.maintenance.load(Ordering::Acquire));
+}
+
+/// Every background retrain and every install, of either flavour, runs on
+/// the store's one named worker thread.
+#[test]
+fn one_named_worker_thread_runs_every_job() {
+    let s = filled();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    for background in [false, true, false] {
+        let seen = Arc::clone(&seen);
+        *s.model.job_hook.lock().unwrap() = Some(Box::new(move || {
+            seen.lock().unwrap().push(std::thread::current());
+        }));
+        if background {
+            s.retrain_in_background();
+            s.wait_for_retrain();
+        } else {
+            s.retrain_now().unwrap();
+        }
+    }
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 3);
+    assert!(seen.iter().all(|t| t.id() == seen[0].id()), "{seen:?}");
+    assert_eq!(seen[0].name(), Some("pnw-worker"));
+    assert_ne!(seen[0].id(), std::thread::current().id());
+    assert_eq!(s.retrains(), 3);
+}
+
+/// A job that panics costs itself only: a waiting `retrain_now` sees its
+/// install's panic, a dead background run re-arms the policy, and the next
+/// retrain of either flavour installs.
+#[test]
+fn a_panicking_job_does_not_wedge_the_next_one() {
+    let s = filled();
+    let fail_next = || {
+        *s.model.job_hook.lock().unwrap() = Some(Box::new(|| panic!("the job was told to fail")));
+    };
+    fail_next();
+    assert!(catch_unwind(AssertUnwindSafe(|| s.retrain_now())).is_err());
+    fail_next();
     s.retrain_in_background();
     s.wait_for_retrain();
-    assert_eq!((s.retrains(), s.model_epoch()), (2, 2));
+    assert_eq!(s.retrains(), 0);
+    assert!(!s.model.maintenance.load(Ordering::Acquire));
+    s.retrain_in_background();
+    s.wait_for_retrain();
+    assert_eq!(s.retrains(), 1);
+    s.retrain_now().unwrap();
+    assert_eq!(s.retrains(), 2);
+}
+
+/// With the worker parked inside a background retrain, a second background
+/// request is a no-op, and a status read never waits: `snapshot()` from
+/// another thread returns while a `retrain_now` waits behind the run.
+#[test]
+fn a_pending_run_absorbs_a_second_request_and_blocks_no_status_read() {
+    let s = Arc::new(filled());
+    let (parked, release) = park_next_job(&s);
+    s.retrain_in_background();
+    parked.recv().unwrap();
+    s.retrain_in_background();
+    let t = Arc::clone(&s);
+    let retrain = std::thread::spawn(move || t.retrain_now().unwrap());
+    let (read_tx, read) = channel();
+    let t = Arc::clone(&s);
+    std::thread::spawn(move || read_tx.send((t.snapshot(), t.retrains())).unwrap());
+    let (snap, retrains) = read
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a status read waited for the fit");
+    assert_eq!((snap.retrains, snap.live, retrains), (0, 128, 0));
+    drop(release);
+    retrain.join().unwrap();
+    assert_eq!(s.snapshot().retrains, 2);
 }
 
 #[test]

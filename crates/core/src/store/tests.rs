@@ -245,12 +245,13 @@ fn load_factor_triggers_sync_retrain() {
         PnwConfig::new(16, 8)
             .with_clusters(2)
             .with_load_factor(0.5)
-            .with_retrain(RetrainMode::OnLoadFactor),
+            .with_retrain(RetrainMode::Background),
     );
     let before = s.retrains();
     for k in 0..10u64 {
         s.put(k, &k.to_le_bytes()).unwrap();
     }
+    s.wait_for_retrain();
     assert!(s.retrains() > before, "retrain must have fired");
 }
 
@@ -341,13 +342,14 @@ fn load_factor_auto_extends_from_reserve() {
             .with_clusters(2)
             .with_reserve(8)
             .with_load_factor(0.5)
-            .with_retrain(RetrainMode::OnLoadFactor),
+            .with_retrain(RetrainMode::Background),
     );
     for k in 0..8u64 {
         s.put(k, &k.to_le_bytes()).unwrap();
     }
     // The trigger fired at >50% occupancy and pulled from the reserve.
     assert!(s.active_capacity() > 8, "auto-extension must have fired");
+    s.wait_for_retrain();
     assert!(s.retrains() >= 1);
     // The 9th put works without manual intervention.
     s.put(100, &[1u8; 8]).unwrap();

@@ -12,7 +12,7 @@
 //! the per-value constant `‖y‖²`, so for it the contract is on distance
 //! *differences* between clusters, not on absolute distances.
 
-use pnw::core_api::{ModelManager, ModelSnapshot, PnwConfig, PredictScratch};
+use pnw::core_api::{ModelManager, ModelSnapshot, PnwConfig, PnwStore, PredictScratch};
 use pnw_ml::featurize::bits_to_features;
 use pnw_ml::kmeans::{KMeans, KMeansConfig};
 use pnw_ml::matrix::sq_dist;
@@ -234,16 +234,20 @@ fn retrain_rebuilds_luts_and_stays_equivalent() {
     assert_equivalent(&m4, &first);
 }
 
-/// Background training installs through the same `install` path, so the
-/// swapped-in model must also rebuild its LUTs.
+/// A background retrain builds its model through the same fit, so the
+/// model the store's worker installs must have rebuilt its LUTs too.
 #[test]
 fn background_install_rebuilds_luts() {
     let cfg = PnwConfig::new(256, 8).with_clusters(3).with_seed(9);
-    let mut m = ModelManager::new(&cfg);
+    let store = PnwStore::new(cfg);
     let values = random_values(96, 8, 3, 3);
-    m.train_in_background_with(values.clone(), None);
-    assert!(m.wait_for_background());
-    let m = m.snapshot();
+    for (k, v) in values.iter().enumerate() {
+        store.put(k as u64, v).unwrap();
+    }
+    store.retrain_in_background();
+    store.wait_for_retrain();
+    let m = store.model_snapshot();
+    assert_eq!(m.epoch(), 1);
     assert!(m.uses_packed());
     assert_equivalent(&m, &values);
 }

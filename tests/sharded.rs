@@ -54,7 +54,7 @@ fn one_shard_reproduces_the_reference_accounting() {
             .with_clusters(3)
             .with_seed(99)
             .with_load_factor(0.6)
-            .with_retrain(RetrainMode::OnLoadFactor)
+            .with_retrain(RetrainMode::Manual)
             .with_shards(1),
     );
     drive(&store);
