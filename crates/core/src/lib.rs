@@ -75,6 +75,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
+mod clock;
 pub mod config;
 mod durable;
 pub mod error;
@@ -95,7 +96,8 @@ pub use pnw_nvm_sim::{MetaTarget, MetaTear};
 pub use metrics::{BasisFit, OpReport, ScrubStats, StoreSnapshot, TrainPhases, TrainStats};
 pub use model::{ModelManager, ModelSnapshot, PredictScratch};
 pub use pool::DynamicAddressPool;
-pub use shard::{now_unix_ms, PutPath, ShardEngine};
+pub use clock::now_unix_ms;
+pub use shard::{PutPath, ShardEngine};
 pub use sharded::ShardedPnwStore;
 
 /// The PNW store under its paper name: a plain alias of

@@ -14,6 +14,9 @@ pub struct OpReport {
     pub fallback: bool,
     /// Model prediction time (the bit-domain score kernel over the raw
     /// bytes) — the "latency of prediction per item" series of Figure 6.
+    /// Taken with the process tick clock: the unserialized time-stamp
+    /// counter on x86-64 with an invariant TSC, calibrated against
+    /// [`Instant`](std::time::Instant), and `Instant` itself elsewhere.
     pub predict: Duration,
     /// Stats of the *value* write alone — Figure 6 counts bit updates per
     /// 512 bits of item data, excluding index/header bookkeeping.

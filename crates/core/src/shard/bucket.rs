@@ -105,10 +105,12 @@ pub(crate) fn value_addr(bucket_addr: usize) -> usize {
     bucket_addr + HDR_BYTES
 }
 
-/// Whether an expiry-zone deadline has passed at `now` (0 never does).
+/// Whether an expiry-zone deadline has passed at `now()` (0 never does).
+/// The clock is read only for a nonzero deadline, so a store without TTL,
+/// or a key without one, never pays for it.
 #[inline]
-pub(crate) fn deadline_passed(deadline: u64, now: u64) -> bool {
-    deadline != 0 && deadline <= now
+pub(crate) fn deadline_passed(deadline: u64, now: impl FnOnce() -> u64) -> bool {
+    deadline != 0 && deadline <= now()
 }
 
 /// Bucket ↔ address ↔ expiry-slot arithmetic over one shard's static

@@ -1,7 +1,6 @@
 //! Integrity: the read-side CRC check, the scrubber, relocation off
 //! damaged media, and permanent bucket retirement.
 
-use super::seqlock::WriteBracket;
 use super::{label_u16, value_addr, Header, ShardEngine, HDR_BYTES};
 use crate::error::PnwError;
 use crate::metrics::ScrubStats;
@@ -121,7 +120,7 @@ impl ShardEngine {
     /// a value onto) ends the pass early — the damaged buckets stay
     /// detected-and-retired, the keys stay loudly addressable.
     pub fn scrub_pass(&mut self) -> Result<ScrubStats, PnwError> {
-        let _w = WriteBracket::enter(&self.sync);
+        let _w = self.write_bracket();
         for b in 0..self.active_buckets as u32 {
             match self.scrub_bucket(b) {
                 Ok(()) => {}
@@ -139,7 +138,7 @@ impl ShardEngine {
         if self.active_buckets == 0 {
             return Ok(());
         }
-        let _w = WriteBracket::enter(&self.sync);
+        let _w = self.write_bracket();
         for _ in 0..buckets {
             let b = self.scrub_cursor % self.active_buckets as u32;
             self.scrub_cursor = (b + 1) % self.active_buckets as u32;

@@ -56,6 +56,7 @@ use pnw_nvm_sim::{
     StuckAtConfig, WriteMode,
 };
 
+use crate::clock::now_unix_ms;
 use crate::config::{IndexPlacement, PnwConfig};
 use crate::durable::DurableShard;
 use crate::error::PnwError;
@@ -67,16 +68,6 @@ pub(crate) use bucket::{
     deadline_passed, value_addr, BucketLayout, Header, EXPIRY_BYTES, HDR_BYTES,
 };
 pub(crate) use seqlock::ShardSync;
-
-/// The wall clock the TTL machinery runs on: absolute unix milliseconds.
-/// Callers stamp deadlines with
-/// [`Store::put_with_expiry`](crate::Store::put_with_expiry) relative to
-/// this clock.
-pub fn now_unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64)
-}
 
 /// Cached-label sentinel: the bucket's content label is unknown under the
 /// current model and must be re-predicted on demand.
@@ -141,7 +132,9 @@ pub struct ShardEngine {
     predict_total: Duration,
     puts: u64,
     deletes: u64,
-    /// Seqlock + GET counter shared with the lock-free read path.
+    /// Seqlock + GET counter shared with the lock-free read path. Set at
+    /// construction and never replaced: write brackets borrow it by
+    /// pointer (see `seqlock`).
     sync: Arc<ShardSync>,
     /// Per-bucket cached content label under the *current* model
     /// ([`LABEL_STALE`] = unknown, re-predict on demand). Lets DELETE and
@@ -495,7 +488,7 @@ impl ShardEngine {
         self.verify_read(key, addr as usize, out)?;
         // Lazy expiry: an overdue key reads as absent; the scrubber cursor
         // reclaims the bucket physically.
-        Ok(!self.addr_expired(addr, now_unix_ms())?)
+        Ok(!self.addr_expired(addr, now_unix_ms)?)
     }
 
     /// Ordered range scan over `[lo, hi]` (inclusive): every live,
@@ -521,7 +514,7 @@ impl ShardEngine {
             if self.cfg.integrity && !hdr.seals(hdr.key, &v) {
                 continue;
             }
-            if self.addr_expired(addr as u64, now)? {
+            if self.addr_expired(addr as u64, || now)? {
                 continue;
             }
             out.push((hdr.key, v));

@@ -2,14 +2,14 @@
 //! group, and the hand-offs between the data zone and the address pool.
 
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pnw_nvm_sim::device::hamming;
 use pnw_nvm_sim::{DeviceStats, NvmError, WriteMode, WriteStats};
 
-use super::seqlock::WriteBracket;
-use super::{bucket, label_u16, now_unix_ms, value_addr, Header, PutPath, ShardEngine, HDR_BYTES};
+use super::{bucket, label_u16, value_addr, Header, PutPath, ShardEngine, HDR_BYTES};
 use crate::api::{BatchReport, Op};
+use crate::clock::{now_unix_ms, Tick};
 use crate::config::UpdatePolicy;
 use crate::error::PnwError;
 use crate::metrics::OpReport;
@@ -46,7 +46,7 @@ impl ShardEngine {
     /// and pool mutations as [`ShardEngine::put`] — so batched and per-op
     /// writes are bit-for-bit identical on the device — but skips the
     /// per-op reporting that [`OpReport`] needs: no stats snapshot/delta
-    /// and no wall-clock prediction timing (the value's share of the write
+    /// and no prediction timing (the value's share of the write
     /// is nothing to skip — it falls out of the one device pass either
     /// way). [`Store::apply`](crate::Store::apply) charges the whole batch
     /// from one device-stats delta instead; the only counter the batch
@@ -83,7 +83,7 @@ impl ShardEngine {
 
     /// The one PUT implementation behind every entry point. `report`
     /// toggles only side-effect-free instrumentation (the stats snapshot
-    /// and the two clock reads around prediction) — device, index and pool
+    /// and the two tick reads around prediction) — device, index and pool
     /// mutations are identical either way, which is what lets the batch
     /// path skip the bookkeeping without forking the write path.
     fn put_impl(
@@ -94,7 +94,7 @@ impl ShardEngine {
         report: bool,
     ) -> Result<(OpReport, PutPath), PnwError> {
         self.check_value(value)?;
-        let _w = WriteBracket::enter(&self.sync);
+        let _w = self.write_bracket();
         // Sealed once: every location below is written, and priced, with
         // this image.
         self.seal_bucket_img(key, value);
@@ -209,12 +209,13 @@ impl ShardEngine {
     /// Algorithm 2 line 1: predict the entry. The packed bit-domain kernel
     /// reads the raw bytes — no featurization, no allocation — and leaves
     /// the per-cluster distances in this shard's scratch. Timed only when
-    /// the PUT reports.
+    /// the PUT reports, on the tick clock: two `Instant` reads would
+    /// serialize the core around a kernel that costs less than they do.
     #[inline]
     fn predict_timed(&mut self, value: &[u8], report: bool) -> (usize, Duration) {
-        let t0 = report.then(Instant::now);
+        let t0 = report.then(Tick::now);
         let cluster = self.model.predict_into(value, &mut self.scratch);
-        let predict = t0.map_or(Duration::ZERO, |t| t.elapsed());
+        let predict = t0.map_or(Duration::ZERO, Tick::elapsed);
         self.predict_total += predict;
         (cluster, predict)
     }
@@ -457,7 +458,7 @@ impl ShardEngine {
         idxs: impl Iterator<Item = usize> + Clone,
         report: &mut BatchReport,
     ) -> bool {
-        let _w = WriteBracket::enter(&self.sync);
+        let _w = self.write_bracket();
         if let Some(d) = &mut self.durable {
             d.begin_group();
         }
@@ -502,13 +503,13 @@ impl ShardEngine {
     /// DELETE (Algorithm 3): reset the flag bit, recycle the address into
     /// the pool under its *content's* label (as the given model sees it).
     pub fn delete(&mut self, key: u64) -> Result<bool, PnwError> {
-        let _w = WriteBracket::enter(&self.sync);
+        let _w = self.write_bracket();
         let Some(addr) = self.index.remove(&mut self.dev, key)? else {
             return Ok(false);
         };
         // An expired tenant was already logically gone: reclaim it
         // physically but report "did not exist".
-        let expired = self.addr_expired(addr, now_unix_ms())?;
+        let expired = self.addr_expired(addr, now_unix_ms)?;
         self.release(key, addr)?;
         if expired {
             self.scrub.expired += 1;

@@ -8,7 +8,6 @@ use std::sync::Arc;
 use pnw_index::{KeyIndex, PathHashIndex};
 use pnw_nvm_sim::{DeviceStats, NvmError, WriteMode};
 
-use super::seqlock::WriteBracket;
 use super::{value_addr, Header, ShardEngine, LABEL_STALE};
 use crate::config::IndexPlacement;
 use crate::durable::{DurableShard, ShardCheckpoint};
@@ -25,7 +24,7 @@ impl ShardEngine {
     /// afterwards (the model *"can be reconstructed after a crash"*,
     /// §V-A.1).
     pub fn recover_structures(&mut self) -> Result<(), PnwError> {
-        let _w = WriteBracket::enter(&self.sync);
+        let _w = self.write_bracket();
         self.dev.crash();
         self.dev.recover();
 
@@ -100,7 +99,7 @@ impl ShardEngine {
         &mut self,
         committed: &HashMap<u64, u64>,
     ) -> Result<(), PnwError> {
-        let _w = WriteBracket::enter(&self.sync);
+        let _w = self.write_bracket();
         for (&key, &addr) in committed {
             let b = self.bucket_of_addr(addr)?;
             if self.retired.contains(&b) && self.index.lookup(&self.dev, key)?.is_none() {
@@ -139,7 +138,7 @@ impl ShardEngine {
         &mut self,
         committed: &HashMap<u64, u64>,
     ) -> Result<(), PnwError> {
-        let _w = WriteBracket::enter(&self.sync);
+        let _w = self.write_bracket();
         self.labels.fill(LABEL_STALE);
         self.abandon_label_pass();
         for b in 0..self.active_buckets as u32 {

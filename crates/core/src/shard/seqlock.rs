@@ -1,8 +1,15 @@
 //! The per-shard seqlock every engine mutation brackets, shared with the
 //! store's lock-free read path.
+//!
+//! Every PUT and DELETE opens a write bracket, on the cache line GET
+//! readers poll, so a bracket does no atomic read-modify-write: it
+//! borrows the engine's `ShardSync` rather than holding a reference
+//! count, and the nesting depth is the owner's plain load and store.
 
+use std::ptr::NonNull;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+
+use super::ShardEngine;
 
 /// The shard state the lock-free read path shares with its engine: the
 /// seqlock word every mutation brackets, and the GET counter (readers
@@ -10,13 +17,14 @@ use std::sync::Arc;
 ///
 /// Write brackets nest (a batch group wraps the per-op methods it calls);
 /// only the outermost bracket touches the sequence, tracked by `depth` —
-/// which only the single engine owner ever mutates, so its accesses are
-/// relaxed.
+/// which only the single engine owner ever reads or writes, so it is a
+/// relaxed load and store, never a read-modify-write.
 #[derive(Debug, Default)]
 pub(crate) struct ShardSync {
     /// Seqlock sequence: even = quiescent, odd = a mutation is in flight.
     seq: AtomicU64,
-    /// Write-bracket nesting depth (engine-owner thread only).
+    /// Write-bracket nesting depth (engine-owner thread only). Atomic only
+    /// so that `ShardSync` can be shared; readers never touch it.
     depth: AtomicU32,
     /// GETs served, by both the lock-free and the locked read path.
     gets: AtomicU64,
@@ -85,6 +93,12 @@ impl ShardSync {
         self.active.load(Ordering::Acquire)
     }
 
+    /// The seqlock sequence as it stands.
+    #[cfg(test)]
+    pub fn seq(&self) -> u64 {
+        self.seq.load(Ordering::Acquire)
+    }
+
     fn write_begin(&self) {
         let s = self.seq.load(Ordering::Relaxed);
         self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
@@ -100,18 +114,30 @@ impl ShardSync {
 /// RAII write bracket: increments the seqlock on entry and exit of the
 /// outermost mutation scope. Nested brackets (a batch group calling the
 /// per-op methods) are counted, not re-published.
+///
+/// It borrows the engine's `ShardSync` through a pointer rather than a
+/// reference, because the engine method that holds it goes on to borrow
+/// the engine mutably.
 pub(super) struct WriteBracket {
-    sync: Arc<ShardSync>,
+    sync: NonNull<ShardSync>,
 }
 
-impl WriteBracket {
+impl ShardEngine {
+    /// Opens a write bracket on this engine's seqlock, closed when the
+    /// returned guard drops — on unwind too. Open it as `let _w =
+    /// self.write_bracket();` inside an engine method, so the guard drops
+    /// before the method returns.
     #[inline]
-    pub(super) fn enter(sync: &Arc<ShardSync>) -> Self {
-        if sync.depth.fetch_add(1, Ordering::Relaxed) == 0 {
+    #[must_use = "the bracket closes when this guard drops"]
+    pub(super) fn write_bracket(&self) -> WriteBracket {
+        let sync = &*self.sync;
+        let depth = sync.depth.load(Ordering::Relaxed);
+        sync.depth.store(depth + 1, Ordering::Relaxed);
+        if depth == 0 {
             sync.write_begin();
         }
         WriteBracket {
-            sync: Arc::clone(sync),
+            sync: NonNull::from(sync),
         }
     }
 }
@@ -119,8 +145,16 @@ impl WriteBracket {
 impl Drop for WriteBracket {
     #[inline]
     fn drop(&mut self) {
-        if self.sync.depth.fetch_sub(1, Ordering::Relaxed) == 1 {
-            self.sync.write_end();
+        // SAFETY: brackets are only made by `ShardEngine::write_bracket`,
+        // and each is dropped before the engine method that opened it
+        // returns. The engine holds its `Arc<ShardSync>` from construction
+        // to drop and never replaces it, so the pointee is alive here, and
+        // it is only ever accessed through shared references.
+        let sync = unsafe { self.sync.as_ref() };
+        let depth = sync.depth.load(Ordering::Relaxed) - 1;
+        sync.depth.store(depth, Ordering::Relaxed);
+        if depth == 0 {
+            sync.write_end();
         }
     }
 }

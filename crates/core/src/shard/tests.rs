@@ -1,6 +1,7 @@
 use super::bucket::bucket_crc;
 use super::placement::MAX_IN_PLACE_RUN;
 use super::*;
+use crate::clock::{now_unix_ms, wall_reads};
 use crate::config::UpdatePolicy;
 
 #[test]
@@ -245,10 +246,99 @@ fn out_of_zone_index_address_is_an_error_not_an_underflow() {
     let start = e.layout.data_start() as u64;
     assert!(start > 0, "the index region comes first");
     for addr in [0, start - 1, start + 5, start + 8 * e.layout.bucket_size() as u64] {
-        let err = e.addr_expired(addr, now_unix_ms()).unwrap_err();
+        let err = e.addr_expired(addr, now_unix_ms).unwrap_err();
         assert!(matches!(err, PnwError::Nvm(NvmError::OutOfBounds { .. })), "{addr}: {err:?}");
     }
-    assert_eq!(e.addr_expired(start, now_unix_ms()), Ok(false));
+    assert_eq!(e.addr_expired(start, now_unix_ms), Ok(false));
+}
+
+// ---- The wall clock: read only for a deadline ------------------------------
+
+#[test]
+fn a_store_without_ttl_never_reads_the_wall_clock() {
+    let mut e = ShardEngine::new(PnwConfig::new(16, 8).with_clusters(1));
+    let reads = wall_reads();
+    e.put(1, &[1; 8]).unwrap();
+    e.put(1, &[2; 8]).unwrap();
+    assert_eq!(e.get(1).unwrap().unwrap(), [2; 8]);
+    assert!(e.delete(1).unwrap());
+    assert!(!e.delete(1).unwrap());
+    e.put(2, &[3; 8]).unwrap();
+    e.scrub_step(16).unwrap();
+    assert_eq!(wall_reads(), reads);
+}
+
+#[test]
+fn a_ttl_store_reads_the_wall_clock_only_for_a_deadline_and_still_expires() {
+    let mut e = ShardEngine::new(PnwConfig::new(16, 8).with_clusters(1).with_ttl());
+    let reads = wall_reads();
+    e.put(1, &[1; 8]).unwrap();
+    assert!(e.get(1).unwrap().is_some());
+    e.scrub_step(16).unwrap();
+    assert!(e.delete(1).unwrap());
+    assert_eq!(wall_reads(), reads, "no deadline, no clock read");
+
+    let past = now_unix_ms() - 1;
+    e.put_with_expiry(2, &[2; 8], past).unwrap();
+    e.put_with_expiry(3, &[3; 8], past).unwrap();
+    e.put_with_expiry(4, &[4; 8], now_unix_ms() + 3_600_000).unwrap();
+    assert_eq!(e.get(2).unwrap(), None, "overdue reads as absent");
+    assert!(e.get(4).unwrap().is_some());
+    assert!(!e.delete(2).unwrap(), "an expired key did not exist");
+    e.scrub_step(16).unwrap();
+    assert_eq!(e.len(), 1, "the scrub step reclaimed key 3");
+    assert_eq!(e.snapshot(TrainStats::default()).scrub.expired, 2);
+    assert!(wall_reads() > reads + 2);
+}
+
+// ---- Write brackets: one publication per op ---------------------------------
+
+/// Runs `op` and returns how far it moved the seqlock sequence, which must
+/// end even (no bracket left open).
+fn seq_advance<R>(e: &mut ShardEngine, op: impl FnOnce(&mut ShardEngine) -> R) -> (u64, R) {
+    let before = e.sync.seq();
+    let out = op(e);
+    let after = e.sync.seq();
+    assert_eq!(after % 2, 0, "a bracket was left open");
+    (after - before, out)
+}
+
+#[test]
+fn every_put_and_delete_publishes_exactly_one_bracket() {
+    let mut e = trained(32);
+    e.prefill_free_buckets(|| vec![0xFF; V]).unwrap();
+    let (n, r) = seq_advance(&mut e, |e| e.put(1, &[0x00; V]).unwrap().1);
+    assert_eq!((n, r), (2, PutPath::Fresh), "fresh");
+    let (n, r) = seq_advance(&mut e, |e| e.put(1, &[0x01; V]).unwrap().1);
+    assert_eq!((n, r), (2, PutPath::InPlace), "in place");
+    let (n, r) = seq_advance(&mut e, |e| e.put(1, &[0xFF; V]).unwrap().1);
+    assert_eq!((n, r), (2, PutPath::Fresh), "relocating");
+    assert_eq!(seq_advance(&mut e, |e| e.delete(1).unwrap()), (2, true), "delete hit");
+    assert_eq!(seq_advance(&mut e, |e| e.delete(1).unwrap()), (2, false), "delete miss");
+}
+
+#[test]
+fn a_batch_group_publishes_its_nested_brackets_once() {
+    let mut e = trained(32);
+    let mut batch = crate::api::Batch::new();
+    for k in 0..6u64 {
+        batch.put(k, &[k as u8; V]);
+    }
+    batch.delete(2).delete(99);
+    let ops = batch.ops();
+    let mut report = crate::api::BatchReport::default();
+    let (n, _) = seq_advance(&mut e, |e| e.apply_group(ops, 0..ops.len(), &mut report));
+    assert_eq!(n, 2);
+    assert_eq!((report.puts, report.deletes, report.deleted_existing), (6, 2, 1));
+}
+
+#[test]
+fn a_put_that_fails_inside_its_bracket_still_closes_it() {
+    let mut e = ShardEngine::new(PnwConfig::new(1, V).with_clusters(1));
+    e.put(1, &[1; V]).unwrap();
+    let (n, r) = seq_advance(&mut e, |e| e.put(2, &[2; V]));
+    assert!(matches!(r, Err(PnwError::Full)));
+    assert_eq!(n, 2);
 }
 
 // ---- UpdatePolicy::Cheapest: the per-update placement decision ----------

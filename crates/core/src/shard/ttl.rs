@@ -3,7 +3,8 @@
 
 use pnw_nvm_sim::WriteMode;
 
-use super::{deadline_passed, now_unix_ms, ShardEngine, EXPIRY_BYTES};
+use super::{deadline_passed, ShardEngine, EXPIRY_BYTES};
+use crate::clock::now_unix_ms;
 use crate::error::PnwError;
 
 impl ShardEngine {
@@ -30,10 +31,15 @@ impl ShardEngine {
     }
 
     /// Whether the bucket at `addr` holds a value whose deadline has
-    /// passed. The lazy-expiry predicate the read path applies — reads
-    /// never mutate; physical reclamation belongs to the scrubber cursor.
+    /// passed at `now()`, which is called only for a nonzero deadline. The
+    /// lazy-expiry predicate the read path applies — reads never mutate;
+    /// physical reclamation belongs to the scrubber cursor.
     #[inline]
-    pub(super) fn addr_expired(&self, addr: u64, now: u64) -> Result<bool, PnwError> {
+    pub(super) fn addr_expired(
+        &self,
+        addr: u64,
+        now: impl FnOnce() -> u64,
+    ) -> Result<bool, PnwError> {
         if !self.layout.has_expiry() {
             return Ok(false);
         }
@@ -61,7 +67,7 @@ impl ShardEngine {
     /// when its tenant's deadline has passed. Returns whether the bucket
     /// was reclaimed (the CRC scrub is then moot — the bucket is free).
     pub(super) fn expire_bucket_if_due(&mut self, bucket: u32) -> Result<bool, PnwError> {
-        if !deadline_passed(self.peek_expiry(bucket)?, now_unix_ms()) {
+        if !deadline_passed(self.peek_expiry(bucket)?, now_unix_ms) {
             return Ok(false);
         }
         let Some((_, hdr)) = self.tenant(bucket)? else {

@@ -8,11 +8,12 @@ use pnw_index::IndexReader;
 use pnw_nvm_sim::CellView;
 
 use super::ShardedPnwStore;
+use crate::clock::now_unix_ms;
 use crate::config::PnwConfig;
 use crate::error::PnwError;
 use crate::shard::{
-    check_value, deadline_passed, now_unix_ms, value_addr, BucketLayout, Header, ShardEngine,
-    ShardSync, EXPIRY_BYTES, HDR_BYTES,
+    check_value, deadline_passed, value_addr, BucketLayout, Header, ShardEngine, ShardSync,
+    EXPIRY_BYTES, HDR_BYTES,
 };
 
 /// What a shard publishes to lock-free readers at construction; all of it
@@ -95,7 +96,7 @@ impl ReadView {
     ) -> Option<bool> {
         if self.layout.has_expiry() {
             let b = self.layout.bucket_of(addr)?;
-            if deadline_passed(self.deadline(b)?, now_unix_ms()) {
+            if deadline_passed(self.deadline(b)?, now_unix_ms) {
                 return Some(false);
             }
         }
@@ -135,7 +136,7 @@ impl ReadView {
             if self.reader.lookup(&self.view, hdr.key) != Some(base as u64) {
                 continue;
             }
-            if deadline_passed(self.deadline(b)?, now) {
+            if deadline_passed(self.deadline(b)?, || now) {
                 continue;
             }
             let mut value = vec![0u8; cfg.value_size];
