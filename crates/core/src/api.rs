@@ -36,9 +36,10 @@
 //! accounting is bit-for-bit identical too. What batching changes is the
 //! amortized cost, the reporting granularity (one aggregate
 //! [`BatchReport`] instead of one `OpReport` per op), and the *automatic
-//! retrain* boundary: a `Background` retrain is requested once per batch
-//! rather than after every due op, so physical placement after a mid-batch
-//! trigger may differ from the per-op schedule.
+//! retrain* boundary: a `Background` retrain is requested when a shard
+//! group that made it due lets go of its engine, rather than after every
+//! due op, so physical placement after a mid-batch trigger may differ from
+//! the per-op schedule.
 
 use std::time::Duration;
 

@@ -1,9 +1,12 @@
 //! The write frontend: flat combining over each shard's bounded command
-//! queue, and the batched [`Store::apply`](crate::Store::apply) built on
-//! it. See the [module docs](super) for the concurrency model.
+//! queue, the [`Hold`] every engine acquisition goes through, and the
+//! batched [`Store::apply`](crate::Store::apply) built on it. See the
+//! [module docs](super) for the concurrency model.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{fence, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{MutexGuard, TryLockError};
 use std::time::Duration;
 
 use pnw_nvm_sim::WriteStats;
@@ -14,26 +17,8 @@ use crate::error::StoreError;
 use crate::metrics::OpReport;
 use crate::shard::ShardEngine;
 
-/// The rendezvous between a queued writer and the combiner that executes
-/// its command: the combiner fills `done` with the reply and signals `cv`.
-pub(super) struct OpSlot<T> {
-    pub(super) done: Mutex<Option<T>>,
-    cv: Condvar,
-}
-
-impl<T> OpSlot<T> {
-    pub(super) fn new() -> Self {
-        OpSlot {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, reply: T) {
-        *self.done.lock().unwrap() = Some(reply);
-        self.cv.notify_one();
-    }
-}
+/// What a panic while holding an engine leaves behind: a poisoned mutex.
+const POISONED: &str = "a writer panicked while holding the shard engine";
 
 /// What one batch group produced.
 pub(super) struct GroupReply {
@@ -46,25 +31,160 @@ pub(super) struct GroupReply {
     modeled: Duration,
 }
 
-/// A write command queued for a shard's current combiner. Owns its
+/// A write command queued for whoever holds a shard's engine. Owns its
 /// operands (the submitting thread's borrows can't cross the handoff)
-/// and the slot its reply goes to.
+/// and the one-shot sender its reply goes to.
 pub(super) enum OwnedOp {
     Put {
         key: u64,
         value: Vec<u8>,
         expires_at_ms: u64,
-        slot: Arc<OpSlot<Result<OpReport, StoreError>>>,
+        reply: SyncSender<Result<OpReport, StoreError>>,
     },
     Delete {
         key: u64,
-        slot: Arc<OpSlot<Result<bool, StoreError>>>,
+        reply: SyncSender<Result<bool, StoreError>>,
     },
     /// One shard's slice of a [`Batch`], executed as a single group.
     Group {
         ops: Vec<Op>,
-        slot: Arc<OpSlot<GroupReply>>,
+        reply: SyncSender<GroupReply>,
     },
+}
+
+/// A held shard engine, from [`Shard::hold`] or [`Shard::try_hold`] — the
+/// only way `sharded` code takes one. Letting go is what makes the holder
+/// the shard's combiner: it serves every command queued behind it, unlocks,
+/// then rechecks the queue until it reads empty or another holder has the
+/// engine, and finally runs the retrain policy if an op made it due.
+pub(super) struct Hold<'a> {
+    shard: &'a Shard,
+    model: &'a ModelState,
+    /// The engine until the release lets go of it.
+    pub(super) eng: Option<MutexGuard<'a, ShardEngine>>,
+    /// Whether an op run under this hold made retraining due.
+    due: bool,
+}
+
+impl<'a> Hold<'a> {
+    #[inline]
+    fn of(shard: &'a Shard, model: &'a ModelState, eng: MutexGuard<'a, ShardEngine>) -> Self {
+        Hold {
+            shard,
+            model,
+            eng: Some(eng),
+            due: false,
+        }
+    }
+
+    /// The engine, and the flag an op sets when it makes retraining due.
+    #[inline]
+    fn parts(&mut self) -> (&mut ShardEngine, &mut bool) {
+        let eng = self.eng.as_deref_mut().expect("held until released");
+        (eng, &mut self.due)
+    }
+}
+
+impl Deref for Hold<'_> {
+    type Target = ShardEngine;
+
+    fn deref(&self) -> &ShardEngine {
+        self.eng.as_deref().expect("held until released")
+    }
+}
+
+impl DerefMut for Hold<'_> {
+    fn deref_mut(&mut self) -> &mut ShardEngine {
+        self.parts().0
+    }
+}
+
+impl Drop for Hold<'_> {
+    /// No push is missed: a queueing writer does *push, store depth,
+    /// fence, `try_hold`*, the release *unlock, fence, load depth*. The two
+    /// `SeqCst` fences are totally ordered; if the writer's comes first the
+    /// load sees its push, and if ours comes first its `try_hold` sees the
+    /// engine free (or held by a later holder, which owes the same
+    /// recheck). A hold dropped while its thread panics only unlocks:
+    /// running queued commands during unwinding could only panic again.
+    #[inline]
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        let sh = self.shard;
+        if let Some(mut eng) = self.eng.take() {
+            self.due |= sh.drain(&mut eng);
+        }
+        loop {
+            fence(Ordering::SeqCst);
+            if sh.queue_depth.load(Ordering::SeqCst) == 0 {
+                break;
+            }
+            let Ok(mut eng) = sh.engine.try_lock() else {
+                break;
+            };
+            self.due |= sh.drain(&mut eng);
+        }
+        if self.due {
+            self.model.retrain_due();
+        }
+    }
+}
+
+impl Shard {
+    /// Holds the engine, waiting for it. Panics if a holder panicked.
+    pub(super) fn hold<'a>(&'a self, model: &'a ModelState) -> Hold<'a> {
+        let eng = self.engine.lock().expect(POISONED);
+        Hold::of(self, model, eng)
+    }
+
+    /// Holds the engine if it is free; `None` while another thread holds
+    /// it. Panics if a holder panicked.
+    #[inline]
+    pub(super) fn try_hold<'a>(&'a self, model: &'a ModelState) -> Option<Hold<'a>> {
+        match self.engine.try_lock() {
+            Ok(eng) => Some(Hold::of(self, model, eng)),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(_)) => panic!("{POISONED}"),
+        }
+    }
+
+    /// Executes every queued command against the held engine (the flat
+    /// combining drain). Returns whether any op made retraining due.
+    #[inline]
+    fn drain(&self, eng: &mut ShardEngine) -> bool {
+        let mut due = false;
+        // An empty queue costs one load, not a lock: a push racing this
+        // read is the release recheck's to catch, after the unlock.
+        while self.queue_depth.load(Ordering::SeqCst) != 0 {
+            let op = {
+                let mut q = self.queue.lock().unwrap();
+                let op = q.pop_front();
+                self.queue_depth.store(q.len(), Ordering::SeqCst);
+                op
+            };
+            let Some(op) = op else { break };
+            // A reply's receiver outlives the command unless its writer is
+            // gone; then there is no one left to tell.
+            let _ = match op {
+                OwnedOp::Put {
+                    key,
+                    value,
+                    expires_at_ms,
+                    reply,
+                } => reply
+                    .send(eng.put_and_extend(key, &value, expires_at_ms, true, &mut due))
+                    .is_ok(),
+                OwnedOp::Delete { key, reply } => reply.send(eng.delete(key)).is_ok(),
+                OwnedOp::Group { ops, reply } => {
+                    let group = exec_group(eng, &ops, 0..ops.len(), &mut due);
+                    reply.send(group).is_ok()
+                }
+            };
+        }
+        due
+    }
 }
 
 /// One batch group against a held engine: its report fragment and the
@@ -101,49 +221,49 @@ fn absorb_group(report: &mut BatchReport, reply: GroupReply, batch_idx: impl Fn(
         .extend(failures.map(|(i, e)| (batch_idx(i), e)));
 }
 
+/// Blocks until the holder that runs a queued command sends its reply.
+fn await_reply<T>(answer: Receiver<T>) -> T {
+    answer
+        .recv()
+        .expect("the shard's holder panicked while running this queued command")
+}
+
 impl ShardedPnwStore {
-    /// The one write frontend. If shard `sid`'s engine `try_lock` wins,
-    /// `run` executes inline and this thread then *drains the shard's
-    /// command queue* as its combiner; if the engine is held, `held`
+    /// The one write frontend. If shard `sid`'s engine is free, `run`
+    /// executes inline under a [`Hold`], whose release serves the shard's
+    /// command queue and runs the retrain policy if `run` (through its
+    /// flag) or a queued op made it due. If the engine is held, `held`
     /// decides instead (it queues the command's owned form for whoever
-    /// holds the engine). `run` reports through its flag whether it made
-    /// retraining due; the retrain policy then runs here, after the engine
-    /// is released — or, with `defer_retrain`, is left to the caller (a
-    /// batch runs it once, after all its groups).
+    /// holds the engine).
     #[inline]
     pub(super) fn combine_or<T>(
         &self,
         sid: usize,
-        defer_retrain: Option<&mut bool>,
         run: impl FnOnce(&mut ShardEngine, &mut bool) -> T,
         held: impl FnOnce() -> T,
     ) -> T {
-        let sh = &self.shards[sid];
-        let Ok(mut eng) = sh.engine.try_lock() else {
+        let Some(mut hold) = self.shards[sid].try_hold(&self.model) else {
             return held();
         };
-        let mut due = false;
-        let reply = run(&mut eng, &mut due);
-        due |= sh.drain(&mut eng);
-        drop(eng);
-        if let Some(deferred) = defer_retrain {
-            *deferred |= std::mem::take(&mut due);
-        }
-        sh.finish_write(&self.model, due);
-        reply
+        let (eng, due) = hold.parts();
+        run(eng, due)
     }
 
     /// Queues the `owned` form of a command for whoever holds shard `sid`'s
-    /// engine and returns the slot the reply will arrive through
-    /// ([`ShardedPnwStore::await_slot`]).
+    /// engine and returns where its reply will arrive.
     fn queue<T>(
         &self,
         sid: usize,
-        owned: impl FnOnce(Arc<OpSlot<T>>) -> OwnedOp,
-    ) -> Result<Arc<OpSlot<T>>, StoreError> {
-        let slot = Arc::new(OpSlot::new());
-        self.enqueue(sid, owned(Arc::clone(&slot)))?;
-        Ok(slot)
+        owned: impl FnOnce(SyncSender<T>) -> OwnedOp,
+    ) -> Result<Receiver<T>, StoreError> {
+        // Room for the one reply, so sending it never waits.
+        let (reply, answer) = sync_channel(1);
+        self.enqueue(sid, owned(reply))?;
+        // The writer's half of the hand-off: if the holder let go before
+        // the push was visible, the engine is free now and this hold's
+        // release serves the command.
+        drop(self.shards[sid].try_hold(&self.model));
+        Ok(answer)
     }
 
     /// One op through the frontend: run inline, or queued and waited for.
@@ -152,12 +272,9 @@ impl ShardedPnwStore {
         &self,
         sid: usize,
         run: impl FnOnce(&mut ShardEngine, &mut bool) -> Result<T, StoreError>,
-        owned: impl FnOnce(Arc<OpSlot<Result<T, StoreError>>>) -> OwnedOp,
+        owned: impl FnOnce(SyncSender<Result<T, StoreError>>) -> OwnedOp,
     ) -> Result<T, StoreError> {
-        self.combine_or(sid, None, run, || {
-            let slot = self.queue(sid, owned)?;
-            self.await_slot(&self.shards[sid], &slot)
-        })
+        self.combine_or(sid, run, || await_reply(self.queue(sid, owned)?))
     }
 
     /// Pushes a command onto the shard's bounded queue, or rejects it with
@@ -175,114 +292,12 @@ impl ShardedPnwStore {
         q.push_back(op);
         sh.queue_depth.store(q.len(), Ordering::SeqCst);
         drop(q);
-        // Pairs with the fence in `finish_write`: the depth store is
-        // ordered before this writer's next engine `try_lock`.
+        // Pairs with the fence in a hold's release: the depth store is
+        // ordered before this writer's next `try_hold`.
         fence(Ordering::SeqCst);
         Ok(())
     }
 
-    /// Waits for a queued command's reply, opportunistically becoming the
-    /// combiner if the engine frees up first (which also executes our own
-    /// queued command). The timed wait bounds the window where a combiner
-    /// released the engine between our queue push and its final drain.
-    fn await_slot<T>(&self, sh: &Shard, slot: &OpSlot<T>) -> T {
-        loop {
-            if let Some(reply) = slot.done.lock().unwrap().take() {
-                return reply;
-            }
-            if let Ok(mut eng) = sh.engine.try_lock() {
-                let due = sh.drain(&mut eng);
-                drop(eng);
-                sh.finish_write(&self.model, due);
-                continue;
-            }
-            let done = slot.done.lock().unwrap();
-            if done.is_some() {
-                continue;
-            }
-            let _ = slot.cv.wait_timeout(done, self.slot_wait).unwrap();
-        }
-    }
-}
-
-impl Shard {
-    /// Executes every queued command against the held engine (the flat
-    /// combining drain). Returns whether any op made retraining due.
-    #[inline]
-    fn drain(&self, eng: &mut ShardEngine) -> bool {
-        let mut due = false;
-        // An empty queue costs one load, not a lock: a push racing this
-        // read is `finish_write`'s to catch, after the engine is released.
-        while self.queue_depth.load(Ordering::SeqCst) != 0 {
-            let op = {
-                let mut q = self.queue.lock().unwrap();
-                let op = q.pop_front();
-                self.queue_depth.store(q.len(), Ordering::SeqCst);
-                op
-            };
-            let Some(op) = op else { break };
-            match op {
-                OwnedOp::Put {
-                    key,
-                    value,
-                    expires_at_ms,
-                    slot,
-                } => slot.fill(eng.put_and_extend(key, &value, expires_at_ms, true, &mut due)),
-                OwnedOp::Delete { key, slot } => slot.fill(eng.delete(key)),
-                OwnedOp::Group { ops, slot } => {
-                    slot.fill(exec_group(eng, &ops, 0..ops.len(), &mut due))
-                }
-            }
-        }
-        due
-    }
-
-    /// Post-release duties of a combiner: run the retrain policy (never
-    /// while holding the engine — lock order), then close the race window
-    /// where a writer queued between our last drain and the lock release.
-    /// Waiters also self-recover via their timed wait, so one recheck is
-    /// enough.
-    ///
-    /// The recheck reads the depth counter, not the queue. No push is
-    /// missed: the writer does *push, store depth, fence, `try_lock`*, the
-    /// combiner *unlock, fence, load depth*. The two `SeqCst` fences are
-    /// totally ordered; if the writer's comes first this load sees its
-    /// push, and if ours comes first its `try_lock` sees the engine free
-    /// (or held by a later combiner, which owes the same recheck).
-    #[inline]
-    pub(super) fn finish_write(&self, model: &ModelState, due: bool) {
-        if due {
-            model.retrain_due();
-        }
-        fence(Ordering::SeqCst);
-        if self.queue_depth.load(Ordering::SeqCst) != 0 {
-            if let Ok(mut eng) = self.engine.try_lock() {
-                let due = self.drain(&mut eng);
-                drop(eng);
-                if due {
-                    model.retrain_due();
-                }
-            }
-        }
-    }
-
-    /// Runs `f` under the engine lock, waiting for it, and leaves the way a
-    /// combiner does: every command queued meanwhile is served before the
-    /// release, and [`Shard::finish_write`] runs after it. The store's
-    /// worker takes every engine lock through here, so a writer queued
-    /// behind it never sleeps out its timed wait.
-    pub(super) fn locked<R>(&self, model: &ModelState, f: impl FnOnce(&mut ShardEngine) -> R) -> R {
-        let poisoned = "a writer panicked while holding the shard engine";
-        let mut eng = self.engine.lock().expect(poisoned);
-        let reply = f(&mut eng);
-        let due = self.drain(&mut eng);
-        drop(eng);
-        self.finish_write(model, due);
-        reply
-    }
-}
-
-impl ShardedPnwStore {
     /// [`Store::apply`](crate::Store::apply): the batch is grouped by
     /// shard and each shard's group goes through the write frontend — one
     /// engine acquisition per group, inline or through the shard's
@@ -311,8 +326,6 @@ impl ShardedPnwStore {
             ordered[cursor[sid as usize]] = i as u32;
             cursor[sid as usize] += 1;
         }
-        // The retrain policy runs once, after all groups.
-        let mut retrain_due = false;
         // Shard groups whose engine was contended, awaiting a combiner.
         let mut pending = Vec::new();
         for sid in 0..n_shards {
@@ -323,12 +336,11 @@ impl ShardedPnwStore {
             let batch_idxs = idxs.iter().map(|&i| i as usize);
             let group = self.combine_or(
                 sid,
-                Some(&mut retrain_due),
                 |eng, due| Ok(exec_group(eng, ops, batch_idxs.clone(), due)),
                 || {
-                    Err(self.queue(sid, |slot| OwnedOp::Group {
+                    Err(self.queue(sid, |reply| OwnedOp::Group {
                         ops: batch_idxs.clone().map(|i| ops[i].clone()).collect(),
-                        slot,
+                        reply,
                     }))
                 },
             );
@@ -336,18 +348,15 @@ impl ShardedPnwStore {
                 // Run inline over the batch's own ops: the fragment's
                 // failure indices are batch positions already.
                 Ok(reply) => absorb_group(&mut report, reply, |i| i),
-                Err(Ok(slot)) => pending.push((sid, slot, idxs)),
+                Err(Ok(answer)) => pending.push((answer, idxs)),
                 Err(Err(e)) => report.failures.extend(batch_idxs.map(|i| (i, e.clone()))),
             }
         }
-        for (sid, slot, idxs) in pending {
+        for (answer, idxs) in pending {
             // The queued group saw local indices 0..len; map back to
             // batch positions.
-            let reply = self.await_slot(&self.shards[sid], &slot);
+            let reply = await_reply(answer);
             absorb_group(&mut report, reply, |local| idxs[local] as usize);
-        }
-        if retrain_due {
-            self.model.retrain_due();
         }
         // Shard grouping visits ops out of submission order; report
         // failures by batch index regardless.

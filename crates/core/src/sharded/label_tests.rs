@@ -39,17 +39,17 @@ fn check(s: &ShardedPnwStore) {
 
 /// Spins until the worker thread has begun its label pass on `shard`.
 fn wait_for_pass_on(s: &ShardedPnwStore, shard: usize) {
-    while !s.shards[shard].engine.lock().unwrap().label_pass_running() {
+    while !s.shards[shard].hold(&s.model).label_pass_running() {
         std::thread::yield_now();
     }
 }
 
 /// Starts a background run and holds it *inside* its label pass: shard 0's
 /// pass is open and the worker thread cannot get past shard 1's engine
-/// lock, which the returned guard holds. While it is held no run can
-/// finish, so writes to shard 0 go through without an install.
-fn stall_inside_a_pass(s: &ShardedPnwStore) -> MutexGuard<'_, ShardEngine> {
-    let held = s.shards[1].engine.lock().unwrap();
+/// lock, which the returned hold has. While it is held no run can finish,
+/// so writes to shard 0 go through without an install.
+fn stall_inside_a_pass(s: &ShardedPnwStore) -> Hold<'_> {
+    let held = s.shards[1].hold(&s.model);
     s.retrain_in_background();
     wait_for_pass_on(s, 0);
     held
@@ -158,7 +158,7 @@ fn label_consistency_survives_a_zone_extension_mid_pass() {
     // Shard 0's pass is open: its new buckets lie past what the pass
     // covers. Shard 1's pass begins after its extension.
     let mut held = stall_inside_a_pass(&s);
-    assert_eq!(s.shards[0].engine.lock().unwrap().extend_zone(64), 64);
+    assert_eq!(s.shards[0].hold(&s.model).extend_zone(64), 64);
     assert_eq!(held.extend_zone(64), 64);
     drop(held);
     s.wait_for_retrain();

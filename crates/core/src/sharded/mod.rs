@@ -10,18 +10,22 @@
 //! the concurrency model is **single-writer / lock-free readers**:
 //!
 //! * **Writes (flat combining).** Each shard's engine sits behind a
-//!   `Mutex`, but contended writers never convoy on it. A writer first
-//!   `try_lock`s the engine; on success it executes its own op and then
-//!   *drains the shard's command queue* — executing queued ops on behalf
-//!   of the threads that submitted them (it is the shard's *combiner* for
-//!   that moment). On failure it pushes an owned command onto the shard's
-//!   bounded queue and waits on the command's slot; the current combiner
-//!   executes it and fills the slot. A full queue returns
-//!   [`StoreError::Backpressure`] instead of blocking — explicit feedback
-//!   in place of lock convoying. A single-threaded client always wins the
-//!   `try_lock`, so it only ever takes the inline path — and the engine
-//!   lock is the only lock it takes: whether anything is queued is read
-//!   from an atomic depth counter, not from the queue's mutex.
+//!   `Mutex`, but contended writers never convoy on it. Every acquisition
+//!   is a `Hold`, and every hold lets go the same way: it *drains the
+//!   shard's command queue* — executing queued ops on behalf of the threads
+//!   that submitted them (the holder is the shard's *combiner* for that
+//!   moment) — unlocks, and rechecks the queue until it reads empty or
+//!   another holder has the engine. A writer first tries to hold the
+//!   engine; on success it executes its own op inline. On failure it pushes
+//!   an owned command onto the shard's bounded queue, tries once more to
+//!   hold the engine, and blocks on the command's one-shot reply, with no
+//!   timeout: whoever holds the engine executes the command and sends the
+//!   reply. A full queue returns [`StoreError::Backpressure`] instead of
+//!   blocking — explicit feedback in place of lock convoying. A
+//!   single-threaded client always wins the `try_lock`, so it only ever
+//!   takes the inline path — and the engine lock is the only lock it
+//!   takes: whether anything is queued is read from an atomic depth
+//!   counter, not from the queue's mutex.
 //!
 //! * **Reads (seqlock validation).** GETs take **zero locks** in steady
 //!   state. Each shard publishes a read view at construction — a
@@ -54,10 +58,11 @@
 //! stats the worker publishes at install, never waiting for a run.
 //!
 //! Lock order is **shard engine → shard queue**; nothing takes an engine
-//! lock while holding a queue lock. The worker holds one engine lock at a
-//! time, and releases it the way a combiner does — serving every command
-//! queued behind it — so a queued writer is served as soon as it lets go.
-//! Combiners run the retrain policy only *after* releasing the engine lock.
+//! lock while holding a queue lock. Status reads, checkpoints, scrubs, the
+//! locked GET and scan fallbacks, the worker and the test hooks all hold
+//! engines the way writers do, so a queued writer is served as soon as any
+//! of them lets go. A hold runs the retrain policy only *after* releasing
+//! the engine lock.
 //!
 //! One file per concern: this file routes keys to shards and implements
 //! [`Store`]; `combine` is the write frontend (the combining queue and the
@@ -72,9 +77,8 @@ mod read;
 
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicUsize;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use pnw_nvm_sim::{DeviceStats, LatencyModel, NvmDevice, WearCdf};
 
@@ -84,7 +88,7 @@ use crate::durable::DurableStore;
 use crate::error::{PnwError, StoreError};
 use crate::metrics::{OpReport, StoreSnapshot};
 use crate::shard::ShardEngine;
-use combine::OwnedOp;
+use combine::{Hold, OwnedOp};
 use model::{Job, ModelState};
 use read::ReadView;
 
@@ -96,8 +100,8 @@ struct Shard {
     queue: Mutex<VecDeque<OwnedOp>>,
     /// `queue.len()`, stored under the queue mutex after every push and
     /// pop, so a combiner learns "nothing queued" from one load instead of
-    /// a lock round-trip. See [`Shard::finish_write`] for the ordering
-    /// that keeps a push from being missed.
+    /// a lock round-trip. See [`Hold`]'s release for the ordering that
+    /// keeps a push from being missed.
     queue_depth: AtomicUsize,
     queue_cap: usize,
     /// What lock-free GETs and scans read this shard through.
@@ -136,10 +140,6 @@ pub struct ShardedPnwStore {
     /// appends go through each shard's own [`DurableShard`]
     /// (crate::durable) handle under that shard's engine lock.
     durable: Option<Mutex<DurableStore>>,
-    /// How long a queued writer sleeps between combiner checks: always
-    /// [`SLOT_WAIT`], except in the tests that raise it to show no writer
-    /// depends on the timeout to be served.
-    slot_wait: Duration,
 }
 
 impl Drop for ShardedPnwStore {
@@ -159,10 +159,6 @@ fn route(key: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
-
-/// How long a queued writer sleeps between combiner checks. Short enough
-/// to bound the lost-wakeup window, long enough not to spin the core.
-const SLOT_WAIT: Duration = Duration::from_micros(200);
 
 impl ShardedPnwStore {
     /// Creates a store with `cfg.shards` shards (see
@@ -202,7 +198,6 @@ impl ShardedPnwStore {
             model,
             worker: Some(worker),
             durable,
-            slot_wait: SLOT_WAIT,
         }
     }
 
@@ -216,15 +211,16 @@ impl ShardedPnwStore {
     /// data-zone write persists only `words` whole words and the device
     /// crashes (test hook for crash-consistency scenarios).
     pub fn arm_torn_write(&self, shard: usize, words: usize) {
-        self.shards[shard].engine.lock().unwrap().arm_torn_write(words);
+        self.shards[shard].hold(&self.model).arm_torn_write(words);
     }
 
-    /// Runs `f` while holding one shard's engine lock (test hook: the
-    /// torn-read stress suite uses it to prove GETs complete while a
+    /// Runs `f` while holding one shard's engine, then lets go the way
+    /// every holder does, serving the writes queued meanwhile (test hook:
+    /// the torn-read stress suite uses it to prove GETs complete while a
     /// writer owns the shard, and to force writers onto the queue path).
     #[doc(hidden)]
     pub fn with_shard_write_held<R>(&self, shard: usize, f: impl FnOnce() -> R) -> R {
-        let _g = self.shards[shard].engine.lock().unwrap();
+        let _held = self.shards[shard].hold(&self.model);
         f()
     }
 
@@ -276,11 +272,11 @@ impl ShardedPnwStore {
         self.write(
             self.shard_of(key),
             |eng, due| eng.put_and_extend(key, value, expires_at_ms, true, due),
-            |slot| OwnedOp::Put {
+            |reply| OwnedOp::Put {
                 key,
                 value: value.to_vec(),
                 expires_at_ms,
-                slot,
+                reply,
             },
         )
     }
@@ -291,7 +287,7 @@ impl ShardedPnwStore {
         self.write(
             self.shard_of(key),
             |eng, _| eng.delete(key),
-            |slot| OwnedOp::Delete { key, slot },
+            |reply| OwnedOp::Delete { key, reply },
         )
     }
 
@@ -300,13 +296,10 @@ impl ShardedPnwStore {
         self.engines().map(|e| e.len()).sum()
     }
 
-    /// Every shard's engine in shard order, each locked as the iterator
-    /// reaches it (and held for as long as the caller keeps the guard).
-    fn engines(&self) -> impl Iterator<Item = MutexGuard<'_, ShardEngine>> {
-        let poisoned = "a writer panicked while holding the shard engine";
-        self.shards
-            .iter()
-            .map(move |s| s.engine.lock().expect(poisoned))
+    /// Every shard's engine in shard order, each held as the iterator
+    /// reaches it (and for as long as the caller keeps the hold).
+    fn engines(&self) -> impl Iterator<Item = Hold<'_>> {
+        self.shards.iter().map(|s| s.hold(&self.model))
     }
 
     /// Whether no keys are stored.
@@ -381,8 +374,7 @@ impl ShardedPnwStore {
 
     /// The devices' latency model (every shard is built with the same one).
     pub fn latency_model(&self) -> LatencyModel {
-        let engine = self.shards[0].engine.lock().unwrap();
-        engine.device().latency_model()
+        self.shards[0].hold(&self.model).device().latency_model()
     }
 
     /// Buckets currently in the active data zone, across all shards.
@@ -480,9 +472,7 @@ impl ShardedPnwStore {
         stuck_at_one: bool,
     ) -> Result<bool, StoreError> {
         self.shards[self.shard_of(key)]
-            .engine
-            .lock()
-            .unwrap()
+            .hold(&self.model)
             .arm_stuck_at_key(key, bit, stuck_at_one)
     }
 }

@@ -155,8 +155,8 @@ struct Scrub {
 
 /// The store's one background thread (`pnw-worker`). It owns the store's
 /// [`ModelManager`] outright, runs [`Job`]s in arrival order, and takes a
-/// scrub step whenever one falls due between them. Every engine lock it
-/// takes goes through [`Shard::locked`], one shard at a time.
+/// scrub step whenever one falls due between them. It holds one engine at
+/// a time, through [`Shard::hold`] as every holder does.
 struct Worker {
     cfg: PnwConfig,
     shards: Arc<Vec<Shard>>,
@@ -219,10 +219,9 @@ impl Worker {
         let Some(scrub) = &mut self.scrub else {
             return;
         };
-        let batch = scrub.batch;
-        self.shards[scrub.shard].locked(&self.state, |eng| {
-            let _ = eng.scrub_step(batch);
-        });
+        let _ = self.shards[scrub.shard]
+            .hold(&self.state)
+            .scrub_step(scrub.batch);
         scrub.shard = (scrub.shard + 1) % self.shards.len();
         scrub.due = Instant::now() + scrub.interval;
     }
@@ -260,10 +259,11 @@ impl Worker {
         let (mut stale, mut predicted) = (0, 0);
         for (sid, sh) in self.shards.iter().enumerate() {
             let model = Arc::clone(&snapshot);
-            let (s, p) = sh.locked(&self.state, |eng| match labels {
+            let mut eng = sh.hold(&self.state);
+            let (s, p) = match labels {
                 Some(labels) => eng.install_labelled(model, &labels[sid]),
                 None => (0, eng.install_model(model)),
-            });
+            };
             stale += s;
             predicted += p;
         }
@@ -304,7 +304,7 @@ impl ZoneSource for ZoneReader<'_> {
         let mut scratch = PredictScratch::new();
         let mut value = vec![0u8; self.value_size];
         let label_shard = |s: &Shard| -> Vec<u16> {
-            let active = s.locked(self.state, |eng| eng.begin_label_pass());
+            let active = s.hold(self.state).begin_label_pass();
             let mut label = |b| {
                 s.read.value_racy(b, &mut value);
                 crate::shard::label_u16(model.predict_into(&value, &mut scratch))
@@ -401,7 +401,7 @@ impl ShardedPnwStore {
     /// table) — an `Arc` clone of shard 0's, safe to inspect outside any
     /// lock.
     pub fn model_snapshot(&self) -> Arc<ModelSnapshot> {
-        Arc::clone(self.shards[0].engine.lock().unwrap().model())
+        Arc::clone(self.shards[0].hold(&self.model).model())
     }
 
     /// Simulates a power failure followed by a restart: the DRAM state
@@ -412,7 +412,7 @@ impl ShardedPnwStore {
     pub fn crash_and_recover(&self) -> Result<(), PnwError> {
         self.wait_for_retrain();
         for s in self.shards.iter() {
-            s.engine.lock().unwrap().recover_structures()?;
+            s.hold(&self.model).recover_structures()?;
         }
         // The model is DRAM-resident: reconstruct it by retraining from a
         // fresh manager (§V-A.1: "can be reconstructed after a crash").

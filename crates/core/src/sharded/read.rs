@@ -178,13 +178,7 @@ impl ShardedPnwStore {
         let rv = &sh.read;
         // The engine-locked GET, for what a validated snapshot cannot
         // answer itself.
-        let locked = |out: &mut [u8]| {
-            let engine = sh
-                .engine
-                .lock()
-                .expect("a writer panicked while holding the shard engine");
-            engine.get_into(key, out)
-        };
+        let locked = |out: &mut [u8]| sh.hold(&self.model).get_into(key, out);
         let integrity = self.cfg.integrity;
         let mut raw = [0u8; HDR_BYTES];
         loop {
@@ -267,7 +261,7 @@ impl ShardedPnwStore {
                 return Ok(());
             }
         }
-        out.extend(sh.engine.lock().unwrap().scan_range(lo, hi)?);
+        out.extend(sh.hold(&self.model).scan_range(lo, hi)?);
         Ok(())
     }
 }

@@ -1,8 +1,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use std::time::Duration;
 
-use super::combine::OpSlot;
 use super::*;
 use crate::config::RetrainMode;
 
@@ -76,9 +76,17 @@ fn get_takes_no_lock_while_writer_holds_the_shard() {
     }
 }
 
+/// `queue.len()` as the queue mutex and the lock-free counter see it;
+/// they must agree whenever the mutex is free.
+fn queue_depth(sh: &Shard) -> usize {
+    let q = sh.queue.lock().unwrap();
+    assert_eq!(sh.queue_depth.load(Ordering::SeqCst), q.len());
+    q.len()
+}
+
 /// A saturated shard queue rejects with `Backpressure` instead of
 /// convoying on the engine lock; the queued op completes once the
-/// writer releases.
+/// holder lets go.
 #[test]
 fn queue_backpressure_rejects_when_full() {
     let s = Arc::new(ShardedPnwStore::new(
@@ -87,19 +95,18 @@ fn queue_backpressure_rejects_when_full() {
             .with_shards(1)
             .with_shard_queue_depth(1),
     ));
-    let handles = s.with_shard_write_held(0, || {
-        let hs: Vec<_> = (0..2u64)
-            .map(|t| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || s.put(100 + t, &[t as u8; 8]))
-            })
-            .collect();
-        // Let both writers hit the contended path: one queues (depth
-        // 1), the other must observe the full queue.
-        std::thread::sleep(Duration::from_millis(100));
-        hs
+    let (first, second) = s.with_shard_write_held(0, || {
+        let t = Arc::clone(&s);
+        let first = std::thread::spawn(move || t.put(100, &[0; 8]));
+        // The first writer fills the queue before the second one starts.
+        while queue_depth(&s.shards[0]) < 1 {
+            std::thread::yield_now();
+        }
+        let t = Arc::clone(&s);
+        let second = std::thread::spawn(move || t.put(101, &[1; 8])).join();
+        (first, second)
     });
-    let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let results = [first.join().unwrap(), second.unwrap()];
     let rejected = results
         .iter()
         .filter(|r| matches!(r, Err(StoreError::Backpressure { shard: 0, depth: 1 })))
@@ -111,14 +118,6 @@ fn queue_backpressure_rejects_when_full() {
         "one op queues and lands, one backs off: {results:?}"
     );
     assert_eq!(s.len(), 1);
-}
-
-/// `queue.len()` as the queue mutex and the lock-free counter see it;
-/// they must agree whenever the mutex is free.
-fn queue_depth(sh: &Shard) -> usize {
-    let q = sh.queue.lock().unwrap();
-    assert_eq!(sh.queue_depth.load(Ordering::SeqCst), q.len());
-    q.len()
 }
 
 /// Every kind of queued command — PUT, DELETE, a batch group — is
@@ -190,23 +189,29 @@ fn queued_commands_complete_and_the_depth_counter_tracks_the_queue() {
     assert_eq!(s.get(2).unwrap(), None);
 }
 
-/// Two writers race one op each per round on one shard, with the timed
-/// wait that papers over a missed hand-off raised to an hour: whenever
-/// one of them queues behind the other, the other — a real combiner,
-/// not the test hook — must execute the command in its drain or its
-/// post-release recheck, or the round never ends. A spinning rendezvous
-/// and 1 KiB values make the two ops of a round overlap.
+/// Two writers race one op each per round on one shard, and a third
+/// thread loops status reads that hold the engine: a queued writer waits
+/// for its reply with no timeout, so whenever one of them queues behind
+/// another holder — a writer or a status read, not the test hook — that
+/// holder must execute the command as it lets go, or the round never
+/// ends. A spinning rendezvous and 1 KiB values make the two ops of a
+/// round overlap.
 #[test]
 fn a_combiner_serves_queued_writers_without_their_timeout() {
     const ROUNDS: usize = 3000;
-    let mut s = ShardedPnwStore::new(
+    let s = Arc::new(ShardedPnwStore::new(
         PnwConfig::new(64, 1024)
             .with_clusters(1)
             .with_shards(1)
             .with_retrain(RetrainMode::Manual),
-    );
-    s.slot_wait = Duration::from_secs(3600);
-    let s = Arc::new(s);
+    ));
+    let stop = Arc::new(AtomicBool::new(false));
+    let (r, stop_r) = (Arc::clone(&s), Arc::clone(&stop));
+    let reader = std::thread::spawn(move || {
+        while !stop_r.load(Ordering::Relaxed) {
+            assert!(r.len().max(r.snapshot().live) <= 16);
+        }
+    });
     let arrived = Arc::new(AtomicUsize::new(0));
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     for t in 0..2u64 {
@@ -238,19 +243,19 @@ fn a_combiner_serves_queued_writers_without_their_timeout() {
                 .expect("a queued writer was never served")
         })
         .sum();
+    stop.store(true, Ordering::Relaxed);
+    reader.join().unwrap();
     assert_eq!(queue_depth(&s.shards[0]), 0);
     assert_eq!(s.len(), live);
 }
 
-/// The worker leaves an engine the way a combiner does: with scrub steps
-/// running back to back on the one shard and the timed wait raised to an
-/// hour, a writer whose PUT queues behind a step is still served.
+/// The worker leaves an engine the way every holder does: with scrub
+/// steps running back to back on the one shard, a writer whose PUT queues
+/// behind a step is served as the step lets go.
 #[test]
 fn a_writer_queued_behind_a_scrub_step_is_served_without_its_timeout() {
     let cfg = PnwConfig::new(256, 64).with_clusters(1).with_shards(1);
-    let mut s = ShardedPnwStore::new(cfg.with_scrub(1_000_000));
-    s.slot_wait = Duration::from_secs(3600);
-    let s = Arc::new(s);
+    let s = Arc::new(ShardedPnwStore::new(cfg.with_scrub(1_000_000)));
     let (done_tx, done) = channel();
     let t = Arc::clone(&s);
     std::thread::spawn(move || {
@@ -265,31 +270,28 @@ fn a_writer_queued_behind_a_scrub_step_is_served_without_its_timeout() {
     assert_eq!(s.len(), 128);
 }
 
-/// The state a combiner leaves behind when a writer queues between its
+/// The state a holder leaves behind when a writer queues between its
 /// last drain and its unlock — engine free, one command waiting, nobody
-/// awake to run it — is exactly what `finish_write` must notice from
-/// the depth counter and clear.
+/// awake to run it — is exactly what the rest of its release must notice
+/// from the depth counter and clear.
 #[test]
 fn the_post_release_recheck_runs_a_command_queued_after_the_last_drain() {
     let s = ShardedPnwStore::new(PnwConfig::new(64, 8).with_clusters(1).with_shards(1));
     let sh = &s.shards[0];
-    let slot = Arc::new(OpSlot::new());
-    s.enqueue(
-        0,
-        OwnedOp::Put {
-            key: 7,
-            value: vec![7; 8],
-            expires_at_ms: 0,
-            slot: Arc::clone(&slot),
-        },
-    )
-    .unwrap();
+    let mut hold = sh.hold(&s.model);
+    // Drained (nothing queued) and unlocked; the recheck is still to come.
+    drop(hold.eng.take());
+    let (reply, answer) = sync_channel(1);
+    let put = OwnedOp::Put {
+        key: 7,
+        value: vec![7; 8],
+        expires_at_ms: 0,
+        reply,
+    };
+    s.enqueue(0, put).unwrap();
     assert_eq!(queue_depth(sh), 1);
-    sh.finish_write(&s.model, false);
-    assert!(matches!(
-        slot.done.lock().unwrap().take(),
-        Some(Ok(_))
-    ));
+    drop(hold);
+    assert!(matches!(answer.try_recv(), Ok(Ok(_))));
     assert_eq!(queue_depth(sh), 0);
     assert_eq!(s.get(7).unwrap(), Some(vec![7; 8]));
 }
@@ -675,10 +677,10 @@ fn a_failed_group_sync_completes_no_op_inline_or_queued() {
         }
     };
 
-    s.shards[0].engine.lock().unwrap().fail_next_group_sync();
+    s.shards[0].hold(&s.model).fail_next_group_sync();
     check(s.apply(&batch()), "inline");
 
-    s.shards[0].engine.lock().unwrap().fail_next_group_sync();
+    s.shards[0].hold(&s.model).fail_next_group_sync();
     let queued = s.with_shard_write_held(0, || {
         let t = Arc::clone(&s);
         let h = std::thread::spawn(move || t.apply(&batch()));

@@ -677,19 +677,16 @@ fn ttl_expired_keys_hide_from_get_and_scan() {
         let s = PnwStore::new(cfg.clone().with_shards(shards));
         let name = format!("{shards} shards");
         assert!(s.supports_ttl(), "{name}");
-        let deadline = now_unix_ms() + 120;
-        s.put_with_expiry(1, &[0x11; 16], deadline).unwrap();
+        // One deadline already past, one an hour out.
+        s.put_with_expiry(1, &[0x11; 16], 1).unwrap();
+        s.put_with_expiry(4, &[0x44; 16], now_unix_ms() + 3_600_000).unwrap();
         s.put_with_expiry(2, &[0x22; 16], 0).unwrap(); // 0 = never expires
         s.put(3, &[0x33; 16]).unwrap();
-        assert_eq!(s.get(1).unwrap().unwrap(), vec![0x11; 16], "{name}: pre-expiry read");
-        assert_eq!(scan_keys(&s.scan(0, 10).unwrap()), [1, 2, 3], "{name}: pre-expiry scan");
+        assert_eq!(s.get(4).unwrap().unwrap(), vec![0x44; 16], "{name}: pre-expiry read");
 
-        while now_unix_ms() <= deadline {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
         assert_eq!(s.get(1).unwrap(), None, "{name}: expired key must read as absent");
         assert!(!s.get_into(1, &mut [0u8; 16]).unwrap(), "{name}");
-        assert_eq!(scan_keys(&s.scan(0, 10).unwrap()), [2, 3], "{name}: expired key left the scan");
+        assert_eq!(scan_keys(&s.scan(0, 10).unwrap()), [2, 3, 4], "{name}: expired key left the scan");
 
         // The key itself is reusable after expiry.
         s.put(1, &[0x44; 16]).unwrap();
@@ -708,16 +705,12 @@ fn ttl_expiry_survives_kill_and_reopen() {
     let cfg = durable_cfg(64, 16, &dir).with_ttl();
 
     let s = PnwStore::open(cfg.clone()).unwrap();
-    let deadline = now_unix_ms() + 150;
-    s.put_with_expiry(1, &[0x11; 16], deadline).unwrap();
+    s.put_with_expiry(1, &[0x11; 16], 1).unwrap(); // already past
     s.put_with_expiry(2, &[0x22; 16], 0).unwrap();
     s.put(3, &[0x33; 16]).unwrap();
     s.put_with_expiry(4, &[0x44; 16], now_unix_ms() + 3_600_000).unwrap();
     drop(s); // kill between ops: no checkpoint, recovery replays the WAL
 
-    while now_unix_ms() <= deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
     let s = PnwStore::open(cfg.clone()).unwrap();
     assert_eq!(s.get(1).unwrap(), None, "WAL replay must not resurrect an expired key");
     assert_eq!(scan_keys(&s.scan(0, 10).unwrap()), [2, 3, 4], "expired key stays out of scans");
