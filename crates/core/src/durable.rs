@@ -15,11 +15,12 @@
 //!   replica still elects.
 //! * **write-ahead log** (`wal.<shard>`) — an append-only stream of
 //!   CRC-framed records, one per acknowledged mutation (PUT, DELETE, zone
-//!   extension). A record is appended and fsynced *after* the data write
-//!   lands and *before* the operation returns: the WAL suffix over the
-//!   checkpoint is exactly the set of acknowledged-but-not-yet-checkpointed
-//!   ops. Replay stops at the first torn/invalid frame — everything after
-//!   it was never acknowledged.
+//!   extension). A record is appended and fsynced *before* the operation
+//!   returns — a PUT's after its new bucket image lands — so the WAL suffix
+//!   over the checkpoint is exactly the set of
+//!   acknowledged-but-not-yet-checkpointed ops. A record whose write or
+//!   sync fails is cut back off the file. Replay stops at the first
+//!   torn/invalid frame — everything after it was never acknowledged.
 //! * **checkpoint** (`checkpoint.<epoch>`) — a CRC-trailed snapshot of each
 //!   shard's committed key→address map, active-zone size and device
 //!   counters. Written to `checkpoint.tmp`, fsynced, renamed, and only then
@@ -37,6 +38,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+#[cfg(test)]
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use pnw_nvm_sim::{crc32, DeviceStats, FaultConfig, FaultState, MetaTarget, MetaTear, NvmError};
@@ -171,11 +174,11 @@ pub(crate) struct RecoveredShard {
     /// Buckets permanently retired from placement (checkpoint list plus
     /// any [`REC_RETIRE`] records in the WAL suffix).
     pub retired: Vec<u32>,
-    /// Committed values still present in the un-truncated WAL — the
-    /// scrubber's repair source. Handed to the shard's fresh
-    /// [`DurableShard`] via [`DurableShard::preload_values`] so repair
-    /// capability survives a reopen.
-    pub values: HashMap<u64, Vec<u8>>,
+    /// Where the committed values still present in the un-truncated WAL
+    /// sit in it — the scrubber's repair source. Handed to the shard's
+    /// fresh [`DurableShard`] via [`DurableShard::preload_values`] so
+    /// repair capability survives a reopen.
+    pub values: HashMap<u64, WalSpan>,
 }
 
 impl RecoveredShard {
@@ -192,12 +195,20 @@ impl RecoveredShard {
     }
 }
 
-/// A shard's handle on its WAL: an `O_APPEND` file plus the store-wide
-/// fault state. Appending a record is the *commit point* of every durable
-/// mutation.
+/// Where one value-carrying record sits in its shard's WAL file: the
+/// frame's byte offset and its length, header included.
+pub(crate) type WalSpan = (u64, u32);
+
+/// A shard's handle on its WAL: an `O_APPEND` file, opened readable too,
+/// plus the store-wide fault state. Appending a record is the *commit
+/// point* of every durable mutation.
 #[derive(Debug)]
 pub(crate) struct DurableShard {
     wal: File,
+    /// Bytes in the WAL file: where the next frame lands.
+    len: u64,
+    /// The frame being appended, reused so an append allocates nothing.
+    frame: Vec<u8>,
     faults: Arc<Mutex<FaultState>>,
     /// Group-commit mode: appends write their frame but defer the fsync
     /// to [`DurableShard::end_group`], coalescing a whole batch group
@@ -208,14 +219,19 @@ pub(crate) struct DurableShard {
     /// Largest payload this shard's WAL may carry (`PUT_V_PREFIX` plus
     /// the store's value size).
     max_payload: usize,
-    /// DRAM mirror of the value-carrying records currently in the WAL —
-    /// what the scrubber repairs corrupt buckets from. Cleared when a
-    /// checkpoint truncates the WAL.
-    values: HashMap<u64, Vec<u8>>,
-    /// Test switch: the next [`DurableShard::end_group`] reports a failed
-    /// sync instead of syncing.
+    /// Where each key's value-carrying record sits in the WAL — what the
+    /// scrubber repairs corrupt buckets from, read back from the file.
+    /// Cleared when a checkpoint truncates the WAL.
+    values: HashMap<u64, WalSpan>,
+    /// Test switch: the next sync — a per-op append's or
+    /// [`DurableShard::end_group`]'s — reports a failure instead of syncing.
     #[cfg(test)]
     pub fail_next_sync: bool,
+    /// Test switch: the next sync first reports on the sender, then waits
+    /// until the receiver's sender is dropped — a writer parked inside its
+    /// fsync.
+    #[cfg(test)]
+    pub park_next_sync: Option<(Sender<()>, Mutex<Receiver<()>>)>,
 }
 
 impl DurableShard {
@@ -229,26 +245,22 @@ impl DurableShard {
 
     /// Leaves group-commit mode and fsyncs everything appended since the
     /// last sync — the commit point of the whole group (one `sync_data`
-    /// per shard group instead of one per record).
+    /// per shard group instead of one per record). A failed sync leaves
+    /// the group's records in the file: the group's ops were applied in
+    /// memory, and a later sync commits them with whatever follows.
     pub fn end_group(&mut self) -> Result<(), StoreError> {
         self.defer_sync = false;
-        #[cfg(test)]
-        if std::mem::take(&mut self.fail_next_sync) {
-            return Err(io_err(std::io::ErrorKind::Other.into()));
-        }
         if std::mem::take(&mut self.dirty) {
-            self.wal.sync_data().map_err(io_err)?;
+            self.sync()?;
         }
         Ok(())
     }
+
     /// Commits a PUT/UPDATE of `key` at device address `addr`.
     pub fn log_put(&mut self, key: u64, addr: u64) -> Result<(), StoreError> {
-        let mut p = [0u8; 17];
-        p[0] = REC_PUT;
-        p[1..9].copy_from_slice(&key.to_le_bytes());
-        p[9..17].copy_from_slice(&addr.to_le_bytes());
+        self.append(&[&[REC_PUT], &key.to_le_bytes(), &addr.to_le_bytes()])?;
         self.values.remove(&key);
-        self.append(&p)
+        Ok(())
     }
 
     /// Commits a PUT/UPDATE of `key` at `addr` *with* the value bytes, so
@@ -256,95 +268,127 @@ impl DurableShard {
     /// WAL. Written instead of [`DurableShard::log_put`] when integrity
     /// verification is on.
     pub fn log_put_value(&mut self, key: u64, addr: u64, value: &[u8]) -> Result<(), StoreError> {
-        let mut p = Vec::with_capacity(PUT_V_PREFIX + value.len());
-        p.push(REC_PUT_V);
-        p.extend_from_slice(&key.to_le_bytes());
-        p.extend_from_slice(&addr.to_le_bytes());
-        p.extend_from_slice(value);
-        self.append(&p)?;
-        self.values.insert(key, value.to_vec());
+        let span = self.append(&[&[REC_PUT_V], &key.to_le_bytes(), &addr.to_le_bytes(), value])?;
+        self.values.insert(key, span);
         Ok(())
     }
 
     /// Commits a bucket retirement: `bucket` must never re-enter
     /// placement, across crashes and reopens.
     pub fn log_retire(&mut self, bucket: u32) -> Result<(), StoreError> {
-        let mut p = [0u8; 5];
-        p[0] = REC_RETIRE;
-        p[1..5].copy_from_slice(&bucket.to_le_bytes());
-        self.append(&p)
+        self.append(&[&[REC_RETIRE], &bucket.to_le_bytes()])?;
+        Ok(())
     }
 
-    /// The clean durable copy of `key`'s committed value, when the
-    /// un-truncated WAL still holds one.
-    pub fn wal_value(&self, key: u64) -> Option<&[u8]> {
-        self.values.get(&key).map(Vec::as_slice)
+    /// The clean durable copy of `key`'s committed value, read back from
+    /// the WAL when its un-truncated tail still holds one. The frame is
+    /// checked again on the way out — length, CRC, kind and key — so a
+    /// read that fails, or a span no longer naming this key's record,
+    /// means no clean copy, never a wrong one.
+    pub fn wal_value(&self, key: u64) -> Option<Vec<u8>> {
+        let &(offset, len) = self.values.get(&key)?;
+        let mut frame = vec![0u8; len as usize];
+        self.wal.read_exact_at(&mut frame, offset).ok()?;
+        let payload = frame_payload(&frame, 0, self.max_payload)?;
+        let ours = payload.len() > PUT_V_PREFIX
+            && payload[0] == REC_PUT_V
+            && payload[1..9] == key.to_le_bytes();
+        ours.then(|| payload[PUT_V_PREFIX..].to_vec())
     }
 
     /// Seeds the value mirror from a recovery replay (the WAL was not
     /// truncated, so its value records are still repair-capable).
-    pub fn preload_values(&mut self, values: HashMap<u64, Vec<u8>>) {
+    pub fn preload_values(&mut self, values: HashMap<u64, WalSpan>) {
         self.values = values;
     }
 
-    /// Drops the value mirror after a checkpoint truncated the WAL.
-    pub fn clear_values(&mut self) {
+    /// After a checkpoint truncated the WAL: appends start at offset 0
+    /// again, and no record the mirror points at exists any more.
+    pub fn truncated(&mut self) {
+        self.len = 0;
         self.values.clear();
         self.values.shrink_to_fit();
     }
 
     /// Commits a DELETE of `key`.
     pub fn log_delete(&mut self, key: u64) -> Result<(), StoreError> {
-        let mut p = [0u8; 9];
-        p[0] = REC_DELETE;
-        p[1..9].copy_from_slice(&key.to_le_bytes());
+        self.append(&[&[REC_DELETE], &key.to_le_bytes()])?;
         self.values.remove(&key);
-        self.append(&p)
+        Ok(())
     }
 
     /// Commits a zone extension to `active` buckets.
     pub fn log_extend(&mut self, active: u64) -> Result<(), StoreError> {
-        let mut p = [0u8; 9];
-        p[0] = REC_EXTEND;
-        p[1..9].copy_from_slice(&active.to_le_bytes());
-        self.append(&p)
+        self.append(&[&[REC_EXTEND], &active.to_le_bytes()])?;
+        Ok(())
     }
 
-    /// Appends one CRC-framed record and fsyncs it. A torn append persists
-    /// the configured prefix (which replay will reject) and returns
-    /// `Crashed`; the caller must not acknowledge the operation.
-    fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        debug_assert!(payload.len() <= self.max_payload);
-        let len = WAL_FRAME_HDR + payload.len();
-        let mut frame = Vec::with_capacity(len);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+    /// Appends one CRC-framed record, its payload the concatenation of
+    /// `parts`, and fsyncs it (outside a group); returns where the frame
+    /// landed. A record whose write or sync fails is cut off the file
+    /// again, so a later sync can never commit an op that was reported
+    /// failed. A torn append persists the configured prefix (which replay
+    /// will reject) and returns `Crashed`; the caller must not acknowledge
+    /// the operation.
+    fn append(&mut self, parts: &[&[u8]]) -> Result<WalSpan, StoreError> {
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        frame.extend_from_slice(&[0; WAL_FRAME_HDR]);
+        for part in parts {
+            frame.extend_from_slice(part);
+        }
+        let payload_len = frame.len() - WAL_FRAME_HDR;
+        debug_assert!(payload_len <= self.max_payload);
+        let crc = crc32(&frame[WAL_FRAME_HDR..]);
+        frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        frame[4..WAL_FRAME_HDR].copy_from_slice(&crc.to_le_bytes());
+        let written = self.write_frame(&frame);
+        self.frame = frame;
+        written
+    }
+
+    fn write_frame(&mut self, frame: &[u8]) -> Result<WalSpan, StoreError> {
         let filtered = self
             .faults
             .lock()
             .unwrap()
-            .filter_meta_write(MetaTarget::Wal, len)
+            .filter_meta_write(MetaTarget::Wal, frame.len())
             .map_err(|_| crashed())?;
-        match filtered {
-            None => {
-                self.wal.write_all(&frame[..len]).map_err(io_err)?;
-                if self.defer_sync {
-                    self.dirty = true;
-                } else {
-                    self.wal.sync_data().map_err(io_err)?;
-                }
-                Ok(())
+        if let Some(keep) = filtered {
+            // The tear: a prefix of the frame reaches the file, then the
+            // store is dead. Best-effort persist of the prefix — recovery
+            // must survive it either way.
+            let _ = self.wal.write_all(&frame[..keep]);
+            let _ = self.wal.sync_data();
+            return Err(crashed());
+        }
+        let at = self.len;
+        let mut written = self.wal.write_all(frame).map_err(io_err);
+        if written.is_ok() && !self.defer_sync {
+            written = self.sync();
+        }
+        if let Err(e) = written {
+            let _ = self.wal.set_len(at);
+            return Err(e);
+        }
+        self.dirty |= self.defer_sync;
+        self.len = at + frame.len() as u64;
+        Ok((at, frame.len() as u32))
+    }
+
+    /// `fdatasync`s the WAL — where a durable op waits for the disk.
+    fn sync(&mut self) -> Result<(), StoreError> {
+        #[cfg(test)]
+        {
+            if let Some((parked, release)) = self.park_next_sync.take() {
+                let _ = parked.send(());
+                let _ = release.into_inner().unwrap().recv();
             }
-            Some(keep) => {
-                // The tear: a prefix of the frame reaches the file, then
-                // the store is dead. Best-effort persist of the prefix —
-                // recovery must survive it either way.
-                let _ = self.wal.write_all(&frame[..keep]);
-                let _ = self.wal.sync_data();
-                Err(crashed())
+            if std::mem::take(&mut self.fail_next_sync) {
+                return Err(io_err(std::io::ErrorKind::Other.into()));
             }
         }
+        self.wal.sync_data().map_err(io_err)
     }
 }
 
@@ -381,23 +425,28 @@ fn parse_super_slot(slot: &[u8]) -> Option<(u64, u64, u64)> {
     ))
 }
 
+/// The payload of the frame starting at `pos` in `bytes`, when a whole,
+/// CRC-valid frame of at most `max_payload` payload bytes starts there.
+fn frame_payload(bytes: &[u8], pos: usize, max_payload: usize) -> Option<&[u8]> {
+    let hdr = bytes.get(pos..pos + WAL_FRAME_HDR)?;
+    let len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
+    if len == 0 || len > max_payload {
+        return None;
+    }
+    let crc = u32::from_le_bytes(hdr[4..].try_into().unwrap());
+    let payload = bytes.get(pos + WAL_FRAME_HDR..pos + WAL_FRAME_HDR + len)?;
+    (crc32(payload) == crc).then_some(payload)
+}
+
 /// Replays a WAL byte stream over a recovered shard. Stops at the first
 /// frame that is short, oversized, CRC-invalid or of unknown kind — by the
 /// append protocol, everything at and after such a frame was never
 /// acknowledged.
 fn replay_wal(bytes: &[u8], shard: &mut RecoveredShard, max_payload: usize) {
     let mut pos = 0usize;
-    while pos + WAL_FRAME_HDR <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        if len == 0 || len > max_payload || pos + WAL_FRAME_HDR + len > bytes.len() {
-            return;
-        }
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let payload = &bytes[pos + WAL_FRAME_HDR..pos + WAL_FRAME_HDR + len];
-        if crc32(payload) != crc {
-            return;
-        }
-        match (payload[0], len) {
+    while let Some(payload) = frame_payload(bytes, pos, max_payload) {
+        let frame_len = WAL_FRAME_HDR + payload.len();
+        match (payload[0], payload.len()) {
             (REC_PUT, 17) => {
                 let key = u64::from_le_bytes(payload[1..9].try_into().unwrap());
                 let addr = u64::from_le_bytes(payload[9..17].try_into().unwrap());
@@ -408,7 +457,7 @@ fn replay_wal(bytes: &[u8], shard: &mut RecoveredShard, max_payload: usize) {
                 let key = u64::from_le_bytes(payload[1..9].try_into().unwrap());
                 let addr = u64::from_le_bytes(payload[9..17].try_into().unwrap());
                 shard.committed.insert(key, addr);
-                shard.values.insert(key, payload[PUT_V_PREFIX..].to_vec());
+                shard.values.insert(key, (pos as u64, frame_len as u32));
             }
             (REC_DELETE, 9) => {
                 let key = u64::from_le_bytes(payload[1..9].try_into().unwrap());
@@ -429,7 +478,7 @@ fn replay_wal(bytes: &[u8], shard: &mut RecoveredShard, max_payload: usize) {
             }
             _ => return,
         }
-        pos += WAL_FRAME_HDR + len;
+        pos += frame_len;
     }
 }
 
@@ -803,16 +852,21 @@ impl DurableStore {
         self.dir.join(format!("wal.{sid}"))
     }
 
-    /// Opens shard `sid`'s WAL for appending and couples it to the
-    /// store-wide fault state.
+    /// Opens shard `sid`'s WAL for appending — and for reading back the
+    /// value records scrub repairs from — and couples it to the store-wide
+    /// fault state.
     pub fn wal_appender(&self, sid: usize) -> Result<DurableShard, StoreError> {
         let wal = OpenOptions::new()
+            .read(true)
             .append(true)
             .create(true)
             .open(self.wal_path(sid))
             .map_err(io_err)?;
+        let len = wal.metadata().map_err(io_err)?.len();
         Ok(DurableShard {
             wal,
+            len,
+            frame: Vec::with_capacity(WAL_FRAME_HDR + self.max_payload),
             faults: Arc::clone(&self.faults),
             defer_sync: false,
             dirty: false,
@@ -820,6 +874,8 @@ impl DurableStore {
             values: HashMap::new(),
             #[cfg(test)]
             fail_next_sync: false,
+            #[cfg(test)]
+            park_next_sync: None,
         })
     }
 
@@ -1100,7 +1156,7 @@ mod tests {
         wal.log_put_value(1, 100, &[0xAB; 8]).unwrap();
         wal.log_put_value(2, 200, &[0xCD; 8]).unwrap();
         wal.log_delete(2).unwrap();
-        assert_eq!(wal.wal_value(1), Some(&[0xAB; 8][..]));
+        assert_eq!(wal.wal_value(1), Some(vec![0xAB; 8]));
         assert_eq!(wal.wal_value(2), None, "delete drops the mirror");
         drop((wal, store));
 
@@ -1109,12 +1165,16 @@ mod tests {
         let r = rec.remove(0);
         assert_eq!(r.committed.len(), 1);
         assert_eq!(r.committed[&1], 100);
-        assert_eq!(r.values[&1], vec![0xAB; 8]);
         assert!(!r.values.contains_key(&2));
-        // Reopen hands the mirror back to a fresh appender.
+        // Reopen hands the mirror back to a fresh appender, which reads
+        // the value back out of the file.
         let mut wal = store.wal_appender(0).unwrap();
         wal.preload_values(r.values);
-        assert_eq!(wal.wal_value(1), Some(&[0xAB; 8][..]));
+        assert_eq!(wal.wal_value(1), Some(vec![0xAB; 8]));
+        // Later appends land after the replayed tail, and read back too.
+        wal.log_put_value(3, 300, &[0xEF; 8]).unwrap();
+        assert_eq!(wal.wal_value(3), Some(vec![0xEF; 8]));
+        assert_eq!(wal.wal_value(1), Some(vec![0xAB; 8]));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1133,6 +1193,30 @@ mod tests {
             DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
         assert_eq!(rec[0].committed[&1], 160);
         assert!(!rec[0].values.contains_key(&1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A per-op append whose sync fails is cut back off the file: the next
+    /// record commits alone, and the value mirror keeps naming the last
+    /// committed copy.
+    #[test]
+    fn a_failed_sync_takes_its_record_back() {
+        let dir = tmp("failed_sync");
+        let (store, _, _) =
+            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let mut wal = store.wal_appender(0).unwrap();
+        wal.log_put_value(1, 100, &[0x11; 8]).unwrap();
+        let len = fs::metadata(dir.join("wal.0")).unwrap().len();
+        wal.fail_next_sync = true;
+        assert!(wal.log_put_value(1, 160, &[0x22; 8]).is_err());
+        assert_eq!(fs::metadata(dir.join("wal.0")).unwrap().len(), len);
+        assert_eq!(wal.wal_value(1), Some(vec![0x11; 8]));
+        wal.log_put(2, 200).unwrap();
+        drop((wal, store));
+
+        let (_, rec, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        assert_eq!(rec[0].committed[&1], 100, "the failed record never commits");
+        assert_eq!(rec[0].committed[&2], 200);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -186,6 +186,10 @@ pub struct StoreSnapshot {
     pub updates_in_place: u64,
     /// GET operations served.
     pub gets: u64,
+    /// Of those, lock-free GETs that found a write bracket open or failed
+    /// validation and had to retry — GETs that waited on a writer; 0 for
+    /// backends without a seqlock read path.
+    pub read_waits: u64,
     /// DELETE operations that removed an existing key (misses are not
     /// counted — the convention every [`Store`](crate::Store) backend
     /// follows, so snapshots stay comparable across backends).
@@ -247,6 +251,7 @@ mod tests {
             puts: 10,
             updates_in_place: 0,
             gets: 0,
+            read_waits: 0,
             deletes: 0,
             scrub: ScrubStats::default(),
         };
@@ -269,6 +274,7 @@ mod tests {
             puts: 0,
             updates_in_place: 0,
             gets: 0,
+            read_waits: 0,
             deletes: 0,
             scrub: ScrubStats::default(),
         };

@@ -78,11 +78,7 @@ impl ShardEngine {
             return Ok(());
         }
         self.scrub.crc_failures += 1;
-        let clean = self
-            .durable
-            .as_ref()
-            .and_then(|d| d.wal_value(hdr.key))
-            .map(<[u8]>::to_vec);
+        let clean = self.durable.as_ref().and_then(|d| d.wal_value(hdr.key));
         match clean {
             Some(v) => self.relocate(hdr.key, &v, bucket)?,
             None => self.retire(bucket)?,
@@ -92,8 +88,11 @@ impl ShardEngine {
 
     /// Moves `key`'s value (a verified or WAL-clean copy) off damaged
     /// media: retires the old bucket, re-places the value through the
-    /// write-verify loop, re-points the index and re-logs the put.
+    /// write-verify loop, re-points the index and re-logs the put. A media
+    /// failure path, so it keeps the simple order: one bracket, its WAL
+    /// records inside.
     fn relocate(&mut self, key: u64, value: &[u8], from: u32) -> Result<(), PnwError> {
+        let _w = self.write_bracket();
         let deadline = self.peek_expiry(from)?;
         self.retire(from)?;
         let cluster = self.model.predict_into(value, &mut self.scratch);
@@ -118,9 +117,10 @@ impl ShardEngine {
     /// verified once) and returns the cumulative scrub counters. A
     /// [`PnwError::Full`] from a relocation (no healthy media left to move
     /// a value onto) ends the pass early — the damaged buckets stay
-    /// detected-and-retired, the keys stay loudly addressable.
+    /// detected-and-retired, the keys stay loudly addressable. The pass
+    /// opens no bracket of its own: each expiry and relocation brackets
+    /// the cells it changes, so readers wait on no scrub read.
     pub fn scrub_pass(&mut self) -> Result<ScrubStats, PnwError> {
-        let _w = self.write_bracket();
         for b in 0..self.active_buckets as u32 {
             match self.scrub_bucket(b) {
                 Ok(()) => {}
@@ -138,7 +138,6 @@ impl ShardEngine {
         if self.active_buckets == 0 {
             return Ok(());
         }
-        let _w = self.write_bracket();
         for _ in 0..buckets {
             let b = self.scrub_cursor % self.active_buckets as u32;
             self.scrub_cursor = (b + 1) % self.active_buckets as u32;

@@ -618,6 +618,7 @@ impl ShardEngine {
             puts: self.puts,
             updates_in_place: self.updates_in_place,
             gets: self.sync.gets(),
+            read_waits: self.sync.read_waits(),
             deletes: self.deletes,
             scrub: {
                 let mut s = self.scrub;

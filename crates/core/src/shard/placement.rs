@@ -1,5 +1,16 @@
 //! Placement: PUT (Algorithm 2 + §V-B.3), DELETE (Algorithm 3), the batch
 //! group, and the hand-offs between the data zone and the address pool.
+//!
+//! Commit, then publish: on a durable shard over the DRAM index a PUT
+//! writes its image where no index entry points, syncs its WAL record with
+//! no write bracket open, and only then switches the index; a DELETE syncs
+//! its record before it unlinks. A lock-free GET therefore never waits out
+//! another op's fsync, and still never sees an effect before it is
+//! durable. Three paths keep the publish-first order — one bracket, the
+//! record last — because the order of their effects needs it: the batch
+//! group's group commit, the forced reuse of a dry pool (a reader must not
+//! see the key absent mid-update), and the NVM path-hash index (whose
+//! insert cannot be left until after the sync: it can run out of slots).
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -10,7 +21,7 @@ use pnw_nvm_sim::{DeviceStats, NvmError, WriteMode, WriteStats};
 use super::{bucket, label_u16, value_addr, Header, PutPath, ShardEngine, HDR_BYTES};
 use crate::api::{BatchReport, Op};
 use crate::clock::{now_unix_ms, Tick};
-use crate::config::UpdatePolicy;
+use crate::config::{IndexPlacement, UpdatePolicy};
 use crate::error::PnwError;
 use crate::metrics::OpReport;
 
@@ -85,7 +96,9 @@ impl ShardEngine {
     /// toggles only side-effect-free instrumentation (the stats snapshot
     /// and the two tick reads around prediction) — device, index and pool
     /// mutations are identical either way, which is what lets the batch
-    /// path skip the bookkeeping without forking the write path.
+    /// path skip the bookkeeping without forking the write path. What
+    /// [`ShardEngine::put_commit_first`] does not take runs below inside
+    /// one bracket, the WAL record (if any) last.
     fn put_impl(
         &mut self,
         key: u64,
@@ -94,6 +107,12 @@ impl ShardEngine {
         report: bool,
     ) -> Result<(OpReport, PutPath), PnwError> {
         self.check_value(value)?;
+        // Under `Cheapest` a durable shard always relocates.
+        if self.cfg.update_policy == UpdatePolicy::Cheapest && self.commits_first() {
+            if let Some(done) = self.put_commit_first(key, value, expires_at_ms, report)? {
+                return Ok(done);
+            }
+        }
         let _w = self.write_bracket();
         // Sealed once: every location below is written, and priced, with
         // this image.
@@ -176,25 +195,16 @@ impl ShardEngine {
             self.unwind_failed_insert(addr, cluster, bucket);
             return Err(e.into());
         }
-        // The durable commit point: the op is acknowledged only once its
-        // WAL record is fsynced. Volatile shards skip this entirely. With
-        // integrity on, the record carries the value bytes — the clean
-        // copy the scrubber repairs from.
-        if let Some(d) = &mut self.durable {
-            let logged = if self.cfg.integrity {
-                d.log_put_value(key, addr as u64, value)
-            } else {
-                d.log_put(key, addr as u64)
-            };
-            if let Err(e) = logged {
-                // Unacknowledged: roll the in-process structures back so
-                // the dying store stays internally consistent. The durable
-                // state is already safe — no WAL record exists, and
-                // recovery clears the uncommitted header.
-                let _ = self.index.remove(&mut self.dev, key);
-                self.unwind_failed_insert(addr, cluster, bucket);
-                return Err(e);
-            }
+        // The durable commit point, inside the bracket: the index entry
+        // is already made, so no reader may see it before the record is.
+        if let Err(e) = self.log_put(key, addr as u64, value) {
+            // Unacknowledged: roll the in-process structures back so the
+            // dying store stays internally consistent. The durable state
+            // is already safe — no WAL record exists, and recovery clears
+            // the uncommitted header.
+            let _ = self.index.remove(&mut self.dev, key);
+            self.unwind_failed_insert(addr, cluster, bucket);
+            return Err(e);
         }
         if let Some((label, freed)) = deferred {
             self.push_free(label, freed);
@@ -204,6 +214,112 @@ impl ShardEngine {
         self.puts += 1;
         let out = self.op_report(before, cluster, fallback, predict, value_write);
         Ok((out, PutPath::Fresh))
+    }
+
+    /// Whether a durable op on this shard commits its WAL record before it
+    /// publishes its effect: a durable shard over the DRAM index, whose
+    /// upsert after the sync cannot fail (its table has two slots per
+    /// provisioned bucket). The NVM path-hash index can run out of slots,
+    /// so there the index entry is made before the record and one bracket
+    /// spans both.
+    #[inline]
+    pub(super) fn commits_first(&self) -> bool {
+        self.durable.is_some() && self.cfg.index == IndexPlacement::Dram
+    }
+
+    /// Commit, then publish — a durable PUT that waits only for its own
+    /// fsync, and makes no lock-free GET wait for it:
+    ///
+    /// 1. inside a short bracket, the sealed image goes into a free bucket
+    ///    no index entry names (with its deadline slot);
+    /// 2. with no bracket open, the WAL record is appended and synced —
+    ///    the commit point; a GET meanwhile still reads the old value;
+    /// 3. inside a second short bracket, the index entry is upserted and
+    ///    the vacated bucket's flag cleared;
+    /// 4. the vacated bucket rejoins the pool.
+    ///
+    /// A crash between 2 and 3 leaves two valid headers for the key, and
+    /// recovery's repair clears the one the WAL does not name. A failed
+    /// append or sync clears the new bucket's flag again and returns it to
+    /// the pool: the old mapping was never touched.
+    ///
+    /// `None` when the pool runs dry while the key's old bucket is still
+    /// linked: reusing that bucket means committing the delete before
+    /// overwriting it, inside one bracket so no reader sees the key absent
+    /// mid-update — the caller's path.
+    fn put_commit_first(
+        &mut self,
+        key: u64,
+        value: &[u8],
+        expires_at_ms: u64,
+        report: bool,
+    ) -> Result<Option<(OpReport, PutPath)>, PnwError> {
+        self.seal_bucket_img(key, value);
+        let old = self.index.lookup(&self.dev, key)?;
+        let before = report.then(|| self.dev.stats().clone());
+        let (cluster, predict) = self.predict_timed(value, report);
+        let mut reclaimed = false;
+        let (bucket, fallback, value_write) = loop {
+            let placed = {
+                let _w = self.write_bracket();
+                let placed = self.place_sealed(key, cluster, &mut None);
+                if let Ok((b, _, _)) = placed {
+                    self.stamp_expiry(b, expires_at_ms)?;
+                }
+                placed
+            };
+            match placed {
+                Err(PnwError::Full) if old.is_some() => return Ok(None),
+                // Ring retention, as on the other path: reclaim — each
+                // release brackets itself — and retry once.
+                Err(PnwError::Full) if self.cfg.retention_ring && !reclaimed => {
+                    if !self.ring_reclaim()? {
+                        return Err(PnwError::Full);
+                    }
+                    reclaimed = true;
+                }
+                placed => break placed?,
+            }
+        };
+        let addr = self.layout.addr(bucket);
+        if let Err(e) = self.log_put(key, addr as u64, value) {
+            let _w = self.write_bracket();
+            self.unwind_failed_insert(addr, cluster, bucket);
+            return Err(e);
+        }
+        // As on the other path, the report covers the placement, not the
+        // vacated bucket's flag clear.
+        let out = self.op_report(before, cluster, fallback, predict, value_write);
+        let vacated = {
+            let _w = self.write_bracket();
+            self.index.insert(&mut self.dev, key, addr as u64)?;
+            old.map(|a| self.clear_bucket(a))
+        };
+        self.labels[bucket as usize] = label_u16(cluster);
+        self.live += 1;
+        self.puts += 1;
+        // Committed, so a crash clearing the vacated flag cannot fail the
+        // PUT: recovery clears a valid header whose key is committed
+        // elsewhere.
+        if let Some(Ok((label, freed))) = vacated {
+            self.push_free(label, freed);
+        }
+        Ok(Some((out, PutPath::Fresh)))
+    }
+
+    /// Appends and syncs a PUT's WAL record — with integrity on, carrying
+    /// the value bytes, the clean copy the scrubber repairs from. A no-op
+    /// on a volatile shard.
+    #[inline]
+    fn log_put(&mut self, key: u64, addr: u64, value: &[u8]) -> Result<(), PnwError> {
+        let Some(d) = &mut self.durable else {
+            return Ok(());
+        };
+        if self.cfg.integrity {
+            d.log_put_value(key, addr, value)
+        } else {
+            d.log_put(key, addr)
+        }
     }
 
     /// Algorithm 2 line 1: predict the entry. The packed bit-domain kernel
@@ -419,9 +535,7 @@ impl ShardEngine {
         let Some((label, bucket)) = deferred.take() else {
             return Err(PnwError::Full);
         };
-        if let Some(d) = &mut self.durable {
-            d.log_delete(key)?;
-        }
+        self.log_delete(key)?;
         // Retired media never re-enters placement, so with the pool
         // otherwise empty a retired freed bucket means there is genuinely
         // no space (the delete half stays committed).
@@ -503,8 +617,10 @@ impl ShardEngine {
     /// DELETE (Algorithm 3): reset the flag bit, recycle the address into
     /// the pool under its *content's* label (as the given model sees it).
     pub fn delete(&mut self, key: u64) -> Result<bool, PnwError> {
-        let _w = self.write_bracket();
-        let Some(addr) = self.index.remove(&mut self.dev, key)? else {
+        // A publish-first shard brackets the whole delete, a miss too; a
+        // commit-first one brackets only the unlink (see `release`).
+        let _w = (!self.commits_first()).then(|| self.write_bracket());
+        let Some(addr) = self.index.lookup(&self.dev, key)? else {
             return Ok(false);
         };
         // An expired tenant was already logically gone: reclaim it
@@ -519,22 +635,52 @@ impl ShardEngine {
         Ok(!expired)
     }
 
-    /// The committed release of `key`'s bucket at `addr`, once the index
-    /// no longer links it — the one order every delete, expiry and
-    /// eviction follows: flag clear, then the WAL record, then the bucket
-    /// joins the pool. A crash anywhere leaves the key either committed or
-    /// cleanly deleted, never half-recycled, and it can never resurrect
-    /// from WAL replay. A volatile shard has no WAL step and is otherwise
-    /// the same code.
+    /// The committed release of `key`, linked at `addr` — the one order
+    /// every delete, expiry and eviction follows. A commit-first shard
+    /// syncs the WAL record first, then unlinks the key and clears the
+    /// flag inside a bracket: a GET reads the key until its delete is
+    /// durable, and waits on no fsync; a failed sync leaves the key as it
+    /// was, and once the record is synced nothing can fail the delete (a
+    /// crash in the flag clear leaves a flag recovery clears). Elsewhere
+    /// the unlink and flag clear come first and the record follows inside
+    /// the same bracket. Either way the bucket joins the pool last, and a
+    /// crash anywhere leaves the key either committed or cleanly deleted,
+    /// never half-recycled or resurrected by WAL replay. A volatile shard
+    /// has no WAL step and is otherwise the same code.
     #[inline]
     pub(super) fn release(&mut self, key: u64, addr: u64) -> Result<(), PnwError> {
-        let (label, bucket) = self.clear_bucket(addr)?;
-        self.check_durable_write()?;
-        if let Some(d) = &mut self.durable {
-            d.log_delete(key)?;
+        if self.commits_first() {
+            self.log_delete(key)?;
+            if let Ok((label, bucket)) = self.unlink(key, addr) {
+                self.push_free(label, bucket);
+            }
+            return Ok(());
         }
+        let _w = self.write_bracket();
+        let (label, bucket) = self.unlink(key, addr)?;
+        self.check_durable_write()?;
+        self.log_delete(key)?;
         self.push_free(label, bucket);
         Ok(())
+    }
+
+    /// Removes `key`'s index entry and clears the flag of its bucket at
+    /// `addr`, inside a bracket.
+    #[inline]
+    fn unlink(&mut self, key: u64, addr: u64) -> Result<(usize, u32), PnwError> {
+        let _w = self.write_bracket();
+        let _ = self.index.remove(&mut self.dev, key)?;
+        self.clear_bucket(addr)
+    }
+
+    /// Appends and syncs a DELETE's WAL record; a no-op on a volatile
+    /// shard.
+    #[inline]
+    fn log_delete(&mut self, key: u64) -> Result<(), PnwError> {
+        match &mut self.durable {
+            Some(d) => d.log_delete(key),
+            None => Ok(()),
+        }
     }
 
     /// Algorithm 3 minus the pool push: resets the flag bit (line 2, a

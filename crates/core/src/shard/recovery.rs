@@ -110,12 +110,13 @@ impl ShardEngine {
         Ok(())
     }
 
-    /// Drops the WAL value mirror after a successful checkpoint (the
+    /// Tells the WAL appender a successful checkpoint truncated its file:
+    /// appends start over, and the value mirror is dropped (the
     /// checkpointed device image is now the repair source of record for
     /// everything the truncated WAL no longer covers).
-    pub(crate) fn clear_wal_values(&mut self) {
+    pub(crate) fn wal_truncated(&mut self) {
         if let Some(d) = &mut self.durable {
-            d.clear_values();
+            d.truncated();
         }
     }
 
@@ -234,15 +235,31 @@ impl ShardEngine {
         Ok(self.dev.sync()?)
     }
 
-    /// Arms a torn write on this shard's device (test hook).
-    pub(crate) fn arm_torn_write(&mut self, words: usize) {
-        self.dev.arm_torn_write(words);
+    /// Arms a torn write `skip` device writes from now on this shard
+    /// (test hook).
+    pub(crate) fn arm_torn_write_after(&mut self, skip: u64, words: usize) {
+        self.dev.arm_torn_write_after(skip, words);
     }
 
-    /// Makes this shard's next group-commit sync fail (test hook).
+    /// Makes this shard's next WAL sync — a per-op append's or a group
+    /// commit's — fail (test hook).
     #[cfg(test)]
-    pub(crate) fn fail_next_group_sync(&mut self) {
+    pub(crate) fn fail_next_sync(&mut self) {
         let durable = self.durable.as_mut().expect("a durable shard");
         durable.fail_next_sync = true;
+    }
+
+    /// Parks this shard's next WAL sync (test hook): the first receiver
+    /// hears once the writer is parked inside it, and dropping the sender
+    /// lets it go on.
+    #[cfg(test)]
+    pub(crate) fn park_next_sync(
+        &mut self,
+    ) -> (std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
+        let (parked_tx, parked) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel();
+        let durable = self.durable.as_mut().expect("a durable shard");
+        durable.park_next_sync = Some((parked_tx, std::sync::Mutex::new(released)));
+        (parked, release)
     }
 }

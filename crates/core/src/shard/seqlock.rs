@@ -12,8 +12,8 @@ use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use super::ShardEngine;
 
 /// The shard state the lock-free read path shares with its engine: the
-/// seqlock word every mutation brackets, and the GET counter (readers
-/// hold no lock, so the counter cannot live in the engine).
+/// seqlock word every mutation brackets, and the read-side counters
+/// (readers hold no lock, so the counters cannot live in the engine).
 ///
 /// Write brackets nest (a batch group wraps the per-op methods it calls);
 /// only the outermost bracket touches the sequence, tracked by `depth` —
@@ -26,15 +26,28 @@ pub(crate) struct ShardSync {
     /// Write-bracket nesting depth (engine-owner thread only). Atomic only
     /// so that `ShardSync` can be shared; readers never touch it.
     depth: AtomicU32,
-    /// GETs served, by both the lock-free and the locked read path.
-    gets: AtomicU64,
-    /// CRC verification failures seen by GETs (readers hold no lock, so
-    /// the counter lives with the GET counter).
-    crc_failures: AtomicU64,
     /// The engine's active-zone size in buckets, mirrored here whenever it
     /// changes, so the worker thread can plan a training sample without
     /// the engine lock.
     active: AtomicUsize,
+    /// Bumped by every GET, so kept off the line readers poll and writers
+    /// publish on.
+    counters: ReadCounters,
+}
+
+/// The read side's counters, on cache lines of their own: a GET's
+/// `fetch_add` here never invalidates the line holding `seq`. 128 bytes,
+/// because adjacent-line prefetchers move lines in pairs.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct ReadCounters {
+    /// GETs served, by both the lock-free and the locked read path.
+    gets: AtomicU64,
+    /// CRC verification failures seen by GETs.
+    crc_failures: AtomicU64,
+    /// Lock-free GETs that found a write bracket open or failed validation
+    /// at least once — the slow path, counted once per GET.
+    read_waits: AtomicU64,
 }
 
 impl ShardSync {
@@ -42,11 +55,19 @@ impl ShardSync {
     /// brackets and returns the even sequence to validate against.
     #[inline]
     pub fn read_begin(&self) -> u64 {
+        self.read_begin_noting(&mut false)
+    }
+
+    /// [`ShardSync::read_begin`] that sets `waited` when it had to spin
+    /// past an open bracket.
+    #[inline]
+    pub fn read_begin_noting(&self, waited: &mut bool) -> u64 {
         loop {
             let s = self.seq.load(Ordering::Acquire);
             if s & 1 == 0 {
                 return s;
             }
+            *waited = true;
             std::hint::spin_loop();
         }
     }
@@ -63,23 +84,34 @@ impl ShardSync {
     /// Counts one GET (reads take no lock, so the counter lives here).
     #[inline]
     pub fn count_get(&self) {
-        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.counters.gets.fetch_add(1, Ordering::Relaxed);
     }
 
     /// GETs served so far.
     pub fn gets(&self) -> u64 {
-        self.gets.load(Ordering::Relaxed)
+        self.counters.gets.load(Ordering::Relaxed)
     }
 
     /// Counts one read-path CRC verification failure.
     #[inline]
     pub fn count_crc_failure(&self) {
-        self.crc_failures.fetch_add(1, Ordering::Relaxed);
+        self.counters.crc_failures.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Read-path CRC verification failures so far.
     pub fn crc_failures(&self) -> u64 {
-        self.crc_failures.load(Ordering::Relaxed)
+        self.counters.crc_failures.load(Ordering::Relaxed)
+    }
+
+    /// Counts one lock-free GET that had to wait for a writer.
+    #[inline]
+    pub fn count_read_wait(&self) {
+        self.counters.read_waits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Lock-free GETs that waited for a writer so far.
+    pub fn read_waits(&self) -> u64 {
+        self.counters.read_waits.load(Ordering::Relaxed)
     }
 
     /// Publishes the engine's active-zone size (engine owner only).

@@ -48,10 +48,10 @@ impl ShardEngine {
     }
 
     /// Physically reclaims `key`'s bucket with committed-delete semantics
-    /// (index unlink, then [`ShardEngine::release`]), so an expired or
-    /// ring-evicted key can never resurrect from WAL replay.
+    /// ([`ShardEngine::release`]), so an expired or ring-evicted key can
+    /// never resurrect from WAL replay.
     fn reclaim_key(&mut self, key: u64, evicted: bool) -> Result<(), PnwError> {
-        let Some(addr) = self.index.remove(&mut self.dev, key)? else {
+        let Some(addr) = self.index.lookup(&self.dev, key)? else {
             return Ok(());
         };
         self.release(key, addr)?;

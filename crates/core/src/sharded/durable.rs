@@ -78,10 +78,10 @@ impl ShardedPnwStore {
             states.push(g.checkpoint_state()?);
         }
         durable.checkpoint(&states)?;
-        // The WALs were truncated; drop the in-memory value mirrors that
-        // backed scrub repairs for the truncated records.
+        // The WALs were truncated: appends start over, and the value
+        // mirrors that backed scrub repairs name records that are gone.
         for g in &mut guards {
-            g.clear_wal_values();
+            g.wal_truncated();
         }
         Ok(())
     }

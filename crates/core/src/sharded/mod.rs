@@ -37,7 +37,12 @@
 //!   the sequence: unchanged means the copy is a consistent snapshot;
 //!   changed means a writer raced and the GET retries. Every engine
 //!   mutation brackets itself with the sequence, so a reader can never
-//!   return torn bytes. A GET goes through the engine mutex only when a
+//!   return torn bytes, and a durable op syncs its WAL record between
+//!   brackets, not inside one, so no GET waits out another op's fsync
+//!   (the exceptions are in the engine's `placement` docs). A GET that
+//!   had to retry is counted in
+//!   [`StoreSnapshot::read_waits`](crate::StoreSnapshot::read_waits). A
+//!   GET goes through the engine mutex only when a
 //!   validated snapshot needs the engine's typed error — chosen by the
 //!   code, never by an option.
 //!
@@ -211,7 +216,15 @@ impl ShardedPnwStore {
     /// data-zone write persists only `words` whole words and the device
     /// crashes (test hook for crash-consistency scenarios).
     pub fn arm_torn_write(&self, shard: usize, words: usize) {
-        self.shards[shard].hold(&self.model).arm_torn_write(words);
+        self.arm_torn_write_after(shard, 0, words);
+    }
+
+    /// [`ShardedPnwStore::arm_torn_write`] for the write `skip` device
+    /// writes from now: those land whole first — a crash aimed at one step
+    /// of an op, such as the flag clear an update or delete ends with.
+    pub fn arm_torn_write_after(&self, shard: usize, skip: u64, words: usize) {
+        let mut held = self.shards[shard].hold(&self.model);
+        held.arm_torn_write_after(skip, words);
     }
 
     /// Runs `f` while holding one shard's engine, then lets go the way
@@ -441,6 +454,7 @@ impl ShardedPnwStore {
             agg.puts += p.puts;
             agg.updates_in_place += p.updates_in_place;
             agg.gets += p.gets;
+            agg.read_waits += p.read_waits;
             agg.deletes += p.deletes;
             agg.scrub.merge(&p.scrub);
         }
@@ -581,6 +595,8 @@ fn shard_config(cfg: &PnwConfig, n: usize, i: usize) -> PnwConfig {
     shard_cfg
 }
 
+#[cfg(test)]
+mod commit_tests;
 #[cfg(test)]
 mod label_tests;
 #[cfg(test)]

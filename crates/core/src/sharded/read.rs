@@ -181,8 +181,11 @@ impl ShardedPnwStore {
         let locked = |out: &mut [u8]| sh.hold(&self.model).get_into(key, out);
         let integrity = self.cfg.integrity;
         let mut raw = [0u8; HDR_BYTES];
+        // Set on the slow path only: a bracket was open, or a snapshot
+        // failed validation.
+        let mut waited = false;
         loop {
-            let s1 = rv.sync.read_begin();
+            let s1 = rv.sync.read_begin_noting(&mut waited);
             let snapshot = match rv.reader.lookup(&rv.view, key) {
                 Some(addr) => rv.read_bucket(addr, integrity, &mut raw, out),
                 None => Some(false),
@@ -191,7 +194,11 @@ impl ShardedPnwStore {
             // corrupt — an invalid one is just a racing writer (a torn
             // probe, a torn expiry word, torn bytes) and retries.
             if !rv.sync.read_validate(s1) {
+                waited = true;
                 continue;
+            }
+            if waited {
+                rv.sync.count_read_wait();
             }
             let hdr = Header::decode(&raw);
             return match snapshot {

@@ -677,10 +677,10 @@ fn a_failed_group_sync_completes_no_op_inline_or_queued() {
         }
     };
 
-    s.shards[0].hold(&s.model).fail_next_group_sync();
+    s.shards[0].hold(&s.model).fail_next_sync();
     check(s.apply(&batch()), "inline");
 
-    s.shards[0].hold(&s.model).fail_next_group_sync();
+    s.shards[0].hold(&s.model).fail_next_sync();
     let queued = s.with_shard_write_held(0, || {
         let t = Arc::clone(&s);
         let h = std::thread::spawn(move || t.apply(&batch()));

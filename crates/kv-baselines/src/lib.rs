@@ -89,6 +89,7 @@ pub(crate) fn baseline_snapshot(
         puts,
         updates_in_place: 0,
         gets,
+        read_waits: 0,
         deletes,
         scrub: pnw_core::ScrubStats::default(),
     }

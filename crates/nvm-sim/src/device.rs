@@ -741,6 +741,12 @@ impl NvmDevice {
         self.fault.arm_torn(words);
     }
 
+    /// Arms a torn write `skip` writes from now: those land whole, the one
+    /// after persists only `words` whole words, and the device crashes.
+    pub fn arm_torn_write_after(&mut self, skip: u64, words: usize) {
+        self.fault.arm_torn_after(skip, words);
+    }
+
     /// Latches bit `bit` of device word `word` stuck at `stuck_at_one`,
     /// forcing the cell image (and any backing file) to the stuck value
     /// immediately — arming an occupied word corrupts its at-rest data,

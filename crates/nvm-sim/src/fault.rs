@@ -138,7 +138,9 @@ pub struct MetaTear {
 #[derive(Debug, Clone)]
 pub struct FaultState {
     crashed: bool,
-    armed_torn_words: Option<usize>,
+    /// An armed tear: `(writes to pass through first, words the torn one
+    /// keeps)`.
+    armed_torn: Option<(u64, usize)>,
     armed_meta: Option<MetaTear>,
     writes_seen: u64,
     /// Per-target metadata write counters, indexed by [`MetaTarget::index`].
@@ -155,7 +157,7 @@ impl FaultState {
     pub fn new(cfg: FaultConfig) -> Self {
         FaultState {
             crashed: false,
-            armed_torn_words: None,
+            armed_torn: None,
             armed_meta: None,
             writes_seen: 0,
             meta_writes_seen: [0; 3],
@@ -182,7 +184,14 @@ impl FaultState {
     /// Arms a torn write for the next write operation: only `words` whole
     /// words will persist.
     pub fn arm_torn(&mut self, words: usize) {
-        self.armed_torn_words = Some(words);
+        self.arm_torn_after(0, words);
+    }
+
+    /// Arms a torn write for the `(skip + 1)`-th write from now: `skip`
+    /// writes land whole, then only `words` whole words of the next one
+    /// persist.
+    pub fn arm_torn_after(&mut self, skip: u64, words: usize) {
+        self.armed_torn = Some((skip, words));
     }
 
     /// Arms a metadata tear (see [`MetaTear`]). Replaces any previously
@@ -200,7 +209,18 @@ impl FaultState {
             _ => None,
         };
         self.writes_seen += 1;
-        let words = self.armed_torn_words.take().or(scheduled)?;
+        let armed = match self.armed_torn {
+            Some((0, words)) => {
+                self.armed_torn = None;
+                Some(words)
+            }
+            Some((skip, words)) => {
+                self.armed_torn = Some((skip - 1, words));
+                None
+            }
+            None => None,
+        };
+        let words = armed.or(scheduled)?;
         self.crashed = true;
         Some((words * word_bytes).min(len))
     }
@@ -354,6 +374,16 @@ mod tests {
         assert!(f.is_crashed());
         f.recover();
         assert_eq!(f.arm_write(100, 8), None);
+    }
+
+    #[test]
+    fn armed_tear_can_skip_writes_first() {
+        let mut f = FaultState::new(FaultConfig::default());
+        f.arm_torn_after(2, 1);
+        assert_eq!(f.arm_write(100, 8), None);
+        assert_eq!(f.arm_write(100, 8), None);
+        assert_eq!(f.arm_write(100, 8), Some(8));
+        assert!(f.is_crashed());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use crate::net::{Conn, ServerAddr};
 use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, FrameError, Request, RequestFrame,
+    decode_response, encode_request, write_frame, FrameError, FrameReader, Request, RequestFrame,
     Response, ResponseFrame, WireError, DEFAULT_MAX_FRAME,
 };
 
@@ -128,7 +128,9 @@ pub struct Client {
     max_frame: usize,
     rng: u64,
     req_buf: Vec<u8>,
-    resp_buf: Vec<u8>,
+    /// The connection's receive buffer: one read takes in a whole response,
+    /// or several pipelined ones.
+    frames: FrameReader,
 }
 
 impl Client {
@@ -143,7 +145,7 @@ impl Client {
             max_frame: DEFAULT_MAX_FRAME,
             rng: 0x9E37_79B9_7F4A_7C15,
             req_buf: Vec::new(),
-            resp_buf: Vec::new(),
+            frames: FrameReader::new(),
         })
     }
 
@@ -174,12 +176,7 @@ impl Client {
     }
 
     fn live(&mut self) -> Result<&mut Conn, ClientError> {
-        self.conn.as_mut().ok_or_else(|| {
-            ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "connection was killed; call reconnect()",
-            ))
-        })
+        self.conn.as_mut().ok_or_else(not_connected)
     }
 
     // -- pipelining ---------------------------------------------------------
@@ -201,13 +198,9 @@ impl Client {
 
     /// Receives the next response frame.
     pub fn recv(&mut self) -> Result<ResponseFrame, ClientError> {
-        let max = self.max_frame;
-        let mut buf = std::mem::take(&mut self.resp_buf);
-        let conn = self.live()?;
-        let res = read_frame(conn, max, &mut buf);
-        self.resp_buf = buf;
-        res?;
-        decode_response(&self.resp_buf).map_err(ClientError::Protocol)
+        let conn = self.conn.as_mut().ok_or_else(not_connected)?;
+        let payload = self.frames.read_frame(conn, self.max_frame)?;
+        decode_response(payload).map_err(ClientError::Protocol)
     }
 
     // -- synchronous calls --------------------------------------------------
@@ -327,6 +320,7 @@ impl Client {
         if let Some(conn) = self.conn.take() {
             let _ = conn.shutdown();
         }
+        self.frames.clear();
     }
 
     /// Opens a fresh connection (after [`Client::kill`] or a server
@@ -380,6 +374,13 @@ impl Client {
         conn.flush()?;
         Ok(())
     }
+}
+
+fn not_connected() -> ClientError {
+    ClientError::Io(std::io::Error::new(
+        std::io::ErrorKind::NotConnected,
+        "connection was killed; call reconnect()",
+    ))
 }
 
 fn unexpected(what: &str, got: &Response) -> ClientError {

@@ -2,7 +2,7 @@
 //! [`ServerAddr`] spelling (`tcp://host:port` / `unix:///path`) shared by
 //! the server binary, the client library and the load generator.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -107,6 +107,15 @@ impl Write for Conn {
         match self {
             Conn::Tcp(s) => s.write(buf),
             Conn::Unix(s) => s.write(buf),
+        }
+    }
+
+    /// Forwarded, not defaulted: the default writes only the first
+    /// buffer, which would split every frame in two.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Conn::Tcp(s) => s.write_vectored(bufs),
+            Conn::Unix(s) => s.write_vectored(bufs),
         }
     }
 

@@ -25,7 +25,8 @@
 //! encoder/decoder pair serves the server, the client, the fuzz-ish
 //! robustness tests and the protocol microbenchmark.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
+use std::ops::Range;
 
 use pnw_core::StoreError;
 use pnw_nvm_sim::crc32;
@@ -655,11 +656,24 @@ pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, ProtoError> {
 // ---------------------------------------------------------------------------
 // Framing.
 
-/// Writes one frame (`len`, `crc`, payload) to `w`. Does not flush.
+/// Writes one frame (`len`, `crc`, payload) to `w` with one vectored
+/// write — one `writev` on a socket — unless the stream takes it in parts.
+/// Does not flush.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)
+    let mut hdr = [0u8; FRAME_HDR];
+    hdr[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    hdr[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    let mut parts = [IoSlice::new(&hdr), IoSlice::new(payload)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Why a blocking [`read_frame`] did not produce a payload.
@@ -718,16 +732,9 @@ pub fn read_frame(
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
-    if len == 0 {
-        return Err(FrameError::Empty);
-    }
-    if len as usize > max_frame {
-        return Err(FrameError::TooLarge { limit: max_frame as u32, got: len });
-    }
+    let (len, crc) = frame_header(&hdr, max_frame)?;
     buf.clear();
-    buf.resize(len as usize, 0);
+    buf.resize(len, 0);
     let mut pos = 0;
     while pos < buf.len() {
         match r.read(&mut buf[pos..]) {
@@ -741,6 +748,129 @@ pub fn read_frame(
         return Err(FrameError::BadCrc);
     }
     Ok(())
+}
+
+/// A frame header's payload length and CRC; an empty or oversized frame
+/// is refused here, before its payload is read.
+fn frame_header(hdr: &[u8], max_frame: usize) -> Result<(usize, u32), FrameError> {
+    let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
+    let crc = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
+    if len == 0 {
+        return Err(FrameError::Empty);
+    }
+    if len as usize > max_frame {
+        return Err(FrameError::TooLarge { limit: max_frame as u32, got: len });
+    }
+    Ok((len as usize, crc))
+}
+
+/// A connection's receive side: frames parsed out of a buffer that each
+/// `read` fills with whatever the stream has, so one read brings a whole
+/// small frame — or several pipelined ones — where [`read_frame`] spends
+/// two reads on each.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Bytes before `start` are consumed; `start..end` is buffered input.
+    start: usize,
+    end: usize,
+    /// Header plus payload of the frame at `start`, once its header is
+    /// buffered and checked against the frame limit; 0 before that.
+    frame_len: usize,
+}
+
+/// What [`FrameReader::fill`] asks of the stream when the buffer has room
+/// to spare: enough for a few small frames.
+const READ_CHUNK: usize = 4096;
+
+impl FrameReader {
+    /// An empty reader.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether no unconsumed byte is buffered — no frame has started.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// Forgets everything buffered (the stream it came from is gone).
+    pub fn clear(&mut self) {
+        (self.start, self.end, self.frame_len) = (0, 0, 0);
+    }
+
+    /// The next whole frame's payload, if the buffer holds one; `Ok(None)`
+    /// when more bytes are needed. The header is checked as soon as it is
+    /// buffered, so an empty or oversized frame is refused before its
+    /// payload is read.
+    pub fn next_frame(&mut self, max_frame: usize) -> Result<Option<&[u8]>, FrameError> {
+        Ok(self.next_range(max_frame)?.map(|r| &self.buf[r]))
+    }
+
+    /// [`FrameReader::next_frame`] as a range of the buffer, consumed.
+    fn next_range(&mut self, max_frame: usize) -> Result<Option<Range<usize>>, FrameError> {
+        let avail = &self.buf[self.start..self.end];
+        if avail.len() < FRAME_HDR {
+            return Ok(None);
+        }
+        let (len, crc) = frame_header(avail, max_frame)?;
+        self.frame_len = FRAME_HDR + len;
+        let Some(payload) = avail.get(FRAME_HDR..self.frame_len) else {
+            return Ok(None);
+        };
+        if crc32(payload) != crc {
+            return Err(FrameError::BadCrc);
+        }
+        let at = self.start + FRAME_HDR;
+        self.start = at + len;
+        self.frame_len = 0;
+        if self.start == self.end {
+            // Drained: the next read starts at the front again (the bytes
+            // just handed out stay put until then).
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(Some(at..at + len))
+    }
+
+    /// One `read` from `r` into the buffer, after making room: for the
+    /// whole frame that has started, once [`FrameReader::next_frame`] has
+    /// checked its header, and for at least a few small frames more.
+    /// Returns the bytes read; 0 is the end of the stream.
+    pub fn fill(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        let pending = self.end - self.start;
+        let want = self.frame_len.max(pending + READ_CHUNK);
+        if pending == 0 && self.buf.len() > 16 * READ_CHUNK {
+            // A large frame is done with: give its room back.
+            self.buf = Vec::new();
+        }
+        if self.start + want > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, pending);
+            if want > self.buf.len() {
+                self.buf.resize(want, 0);
+            }
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Blocks until a whole frame is buffered and returns its payload —
+    /// [`read_frame`], through the buffer.
+    pub fn read_frame(&mut self, r: &mut impl Read, max_frame: usize) -> Result<&[u8], FrameError> {
+        loop {
+            if let Some(range) = self.next_range(max_frame)? {
+                return Ok(&self.buf[range]);
+            }
+            match self.fill(r) {
+                Ok(0) if self.is_empty() => return Err(FrameError::Eof),
+                Ok(0) => return Err(FrameError::Truncated),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -902,6 +1032,123 @@ mod tests {
             read_frame(&mut &[][..], DEFAULT_MAX_FRAME, &mut buf),
             Err(FrameError::Eof)
         ));
+    }
+
+    /// A writer that records each call it gets and takes only `cap` bytes
+    /// of it, as a socket with a full send buffer would.
+    struct CountingWriter {
+        calls: usize,
+        cap: usize,
+        wire: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let before = self.wire.len();
+            for b in bufs {
+                let room = self.cap - (self.wire.len() - before);
+                self.wire.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.wire.len() - before)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_call_and_survives_short_writes() {
+        let payload = vec![0x5Au8; 100];
+        let mut one = CountingWriter { calls: 0, cap: usize::MAX, wire: Vec::new() };
+        write_frame(&mut one, &payload).unwrap();
+        assert_eq!(one.calls, 1, "header and payload leave together");
+        let mut short = CountingWriter { calls: 0, cap: 7, wire: Vec::new() };
+        write_frame(&mut short, &payload).unwrap();
+        assert_eq!(short.wire, one.wire, "a short write resumes mid-slice");
+        assert_eq!(short.calls, (FRAME_HDR + 100).div_ceil(7));
+        let mut buf = Vec::new();
+        read_frame(&mut one.wire.as_slice(), DEFAULT_MAX_FRAME, &mut buf).unwrap();
+        assert_eq!(buf, payload);
+    }
+
+    /// A reader that hands out at most `chunk` bytes per call and counts
+    /// the calls.
+    struct ChunkedReader<'a> {
+        data: &'a [u8],
+        chunk: usize,
+        calls: usize,
+    }
+
+    impl Read for ChunkedReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.chunk).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn wire_of(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for p in payloads {
+            write_frame(&mut wire, p).unwrap();
+        }
+        wire
+    }
+
+    #[test]
+    fn pipelined_frames_come_out_of_one_read() {
+        let payloads: Vec<Vec<u8>> = (1..=3u8).map(|i| vec![i; 30 * i as usize]).collect();
+        let wire = wire_of(&payloads);
+        let mut r = ChunkedReader { data: &wire, chunk: usize::MAX, calls: 0 };
+        let mut frames = FrameReader::new();
+        for p in &payloads {
+            assert_eq!(frames.read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap(), &p[..]);
+        }
+        assert_eq!(r.calls, 1, "three frames, one read");
+        assert!(frames.is_empty());
+        assert!(matches!(frames.read_frame(&mut r, DEFAULT_MAX_FRAME), Err(FrameError::Eof)));
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_arrives_whole_through_short_reads() {
+        let payloads = vec![vec![7u8; 3 * READ_CHUNK + 5], vec![9u8; 12]];
+        let wire = wire_of(&payloads);
+        let mut r = ChunkedReader { data: &wire, chunk: 1000, calls: 0 };
+        let mut frames = FrameReader::new();
+        for p in &payloads {
+            assert_eq!(frames.read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap(), &p[..]);
+        }
+        // A stream that ends inside a frame is a truncation, not an EOF.
+        let cut = &wire[..wire.len() - 3];
+        let mut r = ChunkedReader { data: cut, chunk: 1000, calls: 0 };
+        let mut frames = FrameReader::new();
+        frames.read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap();
+        assert!(matches!(frames.read_frame(&mut r, DEFAULT_MAX_FRAME), Err(FrameError::Truncated)));
+    }
+
+    #[test]
+    fn the_buffered_reader_refuses_bad_headers_before_their_payload() {
+        let mut frames = FrameReader::new();
+        let hdr = [&1000u32.to_le_bytes()[..], &[0; 4]].concat();
+        let mut r = ChunkedReader { data: &hdr, chunk: 8, calls: 0 };
+        assert!(matches!(
+            frames.read_frame(&mut r, 64),
+            Err(FrameError::TooLarge { limit: 64, got: 1000 })
+        ));
+        let mut frames = FrameReader::new();
+        let mut r = ChunkedReader { data: &[0u8; FRAME_HDR], chunk: 8, calls: 0 };
+        assert!(matches!(frames.read_frame(&mut r, 64), Err(FrameError::Empty)));
+        let mut torn = wire_of(&[b"abc".to_vec()]);
+        torn[4] ^= 1;
+        let mut frames = FrameReader::new();
+        let mut r = ChunkedReader { data: &torn, chunk: 64, calls: 0 };
+        assert!(matches!(frames.read_frame(&mut r, 64), Err(FrameError::BadCrc)));
     }
 
     #[test]

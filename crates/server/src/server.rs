@@ -34,7 +34,7 @@
 //! `abort()` is the unclean variant for crash testing: connections are cut
 //! and **no checkpoint is written**, so recovery replays the WAL.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -47,7 +47,7 @@ use pnw_core::{Batch, Store, StoreError};
 
 use crate::net::{Conn, ServerAddr};
 use crate::protocol::{
-    decode_request, encode_response, read_frame, write_frame, FrameError, Request, RequestFrame,
+    decode_request, encode_response, write_frame, FrameError, FrameReader, Request, RequestFrame,
     Response, ResponseFrame, WireError, DEFAULT_MAX_FRAME,
 };
 
@@ -72,10 +72,11 @@ pub struct ServerConfig {
     pub max_waiting: usize,
     /// A connection with no complete frame for this long is closed.
     pub idle_timeout: Duration,
-    /// Once a frame's first byte arrives, each subsequent read must make
-    /// progress within this budget or the connection is quarantined as
-    /// stalled mid-frame (defeats a client that sends half a frame and
-    /// walks away).
+    /// Once a frame's first byte arrives, the whole frame must arrive
+    /// within this budget or the connection is quarantined as stalled
+    /// mid-frame (defeats a client that sends half a frame and walks
+    /// away). The connection loop notices at its next 50 ms poll tick.
+    /// Also the budget for sending one response.
     pub frame_timeout: Duration,
     /// How long connections keep answering [`WireError::Draining`] after
     /// drain starts before closing — long enough for a pipelining client
@@ -200,11 +201,16 @@ struct GatePermit<'a> {
 }
 
 impl Drop for GatePermit<'_> {
+    /// Wakes waiters only when there are some: a `notify_all` with nobody
+    /// parked is still a futex syscall.
     fn drop(&mut self) {
         let mut st = self.gate.state.lock().unwrap();
         st.executing -= 1;
+        let waiters = st.waiting > 0;
         drop(st);
-        self.gate.cv.notify_all();
+        if waiters {
+            self.gate.cv.notify_all();
+        }
     }
 }
 
@@ -521,27 +527,6 @@ fn reject_conn(mut conn: Conn) {
 // ---------------------------------------------------------------------------
 // Per-connection handler.
 
-/// `Read` adapter yielding one stashed byte (the frame's first, consumed
-/// by the idle poll) before the underlying stream.
-struct Prepend<'a> {
-    first: Option<u8>,
-    inner: &'a mut Conn,
-}
-
-impl Read for Prepend<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if let Some(b) = self.first.take() {
-            if buf.is_empty() {
-                self.first = Some(b);
-                return Ok(0);
-            }
-            buf[0] = b;
-            return Ok(1);
-        }
-        self.inner.read(buf)
-    }
-}
-
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
@@ -549,14 +534,35 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
+/// Why a connection's frame loop quarantines it: the typed error it is
+/// sent before the close.
+fn frame_wire_error(err: FrameError) -> WireError {
+    match err {
+        FrameError::TooLarge { limit, got } => WireError::TooLarge { limit, got },
+        other => WireError::Protocol(other.to_string()),
+    }
+}
+
+/// One connection's frame loop. Every `read` — under one read timeout,
+/// [`POLL`], set once — fills the connection's [`FrameReader`] with
+/// whatever has arrived, and every whole frame buffered is served before
+/// the next read, so a small request costs one read and its response one
+/// write. A timeout with no frame started checks the drain and stop flags
+/// and the idle budget; with a frame started, it quarantines the sender
+/// once [`ServerConfig::frame_timeout`] has passed since the read that
+/// brought the frame's first byte.
 fn handle_conn(shared: &Shared, mut conn: Conn) {
     if conn.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
     let _ = conn.set_write_timeout(Some(shared.cfg.frame_timeout));
-    let mut payload = Vec::new();
+    let mut frames = FrameReader::new();
     let mut out = Vec::new();
-    let mut idle_since = Instant::now();
+    // When the last read returned, when the oldest unserved byte arrived,
+    // and when the last whole frame did.
+    let mut last_read = Instant::now();
+    let mut frame_since = last_read;
+    let mut idle_since = last_read;
     let mut draining_since: Option<Instant> = None;
     loop {
         if shared.stopped.load(Ordering::SeqCst) {
@@ -568,74 +574,60 @@ fn handle_conn(shared: &Shared, mut conn: Conn) {
                 break;
             }
         }
-        // Poll for a frame's first byte so this loop stays interruptible.
-        let mut first = [0u8; 1];
-        match conn.read(&mut first) {
-            Ok(0) => break, // clean EOF between frames
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => {
-                if idle_since.elapsed() >= shared.cfg.idle_timeout {
-                    break;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-        // A frame has started: read the rest under the per-read frame
-        // budget (a stalled sender is quarantined, not waited on forever).
-        if conn.set_read_timeout(Some(shared.cfg.frame_timeout)).is_err() {
-            break;
-        }
-        let read = read_frame(
-            &mut Prepend { first: Some(first[0]), inner: &mut conn },
-            shared.cfg.max_frame,
-            &mut payload,
-        );
-        if conn.set_read_timeout(Some(POLL)).is_err() {
-            break;
-        }
-        idle_since = Instant::now();
-        let recv = Instant::now();
-        match read {
-            Ok(()) => {}
-            Err(err) => {
-                // Every malformed frame quarantines exactly this
-                // connection: best-effort typed error, then close.
-                let wire = match err {
-                    FrameError::TooLarge { limit, got } => WireError::TooLarge { limit, got },
-                    FrameError::Io(ref e) if is_timeout(e) => {
-                        WireError::Protocol("frame stalled mid-read".into())
-                    }
-                    other => WireError::Protocol(other.to_string()),
-                };
-                shared.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                shared.stats.requests_err.fetch_add(1, Ordering::Relaxed);
-                send_resp(&mut conn, &mut out, ResponseFrame { id: 0, resp: Response::Err(wire) });
-                break;
-            }
-        }
-        let frame = match decode_request(&payload) {
-            Ok(f) => f,
-            Err(msg) => {
+        let frame = match frames.next_frame(shared.cfg.max_frame) {
+            Ok(Some(payload)) => decode_request(payload).map_err(|msg| {
                 // The frame was intact (CRC passed) but the payload does
-                // not decode: same quarantine, but the request id is
-                // recoverable from the fixed prefix.
+                // not decode: the request id is recoverable from the
+                // fixed prefix.
                 let id = payload
                     .get(0..8)
                     .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
                     .unwrap_or(0);
+                (id, WireError::Protocol(msg))
+            }),
+            Ok(None) => {
+                let started = !frames.is_empty();
+                match frames.fill(&mut conn) {
+                    // End of stream: clean between frames, a truncation
+                    // inside one.
+                    Ok(0) if !started => break,
+                    Ok(0) => Err((0, frame_wire_error(FrameError::Truncated))),
+                    Ok(_) => {
+                        last_read = Instant::now();
+                        if !started {
+                            frame_since = last_read;
+                        }
+                        continue;
+                    }
+                    Err(e) if is_timeout(&e) => {
+                        if started && frame_since.elapsed() >= shared.cfg.frame_timeout {
+                            Err((0, WireError::Protocol("frame stalled mid-read".into())))
+                        } else if !started && idle_since.elapsed() >= shared.cfg.idle_timeout {
+                            break;
+                        } else {
+                            continue;
+                        }
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(_) => break,
+                }
+            }
+            Err(err) => Err((0, frame_wire_error(err))),
+        };
+        let frame = match frame {
+            Ok(f) => f,
+            Err((id, wire)) => {
+                // Every malformed frame quarantines exactly this
+                // connection: best-effort typed error, then close.
                 shared.stats.quarantined.fetch_add(1, Ordering::Relaxed);
                 shared.stats.requests_err.fetch_add(1, Ordering::Relaxed);
-                send_resp(
-                    &mut conn,
-                    &mut out,
-                    ResponseFrame { id, resp: Response::Err(WireError::Protocol(msg)) },
-                );
+                send_resp(&mut conn, &mut out, ResponseFrame { id, resp: Response::Err(wire) });
                 break;
             }
         };
-        let resp = execute(shared, frame, recv);
+        // The rest of the buffer, if any, came with the last read.
+        (idle_since, frame_since) = (last_read, last_read);
+        let resp = execute(shared, frame, last_read);
         let failed = matches!(resp.resp, Response::Err(_));
         if failed {
             shared.stats.requests_err.fetch_add(1, Ordering::Relaxed);
@@ -843,7 +835,7 @@ mod tests {
     /// hand, without the client library.
     #[test]
     fn tcp_server_answers_raw_frames() {
-        use crate::protocol::{decode_response, encode_request};
+        use crate::protocol::{decode_response, encode_request, read_frame};
 
         let store: Arc<dyn Store> =
             Arc::new(PnwStore::new(PnwConfig::new(256, 16).with_clusters(2)));

@@ -131,7 +131,7 @@ fn run_command(store: &PnwStore, line: &str) -> Result<String, String> {
             let s = store.snapshot();
             Ok(format!(
                 "live {} / {} buckets ({} free), K={}, retrains {}\n\
-                 puts {} ({} updated in place) gets {} deletes {}, fallbacks {}\n\
+                 puts {} ({} updated in place) gets {} ({} waited on a writer) deletes {}, fallbacks {}\n\
                  bit flips/512b: {:.2}, lines/write: {:.2}, mean predict {:?}\n\
                  last train {:?} (sample {:?}, pca fit {:?} {:?}, project {:?}, kmeans {:?}, tables {:?})\n\
                  label pass {:?}: {} labelled, {} stale at install, {} predicted at install",
@@ -143,6 +143,7 @@ fn run_command(store: &PnwStore, line: &str) -> Result<String, String> {
                 s.puts,
                 s.updates_in_place,
                 s.gets,
+                s.read_waits,
                 s.deletes,
                 s.fallbacks,
                 s.device.mean_flips_per_512(),
@@ -267,7 +268,9 @@ mod tests {
         assert!(run_command(&store, "train").unwrap().contains("trained"));
         // Same bytes again: the trained store rewrites the key in place.
         assert!(run_command(&store, "put 1 hello").unwrap().starts_with("ok"));
-        assert!(run_command(&store, "stats").unwrap().contains("(1 updated in place)"));
+        let stats = run_command(&store, "stats").unwrap();
+        assert!(stats.contains("(1 updated in place)"), "{stats}");
+        assert!(stats.contains("gets 1 (0 waited on a writer)"), "{stats}");
         assert_eq!(run_command(&store, "del 1").unwrap(), "deleted");
         assert_eq!(run_command(&store, "get 1").unwrap(), "(not found)");
         assert!(run_command(&store, "stats").unwrap().contains("live 0"));

@@ -562,6 +562,70 @@ fn sharded_clean_close_preserves_batch_results() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A durable update or delete syncs its WAL record before it unlinks
+/// anything, and clears the vacated bucket's flag last. These cells crash
+/// at exactly that flag clear — the record synced, the clear never landing
+/// — and reopen: the key reads its new value (update) or nothing (delete),
+/// and the old bucket is free again, because recovery's repair clears a
+/// valid header whose key is committed at another address, or not at all.
+/// (Under the old order the crash landed before the record and the key
+/// kept its old value.)
+fn crash_at_the_vacated_flag_clear(name: &str, delete: bool) {
+    let dir = scratch_dir(name);
+    let cfg = PnwConfig::new(64, 8)
+        .with_clusters(2)
+        .with_shards(1)
+        .with_seed(7)
+        .with_path(&dir);
+    let store = ShardedPnwStore::open(cfg.clone()).unwrap();
+    for k in 0..16u64 {
+        store.put(k, &(k * 11).to_le_bytes()).unwrap();
+    }
+    // An update writes the new bucket image, then — after its sync — the
+    // flag clear; a delete's flag clear is its only cell write.
+    let (skip, op) = if delete { (0, "delete") } else { (1, "update") };
+    store.arm_torn_write_after(0, skip, 0);
+    // The record is synced before the flag clear, so the op is committed
+    // and acknowledged whatever becomes of the clear.
+    let acked = if delete {
+        store.delete(5).is_ok()
+    } else {
+        store.put(5, &[0xEE; 8]).is_ok()
+    };
+    assert!(acked, "the {op} committed before the crash");
+    drop(store);
+
+    let store = ShardedPnwStore::open(cfg).unwrap();
+    let expected = (!delete).then(|| vec![0xEE; 8]);
+    assert_eq!(
+        store.get(5).unwrap(),
+        expected,
+        "the synced {op} is what recovers"
+    );
+    assert_eq!(store.len(), 16 - usize::from(delete));
+    for k in (0..16u64).filter(|&k| k != 5) {
+        assert_eq!(store.get(k).unwrap().unwrap(), (k * 11).to_le_bytes());
+    }
+    let snap = store.snapshot();
+    assert_eq!(
+        snap.free,
+        snap.capacity - snap.live,
+        "the vacated bucket is free"
+    );
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn crash_at_the_vacated_flag_clear_after_a_synced_update() {
+    crash_at_the_vacated_flag_clear("flag_clear_update", false);
+}
+
+#[test]
+fn crash_at_the_flag_clear_after_a_synced_delete() {
+    crash_at_the_vacated_flag_clear("flag_clear_delete", true);
+}
+
 // ---------------------------------------------------------------------------
 // Serving + recovery: the acknowledged prefix survives a server crash.
 

@@ -82,8 +82,8 @@ fn stalled_mid_frame_sender_is_quarantined() {
     });
     let mut victim = Client::connect(server.local_addr()).unwrap();
     // A frame header promising 100 bytes, then silence — the connection
-    // stays open but never delivers. The per-read frame budget must cut
-    // it off rather than hold the thread hostage.
+    // stays open but never delivers. The frame budget must cut it off
+    // rather than hold the thread hostage.
     let mut hdr = Vec::new();
     hdr.extend_from_slice(&100u32.to_le_bytes());
     hdr.extend_from_slice(&0u32.to_le_bytes());
@@ -97,6 +97,57 @@ fn stalled_mid_frame_sender_is_quarantined() {
         other => panic!("expected stalled-frame Protocol error, got {other:?}"),
     }
     assert_still_serving(&server, 4);
+    server.drain().unwrap();
+}
+
+/// The frame budget runs from the read that brought a frame's first byte,
+/// and the loop notices at its next poll tick: a stalled frame is cut off
+/// no sooner than `frame_timeout`, and well within a second of it.
+#[test]
+fn a_stalled_frame_is_cut_off_at_its_budget() {
+    let budget = Duration::from_millis(300);
+    let server = start(ServerConfig { frame_timeout: budget, ..ServerConfig::default() });
+    let mut victim = Client::connect(server.local_addr()).unwrap();
+    let t = std::time::Instant::now();
+    victim.send_raw(&100u32.to_le_bytes()).unwrap();
+    let resp = victim.recv().unwrap();
+    let took = t.elapsed();
+    assert!(matches!(resp.resp, pnw_server::Response::Err(WireError::Protocol(_))));
+    assert!(took >= budget && took < budget + Duration::from_secs(1), "{took:?}");
+    server.drain().unwrap();
+}
+
+/// Frames reach the server however the stream cuts them: three requests
+/// in one write are answered in order, and a frame dribbled a few bytes at
+/// a time — inside its budget — is served whole.
+#[test]
+fn frames_are_served_however_the_stream_splits_them() {
+    use pnw_server::protocol::{encode_request, write_frame, RequestFrame};
+
+    let server = start(ServerConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let frame = |id: u64, req: Request| {
+        let mut payload = Vec::new();
+        encode_request(&RequestFrame { id, deadline_us: 0, req }, &mut payload);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        wire
+    };
+    let mut burst = frame(1, Request::Put { key: 8, value: vec![8; VS] });
+    burst.extend(frame(2, Request::Get { key: 8 }));
+    burst.extend(frame(3, Request::Ping));
+    c.send_raw(&burst).unwrap();
+    let ids: Vec<u64> = (0..3).map(|_| c.recv().unwrap().id).collect();
+    assert_eq!(ids, [1, 2, 3]);
+
+    for piece in frame(4, Request::Get { key: 8 }).chunks(5) {
+        c.send_raw(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let resp = c.recv().unwrap();
+    assert_eq!(resp.id, 4);
+    assert_eq!(resp.resp, pnw_server::Response::Get(Some(vec![8; VS])));
+    assert_eq!(server.stats().quarantined, 0);
     server.drain().unwrap();
 }
 
