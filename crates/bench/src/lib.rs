@@ -35,12 +35,6 @@
 //!   (`scenario`, `BENCH_scenario.json`).
 //! * [`scrub`] — integrity and scrubbing overhead on wear-out media
 //!   (`scrub`, `BENCH_scrub.json`).
-//! * [`serverbench`] — the open-loop, coordinated-omission-safe load
-//!   generator against a running `pnw-server` (Poisson arrivals at a
-//!   fixed offered rate, sojourn-time percentiles from *scheduled*
-//!   arrival, bounded full-jitter retries, scheduled fault injection) and
-//!   the scripted crash/restart/drain robustness run built on it
-//!   (`server-load`).
 //! * [`report`] — the one JSON report writer and artifact stamp.
 //! * [`table`] — plain-text table rendering.
 
@@ -53,7 +47,6 @@ pub mod replace;
 pub mod report;
 pub mod scenario;
 pub mod scrub;
-pub mod serverbench;
 pub mod table;
 pub mod trainbench;
 

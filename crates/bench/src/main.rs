@@ -6,9 +6,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pnw_bench::{
-    ablations, figures, predictbench, scenario, scrub, serverbench, trainbench, Scale,
-};
+use pnw_bench::{ablations, figures, predictbench, scenario, scrub, trainbench, Scale};
 use pnw_workloads::DatasetKind;
 
 const USAGE: &str = "\
@@ -23,11 +21,10 @@ usage: pnw-bench <subcommand> [--quick] [flags]
   train            retraining benchmark            [--out PATH]
   scenario         phased-workload replay          [--scenario drift|cctv|all] [--out PATH]
   scrub            integrity / scrub overhead      [--threads N] [--ops N] [--out PATH]
-  server-load      served crash/restart/drain run  [--wear] [--value-size N] [--out PATH]
 
 --quick shrinks a run to seconds. Without --out, a full predict / train /
 scenario / scrub run writes BENCH_<subcommand>.json in the working
-directory; a --quick run, and server-load, print the report instead.";
+directory; a --quick run prints the report instead.";
 
 /// The paper's numbered figures (Figure 5 is a diagram).
 const FIGS: [u32; 10] = [3, 4, 6, 7, 8, 9, 10, 11, 12, 13];
@@ -49,7 +46,6 @@ enum Cmd {
     Train,
     Scenario(Which),
     Scrub { threads: usize, ops: Option<usize> },
-    ServerLoad { wear: bool, value_size: usize },
 }
 
 #[derive(Debug)]
@@ -70,8 +66,8 @@ fn parse(argv: &[String]) -> Result<Args, String> {
     let mut it = argv.iter().map(String::as_str);
     while let Some(a) = it.next() {
         match a {
-            "--quick" | "--wear" => flags.push((a, "")),
-            "--out" | "--iters" | "--scenario" | "--threads" | "--ops" | "--value-size" => {
+            "--quick" => flags.push((a, "")),
+            "--out" | "--iters" | "--scenario" | "--threads" | "--ops" => {
                 flags.push((a, it.next().ok_or_else(|| format!("{a} needs a value"))?))
             }
             _ if a.starts_with('-') => return Err(format!("unknown flag '{a}'")),
@@ -96,10 +92,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             threads: 4,
             ops: None,
         },
-        ["server-load"] => Cmd::ServerLoad {
-            wear: false,
-            value_size: 64,
-        },
         [] => return Err("missing subcommand".into()),
         other => {
             return Err(format!(
@@ -114,14 +106,9 @@ fn parse(argv: &[String]) -> Result<Args, String> {
     for (flag, v) in flags {
         match (flag, &mut cmd) {
             ("--quick", _) => scale = Scale::Quick,
-            (
-                "--out",
-                Cmd::Predict { .. }
-                | Cmd::Train
-                | Cmd::Scenario(_)
-                | Cmd::Scrub { .. }
-                | Cmd::ServerLoad { .. },
-            ) => out = Some(PathBuf::from(v)),
+            ("--out", Cmd::Predict { .. } | Cmd::Train | Cmd::Scenario(_) | Cmd::Scrub { .. }) => {
+                out = Some(PathBuf::from(v))
+            }
             ("--iters", Cmd::Predict { iters }) => *iters = Some(number(flag, v)?),
             ("--scenario", Cmd::Scenario(which)) => {
                 *which = match v {
@@ -133,8 +120,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             }
             ("--threads", Cmd::Scrub { threads, .. }) => *threads = number(flag, v)?,
             ("--ops", Cmd::Scrub { ops, .. }) => *ops = Some(number(flag, v)?),
-            ("--wear", Cmd::ServerLoad { wear, .. }) => *wear = true,
-            ("--value-size", Cmd::ServerLoad { value_size, .. }) => *value_size = number(flag, v)?,
             _ => return Err(format!("{flag} does not apply to '{}'", positional[0])),
         }
     }
@@ -248,9 +233,6 @@ fn run(Args { cmd, scale, out }: Args) -> Result<(), String> {
             ablations::run(scale);
             None
         }
-        Cmd::ServerLoad { wear, value_size } => {
-            return serverbench::run_crash_restart(value_size, wear, scale, out.as_deref())
-        }
         Cmd::Predict { iters } => Some(("predict", predictbench::run(scale, iters))),
         Cmd::Train => Some(("train", trainbench::run(scale))),
         Cmd::Scenario(which) => {
@@ -347,17 +329,6 @@ mod tests {
                 None
             )
         );
-        assert_eq!(
-            ok("server-load --quick --wear --value-size 128 --out w.json"),
-            (
-                Cmd::ServerLoad {
-                    wear: true,
-                    value_size: 128
-                },
-                Quick,
-                Some("w.json".into())
-            )
-        );
 
         // Typed errors, never a silent fallback.
         let err = |line: &str| parse_str(line).expect_err(line);
@@ -382,7 +353,7 @@ mod tests {
             err("scenario --scenario mars"),
             "unknown scenario 'mars' (drift|cctv|all)"
         );
-        for gone in ["throughput", "opcost"] {
+        for gone in ["throughput", "opcost", "server-load"] {
             assert_eq!(
                 err(gone),
                 format!("unknown subcommand or arguments '{gone}'")

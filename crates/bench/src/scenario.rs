@@ -61,15 +61,6 @@ pub struct OpMix {
 }
 
 impl OpMix {
-    /// The default mixed workload: 40% PUT / 50% GET / 10% DELETE.
-    pub fn mixed() -> Self {
-        OpMix {
-            put_pct: 40,
-            get_pct: 50,
-            del_pct: 10,
-        }
-    }
-
     /// A write-only workload (the paper's replacement-stream shape).
     pub fn write_only() -> Self {
         OpMix {
@@ -876,7 +867,7 @@ mod tests {
             phases: vec![Phase {
                 name: "mixed".to_string(),
                 ops: 400,
-                mix: OpMix::mixed(),
+                mix: OpMix { put_pct: 40, get_pct: 50, del_pct: 10 },
                 keys: KeyDist::Zipf { theta: 0.99, key_base: 0 },
                 values: ValueSource::Patterns { fills: FAMILY_A.to_vec() },
                 ttl_ms: None,

@@ -1,16 +1,14 @@
-//! The client library: synchronous calls, explicit pipelining, bounded
-//! retry with full-jitter backoff, and the fault-injection hooks the
-//! open-loop load generator uses to attack the server.
+//! The client library: synchronous calls, explicit pipelining, and the
+//! fault-injection hooks the robustness tests attack the server with.
 //!
 //! # Retry contract
 //!
-//! Only [`WireError::is_retryable`] errors (backpressure, overload,
-//! deadline, draining) and *connection* failures are retried — the op was
-//! rejected before being applied, or its fate is unknown and every store
-//! op is idempotent (PUT overwrites, DELETE of an absent key reports
-//! `false`), so re-issuing is safe. Retries back off with **full jitter**:
-//! sleep `uniform(0, min(cap, base · 2^attempt))`, the standard cure for
-//! retry herds reconverging on a saturated server at the same instant.
+//! The client does not retry; [`ClientError::is_retryable`] tells the
+//! caller when re-issuing is safe. That is [`WireError::is_retryable`]
+//! errors (backpressure, overload, deadline, draining) and *connection*
+//! failures — the op was rejected before being applied, or its fate is
+//! unknown and every store op is idempotent (PUT overwrites, DELETE of an
+//! absent key reports `false`).
 
 use std::io::Write;
 use std::time::Duration;
@@ -72,52 +70,6 @@ impl From<FrameError> for ClientError {
     }
 }
 
-/// Bounded exponential backoff with full jitter.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = try once).
-    pub max_retries: u32,
-    /// Backoff base; attempt `n` sleeps `uniform(0, min(cap, base·2ⁿ))`.
-    pub base: Duration,
-    /// Ceiling on any single backoff sleep.
-    pub cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            base: Duration::from_micros(200),
-            cap: Duration::from_millis(50),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The jittered sleep before retry `attempt` (0-based), drawn from
-    /// `rng` (xorshift state).
-    pub fn backoff(&self, attempt: u32, rng: &mut u64) -> Duration {
-        let ceil = self
-            .base
-            .saturating_mul(1u32 << attempt.min(20))
-            .min(self.cap)
-            .as_nanos() as u64;
-        if ceil == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(xorshift(rng) % ceil)
-    }
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
 /// A connection to one [`Server`](crate::Server), with synchronous calls,
 /// explicit pipelining, and fault-injection hooks.
 pub struct Client {
@@ -125,8 +77,6 @@ pub struct Client {
     conn: Option<Conn>,
     next_id: u64,
     deadline_us: u32,
-    max_frame: usize,
-    rng: u64,
     req_buf: Vec<u8>,
     /// The connection's receive buffer: one read takes in a whole response,
     /// or several pipelined ones.
@@ -142,8 +92,6 @@ impl Client {
             conn: Some(conn),
             next_id: 1,
             deadline_us: 0,
-            max_frame: DEFAULT_MAX_FRAME,
-            rng: 0x9E37_79B9_7F4A_7C15,
             req_buf: Vec::new(),
             frames: FrameReader::new(),
         })
@@ -162,17 +110,6 @@ impl Client {
     pub fn set_recv_timeout(&mut self, d: Option<Duration>) -> Result<(), ClientError> {
         self.live()?.set_read_timeout(d)?;
         Ok(())
-    }
-
-    /// Reseeds the jitter RNG (so concurrent clients don't share a
-    /// backoff schedule).
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = seed | 1;
-    }
-
-    /// The server address this client (re)connects to.
-    pub fn addr(&self) -> &ServerAddr {
-        &self.addr
     }
 
     fn live(&mut self) -> Result<&mut Conn, ClientError> {
@@ -199,7 +136,7 @@ impl Client {
     /// Receives the next response frame.
     pub fn recv(&mut self) -> Result<ResponseFrame, ClientError> {
         let conn = self.conn.as_mut().ok_or_else(not_connected)?;
-        let payload = self.frames.read_frame(conn, self.max_frame)?;
+        let payload = self.frames.read_frame(conn, DEFAULT_MAX_FRAME)?;
         decode_response(payload).map_err(ClientError::Protocol)
     }
 
@@ -280,35 +217,6 @@ impl Client {
         match self.call(&Request::Ping)? {
             Response::Pong => Ok(()),
             other => Err(unexpected("PING", &other)),
-        }
-    }
-
-    // -- retry --------------------------------------------------------------
-
-    /// [`Client::call`] under a [`RetryPolicy`]: retryable typed errors
-    /// back off with full jitter; connection failures reconnect first.
-    /// Safe because every store op is idempotent (see module docs).
-    pub fn call_with_retry(
-        &mut self,
-        req: &Request,
-        policy: &RetryPolicy,
-    ) -> Result<Response, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            let err = match self.call(req) {
-                Ok(resp) => return Ok(resp),
-                Err(e) => e,
-            };
-            if !err.is_retryable() || attempt >= policy.max_retries {
-                return Err(err);
-            }
-            if matches!(err, ClientError::Io(_) | ClientError::Frame(_)) {
-                // The connection is toast; a fresh one is part of the
-                // backoff. Failure to reconnect consumes the attempt.
-                let _ = self.reconnect();
-            }
-            std::thread::sleep(policy.backoff(attempt, &mut self.rng));
-            attempt += 1;
         }
     }
 
@@ -465,24 +373,5 @@ mod tests {
         assert_eq!(c.get(1).unwrap(), Some(vec![1u8; 16]));
         drop(c);
         server.drain().unwrap();
-    }
-
-    #[test]
-    fn backoff_is_bounded_and_jittered() {
-        let p = RetryPolicy {
-            max_retries: 4,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(8),
-        };
-        let mut rng = 42u64;
-        for attempt in 0..16 {
-            let ceil = Duration::from_millis(1 << attempt.min(3)).min(p.cap);
-            for _ in 0..32 {
-                assert!(p.backoff(attempt, &mut rng) < ceil.max(Duration::from_nanos(1)));
-            }
-        }
-        // Not all draws are equal (it *is* jittered).
-        let draws: Vec<_> = (0..8).map(|_| p.backoff(3, &mut rng)).collect();
-        assert!(draws.windows(2).any(|w| w[0] != w[1]));
     }
 }

@@ -16,10 +16,9 @@
 //!   shard id and queue depth, per-request deadlines, idle timeouts,
 //!   malformed-frame quarantine, and a graceful drain that checkpoints
 //!   the store on the way out.
-//! * [`Client`] — synchronous calls, explicit pipelining, bounded
-//!   full-jitter retry, and the fault-injection hooks (killed
-//!   connections, torn frames, corrupt frames) the robustness tests and
-//!   the open-loop load generator drive the server with.
+//! * [`Client`] — synchronous calls, explicit pipelining, and the
+//!   fault-injection hooks (killed connections, torn frames, corrupt
+//!   frames) the robustness tests drive the server with.
 //!
 //! # Quick start
 //!
@@ -53,7 +52,7 @@ pub mod net;
 pub mod protocol;
 pub mod server;
 
-pub use client::{Client, ClientError, RetryPolicy};
+pub use client::{Client, ClientError};
 pub use net::{Conn, ServerAddr};
 pub use protocol::{Request, Response, WireError, WireOp};
 pub use server::{DrainReport, Server, ServerConfig, ServerStats};

@@ -39,7 +39,7 @@ use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -277,15 +277,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn conn_opened(&self) {
+    /// Counts a connection in; the count comes back when the returned slot
+    /// drops — on a handler's unwind too, so a store op that panics costs
+    /// its connection, not a `max_conns` slot and the drain's deadline.
+    fn conn_opened(self: &Arc<Self>) -> ConnSlot {
         *self.conns.lock().unwrap() += 1;
-    }
-
-    fn conn_closed(&self) {
-        let mut n = self.conns.lock().unwrap();
-        *n -= 1;
-        drop(n);
-        self.conns_cv.notify_all();
+        ConnSlot { shared: Arc::clone(self) }
     }
 
     /// Waits until no connections remain or `deadline` passes; returns the
@@ -301,6 +298,20 @@ impl Shared {
             n = g;
         }
         *n
+    }
+}
+
+/// One open connection's share of [`Shared::conns`].
+struct ConnSlot {
+    shared: Arc<Shared>,
+}
+
+impl Drop for ConnSlot {
+    /// Runs on a panicking handler's unwind too, so it must not panic: a
+    /// poisoned count is still a valid count.
+    fn drop(&mut self) {
+        *self.shared.conns.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.shared.conns_cv.notify_all();
     }
 }
 
@@ -493,17 +504,11 @@ fn accept_loop(shared: Arc<Shared>, listener: Listener) {
                     continue;
                 }
                 shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.conn_opened();
-                let conn_shared = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
+                let slot = shared.conn_opened();
+                // A failed spawn drops the closure, and the slot with it.
+                let _ = std::thread::Builder::new()
                     .name("pnw-conn".into())
-                    .spawn(move || {
-                        handle_conn(&conn_shared, conn);
-                        conn_shared.conn_closed();
-                    });
-                if spawned.is_err() {
-                    shared.conn_closed();
-                }
+                    .spawn(move || handle_conn(&slot.shared, conn));
             }
             Ok(None) => std::thread::sleep(Duration::from_millis(10)),
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
