@@ -2,16 +2,17 @@
 //! affects *bit flips*, and what it costs in time where the choice is a
 //! latency trade-off (update policy, PCA on/off).
 //!
-//! The update-policy table compares the default [`UpdatePolicy::Cheapest`]
-//! — each update goes where it flips the fewest *device* bits, header
-//! (flag, CRC seal, key) included, the vacated bucket's flag clear counted
-//! against a relocation — with the wear-blind in-place reference. Because
-//! the choice minimises the whole bucket image, the value-only column (the
+//! The update table compares PNW's priced update — each update goes where
+//! it flips the fewest *device* bits, header (flag, CRC seal, key)
+//! included, the vacated bucket's flag clear counted against a relocation —
+//! with the wear-blind in-place reference, [`PathHashStore`]. Because the
+//! choice minimises the whole bucket image, the value-only column (the
 //! paper's Figure 6 measure) can rise while the total falls.
 
 use std::time::Instant;
 
-use pnw_core::{PcaPolicy, PnwConfig, PnwStore, RetrainMode, UpdatePolicy};
+use pnw_baselines::PathHashStore;
+use pnw_core::{PcaPolicy, PnwConfig, PnwStore, RetrainMode, Store};
 use pnw_workloads::{DatasetKind, Workload};
 
 use crate::replace::{run_pnw, ReplaceParams};
@@ -22,17 +23,37 @@ use crate::Scale;
 /// sensitivity.
 pub fn run(scale: Scale) {
     println!("== PNW design-choice ablations ==\n");
-    update_policy(scale);
+    update_placement(scale);
     pca_quality(scale);
     k_sensitivity(scale);
 }
 
-/// The priced update choice vs in-place updates: the §V-B.3 trade-off made
-/// concrete. Both policies replay the same value stream; `total flips /
-/// update` is everything the device programmed over the update window,
-/// `in-place share` how many updates rewrote their own bucket.
-fn update_policy(scale: Scale) {
+/// The priced update vs the wear-blind in-place reference: the §V-B.3
+/// trade-off made concrete. Both stores replay the same value stream: PNW
+/// prefills and trains first, then both build a live set and update every
+/// key twice. The reference is [`PathHashStore`] (Path Hashing, Zuo & Hua),
+/// which rewrites every update in its own bucket whatever it costs.
+/// `total flips / update` is everything the device programmed over the
+/// update window — for `PathHashStore`, whose bucket has no header, that
+/// is value bits only — and `in-place share` how many updates rewrote
+/// their own bucket.
+fn update_placement(scale: Scale) {
     let n = scale.pick(256, 2048);
+    let live = (n / 2) as u64;
+    let mut w = DatasetKind::Normal.build(41);
+    let pnw = PnwStore::new(
+        PnwConfig::new(n, 4)
+            .with_clusters(12)
+            .with_retrain(RetrainMode::Manual),
+    );
+    pnw.prefill_free_buckets(|| w.next_value()).expect("prefill");
+    pnw.retrain_now().expect("train");
+    let reference = PathHashStore::new(n, 4);
+    // The live set and the updates, drawn once for both stores (and before
+    // the clock starts).
+    let values: Vec<_> = (0..live).map(|_| w.next_value()).collect();
+    let updates: Vec<_> = (0..2 * live).map(|i| (i % live, w.next_value())).collect();
+
     let mut t = Table::new(vec![
         "update policy",
         "value bits / 512",
@@ -40,28 +61,16 @@ fn update_policy(scale: Scale) {
         "in-place share",
         "ns / update",
     ]);
-    for (name, policy) in [
-        ("cheapest (default)", UpdatePolicy::Cheapest),
-        ("in-place", UpdatePolicy::InPlace),
-    ] {
-        let mut w = DatasetKind::Normal.build(41);
-        let store = PnwStore::new(
-            PnwConfig::new(n, 4)
-                .with_clusters(12)
-                .with_update_policy(policy)
-                .with_retrain(RetrainMode::Manual),
-        );
-        store.prefill_free_buckets(|| w.next_value()).expect("prefill");
-        store.retrain_now().expect("train");
-        // Build a live set, then update every key twice (values drawn
-        // before the clock starts).
-        let live = (n / 2) as u64;
-        for key in 0..live {
-            store.put(key, &w.next_value()).expect("room");
+    let rows: [(&str, &dyn Store, bool); 2] = [
+        ("cheapest (default)", &pnw, false),
+        ("in-place (PathHashStore, no header)", &reference, true),
+    ];
+    for (name, store, always_in_place) in rows {
+        for (key, v) in (0..live).zip(&values) {
+            store.put(key, v).expect("room");
         }
         store.reset_device_stats();
         let in_place_before = store.snapshot().updates_in_place;
-        let updates: Vec<_> = (0..2 * live).map(|i| (i % live, w.next_value())).collect();
         let mut flips = 0u64;
         let mut bits = 0u64;
         let t0 = Instant::now();
@@ -72,7 +81,11 @@ fn update_policy(scale: Scale) {
         }
         let ns = t0.elapsed().as_nanos() as f64 / updates.len() as f64;
         let total = store.device_stats().totals.total_bit_flips();
-        let in_place = store.snapshot().updates_in_place - in_place_before;
+        let in_place = if always_in_place {
+            updates.len() as u64
+        } else {
+            store.snapshot().updates_in_place - in_place_before
+        };
         t.row(vec![
             name.to_string(),
             f2(flips as f64 * 512.0 / bits.max(1) as f64),

@@ -44,7 +44,7 @@ pub(crate) struct Tick(u64);
 
 impl Tick {
     /// Reads the tick clock. The first reading in a process picks the
-    /// clock and, for the TSC, calibrates it (about 1 ms, paid once,
+    /// clock and, for the TSC, calibrates it (about 4 ms, paid once,
     /// before the reading is taken).
     #[inline]
     pub(crate) fn now() -> Tick {
@@ -134,20 +134,26 @@ mod tsc {
         unsafe { _rdtsc() }
     }
 
-    /// Nanoseconds per tick, measured against `Instant` over 1 ms; `None`
-    /// when the counter did not advance.
+    /// Nanoseconds per tick, measured against `Instant` over `ROUNDS` spans
+    /// of 1 ms each; `None` when the counter did not advance. A preemption
+    /// between an `Instant` read and its paired counter read can only
+    /// inflate a span's ratio, so the smallest is kept.
     pub(super) fn calibrate() -> Option<f64> {
         const SPAN: Duration = Duration::from_millis(1);
-        let (t0, c0) = (Instant::now(), read());
-        let (ns, c1) = loop {
-            let c1 = read();
-            let ns = t0.elapsed();
-            if ns >= SPAN {
-                break (ns, c1);
-            }
+        const ROUNDS: usize = 4;
+        let round = || {
+            let (t0, c0) = (Instant::now(), read());
+            let (ns, c1) = loop {
+                let c1 = read();
+                let ns = t0.elapsed();
+                if ns >= SPAN {
+                    break (ns, c1);
+                }
+            };
+            let ticks = c1.checked_sub(c0).filter(|&t| t > 0)?;
+            Some(ns.as_nanos() as f64 / ticks as f64)
         };
-        let ticks = c1.checked_sub(c0).filter(|&t| t > 0)?;
-        Some(ns.as_nanos() as f64 / ticks as f64)
+        (0..ROUNDS).try_fold(f64::INFINITY, |best, _| round().map(|r| best.min(r)))
     }
 }
 
@@ -171,18 +177,22 @@ mod tests {
     use super::*;
 
     /// Times a ≥5 ms busy loop with `ticker` and with `Instant`; the two
-    /// must agree within 5%.
+    /// must agree within 5% on at least one of three attempts (a
+    /// preemption between paired reads skews a single attempt).
     fn agrees_with_instant(ticker: &Ticker) {
-        let (c0, t0) = (ticker.read(), Instant::now());
-        while t0.elapsed() < Duration::from_millis(5) {
-            std::hint::spin_loop();
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let (c0, t0) = (ticker.read(), Instant::now());
+            while t0.elapsed() < Duration::from_millis(5) {
+                std::hint::spin_loop();
+            }
+            let (ticked, timed) = (ticker.between(c0, ticker.read()), t0.elapsed());
+            if (0.95..=1.05).contains(&(ticked.as_secs_f64() / timed.as_secs_f64())) {
+                return;
+            }
+            seen.push((ticked, timed));
         }
-        let (ticked, timed) = (ticker.between(c0, ticker.read()), t0.elapsed());
-        let ratio = ticked.as_secs_f64() / timed.as_secs_f64();
-        assert!(
-            (0.95..=1.05).contains(&ratio),
-            "{ticker:?}: {ticked:?} vs {timed:?}"
-        );
+        panic!("{ticker:?}: ticked vs timed {seen:?}");
     }
 
     #[test]

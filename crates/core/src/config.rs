@@ -28,28 +28,6 @@ pub enum BackingMode {
     File(std::path::PathBuf),
 }
 
-/// How UPDATE operations are executed (§V-B.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum UpdatePolicy {
-    /// The default: each update is written where it flips the fewest
-    /// device bits — the key's own bucket, or the free bucket the pool
-    /// would hand out for the predicted cluster (the paper's "best memory
-    /// location an updated value should be written to"). Both costs are
-    /// exact: the sealed bucket image, header included, diffed against
-    /// each location's cells, plus the one-bit flag clear a relocation
-    /// leaves on the vacated bucket. Ties go in place. Three guards keep
-    /// wear and crash safety where delete-then-put had them: durable
-    /// shards always relocate (an in-place rewrite torn by a crash would
-    /// destroy the committed old value before the new one is logged), an
-    /// untrained store always relocates (so the zone a first training
-    /// samples is not left virgin), and a bucket takes at most
-    /// `MAX_IN_PLACE_RUN` = 7 consecutive in-place rewrites per tenancy.
-    Cheapest,
-    /// Wear-blind reference: every update rewrites the key's own bucket
-    /// through the hash index, whatever it costs.
-    InPlace,
-}
-
 /// When the model is retrained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RetrainMode {
@@ -159,8 +137,6 @@ pub struct PnwConfig {
     pub load_factor: f64,
     /// Index placement.
     pub index: IndexPlacement,
-    /// UPDATE policy.
-    pub update_policy: UpdatePolicy,
     /// Retrain trigger.
     pub retrain: RetrainMode,
     /// PCA policy for large values.
@@ -271,7 +247,6 @@ impl PnwConfig {
             seed: 0x0050_4E57, // "PNW"
             load_factor: 0.9,
             index: IndexPlacement::Dram,
-            update_policy: UpdatePolicy::Cheapest,
             retrain: RetrainMode::Manual,
             pca: PcaPolicy::default(),
             train_threads: 1,
@@ -308,12 +283,6 @@ impl PnwConfig {
     /// Sets index placement.
     pub fn with_index(mut self, p: IndexPlacement) -> Self {
         self.index = p;
-        self
-    }
-
-    /// Sets the update policy.
-    pub fn with_update_policy(mut self, p: UpdatePolicy) -> Self {
-        self.update_policy = p;
         self
     }
 
@@ -499,7 +468,6 @@ mod tests {
         assert!(c.clusters >= 1);
         assert!((0.0..=1.0).contains(&c.load_factor));
         assert_eq!(c.index, IndexPlacement::Dram);
-        assert_eq!(c.update_policy, UpdatePolicy::Cheapest);
     }
 
     #[test]

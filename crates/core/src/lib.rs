@@ -86,9 +86,7 @@ pub mod shard;
 pub mod sharded;
 
 pub use api::{Batch, BatchReport, Op, Store};
-pub use config::{
-    BackingMode, ConfigError, IndexPlacement, PcaPolicy, PnwConfig, RetrainMode, UpdatePolicy,
-};
+pub use config::{BackingMode, ConfigError, IndexPlacement, PcaPolicy, PnwConfig, RetrainMode};
 pub use error::{PnwError, StoreError};
 // Re-exported so recovery tests can arm deterministic metadata tears
 // without depending on pnw-nvm-sim directly.

@@ -114,7 +114,8 @@ impl ShardEngine {
     }
 
     /// Runs one full scrub pass over the active zone (every bucket CRC
-    /// verified once) and returns the cumulative scrub counters. A
+    /// verified once) and returns the cumulative scrub counters — the
+    /// same ones [`ShardEngine::snapshot`] reports. A
     /// [`PnwError::Full`] from a relocation (no healthy media left to move
     /// a value onto) ends the pass early — the damaged buckets stay
     /// detected-and-retired, the keys stay loudly addressable. The pass
@@ -128,7 +129,7 @@ impl ShardEngine {
                 Err(e) => return Err(e),
             }
         }
-        Ok(self.scrub)
+        Ok(self.scrub_stats())
     }
 
     /// Scrubs the next `buckets` buckets at the rotating cursor — the

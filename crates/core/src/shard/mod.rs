@@ -100,10 +100,9 @@ pub enum PutPath {
     /// relocated (its vacated bucket rejoins the pool once the replacement
     /// is placed).
     Fresh,
-    /// The key's own bucket rewritten through the hash index: every update
-    /// under [`UpdatePolicy::InPlace`](crate::UpdatePolicy::InPlace), and
-    /// under [`UpdatePolicy::Cheapest`](crate::UpdatePolicy::Cheapest)
-    /// each update for which that flips no more bits than relocating.
+    /// The key's own bucket rewritten through the hash index: an update on
+    /// a trained volatile shard for which that flips no more bits than
+    /// relocating.
     InPlace,
 }
 
@@ -154,8 +153,7 @@ pub struct ShardEngine {
     label_scratch: PredictScratch,
     /// Consecutive in-place rewrites of each provisioned bucket's current
     /// tenancy (reset by every placement), capped at
-    /// [`MAX_IN_PLACE_RUN`](placement::MAX_IN_PLACE_RUN) under
-    /// [`UpdatePolicy::Cheapest`](crate::UpdatePolicy::Cheapest).
+    /// [`MAX_IN_PLACE_RUN`](placement::MAX_IN_PLACE_RUN).
     in_place_run: Vec<u8>,
     /// PUTs that rewrote the key's own bucket ([`PutPath::InPlace`]).
     updates_in_place: u64,
@@ -171,7 +169,7 @@ pub struct ShardEngine {
     /// durable shards (WAL retire records + checkpoint).
     retired: HashSet<u32>,
     /// Integrity/wear-out counters (the GET-path failures live on
-    /// [`ShardSync`] and are folded in at snapshot time).
+    /// [`ShardSync`] and are folded in by `scrub_stats`).
     scrub: ScrubStats,
     /// Next bucket the incremental scrubber will visit.
     scrub_cursor: u32,
@@ -620,12 +618,17 @@ impl ShardEngine {
             gets: self.sync.gets(),
             read_waits: self.sync.read_waits(),
             deletes: self.deletes,
-            scrub: {
-                let mut s = self.scrub;
-                s.crc_failures += self.sync.crc_failures();
-                s.stuck_bits = self.dev.stuck_bit_count();
-                s
-            },
+            scrub: self.scrub_stats(),
+        }
+    }
+
+    /// The shard's integrity counters: the engine's own, plus the CRC
+    /// failures lock-free GETs counted and the stuck bits the device knows.
+    fn scrub_stats(&self) -> ScrubStats {
+        ScrubStats {
+            crc_failures: self.scrub.crc_failures + self.sync.crc_failures(),
+            stuck_bits: self.dev.stuck_bit_count(),
+            ..self.scrub
         }
     }
 

@@ -6,11 +6,17 @@
 //! no write bracket open, and only then switches the index; a DELETE syncs
 //! its record before it unlinks. A lock-free GET therefore never waits out
 //! another op's fsync, and still never sees an effect before it is
-//! durable. Three paths keep the publish-first order — one bracket, the
+//! durable. Four paths keep the publish-first order — one bracket, the
 //! record last — because the order of their effects needs it: the batch
 //! group's group commit, the forced reuse of a dry pool (a reader must not
-//! see the key absent mid-update), and the NVM path-hash index (whose
-//! insert cannot be left until after the sync: it can run out of slots).
+//! see the key absent mid-update), the NVM path-hash index (whose insert
+//! cannot be left until after the sync: it can run out of slots), and the
+//! scrubber's relocation off damaged media (`integrity`).
+//!
+//! An update is priced one way: on a trained volatile shard it rewrites
+//! the key's own bucket when that flips no more bits than relocating
+//! (`in_place_is_cheaper`); everywhere else it relocates. An in-place
+//! rewrite is therefore volatile-only, and has no WAL step.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -21,15 +27,14 @@ use pnw_nvm_sim::{DeviceStats, NvmError, WriteMode, WriteStats};
 use super::{bucket, label_u16, value_addr, Header, PutPath, ShardEngine, HDR_BYTES};
 use crate::api::{BatchReport, Op};
 use crate::clock::{now_unix_ms, Tick};
-use crate::config::{IndexPlacement, UpdatePolicy};
+use crate::config::IndexPlacement;
 use crate::error::PnwError;
 use crate::metrics::OpReport;
 
-/// The most consecutive in-place rewrites one tenancy of a bucket takes
-/// under [`UpdatePolicy::Cheapest`]; the next update relocates whatever the
-/// costs. Without the bound, a key whose in-place rewrite is always the
-/// cheaper would pin every write to one bucket and undo the pool's FIFO
-/// wear rotation (Figure 12).
+/// The most consecutive in-place rewrites one tenancy of a bucket takes;
+/// the next update relocates whatever the costs. Without the bound, a key
+/// whose in-place rewrite is always the cheaper would pin every write to
+/// one bucket and undo the pool's FIFO wear rotation (Figure 12).
 pub(crate) const MAX_IN_PLACE_RUN: u8 = 7;
 
 impl ShardEngine {
@@ -107,8 +112,7 @@ impl ShardEngine {
         report: bool,
     ) -> Result<(OpReport, PutPath), PnwError> {
         self.check_value(value)?;
-        // Under `Cheapest` a durable shard always relocates.
-        if self.cfg.update_policy == UpdatePolicy::Cheapest && self.commits_first() {
+        if self.commits_first() {
             if let Some(done) = self.put_commit_first(key, value, expires_at_ms, report)? {
                 return Ok(done);
             }
@@ -124,46 +128,30 @@ impl ShardEngine {
         let mut deferred: Option<(usize, u32)> = None;
         let mut predicted = None;
 
-        match self.cfg.update_policy {
-            UpdatePolicy::InPlace => {
-                if let Some(addr) = self.index.get(&mut self.dev, key)? {
-                    let b = self.bucket_of_addr(addr)?;
+        if self.durable.is_none() && self.model.is_trained() {
+            // The priced update: volatile shards under a trained model.
+            if let Some(addr) = self.index.get(&mut self.dev, key)? {
+                let b = self.bucket_of_addr(addr)?;
+                let (cluster, predict) = self.predict_timed(value, report);
+                if self.in_place_is_cheaper(b, cluster)? {
+                    let p = (cluster, predict);
                     if let Some(done) =
-                        self.put_in_place(key, value, b, expires_at_ms, report, None)?
+                        self.put_in_place(key, value, b, expires_at_ms, report, p)?
                     {
                         return Ok(done);
                     }
-                    // The in-place target failed write-verify: the bucket
-                    // is retired and the key unlinked — fall through to a
-                    // fresh placement on healthy media.
-                }
-            }
-            // The priced choice: volatile shards under a trained model.
-            UpdatePolicy::Cheapest if self.durable.is_none() && self.model.is_trained() => {
-                if let Some(addr) = self.index.get(&mut self.dev, key)? {
-                    let b = self.bucket_of_addr(addr)?;
-                    let (cluster, predict) = self.predict_timed(value, report);
-                    if self.in_place_is_cheaper(b, cluster)? {
-                        let p = Some((cluster, predict));
-                        if let Some(done) =
-                            self.put_in_place(key, value, b, expires_at_ms, report, p)?
-                        {
-                            return Ok(done);
-                        }
-                    } else {
-                        let _ = self.index.remove(&mut self.dev, key)?;
-                        deferred = Some(self.clear_bucket(addr)?);
-                    }
-                    predicted = Some((cluster, predict));
-                }
-            }
-            UpdatePolicy::Cheapest => {
-                // Durable or untrained: always relocate. `remove` returns
-                // the old address, so this costs one index probe.
-                if let Some(addr) = self.index.remove(&mut self.dev, key)? {
+                    // Write-verify failed: the bucket is retired and the
+                    // key unlinked — re-place on healthy media below.
+                } else {
+                    let _ = self.index.remove(&mut self.dev, key)?;
                     deferred = Some(self.clear_bucket(addr)?);
                 }
+                predicted = Some((cluster, predict));
             }
+        } else if let Some(addr) = self.index.remove(&mut self.dev, key)? {
+            // Durable or untrained: always relocate. `remove` returns the
+            // old address, so this costs one index probe.
+            deferred = Some(self.clear_bucket(addr)?);
         }
 
         let before = report.then(|| self.dev.stats().clone());
@@ -336,15 +324,26 @@ impl ShardEngine {
         (cluster, predict)
     }
 
-    /// The [`UpdatePolicy::Cheapest`] decision for an update of bucket
-    /// `b`'s tenant, the sealed image in hand: whether rewriting `b` flips
-    /// no more device bits than relocating — the image diffed against the
-    /// bucket the pool would hand out for `cluster` (`peek` runs `pop`'s
-    /// own search), plus the flag clear left on `b`. Ties, and an empty
-    /// pool, go in place; a tenancy past [`MAX_IN_PLACE_RUN`] in-place
-    /// rewrites relocates whatever the costs.
+    /// The one update rule (§V-B.3), for an update of bucket `b`'s tenant
+    /// with the sealed image in hand: the update goes wherever it flips
+    /// the fewest device bits — the paper's "best memory location an
+    /// updated value should be written to". Both costs are exact: the
+    /// image diffed against `b`'s cells (in place), and against the bucket
+    /// the pool would hand out for `cluster` (`peek` runs `pop`'s own
+    /// search) plus the one-bit flag clear a relocation leaves on `b`.
+    /// Ties, and an empty pool, go in place. Guards keep wear and crash
+    /// safety where delete-then-put had them:
+    /// - only a volatile shard prices (the caller's check): an in-place
+    ///   rewrite torn by a crash would destroy the committed old value
+    ///   before the new one is logged;
+    /// - only a trained model prices (the caller's check), so the zone a
+    ///   first training samples is not left virgin;
+    /// - a tenancy past [`MAX_IN_PLACE_RUN`] in-place rewrites relocates
+    ///   whatever the costs;
+    /// - a retired bucket relocates: a value left on it would sit on
+    ///   damaged media the scrubber never visits again.
     fn in_place_is_cheaper(&mut self, b: u32, cluster: usize) -> Result<bool, PnwError> {
-        if self.in_place_run[b as usize] >= MAX_IN_PLACE_RUN {
+        if self.in_place_run[b as usize] >= MAX_IN_PLACE_RUN || self.retired.contains(&b) {
             return Ok(false);
         }
         let candidate = {
@@ -361,14 +360,13 @@ impl ShardEngine {
         Ok(hamming(here, img) <= relocate)
     }
 
-    /// An update that rewrites the key's own bucket `b` — every update
-    /// under [`UpdatePolicy::InPlace`], the cheaper ones under
-    /// [`UpdatePolicy::Cheapest`], which passes in the prediction it priced
-    /// with (cached as `b`'s label and reported). With integrity on, the
-    /// whole sealed image is rewritten (the stored CRC must track the
-    /// value) and write-verified; `None` means the media failed
-    /// verification — the bucket is retired, the key unlinked, and the
-    /// caller re-places the value on fresh media before acknowledging.
+    /// An update that rewrites the key's own bucket `b` on a volatile
+    /// shard, the priced choice: the prediction it priced with is cached
+    /// as `b`'s label and reported. With integrity on, the whole sealed
+    /// image is rewritten (the stored CRC must track the value) and
+    /// write-verified; `None` means the media failed verification — the
+    /// bucket is retired, the key unlinked, and the caller re-places the
+    /// value on fresh media before acknowledging.
     fn put_in_place(
         &mut self,
         key: u64,
@@ -376,8 +374,9 @@ impl ShardEngine {
         b: u32,
         expires_at_ms: u64,
         report: bool,
-        predicted: Option<(usize, Duration)>,
+        (cluster, predict): (usize, Duration),
     ) -> Result<Option<(OpReport, PutPath)>, PnwError> {
+        debug_assert!(self.durable.is_none(), "a durable shard always relocates");
         let before = report.then(|| self.dev.stats().clone());
         let addr = self.layout.addr(b);
         self.mark_rewritten(b);
@@ -387,7 +386,6 @@ impl ShardEngine {
             let (_, vstats) =
                 self.dev
                     .write_split(addr, &self.bucket_img, WriteMode::Diff, HDR_BYTES)?;
-            self.check_durable_write()?;
             if !self.bucket_matches_img(addr)? {
                 // Stuck media, caught before the ack: unlink, retire, and
                 // let the caller re-place the value elsewhere.
@@ -398,25 +396,15 @@ impl ShardEngine {
                 let _ = self.clear_flag(addr);
                 return Ok(None);
             }
-            if let Some(d) = &mut self.durable {
-                // Refresh the WAL's clean copy so a later repair can never
-                // resurrect the pre-update value.
-                d.log_put_value(key, addr as u64, value)?;
-            }
             vstats
         } else {
-            let vstats = self.dev.write(value_addr(addr), value, WriteMode::Diff)?;
-            self.check_durable_write()?;
-            vstats
+            self.dev.write(value_addr(addr), value, WriteMode::Diff)?
         };
         self.stamp_expiry(b, expires_at_ms)?;
-        if let Some((cluster, _)) = predicted {
-            self.labels[b as usize] = label_u16(cluster);
-        }
+        self.labels[b as usize] = label_u16(cluster);
         self.in_place_run[b as usize] = self.in_place_run[b as usize].saturating_add(1);
         self.updates_in_place += 1;
         self.puts += 1;
-        let (cluster, predict) = predicted.unwrap_or_default();
         let out = self.op_report(before, cluster, false, predict, vstats);
         Ok(Some((out, PutPath::InPlace)))
     }

@@ -2,7 +2,6 @@ use super::bucket::bucket_crc;
 use super::placement::MAX_IN_PLACE_RUN;
 use super::*;
 use crate::clock::{now_unix_ms, wall_reads};
-use crate::config::UpdatePolicy;
 
 #[test]
 fn engine_is_send_and_sync() {
@@ -39,48 +38,44 @@ fn engine_get_records_no_device_reads() {
 
 #[test]
 fn in_place_put_reports_its_path() {
-    let cfg = PnwConfig::new(16, 8)
-        .with_clusters(1)
-        .with_update_policy(UpdatePolicy::InPlace);
-    let mut e = ShardEngine::new(cfg);
-    let (_, p1) = e.put(5, &[0; 8]).unwrap();
-    let (_, p2) = e.put(5, &[1; 8]).unwrap();
+    let mut e = trained(16);
+    let (_, p1) = e.put(5, &ff_minus(0)).unwrap();
+    let (_, p2) = e.put(5, &ff_minus(1)).unwrap();
     assert_eq!(p1, PutPath::Fresh);
     assert_eq!(p2, PutPath::InPlace);
 }
 
 /// The batch-path PUT must leave the device in a bit-for-bit identical
 /// state to the reporting PUT — same writes, same index traffic, same
-/// pool decisions — under both update policies.
+/// pool decisions — with a model installed, so updates are priced and
+/// both the in-place and the relocating branch run.
 #[test]
 fn put_unreported_matches_put_exactly() {
-    for policy in [UpdatePolicy::Cheapest, UpdatePolicy::InPlace] {
-        let cfg = PnwConfig::new(64, 8)
-            .with_clusters(2)
-            .with_seed(5)
-            .with_update_policy(policy);
-        let mut a = ShardEngine::new(cfg.clone());
-        let mut b = ShardEngine::new(cfg);
-        for round in 0..3u8 {
-            for k in 0..24u64 {
-                let v = [k as u8 ^ (round * 0x3B); 8];
-                let (_, path_a) = a.put(k, &v).unwrap();
-                let path_b = b.put_unreported(k, &v).unwrap();
-                assert_eq!(path_a, path_b, "key {k} round {round}");
-            }
-            for k in (0..24u64).step_by(5) {
-                assert_eq!(a.delete(k).unwrap(), b.delete(k).unwrap());
-            }
+    let (mut a, mut b) = (trained(64), trained(64));
+    let mut paths = [0u32; 2];
+    for round in 0..3u8 {
+        for k in 0..24u64 {
+            let mut v = [k as u8; V];
+            v[V - 1] ^= round;
+            let (_, path_a) = a.put(k, &v).unwrap();
+            let path_b = b.put_unreported(k, &v).unwrap();
+            assert_eq!(path_a, path_b, "key {k} round {round}");
+            paths[usize::from(path_a == PutPath::InPlace)] += 1;
         }
-        assert_eq!(a.device_stats(), b.device_stats(), "{policy:?}");
-        assert_eq!(a.len(), b.len());
-        let (sa, sb) = (
-            a.snapshot(TrainStats::default()),
-            b.snapshot(TrainStats::default()),
-        );
-        assert_eq!(sa.puts, sb.puts);
-        assert_eq!(sa.free, sb.free);
+        for k in (0..24u64).step_by(5) {
+            assert_eq!(a.delete(k).unwrap(), b.delete(k).unwrap());
+        }
     }
+    assert!(paths.iter().all(|&n| n > 0), "both paths taken: {paths:?}");
+    assert_eq!(a.device_stats(), b.device_stats());
+    assert_eq!(a.len(), b.len());
+    let (sa, sb) = (
+        a.snapshot(TrainStats::default()),
+        b.snapshot(TrainStats::default()),
+    );
+    assert_eq!(sa.puts, sb.puts);
+    assert_eq!(sa.free, sb.free);
+    assert_eq!(sa.updates_in_place, sb.updates_in_place);
 }
 
 #[test]
@@ -189,6 +184,20 @@ fn scrub_relocates_valid_value_off_stuck_media() {
     let snap = e.snapshot(TrainStats::default());
     assert_eq!(snap.capacity, 3);
     assert_eq!(snap.scrub.stuck_bits, 1);
+}
+
+/// A pass returns the shard's whole counters, as the snapshot does: the
+/// CRC failure a GET caught and the device's stuck bits included.
+#[test]
+fn scrub_pass_returns_what_the_snapshot_reports() {
+    let mut e = ShardEngine::new(PnwConfig::new(4, 8).with_clusters(1));
+    e.put(1, &[0u8; 8]).unwrap();
+    assert!(e.arm_stuck_at_key(1, 5, true).unwrap());
+    assert!(e.get(1).is_err());
+    let pass = e.scrub_pass().unwrap();
+    let counts = (pass.crc_failures, pass.retired, pass.stuck_bits);
+    assert_eq!(counts, (2, 1, 1));
+    assert_eq!(pass, e.snapshot(TrainStats::default()).scrub);
 }
 
 /// With integrity off the CRC home bytes (header [4..8]) stay zero —
@@ -341,7 +350,7 @@ fn a_put_that_fails_inside_its_bracket_still_closes_it() {
     assert_eq!(n, 2);
 }
 
-// ---- UpdatePolicy::Cheapest: the per-update placement decision ----------
+// ---- The priced update: the per-update placement decision ---------------
 
 const V: usize = 8;
 
@@ -456,6 +465,27 @@ fn a_durable_shard_always_relocates() {
     assert_eq!(s.snapshot().updates_in_place, 0);
     drop(s);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A key whose bucket the scrubber retired with no clean copy stays
+/// indexed (loud). An update of it relocates however cheap the rewrite —
+/// here the stuck bit even matches the new value, so write-verify would
+/// pass: a value left in place would sit on media that neither the
+/// scrubber nor ring reclaim visits again.
+#[test]
+fn an_update_never_rewrites_a_retired_bucket_in_place() {
+    let mut e = trained(64);
+    e.prefill_free_buckets(|| vec![0xFF; V]).unwrap();
+    e.put(1, &[0x00; V]).unwrap();
+    let b = bucket_of(&e, 1);
+    assert!(e.arm_stuck_at_key(1, 0, true).unwrap());
+    assert_eq!(e.scrub_pass().unwrap().retired, 1);
+    let mut v = [0x00; V];
+    v[0] = 1;
+    assert_eq!(e.put(1, &v).unwrap().1, PutPath::Fresh);
+    assert_eq!(e.snapshot(TrainStats::default()).updates_in_place, 0);
+    assert_ne!(bucket_of(&e, 1), b);
+    assert_eq!(e.get(1).unwrap().unwrap(), v);
 }
 
 /// The 7 821-write regression: a relocation whose predicted free list is

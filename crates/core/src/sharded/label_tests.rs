@@ -9,7 +9,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::*;
-use crate::config::{RetrainMode, UpdatePolicy};
+use crate::config::RetrainMode;
 
 const VALUE: usize = 16;
 
@@ -18,6 +18,13 @@ fn value(key: u64) -> [u8; VALUE] {
     let mut v = [[0x00, 0xFF, 0x0F, 0xA5][(key % 4) as usize]; VALUE];
     v[0] = key as u8;
     v[7] ^= (key >> 8) as u8;
+    v
+}
+
+/// `value(key)` with one bit flipped: an update priced in place.
+fn nudged(key: u64) -> [u8; VALUE] {
+    let mut v = value(key);
+    v[VALUE - 1] ^= 1;
     v
 }
 
@@ -81,18 +88,19 @@ fn label_pass_install_on_a_quiescent_store_predicts_nothing() {
 
 #[test]
 fn label_writes_inside_a_pass_are_discarded_not_trusted() {
-    let s = store(PnwConfig::new(512, VALUE).with_update_policy(UpdatePolicy::InPlace));
+    let s = store(PnwConfig::new(512, VALUE));
     let on_shard_0 = |k: &u64| s.shard_of_key(*k) == 0;
+    let in_place = s.snapshot().updates_in_place;
     let held = stall_inside_a_pass(&s);
-    // Fresh placements, in-place updates with another family's bytes, and
-    // deletes — all on shard 0, all behind the pass's back.
+    // Fresh placements, in-place updates and deletes — all on shard 0, all
+    // behind the pass's back.
     let fresh: Vec<u64> = (1000..1040u64).filter(on_shard_0).collect();
     let updated: Vec<u64> = (100..160u64).filter(on_shard_0).collect();
     for &k in &fresh {
         s.put(k, &value(k)).unwrap();
     }
     for &k in &updated {
-        s.put(k, &value(k + 1)).unwrap();
+        s.put(k, &nudged(k)).unwrap();
     }
     for k in (200..240u64).filter(on_shard_0) {
         assert!(s.delete(k).unwrap());
@@ -100,7 +108,12 @@ fn label_writes_inside_a_pass_are_discarded_not_trusted() {
     assert_eq!(s.retrains(), 1, "no install while the pass is held");
     drop(held);
     s.wait_for_retrain();
-    let t = s.snapshot().train;
+    let snap = s.snapshot();
+    assert!(
+        snap.updates_in_place > in_place,
+        "in-place rewrites inside the pass"
+    );
+    let t = snap.train;
     assert_eq!(t.epoch, 2);
     assert!(
         t.stale_at_install >= fresh.len() + updated.len(),
@@ -108,14 +121,13 @@ fn label_writes_inside_a_pass_are_discarded_not_trusted() {
     );
     check(&s);
     for &k in &updated {
-        assert_eq!(s.get(k).unwrap().unwrap(), value(k + 1));
+        assert_eq!(s.get(k).unwrap().unwrap(), nudged(k));
     }
 }
 
 #[test]
 fn label_consistency_holds_under_two_writers_and_repeated_installs() {
     let cfg = PnwConfig::new(2048, VALUE)
-        .with_update_policy(UpdatePolicy::InPlace)
         // Past the load factor from the preload on: every fresh placement
         // makes a retrain due, so runs follow each other back to back.
         .with_load_factor(0.05)
@@ -135,7 +147,7 @@ fn label_consistency_holds_under_two_writers_and_repeated_installs() {
                         s.put(base + i, &value(i + round)).unwrap();
                     }
                     for i in (0..60u64).step_by(2) {
-                        s.put(base + i, &value(i + round + 1)).unwrap();
+                        s.put(base + i, &nudged(i + round)).unwrap();
                     }
                     for i in 0..60u64 {
                         assert!(s.delete(base + i).unwrap());
@@ -150,6 +162,10 @@ fn label_consistency_holds_under_two_writers_and_repeated_installs() {
     s.wait_for_retrain();
     check(&s);
     assert_eq!(s.len(), 200);
+    assert!(
+        s.snapshot().updates_in_place > 0,
+        "in-place rewrites between installs"
+    );
 }
 
 #[test]

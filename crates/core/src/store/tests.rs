@@ -1,5 +1,5 @@
 //! Store-level behaviour at the default `shards = 1` — the paper's
-//! Figure 2 system: update policies, prefill steering, K = 1 ≡ DCW, zone
+//! Figure 2 system: update placement, prefill steering, K = 1 ≡ DCW, zone
 //! extension, auto-K, index placement, crash recovery, batches. Written
 //! against the `PnwStore` frontend this alias replaced and kept under its
 //! module path, so the same test IDs now hold the unified type to it.
@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use crate::api::{Batch, Op, Store};
-use crate::config::{IndexPlacement, PnwConfig, RetrainMode, UpdatePolicy};
+use crate::config::{IndexPlacement, PnwConfig, RetrainMode};
 use crate::error::StoreError;
 use crate::shard::ShardEngine;
 use crate::PnwStore;
@@ -134,19 +134,19 @@ fn k1_degenerates_to_dcw() {
     assert_eq!(s.model_k(), 1);
 }
 
+/// A trained volatile store rewrites a one-bit update in place: every free
+/// bucket is virgin, so relocating would flip the whole value and header.
 #[test]
 fn in_place_update_policy() {
-    let s = PnwStore::new(
-        PnwConfig::new(32, 8)
-            .with_clusters(2)
-            .with_update_policy(UpdatePolicy::InPlace),
-    );
+    let s = store(32, 8, 2);
     s.put(5, &[0xAAu8; 8]).unwrap();
-    let free_before = s.snapshot().free;
-    let r = s.put(5, &[0xABu8; 8]).unwrap();
-    // No pool interaction, no prediction.
-    assert_eq!(s.snapshot().free, free_before);
-    assert_eq!(r.predict, Duration::ZERO);
+    s.retrain_now().unwrap();
+    let before = s.snapshot();
+    s.put(5, &[0xABu8; 8]).unwrap();
+    // No pool interaction.
+    let after = s.snapshot();
+    assert_eq!(after.free, before.free);
+    assert_eq!(after.updates_in_place, before.updates_in_place + 1);
     assert_eq!(s.get(5).unwrap().unwrap(), vec![0xABu8; 8]);
     assert_eq!(s.len(), 1);
 }

@@ -8,7 +8,7 @@
 //! its device-stats delta is what the op charged with no reporting code in
 //! the way. Both numbers must match the report for every kind of PUT.
 
-use pnw_core::{ModelManager, OpReport, PnwConfig, PutPath, ShardEngine, UpdatePolicy};
+use pnw_core::{ModelManager, OpReport, PnwConfig, PutPath, ShardEngine};
 use pnw_nvm_sim::WriteStats;
 
 /// Bucket header: flag byte, padding, CRC, then the key at byte 8.
@@ -69,55 +69,43 @@ fn value(key: u64, round: u8) -> [u8; VALUE] {
 
 #[test]
 fn reported_puts_charge_what_the_preview_and_the_device_say() {
-    for policy in [UpdatePolicy::Cheapest, UpdatePolicy::InPlace] {
-        for integrity in [true, false] {
-            let cfg = PnwConfig::new(64, VALUE)
-                .with_clusters(2)
-                .with_seed(5)
-                .with_update_policy(policy)
-                .with_integrity(integrity);
-            let mut a = ShardEngine::new(cfg.clone());
-            let mut twin = ShardEngine::new(cfg.clone());
-            let mut value_bits = WriteStats::default();
+    for integrity in [true, false] {
+        let cfg = PnwConfig::new(64, VALUE)
+            .with_clusters(2)
+            .with_seed(5)
+            .with_integrity(integrity);
+        let mut a = ShardEngine::new(cfg.clone());
+        let mut twin = ShardEngine::new(cfg.clone());
+        let mut value_bits = WriteStats::default();
 
-            // Fresh PUTs into virgin buckets.
-            for k in 0..32u64 {
-                let (r, path) = put_both(&mut a, &mut twin, k, &value(k, 0));
-                assert_eq!(path, PutPath::Fresh);
+        // Fresh PUTs into virgin buckets.
+        for k in 0..32u64 {
+            let (r, path) = put_both(&mut a, &mut twin, k, &value(k, 0));
+            assert_eq!(path, PutPath::Fresh);
+            value_bits += r.value_write;
+        }
+        // A real model, so updates are priced and steered between clusters.
+        let mut trainer = ModelManager::new(&cfg);
+        trainer.train(&a.training_values(usize::MAX));
+        a.install_model(trainer.snapshot());
+        twin.install_model(trainer.snapshot());
+        // Updates, over old data — past the in-place run cap, so some must
+        // relocate.
+        let mut paths = [0u32; 2];
+        for round in 1..10u8 {
+            for k in (0..32u64).rev() {
+                let (r, path) = put_both(&mut a, &mut twin, k, &value(k, round));
+                paths[usize::from(path == PutPath::InPlace)] += 1;
+                // The value's share never exceeds the whole write's.
+                assert!(r.value_write.bit_flips <= r.total_write.bit_flips);
                 value_bits += r.value_write;
             }
-            // A real model, so updates are steered between clusters.
-            let mut trainer = ModelManager::new(&cfg);
-            trainer.train(&a.training_values(usize::MAX));
-            a.install_model(trainer.snapshot());
-            twin.install_model(trainer.snapshot());
-            // Updates, over old data, under the policy being tested — past
-            // the in-place run cap, so `Cheapest` must relocate some.
-            let mut paths = [0u32; 2];
-            for round in 1..10u8 {
-                for k in (0..32u64).rev() {
-                    let (r, path) = put_both(&mut a, &mut twin, k, &value(k, round));
-                    paths[usize::from(path == PutPath::InPlace)] += 1;
-                    // The value's share never exceeds the whole write's.
-                    assert!(r.value_write.bit_flips <= r.total_write.bit_flips);
-                    value_bits += r.value_write;
-                }
-                assert!(a.delete(u64::from(round)).unwrap());
-                assert!(twin.delete(u64::from(round)).unwrap());
-                put_both(&mut a, &mut twin, u64::from(round), &value(9, round));
-            }
-            match policy {
-                UpdatePolicy::InPlace => assert_eq!(paths[0], 0, "{paths:?}"),
-                UpdatePolicy::Cheapest => {
-                    assert!(paths.iter().all(|&n| n > 0), "both paths taken: {paths:?}")
-                }
-            }
-            assert!(value_bits.bit_flips > 0 && value_bits.words_written > 0);
-            assert_eq!(
-                a.device_stats(),
-                twin.device_stats(),
-                "{policy:?} {integrity}"
-            );
+            assert!(a.delete(u64::from(round)).unwrap());
+            assert!(twin.delete(u64::from(round)).unwrap());
+            put_both(&mut a, &mut twin, u64::from(round), &value(9, round));
         }
+        assert!(paths.iter().all(|&n| n > 0), "both paths taken: {paths:?}");
+        assert!(value_bits.bit_flips > 0 && value_bits.words_written > 0);
+        assert_eq!(a.device_stats(), twin.device_stats(), "{integrity}");
     }
 }

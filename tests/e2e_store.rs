@@ -2,7 +2,8 @@
 
 use std::collections::HashMap;
 
-use pnw_core::{IndexPlacement, PnwConfig, PnwStore, RetrainMode, ShardedPnwStore, UpdatePolicy};
+use pnw_baselines::PathHashStore;
+use pnw_core::{IndexPlacement, PnwConfig, PnwStore, RetrainMode, ShardedPnwStore, Store};
 use pnw_workloads::{DatasetKind, Workload};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -73,36 +74,35 @@ fn training_reduces_bit_flips_on_clusterable_data() {
     );
 }
 
-/// The two update policies agree on semantics (only placement differs).
+/// The priced update and the wear-blind in-place reference (`PathHashStore`,
+/// which rewrites every update in its own bucket) agree on semantics: only
+/// placement differs. The PNW store trains midway, so its later updates
+/// are priced — some in place, some relocated.
 #[test]
 fn update_policies_agree_on_contents() {
     let mut w = DatasetKind::Road.build(9);
     let vs = w.value_size();
-    let mut stores = [
-        PnwStore::new(
-            PnwConfig::new(128, vs)
-                .with_clusters(4)
-                .with_update_policy(UpdatePolicy::Cheapest),
-        ),
-        PnwStore::new(
-            PnwConfig::new(128, vs)
-                .with_clusters(4)
-                .with_update_policy(UpdatePolicy::InPlace),
-        ),
-    ];
+    let pnw = PnwStore::new(PnwConfig::new(128, vs).with_clusters(4));
+    let path = PathHashStore::new(128, vs);
+    let stores: [&dyn Store; 2] = [&pnw, &path];
     let values: Vec<Vec<u8>> = (0..96).map(|_| w.next_value()).collect();
-    for s in &mut stores {
-        for (i, v) in values.iter().enumerate() {
+    for (i, v) in values.iter().enumerate() {
+        if i == 32 {
+            pnw.retrain_now().expect("train");
+        }
+        for s in stores {
             s.put((i % 32) as u64, v).expect("room"); // 3 versions per key
         }
     }
     for key in 0..32u64 {
         let expected = &values[64 + key as usize];
-        assert_eq!(stores[0].get(key).unwrap().as_ref(), Some(expected));
-        assert_eq!(stores[1].get(key).unwrap().as_ref(), Some(expected));
+        for s in stores {
+            assert_eq!(s.get(key).unwrap().as_ref(), Some(expected), "{}", s.name());
+        }
     }
-    assert_eq!(stores[0].len(), 32);
-    assert_eq!(stores[1].len(), 32);
+    for s in stores {
+        assert_eq!(s.len(), 32, "{}", s.name());
+    }
 }
 
 /// NVM-index configuration works end-to-end and costs more NVM traffic

@@ -42,8 +42,8 @@ fn drive(store: &ShardedPnwStore) {
 /// on this seeded workload is pinned bit for bit. The literals were first
 /// recorded from the deleted single-threaded `PnwStore` frontend at commit
 /// f7ca638 (where a two-type equivalence test showed both agree), and
-/// re-pinned once when updates became a priced per-op choice
-/// (`UpdatePolicy::Cheapest`): the counts of live keys, ops, free buckets,
+/// re-pinned once when updates became a priced per-op choice (in place or
+/// relocated, whichever flips fewer bits): the counts of live keys, ops, free buckets,
 /// fallbacks and retrains were unchanged, the device's bit flips fell
 /// 14 103 → 13 323 and its line writes 577 → 418. Any drift in placement,
 /// retraining or write accounting shows up here.
