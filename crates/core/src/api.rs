@@ -116,7 +116,10 @@ pub trait Store: Send + Sync {
         false
     }
 
-    /// Live key count.
+    /// Stored key count. On a TTL-enabled backend a key past its deadline
+    /// still counts until it is reclaimed — by a scrub pass, a DELETE
+    /// (which returns `false`), an overwrite or ring eviction — although
+    /// GET and [`Store::scan`] already treat it as absent.
     fn len(&self) -> usize;
 
     /// Whether the store is empty.

@@ -102,10 +102,3 @@ pub use sharded::ShardedPnwStore;
 /// [`ShardedPnwStore`], which at the default `shards = 1` is the
 /// single-data-zone system of Figure 2.
 pub type PnwStore = ShardedPnwStore;
-
-// The deleted `PnwStore` frontend's unit suite, kept at its `store::tests`
-// path so the same test IDs now hold the unified type to it.
-#[cfg(test)]
-mod store {
-    mod tests;
-}

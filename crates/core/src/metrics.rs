@@ -160,7 +160,8 @@ impl ScrubStats {
 /// Point-in-time view of a store.
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
-    /// Live key count.
+    /// Stored key count, as [`Store::len`](crate::Store::len): a key past
+    /// its TTL deadline counts until it is reclaimed.
     pub live: usize,
     /// Free data-zone buckets.
     pub free: usize,

@@ -294,7 +294,7 @@ impl ShardEngine {
         &self.cfg
     }
 
-    /// Live key count.
+    /// Stored key count; an expired key counts until it is reclaimed.
     pub fn len(&self) -> usize {
         self.live
     }

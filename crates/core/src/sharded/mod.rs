@@ -304,7 +304,8 @@ impl ShardedPnwStore {
         )
     }
 
-    /// Live key count across all shards.
+    /// Stored key count across all shards; an expired key counts until it
+    /// is reclaimed (see [`Store::len`]).
     pub fn len(&self) -> usize {
         self.engines().map(|e| e.len()).sum()
     }
@@ -599,5 +600,7 @@ fn shard_config(cfg: &PnwConfig, n: usize, i: usize) -> PnwConfig {
 mod commit_tests;
 #[cfg(test)]
 mod label_tests;
+#[cfg(test)]
+mod placement_tests;
 #[cfg(test)]
 mod tests;

@@ -1,8 +1,8 @@
-//! Store-level behaviour at the default `shards = 1` — the paper's
-//! Figure 2 system: update placement, prefill steering, K = 1 ≡ DCW, zone
-//! extension, auto-K, index placement, crash recovery, batches. Written
-//! against the `PnwStore` frontend this alias replaced and kept under its
-//! module path, so the same test IDs now hold the unified type to it.
+//! The PNW store's own behaviour at the default `shards = 1` — the
+//! paper's Figure 2 system: update placement, prefill steering, K = 1 ≡
+//! DCW, index placement, load-factor retrains, zone extension, auto-K,
+//! config validation and batch accounting. The `Store` contract itself
+//! is checked against the reference model in `tests/store_contract.rs`.
 
 use std::time::Duration;
 
@@ -13,68 +13,14 @@ use crate::shard::ShardEngine;
 use crate::PnwStore;
 
 fn store(capacity: usize, value_size: usize, k: usize) -> PnwStore {
-    PnwStore::new(
-        PnwConfig::new(capacity, value_size)
-            .with_clusters(k)
-            .with_seed(7),
-    )
-}
-
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("pnw_store_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-#[test]
-fn durable_store_round_trips_across_reopen() {
-    let dir = temp_dir("roundtrip");
-    let cfg = PnwConfig::new(64, 8).with_clusters(2).with_seed(7);
-    {
-        let s = PnwStore::open(cfg.clone().with_path(&dir)).unwrap();
-        assert!(s.is_durable());
-        for k in 0..20u64 {
-            s.put(k, &(k * 3).to_le_bytes()).unwrap();
-        }
-        assert!(s.delete(4).unwrap());
-        s.close().unwrap();
-    }
-    let s = PnwStore::open(cfg.with_path(&dir)).unwrap();
-    assert_eq!(s.len(), 19);
-    assert_eq!(s.get(4).unwrap(), None);
-    for k in (0..20u64).filter(|&k| k != 4) {
-        assert_eq!(s.get(k).unwrap().unwrap(), (k * 3).to_le_bytes());
-    }
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
+    PnwStore::new(PnwConfig::new(capacity, value_size).with_clusters(k).with_seed(7))
 }
 
 #[test]
 #[should_panic(expected = "PnwStore::open")]
 fn new_rejects_file_backing() {
-    let _ = PnwStore::new(PnwConfig::new(16, 8).with_path(temp_dir("reject")));
-}
-
-#[test]
-fn put_get_delete_roundtrip() {
-    let s = store(64, 8, 2);
-    s.put(1, &[1u8; 8]).unwrap();
-    s.put(2, &[2u8; 8]).unwrap();
-    assert_eq!(s.len(), 2);
-    assert_eq!(s.get(1).unwrap().unwrap(), vec![1u8; 8]);
-    assert!(s.delete(1).unwrap());
-    assert!(!s.delete(1).unwrap());
-    assert_eq!(s.get(1).unwrap(), None);
-    assert_eq!(s.len(), 1);
-}
-
-#[test]
-fn wrong_size_rejected() {
-    let s = store(16, 8, 2);
-    assert!(matches!(
-        s.put(1, &[0u8; 4]),
-        Err(StoreError::WrongValueSize { expected: 8, got: 4 })
-    ));
+    let dir = std::env::temp_dir().join("pnw_rejected");
+    let _ = PnwStore::new(PnwConfig::new(16, 8).with_path(dir));
 }
 
 #[test]
@@ -83,17 +29,6 @@ fn invalid_config_is_rejected_at_the_boundary() {
     let mut cfg = PnwConfig::new(4, 8);
     cfg.clusters = 99;
     let _ = PnwStore::new(cfg);
-}
-
-#[test]
-fn fills_to_capacity_then_full() {
-    let s = store(8, 8, 1);
-    for k in 0..8u64 {
-        s.put(k, &k.to_le_bytes()).unwrap();
-    }
-    assert!(matches!(s.put(99, &[0u8; 8]), Err(StoreError::Full)));
-    s.delete(0).unwrap();
-    s.put(99, &[9u8; 8]).unwrap();
 }
 
 #[test]
@@ -112,11 +47,7 @@ fn update_delete_put_moves_to_similar_location() {
     s.reset_device_stats();
     // New writes matching a family should land nearly flip-free.
     let r = s.put(100, &[0xFFu8; 8]).unwrap();
-    assert!(
-        r.value_write.bit_flips <= 8,
-        "steered write flipped {} bits",
-        r.value_write.bit_flips
-    );
+    assert!(r.value_write.bit_flips <= 8, "steered write flipped {} bits", r.value_write.bit_flips);
 }
 
 #[test]
@@ -175,11 +106,7 @@ fn prefill_then_steering() {
     let mut i = 0u32;
     s.prefill_free_buckets(|| {
         i += 1;
-        if i.is_multiple_of(2) {
-            vec![0x00u8; 8]
-        } else {
-            vec![0xFFu8; 8]
-        }
+        vec![if i.is_multiple_of(2) { 0x00u8 } else { 0xFF }; 8]
     })
     .unwrap();
     s.retrain_now().unwrap();
@@ -194,11 +121,7 @@ fn prefill_then_steering() {
 #[test]
 fn nvm_index_costs_bit_flips_dram_does_not() {
     let dram = PnwStore::new(PnwConfig::new(64, 8).with_clusters(1));
-    let nvm = PnwStore::new(
-        PnwConfig::new(64, 8)
-            .with_clusters(1)
-            .with_index(IndexPlacement::Nvm),
-    );
+    let nvm = PnwStore::new(PnwConfig::new(64, 8).with_clusters(1).with_index(IndexPlacement::Nvm));
     dram.put(1, &[0x11u8; 8]).unwrap();
     nvm.put(1, &[0x11u8; 8]).unwrap();
     let d = dram.device_stats().totals.bit_flips;
@@ -207,46 +130,9 @@ fn nvm_index_costs_bit_flips_dram_does_not() {
 }
 
 #[test]
-fn crash_recovery_dram_index() {
-    let s = store(64, 8, 2);
-    for k in 0..20u64 {
-        s.put(k, &k.to_le_bytes()).unwrap();
-    }
-    s.delete(3).unwrap();
-    s.crash_and_recover().unwrap();
-    assert_eq!(s.len(), 19);
-    assert_eq!(s.get(5).unwrap().unwrap(), 5u64.to_le_bytes().to_vec());
-    assert_eq!(s.get(3).unwrap(), None);
-    // Store remains writable.
-    s.put(100, &[7u8; 8]).unwrap();
-    assert_eq!(s.len(), 20);
-}
-
-#[test]
-fn crash_recovery_nvm_index() {
-    let s = PnwStore::new(
-        PnwConfig::new(64, 8)
-            .with_clusters(2)
-            .with_index(IndexPlacement::Nvm),
-    );
-    for k in 0..20u64 {
-        s.put(k, &k.to_le_bytes()).unwrap();
-    }
-    s.delete(7).unwrap();
-    s.crash_and_recover().unwrap();
-    assert_eq!(s.len(), 19);
-    assert_eq!(s.get(8).unwrap().unwrap(), 8u64.to_le_bytes().to_vec());
-    assert_eq!(s.get(7).unwrap(), None);
-}
-
-#[test]
 fn load_factor_triggers_sync_retrain() {
-    let s = PnwStore::new(
-        PnwConfig::new(16, 8)
-            .with_clusters(2)
-            .with_load_factor(0.5)
-            .with_retrain(RetrainMode::Background),
-    );
+    let cfg = PnwConfig::new(16, 8).with_clusters(2).with_load_factor(0.5);
+    let s = PnwStore::new(cfg.with_retrain(RetrainMode::Background));
     let before = s.retrains();
     for k in 0..10u64 {
         s.put(k, &k.to_le_bytes()).unwrap();
@@ -257,12 +143,8 @@ fn load_factor_triggers_sync_retrain() {
 
 #[test]
 fn background_retrain_installs_eventually() {
-    let s = PnwStore::new(
-        PnwConfig::new(32, 8)
-            .with_clusters(2)
-            .with_load_factor(0.25)
-            .with_retrain(RetrainMode::Background),
-    );
+    let cfg = PnwConfig::new(32, 8).with_clusters(2).with_load_factor(0.25);
+    let s = PnwStore::new(cfg.with_retrain(RetrainMode::Background));
     for k in 0..16u64 {
         s.put(k, &(k * 7).to_le_bytes()).unwrap();
     }
@@ -272,22 +154,6 @@ fn background_retrain_installs_eventually() {
     // And the store still works.
     s.put(99, &[1u8; 8]).unwrap();
     assert_eq!(s.get(99).unwrap().unwrap(), vec![1u8; 8]);
-}
-
-#[test]
-fn snapshot_counters() {
-    let s = store(32, 8, 2);
-    s.put(1, &[1u8; 8]).unwrap();
-    s.get(1).unwrap();
-    s.get(2).unwrap();
-    s.delete(1).unwrap();
-    let snap = s.snapshot();
-    assert_eq!(snap.puts, 1);
-    assert_eq!(snap.gets, 2);
-    assert_eq!(snap.deletes, 1);
-    assert_eq!(snap.live, 0);
-    assert_eq!(snap.free, 32);
-    assert!(snap.availability() > 0.99);
 }
 
 #[test]
@@ -309,13 +175,8 @@ fn get_does_not_touch_model_or_pool() {
 fn zone_extension_adds_capacity_without_index_churn() {
     // load_factor = 1.0 disables the automatic trigger so the manual
     // extension path is what's under test.
-    let s = PnwStore::new(
-        PnwConfig::new(8, 8)
-            .with_clusters(2)
-            .with_reserve(8)
-            .with_load_factor(1.0)
-            .with_retrain(RetrainMode::Manual),
-    );
+    let cfg = PnwConfig::new(8, 8).with_clusters(2).with_reserve(8).with_load_factor(1.0);
+    let s = PnwStore::new(cfg.with_retrain(RetrainMode::Manual));
     assert_eq!(s.active_capacity(), 8);
     assert_eq!(s.reserve_remaining(), 8);
     for k in 0..8u64 {
@@ -337,13 +198,8 @@ fn zone_extension_adds_capacity_without_index_churn() {
 
 #[test]
 fn load_factor_auto_extends_from_reserve() {
-    let s = PnwStore::new(
-        PnwConfig::new(8, 8)
-            .with_clusters(2)
-            .with_reserve(8)
-            .with_load_factor(0.5)
-            .with_retrain(RetrainMode::Background),
-    );
+    let cfg = PnwConfig::new(8, 8).with_clusters(2).with_reserve(8).with_load_factor(0.5);
+    let s = PnwStore::new(cfg.with_retrain(RetrainMode::Background));
     for k in 0..8u64 {
         s.put(k, &k.to_le_bytes()).unwrap();
     }
@@ -357,11 +213,8 @@ fn load_factor_auto_extends_from_reserve() {
 
 #[test]
 fn auto_k_store_trains_with_elbow() {
-    let s = PnwStore::new(
-        PnwConfig::new(64, 4)
-            .with_auto_k(1, 8)
-            .with_retrain(RetrainMode::Manual),
-    );
+    let cfg = PnwConfig::new(64, 4).with_auto_k(1, 8);
+    let s = PnwStore::new(cfg.with_retrain(RetrainMode::Manual));
     let mut i = 0u32;
     s.prefill_free_buckets(|| {
         i += 1;
@@ -386,19 +239,6 @@ fn index_len_matches_live() {
     assert_eq!(e.index_len(), e.len());
 }
 
-#[test]
-fn trait_object_drives_the_store() {
-    let s: Box<dyn Store> = Box::new(store(32, 8, 2));
-    assert_eq!(s.name(), "PNW-sharded");
-    assert_eq!(s.value_size(), 8);
-    s.put(1, &[3u8; 8]).unwrap();
-    let mut buf = [0u8; 8];
-    assert!(s.get_into(1, &mut buf).unwrap());
-    assert_eq!(buf, [3u8; 8]);
-    assert!(s.delete(1).unwrap());
-    assert!(s.is_empty());
-}
-
 /// Batched apply must leave the store in the same state as the
 /// equivalent per-op sequence — and the device accounting must match
 /// bit-for-bit (the batch path's whole point is cost, not semantics).
@@ -417,19 +257,13 @@ fn apply_matches_per_op_bit_for_bit() {
     }
     let report = a.apply(&batch);
     assert!(report.all_ok());
-    assert_eq!(report.puts, 30);
-    assert_eq!(report.deletes, 8);
-    assert_eq!(report.deleted_existing, 8);
+    assert_eq!((report.puts, report.deletes, report.deleted_existing), (30, 8, 8));
 
     let mut per_op_stats = pnw_nvm_sim::WriteStats::default();
     for op in batch.ops() {
         match op {
-            Op::Put { key, value } => {
-                per_op_stats += b.put(*key, value).unwrap().total_write;
-            }
-            Op::Delete { key } => {
-                b.delete(*key).unwrap();
-            }
+            Op::Put { key, value } => per_op_stats += b.put(*key, value).unwrap().total_write,
+            Op::Delete { key } => assert!(b.delete(*key).unwrap()),
         }
     }
     assert_eq!(a.device_stats(), b.device_stats());
@@ -441,26 +275,4 @@ fn apply_matches_per_op_bit_for_bit() {
     // the delete flag writes.
     assert!(report.write_stats.bit_flips >= per_op_stats.bit_flips);
     assert!(report.modeled_latency > Duration::ZERO);
-}
-
-#[test]
-fn apply_records_failures_and_continues() {
-    let s = store(2, 8, 1);
-    let mut batch = Batch::new();
-    batch
-        .put(1, &[1; 8])
-        .put(2, &[0; 4]) // wrong size
-        .put(3, &[3; 8])
-        .put(4, &[4; 8]) // store full
-        .delete(1);
-    let r = s.apply(&batch);
-    assert_eq!(r.puts, 2);
-    assert_eq!(r.deleted_existing, 1);
-    assert_eq!(r.failures.len(), 2);
-    assert!(matches!(
-        r.failures[0],
-        (1, StoreError::WrongValueSize { .. })
-    ));
-    assert!(matches!(r.failures[1], (3, StoreError::Full)));
-    assert_eq!(s.len(), 1); // key 3 survived, key 1 deleted
 }

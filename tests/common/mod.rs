@@ -1,0 +1,4 @@
+//! Helpers shared by integration tests (`mod common;`); each uses a part.
+#![allow(dead_code)]
+
+pub mod oracle;

@@ -1,115 +1,72 @@
-//! Property-based tests: the PNW store against a reference model, and
-//! core data-structure invariants under arbitrary operation sequences.
+//! Property-based tests: every `Store` backend against the oracle's
+//! `BTreeMap` reference on seeded random op scripts (`common/oracle.rs`),
+//! and core data-structure invariants under arbitrary operation
+//! sequences.
 
-use std::collections::HashMap;
+mod common;
 
+use common::oracle::{baselines, durable_ttl, fuzz, matrix, pnw_cfg, ttl_background, Backend, CASES};
+use pnw_core::IndexPlacement;
 use proptest::prelude::*;
 
-use pnw_core::{IndexPlacement, PnwConfig, PnwStore};
-
-#[derive(Debug, Clone)]
-enum Op {
-    Put(u64, Vec<u8>),
-    Get(u64),
-    Delete(u64),
-    Retrain,
-    Crash,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u64..24, proptest::collection::vec(any::<u8>(), 8))
-            .prop_map(|(k, v)| Op::Put(k, v)),
-        3 => (0u64..24).prop_map(Op::Get),
-        2 => (0u64..24).prop_map(Op::Delete),
-        1 => Just(Op::Retrain),
-        1 => Just(Op::Crash),
-    ]
-}
-
-/// The shard counts every store property runs at.
-fn shards_strategy() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(1usize), Just(4usize)]
-}
-
-fn check_against_model(
-    ops: Vec<Op>,
-    shards: usize,
-    placement: IndexPlacement,
-    integrity: bool,
-) -> Result<(), TestCaseError> {
-    // 32 buckets per shard: even if every key routes to one shard it fits.
-    let store = PnwStore::new(
-        PnwConfig::new(32 * shards, 8)
-            .with_clusters(3)
-            .with_seed(17)
-            .with_shards(shards)
-            .with_index(placement)
-            .with_integrity(integrity),
-    );
-    let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-
-    for op in ops {
-        match op {
-            Op::Put(k, v) => {
-                store.put(k, &v).expect("shard capacity 32 > key space 24");
-                model.insert(k, v);
-            }
-            Op::Get(k) => {
-                let got = store.get(k).expect("device ok");
-                prop_assert_eq!(got.as_ref(), model.get(&k), "get({})", k);
-            }
-            Op::Delete(k) => {
-                let existed = store.delete(k).expect("device ok");
-                prop_assert_eq!(existed, model.remove(&k).is_some(), "delete({})", k);
-            }
-            Op::Retrain => {
-                store.retrain_now().expect("train");
-            }
-            Op::Crash => {
-                store.crash_and_recover().expect("recovery");
-            }
-        }
-        prop_assert_eq!(store.len(), model.len());
+/// [`fuzz`] on the PNW store at 1 and at 4 shards, built by `cfg`.
+fn fuzz_pnw(name: &str, cfg: impl Fn(usize) -> pnw_core::PnwConfig) {
+    for shards in [1, 4] {
+        fuzz(&Backend::pnw(&format!("PNW, {name}, shards = {shards}"), cfg(shards)), CASES);
     }
-    // Final audit.
-    for (k, v) in &model {
-        let got = store.get(*k).expect("ok");
-        prop_assert_eq!(got.as_ref(), Some(v));
+}
+
+/// The store behaves exactly like the reference, under both index
+/// placements, with integrity on and off (off, a priced in-place update
+/// takes its unsealed value-only write), at 1 and at 4 shards, with
+/// retrains, scrubs and crashes interleaved arbitrarily.
+#[test]
+fn store_matches_hashmap_dram_deleteput() {
+    fuzz_pnw("DRAM index", pnw_cfg);
+}
+
+#[test]
+fn store_matches_hashmap_dram_inplace() {
+    fuzz_pnw("integrity off", |shards| pnw_cfg(shards).with_integrity(false));
+}
+
+#[test]
+fn store_matches_hashmap_nvm_index() {
+    fuzz_pnw("NVM index", |shards| pnw_cfg(shards).with_index(IndexPlacement::Nvm));
+}
+
+/// TTL puts, lazy expiry and scrub reclaim beside background retrains.
+#[test]
+fn store_matches_the_reference_with_ttl_and_background_retrain() {
+    fuzz(&ttl_background(), CASES);
+}
+
+/// TTL puts beside drop-and-reopen (WAL replay) and close-and-reopen.
+#[test]
+fn durable_store_matches_the_reference_across_reopens() {
+    fuzz(&durable_ttl("fuzz"), CASES);
+}
+
+#[test]
+fn baselines_match_the_reference() {
+    for b in baselines(128, 8) {
+        fuzz(&b, CASES);
     }
-    Ok(())
+}
+
+/// The long lane: every backend of the matrix at 10 000 cases. Run it
+/// optimised, with the durable directory on tmpfs:
+/// `TMPDIR=/dev/shm cargo test --release -q --test proptest_store -- --ignored`.
+#[test]
+#[ignore = "long run: 10 000 cases per backend"]
+fn every_backend_matches_the_reference_at_10k_cases() {
+    for b in matrix("long") {
+        fuzz(&b, 10_000);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The store behaves exactly like a hash map, under both index
-    /// placements, with integrity on and off (off, a priced in-place
-    /// update takes its unsealed value-only write), at 1 and at 4 shards,
-    /// with retraining and crashes interleaved arbitrarily.
-    #[test]
-    fn store_matches_hashmap_dram_deleteput(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-        shards in shards_strategy(),
-    ) {
-        check_against_model(ops, shards, IndexPlacement::Dram, true)?;
-    }
-
-    #[test]
-    fn store_matches_hashmap_dram_inplace(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-        shards in shards_strategy(),
-    ) {
-        check_against_model(ops, shards, IndexPlacement::Dram, false)?;
-    }
-
-    #[test]
-    fn store_matches_hashmap_nvm_index(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-        shards in shards_strategy(),
-    ) {
-        check_against_model(ops, shards, IndexPlacement::Nvm, true)?;
-    }
 
     /// Device-level conservation: differential flips never exceed the
     /// payload size and stored bytes always equal the last write.

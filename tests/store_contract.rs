@@ -1,254 +1,133 @@
-//! The [`Store`] trait conformance suite: one contract, four backends.
-//!
-//! Every behavioral guarantee the trait documents is exercised against
-//! the PNW store (at 1 and at 4 shards) and the three baseline stores
-//! through `Box<dyn Store>` — the exact surface the Figure 9 harness, the
-//! scenario engine and the server drive. If a backend drifts from the contract, it
-//! fails here, not in a harness.
+//! The [`Store`] contract on the PNW store (1 and 4 shards, volatile or
+//! durable) and the three baselines, through `&dyn Store`. A cell the
+//! oracle's op language can state (`common/oracle.rs`) is a short script
+//! checked op by op against a `BTreeMap` reference. Hand-written: overfill
+//! to each backend's own `Full`, bit-for-bit batch accounting, reserve
+//! extension in a batch, the error taxonomy, corruption, concurrency.
 
-use pnw::core_api::{Batch, Op, PnwConfig, PnwStore, RetrainMode, Store, StoreError};
-use pnw_baselines::{FpTreeLike, NoveLsmLike, PathHashStore};
+mod common;
 
-/// Fresh instances of all four backends at the given geometry — PNW
-/// twice, at 1 and at 4 shards.
-fn backends(capacity: usize, value_size: usize) -> Vec<Box<dyn Store>> {
-    let cfg = PnwConfig::new(capacity, value_size)
-        .with_clusters(2.min(capacity))
-        .with_seed(11)
-        .with_retrain(RetrainMode::Manual);
+use common::oracle::{baselines, check, durable_dir, Backend, Step, Step::*};
+use pnw::core_api::{Batch, IndexPlacement, PnwConfig, PnwStore, Store, StoreError};
+
+fn contract_cfg(capacity: usize, value_size: usize) -> PnwConfig {
+    PnwConfig::new(capacity, value_size).with_clusters(2.min(capacity)).with_seed(11)
+}
+
+/// All four backends at the given geometry — PNW twice, at 1 and at 4
+/// shards.
+fn backends(capacity: usize, value_size: usize) -> Vec<Backend> {
+    let cfg = contract_cfg(capacity, value_size);
     vec![
-        Box::new(PnwStore::new(cfg.clone())),
-        Box::new(PnwStore::new(cfg.with_shards(4))),
-        Box::new(FpTreeLike::new(capacity, value_size)),
-        Box::new(NoveLsmLike::new(capacity, value_size)),
-        Box::new(PathHashStore::new(capacity, value_size)),
+        Backend::pnw("PNW, 1 shard", cfg.clone()),
+        Backend::pnw("PNW, 4 shards", cfg.with_shards(4)),
     ]
+    .into_iter()
+    .chain(baselines(capacity, value_size))
+    .collect()
+}
+
+/// A file-backed PNW store in its own directory.
+fn durable(tag: &str, cfg: PnwConfig) -> Backend {
+    Backend::pnw(&format!("durable PNW ({tag})"), cfg.with_path(durable_dir(tag)))
+}
+
+/// Writes 48 keys, reads each back both ways, overwrites half, deletes a
+/// quarter twice (the second delete misses) and reads absent keys.
+fn round_trip(reopen: bool) -> Vec<Step> {
+    let mut script: Vec<Step> = (0..48).map(|k| Put(k, k as u8)).collect();
+    script.extend((0..48).flat_map(|k| [Get(k), GetInto(k)]));
+    script.extend(reopen.then_some(CloseReopen));
+    script.extend((0..24).map(|k| Put(k, 0xD0 | (k % 4) as u8)));
+    script.extend((0..12).flat_map(|k| [Delete(k), Delete(k)]));
+    script.extend(reopen.then_some(CloseReopen));
+    script.extend((0..48).flat_map(|k| [Get(k), GetInto(k)]));
+    script.extend([Get(100), GetInto(100)]);
+    script
 }
 
 #[test]
 fn put_get_delete_round_trips_on_every_backend() {
-    for s in backends(128, 16) {
-        let name = s.name();
-        assert_eq!(s.value_size(), 16, "{name}");
-        assert!(s.is_empty(), "{name}");
-        for k in 0..48u64 {
-            s.put(k, &[k as u8; 16]).unwrap_or_else(|e| panic!("{name}: put {k}: {e}"));
-        }
-        assert_eq!(s.len(), 48, "{name}");
-        for k in 0..48u64 {
-            assert_eq!(s.get(k).unwrap().unwrap(), vec![k as u8; 16], "{name} key {k}");
-            let mut buf = [0u8; 16];
-            assert!(s.get_into(k, &mut buf).unwrap(), "{name} key {k}");
-            assert_eq!(buf, [k as u8; 16], "{name} key {k}");
-        }
-        // Overwrite half, delete a quarter.
-        for k in 0..24u64 {
-            s.put(k, &[0xD0 | (k % 4) as u8; 16]).unwrap();
-        }
-        for k in 0..12u64 {
-            assert!(s.delete(k).unwrap(), "{name} key {k}");
-            assert!(!s.delete(k).unwrap(), "{name} double delete {k}");
-        }
-        assert_eq!(s.len(), 36, "{name}");
-        assert_eq!(s.get(0).unwrap(), None, "{name}");
-        assert_eq!(s.get(100).unwrap(), None, "{name} missing key");
-        assert!(!s.get_into(100, &mut [0u8; 16]).unwrap(), "{name}");
-        let snap = s.snapshot();
-        assert_eq!(snap.live, 36, "{name}");
-        // Counter convention: 72 puts; 12 deletes hit, 12 missed — only
-        // the hits count, uniformly across backends.
-        assert_eq!(snap.puts, 72, "{name}");
-        assert_eq!(snap.deletes, 12, "{name}");
-        assert!(snap.device.totals.bit_flips > 0, "{name}");
+    for b in backends(128, 16) {
+        let live = check(&b, &round_trip(false));
+        assert!(live.store().snapshot().device.totals.bit_flips > 0, "{}", b.name);
     }
 }
 
 #[test]
 fn wrong_value_size_is_rejected_uniformly() {
-    for s in backends(32, 16) {
-        let name = s.name();
-        assert!(
-            matches!(
-                s.put(1, &[0u8; 8]),
-                Err(StoreError::WrongValueSize { expected: 16, got: 8 })
-            ),
-            "{name}: put of a half-size value must be rejected"
-        );
-        s.put(1, &[1u8; 16]).unwrap();
-        assert!(
-            matches!(
-                s.get_into(1, &mut [0u8; 4]),
-                Err(StoreError::WrongValueSize { expected: 16, got: 4 })
-            ),
-            "{name}: get_into with a wrong-size buffer must be rejected"
-        );
+    for b in backends(32, 16) {
+        check(&b, &[PutWrongSize(1), Put(1, 1), GetIntoWrongSize(1)]);
     }
 }
 
 #[test]
 fn overfilling_reports_full_not_a_panic() {
-    for s in backends(16, 8) {
-        let name = s.name();
-        let mut full_seen = false;
+    for b in backends(16, 8) {
+        let live = check(&b, &[]);
+        let (s, name) = (live.store(), &b.name);
         // Distinct keys well past capacity: every backend must eventually
         // say Full (at its own structural limit — pool, leaves, level
         // area) instead of panicking or corrupting.
-        for k in 0..2_000u64 {
-            match s.put(k, &[k as u8; 8]) {
-                Ok(_) => {}
-                Err(StoreError::Full) => {
-                    full_seen = true;
-                    break;
-                }
-                Err(e) => panic!("{name}: unexpected error {e}"),
-            }
-        }
-        assert!(full_seen, "{name}: store never reported Full");
+        let first_error = (0..2_000u64).find_map(|k| s.put(k, &[k as u8; 8]).err());
+        assert_eq!(first_error, Some(StoreError::Full), "{name}");
         // The store keeps serving reads after rejecting writes.
         assert_eq!(s.get(0).unwrap().unwrap(), vec![0u8; 8], "{name}");
     }
 }
 
-/// The op sequence used for the batch ≡ per-op check: inserts, updates,
-/// deletes and re-inserts, interleaved.
-fn contract_ops(value_size: usize) -> Vec<Op> {
-    let mut ops = Vec::new();
-    for k in 0..40u64 {
-        ops.push(Op::Put {
-            key: k,
-            value: vec![(k % 5) as u8 * 0x11; value_size],
-        });
-    }
-    for k in (0..40u64).step_by(3) {
-        ops.push(Op::Delete { key: k });
-    }
-    for k in 0..10u64 {
-        ops.push(Op::Put {
-            key: k,
-            value: vec![0xEE; value_size],
-        });
-    }
-    ops.push(Op::Delete { key: 999 }); // miss
+/// Inserts, deletes and re-inserts, interleaved, ending in a miss.
+fn contract_ops() -> Vec<Step> {
+    let mut ops: Vec<Step> = (0..40).map(|k| Put(k, (k % 5) as u8 * 0x11)).collect();
+    ops.extend((0..40).step_by(3).map(Delete));
+    ops.extend((0..10).map(|k| Put(k, 0xEE)));
+    ops.push(Delete(999));
     ops
 }
 
+/// `ops` as `apply`s of seven ops each.
+fn batched(ops: &[Step]) -> impl Iterator<Item = Step> + '_ {
+    ops.chunks(7).map(|chunk| Apply(chunk.to_vec()))
+}
+
+/// Each batch answers, and leaves contents and counters, exactly as the
+/// reference does op by op.
 #[test]
 fn batch_apply_is_equivalent_to_per_op_on_every_backend() {
-    for (batched, per_op) in backends(128, 8).into_iter().zip(backends(128, 8)) {
-        let name = batched.name();
-        let ops = contract_ops(8);
-
-        // Batched store: the same sequence in groups of 7.
-        for chunk in ops.chunks(7) {
-            let mut batch = Batch::with_capacity(chunk.len());
-            for op in chunk {
-                batch.push(op.clone());
-            }
-            let r = batched.apply(&batch);
-            assert!(r.all_ok(), "{name}: {:?}", r.failures);
-            assert_eq!(r.completed(), chunk.len() as u64, "{name}");
-        }
-        // Reference store: one op at a time.
-        for op in &ops {
-            match op {
-                Op::Put { key, value } => {
-                    per_op.put(*key, value).unwrap();
-                }
-                Op::Delete { key } => {
-                    per_op.delete(*key).unwrap();
-                }
-            }
-        }
-
-        assert_eq!(batched.len(), per_op.len(), "{name}");
-        for k in 0..40u64 {
-            assert_eq!(batched.get(k).unwrap(), per_op.get(k).unwrap(), "{name} key {k}");
-        }
-        let (sa, sb) = (batched.snapshot(), per_op.snapshot());
-        assert_eq!(sa.puts, sb.puts, "{name}");
-        assert_eq!(sa.deletes, sb.deletes, "{name}");
-        assert_eq!(sa.live, sb.live, "{name}");
+    let script: Vec<Step> = batched(&contract_ops()).chain((0..40).map(Get)).collect();
+    for b in backends(128, 8) {
+        check(&b, &script);
     }
 }
 
 /// The acceptance criterion for the batch path: the store driven through
 /// `apply` produces *bit-for-bit* the same device state and accounting as
 /// the same store driven per-op, at 1 and at 4 shards — the batch fast
-/// path changes cost, never writes.
+/// path changes cost, never writes. Both sides answer as the reference.
 #[test]
 fn batch_path_matches_per_op_bit_for_bit() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    // Warm with two bit-pattern families and train, then seeded churn:
+    // per-op on one store, batches of 16 on the other, same op order.
+    let family = |k: u64| if k.is_multiple_of(2) { 0x00 } else { 0xFF };
+    let warm: Vec<Step> = (0..96).map(|k| Put(k, family(k))).collect();
+    let mut rng = StdRng::seed_from_u64(0xD1CE);
+    let churn: Vec<Step> = (0..400)
+        .map(|_| match (rng.gen_range(0..128u64), rng.gen_range(0..10u8)) {
+            (k, 0..=6) => Put(k, family(k) ^ rng.gen_range(0..4u8)),
+            (k, _) => Delete(k),
+        })
+        .collect();
+    let per_op_side = [warm.clone(), vec![Retrain], churn.clone()].concat();
+    let batches = churn.chunks(16).map(|c| Apply(c.to_vec()));
+    let batch_side: Vec<Step> = [Apply(warm), Retrain].into_iter().chain(batches).collect();
     for shards in [1, 4] {
-        let cfg = PnwConfig::new(256, 16)
-            .with_clusters(3)
-            .with_seed(99)
-            .with_retrain(RetrainMode::Manual)
-            .with_shards(shards);
-        let per_op = PnwStore::new(cfg.clone());
-        let batched = PnwStore::new(cfg);
-
-        // Phase 1: warm both with two bit-pattern families, then train.
-        let mut warm = Batch::new();
-        for k in 0..96u64 {
-            let fill = if k % 2 == 0 { 0x00 } else { 0xFF };
-            per_op.put(k, &[fill; 16]).unwrap();
-            warm.put(k, &[fill; 16]);
-        }
-        assert!(batched.apply(&warm).all_ok());
-        per_op.retrain_now().unwrap();
-        batched.retrain_now().unwrap();
-
-        // Phase 2: seeded churn — per-op on one store, batches of 16 on
-        // the other, identical op order.
-        let mut rng = StdRng::seed_from_u64(0xD1CE);
-        let mut ops: Vec<Op> = Vec::new();
-        for _ in 0..400 {
-            let k = rng.gen_range(0..128u64);
-            if rng.gen_range(0..10u8) < 7 {
-                let mut v = [if k % 2 == 0 { 0x00u8 } else { 0xFFu8 }; 16];
-                v[15] = rng.gen();
-                ops.push(Op::Put {
-                    key: k,
-                    value: v.to_vec(),
-                });
-            } else {
-                ops.push(Op::Delete { key: k });
-            }
-        }
-        for op in &ops {
-            match op {
-                Op::Put { key, value } => {
-                    let _ = per_op.put(*key, value);
-                }
-                Op::Delete { key } => {
-                    let _ = per_op.delete(*key);
-                }
-            }
-        }
-        for chunk in ops.chunks(16) {
-            let mut batch = Batch::with_capacity(chunk.len());
-            for op in chunk {
-                batch.push(op.clone());
-            }
-            let _ = batched.apply(&batch);
-        }
-
-        // Identical bit flips, words written, lines written, ops — the
-        // whole DeviceStats struct — plus contents and counters.
-        assert_eq!(
-            per_op.device_stats(),
-            batched.device_stats(),
-            "{shards} shards"
-        );
-        assert_eq!(per_op.len(), batched.len(), "{shards} shards");
-        for k in 0..128u64 {
-            assert_eq!(per_op.get(k).unwrap(), batched.get(k).unwrap(), "key {k}");
-        }
-        let (s1, s2) = (per_op.snapshot(), batched.snapshot());
-        assert_eq!(s1.puts, s2.puts);
-        assert_eq!(s1.deletes, s2.deletes);
-        assert_eq!(s1.free, s2.free);
-        assert_eq!(s1.fallbacks, s2.fallbacks);
+        let cfg = PnwConfig::new(256, 16).with_clusters(3).with_seed(99).with_shards(shards);
+        let per_op = check(&Backend::pnw("PNW, per-op", cfg.clone()), &per_op_side);
+        let batched = check(&Backend::pnw("PNW, batched", cfg), &batch_side);
+        let (a, b) = (per_op.store().snapshot(), batched.store().snapshot());
+        assert_eq!(a.device, b.device, "{shards} shards");
+        assert_eq!((a.free, a.fallbacks), (b.free, b.fallbacks), "{shards} shards");
     }
 }
 
@@ -259,29 +138,14 @@ fn batch_path_matches_per_op_bit_for_bit() {
 /// stays bit-for-bit identical even across an auto-extension.
 #[test]
 fn batch_extends_from_reserve_exactly_like_per_op() {
-    let cfg = PnwConfig::new(8, 8)
-        .with_clusters(2)
-        .with_seed(3)
-        .with_reserve(16)
-        .with_load_factor(0.5)
-        .with_retrain(RetrainMode::Manual);
-
-    let per_op = PnwStore::new(cfg.clone());
-    for k in 0..12u64 {
-        per_op.put(k, &[k as u8; 8]).unwrap();
-    }
-    assert_eq!(per_op.len(), 12);
-
-    let mut batch = Batch::new();
-    for k in 0..12u64 {
-        batch.put(k, &[k as u8; 8]);
-    }
-    let batched = PnwStore::new(cfg);
-    let r = batched.apply(&batch);
-    assert!(r.all_ok(), "batch must extend instead of failing: {:?}", r.failures);
-    assert_eq!(batched.len(), 12);
-    assert_eq!(batched.active_capacity(), per_op.active_capacity());
-    assert_eq!(batched.device_stats(), per_op.device_stats());
+    let cfg = PnwConfig::new(8, 8).with_clusters(2).with_seed(3).with_reserve(16);
+    let cfg = cfg.with_load_factor(0.5);
+    let puts: Vec<Step> = (0..12).map(|k| Put(k, k as u8)).collect();
+    let per_op = check(&Backend::pnw("PNW, per-op", cfg.clone()), &puts);
+    let batched = check(&Backend::pnw("PNW, batched", cfg), &[Apply(puts)]);
+    let capacity = |live: &common::oracle::Live| live.store().snapshot().capacity;
+    assert_eq!(capacity(&batched), capacity(&per_op));
+    assert_eq!(batched.store().device_stats(), per_op.store().device_stats());
 }
 
 /// Regression for the deleted adapter's lossy error mapping: no backend
@@ -295,165 +159,52 @@ fn error_taxonomy_is_lossless() {
     for k in 0..5u64 {
         batch.put(k, &[k as u8; 8]);
     }
-    batch.put(9, &[0u8; 2]);
-    let r = s.apply(&batch);
-    assert_eq!(r.failures.len(), 2);
-    assert!(matches!(r.failures[0], (4, StoreError::Full)));
-    assert!(
-        matches!(r.failures[1], (5, StoreError::WrongValueSize { expected: 8, got: 2 })),
-        "wrong-size must survive batching untouched"
-    );
+    let r = s.apply(batch.put(9, &[0u8; 2]));
+    let wrong_size = StoreError::WrongValueSize { expected: 8, got: 2 };
+    assert_eq!(r.failures, [(4, StoreError::Full), (5, wrong_size)], "the real errors, in order");
 }
 
 // ---------------------------------------------------------------------------
 // File-backed conformance: the contract holds across drop-and-reopen.
 // ---------------------------------------------------------------------------
 
-fn contract_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("pnw_contract_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn durable_cfg(capacity: usize, value_size: usize, dir: &std::path::Path) -> PnwConfig {
-    PnwConfig::new(capacity, value_size)
-        .with_clusters(2.min(capacity))
-        .with_seed(11)
-        .with_retrain(RetrainMode::Manual)
-        .with_path(dir)
-}
-
-/// The round-trip contract holds for a file-backed store *across* a
-/// drop-and-reopen cycle in the middle of the op mix — at 1 and at 4
+/// The round-trip contract holds for a file-backed store *across*
+/// close-and-reopen cycles in the middle of the op mix — at 1 and at 4
 /// shards.
 #[test]
 fn file_backed_round_trips_survive_reopen_cycles() {
     for shards in [1, 4] {
-        let dir = contract_dir(&format!("roundtrip_{shards}"));
-        let cfg = durable_cfg(128, 16, &dir).with_shards(shards);
-        let s = PnwStore::open(cfg.clone()).unwrap();
-        for k in 0..48u64 {
-            s.put(k, &[k as u8; 16]).unwrap();
-        }
-        s.close().unwrap();
-
-        let s = PnwStore::open(cfg.clone()).unwrap();
-        for k in 0..24u64 {
-            s.put(k, &[0xD0 | (k % 4) as u8; 16]).unwrap();
-        }
-        for k in 0..12u64 {
-            assert!(s.delete(k).unwrap());
-            assert!(!s.delete(k).unwrap());
-        }
-        s.close().unwrap();
-
-        let s = PnwStore::open(cfg).unwrap();
-        assert_eq!(s.len(), 36, "{shards} shards");
-        assert_eq!(s.get(0).unwrap(), None);
-        for k in 12..24u64 {
-            assert_eq!(s.get(k).unwrap().unwrap(), vec![0xD0 | (k % 4) as u8; 16]);
-        }
-        for k in 24..48u64 {
-            assert_eq!(s.get(k).unwrap().unwrap(), vec![k as u8; 16]);
-            let mut buf = [0u8; 16];
-            assert!(s.get_into(k, &mut buf).unwrap());
-            assert_eq!(buf, [k as u8; 16]);
-        }
-        drop(s);
-        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = contract_cfg(128, 16).with_shards(shards);
+        check(&durable(&format!("roundtrip_{shards}"), cfg), &round_trip(true));
     }
 }
 
-/// A file-backed store that filled up still reports `Full` — not a panic,
-/// not corruption — after a reopen, and keeps serving committed reads.
+/// A file-backed store that filled up (the reference knows a one-shard
+/// store's exact capacity) still reports `Full` — not a panic, not
+/// corruption — after a reopen, and keeps serving committed reads.
 #[test]
 fn file_backed_overfill_reports_full_across_reopen() {
-    let dir = contract_dir("overfill");
-    let cfg = durable_cfg(16, 8, &dir);
-    let s = PnwStore::open(cfg.clone()).unwrap();
-    let mut stored = 0u64;
-    let mut full_seen = false;
-    for k in 0..2_000u64 {
-        match s.put(k, &[k as u8; 8]) {
-            Ok(_) => stored += 1,
-            Err(StoreError::Full) => {
-                full_seen = true;
-                break;
-            }
-            Err(e) => panic!("unexpected error {e}"),
-        }
-    }
-    assert!(full_seen, "store never reported Full");
-    s.close().unwrap();
-
-    let s = PnwStore::open(cfg).unwrap();
-    assert_eq!(s.len(), stored as usize);
-    assert!(
-        matches!(s.put(9_999, &[0xAA; 8]), Err(StoreError::Full)),
-        "reopened full store must still say Full"
-    );
-    for k in 0..stored {
-        assert_eq!(s.get(k).unwrap().unwrap(), vec![k as u8; 8], "key {k}");
-    }
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
+    let mut script: Vec<Step> = (0..17).map(|k| Put(k, k as u8)).collect();
+    script.extend([CloseReopen, Put(9_999, 0xAA)]);
+    script.extend((0..16).map(Get));
+    check(&durable("overfill", contract_cfg(16, 8)), &script);
 }
 
 /// Batched `apply` ≡ per-op on a file-backed store even when both sides
-/// go through a drop-and-reopen mid-sequence: same contents, same
-/// counters, same device accounting.
+/// close and reopen mid-sequence: same answers, contents and counters,
+/// and the same device accounting.
 #[test]
 fn file_backed_batch_apply_equals_per_op_across_reopen() {
-    let dir_b = contract_dir("batch_side");
-    let dir_p = contract_dir("perop_side");
-    let cfg_b = durable_cfg(128, 8, &dir_b);
-    let cfg_p = durable_cfg(128, 8, &dir_p);
-    let ops = contract_ops(8);
-    let half = ops.len() / 2;
-
-    let run_batched = |ops: &[Op]| {
-        let s = PnwStore::open(cfg_b.clone()).unwrap();
-        for chunk in ops.chunks(7) {
-            let mut batch = Batch::with_capacity(chunk.len());
-            for op in chunk {
-                batch.push(op.clone());
-            }
-            let r = s.apply(&batch);
-            assert!(r.all_ok(), "{:?}", r.failures);
-        }
-        s.close().unwrap();
+    let ops = contract_ops();
+    let (first, second) = ops.split_at(ops.len() / 2);
+    let side = |first: Vec<Step>, second: Vec<Step>| {
+        [first, vec![CloseReopen], second, vec![CloseReopen], (0..40).map(Get).collect()].concat()
     };
-    let run_per_op = |ops: &[Op]| {
-        let s = PnwStore::open(cfg_p.clone()).unwrap();
-        for op in ops {
-            match op {
-                Op::Put { key, value } => {
-                    s.put(*key, value).unwrap();
-                }
-                Op::Delete { key } => {
-                    s.delete(*key).unwrap();
-                }
-            }
-        }
-        s.close().unwrap();
-    };
-    // First half, reopen, second half — on both sides.
-    run_batched(&ops[..half]);
-    run_batched(&ops[half..]);
-    run_per_op(&ops[..half]);
-    run_per_op(&ops[half..]);
-
-    let batched = PnwStore::open(cfg_b).unwrap();
-    let per_op = PnwStore::open(cfg_p).unwrap();
-    assert_eq!(batched.len(), per_op.len());
-    for k in 0..40u64 {
-        assert_eq!(batched.get(k).unwrap(), per_op.get(k).unwrap(), "key {k}");
-    }
-    assert_eq!(batched.device_stats(), per_op.device_stats());
-    drop(batched);
-    drop(per_op);
-    let _ = std::fs::remove_dir_all(&dir_b);
-    let _ = std::fs::remove_dir_all(&dir_p);
+    let batch_side = side(batched(first).collect(), batched(second).collect());
+    let per_op_side = side(first.to_vec(), second.to_vec());
+    let batched = check(&durable("batch_side", contract_cfg(128, 8)), &batch_side);
+    let per_op = check(&durable("perop_side", contract_cfg(128, 8)), &per_op_side);
+    assert_eq!(batched.store().device_stats(), per_op.store().device_stats());
 }
 
 // ---------------------------------------------------------------------------
@@ -466,29 +217,17 @@ fn file_backed_batch_apply_equals_per_op_across_reopen() {
 /// keep serving.
 #[test]
 fn corruption_surfaces_identically_on_both_pnw_frontends() {
-    let cfg = PnwConfig::new(64, 16)
-        .with_clusters(2)
-        .with_seed(11)
-        .with_retrain(RetrainMode::Manual);
-
+    let cfg = contract_cfg(64, 16);
     for shards in [1, 4] {
         let store = PnwStore::new(cfg.clone().with_shards(shards));
         for k in 0..8u64 {
             store.put(k, &[0u8; 16]).unwrap();
         }
-        assert!(
-            store.arm_stuck_at_key(5, 3, true).unwrap(),
-            "{shards} shards: key 5 must be present to arm"
-        );
+        assert!(store.arm_stuck_at_key(5, 3, true).unwrap(), "{shards} shards: key 5 is present");
         // Both read entry points report the same typed error...
-        match store.get(5) {
-            Err(StoreError::Corruption { key, .. }) => assert_eq!(key, 5, "{shards} shards"),
-            other => panic!("{shards} shards: get must surface Corruption, got {other:?}"),
-        }
-        match store.get_into(5, &mut [0u8; 16]) {
-            Err(StoreError::Corruption { key, .. }) => assert_eq!(key, 5, "{shards} shards"),
-            other => panic!("{shards} shards: get_into must surface Corruption, got {other:?}"),
-        }
+        let corrupt = |got| matches!(got, Err(StoreError::Corruption { key: 5, .. }));
+        assert!(corrupt(store.get(5).map(drop)), "{shards} shards: get");
+        assert!(corrupt(store.get_into(5, &mut [0u8; 16]).map(drop)), "{shards} shards: get_into");
         // ...and the blast radius is one key: every other key still reads.
         for k in (0..8u64).filter(|&k| k != 5) {
             assert_eq!(store.get(k).unwrap().unwrap(), vec![0u8; 16], "key {k}");
@@ -511,7 +250,7 @@ fn corruption_surfaces_identically_on_both_pnw_frontends() {
     // GET and scan alike — across live and expired TTL entries, a bucket
     // the scrubber retired, and a bucket failing its CRC — on both index
     // placements (the NVM one puts the data zone at a non-zero offset).
-    use pnw::core_api::{now_unix_ms, IndexPlacement, ShardEngine};
+    use pnw::core_api::{now_unix_ms, ShardEngine};
     for index in [IndexPlacement::Dram, IndexPlacement::Nvm] {
         let cfg = cfg.clone().with_ttl().with_index(index);
         let (mut engine, store) = (ShardEngine::new(cfg.clone()), PnwStore::new(cfg));
@@ -547,47 +286,27 @@ fn corruption_surfaces_identically_on_both_pnw_frontends() {
         let scanned = engine.scan_range(0, 100).unwrap();
         assert_eq!(scanned, store.scan(0, 100).unwrap(), "{index:?}");
         let expected: Vec<u64> = (0..12).filter(|&k| k != 4).collect();
-        assert_eq!(scan_keys(&scanned), expected, "{index:?}: CRC-failing and overdue skipped");
+        let keys: Vec<u64> = scanned.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, expected, "{index:?}: CRC-failing and overdue skipped");
     }
 }
+
 
 // ---------------------------------------------------------------------------
 // Range scans: one ordered-scan contract, four backends.
 // ---------------------------------------------------------------------------
-
-fn scan_keys(entries: &[(u64, Vec<u8>)]) -> Vec<u64> {
-    entries.iter().map(|(k, _)| *k).collect()
-}
 
 /// `scan` returns ascending committed `(key, value)` pairs over the
 /// inclusive range, on every backend: empty store, empty sub-range,
 /// inverted bounds, full range, and after overwrites and deletes.
 #[test]
 fn scan_contract_holds_on_every_backend() {
-    for s in backends(128, 16) {
-        let name = s.name();
-        assert!(s.scan(0, u64::MAX).unwrap().is_empty(), "{name}: empty store");
-
-        let keys = [3u64, 7, 10, 11, 64, 100, 101];
-        for &k in &keys {
-            s.put(k, &[k as u8; 16]).unwrap();
-        }
-        let full = s.scan(0, u64::MAX).unwrap();
-        assert_eq!(scan_keys(&full), keys, "{name}: full range, ascending");
-        for (k, v) in &full {
-            assert_eq!(v, &vec![*k as u8; 16], "{name} key {k}: value round-trips");
-        }
-        assert_eq!(scan_keys(&s.scan(10, 64).unwrap()), [10, 11, 64], "{name}: sub-range is inclusive");
-        assert_eq!(scan_keys(&s.scan(7, 7).unwrap()), [7], "{name}: single-key range");
-        assert!(s.scan(12, 63).unwrap().is_empty(), "{name}: live-key gap");
-        assert!(s.scan(64, 10).unwrap().is_empty(), "{name}: inverted bounds");
-
-        // Overwrites surface the new value; deletes drop out of the scan.
-        s.put(10, &[0xEE; 16]).unwrap();
-        assert!(s.delete(11).unwrap(), "{name}");
-        let after = s.scan(10, 64).unwrap();
-        assert_eq!(scan_keys(&after), [10, 64], "{name}: post-delete range");
-        assert_eq!(after[0].1, vec![0xEE; 16], "{name}: scan sees the overwrite");
+    let mut script = vec![Scan(0, u64::MAX)];
+    script.extend([3, 7, 10, 11, 64, 100, 101].map(|k| Put(k, k as u8)));
+    script.extend([Scan(0, u64::MAX), Scan(10, 64), Scan(7, 7), Scan(12, 63), Scan(64, 10)]);
+    script.extend([Put(10, 0xEE), Delete(11), Scan(10, 64)]);
+    for b in backends(128, 16) {
+        check(&b, &script);
     }
 }
 
@@ -595,23 +314,12 @@ fn scan_contract_holds_on_every_backend() {
 /// ascending sequence that agrees with point GETs key-for-key.
 #[test]
 fn scan_spans_shards_and_matches_point_gets() {
-    let cfg = PnwConfig::new(256, 16)
-        .with_clusters(2)
-        .with_seed(11)
-        .with_retrain(RetrainMode::Manual)
-        .with_shards(4);
-    let s = PnwStore::new(cfg);
     // Consecutive keys land on different shards under any reasonable
     // partition, so [0, 95] crosses all four.
-    for k in 0..96u64 {
-        s.put(k, &[(k % 7) as u8; 16]).unwrap();
-    }
-    let all = s.scan(0, 95).unwrap();
-    assert_eq!(all.len(), 96, "every shard contributes its slice");
-    for (i, (k, v)) in all.iter().enumerate() {
-        assert_eq!(*k, i as u64, "ascending across shard boundaries");
-        assert_eq!(Some(v.clone()), s.get(*k).unwrap(), "key {k}: scan == GET");
-    }
+    let mut script: Vec<Step> = (0..96).map(|k| Put(k, (k % 7) as u8)).collect();
+    script.push(Scan(0, 95));
+    script.extend((0..96).map(Get));
+    check(&Backend::pnw("PNW, 4 shards", contract_cfg(256, 16).with_shards(4)), &script);
 }
 
 /// Scans running against live writers never observe a torn value, on any
@@ -620,41 +328,39 @@ fn scan_spans_shards_and_matches_point_gets() {
 /// snapshot path under real contention.
 #[test]
 fn scan_never_observes_torn_values_under_concurrent_writes() {
-    for s in backends(512, 64) {
-        let name = s.name();
-        let s: std::sync::Arc<dyn Store> = std::sync::Arc::from(s);
+    for b in backends(512, 64) {
+        let live = check(&b, &[]);
+        let s = live.store();
         for k in 0..48u64 {
             s.put(k, &[0x01; 64]).unwrap();
         }
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut writers = Vec::new();
-        for t in 0..2u64 {
-            let s = std::sync::Arc::clone(&s);
-            let stop = std::sync::Arc::clone(&stop);
-            writers.push(std::thread::spawn(move || {
-                let mut fill = 0x10u8.wrapping_add(t as u8);
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    for k in (t * 24)..(t * 24 + 24) {
-                        s.put(k, &[fill; 64]).unwrap();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let stop = &stop;
+                scope.spawn(move || {
+                    let mut fill = 0x10u8.wrapping_add(t as u8);
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        for k in (t * 24)..(t * 24 + 24) {
+                            s.put(k, &[fill; 64]).unwrap();
+                        }
+                        fill = fill.wrapping_add(0x11).max(1);
                     }
-                    fill = fill.wrapping_add(0x11).max(1);
-                }
-            }));
-        }
-        for _ in 0..200 {
-            for (k, v) in s.scan(0, 47).unwrap() {
-                assert!(
-                    v.iter().all(|b| *b == v[0]),
-                    "{name} key {k}: torn value {:02x?}...",
-                    &v[..8.min(v.len())]
-                );
+                });
             }
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for w in writers {
-            w.join().unwrap();
-        }
-        assert_eq!(s.scan(0, 47).unwrap().len(), 48, "{name}");
+            for _ in 0..200 {
+                for (k, v) in s.scan(0, 47).unwrap() {
+                    assert!(
+                        v.iter().all(|b| *b == v[0]),
+                        "{} key {k}: torn value {:02x?}...",
+                        b.name,
+                        &v[..8.min(v.len())]
+                    );
+                }
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+        assert_eq!(s.scan(0, 47).unwrap().len(), 48, "{}", b.name);
     }
 }
 
@@ -663,100 +369,127 @@ fn scan_never_observes_torn_values_under_concurrent_writes() {
 // ---------------------------------------------------------------------------
 
 /// Past its deadline a key disappears from GET, `get_into` and scans —
-/// without any explicit delete — while `expires_at_ms = 0` and plain PUTs
-/// never expire. The slot becomes reusable.
+/// without any explicit delete — while plain PUTs (deadline 0) never
+/// expire. The key is reusable.
 #[test]
 fn ttl_expired_keys_hide_from_get_and_scan() {
-    use pnw::core_api::now_unix_ms;
-    let cfg = PnwConfig::new(64, 16)
-        .with_clusters(2)
-        .with_seed(11)
-        .with_retrain(RetrainMode::Manual)
-        .with_ttl();
+    // Deadlines past and an hour out; plain PUTs never expire.
+    let mut script = vec![PutExpiring(1, 0x11, true), PutExpiring(4, 0x44, false), Put(2, 0x22)];
+    script.extend([Put(3, 0x33), Get(4), Get(1), GetInto(1), Scan(0, 10), Put(1, 0x44), Get(1)]);
     for shards in [1, 4] {
-        let s = PnwStore::new(cfg.clone().with_shards(shards));
-        let name = format!("{shards} shards");
-        assert!(s.supports_ttl(), "{name}");
-        // One deadline already past, one an hour out.
-        s.put_with_expiry(1, &[0x11; 16], 1).unwrap();
-        s.put_with_expiry(4, &[0x44; 16], now_unix_ms() + 3_600_000).unwrap();
-        s.put_with_expiry(2, &[0x22; 16], 0).unwrap(); // 0 = never expires
-        s.put(3, &[0x33; 16]).unwrap();
-        assert_eq!(s.get(4).unwrap().unwrap(), vec![0x44; 16], "{name}: pre-expiry read");
-
-        assert_eq!(s.get(1).unwrap(), None, "{name}: expired key must read as absent");
-        assert!(!s.get_into(1, &mut [0u8; 16]).unwrap(), "{name}");
-        assert_eq!(scan_keys(&s.scan(0, 10).unwrap()), [2, 3, 4], "{name}: expired key left the scan");
-
-        // The key itself is reusable after expiry.
-        s.put(1, &[0x44; 16]).unwrap();
-        assert_eq!(s.get(1).unwrap().unwrap(), vec![0x44; 16], "{name}: re-put after expiry");
+        let cfg = contract_cfg(64, 16).with_ttl().with_shards(shards);
+        check(&Backend::pnw(&format!("PNW, TTL, shards = {shards}"), cfg), &script);
     }
 }
 
-/// Expiry deadlines are durable: after a kill (plain drop — the WAL alone
-/// carries the state) and a reopen past the deadline, the expired key is
-/// gone and WAL replay does not resurrect it; unexpired and non-TTL keys
-/// survive. A clean close/reopen cycle agrees.
+/// Expiry deadlines are durable: after a kill (a drop without a
+/// checkpoint — the WAL alone carries the state) and a reopen, the
+/// expired key is not resurrected by WAL replay; unexpired and non-TTL
+/// keys survive. A clean close/reopen cycle agrees.
 #[test]
 fn ttl_expiry_survives_kill_and_reopen() {
-    use pnw::core_api::now_unix_ms;
-    let dir = contract_dir("ttl_kill");
-    let cfg = durable_cfg(64, 16, &dir).with_ttl();
-
-    let s = PnwStore::open(cfg.clone()).unwrap();
-    s.put_with_expiry(1, &[0x11; 16], 1).unwrap(); // already past
-    s.put_with_expiry(2, &[0x22; 16], 0).unwrap();
-    s.put(3, &[0x33; 16]).unwrap();
-    s.put_with_expiry(4, &[0x44; 16], now_unix_ms() + 3_600_000).unwrap();
-    drop(s); // kill between ops: no checkpoint, recovery replays the WAL
-
-    let s = PnwStore::open(cfg.clone()).unwrap();
-    assert_eq!(s.get(1).unwrap(), None, "WAL replay must not resurrect an expired key");
-    assert_eq!(scan_keys(&s.scan(0, 10).unwrap()), [2, 3, 4], "expired key stays out of scans");
-    assert_eq!(s.get(2).unwrap().unwrap(), vec![0x22; 16]);
-    assert_eq!(s.get(3).unwrap().unwrap(), vec![0x33; 16]);
-    assert_eq!(s.get(4).unwrap().unwrap(), vec![0x44; 16], "unexpired deadline survives the kill");
-
-    // Clean close persists the same truth.
-    s.close().unwrap();
-    let s = PnwStore::open(cfg).unwrap();
-    assert_eq!(s.get(1).unwrap(), None, "expired key stays gone across a clean close");
-    assert_eq!(s.get(4).unwrap().unwrap(), vec![0x44; 16]);
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
+    let mut script = vec![PutExpiring(1, 0x11, true), Put(2, 0x22), Put(3, 0x33)];
+    script.extend([PutExpiring(4, 0x44, false), Reopen, Get(1), Scan(0, 10), Get(2), Get(3)]);
+    script.extend([Get(4), CloseReopen, Get(1), Get(4)]);
+    check(&durable("ttl_kill", contract_cfg(64, 16).with_ttl()), &script);
 }
 
-/// Every backend is driveable concurrently through `Arc<dyn Store>` — the
+/// Every backend is driveable concurrently through `&dyn Store` — the
 /// contract that lets one server or load driver serve all four.
 #[test]
 fn every_backend_serves_concurrent_clients() {
-    for s in backends(512, 8) {
-        let name = s.name();
-        let s: std::sync::Arc<dyn Store> = std::sync::Arc::from(s);
+    for b in backends(512, 8) {
+        let live = check(&b, &[]);
+        let s = live.store();
         s.put(7, &[0x77; 8]).unwrap();
-        let mut handles = Vec::new();
-        for t in 0..3u64 {
-            let s = std::sync::Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                let mut buf = [0u8; 8];
-                for i in 0..60u64 {
-                    if t == 0 {
-                        let mut batch = Batch::new();
-                        batch.put(1_000 + i, &[i as u8; 8]);
-                        assert!(batch.len() == 1);
-                        let r = s.apply(&batch);
-                        assert!(r.all_ok());
-                    } else {
-                        assert!(s.get_into(7, &mut buf).unwrap());
-                        assert_eq!(buf, [0x77; 8]);
+        std::thread::scope(|scope| {
+            for t in 0..3u64 {
+                scope.spawn(move || {
+                    let mut buf = [0u8; 8];
+                    for i in 0..60u64 {
+                        if t == 0 {
+                            assert!(s.apply(Batch::new().put(1_000 + i, &[i as u8; 8])).all_ok());
+                        } else {
+                            assert!(s.get_into(7, &mut buf).unwrap());
+                            assert_eq!(buf, [0x77; 8]);
+                        }
                     }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.len(), 61, "{name}");
+                });
+            }
+        });
+        assert_eq!(s.len(), 61, "{}", b.name);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The one-shard PNW store (the paper's Figure 2 system).
+// ---------------------------------------------------------------------------
+
+fn pnw(capacity: usize, value_size: usize, k: usize) -> Backend {
+    let cfg = PnwConfig::new(capacity, value_size).with_clusters(k).with_seed(7);
+    Backend::pnw("PNW, 1 shard", cfg)
+}
+
+#[test]
+fn put_get_delete_roundtrip() {
+    check(&pnw(64, 8, 2), &[Put(1, 1), Put(2, 2), Get(1), Delete(1), Delete(1), Get(1)]);
+}
+
+#[test]
+fn wrong_size_rejected() {
+    check(&pnw(16, 8, 2), &[PutWrongSize(1)]);
+}
+
+#[test]
+fn fills_to_capacity_then_full() {
+    let mut script: Vec<Step> = (0..8).map(|k| Put(k, k as u8)).collect();
+    script.extend([Put(99, 0), Delete(0), Put(99, 9)]);
+    check(&pnw(8, 8, 1), &script);
+}
+
+/// Twenty keys, one deleted, a crash, then reads and a write.
+fn crash_script(deleted: u64) -> Vec<Step> {
+    let script = (0..20).map(|k| Put(k, k as u8));
+    script.chain([Delete(deleted), Crash, Get(5), Get(deleted), Put(100, 7)]).collect()
+}
+
+#[test]
+fn crash_recovery_dram_index() {
+    check(&pnw(64, 8, 2), &crash_script(3));
+}
+
+#[test]
+fn crash_recovery_nvm_index() {
+    let cfg = PnwConfig::new(64, 8).with_clusters(2).with_index(IndexPlacement::Nvm);
+    check(&Backend::pnw("PNW, NVM index", cfg), &crash_script(7));
+}
+
+#[test]
+fn durable_store_round_trips_across_reopen() {
+    let writes = (0..20).map(|k| Put(k, k as u8 * 3)).chain([Delete(4), CloseReopen]);
+    let script: Vec<Step> = writes.chain((0..20).map(Get)).collect();
+    let cfg = PnwConfig::new(64, 8).with_clusters(2).with_seed(7);
+    check(&durable("store_roundtrip", cfg), &script);
+}
+
+/// A failing op is recorded at its batch index and the rest still run:
+/// a wrong-size PUT, then a PUT past the two-bucket capacity.
+#[test]
+fn apply_records_failures_and_continues() {
+    let batch = vec![Put(1, 1), PutWrongSize(2), Put(3, 3), Put(4, 4), Delete(1)];
+    check(&pnw(2, 8, 1), &[Apply(batch)]);
+}
+
+#[test]
+fn trait_object_drives_the_store() {
+    let live = check(&pnw(32, 8, 2), &[Put(1, 3), GetInto(1), Delete(1)]);
+    assert_eq!(live.store().name(), "PNW-sharded");
+}
+
+#[test]
+fn snapshot_counters() {
+    let live = check(&pnw(32, 8, 2), &[Put(1, 1), Get(1), Get(2), Delete(1)]);
+    let snap = live.store().snapshot();
+    assert_eq!(snap.free, 32);
+    assert!(snap.availability() > 0.99);
 }
