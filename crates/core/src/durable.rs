@@ -23,10 +23,11 @@
 //!   torn/invalid frame — everything after it was never acknowledged.
 //! * **checkpoint** (`checkpoint.<epoch>`) — a CRC-trailed snapshot of each
 //!   shard's committed key→address map, active-zone size and device
-//!   counters. Written to `checkpoint.tmp`, fsynced, renamed, and only then
-//!   published by bumping the superblock epoch — the referenced checkpoint
-//!   is therefore always complete, and a crash at any byte of the protocol
-//!   falls back to the previous epoch plus the untruncated WAL.
+//!   counters. Written to `checkpoint.tmp`, fsynced, renamed, the
+//!   directory fsynced, and only then published by bumping the superblock
+//!   epoch — the referenced checkpoint is therefore always complete, and a
+//!   crash at any byte of the protocol falls back to the previous epoch
+//!   plus the untruncated WAL.
 //!
 //! All three write sites route through a shared
 //! [`FaultState::filter_meta_write`] so the recovery tests can land a
@@ -42,7 +43,7 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
-use pnw_nvm_sim::{crc32, DeviceStats, FaultConfig, FaultState, MetaTarget, MetaTear, NvmError};
+use pnw_nvm_sim::{crc32, DeviceStats, FaultState, MetaTarget, MetaTear, NvmError, StuckAtConfig};
 
 use crate::config::{IndexPlacement, PnwConfig};
 use crate::error::StoreError;
@@ -675,7 +676,7 @@ impl DurableStore {
         fs::create_dir_all(dir).map_err(io_err)?;
         let n_shards = initial.len();
         let max_payload = MAX_WAL_PAYLOAD.max(PUT_V_PREFIX + value_size);
-        let faults = Arc::new(Mutex::new(FaultState::new(FaultConfig::default())));
+        let faults = Arc::new(Mutex::new(FaultState::new(StuckAtConfig::default())));
         let super_path = dir.join("super");
 
         if !super_path.exists() {
@@ -762,10 +763,10 @@ impl DurableStore {
         ))
     }
 
-    /// Cuts a checkpoint: write-new → fsync → rename → superblock bump →
-    /// WAL truncation. The caller must have synced the shard data devices
-    /// first and must hold out writers for the duration of the state
-    /// collection (the store does both).
+    /// Cuts a checkpoint: write-new → fsync → rename → directory fsync →
+    /// superblock bump → WAL truncation. The caller must have synced the
+    /// shard data devices first and must hold out writers for the duration
+    /// of the state collection (the store does both).
     pub fn checkpoint(&mut self, shards: &[ShardCheckpoint]) -> Result<(), StoreError> {
         assert_eq!(shards.len(), self.n_shards, "one checkpoint entry per shard");
         let new_epoch = self.epoch + 1;
@@ -786,6 +787,10 @@ impl DurableStore {
             }
         }
         fs::rename(&tmp, self.dir.join(format!("checkpoint.{new_epoch}"))).map_err(io_err)?;
+        // A rename is atomic, not durable: the directory entry must reach
+        // the disk before a superblock names it, or a power loss leaves a
+        // superblock pointing at a checkpoint that does not exist.
+        self.sync_dir()?;
         // The commit point: until this superblock write lands, recovery
         // elects the old epoch (old checkpoint + still-untruncated WAL).
         self.write_superblock(new_epoch, new_epoch)?;
@@ -833,6 +838,14 @@ impl DurableStore {
                 Err(crashed())
             }
         }
+    }
+
+    /// Fsyncs the store directory, making its entries — a renamed
+    /// checkpoint, freshly created files — durable.
+    pub fn sync_dir(&self) -> Result<(), StoreError> {
+        File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(io_err)
     }
 
     fn filter(&self, target: MetaTarget, len: usize) -> Result<Option<usize>, StoreError> {

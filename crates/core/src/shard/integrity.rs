@@ -34,10 +34,7 @@ impl ShardEngine {
         }
         self.scrub.retired += 1;
         self.pool.set_capacity(self.effective_capacity());
-        if let Some(d) = &mut self.durable {
-            d.log_retire(bucket)?;
-        }
-        Ok(())
+        self.log(|d| d.log_retire(bucket))
     }
 
     /// Verifies one bucket's integrity seal — the scrubber's unit of work.
@@ -49,6 +46,10 @@ impl ShardEngine {
     /// known stuck bits is relocated proactively before a future write can
     /// corrupt it.
     fn scrub_bucket(&mut self, bucket: u32) -> Result<(), PnwError> {
+        // A crashed durable shard scrubs nothing: a bucket a crash tore
+        // mid-write fails its seal too, and is recovery's to clear, not
+        // damaged media to retire.
+        self.check_durable_write()?;
         if self.retired.contains(&bucket) {
             return Ok(());
         }
@@ -104,9 +105,7 @@ impl ShardEngine {
         self.stamp_expiry(bucket, deadline)?;
         let _ = self.index.remove(&mut self.dev, key)?;
         self.index.insert(&mut self.dev, key, addr as u64)?;
-        if let Some(d) = &mut self.durable {
-            d.log_put_value(key, addr as u64, value)?;
-        }
+        self.log(|d| d.log_put_value(key, addr as u64, value))?;
         self.labels[bucket as usize] = label_u16(cluster);
         let _ = self.clear_flag(self.layout.addr(from));
         self.scrub.repairs += 1;

@@ -396,13 +396,12 @@ impl ShardEngine {
         self.sync.set_active(self.active_buckets);
         self.pool.set_capacity(self.effective_capacity());
         if add > 0 {
-            if let Some(d) = &mut self.durable {
-                // A failed append means the WAL is already dead; every
-                // subsequent append fails too, so no committed record can
-                // ever depend on the unlogged extension — swallowing the
-                // error here is safe.
-                let _ = d.log_extend(self.active_buckets as u64);
-            }
+            // A failed append means the WAL is already dead; every
+            // subsequent append fails too, so no committed record can ever
+            // depend on the unlogged extension — swallowing the error here
+            // is safe.
+            let active = self.active_buckets as u64;
+            let _ = self.log(|d| d.log_extend(active));
         }
         add
     }

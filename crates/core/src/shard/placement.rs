@@ -28,6 +28,7 @@ use super::{bucket, label_u16, value_addr, Header, PutPath, ShardEngine, HDR_BYT
 use crate::api::{BatchReport, Op};
 use crate::clock::{now_unix_ms, Tick};
 use crate::config::IndexPlacement;
+use crate::durable::DurableShard;
 use crate::error::PnwError;
 use crate::metrics::OpReport;
 
@@ -300,14 +301,30 @@ impl ShardEngine {
     /// on a volatile shard.
     #[inline]
     fn log_put(&mut self, key: u64, addr: u64, value: &[u8]) -> Result<(), PnwError> {
+        let integrity = self.cfg.integrity;
+        self.log(|d| match integrity {
+            true => d.log_put_value(key, addr, value),
+            false => d.log_put(key, addr),
+        })
+    }
+
+    /// Runs one WAL append; a no-op on a volatile shard. An append that
+    /// finds the store dead fences this shard's device too: the torn
+    /// metadata write that killed the store may have landed a whole
+    /// record while its append reported failure, and no later write may
+    /// reuse the bucket that record names.
+    pub(super) fn log(
+        &mut self,
+        append: impl FnOnce(&mut DurableShard) -> Result<(), PnwError>,
+    ) -> Result<(), PnwError> {
         let Some(d) = &mut self.durable else {
             return Ok(());
         };
-        if self.cfg.integrity {
-            d.log_put_value(key, addr, value)
-        } else {
-            d.log_put(key, addr)
+        let logged = append(d);
+        if logged == Err(NvmError::Crashed.into()) {
+            self.dev.crash();
         }
+        logged
     }
 
     /// Algorithm 2 line 1: predict the entry. The packed bit-domain kernel
@@ -501,7 +518,7 @@ impl ShardEngine {
     /// prefix — the op must surface as failed *before* it reaches the WAL
     /// (a DRAM index insert would otherwise acknowledge a torn value).
     #[inline]
-    fn check_durable_write(&self) -> Result<(), PnwError> {
+    pub(super) fn check_durable_write(&self) -> Result<(), PnwError> {
         if self.durable.is_some() && self.dev.is_crashed() {
             return Err(NvmError::Crashed.into());
         }
@@ -665,10 +682,7 @@ impl ShardEngine {
     /// shard.
     #[inline]
     fn log_delete(&mut self, key: u64) -> Result<(), PnwError> {
-        match &mut self.durable {
-            Some(d) => d.log_delete(key),
-            None => Ok(()),
-        }
+        self.log(|d| d.log_delete(key))
     }
 
     /// Algorithm 3 minus the pool push: resets the flag bit (line 2, a

@@ -10,12 +10,15 @@ use crate::error::PnwError;
 impl ShardEngine {
     /// Stamps `bucket`'s expiry-zone slot — always written on placement
     /// (even for 0 = "never expires"), so a stale deadline from a prior
-    /// tenant can never attach to a fresh value. No-op without TTL.
+    /// tenant can never attach to a fresh value. No-op without TTL. A
+    /// torn stamp fails the op before its WAL record: acknowledged without
+    /// its deadline, an expired key would come back at recovery.
     #[inline]
     pub(super) fn stamp_expiry(&mut self, bucket: u32, expires_at_ms: u64) -> Result<(), PnwError> {
         if let Some(addr) = self.layout.expiry_addr(bucket) {
             self.dev
                 .write(addr, &expires_at_ms.to_le_bytes(), WriteMode::Diff)?;
+            self.check_durable_write()?;
         }
         Ok(())
     }

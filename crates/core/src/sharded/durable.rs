@@ -50,6 +50,10 @@ impl ShardedPnwStore {
             engine.attach_durable(appender);
             shards.push(Shard::wrap(engine, i, &cfg));
         }
+        if fresh {
+            // `super`, `wal.<i>` and `data.<i>` were just created.
+            durable.sync_dir()?;
+        }
         let store = ShardedPnwStore::assemble(cfg, shards, Some(Mutex::new(durable)));
         if !fresh && !store.is_empty() {
             // The model is DRAM-resident and died with the process;

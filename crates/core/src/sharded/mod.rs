@@ -207,21 +207,14 @@ impl ShardedPnwStore {
     }
 
     /// The shard a key routes to — lets crash tests aim
-    /// [`ShardedPnwStore::arm_torn_write`] at the right shard.
+    /// [`ShardedPnwStore::arm_torn_write_after`] at the right shard.
     pub fn shard_of_key(&self, key: u64) -> usize {
         self.shard_of(key)
     }
 
-    /// Arms a torn write on one shard's device: that shard's next
-    /// data-zone write persists only `words` whole words and the device
-    /// crashes (test hook for crash-consistency scenarios).
-    pub fn arm_torn_write(&self, shard: usize, words: usize) {
-        self.arm_torn_write_after(shard, 0, words);
-    }
-
-    /// [`ShardedPnwStore::arm_torn_write`] for the write `skip` device
-    /// writes from now: those land whole first — a crash aimed at one step
-    /// of an op, such as the flag clear an update or delete ends with.
+    /// Arms a torn write on one shard's device (test hook for crash
+    /// consistency): the next `skip` device writes land whole, the one
+    /// after persists only `words` whole words, and the device crashes.
     pub fn arm_torn_write_after(&self, shard: usize, skip: u64, words: usize) {
         let mut held = self.shards[shard].hold(&self.model);
         held.arm_torn_write_after(skip, words);

@@ -16,7 +16,7 @@
 //!   differ, update memory bit"*).
 
 use crate::backing::{DeviceBacking, FileBacking};
-use crate::fault::{FaultConfig, FaultState, StuckAtConfig};
+use crate::fault::{FaultState, StuckAtConfig};
 use crate::geometry::Geometry;
 use crate::latency::LatencyModel;
 use crate::stats::{DeviceStats, WriteStats};
@@ -95,8 +95,8 @@ pub struct NvmConfig {
     pub track_bit_wear: bool,
     /// Latency model used by [`NvmDevice::modeled_write_cost`].
     pub latency: LatencyModel,
-    /// Fault-injection settings.
-    pub fault: FaultConfig,
+    /// Wear-induced stuck-at latching (off by default).
+    pub stuck_at: StuckAtConfig,
     /// Where the cell array lives (DRAM only, or written through to a
     /// file). File-backed devices must be created with
     /// [`NvmDevice::open`].
@@ -110,7 +110,7 @@ impl Default for NvmConfig {
             geometry: Geometry::default(),
             track_bit_wear: false,
             latency: LatencyModel::xpoint(),
-            fault: FaultConfig::default(),
+            stuck_at: StuckAtConfig::default(),
             backing: DeviceBacking::Volatile,
         }
     }
@@ -144,7 +144,7 @@ impl NvmConfig {
 
     /// Configures wear-induced stuck-at latching (see [`StuckAtConfig`]).
     pub fn with_stuck_at(mut self, s: StuckAtConfig) -> Self {
-        self.fault.stuck_at = s;
+        self.stuck_at = s;
         self
     }
 }
@@ -336,7 +336,7 @@ impl NvmDevice {
             latency: cfg.latency,
             stats: DeviceStats::default(),
             wear: WearTracker::new(cfg.size, cfg.geometry.word_bytes, cfg.track_bit_wear),
-            fault: FaultState::new(cfg.fault),
+            fault: FaultState::new(cfg.stuck_at),
             backing: None,
         }
     }
@@ -388,7 +388,7 @@ impl NvmDevice {
             latency: cfg.latency,
             stats: DeviceStats::default(),
             wear: WearTracker::new(cfg.size, cfg.geometry.word_bytes, cfg.track_bit_wear),
-            fault: FaultState::new(cfg.fault),
+            fault: FaultState::new(cfg.stuck_at),
             backing,
         })
     }
@@ -738,7 +738,7 @@ impl NvmDevice {
     /// Arms a torn write: the *next* write persists only `words` whole words
     /// and then the device crashes. Used by recovery tests.
     pub fn arm_torn_write(&mut self, words: usize) {
-        self.fault.arm_torn(words);
+        self.fault.arm_torn_after(0, words);
     }
 
     /// Arms a torn write `skip` writes from now: those land whole, the one

@@ -6,7 +6,7 @@
 //!
 //! * **power failure** between operations ([`FaultState::crash`]) — the
 //!   device retains everything persisted so far and rejects further I/O;
-//! * **torn write** ([`FaultState::arm_torn`]) — a crash *during* a write:
+//! * **torn write** ([`FaultState::arm_torn_after`]) — a crash *during* a write:
 //!   only a prefix of the payload's words reaches the array (PCM programs at
 //!   word granularity, so word-aligned tearing is the realistic model);
 //! * **torn metadata write** ([`FaultState::arm_meta_tear`]) — the same
@@ -81,17 +81,6 @@ impl StuckWord {
     }
 }
 
-/// Static fault-injection configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultConfig {
-    /// If set, the n-th write (0-based) tears after this many words and the
-    /// device crashes. Mostly useful for deterministic test setups; tests
-    /// can also arm tears imperatively via the device.
-    pub tear_write_at: Option<(u64, usize)>,
-    /// Wear-induced stuck-at latching (off by default).
-    pub stuck_at: StuckAtConfig,
-}
-
 /// Which durable *file* a metadata write targets — the three write sites
 /// of the durability layer, each with its own recovery obligation:
 ///
@@ -109,16 +98,6 @@ pub enum MetaTarget {
     Wal,
     /// A checkpoint body (written to a temporary file before rename).
     Checkpoint,
-}
-
-impl MetaTarget {
-    fn index(self) -> usize {
-        match self {
-            MetaTarget::Superblock => 0,
-            MetaTarget::Wal => 1,
-            MetaTarget::Checkpoint => 2,
-        }
-    }
 }
 
 /// An armed metadata tear: the `(skip + 1)`-th write to `target` persists
@@ -142,27 +121,22 @@ pub struct FaultState {
     /// keeps)`.
     armed_torn: Option<(u64, usize)>,
     armed_meta: Option<MetaTear>,
-    writes_seen: u64,
-    /// Per-target metadata write counters, indexed by [`MetaTarget::index`].
-    meta_writes_seen: [u64; 3],
     /// Stuck bits by device word index — armed explicitly or latched by
     /// wear. Empty on the overwhelming majority of devices, so the write
     /// path's per-word overlay check is one `is_empty()` away from free.
     stuck: HashMap<usize, StuckWord>,
-    cfg: FaultConfig,
+    stuck_at: StuckAtConfig,
 }
 
 impl FaultState {
-    /// Creates the state from a configuration.
-    pub fn new(cfg: FaultConfig) -> Self {
+    /// Creates the state, latching worn cells as `stuck_at` says.
+    pub fn new(stuck_at: StuckAtConfig) -> Self {
         FaultState {
             crashed: false,
             armed_torn: None,
             armed_meta: None,
-            writes_seen: 0,
-            meta_writes_seen: [0; 3],
             stuck: HashMap::new(),
-            cfg,
+            stuck_at,
         }
     }
 
@@ -179,12 +153,6 @@ impl FaultState {
     /// Leaves the crashed state.
     pub fn recover(&mut self) {
         self.crashed = false;
-    }
-
-    /// Arms a torn write for the next write operation: only `words` whole
-    /// words will persist.
-    pub fn arm_torn(&mut self, words: usize) {
-        self.arm_torn_after(0, words);
     }
 
     /// Arms a torn write for the `(skip + 1)`-th write from now: `skip`
@@ -204,23 +172,14 @@ impl FaultState {
     /// length. Returns `Some(truncated_len)` if this write tears (the device
     /// then also crashes), or `None` for a normal write.
     pub fn arm_write(&mut self, len: usize, word_bytes: usize) -> Option<usize> {
-        let scheduled = match self.cfg.tear_write_at {
-            Some((n, words)) if n == self.writes_seen => Some(words),
-            _ => None,
-        };
-        self.writes_seen += 1;
-        let armed = match self.armed_torn {
-            Some((0, words)) => {
-                self.armed_torn = None;
-                Some(words)
-            }
-            Some((skip, words)) => {
+        let words = match self.armed_torn? {
+            (0, words) => words,
+            (skip, words) => {
                 self.armed_torn = Some((skip - 1, words));
-                None
+                return None;
             }
-            None => None,
         };
-        let words = armed.or(scheduled)?;
+        self.armed_torn = None;
         self.crashed = true;
         Some((words * word_bytes).min(len))
     }
@@ -241,7 +200,6 @@ impl FaultState {
         if self.crashed {
             return Err(crate::NvmError::Crashed);
         }
-        self.meta_writes_seen[target.index()] += 1;
         match self.armed_meta {
             Some(tear) if tear.target == target => {
                 if tear.skip > 0 {
@@ -258,11 +216,6 @@ impl FaultState {
             }
             _ => Ok(None),
         }
-    }
-
-    /// Metadata writes observed for `target` so far (diagnostics/tests).
-    pub fn meta_writes_seen(&self, target: MetaTarget) -> u64 {
-        self.meta_writes_seen[target.index()]
     }
 
     /// Latches `bit` of device word `word` at `stuck_at_one`. The caller
@@ -282,7 +235,7 @@ impl FaultState {
     /// Whether any bit anywhere is stuck, or wear-induced latching is
     /// configured — the write path's fast-path check.
     pub fn stuck_active(&self) -> bool {
-        !self.stuck.is_empty() || self.cfg.stuck_at.endurance_writes.is_some()
+        !self.stuck.is_empty() || self.stuck_at.endurance_writes.is_some()
     }
 
     /// The stuck bits of `word`, if any.
@@ -321,19 +274,16 @@ impl FaultState {
         word_bits: u32,
         written: u64,
     ) -> Option<u32> {
-        let threshold = self.cfg.stuck_at.endurance_writes?;
+        let threshold = self.stuck_at.endurance_writes?;
         if write_count < threshold {
             return None;
         }
         // Deterministic per-(seed, word, write-count) draw: replayable runs
         // latch identical bits in identical places.
-        let h = splitmix64(
-            self.cfg.stuck_at.seed
-                ^ splitmix64(word as u64)
-                ^ ((write_count as u64) << 32),
-        );
+        let h =
+            splitmix64(self.stuck_at.seed ^ splitmix64(word as u64) ^ ((write_count as u64) << 32));
         let draw = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if draw >= self.cfg.stuck_at.latch_probability {
+        if draw >= self.stuck_at.latch_probability {
             return None;
         }
         let bit = (splitmix64(h) % word_bits as u64) as u32;
@@ -358,7 +308,7 @@ mod tests {
 
     #[test]
     fn crash_recover_cycle() {
-        let mut f = FaultState::new(FaultConfig::default());
+        let mut f = FaultState::new(StuckAtConfig::default());
         assert!(!f.is_crashed());
         f.crash();
         assert!(f.is_crashed());
@@ -368,8 +318,8 @@ mod tests {
 
     #[test]
     fn armed_tear_fires_once() {
-        let mut f = FaultState::new(FaultConfig::default());
-        f.arm_torn(2);
+        let mut f = FaultState::new(StuckAtConfig::default());
+        f.arm_torn_after(0, 2);
         assert_eq!(f.arm_write(100, 8), Some(16));
         assert!(f.is_crashed());
         f.recover();
@@ -378,7 +328,7 @@ mod tests {
 
     #[test]
     fn armed_tear_can_skip_writes_first() {
-        let mut f = FaultState::new(FaultConfig::default());
+        let mut f = FaultState::new(StuckAtConfig::default());
         f.arm_torn_after(2, 1);
         assert_eq!(f.arm_write(100, 8), None);
         assert_eq!(f.arm_write(100, 8), None);
@@ -388,37 +338,20 @@ mod tests {
 
     #[test]
     fn tear_truncates_to_payload() {
-        let mut f = FaultState::new(FaultConfig::default());
-        f.arm_torn(100);
+        let mut f = FaultState::new(StuckAtConfig::default());
+        f.arm_torn_after(0, 100);
         assert_eq!(f.arm_write(24, 8), Some(24));
     }
 
-    #[test]
-    fn scheduled_tear_fires_on_nth_write() {
-        let mut f = FaultState::new(FaultConfig {
-            tear_write_at: Some((1, 1)),
-            ..Default::default()
-        });
-        assert_eq!(f.arm_write(64, 8), None);
-        assert_eq!(f.arm_write(64, 8), Some(8));
-        assert!(f.is_crashed());
-    }
-
-    /// The config-scheduled tear observed end-to-end at the *device* level:
-    /// a device built with `tear_write_at: Some((n, w))` serves `n` whole
-    /// writes, tears the `n`-th at `w` words, and lands in the crashed
-    /// state — the long-unused config knob proven against
-    /// [`crate::NvmDevice`] itself, not just the state machine.
+    /// A tear armed `n` writes ahead, observed at the *device* level: the
+    /// device serves `n` whole writes, tears the next after one word and
+    /// stays crashed until it recovers.
     #[test]
     fn scheduled_tear_fires_on_nth_device_write() {
         use crate::{NvmConfig, NvmDevice, NvmError, WriteMode};
 
-        let mut cfg = NvmConfig::default().with_size(256);
-        cfg.fault = FaultConfig {
-            tear_write_at: Some((2, 1)),
-            ..Default::default()
-        };
-        let mut d = NvmDevice::open(cfg).unwrap();
+        let mut d = NvmDevice::open(NvmConfig::default().with_size(256)).unwrap();
+        d.arm_torn_write_after(2, 1);
 
         // Writes 0 and 1 persist fully.
         d.write(0, &[0x11u8; 16], WriteMode::Raw).unwrap();
@@ -436,7 +369,7 @@ mod tests {
         ));
 
         // After restart the prefix is persisted, the tail never landed and
-        // the scheduled tear does not re-fire.
+        // the tear does not re-fire.
         d.recover();
         assert_eq!(d.peek(32, 8).unwrap(), &[0x33u8; 8]);
         assert_eq!(d.peek(40, 16).unwrap(), &[0u8; 16]);
@@ -446,7 +379,7 @@ mod tests {
 
     #[test]
     fn meta_tear_skips_then_fires_then_blocks() {
-        let mut f = FaultState::new(FaultConfig::default());
+        let mut f = FaultState::new(StuckAtConfig::default());
         f.arm_meta_tear(MetaTear {
             target: MetaTarget::Wal,
             skip: 2,
@@ -463,12 +396,11 @@ mod tests {
         // Everything after the crash is refused.
         assert_eq!(f.filter_meta_write(MetaTarget::Wal, 20), Err(crate::NvmError::Crashed));
         assert_eq!(f.filter_meta_write(MetaTarget::Superblock, 48), Err(crate::NvmError::Crashed));
-        assert_eq!(f.meta_writes_seen(MetaTarget::Wal), 3);
     }
 
     #[test]
     fn stuck_word_accumulates_armed_bits() {
-        let mut f = FaultState::new(FaultConfig::default());
+        let mut f = FaultState::new(StuckAtConfig::default());
         assert!(!f.stuck_active());
         assert_eq!(f.stuck_word(3), None);
         f.arm_stuck_bit(3, 0, true);
@@ -488,12 +420,9 @@ mod tests {
 
     #[test]
     fn latching_requires_threshold_and_is_deterministic() {
-        let cfg = FaultConfig {
-            stuck_at: StuckAtConfig {
-                endurance_writes: Some(10),
-                latch_probability: 1.0,
-                ..Default::default()
-            },
+        let cfg = StuckAtConfig {
+            endurance_writes: Some(10),
+            latch_probability: 1.0,
             ..Default::default()
         };
         let mut f = FaultState::new(cfg);
@@ -513,12 +442,9 @@ mod tests {
 
     #[test]
     fn zero_probability_never_latches() {
-        let mut f = FaultState::new(FaultConfig {
-            stuck_at: StuckAtConfig {
-                endurance_writes: Some(1),
-                latch_probability: 0.0,
-                ..Default::default()
-            },
+        let mut f = FaultState::new(StuckAtConfig {
+            endurance_writes: Some(1),
+            latch_probability: 0.0,
             ..Default::default()
         });
         for wc in 1..200u32 {
@@ -529,7 +455,7 @@ mod tests {
 
     #[test]
     fn meta_tear_keep_clamps_to_payload() {
-        let mut f = FaultState::new(FaultConfig::default());
+        let mut f = FaultState::new(StuckAtConfig::default());
         f.arm_meta_tear(MetaTear {
             target: MetaTarget::Checkpoint,
             skip: 0,

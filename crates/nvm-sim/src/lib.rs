@@ -59,7 +59,7 @@ pub mod wear;
 pub use backing::{DeviceBacking, FileBacking};
 pub use crc::{crc32, crc32_update, crc32c, crc32c_update};
 pub use device::{CellView, NvmConfig, NvmDevice, NvmError, WriteMode};
-pub use fault::{FaultConfig, FaultState, MetaTarget, MetaTear, StuckAtConfig, StuckWord};
+pub use fault::{FaultState, MetaTarget, MetaTear, StuckAtConfig, StuckWord};
 pub use geometry::Geometry;
 pub use latency::{projected_lifetime_ops, LatencyModel, MemoryTech};
 pub use region::{Region, RegionAllocator};

@@ -1,4 +1,5 @@
 //! Helpers shared by integration tests (`mod common;`); each uses a part.
 #![allow(dead_code)]
 
+pub mod crash;
 pub mod oracle;

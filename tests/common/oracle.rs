@@ -37,19 +37,26 @@ pub enum Step {
     // expired keys) and which other backends skip: `retrain_now()`;
     // `retrain_in_background()` then `wait_for_retrain()`; `scrub_pass()`;
     // `crash_and_recover()`; a durable store dropped without a checkpoint,
-    // or `close`d, then reopened.
+    // or `close`d, then reopened; `checkpoint()`; `extend_zone(n)`.
     Retrain,
     BackgroundRetrain,
     Scrub,
     Crash,
     Reopen,
     CloseReopen,
+    Checkpoint,
+    ExtendZone(usize),
+    /// Latches bit `.1` of key `.0`'s stored value at the value it holds,
+    /// then `scrub_pass()`: the scrub moves the intact value off the stuck
+    /// media and retires the bucket, which leaves the store one bucket
+    /// smaller.
+    StuckScrub(u64, u32),
 }
 use Step::*;
 
 /// The value a fill byte names: distinct bytes, so a backend that moves,
 /// truncates or mixes bytes cannot pass as a uniform fill.
-fn value(fill: u8, len: usize) -> Vec<u8> {
+pub(super) fn value(fill: u8, len: usize) -> Vec<u8> {
     (0..len).map(|i| fill ^ (i as u8).wrapping_mul(0x1D)).collect()
 }
 
@@ -62,7 +69,7 @@ pub struct Backend {
     pub name: String,
     /// Which baseline store; `None` is the PNW store.
     baseline: Option<NewStore>,
-    cfg: PnwConfig,
+    pub(super) cfg: PnwConfig,
 }
 
 impl Backend {
@@ -72,7 +79,7 @@ impl Backend {
         Backend { name: name.into(), baseline: None, cfg }
     }
 
-    fn dir(&self) -> Option<&PathBuf> {
+    pub(super) fn dir(&self) -> Option<&PathBuf> {
         let BackingMode::File(dir) = &self.cfg.backing else { return None };
         Some(dir)
     }
@@ -212,6 +219,12 @@ impl Live {
             Inst::Other(s) => s.as_ref(),
             Inst::Gone => unreachable!("a store is swapped out only inside a reopen"),
         }
+    }
+
+    /// The PNW store, when the backend is one.
+    pub fn pnw(&self) -> Option<&PnwStore> {
+        let Inst::Pnw(s) = &self.inst else { return None };
+        Some(s)
     }
 }
 
@@ -353,6 +366,21 @@ impl<'a> Runner<'a> {
                 s.crash_and_recover().map_err(failed("crash_and_recover"))?;
                 self.rebase();
             }
+            Checkpoint => s.checkpoint().map_err(failed("checkpoint"))?,
+            ExtendZone(n) => drop(s.extend_zone(*n)),
+            StuckScrub(k, bit) => {
+                let retired = s.snapshot().scrub.retired;
+                let bit_of = |v: &Vec<u8>| v[*bit as usize / 8] >> (bit % 8) & 1;
+                let stored = self.model.map.get(k).map(|(v, _)| bit_of(v));
+                let armed = s.arm_stuck_at_key(*k, *bit, stored == Some(1));
+                same("arm_stuck_at_key", armed, Ok(stored.is_some()))?;
+                s.scrub_pass().map_err(failed("scrub_pass"))?;
+                self.model.map.retain(|_, (_, expired)| !*expired);
+                let retired = s.snapshot().scrub.retired - retired;
+                if let Some(c) = &mut self.model.capacity {
+                    *c -= retired as usize;
+                }
+            }
             Reopen | CloseReopen if self.live.dir.is_some() => {
                 let Inst::Pnw(s) = std::mem::replace(&mut self.live.inst, Inst::Gone) else {
                     unreachable!()
@@ -461,6 +489,8 @@ fn random_step(rng: &mut StdRng, pnw: bool, durable: bool) -> Step {
             89..=91 if pnw => Crash,
             92..=94 if durable => Reopen,
             95..=96 if durable => CloseReopen,
+            97 if durable => Checkpoint,
+            98 if pnw => ExtendZone(rng.gen_range(1..5)),
             _ => continue,
         };
     }
