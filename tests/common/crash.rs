@@ -46,7 +46,7 @@ pub enum Tear {
 }
 
 impl Site {
-    fn tears(self) -> &'static [Tear] {
+    pub fn tears(self) -> &'static [Tear] {
         match self {
             Site::Device(_) => &[Tear::Nothing, Tear::Prefix(1), Tear::Whole],
             Site::Meta(_) => &[Tear::Nothing, Tear::Prefix(3), Tear::Prefix(13), Tear::Whole],
@@ -86,14 +86,16 @@ pub fn configs(tag: &str) -> [Backend; 4] {
     ]
 }
 
-/// The seeded script one configuration crashes in.
+/// The seeded script's commit-first update and delete, with room in the
+/// pool: the steps right after its six fresh puts.
+pub const UPDATE: usize = 6;
+pub const DELETE: usize = UPDATE + 1;
+
+/// The script one configuration crashes in.
 pub struct Script {
     pub steps: Vec<Step>,
-    /// The commit-first update and delete, with room in the pool.
-    pub update: usize,
-    pub delete: usize,
     /// An update on a shard whose pool is dry: it reaches `forced_reuse`.
-    pub forced_reuse: usize,
+    forced_reuse: Option<usize>,
     /// A freshly opened store's directory, which every cell starts from: a
     /// copy of it opens at a fraction of a fresh open's fsyncs.
     fresh: PathBuf,
@@ -114,8 +116,7 @@ impl Script {
     /// running the prefix, and the whole script is checked against the
     /// `Store` oracle before any cell runs on it.
     pub fn of(backend: &Backend) -> Script {
-        let mut steps: Vec<Step> = (1..=6).map(|k| Put(k, 0x10 * k as u8)).collect();
-        let (update, delete) = (steps.len(), steps.len() + 1);
+        let mut steps: Vec<Step> = (1..=UPDATE as u64).map(|k| Put(k, 0x10 * k as u8)).collect();
         steps.extend([Put(2, 0x2A), Delete(3), Get(2)]);
         steps.extend([PutExpiring(7, 0x77, true), PutExpiring(8, 0x88, false)]);
         steps.push(Apply(vec![Put(9, 0x99), Put(10, 0xA0), Delete(4), Put(2, 0x2B)]));
@@ -142,11 +143,19 @@ impl Script {
         steps.extend(fill.iter().map(|&k| Put(k, k as u8)));
         let forced_reuse = steps.len();
         steps.extend([Put(fill[0], 0xF0), Delete(fill[1]), Scan(0, u64::MAX)]);
+        let mut script = Script::new(backend, steps);
+        script.forced_reuse = Some(forced_reuse);
+        script
+    }
+
+    /// `steps` as they are, checked against the `Store` oracle: a script
+    /// that fills no pool, so no update of it reaches `forced_reuse`.
+    pub fn new(backend: &Backend, steps: Vec<Step>) -> Script {
         drop(oracle::check(backend, &steps));
         let fresh = backend.dir().expect("a durable backend").with_extension("fresh");
         let _ = std::fs::remove_dir_all(&fresh);
         drop(PnwStore::open(backend.cfg.clone().with_path(&fresh)).expect("fresh open"));
-        Script { steps, update, delete, forced_reuse, fresh }
+        Script { steps, forced_reuse: None, fresh }
     }
 
     /// Every key the script touches, and a few it never does.
@@ -310,8 +319,9 @@ struct Cell<'a> {
 impl Cell<'_> {
     /// Runs the script with the tear armed and closes the store; when the
     /// tear fired (or none was armed) and `check` is set, checks the
-    /// reopened store. Returns whether the tear fired.
-    fn run(&self, check: bool) -> bool {
+    /// reopened store. Returns whether the tear fired, and the first step
+    /// that failed.
+    fn run(&self, check: bool) -> (bool, Option<usize>) {
         let (cfg, dir) = (&self.backend.cfg, self.backend.dir().expect("a durable backend"));
         let _ = std::fs::remove_dir_all(dir);
         std::fs::create_dir_all(dir).expect("store directory");
@@ -328,7 +338,7 @@ impl Cell<'_> {
         for (i, step) in self.script.steps.iter().enumerate() {
             if dying.send(&store, step) {
                 failed_at.get_or_insert(i);
-                if i == self.script.forced_reuse {
+                if Some(i) == self.script.forced_reuse {
                     let Put(k, _) = *step else { unreachable!() };
                     dying.keys.get_mut(&k).unwrap().may_vanish = true;
                 }
@@ -352,7 +362,7 @@ impl Cell<'_> {
             }
         }
         let _ = std::fs::remove_dir_all(self.backend.dir().unwrap());
-        fired
+        (fired, failed_at)
     }
 
     fn check(&self, dying: &Dying) -> Result<(), String> {
@@ -431,12 +441,23 @@ fn same<T: PartialEq + std::fmt::Debug>(what: &str, got: T, want: T) -> Result<(
     (got == want).then_some(()).ok_or_else(diverged)
 }
 
+/// Runs the script unarmed, closes it cleanly and checks the reopen.
+pub fn clean_close(backend: &Backend, script: &Script) {
+    Cell { backend, script, crash: None }.run(true);
+}
+
+/// Runs the script with write `k` at `site` torn `tear` and checks the
+/// crash; returns whether it fired.
+pub fn torn(backend: &Backend, script: &Script, site: Site, k: u64, tear: Tear) -> bool {
+    Cell { backend, script, crash: Some((site, k, tear)) }.run(true).0
+}
+
 /// Runs every tear of write `k` at `site`, checking each crash; returns
 /// whether it fired. The first tear decides: the others fire exactly when
 /// it does.
 pub fn cell(backend: &Backend, script: &Script, site: Site, k: u64) -> bool {
     let mut tears = site.tears().iter();
-    let cell = |tear: Tear| Cell { backend, script, crash: Some((site, k, tear)) }.run(true);
+    let cell = |tear: Tear| torn(backend, script, site, k, tear);
     if !cell(*tears.next().unwrap()) {
         return false;
     }
@@ -450,24 +471,28 @@ pub fn cell(backend: &Backend, script: &Script, site: Site, k: u64) -> bool {
     true
 }
 
+/// The first step that fails when write `k` at `site` lands nothing, or
+/// `None` when the script makes no such write.
+pub fn first_failure(backend: &Backend, script: &Script, site: Site, k: u64) -> Option<usize> {
+    Cell { backend, script, crash: Some((site, k, Tear::Nothing)) }.run(false).1
+}
+
 /// The write sites of `backend`: every shard's device, then the files.
-fn sites(backend: &Backend) -> Vec<Site> {
+pub fn sites(backend: &Backend) -> Vec<Site> {
     let files = [MetaTarget::Wal, MetaTarget::Superblock, MetaTarget::Checkpoint].map(Site::Meta);
     (0..backend.cfg.shards).map(Site::Device).chain(files).collect()
 }
 
-/// Checks the clean close, then walks every site; returns the writes per
-/// site. The sites walk in parallel, each in a directory of its own: a
-/// cell spends most of its time waiting on fsyncs.
-fn walk(backend: &Backend, stride: u64) -> Vec<(Site, u64)> {
-    let script = Script::of(backend);
-    Cell { backend, script: &script, crash: None }.run(true);
+/// Walks each of `sites`; returns the writes per site. The sites walk in
+/// parallel, each in a directory of its own: a cell spends most of its
+/// time waiting on fsyncs.
+pub fn walk(backend: &Backend, script: &Script, sites: &[Site], stride: u64) -> Vec<(Site, u64)> {
     let dir = backend.dir().expect("a durable backend");
     std::thread::scope(|scope| {
-        let walks: Vec<_> = (sites(backend).into_iter().enumerate())
-            .map(|(i, site)| {
+        let walks: Vec<_> = (sites.iter().enumerate())
+            .map(|(i, &site)| {
                 let cfg = backend.cfg.clone().with_path(dir.with_extension(i.to_string()));
-                let (own, script) = (Backend::pnw(&backend.name, cfg), &script);
+                let own = Backend::pnw(&backend.name, cfg);
                 scope.spawn(move || (site, walk_site(&own, script, site, stride)))
             })
             .collect();
@@ -490,7 +515,7 @@ fn walk_site(backend: &Backend, script: &Script, site: Site, stride: u64) -> u64
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
         let probe = Cell { backend, script, crash: Some((site, mid, Tear::Nothing)) };
-        *(if probe.run(false) { &mut lo } else { &mut hi }) = mid;
+        *(if probe.run(false).0 { &mut lo } else { &mut hi }) = mid;
     }
     if lo > k - stride {
         cell(backend, script, site, lo);
@@ -498,12 +523,22 @@ fn walk_site(backend: &Backend, script: &Script, site: Site, stride: u64) -> u64
     lo + 1
 }
 
-/// Every cell: each site's every write, torn each way.
-pub fn full(backend: &Backend) -> Vec<(Site, u64)> {
-    walk(backend, 1)
+/// The kills between ops on a one-shard configuration: each step's last
+/// device write lands whole and the store dies right after it, the next
+/// op not yet begun. Returns the writes checked.
+pub fn between_ops(backend: &Backend, script: &Script) -> Vec<u64> {
+    let ends = script.device_writes(backend).into_iter().filter(|w| !w.is_empty());
+    let ends: Vec<u64> = ends.map(|w| w.end - 1).collect();
+    for &k in &ends {
+        let fired = torn(backend, script, Site::Device(0), k, Tear::Whole);
+        assert!(fired, "{}: device write {k} never made", backend.name);
+    }
+    ends
 }
 
-/// Each site's k = 0, every 7th k and its last write, torn each way.
-pub fn strided(backend: &Backend) -> Vec<(Site, u64)> {
-    walk(backend, 7)
+/// Every cell: the clean close, and each site's every write, torn each way.
+pub fn full(backend: &Backend) -> Vec<(Site, u64)> {
+    let script = Script::of(backend);
+    clean_close(backend, &script);
+    walk(backend, &script, &sites(backend), 1)
 }

@@ -1,15 +1,23 @@
-//! Property-based crash consistency at the device level: a file-backed
+//! Property-based crash consistency. At the device level, a file-backed
 //! [`NvmDevice`] takes word-aligned writes in both [`WriteMode`]s with a
 //! torn write armed at a random index; the reopened device's cells must
 //! equal the shadow image in which the torn write applied only its
-//! persisted word prefix. The store above it is enumerated, not sampled:
-//! the crash matrix in `tests/recovery.rs` crashes it at every write.
+//! persisted word prefix. At the store level, a random script of puts and
+//! deletes crashes at a random device or WAL write, torn each way, and
+//! the reopened store must pass the crash matrix's checks
+//! (`common/crash.rs`). The matrix in `tests/recovery.rs` crashes one
+//! seeded script at every write; these sample the scripts instead.
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
+use common::crash::{self, Script, Site};
+use common::oracle::{durable_dir, Backend, Step};
+use pnw_core::{IndexPlacement, MetaTarget, PnwConfig};
 use pnw_nvm_sim::{DeviceBacking, NvmConfig, NvmDevice, WriteMode};
 
 /// A unique scratch directory per proptest case (cases share one process).
@@ -25,8 +33,75 @@ fn case_dir(prefix: &str) -> PathBuf {
     dir
 }
 
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        3 => (0u64..16, any::<u8>()).prop_map(|(k, fill)| Step::Put(k, fill)),
+        1 => (0u64..16).prop_map(Step::Delete),
+    ]
+}
+
+/// Crashes `steps` at write `k` of a shard's device (`Some(shard)`,
+/// wrapped to the shards there are) or of the WAL (`None`), torn the way
+/// `tear` picks from the site's tears. `k` wraps to the steps that site sees, about one write each, so most
+/// draws fire; one past the script's last write there checks the clean
+/// close.
+fn crash_random_script(
+    steps: Vec<Step>,
+    device: Option<usize>,
+    k: u64,
+    tear: usize,
+    shards: usize,
+    placement: IndexPlacement,
+) {
+    let tag = format!("prop_store_{placement:?}");
+    // 32 buckets per shard: even if every key routes to one shard it fits.
+    let cfg = PnwConfig::new(32 * shards, 8)
+        .with_clusters(2)
+        .with_seed(17)
+        .with_shards(shards)
+        .with_index(placement)
+        .with_path(durable_dir(&tag));
+    let backend = Backend::pnw(&format!("{shards} shards, {placement:?} index"), cfg);
+    let (site, seen) = match device {
+        Some(s) => (Site::Device(s % shards), steps.len() / shards),
+        None => (Site::Meta(MetaTarget::Wal), steps.len()),
+    };
+    let k = k % seen.max(1) as u64;
+    let script = Script::new(&backend, steps);
+    let tear = site.tears()[tear % site.tears().len()];
+    if !crash::torn(&backend, &script, site, k, tear) {
+        crash::clean_close(&backend, &script);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// DRAM-index durable store: reopen after a random crash serves, per
+    /// key, acked ⊆ recovered ⊆ sent.
+    #[test]
+    fn crashed_store_reopens_prefix_consistent_dram(
+        steps in proptest::collection::vec(step_strategy(), 1..30),
+        device in prop_oneof![(0usize..4).prop_map(Some), Just(None)],
+        k in 0u64..32,
+        tear in 0usize..4,
+        shards in prop_oneof![Just(1usize), Just(4usize)],
+    ) {
+        crash_random_script(steps, device, k, tear, shards, IndexPlacement::Dram);
+    }
+
+    /// NVM Path-Hashing index: the torn index region is rebuilt from the
+    /// committed set at reopen.
+    #[test]
+    fn crashed_store_reopens_prefix_consistent_nvm(
+        steps in proptest::collection::vec(step_strategy(), 1..30),
+        device in prop_oneof![(0usize..4).prop_map(Some), Just(None)],
+        k in 0u64..32,
+        tear in 0usize..4,
+        shards in prop_oneof![Just(1usize), Just(4usize)],
+    ) {
+        crash_random_script(steps, device, k, tear, shards, IndexPlacement::Nvm);
+    }
 
     /// File-backed device, both write modes, torn write at a random index:
     /// the reopened cell array equals the shadow image where the torn

@@ -14,7 +14,7 @@ mod common;
 use std::path::{Path, PathBuf};
 
 use common::crash::{self, Site};
-use common::oracle::Step;
+use common::oracle::{Backend, Step};
 use pnw_core::{IndexPlacement, MetaTarget, PnwConfig, PnwStore, ShardedPnwStore, Store};
 use pnw_workloads::{DatasetKind, Workload};
 
@@ -169,34 +169,148 @@ fn device_stats_and_wear_survive_reopen() {
 }
 
 // ---------------------------------------------------------------------------
-// The crash matrix (`common/crash.rs`): tier-1 walks each site at k = 0,
-// every 7th k and its last write; the ignored `crash_matrix_full` walks
-// every k.
+// The crash matrix (`common/crash.rs`), one test per configuration and
+// site: tier-1 walks each site at k = 0, every 7th k and its last write;
+// the ignored `crash_matrix_full` walks every k.
 // ---------------------------------------------------------------------------
 
-fn crash_matrix(config: usize) {
-    let backend = &crash::configs("strided")[config];
-    println!("{}: writes per site {:?}", backend.name, crash::strided(backend));
+const STRIDE: u64 = 7;
+const DRAM: usize = 0;
+const SHARDED: usize = 1;
+const NVM: usize = 2;
+const TTL_RESERVE: usize = 3;
+
+/// Configuration `config` of the matrix in directories of `test`'s own,
+/// and its script.
+fn matrix(test: &str, config: usize) -> (Backend, crash::Script) {
+    let backend = crash::configs(test).into_iter().nth(config).unwrap();
+    let script = crash::Script::of(&backend);
+    (backend, script)
+}
+
+/// Walks `sites` of configuration `config`, strided.
+fn walk(test: &str, config: usize, sites: &[Site]) {
+    let (backend, script) = matrix(test, config);
+    let writes = crash::walk(&backend, &script, sites, STRIDE);
+    println!("{}: writes per site {writes:?}", backend.name);
+}
+
+const WAL: Site = Site::Meta(MetaTarget::Wal);
+const SUPERBLOCK: Site = Site::Meta(MetaTarget::Superblock);
+const CHECKPOINT: Site = Site::Meta(MetaTarget::Checkpoint);
+
+#[test]
+fn matrix_dram_clean_close() {
+    let (backend, script) = matrix("dram_clean_close", DRAM);
+    crash::clean_close(&backend, &script);
 }
 
 #[test]
-fn crash_matrix_1_shard_dram() {
-    crash_matrix(0);
+fn matrix_dram_kill_between_ops() {
+    let (backend, script) = matrix("dram_between_ops", DRAM);
+    println!("device writes {:?}", crash::between_ops(&backend, &script));
 }
 
 #[test]
-fn crash_matrix_4_shards() {
-    crash_matrix(1);
+fn matrix_dram_torn_mid_wal_record() {
+    walk("dram_wal", DRAM, &[WAL]);
 }
 
 #[test]
-fn crash_matrix_1_shard_nvm_index() {
-    crash_matrix(2);
+fn matrix_dram_torn_superblock_replica() {
+    walk("dram_superblock", DRAM, &[SUPERBLOCK]);
+}
+
+#[test]
+fn matrix_dram_half_written_checkpoint() {
+    walk("dram_checkpoint", DRAM, &[CHECKPOINT]);
+}
+
+/// A torn bucket, flag, expiry or index-region write on either one-shard
+/// configuration: the op it belongs to is unacknowledged and every
+/// acknowledged one survives.
+#[test]
+fn matrix_torn_data_write_is_unacknowledged() {
+    walk("dram_device", DRAM, &[Site::Device(0)]);
+    walk("nvm_device", NVM, &[Site::Device(0)]);
+}
+
+#[test]
+fn matrix_nvm_clean_close() {
+    let (backend, script) = matrix("nvm_clean_close", NVM);
+    crash::clean_close(&backend, &script);
+}
+
+#[test]
+fn matrix_nvm_kill_between_ops() {
+    let (backend, script) = matrix("nvm_between_ops", NVM);
+    println!("device writes {:?}", crash::between_ops(&backend, &script));
+}
+
+#[test]
+fn matrix_nvm_torn_mid_wal_record() {
+    walk("nvm_wal", NVM, &[WAL]);
+}
+
+#[test]
+fn matrix_nvm_torn_superblock_replica() {
+    walk("nvm_superblock", NVM, &[SUPERBLOCK]);
+}
+
+#[test]
+fn matrix_nvm_half_written_checkpoint() {
+    walk("nvm_checkpoint", NVM, &[CHECKPOINT]);
+}
+
+/// Every shard's device of the four-shard configuration.
+#[test]
+fn sharded_kill_between_ops_recovers_every_shard() {
+    walk("sharded_device", SHARDED, &(0..4).map(Site::Device).collect::<Vec<_>>());
+}
+
+/// The four shards' WALs share one store-wide append counter.
+#[test]
+fn sharded_torn_wal_record_drops_only_the_unacknowledged_put() {
+    walk("sharded_wal", SHARDED, &[WAL]);
+}
+
+/// Every WAL record of the script's `Apply` group, torn each way: the
+/// ops the report acknowledged survive bit-exact and the rest fail as a
+/// clean prefix, each key reading a value some op sent it.
+#[test]
+fn sharded_torn_wal_inside_group_commits_a_clean_prefix() {
+    let (backend, script) = matrix("sharded_group", SHARDED);
+    let apply = script.steps.iter().position(|s| matches!(s, Step::Apply(_))).unwrap();
+    let Step::Apply(ops) = &script.steps[apply] else { unreachable!() };
+    // One record per mutation before the group and per op in it: the
+    // group is the first step to notice the loss of exactly these.
+    let before = script.steps[..apply].iter().filter(|s| !matches!(s, Step::Get(_))).count();
+    let group = before as u64..(before + ops.len()) as u64;
+    let fails_at = |k| crash::first_failure(&backend, &script, WAL, k);
+    assert!(fails_at(group.start - 1) < Some(apply) && fails_at(group.end) > Some(apply));
+    assert_eq!([group.start, group.end - 1].map(fails_at), [Some(apply); 2], "{group:?}");
+    for k in group {
+        assert!(crash::cell(&backend, &script, WAL, k));
+    }
+}
+
+/// The clean close, and a kill at the checkpoint and superblock writes —
+/// the first of each right after the `Apply` group, which then survives
+/// from its WAL records alone.
+#[test]
+fn sharded_group_commit_survives_kill_without_checkpoint() {
+    let (backend, script) = matrix("sharded_checkpoint", SHARDED);
+    crash::clean_close(&backend, &script);
+    let writes = crash::walk(&backend, &script, &[CHECKPOINT, SUPERBLOCK], STRIDE);
+    println!("{}: writes per site {writes:?}", backend.name);
 }
 
 #[test]
 fn crash_matrix_2_shards_ttl_reserve() {
-    crash_matrix(3);
+    let (backend, script) = matrix("ttl", TTL_RESERVE);
+    crash::clean_close(&backend, &script);
+    let writes = crash::walk(&backend, &script, &crash::sites(&backend), STRIDE);
+    println!("{}: writes per site {writes:?}", backend.name);
 }
 
 #[test]
@@ -212,27 +326,32 @@ fn crash_matrix_full() {
 /// clears the vacated bucket's flag last. The crash matrix's cells at
 /// exactly that flag clear, torn each way: the record is synced and the
 /// op acknowledged, so the key must read its new value (update) or
-/// nothing (delete), with the vacated bucket free again. Then the cells at
-/// the update's own WAL record: landed whole while its append reports
-/// failure, it must not lose the key's acknowledged old value to a bucket
-/// the dying store reuses.
+/// nothing (delete), with the vacated bucket free again.
+fn flag_clear_cells(backend: &Backend, script: &crash::Script, step: usize, writes: u64) {
+    let ranges = script.device_writes(backend);
+    assert_eq!(ranges[step].end - ranges[step].start, writes, "{:?}", script.steps[step]);
+    assert!(crash::cell(backend, script, Site::Device(0), ranges[step].end - 1));
+}
+
+/// The update writes its new bucket image, then the flag clear. Then the
+/// cells at the update's own WAL record: landed whole while its append
+/// reports failure, it must not lose the key's acknowledged old value to
+/// a bucket the dying store reuses.
 #[test]
-fn crash_matrix_commit_order() {
-    let backend = &crash::configs("commit_order")[0];
-    let script = crash::Script::of(backend);
-    let writes = script.device_writes(backend);
-    // The update writes its new bucket image, then the flag clear; the
-    // delete's flag clear is its only cell write.
-    assert_eq!(writes[script.update].end - writes[script.update].start, 2);
-    assert_eq!(writes[script.delete].end - writes[script.delete].start, 1);
-    for step in [script.update, script.delete] {
-        let flag_clear = writes[step].end - 1;
-        assert!(crash::cell(backend, &script, Site::Device(0), flag_clear));
-    }
+fn crash_at_the_vacated_flag_clear_after_a_synced_update() {
+    let (backend, script) = matrix("update_flag_clear", DRAM);
+    flag_clear_cells(&backend, &script, crash::UPDATE, 2);
     // Every step before the update is a fresh put of one WAL record.
-    assert!(script.steps[..script.update].iter().all(|s| matches!(s, Step::Put(..))));
-    let record = script.update as u64;
-    assert!(crash::cell(backend, &script, Site::Meta(MetaTarget::Wal), record));
+    let before = &script.steps[..crash::UPDATE];
+    assert!(before.iter().all(|s| matches!(s, Step::Put(..))));
+    assert!(crash::cell(&backend, &script, WAL, crash::UPDATE as u64));
+}
+
+/// The delete's flag clear is its only cell write.
+#[test]
+fn crash_at_the_flag_clear_after_a_synced_delete() {
+    let (backend, script) = matrix("delete_flag_clear", DRAM);
+    flag_clear_cells(&backend, &script, crash::DELETE, 1);
 }
 
 /// A power loss, not a process death: the OS drops every data-file write
