@@ -9,16 +9,18 @@
 //! The script ends in `close`, which fails on a store whose device or
 //! metadata writer died, so "the tear fired" is "`close` failed" (the
 //! unarmed script fails no step). After the reopen: per key, bit-exact,
-//! acked ⊆ recovered ⊆ sent; no read answers an error; `scan` equals the
-//! point GETs; no bucket leaked or retired but under a latched stuck bit;
-//! a put/get/delete round, `close` and a second reopen work. The one
-//! exception: an update that fails on the `forced_reuse` path (its pool
-//! dry, it commits its delete and rewrites its own vacated bucket) may
-//! leave its key absent, the relocation crash window `shard/placement.rs`
-//! documents.
+//! the state the last acknowledged op left — a failed op counts only in
+//! the step the tear fired in, and only when the tear landed its WAL
+//! record whole; no read answers an error; `scan` equals the point GETs
+//! and `len()` counts them; no bucket leaked or retired but under a
+//! latched stuck bit; a put/get/delete round, `close` and a second reopen
+//! work. The one exception: an update that fails on the `forced_reuse`
+//! path (its pool dry, it commits its delete and rewrites its own vacated
+//! bucket) may leave its key absent, the relocation crash window
+//! `shard/placement.rs` documents.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::ffi::OsString;
 
 use pnw_core::{now_unix_ms, Batch, IndexPlacement, MetaTarget, MetaTear, PnwConfig, PnwStore};
 use pnw_core::{Store, StoreError};
@@ -91,20 +93,15 @@ pub fn configs(tag: &str) -> [Backend; 4] {
 pub const UPDATE: usize = 6;
 pub const DELETE: usize = UPDATE + 1;
 
-/// The script one configuration crashes in.
+/// The script one configuration crashes in. It holds no path: any
+/// backend of the same configuration runs it, in its own directory.
 pub struct Script {
     pub steps: Vec<Step>,
     /// An update on a shard whose pool is dry: it reaches `forced_reuse`.
     forced_reuse: Option<usize>,
-    /// A freshly opened store's directory, which every cell starts from: a
-    /// copy of it opens at a fraction of a fresh open's fsyncs.
-    fresh: PathBuf,
-}
-
-impl Drop for Script {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.fresh);
-    }
+    /// A freshly opened store's files, which every run starts from:
+    /// writing them costs a fraction of a fresh open's fsyncs.
+    fresh: Vec<(OsString, Vec<u8>)>,
 }
 
 impl Script {
@@ -112,9 +109,9 @@ impl Script {
     /// past and one an hour out; a batch; a checkpoint and a WAL suffix
     /// over it; a zone extension; a scrub relocation off a stuck bit that
     /// agrees with the value; then shard 0 filled until a fresh key no
-    /// longer fits, an update there, and a delete. The fill is sized by
-    /// running the prefix, and the whole script is checked against the
-    /// `Store` oracle before any cell runs on it.
+    /// longer fits, an update there, and a delete. The prefix is checked
+    /// against the `Store` oracle, and sizes the fill; the clean close
+    /// checks the whole script.
     pub fn of(backend: &Backend) -> Script {
         let mut steps: Vec<Step> = (1..=UPDATE as u64).map(|k| Put(k, 0x10 * k as u8)).collect();
         steps.extend([Put(2, 0x2A), Delete(3), Get(2)]);
@@ -141,21 +138,30 @@ impl Script {
         assert!(fill.len() >= 2 && (free == 0 || others_free), "{}: filled {fill:?}", backend.name);
         drop(live);
         steps.extend(fill.iter().map(|&k| Put(k, k as u8)));
-        let forced_reuse = steps.len();
+        let forced_reuse = Some(steps.len());
         steps.extend([Put(fill[0], 0xF0), Delete(fill[1]), Scan(0, u64::MAX)]);
-        let mut script = Script::new(backend, steps);
-        script.forced_reuse = Some(forced_reuse);
-        script
+        Script { steps, forced_reuse, ..Script::new(backend) }
     }
 
-    /// `steps` as they are, checked against the `Store` oracle: a script
-    /// that fills no pool, so no update of it reaches `forced_reuse`.
-    pub fn new(backend: &Backend, steps: Vec<Step>) -> Script {
-        drop(oracle::check(backend, &steps));
-        let fresh = backend.dir().expect("a durable backend").with_extension("fresh");
-        let _ = std::fs::remove_dir_all(&fresh);
-        drop(PnwStore::open(backend.cfg.clone().with_path(&fresh)).expect("fresh open"));
-        Script { steps, forced_reuse: None, fresh }
+    /// No steps yet, on a freshly opened store of `backend`'s configuration.
+    pub fn new(backend: &Backend) -> Script {
+        let dir = backend.dir().expect("a durable backend");
+        let _ = std::fs::remove_dir_all(dir);
+        drop(PnwStore::open(backend.cfg.clone()).expect("fresh open"));
+        let files = std::fs::read_dir(dir).expect("the fresh store").map(|file| {
+            let name = file.expect("the fresh store").file_name();
+            let bytes = std::fs::read(dir.join(&name)).expect("the fresh store");
+            (name, bytes)
+        });
+        let fresh = files.collect();
+        let _ = std::fs::remove_dir_all(dir);
+        Script { steps: Vec::new(), forced_reuse: None, fresh }
+    }
+
+    /// `steps` on this script's fresh store: a script that fills no pool,
+    /// so no update of it reaches `forced_reuse`.
+    pub fn with(&self, steps: Vec<Step>) -> Script {
+        Script { steps, forced_reuse: None, fresh: self.fresh.clone() }
     }
 
     /// Every key the script touches, and a few it never does.
@@ -175,32 +181,16 @@ impl Script {
         keys.dedup();
         keys
     }
-
-    /// The device writes each step makes on a one-shard configuration, as
-    /// ranges of write indexes k.
-    pub fn device_writes(&self, backend: &Backend) -> Vec<std::ops::Range<u64>> {
-        assert_eq!(backend.cfg.shards, 1, "device write counts are store-wide");
-        let _ = std::fs::remove_dir_all(backend.dir().expect("a durable backend"));
-        let store = PnwStore::open(backend.cfg.clone()).expect("fresh open");
-        let writes = || store.snapshot().device.write_ops;
-        let (base, mut ranges) = (writes(), Vec::new());
-        let mut dying = Dying::new(backend.cfg.value_size, backend.cfg.ttl_enabled);
-        for step in &self.steps {
-            let at = writes() - base;
-            assert!(!dying.send(&store, step), "{}: {step:?} failed unarmed", backend.name);
-            ranges.push(at..writes() - base);
-        }
-        store.close().expect("close");
-        let _ = std::fs::remove_dir_all(backend.dir().unwrap());
-        ranges
-    }
 }
 
-/// One key's possible states after a crash: what each op sent on it left
-/// (`None`: absent or expired), from the last acknowledged one on.
+/// What one key may read after a crash (`None`: absent or expired).
+#[derive(Default)]
 struct History {
-    states: Vec<Option<Vec<u8>>>,
-    acked: usize,
+    /// The state the last acknowledged op on the key left.
+    acked: Option<Vec<u8>>,
+    /// States unacknowledged ops sent since, whose WAL records the tear
+    /// may have landed whole.
+    landed: Vec<Option<Vec<u8>>>,
     /// A failed forced-reuse update may leave the key absent.
     may_vanish: bool,
 }
@@ -213,28 +203,28 @@ struct Dying {
     retirable: u64,
     vs: usize,
     ttl: bool,
+    /// The tear lands a whole WAL record: the step it fires in may leave
+    /// its record on file although the step failed.
+    whole_record: bool,
+    /// A step has failed: the store died, and no later record lands.
+    died: bool,
 }
 
 impl Dying {
-    fn new(vs: usize, ttl: bool) -> Self {
-        Dying { keys: BTreeMap::new(), retirable: 0, vs, ttl }
+    fn new(cfg: &PnwConfig, crash: Option<Crash>) -> Self {
+        let whole_record = matches!(crash, Some((Site::Meta(MetaTarget::Wal), _, Tear::Whole)));
+        let (vs, ttl) = (cfg.value_size, cfg.ttl_enabled);
+        Dying { keys: BTreeMap::new(), retirable: 0, vs, ttl, whole_record, died: false }
     }
 
+    /// Records that an op sent `state` to `key`.
     fn sent(&mut self, key: u64, state: Option<Vec<u8>>, acked: bool) {
-        let h = self.keys.entry(key).or_insert(History {
-            states: vec![None],
-            acked: 0,
-            may_vanish: false,
-        });
-        h.states.push(state);
+        let h = self.keys.entry(key).or_default();
         if acked {
-            h.acked = h.states.len() - 1;
+            (h.acked, h.landed) = (state, Vec::new());
+        } else if self.whole_record && !self.died {
+            h.landed.push(state);
         }
-    }
-
-    /// What `key` last held, as far as the ops sent on it go.
-    fn latest(&self, key: u64) -> Option<&Vec<u8>> {
-        self.keys.get(&key)?.states.last()?.as_ref()
     }
 
     /// Runs `step`; returns whether it failed.
@@ -253,18 +243,14 @@ impl Dying {
                 self.sent(k, (!(past && self.ttl)).then(|| v(fill)), ok);
                 !ok
             }
-            Delete(k) => match s.delete(k) {
-                Ok(true) => {
-                    self.sent(k, None, true);
-                    false
-                }
+            Delete(k) => {
+                let deleted = s.delete(k);
                 // A dying shard may no longer know the key: no mutation.
-                Ok(false) => false,
-                Err(_) => {
-                    self.sent(k, None, false);
-                    true
+                if !matches!(deleted, Ok(false)) {
+                    self.sent(k, None, deleted.is_ok());
                 }
-            },
+                deleted.is_err()
+            }
             Apply(ref ops) => {
                 let mut batch = Batch::new();
                 for op in ops {
@@ -298,7 +284,8 @@ impl Dying {
                 false
             }
             StuckScrub(k, bit) => {
-                let stored = self.latest(k).map(|v| v[bit as usize / 8] >> (bit % 8) & 1);
+                let held = self.keys.get(&k).and_then(|h| h.acked.as_ref());
+                let stored = held.map(|v| v[bit as usize / 8] >> (bit % 8) & 1);
                 let armed = s.arm_stuck_at_key(k, bit, stored == Some(1));
                 self.retirable += u64::from(armed == Ok(true));
                 armed.is_err() | s.scrub_pass().is_err()
@@ -308,130 +295,130 @@ impl Dying {
     }
 }
 
-/// One crash state — the site, the write index and the tear — or, with
-/// no crash, the script closed cleanly.
-struct Cell<'a> {
-    backend: &'a Backend,
-    script: &'a Script,
-    crash: Option<(Site, u64, Tear)>,
+/// A crash: the site, the write index k and the tear.
+pub type Crash = (Site, u64, Tear);
+
+/// What one run of a script did.
+pub struct Run {
+    /// Whether the armed tear fired: `close` failed.
+    pub fired: bool,
+    /// The first step that failed.
+    pub failed_at: Option<usize>,
+    /// The device writes made by the end of each step, per shard, counted
+    /// from the open as a tear's k counts them.
+    pub writes: Vec<Vec<u64>>,
 }
 
-impl Cell<'_> {
-    /// Runs the script with the tear armed and closes the store; when the
-    /// tear fired (or none was armed) and `check` is set, checks the
-    /// reopened store. Returns whether the tear fired, and the first step
-    /// that failed.
-    fn run(&self, check: bool) -> (bool, Option<usize>) {
-        let (cfg, dir) = (&self.backend.cfg, self.backend.dir().expect("a durable backend"));
-        let _ = std::fs::remove_dir_all(dir);
-        std::fs::create_dir_all(dir).expect("store directory");
-        for file in std::fs::read_dir(&self.script.fresh).expect("the fresh store") {
-            let file = file.expect("the fresh store").file_name();
-            std::fs::copy(self.script.fresh.join(&file), dir.join(file)).expect("copy");
-        }
-        let store = PnwStore::open(cfg.clone()).expect("open");
-        if let Some((site, k, tear)) = self.crash {
-            site.arm(&store, k, tear);
-        }
-        let mut dying = Dying::new(cfg.value_size, cfg.ttl_enabled);
-        let mut failed_at = None;
-        for (i, step) in self.script.steps.iter().enumerate() {
-            if dying.send(&store, step) {
-                failed_at.get_or_insert(i);
-                if Some(i) == self.script.forced_reuse {
-                    let Put(k, _) = *step else { unreachable!() };
-                    dying.keys.get_mut(&k).unwrap().may_vanish = true;
-                }
-            }
-        }
-        let fired = store.close().is_err();
-        let at = match failed_at {
-            Some(i) => format!("first failed step {i}, {:?}", self.script.steps[i]),
-            None if fired => "no step failed; close did".into(),
-            None => "closed cleanly".into(),
-        };
-        let cell = match self.crash {
-            Some((site, k, tear)) => format!("crash at {site:?} write {k}, torn {tear:?} ({at})"),
-            None => at,
-        };
-        let b = &self.backend.name;
-        assert!(fired || failed_at.is_none(), "{b}: {cell}: close succeeded after a failed step");
-        if check && (fired || self.crash.is_none()) {
-            if let Err(why) = self.check(&dying) {
-                panic!("{b}: {cell}: {why}");
-            }
-        }
-        let _ = std::fs::remove_dir_all(self.backend.dir().unwrap());
-        (fired, failed_at)
+/// Runs `script` with write `k` at `site` torn `tear` — with no `crash`,
+/// unarmed — and closes the store. When the tear fired, or none was armed,
+/// and `check` is set, checks the reopened store; a failed check panics
+/// with the configuration, the crash and the first step that failed.
+pub fn run(backend: &Backend, script: &Script, crash: Option<Crash>, check: bool) -> Run {
+    let (cfg, dir) = (&backend.cfg, backend.dir().expect("a durable backend"));
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).expect("store directory");
+    for (name, bytes) in &script.fresh {
+        std::fs::write(dir.join(name), bytes).expect("the fresh store");
     }
-
-    fn check(&self, dying: &Dying) -> Result<(), String> {
-        let store = PnwStore::open(self.backend.cfg.clone()).map_err(|e| format!("reopen: {e}"))?;
-        let keys = self.script.keys();
-        let served = audit(&store, &keys, dying.retirable)?;
-        for key in &keys {
-            let got = &served[key];
-            let Some(h) = dying.keys.get(key) else {
-                if got.is_some() {
-                    return Err(format!("key {key} was never sent, reads {got:?}"));
-                }
-                continue;
-            };
-            let allowed = &h.states[h.acked..];
-            if !(allowed.contains(got) || h.may_vanish && got.is_none()) {
-                return Err(format!(
-                    "key {key} reads {got:?}; acked and later sent states {allowed:?}"
-                ));
+    let store = PnwStore::open(cfg.clone()).expect("open");
+    if let Some((site, k, tear)) = crash {
+        site.arm(&store, k, tear);
+    }
+    let written = || store.per_shard_device_stats().into_iter().map(|d| d.write_ops);
+    let base: Vec<u64> = written().collect();
+    let mut dying = Dying::new(cfg, crash);
+    let (mut failed_at, mut writes) = (None, Vec::new());
+    for (i, step) in script.steps.iter().enumerate() {
+        if dying.send(&store, step) {
+            dying.died = true;
+            failed_at.get_or_insert(i);
+            if Some(i) == script.forced_reuse {
+                let Put(k, _) = *step else { unreachable!() };
+                dying.keys.get_mut(&k).unwrap().may_vanish = true;
             }
         }
-
-        // The round: an update where a key survived (with the pool dry it
-        // reuses the key's bucket), a fresh key otherwise.
-        let vs = self.backend.cfg.value_size;
-        let k = keys.iter().copied().find(|k| served[k].is_some()).unwrap_or(999);
-        let v = value(0xA5, vs);
-        store.put(k, &v).map_err(|e| format!("round: put {k}: {e}"))?;
-        same(&format!("round: get {k}"), store.get(k), Ok(Some(v)))?;
-        same(&format!("round: delete {k}"), store.delete(k), Ok(true))?;
-        same(&format!("round: get {k}"), store.get(k), Ok(None))?;
-        store.close().map_err(|e| format!("round: close: {e}"))?;
-
-        let store =
-            PnwStore::open(self.backend.cfg.clone()).map_err(|e| format!("second reopen: {e}"))?;
-        let mut want = served;
-        want.insert(k, None);
-        same("second reopen", audit(&store, &keys, dying.retirable)?, want)?;
-        Ok(())
+        writes.push(written().zip(&base).map(|(w, b)| w - b).collect());
     }
+    let fired = store.close().is_err();
+    let at = match failed_at {
+        Some(i) => format!("first failed step {i}, {:?}", script.steps[i]),
+        None if fired => "no step failed; close did".into(),
+        None => "closed cleanly".into(),
+    };
+    let cell = match crash {
+        Some((site, k, tear)) => format!("crash at {site:?} write {k}, torn {tear:?} ({at})"),
+        None => at,
+    };
+    let b = &backend.name;
+    assert!(fired || failed_at.is_none(), "{b}: {cell}: close succeeded after a failed step");
+    if check && (fired || crash.is_none()) {
+        if let Err(why) = reopen(backend, script, &dying) {
+            panic!("{b}: {cell}: {why}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+    Run { fired, failed_at, writes }
 }
+
+fn reopen(backend: &Backend, script: &Script, dying: &Dying) -> Result<(), String> {
+    let store = PnwStore::open(backend.cfg.clone()).map_err(|e| format!("reopen: {e}"))?;
+    let keys = script.keys();
+    let served = audit(&store, &keys, dying)?;
+    let never_sent = History::default();
+    for key in &keys {
+        let (got, h) = (&served[key], dying.keys.get(key).unwrap_or(&never_sent));
+        if !(got == &h.acked || h.landed.contains(got) || h.may_vanish && got.is_none()) {
+            let (acked, landed) = (&h.acked, &h.landed);
+            return Err(format!("key {key} reads {got:?}; acked {acked:?}, landed {landed:?}"));
+        }
+    }
+
+    // The round: an update where a key survived (with the pool dry it
+    // reuses the key's bucket), a fresh key otherwise.
+    let k = keys.iter().copied().find(|k| served[k].is_some()).unwrap_or(999);
+    let v = value(0xA5, backend.cfg.value_size);
+    store.put(k, &v).map_err(|e| format!("round: put {k}: {e}"))?;
+    same(&format!("round: get {k}"), store.get(k), Ok(Some(v)))?;
+    same(&format!("round: delete {k}"), store.delete(k), Ok(true))?;
+    same(&format!("round: get {k}"), store.get(k), Ok(None))?;
+    store.close().map_err(|e| format!("round: close: {e}"))?;
+
+    let store = PnwStore::open(backend.cfg.clone()).map_err(|e| format!("second reopen: {e}"))?;
+    let mut want = served;
+    want.insert(k, None);
+    same("second reopen", audit(&store, &keys, dying)?, want)
+}
+
+/// What a reopened store serves on each key.
+type Served = BTreeMap<u64, Option<Vec<u8>>>;
 
 /// What `store` serves on `keys`, after the store-wide checks: no read
-/// answers an error, `scan` equals the point GETs, no bucket leaked, and
-/// at most `retirable` buckets retired — a crash retires no healthy media.
-fn audit(
-    store: &PnwStore,
-    keys: &[u64],
-    retirable: u64,
-) -> Result<BTreeMap<u64, Option<Vec<u8>>>, String> {
+/// answers an error; `scan` equals the point GETs, and without TTL (an
+/// expired key counts until reaped) `len()` counts them; no bucket leaked;
+/// and no bucket retired but under a stuck bit — a crash retires no
+/// healthy media.
+fn audit(store: &PnwStore, keys: &[u64], dying: &Dying) -> Result<Served, String> {
     let mut served = BTreeMap::new();
     for &key in keys {
         served.insert(key, store.get(key).map_err(|e| format!("get {key}: {e:?}"))?);
     }
     let scan = store.scan(0, u64::MAX).map_err(|e| format!("scan: {e:?}"))?;
     let gets: Vec<_> = served.iter().filter_map(|(k, v)| Some((*k, v.clone()?))).collect();
+    if !dying.ttl {
+        same("len() against point GETs", store.len(), gets.len())?;
+    }
     same("scan against point GETs", scan, gets)?;
     // No bucket leaked: each one of capacity is free or holds a live key.
     // A live key may also sit on a retired bucket, outside capacity: a
     // relocation off stuck media that the crash cut short.
     let snap = store.snapshot();
-    let held = snap.capacity.checked_sub(snap.free);
-    if !held.is_some_and(|h| (h..=h + snap.scrub.retired as usize).contains(&snap.live)) {
-        let (free, capacity, live, retired) =
-            (snap.free, snap.capacity, snap.live, snap.scrub.retired);
+    let (free, capacity, live, retired) = (snap.free, snap.capacity, snap.live, snap.scrub.retired);
+    let held = capacity.checked_sub(free);
+    if !held.is_some_and(|h| (h..=h + retired as usize).contains(&live)) {
         return Err(format!("{free} free of {capacity} with {live} live, {retired} retired"));
     }
-    if snap.scrub.retired > retirable {
-        return Err(format!("{} buckets retired, {retirable} stuck", snap.scrub.retired));
+    if retired > dying.retirable {
+        return Err(format!("{retired} buckets retired, {} stuck", dying.retirable));
     }
     Ok(served)
 }
@@ -441,40 +428,18 @@ fn same<T: PartialEq + std::fmt::Debug>(what: &str, got: T, want: T) -> Result<(
     (got == want).then_some(()).ok_or_else(diverged)
 }
 
-/// Runs the script unarmed, closes it cleanly and checks the reopen.
-pub fn clean_close(backend: &Backend, script: &Script) {
-    Cell { backend, script, crash: None }.run(true);
-}
-
-/// Runs the script with write `k` at `site` torn `tear` and checks the
-/// crash; returns whether it fired.
-pub fn torn(backend: &Backend, script: &Script, site: Site, k: u64, tear: Tear) -> bool {
-    Cell { backend, script, crash: Some((site, k, tear)) }.run(true).0
-}
-
 /// Runs every tear of write `k` at `site`, checking each crash; returns
-/// whether it fired. The first tear decides: the others fire exactly when
-/// it does.
-pub fn cell(backend: &Backend, script: &Script, site: Site, k: u64) -> bool {
+/// the first tear's run. The first tear decides: the others fire exactly
+/// when it does.
+pub fn cell(backend: &Backend, script: &Script, site: Site, k: u64) -> Run {
     let mut tears = site.tears().iter();
-    let cell = |tear: Tear| torn(backend, script, site, k, tear);
-    if !cell(*tears.next().unwrap()) {
-        return false;
+    let torn = |tear: Tear| run(backend, script, Some((site, k, tear)), true);
+    let first = torn(*tears.next().unwrap());
+    for &tear in tears.filter(|_| first.fired) {
+        let b = &backend.name;
+        assert!(torn(tear).fired, "{b}: {site:?} write {k} fired torn one way, not {tear:?}");
     }
-    for &tear in tears {
-        assert!(
-            cell(tear),
-            "{}: {site:?} write {k} fired torn one way, not {tear:?}",
-            backend.name
-        );
-    }
-    true
-}
-
-/// The first step that fails when write `k` at `site` lands nothing, or
-/// `None` when the script makes no such write.
-pub fn first_failure(backend: &Backend, script: &Script, site: Site, k: u64) -> Option<usize> {
-    Cell { backend, script, crash: Some((site, k, Tear::Nothing)) }.run(false).1
+    first
 }
 
 /// The write sites of `backend`: every shard's device, then the files.
@@ -484,7 +449,7 @@ pub fn sites(backend: &Backend) -> Vec<Site> {
 }
 
 /// Walks each of `sites`; returns the writes per site. The sites walk in
-/// parallel, each in a directory of its own: a cell spends most of its
+/// parallel, each in a directory of its own: a run spends much of its
 /// time waiting on fsyncs.
 pub fn walk(backend: &Backend, script: &Script, sites: &[Site], stride: u64) -> Vec<(Site, u64)> {
     let dir = backend.dir().expect("a durable backend");
@@ -502,43 +467,49 @@ pub fn walk(backend: &Backend, script: &Script, sites: &[Site], stride: u64) -> 
 }
 
 /// Walks `site` at k = 0, `stride`, 2·`stride`, … until a tear no longer
-/// fires, then bisects for the site's last write and runs that too.
+/// fires, then runs the site's last write too: a device's is the count
+/// the unfired run made there; the superblock and the checkpoint file
+/// take one write per checkpoint, the script's and `close`'s; the WAL's
+/// is found by bisecting. The full lane's stride of 1 checks each count.
 /// Returns how many writes the script makes there.
 fn walk_site(backend: &Backend, script: &Script, site: Site, stride: u64) -> u64 {
+    let b = &backend.name;
     let mut k = 0;
-    while cell(backend, script, site, k) {
+    let unfired = loop {
+        let first = cell(backend, script, site, k);
+        if !first.fired {
+            break first;
+        }
         k += stride;
+    };
+    assert!(k > 0, "{b}: the script makes no write at {site:?}");
+    let writes = match site {
+        Site::Device(shard) => unfired.writes.last().map_or(0, |w| w[shard]),
+        Site::Meta(MetaTarget::Superblock | MetaTarget::Checkpoint) => {
+            1 + script.steps.iter().filter(|s| matches!(s, Checkpoint)).count() as u64
+        }
+        Site::Meta(_) => {
+            // Write `lo` fires, write `hi` does not.
+            let (mut lo, mut hi) = (k - stride, k);
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                let fired = run(backend, script, Some((site, mid, Tear::Nothing)), false).fired;
+                *(if fired { &mut lo } else { &mut hi }) = mid;
+            }
+            hi
+        }
+    };
+    assert!((k - stride + 1..=k).contains(&writes), "{b}: {writes} writes at {site:?}, to {k}");
+    if writes - 1 > k - stride {
+        let last = writes - 1;
+        assert!(cell(backend, script, site, last).fired, "{b}: {site:?} write {last}");
     }
-    assert!(k > 0, "{}: the script makes no write at {site:?}", backend.name);
-    // Write `lo` fires, write `hi` does not.
-    let (mut lo, mut hi) = (k - stride, k);
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        let probe = Cell { backend, script, crash: Some((site, mid, Tear::Nothing)) };
-        *(if probe.run(false).0 { &mut lo } else { &mut hi }) = mid;
-    }
-    if lo > k - stride {
-        cell(backend, script, site, lo);
-    }
-    lo + 1
-}
-
-/// The kills between ops on a one-shard configuration: each step's last
-/// device write lands whole and the store dies right after it, the next
-/// op not yet begun. Returns the writes checked.
-pub fn between_ops(backend: &Backend, script: &Script) -> Vec<u64> {
-    let ends = script.device_writes(backend).into_iter().filter(|w| !w.is_empty());
-    let ends: Vec<u64> = ends.map(|w| w.end - 1).collect();
-    for &k in &ends {
-        let fired = torn(backend, script, Site::Device(0), k, Tear::Whole);
-        assert!(fired, "{}: device write {k} never made", backend.name);
-    }
-    ends
+    writes
 }
 
 /// Every cell: the clean close, and each site's every write, torn each way.
 pub fn full(backend: &Backend) -> Vec<(Site, u64)> {
     let script = Script::of(backend);
-    clean_close(backend, &script);
+    run(backend, &script, None, true);
     walk(backend, &script, &sites(backend), 1)
 }

@@ -12,6 +12,7 @@ mod common;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
@@ -42,9 +43,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 
 /// Crashes `steps` at write `k` of a shard's device (`Some(shard)`,
 /// wrapped to the shards there are) or of the WAL (`None`), torn the way
-/// `tear` picks from the site's tears. `k` wraps to the steps that site sees, about one write each, so most
-/// draws fire; one past the script's last write there checks the clean
-/// close.
+/// `tear` picks from the site's tears. `k` wraps to the steps that site
+/// sees, about one write each, so most draws fire; a draw that does not
+/// checks the clean close.
 fn crash_random_script(
     steps: Vec<Step>,
     device: Option<usize>,
@@ -53,7 +54,7 @@ fn crash_random_script(
     shards: usize,
     placement: IndexPlacement,
 ) {
-    let tag = format!("prop_store_{placement:?}");
+    let tag = format!("prop_store_{placement:?}_{shards}");
     // 32 buckets per shard: even if every key routes to one shard it fits.
     let cfg = PnwConfig::new(32 * shards, 8)
         .with_clusters(2)
@@ -67,18 +68,21 @@ fn crash_random_script(
         None => (Site::Meta(MetaTarget::Wal), steps.len()),
     };
     let k = k % seen.max(1) as u64;
-    let script = Script::new(&backend, steps);
+    // One fresh store image per configuration, which every case copies.
+    static FRESH: [OnceLock<Script>; 4] = [const { OnceLock::new() }; 4];
+    let fresh = &FRESH[usize::from(shards > 1) * 2 + usize::from(placement == IndexPlacement::Nvm)];
+    let script = fresh.get_or_init(|| Script::new(&backend)).with(steps);
     let tear = site.tears()[tear % site.tears().len()];
-    if !crash::torn(&backend, &script, site, k, tear) {
-        crash::clean_close(&backend, &script);
+    if !crash::run(&backend, &script, Some((site, k, tear)), true).fired {
+        crash::run(&backend, &script, None, true);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// DRAM-index durable store: reopen after a random crash serves, per
-    /// key, acked ⊆ recovered ⊆ sent.
+    /// DRAM-index durable store: reopen after a random crash serves every
+    /// key its last acknowledged state.
     #[test]
     fn crashed_store_reopens_prefix_consistent_dram(
         steps in proptest::collection::vec(step_strategy(), 1..30),

@@ -12,8 +12,9 @@
 mod common;
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-use common::crash::{self, Site};
+use common::crash::{self, Script, Site, Tear};
 use common::oracle::{Backend, Step};
 use pnw_core::{IndexPlacement, MetaTarget, PnwConfig, PnwStore, ShardedPnwStore, Store};
 use pnw_workloads::{DatasetKind, Workload};
@@ -179,138 +180,117 @@ const DRAM: usize = 0;
 const SHARDED: usize = 1;
 const NVM: usize = 2;
 const TTL_RESERVE: usize = 3;
-
-/// Configuration `config` of the matrix in directories of `test`'s own,
-/// and its script.
-fn matrix(test: &str, config: usize) -> (Backend, crash::Script) {
-    let backend = crash::configs(test).into_iter().nth(config).unwrap();
-    let script = crash::Script::of(&backend);
-    (backend, script)
-}
-
-/// Walks `sites` of configuration `config`, strided.
-fn walk(test: &str, config: usize, sites: &[Site]) {
-    let (backend, script) = matrix(test, config);
-    let writes = crash::walk(&backend, &script, sites, STRIDE);
-    println!("{}: writes per site {writes:?}", backend.name);
-}
-
 const WAL: Site = Site::Meta(MetaTarget::Wal);
 const SUPERBLOCK: Site = Site::Meta(MetaTarget::Superblock);
 const CHECKPOINT: Site = Site::Meta(MetaTarget::Checkpoint);
 
-#[test]
-fn matrix_dram_clean_close() {
-    let (backend, script) = matrix("dram_clean_close", DRAM);
-    crash::clean_close(&backend, &script);
+/// Configuration `config` of the matrix in directories of `test`'s own,
+/// and its script, built once per configuration.
+fn matrix(test: &str, config: usize) -> (Backend, &'static Script) {
+    static SCRIPTS: [OnceLock<Script>; 4] = [const { OnceLock::new() }; 4];
+    let script = SCRIPTS[config].get_or_init(|| Script::of(&crash::configs("script")[config]));
+    (crash::configs(test).into_iter().nth(config).unwrap(), script)
+}
+
+/// Walks `sites` of configuration `config`, strided, in directories named
+/// after `test`; with no sites, closes the script cleanly and checks the
+/// reopen.
+fn walk(test: &str, config: usize, sites: &[Site]) {
+    let (backend, script) = matrix(test, config);
+    if sites.is_empty() {
+        crash::run(&backend, script, None, true);
+    } else {
+        let writes = crash::walk(&backend, script, sites, STRIDE);
+        println!("{}: writes per site {writes:?}", backend.name);
+    }
+}
+
+/// One test per line: its name, then the configurations and the sites it
+/// walks (none: the clean close).
+macro_rules! walks {
+    ($($(#[$doc:meta])* $test:ident: $($config:ident $sites:expr),+;)*) => {$(
+        $(#[$doc])*
+        #[test]
+        fn $test() {
+            $(walk(stringify!($test), $config, &$sites);)+
+        }
+    )*};
+}
+
+const DEVICES: [Site; 4] = [Site::Device(0), Site::Device(1), Site::Device(2), Site::Device(3)];
+
+walks! {
+    matrix_dram_clean_close: DRAM [];
+    matrix_dram_torn_mid_wal_record: DRAM [WAL];
+    matrix_dram_torn_superblock_replica: DRAM [SUPERBLOCK];
+    matrix_dram_half_written_checkpoint: DRAM [CHECKPOINT];
+    matrix_nvm_clean_close: NVM [];
+    matrix_nvm_torn_mid_wal_record: NVM [WAL];
+    matrix_nvm_torn_superblock_replica: NVM [SUPERBLOCK];
+    matrix_nvm_half_written_checkpoint: NVM [CHECKPOINT];
+    /// A torn bucket, flag, expiry or index-region write on either one-shard
+    /// configuration: the op it belongs to is unacknowledged and every
+    /// acknowledged one survives.
+    matrix_torn_data_write_is_unacknowledged: DRAM [DEVICES[0]], NVM [DEVICES[0]];
+    /// Every shard's device of the four-shard configuration.
+    sharded_kill_between_ops_recovers_every_shard: SHARDED DEVICES;
+    /// The four shards' WALs share one store-wide append counter.
+    sharded_torn_wal_record_drops_only_the_unacknowledged_put: SHARDED [WAL];
+    /// The script's `Apply` group closed cleanly and reopened.
+    sharded_clean_close_preserves_batch_results: SHARDED [];
+    /// A kill at the checkpoint and superblock writes — the first of each
+    /// right after the `Apply` group, which then survives from its WAL
+    /// records alone.
+    sharded_group_commit_survives_kill_without_checkpoint: SHARDED [CHECKPOINT, SUPERBLOCK];
+    crash_matrix_2_shards_ttl_reserve:
+        TTL_RESERVE [], TTL_RESERVE [DEVICES[0], DEVICES[1], WAL, SUPERBLOCK, CHECKPOINT];
+}
+
+/// The kills between ops on a one-shard configuration: a step's last
+/// device write lands whole and the store dies right after it, the next
+/// op not yet begun. Strided like the walk: every 7th step that writes
+/// the device, and the last.
+fn kill_between_ops(test: &str, config: usize) {
+    let (backend, script) = matrix(test, config);
+    let writes = crash::run(&backend, script, None, false).writes;
+    let mut ends: Vec<u64> = writes.iter().map(|w| w[0]).collect();
+    ends.dedup();
+    ends.retain(|&w| w > 0);
+    let strided = ends.iter().step_by(STRIDE as usize).chain(ends.last());
+    for k in strided.map(|w| w - 1) {
+        let run = crash::run(&backend, script, Some((DEVICES[0], k, Tear::Whole)), true);
+        assert!(run.fired, "{}: device write {k} never made", backend.name);
+    }
 }
 
 #[test]
 fn matrix_dram_kill_between_ops() {
-    let (backend, script) = matrix("dram_between_ops", DRAM);
-    println!("device writes {:?}", crash::between_ops(&backend, &script));
-}
-
-#[test]
-fn matrix_dram_torn_mid_wal_record() {
-    walk("dram_wal", DRAM, &[WAL]);
-}
-
-#[test]
-fn matrix_dram_torn_superblock_replica() {
-    walk("dram_superblock", DRAM, &[SUPERBLOCK]);
-}
-
-#[test]
-fn matrix_dram_half_written_checkpoint() {
-    walk("dram_checkpoint", DRAM, &[CHECKPOINT]);
-}
-
-/// A torn bucket, flag, expiry or index-region write on either one-shard
-/// configuration: the op it belongs to is unacknowledged and every
-/// acknowledged one survives.
-#[test]
-fn matrix_torn_data_write_is_unacknowledged() {
-    walk("dram_device", DRAM, &[Site::Device(0)]);
-    walk("nvm_device", NVM, &[Site::Device(0)]);
-}
-
-#[test]
-fn matrix_nvm_clean_close() {
-    let (backend, script) = matrix("nvm_clean_close", NVM);
-    crash::clean_close(&backend, &script);
+    kill_between_ops("dram_between_ops", DRAM);
 }
 
 #[test]
 fn matrix_nvm_kill_between_ops() {
-    let (backend, script) = matrix("nvm_between_ops", NVM);
-    println!("device writes {:?}", crash::between_ops(&backend, &script));
+    kill_between_ops("nvm_between_ops", NVM);
 }
 
-#[test]
-fn matrix_nvm_torn_mid_wal_record() {
-    walk("nvm_wal", NVM, &[WAL]);
-}
-
-#[test]
-fn matrix_nvm_torn_superblock_replica() {
-    walk("nvm_superblock", NVM, &[SUPERBLOCK]);
-}
-
-#[test]
-fn matrix_nvm_half_written_checkpoint() {
-    walk("nvm_checkpoint", NVM, &[CHECKPOINT]);
-}
-
-/// Every shard's device of the four-shard configuration.
-#[test]
-fn sharded_kill_between_ops_recovers_every_shard() {
-    walk("sharded_device", SHARDED, &(0..4).map(Site::Device).collect::<Vec<_>>());
-}
-
-/// The four shards' WALs share one store-wide append counter.
-#[test]
-fn sharded_torn_wal_record_drops_only_the_unacknowledged_put() {
-    walk("sharded_wal", SHARDED, &[WAL]);
-}
-
-/// Every WAL record of the script's `Apply` group, torn each way: the
-/// ops the report acknowledged survive bit-exact and the rest fail as a
-/// clean prefix, each key reading a value some op sent it.
+/// A WAL record inside the script's `Apply` group — the second, after one
+/// of the group's records is on file, and the last — torn each way: the
+/// group is the first step to fail, the ops the report acknowledged
+/// survive bit-exact, and a failed op reads its old state or, when its
+/// record landed whole, its new.
 #[test]
 fn sharded_torn_wal_inside_group_commits_a_clean_prefix() {
     let (backend, script) = matrix("sharded_group", SHARDED);
     let apply = script.steps.iter().position(|s| matches!(s, Step::Apply(_))).unwrap();
     let Step::Apply(ops) = &script.steps[apply] else { unreachable!() };
-    // One record per mutation before the group and per op in it: the
-    // group is the first step to notice the loss of exactly these.
+    // One record per mutation before the group and per op in it.
     let before = script.steps[..apply].iter().filter(|s| !matches!(s, Step::Get(_))).count();
-    let group = before as u64..(before + ops.len()) as u64;
-    let fails_at = |k| crash::first_failure(&backend, &script, WAL, k);
-    assert!(fails_at(group.start - 1) < Some(apply) && fails_at(group.end) > Some(apply));
-    assert_eq!([group.start, group.end - 1].map(fails_at), [Some(apply); 2], "{group:?}");
-    for k in group {
-        assert!(crash::cell(&backend, &script, WAL, k));
+    for k in [before + 1, before + ops.len() - 1] {
+        for &tear in WAL.tears() {
+            let run = crash::run(&backend, script, Some((WAL, k as u64, tear)), true);
+            assert_eq!(run.failed_at, Some(apply), "WAL record {k} torn {tear:?}");
+        }
     }
-}
-
-/// The clean close, and a kill at the checkpoint and superblock writes —
-/// the first of each right after the `Apply` group, which then survives
-/// from its WAL records alone.
-#[test]
-fn sharded_group_commit_survives_kill_without_checkpoint() {
-    let (backend, script) = matrix("sharded_checkpoint", SHARDED);
-    crash::clean_close(&backend, &script);
-    let writes = crash::walk(&backend, &script, &[CHECKPOINT, SUPERBLOCK], STRIDE);
-    println!("{}: writes per site {writes:?}", backend.name);
-}
-
-#[test]
-fn crash_matrix_2_shards_ttl_reserve() {
-    let (backend, script) = matrix("ttl", TTL_RESERVE);
-    crash::clean_close(&backend, &script);
-    let writes = crash::walk(&backend, &script, &crash::sites(&backend), STRIDE);
-    println!("{}: writes per site {writes:?}", backend.name);
 }
 
 #[test]
@@ -324,13 +304,17 @@ fn crash_matrix_full() {
 /// The commit-first order's crash points (`shard/placement.rs`): a durable
 /// update or delete syncs its WAL record before it unlinks anything and
 /// clears the vacated bucket's flag last. The crash matrix's cells at
-/// exactly that flag clear, torn each way: the record is synced and the
-/// op acknowledged, so the key must read its new value (update) or
-/// nothing (delete), with the vacated bucket free again.
-fn flag_clear_cells(backend: &Backend, script: &crash::Script, step: usize, writes: u64) {
-    let ranges = script.device_writes(backend);
-    assert_eq!(ranges[step].end - ranges[step].start, writes, "{:?}", script.steps[step]);
-    assert!(crash::cell(backend, script, Site::Device(0), ranges[step].end - 1));
+/// exactly that flag clear — `step`'s last of its `writes` device writes —
+/// torn each way: the record is synced and the op acknowledged, so the
+/// key must read its new value (update) or nothing (delete), with the
+/// vacated bucket free again.
+fn flag_clear_cells(test: &str, step: usize, writes: u64) -> (Backend, &'static Script) {
+    let (backend, script) = matrix(test, DRAM);
+    let ends = crash::run(&backend, script, None, false).writes;
+    let (at, end) = (ends[step - 1][0], ends[step][0]);
+    assert_eq!(end - at, writes, "{:?}", script.steps[step]);
+    assert!(crash::cell(&backend, script, DEVICES[0], end - 1).fired);
+    (backend, script)
 }
 
 /// The update writes its new bucket image, then the flag clear. Then the
@@ -339,19 +323,17 @@ fn flag_clear_cells(backend: &Backend, script: &crash::Script, step: usize, writ
 /// a bucket the dying store reuses.
 #[test]
 fn crash_at_the_vacated_flag_clear_after_a_synced_update() {
-    let (backend, script) = matrix("update_flag_clear", DRAM);
-    flag_clear_cells(&backend, &script, crash::UPDATE, 2);
+    let (backend, script) = flag_clear_cells("update_flag_clear", crash::UPDATE, 2);
     // Every step before the update is a fresh put of one WAL record.
     let before = &script.steps[..crash::UPDATE];
     assert!(before.iter().all(|s| matches!(s, Step::Put(..))));
-    assert!(crash::cell(&backend, &script, WAL, crash::UPDATE as u64));
+    assert!(crash::cell(&backend, script, WAL, crash::UPDATE as u64).fired);
 }
 
 /// The delete's flag clear is its only cell write.
 #[test]
 fn crash_at_the_flag_clear_after_a_synced_delete() {
-    let (backend, script) = matrix("delete_flag_clear", DRAM);
-    flag_clear_cells(&backend, &script, crash::DELETE, 1);
+    flag_clear_cells("delete_flag_clear", crash::DELETE, 1);
 }
 
 /// A power loss, not a process death: the OS drops every data-file write
