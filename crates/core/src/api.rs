@@ -149,8 +149,8 @@ pub trait Store: Send + Sync {
         0
     }
 
-    /// Flushes the store's durable state (WAL-truncating atomic
-    /// checkpoint on a file-backed store) — the drain hook a serving
+    /// Flushes the store's durable state (an atomic checkpoint that
+    /// empties the WALs on a file-backed store) — the drain hook a serving
     /// front end calls between "stop accepting" and process exit, so a
     /// clean shutdown never replays a WAL on the next open. No-op on
     /// volatile backends, which is the default.

@@ -21,7 +21,7 @@ pub enum BackingMode {
     /// survives the process. Stores are built with `new`.
     #[default]
     Volatile,
-    /// Durable: the directory holds write-through device images plus the
+    /// Durable: the directory holds write-back device images plus the
     /// superblock / WAL / checkpoint metadata files. Stores are built with
     /// `open`, which replays the WAL over the last checkpoint and rebuilds
     /// the DRAM-side structures.
@@ -222,8 +222,9 @@ pub struct PnwConfig {
     /// expires), `put_with_expiry` stamps deadlines, GETs treat expired
     /// keys as absent (lazy expiry, no mutation on the read path) and the
     /// scrubber cursor physically reclaims expired buckets as it passes
-    /// them. Expiry stamps ride the same write-through device image as
-    /// the data zone, so deadlines survive crash/reopen.
+    /// them. Expiry stamps ride the same write-back device image as the
+    /// data zone, and each PUT's WAL record, so deadlines survive
+    /// crash/reopen.
     pub ttl_enabled: bool,
     /// Ring-buffer retention for streaming workloads (default `false`;
     /// implies `ttl_enabled`). When a PUT finds the data zone full, the

@@ -1,33 +1,51 @@
 //! The durable metadata layer under file-backed stores: superblock, WAL,
 //! checkpoint.
 //!
-//! A file-backed store keeps its cell arrays durable through the device's
-//! write-through backing (`pnw-nvm-sim`'s [`pnw_nvm_sim::DeviceBacking`]),
-//! but the cell array alone cannot answer "which operations were
-//! *acknowledged*?" after a kill — a torn bucket write leaves a header that
-//! looks valid while the value behind it is a prefix. This module adds the
-//! three small files that make recovery decidable:
+//! A file-backed store's device is write-back (`pnw-nvm-sim`'s
+//! [`pnw_nvm_sim::DeviceBacking`]): its data file is written only at a
+//! checkpoint, so between checkpoints the file holds the last checkpoint's
+//! cells and every later change lives in DRAM and in the WAL. The WAL is
+//! therefore a redo log (ARIES, Mohan et al., TODS 1992): every PUT record
+//! carries its value, and on a TTL store its deadline, and recovery
+//! rewrites each committed value onto the device before it reconciles the
+//! data zone with the committed map. A lost page cache loses no
+//! acknowledged PUT: its record was `fdatasync`ed before the ack, and the
+//! data file is only ever written ahead of the superblock that names it.
+//! Three small files make recovery decidable:
 //!
 //! * **superblock** (`super`) — two replicated 64-byte slots; each holds a
 //!   CRC-framed record naming the current epoch and the checkpoint epoch to
 //!   recover from. Writers alternate slots by epoch parity, so a torn
 //!   superblock write can only corrupt the slot being written — the other
 //!   replica still elects.
-//! * **write-ahead log** (`wal.<shard>`) — an append-only stream of
+//! * **write-ahead log** (`wal.<shard>`) — a 32-byte header (magic, format
+//!   version, the checkpoint epoch the log belongs to, a header CRC), then
 //!   CRC-framed records, one per acknowledged mutation (PUT, DELETE, zone
-//!   extension). A record is appended and fsynced *before* the operation
-//!   returns — a PUT's after its new bucket image lands — so the WAL suffix
-//!   over the checkpoint is exactly the set of
-//!   acknowledged-but-not-yet-checkpointed ops. A record whose write or
-//!   sync fails is cut back off the file. Replay stops at the first
-//!   torn/invalid frame — everything after it was never acknowledged.
+//!   extension, retirement): `[len u32 | crc u32 | payload | end mark]`.
+//!   A record is written with one positioned write at the cursor and
+//!   synced *before* the operation returns — a PUT's after its new bucket
+//!   image lands in DRAM — so the records over the checkpoint are exactly
+//!   the acknowledged-but-not-yet-checkpointed ops. The file grows a page
+//!   at a time: a record that crosses the file's end carries zeros up to
+//!   the next 4 KiB boundary in the same write, so only a record that
+//!   crosses a page boundary changes the file's size (and makes its
+//!   `fdatasync` commit the file system's journal); the rest flush one data
+//!   page (Pillai et al., OSDI 2014). Every byte past the cursor is zero
+//!   and every frame ends in a nonzero end mark, so a frame torn at any
+//!   byte — its missing tail read as zeros — never checks out. Replay
+//!   stops at the first torn or invalid frame — everything after it was
+//!   never acknowledged — and the cursor starts there, not at the file's
+//!   length. A record whose write or sync fails is zeroed again. A
+//!   checkpoint replaces each WAL with an empty one of the new epoch; a
+//!   WAL of an older epoch than the superblock's checkpoint is skipped,
+//!   and one without a valid header is refused.
 //! * **checkpoint** (`checkpoint.<epoch>`) — a CRC-trailed snapshot of each
 //!   shard's committed key→address map, active-zone size and device
 //!   counters. Written to `checkpoint.tmp`, fsynced, renamed, the
 //!   directory fsynced, and only then published by bumping the superblock
 //!   epoch — the referenced checkpoint is therefore always complete, and a
 //!   crash at any byte of the protocol falls back to the previous epoch
-//!   plus the untruncated WAL.
+//!   plus its WALs.
 //!
 //! All three write sites route through a shared
 //! [`FaultState::filter_meta_write`] so the recovery tests can land a
@@ -36,7 +54,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 #[cfg(test)]
@@ -56,26 +74,31 @@ const FORMAT_VERSION: u32 = 2;
 /// boundary misaligned with the write).
 const SLOT_BYTES: u64 = 64;
 const SUPER_RECORD: usize = 44;
+const WAL_MAGIC: &[u8; 8] = b"PNWWALOG";
+const WAL_VERSION: u32 = 1;
+/// `magic | version u32 | reserved u32 | epoch u64 | crc u32 | pad u32`,
+/// the CRC over the 24 bytes before it. Frames start right after it.
+const WAL_HEADER: usize = 32;
+/// The WAL is created, and grows, a page at a time.
+const WAL_PAGE: u64 = 4096;
 /// `[len u32 | crc u32]` ahead of every WAL payload.
 const WAL_FRAME_HDR: usize = 8;
-/// Largest fixed-size WAL payload (the value-carrying PUT record adds the
-/// store's `value_size` on top — see [`DurableStore::open`]'s
-/// `value_size` parameter). Anything bigger than the store's maximum is
-/// framing garbage and ends replay.
-const MAX_WAL_PAYLOAD: usize = 17;
-/// Fixed prefix of a [`REC_PUT_V`] payload: `tag | key u64 | addr u64`.
-const PUT_V_PREFIX: usize = 17;
+/// The byte every frame ends in. Nonzero: the zeros past the cursor can
+/// never complete a torn frame.
+const WAL_END_MARK: u8 = 0xA5;
+/// What a frame adds to its payload: its header and its end mark.
+const WAL_FRAME_OVERHEAD: usize = WAL_FRAME_HDR + 1;
+/// Fixed prefix of a [`REC_PUT`] payload: `tag | key u64 | addr u64`.
+const PUT_PREFIX: usize = 17;
 
+/// A PUT: `tag | key u64 | addr u64 | value[value_size]`, then on a TTL
+/// store `| deadline u64` — all recovery needs to redo it.
 const REC_PUT: u8 = 1;
 const REC_DELETE: u8 = 2;
 const REC_EXTEND: u8 = 3;
 /// A bucket permanently retired from placement (stuck media). 5 bytes:
 /// `tag | bucket u32`.
 const REC_RETIRE: u8 = 4;
-/// A PUT that also carries the value bytes (written when end-to-end
-/// integrity is on), so the scrubber can repair a later media corruption
-/// from the WAL. `tag | key u64 | addr u64 | value[value_size]`.
-const REC_PUT_V: u8 = 5;
 
 fn io_err(e: std::io::Error) -> StoreError {
     StoreError::Nvm(NvmError::Io(e.kind()))
@@ -119,6 +142,47 @@ pub(crate) fn geometry_hash(cfg: &PnwConfig, n_shards: usize) -> u64 {
         h = splitmix(h ^ v);
     }
     h
+}
+
+/// What a PUT record carries on a store: its value size, and whether a
+/// deadline follows the value (a TTL store). Both are fixed by the
+/// geometry, so every PUT payload of a store has one length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PutShape {
+    pub value_size: usize,
+    pub ttl: bool,
+}
+
+impl PutShape {
+    /// The PUT payload length — also the largest payload of any record.
+    fn payload_len(self) -> usize {
+        PUT_PREFIX + self.value_size + 8 * usize::from(self.ttl)
+    }
+
+    /// The PUT record in `payload`, when it is one of this shape.
+    fn parse(self, payload: &[u8]) -> Option<PutRecord<'_>> {
+        if payload.len() != self.payload_len() || payload[0] != REC_PUT {
+            return None;
+        }
+        let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+        let value_end = PUT_PREFIX + self.value_size;
+        Some(PutRecord {
+            key: u64_at(1),
+            addr: u64_at(9),
+            value: &payload[PUT_PREFIX..value_end],
+            deadline: if self.ttl { u64_at(value_end) } else { 0 },
+        })
+    }
+}
+
+/// One committed PUT, as its WAL record states it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PutRecord<'a> {
+    pub key: u64,
+    pub addr: u64,
+    pub value: &'a [u8],
+    /// Absolute unix-ms deadline (0: none, or not a TTL store).
+    pub deadline: u64,
 }
 
 /// One shard's contribution to a checkpoint: everything recovery needs
@@ -175,15 +239,21 @@ pub(crate) struct RecoveredShard {
     /// Buckets permanently retired from placement (checkpoint list plus
     /// any [`REC_RETIRE`] records in the WAL suffix).
     pub retired: Vec<u32>,
-    /// Where the committed values still present in the un-truncated WAL
-    /// sit in it — the scrubber's repair source. Handed to the shard's
-    /// fresh [`DurableShard`] via [`DurableShard::preload_values`] so
-    /// repair capability survives a reopen.
+    /// Where the PUT record that committed each key since the checkpoint
+    /// sits in the WAL — the redo set ([`RecoveredShard::redo`]) and, on
+    /// a store that verifies CRCs, the seed of the shard's value mirror
+    /// ([`DurableShard::keep_values`]), so repair capability survives a
+    /// reopen.
     pub values: HashMap<u64, WalSpan>,
+    /// Where the next record goes: the end of the last valid frame.
+    pub wal_end: u64,
+    /// The WAL's bytes as read at open (empty when it was skipped).
+    wal: Vec<u8>,
+    shape: PutShape,
 }
 
 impl RecoveredShard {
-    fn from_checkpoint(s: ShardCheckpoint) -> Self {
+    fn from_checkpoint(s: ShardCheckpoint, shape: PutShape) -> Self {
         RecoveredShard {
             committed: s.entries.into_iter().collect(),
             active: s.active,
@@ -192,23 +262,39 @@ impl RecoveredShard {
             bit_flips: s.bit_flips,
             retired: s.retired,
             values: HashMap::new(),
+            wal_end: WAL_HEADER as u64,
+            wal: Vec::new(),
+            shape,
         }
+    }
+
+    /// The redo set: every key a WAL PUT record committed, with the
+    /// address, value and deadline that record gave it.
+    pub fn redo(&self) -> impl Iterator<Item = PutRecord<'_>> {
+        self.values.values().map(|&(at, len)| {
+            let frame = &self.wal[at as usize..at as usize + len as usize];
+            let payload = &frame[WAL_FRAME_HDR..frame.len() - 1];
+            self.shape.parse(payload).expect("replay kept only whole PUT records")
+        })
     }
 }
 
-/// Where one value-carrying record sits in its shard's WAL file: the
-/// frame's byte offset and its length, header included.
+/// Where one PUT record sits in its shard's WAL file: the frame's byte
+/// offset and its length, header and end mark included.
 pub(crate) type WalSpan = (u64, u32);
 
-/// A shard's handle on its WAL: an `O_APPEND` file, opened readable too,
-/// plus the store-wide fault state. Appending a record is the *commit
-/// point* of every durable mutation.
+/// A shard's handle on its WAL, opened readable too, plus the store-wide
+/// fault state. Writing a record at the cursor is the *commit point* of
+/// every durable mutation.
 #[derive(Debug)]
 pub(crate) struct DurableShard {
     wal: File,
-    /// Bytes in the WAL file: where the next frame lands.
+    /// Where the next frame lands: the end of the last frame written or
+    /// replayed. Every byte from here to the file's end is zero.
+    cursor: u64,
+    /// The file's length, a multiple of [`WAL_PAGE`].
     len: u64,
-    /// The frame being appended, reused so an append allocates nothing.
+    /// The frame being written, reused so a record allocates nothing.
     frame: Vec<u8>,
     faults: Arc<Mutex<FaultState>>,
     /// Group-commit mode: appends write their frame but defer the fsync
@@ -217,13 +303,13 @@ pub(crate) struct DurableShard {
     defer_sync: bool,
     /// Whether frames were appended since the last fsync.
     dirty: bool,
-    /// Largest payload this shard's WAL may carry (`PUT_V_PREFIX` plus
-    /// the store's value size).
-    max_payload: usize,
-    /// Where each key's value-carrying record sits in the WAL — what the
-    /// scrubber repairs corrupt buckets from, read back from the file.
-    /// Cleared when a checkpoint truncates the WAL.
-    values: HashMap<u64, WalSpan>,
+    shape: PutShape,
+    /// The value mirror: where each key's PUT record sits in the WAL —
+    /// what the scrubber repairs corrupt buckets from, read back from the
+    /// file. Kept only once [`DurableShard::keep_values`] asks for it
+    /// (a store that verifies CRCs); starts empty when a checkpoint
+    /// replaces the WAL.
+    values: Option<HashMap<u64, WalSpan>>,
     /// Test switch: the next sync — a per-op append's or
     /// [`DurableShard::end_group`]'s — reports a failure instead of syncing.
     #[cfg(test)]
@@ -257,20 +343,24 @@ impl DurableShard {
         Ok(())
     }
 
-    /// Commits a PUT/UPDATE of `key` at device address `addr`.
-    pub fn log_put(&mut self, key: u64, addr: u64) -> Result<(), StoreError> {
-        self.append(&[&[REC_PUT], &key.to_le_bytes(), &addr.to_le_bytes()])?;
-        self.values.remove(&key);
-        Ok(())
-    }
-
-    /// Commits a PUT/UPDATE of `key` at `addr` *with* the value bytes, so
-    /// a later media corruption of this bucket can be repaired from the
-    /// WAL. Written instead of [`DurableShard::log_put`] when integrity
-    /// verification is on.
-    pub fn log_put_value(&mut self, key: u64, addr: u64, value: &[u8]) -> Result<(), StoreError> {
-        let span = self.append(&[&[REC_PUT_V], &key.to_le_bytes(), &addr.to_le_bytes(), value])?;
-        self.values.insert(key, span);
+    /// Commits a PUT/UPDATE of `key` at device address `addr`: the value
+    /// bytes, and on a TTL store the deadline (`deadline` is ignored on
+    /// any other), are what recovery redoes onto the device and what the
+    /// scrubber repairs a later media corruption from.
+    pub fn log_put(
+        &mut self,
+        key: u64,
+        addr: u64,
+        value: &[u8],
+        deadline: u64,
+    ) -> Result<(), StoreError> {
+        debug_assert_eq!(value.len(), self.shape.value_size);
+        let (key, addr, deadline) = (key.to_le_bytes(), addr.to_le_bytes(), deadline.to_le_bytes());
+        let deadline: &[u8] = if self.shape.ttl { &deadline } else { &[] };
+        let span = self.append(&[&[REC_PUT], &key, &addr, value, deadline])?;
+        if let Some(values) = &mut self.values {
+            values.insert(u64::from_le_bytes(key), span);
+        }
         Ok(())
     }
 
@@ -282,39 +372,32 @@ impl DurableShard {
     }
 
     /// The clean durable copy of `key`'s committed value, read back from
-    /// the WAL when its un-truncated tail still holds one. The frame is
-    /// checked again on the way out — length, CRC, kind and key — so a
-    /// read that fails, or a span no longer naming this key's record,
-    /// means no clean copy, never a wrong one.
+    /// the WAL when it still holds the record. The frame is checked again
+    /// on the way out — length, CRC, end mark, kind and key — so a read
+    /// that fails, or a span no longer naming this key's record, means no
+    /// clean copy, never a wrong one.
     pub fn wal_value(&self, key: u64) -> Option<Vec<u8>> {
-        let &(offset, len) = self.values.get(&key)?;
+        let &(offset, len) = self.values.as_ref()?.get(&key)?;
         let mut frame = vec![0u8; len as usize];
         self.wal.read_exact_at(&mut frame, offset).ok()?;
-        let payload = frame_payload(&frame, 0, self.max_payload)?;
-        let ours = payload.len() > PUT_V_PREFIX
-            && payload[0] == REC_PUT_V
-            && payload[1..9] == key.to_le_bytes();
-        ours.then(|| payload[PUT_V_PREFIX..].to_vec())
+        let payload = frame_payload(&frame, 0, self.shape.payload_len())?;
+        let put = self.shape.parse(payload).filter(|put| put.key == key)?;
+        Some(put.value.to_vec())
     }
 
-    /// Seeds the value mirror from a recovery replay (the WAL was not
-    /// truncated, so its value records are still repair-capable).
-    pub fn preload_values(&mut self, values: HashMap<u64, WalSpan>) {
-        self.values = values;
-    }
-
-    /// After a checkpoint truncated the WAL: appends start at offset 0
-    /// again, and no record the mirror points at exists any more.
-    pub fn truncated(&mut self) {
-        self.len = 0;
-        self.values.clear();
-        self.values.shrink_to_fit();
+    /// Starts keeping the value mirror, seeded with `values`: a recovery
+    /// replay's (the WAL was not replaced, so its PUT records are still
+    /// repair-capable), or none on a WAL a checkpoint just replaced.
+    pub fn keep_values(&mut self, values: HashMap<u64, WalSpan>) {
+        self.values = Some(values);
     }
 
     /// Commits a DELETE of `key`.
     pub fn log_delete(&mut self, key: u64) -> Result<(), StoreError> {
         self.append(&[&[REC_DELETE], &key.to_le_bytes()])?;
-        self.values.remove(&key);
+        if let Some(values) = &mut self.values {
+            values.remove(&key);
+        }
         Ok(())
     }
 
@@ -324,57 +407,62 @@ impl DurableShard {
         Ok(())
     }
 
-    /// Appends one CRC-framed record, its payload the concatenation of
-    /// `parts`, and fsyncs it (outside a group); returns where the frame
-    /// landed. A record whose write or sync fails is cut off the file
-    /// again, so a later sync can never commit an op that was reported
-    /// failed. A torn append persists the configured prefix (which replay
-    /// will reject) and returns `Crashed`; the caller must not acknowledge
-    /// the operation.
+    /// Writes one record, its payload the concatenation of `parts`, at the
+    /// cursor and fsyncs it (outside a group); returns where the frame
+    /// landed. A record whose write or sync fails is zeroed again, so a
+    /// later sync can never commit an op that was reported failed. A torn
+    /// write persists the configured prefix (which replay will reject)
+    /// and returns `Crashed`; the caller must not acknowledge the
+    /// operation.
     fn append(&mut self, parts: &[&[u8]]) -> Result<WalSpan, StoreError> {
         let mut frame = std::mem::take(&mut self.frame);
-        frame.clear();
-        frame.extend_from_slice(&[0; WAL_FRAME_HDR]);
-        for part in parts {
-            frame.extend_from_slice(part);
-        }
-        let payload_len = frame.len() - WAL_FRAME_HDR;
-        debug_assert!(payload_len <= self.max_payload);
-        let crc = crc32(&frame[WAL_FRAME_HDR..]);
-        frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        frame[4..WAL_FRAME_HDR].copy_from_slice(&crc.to_le_bytes());
-        let written = self.write_frame(&frame);
+        encode_frame(&mut frame, parts);
+        debug_assert!(frame.len() - WAL_FRAME_OVERHEAD <= self.shape.payload_len());
+        let written = self.write_frame(&mut frame);
         self.frame = frame;
         written
     }
 
-    fn write_frame(&mut self, frame: &[u8]) -> Result<WalSpan, StoreError> {
+    /// Writes `frame` at the cursor with one positioned write. A frame
+    /// that crosses the file's end takes the zeros up to the next page
+    /// boundary along, so the file's size changes once a page, not once a
+    /// record.
+    fn write_frame(&mut self, frame: &mut Vec<u8>) -> Result<WalSpan, StoreError> {
+        let (at, n) = (self.cursor, frame.len());
+        let end = at + n as u64;
+        let grown = (end > self.len).then(|| end.next_multiple_of(WAL_PAGE));
+        let write_len = grown.map_or(n, |len| (len - at) as usize);
         let filtered = self
             .faults
             .lock()
             .unwrap()
-            .filter_meta_write(MetaTarget::Wal, frame.len())
+            .filter_meta_write(MetaTarget::Wal, write_len)
             .map_err(|_| crashed())?;
+        frame.resize(write_len, 0);
         if let Some(keep) = filtered {
-            // The tear: a prefix of the frame reaches the file, then the
+            // The tear: a prefix of the write reaches the file, then the
             // store is dead. Best-effort persist of the prefix — recovery
             // must survive it either way.
-            let _ = self.wal.write_all(&frame[..keep]);
+            let _ = self.wal.write_all_at(&frame[..keep], at);
             let _ = self.wal.sync_data();
+            frame.truncate(n);
             return Err(crashed());
         }
-        let at = self.len;
-        let mut written = self.wal.write_all(frame).map_err(io_err);
-        if written.is_ok() && !self.defer_sync {
-            written = self.sync();
+        let mut written = self.wal.write_all_at(frame, at).map_err(io_err);
+        frame.truncate(n);
+        if written.is_ok() {
+            self.len = grown.unwrap_or(self.len);
+            if !self.defer_sync {
+                written = self.sync();
+            }
         }
         if let Err(e) = written {
-            let _ = self.wal.set_len(at);
+            let _ = self.wal.write_all_at(&vec![0; n], at);
             return Err(e);
         }
         self.dirty |= self.defer_sync;
-        self.len = at + frame.len() as u64;
-        Ok((at, frame.len() as u32))
+        self.cursor = end;
+        Ok((at, n as u32))
     }
 
     /// `fdatasync`s the WAL — where a durable op waits for the disk.
@@ -391,6 +479,53 @@ impl DurableShard {
         }
         self.wal.sync_data().map_err(io_err)
     }
+}
+
+/// Fills `frame` with one record: `[len u32 | crc u32 | payload | end
+/// mark]`, the payload the concatenation of `parts`.
+fn encode_frame(frame: &mut Vec<u8>, parts: &[&[u8]]) {
+    frame.clear();
+    frame.extend_from_slice(&[0; WAL_FRAME_HDR]);
+    for part in parts {
+        frame.extend_from_slice(part);
+    }
+    let payload_len = frame.len() - WAL_FRAME_HDR;
+    let crc = crc32(&frame[WAL_FRAME_HDR..]);
+    frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    frame[4..WAL_FRAME_HDR].copy_from_slice(&crc.to_le_bytes());
+    frame.push(WAL_END_MARK);
+}
+
+fn encode_wal_header(epoch: u64) -> [u8; WAL_HEADER] {
+    let mut b = [0u8; WAL_HEADER];
+    b[0..8].copy_from_slice(WAL_MAGIC);
+    b[8..12].copy_from_slice(&WAL_VERSION.to_le_bytes());
+    // b[12..16] reserved, zero.
+    b[16..24].copy_from_slice(&epoch.to_le_bytes());
+    let crc = crc32(&b[..24]);
+    b[24..28].copy_from_slice(&crc.to_le_bytes());
+    b
+}
+
+/// The checkpoint epoch a WAL's header names; a typed error when `bytes`
+/// do not start with a valid header of this format — a WAL of an older
+/// format (headerless), or no WAL at all.
+fn wal_epoch(bytes: &[u8], sid: usize) -> Result<u64, StoreError> {
+    let Some(hdr) = bytes.get(..WAL_HEADER).filter(|h| &h[..8] == WAL_MAGIC) else {
+        return Err(corrupt(format!(
+            "wal.{sid} has no WAL header: written by an older format, or not a WAL"
+        )));
+    };
+    let version = u32::from_le_bytes(hdr[8..12].try_into().unwrap());
+    if version != WAL_VERSION {
+        return Err(corrupt(format!(
+            "wal.{sid} is WAL format {version}, this build reads {WAL_VERSION}"
+        )));
+    }
+    if crc32(&hdr[..24]) != u32::from_le_bytes(hdr[24..28].try_into().unwrap()) {
+        return Err(corrupt(format!("wal.{sid} header CRC mismatch")));
+    }
+    Ok(u64::from_le_bytes(hdr[16..24].try_into().unwrap()))
 }
 
 fn encode_superblock(epoch: u64, checkpoint_epoch: u64, geometry: u64) -> [u8; SUPER_RECORD] {
@@ -427,7 +562,8 @@ fn parse_super_slot(slot: &[u8]) -> Option<(u64, u64, u64)> {
 }
 
 /// The payload of the frame starting at `pos` in `bytes`, when a whole,
-/// CRC-valid frame of at most `max_payload` payload bytes starts there.
+/// CRC-valid frame of at most `max_payload` payload bytes, end mark
+/// included, starts there.
 fn frame_payload(bytes: &[u8], pos: usize, max_payload: usize) -> Option<&[u8]> {
     let hdr = bytes.get(pos..pos + WAL_FRAME_HDR)?;
     let len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
@@ -435,35 +571,32 @@ fn frame_payload(bytes: &[u8], pos: usize, max_payload: usize) -> Option<&[u8]> 
         return None;
     }
     let crc = u32::from_le_bytes(hdr[4..].try_into().unwrap());
-    let payload = bytes.get(pos + WAL_FRAME_HDR..pos + WAL_FRAME_HDR + len)?;
-    (crc32(payload) == crc).then_some(payload)
+    let at = pos + WAL_FRAME_HDR;
+    let payload = bytes.get(at..at + len)?;
+    let ended = bytes.get(at + len) == Some(&WAL_END_MARK);
+    (ended && crc32(payload) == crc).then_some(payload)
 }
 
-/// Replays a WAL byte stream over a recovered shard. Stops at the first
-/// frame that is short, oversized, CRC-invalid or of unknown kind — by the
-/// append protocol, everything at and after such a frame was never
-/// acknowledged.
-fn replay_wal(bytes: &[u8], shard: &mut RecoveredShard, max_payload: usize) {
-    let mut pos = 0usize;
-    while let Some(payload) = frame_payload(bytes, pos, max_payload) {
-        let frame_len = WAL_FRAME_HDR + payload.len();
+/// Replays a WAL's frames over a recovered shard; returns where the
+/// replay stopped, the cursor for the next record. Stops at the first
+/// frame that is short, oversized, CRC-invalid, unterminated or of unknown
+/// kind — by the write protocol, everything at and after such a frame was
+/// never acknowledged.
+fn replay_wal(bytes: &[u8], shard: &mut RecoveredShard) -> u64 {
+    let shape = shard.shape;
+    let mut pos = WAL_HEADER;
+    while let Some(payload) = frame_payload(bytes, pos, shape.payload_len()) {
+        let frame_len = WAL_FRAME_OVERHEAD + payload.len();
+        let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
         match (payload[0], payload.len()) {
-            (REC_PUT, 17) => {
-                let key = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-                let addr = u64::from_le_bytes(payload[9..17].try_into().unwrap());
-                shard.committed.insert(key, addr);
-                shard.values.remove(&key);
-            }
-            (REC_PUT_V, n) if n > PUT_V_PREFIX => {
-                let key = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-                let addr = u64::from_le_bytes(payload[9..17].try_into().unwrap());
-                shard.committed.insert(key, addr);
-                shard.values.insert(key, (pos as u64, frame_len as u32));
+            (REC_PUT, _) => {
+                let Some(put) = shape.parse(payload) else { break };
+                shard.committed.insert(put.key, put.addr);
+                shard.values.insert(put.key, (pos as u64, frame_len as u32));
             }
             (REC_DELETE, 9) => {
-                let key = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-                shard.committed.remove(&key);
-                shard.values.remove(&key);
+                shard.committed.remove(&u64_at(1));
+                shard.values.remove(&u64_at(1));
             }
             (REC_RETIRE, 5) => {
                 let bucket = u32::from_le_bytes(payload[1..5].try_into().unwrap());
@@ -472,15 +605,15 @@ fn replay_wal(bytes: &[u8], shard: &mut RecoveredShard, max_payload: usize) {
                 }
             }
             (REC_EXTEND, 9) => {
-                let active = u64::from_le_bytes(payload[1..9].try_into().unwrap());
                 // `max`: replay over a checkpoint that already includes the
                 // extension must not shrink the zone.
-                shard.active = shard.active.max(active);
+                shard.active = shard.active.max(u64_at(1));
             }
-            _ => return,
+            _ => break,
         }
         pos += frame_len;
     }
+    pos as u64
 }
 
 struct Cursor<'a> {
@@ -653,9 +786,12 @@ pub(crate) struct DurableStore {
     epoch: u64,
     checkpoint_epoch: u64,
     geometry_hash: u64,
-    /// Largest legal WAL payload under this store's value size.
-    max_payload: usize,
+    shape: PutShape,
     faults: Arc<Mutex<FaultState>>,
+    /// Test switch: the next superblock write lands, then its sync
+    /// reports a failure.
+    #[cfg(test)]
+    pub fail_superblock_sync: bool,
 }
 
 impl DurableStore {
@@ -667,31 +803,35 @@ impl DurableStore {
     /// returned [`RecoveredShard`]s carry the checkpoint state with the
     /// WAL suffix replayed over it. The `bool` is `true` for a fresh
     /// initialization.
+    ///
+    /// A WAL that exists but cannot be read fails the open with the I/O
+    /// error's kind; one without a valid header of this format, or of a
+    /// newer epoch than the checkpoint, with [`StoreError::Corrupt`].
     pub fn open(
         dir: &Path,
         geometry_hash: u64,
-        value_size: usize,
+        shape: PutShape,
         initial: Vec<ShardCheckpoint>,
     ) -> Result<(Self, Vec<RecoveredShard>, bool), StoreError> {
         fs::create_dir_all(dir).map_err(io_err)?;
         let n_shards = initial.len();
-        let max_payload = MAX_WAL_PAYLOAD.max(PUT_V_PREFIX + value_size);
-        let faults = Arc::new(Mutex::new(FaultState::new(StuckAtConfig::default())));
+        let mut store = DurableStore {
+            dir: dir.to_path_buf(),
+            n_shards,
+            epoch: 0,
+            checkpoint_epoch: 0,
+            geometry_hash,
+            shape,
+            faults: Arc::new(Mutex::new(FaultState::new(StuckAtConfig::default()))),
+            #[cfg(test)]
+            fail_superblock_sync: false,
+        };
         let super_path = dir.join("super");
+        let from_checkpoint = |s| RecoveredShard::from_checkpoint(s, shape);
 
         if !super_path.exists() {
-            let mut store = DurableStore {
-                dir: dir.to_path_buf(),
-                n_shards,
-                epoch: 0,
-                checkpoint_epoch: 0,
-                geometry_hash,
-                max_payload,
-                faults,
-            };
             store.checkpoint(&initial)?;
-            let recovered = initial.into_iter().map(RecoveredShard::from_checkpoint).collect();
-            return Ok((store, recovered, true));
+            return Ok((store, initial.into_iter().map(from_checkpoint).collect(), true));
         }
 
         let raw = fs::read(&super_path).map_err(io_err)?;
@@ -713,6 +853,7 @@ impl DurableStore {
                 "store directory was written under a different geometry",
             ));
         }
+        (store.epoch, store.checkpoint_epoch) = (epoch, checkpoint_epoch);
 
         let ckpt_path = dir.join(format!("checkpoint.{checkpoint_epoch}"));
         let body = fs::read(&ckpt_path)
@@ -724,50 +865,85 @@ impl DurableStore {
                 shards.len()
             )));
         }
-        let mut recovered: Vec<RecoveredShard> =
-            shards.into_iter().map(RecoveredShard::from_checkpoint).collect();
-        for (sid, shard) in recovered.iter_mut().enumerate() {
-            let wal = fs::read(dir.join(format!("wal.{sid}"))).unwrap_or_default();
-            replay_wal(&wal, shard, max_payload);
-        }
 
-        // Clean up protocol leftovers: a half-written `checkpoint.tmp` and
-        // any checkpoint the superblock does not reference (a new epoch
-        // whose superblock bump tore). WALs are NOT truncated here —
-        // replay is idempotent and truncation belongs to the checkpoint
-        // protocol.
+        // Clean up protocol leftovers: a half-written `checkpoint.tmp` or
+        // WAL replacement, and any checkpoint the superblock does not
+        // reference (a new epoch whose superblock bump tore).
         let _ = fs::remove_file(dir.join("checkpoint.tmp"));
         if let Ok(rd) = fs::read_dir(dir) {
             for entry in rd.flatten() {
                 let name = entry.file_name().to_string_lossy().into_owned();
-                if let Some(suffix) = name.strip_prefix("checkpoint.") {
-                    if suffix.parse::<u64>().map(|e| e != checkpoint_epoch).unwrap_or(false) {
-                        let _ = fs::remove_file(entry.path());
-                    }
+                let stale = match name.strip_prefix("checkpoint.") {
+                    Some(suffix) => suffix.parse::<u64>().is_ok_and(|e| e != checkpoint_epoch),
+                    None => name.starts_with("wal.") && name.ends_with(".tmp"),
+                };
+                if stale {
+                    let _ = fs::remove_file(entry.path());
                 }
             }
         }
 
-        Ok((
-            DurableStore {
-                dir: dir.to_path_buf(),
-                n_shards,
-                epoch,
-                checkpoint_epoch,
-                geometry_hash,
-                max_payload,
-                faults,
-            },
-            recovered,
-            false,
-        ))
+        let mut recovered: Vec<RecoveredShard> =
+            shards.into_iter().map(from_checkpoint).collect();
+        let mut replaced = false;
+        for (sid, shard) in recovered.iter_mut().enumerate() {
+            replaced |= store.recover_wal(sid, shard)?;
+        }
+        if replaced {
+            store.sync_dir()?;
+        }
+        Ok((store, recovered, false))
+    }
+
+    /// Replays shard `sid`'s WAL over `shard` and leaves the file ready
+    /// for records at the replay's end; returns whether the WAL had to be
+    /// replaced by an empty one (the caller then syncs the directory).
+    fn recover_wal(&self, sid: usize, shard: &mut RecoveredShard) -> Result<bool, StoreError> {
+        let path = self.wal_path(sid);
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            // An initialization that died before it made this WAL.
+            Err(e) if e.kind() == ErrorKind::NotFound => {
+                self.reset_wal(sid)?;
+                return Ok(true);
+            }
+            Err(e) => return Err(io_err(e)),
+        };
+        let epoch = wal_epoch(&bytes, sid)?;
+        if epoch < self.checkpoint_epoch {
+            // A checkpoint that died between its superblock bump and this
+            // WAL's replacement: the checkpoint holds every record.
+            self.reset_wal(sid)?;
+            return Ok(true);
+        }
+        if epoch > self.checkpoint_epoch {
+            return Err(corrupt(format!(
+                "wal.{sid} belongs to epoch {epoch}, past the checkpoint's {}",
+                self.checkpoint_epoch
+            )));
+        }
+        let end = replay_wal(&bytes, shard);
+        // A torn record past the end, or a tear that left the file off a
+        // page boundary: zero the tail, so every byte past the cursor is
+        // zero again.
+        let dirty_tail = bytes[end as usize..].iter().any(|&b| b != 0);
+        if dirty_tail || !(bytes.len() as u64).is_multiple_of(WAL_PAGE) {
+            let len = (bytes.len() as u64).next_multiple_of(WAL_PAGE);
+            let f = OpenOptions::new().write(true).open(&path).map_err(io_err)?;
+            f.write_all_at(&vec![0; (len - end) as usize], end).map_err(io_err)?;
+            f.sync_data().map_err(io_err)?;
+        }
+        (shard.wal, shard.wal_end) = (bytes, end);
+        Ok(false)
     }
 
     /// Cuts a checkpoint: write-new → fsync → rename → directory fsync →
-    /// superblock bump → WAL truncation. The caller must have synced the
-    /// shard data devices first and must hold out writers for the duration
-    /// of the state collection (the store does both).
-    pub fn checkpoint(&mut self, shards: &[ShardCheckpoint]) -> Result<(), StoreError> {
+    /// superblock bump → each WAL replaced by an empty one of the new
+    /// epoch. Returns the shards' appenders on the new WALs. The caller
+    /// must have written back and synced the shard data devices first and
+    /// must hold out writers for the duration of the state collection
+    /// (the store does both).
+    pub fn checkpoint(&mut self, shards: &[ShardCheckpoint]) -> Result<Vec<DurableShard>, StoreError> {
         assert_eq!(shards.len(), self.n_shards, "one checkpoint entry per shard");
         let new_epoch = self.epoch + 1;
         let body = encode_checkpoint(new_epoch, shards);
@@ -792,28 +968,55 @@ impl DurableStore {
         // superblock pointing at a checkpoint that does not exist.
         self.sync_dir()?;
         // The commit point: until this superblock write lands, recovery
-        // elects the old epoch (old checkpoint + still-untruncated WAL).
-        self.write_superblock(new_epoch, new_epoch)?;
+        // elects the old epoch (old checkpoint + its WALs). Once it may
+        // have landed — even if its write or sync reports a failure —
+        // recovery may skip the old WALs, so no record may land in one;
+        // nor in a new one before the directory names it durably. Any
+        // failure from here fences the store: every later record fails.
         let old = self.checkpoint_epoch;
-        self.epoch = new_epoch;
-        self.checkpoint_epoch = new_epoch;
-        for sid in 0..self.n_shards {
-            let f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(self.wal_path(sid))
-                .map_err(io_err)?;
-            f.set_len(0).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
-        }
+        let appenders = self.commit_epoch(new_epoch).inspect_err(|_| {
+            self.faults.lock().expect("no fault-state holder panics").crash();
+        })?;
         if old != 0 && old != new_epoch {
             let _ = fs::remove_file(self.dir.join(format!("checkpoint.{old}")));
         }
-        Ok(())
+        Ok(appenders)
     }
 
-    fn write_superblock(&self, epoch: u64, checkpoint_epoch: u64) -> Result<(), StoreError> {
+    /// Bumps the superblock to `epoch`, then replaces the WALs with empty
+    /// ones of that epoch.
+    fn commit_epoch(&mut self, epoch: u64) -> Result<Vec<DurableShard>, StoreError> {
+        self.write_superblock(epoch, epoch)?;
+        (self.epoch, self.checkpoint_epoch) = (epoch, epoch);
+        self.replace_wals()
+    }
+
+    /// Replaces every shard's WAL with an empty one of the current epoch,
+    /// syncs the directory, and opens an appender on each.
+    fn replace_wals(&self) -> Result<Vec<DurableShard>, StoreError> {
+        for sid in 0..self.n_shards {
+            self.reset_wal(sid)?;
+        }
+        self.sync_dir()?;
+        let cursor = WAL_HEADER as u64;
+        (0..self.n_shards).map(|sid| self.wal_appender(sid, cursor)).collect()
+    }
+
+    /// Replaces shard `sid`'s WAL with an empty one of the current
+    /// checkpoint epoch — one page, the header and zeros — written aside,
+    /// synced and renamed over it: a crash leaves the old WAL or the new,
+    /// never a torn header. The caller syncs the directory.
+    fn reset_wal(&self, sid: usize) -> Result<(), StoreError> {
+        let mut page = vec![0u8; WAL_PAGE as usize];
+        page[..WAL_HEADER].copy_from_slice(&encode_wal_header(self.checkpoint_epoch));
+        let tmp = self.dir.join(format!("wal.{sid}.tmp"));
+        let mut f = File::create(&tmp).map_err(io_err)?;
+        f.write_all(&page).map_err(io_err)?;
+        f.sync_all().map_err(io_err)?;
+        fs::rename(&tmp, self.wal_path(sid)).map_err(io_err)
+    }
+
+    fn write_superblock(&mut self, epoch: u64, checkpoint_epoch: u64) -> Result<(), StoreError> {
         let record = encode_superblock(epoch, checkpoint_epoch, self.geometry_hash);
         let f = OpenOptions::new()
             .read(true)
@@ -829,6 +1032,10 @@ impl DurableStore {
         match self.filter(MetaTarget::Superblock, SUPER_RECORD)? {
             None => {
                 f.write_all_at(&record, off).map_err(io_err)?;
+                #[cfg(test)]
+                if std::mem::take(&mut self.fail_superblock_sync) {
+                    return Err(io_err(ErrorKind::Other.into()));
+                }
                 f.sync_all().map_err(io_err)?;
                 Ok(())
             }
@@ -841,7 +1048,7 @@ impl DurableStore {
     }
 
     /// Fsyncs the store directory, making its entries — a renamed
-    /// checkpoint, freshly created files — durable.
+    /// checkpoint or WAL, freshly created files — durable.
     pub fn sync_dir(&self) -> Result<(), StoreError> {
         File::open(&self.dir)
             .and_then(|d| d.sync_all())
@@ -865,26 +1072,26 @@ impl DurableStore {
         self.dir.join(format!("wal.{sid}"))
     }
 
-    /// Opens shard `sid`'s WAL for appending — and for reading back the
-    /// value records scrub repairs from — and couples it to the store-wide
-    /// fault state.
-    pub fn wal_appender(&self, sid: usize) -> Result<DurableShard, StoreError> {
+    /// Opens shard `sid`'s WAL for positioned writes at `cursor` — and for
+    /// reading back the PUT records scrub repairs from — and couples it to
+    /// the store-wide fault state.
+    pub fn wal_appender(&self, sid: usize, cursor: u64) -> Result<DurableShard, StoreError> {
         let wal = OpenOptions::new()
             .read(true)
-            .append(true)
-            .create(true)
+            .write(true)
             .open(self.wal_path(sid))
             .map_err(io_err)?;
         let len = wal.metadata().map_err(io_err)?.len();
         Ok(DurableShard {
             wal,
+            cursor,
             len,
-            frame: Vec::with_capacity(WAL_FRAME_HDR + self.max_payload),
+            frame: Vec::with_capacity(WAL_PAGE as usize),
             faults: Arc::clone(&self.faults),
             defer_sync: false,
             dirty: false,
-            max_payload: self.max_payload,
-            values: HashMap::new(),
+            shape: self.shape,
+            values: None,
             #[cfg(test)]
             fail_next_sync: false,
             #[cfg(test)]
@@ -914,6 +1121,29 @@ mod tests {
         dir
     }
 
+    const SHAPE: PutShape = PutShape { value_size: 8, ttl: false };
+
+    /// Opens `dir` as a one-shard store of 8-byte values, geometry 7.
+    fn try_open(
+        dir: &Path,
+        shape: PutShape,
+    ) -> Result<(DurableStore, Vec<RecoveredShard>, bool), StoreError> {
+        DurableStore::open(dir, 7, shape, vec![ShardCheckpoint::fresh(4)])
+    }
+
+    fn open(dir: &Path) -> (DurableStore, Vec<RecoveredShard>, bool) {
+        try_open(dir, SHAPE).unwrap()
+    }
+
+    /// The appender a freshly opened (or just checkpointed) WAL starts.
+    fn appender(store: &DurableStore) -> DurableShard {
+        store.wal_appender(0, WAL_HEADER as u64).unwrap()
+    }
+
+    fn put(wal: &mut DurableShard, key: u64, addr: u64) -> Result<(), StoreError> {
+        wal.log_put(key, addr, &[key as u8; 8], 0)
+    }
+
     fn sample_stats() -> DeviceStats {
         let mut s = DeviceStats::default();
         s.record_write(&pnw_nvm_sim::WriteStats {
@@ -931,50 +1161,70 @@ mod tests {
     #[test]
     fn fresh_open_then_reopen_is_empty() {
         let dir = tmp("fresh");
-        let (store, rec, fresh) =
-            DurableStore::open(&dir, 42, 8, vec![ShardCheckpoint::fresh(8)]).unwrap();
+        let (store, rec, fresh) = open(&dir);
         assert!(fresh);
         assert_eq!(store.epoch(), 1);
         assert!(rec[0].committed.is_empty());
-        assert_eq!(rec[0].active, 8);
+        assert_eq!(rec[0].active, 4);
         drop(store);
-        let (store, rec, fresh) =
-            DurableStore::open(&dir, 42, 8, vec![ShardCheckpoint::fresh(8)]).unwrap();
+        let (store, rec, fresh) = open(&dir);
         assert!(!fresh);
         assert_eq!(store.epoch(), 1);
         assert!(rec[0].committed.is_empty());
+        assert_eq!(rec[0].wal_end, WAL_HEADER as u64);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn wal_replays_over_checkpoint() {
         let dir = tmp("replay");
-        let (store, _, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
-        wal.log_put(1, 100).unwrap();
-        wal.log_put(2, 200).unwrap();
+        let (store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        put(&mut wal, 1, 100).unwrap();
+        put(&mut wal, 2, 200).unwrap();
         wal.log_delete(1).unwrap();
-        wal.log_put(1, 300).unwrap();
+        put(&mut wal, 1, 300).unwrap();
         wal.log_extend(6).unwrap();
         drop((wal, store));
 
-        let (store, rec, fresh) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (store, rec, fresh) = open(&dir);
         assert!(!fresh);
         assert_eq!(rec[0].active, 6);
         assert_eq!(rec[0].committed.len(), 2);
         assert_eq!(rec[0].committed[&1], 300);
         assert_eq!(rec[0].committed[&2], 200);
+        // The redo set: each committed key's last PUT, value included.
+        let mut redo: Vec<_> = rec[0].redo().map(|p| (p.key, p.addr, p.value.to_vec())).collect();
+        redo.sort_unstable();
+        assert_eq!(redo, vec![(1, 300, vec![1; 8]), (2, 200, vec![2; 8])]);
         let _ = (store, fs::remove_dir_all(&dir));
+    }
+
+    #[test]
+    fn a_ttl_put_record_carries_its_deadline() {
+        let dir = tmp("ttl");
+        let shape = PutShape { value_size: 8, ttl: true };
+        let (store, _, _) = try_open(&dir, shape).unwrap();
+        let mut wal = appender(&store);
+        wal.log_put(1, 100, &[0x11; 8], 1_234).unwrap();
+        wal.log_put(2, 200, &[0x22; 8], 0).unwrap();
+        drop((wal, store));
+        let (_, rec, _) = try_open(&dir, shape).unwrap();
+        let mut redo: Vec<_> = rec[0].redo().map(|p| (p.key, p.deadline)).collect();
+        redo.sort_unstable();
+        assert_eq!(redo, vec![(1, 1_234), (2, 0)]);
+        // The same WAL read under a shape without deadlines has no whole
+        // PUT record: replay stops before the first.
+        assert!(open(&dir).1[0].committed.is_empty());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpoint_truncates_wal_and_round_trips_state() {
         let dir = tmp("ckpt");
-        let (mut store, _, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
-        wal.log_put(9, 900).unwrap();
+        let (mut store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        put(&mut wal, 9, 900).unwrap();
         store
             .checkpoint(&[ShardCheckpoint {
                 active: 6,
@@ -986,14 +1236,19 @@ mod tests {
             }])
             .unwrap();
         assert_eq!(store.epoch(), 2);
-        assert_eq!(fs::metadata(dir.join("wal.0")).unwrap().len(), 0);
+        // An empty WAL of the new epoch: one page, the header and zeros.
+        let bytes = fs::read(dir.join("wal.0")).unwrap();
+        assert_eq!(bytes.len() as u64, WAL_PAGE);
+        assert_eq!(wal_epoch(&bytes, 0), Ok(2));
+        assert!(bytes[WAL_HEADER..].iter().all(|&b| b == 0));
         assert!(!dir.join("checkpoint.1").exists(), "old epoch removed");
         drop((wal, store));
 
-        let (store, rec, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (store, rec, _) = open(&dir);
         assert_eq!(store.epoch(), 2);
         assert_eq!(rec[0].active, 6);
         assert_eq!(rec[0].committed[&9], 900);
+        assert_eq!(rec[0].redo().count(), 0, "the checkpoint holds the value");
         assert_eq!(rec[0].stats, sample_stats());
         assert_eq!(rec[0].word_writes, vec![3, 0, 1]);
         assert_eq!(rec[0].bit_flips, Some(vec![1, 2]));
@@ -1003,20 +1258,20 @@ mod tests {
     #[test]
     fn group_commit_replays_like_per_record_commit() {
         let dir = tmp("group");
-        let (store, _, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
+        let (store, _, _) = open(&dir);
+        let mut wal = appender(&store);
         wal.begin_group();
-        wal.log_put(1, 100).unwrap();
-        wal.log_put(2, 200).unwrap();
+        put(&mut wal, 1, 100).unwrap();
+        put(&mut wal, 2, 200).unwrap();
         wal.log_delete(1).unwrap();
         wal.end_group().unwrap();
         // A second group on the same appender works too.
         wal.begin_group();
-        wal.log_put(3, 300).unwrap();
+        put(&mut wal, 3, 300).unwrap();
         wal.end_group().unwrap();
         drop((wal, store));
 
-        let (_, rec, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (_, rec, _) = open(&dir);
         assert_eq!(rec[0].committed.len(), 2);
         assert_eq!(rec[0].committed[&2], 200);
         assert_eq!(rec[0].committed[&3], 300);
@@ -1027,10 +1282,10 @@ mod tests {
     #[test]
     fn torn_append_inside_group_still_fails_immediately() {
         let dir = tmp("group_tear");
-        let (store, _, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
+        let (store, _, _) = open(&dir);
+        let mut wal = appender(&store);
         wal.begin_group();
-        wal.log_put(1, 100).unwrap();
+        put(&mut wal, 1, 100).unwrap();
         store.arm_meta_tear(MetaTear {
             target: MetaTarget::Wal,
             skip: 0,
@@ -1038,10 +1293,10 @@ mod tests {
         });
         // The fault filter still runs at append time, not at the group
         // fsync — a torn record surfaces on the op that wrote it.
-        assert!(wal.log_put(2, 200).is_err());
+        assert!(put(&mut wal, 2, 200).is_err());
         drop((wal, store));
 
-        let (_, rec, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (_, rec, _) = open(&dir);
         assert_eq!(rec[0].committed.len(), 1, "prefix before the tear replays");
         assert_eq!(rec[0].committed[&1], 100);
         let _ = fs::remove_dir_all(&dir);
@@ -1050,31 +1305,183 @@ mod tests {
     #[test]
     fn torn_wal_record_ends_replay_at_prefix() {
         let dir = tmp("torn_wal");
-        let (store, _, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
-        wal.log_put(1, 100).unwrap();
+        let (store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        put(&mut wal, 1, 100).unwrap();
+        let end = wal.cursor;
         store.arm_meta_tear(MetaTear {
             target: MetaTarget::Wal,
             skip: 0,
             keep_bytes: 11,
         });
-        assert!(wal.log_put(2, 200).is_err(), "torn append is unacknowledged");
-        assert!(wal.log_put(3, 300).is_err(), "store is dead after the tear");
+        assert!(put(&mut wal, 2, 200).is_err(), "torn append is unacknowledged");
+        assert!(put(&mut wal, 3, 300).is_err(), "store is dead after the tear");
         drop((wal, store));
 
-        let (_, rec, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (store, rec, _) = open(&dir);
         assert_eq!(rec[0].committed.len(), 1);
         assert_eq!(rec[0].committed[&1], 100);
+        // The next record goes where replay stopped, over the torn bytes,
+        // which the open zeroed.
+        assert_eq!(rec[0].wal_end, end);
+        let bytes = fs::read(dir.join("wal.0")).unwrap();
+        assert!(bytes[end as usize..].iter().all(|&b| b == 0));
+        let mut wal = store.wal_appender(0, rec[0].wal_end).unwrap();
+        put(&mut wal, 4, 400).unwrap();
+        drop((wal, store));
+        let (_, rec, _) = open(&dir);
+        assert_eq!(rec[0].committed.len(), 2);
+        assert_eq!(rec[0].committed[&4], 400);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The zeros past the cursor stand in for whatever a torn write did
+    /// not land. A DELETE of key 3 torn after 13 bytes is missing only
+    /// its key's four high bytes, zero anyway, and a PUT of a value that
+    /// ends in zeros torn inside those zeros is missing nothing but zeros:
+    /// only the end mark tells either from a whole frame. Torn at every
+    /// byte, neither replays; whole, each does.
+    #[test]
+    fn a_frame_torn_at_any_byte_never_replays() {
+        let frame = |parts: &[&[u8]]| {
+            let mut f = Vec::new();
+            encode_frame(&mut f, parts);
+            f
+        };
+        let put = |key: u64, value: &[u8]| {
+            frame(&[&[REC_PUT], &key.to_le_bytes(), &100u64.to_le_bytes(), value])
+        };
+        let committed = put(3, &[0x33; 8]);
+        let delete = frame(&[&[REC_DELETE], &3u64.to_le_bytes()]);
+        let mut zero_padded = delete[..13].to_vec();
+        zero_padded.resize(delete.len() - 1, 0);
+        assert_eq!(zero_padded, delete[..delete.len() - 1], "all but the end mark");
+        for torn in [delete, put(4, &[0x44, 0x44, 0, 0, 0, 0, 0, 0])] {
+            for keep in 0..=torn.len() {
+                let mut wal = encode_wal_header(1).to_vec();
+                wal.extend_from_slice(&committed);
+                wal.extend_from_slice(&torn[..keep]);
+                wal.resize(WAL_PAGE as usize, 0);
+                let mut shard = RecoveredShard::from_checkpoint(ShardCheckpoint::fresh(4), SHAPE);
+                let end = replay_wal(&wal, &mut shard) as usize;
+                let whole = keep == torn.len();
+                let want = WAL_HEADER + committed.len() + if whole { torn.len() } else { 0 };
+                assert_eq!(end, want, "frame {torn:?} torn after {keep} bytes");
+                let (three, four) = (shard.committed.get(&3), shard.committed.get(&4));
+                assert_eq!(three.is_some(), !whole || torn[8] == REC_PUT);
+                assert_eq!(four.is_some(), whole && torn[8] == REC_PUT);
+            }
+        }
+    }
+
+    /// A record that crosses the file's end grows it to the next page
+    /// boundary; the length stays a page multiple at or past the cursor,
+    /// across a failed sync too, and nothing past the cursor is nonzero.
+    #[test]
+    fn the_wal_grows_a_page_at_a_time() {
+        let dir = tmp("pages");
+        let shape = PutShape { value_size: 64, ttl: false };
+        let (store, _, _) = try_open(&dir, shape).unwrap();
+        let mut wal = appender(&store);
+        let path = dir.join("wal.0");
+        let file_len = || fs::metadata(&path).unwrap().len();
+        assert_eq!(file_len(), WAL_PAGE);
+        let (records, mut growths, mut last) = (200u64, 0, WAL_PAGE);
+        for key in 0..records {
+            if key == 100 {
+                wal.fail_next_sync = true;
+                assert!(wal.log_put(key, key, &[0xFF; 64], 0).is_err());
+            }
+            wal.log_put(key, key, &[key as u8; 64], 0).unwrap();
+            let len = file_len();
+            assert!(len.is_multiple_of(WAL_PAGE), "record {key}");
+            assert!(len >= wal.cursor, "record {key}");
+            growths += u64::from(len != last);
+            last = len;
+        }
+        let record = (WAL_FRAME_OVERHEAD + shape.payload_len()) as u64;
+        assert_eq!(record, 90);
+        assert_eq!(wal.cursor, WAL_HEADER as u64 + records * record);
+        assert_eq!(growths, wal.cursor.div_ceil(WAL_PAGE) - 1);
+        let bytes = fs::read(&path).unwrap();
+        assert!(bytes[wal.cursor as usize..].iter().all(|&b| b == 0));
+        drop((wal, store));
+        let (_, rec, _) = try_open(&dir, shape).unwrap();
+        assert_eq!(rec[0].committed.len(), records as usize);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_headerless_wal_is_refused() {
+        let dir = tmp("headerless");
+        let (store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        put(&mut wal, 1, 100).unwrap();
+        drop((wal, store));
+        let path = dir.join("wal.0");
+        let bytes = fs::read(&path).unwrap();
+        // Frames of this format with no header ahead of them, as an older
+        // store laid its WAL out; an older store's truncated, empty WAL; a
+        // header whose CRC fails.
+        let mut bad_crc = bytes.clone();
+        bad_crc[17] ^= 1;
+        for old in [&bytes[WAL_HEADER..], &[][..], &bad_crc[..]] {
+            fs::write(&path, old).unwrap();
+            match try_open(&dir, SHAPE) {
+                Err(StoreError::Corrupt(why)) => assert!(why.starts_with("wal.0 "), "{why}"),
+                other => panic!("opened a WAL without a valid header: {other:?}"),
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint that dies between its superblock bump and replacing
+    /// the WALs leaves WALs of the previous epoch: recovery skips them
+    /// (their records are in the checkpoint) and starts empty ones.
+    #[test]
+    fn a_wal_of_an_older_epoch_is_skipped() {
+        let dir = tmp("old_epoch");
+        let (mut store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        put(&mut wal, 1, 100).unwrap();
+        let epoch_1 = fs::read(dir.join("wal.0")).unwrap();
+        let mut ckpt = ShardCheckpoint::fresh(4);
+        ckpt.entries = vec![(5, 500)];
+        let wals = store.checkpoint(&[ckpt]).unwrap();
+        drop((wal, wals, store));
+        fs::write(dir.join("wal.0"), &epoch_1).unwrap();
+
+        let (store, rec, _) = open(&dir);
+        assert_eq!(rec[0].committed, HashMap::from([(5, 500)]));
+        let bytes = fs::read(dir.join("wal.0")).unwrap();
+        assert_eq!(wal_epoch(&bytes, 0), Ok(2), "replaced by a WAL of the checkpoint's epoch");
+        let mut wal = store.wal_appender(0, rec[0].wal_end).unwrap();
+        put(&mut wal, 6, 600).unwrap();
+        drop((wal, store));
+        let (_, rec, _) = open(&dir);
+        assert_eq!(rec[0].committed, HashMap::from([(5, 500), (6, 600)]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unreadable_wal_fails_open() {
+        let dir = tmp("unreadable");
+        drop(open(&dir));
+        fs::remove_file(dir.join("wal.0")).unwrap();
+        fs::create_dir(dir.join("wal.0")).unwrap();
+        assert!(matches!(
+            try_open(&dir, SHAPE),
+            Err(StoreError::Nvm(NvmError::Io(_)))
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_superblock_falls_back_to_other_replica() {
         let dir = tmp("torn_super");
-        let (mut store, _, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
-        wal.log_put(5, 500).unwrap();
+        let (mut store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        put(&mut wal, 5, 500).unwrap();
         store.arm_meta_tear(MetaTear {
             target: MetaTarget::Superblock,
             skip: 0,
@@ -1083,9 +1490,9 @@ mod tests {
         assert!(store.checkpoint(&[ShardCheckpoint::fresh(4)]).is_err());
         drop((wal, store));
 
-        // The epoch-1 replica still elects; its checkpoint plus the
-        // untruncated WAL reconstruct the committed set.
-        let (store, rec, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        // The epoch-1 replica still elects; its checkpoint plus its WAL
+        // reconstruct the committed set.
+        let (store, rec, _) = open(&dir);
         assert_eq!(store.epoch(), 1);
         assert_eq!(rec[0].committed[&5], 500);
         assert!(
@@ -1098,10 +1505,9 @@ mod tests {
     #[test]
     fn torn_checkpoint_body_keeps_old_epoch() {
         let dir = tmp("torn_ckpt");
-        let (mut store, _, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
-        wal.log_put(6, 600).unwrap();
+        let (mut store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        put(&mut wal, 6, 600).unwrap();
         store.arm_meta_tear(MetaTear {
             target: MetaTarget::Checkpoint,
             skip: 0,
@@ -1111,7 +1517,7 @@ mod tests {
         assert!(dir.join("checkpoint.tmp").exists(), "half-written body left behind");
         drop((wal, store));
 
-        let (store, rec, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (store, rec, _) = open(&dir);
         assert_eq!(store.epoch(), 1);
         assert_eq!(rec[0].committed[&6], 600);
         assert!(!dir.join("checkpoint.tmp").exists(), "tmp cleaned at open");
@@ -1121,10 +1527,9 @@ mod tests {
     #[test]
     fn geometry_mismatch_is_corrupt() {
         let dir = tmp("geom");
-        let (store, _, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        drop(store);
+        drop(open(&dir));
         assert!(matches!(
-            DurableStore::open(&dir, 8, 8, vec![ShardCheckpoint::fresh(4)]),
+            DurableStore::open(&dir, 8, SHAPE, vec![ShardCheckpoint::fresh(4)]),
             Err(StoreError::Corrupt(_))
         ));
         let _ = fs::remove_dir_all(&dir);
@@ -1133,158 +1538,161 @@ mod tests {
     #[test]
     fn corrupted_checkpoint_is_detected() {
         let dir = tmp("flip");
-        let (store, _, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        drop(store);
+        drop(open(&dir));
         let path = dir.join("checkpoint.1");
         let mut body = fs::read(&path).unwrap();
         let mid = body.len() / 2;
         body[mid] ^= 0x40;
         fs::write(&path, body).unwrap();
-        assert!(matches!(
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]),
-            Err(StoreError::Corrupt(_))
-        ));
+        assert!(matches!(try_open(&dir, SHAPE), Err(StoreError::Corrupt(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn zeroed_superblock_is_corrupt() {
         let dir = tmp("zeroed");
-        let (store, _, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        drop(store);
+        drop(open(&dir));
         fs::write(dir.join("super"), [0u8; 128]).unwrap();
-        assert!(matches!(
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]),
-            Err(StoreError::Corrupt(_))
-        ));
+        assert!(matches!(try_open(&dir, SHAPE), Err(StoreError::Corrupt(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn value_records_replay_and_mirror() {
         let dir = tmp("putv");
-        let (store, _, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
-        wal.log_put_value(1, 100, &[0xAB; 8]).unwrap();
-        wal.log_put_value(2, 200, &[0xCD; 8]).unwrap();
+        let (store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        wal.keep_values(HashMap::new());
+        wal.log_put(1, 100, &[0xAB; 8], 0).unwrap();
+        wal.log_put(2, 200, &[0xCD; 8], 0).unwrap();
         wal.log_delete(2).unwrap();
         assert_eq!(wal.wal_value(1), Some(vec![0xAB; 8]));
         assert_eq!(wal.wal_value(2), None, "delete drops the mirror");
         drop((wal, store));
 
-        let (store, mut rec, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (store, mut rec, _) = open(&dir);
         let r = rec.remove(0);
         assert_eq!(r.committed.len(), 1);
         assert_eq!(r.committed[&1], 100);
         assert!(!r.values.contains_key(&2));
+        // An appender keeps no mirror unless asked (a store without CRCs
+        // has no scrub to repair from it).
+        assert_eq!(store.wal_appender(0, r.wal_end).unwrap().wal_value(1), None);
         // Reopen hands the mirror back to a fresh appender, which reads
         // the value back out of the file.
-        let mut wal = store.wal_appender(0).unwrap();
-        wal.preload_values(r.values);
+        let mut wal = store.wal_appender(0, r.wal_end).unwrap();
+        wal.keep_values(r.values);
         assert_eq!(wal.wal_value(1), Some(vec![0xAB; 8]));
         // Later appends land after the replayed tail, and read back too.
-        wal.log_put_value(3, 300, &[0xEF; 8]).unwrap();
+        wal.log_put(3, 300, &[0xEF; 8], 0).unwrap();
         assert_eq!(wal.wal_value(3), Some(vec![0xEF; 8]));
         assert_eq!(wal.wal_value(1), Some(vec![0xAB; 8]));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn plain_put_overwrites_the_value_mirror() {
+    fn a_later_put_replaces_the_value_mirror() {
         let dir = tmp("putv_mix");
-        let (store, _, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
-        wal.log_put_value(1, 100, &[0x11; 8]).unwrap();
-        wal.log_put(1, 160).unwrap();
-        // The mirrored bytes no longer describe the committed value.
-        assert_eq!(wal.wal_value(1), None);
+        let (store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        wal.keep_values(HashMap::new());
+        wal.log_put(1, 100, &[0x11; 8], 0).unwrap();
+        wal.log_put(1, 160, &[0x22; 8], 0).unwrap();
+        assert_eq!(wal.wal_value(1), Some(vec![0x22; 8]));
         drop((wal, store));
-        let (_, rec, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (_, rec, _) = open(&dir);
         assert_eq!(rec[0].committed[&1], 160);
-        assert!(!rec[0].values.contains_key(&1));
+        let redo: Vec<_> = rec[0].redo().map(|p| (p.key, p.addr, p.value.to_vec())).collect();
+        assert_eq!(redo, vec![(1, 160, vec![0x22; 8])]);
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A per-op append whose sync fails is cut back off the file: the next
-    /// record commits alone, and the value mirror keeps naming the last
-    /// committed copy.
+    /// A per-op append whose sync fails is zeroed in the file: it never
+    /// replays, the next record commits alone in its place, and the value
+    /// mirror keeps naming the last committed copy.
     #[test]
     fn a_failed_sync_takes_its_record_back() {
         let dir = tmp("failed_sync");
-        let (store, _, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
-        wal.log_put_value(1, 100, &[0x11; 8]).unwrap();
-        let len = fs::metadata(dir.join("wal.0")).unwrap().len();
+        let (store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        wal.keep_values(HashMap::new());
+        wal.log_put(1, 100, &[0x11; 8], 0).unwrap();
         wal.fail_next_sync = true;
-        assert!(wal.log_put_value(1, 160, &[0x22; 8]).is_err());
-        assert_eq!(fs::metadata(dir.join("wal.0")).unwrap().len(), len);
+        assert!(wal.log_put(1, 160, &[0x22; 8], 0).is_err());
         assert_eq!(wal.wal_value(1), Some(vec![0x11; 8]));
-        wal.log_put(2, 200).unwrap();
+        // What the file holds now replays without the failed record.
+        let (_, rec, _) = open(&dir);
+        assert_eq!(rec[0].committed[&1], 100, "the failed record never replays");
+        assert_eq!(rec[0].wal_end, wal.cursor);
+        put(&mut wal, 2, 200).unwrap();
         drop((wal, store));
 
-        let (_, rec, _) = DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (_, rec, _) = open(&dir);
         assert_eq!(rec[0].committed[&1], 100, "the failed record never commits");
         assert_eq!(rec[0].committed[&2], 200);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A superblock write that lands but reports a failure still elects
+    /// the new epoch at reopen, which skips the old WAL: the failed
+    /// checkpoint fences the store, so no record is acknowledged into it.
+    #[test]
+    fn a_failed_superblock_sync_fences_the_store() {
+        let dir = tmp("failed_super");
+        let (mut store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        put(&mut wal, 1, 100).unwrap();
+        store.fail_superblock_sync = true;
+        let cut = ShardCheckpoint { entries: vec![(1, 100)], ..ShardCheckpoint::fresh(4) };
+        assert!(store.checkpoint(std::slice::from_ref(&cut)).is_err());
+        assert!(put(&mut wal, 2, 200).is_err(), "no record lands after the failed checkpoint");
+        assert!(wal.log_delete(1).is_err());
+        assert!(store.checkpoint(&[cut]).is_err(), "a fenced store cuts no checkpoint");
+        drop((wal, store));
+
+        let (store, rec, _) = open(&dir);
+        assert_eq!(store.epoch(), 2, "the failed checkpoint's superblock landed");
+        assert_eq!(rec[0].committed, HashMap::from([(1, 100)]));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn retirement_survives_wal_replay_and_checkpoint() {
         let dir = tmp("retire");
-        let (mut store, _, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
+        let (mut store, _, _) = open(&dir);
+        let mut wal = appender(&store);
         wal.log_retire(3).unwrap();
         wal.log_retire(1).unwrap();
         wal.log_retire(3).unwrap(); // idempotent on replay
         drop(wal);
 
         // Crash path: retirement comes back through WAL replay.
-        let (_, rec, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (_, rec, _) = open(&dir);
         assert_eq!(rec[0].retired, vec![3, 1]);
 
-        // Checkpoint path: retirement persists past WAL truncation.
+        // Checkpoint path: retirement persists past the WAL's replacement.
         let mut ckpt = ShardCheckpoint::fresh(4);
         ckpt.retired = vec![1, 3];
         store.checkpoint(&[ckpt]).unwrap();
         drop(store);
-        let (_, rec, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        let (_, rec, _) = open(&dir);
         assert_eq!(rec[0].retired, vec![1, 3]);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn oversized_frame_ends_replay() {
-        // A frame longer than 17 + value_size is framing garbage even if
-        // its CRC happens to check out.
+        // A frame longer than a PUT's payload is framing garbage even if
+        // its CRC and end mark check out.
         let dir = tmp("oversize");
-        let (store, _, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
-        let mut wal = store.wal_appender(0).unwrap();
-        wal.log_put(1, 100).unwrap();
-        drop((wal, store));
-        // Hand-craft a CRC-valid but oversized frame.
-        let payload = vec![REC_PUT_V; 64];
+        let (store, _, _) = open(&dir);
+        let mut wal = appender(&store);
+        put(&mut wal, 1, 100).unwrap();
         let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        use std::io::Write as _;
-        OpenOptions::new()
-            .append(true)
-            .open(dir.join("wal.0"))
-            .unwrap()
-            .write_all(&frame)
-            .unwrap();
-        let (_, rec, _) =
-            DurableStore::open(&dir, 7, 8, vec![ShardCheckpoint::fresh(4)]).unwrap();
+        encode_frame(&mut frame, &[&[REC_PUT; 64]]);
+        wal.wal.write_all_at(&frame, wal.cursor).unwrap();
+        drop((wal, store));
+        let (_, rec, _) = open(&dir);
         assert_eq!(rec[0].committed.len(), 1, "replay stops at the bad frame");
         let _ = fs::remove_dir_all(&dir);
     }

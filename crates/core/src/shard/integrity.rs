@@ -105,7 +105,7 @@ impl ShardEngine {
         self.stamp_expiry(bucket, deadline)?;
         let _ = self.index.remove(&mut self.dev, key)?;
         self.index.insert(&mut self.dev, key, addr as u64)?;
-        self.log(|d| d.log_put_value(key, addr as u64, value))?;
+        self.log(|d| d.log_put(key, addr as u64, value, deadline))?;
         self.labels[bucket as usize] = label_u16(cluster);
         let _ = self.clear_flag(self.layout.addr(from));
         self.scrub.repairs += 1;

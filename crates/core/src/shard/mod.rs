@@ -112,8 +112,8 @@ pub struct ShardEngine {
     dev: NvmDevice,
     /// Where every provisioned bucket and its expiry slot live. The expiry
     /// zone (one deadline per bucket when `cfg.ttl_enabled`) is part of the
-    /// device image, so deadlines ride the same write-through backing and
-    /// checkpoints as the data zone.
+    /// device image, so deadlines ride the same write-back backing and
+    /// checkpoints as the data zone (and each PUT's WAL record).
     layout: BucketLayout,
     /// Buckets currently in the active data zone (grows via
     /// [`ShardEngine::extend_zone`] up to `cfg.capacity +
@@ -185,7 +185,7 @@ impl ShardEngine {
         Self::build(cfg, None).expect("volatile device construction cannot fail")
     }
 
-    /// Creates an engine over a write-through file-backed device at
+    /// Creates an engine over a write-back file-backed device at
     /// `path` (fallible: the backing file may be unreadable or of the
     /// wrong size for this geometry).
     pub(crate) fn open_file(cfg: PnwConfig, path: std::path::PathBuf) -> Result<Self, PnwError> {

@@ -186,7 +186,7 @@ impl ShardEngine {
         }
         // The durable commit point, inside the bracket: the index entry
         // is already made, so no reader may see it before the record is.
-        if let Err(e) = self.log_put(key, addr as u64, value) {
+        if let Err(e) = self.log(|d| d.log_put(key, addr as u64, value, expires_at_ms)) {
             // Unacknowledged: roll the in-process structures back so the
             // dying store stays internally consistent. The durable state
             // is already safe — no WAL record exists, and recovery clears
@@ -271,7 +271,7 @@ impl ShardEngine {
             }
         };
         let addr = self.layout.addr(bucket);
-        if let Err(e) = self.log_put(key, addr as u64, value) {
+        if let Err(e) = self.log(|d| d.log_put(key, addr as u64, value, expires_at_ms)) {
             let _w = self.write_bracket();
             self.unwind_failed_insert(addr, cluster, bucket);
             return Err(e);
@@ -294,18 +294,6 @@ impl ShardEngine {
             self.push_free(label, freed);
         }
         Ok(Some((out, PutPath::Fresh)))
-    }
-
-    /// Appends and syncs a PUT's WAL record — with integrity on, carrying
-    /// the value bytes, the clean copy the scrubber repairs from. A no-op
-    /// on a volatile shard.
-    #[inline]
-    fn log_put(&mut self, key: u64, addr: u64, value: &[u8]) -> Result<(), PnwError> {
-        let integrity = self.cfg.integrity;
-        self.log(|d| match integrity {
-            true => d.log_put_value(key, addr, value),
-            false => d.log_put(key, addr),
-        })
     }
 
     /// Runs one WAL append; a no-op on a volatile shard. An append that

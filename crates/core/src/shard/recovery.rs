@@ -6,11 +6,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pnw_index::{KeyIndex, PathHashIndex};
-use pnw_nvm_sim::{DeviceStats, NvmError, WriteMode};
+use pnw_nvm_sim::{DeviceStats, WriteMode};
 
 use super::{value_addr, Header, ShardEngine, LABEL_STALE};
 use crate::config::IndexPlacement;
-use crate::durable::{DurableShard, ShardCheckpoint};
+use crate::durable::{DurableShard, PutRecord, ShardCheckpoint, WalSpan};
 use crate::error::PnwError;
 use crate::model::ModelSnapshot;
 use crate::pool::DynamicAddressPool;
@@ -110,28 +110,43 @@ impl ShardEngine {
         Ok(())
     }
 
-    /// Tells the WAL appender a successful checkpoint truncated its file:
-    /// appends start over, and the value mirror is dropped (the
-    /// checkpointed device image is now the repair source of record for
-    /// everything the truncated WAL no longer covers).
-    pub(crate) fn wal_truncated(&mut self) {
-        if let Some(d) = &mut self.durable {
-            d.truncated();
+    /// Redo (ARIES): rewrites every PUT the WAL committed since the
+    /// checkpoint — header, value and deadline — onto its bucket, with
+    /// [`WriteMode::Diff`], so the data zone holds every acknowledged PUT
+    /// whatever the write-back data file lost. Idempotent: a crash in here
+    /// redoes it from the same records. A retired bucket is rewritten too:
+    /// the record holds what its cells held when the PUT was acknowledged
+    /// (a relocation off it that a crash cut short leaves the key there).
+    /// Call before the repair.
+    pub(crate) fn redo<'a>(
+        &mut self,
+        records: impl Iterator<Item = PutRecord<'a>>,
+    ) -> Result<(), PnwError> {
+        let _w = self.write_bracket();
+        for put in records {
+            let bucket = self.bucket_of_addr(put.addr)?;
+            self.seal_bucket_img(put.key, put.value);
+            self.dev.write(put.addr as usize, &self.bucket_img, WriteMode::Diff)?;
+            self.stamp_expiry(bucket, put.deadline)?;
         }
+        Ok(())
     }
 
-    /// Reconciles the data zone with the WAL-derived committed map after a
-    /// crash — the step that turns "whatever the torn device holds" into
-    /// exactly the committed state, before [`ShardEngine::recover_structures`]
-    /// rebuilds the DRAM-side structures from the repaired zone:
+    /// Reconciles the data zone with the WAL-derived committed map after
+    /// [`ShardEngine::redo`] — the step that turns "the last checkpoint's
+    /// cells plus every redone PUT" into exactly the committed state,
+    /// before [`ShardEngine::recover_structures`] rebuilds the DRAM-side
+    /// structures from the repaired zone:
     ///
     /// 1. any valid-flagged bucket whose `(key, addr)` is *not* committed
-    ///    (a torn or unacknowledged put, or a committed delete whose flag
-    ///    clear preceded the WAL record) has its flag cleared;
-    /// 2. any committed `(key, addr)` whose flag is clear (an
-    ///    unacknowledged delete or update that tore after the flag clear)
-    ///    has its full header re-stamped — the value bytes are intact,
-    ///    because deletion only ever touches the flag byte;
+    ///    (a key deleted or moved since the checkpoint) has its flag
+    ///    cleared;
+    /// 2. any committed `(key, addr)` whose flag is clear — a checkpointed
+    ///    key whose flag clear by an unacknowledged delete reached the data
+    ///    file in a later checkpoint's write-back, cut short before its
+    ///    superblock bump — has its full header re-stamped: the value
+    ///    bytes are intact, because deletion only ever touches the flag
+    ///    byte;
     /// 3. with an NVM-resident index, the index region (whose internal
     ///    writes are not individually WAL-framed) is zeroed and rebuilt
     ///    from the committed map alone.
@@ -221,17 +236,21 @@ impl ShardEngine {
         }
     }
 
-    /// Attaches the WAL appender that makes this shard durable.
-    pub(crate) fn attach_durable(&mut self, d: DurableShard) {
+    /// Attaches the WAL appender that makes this shard durable (again,
+    /// after a checkpoint replaced its WAL). On a store that verifies
+    /// CRCs it keeps the value mirror the scrub repairs from, seeded with
+    /// `values` (the replay's; none after a checkpoint).
+    pub(crate) fn attach_durable(&mut self, mut d: DurableShard, values: HashMap<u64, WalSpan>) {
+        if self.cfg.integrity {
+            d.keep_values(values);
+        }
         self.durable = Some(d);
     }
 
-    /// Flushes the device's backing file; refuses on a crashed device (a
+    /// Writes the device's dirty pages back to its file and syncs it —
+    /// the checkpoint's write-back; refuses on a crashed device (a
     /// checkpoint must never be cut from post-crash state).
-    pub(crate) fn sync_device(&self) -> Result<(), PnwError> {
-        if self.dev.is_crashed() {
-            return Err(NvmError::Crashed.into());
-        }
+    pub(crate) fn sync_device(&mut self) -> Result<(), PnwError> {
         Ok(self.dev.sync()?)
     }
 
@@ -239,6 +258,12 @@ impl ShardEngine {
     /// (test hook).
     pub(crate) fn arm_torn_write_after(&mut self, skip: u64, words: usize) {
         self.dev.arm_torn_write_after(skip, words);
+    }
+
+    /// Arms a torn write-back `skip` page runs from now on this shard's
+    /// data file (test hook).
+    pub(crate) fn arm_torn_write_back(&mut self, skip: u64, keep_bytes: usize) {
+        self.dev.arm_torn_write_back(skip, keep_bytes);
     }
 
     /// Makes this shard's next WAL sync — a per-op append's or a group

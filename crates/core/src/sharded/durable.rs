@@ -1,11 +1,12 @@
 //! The file-backed store: opening (and recovering) a durable directory,
 //! cutting checkpoints, and the metadata fault hook the recovery tests use.
 
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use super::{shard_config, shard_count, split, Shard, ShardedPnwStore};
 use crate::config::{BackingMode, PnwConfig};
-use crate::durable::{geometry_hash, DurableStore, ShardCheckpoint};
+use crate::durable::{geometry_hash, DurableStore, PutShape, ShardCheckpoint};
 use crate::error::StoreError;
 use crate::shard::ShardEngine;
 
@@ -18,8 +19,9 @@ impl ShardedPnwStore {
     ///   directory. Each shard gets its own backing file and WAL; one
     ///   superblock/checkpoint pair covers them all, so a checkpoint is
     ///   atomic across shards. Recovery replays every shard's WAL over the
-    ///   last checkpoint and repairs each shard's data zone to exactly its
-    ///   committed key set.
+    ///   last checkpoint, redoes every PUT it committed onto the device,
+    ///   and repairs each shard's data zone to exactly its committed key
+    ///   set.
     pub fn open(cfg: PnwConfig) -> Result<Self, StoreError> {
         let cfg = cfg.build()?;
         let BackingMode::File(dir) = cfg.backing.clone() else {
@@ -29,8 +31,9 @@ impl ShardedPnwStore {
         let initial = (0..n)
             .map(|i| ShardCheckpoint::fresh(split(cfg.capacity, n, i) as u64))
             .collect();
+        let shape = PutShape { value_size: cfg.value_size, ttl: cfg.ttl_enabled };
         let (durable, recovered, fresh) =
-            DurableStore::open(&dir, geometry_hash(&cfg, n), cfg.value_size, initial)?;
+            DurableStore::open(&dir, geometry_hash(&cfg, n), shape, initial)?;
         let mut shards = Vec::with_capacity(n);
         for (i, rec) in recovered.into_iter().enumerate() {
             let mut engine =
@@ -39,15 +42,14 @@ impl ShardedPnwStore {
             // Retirement is restored before repair so neither the repair
             // pass nor pool recovery resurrects a retired bucket.
             engine.restore_retired(&rec.retired);
+            engine.redo(rec.redo())?;
             engine.repair_after_replay(&rec.committed)?;
             engine.recover_structures()?;
             engine.reindex_retired_committed(&rec.committed)?;
             // Counters restore last so the repair's own writes don't
             // perturb the checkpointed values.
             engine.restore_device_counters(rec.stats, &rec.word_writes, rec.bit_flips.as_deref());
-            let mut appender = durable.wal_appender(i)?;
-            appender.preload_values(rec.values);
-            engine.attach_durable(appender);
+            engine.attach_durable(durable.wal_appender(i, rec.wal_end)?, rec.values);
             shards.push(Shard::wrap(engine, i, &cfg));
         }
         if fresh {
@@ -64,10 +66,11 @@ impl ShardedPnwStore {
     }
 
     /// Cuts a durable checkpoint: quiesces writers by holding every
-    /// shard's engine lock, flushes each device backing, snapshots the
-    /// committed state of all shards and runs the write-new → fsync →
-    /// rename → superblock-bump protocol once for the whole store. Every
-    /// shard WAL is truncated afterwards. No-op on a volatile store.
+    /// shard's engine lock, writes each device's dirty pages back and
+    /// syncs them, snapshots the committed state of all shards and runs
+    /// the write-new → fsync → rename → superblock-bump protocol once for
+    /// the whole store. Every shard then appends to a new, empty WAL. No-op
+    /// on a volatile store.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
         let Some(durable) = &self.durable else {
             return Ok(());
@@ -77,15 +80,13 @@ impl ShardedPnwStore {
         // point; in-flight seqlock readers don't touch durable state).
         let mut guards: Vec<_> = self.engines().collect();
         let mut states = Vec::with_capacity(guards.len());
-        for g in &guards {
+        for g in &mut guards {
             g.sync_device()?;
             states.push(g.checkpoint_state()?);
         }
-        durable.checkpoint(&states)?;
-        // The WALs were truncated: appends start over, and the value
-        // mirrors that backed scrub repairs name records that are gone.
-        for g in &mut guards {
-            g.wal_truncated();
+        let appenders = durable.checkpoint(&states)?;
+        for (g, appender) in guards.iter_mut().zip(appenders) {
+            g.attach_durable(appender, HashMap::new());
         }
         Ok(())
     }

@@ -3,17 +3,19 @@
 //! [`DeviceBacking::Volatile`] is the historical device — a DRAM `Vec`
 //! that vanishes with the process, which is exactly right for figure
 //! harnesses and unit tests. [`DeviceBacking::File`] gives the same
-//! device a durable life: the in-DRAM image stays the read path (peeks
-//! and diffs never touch the filesystem), and every mutated word range is
-//! written through to a backing file, so what the file holds after a kill
-//! is precisely what the emulated cell array held — including the
-//! truncated prefix of a torn write, because fault injection cuts the
-//! payload *before* both the image update and the flush.
-//!
-//! `WriteMode::Diff` maps dirty-*word* tracking onto flushed word ranges:
-//! the write loop already knows which words changed, and only those
-//! coalesced runs hit the file. A `Raw` write programs (and flushes) the
-//! whole range, exactly as it charges the whole range.
+//! device a durable life, write-back: the in-DRAM image stays the read
+//! and write path (peeks, diffs and writes never touch the filesystem),
+//! every write that changes a cell marks its 4 KiB pages in a dirty
+//! bitmap, and [`FileBacking::flush`] writes the dirty pages back and
+//! syncs the file. Between flushes the file holds the image as of the
+//! last one: a process death or a power loss loses every later write,
+//! and whoever owns the device must be able to redo them (the durable
+//! store flushes at checkpoint, before the superblock names the new
+//! epoch, and its WAL redoes the rest). A torn write tears the image,
+//! and reaches the file only if the image is flushed afterwards. A flush
+//! itself can tear (a [`MetaTarget::Data`] tear armed on the device's
+//! fault state): its earlier runs land, the torn one lands a prefix, and
+//! the rest never do.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -22,6 +24,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::device::NvmError;
+use crate::fault::{FaultState, MetaTarget};
+
+/// The granule the dirty bitmap tracks and a flush writes back.
+const PAGE: usize = 4096;
 
 /// Where a device's cell array is backed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -29,16 +35,18 @@ pub enum DeviceBacking {
     /// DRAM only — today's behavior, nothing survives the process.
     #[default]
     Volatile,
-    /// Write-through to a file at this path: the file always mirrors the
-    /// persisted cell array, byte for byte.
+    /// Write-back to a file at this path: after each flush the file holds
+    /// the cell array, byte for byte.
     File(PathBuf),
 }
 
-/// An open write-through backing file. Cloning shares the handle (the
-/// device itself is `Clone`; clones write through to the same file).
+/// An open write-back backing file and its dirty-page bitmap. Cloning
+/// shares the file handle and copies the bitmap.
 #[derive(Debug, Clone)]
 pub struct FileBacking {
     file: Arc<File>,
+    /// One bit per [`PAGE`] of the device written since the last flush.
+    dirty: Vec<u64>,
 }
 
 /// Maps an I/O failure into the device error space, keeping the kind.
@@ -73,28 +81,69 @@ impl FileBacking {
         } else {
             return Err(NvmError::Io(io::ErrorKind::InvalidData));
         };
+        let dirty = vec![0u64; size.div_ceil(PAGE).div_ceil(64)];
         Ok((
             FileBacking {
                 file: Arc::new(file),
+                dirty,
             },
             image,
         ))
     }
 
-    /// Writes `bytes` through at absolute device offset `addr`.
-    pub fn write_range(&self, addr: usize, bytes: &[u8]) -> Result<(), NvmError> {
-        self.file.write_all_at(bytes, addr as u64).map_err(io_err)
+    /// Marks the pages under device bytes `[start, end)` dirty
+    /// (`start < end`).
+    #[inline]
+    pub fn mark_dirty(&mut self, start: usize, end: usize) {
+        debug_assert!(start < end);
+        for page in start / PAGE..=(end - 1) / PAGE {
+            self.dirty[page / 64] |= 1 << (page % 64);
+        }
     }
 
-    /// Flushes file contents and metadata to stable storage.
-    pub fn sync(&self) -> Result<(), NvmError> {
-        self.file.sync_all().map_err(io_err)
+    /// Writes every dirty page of `image` (the device's cell array) back,
+    /// one positioned write per run of adjacent dirty pages, each passed
+    /// through `fault`'s [`MetaTarget::Data`] filter, then syncs the file.
+    /// The bitmap is cleared only once the sync returns, so a failed flush
+    /// leaves every page it covered dirty. A torn run persists its prefix,
+    /// syncs, and fails with [`NvmError::Crashed`].
+    pub fn flush(&mut self, image: &[u8], fault: &mut FaultState) -> Result<(), NvmError> {
+        let pages = image.len().div_ceil(PAGE);
+        let dirty = |p: usize| self.dirty[p / 64] >> (p % 64) & 1 == 1;
+        let mut page = 0;
+        while page < pages {
+            if !dirty(page) {
+                page += 1;
+                continue;
+            }
+            let run = page;
+            while page < pages && dirty(page) {
+                page += 1;
+            }
+            let (start, end) = (run * PAGE, (page * PAGE).min(image.len()));
+            let torn = fault.filter_meta_write(MetaTarget::Data, end - start)?;
+            let keep = torn.unwrap_or(end - start);
+            self.write_range(start, &image[start..start + keep])?;
+            if torn.is_some() {
+                self.file.sync_all().map_err(io_err)?;
+                return Err(NvmError::Crashed);
+            }
+        }
+        self.file.sync_all().map_err(io_err)?;
+        self.dirty.fill(0);
+        Ok(())
+    }
+
+    /// Writes `bytes` at absolute device offset `addr`.
+    fn write_range(&self, addr: usize, bytes: &[u8]) -> Result<(), NvmError> {
+        self.file.write_all_at(bytes, addr as u64).map_err(io_err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::MetaTear;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pnw_backing_{}_{name}", std::process::id()))
@@ -104,10 +153,10 @@ mod tests {
     fn fresh_file_is_zeroed_and_sized() {
         let path = tmp("fresh");
         let _ = std::fs::remove_file(&path);
-        let (b, image) = FileBacking::open(&path, 128).unwrap();
+        let (mut b, image) = FileBacking::open(&path, 128).unwrap();
         assert_eq!(image, vec![0u8; 128]);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 128);
-        b.sync().unwrap();
+        b.flush(&image, &mut FaultState::new(Default::default())).unwrap();
         let _ = std::fs::remove_file(&path);
     }
 
@@ -116,13 +165,50 @@ mod tests {
         let path = tmp("reopen");
         let _ = std::fs::remove_file(&path);
         {
-            let (b, _) = FileBacking::open(&path, 64).unwrap();
-            b.write_range(8, b"durable!").unwrap();
-            b.sync().unwrap();
+            let (mut b, mut image) = FileBacking::open(&path, 64).unwrap();
+            image[8..16].copy_from_slice(b"durable!");
+            b.mark_dirty(8, 16);
+            b.flush(&image, &mut FaultState::new(Default::default())).unwrap();
+            // Written to the image but never flushed: lost with the process.
+            image[0] = 0xFF;
+            b.mark_dirty(0, 1);
         }
         let (_, image) = FileBacking::open(&path, 64).unwrap();
         assert_eq!(&image[8..16], b"durable!");
         assert_eq!(&image[..8], &[0u8; 8]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_torn_flush_lands_earlier_runs_and_a_prefix() {
+        let path = tmp("torn_flush");
+        let _ = std::fs::remove_file(&path);
+        let (mut b, mut image) = FileBacking::open(&path, 4 * PAGE).unwrap();
+        image.fill(0xAB);
+        // Two runs: page 0, and pages 2–3.
+        b.mark_dirty(0, PAGE);
+        b.mark_dirty(2 * PAGE, 4 * PAGE);
+        let mut fault = FaultState::new(Default::default());
+        fault.arm_meta_tear(MetaTear { target: MetaTarget::Data, skip: 1, keep_bytes: 13 });
+        assert_eq!(b.flush(&image, &mut fault), Err(NvmError::Crashed));
+        assert!(fault.is_crashed());
+        let landed = |file: &[u8]| -> Vec<(usize, u8)> {
+            let mut runs: Vec<(usize, u8)> = Vec::new();
+            for (i, &x) in file.iter().enumerate() {
+                if runs.last().is_none_or(|&(_, y)| y != x) {
+                    runs.push((i, x));
+                }
+            }
+            runs
+        };
+        let torn = [(0, 0xAB), (PAGE, 0), (2 * PAGE, 0xAB), (2 * PAGE + 13, 0)];
+        assert_eq!(landed(&std::fs::read(&path).unwrap()), torn);
+        // Every page stays dirty: the flush after a recovery writes both
+        // runs whole, and still never the clean page.
+        fault.recover();
+        b.flush(&image, &mut fault).unwrap();
+        let whole = [(0, 0xAB), (PAGE, 0), (2 * PAGE, 0xAB)];
+        assert_eq!(landed(&std::fs::read(&path).unwrap()), whole);
         let _ = std::fs::remove_file(&path);
     }
 

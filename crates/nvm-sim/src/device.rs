@@ -16,7 +16,7 @@
 //!   differ, update memory bit"*).
 
 use crate::backing::{DeviceBacking, FileBacking};
-use crate::fault::{FaultState, StuckAtConfig};
+use crate::fault::{FaultState, MetaTarget, MetaTear, StuckAtConfig};
 use crate::geometry::Geometry;
 use crate::latency::LatencyModel;
 use crate::stats::{DeviceStats, WriteStats};
@@ -97,9 +97,9 @@ pub struct NvmConfig {
     pub latency: LatencyModel,
     /// Wear-induced stuck-at latching (off by default).
     pub stuck_at: StuckAtConfig,
-    /// Where the cell array lives (DRAM only, or written through to a
-    /// file). File-backed devices must be created with
-    /// [`NvmDevice::open`].
+    /// Where the cell array lives (DRAM only, or written back to a file
+    /// at each [`NvmDevice::sync`]). File-backed devices must be created
+    /// with [`NvmDevice::open`].
     pub backing: DeviceBacking,
 }
 
@@ -283,8 +283,8 @@ impl CellView {
     }
 }
 
-/// An emulated NVM device: a DRAM image as the read path, optionally
-/// written through to a backing file (see [`DeviceBacking`]).
+/// An emulated NVM device: a DRAM image as the read and write path,
+/// optionally written back to a backing file (see [`DeviceBacking`]).
 #[derive(Debug)]
 pub struct NvmDevice {
     data: Arc<CellBuf>,
@@ -362,10 +362,11 @@ impl NvmDevice {
     /// behaves exactly like [`NvmDevice::new`]; [`DeviceBacking::File`]
     /// opens (or creates) the backing file — an existing file of the
     /// configured size is loaded as the persisted cell image, so reopening
-    /// after a kill resumes from precisely what the last flushed write
-    /// left behind. Session counters (stats, wear, fault state) always
-    /// start fresh; a durable caller restores them from its checkpoint via
-    /// [`NvmDevice::restore_stats`] / [`NvmDevice::restore_wear`].
+    /// after a kill resumes from precisely what the last
+    /// [`NvmDevice::sync`] wrote back. Session counters (stats, wear,
+    /// fault state) always start fresh; a durable caller restores them
+    /// from its checkpoint via [`NvmDevice::restore_stats`] /
+    /// [`NvmDevice::restore_wear`].
     ///
     /// A geometry whose `word_bytes` is not 8 is rejected with
     /// [`NvmError::WordSize`].
@@ -393,15 +394,25 @@ impl NvmDevice {
         })
     }
 
-    /// Whether this device writes through to a backing file.
+    /// Whether this device is backed by a file.
     pub fn is_file_backed(&self) -> bool {
         self.backing.is_some()
     }
 
-    /// Flushes the backing file (if any) to stable storage.
-    pub fn sync(&self) -> Result<(), NvmError> {
-        match &self.backing {
-            Some(b) => b.sync(),
+    /// Writes the pages changed since the last sync back to the backing
+    /// file (if any) and syncs it: until then the file holds the cell
+    /// array as of the previous sync. Fails with [`NvmError::Crashed`] on
+    /// a crashed device — a torn image is written back only after
+    /// [`NvmDevice::recover`] — and when an armed write-back tear
+    /// ([`NvmDevice::arm_torn_write_back`]) fires.
+    pub fn sync(&mut self) -> Result<(), NvmError> {
+        if self.fault.is_crashed() {
+            return Err(NvmError::Crashed);
+        }
+        match &mut self.backing {
+            // SAFETY: `&mut self` makes this the unique writer; concurrent
+            // CellView readers only read.
+            Some(b) => b.flush(unsafe { self.data.slice() }, &mut self.fault),
             None => Ok(()),
         }
     }
@@ -555,9 +566,6 @@ impl NvmDevice {
             // whole write / of the tail): a dirty word at or past it opens
             // a new dirty line.
             let (mut line_end, mut tail_line_end) = (0usize, 0usize);
-            // The coalesced dirty run awaiting its flush to the backing
-            // file (only the bytes that were programmed reach the file).
-            let mut flush_run: Option<(usize, usize)> = None;
 
             for i in 0..words.len() {
                 let pos = (first + i) * WORD_BYTES;
@@ -618,29 +626,19 @@ impl NvmDevice {
                     self.fault
                         .maybe_latch(first + i, word_writes[i], u64::BITS, word);
                     // Re-impose every stuck bit over what was just
-                    // programmed, before the run reaches the backing file:
-                    // reads (locked, peek, or lock-free CellView) then
-                    // serve the stuck value with no special-casing anywhere
-                    // else.
+                    // programmed: reads (locked, peek, or lock-free
+                    // CellView) then serve the stuck value with no
+                    // special-casing anywhere else.
                     if let Some(sw) = self.fault.stuck_word(first + i) {
                         word = sw.apply(word);
                     }
                 }
                 words[i] = word.to_le();
-
-                if let Some(backing) = &self.backing {
-                    flush_run = match flush_run {
-                        Some((start, run_end)) if run_end == lo => Some((start, hi)),
-                        Some(run) => {
-                            flush_run_to(backing, words, first, run)?;
-                            Some((lo, hi))
-                        }
-                        None => Some((lo, hi)),
-                    };
-                }
             }
-            if let (Some(backing), Some(run)) = (&self.backing, flush_run) {
-                flush_run_to(backing, words, first, run)?;
+            if total.words_written > 0 {
+                if let Some(backing) = &mut self.backing {
+                    backing.mark_dirty(addr, end);
+                }
             }
         }
 
@@ -747,6 +745,15 @@ impl NvmDevice {
         self.fault.arm_torn_after(skip, words);
     }
 
+    /// Arms a torn write-back `skip` page runs from now: the syncs write
+    /// those runs into the backing file whole, the one after only its
+    /// first `keep_bytes` bytes, and the device crashes. The cell image
+    /// is untouched. Used by recovery tests.
+    pub fn arm_torn_write_back(&mut self, skip: u64, keep_bytes: usize) {
+        let target = MetaTarget::Data;
+        self.fault.arm_meta_tear(MetaTear { target, skip, keep_bytes });
+    }
+
     /// Latches bit `bit` of device word `word` stuck at `stuck_at_one`,
     /// forcing the cell image (and any backing file) to the stuck value
     /// immediately — arming an occupied word corrupts its at-rest data,
@@ -780,8 +787,8 @@ impl NvmDevice {
         let forced = if stuck_at_one { old | m } else { old & !m };
         if forced != old {
             cells[byte_addr] = forced;
-            if let Some(b) = &self.backing {
-                b.write_range(byte_addr, std::slice::from_ref(&forced))?;
+            if let Some(b) = &mut self.backing {
+                b.mark_dirty(byte_addr, byte_addr + 1);
             }
         }
         Ok(())
@@ -850,24 +857,6 @@ fn tail_word(bytes: &[u8]) -> u64 {
 #[inline]
 fn byte_mask(lo: usize, hi: usize) -> u64 {
     (u64::MAX >> ((WORD_BYTES - (hi - lo)) * 8)) << (lo * 8)
-}
-
-/// Writes the dirty byte run `[start, end)` (absolute addresses) through
-/// to the backing file, out of `words`, whose first word is device word
-/// `first`. A run is flushed once the next dirty word is non-adjacent or
-/// the write ends, by which point every word of it has been programmed.
-fn flush_run_to(
-    backing: &FileBacking,
-    words: &[u64],
-    first: usize,
-    (start, end): (usize, usize),
-) -> Result<(), NvmError> {
-    // SAFETY: initialized `u64`s are valid as eight `u8`s each, and `u8`
-    // has no alignment requirement; the view borrows `words`.
-    let bytes: &[u8] =
-        unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), words.len() * WORD_BYTES) };
-    let base = first * WORD_BYTES;
-    backing.write_range(start, &bytes[start - base..end - base])
 }
 
 #[cfg(test)]
@@ -1127,8 +1116,9 @@ mod tests {
             d.write(16, b"survives the kill", WriteMode::Diff).unwrap();
             d.write(64, &[0xC3u8; 8], WriteMode::Raw).unwrap();
             d.sync().unwrap();
-            // No close/drop hook: write-through means the file is already
-            // up to date when the process dies here.
+            // No close/drop hook: a write after the sync is still only in
+            // the image when the process dies here.
+            d.write(0, &[0xEEu8; 8], WriteMode::Raw).unwrap();
         }
         let d2 = NvmDevice::open(cfg).unwrap();
         assert_eq!(d2.peek(16, 17).unwrap(), b"survives the kill");
@@ -1150,11 +1140,28 @@ mod tests {
             new[40] = 0x00;
             let s = d.write(0, &new, WriteMode::Diff).unwrap();
             assert_eq!(s.words_written, 2);
+            d.sync().unwrap();
         }
         let d2 = NvmDevice::open(cfg).unwrap();
         assert_eq!(d2.peek(0, 1).unwrap(), &[0xFF]);
         assert_eq!(d2.peek(40, 1).unwrap(), &[0x00]);
         assert_eq!(d2.peek(1, 39).unwrap(), &[0x11u8; 39]);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn file_backed_torn_write_back_lands_a_prefix() {
+        let (cfg, path) = file_cfg("torn_back", 256);
+        {
+            let mut d = NvmDevice::open(cfg.clone()).unwrap();
+            d.write(32, &[0xABu8; 24], WriteMode::Raw).unwrap();
+            d.arm_torn_write_back(0, 37);
+            assert_eq!(d.sync(), Err(NvmError::Crashed));
+            assert!(d.is_crashed());
+        }
+        let d2 = NvmDevice::open(cfg).unwrap();
+        assert_eq!(d2.peek(32, 5).unwrap(), &[0xABu8; 5]);
+        assert_eq!(d2.peek(37, 19).unwrap(), &[0u8; 19], "the rest of the run never landed");
         let _ = std::fs::remove_file(path);
     }
 
@@ -1166,8 +1173,11 @@ mod tests {
             d.arm_torn_write(1); // only the first 8-byte word persists
             d.write(32, &[0xABu8; 24], WriteMode::Raw).unwrap();
             assert!(d.is_crashed());
-            // Process dies here without recovery — the file must hold
-            // exactly the torn prefix.
+            // A crashed image is never written back; once recovered, the
+            // file must hold exactly the torn prefix.
+            assert_eq!(d.sync(), Err(NvmError::Crashed));
+            d.recover();
+            d.sync().unwrap();
         }
         let d2 = NvmDevice::open(cfg).unwrap();
         assert_eq!(d2.peek(32, 8).unwrap(), &[0xABu8; 8]);
@@ -1272,6 +1282,7 @@ mod tests {
             // A later write over the word must not resurrect the bit in
             // the file either.
             d.write(0, &[0xFFu8; 8], WriteMode::Diff).unwrap();
+            d.sync().unwrap();
         }
         let d2 = NvmDevice::open(cfg).unwrap();
         assert_eq!(d2.peek(0, 1).unwrap()[0], 0xFE);

@@ -81,23 +81,30 @@ impl StuckWord {
     }
 }
 
-/// Which durable *file* a metadata write targets — the three write sites
-/// of the durability layer, each with its own recovery obligation:
+/// Which durable *file* a write targets — the durability layer's three
+/// metadata files and a device's data file, each with its own recovery
+/// obligation:
 ///
 /// * a torn [`MetaTarget::Superblock`] replica must lose the election to
 ///   the other (CRC-valid) replica;
 /// * a torn [`MetaTarget::Wal`] record must end replay exactly at the
 ///   previous record (the op it framed was never acknowledged);
 /// * a torn [`MetaTarget::Checkpoint`] body must fail its CRC and leave
-///   the superblock pointing at the previous checkpoint epoch.
+///   the superblock pointing at the previous checkpoint epoch;
+/// * a torn [`MetaTarget::Data`] write-back leaves a data file of old and
+///   new pages, and a torn one, under the previous epoch's superblock,
+///   whose WALs must redo every acknowledged op over it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetaTarget {
     /// One of the two replicated superblock slots.
     Superblock,
-    /// An append-only write-ahead-log record frame.
+    /// A write-ahead-log record frame (written at the log's cursor).
     Wal,
     /// A checkpoint body (written to a temporary file before rename).
     Checkpoint,
+    /// A run of dirty pages a device writes back into its data file (a
+    /// checkpoint's first step). Filtered by the device's own fault state.
+    Data,
 }
 
 /// An armed metadata tear: the `(skip + 1)`-th write to `target` persists
@@ -184,8 +191,9 @@ impl FaultState {
         Some((words * word_bytes).min(len))
     }
 
-    /// Called by a durability-layer writer before persisting `len` bytes to
-    /// a `target` file. Returns:
+    /// Called by a file writer — the durability layer's, or a device's
+    /// write-back — before persisting `len` bytes to a `target` file.
+    /// Returns:
     ///
     /// * `Err(NvmError::Crashed)` — the state is already crashed; nothing
     ///   may be written;

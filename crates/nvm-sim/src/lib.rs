@@ -26,7 +26,7 @@
 //! * [`fault`] — crash / torn-write injection used by the recovery tests,
 //!   covering the cell array *and* the durable metadata files.
 //! * [`backing`] — the [`DeviceBacking`] seam: volatile (DRAM-only) or
-//!   write-through file-backed cell arrays.
+//!   write-back file-backed cell arrays.
 //! * [`crc`] — the shared CRC-32 used by every durable file format.
 //!
 //! ## Example

@@ -285,12 +285,13 @@ fn run(case: &Case, path: Option<&PathBuf>) -> Result<(), TestCaseError> {
         prop_assert_eq!(dev.wear().bit_flips(), model.bit_flips.as_deref());
         prop_assert_eq!(dev.stats(), &model.stats);
         prop_assert_eq!(dev.is_crashed(), model.crashed);
-        if let Some(p) = path {
-            prop_assert_eq!(std::fs::read(p).unwrap(), &model.cells[..], "backing file");
-        }
         if model.crashed {
             dev.recover();
             model.crashed = false;
+        }
+        if let Some(p) = path {
+            dev.sync().unwrap();
+            prop_assert_eq!(std::fs::read(p).unwrap(), &model.cells[..], "backing file");
         }
     }
     Ok(())

@@ -94,10 +94,12 @@
 //! ## Durable persistence
 //!
 //! Give the config a path and the store survives process restarts — and
-//! crashes. Data-zone writes go write-through to a backing file, every
-//! metadata mutation is logged to a CRC-framed WAL before it is
-//! acknowledged, and `checkpoint()` / `close()` cut atomic checkpoints
-//! (see *Durability & recovery* in `docs/ARCHITECTURE.md`):
+//! crashes, power loss included. Every mutation is logged to a CRC-framed
+//! redo log (the WAL; a PUT's record carries its value) and synced before
+//! it is acknowledged; the device image is written back to its data file
+//! only when `checkpoint()` / `close()` cut an atomic checkpoint, and a
+//! reopen redoes the WAL over the last one (see *Durability & recovery*
+//! in `docs/ARCHITECTURE.md`):
 //!
 //! ```
 //! use pnw::{PnwConfig, PnwStore};

@@ -1,8 +1,9 @@
 //! The crash matrix (`docs/ARCHITECTURE.md`, *The crash matrix*): one
 //! seeded script per durable configuration, a tear armed at every write
-//! k of every site — each shard's device, the WAL, superblock and
-//! checkpoint files — each torn three ways, then a reopen and one set of
-//! checks. Enumerating crash states, not sampling them, is what finds the
+//! k of every site — each shard's device and the checkpoints' write-back
+//! into its data file, the WAL, superblock and checkpoint files — each
+//! torn three or four ways, then a reopen and one set of checks.
+//! Enumerating crash states, not sampling them, is what finds the
 //! ordering bugs a hand-picked kill point misses (Pillai et al., "All File
 //! Systems Are Not Created Equal", OSDI 2014).
 //!
@@ -32,6 +33,9 @@ use super::oracle::{self, value, Backend, Step, Step::*};
 pub enum Site {
     /// One shard's device: a bucket, flag, expiry or index-region write.
     Device(usize),
+    /// One shard's data file: a run of dirty pages a checkpoint writes
+    /// back, before its superblock names the new epoch.
+    WriteBack(usize),
     /// One of the durability layer's files; the WAL counter is store-wide,
     /// so its k counts appends across every shard's WAL.
     Meta(MetaTarget),
@@ -51,11 +55,14 @@ impl Site {
     pub fn tears(self) -> &'static [Tear] {
         match self {
             Site::Device(_) => &[Tear::Nothing, Tear::Prefix(1), Tear::Whole],
-            Site::Meta(_) => &[Tear::Nothing, Tear::Prefix(3), Tear::Prefix(13), Tear::Whole],
+            Site::WriteBack(_) | Site::Meta(_) => {
+                &[Tear::Nothing, Tear::Prefix(3), Tear::Prefix(13), Tear::Whole]
+            }
         }
     }
 
-    fn arm(self, store: &PnwStore, k: u64, tear: Tear) {
+    /// Arms `tear` at write `k` of this site.
+    pub fn arm(self, store: &PnwStore, k: u64, tear: Tear) {
         // `Whole` keeps more than any write here carries.
         let keep = match tear {
             Tear::Nothing => 0,
@@ -64,6 +71,7 @@ impl Site {
         };
         match self {
             Site::Device(shard) => store.arm_torn_write_after(shard, k, keep),
+            Site::WriteBack(shard) => store.arm_torn_write_back(shard, k, keep),
             Site::Meta(target) => {
                 store.arm_meta_tear(MetaTear { target, skip: k, keep_bytes: keep })
             }
@@ -442,10 +450,13 @@ pub fn cell(backend: &Backend, script: &Script, site: Site, k: u64) -> Run {
     first
 }
 
-/// The write sites of `backend`: every shard's device, then the files.
+/// The write sites of `backend`: every shard's device, every shard's
+/// write-back, then the files.
 pub fn sites(backend: &Backend) -> Vec<Site> {
+    let shards = 0..backend.cfg.shards;
     let files = [MetaTarget::Wal, MetaTarget::Superblock, MetaTarget::Checkpoint].map(Site::Meta);
-    (0..backend.cfg.shards).map(Site::Device).chain(files).collect()
+    let write_backs = shards.clone().map(Site::WriteBack);
+    shards.map(Site::Device).chain(write_backs).chain(files).collect()
 }
 
 /// Walks each of `sites`; returns the writes per site. The sites walk in
@@ -470,7 +481,7 @@ pub fn walk(backend: &Backend, script: &Script, sites: &[Site], stride: u64) -> 
 /// fires, then runs the site's last write too: a device's is the count
 /// the unfired run made there; the superblock and the checkpoint file
 /// take one write per checkpoint, the script's and `close`'s; the WAL's
-/// is found by bisecting. The full lane's stride of 1 checks each count.
+/// and a write-back's are found by bisecting. The full lane's stride of 1 checks each count.
 /// Returns how many writes the script makes there.
 fn walk_site(backend: &Backend, script: &Script, site: Site, stride: u64) -> u64 {
     let b = &backend.name;
@@ -488,7 +499,7 @@ fn walk_site(backend: &Backend, script: &Script, site: Site, stride: u64) -> u64
         Site::Meta(MetaTarget::Superblock | MetaTarget::Checkpoint) => {
             1 + script.steps.iter().filter(|s| matches!(s, Checkpoint)).count() as u64
         }
-        Site::Meta(_) => {
+        Site::Meta(_) | Site::WriteBack(_) => {
             // Write `lo` fires, write `hi` does not.
             let (mut lo, mut hi) = (k - stride, k);
             while hi - lo > 1 {

@@ -1,8 +1,8 @@
 //! Property-based crash consistency. At the device level, a file-backed
 //! [`NvmDevice`] takes word-aligned writes in both [`WriteMode`]s with a
-//! torn write armed at a random index; the reopened device's cells must
-//! equal the shadow image in which the torn write applied only its
-//! persisted word prefix. At the store level, a random script of puts and
+//! torn write armed at a random index, then recovers and writes its image
+//! back; the reopened device's cells must equal the shadow image in which
+//! the torn write applied only its persisted word prefix. At the store level, a random script of puts and
 //! deletes crashes at a random device or WAL write, torn each way, and
 //! the reopened store must pass the crash matrix's checks
 //! (`common/crash.rs`). The matrix in `tests/recovery.rs` crashes one
@@ -107,9 +107,9 @@ proptest! {
         crash_random_script(steps, device, k, tear, shards, IndexPlacement::Nvm);
     }
 
-    /// File-backed device, both write modes, torn write at a random index:
-    /// the reopened cell array equals the shadow image where the torn
-    /// write contributed only its persisted word prefix.
+    /// File-backed device, both write modes, torn write at a random index,
+    /// then a write-back: the reopened cell array equals the shadow image
+    /// where the torn write contributed only its persisted word prefix.
     #[test]
     fn torn_device_file_holds_exact_prefix(
         writes in proptest::collection::vec(
@@ -144,9 +144,12 @@ proptest! {
             }
             if writes.len() > tear_at {
                 // Everything after the tear fails: nothing else may reach
-                // the backing file.
+                // the image, and a crashed image is not written back.
                 prop_assert!(dev.write(0, &[0u8; 8], WriteMode::Raw).is_err());
+                prop_assert!(dev.sync().is_err());
+                dev.recover();
             }
+            dev.sync().expect("write-back");
         }
         let dev = NvmDevice::open(cfg).expect("reopen from file");
         prop_assert_eq!(dev.peek(0, 256).expect("peek"), &shadow[..]);

@@ -7,7 +7,7 @@
 //!   survives, everything is rebuilt from bucket headers.
 //! * **The crash matrix** — the durable file-backed store, crashed at
 //!   every write of a seeded script on four configurations, each write
-//!   torn three ways (`common/crash.rs`).
+//!   torn three or four ways (`common/crash.rs`).
 
 mod common;
 
@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use common::crash::{self, Script, Site, Tear};
-use common::oracle::{Backend, Step};
+use common::oracle::{self, Backend, Step};
 use pnw_core::{IndexPlacement, MetaTarget, PnwConfig, PnwStore, ShardedPnwStore, Store};
 use pnw_workloads::{DatasetKind, Workload};
 
@@ -218,6 +218,8 @@ macro_rules! walks {
 }
 
 const DEVICES: [Site; 4] = [Site::Device(0), Site::Device(1), Site::Device(2), Site::Device(3)];
+const WRITE_BACKS: [Site; 4] =
+    [Site::WriteBack(0), Site::WriteBack(1), Site::WriteBack(2), Site::WriteBack(3)];
 
 walks! {
     matrix_dram_clean_close: DRAM [];
@@ -232,6 +234,13 @@ walks! {
     /// configuration: the op it belongs to is unacknowledged and every
     /// acknowledged one survives.
     matrix_torn_data_write_is_unacknowledged: DRAM [DEVICES[0]], NVM [DEVICES[0]];
+    /// A checkpoint's write-back cut before a run of dirty pages, inside
+    /// it, or after it: old and new pages mixed in the data file under
+    /// the old superblock, and every acknowledged op redone from the WAL.
+    matrix_torn_write_back_is_redone_from_the_wal: DRAM [WRITE_BACKS[0]], NVM [WRITE_BACKS[0]];
+    /// Every shard's write-back of the four-shard configuration: the
+    /// other shards keep acknowledging into the old epoch's WALs.
+    sharded_torn_write_back_on_any_shard: SHARDED WRITE_BACKS;
     /// Every shard's device of the four-shard configuration.
     sharded_kill_between_ops_recovers_every_shard: SHARDED DEVICES;
     /// The four shards' WALs share one store-wide append counter.
@@ -243,7 +252,9 @@ walks! {
     /// records alone.
     sharded_group_commit_survives_kill_without_checkpoint: SHARDED [CHECKPOINT, SUPERBLOCK];
     crash_matrix_2_shards_ttl_reserve:
-        TTL_RESERVE [], TTL_RESERVE [DEVICES[0], DEVICES[1], WAL, SUPERBLOCK, CHECKPOINT];
+        TTL_RESERVE [],
+        TTL_RESERVE [DEVICES[0], DEVICES[1], WRITE_BACKS[0], WRITE_BACKS[1]],
+        TTL_RESERVE [WAL, SUPERBLOCK, CHECKPOINT];
 }
 
 /// The kills between ops on a one-shard configuration: a step's last
@@ -291,6 +302,27 @@ fn sharded_torn_wal_inside_group_commits_a_clean_prefix() {
             assert_eq!(run.failed_at, Some(apply), "WAL record {k} torn {tear:?}");
         }
     }
+}
+
+/// A write-back over a data file of several pages, cut at every run of
+/// dirty pages each way: the runs before the cut hold new pages, the runs
+/// after it old ones, all under the old superblock, and the WAL redoes
+/// every acknowledged op over them. (Each device of the matrix fits in
+/// one page.)
+#[test]
+fn torn_write_back_of_several_pages_is_redone_from_the_wal() {
+    let dir = oracle::durable_dir("crash_write_back_pages");
+    let cfg = PnwConfig::new(12, 2048).with_clusters(2).with_seed(17).with_path(dir);
+    let backend = Backend::pnw("1 shard, 2 KiB values", cfg);
+    let mut steps: Vec<Step> = (1..=6).map(|k| Step::Put(k, k as u8)).collect();
+    steps.push(Step::Checkpoint);
+    steps.extend([Step::Put(2, 0x22), Step::Delete(4), Step::Put(7, 0x77)]);
+    let script = Script::new(&backend).with(steps);
+    let writes = crash::walk(&backend, &script, &[Site::WriteBack(0)], 1);
+    println!("{}: writes per site {writes:?}", backend.name);
+    // Two checkpoints, the script's and `close`'s: one writes back more
+    // than one run.
+    assert!(writes[0].1 >= 3, "{writes:?}: no checkpoint writes back several runs");
 }
 
 #[test]
@@ -343,7 +375,6 @@ fn crash_at_the_flag_clear_after_a_synced_delete() {
 /// and re-put of key 5 must land on 5's old bucket, the only free one.
 /// Restoring the copy is the power loss.
 #[test]
-#[ignore = "ROADMAP 14: a power loss loses acked key 100 and serves key 5's stale value"]
 fn power_loss_after_checkpoint_keeps_every_acked_put() {
     let dir = scratch_dir("power_loss");
     let cfg = PnwConfig::new(16, 8)
@@ -369,6 +400,45 @@ fn power_loss_after_checkpoint_keeps_every_acked_put() {
     let _ = std::fs::remove_dir_all(&dir);
     let want = [Ok(None), Ok(Some(vec![0xEE; 8])), Ok(Some(vec![0xAA; 8]))];
     assert_eq!(served, want, "keys 0, 5 and 100 after the power loss");
+}
+
+/// A torn WAL record leaves bytes past the last whole frame. The store
+/// reopened over it writes its next record where replay stopped, over
+/// those bytes: written after them, an acknowledged PUT would sit behind
+/// a frame replay stops at, and a second crash would lose it. Each tear
+/// of the WAL site, on one shard and on four (the PUT after the reopen
+/// goes to the torn shard).
+#[test]
+fn acked_put_after_reopen_from_a_torn_wal_tail_survives_a_second_crash() {
+    let value = |k: u64| vec![k as u8 + 1; 8];
+    for shards in [1, 4] {
+        for &tear in WAL.tears() {
+            let dir = scratch_dir(&format!("torn_tail_{shards}"));
+            let cfg = PnwConfig::new(64, 8).with_clusters(2).with_shards(shards).with_path(&dir);
+            let store = PnwStore::open(cfg.clone()).unwrap();
+            for k in 0..4 {
+                store.put(k, &value(k)).unwrap();
+            }
+            WAL.arm(&store, 0, tear);
+            assert!(store.put(4, &value(4)).is_err(), "the torn PUT is not acknowledged");
+            drop(store);
+
+            let store = PnwStore::open(cfg.clone()).unwrap();
+            let next = (5..).find(|&k| store.shard_of_key(k) == store.shard_of_key(4)).unwrap();
+            store.put(next, &value(next)).unwrap();
+            drop(store);
+
+            let store = PnwStore::open(cfg).unwrap();
+            let cell = format!("{shards} shards, torn {tear:?}");
+            for k in (0..4).chain([next]) {
+                assert_eq!(store.get(k).unwrap(), Some(value(k)), "{cell}: acked key {k}");
+            }
+            let four = store.get(4).unwrap();
+            assert!(four.is_none() || tear == Tear::Whole && four == Some(value(4)), "{cell}");
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
