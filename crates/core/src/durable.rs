@@ -47,21 +47,16 @@
 //!   crash at any byte of the protocol falls back to the previous epoch
 //!   plus its WALs.
 //!
-//! All three write sites route through a shared
-//! [`FaultState::filter_meta_write`] so the recovery tests can land a
-//! deterministic tear in any of them (see
-//! [`pnw_nvm_sim::MetaTarget`]).
+//! Every file goes through the [`Fs`] seam: the host's directory in a
+//! running store, a simulated one ([`pnw_nvm_sim::SimFs`]) that tears
+//! writes, fails syncs and loses power in the recovery tests.
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{ErrorKind, Write};
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
-#[cfg(test)]
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::io::ErrorKind;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
-use pnw_nvm_sim::{crc32, DeviceStats, FaultState, MetaTarget, MetaTear, NvmError, StuckAtConfig};
+use pnw_nvm_sim::{crc32, DeviceStats, Fs, FsFile, NvmError, Open};
 
 use crate::config::{IndexPlacement, PnwConfig};
 use crate::error::StoreError;
@@ -99,10 +94,6 @@ const REC_EXTEND: u8 = 3;
 /// A bucket permanently retired from placement (stuck media). 5 bytes:
 /// `tag | bucket u32`.
 const REC_RETIRE: u8 = 4;
-
-fn io_err(e: std::io::Error) -> StoreError {
-    StoreError::Nvm(NvmError::Io(e.kind()))
-}
 
 fn crashed() -> StoreError {
     StoreError::Nvm(NvmError::Crashed)
@@ -284,11 +275,11 @@ impl RecoveredShard {
 pub(crate) type WalSpan = (u64, u32);
 
 /// A shard's handle on its WAL, opened readable too, plus the store-wide
-/// fault state. Writing a record at the cursor is the *commit point* of
-/// every durable mutation.
+/// fence. Writing a record at the cursor is the *commit point* of every
+/// durable mutation.
 #[derive(Debug)]
 pub(crate) struct DurableShard {
-    wal: File,
+    wal: Arc<dyn FsFile>,
     /// Where the next frame lands: the end of the last frame written or
     /// replayed. Every byte from here to the file's end is zero.
     cursor: u64,
@@ -296,7 +287,11 @@ pub(crate) struct DurableShard {
     len: u64,
     /// The frame being written, reused so a record allocates nothing.
     frame: Vec<u8>,
-    faults: Arc<Mutex<FaultState>>,
+    /// Set once a checkpoint failed at or after its superblock write: no
+    /// record may land after it (see [`DurableStore::checkpoint`]). The
+    /// checkpoint sets it holding every shard's engine lock, which orders
+    /// it before this appender's next record; `Relaxed` suffices.
+    fenced: Arc<AtomicBool>,
     /// Group-commit mode: appends write their frame but defer the fsync
     /// to [`DurableShard::end_group`], coalescing a whole batch group
     /// into one `sync_data` per shard.
@@ -310,15 +305,6 @@ pub(crate) struct DurableShard {
     /// (a store that verifies CRCs); starts empty when a checkpoint
     /// replaces the WAL.
     values: Option<HashMap<u64, WalSpan>>,
-    /// Test switch: the next sync — a per-op append's or
-    /// [`DurableShard::end_group`]'s — reports a failure instead of syncing.
-    #[cfg(test)]
-    pub fail_next_sync: bool,
-    /// Test switch: the next sync first reports on the sender, then waits
-    /// until the receiver's sender is dropped — a writer parked inside its
-    /// fsync.
-    #[cfg(test)]
-    pub park_next_sync: Option<(Sender<()>, Mutex<Receiver<()>>)>,
 }
 
 impl DurableShard {
@@ -379,7 +365,7 @@ impl DurableShard {
     pub fn wal_value(&self, key: u64) -> Option<Vec<u8>> {
         let &(offset, len) = self.values.as_ref()?.get(&key)?;
         let mut frame = vec![0u8; len as usize];
-        self.wal.read_exact_at(&mut frame, offset).ok()?;
+        self.wal.read_at(&mut frame, offset).ok()?;
         let payload = frame_payload(&frame, 0, self.shape.payload_len())?;
         let put = self.shape.parse(payload).filter(|put| put.key == key)?;
         Some(put.value.to_vec())
@@ -410,10 +396,9 @@ impl DurableShard {
     /// Writes one record, its payload the concatenation of `parts`, at the
     /// cursor and fsyncs it (outside a group); returns where the frame
     /// landed. A record whose write or sync fails is zeroed again, so a
-    /// later sync can never commit an op that was reported failed. A torn
-    /// write persists the configured prefix (which replay will reject)
-    /// and returns `Crashed`; the caller must not acknowledge the
-    /// operation.
+    /// later sync can never commit an op that was reported failed; the
+    /// caller must not acknowledge the operation. On a fenced store no
+    /// record is written, and the append fails with `Crashed`.
     fn append(&mut self, parts: &[&[u8]]) -> Result<WalSpan, StoreError> {
         let mut frame = std::mem::take(&mut self.frame);
         encode_frame(&mut frame, parts);
@@ -428,27 +413,14 @@ impl DurableShard {
     /// boundary along, so the file's size changes once a page, not once a
     /// record.
     fn write_frame(&mut self, frame: &mut Vec<u8>) -> Result<WalSpan, StoreError> {
+        if self.fenced.load(Ordering::Relaxed) {
+            return Err(crashed());
+        }
         let (at, n) = (self.cursor, frame.len());
         let end = at + n as u64;
         let grown = (end > self.len).then(|| end.next_multiple_of(WAL_PAGE));
-        let write_len = grown.map_or(n, |len| (len - at) as usize);
-        let filtered = self
-            .faults
-            .lock()
-            .unwrap()
-            .filter_meta_write(MetaTarget::Wal, write_len)
-            .map_err(|_| crashed())?;
-        frame.resize(write_len, 0);
-        if let Some(keep) = filtered {
-            // The tear: a prefix of the write reaches the file, then the
-            // store is dead. Best-effort persist of the prefix — recovery
-            // must survive it either way.
-            let _ = self.wal.write_all_at(&frame[..keep], at);
-            let _ = self.wal.sync_data();
-            frame.truncate(n);
-            return Err(crashed());
-        }
-        let mut written = self.wal.write_all_at(frame, at).map_err(io_err);
+        frame.resize(grown.map_or(n, |len| (len - at) as usize), 0);
+        let mut written = self.wal.write_at(frame, at).map_err(StoreError::from);
         frame.truncate(n);
         if written.is_ok() {
             self.len = grown.unwrap_or(self.len);
@@ -457,7 +429,7 @@ impl DurableShard {
             }
         }
         if let Err(e) = written {
-            let _ = self.wal.write_all_at(&vec![0; n], at);
+            let _ = self.wal.write_at(&vec![0; n], at);
             return Err(e);
         }
         self.dirty |= self.defer_sync;
@@ -467,18 +439,13 @@ impl DurableShard {
 
     /// `fdatasync`s the WAL — where a durable op waits for the disk.
     fn sync(&mut self) -> Result<(), StoreError> {
-        #[cfg(test)]
-        {
-            if let Some((parked, release)) = self.park_next_sync.take() {
-                let _ = parked.send(());
-                let _ = release.into_inner().unwrap().recv();
-            }
-            if std::mem::take(&mut self.fail_next_sync) {
-                return Err(io_err(std::io::ErrorKind::Other.into()));
-            }
-        }
-        self.wal.sync_data().map_err(io_err)
+        Ok(self.wal.sync_data()?)
     }
+}
+
+/// Shard `sid`'s WAL file.
+fn wal_name(sid: usize) -> String {
+    format!("wal.{sid}")
 }
 
 /// Fills `frame` with one record: `[len u32 | crc u32 | payload | end
@@ -777,25 +744,22 @@ fn decode_checkpoint(body: &[u8], expect_epoch: u64) -> Result<Vec<ShardCheckpoi
 }
 
 /// The store-level durability controller: owns the directory layout, the
-/// superblock epoch and the shared fault state; hands out per-shard WAL
-/// appenders.
+/// superblock epoch and the fence it shares with every WAL appender;
+/// hands out per-shard WAL appenders and data files.
 #[derive(Debug)]
 pub(crate) struct DurableStore {
-    dir: PathBuf,
+    fs: Arc<dyn Fs>,
     n_shards: usize,
     epoch: u64,
     checkpoint_epoch: u64,
     geometry_hash: u64,
     shape: PutShape,
-    faults: Arc<Mutex<FaultState>>,
-    /// Test switch: the next superblock write lands, then its sync
-    /// reports a failure.
-    #[cfg(test)]
-    pub fail_superblock_sync: bool,
+    fenced: Arc<AtomicBool>,
 }
 
 impl DurableStore {
-    /// Opens (or initializes) the durable directory.
+    /// Opens (or initializes) the durable directory `fs`: a fresh one when
+    /// it has no superblock file.
     ///
     /// `initial` describes each shard's fresh state (one entry per shard —
     /// its length fixes the shard count) and is used only when the
@@ -808,33 +772,31 @@ impl DurableStore {
     /// error's kind; one without a valid header of this format, or of a
     /// newer epoch than the checkpoint, with [`StoreError::Corrupt`].
     pub fn open(
-        dir: &Path,
+        fs: Arc<dyn Fs>,
         geometry_hash: u64,
         shape: PutShape,
         initial: Vec<ShardCheckpoint>,
     ) -> Result<(Self, Vec<RecoveredShard>, bool), StoreError> {
-        fs::create_dir_all(dir).map_err(io_err)?;
         let n_shards = initial.len();
         let mut store = DurableStore {
-            dir: dir.to_path_buf(),
+            fs,
             n_shards,
             epoch: 0,
             checkpoint_epoch: 0,
             geometry_hash,
             shape,
-            faults: Arc::new(Mutex::new(FaultState::new(StuckAtConfig::default()))),
-            #[cfg(test)]
-            fail_superblock_sync: false,
+            fenced: Arc::default(),
         };
-        let super_path = dir.join("super");
         let from_checkpoint = |s| RecoveredShard::from_checkpoint(s, shape);
 
-        if !super_path.exists() {
-            store.checkpoint(&initial)?;
-            return Ok((store, initial.into_iter().map(from_checkpoint).collect(), true));
-        }
-
-        let raw = fs::read(&super_path).map_err(io_err)?;
+        let raw = match store.fs.read("super") {
+            Ok(raw) => raw,
+            Err(NvmError::Io(ErrorKind::NotFound)) => {
+                store.checkpoint(&initial)?;
+                return Ok((store, initial.into_iter().map(from_checkpoint).collect(), true));
+            }
+            Err(e) => return Err(e.into()),
+        };
         let mut slots = [0u8; 2 * SLOT_BYTES as usize];
         let n = raw.len().min(slots.len());
         slots[..n].copy_from_slice(&raw[..n]);
@@ -855,8 +817,7 @@ impl DurableStore {
         }
         (store.epoch, store.checkpoint_epoch) = (epoch, checkpoint_epoch);
 
-        let ckpt_path = dir.join(format!("checkpoint.{checkpoint_epoch}"));
-        let body = fs::read(&ckpt_path)
+        let body = (store.fs.read(&format!("checkpoint.{checkpoint_epoch}")))
             .map_err(|_| corrupt(format!("referenced checkpoint.{checkpoint_epoch} unreadable")))?;
         let shards = decode_checkpoint(&body, checkpoint_epoch)?;
         if shards.len() != n_shards {
@@ -869,17 +830,14 @@ impl DurableStore {
         // Clean up protocol leftovers: a half-written `checkpoint.tmp` or
         // WAL replacement, and any checkpoint the superblock does not
         // reference (a new epoch whose superblock bump tore).
-        let _ = fs::remove_file(dir.join("checkpoint.tmp"));
-        if let Ok(rd) = fs::read_dir(dir) {
-            for entry in rd.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let stale = match name.strip_prefix("checkpoint.") {
-                    Some(suffix) => suffix.parse::<u64>().is_ok_and(|e| e != checkpoint_epoch),
-                    None => name.starts_with("wal.") && name.ends_with(".tmp"),
-                };
-                if stale {
-                    let _ = fs::remove_file(entry.path());
-                }
+        let _ = store.fs.remove("checkpoint.tmp");
+        for name in store.fs.list().unwrap_or_default() {
+            let stale = match name.strip_prefix("checkpoint.") {
+                Some(suffix) => suffix.parse::<u64>().is_ok_and(|e| e != checkpoint_epoch),
+                None => name.starts_with("wal.") && name.ends_with(".tmp"),
+            };
+            if stale {
+                let _ = store.fs.remove(&name);
             }
         }
 
@@ -899,15 +857,15 @@ impl DurableStore {
     /// for records at the replay's end; returns whether the WAL had to be
     /// replaced by an empty one (the caller then syncs the directory).
     fn recover_wal(&self, sid: usize, shard: &mut RecoveredShard) -> Result<bool, StoreError> {
-        let path = self.wal_path(sid);
-        let bytes = match fs::read(&path) {
+        let name = wal_name(sid);
+        let bytes = match self.fs.read(&name) {
             Ok(bytes) => bytes,
             // An initialization that died before it made this WAL.
-            Err(e) if e.kind() == ErrorKind::NotFound => {
+            Err(NvmError::Io(ErrorKind::NotFound)) => {
                 self.reset_wal(sid)?;
                 return Ok(true);
             }
-            Err(e) => return Err(io_err(e)),
+            Err(e) => return Err(e.into()),
         };
         let epoch = wal_epoch(&bytes, sid)?;
         if epoch < self.checkpoint_epoch {
@@ -929,9 +887,9 @@ impl DurableStore {
         let dirty_tail = bytes[end as usize..].iter().any(|&b| b != 0);
         if dirty_tail || !(bytes.len() as u64).is_multiple_of(WAL_PAGE) {
             let len = (bytes.len() as u64).next_multiple_of(WAL_PAGE);
-            let f = OpenOptions::new().write(true).open(&path).map_err(io_err)?;
-            f.write_all_at(&vec![0; (len - end) as usize], end).map_err(io_err)?;
-            f.sync_data().map_err(io_err)?;
+            let f = self.fs.open(&name, Open::Existing)?;
+            f.write_at(&vec![0; (len - end) as usize], end)?;
+            f.sync_data()?;
         }
         (shard.wal, shard.wal_end) = (bytes, end);
         Ok(false)
@@ -942,27 +900,17 @@ impl DurableStore {
     /// epoch. Returns the shards' appenders on the new WALs. The caller
     /// must have written back and synced the shard data devices first and
     /// must hold out writers for the duration of the state collection
-    /// (the store does both).
+    /// (the store does both). A fenced store cuts none.
     pub fn checkpoint(&mut self, shards: &[ShardCheckpoint]) -> Result<Vec<DurableShard>, StoreError> {
         assert_eq!(shards.len(), self.n_shards, "one checkpoint entry per shard");
-        let new_epoch = self.epoch + 1;
-        let body = encode_checkpoint(new_epoch, shards);
-        let tmp = self.dir.join("checkpoint.tmp");
-        {
-            let mut f = File::create(&tmp).map_err(io_err)?;
-            match self.filter(MetaTarget::Checkpoint, body.len())? {
-                None => {
-                    f.write_all(&body).map_err(io_err)?;
-                    f.sync_all().map_err(io_err)?;
-                }
-                Some(keep) => {
-                    let _ = f.write_all(&body[..keep]);
-                    let _ = f.sync_all();
-                    return Err(crashed());
-                }
-            }
+        if self.fenced.load(Ordering::Relaxed) {
+            return Err(crashed());
         }
-        fs::rename(&tmp, self.dir.join(format!("checkpoint.{new_epoch}"))).map_err(io_err)?;
+        let new_epoch = self.epoch + 1;
+        let f = self.fs.open("checkpoint.tmp", Open::Truncate)?;
+        f.write_at(&encode_checkpoint(new_epoch, shards), 0)?;
+        f.sync_all()?;
+        self.fs.rename("checkpoint.tmp", &format!("checkpoint.{new_epoch}"))?;
         // A rename is atomic, not durable: the directory entry must reach
         // the disk before a superblock names it, or a power loss leaves a
         // superblock pointing at a checkpoint that does not exist.
@@ -974,11 +922,10 @@ impl DurableStore {
         // nor in a new one before the directory names it durably. Any
         // failure from here fences the store: every later record fails.
         let old = self.checkpoint_epoch;
-        let appenders = self.commit_epoch(new_epoch).inspect_err(|_| {
-            self.faults.lock().expect("no fault-state holder panics").crash();
-        })?;
+        let appenders = (self.commit_epoch(new_epoch))
+            .inspect_err(|_| self.fenced.store(true, Ordering::Relaxed))?;
         if old != 0 && old != new_epoch {
-            let _ = fs::remove_file(self.dir.join(format!("checkpoint.{old}")));
+            let _ = self.fs.remove(&format!("checkpoint.{old}"));
         }
         Ok(appenders)
     }
@@ -1009,99 +956,51 @@ impl DurableStore {
     fn reset_wal(&self, sid: usize) -> Result<(), StoreError> {
         let mut page = vec![0u8; WAL_PAGE as usize];
         page[..WAL_HEADER].copy_from_slice(&encode_wal_header(self.checkpoint_epoch));
-        let tmp = self.dir.join(format!("wal.{sid}.tmp"));
-        let mut f = File::create(&tmp).map_err(io_err)?;
-        f.write_all(&page).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        fs::rename(&tmp, self.wal_path(sid)).map_err(io_err)
+        let tmp = format!("wal.{sid}.tmp");
+        let f = self.fs.open(&tmp, Open::Truncate)?;
+        f.write_at(&page, 0)?;
+        f.sync_all()?;
+        Ok(self.fs.rename(&tmp, &wal_name(sid))?)
     }
 
-    fn write_superblock(&mut self, epoch: u64, checkpoint_epoch: u64) -> Result<(), StoreError> {
+    fn write_superblock(&self, epoch: u64, checkpoint_epoch: u64) -> Result<(), StoreError> {
         let record = encode_superblock(epoch, checkpoint_epoch, self.geometry_hash);
-        let f = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(self.dir.join("super"))
-            .map_err(io_err)?;
-        if f.metadata().map_err(io_err)?.len() < 2 * SLOT_BYTES {
-            f.set_len(2 * SLOT_BYTES).map_err(io_err)?;
+        let f = self.fs.open("super", Open::Create)?;
+        if f.len()? < 2 * SLOT_BYTES {
+            f.set_len(2 * SLOT_BYTES)?;
         }
-        let off = (epoch % 2) * SLOT_BYTES;
-        match self.filter(MetaTarget::Superblock, SUPER_RECORD)? {
-            None => {
-                f.write_all_at(&record, off).map_err(io_err)?;
-                #[cfg(test)]
-                if std::mem::take(&mut self.fail_superblock_sync) {
-                    return Err(io_err(ErrorKind::Other.into()));
-                }
-                f.sync_all().map_err(io_err)?;
-                Ok(())
-            }
-            Some(keep) => {
-                let _ = f.write_all_at(&record[..keep], off);
-                let _ = f.sync_all();
-                Err(crashed())
-            }
-        }
+        f.write_at(&record, (epoch % 2) * SLOT_BYTES)?;
+        Ok(f.sync_all()?)
     }
 
     /// Fsyncs the store directory, making its entries — a renamed
     /// checkpoint or WAL, freshly created files — durable.
     pub fn sync_dir(&self) -> Result<(), StoreError> {
-        File::open(&self.dir)
-            .and_then(|d| d.sync_all())
-            .map_err(io_err)
+        Ok(self.fs.sync_dir()?)
     }
 
-    fn filter(&self, target: MetaTarget, len: usize) -> Result<Option<usize>, StoreError> {
-        self.faults
-            .lock()
-            .unwrap()
-            .filter_meta_write(target, len)
-            .map_err(|_| crashed())
-    }
-
-    /// Path of shard `sid`'s device backing file.
-    pub fn data_path(&self, sid: usize) -> PathBuf {
-        self.dir.join(format!("data.{sid}"))
-    }
-
-    fn wal_path(&self, sid: usize) -> PathBuf {
-        self.dir.join(format!("wal.{sid}"))
+    /// Opens (or creates) shard `sid`'s device backing file.
+    pub fn data_file(&self, sid: usize) -> Result<Arc<dyn FsFile>, StoreError> {
+        Ok(self.fs.open(&format!("data.{sid}"), Open::Create)?)
     }
 
     /// Opens shard `sid`'s WAL for positioned writes at `cursor` — and for
     /// reading back the PUT records scrub repairs from — and couples it to
-    /// the store-wide fault state.
+    /// the store-wide fence.
     pub fn wal_appender(&self, sid: usize, cursor: u64) -> Result<DurableShard, StoreError> {
-        let wal = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(self.wal_path(sid))
-            .map_err(io_err)?;
-        let len = wal.metadata().map_err(io_err)?.len();
+        let wal = self.fs.open(&wal_name(sid), Open::Existing)?;
+        let len = wal.len()?;
         Ok(DurableShard {
             wal,
             cursor,
             len,
             frame: Vec::with_capacity(WAL_PAGE as usize),
-            faults: Arc::clone(&self.faults),
+            fenced: Arc::clone(&self.fenced),
             defer_sync: false,
             dirty: false,
             shape: self.shape,
             values: None,
-            #[cfg(test)]
-            fail_next_sync: false,
-            #[cfg(test)]
-            park_next_sync: None,
         })
-    }
-
-    /// Arms a deterministic metadata tear (test hook).
-    pub fn arm_meta_tear(&self, tear: MetaTear) {
-        self.faults.lock().unwrap().arm_meta_tear(tear);
     }
 
     /// Current superblock epoch.
@@ -1114,25 +1013,41 @@ impl DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pnw_durable_{}_{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
+    use pnw_nvm_sim::{OsFs, SimFs};
 
     const SHAPE: PutShape = PutShape { value_size: 8, ttl: false };
 
-    /// Opens `dir` as a one-shard store of 8-byte values, geometry 7.
+    /// Opens `fs` as a one-shard store of `shape`, geometry 7.
     fn try_open(
-        dir: &Path,
+        fs: Arc<dyn Fs>,
         shape: PutShape,
     ) -> Result<(DurableStore, Vec<RecoveredShard>, bool), StoreError> {
-        DurableStore::open(dir, 7, shape, vec![ShardCheckpoint::fresh(4)])
+        DurableStore::open(fs, 7, shape, vec![ShardCheckpoint::fresh(4)])
     }
 
-    fn open(dir: &Path) -> (DurableStore, Vec<RecoveredShard>, bool) {
-        try_open(dir, SHAPE).unwrap()
+    fn open(fs: &SimFs) -> (DurableStore, Vec<RecoveredShard>, bool) {
+        try_open(Arc::new(fs.clone()), SHAPE).unwrap()
+    }
+
+    /// A fresh directory of the host's, for the checks that the simulated
+    /// file system behaves like it.
+    fn os_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("pnw_durable_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn os(dir: &std::path::Path) -> Arc<dyn Fs> {
+        Arc::new(OsFs::new(dir).unwrap())
+    }
+
+    /// Replaces the file `name` of `fs` with `bytes`.
+    fn overwrite(fs: &dyn Fs, name: &str, bytes: &[u8]) {
+        fs.open(name, Open::Truncate).unwrap().write_at(bytes, 0).unwrap();
+    }
+
+    fn exists(fs: &SimFs, name: &str) -> bool {
+        fs.list().unwrap().iter().any(|n| n == name)
     }
 
     /// The appender a freshly opened (or just checkpointed) WAL starts.
@@ -1160,25 +1075,24 @@ mod tests {
 
     #[test]
     fn fresh_open_then_reopen_is_empty() {
-        let dir = tmp("fresh");
-        let (store, rec, fresh) = open(&dir);
+        let fs = SimFs::new();
+        let (store, rec, fresh) = open(&fs);
         assert!(fresh);
         assert_eq!(store.epoch(), 1);
         assert!(rec[0].committed.is_empty());
         assert_eq!(rec[0].active, 4);
         drop(store);
-        let (store, rec, fresh) = open(&dir);
+        let (store, rec, fresh) = open(&fs);
         assert!(!fresh);
         assert_eq!(store.epoch(), 1);
         assert!(rec[0].committed.is_empty());
         assert_eq!(rec[0].wal_end, WAL_HEADER as u64);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn wal_replays_over_checkpoint() {
-        let dir = tmp("replay");
-        let (store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (store, _, _) = open(&fs);
         let mut wal = appender(&store);
         put(&mut wal, 1, 100).unwrap();
         put(&mut wal, 2, 200).unwrap();
@@ -1187,7 +1101,7 @@ mod tests {
         wal.log_extend(6).unwrap();
         drop((wal, store));
 
-        let (store, rec, fresh) = open(&dir);
+        let (_, rec, fresh) = open(&fs);
         assert!(!fresh);
         assert_eq!(rec[0].active, 6);
         assert_eq!(rec[0].committed.len(), 2);
@@ -1197,32 +1111,30 @@ mod tests {
         let mut redo: Vec<_> = rec[0].redo().map(|p| (p.key, p.addr, p.value.to_vec())).collect();
         redo.sort_unstable();
         assert_eq!(redo, vec![(1, 300, vec![1; 8]), (2, 200, vec![2; 8])]);
-        let _ = (store, fs::remove_dir_all(&dir));
     }
 
     #[test]
     fn a_ttl_put_record_carries_its_deadline() {
-        let dir = tmp("ttl");
+        let fs = SimFs::new();
         let shape = PutShape { value_size: 8, ttl: true };
-        let (store, _, _) = try_open(&dir, shape).unwrap();
+        let (store, _, _) = try_open(Arc::new(fs.clone()), shape).unwrap();
         let mut wal = appender(&store);
         wal.log_put(1, 100, &[0x11; 8], 1_234).unwrap();
         wal.log_put(2, 200, &[0x22; 8], 0).unwrap();
         drop((wal, store));
-        let (_, rec, _) = try_open(&dir, shape).unwrap();
+        let (_, rec, _) = try_open(Arc::new(fs.clone()), shape).unwrap();
         let mut redo: Vec<_> = rec[0].redo().map(|p| (p.key, p.deadline)).collect();
         redo.sort_unstable();
         assert_eq!(redo, vec![(1, 1_234), (2, 0)]);
         // The same WAL read under a shape without deadlines has no whole
         // PUT record: replay stops before the first.
-        assert!(open(&dir).1[0].committed.is_empty());
-        let _ = fs::remove_dir_all(&dir);
+        assert!(open(&fs).1[0].committed.is_empty());
     }
 
     #[test]
     fn checkpoint_truncates_wal_and_round_trips_state() {
-        let dir = tmp("ckpt");
-        let (mut store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (mut store, _, _) = open(&fs);
         let mut wal = appender(&store);
         put(&mut wal, 9, 900).unwrap();
         store
@@ -1237,14 +1149,14 @@ mod tests {
             .unwrap();
         assert_eq!(store.epoch(), 2);
         // An empty WAL of the new epoch: one page, the header and zeros.
-        let bytes = fs::read(dir.join("wal.0")).unwrap();
+        let bytes = fs.read("wal.0").unwrap();
         assert_eq!(bytes.len() as u64, WAL_PAGE);
         assert_eq!(wal_epoch(&bytes, 0), Ok(2));
         assert!(bytes[WAL_HEADER..].iter().all(|&b| b == 0));
-        assert!(!dir.join("checkpoint.1").exists(), "old epoch removed");
+        assert!(!exists(&fs, "checkpoint.1"), "old epoch removed");
         drop((wal, store));
 
-        let (store, rec, _) = open(&dir);
+        let (store, rec, _) = open(&fs);
         assert_eq!(store.epoch(), 2);
         assert_eq!(rec[0].active, 6);
         assert_eq!(rec[0].committed[&9], 900);
@@ -1252,13 +1164,12 @@ mod tests {
         assert_eq!(rec[0].stats, sample_stats());
         assert_eq!(rec[0].word_writes, vec![3, 0, 1]);
         assert_eq!(rec[0].bit_flips, Some(vec![1, 2]));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn group_commit_replays_like_per_record_commit() {
-        let dir = tmp("group");
-        let (store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (store, _, _) = open(&fs);
         let mut wal = appender(&store);
         wal.begin_group();
         put(&mut wal, 1, 100).unwrap();
@@ -1271,68 +1182,58 @@ mod tests {
         wal.end_group().unwrap();
         drop((wal, store));
 
-        let (_, rec, _) = open(&dir);
+        let (_, rec, _) = open(&fs);
         assert_eq!(rec[0].committed.len(), 2);
         assert_eq!(rec[0].committed[&2], 200);
         assert_eq!(rec[0].committed[&3], 300);
         assert!(!rec[0].committed.contains_key(&1));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_append_inside_group_still_fails_immediately() {
-        let dir = tmp("group_tear");
-        let (store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (store, _, _) = open(&fs);
         let mut wal = appender(&store);
         wal.begin_group();
         put(&mut wal, 1, 100).unwrap();
-        store.arm_meta_tear(MetaTear {
-            target: MetaTarget::Wal,
-            skip: 0,
-            keep_bytes: 5,
-        });
-        // The fault filter still runs at append time, not at the group
-        // fsync — a torn record surfaces on the op that wrote it.
+        fs.tear("wal.", 0, 5);
+        // The tear lands at append time, not at the group fsync — a torn
+        // record surfaces on the op that wrote it.
         assert!(put(&mut wal, 2, 200).is_err());
         drop((wal, store));
 
-        let (_, rec, _) = open(&dir);
+        let (_, rec, _) = open(&fs.reboot());
         assert_eq!(rec[0].committed.len(), 1, "prefix before the tear replays");
         assert_eq!(rec[0].committed[&1], 100);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_wal_record_ends_replay_at_prefix() {
-        let dir = tmp("torn_wal");
-        let (store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (store, _, _) = open(&fs);
         let mut wal = appender(&store);
         put(&mut wal, 1, 100).unwrap();
         let end = wal.cursor;
-        store.arm_meta_tear(MetaTear {
-            target: MetaTarget::Wal,
-            skip: 0,
-            keep_bytes: 11,
-        });
+        fs.tear("wal.", 0, 11);
         assert!(put(&mut wal, 2, 200).is_err(), "torn append is unacknowledged");
         assert!(put(&mut wal, 3, 300).is_err(), "store is dead after the tear");
         drop((wal, store));
 
-        let (store, rec, _) = open(&dir);
+        let fs = fs.reboot();
+        let (store, rec, _) = open(&fs);
         assert_eq!(rec[0].committed.len(), 1);
         assert_eq!(rec[0].committed[&1], 100);
         // The next record goes where replay stopped, over the torn bytes,
         // which the open zeroed.
         assert_eq!(rec[0].wal_end, end);
-        let bytes = fs::read(dir.join("wal.0")).unwrap();
+        let bytes = fs.read("wal.0").unwrap();
         assert!(bytes[end as usize..].iter().all(|&b| b == 0));
         let mut wal = store.wal_appender(0, rec[0].wal_end).unwrap();
         put(&mut wal, 4, 400).unwrap();
         drop((wal, store));
-        let (_, rec, _) = open(&dir);
+        let (_, rec, _) = open(&fs);
         assert_eq!(rec[0].committed.len(), 2);
         assert_eq!(rec[0].committed[&4], 400);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// The zeros past the cursor stand in for whatever a torn write did
@@ -1379,17 +1280,16 @@ mod tests {
     /// across a failed sync too, and nothing past the cursor is nonzero.
     #[test]
     fn the_wal_grows_a_page_at_a_time() {
-        let dir = tmp("pages");
+        let fs = SimFs::new();
         let shape = PutShape { value_size: 64, ttl: false };
-        let (store, _, _) = try_open(&dir, shape).unwrap();
+        let (store, _, _) = try_open(Arc::new(fs.clone()), shape).unwrap();
         let mut wal = appender(&store);
-        let path = dir.join("wal.0");
-        let file_len = || fs::metadata(&path).unwrap().len();
+        let file_len = || fs.read("wal.0").unwrap().len() as u64;
         assert_eq!(file_len(), WAL_PAGE);
         let (records, mut growths, mut last) = (200u64, 0, WAL_PAGE);
         for key in 0..records {
             if key == 100 {
-                wal.fail_next_sync = true;
+                fs.fail_sync("wal.", 0);
                 assert!(wal.log_put(key, key, &[0xFF; 64], 0).is_err());
             }
             wal.log_put(key, key, &[key as u8; 64], 0).unwrap();
@@ -1403,36 +1303,38 @@ mod tests {
         assert_eq!(record, 90);
         assert_eq!(wal.cursor, WAL_HEADER as u64 + records * record);
         assert_eq!(growths, wal.cursor.div_ceil(WAL_PAGE) - 1);
-        let bytes = fs::read(&path).unwrap();
+        let bytes = fs.read("wal.0").unwrap();
         assert!(bytes[wal.cursor as usize..].iter().all(|&b| b == 0));
         drop((wal, store));
-        let (_, rec, _) = try_open(&dir, shape).unwrap();
+        let (_, rec, _) = try_open(Arc::new(fs), shape).unwrap();
         assert_eq!(rec[0].committed.len(), records as usize);
-        let _ = fs::remove_dir_all(&dir);
     }
 
+    /// On a simulated directory and on one of the host's.
     #[test]
     fn a_headerless_wal_is_refused() {
-        let dir = tmp("headerless");
-        let (store, _, _) = open(&dir);
-        let mut wal = appender(&store);
-        put(&mut wal, 1, 100).unwrap();
-        drop((wal, store));
-        let path = dir.join("wal.0");
-        let bytes = fs::read(&path).unwrap();
-        // Frames of this format with no header ahead of them, as an older
-        // store laid its WAL out; an older store's truncated, empty WAL; a
-        // header whose CRC fails.
-        let mut bad_crc = bytes.clone();
-        bad_crc[17] ^= 1;
-        for old in [&bytes[WAL_HEADER..], &[][..], &bad_crc[..]] {
-            fs::write(&path, old).unwrap();
-            match try_open(&dir, SHAPE) {
-                Err(StoreError::Corrupt(why)) => assert!(why.starts_with("wal.0 "), "{why}"),
-                other => panic!("opened a WAL without a valid header: {other:?}"),
+        let dir = os_dir("headerless");
+        let sim: Arc<dyn Fs> = Arc::new(SimFs::new());
+        for fs in [sim, os(&dir)] {
+            let (store, _, _) = try_open(Arc::clone(&fs), SHAPE).unwrap();
+            let mut wal = appender(&store);
+            put(&mut wal, 1, 100).unwrap();
+            drop((wal, store));
+            let bytes = fs.read("wal.0").unwrap();
+            // Frames of this format with no header ahead of them, as an
+            // older store laid its WAL out; an older store's truncated,
+            // empty WAL; a header whose CRC fails.
+            let mut bad_crc = bytes.clone();
+            bad_crc[17] ^= 1;
+            for old in [&bytes[WAL_HEADER..], &[][..], &bad_crc[..]] {
+                overwrite(fs.as_ref(), "wal.0", old);
+                match try_open(Arc::clone(&fs), SHAPE) {
+                    Err(StoreError::Corrupt(why)) => assert!(why.starts_with("wal.0 "), "{why}"),
+                    other => panic!("{fs:?} opened a WAL without a valid header: {other:?}"),
+                }
             }
         }
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A checkpoint that dies between its superblock bump and replacing
@@ -1440,127 +1342,116 @@ mod tests {
     /// (their records are in the checkpoint) and starts empty ones.
     #[test]
     fn a_wal_of_an_older_epoch_is_skipped() {
-        let dir = tmp("old_epoch");
-        let (mut store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (mut store, _, _) = open(&fs);
         let mut wal = appender(&store);
         put(&mut wal, 1, 100).unwrap();
-        let epoch_1 = fs::read(dir.join("wal.0")).unwrap();
+        let epoch_1 = fs.read("wal.0").unwrap();
         let mut ckpt = ShardCheckpoint::fresh(4);
         ckpt.entries = vec![(5, 500)];
         let wals = store.checkpoint(&[ckpt]).unwrap();
         drop((wal, wals, store));
-        fs::write(dir.join("wal.0"), &epoch_1).unwrap();
+        overwrite(&fs, "wal.0", &epoch_1);
 
-        let (store, rec, _) = open(&dir);
+        let (store, rec, _) = open(&fs);
         assert_eq!(rec[0].committed, HashMap::from([(5, 500)]));
-        let bytes = fs::read(dir.join("wal.0")).unwrap();
+        let bytes = fs.read("wal.0").unwrap();
         assert_eq!(wal_epoch(&bytes, 0), Ok(2), "replaced by a WAL of the checkpoint's epoch");
         let mut wal = store.wal_appender(0, rec[0].wal_end).unwrap();
         put(&mut wal, 6, 600).unwrap();
         drop((wal, store));
-        let (_, rec, _) = open(&dir);
+        let (_, rec, _) = open(&fs);
         assert_eq!(rec[0].committed, HashMap::from([(5, 500), (6, 600)]));
-        let _ = fs::remove_dir_all(&dir);
     }
 
+    /// On a simulated directory, whose reads of the WAL fail, and on one
+    /// of the host's, with a directory where the WAL should be.
     #[test]
     fn an_unreadable_wal_fails_open() {
-        let dir = tmp("unreadable");
-        drop(open(&dir));
-        fs::remove_file(dir.join("wal.0")).unwrap();
-        fs::create_dir(dir.join("wal.0")).unwrap();
-        assert!(matches!(
-            try_open(&dir, SHAPE),
-            Err(StoreError::Nvm(NvmError::Io(_)))
-        ));
-        let _ = fs::remove_dir_all(&dir);
+        let unreadable =
+            |fs| matches!(try_open(fs, SHAPE), Err(StoreError::Nvm(NvmError::Io(_))));
+        let sim = SimFs::new();
+        drop(open(&sim));
+        sim.fail_read("wal.0");
+        assert!(unreadable(Arc::new(sim)));
+        let dir = os_dir("unreadable");
+        drop(try_open(os(&dir), SHAPE).unwrap());
+        std::fs::remove_file(dir.join("wal.0")).unwrap();
+        std::fs::create_dir(dir.join("wal.0")).unwrap();
+        assert!(unreadable(os(&dir)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_superblock_falls_back_to_other_replica() {
-        let dir = tmp("torn_super");
-        let (mut store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (mut store, _, _) = open(&fs);
         let mut wal = appender(&store);
         put(&mut wal, 5, 500).unwrap();
-        store.arm_meta_tear(MetaTear {
-            target: MetaTarget::Superblock,
-            skip: 0,
-            keep_bytes: 13,
-        });
+        fs.tear("super", 0, 13);
         assert!(store.checkpoint(&[ShardCheckpoint::fresh(4)]).is_err());
         drop((wal, store));
 
         // The epoch-1 replica still elects; its checkpoint plus its WAL
         // reconstruct the committed set.
-        let (store, rec, _) = open(&dir);
+        let fs = fs.reboot();
+        let (store, rec, _) = open(&fs);
         assert_eq!(store.epoch(), 1);
         assert_eq!(rec[0].committed[&5], 500);
-        assert!(
-            !dir.join("checkpoint.2").exists(),
-            "unreferenced checkpoint cleaned up"
-        );
-        let _ = fs::remove_dir_all(&dir);
+        assert!(!exists(&fs, "checkpoint.2"), "unreferenced checkpoint cleaned up");
     }
 
     #[test]
     fn torn_checkpoint_body_keeps_old_epoch() {
-        let dir = tmp("torn_ckpt");
-        let (mut store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (mut store, _, _) = open(&fs);
         let mut wal = appender(&store);
         put(&mut wal, 6, 600).unwrap();
-        store.arm_meta_tear(MetaTear {
-            target: MetaTarget::Checkpoint,
-            skip: 0,
-            keep_bytes: 20,
-        });
+        fs.tear("checkpoint.", 0, 20);
         assert!(store.checkpoint(&[ShardCheckpoint::fresh(4)]).is_err());
-        assert!(dir.join("checkpoint.tmp").exists(), "half-written body left behind");
         drop((wal, store));
+        let fs = fs.reboot();
+        assert!(exists(&fs, "checkpoint.tmp"), "half-written body left behind");
 
-        let (store, rec, _) = open(&dir);
+        let (store, rec, _) = open(&fs);
         assert_eq!(store.epoch(), 1);
         assert_eq!(rec[0].committed[&6], 600);
-        assert!(!dir.join("checkpoint.tmp").exists(), "tmp cleaned at open");
-        let _ = fs::remove_dir_all(&dir);
+        assert!(!exists(&fs, "checkpoint.tmp"), "tmp cleaned at open");
     }
 
     #[test]
     fn geometry_mismatch_is_corrupt() {
-        let dir = tmp("geom");
-        drop(open(&dir));
+        let fs = SimFs::new();
+        drop(open(&fs));
         assert!(matches!(
-            DurableStore::open(&dir, 8, SHAPE, vec![ShardCheckpoint::fresh(4)]),
+            DurableStore::open(Arc::new(fs), 8, SHAPE, vec![ShardCheckpoint::fresh(4)]),
             Err(StoreError::Corrupt(_))
         ));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupted_checkpoint_is_detected() {
-        let dir = tmp("flip");
-        drop(open(&dir));
-        let path = dir.join("checkpoint.1");
-        let mut body = fs::read(&path).unwrap();
+        let fs = SimFs::new();
+        drop(open(&fs));
+        let mut body = fs.read("checkpoint.1").unwrap();
         let mid = body.len() / 2;
         body[mid] ^= 0x40;
-        fs::write(&path, body).unwrap();
-        assert!(matches!(try_open(&dir, SHAPE), Err(StoreError::Corrupt(_))));
-        let _ = fs::remove_dir_all(&dir);
+        overwrite(&fs, "checkpoint.1", &body);
+        assert!(matches!(try_open(Arc::new(fs), SHAPE), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
     fn zeroed_superblock_is_corrupt() {
-        let dir = tmp("zeroed");
-        drop(open(&dir));
-        fs::write(dir.join("super"), [0u8; 128]).unwrap();
-        assert!(matches!(try_open(&dir, SHAPE), Err(StoreError::Corrupt(_))));
-        let _ = fs::remove_dir_all(&dir);
+        let fs = SimFs::new();
+        drop(open(&fs));
+        overwrite(&fs, "super", &[0u8; 128]);
+        assert!(matches!(try_open(Arc::new(fs), SHAPE), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
     fn value_records_replay_and_mirror() {
-        let dir = tmp("putv");
-        let (store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (store, _, _) = open(&fs);
         let mut wal = appender(&store);
         wal.keep_values(HashMap::new());
         wal.log_put(1, 100, &[0xAB; 8], 0).unwrap();
@@ -1570,7 +1461,7 @@ mod tests {
         assert_eq!(wal.wal_value(2), None, "delete drops the mirror");
         drop((wal, store));
 
-        let (store, mut rec, _) = open(&dir);
+        let (store, mut rec, _) = open(&fs);
         let r = rec.remove(0);
         assert_eq!(r.committed.len(), 1);
         assert_eq!(r.committed[&1], 100);
@@ -1587,24 +1478,22 @@ mod tests {
         wal.log_put(3, 300, &[0xEF; 8], 0).unwrap();
         assert_eq!(wal.wal_value(3), Some(vec![0xEF; 8]));
         assert_eq!(wal.wal_value(1), Some(vec![0xAB; 8]));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_later_put_replaces_the_value_mirror() {
-        let dir = tmp("putv_mix");
-        let (store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (store, _, _) = open(&fs);
         let mut wal = appender(&store);
         wal.keep_values(HashMap::new());
         wal.log_put(1, 100, &[0x11; 8], 0).unwrap();
         wal.log_put(1, 160, &[0x22; 8], 0).unwrap();
         assert_eq!(wal.wal_value(1), Some(vec![0x22; 8]));
         drop((wal, store));
-        let (_, rec, _) = open(&dir);
+        let (_, rec, _) = open(&fs);
         assert_eq!(rec[0].committed[&1], 160);
         let redo: Vec<_> = rec[0].redo().map(|p| (p.key, p.addr, p.value.to_vec())).collect();
         assert_eq!(redo, vec![(1, 160, vec![0x22; 8])]);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A per-op append whose sync fails is zeroed in the file: it never
@@ -1612,25 +1501,24 @@ mod tests {
     /// mirror keeps naming the last committed copy.
     #[test]
     fn a_failed_sync_takes_its_record_back() {
-        let dir = tmp("failed_sync");
-        let (store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (store, _, _) = open(&fs);
         let mut wal = appender(&store);
         wal.keep_values(HashMap::new());
         wal.log_put(1, 100, &[0x11; 8], 0).unwrap();
-        wal.fail_next_sync = true;
+        fs.fail_sync("wal.", 0);
         assert!(wal.log_put(1, 160, &[0x22; 8], 0).is_err());
         assert_eq!(wal.wal_value(1), Some(vec![0x11; 8]));
         // What the file holds now replays without the failed record.
-        let (_, rec, _) = open(&dir);
+        let (_, rec, _) = open(&fs);
         assert_eq!(rec[0].committed[&1], 100, "the failed record never replays");
         assert_eq!(rec[0].wal_end, wal.cursor);
         put(&mut wal, 2, 200).unwrap();
         drop((wal, store));
 
-        let (_, rec, _) = open(&dir);
+        let (_, rec, _) = open(&fs);
         assert_eq!(rec[0].committed[&1], 100, "the failed record never commits");
         assert_eq!(rec[0].committed[&2], 200);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A superblock write that lands but reports a failure still elects
@@ -1638,11 +1526,11 @@ mod tests {
     /// checkpoint fences the store, so no record is acknowledged into it.
     #[test]
     fn a_failed_superblock_sync_fences_the_store() {
-        let dir = tmp("failed_super");
-        let (mut store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (mut store, _, _) = open(&fs);
         let mut wal = appender(&store);
         put(&mut wal, 1, 100).unwrap();
-        store.fail_superblock_sync = true;
+        fs.fail_sync("super", 0);
         let cut = ShardCheckpoint { entries: vec![(1, 100)], ..ShardCheckpoint::fresh(4) };
         assert!(store.checkpoint(std::slice::from_ref(&cut)).is_err());
         assert!(put(&mut wal, 2, 200).is_err(), "no record lands after the failed checkpoint");
@@ -1650,16 +1538,15 @@ mod tests {
         assert!(store.checkpoint(&[cut]).is_err(), "a fenced store cuts no checkpoint");
         drop((wal, store));
 
-        let (store, rec, _) = open(&dir);
+        let (store, rec, _) = open(&fs);
         assert_eq!(store.epoch(), 2, "the failed checkpoint's superblock landed");
         assert_eq!(rec[0].committed, HashMap::from([(1, 100)]));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn retirement_survives_wal_replay_and_checkpoint() {
-        let dir = tmp("retire");
-        let (mut store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (mut store, _, _) = open(&fs);
         let mut wal = appender(&store);
         wal.log_retire(3).unwrap();
         wal.log_retire(1).unwrap();
@@ -1667,7 +1554,7 @@ mod tests {
         drop(wal);
 
         // Crash path: retirement comes back through WAL replay.
-        let (_, rec, _) = open(&dir);
+        let (_, rec, _) = open(&fs);
         assert_eq!(rec[0].retired, vec![3, 1]);
 
         // Checkpoint path: retirement persists past the WAL's replacement.
@@ -1675,26 +1562,24 @@ mod tests {
         ckpt.retired = vec![1, 3];
         store.checkpoint(&[ckpt]).unwrap();
         drop(store);
-        let (_, rec, _) = open(&dir);
+        let (_, rec, _) = open(&fs);
         assert_eq!(rec[0].retired, vec![1, 3]);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn oversized_frame_ends_replay() {
         // A frame longer than a PUT's payload is framing garbage even if
         // its CRC and end mark check out.
-        let dir = tmp("oversize");
-        let (store, _, _) = open(&dir);
+        let fs = SimFs::new();
+        let (store, _, _) = open(&fs);
         let mut wal = appender(&store);
         put(&mut wal, 1, 100).unwrap();
         let mut frame = Vec::new();
         encode_frame(&mut frame, &[&[REC_PUT; 64]]);
-        wal.wal.write_all_at(&frame, wal.cursor).unwrap();
+        wal.wal.write_at(&frame, wal.cursor).unwrap();
         drop((wal, store));
-        let (_, rec, _) = open(&dir);
+        let (_, rec, _) = open(&fs);
         assert_eq!(rec[0].committed.len(), 1, "replay stops at the bad frame");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -88,9 +88,6 @@ pub mod sharded;
 pub use api::{Batch, BatchReport, Op, Store};
 pub use config::{BackingMode, ConfigError, IndexPlacement, PcaPolicy, PnwConfig, RetrainMode};
 pub use error::{PnwError, StoreError};
-// Re-exported so recovery tests can arm deterministic metadata tears
-// without depending on pnw-nvm-sim directly.
-pub use pnw_nvm_sim::{MetaTarget, MetaTear};
 pub use metrics::{BasisFit, OpReport, ScrubStats, StoreSnapshot, TrainPhases, TrainStats};
 pub use model::{ModelManager, ModelSnapshot, PredictScratch};
 pub use pool::DynamicAddressPool;

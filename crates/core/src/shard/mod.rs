@@ -52,8 +52,8 @@ use std::time::Duration;
 
 use pnw_index::{AtomicHashIndex, IndexReader, KeyIndex, PathHashIndex};
 use pnw_nvm_sim::{
-    CellView, DeviceBacking, DeviceStats, NvmConfig, NvmDevice, NvmError, Region, RegionAllocator,
-    StuckAtConfig, WriteMode,
+    CellView, DeviceBacking, DeviceStats, FsFile, NvmConfig, NvmDevice, NvmError, Region,
+    RegionAllocator, StuckAtConfig, WriteMode,
 };
 
 use crate::clock::now_unix_ms;
@@ -185,14 +185,14 @@ impl ShardEngine {
         Self::build(cfg, None).expect("volatile device construction cannot fail")
     }
 
-    /// Creates an engine over a write-back file-backed device at
-    /// `path` (fallible: the backing file may be unreadable or of the
-    /// wrong size for this geometry).
-    pub(crate) fn open_file(cfg: PnwConfig, path: std::path::PathBuf) -> Result<Self, PnwError> {
-        Self::build(cfg, Some(path))
+    /// Creates an engine over a write-back device backed by `file`
+    /// (fallible: the file may be unreadable or of the wrong size for
+    /// this geometry).
+    pub(crate) fn open_file(cfg: PnwConfig, file: Arc<dyn FsFile>) -> Result<Self, PnwError> {
+        Self::build(cfg, Some(file))
     }
 
-    fn build(cfg: PnwConfig, file: Option<std::path::PathBuf>) -> Result<Self, PnwError> {
+    fn build(cfg: PnwConfig, file: Option<Arc<dyn FsFile>>) -> Result<Self, PnwError> {
         let bucket_size = BucketLayout::stride(cfg.value_size);
         let total_buckets = cfg.capacity + cfg.reserve_buckets;
         let data_bytes = total_buckets * bucket_size;
@@ -228,7 +228,7 @@ impl ShardEngine {
             });
         }
         let dev = match file {
-            Some(path) => NvmDevice::open(nvm_cfg.with_backing(DeviceBacking::File(path)))?,
+            Some(file) => NvmDevice::open(nvm_cfg.with_backing(DeviceBacking::File(file)))?,
             None => NvmDevice::new(nvm_cfg),
         };
         let index: Box<dyn KeyIndex> = match index_region {

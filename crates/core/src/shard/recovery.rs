@@ -259,32 +259,4 @@ impl ShardEngine {
     pub(crate) fn arm_torn_write_after(&mut self, skip: u64, words: usize) {
         self.dev.arm_torn_write_after(skip, words);
     }
-
-    /// Arms a torn write-back `skip` page runs from now on this shard's
-    /// data file (test hook).
-    pub(crate) fn arm_torn_write_back(&mut self, skip: u64, keep_bytes: usize) {
-        self.dev.arm_torn_write_back(skip, keep_bytes);
-    }
-
-    /// Makes this shard's next WAL sync — a per-op append's or a group
-    /// commit's — fail (test hook).
-    #[cfg(test)]
-    pub(crate) fn fail_next_sync(&mut self) {
-        let durable = self.durable.as_mut().expect("a durable shard");
-        durable.fail_next_sync = true;
-    }
-
-    /// Parks this shard's next WAL sync (test hook): the first receiver
-    /// hears once the writer is parked inside it, and dropping the sender
-    /// lets it go on.
-    #[cfg(test)]
-    pub(crate) fn park_next_sync(
-        &mut self,
-    ) -> (std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
-        let (parked_tx, parked) = std::sync::mpsc::channel();
-        let (release, released) = std::sync::mpsc::channel();
-        let durable = self.durable.as_mut().expect("a durable shard");
-        durable.park_next_sync = Some((parked_tx, std::sync::Mutex::new(released)));
-        (parked, release)
-    }
 }

@@ -4,28 +4,24 @@
 //! sees an effect before it is durable; and a failed sync leaves the store
 //! exactly as it was.
 
-use std::path::PathBuf;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
 
+use pnw_nvm_sim::SimFs;
+
 use super::ShardedPnwStore;
 use crate::config::{IndexPlacement, PnwConfig};
 
-/// A one-shard durable store in a fresh directory.
-fn durable(name: &str, index: IndexPlacement) -> (Arc<ShardedPnwStore>, PnwConfig, PathBuf) {
-    let dir = std::env::temp_dir().join(format!("pnw_commit_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+/// A one-shard durable store on a fresh simulated file system.
+fn durable(index: IndexPlacement) -> (Arc<ShardedPnwStore>, PnwConfig, SimFs) {
+    let fs = SimFs::new();
     let cfg = PnwConfig::new(64, 8)
         .with_clusters(1)
         .with_shards(1)
-        .with_index(index)
-        .with_path(&dir);
-    (
-        Arc::new(ShardedPnwStore::open(cfg.clone()).unwrap()),
-        cfg,
-        dir,
-    )
+        .with_index(index);
+    let store = ShardedPnwStore::open_in(cfg.clone(), Arc::new(fs.clone())).unwrap();
+    (Arc::new(store), cfg, fs)
 }
 
 /// Starts a GET of `key` on its own thread; its answer arrives on the
@@ -47,11 +43,11 @@ fn get_beside_a_parked_sync(s: &Arc<ShardedPnwStore>, key: u64) -> Option<Vec<u8
 
 #[test]
 fn a_get_never_waits_on_a_put_or_delete_parked_in_its_sync() {
-    let (s, _, dir) = durable("parked", IndexPlacement::Dram);
+    let (s, _, fs) = durable(IndexPlacement::Dram);
     s.put(1, &[1; 8]).unwrap();
 
     // An update parked in its sync: the GET reads the old value, at once.
-    let (parked, release) = s.shards[0].hold(&s.model).park_next_sync();
+    let (parked, release) = fs.park_sync("wal.");
     let t = Arc::clone(&s);
     let put = std::thread::spawn(move || t.put(1, &[2; 8]).unwrap());
     parked.recv().unwrap();
@@ -66,7 +62,7 @@ fn a_get_never_waits_on_a_put_or_delete_parked_in_its_sync() {
 
     // A delete parked in its sync: the key is still there until it is
     // durably gone.
-    let (parked, release) = s.shards[0].hold(&s.model).park_next_sync();
+    let (parked, release) = fs.park_sync("wal.");
     let t = Arc::clone(&s);
     let delete = std::thread::spawn(move || t.delete(1).unwrap());
     parked.recv().unwrap();
@@ -75,8 +71,6 @@ fn a_get_never_waits_on_a_put_or_delete_parked_in_its_sync() {
     assert!(delete.join().unwrap());
     assert_eq!(s.get(1).unwrap(), None);
     assert_eq!(s.snapshot().read_waits, 0, "no GET took the slow path");
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The NVM index keeps the publish-first order — its entry is written
@@ -84,9 +78,9 @@ fn a_get_never_waits_on_a_put_or_delete_parked_in_its_sync() {
 /// wait, which `read_waits` counts.
 #[test]
 fn under_the_nvm_index_a_get_waits_out_the_sync_and_is_counted() {
-    let (s, _, dir) = durable("parked_nvm", IndexPlacement::Nvm);
+    let (s, _, fs) = durable(IndexPlacement::Nvm);
     s.put(1, &[1; 8]).unwrap();
-    let (parked, release) = s.shards[0].hold(&s.model).park_next_sync();
+    let (parked, release) = fs.park_sync("wal.");
     let t = Arc::clone(&s);
     let put = std::thread::spawn(move || t.put(1, &[2; 8]).unwrap());
     parked.recv().unwrap();
@@ -99,8 +93,6 @@ fn under_the_nvm_index_a_get_waits_out_the_sync_and_is_counted() {
     put.join().unwrap();
     assert_eq!(get.recv().unwrap(), Some(vec![2; 8]));
     assert_eq!(s.snapshot().read_waits, 1);
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A per-op sync that fails completes nothing: the update, the delete and
@@ -108,16 +100,16 @@ fn under_the_nvm_index_a_get_waits_out_the_sync_and_is_counted() {
 /// the pool's free count are unchanged, and a reopen agrees.
 #[test]
 fn a_failed_sync_leaves_the_committed_state_in_memory_and_on_reopen() {
-    let (s, cfg, dir) = durable("failed_sync", IndexPlacement::Dram);
+    let (s, cfg, fs) = durable(IndexPlacement::Dram);
     s.put(1, &[1; 8]).unwrap();
     s.put(2, &[2; 8]).unwrap();
     let (len, free) = (s.len(), s.snapshot().free);
 
-    s.shards[0].hold(&s.model).fail_next_sync();
+    fs.fail_sync("wal.", 0);
     assert!(s.put(1, &[9; 8]).is_err(), "update");
-    s.shards[0].hold(&s.model).fail_next_sync();
+    fs.fail_sync("wal.", 0);
     assert!(s.delete(2).is_err(), "delete");
-    s.shards[0].hold(&s.model).fail_next_sync();
+    fs.fail_sync("wal.", 0);
     assert!(s.put(3, &[3; 8]).is_err(), "fresh key");
 
     let committed = |s: &ShardedPnwStore| {
@@ -128,6 +120,5 @@ fn a_failed_sync_leaves_the_committed_state_in_memory_and_on_reopen() {
     };
     committed(&s);
     drop(s);
-    committed(&ShardedPnwStore::open(cfg).unwrap());
-    let _ = std::fs::remove_dir_all(&dir);
+    committed(&ShardedPnwStore::open_in(cfg, Arc::new(fs)).unwrap());
 }

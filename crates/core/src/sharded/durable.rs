@@ -1,8 +1,10 @@
 //! The file-backed store: opening (and recovering) a durable directory,
-//! cutting checkpoints, and the metadata fault hook the recovery tests use.
+//! and cutting checkpoints.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+use pnw_nvm_sim::{Fs, OsFs};
 
 use super::{shard_config, shard_count, split, Shard, ShardedPnwStore};
 use crate::config::{BackingMode, PnwConfig};
@@ -24,20 +26,30 @@ impl ShardedPnwStore {
     ///   set.
     pub fn open(cfg: PnwConfig) -> Result<Self, StoreError> {
         let cfg = cfg.build()?;
-        let BackingMode::File(dir) = cfg.backing.clone() else {
+        let BackingMode::File(dir) = &cfg.backing else {
             return Ok(ShardedPnwStore::new(cfg));
         };
+        let fs = OsFs::new(dir)?;
+        ShardedPnwStore::open_in(cfg, Arc::new(fs))
+    }
+
+    /// Opens (or initializes) the durable store of `cfg` in the directory
+    /// `fs`, whatever `cfg.backing` says — the way the recovery tests run
+    /// a store on a simulated file system ([`pnw_nvm_sim::SimFs`]).
+    #[doc(hidden)]
+    pub fn open_in(cfg: PnwConfig, fs: Arc<dyn Fs>) -> Result<Self, StoreError> {
+        let cfg = cfg.build()?;
         let n = shard_count(&cfg);
         let initial = (0..n)
             .map(|i| ShardCheckpoint::fresh(split(cfg.capacity, n, i) as u64))
             .collect();
         let shape = PutShape { value_size: cfg.value_size, ttl: cfg.ttl_enabled };
         let (durable, recovered, fresh) =
-            DurableStore::open(&dir, geometry_hash(&cfg, n), shape, initial)?;
+            DurableStore::open(fs, geometry_hash(&cfg, n), shape, initial)?;
         let mut shards = Vec::with_capacity(n);
         for (i, rec) in recovered.into_iter().enumerate() {
             let mut engine =
-                ShardEngine::open_file(shard_config(&cfg, n, i), durable.data_path(i))?;
+                ShardEngine::open_file(shard_config(&cfg, n, i), durable.data_file(i)?)?;
             engine.set_active_buckets(rec.active as usize);
             // Retirement is restored before repair so neither the repair
             // pass nor pool recovery resurrects a retired bucket.
@@ -100,13 +112,5 @@ impl ShardedPnwStore {
     /// Whether this store persists to a file backing.
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
-    }
-
-    /// Arms a deterministic metadata tear (superblock / WAL / checkpoint)
-    /// on a durable store; no-op on a volatile one (test hook).
-    pub fn arm_meta_tear(&self, tear: pnw_nvm_sim::MetaTear) {
-        if let Some(d) = &self.durable {
-            d.lock().unwrap().arm_meta_tear(tear);
-        }
     }
 }

@@ -220,15 +220,6 @@ impl ShardedPnwStore {
         held.arm_torn_write_after(skip, words);
     }
 
-    /// Arms a torn write-back on one shard's data file (test hook for
-    /// crash consistency): the checkpoints write the next `skip` runs of
-    /// dirty pages back whole, the one after only its first `keep_bytes`
-    /// bytes, and the device crashes.
-    pub fn arm_torn_write_back(&self, shard: usize, skip: u64, keep_bytes: usize) {
-        let mut held = self.shards[shard].hold(&self.model);
-        held.arm_torn_write_back(skip, keep_bytes);
-    }
-
     /// Runs `f` while holding one shard's engine, then lets go the way
     /// every holder does, serving the writes queued meanwhile (test hook:
     /// the torn-read stress suite uses it to prove GETs complete while a

@@ -656,10 +656,9 @@ fn merged_wear_cdf_covers_all_shards() {
 /// the sync error — run inline and through the combining queue alike.
 #[test]
 fn a_failed_group_sync_completes_no_op_inline_or_queued() {
-    let dir = std::env::temp_dir().join(format!("pnw_sharded_{}_sync", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let fs = pnw_nvm_sim::SimFs::new();
     let cfg = PnwConfig::new(64, 8).with_clusters(1).with_shards(1);
-    let s = Arc::new(ShardedPnwStore::open(cfg.with_path(&dir)).unwrap());
+    let s = Arc::new(ShardedPnwStore::open_in(cfg, Arc::new(fs.clone())).unwrap());
     let batch = || {
         let mut b = Batch::new();
         b.put(1, &[1; 8]).put(2, &[0; 3]).delete(1).put(3, &[3; 8]);
@@ -677,10 +676,10 @@ fn a_failed_group_sync_completes_no_op_inline_or_queued() {
         }
     };
 
-    s.shards[0].hold(&s.model).fail_next_sync();
+    fs.fail_sync("wal.", 0);
     check(s.apply(&batch()), "inline");
 
-    s.shards[0].hold(&s.model).fail_next_sync();
+    fs.fail_sync("wal.", 0);
     let queued = s.with_shard_write_held(0, || {
         let t = Arc::clone(&s);
         let h = std::thread::spawn(move || t.apply(&batch()));
@@ -691,9 +690,7 @@ fn a_failed_group_sync_completes_no_op_inline_or_queued() {
     });
     check(queued.join().unwrap(), "queued");
 
-    // The switch is one-shot: the next group commits.
+    // The hook is one-shot: the next group commits.
     let r = s.apply(&batch());
     assert_eq!((r.completed(), r.failures.len()), (3, 1));
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,7 +16,7 @@
 //!   differ, update memory bit"*).
 
 use crate::backing::{DeviceBacking, FileBacking};
-use crate::fault::{FaultState, MetaTarget, MetaTear, StuckAtConfig};
+use crate::fault::{FaultState, StuckAtConfig};
 use crate::geometry::Geometry;
 use crate::latency::LatencyModel;
 use crate::stats::{DeviceStats, WriteStats};
@@ -322,7 +322,7 @@ impl NvmDevice {
     /// `cfg.geometry.word_bytes` is not 8.
     pub fn new(cfg: NvmConfig) -> Self {
         assert!(
-            cfg.backing == DeviceBacking::Volatile,
+            matches!(cfg.backing, DeviceBacking::Volatile),
             "file-backed devices must be created with NvmDevice::open"
         );
         assert!(
@@ -360,7 +360,7 @@ impl NvmDevice {
 
     /// Creates a device honoring `cfg.backing`: [`DeviceBacking::Volatile`]
     /// behaves exactly like [`NvmDevice::new`]; [`DeviceBacking::File`]
-    /// opens (or creates) the backing file — an existing file of the
+    /// takes the backing file — an empty one is sized, one of the
     /// configured size is loaded as the persisted cell image, so reopening
     /// after a kill resumes from precisely what the last
     /// [`NvmDevice::sync`] wrote back. Session counters (stats, wear,
@@ -378,8 +378,8 @@ impl NvmDevice {
         }
         let (backing, data) = match &cfg.backing {
             DeviceBacking::Volatile => (None, CellBuf::new_zeroed(cfg.size)),
-            DeviceBacking::File(path) => {
-                let (b, image) = FileBacking::open(path, cfg.size)?;
+            DeviceBacking::File(file) => {
+                let (b, image) = FileBacking::open(Arc::clone(file), cfg.size)?;
                 (Some(b), CellBuf::from_bytes(&image))
             }
         };
@@ -403,18 +403,23 @@ impl NvmDevice {
     /// file (if any) and syncs it: until then the file holds the cell
     /// array as of the previous sync. Fails with [`NvmError::Crashed`] on
     /// a crashed device — a torn image is written back only after
-    /// [`NvmDevice::recover`] — and when an armed write-back tear
-    /// ([`NvmDevice::arm_torn_write_back`]) fires.
+    /// [`NvmDevice::recover`] — and with the file's error when the
+    /// write-back fails; one that fails with [`NvmError::Crashed`] (the
+    /// file system died under it) crashes the device too.
     pub fn sync(&mut self) -> Result<(), NvmError> {
         if self.fault.is_crashed() {
             return Err(NvmError::Crashed);
         }
-        match &mut self.backing {
-            // SAFETY: `&mut self` makes this the unique writer; concurrent
-            // CellView readers only read.
-            Some(b) => b.flush(unsafe { self.data.slice() }, &mut self.fault),
-            None => Ok(()),
+        let Some(b) = &mut self.backing else {
+            return Ok(());
+        };
+        // SAFETY: `&mut self` makes this the unique writer; concurrent
+        // CellView readers only read.
+        let flushed = b.flush(unsafe { self.data.slice() });
+        if flushed == Err(NvmError::Crashed) {
+            self.fault.crash();
         }
+        flushed
     }
 
     /// Overwrites the cumulative statistics — used by recovery to restore
@@ -745,15 +750,6 @@ impl NvmDevice {
         self.fault.arm_torn_after(skip, words);
     }
 
-    /// Arms a torn write-back `skip` page runs from now: the syncs write
-    /// those runs into the backing file whole, the one after only its
-    /// first `keep_bytes` bytes, and the device crashes. The cell image
-    /// is untouched. Used by recovery tests.
-    pub fn arm_torn_write_back(&mut self, skip: u64, keep_bytes: usize) {
-        let target = MetaTarget::Data;
-        self.fault.arm_meta_tear(MetaTear { target, skip, keep_bytes });
-    }
-
     /// Latches bit `bit` of device word `word` stuck at `stuck_at_one`,
     /// forcing the cell image (and any backing file) to the stuck value
     /// immediately — arming an occupied word corrupts its at-rest data,
@@ -862,6 +858,7 @@ fn byte_mask(lo: usize, hi: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::{Fs, Open, SimFs};
 
     fn dev(size: usize) -> NvmDevice {
         NvmDevice::new(NvmConfig::default().with_size(size))
@@ -1098,20 +1095,19 @@ mod tests {
         assert_eq!(d.stats().read_ops, 1);
     }
 
-    fn file_cfg(name: &str, size: usize) -> (NvmConfig, std::path::PathBuf) {
-        let path = std::env::temp_dir().join(format!("pnw_dev_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let cfg = NvmConfig::default()
+    /// A device config backed by `fs`'s file `data.0`.
+    fn file_cfg(fs: &SimFs, size: usize) -> NvmConfig {
+        let file = fs.open("data.0", Open::Create).unwrap();
+        NvmConfig::default()
             .with_size(size)
-            .with_backing(DeviceBacking::File(path.clone()));
-        (cfg, path)
+            .with_backing(DeviceBacking::File(file))
     }
 
     #[test]
     fn file_backed_write_through_roundtrip() {
-        let (cfg, path) = file_cfg("roundtrip", 256);
+        let fs = SimFs::new();
         {
-            let mut d = NvmDevice::open(cfg.clone()).unwrap();
+            let mut d = NvmDevice::open(file_cfg(&fs, 256)).unwrap();
             assert!(d.is_file_backed());
             d.write(16, b"survives the kill", WriteMode::Diff).unwrap();
             d.write(64, &[0xC3u8; 8], WriteMode::Raw).unwrap();
@@ -1120,18 +1116,17 @@ mod tests {
             // the image when the process dies here.
             d.write(0, &[0xEEu8; 8], WriteMode::Raw).unwrap();
         }
-        let d2 = NvmDevice::open(cfg).unwrap();
+        let d2 = NvmDevice::open(file_cfg(&fs, 256)).unwrap();
         assert_eq!(d2.peek(16, 17).unwrap(), b"survives the kill");
         assert_eq!(d2.peek(64, 8).unwrap(), &[0xC3u8; 8]);
         assert_eq!(d2.peek(0, 16).unwrap(), &[0u8; 16]);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn file_backed_diff_flushes_only_dirty_words() {
-        let (cfg, path) = file_cfg("diffdirty", 256);
+        let fs = SimFs::new();
         {
-            let mut d = NvmDevice::open(cfg.clone()).unwrap();
+            let mut d = NvmDevice::open(file_cfg(&fs, 256)).unwrap();
             d.write(0, &[0x11u8; 64], WriteMode::Raw).unwrap();
             // Dirty two non-adjacent words: the flush must coalesce runs
             // correctly and still land both in the file.
@@ -1142,34 +1137,32 @@ mod tests {
             assert_eq!(s.words_written, 2);
             d.sync().unwrap();
         }
-        let d2 = NvmDevice::open(cfg).unwrap();
+        let d2 = NvmDevice::open(file_cfg(&fs, 256)).unwrap();
         assert_eq!(d2.peek(0, 1).unwrap(), &[0xFF]);
         assert_eq!(d2.peek(40, 1).unwrap(), &[0x00]);
         assert_eq!(d2.peek(1, 39).unwrap(), &[0x11u8; 39]);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn file_backed_torn_write_back_lands_a_prefix() {
-        let (cfg, path) = file_cfg("torn_back", 256);
+        let fs = SimFs::new();
         {
-            let mut d = NvmDevice::open(cfg.clone()).unwrap();
+            let mut d = NvmDevice::open(file_cfg(&fs, 256)).unwrap();
             d.write(32, &[0xABu8; 24], WriteMode::Raw).unwrap();
-            d.arm_torn_write_back(0, 37);
+            fs.tear("data.0", 0, 37);
             assert_eq!(d.sync(), Err(NvmError::Crashed));
             assert!(d.is_crashed());
         }
-        let d2 = NvmDevice::open(cfg).unwrap();
+        let d2 = NvmDevice::open(file_cfg(&fs.reboot(), 256)).unwrap();
         assert_eq!(d2.peek(32, 5).unwrap(), &[0xABu8; 5]);
         assert_eq!(d2.peek(37, 19).unwrap(), &[0u8; 19], "the rest of the run never landed");
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn file_backed_torn_write_persists_prefix_only() {
-        let (cfg, path) = file_cfg("torn", 256);
+        let fs = SimFs::new();
         {
-            let mut d = NvmDevice::open(cfg.clone()).unwrap();
+            let mut d = NvmDevice::open(file_cfg(&fs, 256)).unwrap();
             d.arm_torn_write(1); // only the first 8-byte word persists
             d.write(32, &[0xABu8; 24], WriteMode::Raw).unwrap();
             assert!(d.is_crashed());
@@ -1179,10 +1172,9 @@ mod tests {
             d.recover();
             d.sync().unwrap();
         }
-        let d2 = NvmDevice::open(cfg).unwrap();
+        let d2 = NvmDevice::open(file_cfg(&fs, 256)).unwrap();
         assert_eq!(d2.peek(32, 8).unwrap(), &[0xABu8; 8]);
         assert_eq!(d2.peek(40, 16).unwrap(), &[0u8; 16]);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -1204,8 +1196,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "file-backed devices must be created with NvmDevice::open")]
     fn new_rejects_file_backing() {
-        let (cfg, _path) = file_cfg("newpanic", 64);
-        let _ = NvmDevice::new(cfg);
+        let _ = NvmDevice::new(file_cfg(&SimFs::new(), 64));
     }
 
     fn narrow_words(mut cfg: NvmConfig) -> NvmConfig {
@@ -1221,15 +1212,15 @@ mod tests {
 
     #[test]
     fn open_rejects_other_word_sizes() {
-        let (cfg, path) = file_cfg("wordsize", 64);
-        for cfg in [narrow_words(cfg), narrow_words(NvmConfig::default())] {
+        let fs = SimFs::new();
+        for cfg in [narrow_words(file_cfg(&fs, 64)), narrow_words(NvmConfig::default())] {
             assert_eq!(
                 NvmDevice::open(cfg).unwrap_err(),
                 NvmError::WordSize { word_bytes: 4 }
             );
         }
         assert!(
-            !path.exists(),
+            fs.read("data.0").unwrap().is_empty(),
             "rejected before the backing file is touched"
         );
     }
@@ -1274,9 +1265,9 @@ mod tests {
 
     #[test]
     fn file_backed_stuck_bit_lands_in_the_file() {
-        let (cfg, path) = file_cfg("stuck", 128);
+        let fs = SimFs::new();
         {
-            let mut d = NvmDevice::open(cfg.clone()).unwrap();
+            let mut d = NvmDevice::open(file_cfg(&fs, 128)).unwrap();
             d.write(0, &[0xFFu8; 8], WriteMode::Raw).unwrap();
             d.arm_stuck_bit(0, 0, false).unwrap();
             // A later write over the word must not resurrect the bit in
@@ -1284,9 +1275,8 @@ mod tests {
             d.write(0, &[0xFFu8; 8], WriteMode::Diff).unwrap();
             d.sync().unwrap();
         }
-        let d2 = NvmDevice::open(cfg).unwrap();
+        let d2 = NvmDevice::open(file_cfg(&fs, 128)).unwrap();
         assert_eq!(d2.peek(0, 1).unwrap()[0], 0xFE);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -1,20 +1,14 @@
-//! Crash and torn-write fault injection.
+//! Fault injection into the emulated NVM array.
 //!
 //! NVM stores must be failure-atomic (§I discusses logging/shadowing
-//! overheads). The stores in this reproduction are tested against three
-//! fault models:
+//! overheads). The device is tested against three fault models of the
+//! medium itself:
 //!
-//! * **power failure** between operations ([`FaultState::crash`]) — the
-//!   device retains everything persisted so far and rejects further I/O;
+//! * **crash** between operations ([`FaultState::crash`]) — the device
+//!   retains everything persisted so far and rejects further I/O;
 //! * **torn write** ([`FaultState::arm_torn_after`]) — a crash *during* a write:
 //!   only a prefix of the payload's words reaches the array (PCM programs at
 //!   word granularity, so word-aligned tearing is the realistic model);
-//! * **torn metadata write** ([`FaultState::arm_meta_tear`]) — the same
-//!   mid-write crash landing in one of the durability layer's *files*
-//!   instead of the cell array: a superblock replica, a WAL record frame,
-//!   or a checkpoint body. File writes tear at byte granularity (there is
-//!   no word-programming hardware under a filesystem), which is the
-//!   harsher model — recovery must survive a frame cut at any byte;
 //! * **stuck-at wear-out** ([`FaultState::arm_stuck_bit`] /
 //!   [`StuckAtConfig`]) — worn PCM/ReRAM cells latch: a stuck bit reads
 //!   back its latched value and no write can change it. Faults are either
@@ -22,11 +16,17 @@
 //!   once a word's write count crosses a configured endurance threshold —
 //!   the failure mode the paper's flip-minimizing placement is defending
 //!   against, finally allowed to bite.
+//!
+//! The files under a durable store — a device's data file, the WAL,
+//! superblock and checkpoint — fail elsewhere: in the simulated file
+//! system, [`crate::fs::SimFs`], which tears their writes, fails their
+//! syncs and loses power under them.
 
 use std::collections::HashMap;
 
-/// SplitMix64 — the deterministic hash behind wear-induced latching.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 — the deterministic hash behind wear-induced latching and
+/// a simulated power loss's choice of pages.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -81,53 +81,13 @@ impl StuckWord {
     }
 }
 
-/// Which durable *file* a write targets — the durability layer's three
-/// metadata files and a device's data file, each with its own recovery
-/// obligation:
-///
-/// * a torn [`MetaTarget::Superblock`] replica must lose the election to
-///   the other (CRC-valid) replica;
-/// * a torn [`MetaTarget::Wal`] record must end replay exactly at the
-///   previous record (the op it framed was never acknowledged);
-/// * a torn [`MetaTarget::Checkpoint`] body must fail its CRC and leave
-///   the superblock pointing at the previous checkpoint epoch;
-/// * a torn [`MetaTarget::Data`] write-back leaves a data file of old and
-///   new pages, and a torn one, under the previous epoch's superblock,
-///   whose WALs must redo every acknowledged op over it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetaTarget {
-    /// One of the two replicated superblock slots.
-    Superblock,
-    /// A write-ahead-log record frame (written at the log's cursor).
-    Wal,
-    /// A checkpoint body (written to a temporary file before rename).
-    Checkpoint,
-    /// A run of dirty pages a device writes back into its data file (a
-    /// checkpoint's first step). Filtered by the device's own fault state.
-    Data,
-}
-
-/// An armed metadata tear: the `(skip + 1)`-th write to `target` persists
-/// only `keep_bytes` of its payload, then the state crashes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetaTear {
-    /// Which file kind the tear lands in.
-    pub target: MetaTarget,
-    /// How many writes to that target pass through untouched first.
-    pub skip: u64,
-    /// Bytes of the torn write's payload that reach the file.
-    pub keep_bytes: usize,
-}
-
-/// Mutable fault state carried by a device (and, via a shared handle, by
-/// the durability layer's metadata writers).
+/// Mutable fault state carried by a device.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     crashed: bool,
     /// An armed tear: `(writes to pass through first, words the torn one
     /// keeps)`.
     armed_torn: Option<(u64, usize)>,
-    armed_meta: Option<MetaTear>,
     /// Stuck bits by device word index — armed explicitly or latched by
     /// wear. Empty on the overwhelming majority of devices, so the write
     /// path's per-word overlay check is one `is_empty()` away from free.
@@ -141,7 +101,6 @@ impl FaultState {
         FaultState {
             crashed: false,
             armed_torn: None,
-            armed_meta: None,
             stuck: HashMap::new(),
             stuck_at,
         }
@@ -169,12 +128,6 @@ impl FaultState {
         self.armed_torn = Some((skip, words));
     }
 
-    /// Arms a metadata tear (see [`MetaTear`]). Replaces any previously
-    /// armed metadata tear.
-    pub fn arm_meta_tear(&mut self, tear: MetaTear) {
-        self.armed_meta = Some(tear);
-    }
-
     /// Called by the device at the start of each write with the payload
     /// length. Returns `Some(truncated_len)` if this write tears (the device
     /// then also crashes), or `None` for a normal write.
@@ -189,41 +142,6 @@ impl FaultState {
         self.armed_torn = None;
         self.crashed = true;
         Some((words * word_bytes).min(len))
-    }
-
-    /// Called by a file writer — the durability layer's, or a device's
-    /// write-back — before persisting `len` bytes to a `target` file.
-    /// Returns:
-    ///
-    /// * `Err(NvmError::Crashed)` — the state is already crashed; nothing
-    ///   may be written;
-    /// * `Ok(None)` — a normal write: persist all `len` bytes;
-    /// * `Ok(Some(k))` — this write tears: persist only the first `k`
-    ///   bytes, then the state crashes (subsequent calls return `Err`).
-    pub fn filter_meta_write(
-        &mut self,
-        target: MetaTarget,
-        len: usize,
-    ) -> Result<Option<usize>, crate::NvmError> {
-        if self.crashed {
-            return Err(crate::NvmError::Crashed);
-        }
-        match self.armed_meta {
-            Some(tear) if tear.target == target => {
-                if tear.skip > 0 {
-                    self.armed_meta = Some(MetaTear {
-                        skip: tear.skip - 1,
-                        ..tear
-                    });
-                    Ok(None)
-                } else {
-                    self.armed_meta = None;
-                    self.crashed = true;
-                    Ok(Some(tear.keep_bytes.min(len)))
-                }
-            }
-            _ => Ok(None),
-        }
     }
 
     /// Latches `bit` of device word `word` at `stuck_at_one`. The caller
@@ -386,27 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn meta_tear_skips_then_fires_then_blocks() {
-        let mut f = FaultState::new(StuckAtConfig::default());
-        f.arm_meta_tear(MetaTear {
-            target: MetaTarget::Wal,
-            skip: 2,
-            keep_bytes: 5,
-        });
-        // Writes to other targets never consume the tear.
-        assert_eq!(f.filter_meta_write(MetaTarget::Superblock, 48), Ok(None));
-        assert_eq!(f.filter_meta_write(MetaTarget::Checkpoint, 100), Ok(None));
-        // Two skipped WAL writes, then the tear fires at 5 bytes.
-        assert_eq!(f.filter_meta_write(MetaTarget::Wal, 20), Ok(None));
-        assert_eq!(f.filter_meta_write(MetaTarget::Wal, 20), Ok(None));
-        assert_eq!(f.filter_meta_write(MetaTarget::Wal, 20), Ok(Some(5)));
-        assert!(f.is_crashed());
-        // Everything after the crash is refused.
-        assert_eq!(f.filter_meta_write(MetaTarget::Wal, 20), Err(crate::NvmError::Crashed));
-        assert_eq!(f.filter_meta_write(MetaTarget::Superblock, 48), Err(crate::NvmError::Crashed));
-    }
-
-    #[test]
     fn stuck_word_accumulates_armed_bits() {
         let mut f = FaultState::new(StuckAtConfig::default());
         assert!(!f.stuck_active());
@@ -459,16 +356,5 @@ mod tests {
             assert_eq!(f.maybe_latch(0, wc, 64, 0xAB), None);
         }
         assert_eq!(f.stuck_bit_count(), 0);
-    }
-
-    #[test]
-    fn meta_tear_keep_clamps_to_payload() {
-        let mut f = FaultState::new(StuckAtConfig::default());
-        f.arm_meta_tear(MetaTear {
-            target: MetaTarget::Checkpoint,
-            skip: 0,
-            keep_bytes: 1_000_000,
-        });
-        assert_eq!(f.filter_meta_write(MetaTarget::Checkpoint, 64), Ok(Some(64)));
     }
 }

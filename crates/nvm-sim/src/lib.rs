@@ -23,10 +23,13 @@
 //!   latencies.
 //! * [`region`] — a bucket-array region allocator used by the stores built on
 //!   top (data zones, index zones, LSM levels).
-//! * [`fault`] — crash / torn-write injection used by the recovery tests,
-//!   covering the cell array *and* the durable metadata files.
+//! * [`fault`] — crash / torn-write / stuck-bit injection into the cell
+//!   array, used by the recovery tests.
 //! * [`backing`] — the [`DeviceBacking`] seam: volatile (DRAM-only) or
 //!   write-back file-backed cell arrays.
+//! * [`fs`] — the file-system seam every durable file goes through:
+//!   [`OsFs`], the host's, and [`SimFs`], an in-memory one that tears
+//!   writes, fails syncs and loses power.
 //! * [`crc`] — the shared CRC-32 used by every durable file format.
 //!
 //! ## Example
@@ -50,6 +53,7 @@ pub mod backing;
 pub mod crc;
 pub mod device;
 pub mod fault;
+pub mod fs;
 pub mod geometry;
 pub mod latency;
 pub mod region;
@@ -59,7 +63,8 @@ pub mod wear;
 pub use backing::{DeviceBacking, FileBacking};
 pub use crc::{crc32, crc32_update, crc32c, crc32c_update};
 pub use device::{CellView, NvmConfig, NvmDevice, NvmError, WriteMode};
-pub use fault::{FaultState, MetaTarget, MetaTear, StuckAtConfig, StuckWord};
+pub use fault::{FaultState, StuckAtConfig, StuckWord};
+pub use fs::{Crash, Fs, FsFile, Open, OsFs, SimFs};
 pub use geometry::Geometry;
 pub use latency::{projected_lifetime_ops, LatencyModel, MemoryTech};
 pub use region::{Region, RegionAllocator};

@@ -9,10 +9,9 @@
 //! crashed flag and the backing file.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pnw_nvm_sim::{DeviceBacking, DeviceStats, NvmConfig, NvmDevice, WriteMode, WriteStats};
+use pnw_nvm_sim::{DeviceBacking, DeviceStats, Fs, NvmConfig, NvmDevice, Open, SimFs};
+use pnw_nvm_sim::{WriteMode, WriteStats};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -207,31 +206,13 @@ fn case() -> impl Strategy<Value = Case> {
         )
 }
 
-fn backing_path() -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    std::env::temp_dir().join(format!(
-        "pnw_write_kernel_{}_{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 fn check(case: &Case) -> Result<(), TestCaseError> {
-    let path = case.file_backed.then(backing_path);
-    let result = run(case, path.as_ref());
-    if let Some(p) = &path {
-        let _ = std::fs::remove_file(p);
-    }
-    result
-}
-
-fn run(case: &Case, path: Option<&PathBuf>) -> Result<(), TestCaseError> {
+    let fs = case.file_backed.then(SimFs::new);
     let mut cfg = NvmConfig::default()
         .with_size(case.size)
         .with_bit_wear(case.bit_wear);
-    if let Some(p) = path {
-        let _ = std::fs::remove_file(p);
-        cfg = cfg.with_backing(DeviceBacking::File(p.clone()));
+    if let Some(fs) = &fs {
+        cfg = cfg.with_backing(DeviceBacking::File(fs.open("data", Open::Create).unwrap()));
     }
     let mut dev = NvmDevice::open(cfg).unwrap();
     let mut model = Model::new(case.size, case.bit_wear);
@@ -289,9 +270,9 @@ fn run(case: &Case, path: Option<&PathBuf>) -> Result<(), TestCaseError> {
             dev.recover();
             model.crashed = false;
         }
-        if let Some(p) = path {
+        if let Some(fs) = &fs {
             dev.sync().unwrap();
-            prop_assert_eq!(std::fs::read(p).unwrap(), &model.cells[..], "backing file");
+            prop_assert_eq!(fs.read("data").unwrap(), &model.cells[..], "backing file");
         }
     }
     Ok(())

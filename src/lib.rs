@@ -125,6 +125,6 @@ pub use pnw_core as core_api;
 pub use pnw_server as server;
 
 pub use pnw_core::{
-    BackingMode, Batch, BatchReport, ConfigError, MetaTarget, MetaTear, Op, PnwConfig, PnwStore,
-    ShardedPnwStore, Store, StoreError,
+    BackingMode, Batch, BatchReport, ConfigError, Op, PnwConfig, PnwStore, ShardedPnwStore,
+    Store, StoreError,
 };

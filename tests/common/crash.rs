@@ -1,30 +1,34 @@
 //! The crash matrix (`docs/ARCHITECTURE.md`, *The crash matrix*): one
-//! seeded script per durable configuration, a tear armed at every write
-//! k of every site — each shard's device and the checkpoints' write-back
-//! into its data file, the WAL, superblock and checkpoint files — each
-//! torn three or four ways, then a reopen and one set of checks.
-//! Enumerating crash states, not sampling them, is what finds the
-//! ordering bugs a hand-picked kill point misses (Pillai et al., "All File
-//! Systems Are Not Created Equal", OSDI 2014).
+//! seeded script per durable configuration, run on a simulated file
+//! system ([`SimFs`]), a crash armed at every write k of every site —
+//! each shard's device, and each file: the checkpoints' write-back into
+//! each data file, the WAL, superblock and checkpoint files — each torn
+//! three or four ways, and a power loss at every sync k, losing every
+//! unsynced write or a seeded subset of its pages; then a reopen and one
+//! set of checks. Enumerating crash states, not sampling them, is what
+//! finds the ordering bugs a hand-picked kill point misses (Pillai et
+//! al., "All File Systems Are Not Created Equal", OSDI 2014).
 //!
 //! The script ends in `close`, which fails on a store whose device or
-//! metadata writer died, so "the tear fired" is "`close` failed" (the
+//! file system died, so "the crash fired" is "`close` failed" (the
 //! unarmed script fails no step). After the reopen: per key, bit-exact,
 //! the state the last acknowledged op left — a failed op counts only in
-//! the step the tear fired in, and only when the tear landed its WAL
-//! record whole; no read answers an error; `scan` equals the point GETs
-//! and `len()` counts them; no bucket leaked or retired but under a
-//! latched stuck bit; a put/get/delete round, `close` and a second reopen
-//! work. The one exception: an update that fails on the `forced_reuse`
+//! the step the crash fired in, and only when its record may be on file:
+//! a WAL tear landed it whole, or tore a later record of its batch, or a
+//! power loss kept unsynced pages; no read answers an error; `scan`
+//! equals the point GETs and `len()` counts them; no bucket leaked or
+//! retired but under a latched stuck bit; a put/get/delete round, `close`
+//! and a second reopen work. The one exception: an update that fails on the `forced_reuse`
 //! path (its pool dry, it commits its delete and rewrites its own vacated
 //! bucket) may leave its key absent, the relocation crash window
 //! `shard/placement.rs` documents.
 
 use std::collections::BTreeMap;
-use std::ffi::OsString;
+use std::sync::Arc;
 
-use pnw_core::{now_unix_ms, Batch, IndexPlacement, MetaTarget, MetaTear, PnwConfig, PnwStore};
+use pnw_core::{now_unix_ms, Batch, IndexPlacement, PnwConfig, PnwStore};
 use pnw_core::{Store, StoreError};
+use pnw_nvm_sim::{Fs, SimFs};
 
 use super::oracle::{self, value, Backend, Step, Step::*};
 
@@ -33,15 +37,27 @@ use super::oracle::{self, value, Backend, Step, Step::*};
 pub enum Site {
     /// One shard's device: a bucket, flag, expiry or index-region write.
     Device(usize),
-    /// One shard's data file: a run of dirty pages a checkpoint writes
-    /// back, before its superblock names the new epoch.
-    WriteBack(usize),
-    /// One of the durability layer's files; the WAL counter is store-wide,
-    /// so its k counts appends across every shard's WAL.
-    Meta(MetaTarget),
+    /// The writes to the files whose names start with this prefix:
+    /// `"wal."`, one counter across every shard's WAL, its records and
+    /// the empty WALs a checkpoint puts in their place; `"super"`;
+    /// `"checkpoint."`; `"data.<i>"`, the runs of dirty pages a checkpoint
+    /// writes back into shard i's data file before its superblock names
+    /// the new epoch.
+    File(&'static str),
+    /// The sync calls, of every file and of the directory: the power is
+    /// cut at one, which makes nothing durable.
+    PowerLoss,
 }
 
-/// How much of the torn write lands before the store dies.
+/// The WAL, superblock and checkpoint files, and each shard's data file.
+pub const WAL: Site = Site::File("wal.");
+pub const SUPERBLOCK: Site = Site::File("super");
+pub const CHECKPOINT: Site = Site::File("checkpoint.");
+pub const WRITE_BACKS: [Site; 4] =
+    [Site::File("data.0"), Site::File("data.1"), Site::File("data.2"), Site::File("data.3")];
+
+/// How much of the torn write lands before the store dies; of a power
+/// loss, how much of what no sync made durable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Tear {
     Nothing,
@@ -49,37 +65,48 @@ pub enum Tear {
     Prefix(usize),
     /// The whole write; the store dies right after it.
     Whole,
+    /// The unsynced 4 KiB pages this seed keeps.
+    Pages(u64),
 }
 
 impl Site {
     pub fn tears(self) -> &'static [Tear] {
         match self {
             Site::Device(_) => &[Tear::Nothing, Tear::Prefix(1), Tear::Whole],
-            Site::WriteBack(_) | Site::Meta(_) => {
-                &[Tear::Nothing, Tear::Prefix(3), Tear::Prefix(13), Tear::Whole]
-            }
+            Site::File(_) => &[Tear::Nothing, Tear::Prefix(3), Tear::Prefix(13), Tear::Whole],
+            Site::PowerLoss => &[Tear::Nothing, Tear::Pages(29)],
         }
     }
 
-    /// Arms `tear` at write `k` of this site.
-    pub fn arm(self, store: &PnwStore, k: u64, tear: Tear) {
+    /// Arms `tear` at write (or sync) `k` of this site, of `store` on `fs`.
+    pub fn arm(self, store: &PnwStore, fs: &SimFs, k: u64, tear: Tear) {
         // `Whole` keeps more than any write here carries.
         let keep = match tear {
-            Tear::Nothing => 0,
+            Tear::Nothing | Tear::Pages(_) => 0,
             Tear::Prefix(n) => n,
             Tear::Whole => 1 << 20,
         };
         match self {
             Site::Device(shard) => store.arm_torn_write_after(shard, k, keep),
-            Site::WriteBack(shard) => store.arm_torn_write_back(shard, k, keep),
-            Site::Meta(target) => {
-                store.arm_meta_tear(MetaTear { target, skip: k, keep_bytes: keep })
+            Site::File(prefix) => fs.tear(prefix, k, keep),
+            Site::PowerLoss => {
+                let seed = match tear {
+                    Tear::Pages(seed) => Some(seed),
+                    _ => None,
+                };
+                fs.cut_power(k, seed)
             }
         }
     }
 }
 
-/// The matrix's four durable configurations, in directories `tag` names.
+/// Opens the store of `cfg` on `fs`.
+pub fn open(cfg: &PnwConfig, fs: &SimFs) -> Result<PnwStore, StoreError> {
+    PnwStore::open_in(cfg.clone(), Arc::new(fs.clone()))
+}
+
+/// The matrix's four durable configurations, in directories `tag` names
+/// (the script and the check against the host's file system use them).
 /// 8-byte values and few buckets keep the script short: a shard of its own
 /// holds the script's dozen keys, a shard of several about half of them.
 pub fn configs(tag: &str) -> [Backend; 4] {
@@ -102,14 +129,17 @@ pub const UPDATE: usize = 6;
 pub const DELETE: usize = UPDATE + 1;
 
 /// The script one configuration crashes in. It holds no path: any
-/// backend of the same configuration runs it, in its own directory.
+/// backend of the same configuration runs it.
 pub struct Script {
     pub steps: Vec<Step>,
     /// An update on a shard whose pool is dry: it reaches `forced_reuse`.
     forced_reuse: Option<usize>,
-    /// A freshly opened store's files, which every run starts from:
-    /// writing them costs a fraction of a fresh open's fsyncs.
-    fresh: Vec<(OsString, Vec<u8>)>,
+    /// A freshly opened store's files, which every run starts from a
+    /// snapshot of.
+    fresh: SimFs,
+    /// The deadline of a put that expires an hour out, fixed once so that
+    /// every run writes the same bytes.
+    an_hour_out: u64,
 }
 
 impl Script {
@@ -153,23 +183,17 @@ impl Script {
 
     /// No steps yet, on a freshly opened store of `backend`'s configuration.
     pub fn new(backend: &Backend) -> Script {
-        let dir = backend.dir().expect("a durable backend");
-        let _ = std::fs::remove_dir_all(dir);
-        drop(PnwStore::open(backend.cfg.clone()).expect("fresh open"));
-        let files = std::fs::read_dir(dir).expect("the fresh store").map(|file| {
-            let name = file.expect("the fresh store").file_name();
-            let bytes = std::fs::read(dir.join(&name)).expect("the fresh store");
-            (name, bytes)
-        });
-        let fresh = files.collect();
-        let _ = std::fs::remove_dir_all(dir);
-        Script { steps: Vec::new(), forced_reuse: None, fresh }
+        let fresh = SimFs::new();
+        drop(open(&backend.cfg, &fresh).expect("fresh open"));
+        let an_hour_out = now_unix_ms() + 3_600_000;
+        Script { steps: Vec::new(), forced_reuse: None, fresh, an_hour_out }
     }
 
     /// `steps` on this script's fresh store: a script that fills no pool,
     /// so no update of it reaches `forced_reuse`.
     pub fn with(&self, steps: Vec<Step>) -> Script {
-        Script { steps, forced_reuse: None, fresh: self.fresh.clone() }
+        let (fresh, an_hour_out) = (self.fresh.snapshot(), self.an_hour_out);
+        Script { steps, forced_reuse: None, fresh, an_hour_out }
     }
 
     /// Every key the script touches, and a few it never does.
@@ -211,18 +235,22 @@ struct Dying {
     retirable: u64,
     vs: usize,
     ttl: bool,
-    /// The tear lands a whole WAL record: the step it fires in may leave
-    /// its record on file although the step failed.
-    whole_record: bool,
+    an_hour_out: u64,
+    crash: Option<Crash>,
+    /// Whether the crash, firing in the step being sent, may leave a
+    /// failed op's record on file: a WAL tear that keeps the whole write
+    /// or tears a later record of the step's batch, or a power loss that
+    /// keeps unsynced pages.
+    landing: bool,
     /// A step has failed: the store died, and no later record lands.
     died: bool,
 }
 
 impl Dying {
-    fn new(cfg: &PnwConfig, crash: Option<Crash>) -> Self {
-        let whole_record = matches!(crash, Some((Site::Meta(MetaTarget::Wal), _, Tear::Whole)));
-        let (vs, ttl) = (cfg.value_size, cfg.ttl_enabled);
-        Dying { keys: BTreeMap::new(), retirable: 0, vs, ttl, whole_record, died: false }
+    fn new(cfg: &PnwConfig, script: &Script, crash: Option<Crash>) -> Self {
+        let (vs, ttl, an_hour_out) = (cfg.value_size, cfg.ttl_enabled, script.an_hour_out);
+        let (keys, landing, died) = (BTreeMap::new(), false, false);
+        Dying { keys, retirable: 0, vs, ttl, an_hour_out, crash, landing, died }
     }
 
     /// Records that an op sent `state` to `key`.
@@ -230,13 +258,18 @@ impl Dying {
         let h = self.keys.entry(key).or_default();
         if acked {
             (h.acked, h.landed) = (state, Vec::new());
-        } else if self.whole_record && !self.died {
+        } else if self.landing && !self.died {
             h.landed.push(state);
         }
     }
 
     /// Runs `step`; returns whether it failed.
     fn send(&mut self, s: &PnwStore, step: &Step) -> bool {
+        self.landing = match self.crash {
+            Some((WAL, _, tear)) => tear == Tear::Whole || matches!(step, Apply(_)),
+            Some((Site::PowerLoss, _, tear)) => tear != Tear::Nothing,
+            _ => false,
+        };
         let vs = self.vs;
         let v = |fill| value(fill, vs);
         match *step {
@@ -246,7 +279,7 @@ impl Dying {
                 !ok
             }
             PutExpiring(k, fill, past) => {
-                let deadline = if past { 1 } else { now_unix_ms() + 3_600_000 };
+                let deadline = if past { 1 } else { self.an_hour_out };
                 let ok = s.put_with_expiry(k, &v(fill), deadline).is_ok();
                 self.sent(k, (!(past && self.ttl)).then(|| v(fill)), ok);
                 !ok
@@ -303,41 +336,34 @@ impl Dying {
     }
 }
 
-/// A crash: the site, the write index k and the tear.
+/// A crash: the site, the write (or sync) index k and the tear.
 pub type Crash = (Site, u64, Tear);
 
 /// What one run of a script did.
 pub struct Run {
-    /// Whether the armed tear fired: `close` failed.
+    /// Whether the armed crash fired: `close` failed.
     pub fired: bool,
     /// The first step that failed.
     pub failed_at: Option<usize>,
     /// The device writes made by the end of each step, per shard, counted
     /// from the open as a tear's k counts them.
     pub writes: Vec<Vec<u64>>,
+    /// The sync calls made by the end of each step, counted from the open
+    /// as a power loss's k counts them.
+    pub syncs: Vec<u64>,
 }
 
-/// Runs `script` with write `k` at `site` torn `tear` — with no `crash`,
-/// unarmed — and closes the store. When the tear fired, or none was armed,
-/// and `check` is set, checks the reopened store; a failed check panics
-/// with the configuration, the crash and the first step that failed.
-pub fn run(backend: &Backend, script: &Script, crash: Option<Crash>, check: bool) -> Run {
-    let (cfg, dir) = (&backend.cfg, backend.dir().expect("a durable backend"));
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir).expect("store directory");
-    for (name, bytes) in &script.fresh {
-        std::fs::write(dir.join(name), bytes).expect("the fresh store");
-    }
-    let store = PnwStore::open(cfg.clone()).expect("open");
-    if let Some((site, k, tear)) = crash {
-        site.arm(&store, k, tear);
-    }
-    let written = || store.per_shard_device_stats().into_iter().map(|d| d.write_ops);
-    let base: Vec<u64> = written().collect();
-    let mut dying = Dying::new(cfg, crash);
-    let (mut failed_at, mut writes) = (None, Vec::new());
+/// Runs `script` on `store` to its end, recording in `dying` what each
+/// step sent; returns the first step that failed.
+fn drive(
+    store: &PnwStore,
+    script: &Script,
+    dying: &mut Dying,
+    mut done: impl FnMut(),
+) -> Option<usize> {
+    let mut failed_at = None;
     for (i, step) in script.steps.iter().enumerate() {
-        if dying.send(&store, step) {
+        if dying.send(store, step) {
             dying.died = true;
             failed_at.get_or_insert(i);
             if Some(i) == script.forced_reuse {
@@ -345,8 +371,31 @@ pub fn run(backend: &Backend, script: &Script, crash: Option<Crash>, check: bool
                 dying.keys.get_mut(&k).unwrap().may_vanish = true;
             }
         }
-        writes.push(written().zip(&base).map(|(w, b)| w - b).collect());
+        done();
     }
+    failed_at
+}
+
+/// Runs `script` with write `k` at `site` torn `tear` — with no `crash`,
+/// unarmed — on a snapshot of its fresh store, and closes the store. When
+/// the crash fired, or none was armed, and `check` is set, checks the
+/// reopened store; a failed check panics with the configuration, the
+/// crash and the first step that failed.
+pub fn run(backend: &Backend, script: &Script, crash: Option<Crash>, check: bool) -> Run {
+    let cfg = &backend.cfg;
+    let fs = script.fresh.snapshot();
+    let store = open(cfg, &fs).expect("open");
+    if let Some((site, k, tear)) = crash {
+        site.arm(&store, &fs, k, tear);
+    }
+    let written = || store.per_shard_device_stats().into_iter().map(|d| d.write_ops);
+    let (base, synced): (Vec<u64>, _) = (written().collect(), fs.syncs());
+    let mut dying = Dying::new(cfg, script, crash);
+    let (mut writes, mut syncs) = (Vec::new(), Vec::new());
+    let failed_at = drive(&store, script, &mut dying, || {
+        writes.push(written().zip(&base).map(|(w, b)| w - b).collect());
+        syncs.push(fs.syncs() - synced);
+    });
     let fired = store.close().is_err();
     let at = match failed_at {
         Some(i) => format!("first failed step {i}, {:?}", script.steps[i]),
@@ -360,16 +409,42 @@ pub fn run(backend: &Backend, script: &Script, crash: Option<Crash>, check: bool
     let b = &backend.name;
     assert!(fired || failed_at.is_none(), "{b}: {cell}: close succeeded after a failed step");
     if check && (fired || crash.is_none()) {
-        if let Err(why) = reopen(backend, script, &dying) {
+        if let Err(why) = reopen(backend, script, &dying, &fs.reboot()) {
             panic!("{b}: {cell}: {why}");
         }
     }
-    let _ = std::fs::remove_dir_all(dir);
-    Run { fired, failed_at, writes }
+    Run { fired, failed_at, writes, syncs }
 }
 
-fn reopen(backend: &Backend, script: &Script, dying: &Dying) -> Result<(), String> {
-    let store = PnwStore::open(backend.cfg.clone()).map_err(|e| format!("reopen: {e}"))?;
+/// The files a directory holds, by name.
+pub type Files = BTreeMap<String, Vec<u8>>;
+
+fn files(fs: &dyn Fs) -> Files {
+    let names = fs.list().expect("the store's files");
+    names.into_iter().map(|name| (name.clone(), fs.read(&name).expect("a file"))).collect()
+}
+
+/// Runs `script` unarmed to its `close` on the host's file system, in
+/// `backend`'s directory, and on a simulated one; returns the files each
+/// holds then. Both start from a fresh open, dropped and reopened.
+pub fn files_after_close(backend: &Backend, script: &Script) -> [Files; 2] {
+    let dir = backend.dir().expect("a durable backend");
+    let _ = std::fs::remove_dir_all(dir);
+    drop(PnwStore::open(backend.cfg.clone()).expect("fresh open"));
+    let store = PnwStore::open(backend.cfg.clone()).expect("open");
+    drive(&store, script, &mut Dying::new(&backend.cfg, script, None), || {});
+    store.close().expect("close");
+    let host = files(&pnw_nvm_sim::OsFs::new(dir).expect("the store's directory"));
+    let _ = std::fs::remove_dir_all(dir);
+    let fs = script.fresh.snapshot();
+    let store = open(&backend.cfg, &fs).expect("open");
+    drive(&store, script, &mut Dying::new(&backend.cfg, script, None), || {});
+    store.close().expect("close");
+    [host, files(&fs)]
+}
+
+fn reopen(backend: &Backend, script: &Script, dying: &Dying, fs: &SimFs) -> Result<(), String> {
+    let store = open(&backend.cfg, fs).map_err(|e| format!("reopen: {e}"))?;
     let keys = script.keys();
     let served = audit(&store, &keys, dying)?;
     let never_sent = History::default();
@@ -391,7 +466,7 @@ fn reopen(backend: &Backend, script: &Script, dying: &Dying) -> Result<(), Strin
     same(&format!("round: get {k}"), store.get(k), Ok(None))?;
     store.close().map_err(|e| format!("round: close: {e}"))?;
 
-    let store = PnwStore::open(backend.cfg.clone()).map_err(|e| format!("second reopen: {e}"))?;
+    let store = open(&backend.cfg, fs).map_err(|e| format!("second reopen: {e}"))?;
     let mut want = served;
     want.insert(k, None);
     same("second reopen", audit(&store, &keys, dying)?, want)
@@ -436,53 +511,59 @@ fn same<T: PartialEq + std::fmt::Debug>(what: &str, got: T, want: T) -> Result<(
     (got == want).then_some(()).ok_or_else(diverged)
 }
 
-/// Runs every tear of write `k` at `site`, checking each crash; returns
-/// the first tear's run. The first tear decides: the others fire exactly
-/// when it does.
+/// Runs every tear of write (or sync) `k` at `site`, checking each crash;
+/// returns the first tear's run. The tears run in parallel, and fire
+/// together or not at all.
 pub fn cell(backend: &Backend, script: &Script, site: Site, k: u64) -> Run {
-    let mut tears = site.tears().iter();
     let torn = |tear: Tear| run(backend, script, Some((site, k, tear)), true);
-    let first = torn(*tears.next().unwrap());
-    for &tear in tears.filter(|_| first.fired) {
+    let mut runs: Vec<(Tear, Run)> = std::thread::scope(|scope| {
+        let spawned: Vec<_> =
+            site.tears().iter().map(|&tear| scope.spawn(move || (tear, torn(tear)))).collect();
+        spawned.into_iter().map(joined).collect()
+    });
+    let (_, first) = runs.remove(0);
+    for (tear, other) in runs {
         let b = &backend.name;
-        assert!(torn(tear).fired, "{b}: {site:?} write {k} fired torn one way, not {tear:?}");
+        let fired = |f| if f { "fired" } else { "did not fire" };
+        let (one, two) = (fired(first.fired), fired(other.fired));
+        assert_eq!(one, two, "{b}: {site:?} write {k} {one} torn one way, {two} torn {tear:?}");
     }
     first
 }
 
-/// The write sites of `backend`: every shard's device, every shard's
-/// write-back, then the files.
+/// What a scoped thread returned; its panic, passed on.
+fn joined<T>(thread: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// The crash sites of `backend`: every shard's device, every shard's
+/// write-back, the files, then the power loss.
 pub fn sites(backend: &Backend) -> Vec<Site> {
     let shards = 0..backend.cfg.shards;
-    let files = [MetaTarget::Wal, MetaTarget::Superblock, MetaTarget::Checkpoint].map(Site::Meta);
-    let write_backs = shards.clone().map(Site::WriteBack);
+    let write_backs = WRITE_BACKS[shards.clone()].iter().copied();
+    let files = [WAL, SUPERBLOCK, CHECKPOINT, Site::PowerLoss];
     shards.map(Site::Device).chain(write_backs).chain(files).collect()
 }
 
-/// Walks each of `sites`; returns the writes per site. The sites walk in
-/// parallel, each in a directory of its own: a run spends much of its
-/// time waiting on fsyncs.
+/// Walks each of `sites`, in parallel; returns the writes (or syncs) per
+/// site.
 pub fn walk(backend: &Backend, script: &Script, sites: &[Site], stride: u64) -> Vec<(Site, u64)> {
-    let dir = backend.dir().expect("a durable backend");
     std::thread::scope(|scope| {
-        let walks: Vec<_> = (sites.iter().enumerate())
-            .map(|(i, &site)| {
-                let cfg = backend.cfg.clone().with_path(dir.with_extension(i.to_string()));
-                let own = Backend::pnw(&backend.name, cfg);
-                scope.spawn(move || (site, walk_site(&own, script, site, stride)))
-            })
+        let walks: Vec<_> = (sites.iter())
+            .map(|&site| scope.spawn(move || (site, walk_site(backend, script, site, stride))))
             .collect();
-        let joined = walks.into_iter().map(|w| w.join());
-        joined.map(|w| w.unwrap_or_else(|panic| std::panic::resume_unwind(panic))).collect()
+        walks.into_iter().map(joined).collect()
     })
 }
 
-/// Walks `site` at k = 0, `stride`, 2·`stride`, … until a tear no longer
-/// fires, then runs the site's last write too: a device's is the count
-/// the unfired run made there; the superblock and the checkpoint file
-/// take one write per checkpoint, the script's and `close`'s; the WAL's
-/// and a write-back's are found by bisecting. The full lane's stride of 1 checks each count.
-/// Returns how many writes the script makes there.
+/// Walks `site` at k = 0, `stride`, 2·`stride`, … until a crash no
+/// longer fires, then runs the site's last write (or sync) too: a
+/// device's is the count the unfired run made there, and the power
+/// loss's the syncs it made; the superblock and the checkpoint file take
+/// one write per checkpoint, the script's and `close`'s; the WAL's and a
+/// write-back's are found by bisecting. The full lane's stride of 1
+/// checks each count. Returns how many writes (or syncs) the script
+/// makes there.
 fn walk_site(backend: &Backend, script: &Script, site: Site, stride: u64) -> u64 {
     let b = &backend.name;
     let mut k = 0;
@@ -496,10 +577,10 @@ fn walk_site(backend: &Backend, script: &Script, site: Site, stride: u64) -> u64
     assert!(k > 0, "{b}: the script makes no write at {site:?}");
     let writes = match site {
         Site::Device(shard) => unfired.writes.last().map_or(0, |w| w[shard]),
-        Site::Meta(MetaTarget::Superblock | MetaTarget::Checkpoint) => {
+        SUPERBLOCK | CHECKPOINT => {
             1 + script.steps.iter().filter(|s| matches!(s, Checkpoint)).count() as u64
         }
-        Site::Meta(_) | Site::WriteBack(_) => {
+        Site::File(_) | Site::PowerLoss => {
             // Write `lo` fires, write `hi` does not.
             let (mut lo, mut hi) = (k - stride, k);
             while hi - lo > 1 {

@@ -1,11 +1,12 @@
-//! Property-based crash consistency. At the device level, a file-backed
-//! [`NvmDevice`] takes word-aligned writes in both [`WriteMode`]s with a
-//! torn write armed at a random index, then recovers and writes its image
-//! back; the reopened device's cells must equal the shadow image in which
-//! the torn write applied only its persisted word prefix. At the store level, a random script of puts and
-//! deletes crashes at a random device or WAL write, torn each way, and
-//! the reopened store must pass the crash matrix's checks
-//! (`common/crash.rs`). The matrix in `tests/recovery.rs` crashes one
+//! Property-based crash consistency. At the device level, a
+//! [`NvmDevice`] backed by a file of the host's takes word-aligned writes
+//! in both [`WriteMode`]s with a torn write armed at a random index, then
+//! recovers and writes its image back; the reopened device's cells must
+//! equal the shadow image in which the torn write applied only its
+//! persisted word prefix. At the store level, on the simulated file
+//! system, a random script of puts and deletes crashes at a random device
+//! or WAL write, torn each way, and the reopened store must pass the
+//! crash matrix's checks (`common/crash.rs`). The matrix in `tests/recovery.rs` crashes one
 //! seeded script at every write; these sample the scripts instead.
 
 mod common;
@@ -16,10 +17,10 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use common::crash::{self, Script, Site};
-use common::oracle::{durable_dir, Backend, Step};
-use pnw_core::{IndexPlacement, MetaTarget, PnwConfig};
-use pnw_nvm_sim::{DeviceBacking, NvmConfig, NvmDevice, WriteMode};
+use common::crash::{self, Script, Site, WAL};
+use common::oracle::{Backend, Step};
+use pnw_core::{IndexPlacement, PnwConfig};
+use pnw_nvm_sim::{DeviceBacking, Fs, NvmConfig, NvmDevice, Open, OsFs, WriteMode};
 
 /// A unique scratch directory per proptest case (cases share one process).
 fn case_dir(prefix: &str) -> PathBuf {
@@ -54,18 +55,16 @@ fn crash_random_script(
     shards: usize,
     placement: IndexPlacement,
 ) {
-    let tag = format!("prop_store_{placement:?}_{shards}");
     // 32 buckets per shard: even if every key routes to one shard it fits.
     let cfg = PnwConfig::new(32 * shards, 8)
         .with_clusters(2)
         .with_seed(17)
         .with_shards(shards)
-        .with_index(placement)
-        .with_path(durable_dir(&tag));
+        .with_index(placement);
     let backend = Backend::pnw(&format!("{shards} shards, {placement:?} index"), cfg);
     let (site, seen) = match device {
         Some(s) => (Site::Device(s % shards), steps.len() / shards),
-        None => (Site::Meta(MetaTarget::Wal), steps.len()),
+        None => (WAL, steps.len()),
     };
     let k = k % seen.max(1) as u64;
     // One fresh store image per configuration, which every case copies.
@@ -107,9 +106,10 @@ proptest! {
         crash_random_script(steps, device, k, tear, shards, IndexPlacement::Nvm);
     }
 
-    /// File-backed device, both write modes, torn write at a random index,
-    /// then a write-back: the reopened cell array equals the shadow image
-    /// where the torn write contributed only its persisted word prefix.
+    /// Device backed by a file of the host's, both write modes, torn write
+    /// at a random index, then a write-back: the reopened cell array equals
+    /// the shadow image where the torn write contributed only its
+    /// persisted word prefix.
     #[test]
     fn torn_device_file_holds_exact_prefix(
         writes in proptest::collection::vec(
@@ -119,13 +119,15 @@ proptest! {
         tear_at in 0usize..16,
         tear_words in 0usize..4,
     ) {
-        let path = case_dir("dev");
-        let cfg = NvmConfig::default()
-            .with_size(256)
-            .with_backing(DeviceBacking::File(path.clone()));
+        let dir = case_dir("dev");
+        let fs = OsFs::new(&dir).expect("the case directory");
+        let cfg = || {
+            let file = fs.open("data.0", Open::Create).expect("the backing file");
+            NvmConfig::default().with_size(256).with_backing(DeviceBacking::File(file))
+        };
         let mut shadow = vec![0u8; 256];
         {
-            let mut dev = NvmDevice::open(cfg.clone()).expect("fresh device");
+            let mut dev = NvmDevice::open(cfg()).expect("fresh device");
             for (i, (word, payload, raw)) in writes.iter().enumerate() {
                 let mode = if *raw { WriteMode::Raw } else { WriteMode::Diff };
                 let offset = word * 8;
@@ -151,9 +153,9 @@ proptest! {
             }
             dev.sync().expect("write-back");
         }
-        let dev = NvmDevice::open(cfg).expect("reopen from file");
+        let dev = NvmDevice::open(cfg()).expect("reopen from file");
         prop_assert_eq!(dev.peek(0, 256).expect("peek"), &shadow[..]);
         drop(dev);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,18 +5,20 @@
 //! * **Volatile reconstruction** (`crash_and_recover`) — the paper's
 //!   recovery story (§V-A.1): DRAM structures die, the NVM data zone
 //!   survives, everything is rebuilt from bucket headers.
-//! * **The crash matrix** — the durable file-backed store, crashed at
-//!   every write of a seeded script on four configurations, each write
-//!   torn three or four ways (`common/crash.rs`).
+//! * **The crash matrix** — the durable file-backed store on a simulated
+//!   file system, crashed at every write of a seeded script on four
+//!   configurations, each write torn three or four ways, and powered off
+//!   at every sync (`common/crash.rs`).
 
 mod common;
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use common::crash::{self, Script, Site, Tear};
-use common::oracle::{self, Backend, Step};
-use pnw_core::{IndexPlacement, MetaTarget, PnwConfig, PnwStore, ShardedPnwStore, Store};
+use common::crash::{self, Script, Site, Tear, CHECKPOINT, SUPERBLOCK, WAL, WRITE_BACKS};
+use common::oracle::{Backend, Step};
+use pnw_core::{IndexPlacement, PnwConfig, PnwStore, ShardedPnwStore, Store};
+use pnw_nvm_sim::SimFs;
 use pnw_workloads::{DatasetKind, Workload};
 
 fn populated_store(placement: IndexPlacement) -> (PnwStore, Vec<(u64, Vec<u8>)>) {
@@ -171,8 +173,8 @@ fn device_stats_and_wear_survive_reopen() {
 
 // ---------------------------------------------------------------------------
 // The crash matrix (`common/crash.rs`), one test per configuration and
-// site: tier-1 walks each site at k = 0, every 7th k and its last write;
-// the ignored `crash_matrix_full` walks every k.
+// site: tier-1 walks each site at k = 0, every 7th k and its last write
+// (or sync); the ignored `crash_matrix_full` walks every k.
 // ---------------------------------------------------------------------------
 
 const STRIDE: u64 = 7;
@@ -180,9 +182,6 @@ const DRAM: usize = 0;
 const SHARDED: usize = 1;
 const NVM: usize = 2;
 const TTL_RESERVE: usize = 3;
-const WAL: Site = Site::Meta(MetaTarget::Wal);
-const SUPERBLOCK: Site = Site::Meta(MetaTarget::Superblock);
-const CHECKPOINT: Site = Site::Meta(MetaTarget::Checkpoint);
 
 /// Configuration `config` of the matrix in directories of `test`'s own,
 /// and its script, built once per configuration.
@@ -218,8 +217,7 @@ macro_rules! walks {
 }
 
 const DEVICES: [Site; 4] = [Site::Device(0), Site::Device(1), Site::Device(2), Site::Device(3)];
-const WRITE_BACKS: [Site; 4] =
-    [Site::WriteBack(0), Site::WriteBack(1), Site::WriteBack(2), Site::WriteBack(3)];
+const POWER_LOSS: Site = Site::PowerLoss;
 
 walks! {
     matrix_dram_clean_close: DRAM [];
@@ -255,6 +253,30 @@ walks! {
         TTL_RESERVE [],
         TTL_RESERVE [DEVICES[0], DEVICES[1], WRITE_BACKS[0], WRITE_BACKS[1]],
         TTL_RESERVE [WAL, SUPERBLOCK, CHECKPOINT];
+    /// The power cut at a sync of either one-shard configuration, every
+    /// unsynced write lost or a seeded subset of its pages kept: the op
+    /// whose sync died is unacknowledged and its record may have landed;
+    /// every acknowledged op reads back bit-exact.
+    matrix_power_loss_at_any_sync_keeps_every_acked_op: DRAM [POWER_LOSS], NVM [POWER_LOSS];
+    /// The same on four shards, whose WALs and data files sync apart.
+    sharded_power_loss_at_any_sync_keeps_every_acked_op: SHARDED [POWER_LOSS];
+    ttl_reserve_power_loss_at_any_sync_keeps_every_acked_op: TTL_RESERVE [POWER_LOSS];
+}
+
+/// The simulated file system the matrix runs on against the host's: the
+/// unarmed script of each configuration leaves the same files, byte for
+/// byte, after `close` on both.
+#[test]
+fn the_simulated_file_system_leaves_the_files_the_hosts_does() {
+    for config in [DRAM, SHARDED, NVM, TTL_RESERVE] {
+        let (backend, script) = matrix("fidelity", config);
+        let [host, sim] = crash::files_after_close(&backend, script);
+        let names = |files: &crash::Files| files.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(names(&host), names(&sim), "{}", backend.name);
+        for (name, bytes) in &host {
+            assert!(bytes == &sim[name], "{}: {name} differs", backend.name);
+        }
+    }
 }
 
 /// The kills between ops on a one-shard configuration: a step's last
@@ -311,14 +333,13 @@ fn sharded_torn_wal_inside_group_commits_a_clean_prefix() {
 /// one page.)
 #[test]
 fn torn_write_back_of_several_pages_is_redone_from_the_wal() {
-    let dir = oracle::durable_dir("crash_write_back_pages");
-    let cfg = PnwConfig::new(12, 2048).with_clusters(2).with_seed(17).with_path(dir);
+    let cfg = PnwConfig::new(12, 2048).with_clusters(2).with_seed(17);
     let backend = Backend::pnw("1 shard, 2 KiB values", cfg);
     let mut steps: Vec<Step> = (1..=6).map(|k| Step::Put(k, k as u8)).collect();
     steps.push(Step::Checkpoint);
     steps.extend([Step::Put(2, 0x22), Step::Delete(4), Step::Put(7, 0x77)]);
     let script = Script::new(&backend).with(steps);
-    let writes = crash::walk(&backend, &script, &[Site::WriteBack(0)], 1);
+    let writes = crash::walk(&backend, &script, &[WRITE_BACKS[0]], 1);
     println!("{}: writes per site {writes:?}", backend.name);
     // Two checkpoints, the script's and `close`'s: one writes back more
     // than one run.
@@ -370,36 +391,26 @@ fn crash_at_the_flag_clear_after_a_synced_delete() {
 
 /// A power loss, not a process death: the OS drops every data-file write
 /// since the checkpoint's sync, while the WAL, `fdatasync`ed per op,
-/// survives. A full one-shard store is checkpointed and its `data.0`
-/// copied; then a delete frees one bucket for a fresh PUT, and a delete
-/// and re-put of key 5 must land on 5's old bucket, the only free one.
-/// Restoring the copy is the power loss.
+/// survives. A full one-shard store is checkpointed; then a delete frees
+/// one bucket for a fresh PUT, and a delete and re-put of key 5 must land
+/// on 5's old bucket, the only free one. The slice of the power-loss site
+/// from the checkpoint on, `close`'s syncs included, each way: at a cut
+/// in `close`, keys 0, 5 and 100 must read absent, 0xEE and 0xAA.
 #[test]
 fn power_loss_after_checkpoint_keeps_every_acked_put() {
-    let dir = scratch_dir("power_loss");
-    let cfg = PnwConfig::new(16, 8)
-        .with_clusters(2)
-        .with_seed(7)
-        .with_path(&dir);
-    let store = PnwStore::open(cfg.clone()).unwrap();
-    for k in 0..16u64 {
-        store.put(k, &[k as u8; 8]).unwrap();
+    let cfg = PnwConfig::new(16, 8).with_clusters(2).with_seed(7);
+    let backend = Backend::pnw("1 shard, full", cfg);
+    let mut steps: Vec<Step> = (0..16).map(|k| Step::Put(k, k as u8)).collect();
+    steps.push(Step::Checkpoint);
+    steps.extend([Step::Delete(0), Step::Put(100, 0xAA), Step::Delete(5), Step::Put(5, 0xEE)]);
+    let script = Script::new(&backend).with(steps);
+    let syncs = crash::run(&backend, &script, None, true).syncs;
+    let (checkpointed, acked) = (syncs[16], *syncs.last().unwrap());
+    let mut k = checkpointed;
+    while crash::cell(&backend, &script, POWER_LOSS, k).fired {
+        k += 1;
     }
-    store.checkpoint().unwrap();
-    let synced = std::fs::read(dir.join("data.0")).unwrap();
-    assert!(store.delete(0).unwrap());
-    store.put(100, &[0xAA; 8]).unwrap();
-    assert!(store.delete(5).unwrap());
-    store.put(5, &[0xEE; 8]).unwrap();
-    drop(store);
-    std::fs::write(dir.join("data.0"), synced).unwrap();
-
-    let store = PnwStore::open(cfg).unwrap();
-    let served = [0, 5, 100].map(|k| store.get(k));
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
-    let want = [Ok(None), Ok(Some(vec![0xEE; 8])), Ok(Some(vec![0xAA; 8]))];
-    assert_eq!(served, want, "keys 0, 5 and 100 after the power loss");
+    assert!(k > acked, "{}: no power loss in close: {k} syncs, {acked} by its start", backend.name);
 }
 
 /// A torn WAL record leaves bytes past the last whole frame. The store
@@ -413,30 +424,70 @@ fn acked_put_after_reopen_from_a_torn_wal_tail_survives_a_second_crash() {
     let value = |k: u64| vec![k as u8 + 1; 8];
     for shards in [1, 4] {
         for &tear in WAL.tears() {
-            let dir = scratch_dir(&format!("torn_tail_{shards}"));
-            let cfg = PnwConfig::new(64, 8).with_clusters(2).with_shards(shards).with_path(&dir);
-            let store = PnwStore::open(cfg.clone()).unwrap();
+            let fs = SimFs::new();
+            let cfg = PnwConfig::new(64, 8).with_clusters(2).with_shards(shards);
+            let store = crash::open(&cfg, &fs).unwrap();
             for k in 0..4 {
                 store.put(k, &value(k)).unwrap();
             }
-            WAL.arm(&store, 0, tear);
+            WAL.arm(&store, &fs, 0, tear);
             assert!(store.put(4, &value(4)).is_err(), "the torn PUT is not acknowledged");
             drop(store);
 
-            let store = PnwStore::open(cfg.clone()).unwrap();
+            let fs = fs.reboot();
+            let store = crash::open(&cfg, &fs).unwrap();
             let next = (5..).find(|&k| store.shard_of_key(k) == store.shard_of_key(4)).unwrap();
             store.put(next, &value(next)).unwrap();
             drop(store);
 
-            let store = PnwStore::open(cfg).unwrap();
+            let store = crash::open(&cfg, &fs).unwrap();
             let cell = format!("{shards} shards, torn {tear:?}");
             for k in (0..4).chain([next]) {
                 assert_eq!(store.get(k).unwrap(), Some(value(k)), "{cell}: acked key {k}");
             }
             let four = store.get(4).unwrap();
             assert!(four.is_none() || tear == Tear::Whole && four == Some(value(4)), "{cell}");
-            drop(store);
-            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// A failure the process lives through. On the NVM index
+/// a delete unlinks its key and clears the bucket's flag before it writes
+/// its WAL record (publish-first). When that record's sync fails, the
+/// delete is unacknowledged, but the flag clear stays in the image while
+/// the store keeps serving; a checkpoint then writes it back into the data
+/// file, and its superblock write tears, so the previous checkpoint and
+/// its WAL, which still commit the key, elect at the reopen. The key must
+/// read its acknowledged value, and keep its bucket once the store is
+/// full: the reopen re-stamps its header.
+#[test]
+fn a_failed_delete_sync_then_a_torn_superblock_keeps_the_acked_value() {
+    let cfg = PnwConfig::new(12, 8).with_clusters(2).with_seed(17).with_index(IndexPlacement::Nvm);
+    // Not torn `Whole`: a superblock that lands elects the checkpoint cut
+    // from the image the failed delete changed, which has no key 2.
+    for &tear in &SUPERBLOCK.tears()[..3] {
+        let fs = SimFs::new();
+        let store = crash::open(&cfg, &fs).unwrap();
+        for k in 1..=4u64 {
+            store.put(k, &[k as u8; 8]).unwrap();
+        }
+        // Key 2's PUT record is gone with the WAL this replaces: only the
+        // checkpoint, and the data file, hold it.
+        store.checkpoint().unwrap();
+        fs.fail_sync("wal.", 0);
+        assert!(store.delete(2).is_err(), "torn {tear:?}: the failed sync fails the delete");
+        store.put(5, &[5; 8]).unwrap();
+        SUPERBLOCK.arm(&store, &fs, 0, tear);
+        assert!(store.checkpoint().is_err(), "torn {tear:?}: the superblock write tore");
+        drop(store);
+
+        // Its bucket must not rejoin the pool: fill every free bucket,
+        // then read every key back.
+        let store = crash::open(&cfg, &fs.reboot()).unwrap();
+        let fresh = (100..).take_while(|&k| store.put(k, &[k as u8; 8]).is_ok()).count();
+        assert_eq!(store.len(), 12, "torn {tear:?}: {fresh} fresh keys fit");
+        for k in (1..=5).chain(100..100 + fresh as u64) {
+            assert_eq!(store.get(k).unwrap(), Some(vec![k as u8; 8]), "torn {tear:?}: key {k}");
         }
     }
 }
