@@ -1,7 +1,7 @@
 //! Integrity: the read-side CRC check, the scrubber, relocation off
 //! damaged media, and permanent bucket retirement.
 
-use super::{label_u16, value_addr, Header, ShardEngine, HDR_BYTES};
+use super::{value_addr, Header, ShardEngine, HDR_BYTES};
 use crate::error::PnwError;
 use crate::metrics::ScrubStats;
 
@@ -88,26 +88,17 @@ impl ShardEngine {
     }
 
     /// Moves `key`'s value (a verified or WAL-clean copy) off damaged
-    /// media: retires the old bucket, re-places the value through the
-    /// write-verify loop, re-points the index and re-logs the put. A media
-    /// failure path, so it keeps the simple order: one bracket, its WAL
-    /// records inside.
+    /// media: retires the old bucket, then places the value — with its
+    /// deadline, through the write-verify loop — as a relocating update
+    /// does, `from` the bucket it vacates. A dry pool ends the move with
+    /// [`PnwError::Full`] and the key where it was.
     fn relocate(&mut self, key: u64, value: &[u8], from: u32) -> Result<(), PnwError> {
-        let _w = self.write_bracket();
         let deadline = self.peek_expiry(from)?;
         self.retire(from)?;
-        let cluster = self.model.predict_into(value, &mut self.scratch);
-        let mut deferred = None;
+        let predicted = self.predict_timed(value, false);
         self.seal_bucket_img(key, value);
-        let (bucket, _, _) = self.place_sealed(key, cluster, &mut deferred)?;
-        let addr = self.layout.addr(bucket);
-        // The deadline moves with the value.
-        self.stamp_expiry(bucket, deadline)?;
-        let _ = self.index.remove(&mut self.dev, key)?;
-        self.index.insert(&mut self.dev, key, addr as u64)?;
-        self.log(|d| d.log_put(key, addr as u64, value, deadline))?;
-        self.labels[bucket as usize] = label_u16(cluster);
-        let _ = self.clear_flag(self.layout.addr(from));
+        let old = self.layout.addr(from) as u64;
+        self.place(key, value, deadline, Some(old), predicted, false)?;
         self.scrub.repairs += 1;
         Ok(())
     }

@@ -9,8 +9,8 @@
 //!
 //! * exactly three sites write value bytes — `place_sealed`,
 //!   `put_in_place` and `prefill_free_buckets` (relocation goes through
-//!   `place_sealed`); a delete only clears the flag byte and invalidates
-//!   nothing;
+//!   `place`, and so through `place_sealed`); a delete only clears the
+//!   flag byte and invalidates nothing;
 //! * a synchronous install ([`ShardEngine::install_model`]) discards every
 //!   cached label and re-predicts the free buckets under the engine lock;
 //! * a background install ([`ShardEngine::install_labelled`]) arrives with

@@ -1,17 +1,18 @@
 //! Placement: PUT (Algorithm 2 + §V-B.3), DELETE (Algorithm 3), the batch
 //! group, and the hand-offs between the data zone and the address pool.
 //!
-//! Commit, then publish: on a durable shard over the DRAM index a PUT
-//! writes its image where no index entry points, syncs its WAL record with
-//! no write bracket open, and only then switches the index; a DELETE syncs
+//! One order, place then publish — the K/V indirection of §V-B: a value is
+//! written wherever it flips the fewest bits, then the index switches to
+//! it. Every PUT that lands in a new bucket goes through
+//! [`ShardEngine::place`], on every shard and both indexes: it stages the
+//! sealed image where no index entry points, commits its WAL record with
+//! no write bracket open, and only then upserts the index. A DELETE syncs
 //! its record before it unlinks. A lock-free GET therefore never waits out
-//! another op's fsync, and still never sees an effect before it is
-//! durable. Four paths keep the publish-first order — one bracket, the
-//! record last — because the order of their effects needs it: the batch
-//! group's group commit, the forced reuse of a dry pool (a reader must not
-//! see the key absent mid-update), the NVM path-hash index (whose insert
-//! cannot be left until after the sync: it can run out of slots), and the
-//! scrubber's relocation off damaged media (`integrity`).
+//! another op's fsync and never sees an effect before it is durable, and a
+//! failed sync leaves the store as it was. Only two brackets span a sync:
+//! the batch group's group commit, and the dry-pool retry's (a reader must
+//! not see the key absent between its committed delete and its new
+//! placement).
 //!
 //! An update is priced one way: on a trained volatile shard it rewrites
 //! the key's own bucket when that flips no more bits than relocating
@@ -27,7 +28,6 @@ use pnw_nvm_sim::{DeviceStats, NvmError, WriteMode, WriteStats};
 use super::{bucket, label_u16, value_addr, Header, PutPath, ShardEngine, HDR_BYTES};
 use crate::api::{BatchReport, Op};
 use crate::clock::{now_unix_ms, Tick};
-use crate::config::IndexPlacement;
 use crate::durable::DurableShard;
 use crate::error::PnwError;
 use crate::metrics::OpReport;
@@ -102,9 +102,15 @@ impl ShardEngine {
     /// toggles only side-effect-free instrumentation (the stats snapshot
     /// and the two tick reads around prediction) — device, index and pool
     /// mutations are identical either way, which is what lets the batch
-    /// path skip the bookkeeping without forking the write path. What
-    /// [`ShardEngine::put_commit_first`] does not take runs below inside
-    /// one bracket, the WAL record (if any) last.
+    /// path skip the bookkeeping without forking the write path.
+    ///
+    /// A trained volatile shard prices an update in place first; every
+    /// other PUT goes through [`ShardEngine::place`]. When the pool is dry
+    /// while the key's old bucket is still linked, that bucket is the only
+    /// candidate: the retry releases it — its delete committed first — and
+    /// places afresh, inside one bracket so no reader sees the key absent
+    /// mid-update. A crash in that retry may leave the key deleted, never
+    /// corrupted: the inherent relocation crash window.
     fn put_impl(
         &mut self,
         key: u64,
@@ -113,187 +119,117 @@ impl ShardEngine {
         report: bool,
     ) -> Result<(OpReport, PutPath), PnwError> {
         self.check_value(value)?;
-        if self.commits_first() {
-            if let Some(done) = self.put_commit_first(key, value, expires_at_ms, report)? {
-                return Ok(done);
-            }
-        }
-        let _w = self.write_bracket();
+        // A volatile shard's one bracket: every step below nests in it.
+        let _w = self.durable.is_none().then(|| self.write_bracket());
         // Sealed once: every location below is written, and priced, with
         // this image.
         self.seal_bucket_img(key, value);
-        // A relocating update's vacated bucket, held back until the
-        // replacement is placed (and, on a durable shard, WAL-committed):
-        // the relocation can then neither land back on it nor — torn by a
-        // crash — overwrite the committed old value.
-        let mut deferred: Option<(usize, u32)> = None;
+        let mut old = self.index.lookup(&self.dev, key)?;
         let mut predicted = None;
-
-        if self.durable.is_none() && self.model.is_trained() {
+        if let Some(addr) = old.filter(|_| self.durable.is_none() && self.model.is_trained()) {
             // The priced update: volatile shards under a trained model.
-            if let Some(addr) = self.index.get(&mut self.dev, key)? {
-                let b = self.bucket_of_addr(addr)?;
-                let (cluster, predict) = self.predict_timed(value, report);
-                if self.in_place_is_cheaper(b, cluster)? {
-                    let p = (cluster, predict);
-                    if let Some(done) =
-                        self.put_in_place(key, value, b, expires_at_ms, report, p)?
-                    {
-                        return Ok(done);
+            let b = self.bucket_of_addr(addr)?;
+            let p = self.predict_timed(value, report);
+            if self.in_place_is_cheaper(b, p.0)? {
+                match self.put_in_place(key, value, b, expires_at_ms, report, p)? {
+                    Some(out) => {
+                        self.puts += 1;
+                        return Ok((out, PutPath::InPlace));
                     }
                     // Write-verify failed: the bucket is retired and the
-                    // key unlinked — re-place on healthy media below.
-                } else {
-                    let _ = self.index.remove(&mut self.dev, key)?;
-                    deferred = Some(self.clear_bucket(addr)?);
+                    // key unlinked — re-place on healthy media.
+                    None => old = None,
                 }
-                predicted = Some((cluster, predict));
             }
-        } else if let Some(addr) = self.index.remove(&mut self.dev, key)? {
-            // Durable or untrained: always relocate. `remove` returns the
-            // old address, so this costs one index probe.
-            deferred = Some(self.clear_bucket(addr)?);
+            predicted = Some(p);
         }
-
-        let before = report.then(|| self.dev.stats().clone());
-        let (cluster, predict) = match predicted {
-            Some(p) => p,
-            None => self.predict_timed(value, report),
-        };
-
-        let placed = self.place_sealed(key, cluster, &mut deferred);
-        let (bucket, fallback, value_write) = match placed {
-            Ok(hit) => hit,
-            // Ring retention: a full zone first reclaims expired buckets,
-            // then evicts the earliest-deadline live entry — the oldest
-            // frame falls off the CCTV ring — and the placement retries
-            // once against the replenished pool.
-            Err(PnwError::Full) if self.cfg.retention_ring => {
-                if !self.ring_reclaim()? {
-                    return Err(PnwError::Full);
-                }
-                self.place_sealed(key, cluster, &mut deferred)?
+        let p = predicted.unwrap_or_else(|| self.predict_timed(value, report));
+        let out = match (self.place(key, value, expires_at_ms, old, p, report), old) {
+            (Err(PnwError::Full), Some(addr)) => {
+                let _w = self.write_bracket();
+                self.release(key, addr)?;
+                self.place(key, value, expires_at_ms, None, p, report)?
             }
-            Err(e) => return Err(e),
+            (placed, _) => placed?,
         };
-        let addr = self.layout.addr(bucket);
-        self.stamp_expiry(bucket, expires_at_ms)?;
-
-        // Line 7: update the hash index.
-        if let Err(e) = self.index.insert(&mut self.dev, key, addr as u64) {
-            self.unwind_failed_insert(addr, cluster, bucket);
-            return Err(e.into());
-        }
-        // The durable commit point, inside the bracket: the index entry
-        // is already made, so no reader may see it before the record is.
-        if let Err(e) = self.log(|d| d.log_put(key, addr as u64, value, expires_at_ms)) {
-            // Unacknowledged: roll the in-process structures back so the
-            // dying store stays internally consistent. The durable state
-            // is already safe — no WAL record exists, and recovery clears
-            // the uncommitted header.
-            let _ = self.index.remove(&mut self.dev, key);
-            self.unwind_failed_insert(addr, cluster, bucket);
-            return Err(e);
-        }
-        if let Some((label, freed)) = deferred {
-            self.push_free(label, freed);
-        }
-        self.labels[bucket as usize] = label_u16(cluster);
-        self.live += 1;
         self.puts += 1;
-        let out = self.op_report(before, cluster, fallback, predict, value_write);
         Ok((out, PutPath::Fresh))
     }
 
-    /// Whether a durable op on this shard commits its WAL record before it
-    /// publishes its effect: a durable shard over the DRAM index, whose
-    /// upsert after the sync cannot fail (its table has two slots per
-    /// provisioned bucket). The NVM path-hash index can run out of slots,
-    /// so there the index entry is made before the record and one bracket
-    /// spans both.
-    #[inline]
-    pub(super) fn commits_first(&self) -> bool {
-        self.durable.is_some() && self.cfg.index == IndexPlacement::Dram
-    }
-
-    /// Commit, then publish — a durable PUT that waits only for its own
-    /// fsync, and makes no lock-free GET wait for it:
+    /// Places `key`'s value, sealed in the bucket image, in a new bucket —
+    /// the only way a PUT lands in one: a fresh key, a relocating update,
+    /// the dry-pool retry, the scrubber's relocation. `old` is the address
+    /// the key is linked at, if any; `(cluster, predict)` its prediction.
+    /// One order, place then publish:
     ///
-    /// 1. inside a short bracket, the sealed image goes into a free bucket
-    ///    no index entry names (with its deadline slot);
-    /// 2. with no bracket open, the WAL record is appended and synced —
-    ///    the commit point; a GET meanwhile still reads the old value;
-    /// 3. inside a second short bracket, the index entry is upserted and
-    ///    the vacated bucket's flag cleared;
-    /// 4. the vacated bucket rejoins the pool.
+    /// 1. stage: the sealed image and its deadline go into a free bucket
+    ///    no index entry names;
+    /// 2. commit: the WAL record is appended and synced with no bracket
+    ///    open — a GET meanwhile still reads the old value; a no-op on a
+    ///    volatile shard;
+    /// 3. publish: the index entry is upserted, the vacated bucket's flag
+    ///    cleared, and that bucket rejoins the pool.
     ///
-    /// A crash between 2 and 3 leaves two valid headers for the key, and
-    /// recovery's repair clears the one the WAL does not name. A failed
-    /// append or sync clears the new bucket's flag again and returns it to
-    /// the pool: the old mapping was never touched.
-    ///
-    /// `None` when the pool runs dry while the key's old bucket is still
-    /// linked: reusing that bucket means committing the delete before
-    /// overwriting it, inside one bracket so no reader sees the key absent
-    /// mid-update — the caller's path.
-    fn put_commit_first(
+    /// A fresh key the index has no slot for (the NVM path-hash index can
+    /// run out) is refused before anything is written, so the upsert
+    /// after the commit cannot fail for lack of room. A failed append or
+    /// sync clears the staged bucket's flag again and returns it to the
+    /// pool: the old mapping was never touched. A crash between 2 and 3
+    /// leaves two valid headers for the key, and recovery's repair clears
+    /// the one the WAL does not name. A dry pool is `Full` with nothing
+    /// written while `old` is linked; for a fresh key, ring retention
+    /// first reclaims expired buckets, then evicts the earliest-deadline
+    /// live entry — the oldest frame falls off the CCTV ring — and the
+    /// staging retries once.
+    pub(super) fn place(
         &mut self,
         key: u64,
         value: &[u8],
         expires_at_ms: u64,
+        old: Option<u64>,
+        (cluster, predict): (usize, Duration),
         report: bool,
-    ) -> Result<Option<(OpReport, PutPath)>, PnwError> {
-        self.seal_bucket_img(key, value);
-        let old = self.index.lookup(&self.dev, key)?;
+    ) -> Result<OpReport, PnwError> {
+        // A crashed durable shard places nothing: its dry pool is no cue
+        // to commit a delete and reuse a bucket.
+        self.check_durable_write()?;
+        if old.is_none() && !self.index.can_insert(&self.dev, key)? {
+            return Err(PnwError::Full);
+        }
         let before = report.then(|| self.dev.stats().clone());
-        let (cluster, predict) = self.predict_timed(value, report);
-        let mut reclaimed = false;
-        let (bucket, fallback, value_write) = loop {
-            let placed = {
-                let _w = self.write_bracket();
-                let placed = self.place_sealed(key, cluster, &mut None);
-                if let Ok((b, _, _)) = placed {
-                    self.stamp_expiry(b, expires_at_ms)?;
-                }
-                placed
-            };
-            match placed {
-                Err(PnwError::Full) if old.is_some() => return Ok(None),
-                // Ring retention, as on the other path: reclaim — each
-                // release brackets itself — and retry once.
-                Err(PnwError::Full) if self.cfg.retention_ring && !reclaimed => {
-                    if !self.ring_reclaim()? {
-                        return Err(PnwError::Full);
-                    }
-                    reclaimed = true;
-                }
-                placed => break placed?,
+        let (bucket, fallback, value_write) = match self.place_sealed(cluster, expires_at_ms) {
+            Err(PnwError::Full)
+                if old.is_none() && self.cfg.retention_ring && self.ring_reclaim()? =>
+            {
+                self.place_sealed(cluster, expires_at_ms)?
             }
+            placed => placed?,
         };
         let addr = self.layout.addr(bucket);
         if let Err(e) = self.log(|d| d.log_put(key, addr as u64, value, expires_at_ms)) {
+            // Unacknowledged: the staged bucket goes back, its flag
+            // cleared so a quiescent checkpoint's header scan never sees
+            // the key there.
             let _w = self.write_bracket();
-            self.unwind_failed_insert(addr, cluster, bucket);
+            let _ = self.clear_flag(addr);
+            self.push_free(cluster, bucket);
             return Err(e);
         }
-        // As on the other path, the report covers the placement, not the
-        // vacated bucket's flag clear.
+        let _w = self.write_bracket();
+        // Line 7: update the hash index.
+        self.index.insert(&mut self.dev, key, addr as u64)?;
+        // The report covers the placement, not the vacated bucket's flag
+        // clear.
         let out = self.op_report(before, cluster, fallback, predict, value_write);
-        let vacated = {
-            let _w = self.write_bracket();
-            self.index.insert(&mut self.dev, key, addr as u64)?;
-            old.map(|a| self.clear_bucket(a))
-        };
         self.labels[bucket as usize] = label_u16(cluster);
         self.live += 1;
-        self.puts += 1;
         // Committed, so a crash clearing the vacated flag cannot fail the
         // PUT: recovery clears a valid header whose key is committed
         // elsewhere.
-        if let Some(Ok((label, freed))) = vacated {
+        if let Some(Ok((label, freed))) = old.map(|a| self.clear_bucket(a)) {
             self.push_free(label, freed);
         }
-        Ok(Some((out, PutPath::Fresh)))
+        Ok(out)
     }
 
     /// Runs one WAL append; a no-op on a volatile shard. An append that
@@ -321,7 +257,7 @@ impl ShardEngine {
     /// the PUT reports, on the tick clock: two `Instant` reads would
     /// serialize the core around a kernel that costs less than they do.
     #[inline]
-    fn predict_timed(&mut self, value: &[u8], report: bool) -> (usize, Duration) {
+    pub(super) fn predict_timed(&mut self, value: &[u8], report: bool) -> (usize, Duration) {
         let t0 = report.then(Tick::now);
         let cluster = self.model.predict_into(value, &mut self.scratch);
         let predict = t0.map_or(Duration::ZERO, Tick::elapsed);
@@ -380,7 +316,7 @@ impl ShardEngine {
         expires_at_ms: u64,
         report: bool,
         (cluster, predict): (usize, Duration),
-    ) -> Result<Option<(OpReport, PutPath)>, PnwError> {
+    ) -> Result<Option<OpReport>, PnwError> {
         debug_assert!(self.durable.is_none(), "a durable shard always relocates");
         let before = report.then(|| self.dev.stats().clone());
         let addr = self.layout.addr(b);
@@ -409,9 +345,7 @@ impl ShardEngine {
         self.labels[b as usize] = label_u16(cluster);
         self.in_place_run[b as usize] = self.in_place_run[b as usize].saturating_add(1);
         self.updates_in_place += 1;
-        self.puts += 1;
-        let out = self.op_report(before, cluster, false, predict, vstats);
-        Ok(Some((out, PutPath::InPlace)))
+        Ok(Some(self.op_report(before, cluster, false, predict, vstats)))
     }
 
     /// Assembles a PUT's [`OpReport`] from the device-stats snapshot taken
@@ -454,19 +388,20 @@ impl ShardEngine {
         Ok(self.dev.peek(addr, self.bucket_img.len())? == &self.bucket_img[..])
     }
 
-    /// Algorithm 2 lines 2–6 plus write-verify: pops pool candidates until
-    /// one's media accepts the image [`ShardEngine::seal_bucket_img`] left
-    /// sealed, bit-exact. A bucket that fails the read-back (a stuck bit
-    /// latched at the opposite polarity) is retired permanently *before*
-    /// the op is acknowledged and the next-ranked candidate is tried; every
-    /// failure shrinks the pool, so the loop terminates. The placed bucket
-    /// starts a tenancy: its in-place run is reset.
-    pub(super) fn place_sealed(
+    /// Algorithm 2 lines 2–6 plus write-verify, inside a bracket: pops pool
+    /// candidates until one's media accepts the image
+    /// [`ShardEngine::seal_bucket_img`] left sealed, bit-exact, and stamps
+    /// its deadline. A bucket that fails the read-back (a stuck bit latched
+    /// at the opposite polarity) is retired permanently *before* the op is
+    /// acknowledged and the next-ranked candidate is tried; every failure
+    /// shrinks the pool, so the loop terminates. The placed bucket starts a
+    /// tenancy: its in-place run is reset.
+    fn place_sealed(
         &mut self,
-        key: u64,
         cluster: usize,
-        deferred: &mut Option<(usize, u32)>,
+        expires_at_ms: u64,
     ) -> Result<(u32, bool, WriteStats), PnwError> {
+        let _w = self.write_bracket();
         loop {
             // Line 2: get an address from the dynamic address pool. The
             // full nearest-first ranking is an argsort of the distances
@@ -476,10 +411,7 @@ impl ShardEngine {
                 let (pool, scratch, model) = (&mut self.pool, &mut self.scratch, &self.model);
                 pool.pop(cluster, || model.ranked_after_predict(scratch))
             };
-            let (bucket, fallback) = match popped {
-                Some(hit) => hit,
-                None => self.forced_reuse(key, cluster, deferred)?,
-            };
+            let (bucket, fallback) = popped.ok_or(PnwError::Full)?;
             let addr = self.layout.addr(bucket);
 
             // Lines 3–6: one differential write covers the whole bucket
@@ -493,6 +425,7 @@ impl ShardEngine {
             self.check_durable_write()?;
             if !self.cfg.integrity || self.bucket_matches_img(addr)? {
                 self.in_place_run[bucket as usize] = 0;
+                self.stamp_expiry(bucket, expires_at_ms)?;
                 return Ok((bucket, fallback, value_write));
             }
             self.scrub.crc_failures += 1;
@@ -511,41 +444,6 @@ impl ShardEngine {
             return Err(NvmError::Crashed.into());
         }
         Ok(())
-    }
-
-    /// The pool missed while a relocating update holds its vacated bucket
-    /// back: at full capacity that bucket is the only candidate. On a
-    /// durable shard, commit the delete first — a tear mid-rewrite must
-    /// then surface as "key absent" at recovery, never as a corrupted
-    /// committed value (the inherent relocation crash window); a volatile
-    /// shard has no WAL step. Then re-pop.
-    fn forced_reuse(
-        &mut self,
-        key: u64,
-        cluster: usize,
-        deferred: &mut Option<(usize, u32)>,
-    ) -> Result<(u32, bool), PnwError> {
-        let Some((label, bucket)) = deferred.take() else {
-            return Err(PnwError::Full);
-        };
-        self.log_delete(key)?;
-        // Retired media never re-enters placement, so with the pool
-        // otherwise empty a retired freed bucket means there is genuinely
-        // no space (the delete half stays committed).
-        self.push_free(label, bucket);
-        let (pool, scratch, model) = (&mut self.pool, &mut self.scratch, &self.model);
-        pool.pop(cluster, || model.ranked_after_predict(scratch))
-            .ok_or(PnwError::Full)
-    }
-
-    /// Rolls back a bucket claim whose index insert failed. On a durable
-    /// shard the just-written header is cleared again so a quiescent
-    /// checkpoint's header scan never sees the unacknowledged key.
-    fn unwind_failed_insert(&mut self, addr: usize, cluster: usize, bucket: u32) {
-        if self.durable.is_some() {
-            let _ = self.clear_flag(addr);
-        }
-        self.push_free(cluster, bucket);
     }
 
     /// Executes one batch group against this engine — the loop behind the
@@ -610,9 +508,6 @@ impl ShardEngine {
     /// DELETE (Algorithm 3): reset the flag bit, recycle the address into
     /// the pool under its *content's* label (as the given model sees it).
     pub fn delete(&mut self, key: u64) -> Result<bool, PnwError> {
-        // A publish-first shard brackets the whole delete, a miss too; a
-        // commit-first one brackets only the unlink (see `release`).
-        let _w = (!self.commits_first()).then(|| self.write_bracket());
         let Some(addr) = self.index.lookup(&self.dev, key)? else {
             return Ok(false);
         };
@@ -629,31 +524,21 @@ impl ShardEngine {
     }
 
     /// The committed release of `key`, linked at `addr` — the one order
-    /// every delete, expiry and eviction follows. A commit-first shard
-    /// syncs the WAL record first, then unlinks the key and clears the
-    /// flag inside a bracket: a GET reads the key until its delete is
-    /// durable, and waits on no fsync; a failed sync leaves the key as it
-    /// was, and once the record is synced nothing can fail the delete (a
-    /// crash in the flag clear leaves a flag recovery clears). Elsewhere
-    /// the unlink and flag clear come first and the record follows inside
-    /// the same bracket. Either way the bucket joins the pool last, and a
-    /// crash anywhere leaves the key either committed or cleanly deleted,
-    /// never half-recycled or resurrected by WAL replay. A volatile shard
-    /// has no WAL step and is otherwise the same code.
+    /// every delete, expiry, eviction and dry-pool retry follows: the WAL
+    /// record is synced first, then the key is unlinked and its flag
+    /// cleared inside a bracket, and the bucket joins the pool last. A GET
+    /// reads the key until its delete is durable, and waits on no fsync; a
+    /// failed sync leaves the key as it was; once the record is synced
+    /// nothing can fail the delete (a crash in the flag clear leaves a flag
+    /// recovery clears), and nothing is half-recycled or resurrected by WAL
+    /// replay. A volatile shard has no WAL step and is otherwise the same
+    /// code.
     #[inline]
     pub(super) fn release(&mut self, key: u64, addr: u64) -> Result<(), PnwError> {
-        if self.commits_first() {
-            self.log_delete(key)?;
-            if let Ok((label, bucket)) = self.unlink(key, addr) {
-                self.push_free(label, bucket);
-            }
-            return Ok(());
+        self.log(|d| d.log_delete(key))?;
+        if let Ok((label, bucket)) = self.unlink(key, addr) {
+            self.push_free(label, bucket);
         }
-        let _w = self.write_bracket();
-        let (label, bucket) = self.unlink(key, addr)?;
-        self.check_durable_write()?;
-        self.log_delete(key)?;
-        self.push_free(label, bucket);
         Ok(())
     }
 
@@ -666,19 +551,11 @@ impl ShardEngine {
         self.clear_bucket(addr)
     }
 
-    /// Appends and syncs a DELETE's WAL record; a no-op on a volatile
-    /// shard.
-    #[inline]
-    fn log_delete(&mut self, key: u64) -> Result<(), PnwError> {
-        self.log(|d| d.log_delete(key))
-    }
-
     /// Algorithm 3 minus the pool push: resets the flag bit (line 2, a
     /// one-bit NVM update) and labels the stored content (lines 3–4) —
     /// from the cached label or straight from the cells, so DELETE
-    /// allocates nothing. The caller decides *when* the bucket
-    /// rejoins the pool (immediately for volatile shards, after the WAL
-    /// commit point for durable ones).
+    /// allocates nothing. The caller returns the bucket to the pool once
+    /// the op is committed.
     #[inline]
     fn clear_bucket(&mut self, addr: u64) -> Result<(usize, u32), PnwError> {
         let bucket = self.bucket_of_addr(addr)?;

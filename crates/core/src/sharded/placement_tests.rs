@@ -129,6 +129,73 @@ fn nvm_index_costs_bit_flips_dram_does_not() {
     assert!(n > d, "nvm index must add flips: {n} vs {d}");
 }
 
+/// The path-hash slots after inserting `keys` in order into an index of
+/// `leaves` leaves, as each slot's bytes — the store's NVM index holds the
+/// same, since a key's slot depends only on the keys inserted before it.
+fn path_hash_slots(leaves: usize, keys: &[u64]) -> Vec<Vec<u8>> {
+    use pnw_index::{KeyIndex, PathHashIndex};
+    use pnw_nvm_sim::{NvmConfig, NvmDevice, RegionAllocator};
+    let bytes = PathHashIndex::region_bytes_for(leaves);
+    let mut dev = NvmDevice::new(NvmConfig::default().with_size(bytes));
+    let region = RegionAllocator::new(bytes).alloc(bytes, 64).unwrap();
+    let mut idx = PathHashIndex::create(region, leaves);
+    for &k in keys {
+        let _ = idx.insert(&mut dev, k, 0);
+    }
+    let image = dev.peek(region.start, bytes).unwrap();
+    image.chunks(pnw_index::path_hash::BUCKET_BYTES).map(<[u8]>::to_vec).collect()
+}
+
+/// A fresh key, and at most `most` keys that, inserted first, take every
+/// slot the fresh key may use: each is found to land on the slot the fresh
+/// key would take next.
+fn a_key_with_no_slot(leaves: usize, most: usize) -> (u64, Vec<u64>) {
+    let landing = |fill: &[u64], key: u64| {
+        let before = path_hash_slots(leaves, fill);
+        let after = path_hash_slots(leaves, &[fill, &[key]].concat());
+        (0..before.len()).find(|&i| before[i] != after[i])
+    };
+    for fresh in 1_000.. {
+        let mut fill: Vec<u64> = Vec::new();
+        while let Some(slot) = landing(&fill, fresh) {
+            let next =
+                (0..1_000_000).find(|&k| !fill.contains(&k) && landing(&fill, k) == Some(slot));
+            fill.push(next.expect("a key for every slot"));
+        }
+        if fill.len() <= most {
+            return (fresh, fill);
+        }
+    }
+    unreachable!()
+}
+
+/// On the NVM index a fresh key whose every slot is taken is refused while
+/// the pool still has buckets: `Full`, and nothing written — device stats,
+/// `len()` and the free count stay as they were. An update of a key the
+/// index holds still succeeds.
+#[test]
+fn a_fresh_key_the_nvm_index_has_no_slot_for_is_full_and_writes_nothing() {
+    let cfg = PnwConfig::new(8, 8).with_clusters(1).with_index(IndexPlacement::Nvm);
+    // As the engine sizes its index: twice the buckets, in leaves.
+    let (fresh, fill) = a_key_with_no_slot(16, cfg.capacity - 1);
+    let volatile = PnwStore::new(cfg.clone());
+    let fs = pnw_nvm_sim::SimFs::new();
+    let durable = PnwStore::open_in(cfg, std::sync::Arc::new(fs)).unwrap();
+    for (s, name) in [(volatile, "volatile"), (durable, "durable")] {
+        for &k in &fill {
+            s.put(k, &[k as u8; 8]).unwrap();
+        }
+        let (stats, len, free) = (s.device_stats(), s.len(), s.snapshot().free);
+        assert!(free > 0, "{name}: the pool is not what is full");
+        assert_eq!(s.put(fresh, &[0xAB; 8]).unwrap_err(), StoreError::Full, "{name}");
+        let after = (s.device_stats(), s.len(), s.snapshot().free);
+        assert_eq!(after, (stats, len, free), "{name}: the refused PUT wrote");
+        assert_eq!(s.get(fresh).unwrap(), None, "{name}");
+        s.put(fill[0], &[0xCD; 8]).unwrap();
+        assert_eq!(s.get(fill[0]).unwrap(), Some(vec![0xCD; 8]), "{name}: update");
+    }
+}
+
 #[test]
 fn load_factor_triggers_sync_retrain() {
     let cfg = PnwConfig::new(16, 8).with_clusters(2).with_load_factor(0.5);

@@ -188,6 +188,11 @@ impl KeyIndex for AtomicHashIndex {
         Ok(self.table.probe(key))
     }
 
+    fn can_insert(&self, _dev: &NvmDevice, key: u64) -> Result<bool, IndexError> {
+        // The linear probe finds an empty slot while any is left.
+        Ok(self.live < self.table.slots.len() || self.slot_of(key).is_some())
+    }
+
     fn remove(&mut self, _dev: &mut NvmDevice, key: u64) -> Result<Option<u64>, IndexError> {
         let Some(hole) = self.slot_of(key) else {
             return Ok(None);
@@ -303,17 +308,23 @@ mod tests {
         let mut stored = 0u64;
         let mut full = false;
         for k in 0..16u64 {
+            let room = idx.can_insert(&d, k).unwrap();
             match idx.insert(&mut d, k, k) {
                 Ok(()) => stored += 1,
                 Err(IndexError::Full) => {
                     full = true;
+                    assert!(!room, "key {k}: the live count saw room");
                     break;
                 }
                 Err(e) => panic!("{e}"),
             }
+            assert!(room, "key {k}");
         }
         assert_eq!(stored, 8);
         assert!(full);
+        // A full table still updates a key it holds.
+        assert!(idx.can_insert(&d, 3).unwrap());
+        idx.insert(&mut d, 3, 30).unwrap();
     }
 
     #[test]

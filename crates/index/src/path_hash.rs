@@ -308,6 +308,18 @@ impl KeyIndex for PathHashIndex {
         Ok(None)
     }
 
+    fn can_insert(&self, dev: &NvmDevice, key: u64) -> Result<bool, IndexError> {
+        // `insert` updates the key's slot if it has one, else takes the
+        // first free candidate: either ends this walk.
+        for addr in self.candidates(key) {
+            let (flags, k, _) = Self::peek_bucket(dev, addr)?;
+            if flags & FLAG_VALID == 0 || k == key {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
     fn remove(&mut self, dev: &mut NvmDevice, key: u64) -> Result<Option<u64>, IndexError> {
         match self.find(dev, key)? {
             Some(baddr) => {
@@ -381,14 +393,20 @@ mod tests {
     fn fills_well_past_leaf_collisions() {
         // Path hashing's point: load factors well above what two-choice
         // leaf-only hashing would allow. 64 leaves -> 127 buckets.
+        // The probe agrees with `insert` on every key tried.
         let (mut dev, mut idx) = setup(64);
         let mut stored = 0;
         for k in 0..100u64 {
+            let room = idx.can_insert(&dev, k).unwrap();
             match idx.insert(&mut dev, k, k * 2) {
                 Ok(()) => stored += 1,
-                Err(IndexError::Full) => break,
+                Err(IndexError::Full) => {
+                    assert!(!room, "key {k}: the probe saw room");
+                    break;
+                }
                 Err(e) => panic!("{e}"),
             }
+            assert!(room, "key {k}: the probe saw no room");
         }
         assert!(stored >= 70, "only stored {stored}/100");
         for k in 0..stored as u64 {
@@ -462,12 +480,16 @@ mod tests {
         let (mut dev, mut idx) = setup(2); // 3 buckets total
         let mut errs = 0;
         for k in 0..10u64 {
-            if matches!(idx.insert(&mut dev, k, k), Err(IndexError::Full)) {
-                errs += 1;
-            }
+            let room = idx.can_insert(&dev, k).unwrap();
+            let full = matches!(idx.insert(&mut dev, k, k), Err(IndexError::Full));
+            assert_eq!(room, !full, "key {k}");
+            errs += usize::from(full);
         }
         assert!(errs > 0);
         assert!(idx.len() <= 3);
+        // A present key always has room: its update rewrites its slot.
+        let present = (0..10u64).find(|&k| idx.lookup(&dev, k).unwrap().is_some()).unwrap();
+        assert!(idx.can_insert(&dev, present).unwrap());
     }
 
     #[test]

@@ -53,6 +53,12 @@ pub trait KeyIndex: Send + Sync {
     /// they do not serialize on the device either).
     fn lookup(&self, dev: &NvmDevice, key: u64) -> Result<Option<u64>, IndexError>;
 
+    /// Whether [`KeyIndex::insert`] of `key` finds room: the key is
+    /// present, or a slot it may take is free. Takes shared references and
+    /// only peeks, like [`KeyIndex::lookup`], so a caller can refuse a key
+    /// before it writes anything.
+    fn can_insert(&self, dev: &NvmDevice, key: u64) -> Result<bool, IndexError>;
+
     /// Removes a key, returning its previous address. NVM implementations
     /// reset the entry's valid flag (a 1-bit write) rather than erasing it.
     fn remove(&mut self, dev: &mut NvmDevice, key: u64) -> Result<Option<u64>, IndexError>;

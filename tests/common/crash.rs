@@ -18,10 +18,12 @@
 //! power loss kept unsynced pages; no read answers an error; `scan`
 //! equals the point GETs and `len()` counts them; no bucket leaked or
 //! retired but under a latched stuck bit; a put/get/delete round, `close`
-//! and a second reopen work. The one exception: an update that fails on the `forced_reuse`
-//! path (its pool dry, it commits its delete and rewrites its own vacated
-//! bucket) may leave its key absent, the relocation crash window
-//! `shard/placement.rs` documents.
+//! and a second reopen work. Every configuration places, commits, then
+//! publishes (`shard/placement.rs`), the NVM index too. The one exception:
+//! an update that fails in the dry-pool retry (its pool dry, it commits
+//! its delete and places the value afresh, on its own vacated bucket) may
+//! leave its key absent, the relocation crash window `shard/placement.rs`
+//! documents.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -132,8 +134,8 @@ pub const DELETE: usize = UPDATE + 1;
 /// backend of the same configuration runs it.
 pub struct Script {
     pub steps: Vec<Step>,
-    /// An update on a shard whose pool is dry: it reaches `forced_reuse`.
-    forced_reuse: Option<usize>,
+    /// An update on a shard whose pool is dry: it takes the dry-pool retry.
+    dry_pool: Option<usize>,
     /// A freshly opened store's files, which every run starts from a
     /// snapshot of.
     fresh: SimFs,
@@ -176,9 +178,9 @@ impl Script {
         assert!(fill.len() >= 2 && (free == 0 || others_free), "{}: filled {fill:?}", backend.name);
         drop(live);
         steps.extend(fill.iter().map(|&k| Put(k, k as u8)));
-        let forced_reuse = Some(steps.len());
+        let dry_pool = Some(steps.len());
         steps.extend([Put(fill[0], 0xF0), Delete(fill[1]), Scan(0, u64::MAX)]);
-        Script { steps, forced_reuse, ..Script::new(backend) }
+        Script { steps, dry_pool, ..Script::new(backend) }
     }
 
     /// No steps yet, on a freshly opened store of `backend`'s configuration.
@@ -186,14 +188,14 @@ impl Script {
         let fresh = SimFs::new();
         drop(open(&backend.cfg, &fresh).expect("fresh open"));
         let an_hour_out = now_unix_ms() + 3_600_000;
-        Script { steps: Vec::new(), forced_reuse: None, fresh, an_hour_out }
+        Script { steps: Vec::new(), dry_pool: None, fresh, an_hour_out }
     }
 
     /// `steps` on this script's fresh store: a script that fills no pool,
-    /// so no update of it reaches `forced_reuse`.
+    /// so no update of it takes the dry-pool retry.
     pub fn with(&self, steps: Vec<Step>) -> Script {
         let (fresh, an_hour_out) = (self.fresh.snapshot(), self.an_hour_out);
-        Script { steps, forced_reuse: None, fresh, an_hour_out }
+        Script { steps, dry_pool: None, fresh, an_hour_out }
     }
 
     /// Every key the script touches, and a few it never does.
@@ -223,7 +225,7 @@ struct History {
     /// States unacknowledged ops sent since, whose WAL records the tear
     /// may have landed whole.
     landed: Vec<Option<Vec<u8>>>,
-    /// A failed forced-reuse update may leave the key absent.
+    /// A failed dry-pool update may leave the key absent.
     may_vanish: bool,
 }
 
@@ -366,7 +368,7 @@ fn drive(
         if dying.send(store, step) {
             dying.died = true;
             failed_at.get_or_insert(i);
-            if Some(i) == script.forced_reuse {
+            if Some(i) == script.dry_pool {
                 let Put(k, _) = *step else { unreachable!() };
                 dying.keys.get_mut(&k).unwrap().may_vanish = true;
             }

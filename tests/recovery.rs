@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 
 use common::crash::{self, Script, Site, Tear, CHECKPOINT, SUPERBLOCK, WAL, WRITE_BACKS};
 use common::oracle::{Backend, Step};
-use pnw_core::{IndexPlacement, PnwConfig, PnwStore, ShardedPnwStore, Store};
+use pnw_core::{Batch, IndexPlacement, PnwConfig, PnwStore, ShardedPnwStore, Store};
 use pnw_nvm_sim::SimFs;
 use pnw_workloads::{DatasetKind, Workload};
 
@@ -451,21 +451,28 @@ fn acked_put_after_reopen_from_a_torn_wal_tail_survives_a_second_crash() {
     }
 }
 
-/// A failure the process lives through. On the NVM index
-/// a delete unlinks its key and clears the bucket's flag before it writes
-/// its WAL record (publish-first). When that record's sync fails, the
+/// A failure the process lives through, on the one path that applies its
+/// effects before its sync: a batch group. The group's delete unlinks key
+/// 2 and clears its bucket's flag, then the group's one sync fails: the
 /// delete is unacknowledged, but the flag clear stays in the image while
-/// the store keeps serving; a checkpoint then writes it back into the data
-/// file, and its superblock write tears, so the previous checkpoint and
-/// its WAL, which still commit the key, elect at the reopen. The key must
-/// read its acknowledged value, and keep its bucket once the store is
-/// full: the reopen re-stamps its header.
+/// the store keeps serving. A checkpoint then writes it back into the data
+/// file and dies at its superblock, torn three ways or the power cut at
+/// its sync, so the previous checkpoint and its WAL elect at the reopen.
+/// Torn, the group's record is still on file and may land; with the power
+/// cut and no unsynced page kept, it is lost, and that checkpoint and WAL
+/// still commit key 2: the key must read its acknowledged value, and keep
+/// its bucket once the store is full — the reopen re-stamps its header.
 #[test]
 fn a_failed_delete_sync_then_a_torn_superblock_keeps_the_acked_value() {
     let cfg = PnwConfig::new(12, 8).with_clusters(2).with_seed(17).with_index(IndexPlacement::Nvm);
     // Not torn `Whole`: a superblock that lands elects the checkpoint cut
-    // from the image the failed delete changed, which has no key 2.
-    for &tear in &SUPERBLOCK.tears()[..3] {
+    // from the image the failed delete changed, which has no key 2. The
+    // power is cut at the checkpoint's fourth sync, the superblock's,
+    // after the data file's, the checkpoint file's and the directory's.
+    let torn = SUPERBLOCK.tears()[..3].iter().map(|&tear| (SUPERBLOCK, 0, tear));
+    let cut = POWER_LOSS.tears().iter().map(|&tear| (POWER_LOSS, 3, tear));
+    for (site, k, tear) in torn.chain(cut) {
+        let cell = format!("{site:?} torn {tear:?}");
         let fs = SimFs::new();
         let store = crash::open(&cfg, &fs).unwrap();
         for k in 1..=4u64 {
@@ -474,20 +481,29 @@ fn a_failed_delete_sync_then_a_torn_superblock_keeps_the_acked_value() {
         // Key 2's PUT record is gone with the WAL this replaces: only the
         // checkpoint, and the data file, hold it.
         store.checkpoint().unwrap();
-        fs.fail_sync("wal.", 0);
-        assert!(store.delete(2).is_err(), "torn {tear:?}: the failed sync fails the delete");
         store.put(5, &[5; 8]).unwrap();
-        SUPERBLOCK.arm(&store, &fs, 0, tear);
-        assert!(store.checkpoint().is_err(), "torn {tear:?}: the superblock write tore");
+        fs.fail_sync("wal.", 0);
+        let mut group = Batch::new();
+        group.delete(2);
+        assert!(!store.apply(&group).all_ok(), "{cell}: the failed sync fails the delete");
+        site.arm(&store, &fs, k, tear);
+        assert!(store.checkpoint().is_err(), "{cell}: the checkpoint died at its superblock");
         drop(store);
 
         // Its bucket must not rejoin the pool: fill every free bucket,
         // then read every key back.
         let store = crash::open(&cfg, &fs.reboot()).unwrap();
+        let two = store.get(2).unwrap();
+        let acked = (two.as_deref() == Some(&[2; 8])) as u64;
+        assert!(acked == 1 || two.is_none(), "{cell}: key 2 reads {two:?}");
+        if (site, tear) == (POWER_LOSS, Tear::Nothing) {
+            assert_eq!(acked, 1, "{cell}: the lost delete took key 2");
+        }
         let fresh = (100..).take_while(|&k| store.put(k, &[k as u8; 8]).is_ok()).count();
-        assert_eq!(store.len(), 12, "torn {tear:?}: {fresh} fresh keys fit");
-        for k in (1..=5).chain(100..100 + fresh as u64) {
-            assert_eq!(store.get(k).unwrap(), Some(vec![k as u8; 8]), "torn {tear:?}: key {k}");
+        assert_eq!(store.len(), 12, "{cell}: {fresh} fresh keys fit");
+        let kept = [1, 3, 4, 5].into_iter().chain((acked == 1).then_some(2));
+        for k in kept.chain(100..100 + fresh as u64) {
+            assert_eq!(store.get(k).unwrap(), Some(vec![k as u8; 8]), "{cell}: key {k}");
         }
     }
 }
