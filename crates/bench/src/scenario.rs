@@ -421,6 +421,10 @@ pub fn replay_from(store: &dyn Store, sc: &Scenario, first_key: u64) -> Scenario
     let mut live_ring: VecDeque<u64> = (0..first_key).collect();
     let mut acc = Acc::new(store);
 
+    // Each phase's retrains are counted from the window rows, the same
+    // snapshots the rows report: an install landing after a phase's last
+    // row counts in the next phase, like its traffic.
+    let mut retrains_before = store.snapshot().retrains;
     for (pi, phase) in sc.phases.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(sc.seed ^ (0xA11CE << 8) ^ pi as u64);
         let mut vgen = phase.values.build(sc.seed + pi as u64);
@@ -429,7 +433,6 @@ pub fn replay_from(store: &dyn Store, sc: &Scenario, first_key: u64) -> Scenario
             KeyDist::Replacement { .. } => None,
         };
         let phase_window_start = windows.len();
-        let retrains_at_entry = store.snapshot().retrains;
         let pace = phase.rate_ops_per_sec.map(|r| Duration::from_secs_f64(1.0 / r));
         let mut next_due = Instant::now();
 
@@ -508,8 +511,11 @@ pub fn replay_from(store: &dyn Store, sc: &Scenario, first_key: u64) -> Scenario
             // bleeds into the next phase's first row.
             acc.flush(store, &phase.name, &mut windows);
         }
-        let retrains = store.snapshot().retrains - retrains_at_entry;
-        phases.push(summarize(&phase.name, &windows[phase_window_start..], retrains));
+        let rows = &windows[phase_window_start..];
+        let retrains_after = rows.last().map_or(retrains_before, |w| w.retrains);
+        let retrains = retrains_after - retrains_before;
+        retrains_before = retrains_after;
+        phases.push(summarize(&phase.name, rows, retrains));
     }
 
     let recovery_ratio = match (phases.first(), phases.last()) {

@@ -40,12 +40,19 @@
 //!   WAL of an older epoch than the superblock's checkpoint is skipped,
 //!   and one without a valid header is refused.
 //! * **checkpoint** (`checkpoint.<epoch>`) — a CRC-trailed snapshot of each
-//!   shard's committed key→address map, active-zone size and device
-//!   counters. Written to `checkpoint.tmp`, fsynced, renamed, the
-//!   directory fsynced, and only then published by bumping the superblock
-//!   epoch — the referenced checkpoint is therefore always complete, and a
-//!   crash at any byte of the protocol falls back to the previous epoch
-//!   plus its WALs.
+//!   shard's committed key→address map, [`DeviceStats`], active-zone size
+//!   and retired-bucket list: 16 B per live key, 4 B per retired bucket
+//!   and a fixed header, whatever the capacity. Written to
+//!   `checkpoint.tmp`, fsynced, renamed, the directory fsynced, and only
+//!   then published by bumping the superblock epoch — the referenced
+//!   checkpoint is therefore always complete, and a crash at any byte of
+//!   the protocol falls back to the previous epoch plus its WALs.
+//!
+//! The bulk state is in the data files (`data.<shard>`): each holds its
+//! device's cells and per-word wear counters, written back a dirty page
+//! at a time by the checkpoint ahead of the superblock that names it, so
+//! wear survives a reopen with the cells it counts, and a checkpoint
+//! costs the pages written since the last one plus the map.
 //!
 //! Every file goes through the [`Fs`] seam: the host's directory in a
 //! running store, a simulated one ([`pnw_nvm_sim::SimFs`]) that tears
@@ -63,7 +70,7 @@ use crate::error::StoreError;
 
 const SUPER_MAGIC: &[u8; 8] = b"PNWSUPR1";
 const CKPT_MAGIC: &[u8; 8] = b"PNWCKPT1";
-const FORMAT_VERSION: u32 = 2;
+const FORMAT_VERSION: u32 = 3;
 /// Each superblock replica owns a 64-byte slot (the record is 44 bytes;
 /// the slot is padded so the two replicas never share a filesystem block
 /// boundary misaligned with the write).
@@ -184,13 +191,9 @@ pub(crate) struct ShardCheckpoint {
     pub active: u64,
     /// Committed `(key, device address)` pairs at the cut.
     pub entries: Vec<(u64, u64)>,
-    /// Device counters at the cut (persisted so wear/endurance metrics
-    /// survive restarts).
+    /// Device counters at the cut (persisted so traffic metrics survive
+    /// restarts; the per-word wear is in the data file).
     pub stats: DeviceStats,
-    /// Per-word wear counters (empty on a fresh store).
-    pub word_writes: Vec<u32>,
-    /// Per-bit wear counters, when the device tracks them.
-    pub bit_flips: Option<Vec<u16>>,
     /// Buckets permanently retired from placement at the cut (sorted).
     /// Retirement must survive reopen: a retired bucket's media is stuck
     /// and must never re-enter the pool.
@@ -205,8 +208,6 @@ impl ShardCheckpoint {
             active,
             entries: Vec::new(),
             stats: DeviceStats::default(),
-            word_writes: Vec::new(),
-            bit_flips: None,
             retired: Vec::new(),
         }
     }
@@ -223,10 +224,6 @@ pub(crate) struct RecoveredShard {
     pub active: u64,
     /// Device counters as of the checkpoint cut.
     pub stats: DeviceStats,
-    /// Per-word wear as of the checkpoint cut (empty on a fresh store).
-    pub word_writes: Vec<u32>,
-    /// Per-bit wear as of the checkpoint cut.
-    pub bit_flips: Option<Vec<u16>>,
     /// Buckets permanently retired from placement (checkpoint list plus
     /// any [`REC_RETIRE`] records in the WAL suffix).
     pub retired: Vec<u32>,
@@ -249,8 +246,6 @@ impl RecoveredShard {
             committed: s.entries.into_iter().collect(),
             active: s.active,
             stats: s.stats,
-            word_writes: s.word_writes,
-            bit_flips: s.bit_flips,
             retired: s.retired,
             values: HashMap::new(),
             wal_end: WAL_HEADER as u64,
@@ -508,24 +503,24 @@ fn encode_superblock(epoch: u64, checkpoint_epoch: u64, geometry: u64) -> [u8; S
     b
 }
 
-/// Parses one superblock slot; `None` when the slot is torn, stale-format
-/// or never written. Returns `(epoch, checkpoint_epoch, geometry_hash)`.
-fn parse_super_slot(slot: &[u8]) -> Option<(u64, u64, u64)> {
+/// A whole superblock record: its format version and `(epoch,
+/// checkpoint_epoch, geometry_hash)`.
+type SuperRecord = (u32, (u64, u64, u64));
+
+/// Parses one superblock slot; `None` when the slot is torn or never
+/// written. A whole record of another format version is returned too: the
+/// caller refuses it by name rather than as a torn slot.
+fn parse_super_slot(slot: &[u8]) -> Option<SuperRecord> {
     if slot.len() < SUPER_RECORD || &slot[0..8] != SUPER_MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes(slot[8..12].try_into().unwrap()) != FORMAT_VERSION {
         return None;
     }
     let crc = u32::from_le_bytes(slot[40..44].try_into().unwrap());
     if crc32(&slot[..40]) != crc {
         return None;
     }
-    Some((
-        u64::from_le_bytes(slot[16..24].try_into().unwrap()),
-        u64::from_le_bytes(slot[24..32].try_into().unwrap()),
-        u64::from_le_bytes(slot[32..40].try_into().unwrap()),
-    ))
+    let u64_at = |at: usize| u64::from_le_bytes(slot[at..at + 8].try_into().unwrap());
+    let version = u32::from_le_bytes(slot[8..12].try_into().unwrap());
+    Some((version, (u64_at(16), u64_at(24), u64_at(32))))
 }
 
 /// The payload of the frame starting at `pos` in `bytes`, when a whole,
@@ -598,10 +593,6 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
     fn u32(&mut self) -> Result<u32, StoreError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -632,20 +623,6 @@ fn encode_checkpoint(epoch: u64, shards: &[ShardCheckpoint]) -> Vec<u8> {
             s.stats.bytes_read,
         ] {
             b.extend_from_slice(&v.to_le_bytes());
-        }
-        b.extend_from_slice(&(s.word_writes.len() as u64).to_le_bytes());
-        for w in &s.word_writes {
-            b.extend_from_slice(&w.to_le_bytes());
-        }
-        match &s.bit_flips {
-            None => b.push(0),
-            Some(bits) => {
-                b.push(1);
-                b.extend_from_slice(&(bits.len() as u64).to_le_bytes());
-                for v in bits {
-                    b.extend_from_slice(&v.to_le_bytes());
-                }
-            }
         }
         b.extend_from_slice(&(s.entries.len() as u64).to_le_bytes());
         for (k, a) in &s.entries {
@@ -702,23 +679,6 @@ fn decode_checkpoint(body: &[u8], expect_epoch: u64) -> Result<Vec<ShardCheckpoi
             read_ops: vals[7],
             bytes_read: vals[8],
         };
-        let n_words = c.u64()? as usize;
-        let mut word_writes = Vec::with_capacity(n_words.min(payload.len()));
-        for _ in 0..n_words {
-            word_writes.push(c.u32()?);
-        }
-        let bit_flips = match c.u8()? {
-            0 => None,
-            1 => {
-                let n = c.u64()? as usize;
-                let mut bits = Vec::with_capacity(n.min(payload.len()));
-                for _ in 0..n {
-                    bits.push(u16::from_le_bytes(c.take(2)?.try_into().unwrap()));
-                }
-                Some(bits)
-            }
-            _ => return Err(corrupt("checkpoint bit-wear flag out of range")),
-        };
         let n_entries = c.u64()? as usize;
         let mut entries = Vec::with_capacity(n_entries.min(payload.len()));
         for _ in 0..n_entries {
@@ -735,8 +695,6 @@ fn decode_checkpoint(body: &[u8], expect_epoch: u64) -> Result<Vec<ShardCheckpoi
             active,
             entries,
             stats,
-            word_writes,
-            bit_flips,
             retired,
         });
     }
@@ -800,15 +758,16 @@ impl DurableStore {
         let mut slots = [0u8; 2 * SLOT_BYTES as usize];
         let n = raw.len().min(slots.len());
         slots[..n].copy_from_slice(&raw[..n]);
-        let best = [
-            parse_super_slot(&slots[..SLOT_BYTES as usize]),
-            parse_super_slot(&slots[SLOT_BYTES as usize..]),
-        ]
-        .into_iter()
-        .flatten()
-        .max_by_key(|(epoch, _, _)| *epoch);
-        let Some((epoch, checkpoint_epoch, geom)) = best else {
-            return Err(corrupt("no valid superblock replica"));
+        let (a, b) = slots.split_at(SLOT_BYTES as usize);
+        let whole: Vec<SuperRecord> = [a, b].into_iter().filter_map(parse_super_slot).collect();
+        let best = whole.iter().filter(|(v, _)| *v == FORMAT_VERSION).max_by_key(|(_, r)| r.0);
+        let Some(&(_, (epoch, checkpoint_epoch, geom))) = best else {
+            return Err(corrupt(match whole.first() {
+                Some((v, _)) => format!(
+                    "store directory is format version {v}, this build reads {FORMAT_VERSION}"
+                ),
+                None => "no valid superblock replica".into(),
+            }));
         };
         if geom != geometry_hash {
             return Err(corrupt(
@@ -1142,8 +1101,6 @@ mod tests {
                 active: 6,
                 entries: vec![(9, 900)],
                 stats: sample_stats(),
-                word_writes: vec![3, 0, 1],
-                bit_flips: Some(vec![1, 2]),
                 retired: Vec::new(),
             }])
             .unwrap();
@@ -1162,8 +1119,6 @@ mod tests {
         assert_eq!(rec[0].committed[&9], 900);
         assert_eq!(rec[0].redo().count(), 0, "the checkpoint holds the value");
         assert_eq!(rec[0].stats, sample_stats());
-        assert_eq!(rec[0].word_writes, vec![3, 0, 1]);
-        assert_eq!(rec[0].bit_flips, Some(vec![1, 2]));
     }
 
     #[test]
@@ -1399,6 +1354,27 @@ mod tests {
         assert_eq!(store.epoch(), 1);
         assert_eq!(rec[0].committed[&5], 500);
         assert!(!exists(&fs, "checkpoint.2"), "unreferenced checkpoint cleaned up");
+    }
+
+    /// A whole, CRC-valid superblock of another format version is refused
+    /// by name, not taken for a torn one.
+    #[test]
+    fn a_superblock_of_another_format_is_refused_by_name() {
+        let fs = SimFs::new();
+        drop(open(&fs));
+        let mut slot = encode_superblock(1, 1, 7);
+        slot[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let crc = crc32(&slot[..40]);
+        slot[40..44].copy_from_slice(&crc.to_le_bytes());
+        let mut raw = vec![0u8; 2 * SLOT_BYTES as usize];
+        raw[SLOT_BYTES as usize..][..SUPER_RECORD].copy_from_slice(&slot);
+        overwrite(&fs, "super", &raw);
+        match try_open(Arc::new(fs), SHAPE) {
+            Err(StoreError::Corrupt(why)) => {
+                assert!(why.contains("version 2") && why.contains("reads 3"), "{why}")
+            }
+            other => panic!("opened a version-2 superblock: {other:?}"),
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Recovery: rebuilding the DRAM-side structures after a crash, reconciling
-//! the data zone with the WAL-derived committed map, and the shard's
-//! checkpoint contribution.
+//! Recovery: redoing the WAL's PUTs, then one walk that reconciles the data
+//! zone with the WAL-derived committed map and rebuilds the DRAM-side
+//! structures from it; and the shard's checkpoint contribution.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -9,21 +9,48 @@ use pnw_index::{KeyIndex, PathHashIndex};
 use pnw_nvm_sim::{DeviceStats, WriteMode};
 
 use super::{value_addr, Header, ShardEngine, LABEL_STALE};
-use crate::config::IndexPlacement;
 use crate::durable::{DurableShard, PutRecord, ShardCheckpoint, WalSpan};
 use crate::error::PnwError;
 use crate::model::ModelSnapshot;
 use crate::pool::DynamicAddressPool;
 
 impl ShardEngine {
-    /// Simulates a power failure followed by a restart of this shard: the
-    /// DRAM-side index (if [`IndexPlacement::Dram`]) and pool are discarded
-    /// and rebuilt from NVM, exactly as §V-A.3 describes; the model
+    /// Rebuilds this shard's DRAM-side structures from NVM after a crash
+    /// or a reopen, exactly as §V-A.3 describes: the index (if
+    /// [`IndexPlacement::Dram`](crate::config::IndexPlacement::Dram)) and
+    /// the pool, in one walk over the data-zone headers; the model
     /// snapshot reverts to the untrained placeholder. The caller owns the
     /// trainer and must retrain + [`ShardEngine::install_model`]
     /// afterwards (the model *"can be reconstructed after a crash"*,
     /// §V-A.1).
-    pub fn recover_structures(&mut self) -> Result<(), PnwError> {
+    ///
+    /// A durable open passes the WAL-derived `committed` map, after
+    /// `ShardEngine::redo`, and the same walk first reconciles each bucket
+    /// with it — what turns "the last checkpoint's cells plus every redone
+    /// PUT" into exactly the committed state:
+    ///
+    /// 1. any valid-flagged bucket whose `(key, addr)` is *not* committed
+    ///    (a key deleted or moved since the checkpoint) has its flag
+    ///    cleared;
+    /// 2. any committed `(key, addr)` whose flag is clear — a checkpointed
+    ///    key whose flag clear by an unacknowledged delete reached the data
+    ///    file in a later checkpoint's write-back, cut short before its
+    ///    superblock bump — has its full header re-stamped: the value
+    ///    bytes are intact, because deletion only ever touches the flag
+    ///    byte;
+    /// 3. an NVM-resident index, whose internal writes are not
+    ///    individually WAL-framed, is reconciled with the map
+    ///    ([`PathHashIndex::reconcile`]); a DRAM one also re-links the
+    ///    committed keys on retired buckets, which the walk skips, so
+    ///    their loss surfaces as a typed [`PnwError::Corruption`] on GET —
+    ///    never as a silent miss.
+    ///
+    /// With no map (a simulated crash of a running store), the zone and a
+    /// persistent index are taken as they stand.
+    pub fn recover_structures(
+        &mut self,
+        committed: Option<&HashMap<u64, u64>>,
+    ) -> Result<(), PnwError> {
         let _w = self.write_bracket();
         self.dev.crash();
         self.dev.recover();
@@ -31,14 +58,20 @@ impl ShardEngine {
         // Rebuild the index *in place* (wipe + rescan rather than a new
         // allocation): lock-free readers hold a handle to the index's
         // storage, which must stay the same object across recovery.
-        let rescan = match self.cfg.index {
-            IndexPlacement::Dram => {
+        let rescan = match (self.index_region, committed) {
+            (None, _) => {
                 self.index.clear(&mut self.dev)?;
                 self.live = 0;
                 true
             }
-            IndexPlacement::Nvm => {
-                let region = self.index_region.expect("nvm index has a region");
+            (Some(region), Some(committed)) => {
+                let leaves = self.index_leaves;
+                let idx = PathHashIndex::reconcile(region, leaves, &mut self.dev, committed)?;
+                self.live = idx.len();
+                self.index = Box::new(idx);
+                false
+            }
+            (Some(region), None) => {
                 let idx = PathHashIndex::recover(region, self.index_leaves, &self.dev);
                 self.live = idx.len();
                 self.index = Box::new(idx);
@@ -46,21 +79,45 @@ impl ShardEngine {
             }
         };
 
-        // One walk over the data-zone headers, skipping retired media: a
-        // DRAM index is re-linked from the valid ones, and the non-valid
-        // ones rebuild the pool under the untrained single-cluster
-        // placeholder; the caller retrains next.
+        // One walk over the data-zone headers, skipping retired media —
+        // repairing it would write to known-damaged cells: each bucket is
+        // reconciled with the committed map, then a DRAM index re-links
+        // the valid ones, and the others rebuild the pool under the
+        // untrained single-cluster placeholder.
         self.pool = DynamicAddressPool::new(1, self.effective_capacity());
         for b in 0..self.active_buckets as u32 {
             if self.retired.contains(&b) {
                 continue;
             }
             let (addr, hdr) = self.header(b)?;
-            if !hdr.valid {
+            let mut valid = hdr.valid;
+            if let Some(committed) = committed {
+                let here = committed.get(&hdr.key) == Some(&(addr as u64));
+                if valid && !here {
+                    self.clear_flag(addr)?;
+                } else if !valid && here {
+                    // The flag-only clear this undoes never touched the
+                    // CRC bytes, but the header is written whole — re-seal
+                    // it from the (intact) value instead of zeroing the
+                    // seal.
+                    self.dev.peek_into(value_addr(addr), &mut self.value_buf)?;
+                    let fixed = Header::sealing(hdr.key, &self.value_buf, self.cfg.integrity);
+                    self.dev.write(addr, &fixed.encode(), WriteMode::Diff)?;
+                }
+                valid = here;
+            }
+            if !valid {
                 let worn = self.bucket_worn(b);
                 self.pool.push_tier(0, b, worn);
             } else if rescan {
                 self.index.insert(&mut self.dev, hdr.key, addr as u64)?;
+                self.live += 1;
+            }
+        }
+        for (&key, &addr) in committed.into_iter().flatten() {
+            let b = self.bucket_of_addr(addr)?;
+            if self.retired.contains(&b) && self.index.lookup(&self.dev, key)?.is_none() {
+                self.index.insert(&mut self.dev, key, addr)?;
                 self.live += 1;
             }
         }
@@ -82,32 +139,13 @@ impl ShardEngine {
     }
 
     /// Seeds the permanent-retirement set from recovery (checkpointed
-    /// list + WAL-replayed retire records). Call *before* the repair and
-    /// structure-recovery scans so they skip damaged media.
+    /// list + WAL-replayed retire records). Call *before*
+    /// [`ShardEngine::recover_structures`], so its walk skips damaged
+    /// media.
     pub(crate) fn restore_retired(&mut self, retired: &[u32]) {
         self.retired.extend(retired.iter().copied());
         self.scrub.retired = self.retired.len() as u64;
         self.pool.set_capacity(self.effective_capacity());
-    }
-
-    /// Re-links committed keys whose buckets are retired: the recovery
-    /// scans skip retired media, but such a key must stay addressable so
-    /// its loss surfaces as a typed [`PnwError::Corruption`] on GET —
-    /// never as a silent miss. Call after
-    /// [`ShardEngine::recover_structures`].
-    pub(crate) fn reindex_retired_committed(
-        &mut self,
-        committed: &HashMap<u64, u64>,
-    ) -> Result<(), PnwError> {
-        let _w = self.write_bracket();
-        for (&key, &addr) in committed {
-            let b = self.bucket_of_addr(addr)?;
-            if self.retired.contains(&b) && self.index.lookup(&self.dev, key)?.is_none() {
-                self.index.insert(&mut self.dev, key, addr)?;
-                self.live += 1;
-            }
-        }
-        Ok(())
     }
 
     /// Redo (ARIES): rewrites every PUT the WAL committed since the
@@ -117,7 +155,7 @@ impl ShardEngine {
     /// redoes it from the same records. A retired bucket is rewritten too:
     /// the record holds what its cells held when the PUT was acknowledged
     /// (a relocation off it that a crash cut short leaves the key there).
-    /// Call before the repair.
+    /// Call before [`ShardEngine::recover_structures`].
     pub(crate) fn redo<'a>(
         &mut self,
         records: impl Iterator<Item = PutRecord<'a>>,
@@ -128,66 +166,6 @@ impl ShardEngine {
             self.seal_bucket_img(put.key, put.value);
             self.dev.write(put.addr as usize, &self.bucket_img, WriteMode::Diff)?;
             self.stamp_expiry(bucket, put.deadline)?;
-        }
-        Ok(())
-    }
-
-    /// Reconciles the data zone with the WAL-derived committed map after
-    /// [`ShardEngine::redo`] — the step that turns "the last checkpoint's
-    /// cells plus every redone PUT" into exactly the committed state,
-    /// before [`ShardEngine::recover_structures`] rebuilds the DRAM-side
-    /// structures from the repaired zone:
-    ///
-    /// 1. any valid-flagged bucket whose `(key, addr)` is *not* committed
-    ///    (a key deleted or moved since the checkpoint) has its flag
-    ///    cleared;
-    /// 2. any committed `(key, addr)` whose flag is clear — a checkpointed
-    ///    key whose flag clear by an unacknowledged delete reached the data
-    ///    file in a later checkpoint's write-back, cut short before its
-    ///    superblock bump — has its full header re-stamped: the value
-    ///    bytes are intact, because deletion only ever touches the flag
-    ///    byte;
-    /// 3. with an NVM-resident index, the index region (whose internal
-    ///    writes are not individually WAL-framed) is zeroed and rebuilt
-    ///    from the committed map alone.
-    pub(crate) fn repair_after_replay(
-        &mut self,
-        committed: &HashMap<u64, u64>,
-    ) -> Result<(), PnwError> {
-        let _w = self.write_bracket();
-        self.labels.fill(LABEL_STALE);
-        self.abandon_label_pass();
-        for b in 0..self.active_buckets as u32 {
-            if self.retired.contains(&b) {
-                // Retired media is left exactly as found: repairing it
-                // would write to known-damaged cells, and its committed
-                // keys are re-linked by `reindex_retired_committed`.
-                continue;
-            }
-            let (addr, hdr) = self.header(b)?;
-            let committed_here = committed.get(&hdr.key) == Some(&(addr as u64));
-            if hdr.valid && !committed_here {
-                self.clear_flag(addr)?;
-            } else if !hdr.valid && committed_here {
-                // The flag-only clear this repair undoes never touched the
-                // CRC bytes, but the header is written whole — re-seal it
-                // from the (intact) value instead of zeroing the seal.
-                self.dev.peek_into(value_addr(addr), &mut self.value_buf)?;
-                let fixed = Header::sealing(hdr.key, &self.value_buf, self.cfg.integrity);
-                self.dev.write(addr, &fixed.encode(), WriteMode::Diff)?;
-            }
-        }
-        if let Some(region) = self.index_region {
-            // A torn crash can leave the path-hash region mid-update;
-            // its buckets carry no CRCs, so rebuild it wholesale from the
-            // committed map.
-            self.dev
-                .write(region.start, &vec![0u8; region.len], WriteMode::Diff)?;
-            let mut idx = PathHashIndex::create(region, self.index_leaves);
-            for (&key, &addr) in committed {
-                idx.insert(&mut self.dev, key, addr)?;
-            }
-            self.index = Box::new(idx);
         }
         Ok(())
     }
@@ -216,24 +194,16 @@ impl ShardEngine {
             active: self.active_buckets as u64,
             entries: self.committed_entries()?,
             stats: self.dev.stats().clone(),
-            word_writes: self.dev.wear().word_writes().to_vec(),
-            bit_flips: self.dev.wear().bit_flips().map(<[u16]>::to_vec),
             retired,
         })
     }
 
-    /// Restores checkpointed device counters after recovery repair (last,
-    /// so the repair's own writes do not perturb the restored values).
-    pub(crate) fn restore_device_counters(
-        &mut self,
-        stats: DeviceStats,
-        word_writes: &[u32],
-        bit_flips: Option<&[u16]>,
-    ) {
+    /// Restores the checkpointed device stats, before
+    /// [`ShardEngine::redo`]: the per-word wear the device opened with is
+    /// as of the same cut, so recovery's own writes count the same way in
+    /// both.
+    pub(crate) fn restore_device_stats(&mut self, stats: DeviceStats) {
         self.dev.restore_stats(stats);
-        if !word_writes.is_empty() {
-            self.dev.restore_wear(word_writes, bit_flips);
-        }
     }
 
     /// Attaches the WAL appender that makes this shard durable (again,

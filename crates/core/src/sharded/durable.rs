@@ -22,8 +22,8 @@ impl ShardedPnwStore {
     ///   superblock/checkpoint pair covers them all, so a checkpoint is
     ///   atomic across shards. Recovery replays every shard's WAL over the
     ///   last checkpoint, redoes every PUT it committed onto the device,
-    ///   and repairs each shard's data zone to exactly its committed key
-    ///   set.
+    ///   then walks each shard's data zone once, repairing it to exactly
+    ///   its committed key set while it rebuilds the index and the pool.
     pub fn open(cfg: PnwConfig) -> Result<Self, StoreError> {
         let cfg = cfg.build()?;
         let BackingMode::File(dir) = &cfg.backing else {
@@ -51,16 +51,12 @@ impl ShardedPnwStore {
             let mut engine =
                 ShardEngine::open_file(shard_config(&cfg, n, i), durable.data_file(i)?)?;
             engine.set_active_buckets(rec.active as usize);
-            // Retirement is restored before repair so neither the repair
-            // pass nor pool recovery resurrects a retired bucket.
+            // Retirement is restored before the walk, so it neither repairs
+            // nor pools a retired bucket.
             engine.restore_retired(&rec.retired);
+            engine.restore_device_stats(rec.stats.clone());
             engine.redo(rec.redo())?;
-            engine.repair_after_replay(&rec.committed)?;
-            engine.recover_structures()?;
-            engine.reindex_retired_committed(&rec.committed)?;
-            // Counters restore last so the repair's own writes don't
-            // perturb the checkpointed values.
-            engine.restore_device_counters(rec.stats, &rec.word_writes, rec.bit_flips.as_deref());
+            engine.recover_structures(Some(&rec.committed))?;
             engine.attach_durable(durable.wal_appender(i, rec.wal_end)?, rec.values);
             shards.push(Shard::wrap(engine, i, &cfg));
         }

@@ -412,7 +412,7 @@ impl ShardedPnwStore {
     pub fn crash_and_recover(&self) -> Result<(), PnwError> {
         self.wait_for_retrain();
         for s in self.shards.iter() {
-            s.hold(&self.model).recover_structures()?;
+            s.hold(&self.model).recover_structures(None)?;
         }
         // The model is DRAM-resident: reconstruct it by retraining from a
         // fresh manager (§V-A.1: "can be reconstructed after a crash").

@@ -15,6 +15,8 @@
 //! [ flags: u8 | pad ×7 | key: u64 LE | addr: u64 LE ]
 //! ```
 
+use std::collections::{HashMap, HashSet};
+
 use pnw_nvm_sim::{CellView, NvmDevice, Region, WriteMode};
 
 use crate::traits::{IndexError, KeyIndex};
@@ -187,6 +189,49 @@ impl PathHashIndex {
         }
         idx.live = live;
         idx
+    }
+
+    /// Reopens the index over `region` holding exactly `committed`'s
+    /// mappings, writing only where the persisted table disagrees with
+    /// them — after a crash that may have torn a bucket write, left a key
+    /// in two buckets or lost an insert. A valid bucket stays when
+    /// `committed` maps its key to its address, the bucket is on the key's
+    /// path and the key is in no earlier bucket; every other valid
+    /// bucket's flag is reset, and every committed key not kept is
+    /// inserted, in key order. A table that already agrees costs no write.
+    pub fn reconcile(
+        region: Region,
+        leaves: usize,
+        dev: &mut NvmDevice,
+        committed: &HashMap<u64, u64>,
+    ) -> Result<Self, IndexError> {
+        let mut idx = Self::create(region, leaves);
+        let mut kept = HashSet::with_capacity(committed.len());
+        for b in 0..Self::buckets_for(leaves) {
+            let addr = region.at(b * BUCKET_BYTES);
+            let (flags, key, val) = Self::peek_bucket(dev, addr)?;
+            if flags & FLAG_VALID == 0 {
+                continue;
+            }
+            let keep = committed.get(&key) == Some(&val)
+                && idx.candidates(key).any(|a| a == addr)
+                && kept.insert(key);
+            if keep {
+                idx.live += 1;
+            } else {
+                dev.write(addr, &[0u8], WriteMode::Diff)?;
+            }
+        }
+        // In key order: where two keys' paths collide, which bucket each
+        // takes depends on the order, and a reopen must lay the table out
+        // the same way every time.
+        let mut lost: Vec<(u64, u64)> =
+            committed.iter().filter(|(k, _)| !kept.contains(*k)).map(|(&k, &v)| (k, v)).collect();
+        lost.sort_unstable();
+        for (key, val) in lost {
+            idx.insert(dev, key, val)?;
+        }
+        Ok(idx)
     }
 
     /// Leaf capacity.
@@ -438,6 +483,46 @@ mod tests {
         assert_eq!(idx2.len(), 29);
         assert_eq!(idx2.get(&mut dev, 10).unwrap(), Some(1010));
         assert_eq!(idx2.get(&mut dev, 5).unwrap(), None);
+    }
+
+    /// Reconciling against the committed map keeps the entries that agree
+    /// without a write, resets a stale one, a duplicate and one off its
+    /// key's path, and inserts a lost one.
+    #[test]
+    fn reconcile_writes_only_where_the_table_disagrees() {
+        let (mut dev, mut idx) = setup(64);
+        for k in 0..20u64 {
+            idx.insert(&mut dev, k, k + 1000).unwrap();
+        }
+        let region = idx.geom.region;
+        let committed: HashMap<u64, u64> = (0..20).map(|k| (k, k + 1000)).collect();
+        let writes = dev.stats().write_ops;
+        let clean = PathHashIndex::reconcile(region, 64, &mut dev, &committed).unwrap();
+        assert_eq!(clean.len(), 20);
+        assert_eq!(dev.stats().write_ops, writes, "an agreeing table costs no write");
+
+        // Key 3 moved, key 4 was deleted and key 20 inserted since; key 5
+        // sits in a second bucket too, and key 99 in a bucket off its path.
+        let mut committed = committed;
+        committed.insert(3, 3);
+        committed.remove(&4);
+        committed.insert(20, 1020);
+        let free: Vec<usize> = (0..PathHashIndex::buckets_for(64))
+            .map(|b| region.at(b * BUCKET_BYTES))
+            .filter(|&a| dev.peek(a, 1).unwrap()[0] & FLAG_VALID == 0)
+            .collect();
+        let off_path = *free.iter().find(|&&a| idx.candidates(99).all(|c| c != a)).unwrap();
+        let second = *free.iter().find(|&&a| a != off_path).unwrap();
+        PathHashIndex::write_bucket(&mut dev, second, 5, 1005).unwrap();
+        PathHashIndex::write_bucket(&mut dev, off_path, 99, 7).unwrap();
+        committed.insert(99, 7);
+        let mut idx = PathHashIndex::reconcile(region, 64, &mut dev, &committed).unwrap();
+        assert_eq!(idx.len(), committed.len());
+        assert_eq!(idx.entries(&dev).unwrap().len(), committed.len());
+        for (&k, &v) in &committed {
+            assert_eq!(idx.get(&mut dev, k).unwrap(), Some(v), "key {k}");
+        }
+        assert_eq!(idx.get(&mut dev, 4).unwrap(), None);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// Bytes per device word: the unit the write kernel loads, XORs and
 /// programs. [`NvmDevice::new`] / [`NvmDevice::open`] reject any other
 /// [`Geometry::word_bytes`].
-const WORD_BYTES: usize = 8;
+pub(crate) const WORD_BYTES: usize = 8;
 
 /// Errors returned by device operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -360,13 +360,13 @@ impl NvmDevice {
 
     /// Creates a device honoring `cfg.backing`: [`DeviceBacking::Volatile`]
     /// behaves exactly like [`NvmDevice::new`]; [`DeviceBacking::File`]
-    /// takes the backing file — an empty one is sized, one of the
-    /// configured size is loaded as the persisted cell image, so reopening
-    /// after a kill resumes from precisely what the last
-    /// [`NvmDevice::sync`] wrote back. Session counters (stats, wear,
-    /// fault state) always start fresh; a durable caller restores them
-    /// from its checkpoint via [`NvmDevice::restore_stats`] /
-    /// [`NvmDevice::restore_wear`].
+    /// takes the backing file — an empty one is sized, one of this
+    /// geometry is loaded as the persisted cell image and per-word wear
+    /// counters, so reopening after a kill resumes from precisely what the
+    /// last [`NvmDevice::sync`] wrote back. The other session counters
+    /// (stats, per-bit wear, fault state) start fresh; a durable caller
+    /// restores the stats from its checkpoint via
+    /// [`NvmDevice::restore_stats`].
     ///
     /// A geometry whose `word_bytes` is not 8 is rejected with
     /// [`NvmError::WordSize`].
@@ -376,11 +376,15 @@ impl NvmDevice {
                 word_bytes: cfg.geometry.word_bytes,
             });
         }
-        let (backing, data) = match &cfg.backing {
-            DeviceBacking::Volatile => (None, CellBuf::new_zeroed(cfg.size)),
+        let data = CellBuf::new_zeroed(cfg.size);
+        let mut wear = WearTracker::new(cfg.size, WORD_BYTES, cfg.track_bit_wear);
+        let backing = match &cfg.backing {
+            DeviceBacking::Volatile => None,
             DeviceBacking::File(file) => {
-                let (b, image) = FileBacking::open(Arc::clone(file), cfg.size)?;
-                (Some(b), CellBuf::from_bytes(&image))
+                // SAFETY: freshly allocated, no other reference exists yet.
+                let cells = unsafe { data.slice_mut() };
+                let counters = wear.counters_mut().0;
+                Some(FileBacking::open(Arc::clone(file), cells, counters)?)
             }
         };
         Ok(NvmDevice {
@@ -388,7 +392,7 @@ impl NvmDevice {
             geometry: cfg.geometry,
             latency: cfg.latency,
             stats: DeviceStats::default(),
-            wear: WearTracker::new(cfg.size, cfg.geometry.word_bytes, cfg.track_bit_wear),
+            wear,
             fault: FaultState::new(cfg.stuck_at),
             backing,
         })
@@ -399,13 +403,14 @@ impl NvmDevice {
         self.backing.is_some()
     }
 
-    /// Writes the pages changed since the last sync back to the backing
-    /// file (if any) and syncs it: until then the file holds the cell
-    /// array as of the previous sync. Fails with [`NvmError::Crashed`] on
-    /// a crashed device — a torn image is written back only after
-    /// [`NvmDevice::recover`] — and with the file's error when the
-    /// write-back fails; one that fails with [`NvmError::Crashed`] (the
-    /// file system died under it) crashes the device too.
+    /// Writes the pages changed since the last sync — of the cells and of
+    /// the per-word wear counters — back to the backing file (if any) and
+    /// syncs it: until then the file holds both as of the previous sync.
+    /// Fails with [`NvmError::Crashed`] on a crashed device — a torn image
+    /// is written back only after [`NvmDevice::recover`] — and with the
+    /// file's error when the write-back fails; one that fails with
+    /// [`NvmError::Crashed`] (the file system died under it) crashes the
+    /// device too.
     pub fn sync(&mut self) -> Result<(), NvmError> {
         if self.fault.is_crashed() {
             return Err(NvmError::Crashed);
@@ -415,7 +420,7 @@ impl NvmDevice {
         };
         // SAFETY: `&mut self` makes this the unique writer; concurrent
         // CellView readers only read.
-        let flushed = b.flush(unsafe { self.data.slice() });
+        let flushed = b.flush(unsafe { self.data.slice() }, self.wear.word_writes());
         if flushed == Err(NvmError::Crashed) {
             self.fault.crash();
         }
@@ -426,13 +431,6 @@ impl NvmDevice {
     /// counters from a checkpoint so wear/traffic CDFs survive a restart.
     pub fn restore_stats(&mut self, stats: DeviceStats) {
         self.stats = stats;
-    }
-
-    /// Overwrites the wear counters from checkpointed values (see
-    /// [`WearTracker::restore`]). Bit counters are restored only when this
-    /// device tracks bits *and* the checkpoint carried them.
-    pub fn restore_wear(&mut self, word_writes: &[u32], bit_flips: Option<&[u16]>) {
-        self.wear.restore(word_writes, bit_flips);
     }
 
     /// Device capacity in bytes.
@@ -456,9 +454,13 @@ impl NvmDevice {
         self.stats.reset();
     }
 
-    /// Clears wear counters.
+    /// Clears wear counters (on a file-backed device, at the next sync
+    /// in the file too).
     pub fn reset_wear(&mut self) {
         self.wear.reset();
+        if let Some(b) = self.backing.as_mut().filter(|_| self.data.len > 0) {
+            b.mark_dirty(0, self.data.len);
+        }
     }
 
     fn check(&self, addr: usize, len: usize) -> Result<(), NvmError> {
@@ -1177,20 +1179,40 @@ mod tests {
         assert_eq!(d2.peek(40, 16).unwrap(), &[0u8; 16]);
     }
 
+    /// The per-word wear counters live in the data file beside the cells
+    /// and ride the same write-back: synced counts reopen equal, counts of
+    /// writes after the last sync are lost with their cells, and a torn
+    /// write-back of the counter pages still opens, with whatever landed.
     #[test]
-    fn restore_counters_round_trip() {
-        let mut d = NvmDevice::new(NvmConfig::default().with_size(64).with_bit_wear(true));
-        d.write(0, &[0xFFu8; 16], WriteMode::Raw).unwrap();
-        let stats = d.stats().clone();
-        let words = d.wear().word_writes().to_vec();
-        let bits = d.wear().bit_flips().unwrap().to_vec();
-
-        let mut d2 = NvmDevice::new(NvmConfig::default().with_size(64).with_bit_wear(true));
-        d2.restore_stats(stats.clone());
-        d2.restore_wear(&words, Some(&bits));
-        assert_eq!(d2.stats(), &stats);
-        assert_eq!(d2.wear().word_writes(), words.as_slice());
-        assert_eq!(d2.wear().bit_flips().unwrap(), bits.as_slice());
+    fn wear_counters_ride_the_write_back() {
+        let fs = SimFs::new();
+        let synced = {
+            let mut d = NvmDevice::open(file_cfg(&fs, 256)).unwrap();
+            d.write(0, &[0xFFu8; 16], WriteMode::Raw).unwrap();
+            d.write(8, &[0x0Fu8; 8], WriteMode::Diff).unwrap();
+            d.write(200, &[0x01u8; 8], WriteMode::Raw).unwrap();
+            d.sync().unwrap();
+            let synced = d.wear().word_writes().to_vec();
+            assert_eq!(synced[..2], [1, 2]);
+            // A write after the sync: lost with its cells at the kill.
+            d.write(8, &[0xAAu8; 8], WriteMode::Diff).unwrap();
+            synced
+        };
+        let mut d = NvmDevice::open(file_cfg(&fs, 256)).unwrap();
+        assert_eq!(d.wear().word_writes(), synced.as_slice());
+        assert_eq!(d.peek(8, 8).unwrap(), &[0x0Fu8; 8]);
+        assert_eq!(d.max_word_writes(), 2);
+        // The device is one page of cells and one of counters: a write
+        // dirties both, and the write-back writes the cells, then the
+        // counters. Tear the counters' write after 4 bytes: the first
+        // counter lands, the second keeps its synced count.
+        d.write(0, &[0u8; 16], WriteMode::Raw).unwrap();
+        fs.tear("data.0", 1, 4);
+        assert_eq!(d.sync(), Err(NvmError::Crashed));
+        let d = NvmDevice::open(file_cfg(&fs.reboot(), 256)).unwrap();
+        assert_eq!(d.peek(0, 16).unwrap(), &[0u8; 16], "the cells' page landed");
+        assert_eq!(d.wear().word_writes()[0], 2);
+        assert_eq!(d.wear().word_writes()[1..], synced[1..]);
     }
 
     #[test]

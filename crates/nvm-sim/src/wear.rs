@@ -75,7 +75,8 @@ impl WearTracker {
 
     /// Both counter arrays at once, for the device's write kernel, which
     /// bumps words by direct index and bits through [`record_flips`] while
-    /// it also holds the cells and the fault state.
+    /// it also holds the cells and the fault state — and for a file-backed
+    /// device's open, which loads the word counters from its file.
     pub(crate) fn counters_mut(&mut self) -> (&mut [u32], Option<&mut [u16]>) {
         (&mut self.word_writes, self.bit_flips.as_deref_mut())
     }
@@ -112,28 +113,6 @@ impl WearTracker {
         let a = (start * 8).min(bits.len());
         let b = ((start + len) * 8).min(bits.len());
         Some(WearCdf::from_counts_u16(&bits[a..b]))
-    }
-
-    /// Restores counters persisted in a checkpoint, overwriting the current
-    /// values. Bit counters are restored only when this tracker has bit
-    /// tracking enabled *and* the checkpoint carried them; a tracker opened
-    /// without bit tracking silently drops persisted bit counters (they can
-    /// be re-enabled on a later run, starting from zero).
-    ///
-    /// # Panics
-    /// Panics if a provided slice's length does not match this tracker's
-    /// geometry.
-    pub fn restore(&mut self, word_writes: &[u32], bit_flips: Option<&[u16]>) {
-        assert_eq!(
-            word_writes.len(),
-            self.word_writes.len(),
-            "word counter length mismatch"
-        );
-        self.word_writes.copy_from_slice(word_writes);
-        if let (Some(mine), Some(theirs)) = (self.bit_flips.as_mut(), bit_flips) {
-            assert_eq!(theirs.len(), mine.len(), "bit counter length mismatch");
-            mine.copy_from_slice(theirs);
-        }
     }
 
     /// Clears all counters (used between experiment phases).

@@ -272,7 +272,15 @@ fn check(case: &Case) -> Result<(), TestCaseError> {
         }
         if let Some(fs) = &fs {
             dev.sync().unwrap();
-            prop_assert_eq!(fs.read("data").unwrap(), &model.cells[..], "backing file");
+            // The cells, then the per-word wear counters, each from a page
+            // boundary.
+            let file = fs.read("data").unwrap();
+            prop_assert_eq!(&file[..case.size], &model.cells[..], "backing file cells");
+            let counters = file[case.size.next_multiple_of(4096)..].chunks_exact(4);
+            let counters: Vec<u32> =
+                counters.map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
+            let words = model.word_writes.len();
+            prop_assert_eq!(&counters[..words], &model.word_writes[..], "backing file counters");
         }
     }
     Ok(())

@@ -24,6 +24,10 @@
 //! its delete and places the value afresh, on its own vacated bucket) may
 //! leave its key absent, the relocation crash window `shard/placement.rs`
 //! documents.
+//!
+//! [`walk_recovery`] crashes the first checkpoint after a recovery, the
+//! one that writes back what recovery rewrote, at each of its writes and
+//! syncs; the reopen must read exactly what one clean recovery reads.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -599,6 +603,98 @@ fn walk_site(backend: &Backend, script: &Script, site: Site, stride: u64) -> u64
         assert!(cell(backend, script, site, last).fired, "{b}: {site:?} write {last}");
     }
     writes
+}
+
+/// The first checkpoint after a recovery, the one that writes back what
+/// recovery rewrote (redone PUTs, reconciled headers and NVM index): the
+/// script's files killed at its end without `close`, and one clean
+/// recovery's reads, to which a recovery after that checkpoint is held.
+struct Recovery {
+    killed: SimFs,
+    /// Each key's history is the one state the clean recovery served.
+    exact: Dying,
+}
+
+/// Runs `script` to its end, kills the store without `close`, checks one
+/// clean recovery of its files against the script's histories, and keeps
+/// what that recovery serves.
+fn recovery(backend: &Backend, script: &Script) -> Recovery {
+    let (cfg, b) = (&backend.cfg, &backend.name);
+    let killed = script.fresh.snapshot();
+    let store = open(cfg, &killed).expect("open");
+    let mut exact = Dying::new(cfg, script, None);
+    drive(&store, script, &mut exact, || {});
+    drop(store);
+    if let Err(why) = reopen(backend, script, &exact, &killed.snapshot()) {
+        panic!("{b}: killed at the script's end: {why}");
+    }
+    let store = open(cfg, &killed.snapshot()).expect("a clean recovery");
+    let served = audit(&store, &script.keys(), &exact).expect("audited above");
+    let exact_history = |(key, acked)| (key, History { acked, ..History::default() });
+    exact.keys = served.into_iter().map(exact_history).collect();
+    Recovery { killed, exact }
+}
+
+/// Recovers `rec`'s files, then crashes the first checkpoint at write (or
+/// sync) `k` of `site`, torn `tear`; when it fired and `check` is set,
+/// checks the reopen against the clean recovery, bit-exact. Returns
+/// whether it fired.
+fn recovery_cell(
+    backend: &Backend,
+    script: &Script,
+    rec: &Recovery,
+    crash: Crash,
+    check: bool,
+) -> bool {
+    let (site, k, tear) = crash;
+    let fs = rec.killed.snapshot();
+    let store = open(&backend.cfg, &fs).expect("the first recovery");
+    site.arm(&store, &fs, k, tear);
+    let fired = store.checkpoint().is_err();
+    drop(store);
+    if fired && check {
+        if let Err(why) = reopen(backend, script, &rec.exact, &fs.reboot()) {
+            let b = &backend.name;
+            panic!("{b}: recovered, then the checkpoint's {site:?} write {k} torn {tear:?}: {why}");
+        }
+    }
+    fired
+}
+
+/// The sites of the first checkpoint after a recovery: the data file's
+/// write-back (its counter pages included), the checkpoint file, the
+/// superblock, the WAL replacement, and each sync.
+const RECOVERY_SITES: [Site; 5] =
+    [WRITE_BACKS[0], CHECKPOINT, SUPERBLOCK, WAL, Site::PowerLoss];
+
+/// Walks each of [`RECOVERY_SITES`] of the first checkpoint after
+/// recovering `script`, killed at its end, in parallel: k = 0, `stride`,
+/// 2·`stride`, … and the site's last write (or sync), each torn every
+/// way. Returns the writes (or syncs) the checkpoint makes at each site.
+pub fn walk_recovery(backend: &Backend, script: &Script, stride: u64) -> Vec<(Site, u64)> {
+    let rec = recovery(backend, script);
+    let rec = &rec;
+    std::thread::scope(|scope| {
+        let walks: Vec<_> = (RECOVERY_SITES.iter())
+            .map(|&site| {
+                scope.spawn(move || {
+                    let b = &backend.name;
+                    let cell = |k, tear, check| {
+                        recovery_cell(backend, script, rec, (site, k, tear), check)
+                    };
+                    let writes = (0..).find(|&k| !cell(k, Tear::Nothing, false)).unwrap();
+                    assert!(writes > 0, "{b}: the checkpoint makes no write at {site:?}");
+                    for k in (0..writes).filter(|&k| k % stride == 0 || k == writes - 1) {
+                        for &tear in site.tears() {
+                            assert!(cell(k, tear, true), "{b}: {site:?} write {k} did not fire");
+                        }
+                    }
+                    (site, writes)
+                })
+            })
+            .collect();
+        walks.into_iter().map(joined).collect()
+    })
 }
 
 /// Every cell: the clean close, and each site's every write, torn each way.

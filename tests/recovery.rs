@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 use common::crash::{self, Script, Site, Tear, CHECKPOINT, SUPERBLOCK, WAL, WRITE_BACKS};
 use common::oracle::{Backend, Step};
 use pnw_core::{Batch, IndexPlacement, PnwConfig, PnwStore, ShardedPnwStore, Store};
-use pnw_nvm_sim::SimFs;
+use pnw_nvm_sim::{Fs, SimFs};
 use pnw_workloads::{DatasetKind, Workload};
 
 fn populated_store(placement: IndexPlacement) -> (PnwStore, Vec<(u64, Vec<u8>)>) {
@@ -144,31 +144,61 @@ fn apply_op_mix(store: &PnwStore, seed: u64) -> Vec<(u64, Vec<u8>)> {
     expected
 }
 
-/// DeviceStats and per-word wear are part of the checkpoint: a reopened
-/// store reports exactly the counters the checkpoint captured, so wear
-/// studies survive restarts.
+/// DeviceStats are part of the checkpoint and per-word wear is written
+/// back with the data file: a reopened store reports exactly the counters
+/// the checkpoint captured, so wear studies survive restarts. On both
+/// indexes: a reopen that finds the zone and the NVM index as committed
+/// writes nothing.
 #[test]
 fn device_stats_and_wear_survive_reopen() {
     let vs = DatasetKind::Amazon.build(21).value_size();
-    let dir = scratch_dir("stats");
-    let cfg = durable_cfg(IndexPlacement::Dram, &dir, vs);
+    for placement in [IndexPlacement::Dram, IndexPlacement::Nvm] {
+        let dir = scratch_dir(&format!("stats_{placement:?}"));
+        let cfg = durable_cfg(placement, &dir, vs);
 
-    let store = PnwStore::open(cfg.clone()).unwrap();
-    let _ = apply_op_mix(&store, 21);
-    store.checkpoint().unwrap();
-    let stats_before = store.device_stats();
-    let wear_before = store.word_wear_cdf();
-    assert!(stats_before.totals.bit_flips > 0);
-    assert!(wear_before.max() >= 1);
-    // Kill without a further checkpoint: the counters must come from the
-    // checkpoint just cut, not from the repair writes recovery performs.
-    drop(store);
+        let store = PnwStore::open(cfg.clone()).unwrap();
+        let _ = apply_op_mix(&store, 21);
+        store.checkpoint().unwrap();
+        let stats_before = store.device_stats();
+        let wear_before = store.word_wear_cdf();
+        assert!(stats_before.totals.bit_flips > 0);
+        assert!(wear_before.max() >= 1);
+        // Kill without a further checkpoint: the counters must come from
+        // the checkpoint just cut, not from writes recovery performs.
+        drop(store);
 
-    let store = PnwStore::open(cfg).unwrap();
-    assert_eq!(store.device_stats(), stats_before);
-    assert_eq!(store.word_wear_cdf(), wear_before);
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
+        let store = PnwStore::open(cfg).unwrap();
+        assert_eq!(store.device_stats(), stats_before, "{placement:?}");
+        assert_eq!(store.word_wear_cdf(), wear_before, "{placement:?}");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A checkpoint carries the map, the stats and the retired list, never the
+/// wear: on the same PUT stream at 1× and 4× capacity it stays within 16 B
+/// per live key, 4 B per retired bucket and 1 KiB. A second checkpoint with
+/// no op in between writes no data-file page.
+#[test]
+fn a_checkpoint_costs_the_map_not_the_capacity() {
+    for capacity in [2048, 8192] {
+        let fs = SimFs::new();
+        let cfg = PnwConfig::new(capacity, 64).with_clusters(2).with_shards(2).with_seed(3);
+        let store = crash::open(&cfg, &fs).unwrap();
+        for i in 0..3000u64 {
+            let key = i % 1500;
+            store.put(key, &[(i % 251) as u8; 64]).unwrap();
+        }
+        store.checkpoint().unwrap();
+        let snap = store.snapshot();
+        let name = fs.list().unwrap().into_iter().find(|n| n.starts_with("checkpoint.")).unwrap();
+        let bytes = fs.read(&name).unwrap().len() as u64;
+        let bound = 16 * snap.live as u64 + 4 * snap.scrub.retired + 1024;
+        assert!(bytes <= bound, "capacity {capacity}: {name} is {bytes} B, bound {bound} B");
+        // Any write to a data file now would die torn.
+        fs.tear("data.", 0, 0);
+        store.checkpoint().expect("a checkpoint with nothing dirty writes no data-file page");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -346,11 +376,31 @@ fn torn_write_back_of_several_pages_is_redone_from_the_wal() {
     assert!(writes[0].1 >= 3, "{writes:?}: no checkpoint writes back several runs");
 }
 
+/// The first checkpoint after a recovery, on both one-shard
+/// configurations: the script killed at its end, recovered, then that
+/// checkpoint torn at each write of its write-back (counter pages
+/// included), checkpoint file, superblock and WAL replacement, and the
+/// power cut at each of its syncs. The next reopen must serve exactly what
+/// one clean recovery does.
+#[test]
+fn matrix_first_checkpoint_after_recovery() {
+    for config in [DRAM, NVM] {
+        let (backend, script) = matrix("after_recovery", config);
+        let writes = crash::walk_recovery(&backend, script, STRIDE);
+        println!("{}: writes per site {writes:?}", backend.name);
+    }
+}
+
 #[test]
 #[ignore = "the full enumeration; run with --ignored crash_matrix"]
 fn crash_matrix_full() {
-    for backend in &crash::configs("full") {
+    for (config, backend) in crash::configs("full").iter().enumerate() {
         println!("{}: writes per site {:?}", backend.name, crash::full(backend));
+        if [DRAM, NVM].contains(&config) {
+            let script = Script::of(backend);
+            let writes = crash::walk_recovery(backend, &script, 1);
+            println!("{}: after a recovery, writes per site {writes:?}", backend.name);
+        }
     }
 }
 
