@@ -1,5 +1,5 @@
-//! The durable metadata layer under file-backed stores: superblock, WAL,
-//! checkpoint.
+//! The durable metadata layer under file-backed stores: one file header,
+//! superblock, WAL, checkpoint, data files.
 //!
 //! A file-backed store's device is write-back (`pnw-nvm-sim`'s
 //! [`pnw_nvm_sim::DeviceBacking`]): its data file is written only at a
@@ -11,54 +11,58 @@
 //! data zone with the committed map. A lost page cache loses no
 //! acknowledged PUT: its record was `fdatasync`ed before the ack, and the
 //! data file is only ever written ahead of the superblock that names it.
-//! Three small files make recovery decidable:
 //!
-//! * **superblock** (`super`) — two replicated 64-byte slots; each holds a
-//!   CRC-framed record naming the current epoch and the checkpoint epoch to
-//!   recover from. Writers alternate slots by epoch parity, so a torn
-//!   superblock write can only corrupt the slot being written — the other
-//!   replica still elects.
-//! * **write-ahead log** (`wal.<shard>`) — a 32-byte header (magic, format
-//!   version, the checkpoint epoch the log belongs to, a header CRC), then
-//!   CRC-framed records, one per acknowledged mutation (PUT, DELETE, zone
-//!   extension, retirement): `[len u32 | crc u32 | payload | end mark]`.
-//!   A record is written with one positioned write at the cursor and
-//!   synced *before* the operation returns — a PUT's after its new bucket
-//!   image lands in DRAM — so the records over the checkpoint are exactly
-//!   the acknowledged-but-not-yet-checkpointed ops. The file grows a page
-//!   at a time: a record that crosses the file's end carries zeros up to
-//!   the next 4 KiB boundary in the same write, so only a record that
-//!   crosses a page boundary changes the file's size (and makes its
-//!   `fdatasync` commit the file system's journal); the rest flush one data
-//!   page (Pillai et al., OSDI 2014). Every byte past the cursor is zero
-//!   and every frame ends in a nonzero end mark, so a frame torn at any
-//!   byte — its missing tail read as zeros — never checks out. Replay
-//!   stops at the first torn or invalid frame — everything after it was
-//!   never acknowledged — and the cursor starts there, not at the file's
-//!   length. A record whose write or sync fails is zeroed again. A
-//!   checkpoint replaces each WAL with an empty one of the new epoch; a
-//!   WAL of an older epoch than the superblock's checkpoint is skipped,
-//!   and one without a valid header is refused.
-//! * **checkpoint** (`checkpoint.<epoch>`) — a CRC-trailed snapshot of each
-//!   shard's committed key→address map, [`DeviceStats`], active-zone size
-//!   and retired-bucket list: 16 B per live key, 4 B per retired bucket
-//!   and a fixed header, whatever the capacity. Written to
-//!   `checkpoint.tmp`, fsynced, renamed, the directory fsynced, and only
-//!   then published by bumping the superblock epoch — the referenced
-//!   checkpoint is therefore always complete, and a crash at any byte of
-//!   the protocol falls back to the previous epoch plus its WALs.
+//! Every file opens with one [`HEADER`]-byte header, encoded and checked
+//! only here: its kind's magic, the one [`FORMAT_VERSION`], the store id
+//! chosen at create, the shard, an epoch and the geometry hash, under one
+//! CRC. `open` takes the store id from the elected superblock and refuses,
+//! with [`StoreError::Corrupt`] naming the file and the field, a WAL, data
+//! file or checkpoint that is missing, headerless, not this store's or
+//! shard's, or of an epoch past the superblock's. The files:
 //!
-//! The bulk state is in the data files (`data.<shard>`): each holds its
-//! device's cells and per-word wear counters, written back a dirty page
-//! at a time by the checkpoint ahead of the superblock that names it, so
-//! wear survives a reopen with the cells it counts, and a checkpoint
-//! costs the pages written since the last one plus the map.
+//! * **superblock** (`super`) — two 64-byte slots, each the header alone,
+//!   naming the store's one epoch: the checkpoint recovery starts from.
+//!   Writers alternate slots by epoch parity, so a torn write can only
+//!   corrupt the slot being written; the store's first is renamed in.
+//! * **write-ahead log** (`wal.<shard>`) — the header, naming the epoch the
+//!   log belongs to, then CRC-framed records, one per acknowledged
+//!   mutation (PUT, DELETE, zone extension, retirement): `[len u32 | crc
+//!   u32 | payload | end mark]`. A record is written with one positioned
+//!   write at the cursor and synced *before* the operation returns — a
+//!   PUT's after its new bucket image lands in DRAM — so the records over
+//!   the checkpoint are exactly the acknowledged-but-not-yet-checkpointed
+//!   ops. The file grows a page at a time: a record that crosses the
+//!   file's end carries zeros up to the next 4 KiB boundary in the same
+//!   write, so only one that crosses a page boundary changes the file's
+//!   size (and makes its `fdatasync` commit the file system's journal;
+//!   Pillai et al., OSDI 2014). Every byte past the cursor is zero and
+//!   every frame ends in a nonzero end mark, so a frame torn at any byte
+//!   never checks out. Replay stops at the first torn or invalid frame —
+//!   everything after it was never acknowledged — and the cursor starts
+//!   there. A record whose write or sync fails is zeroed again. A
+//!   checkpoint replaces each WAL with an empty one of the new epoch; a WAL
+//!   of an older epoch is skipped.
+//! * **checkpoint** (`checkpoint.<epoch>`) — the header, then each shard's
+//!   committed key→address map, [`DeviceStats`], active-zone size and
+//!   retired-bucket list, CRC-trailed. Written to `checkpoint.tmp`,
+//!   fsynced, renamed, the directory fsynced, and only then published by
+//!   bumping the superblock epoch, so a crash at any byte of the protocol
+//!   falls back to the previous epoch plus its WALs.
+//! * **data** (`data.<shard>`) — the header in a first page the device
+//!   never writes, then its cells and per-word wear counters, written back
+//!   a dirty page at a time by each checkpoint ahead of its superblock.
+//!
+//! A fresh store truncates what a dead create left, writes and syncs its
+//! data files and WALs (of epoch 0), and only then its first superblock:
+//! a create that dies anywhere reopens as a fresh directory.
 //!
 //! Every file goes through the [`Fs`] seam: the host's directory in a
 //! running store, a simulated one ([`pnw_nvm_sim::SimFs`]) that tears
 //! writes, fails syncs and loses power in the recovery tests.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,21 +72,24 @@ use pnw_nvm_sim::{crc32, DeviceStats, Fs, FsFile, NvmError, Open};
 use crate::config::{IndexPlacement, PnwConfig};
 use crate::error::StoreError;
 
-const SUPER_MAGIC: &[u8; 8] = b"PNWSUPR1";
-const CKPT_MAGIC: &[u8; 8] = b"PNWCKPT1";
-const FORMAT_VERSION: u32 = 3;
-/// Each superblock replica owns a 64-byte slot (the record is 44 bytes;
-/// the slot is padded so the two replicas never share a filesystem block
-/// boundary misaligned with the write).
+/// The format every file of a store directory is written in. A format
+/// change bumps it and adds a `tests/fixtures/store-v<N>/` image.
+const FORMAT_VERSION: u32 = 4;
+/// Each file kind's magic, the first 8 bytes of its header.
+const SUPER: &[u8; 8] = b"PNWSUPR1";
+const WAL: &[u8; 8] = b"PNWWALOG";
+const DATA: &[u8; 8] = b"PNWDATA1";
+const CHECKPOINT: &[u8; 8] = b"PNWCKPT1";
+/// `magic | version u32 | shard u32 | store u64 | epoch u64 | geometry
+/// u64 | crc u32 | pad u32`, the CRC over the 40 bytes before it.
+const HEADER: usize = 48;
+/// The shard a store-wide file (superblock, checkpoint) names.
+const WHOLE_STORE: usize = u32::MAX as usize;
+/// Each superblock replica owns a 64-byte slot.
 const SLOT_BYTES: u64 = 64;
-const SUPER_RECORD: usize = 44;
-const WAL_MAGIC: &[u8; 8] = b"PNWWALOG";
-const WAL_VERSION: u32 = 1;
-/// `magic | version u32 | reserved u32 | epoch u64 | crc u32 | pad u32`,
-/// the CRC over the 24 bytes before it. Frames start right after it.
-const WAL_HEADER: usize = 32;
-/// The WAL is created, and grows, a page at a time.
-const WAL_PAGE: u64 = 4096;
+/// The WAL is created, and grows, a page at a time; a data file's header
+/// fills its first page.
+const PAGE: u64 = 4096;
 /// `[len u32 | crc u32]` ahead of every WAL payload.
 const WAL_FRAME_HDR: usize = 8;
 /// The byte every frame ends in. Nonzero: the zeros past the cursor can
@@ -102,12 +109,62 @@ const REC_EXTEND: u8 = 3;
 /// `tag | bucket u32`.
 const REC_RETIRE: u8 = 4;
 
+/// The header every durable file opens with, after its kind's magic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Header {
+    version: u32,
+    shard: u32,
+    store: u64,
+    epoch: u64,
+    geometry: u64,
+}
+
+impl Header {
+    fn encode(&self, magic: &[u8; 8]) -> [u8; HEADER] {
+        let mut b = [0u8; HEADER];
+        b[..8].copy_from_slice(magic);
+        b[8..12].copy_from_slice(&self.version.to_le_bytes());
+        b[12..16].copy_from_slice(&self.shard.to_le_bytes());
+        for (at, v) in [(16, self.store), (24, self.epoch), (32, self.geometry)] {
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        let crc = crc32(&b[..40]);
+        b[40..44].copy_from_slice(&crc.to_le_bytes());
+        b
+    }
+
+    /// The header `bytes` open with, when it is whole and of the kind
+    /// `magic` names; of any version, which the caller refuses by name.
+    /// (Format 3's superblock record has this layout's magic, version and
+    /// CRC offsets, so it is refused by its version, not as torn.)
+    fn parse(bytes: &[u8], magic: &[u8; 8]) -> Option<Header> {
+        let b = bytes.get(..HEADER).filter(|b| &b[..8] == magic)?;
+        let u32_at = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+        let u64_at = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        (crc32(&b[..40]) == u32_at(40)).then(|| Header {
+            version: u32_at(8),
+            shard: u32_at(12),
+            store: u64_at(16),
+            epoch: u64_at(24),
+            geometry: u64_at(32),
+        })
+    }
+}
+
 fn crashed() -> StoreError {
     StoreError::Nvm(NvmError::Crashed)
 }
 
 fn corrupt(msg: impl Into<String>) -> StoreError {
     StoreError::Corrupt(msg.into())
+}
+
+/// A file `open` needs: missing, it is refused by name.
+fn missing(name: &str) -> impl FnOnce(NvmError) -> StoreError + '_ {
+    move |e| match e {
+        NvmError::Io(ErrorKind::NotFound) => corrupt(format!("{name} is missing")),
+        e => e.into(),
+    }
 }
 
 fn splitmix(mut x: u64) -> u64 {
@@ -248,7 +305,7 @@ impl RecoveredShard {
             stats: s.stats,
             retired: s.retired,
             values: HashMap::new(),
-            wal_end: WAL_HEADER as u64,
+            wal_end: HEADER as u64,
             wal: Vec::new(),
             shape,
         }
@@ -278,7 +335,7 @@ pub(crate) struct DurableShard {
     /// Where the next frame lands: the end of the last frame written or
     /// replayed. Every byte from here to the file's end is zero.
     cursor: u64,
-    /// The file's length, a multiple of [`WAL_PAGE`].
+    /// The file's length, a multiple of [`PAGE`].
     len: u64,
     /// The frame being written, reused so a record allocates nothing.
     frame: Vec<u8>,
@@ -413,7 +470,7 @@ impl DurableShard {
         }
         let (at, n) = (self.cursor, frame.len());
         let end = at + n as u64;
-        let grown = (end > self.len).then(|| end.next_multiple_of(WAL_PAGE));
+        let grown = (end > self.len).then(|| end.next_multiple_of(PAGE));
         frame.resize(grown.map_or(n, |len| (len - at) as usize), 0);
         let mut written = self.wal.write_at(frame, at).map_err(StoreError::from);
         frame.truncate(n);
@@ -458,71 +515,6 @@ fn encode_frame(frame: &mut Vec<u8>, parts: &[&[u8]]) {
     frame.push(WAL_END_MARK);
 }
 
-fn encode_wal_header(epoch: u64) -> [u8; WAL_HEADER] {
-    let mut b = [0u8; WAL_HEADER];
-    b[0..8].copy_from_slice(WAL_MAGIC);
-    b[8..12].copy_from_slice(&WAL_VERSION.to_le_bytes());
-    // b[12..16] reserved, zero.
-    b[16..24].copy_from_slice(&epoch.to_le_bytes());
-    let crc = crc32(&b[..24]);
-    b[24..28].copy_from_slice(&crc.to_le_bytes());
-    b
-}
-
-/// The checkpoint epoch a WAL's header names; a typed error when `bytes`
-/// do not start with a valid header of this format — a WAL of an older
-/// format (headerless), or no WAL at all.
-fn wal_epoch(bytes: &[u8], sid: usize) -> Result<u64, StoreError> {
-    let Some(hdr) = bytes.get(..WAL_HEADER).filter(|h| &h[..8] == WAL_MAGIC) else {
-        return Err(corrupt(format!(
-            "wal.{sid} has no WAL header: written by an older format, or not a WAL"
-        )));
-    };
-    let version = u32::from_le_bytes(hdr[8..12].try_into().unwrap());
-    if version != WAL_VERSION {
-        return Err(corrupt(format!(
-            "wal.{sid} is WAL format {version}, this build reads {WAL_VERSION}"
-        )));
-    }
-    if crc32(&hdr[..24]) != u32::from_le_bytes(hdr[24..28].try_into().unwrap()) {
-        return Err(corrupt(format!("wal.{sid} header CRC mismatch")));
-    }
-    Ok(u64::from_le_bytes(hdr[16..24].try_into().unwrap()))
-}
-
-fn encode_superblock(epoch: u64, checkpoint_epoch: u64, geometry: u64) -> [u8; SUPER_RECORD] {
-    let mut b = [0u8; SUPER_RECORD];
-    b[0..8].copy_from_slice(SUPER_MAGIC);
-    b[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    // b[12..16] reserved, zero.
-    b[16..24].copy_from_slice(&epoch.to_le_bytes());
-    b[24..32].copy_from_slice(&checkpoint_epoch.to_le_bytes());
-    b[32..40].copy_from_slice(&geometry.to_le_bytes());
-    let crc = crc32(&b[..40]);
-    b[40..44].copy_from_slice(&crc.to_le_bytes());
-    b
-}
-
-/// A whole superblock record: its format version and `(epoch,
-/// checkpoint_epoch, geometry_hash)`.
-type SuperRecord = (u32, (u64, u64, u64));
-
-/// Parses one superblock slot; `None` when the slot is torn or never
-/// written. A whole record of another format version is returned too: the
-/// caller refuses it by name rather than as a torn slot.
-fn parse_super_slot(slot: &[u8]) -> Option<SuperRecord> {
-    if slot.len() < SUPER_RECORD || &slot[0..8] != SUPER_MAGIC {
-        return None;
-    }
-    let crc = u32::from_le_bytes(slot[40..44].try_into().unwrap());
-    if crc32(&slot[..40]) != crc {
-        return None;
-    }
-    let u64_at = |at: usize| u64::from_le_bytes(slot[at..at + 8].try_into().unwrap());
-    let version = u32::from_le_bytes(slot[8..12].try_into().unwrap());
-    Some((version, (u64_at(16), u64_at(24), u64_at(32))))
-}
-
 /// The payload of the frame starting at `pos` in `bytes`, when a whole,
 /// CRC-valid frame of at most `max_payload` payload bytes, end mark
 /// included, starts there.
@@ -546,7 +538,7 @@ fn frame_payload(bytes: &[u8], pos: usize, max_payload: usize) -> Option<&[u8]> 
 /// never acknowledged.
 fn replay_wal(bytes: &[u8], shard: &mut RecoveredShard) -> u64 {
     let shape = shard.shape;
-    let mut pos = WAL_HEADER;
+    let mut pos = HEADER;
     while let Some(payload) = frame_payload(bytes, pos, shape.payload_len()) {
         let frame_len = WAL_FRAME_OVERHEAD + payload.len();
         let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
@@ -602,12 +594,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn encode_checkpoint(epoch: u64, shards: &[ShardCheckpoint]) -> Vec<u8> {
-    let mut b = Vec::new();
-    b.extend_from_slice(CKPT_MAGIC);
-    b.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    b.extend_from_slice(&(shards.len() as u32).to_le_bytes());
-    b.extend_from_slice(&epoch.to_le_bytes());
+/// A checkpoint file: `header`, then each shard's state, then a CRC over
+/// everything before it.
+fn encode_checkpoint(header: [u8; HEADER], shards: &[ShardCheckpoint]) -> Vec<u8> {
+    let mut b = header.to_vec();
     for s in shards {
         b.extend_from_slice(&s.active.to_le_bytes());
         let t = &s.stats.totals;
@@ -639,7 +629,9 @@ fn encode_checkpoint(epoch: u64, shards: &[ShardCheckpoint]) -> Vec<u8> {
     b
 }
 
-fn decode_checkpoint(body: &[u8], expect_epoch: u64) -> Result<Vec<ShardCheckpoint>, StoreError> {
+/// The `n_shards` shard states of a checkpoint file whose header the
+/// caller checked.
+fn decode_checkpoint(body: &[u8], n_shards: usize) -> Result<Vec<ShardCheckpoint>, StoreError> {
     if body.len() < 4 {
         return Err(corrupt("checkpoint shorter than its CRC trailer"));
     }
@@ -648,20 +640,7 @@ fn decode_checkpoint(body: &[u8], expect_epoch: u64) -> Result<Vec<ShardCheckpoi
     if crc32(payload) != crc {
         return Err(corrupt("checkpoint CRC mismatch"));
     }
-    let mut c = Cursor { b: payload, pos: 0 };
-    if c.take(8)? != CKPT_MAGIC {
-        return Err(corrupt("checkpoint magic mismatch"));
-    }
-    if c.u32()? != FORMAT_VERSION {
-        return Err(corrupt("checkpoint format version mismatch"));
-    }
-    let n_shards = c.u32()? as usize;
-    let epoch = c.u64()?;
-    if epoch != expect_epoch {
-        return Err(corrupt(format!(
-            "checkpoint epoch {epoch} does not match superblock epoch {expect_epoch}"
-        )));
-    }
+    let mut c = Cursor { b: payload, pos: HEADER };
     let mut shards = Vec::with_capacity(n_shards);
     for _ in 0..n_shards {
         let active = c.u64()?;
@@ -702,45 +681,50 @@ fn decode_checkpoint(body: &[u8], expect_epoch: u64) -> Result<Vec<ShardCheckpoi
 }
 
 /// The store-level durability controller: owns the directory layout, the
-/// superblock epoch and the fence it shares with every WAL appender;
-/// hands out per-shard WAL appenders and data files.
+/// store id, the superblock epoch and the fence it shares with every WAL
+/// appender; hands out per-shard WAL appenders and data files.
 #[derive(Debug)]
 pub(crate) struct DurableStore {
     fs: Arc<dyn Fs>,
     n_shards: usize,
+    /// The superblock's epoch: the checkpoint recovery starts from, and
+    /// the epoch every current WAL belongs to. 0 until a fresh store's
+    /// first checkpoint.
     epoch: u64,
-    checkpoint_epoch: u64,
+    /// The id every file of this store carries.
+    store: u64,
     geometry_hash: u64,
     shape: PutShape,
     fenced: Arc<AtomicBool>,
 }
 
 impl DurableStore {
-    /// Opens (or initializes) the durable directory `fs`: a fresh one when
-    /// it has no superblock file.
+    /// Opens the durable directory `fs`; `initial` describes each shard's
+    /// fresh state (one entry per shard — its length fixes the shard
+    /// count).
     ///
-    /// `initial` describes each shard's fresh state (one entry per shard —
-    /// its length fixes the shard count) and is used only when the
-    /// directory has never been initialized; on a recovery open the
-    /// returned [`RecoveredShard`]s carry the checkpoint state with the
-    /// WAL suffix replayed over it. The `bool` is `true` for a fresh
-    /// initialization.
+    /// A directory with no superblock is a fresh one: it gets a new store
+    /// id and empty WALs of epoch 0, the returned shards are `initial`, and
+    /// the store stays at epoch 0 — named by no superblock — until the
+    /// caller has created the data files ([`DurableStore::data_file`]) and
+    /// cut the first checkpoint. Otherwise the returned shards carry the
+    /// checkpoint state with each WAL's suffix replayed over it.
     ///
-    /// A WAL that exists but cannot be read fails the open with the I/O
-    /// error's kind; one without a valid header of this format, or of a
-    /// newer epoch than the checkpoint, with [`StoreError::Corrupt`].
+    /// A file that exists but cannot be read fails the open with the I/O
+    /// error's kind; a missing or foreign one (see the module doc) with
+    /// [`StoreError::Corrupt`].
     pub fn open(
         fs: Arc<dyn Fs>,
         geometry_hash: u64,
         shape: PutShape,
         initial: Vec<ShardCheckpoint>,
-    ) -> Result<(Self, Vec<RecoveredShard>, bool), StoreError> {
+    ) -> Result<(Self, Vec<RecoveredShard>), StoreError> {
         let n_shards = initial.len();
         let mut store = DurableStore {
             fs,
             n_shards,
             epoch: 0,
-            checkpoint_epoch: 0,
+            store: 0,
             geometry_hash,
             shape,
             fenced: Arc::default(),
@@ -750,41 +734,25 @@ impl DurableStore {
         let raw = match store.fs.read("super") {
             Ok(raw) => raw,
             Err(NvmError::Io(ErrorKind::NotFound)) => {
-                store.checkpoint(&initial)?;
-                return Ok((store, initial.into_iter().map(from_checkpoint).collect(), true));
+                store.store = RandomState::new().hash_one(n_shards);
+                (0..n_shards).try_for_each(|sid| store.reset_wal(sid))?;
+                return Ok((store, initial.into_iter().map(from_checkpoint).collect()));
             }
             Err(e) => return Err(e.into()),
         };
-        let mut slots = [0u8; 2 * SLOT_BYTES as usize];
-        let n = raw.len().min(slots.len());
-        slots[..n].copy_from_slice(&raw[..n]);
-        let (a, b) = slots.split_at(SLOT_BYTES as usize);
-        let whole: Vec<SuperRecord> = [a, b].into_iter().filter_map(parse_super_slot).collect();
-        let best = whole.iter().filter(|(v, _)| *v == FORMAT_VERSION).max_by_key(|(_, r)| r.0);
-        let Some(&(_, (epoch, checkpoint_epoch, geom))) = best else {
-            return Err(corrupt(match whole.first() {
-                Some((v, _)) => format!(
-                    "store directory is format version {v}, this build reads {FORMAT_VERSION}"
-                ),
-                None => "no valid superblock replica".into(),
-            }));
-        };
-        if geom != geometry_hash {
-            return Err(corrupt(
-                "store directory was written under a different geometry",
-            ));
+        let slots = raw.chunks(SLOT_BYTES as usize).take(2);
+        let slots: Vec<Header> = slots.filter_map(|s| Header::parse(s, SUPER)).collect();
+        let best = slots.iter().filter(|h| h.version == FORMAT_VERSION).max_by_key(|h| h.epoch);
+        let best = best.or(slots.first()).copied();
+        if let Some(h) = best {
+            (store.store, store.epoch) = (h.store, h.epoch);
         }
-        (store.epoch, store.checkpoint_epoch) = (epoch, checkpoint_epoch);
+        store.check("super", best, WHOLE_STORE, 0)?;
 
-        let body = (store.fs.read(&format!("checkpoint.{checkpoint_epoch}")))
-            .map_err(|_| corrupt(format!("referenced checkpoint.{checkpoint_epoch} unreadable")))?;
-        let shards = decode_checkpoint(&body, checkpoint_epoch)?;
-        if shards.len() != n_shards {
-            return Err(corrupt(format!(
-                "checkpoint has {} shards, store expects {n_shards}",
-                shards.len()
-            )));
-        }
+        let name = format!("checkpoint.{}", store.epoch);
+        let body = store.fs.read(&name).map_err(missing(&name))?;
+        store.check(&name, Header::parse(&body, CHECKPOINT), WHOLE_STORE, store.epoch)?;
+        let shards = decode_checkpoint(&body, n_shards)?;
 
         // Clean up protocol leftovers: a half-written `checkpoint.tmp` or
         // WAL replacement, and any checkpoint the superblock does not
@@ -792,7 +760,7 @@ impl DurableStore {
         let _ = store.fs.remove("checkpoint.tmp");
         for name in store.fs.list().unwrap_or_default() {
             let stale = match name.strip_prefix("checkpoint.") {
-                Some(suffix) => suffix.parse::<u64>().is_ok_and(|e| e != checkpoint_epoch),
+                Some(suffix) => suffix.parse::<u64>().is_ok_and(|e| e != store.epoch),
                 None => name.starts_with("wal.") && name.ends_with(".tmp"),
             };
             if stale {
@@ -809,7 +777,38 @@ impl DurableStore {
         if replaced {
             store.sync_dir()?;
         }
-        Ok((store, recovered, false))
+        Ok((store, recovered))
+    }
+
+    /// The header this store stamps on a file of kind `magic`, of `shard`,
+    /// at `epoch`.
+    fn header(&self, magic: &[u8; 8], shard: usize, epoch: u64) -> [u8; HEADER] {
+        let (version, shard, store) = (FORMAT_VERSION, shard as u32, self.store);
+        Header { version, shard, store, epoch, geometry: self.geometry_hash }.encode(magic)
+    }
+
+    /// Checks that `name`, whose header is `header` (`None`: none whole of
+    /// its kind), is this store's file of `shard`, field by field, of an
+    /// epoch from `oldest` to the superblock's; returns that epoch.
+    fn check(
+        &self,
+        name: &str,
+        header: Option<Header>,
+        shard: usize,
+        oldest: u64,
+    ) -> Result<u64, StoreError> {
+        let h = header.ok_or_else(|| corrupt(format!("{name} has no valid header")))?;
+        let fields = [
+            ("format version", u64::from(h.version), u64::from(FORMAT_VERSION)),
+            ("geometry hash", h.geometry, self.geometry_hash),
+            ("store id", h.store, self.store),
+            ("shard", u64::from(h.shard), shard as u64),
+            ("epoch", h.epoch, h.epoch.clamp(oldest, self.epoch)),
+        ];
+        let Some((field, got, want)) = fields.into_iter().find(|(_, got, want)| got != want) else {
+            return Ok(h.epoch);
+        };
+        Err(corrupt(format!("{name} has {field} {got}, expected {want}")))
     }
 
     /// Replays shard `sid`'s WAL over `shard` and leaves the file ready
@@ -817,35 +816,20 @@ impl DurableStore {
     /// replaced by an empty one (the caller then syncs the directory).
     fn recover_wal(&self, sid: usize, shard: &mut RecoveredShard) -> Result<bool, StoreError> {
         let name = wal_name(sid);
-        let bytes = match self.fs.read(&name) {
-            Ok(bytes) => bytes,
-            // An initialization that died before it made this WAL.
-            Err(NvmError::Io(ErrorKind::NotFound)) => {
-                self.reset_wal(sid)?;
-                return Ok(true);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let epoch = wal_epoch(&bytes, sid)?;
-        if epoch < self.checkpoint_epoch {
+        let bytes = self.fs.read(&name).map_err(missing(&name))?;
+        if self.check(&name, Header::parse(&bytes, WAL), sid, 0)? < self.epoch {
             // A checkpoint that died between its superblock bump and this
             // WAL's replacement: the checkpoint holds every record.
             self.reset_wal(sid)?;
             return Ok(true);
-        }
-        if epoch > self.checkpoint_epoch {
-            return Err(corrupt(format!(
-                "wal.{sid} belongs to epoch {epoch}, past the checkpoint's {}",
-                self.checkpoint_epoch
-            )));
         }
         let end = replay_wal(&bytes, shard);
         // A torn record past the end, or a tear that left the file off a
         // page boundary: zero the tail, so every byte past the cursor is
         // zero again.
         let dirty_tail = bytes[end as usize..].iter().any(|&b| b != 0);
-        if dirty_tail || !(bytes.len() as u64).is_multiple_of(WAL_PAGE) {
-            let len = (bytes.len() as u64).next_multiple_of(WAL_PAGE);
+        if dirty_tail || !(bytes.len() as u64).is_multiple_of(PAGE) {
+            let len = (bytes.len() as u64).next_multiple_of(PAGE);
             let f = self.fs.open(&name, Open::Existing)?;
             f.write_at(&vec![0; (len - end) as usize], end)?;
             f.sync_data()?;
@@ -867,7 +851,7 @@ impl DurableStore {
         }
         let new_epoch = self.epoch + 1;
         let f = self.fs.open("checkpoint.tmp", Open::Truncate)?;
-        f.write_at(&encode_checkpoint(new_epoch, shards), 0)?;
+        f.write_at(&encode_checkpoint(self.header(CHECKPOINT, WHOLE_STORE, new_epoch), shards), 0)?;
         f.sync_all()?;
         self.fs.rename("checkpoint.tmp", &format!("checkpoint.{new_epoch}"))?;
         // A rename is atomic, not durable: the directory entry must reach
@@ -880,21 +864,13 @@ impl DurableStore {
         // recovery may skip the old WALs, so no record may land in one;
         // nor in a new one before the directory names it durably. Any
         // failure from here fences the store: every later record fails.
-        let old = self.checkpoint_epoch;
-        let appenders = (self.commit_epoch(new_epoch))
+        let old = std::mem::replace(&mut self.epoch, new_epoch);
+        let appenders = (self.write_superblock().and_then(|()| self.replace_wals()))
             .inspect_err(|_| self.fenced.store(true, Ordering::Relaxed))?;
-        if old != 0 && old != new_epoch {
+        if old != 0 {
             let _ = self.fs.remove(&format!("checkpoint.{old}"));
         }
         Ok(appenders)
-    }
-
-    /// Bumps the superblock to `epoch`, then replaces the WALs with empty
-    /// ones of that epoch.
-    fn commit_epoch(&mut self, epoch: u64) -> Result<Vec<DurableShard>, StoreError> {
-        self.write_superblock(epoch, epoch)?;
-        (self.epoch, self.checkpoint_epoch) = (epoch, epoch);
-        self.replace_wals()
     }
 
     /// Replaces every shard's WAL with an empty one of the current epoch,
@@ -904,17 +880,16 @@ impl DurableStore {
             self.reset_wal(sid)?;
         }
         self.sync_dir()?;
-        let cursor = WAL_HEADER as u64;
-        (0..self.n_shards).map(|sid| self.wal_appender(sid, cursor)).collect()
+        (0..self.n_shards).map(|sid| self.wal_appender(sid, HEADER as u64)).collect()
     }
 
-    /// Replaces shard `sid`'s WAL with an empty one of the current
-    /// checkpoint epoch — one page, the header and zeros — written aside,
-    /// synced and renamed over it: a crash leaves the old WAL or the new,
-    /// never a torn header. The caller syncs the directory.
+    /// Replaces shard `sid`'s WAL with an empty one of the current epoch —
+    /// one page, the header and zeros — written aside, synced and renamed
+    /// over it: a crash leaves the old WAL or the new, never a torn
+    /// header. The caller syncs the directory.
     fn reset_wal(&self, sid: usize) -> Result<(), StoreError> {
-        let mut page = vec![0u8; WAL_PAGE as usize];
-        page[..WAL_HEADER].copy_from_slice(&encode_wal_header(self.checkpoint_epoch));
+        let mut page = vec![0u8; PAGE as usize];
+        page[..HEADER].copy_from_slice(&self.header(WAL, sid, self.epoch));
         let tmp = format!("wal.{sid}.tmp");
         let f = self.fs.open(&tmp, Open::Truncate)?;
         f.write_at(&page, 0)?;
@@ -922,14 +897,22 @@ impl DurableStore {
         Ok(self.fs.rename(&tmp, &wal_name(sid))?)
     }
 
-    fn write_superblock(&self, epoch: u64, checkpoint_epoch: u64) -> Result<(), StoreError> {
-        let record = encode_superblock(epoch, checkpoint_epoch, self.geometry_hash);
-        let f = self.fs.open("super", Open::Create)?;
+    /// Writes the current epoch's superblock slot. A store's first
+    /// superblock is written aside and renamed in, so `super` appears whole
+    /// or not at all: a create that dies before it leaves a fresh directory.
+    fn write_superblock(&self) -> Result<(), StoreError> {
+        let epoch = self.epoch;
+        let name = if epoch == 1 { "super.tmp" } else { "super" };
+        let f = self.fs.open(name, Open::Create)?;
         if f.len()? < 2 * SLOT_BYTES {
             f.set_len(2 * SLOT_BYTES)?;
         }
-        f.write_at(&record, (epoch % 2) * SLOT_BYTES)?;
-        Ok(f.sync_all()?)
+        f.write_at(&self.header(SUPER, WHOLE_STORE, epoch), (epoch % 2) * SLOT_BYTES)?;
+        f.sync_all()?;
+        if epoch == 1 {
+            self.fs.rename(name, "super")?;
+        }
+        Ok(())
     }
 
     /// Fsyncs the store directory, making its entries — a renamed
@@ -938,9 +921,23 @@ impl DurableStore {
         Ok(self.fs.sync_dir()?)
     }
 
-    /// Opens (or creates) shard `sid`'s device backing file.
+    /// Shard `sid`'s device backing file: a fresh store's is truncated to
+    /// its header, which the device sizes and syncs; a reopen checks the
+    /// header of one that holds more than its header page.
     pub fn data_file(&self, sid: usize) -> Result<Arc<dyn FsFile>, StoreError> {
-        Ok(self.fs.open(&format!("data.{sid}"), Open::Create)?)
+        let name = format!("data.{sid}");
+        if self.epoch == 0 {
+            let f = self.fs.open(&name, Open::Truncate)?;
+            f.write_at(&self.header(DATA, sid, 0), 0)?;
+            return Ok(f);
+        }
+        let f = self.fs.open(&name, Open::Existing).map_err(missing(&name))?;
+        let mut header = [0; HEADER];
+        if f.len()? > PAGE {
+            f.read_at(&mut header, 0)?;
+        }
+        self.check(&name, Header::parse(&header, DATA), sid, 0)?;
+        Ok(f)
     }
 
     /// Opens shard `sid`'s WAL for positioned writes at `cursor` — and for
@@ -953,7 +950,7 @@ impl DurableStore {
             wal,
             cursor,
             len,
-            frame: Vec::with_capacity(WAL_PAGE as usize),
+            frame: Vec::with_capacity(PAGE as usize),
             fenced: Arc::clone(&self.fenced),
             defer_sync: false,
             dirty: false,
@@ -962,8 +959,7 @@ impl DurableStore {
         })
     }
 
-    /// Current superblock epoch.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// The superblock's epoch; 0 before a fresh store's first checkpoint.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -976,12 +972,24 @@ mod tests {
 
     const SHAPE: PutShape = PutShape { value_size: 8, ttl: false };
 
-    /// Opens `fs` as a one-shard store of `shape`, geometry 7.
+    /// Opens `fs` as a one-shard store of `shape`, geometry 7, cutting a
+    /// fresh store's first checkpoint (a store of no data file); the
+    /// `bool` is whether it was fresh.
     fn try_open(
         fs: Arc<dyn Fs>,
         shape: PutShape,
     ) -> Result<(DurableStore, Vec<RecoveredShard>, bool), StoreError> {
-        DurableStore::open(fs, 7, shape, vec![ShardCheckpoint::fresh(4)])
+        let (mut store, rec) = DurableStore::open(fs, 7, shape, vec![ShardCheckpoint::fresh(4)])?;
+        let fresh = store.epoch() == 0;
+        if fresh {
+            store.checkpoint(&[ShardCheckpoint::fresh(4)])?;
+        }
+        Ok((store, rec, fresh))
+    }
+
+    /// The epoch the header of WAL `bytes` names.
+    fn epoch_of_wal(bytes: &[u8]) -> Option<u64> {
+        Header::parse(bytes, WAL).map(|h| h.epoch)
     }
 
     fn open(fs: &SimFs) -> (DurableStore, Vec<RecoveredShard>, bool) {
@@ -1011,7 +1019,7 @@ mod tests {
 
     /// The appender a freshly opened (or just checkpointed) WAL starts.
     fn appender(store: &DurableStore) -> DurableShard {
-        store.wal_appender(0, WAL_HEADER as u64).unwrap()
+        store.wal_appender(0, HEADER as u64).unwrap()
     }
 
     fn put(wal: &mut DurableShard, key: u64, addr: u64) -> Result<(), StoreError> {
@@ -1032,6 +1040,15 @@ mod tests {
         s
     }
 
+    /// A format change bumps `FORMAT_VERSION` and adds its golden store
+    /// image, which `tests/recovery.rs` opens.
+    #[test]
+    fn this_format_has_a_golden_store_image() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let image = root.join(format!("tests/fixtures/store-v{FORMAT_VERSION}/manifest.txt"));
+        assert!(image.is_file(), "no golden store image {}", image.display());
+    }
+
     #[test]
     fn fresh_open_then_reopen_is_empty() {
         let fs = SimFs::new();
@@ -1045,7 +1062,7 @@ mod tests {
         assert!(!fresh);
         assert_eq!(store.epoch(), 1);
         assert!(rec[0].committed.is_empty());
-        assert_eq!(rec[0].wal_end, WAL_HEADER as u64);
+        assert_eq!(rec[0].wal_end, HEADER as u64);
     }
 
     #[test]
@@ -1107,9 +1124,9 @@ mod tests {
         assert_eq!(store.epoch(), 2);
         // An empty WAL of the new epoch: one page, the header and zeros.
         let bytes = fs.read("wal.0").unwrap();
-        assert_eq!(bytes.len() as u64, WAL_PAGE);
-        assert_eq!(wal_epoch(&bytes, 0), Ok(2));
-        assert!(bytes[WAL_HEADER..].iter().all(|&b| b == 0));
+        assert_eq!(bytes.len() as u64, PAGE);
+        assert_eq!(epoch_of_wal(&bytes), Some(2));
+        assert!(bytes[HEADER..].iter().all(|&b| b == 0));
         assert!(!exists(&fs, "checkpoint.1"), "old epoch removed");
         drop((wal, store));
 
@@ -1214,14 +1231,14 @@ mod tests {
         assert_eq!(zero_padded, delete[..delete.len() - 1], "all but the end mark");
         for torn in [delete, put(4, &[0x44, 0x44, 0, 0, 0, 0, 0, 0])] {
             for keep in 0..=torn.len() {
-                let mut wal = encode_wal_header(1).to_vec();
+                let mut wal = vec![0u8; HEADER];
                 wal.extend_from_slice(&committed);
                 wal.extend_from_slice(&torn[..keep]);
-                wal.resize(WAL_PAGE as usize, 0);
+                wal.resize(PAGE as usize, 0);
                 let mut shard = RecoveredShard::from_checkpoint(ShardCheckpoint::fresh(4), SHAPE);
                 let end = replay_wal(&wal, &mut shard) as usize;
                 let whole = keep == torn.len();
-                let want = WAL_HEADER + committed.len() + if whole { torn.len() } else { 0 };
+                let want = HEADER + committed.len() + if whole { torn.len() } else { 0 };
                 assert_eq!(end, want, "frame {torn:?} torn after {keep} bytes");
                 let (three, four) = (shard.committed.get(&3), shard.committed.get(&4));
                 assert_eq!(three.is_some(), !whole || torn[8] == REC_PUT);
@@ -1240,8 +1257,8 @@ mod tests {
         let (store, _, _) = try_open(Arc::new(fs.clone()), shape).unwrap();
         let mut wal = appender(&store);
         let file_len = || fs.read("wal.0").unwrap().len() as u64;
-        assert_eq!(file_len(), WAL_PAGE);
-        let (records, mut growths, mut last) = (200u64, 0, WAL_PAGE);
+        assert_eq!(file_len(), PAGE);
+        let (records, mut growths, mut last) = (200u64, 0, PAGE);
         for key in 0..records {
             if key == 100 {
                 fs.fail_sync("wal.", 0);
@@ -1249,15 +1266,15 @@ mod tests {
             }
             wal.log_put(key, key, &[key as u8; 64], 0).unwrap();
             let len = file_len();
-            assert!(len.is_multiple_of(WAL_PAGE), "record {key}");
+            assert!(len.is_multiple_of(PAGE), "record {key}");
             assert!(len >= wal.cursor, "record {key}");
             growths += u64::from(len != last);
             last = len;
         }
         let record = (WAL_FRAME_OVERHEAD + shape.payload_len()) as u64;
         assert_eq!(record, 90);
-        assert_eq!(wal.cursor, WAL_HEADER as u64 + records * record);
-        assert_eq!(growths, wal.cursor.div_ceil(WAL_PAGE) - 1);
+        assert_eq!(wal.cursor, HEADER as u64 + records * record);
+        assert_eq!(growths, wal.cursor.div_ceil(PAGE) - 1);
         let bytes = fs.read("wal.0").unwrap();
         assert!(bytes[wal.cursor as usize..].iter().all(|&b| b == 0));
         drop((wal, store));
@@ -1281,7 +1298,7 @@ mod tests {
             // empty WAL; a header whose CRC fails.
             let mut bad_crc = bytes.clone();
             bad_crc[17] ^= 1;
-            for old in [&bytes[WAL_HEADER..], &[][..], &bad_crc[..]] {
+            for old in [&bytes[HEADER..], &[][..], &bad_crc[..]] {
                 overwrite(fs.as_ref(), "wal.0", old);
                 match try_open(Arc::clone(&fs), SHAPE) {
                     Err(StoreError::Corrupt(why)) => assert!(why.starts_with("wal.0 "), "{why}"),
@@ -1311,7 +1328,7 @@ mod tests {
         let (store, rec, _) = open(&fs);
         assert_eq!(rec[0].committed, HashMap::from([(5, 500)]));
         let bytes = fs.read("wal.0").unwrap();
-        assert_eq!(wal_epoch(&bytes, 0), Ok(2), "replaced by a WAL of the checkpoint's epoch");
+        assert_eq!(epoch_of_wal(&bytes), Some(2), "replaced by a WAL of the checkpoint's epoch");
         let mut wal = store.wal_appender(0, rec[0].wal_end).unwrap();
         put(&mut wal, 6, 600).unwrap();
         drop((wal, store));
@@ -1362,19 +1379,50 @@ mod tests {
     fn a_superblock_of_another_format_is_refused_by_name() {
         let fs = SimFs::new();
         drop(open(&fs));
-        let mut slot = encode_superblock(1, 1, 7);
-        slot[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let crc = crc32(&slot[..40]);
-        slot[40..44].copy_from_slice(&crc.to_le_bytes());
+        let (store, epoch, geometry) = (9, 1, 7);
+        let slot = Header { version: 3, shard: 0, store, epoch, geometry }.encode(SUPER);
         let mut raw = vec![0u8; 2 * SLOT_BYTES as usize];
-        raw[SLOT_BYTES as usize..][..SUPER_RECORD].copy_from_slice(&slot);
+        raw[SLOT_BYTES as usize..][..HEADER].copy_from_slice(&slot);
         overwrite(&fs, "super", &raw);
         match try_open(Arc::new(fs), SHAPE) {
             Err(StoreError::Corrupt(why)) => {
-                assert!(why.contains("version 2") && why.contains("reads 3"), "{why}")
+                assert_eq!(why, "super has format version 3, expected 4")
             }
-            other => panic!("opened a version-2 superblock: {other:?}"),
+            other => panic!("opened a version-3 superblock: {other:?}"),
         }
+    }
+
+    /// Every file a store writes opens with its header: its kind's magic,
+    /// this format, the store's id, its shard (`WHOLE_STORE` for a
+    /// store-wide file), the epoch and the geometry; a second store of the
+    /// same geometry gets another id.
+    #[test]
+    fn every_file_opens_with_this_stores_header() {
+        let fs = SimFs::new();
+        let fresh = || vec![ShardCheckpoint::fresh(4)];
+        let (mut store, _) = DurableStore::open(Arc::new(fs.clone()), 7, SHAPE, fresh()).unwrap();
+        // The device sizes the file it is handed past its header page.
+        store.data_file(0).unwrap().set_len(2 * PAGE).unwrap();
+        store.checkpoint(&fresh()).unwrap();
+        let mut first = [0u8; HEADER];
+        let (reopened, _, _) = open(&fs);
+        reopened.data_file(0).unwrap().read_at(&mut first, 0).unwrap();
+        let id = store.store;
+        let header = |shard: usize, epoch| {
+            let (version, shard) = (FORMAT_VERSION, shard as u32);
+            Some(Header { version, shard, store: id, epoch, geometry: 7 })
+        };
+        let files = [
+            (&fs.read("super").unwrap()[SLOT_BYTES as usize..], SUPER, header(WHOLE_STORE, 1)),
+            (&fs.read("checkpoint.1").unwrap()[..], CHECKPOINT, header(WHOLE_STORE, 1)),
+            (&fs.read("wal.0").unwrap()[..], WAL, header(0, 1)),
+            (&first[..], DATA, header(0, 0)),
+        ];
+        for (bytes, magic, want) in files {
+            assert_eq!(Header::parse(bytes, magic), want);
+            assert_eq!(Header::parse(bytes, DATA).is_some(), magic == DATA, "one magic per kind");
+        }
+        assert_ne!(open(&SimFs::new()).0.store, id);
     }
 
     #[test]

@@ -44,8 +44,8 @@ impl ShardedPnwStore {
             .map(|i| ShardCheckpoint::fresh(split(cfg.capacity, n, i) as u64))
             .collect();
         let shape = PutShape { value_size: cfg.value_size, ttl: cfg.ttl_enabled };
-        let (durable, recovered, fresh) =
-            DurableStore::open(fs, geometry_hash(&cfg, n), shape, initial)?;
+        let (durable, recovered) = DurableStore::open(fs, geometry_hash(&cfg, n), shape, initial)?;
+        let fresh = durable.epoch() == 0;
         let mut shards = Vec::with_capacity(n);
         for (i, rec) in recovered.into_iter().enumerate() {
             let mut engine =
@@ -57,15 +57,17 @@ impl ShardedPnwStore {
             engine.restore_device_stats(rec.stats.clone());
             engine.redo(rec.redo())?;
             engine.recover_structures(Some(&rec.committed))?;
-            engine.attach_durable(durable.wal_appender(i, rec.wal_end)?, rec.values);
+            if !fresh {
+                engine.attach_durable(durable.wal_appender(i, rec.wal_end)?, rec.values);
+            }
             shards.push(Shard::wrap(engine, i, &cfg));
         }
-        if fresh {
-            // `super`, `wal.<i>` and `data.<i>` were just created.
-            durable.sync_dir()?;
-        }
         let store = ShardedPnwStore::assemble(cfg, shards, Some(Mutex::new(durable)));
-        if !fresh && !store.is_empty() {
+        if fresh {
+            // The data files and WALs are written and synced: the first
+            // checkpoint names them and hands every shard its WAL.
+            store.checkpoint()?;
+        } else if !store.is_empty() {
             // The model is DRAM-resident and died with the process;
             // reconstruct it from the recovered data zones (§V-A.1).
             store.retrain_now()?;

@@ -4,9 +4,10 @@
 //! that vanishes with the process, which is exactly right for figure
 //! harnesses and unit tests. [`DeviceBacking::File`] gives the same
 //! device a durable life, write-back, in a file opened through the
-//! [`crate::fs`] seam. The file holds the cell array, zero-padded to a
-//! 4 KiB page boundary, then the per-word wear counters (one `u32` LE per
-//! device word), zero-padded to a page boundary too. The in-DRAM image
+//! [`crate::fs`] seam. The file's first 4 KiB page is its owner's header,
+//! which this module never writes; then the cell array, zero-padded to a
+//! page boundary, then the per-word wear counters (one `u32` LE per device
+//! word), zero-padded to a page boundary too. The in-DRAM image
 //! and counters stay the read and write path (peeks, diffs and writes
 //! never touch the file); every write that changes a cell marks its
 //! pages, and the pages of its words' counters, in a dirty bitmap, and
@@ -52,7 +53,7 @@ pub enum DeviceBacking {
 pub struct FileBacking {
     file: Arc<dyn FsFile>,
     /// The file offset of the first wear counter: the first page boundary
-    /// at or past the cells.
+    /// at or past the cells, which start at [`PAGE`].
     counters_at: usize,
     /// One bit per [`PAGE`] of the file written since the last flush.
     dirty: Vec<u64>,
@@ -62,8 +63,8 @@ impl FileBacking {
     /// Takes the backing file for a device whose zeroed cells and per-word
     /// wear counters are `cells` and `counters`, and returns the handle:
     ///
-    /// * an empty file is sized, synced, and leaves both zeroed (freshly
-    ///   manufactured PCM);
+    /// * a file no longer than its header page is sized, synced, and
+    ///   leaves both zeroed (freshly manufactured PCM);
     /// * a file of exactly that size is loaded into both, as persisted;
     /// * any other length is a geometry mismatch and is rejected.
     pub fn open(
@@ -71,17 +72,17 @@ impl FileBacking {
         cells: &mut [u8],
         counters: &mut [u32],
     ) -> Result<Self, NvmError> {
-        let counters_at = cells.len().next_multiple_of(PAGE);
+        let counters_at = PAGE + cells.len().next_multiple_of(PAGE);
         let counter_bytes = counters.len() * COUNTER;
         let size = (counters_at + counter_bytes.next_multiple_of(PAGE)) as u64;
         let len = file.len()?;
-        if len == 0 {
+        if len <= PAGE as u64 {
             // Synced at once: a power loss must not leave a file of some
             // other length, which the next open would refuse.
             file.set_len(size)?;
             file.sync_all()?;
         } else if len == size {
-            file.read_at(cells, 0)?;
+            file.read_at(cells, PAGE as u64)?;
             let mut bytes = vec![0u8; counter_bytes];
             file.read_at(&mut bytes, counters_at as u64)?;
             for (c, b) in counters.iter_mut().zip(bytes.chunks_exact(COUNTER)) {
@@ -101,7 +102,7 @@ impl FileBacking {
         debug_assert!(start < end);
         let counter = |byte: usize| self.counters_at + byte / WORD_BYTES * COUNTER;
         let counters = (counter(start), counter(end - 1) + COUNTER);
-        for (start, end) in [(start, end), counters] {
+        for (start, end) in [(PAGE + start, PAGE + end), counters] {
             for page in start / PAGE..=(end - 1) / PAGE {
                 self.dirty[page / 64] |= 1 << (page % 64);
             }
@@ -110,9 +111,9 @@ impl FileBacking {
 
     /// Writes every dirty page back — of `cells` (the device's cell array)
     /// and of `counters` (its per-word wear) — one positioned write per run
-    /// of adjacent dirty pages, then syncs the file. The bitmap is cleared
-    /// only once the sync returns, so a failed flush leaves every page it
-    /// covered dirty.
+    /// of adjacent dirty pages (never the header page), then syncs the file.
+    /// The bitmap is cleared only once the sync returns, so a failed flush
+    /// leaves every page it covered dirty.
     pub fn flush(&mut self, cells: &[u8], counters: &[u32]) -> Result<(), NvmError> {
         let cell_pages = self.counters_at / PAGE;
         let pages = cell_pages + (counters.len() * COUNTER).div_ceil(PAGE);
@@ -131,7 +132,7 @@ impl FileBacking {
             }
             let (start, end) = (run * PAGE, page * PAGE);
             let bytes = if run < cell_pages {
-                &cells[start..end.min(cells.len())]
+                &cells[start - PAGE..(end - PAGE).min(cells.len())]
             } else {
                 let word = |at: usize| ((at - self.counters_at) / COUNTER).min(counters.len());
                 let counted = &counters[word(start)..word(end)];
@@ -172,8 +173,8 @@ mod tests {
         let (mut b, cells, counters) = open(&fs, 128).unwrap();
         assert_eq!(cells, vec![0u8; 128]);
         assert_eq!(counters, vec![0u32; 16]);
-        // A page of cells, then a page of counters.
-        assert_eq!(fs.read("data.0").unwrap(), vec![0u8; 2 * PAGE]);
+        // The reserved page, a page of cells, then a page of counters.
+        assert_eq!(fs.read("data.0").unwrap(), vec![0u8; 3 * PAGE]);
         b.flush(&cells, &counters).unwrap();
     }
 
@@ -218,20 +219,39 @@ mod tests {
         };
         let fs = fs.reboot();
         let torn = [(0, 0xAB), (PAGE, 0), (2 * PAGE, 0xAB), (2 * PAGE + 13, 0)];
-        assert_eq!(landed(&fs.read("data.0").unwrap()), torn);
+        assert_eq!(landed(&fs.read("data.0").unwrap()[PAGE..]), torn);
         // Every page stays dirty: the flush onto the rebooted file writes
         // both runs whole, and still never the clean page.
         b.file = fs.open("data.0", Open::Existing).unwrap();
         b.flush(&cells, &counters).unwrap();
         let whole = [(0, 0xAB), (PAGE, 0), (2 * PAGE, 0xAB)];
-        assert_eq!(landed(&fs.read("data.0").unwrap()), whole);
+        assert_eq!(landed(&fs.read("data.0").unwrap()[PAGE..]), whole);
+    }
+
+    /// The reserved page is its owner's: a fresh file keeps what the owner
+    /// wrote there, and no flush writes it.
+    #[test]
+    fn the_first_page_is_never_written() {
+        let fs = SimFs::new();
+        fs.open("data.0", Open::Create).unwrap().write_at(b"owner's header", 0).unwrap();
+        let (mut b, mut cells, counters) = open(&fs, 64).unwrap();
+        cells.fill(0xAB);
+        b.mark_dirty(0, 64);
+        b.flush(&cells, &counters).unwrap();
+        let file = fs.read("data.0").unwrap();
+        assert_eq!(&file[..14], b"owner's header");
+        assert!(file[14..PAGE].iter().all(|&x| x == 0));
+        assert_eq!(file[PAGE..PAGE + 64], [0xAB; 64]);
+        let (_, cells, _) = open(&fs, 64).unwrap();
+        assert_eq!(cells, [0xAB; 64]);
     }
 
     #[test]
     fn size_mismatch_rejected() {
         let fs = SimFs::new();
-        // The cells alone, as a device without counters in its file wrote.
-        fs.open("data.0", Open::Create).unwrap().write_at(&[0u8; 64], 0).unwrap();
+        // The reserved page and the cells alone, as a device without
+        // counters in its file wrote.
+        fs.open("data.0", Open::Create).unwrap().write_at(&[0u8; 64], PAGE as u64).unwrap();
         let mismatch = Err(NvmError::Io(io::ErrorKind::InvalidData));
         assert_eq!(open(&fs, 64).map(|_| ()), mismatch);
     }

@@ -360,8 +360,8 @@ impl NvmDevice {
 
     /// Creates a device honoring `cfg.backing`: [`DeviceBacking::Volatile`]
     /// behaves exactly like [`NvmDevice::new`]; [`DeviceBacking::File`]
-    /// takes the backing file — an empty one is sized, one of this
-    /// geometry is loaded as the persisted cell image and per-word wear
+    /// takes the backing file — one no longer than its reserved header
+    /// page is sized, one of this geometry is loaded as the persisted cell image and per-word wear
     /// counters, so reopening after a kill resumes from precisely what the
     /// last [`NvmDevice::sync`] wrote back. The other session counters
     /// (stats, per-bit wear, fault state) start fresh; a durable caller

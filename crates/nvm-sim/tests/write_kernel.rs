@@ -272,11 +272,12 @@ fn check(case: &Case) -> Result<(), TestCaseError> {
         }
         if let Some(fs) = &fs {
             dev.sync().unwrap();
-            // The cells, then the per-word wear counters, each from a page
-            // boundary.
+            // The reserved first page, the cells, then the per-word wear
+            // counters, each from a page boundary.
             let file = fs.read("data").unwrap();
-            prop_assert_eq!(&file[..case.size], &model.cells[..], "backing file cells");
-            let counters = file[case.size.next_multiple_of(4096)..].chunks_exact(4);
+            let cells = &file[4096..4096 + case.size];
+            prop_assert_eq!(cells, &model.cells[..], "backing file cells");
+            let counters = file[4096 + case.size.next_multiple_of(4096)..].chunks_exact(4);
             let counters: Vec<u32> =
                 counters.map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
             let words = model.word_writes.len();

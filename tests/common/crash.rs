@@ -28,13 +28,16 @@
 //! [`walk_recovery`] crashes the first checkpoint after a recovery, the
 //! one that writes back what recovery rewrote, at each of its writes and
 //! syncs; the reopen must read exactly what one clean recovery reads.
+//! [`walk_create`] crashes a fresh store's creation at each of its writes
+//! and syncs; the reopen must never be refused, and must give an empty
+//! store that runs the script to a clean close.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pnw_core::{now_unix_ms, Batch, IndexPlacement, PnwConfig, PnwStore};
 use pnw_core::{Store, StoreError};
-use pnw_nvm_sim::{Fs, SimFs};
+use pnw_nvm_sim::{Fs, Open, SimFs};
 
 use super::oracle::{self, value, Backend, Step, Step::*};
 
@@ -75,6 +78,18 @@ pub enum Tear {
     Pages(u64),
 }
 
+impl Tear {
+    /// The words or bytes of the torn write that land. `Whole` keeps more
+    /// than any write here carries.
+    fn keep(self) -> usize {
+        match self {
+            Tear::Nothing | Tear::Pages(_) => 0,
+            Tear::Prefix(n) => n,
+            Tear::Whole => 1 << 20,
+        }
+    }
+}
+
 impl Site {
     pub fn tears(self) -> &'static [Tear] {
         match self {
@@ -86,15 +101,18 @@ impl Site {
 
     /// Arms `tear` at write (or sync) `k` of this site, of `store` on `fs`.
     pub fn arm(self, store: &PnwStore, fs: &SimFs, k: u64, tear: Tear) {
-        // `Whole` keeps more than any write here carries.
-        let keep = match tear {
-            Tear::Nothing | Tear::Pages(_) => 0,
-            Tear::Prefix(n) => n,
-            Tear::Whole => 1 << 20,
-        };
         match self {
-            Site::Device(shard) => store.arm_torn_write_after(shard, k, keep),
-            Site::File(prefix) => fs.tear(prefix, k, keep),
+            Site::Device(shard) => store.arm_torn_write_after(shard, k, tear.keep()),
+            _ => self.arm_files(fs, k, tear),
+        }
+    }
+
+    /// Arms `tear` at write (or sync) `k` of this file or power-loss site
+    /// of `fs`.
+    pub fn arm_files(self, fs: &SimFs, k: u64, tear: Tear) {
+        match self {
+            Site::Device(_) => panic!("a device site arms a store"),
+            Site::File(prefix) => fs.tear(prefix, k, tear.keep()),
             Site::PowerLoss => {
                 let seed = match tear {
                     Tear::Pages(seed) => Some(seed),
@@ -425,24 +443,37 @@ pub fn run(backend: &Backend, script: &Script, crash: Option<Crash>, check: bool
 /// The files a directory holds, by name.
 pub type Files = BTreeMap<String, Vec<u8>>;
 
-fn files(fs: &dyn Fs) -> Files {
+pub fn files(fs: &dyn Fs) -> Files {
     let names = fs.list().expect("the store's files");
     names.into_iter().map(|name| (name.clone(), fs.read(&name).expect("a file"))).collect()
 }
 
+/// A simulated directory holding `files`, synced.
+pub fn sim_fs(files: &Files) -> SimFs {
+    let fs = SimFs::new();
+    for (name, bytes) in files {
+        let file = fs.open(name, Open::Truncate).expect("a simulated file");
+        file.write_at(bytes, 0).and_then(|()| file.sync_all()).expect("a simulated write");
+    }
+    fs.sync_dir().expect("a simulated directory");
+    fs
+}
+
 /// Runs `script` unarmed to its `close` on the host's file system, in
 /// `backend`'s directory, and on a simulated one; returns the files each
-/// holds then. Both start from a fresh open, dropped and reopened.
+/// holds then. Both start from the same fresh store — its id is in every
+/// file — dropped and reopened.
 pub fn files_after_close(backend: &Backend, script: &Script) -> [Files; 2] {
     let dir = backend.dir().expect("a durable backend");
     let _ = std::fs::remove_dir_all(dir);
     drop(PnwStore::open(backend.cfg.clone()).expect("fresh open"));
+    let host_fs = pnw_nvm_sim::OsFs::new(dir).expect("the store's directory");
+    let fs = sim_fs(&files(&host_fs));
     let store = PnwStore::open(backend.cfg.clone()).expect("open");
     drive(&store, script, &mut Dying::new(&backend.cfg, script, None), || {});
     store.close().expect("close");
-    let host = files(&pnw_nvm_sim::OsFs::new(dir).expect("the store's directory"));
+    let host = files(&host_fs);
     let _ = std::fs::remove_dir_all(dir);
-    let fs = script.fresh.snapshot();
     let store = open(&backend.cfg, &fs).expect("open");
     drive(&store, script, &mut Dying::new(&backend.cfg, script, None), || {});
     store.close().expect("close");
@@ -668,25 +699,36 @@ const RECOVERY_SITES: [Site; 5] =
     [WRITE_BACKS[0], CHECKPOINT, SUPERBLOCK, WAL, Site::PowerLoss];
 
 /// Walks each of [`RECOVERY_SITES`] of the first checkpoint after
-/// recovering `script`, killed at its end, in parallel: k = 0, `stride`,
-/// 2·`stride`, … and the site's last write (or sync), each torn every
-/// way. Returns the writes (or syncs) the checkpoint makes at each site.
+/// recovering `script`, killed at its end ([`walk_cells`]).
 pub fn walk_recovery(backend: &Backend, script: &Script, stride: u64) -> Vec<(Site, u64)> {
     let rec = recovery(backend, script);
-    let rec = &rec;
+    let cell = |crash, check| recovery_cell(backend, script, &rec, crash, check);
+    walk_cells(backend, &RECOVERY_SITES, stride, cell)
+}
+
+/// Walks each of `sites` in parallel, `cell(crash, check)` running one
+/// crash and returning whether it fired: k = 0, `stride`, 2·`stride`, …
+/// and the site's last write (or sync), each torn every way, the first
+/// unfired k found unchecked. Returns the writes (or syncs) made at each
+/// site.
+fn walk_cells(
+    backend: &Backend,
+    sites: &[Site],
+    stride: u64,
+    cell: impl Fn(Crash, bool) -> bool + Sync,
+) -> Vec<(Site, u64)> {
+    let cell = &cell;
     std::thread::scope(|scope| {
-        let walks: Vec<_> = (RECOVERY_SITES.iter())
+        let walks: Vec<_> = (sites.iter())
             .map(|&site| {
                 scope.spawn(move || {
                     let b = &backend.name;
-                    let cell = |k, tear, check| {
-                        recovery_cell(backend, script, rec, (site, k, tear), check)
-                    };
-                    let writes = (0..).find(|&k| !cell(k, Tear::Nothing, false)).unwrap();
-                    assert!(writes > 0, "{b}: the checkpoint makes no write at {site:?}");
+                    let writes = (0..).find(|&k| !cell((site, k, Tear::Nothing), false)).unwrap();
+                    assert!(writes > 0, "{b}: no write at {site:?}");
                     for k in (0..writes).filter(|&k| k % stride == 0 || k == writes - 1) {
                         for &tear in site.tears() {
-                            assert!(cell(k, tear, true), "{b}: {site:?} write {k} did not fire");
+                            let fired = cell((site, k, tear), true);
+                            assert!(fired, "{b}: {site:?} write {k} did not fire");
                         }
                     }
                     (site, writes)
@@ -695,6 +737,48 @@ pub fn walk_recovery(backend: &Backend, script: &Script, stride: u64) -> Vec<(Si
             .collect();
         walks.into_iter().map(joined).collect()
     })
+}
+
+/// The writes of a fresh store's creation to every data file: its
+/// header, and the first checkpoint's write-back.
+pub const DATA_FILES: Site = Site::File("data.");
+
+/// The sites of a fresh store's creation: the data files, the checkpoint
+/// file, the superblock, each WAL reset (the WALs of epoch 0, then those of
+/// epoch 1), and each sync.
+pub const CREATE_SITES: [Site; 5] = [DATA_FILES, CHECKPOINT, SUPERBLOCK, WAL, Site::PowerLoss];
+
+/// Creates `backend`'s store on an empty directory with write (or sync)
+/// `k` of `site` torn `tear`. When the crash fired — the open failed — and
+/// `check` is set, the next open must give an empty store that runs
+/// `script` to a clean close and passes its audit. Returns whether it
+/// fired.
+fn create_cell(backend: &Backend, script: &Script, crash: Crash, check: bool) -> bool {
+    let (site, k, tear) = crash;
+    let fs = SimFs::new();
+    site.arm_files(&fs, k, tear);
+    if open(&backend.cfg, &fs).is_ok() {
+        return false;
+    }
+    if check {
+        let (b, fs) = (&backend.name, fs.reboot());
+        let cell = format!("{b}: the create's {site:?} write {k} torn {tear:?}");
+        let store = open(&backend.cfg, &fs).unwrap_or_else(|e| panic!("{cell}: reopen: {e}"));
+        let held = (store.len(), store.scan(0, u64::MAX).map(|s| s.len()));
+        assert_eq!(held, (0, Ok(0)), "{cell}: the reopened store is not empty");
+        drop(store);
+        let (steps, dry_pool) = (script.steps.clone(), script.dry_pool);
+        let recreated = Script { steps, dry_pool, fresh: fs, an_hour_out: script.an_hour_out };
+        run(backend, &recreated, None, true);
+    }
+    true
+}
+
+/// Walks each of [`CREATE_SITES`] of `backend`'s creation
+/// ([`walk_cells`]).
+pub fn walk_create(backend: &Backend, script: &Script, stride: u64) -> Vec<(Site, u64)> {
+    let cell = |crash, check| create_cell(backend, script, crash, check);
+    walk_cells(backend, &CREATE_SITES, stride, cell)
 }
 
 /// Every cell: the clean close, and each site's every write, torn each way.

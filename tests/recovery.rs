@@ -17,8 +17,8 @@ use std::sync::OnceLock;
 
 use common::crash::{self, Script, Site, Tear, CHECKPOINT, SUPERBLOCK, WAL, WRITE_BACKS};
 use common::oracle::{Backend, Step};
-use pnw_core::{Batch, IndexPlacement, PnwConfig, PnwStore, ShardedPnwStore, Store};
-use pnw_nvm_sim::{Fs, SimFs};
+use pnw_core::{Batch, IndexPlacement, PnwConfig, PnwStore, ShardedPnwStore, Store, StoreError};
+use pnw_nvm_sim::{Fs, Open, SimFs};
 use pnw_workloads::{DatasetKind, Workload};
 
 fn populated_store(placement: IndexPlacement) -> (PnwStore, Vec<(u64, Vec<u8>)>) {
@@ -391,15 +391,34 @@ fn matrix_first_checkpoint_after_recovery() {
     }
 }
 
+/// A fresh store's creation, on the one-shard DRAM configuration and on
+/// four shards: each write of its data files (their headers, and the
+/// first checkpoint's write-back), checkpoint file, superblock and WAL
+/// resets torn each way, and the power cut at each of its syncs. The next
+/// open is never refused: it gives an empty store that runs the matrix's
+/// script to a clean close and passes its audit.
+#[test]
+fn matrix_crash_the_create() {
+    for config in [DRAM, SHARDED] {
+        let (backend, script) = matrix("create", config);
+        let writes = crash::walk_create(&backend, script, STRIDE);
+        println!("{}: the create's writes per site {writes:?}", backend.name);
+    }
+}
+
 #[test]
 #[ignore = "the full enumeration; run with --ignored crash_matrix"]
 fn crash_matrix_full() {
     for (config, backend) in crash::configs("full").iter().enumerate() {
         println!("{}: writes per site {:?}", backend.name, crash::full(backend));
+        let script = Script::of(backend);
         if [DRAM, NVM].contains(&config) {
-            let script = Script::of(backend);
             let writes = crash::walk_recovery(backend, &script, 1);
             println!("{}: after a recovery, writes per site {writes:?}", backend.name);
+        }
+        if [DRAM, SHARDED].contains(&config) {
+            let writes = crash::walk_create(backend, &script, 1);
+            println!("{}: the create's writes per site {writes:?}", backend.name);
         }
     }
 }
@@ -646,4 +665,213 @@ fn server_killed_mid_pipeline_recovers_exactly_the_acked_prefix() {
     assert!(recovered >= acked.len());
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Files that are not this store's. Every one is refused with `Corrupt`
+// naming the file; none is replayed into the wrong shard or read as empty.
+
+/// The wrong-file cells' store: 2 shards of 16 B values on `SimFs`.
+fn two_shards(capacity: usize) -> PnwConfig {
+    PnwConfig::new(capacity, 16).with_clusters(2).with_shards(2).with_seed(5)
+}
+
+/// A store of `cfg` on an empty `SimFs`: keys 0..100 put, then, when
+/// `checkpoint`, a checkpoint and keys 100..120. Dropped without `close`.
+fn acked_files(cfg: &PnwConfig, checkpoint: bool) -> SimFs {
+    let fs = SimFs::new();
+    let store = crash::open(cfg, &fs).unwrap();
+    let puts = |keys: std::ops::Range<u64>| {
+        for k in keys {
+            store.put(k, &[k as u8; 16]).unwrap();
+        }
+    };
+    puts(0..100);
+    if checkpoint {
+        store.checkpoint().unwrap();
+        puts(100..120);
+    }
+    drop(store);
+    fs
+}
+
+/// Puts `bytes` in place of the file `name` of `fs`.
+fn replace(fs: &SimFs, name: &str, bytes: &[u8]) {
+    let file = fs.open(name, Open::Truncate).unwrap();
+    file.write_at(bytes, 0).unwrap();
+}
+
+/// The opening of `fs` as `cfg`'s store must fail with `Corrupt` naming
+/// `file` and `field`. An open that succeeds reports how many of the
+/// acknowledged keys it still reads.
+fn refused(cfg: &PnwConfig, fs: &SimFs, file: &str, field: &str) {
+    match crash::open(cfg, fs) {
+        Err(StoreError::Corrupt(why)) => {
+            assert!(why.starts_with(&format!("{file} ")) && why.contains(field), "{file}: {why}")
+        }
+        Err(other) => panic!("{file}: refused with {other:?}, not as corrupt"),
+        Ok(store) => {
+            let checkpointed = fs.list().unwrap().iter().any(|n| n == "checkpoint.2");
+            let acked = if checkpointed { 120 } else { 100 };
+            let readable = (0..acked).filter(|&k| store.get(k).unwrap().is_some()).count();
+            let len = store.len();
+            panic!("{file}: opened, len() {len}, {readable} of {acked} acked keys readable")
+        }
+    }
+}
+
+#[test]
+fn swapped_wals_are_refused() {
+    let cfg = two_shards(256);
+    let fs = acked_files(&cfg, false);
+    let [zero, one] = ["wal.0", "wal.1"].map(|n| fs.read(n).unwrap());
+    replace(&fs, "wal.0", &one);
+    replace(&fs, "wal.1", &zero);
+    refused(&cfg, &fs, "wal.0", "shard");
+}
+
+#[test]
+fn swapped_data_files_after_a_checkpoint_are_refused() {
+    let cfg = two_shards(256);
+    let fs = acked_files(&cfg, true);
+    let [zero, one] = ["data.0", "data.1"].map(|n| fs.read(n).unwrap());
+    replace(&fs, "data.0", &one);
+    replace(&fs, "data.1", &zero);
+    refused(&cfg, &fs, "data.0", "shard");
+}
+
+#[test]
+fn a_deleted_data_file_after_a_checkpoint_is_refused() {
+    let cfg = two_shards(256);
+    let fs = acked_files(&cfg, true);
+    fs.remove("data.0").unwrap();
+    refused(&cfg, &fs, "data.0", "missing");
+}
+
+/// `wal.1`, `data.1` and the checkpoint, each replaced by the same file of
+/// a second store of the same configuration at the same epoch.
+#[test]
+fn a_file_of_another_store_at_the_same_epoch_is_refused() {
+    let cfg = two_shards(256);
+    let other = acked_files(&cfg, true);
+    for name in ["wal.1", "data.1", "checkpoint.2"] {
+        let fs = acked_files(&cfg, true);
+        replace(&fs, name, &other.read(name).unwrap());
+        refused(&cfg, &fs, name, "store id");
+    }
+}
+
+#[test]
+fn a_data_file_of_another_capacity_is_refused() {
+    let cfg = two_shards(256);
+    let fs = acked_files(&cfg, true);
+    let other = acked_files(&two_shards(512), true);
+    replace(&fs, "data.0", &other.read("data.0").unwrap());
+    refused(&cfg, &fs, "data.0", "geometry");
+}
+
+// ---------------------------------------------------------------------------
+// Golden store images (`tests/fixtures/store-v<N>/`): one directory per
+// format version, each a store of `golden_cfg` that `write_golden_store`
+// left, with a `manifest.txt` of its live keys. This build opens a copy of
+// its own version's image and reads every key bit-exact, and refuses every
+// older one by its version.
+
+/// The golden images' configuration: 2 shards of 8 B values, TTL on.
+fn golden_cfg(dir: &Path) -> PnwConfig {
+    PnwConfig::new(16, 8).with_clusters(2).with_shards(2).with_ttl().with_seed(23).with_path(dir)
+}
+
+/// The golden images' script: six keys put and one with a deadline in
+/// 2100, key 3's bucket retired off a stuck bit its value agrees with, a
+/// checkpoint, then an update, a delete and a fresh put in the WAL over
+/// it. The store is dropped without `close`. Returns every live key's
+/// value.
+fn write_golden_store(dir: &Path) -> std::collections::BTreeMap<u64, Vec<u8>> {
+    let store = PnwStore::open(golden_cfg(dir)).unwrap();
+    let mut live = std::collections::BTreeMap::new();
+    let mut put = |key: u64, fill: u8, deadline: Option<u64>| {
+        let value: Vec<u8> = (0..8).map(|i| fill ^ i).collect();
+        match deadline {
+            Some(at) => store.put_with_expiry(key, &value, at).map(|_| ()).unwrap(),
+            None => store.put(key, &value).map(|_| ()).unwrap(),
+        }
+        live.insert(key, value);
+    };
+    for key in 1..=6 {
+        put(key, 0x11 * key as u8, None);
+    }
+    put(7, 0x77, Some(4_102_444_800_000));
+    let bit = 9;
+    let three = store.get(3).unwrap().unwrap();
+    assert_eq!(store.arm_stuck_at_key(3, bit, three[1] >> 1 & 1 == 1), Ok(true));
+    store.scrub_pass().unwrap();
+    assert_eq!(store.snapshot().scrub.retired, 1, "one bucket retired");
+    store.checkpoint().unwrap();
+    put(2, 0x2B, None);
+    put(8, 0x88, None);
+    store.delete(5).unwrap();
+    live.remove(&5);
+    drop(store);
+    live
+}
+
+/// The image of format `version`: its files on a simulated directory,
+/// and its manifest.
+fn golden_store(version: u32) -> (SimFs, Vec<(u64, Vec<u8>)>) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = root.join(format!("tests/fixtures/store-v{version}"));
+    assert!(dir.is_dir(), "no golden image {}", dir.display());
+    let mut files = crash::files(&pnw_nvm_sim::OsFs::new(&dir).unwrap());
+    let manifest = files.remove("manifest.txt").expect("a manifest");
+    let line = |l: &str| {
+        let (key, hex) = l.split_once(' ').unwrap();
+        let byte = |i: usize| u8::from_str_radix(&hex[i..i + 2], 16).unwrap();
+        (key.parse().unwrap(), (0..hex.len()).step_by(2).map(byte).collect())
+    };
+    let manifest = String::from_utf8(manifest).unwrap().lines().map(line).collect();
+    (crash::sim_fs(&files), manifest)
+}
+
+/// Writes this format's golden image. Run it once per format version,
+/// with `FORMAT_VERSION` bumped: `cargo test --test recovery -- --ignored
+/// write_the_golden_store_image`.
+#[test]
+#[ignore = "writes tests/fixtures/store-v4; run once per format version"]
+fn write_the_golden_store_image() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store-v4");
+    let _ = std::fs::remove_dir_all(&dir);
+    let live = write_golden_store(&dir);
+    let hex = |v: &[u8]| v.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let manifest: String = live.iter().map(|(k, v)| format!("{k} {}\n", hex(v))).collect();
+    std::fs::write(dir.join("manifest.txt"), manifest).unwrap();
+}
+
+/// This format's image opens, from a copy, and serves every manifest key
+/// bit-exact: the WAL's update, delete and fresh put replayed over the
+/// checkpoint, the TTL key, and key 3 off its retired bucket.
+#[test]
+fn the_golden_store_of_this_format_reads_back_bit_exact() {
+    let (fs, manifest) = golden_store(4);
+    let store = crash::open(&golden_cfg(Path::new("unused")), &fs).unwrap();
+    for (key, value) in &manifest {
+        assert_eq!(store.get(*key).unwrap().as_ref(), Some(value), "key {key}");
+    }
+    assert_eq!(store.get(5).unwrap(), None, "the WAL's delete");
+    assert_eq!(store.len(), manifest.len());
+    assert_eq!(store.snapshot().scrub.retired, 1);
+}
+
+/// Format 3's image (no store ids, no data-file headers) is refused with
+/// both versions named, never read.
+#[test]
+fn the_golden_store_of_format_3_is_refused_by_its_version() {
+    let (fs, _) = golden_store(3);
+    match crash::open(&golden_cfg(Path::new("unused")), &fs) {
+        Err(StoreError::Corrupt(why)) => {
+            assert!(why.contains("format version 3") && why.contains('4'), "{why}")
+        }
+        Err(other) => panic!("refused with {other:?}, not as corrupt"),
+        Ok(_) => panic!("a format-3 store opened"),
+    }
 }
