@@ -66,9 +66,11 @@ mod tests {
     use crate::matrix::sq_dist;
     use pnw_nvm_sim_hamming::hamming;
 
-    /// Local copy of the Hamming kernel so this crate stays dependency-free;
-    /// semantics must match `pnw_nvm_sim::device::hamming` (checked in the
-    /// integration suite).
+    /// A byte-at-a-time Hamming distance, so this crate stays
+    /// dependency-free. The device's `pnw_nvm_sim::device::hamming` is a
+    /// pass of its word-diff kernel — the one loop behind a differential
+    /// write's flip count — and `tests/equivalence.rs` checks that it
+    /// equals `sq_dist` on bits, as this one does here.
     mod pnw_nvm_sim_hamming {
         pub fn hamming(a: &[u8], b: &[u8]) -> u64 {
             a.iter()

@@ -57,6 +57,10 @@ pub struct FileBacking {
     counters_at: usize,
     /// One bit per [`PAGE`] of the file written since the last flush.
     dirty: Vec<u64>,
+    /// Whether the file is durable apart from the dirty pages: true after
+    /// a sync, false on a file opened as it was found, whose last writer
+    /// may have died between a flush's writes and its sync.
+    synced: bool,
 }
 
 impl FileBacking {
@@ -76,7 +80,8 @@ impl FileBacking {
         let counter_bytes = counters.len() * COUNTER;
         let size = (counters_at + counter_bytes.next_multiple_of(PAGE)) as u64;
         let len = file.len()?;
-        if len <= PAGE as u64 {
+        let synced = len <= PAGE as u64;
+        if synced {
             // Synced at once: a power loss must not leave a file of some
             // other length, which the next open would refuse.
             file.set_len(size)?;
@@ -92,7 +97,12 @@ impl FileBacking {
             return Err(NvmError::Io(io::ErrorKind::InvalidData));
         }
         let dirty = vec![0u64; (size as usize / PAGE).div_ceil(64)];
-        Ok(FileBacking { file, counters_at, dirty })
+        Ok(FileBacking {
+            file,
+            counters_at,
+            dirty,
+            synced,
+        })
     }
 
     /// Marks the pages under device bytes `[start, end)` dirty, and the
@@ -113,8 +123,12 @@ impl FileBacking {
     /// and of `counters` (its per-word wear) — one positioned write per run
     /// of adjacent dirty pages (never the header page), then syncs the file.
     /// The bitmap is cleared only once the sync returns, so a failed flush
-    /// leaves every page it covered dirty.
+    /// leaves every page it covered dirty. With no page dirty on a file
+    /// already synced, there is nothing to make durable: no write, no sync.
     pub fn flush(&mut self, cells: &[u8], counters: &[u32]) -> Result<(), NvmError> {
+        if self.synced && self.dirty.iter().all(|&w| w == 0) {
+            return Ok(());
+        }
         let cell_pages = self.counters_at / PAGE;
         let pages = cell_pages + (counters.len() * COUNTER).div_ceil(PAGE);
         let dirty = |p: usize| self.dirty[p / 64] >> (p % 64) & 1 == 1;
@@ -144,6 +158,7 @@ impl FileBacking {
         }
         self.file.sync_all()?;
         self.dirty.fill(0);
+        self.synced = true;
         Ok(())
     }
 
@@ -244,6 +259,37 @@ mod tests {
         assert_eq!(file[PAGE..PAGE + 64], [0xAB; 64]);
         let (_, cells, _) = open(&fs, 64).unwrap();
         assert_eq!(cells, [0xAB; 64]);
+    }
+
+    /// A flush with no page dirty makes no sync once the file is synced:
+    /// a fresh file is synced by its open, an existing one by its first
+    /// flush (its last writer may have died before that flush's sync).
+    #[test]
+    fn a_clean_flush_of_a_synced_file_makes_no_sync() {
+        let fs = SimFs::new();
+        let (mut b, mut cells, counters) = open(&fs, 64).unwrap();
+        let synced = fs.syncs();
+        b.flush(&cells, &counters).unwrap();
+        assert_eq!(fs.syncs(), synced, "a fresh file was synced at its open");
+        cells[0] = 0xAB;
+        b.mark_dirty(0, 1);
+        b.flush(&cells, &counters).unwrap();
+        assert_eq!(fs.syncs(), synced + 1);
+        b.flush(&cells, &counters).unwrap();
+        assert_eq!(fs.syncs(), synced + 1, "a second flush with nothing dirty");
+
+        // Written, never synced: the process died inside a flush.
+        fs.open("data.0", Open::Existing)
+            .unwrap()
+            .write_at(&[0xCD], PAGE as u64)
+            .unwrap();
+        let (mut b, cells, counters) = open(&fs, 64).unwrap();
+        assert_eq!(cells[0], 0xCD);
+        let synced = fs.syncs();
+        b.flush(&cells, &counters).unwrap();
+        assert_eq!(fs.syncs(), synced + 1, "the file as found is synced once");
+        b.flush(&cells, &counters).unwrap();
+        assert_eq!(fs.syncs(), synced + 1);
     }
 
     #[test]

@@ -14,6 +14,21 @@
 //!   the primitive underlying DCW, FNW, MinShift, Captopril and PNW itself
 //!   (PNW Algorithm 2, lines 5–6: *"for each bit in {D} and {D'}: if they
 //!   differ, update memory bit"*).
+//!
+//! One word-diff kernel does the bit work of the device: a write
+//! ([`NvmDevice::write_split`]), its dry run ([`NvmDevice::diff_stats`])
+//! and [`hamming`] are three passes of the same loop. Each word the payload
+//! covers takes one straight-line step — XOR, popcount, a 0/1 dirty flag
+//! added to the word count and ORed into its cache line's flag, the same
+//! for the `split` tail under its byte mask — whole words eight bytes at a
+//! time and a partial head or tail word under a byte mask, with no branch
+//! on the data. A write stores every covered word back and adds its dirty
+//! flag to its wear counter; per-bit wear, wear-induced stuck-at latching
+//! and the stuck-bit overlay run only for dirty words, and are compiled in
+//! only when one of them is on. The kernel is compiled twice: with
+//! hardware `popcnt`, chosen at run time by `is_x86_feature_detected!`,
+//! and for the baseline target (the workspace builds for baseline x86-64,
+//! where a popcount is otherwise a sequence of shifts and adds).
 
 use crate::backing::{DeviceBacking, FileBacking};
 use crate::fault::{FaultState, StuckAtConfig};
@@ -22,6 +37,7 @@ use crate::latency::LatencyModel;
 use crate::stats::{DeviceStats, WriteStats};
 use crate::wear::{record_flips, WearCdf, WearTracker};
 use std::cell::UnsafeCell;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Bytes per device word: the unit the write kernel loads, XORs and
@@ -215,6 +231,14 @@ impl CellBuf {
     #[allow(clippy::mut_from_ref)]
     unsafe fn words_mut(&self) -> &mut [u64] {
         unsafe { &mut *self.words.get() }
+    }
+
+    /// The cells as device words.
+    ///
+    /// # Safety
+    /// Caller must guarantee no concurrent writer.
+    unsafe fn words(&self) -> &[u64] {
+        unsafe { &*self.words.get() }
     }
 
     /// # Safety
@@ -527,10 +551,27 @@ impl NvmDevice {
     /// fields into one physical write (the PNW store's bucket header +
     /// value) keep per-field accounting while reading the old cells once.
     ///
+    /// The pass is the word-diff kernel's (see the [module docs](self)):
+    /// every word of the range is XORed, counted and stored back with no
+    /// branch on its content. Only a dirty word, and only when each is on,
+    /// takes the per-bit wear count and the stuck-at latch and overlay.
+    ///
     /// Returns `(total, tail)`. A `split` past the end yields an empty
     /// tail; on a torn write both cover only the persisted prefix.
     pub fn write_split(
         &mut self,
+        addr: usize,
+        new: &[u8],
+        mode: WriteMode,
+        split: usize,
+    ) -> Result<(WriteStats, WriteStats), NvmError> {
+        self.write_with(Kernel::detect(), addr, new, mode, split)
+    }
+
+    /// [`NvmDevice::write_split`] on the given compilation of the kernel.
+    fn write_with(
+        &mut self,
+        kernel: Kernel,
         addr: usize,
         new: &[u8],
         mode: WriteMode,
@@ -544,7 +585,7 @@ impl NvmDevice {
             None => new,
         };
         let end = addr + new.len();
-        let tail_at = addr + split.min(new.len());
+        let split = split.min(new.len());
 
         let stats_over = |from: usize| WriteStats {
             bits_addressed: ((end - from) as u64) * 8,
@@ -554,98 +595,25 @@ impl NvmDevice {
             },
             ..Default::default()
         };
-        let (mut total, mut tail) = (stats_over(addr), stats_over(tail_at));
+        let (mut total, mut tail) = (stats_over(addr), stats_over(addr + split));
 
-        if !new.is_empty() {
-            let geometry = self.geometry;
-            // One flag keeps the stuck-at machinery entirely off the common
-            // path: false unless a bit is already stuck or latching is armed.
-            let stuck_active = self.fault.stuck_active();
-            let first = addr / WORD_BYTES;
-            let last = (end - 1) / WORD_BYTES;
-            // SAFETY: `&mut self` makes this the unique writer and no byte
-            // view of the cells is live; concurrent CellView readers are
-            // volatile and seqlock-validated.
-            let words = unsafe { &mut self.data.words_mut()[first..=last] };
-            let (word_writes, mut bit_flips) = self.wear.counters_mut();
-            let word_writes = &mut word_writes[first..=last];
-            // End of the cache line holding the last dirty word (of the
-            // whole write / of the tail): a dirty word at or past it opens
-            // a new dirty line.
-            let (mut line_end, mut tail_line_end) = (0usize, 0usize);
-
-            for i in 0..words.len() {
-                let pos = (first + i) * WORD_BYTES;
-                // The bytes of this word the payload covers: all eight,
-                // except in an unaligned head or tail word.
-                let (lo, hi) = (pos.max(addr), (pos + WORD_BYTES).min(end));
-                let chunk = &new[lo - addr..hi - addr];
-                let (new_word, mask) = match <[u8; WORD_BYTES]>::try_from(chunk) {
-                    Ok(full) => (u64::from_le_bytes(full), u64::MAX),
-                    Err(_) => (
-                        tail_word(chunk) << ((lo - pos) * 8),
-                        byte_mask(lo - pos, hi - pos),
-                    ),
-                };
-                let old = u64::from_le(words[i]);
-                // Raw programs (and charges) every covered cell; Diff only
-                // the ones that differ — and skips a clean word outright.
-                let charged = match mode {
-                    WriteMode::Raw => mask,
-                    WriteMode::Diff => (old ^ new_word) & mask,
-                };
-                if charged == 0 {
-                    continue;
-                }
-
-                total.bit_flips += u64::from(charged.count_ones());
-                total.words_written += 1;
-                if pos >= line_end {
-                    total.lines_written += 1;
-                    line_end = (geometry.line_of(pos) + 1) * geometry.line_bytes;
-                }
-                let tail_charged = if lo >= tail_at {
-                    charged
-                } else if hi <= tail_at {
-                    0
-                } else {
-                    charged & byte_mask(tail_at - pos, WORD_BYTES)
-                };
-                if tail_charged != 0 {
-                    tail.bit_flips += u64::from(tail_charged.count_ones());
-                    tail.words_written += 1;
-                    if pos >= tail_line_end {
-                        tail.lines_written += 1;
-                        tail_line_end = line_end;
-                    }
-                }
-
-                word_writes[i] = word_writes[i].saturating_add(1);
-                if let Some(bits) = bit_flips.as_deref_mut() {
-                    record_flips(bits, pos, charged);
-                }
-
-                let mut word = (old & !mask) | (new_word & mask);
-                if stuck_active {
-                    // Wear-induced latching: a dirty write to an
-                    // over-endurance word may latch one bit at its
-                    // just-written value.
-                    self.fault
-                        .maybe_latch(first + i, word_writes[i], u64::BITS, word);
-                    // Re-impose every stuck bit over what was just
-                    // programmed: reads (locked, peek, or lock-free
-                    // CellView) then serve the stuck value with no
-                    // special-casing anywhere else.
-                    if let Some(sw) = self.fault.stuck_word(first + i) {
-                        word = sw.apply(word);
-                    }
-                }
-                words[i] = word.to_le();
-            }
-            if total.words_written > 0 {
-                if let Some(backing) = &mut self.backing {
-                    backing.mark_dirty(addr, end);
-                }
+        let job = Job {
+            addr,
+            new,
+            split,
+            geometry: self.geometry,
+            mode,
+        };
+        let (t, s) = if self.wear.tracks_bits() || self.fault.stuck_active() {
+            self.program::<true>(kernel, job)
+        } else {
+            self.program::<false>(kernel, job)
+        };
+        total += t;
+        tail += s;
+        if total.words_written > 0 {
+            if let Some(backing) = &mut self.backing {
+                backing.mark_dirty(addr, end);
             }
         }
 
@@ -653,32 +621,60 @@ impl NvmDevice {
         Ok((total, tail))
     }
 
+    /// Runs a write's pass of the kernel over the words `job` covers, with
+    /// the per-dirty-word extras compiled in or out.
+    fn program<const EXTRAS: bool>(
+        &mut self,
+        kernel: Kernel,
+        job: Job<'_>,
+    ) -> (WriteStats, WriteStats) {
+        let words = words_of(&job);
+        let (word_writes, bit_flips) = self.wear.counters_mut();
+        kernel.run(Program::<EXTRAS> {
+            // SAFETY: `&mut self` makes this the unique writer and no byte
+            // view of the cells is live; concurrent CellView readers are
+            // volatile and seqlock-validated.
+            words: unsafe { &mut self.data.words_mut()[words.clone()] },
+            word_writes: &mut word_writes[words.clone()],
+            bit_flips,
+            fault: &mut self.fault,
+            first: words.start,
+            job,
+        })
+    }
+
     /// Computes what a [`WriteMode::Diff`] write of `new` at `addr` *would*
-    /// charge, without mutating anything. Used by callers that bundle
-    /// several logical fields into one physical write but need per-field
-    /// accounting (e.g. the PNW store's bucket header + value).
+    /// charge, without mutating anything: the word-diff kernel's dry run.
+    /// Used by callers that bundle several logical fields into one physical
+    /// write but need per-field accounting (e.g. the PNW store's bucket
+    /// header + value).
     pub fn diff_stats(&self, addr: usize, new: &[u8]) -> Result<WriteStats, NvmError> {
-        let old = self.peek(addr, new.len())?;
-        let mut s = WriteStats {
+        self.diff_stats_with(Kernel::detect(), addr, new)
+    }
+
+    /// [`NvmDevice::diff_stats`] on the given compilation of the kernel.
+    fn diff_stats_with(
+        &self,
+        kernel: Kernel,
+        addr: usize,
+        new: &[u8],
+    ) -> Result<WriteStats, NvmError> {
+        self.peek(addr, new.len())?;
+        let job = Job {
+            addr,
+            new,
+            split: new.len(),
+            geometry: self.geometry,
+            mode: WriteMode::Diff,
+        };
+        // SAFETY: `&self` means no writer is mutating the cells.
+        let words = unsafe { &self.data.words()[words_of(&job)] };
+        let s = WriteStats {
             bits_addressed: (new.len() as u64) * 8,
             lines_read: self.geometry.lines_spanned(addr, new.len()) as u64,
             ..Default::default()
         };
-        let mut last_dirty_line = usize::MAX;
-        for (_, range) in self.geometry.words_in(addr, new.len()) {
-            let off = range.start - addr;
-            let diff = hamming(&old[off..off + range.len()], &new[off..off + range.len()]);
-            if diff > 0 {
-                s.bit_flips += diff;
-                s.words_written += 1;
-                let line = self.geometry.line_of(range.start);
-                if line != last_dirty_line {
-                    s.lines_written += 1;
-                    last_dirty_line = line;
-                }
-            }
-        }
-        Ok(s)
+        Ok(s + kernel.run(Preview { words, job }))
     }
 
     /// Charges auxiliary metadata bit flips (scheme flags, rotation counters,
@@ -807,7 +803,7 @@ impl NvmDevice {
                 let ws = w * wb;
                 ws < addr + len && ws + wb > addr
             })
-            .map(|(_, s)| s.mask.count_ones() as u64)
+            .map(|(_, s)| s.bits())
             .sum()
     }
 
@@ -819,42 +815,432 @@ impl NvmDevice {
     }
 }
 
-/// Hamming distance between two equal-length byte slices.
-///
-/// Operates on `u64` words — one XOR + popcount per 8 bytes — with the
-/// byte tail folded into a single zero-padded word. The kernel of
-/// [`NvmDevice::diff_stats`] and of the write schemes' flip counting; the
-/// device's own write path diffs in place (see [`NvmDevice::write_split`]).
+/// Hamming distance between two equal-length byte slices: the word-diff
+/// kernel's pass over `b` with `a` as the old words (see the [module
+/// docs](self)), so the write schemes' flip counts and the store's pricing
+/// of an update count exactly as a differential write charges.
 #[inline]
 pub fn hamming(a: &[u8], b: &[u8]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut total = 0u64;
-    let mut chunks_a = a.chunks_exact(8);
-    let mut chunks_b = b.chunks_exact(8);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        let xa = u64::from_le_bytes(ca.try_into().unwrap());
-        let xb = u64::from_le_bytes(cb.try_into().unwrap());
-        total += (xa ^ xb).count_ones() as u64;
-    }
-    let (ra, rb) = (chunks_a.remainder(), chunks_b.remainder());
-    if !ra.is_empty() {
-        total += (tail_word(ra) ^ tail_word(rb)).count_ones() as u64;
-    }
-    total
+    hamming_with(Kernel::detect(), a, b)
 }
 
-/// Zero-pads a sub-8-byte tail into one little-endian `u64`.
+/// [`hamming`] on the given compilation of the kernel.
+#[inline]
+fn hamming_with(kernel: Kernel, a: &[u8], b: &[u8]) -> u64 {
+    debug_assert_eq!(a.len(), b.len());
+    kernel.run(Bytes { old: a, new: b })
+}
+
+/// Zero-pads a sub-8-byte chunk into one little-endian `u64` (a byte at a
+/// time: a variable-length copy would be a `memcpy` call).
 #[inline]
 fn tail_word(bytes: &[u8]) -> u64 {
-    let mut pad = [0u8; 8];
-    pad[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(pad)
+    debug_assert!(bytes.len() < WORD_BYTES);
+    bytes
+        .iter()
+        .enumerate()
+        .fold(0, |w, (k, &b)| w | u64::from(b) << (8 * k))
 }
 
 /// Mask of bytes `lo..hi` (`lo < hi <= 8`) of a little-endian word.
 #[inline]
 fn byte_mask(lo: usize, hi: usize) -> u64 {
     (u64::MAX >> ((WORD_BYTES - (hi - lo)) * 8)) << (lo * 8)
+}
+
+/// Which compilation of the word-diff kernel runs a pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Compiled with the hardware `popcnt` instruction. Only
+    /// [`Kernel::detect`] picks it, and only on a CPU that has it.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    Popcnt,
+    /// Compiled for the baseline target, whose popcount may be a
+    /// sequence of shifts and adds (as on baseline x86-64).
+    Portable,
+}
+
+impl Kernel {
+    /// The fastest compilation this CPU runs.
+    #[inline]
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            return Kernel::Popcnt;
+        }
+        Kernel::Portable
+    }
+
+    /// Runs `pass` through this compilation of [`word_diff`].
+    #[inline]
+    fn run<'a, P: Pass<'a>>(self, pass: P) -> P::Out {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: only `detect` makes `Popcnt`, once it found the feature.
+            Kernel::Popcnt => unsafe { word_diff_popcnt(pass) },
+            _ => word_diff_portable(pass),
+        }
+    }
+}
+
+/// [`word_diff`] compiled for the baseline target. Kept out of line like
+/// [`word_diff_popcnt`], so a caller that inlines [`hamming`] does not
+/// carry a second copy of the loop it never runs on a CPU with `popcnt`.
+#[inline(never)]
+fn word_diff_portable<'a, P: Pass<'a>>(pass: P) -> P::Out {
+    word_diff(pass)
+}
+
+/// [`word_diff`] compiled with hardware `popcnt`. The whole pass, its
+/// setup and its result included, is inlined here, so each caller's
+/// constants fold and what it does not read is never computed.
+///
+/// # Safety
+/// The CPU must support `popcnt`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+unsafe fn word_diff_popcnt<'a, P: Pass<'a>>(pass: P) -> P::Out {
+    word_diff(pass)
+}
+
+/// The device words a job's payload covers (none for an empty one).
+fn words_of(job: &Job<'_>) -> std::ops::Range<usize> {
+    job.addr / WORD_BYTES..(job.addr + job.new.len()).div_ceil(WORD_BYTES)
+}
+
+/// What a pass diffs: the payload, where it lands and how it is charged.
+#[derive(Clone, Copy)]
+struct Job<'a> {
+    /// Byte address of `new[0]`.
+    addr: usize,
+    new: &'a [u8],
+    /// Where the tail starts in `new` (at most `new.len()`).
+    split: usize,
+    geometry: Geometry,
+    mode: WriteMode,
+}
+
+/// One use of the word-diff kernel: where it reads the old words, what it
+/// does with each word once charged, and what it returns. Word `i` is the
+/// `i`-th word the payload covers.
+trait Pass<'a> {
+    type Out;
+
+    /// What this pass diffs.
+    fn job(&self) -> Job<'a>;
+
+    /// The old image of word `i`, of which the payload covers the bytes
+    /// from `at` on with `new[bytes]`.
+    fn old(&self, i: usize, bytes: std::ops::Range<usize>, at: usize) -> u64;
+
+    /// Takes word `i` as written: `word` is the old image with the
+    /// payload's bytes merged in, `charged` the bits charged, `dirty` 1 if
+    /// any was and 0 if none. A dry run keeps nothing.
+    #[inline(always)]
+    fn program(&mut self, _i: usize, _word: u64, _charged: u64, _dirty: u64) {}
+
+    /// The result, from the flips, words and lines of the whole payload
+    /// and of its tail.
+    fn finish(self, total: WriteStats, tail: WriteStats) -> Self::Out;
+}
+
+/// [`NvmDevice::diff_stats`]: a dry run over the device's words.
+struct Preview<'a> {
+    words: &'a [u64],
+    job: Job<'a>,
+}
+
+impl<'a> Pass<'a> for Preview<'a> {
+    type Out = WriteStats;
+
+    #[inline(always)]
+    fn job(&self) -> Job<'a> {
+        self.job
+    }
+
+    #[inline(always)]
+    fn old(&self, i: usize, _: std::ops::Range<usize>, _: usize) -> u64 {
+        u64::from_le(self.words[i])
+    }
+
+    #[inline(always)]
+    fn finish(self, total: WriteStats, _: WriteStats) -> WriteStats {
+        total
+    }
+}
+
+/// [`hamming`]: a dry run of `new` against `old`, both from word 0.
+struct Bytes<'a> {
+    old: &'a [u8],
+    new: &'a [u8],
+}
+
+impl<'a> Pass<'a> for Bytes<'a> {
+    type Out = u64;
+
+    #[inline(always)]
+    fn job(&self) -> Job<'a> {
+        Job {
+            addr: 0,
+            new: self.new,
+            split: self.new.len(),
+            // Lines do not matter to a distance: one spans the payload.
+            geometry: Geometry {
+                word_bytes: WORD_BYTES,
+                line_bytes: usize::MAX - (WORD_BYTES - 1),
+            },
+            mode: WriteMode::Diff,
+        }
+    }
+
+    #[inline(always)]
+    fn old(&self, _: usize, bytes: std::ops::Range<usize>, at: usize) -> u64 {
+        let b = &self.old[bytes];
+        match <[u8; WORD_BYTES]>::try_from(b) {
+            Ok(whole) => u64::from_le_bytes(whole),
+            Err(_) => tail_word(b) << (at * 8),
+        }
+    }
+
+    #[inline(always)]
+    fn finish(self, total: WriteStats, _: WriteStats) -> u64 {
+        total.bit_flips
+    }
+}
+
+/// [`NvmDevice::write_split`]: stores every word back and adds its dirty
+/// flag to its wear counter. With `EXTRAS` (per-bit wear is tracked, or a
+/// bit is stuck or latching is armed) a dirty word also takes what is on
+/// of those; without it the check is compiled out.
+struct Program<'a, const EXTRAS: bool> {
+    words: &'a mut [u64],
+    word_writes: &'a mut [u32],
+    bit_flips: Option<&'a mut [u16]>,
+    fault: &'a mut FaultState,
+    /// Device index of word 0.
+    first: usize,
+    job: Job<'a>,
+}
+
+impl<'a, const EXTRAS: bool> Pass<'a> for Program<'a, EXTRAS> {
+    type Out = (WriteStats, WriteStats);
+
+    #[inline(always)]
+    fn job(&self) -> Job<'a> {
+        self.job
+    }
+
+    #[inline(always)]
+    fn old(&self, i: usize, _: std::ops::Range<usize>, _: usize) -> u64 {
+        u64::from_le(self.words[i])
+    }
+
+    #[inline(always)]
+    fn program(&mut self, i: usize, mut word: u64, charged: u64, dirty: u64) {
+        let writes = self.word_writes[i].saturating_add(dirty as u32);
+        self.word_writes[i] = writes;
+        if EXTRAS && dirty != 0 {
+            self.dirty_word(i, &mut word, charged, writes);
+        }
+        self.words[i] = word.to_le();
+    }
+
+    #[inline(always)]
+    fn finish(self, total: WriteStats, tail: WriteStats) -> (WriteStats, WriteStats) {
+        (total, tail)
+    }
+}
+
+impl<const EXTRAS: bool> Program<'_, EXTRAS> {
+    /// The per-dirty-word extras, in their fixed order: per-bit wear, then
+    /// the wear-induced latch on the incremented count, then the overlay of
+    /// every stuck bit over what was just programmed (so reads — locked,
+    /// peek or lock-free `CellView` — serve the stuck value with no
+    /// special-casing anywhere else).
+    fn dirty_word(&mut self, i: usize, word: &mut u64, charged: u64, writes: u32) {
+        let at = self.first + i;
+        if let Some(bits) = self.bit_flips.as_deref_mut() {
+            record_flips(bits, at * WORD_BYTES, charged);
+        }
+        if self.fault.stuck_active() {
+            self.fault.maybe_latch(at, writes, u64::BITS, *word);
+            if let Some(sw) = self.fault.stuck_word(at) {
+                *word = sw.apply(*word);
+            }
+        }
+    }
+}
+
+/// The word-diff kernel: the one loop that diffs a payload against the
+/// words it covers, for a write ([`Program`]), its preview ([`Preview`])
+/// and [`hamming`] ([`Bytes`]). A partial head word, the whole words in
+/// runs, then a partial tail word each take [`WordDiff::step`]; a line's
+/// dirty flag is counted as the line closes.
+#[inline(always)]
+fn word_diff<'a, P: Pass<'a>>(mut pass: P) -> P::Out {
+    let job = pass.job();
+    let new = job.new;
+    let mut diff = WordDiff::new(&job);
+    let line_words = (job.geometry.line_bytes / WORD_BYTES).max(1);
+    // Words left in the current line, the one at hand included.
+    let line_end = (job.geometry.line_of(job.addr) + 1) * job.geometry.line_bytes;
+    let mut left = (line_end - job.addr / WORD_BYTES * WORD_BYTES) / WORD_BYTES;
+    let phase = job.addr % WORD_BYTES;
+    let head = if phase == 0 {
+        0
+    } else {
+        (WORD_BYTES - phase).min(new.len())
+    };
+    let mut i = 0;
+    if head > 0 {
+        diff.partial(&mut pass, 0, new, 0..head, phase);
+        i = 1;
+        left -= 1;
+        if left == 0 {
+            diff.close_line();
+            left = line_words;
+        }
+    }
+    let mut at = head;
+    let mut whole = (new.len() - head) / WORD_BYTES;
+    while whole > 0 {
+        // A run ends at a line end, and before and after the word the tail
+        // starts in, so its tail mask is one constant: none, all, or (a
+        // one-word run) the split word's.
+        let mut run = left.min(whole);
+        match i.cmp(&diff.split_word) {
+            Ordering::Less => {
+                run = run.min(diff.split_word - i);
+                diff.words(&mut pass, i, new, at..at + run * WORD_BYTES, 0);
+            }
+            Ordering::Equal if diff.split_mask != u64::MAX => {
+                run = 1;
+                diff.words(&mut pass, i, new, at..at + WORD_BYTES, diff.split_mask);
+            }
+            _ => diff.words(&mut pass, i, new, at..at + run * WORD_BYTES, u64::MAX),
+        }
+        (i, at, whole) = (i + run, at + run * WORD_BYTES, whole - run);
+        left -= run;
+        if left == 0 {
+            diff.close_line();
+            left = line_words;
+        }
+    }
+    if at < new.len() {
+        diff.partial(&mut pass, i, new, at..new.len(), 0);
+    }
+    diff.close_line();
+    pass.finish(diff.total, diff.tail)
+}
+
+/// The running counts of one [`word_diff`] pass, and its per-word step.
+struct WordDiff {
+    total: WriteStats,
+    tail: WriteStats,
+    /// Whether the current line has a dirty word (of the whole payload /
+    /// of the tail), as 0 or 1.
+    line: u64,
+    tail_line: u64,
+    /// `u64::MAX` in `Raw` mode, 0 in `Diff` mode.
+    raw: u64,
+    /// The word the tail starts in, and the mask of its tail bytes.
+    split_word: usize,
+    split_mask: u64,
+}
+
+impl WordDiff {
+    #[inline(always)]
+    fn new(job: &Job<'_>) -> Self {
+        let split_at = job.addr % WORD_BYTES + job.split;
+        WordDiff {
+            total: WriteStats::default(),
+            tail: WriteStats::default(),
+            line: 0,
+            tail_line: 0,
+            raw: match job.mode {
+                WriteMode::Raw => u64::MAX,
+                WriteMode::Diff => 0,
+            },
+            split_word: split_at / WORD_BYTES,
+            split_mask: u64::MAX << (split_at % WORD_BYTES * 8),
+        }
+    }
+
+    /// Whole words from word `i` on, the payload's `new[bytes]` (whole
+    /// words of one line), each under the same tail mask.
+    #[inline(always)]
+    fn words<'a, P: Pass<'a>>(
+        &mut self,
+        pass: &mut P,
+        i: usize,
+        new: &[u8],
+        bytes: std::ops::Range<usize>,
+        tail_mask: u64,
+    ) {
+        let at = bytes.start;
+        for (j, chunk) in new[bytes].chunks_exact(WORD_BYTES).enumerate() {
+            let word = u64::from_le_bytes(chunk.try_into().unwrap());
+            let from = at + j * WORD_BYTES;
+            let old = pass.old(i + j, from..from + WORD_BYTES, 0);
+            self.step(pass, i + j, old, word, u64::MAX, tail_mask);
+        }
+    }
+
+    /// One word: `new` over `old` on the bytes of `mask` (`Raw` charges
+    /// every one), of which `tail_mask` are the tail's. No branch depends
+    /// on the data.
+    #[inline(always)]
+    fn step<'a, P: Pass<'a>>(
+        &mut self,
+        pass: &mut P,
+        i: usize,
+        old: u64,
+        new: u64,
+        mask: u64,
+        tail_mask: u64,
+    ) {
+        let charged = ((old ^ new) | self.raw) & mask;
+        let tail = charged & tail_mask;
+        let (dirty, tail_dirty) = (u64::from(charged != 0), u64::from(tail != 0));
+        self.total.bit_flips += u64::from(charged.count_ones());
+        self.tail.bit_flips += u64::from(tail.count_ones());
+        self.total.words_written += dirty;
+        self.tail.words_written += tail_dirty;
+        self.line |= dirty;
+        self.tail_line |= tail_dirty;
+        pass.program(i, (old & !mask) | (new & mask), charged, dirty);
+    }
+
+    /// Word `i`, of which the payload covers only `new[bytes]`, from its
+    /// byte `at`: the same step under the byte mask.
+    #[inline(always)]
+    fn partial<'a, P: Pass<'a>>(
+        &mut self,
+        pass: &mut P,
+        i: usize,
+        new: &[u8],
+        bytes: std::ops::Range<usize>,
+        at: usize,
+    ) {
+        let mask = byte_mask(at, at + bytes.len());
+        let word = tail_word(&new[bytes.clone()]) << (at * 8);
+        let old = pass.old(i, bytes, at);
+        let tail_mask = match i.cmp(&self.split_word) {
+            Ordering::Less => 0,
+            Ordering::Equal => self.split_mask,
+            Ordering::Greater => u64::MAX,
+        };
+        self.step(pass, i, old, word, mask, tail_mask);
+    }
+
+    /// Counts the current line's dirty flags and starts the next line.
+    #[inline(always)]
+    fn close_line(&mut self) {
+        self.total.lines_written += self.line;
+        self.tail.lines_written += self.tail_line;
+        self.line = 0;
+        self.tail_line = 0;
+    }
 }
 
 #[cfg(test)]
@@ -1019,6 +1405,91 @@ mod tests {
         let a = [0xFFu8; 11];
         let b = [0xFEu8; 11];
         assert_eq!(hamming(&a, &b), 11);
+    }
+
+    /// The two compilations of the word-diff kernel agree on everything a
+    /// pass leaves: both `WriteStats`, the cells, word and bit wear, the
+    /// stuck bits latched, the preview and the Hamming distance — for every
+    /// length 0..=1024 at every start offset mod 8, in both modes, with
+    /// stuck bits armed and latching on.
+    #[test]
+    fn the_portable_kernel_matches_the_dispatched_one() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            assert_eq!(Kernel::detect(), Kernel::Popcnt);
+        }
+        let cfg = || {
+            NvmConfig::default()
+                .with_size(2048)
+                .with_bit_wear(true)
+                .with_stuck_at(StuckAtConfig {
+                    endurance_writes: Some(40),
+                    latch_probability: 0.5,
+                    ..Default::default()
+                })
+        };
+        let (mut fast, mut portable) = (NvmDevice::new(cfg()), NvmDevice::new(cfg()));
+        for d in [&mut fast, &mut portable] {
+            d.arm_stuck_bit(3, 5, true).unwrap();
+            d.arm_stuck_bit(100, 63, false).unwrap();
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in 0..=1024usize {
+            for offset in 0..8 {
+                let addr = (next() as usize % (2048 - 1024 - 8)) / 8 * 8 + offset;
+                let old = fast.peek(addr, len).unwrap().to_vec();
+                // Every other payload is the old bytes with a few bits
+                // flipped (mostly clean words), the rest fresh bytes.
+                let new: Vec<u8> = if offset % 2 == 0 {
+                    old.iter()
+                        .map(|&b| {
+                            if next() % 16 == 0 {
+                                b ^ 1 << (next() % 8)
+                            } else {
+                                b
+                            }
+                        })
+                        .collect()
+                } else {
+                    (0..len).map(|_| next() as u8).collect()
+                };
+                let mode = if next() % 5 == 0 {
+                    WriteMode::Raw
+                } else {
+                    WriteMode::Diff
+                };
+                let split = next() as usize % (len + 2);
+                let kernels = [Kernel::detect(), Kernel::Portable];
+                let [h, hp] = kernels.map(|k| hamming_with(k, &old, &new));
+                assert_eq!(h, hp, "hamming, {len} B at {addr}");
+                let [p, pp] = [(&fast, kernels[0]), (&portable, kernels[1])]
+                    .map(|(d, k)| d.diff_stats_with(k, addr, &new).unwrap());
+                assert_eq!(p, pp, "preview, {len} B at {addr}");
+                assert_eq!(p.bit_flips, h, "the preview charges the distance");
+                let w = fast
+                    .write_with(kernels[0], addr, &new, mode, split)
+                    .unwrap();
+                let wp = portable
+                    .write_with(kernels[1], addr, &new, mode, split)
+                    .unwrap();
+                assert_eq!(w, wp, "{mode:?} write of {len} B at {addr}, split {split}");
+                if mode == WriteMode::Diff {
+                    assert_eq!(w.0, p, "the write charges its preview");
+                }
+            }
+            assert_eq!(fast.to_image(), portable.to_image(), "cells after {len} B");
+        }
+        assert_eq!(fast.wear().word_writes(), portable.wear().word_writes());
+        assert_eq!(fast.wear().bit_flips(), portable.wear().bit_flips());
+        assert_eq!(fast.stats(), portable.stats());
+        assert!(fast.stuck_bit_count() > 2, "latching fired");
+        assert_eq!(fast.stuck_bit_count(), portable.stuck_bit_count());
     }
 
     #[test]

@@ -79,6 +79,11 @@ impl StuckWord {
     pub fn apply(&self, word: u64) -> u64 {
         (word & !self.mask) | (self.vals & self.mask)
     }
+
+    /// How many bits of the word are stuck.
+    pub fn bits(&self) -> u64 {
+        u64::from(self.mask.count_ones())
+    }
 }
 
 /// Mutable fault state carried by a device.
@@ -180,7 +185,7 @@ impl FaultState {
 
     /// Total stuck bits across the device (armed + wear-latched).
     pub fn stuck_bit_count(&self) -> u64 {
-        self.stuck.values().map(|s| s.mask.count_ones() as u64).sum()
+        self.stuck.values().map(StuckWord::bits).sum()
     }
 
     /// Called by the device after programming a dirty word: decides whether

@@ -162,11 +162,20 @@ struct Case {
 
 const MAX_LEN: usize = 100;
 
-fn write_case() -> impl Strategy<Value = WriteCase> {
+/// The bucket-sized lane: a device of 2 KiB (or six bytes short of it),
+/// writes of up to 1 KiB.
+const BIG: usize = 2048;
+const BIG_LEN: usize = 1024;
+
+/// The PNW store's bucket: a 16-byte header, then a 64 B or 784 B value.
+const HEADER: usize = 16;
+const BUCKETS: [usize; 2] = [HEADER + 64, HEADER + 784];
+
+fn write_case(size: usize, max_len: usize) -> impl Strategy<Value = WriteCase> {
     (
-        (0usize..256, 0usize..=MAX_LEN, 0usize..=MAX_LEN + 2),
+        (0..size, 0..=max_len, 0..=max_len + 2),
         (0u8..8, 0u8..3, 0u8..6, 0usize..14),
-        vec(any::<u8>(), MAX_LEN),
+        vec(any::<u8>(), max_len),
     )
         .prop_map(
             |((addr, len, split), (raw, payload, tear, tear_words), bytes)| WriteCase {
@@ -186,17 +195,67 @@ fn write_case() -> impl Strategy<Value = WriteCase> {
         )
 }
 
+/// A whole bucket image written where a bucket starts, split after its
+/// header — the store's differential PUT.
+fn bucket_write() -> impl Strategy<Value = WriteCase> {
+    (
+        0usize..2,
+        0usize..BIG / BUCKETS[0],
+        0u8..3,
+        vec(any::<u8>(), BIG_LEN),
+    )
+        .prop_map(|(shape, slot, payload, bytes)| {
+            let len = BUCKETS[shape];
+            WriteCase {
+                addr: slot % (BIG / len) * len,
+                len,
+                split: HEADER,
+                raw: false,
+                payload: match payload {
+                    0 => Payload::Fresh,
+                    1 => Payload::Sparse,
+                    _ => Payload::Same,
+                },
+                bytes,
+                tear: None,
+            }
+        })
+}
+
 fn case() -> impl Strategy<Value = Case> {
     (
         (any::<bool>(), any::<bool>(), any::<bool>()),
         vec(any::<u8>(), 256),
         vec((0usize..32, 0usize..64, any::<bool>()), 0..4),
-        vec(write_case(), 1..8),
+        vec(write_case(256, MAX_LEN), 1..8),
     )
         .prop_map(
             |((odd, bit_wear, file_backed), image, stuck, writes)| Case {
                 // 250 leaves the last word two bytes short of the device end.
                 size: if odd { 250 } else { 256 },
+                bit_wear,
+                file_backed,
+                image,
+                stuck,
+                writes,
+            },
+        )
+}
+
+/// Bucket-shaped writes (80 B and 800 B, split at 16) mixed with
+/// unaligned writes of up to 1 KiB, on a 2 KiB device with stuck bits
+/// inside the long writes' range.
+fn big_case() -> impl Strategy<Value = Case> {
+    let write = prop_oneof![bucket_write(), write_case(BIG, BIG_LEN)];
+    (
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+        vec(any::<u8>(), BIG),
+        vec((0usize..BIG / WORD, 0usize..64, any::<bool>()), 0..8),
+        vec(write, 1..6),
+    )
+        .prop_map(
+            |((odd, bit_wear, file_backed), image, stuck, writes)| Case {
+                size: if odd { BIG - 6 } else { BIG },
                 bit_wear,
                 file_backed,
                 image,
@@ -281,7 +340,11 @@ fn check(case: &Case) -> Result<(), TestCaseError> {
             let counters: Vec<u32> =
                 counters.map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
             let words = model.word_writes.len();
-            prop_assert_eq!(&counters[..words], &model.word_writes[..], "backing file counters");
+            prop_assert_eq!(
+                &counters[..words],
+                &model.word_writes[..],
+                "backing file counters"
+            );
         }
     }
     Ok(())
@@ -292,6 +355,15 @@ proptest! {
 
     #[test]
     fn write_kernel_matches_the_bytewise_model(case in case()) {
+        check(&case)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
+
+    #[test]
+    fn write_kernel_matches_the_model_at_bucket_size(case in big_case()) {
         check(&case)?;
     }
 }
@@ -328,6 +400,45 @@ fn pinned_corner_cases() {
             w(0, 0, 0, None),
         ],
         ..base
+    };
+    check(&case).unwrap();
+}
+
+/// Bucket-size writes pinned the same way: both bucket shapes split after
+/// the header, over stuck bits inside the value; a 1 KiB write starting
+/// and ending inside a word; a long write torn in its middle; a sparse
+/// rewrite of a whole 800 B bucket. Bit wear on, file-backed.
+#[test]
+fn pinned_bucket_size_cases() {
+    let w = |addr, len, split, payload, tear| WriteCase {
+        addr,
+        len,
+        split,
+        raw: false,
+        payload,
+        bytes: (0..BIG_LEN).map(|i| (i * 7 + 3) as u8).collect(),
+        tear,
+    };
+    let case = Case {
+        size: BIG - 6,
+        bit_wear: true,
+        file_backed: true,
+        image: (0..BIG).map(|i| (i * 13) as u8).collect(),
+        stuck: vec![
+            (12, 5, true),
+            (20, 63, false),
+            (150, 0, true),
+            (199, 31, false),
+        ],
+        writes: vec![
+            w(80, 80, HEADER, Payload::Fresh, None),
+            w(800, 800, HEADER, Payload::Fresh, None),
+            w(800, 800, HEADER, Payload::Sparse, None),
+            w(3, 1024, 517, Payload::Fresh, None),
+            w(1021, 1017, 9, Payload::Sparse, None),
+            w(805, 1000, 40, Payload::Fresh, Some(61)),
+            w(0, 800, HEADER, Payload::Same, None),
+        ],
     };
     check(&case).unwrap();
 }
