@@ -52,13 +52,18 @@
 //!   never writes, then its cells and per-word wear counters, written back
 //!   a dirty page at a time by each checkpoint ahead of its superblock.
 //!
-//! A fresh store truncates what a dead create left, writes and syncs its
-//! data files and WALs (of epoch 0), and only then its first superblock:
-//! a create that dies anywhere reopens as a fresh directory.
+//! A fresh store truncates what a dead create left and writes and syncs
+//! its data files; its first checkpoint writes each WAL once, of epoch 1,
+//! beside the checkpoint, and only then the first superblock: a create
+//! that dies anywhere reopens as a fresh directory.
 //!
 //! Every file goes through the [`Fs`] seam: the host's directory in a
 //! running store, a simulated one ([`pnw_nvm_sim::SimFs`]) that tears
-//! writes, fails syncs and loses power in the recovery tests.
+//! writes, fails syncs and loses power in the recovery tests. The store
+//! holds the directory's lock ([`Fs::lock`]) from before it reads the
+//! superblock to its drop: a second store on a live directory is refused
+//! with [`NvmError::Locked`], where it would otherwise checkpoint over
+//! the first one's WALs.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -67,7 +72,7 @@ use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pnw_nvm_sim::{crc32, DeviceStats, Fs, FsFile, NvmError, Open};
+use pnw_nvm_sim::{crc32, DeviceStats, DirLock, Fs, FsFile, NvmError, Open};
 
 use crate::config::{IndexPlacement, PnwConfig};
 use crate::error::StoreError;
@@ -696,6 +701,9 @@ pub(crate) struct DurableStore {
     geometry_hash: u64,
     shape: PutShape,
     fenced: Arc<AtomicBool>,
+    /// The directory's lock, held for the store's life: a second store on
+    /// one directory would write over this one's WALs and checkpoints.
+    _lock: DirLock,
 }
 
 impl DurableStore {
@@ -704,15 +712,16 @@ impl DurableStore {
     /// count).
     ///
     /// A directory with no superblock is a fresh one: it gets a new store
-    /// id and empty WALs of epoch 0, the returned shards are `initial`, and
-    /// the store stays at epoch 0 — named by no superblock — until the
-    /// caller has created the data files ([`DurableStore::data_file`]) and
-    /// cut the first checkpoint. Otherwise the returned shards carry the
+    /// id, the returned shards are `initial`, and the store stays at epoch
+    /// 0 — named by no superblock, with no WAL — until the caller has
+    /// created the data files ([`DurableStore::data_file`]) and cut the
+    /// first checkpoint, which writes the WALs. Otherwise the returned shards carry the
     /// checkpoint state with each WAL's suffix replayed over it.
     ///
     /// A file that exists but cannot be read fails the open with the I/O
     /// error's kind; a missing or foreign one (see the module doc) with
-    /// [`StoreError::Corrupt`].
+    /// [`StoreError::Corrupt`]. A directory another store holds is refused
+    /// before anything is read, with [`NvmError::Locked`] naming it.
     pub fn open(
         fs: Arc<dyn Fs>,
         geometry_hash: u64,
@@ -720,6 +729,7 @@ impl DurableStore {
         initial: Vec<ShardCheckpoint>,
     ) -> Result<(Self, Vec<RecoveredShard>), StoreError> {
         let n_shards = initial.len();
+        let lock = fs.lock()?;
         let mut store = DurableStore {
             fs,
             n_shards,
@@ -728,6 +738,7 @@ impl DurableStore {
             geometry_hash,
             shape,
             fenced: Arc::default(),
+            _lock: lock,
         };
         let from_checkpoint = |s| RecoveredShard::from_checkpoint(s, shape);
 
@@ -735,7 +746,6 @@ impl DurableStore {
             Ok(raw) => raw,
             Err(NvmError::Io(ErrorKind::NotFound)) => {
                 store.store = RandomState::new().hash_one(n_shards);
-                (0..n_shards).try_for_each(|sid| store.reset_wal(sid))?;
                 return Ok((store, initial.into_iter().map(from_checkpoint).collect()));
             }
             Err(e) => return Err(e.into()),
@@ -820,7 +830,7 @@ impl DurableStore {
         if self.check(&name, Header::parse(&bytes, WAL), sid, 0)? < self.epoch {
             // A checkpoint that died between its superblock bump and this
             // WAL's replacement: the checkpoint holds every record.
-            self.reset_wal(sid)?;
+            self.reset_wal(sid, self.epoch)?;
             return Ok(true);
         }
         let end = replay_wal(&bytes, shard);
@@ -840,7 +850,9 @@ impl DurableStore {
 
     /// Cuts a checkpoint: write-new → fsync → rename → directory fsync →
     /// superblock bump → each WAL replaced by an empty one of the new
-    /// epoch. Returns the shards' appenders on the new WALs. The caller
+    /// epoch. A fresh store's first checkpoint writes its WALs, the first
+    /// it has, before the directory fsync instead: no superblock names
+    /// them until the bump. Returns the shards' appenders on the new WALs. The caller
     /// must have written back and synced the shard data devices first and
     /// must hold out writers for the duration of the state collection
     /// (the store does both). A fenced store cuts none.
@@ -854,9 +866,13 @@ impl DurableStore {
         f.write_at(&encode_checkpoint(self.header(CHECKPOINT, WHOLE_STORE, new_epoch), shards), 0)?;
         f.sync_all()?;
         self.fs.rename("checkpoint.tmp", &format!("checkpoint.{new_epoch}"))?;
+        let first = self.epoch == 0;
+        if first {
+            (0..self.n_shards).try_for_each(|sid| self.reset_wal(sid, new_epoch))?;
+        }
         // A rename is atomic, not durable: the directory entry must reach
         // the disk before a superblock names it, or a power loss leaves a
-        // superblock pointing at a checkpoint that does not exist.
+        // superblock pointing at a checkpoint (or WAL) that does not exist.
         self.sync_dir()?;
         // The commit point: until this superblock write lands, recovery
         // elects the old epoch (old checkpoint + its WALs). Once it may
@@ -865,7 +881,7 @@ impl DurableStore {
         // nor in a new one before the directory names it durably. Any
         // failure from here fences the store: every later record fails.
         let old = std::mem::replace(&mut self.epoch, new_epoch);
-        let appenders = (self.write_superblock().and_then(|()| self.replace_wals()))
+        let appenders = (self.write_superblock().and_then(|()| self.replace_wals(!first)))
             .inspect_err(|_| self.fenced.store(true, Ordering::Relaxed))?;
         if old != 0 {
             let _ = self.fs.remove(&format!("checkpoint.{old}"));
@@ -873,23 +889,24 @@ impl DurableStore {
         Ok(appenders)
     }
 
-    /// Replaces every shard's WAL with an empty one of the current epoch,
-    /// syncs the directory, and opens an appender on each.
-    fn replace_wals(&self) -> Result<Vec<DurableShard>, StoreError> {
-        for sid in 0..self.n_shards {
-            self.reset_wal(sid)?;
+    /// Replaces every shard's WAL with an empty one of the current epoch
+    /// (`reset`; the first checkpoint wrote its WALs already), syncs the
+    /// directory, and opens an appender on each.
+    fn replace_wals(&self, reset: bool) -> Result<Vec<DurableShard>, StoreError> {
+        if reset {
+            (0..self.n_shards).try_for_each(|sid| self.reset_wal(sid, self.epoch))?;
         }
         self.sync_dir()?;
         (0..self.n_shards).map(|sid| self.wal_appender(sid, HEADER as u64)).collect()
     }
 
-    /// Replaces shard `sid`'s WAL with an empty one of the current epoch —
-    /// one page, the header and zeros — written aside, synced and renamed
-    /// over it: a crash leaves the old WAL or the new, never a torn
-    /// header. The caller syncs the directory.
-    fn reset_wal(&self, sid: usize) -> Result<(), StoreError> {
+    /// Replaces shard `sid`'s WAL with an empty one of `epoch` — one page,
+    /// the header and zeros — written aside, synced and renamed over it: a
+    /// crash leaves the old WAL or the new, never a torn header. The caller
+    /// syncs the directory.
+    fn reset_wal(&self, sid: usize, epoch: u64) -> Result<(), StoreError> {
         let mut page = vec![0u8; PAGE as usize];
-        page[..HEADER].copy_from_slice(&self.header(WAL, sid, self.epoch));
+        page[..HEADER].copy_from_slice(&self.header(WAL, sid, epoch));
         let tmp = format!("wal.{sid}.tmp");
         let f = self.fs.open(&tmp, Open::Truncate)?;
         f.write_at(&page, 0)?;
@@ -1405,7 +1422,7 @@ mod tests {
         store.data_file(0).unwrap().set_len(2 * PAGE).unwrap();
         store.checkpoint(&fresh()).unwrap();
         let mut first = [0u8; HEADER];
-        let (reopened, _, _) = open(&fs);
+        let (reopened, _, _) = open(&fs.snapshot());
         reopened.data_file(0).unwrap().read_at(&mut first, 0).unwrap();
         let id = store.store;
         let header = |shard: usize, epoch| {
@@ -1534,7 +1551,7 @@ mod tests {
         assert!(wal.log_put(1, 160, &[0x22; 8], 0).is_err());
         assert_eq!(wal.wal_value(1), Some(vec![0x11; 8]));
         // What the file holds now replays without the failed record.
-        let (_, rec, _) = open(&fs);
+        let (_, rec, _) = open(&fs.snapshot());
         assert_eq!(rec[0].committed[&1], 100, "the failed record never replays");
         assert_eq!(rec[0].wal_end, wal.cursor);
         put(&mut wal, 2, 200).unwrap();
@@ -1578,7 +1595,7 @@ mod tests {
         drop(wal);
 
         // Crash path: retirement comes back through WAL replay.
-        let (_, rec, _) = open(&fs);
+        let (_, rec, _) = open(&fs.snapshot());
         assert_eq!(rec[0].retired, vec![3, 1]);
 
         // Checkpoint path: retirement persists past the WAL's replacement.

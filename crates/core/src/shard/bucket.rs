@@ -20,8 +20,8 @@
 //! unix-millisecond deadline per provisioned bucket (0 = never expires).
 //!
 //! Everything that decodes a header byte or turns a bucket number into a
-//! device address — the engine's locked paths and the store's lock-free
-//! GET and scan alike — goes through [`Header`] and [`BucketLayout`].
+//! device address — the engine's write paths and the one read walk (GET
+//! and scan) alike — goes through [`Header`] and [`BucketLayout`].
 
 use pnw_nvm_sim::{crc32c_update, Region};
 

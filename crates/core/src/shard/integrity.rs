@@ -1,30 +1,11 @@
-//! Integrity: the read-side CRC check, the scrubber, relocation off
-//! damaged media, and permanent bucket retirement.
+//! Integrity: the scrubber, relocation off damaged media, and permanent
+//! bucket retirement (a GET's CRC check is the read walk's, in `read`).
 
-use super::{value_addr, Header, ShardEngine, HDR_BYTES};
+use super::{value_addr, ShardEngine};
 use crate::error::PnwError;
 use crate::metrics::ScrubStats;
 
 impl ShardEngine {
-    /// Verifies a just-read value against its bucket's sealed CRC — the
-    /// guarantee that no GET ever serves silently corrupted bytes. `addr`
-    /// is the bucket's base address.
-    #[inline]
-    pub(super) fn verify_read(&self, key: u64, addr: usize, value: &[u8]) -> Result<(), PnwError> {
-        if !self.cfg.integrity {
-            return Ok(());
-        }
-        let hdr = Header::decode(self.dev.peek(addr, HDR_BYTES)?);
-        if hdr.seals(key, value) {
-            return Ok(());
-        }
-        self.sync.count_crc_failure();
-        Err(PnwError::Corruption {
-            key,
-            shard: self.shard_id,
-        })
-    }
-
     /// Permanently removes a bucket from placement. Idempotent; on a
     /// durable shard the retirement is WAL-logged (and checkpointed) so it
     /// survives crash and reopen.

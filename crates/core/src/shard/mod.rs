@@ -16,8 +16,10 @@
 //!
 //! One file per concern:
 //!
-//! * this file — the engine's state, construction, GET/scan, and the pool
+//! * this file — the engine's state, construction, and the pool
 //!   bookkeeping every other concern shares;
+//! * `read` — the one read walk, GET and scan, which the store runs
+//!   lock-free and the engine behind `&self`;
 //! * `labels` — the model snapshot, the cached content labels, the label
 //!   pass's rewritten-since record, and both installs;
 //! * `bucket` — the single definition of the data-zone bucket format
@@ -33,15 +35,16 @@
 //! * `recovery` — crash recovery, WAL-replay repair, checkpoint state;
 //! * `seqlock` — the write bracket lock-free readers validate against.
 //!
-//! GETs go through [`NvmDevice::peek`] and [`KeyIndex::lookup`], which need
-//! only shared references — concurrent readers of one shard never contend
-//! on a write lock (§VI-E: lookups *"do not go through the model or the
-//! dynamic address pool"*).
+//! GETs go through the cell view and the index's lock-free reader, which
+//! need only shared references — concurrent readers of one shard never
+//! contend on a write lock (§VI-E: lookups *"do not go through the model
+//! or the dynamic address pool"*).
 
 mod bucket;
 mod integrity;
 mod labels;
 mod placement;
+mod read;
 mod recovery;
 mod seqlock;
 mod ttl;
@@ -50,13 +53,12 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pnw_index::{AtomicHashIndex, IndexReader, KeyIndex, PathHashIndex};
+use pnw_index::{AtomicHashIndex, KeyIndex, PathHashIndex};
 use pnw_nvm_sim::{
-    CellView, DeviceBacking, DeviceStats, FsFile, NvmConfig, NvmDevice, NvmError, Region,
-    RegionAllocator, StuckAtConfig, WriteMode,
+    DeviceBacking, DeviceStats, FsFile, NvmConfig, NvmDevice, NvmError, Region, RegionAllocator,
+    StuckAtConfig, WriteMode,
 };
 
-use crate::clock::now_unix_ms;
 use crate::config::{IndexPlacement, PnwConfig};
 use crate::durable::DurableShard;
 use crate::error::PnwError;
@@ -67,6 +69,7 @@ use crate::pool::DynamicAddressPool;
 pub(crate) use bucket::{
     deadline_passed, value_addr, BucketLayout, Header, EXPIRY_BYTES, HDR_BYTES,
 };
+pub(crate) use read::ReadView;
 pub(crate) use seqlock::ShardSync;
 
 /// Cached-label sentinel: the bucket's content label is unknown under the
@@ -131,10 +134,11 @@ pub struct ShardEngine {
     predict_total: Duration,
     puts: u64,
     deletes: u64,
-    /// Seqlock + GET counter shared with the lock-free read path. Set at
+    /// What GETs and scans read the shard through, the engine's own and
+    /// the store's lock-free ones alike. Its seqlock handle is set at
     /// construction and never replaced: write brackets borrow it by
     /// pointer (see `seqlock`).
-    sync: Arc<ShardSync>,
+    read: ReadView,
     /// Per-bucket cached content label under the *current* model
     /// ([`LABEL_STALE`] = unknown, re-predict on demand). Lets DELETE and
     /// a relocating update skip Algorithm 3's peek + predict when the
@@ -173,10 +177,6 @@ pub struct ShardEngine {
     scrub: ScrubStats,
     /// Next bucket the incremental scrubber will visit.
     scrub_cursor: u32,
-    /// This engine's position in a sharded store (0 for single-shard
-    /// stores) — carried in [`PnwError::Corruption`] so an operator can
-    /// map a failure to a device slice.
-    shard_id: usize,
 }
 
 impl ShardEngine {
@@ -244,17 +244,27 @@ impl ShardEngine {
             pool.push(0, b);
         }
         let active_buckets = cfg.capacity;
+        let layout = BucketLayout::new(data, bucket_size, total_buckets, expiry);
+        let sync = Arc::<ShardSync>::default();
+        sync.set_active(active_buckets);
+        let reader = index.reader().expect("both built-in indexes have a lock-free reader");
+        let read = ReadView::new(
+            dev.cell_view(),
+            reader,
+            sync,
+            layout,
+            cfg.integrity,
+            cfg.value_size,
+        );
         let (bucket_img, value_buf) = (
             vec![0u8; HDR_BYTES + cfg.value_size],
             vec![0u8; cfg.value_size],
         );
         let model = Arc::new(ModelSnapshot::untrained(&cfg));
-        let sync = Arc::<ShardSync>::default();
-        sync.set_active(active_buckets);
         Ok(ShardEngine {
             cfg,
             dev,
-            layout: BucketLayout::new(data, bucket_size, total_buckets, expiry),
+            layout,
             active_buckets,
             index,
             index_region,
@@ -265,7 +275,7 @@ impl ShardEngine {
             predict_total: Duration::ZERO,
             puts: 0,
             deletes: 0,
-            sync,
+            read,
             labels: vec![LABEL_STALE; total_buckets],
             rewritten: None,
             scratch: PredictScratch::new(),
@@ -278,14 +288,13 @@ impl ShardEngine {
             retired: HashSet::new(),
             scrub: ScrubStats::default(),
             scrub_cursor: 0,
-            shard_id: 0,
         })
     }
 
     /// Records this engine's shard position (for [`PnwError::Corruption`]
     /// attribution; single-shard stores keep the default 0).
     pub(crate) fn set_shard_id(&mut self, id: usize) {
-        self.shard_id = id;
+        self.read.shard = id;
     }
 
     /// The shard's configuration (capacity fields describe this shard's
@@ -314,29 +323,10 @@ impl ShardEngine {
         &self.dev
     }
 
-    /// The shard's seqlock + GET-counter handle, shared with the
-    /// lock-free read path. Stable for the engine's lifetime.
-    pub(crate) fn sync_handle(&self) -> Arc<ShardSync> {
-        Arc::clone(&self.sync)
-    }
-
-    /// A lock-free view of the device's cells, valid for the engine's
-    /// whole lifetime (the cell buffer never moves).
-    pub(crate) fn cell_view(&self) -> CellView {
-        self.dev.cell_view()
-    }
-
-    /// A lock-free index reader: both placements an engine builds its
-    /// index from ([`AtomicHashIndex`], [`PathHashIndex`]) have one.
-    pub(crate) fn index_reader(&self) -> IndexReader {
-        let reader = self.index.reader();
-        reader.expect("both built-in indexes have a lock-free reader")
-    }
-
-    /// The shard's static bucket layout — what the store's lock-free GET
-    /// and scan address the cell view through.
-    pub(crate) fn layout(&self) -> BucketLayout {
-        self.layout
+    /// What the store's lock-free GETs and scans read this shard through;
+    /// valid for the engine's whole lifetime.
+    pub(crate) fn read_view(&self) -> &ReadView {
+        &self.read
     }
 
     /// Clears device statistics so a measurement window excludes warm-up
@@ -393,7 +383,7 @@ impl ShardEngine {
             self.pool.push(label, b);
         }
         self.active_buckets += add;
-        self.sync.set_active(self.active_buckets);
+        self.read.sync.set_active(self.active_buckets);
         self.pool.set_capacity(self.effective_capacity());
         if add > 0 {
             // A failed append means the WAL is already dead; every
@@ -461,63 +451,29 @@ impl ShardEngine {
         self.index.len()
     }
 
-    /// GET (§V-B.4): through the hash index, no data-structure changes and
-    /// no exclusive access — index lookup and value read both go through
-    /// shared references ([`NvmDevice::peek`]), so any number of readers
-    /// can run concurrently.
+    /// Points `key`'s index entry at `addr` (test hook: an entry damaged
+    /// into naming no live bucket).
+    #[cfg(test)]
+    pub(crate) fn aim_index_entry(&mut self, key: u64, addr: u64) {
+        let aimed = self.index.insert(&mut self.dev, key, addr);
+        aimed.expect("the key holds an index slot");
+    }
+
+    /// GET (§V-B.4): the shard's one read walk — an index probe and one
+    /// bucket read through shared references, so any number of readers can
+    /// run concurrently.
     pub fn get(&self, key: u64) -> Result<Option<Vec<u8>>, PnwError> {
         let mut v = vec![0u8; self.cfg.value_size];
         Ok(self.get_into(key, &mut v)?.then_some(v))
     }
 
-    /// GET into a caller-provided buffer — the allocation-free read path
-    /// ([`NvmDevice::peek_into`] straight into `out`). Returns whether the
-    /// key was present.
+    /// GET into a caller-provided buffer — the allocation-free read path.
+    /// Returns whether the key was present.
     ///
     /// `out.len()` must equal the configured value size.
     pub fn get_into(&self, key: u64, out: &mut [u8]) -> Result<bool, PnwError> {
         self.check_value(out)?;
-        self.sync.count_get();
-        let Some(addr) = self.index.lookup(&self.dev, key)? else {
-            return Ok(false);
-        };
-        self.dev.peek_into(value_addr(addr as usize), out)?;
-        self.verify_read(key, addr as usize, out)?;
-        // Lazy expiry: an overdue key reads as absent; the scrubber cursor
-        // reclaims the bucket physically.
-        Ok(!self.addr_expired(addr, now_unix_ms)?)
-    }
-
-    /// Ordered range scan over `[lo, hi]` (inclusive): every live,
-    /// unexpired key in range with its value, ascending by key. Walks the
-    /// data-zone headers rather than the index (the hash index has no
-    /// order); the index is consulted per candidate as the authority — a
-    /// stale image on retired media is skipped, never served. CRC-failing
-    /// buckets are skipped silently (a scan is a bulk read; the loud
-    /// typed-corruption contract belongs to point GETs, and the scrubber
-    /// repairs or retires the bucket independently).
-    pub fn scan_range(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>, PnwError> {
-        let mut out = Vec::new();
-        let now = now_unix_ms();
-        for b in 0..self.active_buckets as u32 {
-            let Some((addr, hdr)) = self.tenant(b)? else {
-                continue;
-            };
-            if hdr.key < lo || hdr.key > hi {
-                continue;
-            }
-            let mut v = vec![0u8; self.cfg.value_size];
-            self.dev.peek_into(value_addr(addr), &mut v)?;
-            if self.cfg.integrity && !hdr.seals(hdr.key, &v) {
-                continue;
-            }
-            if self.addr_expired(addr as u64, || now)? {
-                continue;
-            }
-            out.push((hdr.key, v));
-        }
-        out.sort_unstable_by_key(|&(k, _)| k);
-        Ok(out)
+        self.read.get_into(key, out)
     }
 
     /// Buckets available for placement: the active zone minus permanent
@@ -614,8 +570,8 @@ impl ShardEngine {
             predict_total: self.predict_total,
             puts: self.puts,
             updates_in_place: self.updates_in_place,
-            gets: self.sync.gets(),
-            read_waits: self.sync.read_waits(),
+            gets: self.read.sync.gets(),
+            read_waits: self.read.sync.read_waits(),
             deletes: self.deletes,
             scrub: self.scrub_stats(),
         }
@@ -625,7 +581,7 @@ impl ShardEngine {
     /// failures lock-free GETs counted and the stuck bits the device knows.
     fn scrub_stats(&self) -> ScrubStats {
         ScrubStats {
-            crc_failures: self.scrub.crc_failures + self.sync.crc_failures(),
+            crc_failures: self.scrub.crc_failures + self.read.sync.crc_failures(),
             stuck_bits: self.dev.stuck_bit_count(),
             ..self.scrub
         }

@@ -134,7 +134,7 @@ impl ShardEngine {
     /// extension state), clamped to the provisioned bucket range.
     pub(crate) fn set_active_buckets(&mut self, n: usize) {
         self.active_buckets = n.min(self.layout.buckets());
-        self.sync.set_active(self.active_buckets);
+        self.read.sync.set_active(self.active_buckets);
         self.pool.set_capacity(self.effective_capacity());
     }
 

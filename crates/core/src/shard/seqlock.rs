@@ -41,12 +41,12 @@ pub(crate) struct ShardSync {
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct ReadCounters {
-    /// GETs served, by both the lock-free and the locked read path.
+    /// GETs answered by the read walk, the store's and the engine's.
     gets: AtomicU64,
     /// CRC verification failures seen by GETs.
     crc_failures: AtomicU64,
-    /// Lock-free GETs that found a write bracket open or failed validation
-    /// at least once — the slow path, counted once per GET.
+    /// GETs that found a write bracket open or failed validation at least
+    /// once — the slow path, counted once per GET.
     read_waits: AtomicU64,
 }
 
@@ -162,7 +162,7 @@ impl ShardEngine {
     #[inline]
     #[must_use = "the bracket closes when this guard drops"]
     pub(super) fn write_bracket(&self) -> WriteBracket {
-        let sync = &*self.sync;
+        let sync = &*self.read.sync;
         let depth = sync.depth.load(Ordering::Relaxed);
         sync.depth.store(depth + 1, Ordering::Relaxed);
         if depth == 0 {

@@ -305,9 +305,9 @@ fn a_ttl_store_reads_the_wall_clock_only_for_a_deadline_and_still_expires() {
 /// Runs `op` and returns how far it moved the seqlock sequence, which must
 /// end even (no bracket left open).
 fn seq_advance<R>(e: &mut ShardEngine, op: impl FnOnce(&mut ShardEngine) -> R) -> (u64, R) {
-    let before = e.sync.seq();
+    let before = e.read.sync.seq();
     let out = op(e);
-    let after = e.sync.seq();
+    let after = e.read.sync.seq();
     assert_eq!(after % 2, 0, "a bracket was left open");
     (after - before, out)
 }

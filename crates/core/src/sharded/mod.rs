@@ -27,11 +27,12 @@
 //!   takes: whether anything is queued is read from an atomic depth
 //!   counter, not from the queue's mutex.
 //!
-//! * **Reads (seqlock validation).** GETs take **zero locks** in steady
-//!   state. Each shard publishes a read view at construction — a
+//! * **Reads (seqlock validation).** GETs take **zero locks**. Each
+//!   engine builds its read view with itself — a
 //!   [`CellView`](pnw_nvm_sim::CellView) of the device cells, a lock-free
 //!   [`IndexReader`](pnw_index::IndexReader), and the shard's `ShardSync`
-//!   seqlock handle. A GET reads the sequence
+//!   seqlock handle — and the store keeps a clone of it beside the
+//!   engine's mutex. A GET reads the sequence
 //!   (spinning past an odd value — a write in flight), probes the index
 //!   and copies the value bytes through volatile reads, then validates
 //!   the sequence: unchanged means the copy is a consistent snapshot;
@@ -42,9 +43,9 @@
 //!   (the exceptions are in the engine's `placement` docs). A GET that
 //!   had to retry is counted in
 //!   [`StoreSnapshot::read_waits`](crate::StoreSnapshot::read_waits). A
-//!   GET goes through the engine mutex only when a
-//!   validated snapshot needs the engine's typed error — chosen by the
-//!   code, never by an option.
+//!   validated snapshot is the answer, typed errors included, so no GET
+//!   goes through the engine mutex: the engine's own GET runs the same
+//!   walk.
 //!
 //! The ML model is the one deliberately *shared* component: the paper
 //! keeps it in DRAM, read-mostly, retrained in the background
@@ -63,15 +64,15 @@
 //! stats the worker publishes at install, never waiting for a run.
 //!
 //! Lock order is **shard engine → shard queue**; nothing takes an engine
-//! lock while holding a queue lock. Status reads, checkpoints, scrubs, the
-//! locked GET and scan fallbacks, the worker and the test hooks all hold
-//! engines the way writers do, so a queued writer is served as soon as any
+//! lock while holding a queue lock. Status reads, checkpoints, scrubs, a
+//! scan's last attempt, the worker and the test hooks all hold engines
+//! the way writers do, so a queued writer is served as soon as any
 //! of them lets go. A hold runs the retrain policy only *after* releasing
 //! the engine lock.
 //!
 //! One file per concern: this file routes keys to shards and implements
 //! [`Store`]; `combine` is the write frontend (the combining queue and the
-//! batch path), `read` the lock-free GET and scan, `model` the model
+//! batch path), `read` GET and scan over each shard's read walk, `model` the model
 //! lifecycle and the worker, `durable` opening and checkpointing a
 //! file-backed store.
 
@@ -92,10 +93,9 @@ use crate::config::{BackingMode, PnwConfig};
 use crate::durable::DurableStore;
 use crate::error::{PnwError, StoreError};
 use crate::metrics::{OpReport, StoreSnapshot};
-use crate::shard::ShardEngine;
+use crate::shard::{ReadView, ShardEngine};
 use combine::{Hold, OwnedOp};
 use model::{Job, ModelState};
-use read::ReadView;
 
 /// One shard: the engine behind its writer mutex, the bounded command
 /// queue contended writers combine through, and the lock-free read view.
@@ -118,7 +118,7 @@ impl Shard {
     fn wrap(mut engine: ShardEngine, id: usize, cfg: &PnwConfig) -> Self {
         engine.set_shard_id(id);
         Shard {
-            read: ReadView::of(&engine),
+            read: engine.read_view().clone(),
             engine: Mutex::new(engine),
             queue: Mutex::new(VecDeque::new()),
             queue_depth: AtomicUsize::new(0),
@@ -595,5 +595,7 @@ mod commit_tests;
 mod label_tests;
 #[cfg(test)]
 mod placement_tests;
+#[cfg(test)]
+mod read_tests;
 #[cfg(test)]
 mod tests;

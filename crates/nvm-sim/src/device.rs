@@ -68,6 +68,12 @@ pub enum NvmError {
         /// The rejected `Geometry::word_bytes`.
         word_bytes: usize,
     },
+    /// Another opener holds the directory's lock ([`crate::Fs::lock`]):
+    /// one store at a time writes a directory.
+    Locked {
+        /// The directory.
+        dir: String,
+    },
 }
 
 impl std::fmt::Display for NvmError {
@@ -84,6 +90,9 @@ impl std::fmt::Display for NvmError {
                 f,
                 "device words are {WORD_BYTES} bytes, geometry asks for {word_bytes}"
             ),
+            NvmError::Locked { dir } => {
+                write!(f, "{dir} is in use: another store holds its lock")
+            }
         }
     }
 }

@@ -22,10 +22,16 @@
 //! ([`SimFs::park_sync`]), and a power cut at a sync
 //! ([`SimFs::cut_power`]). A torn write, and every call made on a handle
 //! from before a crash, fails with [`NvmError::Crashed`].
+//!
+//! One writer at a time: [`Fs::lock`] takes the directory for its caller
+//! alone until the [`DirLock`] drops (scfs's exclusive access; LevelDB's
+//! `LOCK` file). [`OsFs`] locks the directory itself, so the lock leaves
+//! no file behind; [`SimFs`] models one holder per directory, and a crash
+//! lets go of it as the death of a process does.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -69,6 +75,21 @@ pub trait Fs: fmt::Debug + Send + Sync {
     /// Makes the directory's entries durable: the files created, renamed
     /// and removed since the last call.
     fn sync_dir(&self) -> Result<(), NvmError>;
+    /// Takes the directory for the caller alone until the returned lock
+    /// drops; while another holds it, fails with [`NvmError::Locked`].
+    fn lock(&self) -> Result<DirLock, NvmError>;
+}
+
+/// An exclusive hold on an [`Fs`] directory, from [`Fs::lock`]; dropping
+/// it lets go.
+pub struct DirLock {
+    _held: Box<dyn std::any::Any + Send + Sync>,
+}
+
+impl fmt::Debug for DirLock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("DirLock")
+    }
 }
 
 /// An open file of an [`Fs`].
@@ -141,6 +162,19 @@ impl Fs for OsFs {
             .and_then(|d| d.sync_all())
             .map_err(io_err)
     }
+
+    /// An `flock` on the directory's own descriptor: released when it
+    /// closes, by a drop or by the death of the process.
+    fn lock(&self) -> Result<DirLock, NvmError> {
+        let dir = File::open(&self.dir).map_err(io_err)?;
+        match dir.try_lock() {
+            Ok(()) => Ok(DirLock { _held: Box::new(dir) }),
+            Err(TryLockError::WouldBlock) => Err(NvmError::Locked {
+                dir: self.dir.display().to_string(),
+            }),
+            Err(TryLockError::Error(e)) => Err(io_err(e)),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -207,6 +241,9 @@ struct SimState {
     synced_names: BTreeMap<String, usize>,
     /// Sync calls made, of files and of the directory.
     syncs: u64,
+    /// The boot whose [`Fs::lock`] holds the directory; one of an earlier
+    /// boot died with it.
+    locked: Option<u64>,
     hooks: Hooks,
 }
 
@@ -482,6 +519,30 @@ impl Fs for SimFs {
         state.synced_names = state.names.clone();
         Ok(())
     }
+
+    fn lock(&self) -> Result<DirLock, NvmError> {
+        let mut state = self.live()?;
+        if state.locked == Some(self.boot) {
+            return Err(NvmError::Locked { dir: SIM_DIR.into() });
+        }
+        state.locked = Some(self.boot);
+        Ok(DirLock { _held: Box::new(SimLock(self.clone())) })
+    }
+}
+
+/// What a [`SimFs`] lock refusal names as its directory.
+const SIM_DIR: &str = "<simulated directory>";
+
+/// A [`SimFs`] lock of the boot its handle belongs to.
+struct SimLock(SimFs);
+
+impl Drop for SimLock {
+    fn drop(&mut self) {
+        let mut state = self.0.state();
+        if state.locked == Some(self.0.boot) {
+            state.locked = None;
+        }
+    }
 }
 
 /// An open file of a [`SimFs`], by inode: it follows its file through
@@ -701,6 +762,37 @@ mod tests {
         parked.recv().unwrap();
         drop(release);
         syncing.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_simulated_directory_has_one_lock_holder_until_a_drop_or_a_crash() {
+        let fs = SimFs::new();
+        let held = fs.lock().unwrap();
+        let locked = NvmError::Locked { dir: SIM_DIR.into() };
+        assert_eq!(fs.lock().map(drop), Err(locked.clone()));
+        drop(held);
+        let dead = fs.lock().expect("a drop lets go of the lock");
+        fs.crash(Crash::Death);
+        let fs = fs.reboot();
+        let live = fs.lock().expect("a crash lets go of the lock");
+        drop(dead);
+        assert_eq!(fs.lock().map(drop), Err(locked), "a dead boot's lock frees no other");
+        drop(live);
+        fs.lock().unwrap();
+    }
+
+    #[test]
+    fn a_host_directory_has_one_lock_holder_until_a_drop() {
+        let dir = std::env::temp_dir().join(format!("pnw_fs_lock_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (fs, other) = (OsFs::new(&dir).unwrap(), OsFs::new(&dir).unwrap());
+        let held = fs.lock().unwrap();
+        let locked = NvmError::Locked { dir: dir.display().to_string() };
+        assert_eq!(other.lock().map(drop), Err(locked));
+        drop(held);
+        other.lock().expect("a drop lets go of the lock");
+        assert_eq!(fs.list().unwrap(), Vec::<String>::new(), "the lock leaves no file");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

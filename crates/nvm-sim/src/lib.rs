@@ -64,7 +64,7 @@ pub use backing::{DeviceBacking, FileBacking};
 pub use crc::{crc32, crc32_update, crc32c, crc32c_update};
 pub use device::{CellView, NvmConfig, NvmDevice, NvmError, WriteMode};
 pub use fault::{FaultState, StuckAtConfig, StuckWord};
-pub use fs::{Crash, Fs, FsFile, Open, OsFs, SimFs};
+pub use fs::{Crash, DirLock, Fs, FsFile, Open, OsFs, SimFs};
 pub use geometry::Geometry;
 pub use latency::{projected_lifetime_ops, LatencyModel, MemoryTech};
 pub use region::{Region, RegionAllocator};

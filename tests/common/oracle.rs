@@ -291,6 +291,17 @@ impl<'a> Runner<'a> {
         same("snapshot [puts, gets, deletes] since the last crash or reopen", delta, m.counts)
     }
 
+    /// Every key the reference holds reads back, whatever the script
+    /// read last.
+    fn read_back(&mut self) -> Result<(), String> {
+        let keys: Vec<u64> = self.model.map.keys().copied().collect();
+        for k in keys {
+            let got = self.live.store().get(k);
+            same(&format!("get({k}) after the last step"), got, Ok(self.model.get(k)))?;
+        }
+        Ok(())
+    }
+
     fn rebase(&mut self) {
         let snap = self.live.store().snapshot();
         (self.base, self.model.counts) = ([snap.puts, snap.gets, snap.deletes], [0; 3]);
@@ -385,8 +396,12 @@ impl<'a> Runner<'a> {
                 let Inst::Pnw(s) = std::mem::replace(&mut self.live.inst, Inst::Gone) else {
                     unreachable!()
                 };
-                if *step == CloseReopen {
-                    s.close().map_err(failed("close"))?;
+                // The old store lets go of the directory before the new
+                // one opens it: two live stores on one directory are
+                // refused.
+                match step {
+                    CloseReopen => s.close().map_err(failed("close"))?,
+                    _ => drop(s),
                 }
                 self.live.inst = self.backend.build()?;
                 self.rebase();
@@ -405,6 +420,7 @@ pub fn run(backend: &Backend, script: &[Step]) -> Result<Live, String> {
         for (i, step) in script.iter().enumerate() {
             runner.step(step).map_err(|e| format!("step {i}, {step:?}: {e}"))?;
         }
+        runner.read_back()?;
         Ok(runner.live)
     };
     catch_unwind(AssertUnwindSafe(steps)).unwrap_or_else(|panic| {

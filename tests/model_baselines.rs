@@ -1,80 +1,9 @@
-//! Property tests: every baseline K/V store behaves exactly like a hash
-//! map under arbitrary operation sequences — the same harness the PNW
-//! store is held to in `proptest_store.rs`.
+//! The Figure 9 ordering of the baseline stores as a property across
+//! seeds. That every baseline behaves exactly like a map under arbitrary
+//! operation sequences is `proptest_store.rs`'s
+//! `baselines_match_the_reference`, through the store contract oracle.
 
-use std::collections::HashMap;
-
-use proptest::prelude::*;
-
-use pnw_baselines::{FpTreeLike, NoveLsmLike, PathHashStore, Store};
-
-#[derive(Debug, Clone)]
-enum Op {
-    Put(u64, u8),
-    Get(u64),
-    Delete(u64),
-}
-
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            4 => (0u64..20, any::<u8>()).prop_map(|(k, b)| Op::Put(k, b)),
-            3 => (0u64..20).prop_map(Op::Get),
-            2 => (0u64..20).prop_map(Op::Delete),
-        ],
-        1..80,
-    )
-}
-
-fn value_of(b: u8) -> Vec<u8> {
-    vec![b; 16]
-}
-
-fn check(store: &dyn Store, ops: Vec<Op>) -> Result<(), TestCaseError> {
-    let mut model: HashMap<u64, u8> = HashMap::new();
-    for op in ops {
-        match op {
-            Op::Put(k, b) => {
-                store.put(k, &value_of(b)).expect("capacity exceeds key space");
-                model.insert(k, b);
-            }
-            Op::Get(k) => {
-                let got = store.get(k).expect("device ok");
-                let want = model.get(&k).map(|&b| value_of(b));
-                prop_assert_eq!(got, want, "get({})", k);
-            }
-            Op::Delete(k) => {
-                let existed = store.delete(k).expect("device ok");
-                prop_assert_eq!(existed, model.remove(&k).is_some(), "delete({})", k);
-            }
-        }
-        prop_assert_eq!(store.len(), model.len());
-    }
-    for (k, b) in &model {
-        let got = store.get(*k).expect("device ok");
-        prop_assert_eq!(got, Some(value_of(*b)));
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    #[test]
-    fn fptree_matches_hashmap(ops in ops()) {
-        check(&FpTreeLike::new(64, 16), ops)?;
-    }
-
-    #[test]
-    fn novelsm_matches_hashmap(ops in ops()) {
-        check(&NoveLsmLike::new(64, 16), ops)?;
-    }
-
-    #[test]
-    fn path_store_matches_hashmap(ops in ops()) {
-        check(&PathHashStore::new(64, 16), ops)?;
-    }
-}
+use pnw_baselines::{FpTreeLike, PathHashStore, Store};
 
 /// The Figure 9 ordering holds as a *property* across seeds, not just at
 /// one measured point: PNW and Path hashing write fewer lines per request

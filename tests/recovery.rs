@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 use common::crash::{self, Script, Site, Tear, CHECKPOINT, SUPERBLOCK, WAL, WRITE_BACKS};
 use common::oracle::{Backend, Step};
 use pnw_core::{Batch, IndexPlacement, PnwConfig, PnwStore, ShardedPnwStore, Store, StoreError};
-use pnw_nvm_sim::{Fs, Open, SimFs};
+use pnw_nvm_sim::{Crash, Fs, NvmError, Open, SimFs};
 use pnw_workloads::{DatasetKind, Workload};
 
 fn populated_store(placement: IndexPlacement) -> (PnwStore, Vec<(u64, Vec<u8>)>) {
@@ -768,6 +768,77 @@ fn a_data_file_of_another_capacity_is_refused() {
     let other = acked_files(&two_shards(512), true);
     replace(&fs, "data.0", &other.read("data.0").unwrap());
     refused(&cfg, &fs, "data.0", "geometry");
+}
+
+// ---------------------------------------------------------------------------
+// One owner per directory: a store holds its directory's lock for its
+// life, so a second store cannot open the directory and write over the
+// first one's WALs and checkpoints.
+
+/// Opens a store on one directory twice over `open`: the second open must
+/// be refused with the lock error naming `dir`, and the first store's
+/// acknowledged PUTs must all read back after it drops and the directory
+/// reopens. A second store that did open would cut a checkpoint over the
+/// first one's WALs at its close, and lose every PUT the first
+/// acknowledged after it.
+fn a_second_opener_is_refused(dir: &str, open: impl Fn() -> Result<PnwStore, StoreError>) {
+    let first = open().unwrap();
+    let second = open().map(PnwStore::close);
+    for k in 0..50u64 {
+        first.put(k, &[k as u8; 16]).unwrap();
+    }
+    drop(first);
+    let reopened = open().expect("the directory reopens once its store is dropped");
+    let readable = (0..50u64).filter(|&k| reopened.get(k).unwrap() == Some(vec![k as u8; 16]));
+    assert_eq!(readable.count(), 50, "{dir}: acknowledged PUTs readable after the reopen");
+    let locked = StoreError::Nvm(NvmError::Locked { dir: dir.into() });
+    assert_eq!(second.map(drop), Err(locked), "{dir}: the second open");
+}
+
+#[test]
+fn a_second_open_of_a_live_directory_is_refused_on_the_simulated_fs() {
+    let (cfg, fs) = (two_shards(256), SimFs::new());
+    a_second_opener_is_refused("<simulated directory>", || crash::open(&cfg, &fs));
+}
+
+#[test]
+fn a_second_open_of_a_live_directory_is_refused_on_the_hosts_fs() {
+    let dir = scratch_dir("two_openers");
+    let cfg = two_shards(256).with_path(&dir);
+    a_second_opener_is_refused(&dir.display().to_string(), || PnwStore::open(cfg.clone()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A process that dies lets go of its directory: after a simulated death
+/// the rebooted directory opens while the dead store's handle still
+/// exists, and that handle's drop does not release the new store's lock.
+#[test]
+fn a_directory_reopens_after_its_store_dies() {
+    let (cfg, fs) = (two_shards(256), SimFs::new());
+    let dead = crash::open(&cfg, &fs).unwrap();
+    dead.put(1, &[1; 16]).unwrap();
+    fs.crash(Crash::Death);
+    let fs = fs.reboot();
+    let live = crash::open(&cfg, &fs).expect("a death releases the lock");
+    assert_eq!(live.get(1).unwrap(), Some(vec![1; 16]));
+    drop(dead);
+    assert!(matches!(crash::open(&cfg, &fs), Err(StoreError::Nvm(NvmError::Locked { .. }))));
+}
+
+/// A fresh store writes each WAL once, in its first checkpoint: one sync
+/// per data file and per WAL, then the checkpoint's, the directory's, the
+/// superblock's and the directory's again.
+#[test]
+fn a_fresh_store_writes_each_wal_once() {
+    for (shards, syncs) in [(1, 6), (4, 12)] {
+        let fs = SimFs::new();
+        let cfg = PnwConfig::new(64 * shards, 8).with_clusters(1).with_shards(shards);
+        let store = crash::open(&cfg, &fs).unwrap();
+        assert_eq!(fs.syncs(), syncs, "{shards} shards");
+        store.put(1, &[1; 8]).unwrap();
+        drop(store);
+        assert_eq!(crash::open(&cfg, &fs).unwrap().get(1).unwrap(), Some(vec![1; 8]));
+    }
 }
 
 // ---------------------------------------------------------------------------

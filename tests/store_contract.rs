@@ -244,12 +244,13 @@ fn corruption_surfaces_identically_on_both_pnw_frontends() {
         assert_eq!(off.get(5).unwrap().unwrap(), vec![0u8; 16], "{shards} shards");
     }
 
-    // The locked and the lock-free read path are two walks over one bucket
-    // format. A bare engine (reads under its owner's reference) and a
-    // one-shard store (seqlock reads), fed the same ops, must answer every
-    // GET and scan alike — across live and expired TTL entries, a bucket
-    // the scrubber retired, and a bucket failing its CRC — on both index
-    // placements (the NVM one puts the data zone at a non-zero offset).
+    // A bare engine (the read walk behind its owner's reference) and a
+    // one-shard store (the same walk under seqlock validation), fed the
+    // same ops, must answer every GET alike, and the store's scan must
+    // return what those GETs serve — across live and expired TTL entries,
+    // a bucket the scrubber retired, and a bucket failing its CRC — on
+    // both index placements (the NVM one puts the data zone at a non-zero
+    // offset).
     use pnw::core_api::{now_unix_ms, ShardEngine};
     for index in [IndexPlacement::Dram, IndexPlacement::Nvm] {
         let cfg = cfg.clone().with_ttl().with_index(index);
@@ -283,11 +284,12 @@ fn corruption_surfaces_identically_on_both_pnw_frontends() {
                 _ => assert_eq!((answer, locked), (Ok(true), lock_free), "{index:?} key {key}"),
             }
         }
-        let scanned = engine.scan_range(0, 100).unwrap();
-        assert_eq!(scanned, store.scan(0, 100).unwrap(), "{index:?}");
-        let expected: Vec<u64> = (0..12).filter(|&k| k != 4).collect();
-        let keys: Vec<u64> = scanned.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, expected, "{index:?}: CRC-failing and overdue skipped");
+        let scanned = store.scan(0, 100).unwrap();
+        let expected: Vec<(u64, Vec<u8>)> = (0..12)
+            .filter(|&k| k != 4)
+            .map(|k| (k, engine.get(k).unwrap().unwrap()))
+            .collect();
+        assert_eq!(scanned, expected, "{index:?}: CRC-failing and overdue skipped");
     }
 }
 
