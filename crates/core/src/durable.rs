@@ -715,8 +715,9 @@ impl DurableStore {
     /// id, the returned shards are `initial`, and the store stays at epoch
     /// 0 — named by no superblock, with no WAL — until the caller has
     /// created the data files ([`DurableStore::data_file`]) and cut the
-    /// first checkpoint, which writes the WALs. Otherwise the returned shards carry the
-    /// checkpoint state with each WAL's suffix replayed over it.
+    /// first checkpoint, which writes the WALs. Otherwise the returned
+    /// shards carry the checkpoint state with each WAL's suffix replayed
+    /// over it.
     ///
     /// A file that exists but cannot be read fails the open with the I/O
     /// error's kind; a missing or foreign one (see the module doc) with
@@ -852,10 +853,10 @@ impl DurableStore {
     /// superblock bump → each WAL replaced by an empty one of the new
     /// epoch. A fresh store's first checkpoint writes its WALs, the first
     /// it has, before the directory fsync instead: no superblock names
-    /// them until the bump. Returns the shards' appenders on the new WALs. The caller
-    /// must have written back and synced the shard data devices first and
-    /// must hold out writers for the duration of the state collection
-    /// (the store does both). A fenced store cuts none.
+    /// them until the bump. Returns the shards' appenders on the new WALs.
+    /// The caller must have written back and synced the shard data devices
+    /// first and must hold out writers for the duration of the state
+    /// collection (the store does both). A fenced store cuts none.
     pub fn checkpoint(&mut self, shards: &[ShardCheckpoint]) -> Result<Vec<DurableShard>, StoreError> {
         assert_eq!(shards.len(), self.n_shards, "one checkpoint entry per shard");
         if self.fenced.load(Ordering::Relaxed) {
