@@ -20,8 +20,8 @@
 //!   choice, plus the time side of PCA on/off and the update policy.
 //! * [`predictbench`] — the prediction-kernel microbenchmark: packed
 //!   bit-domain LUT path vs the reference float featurize-then-scan path,
-//!   across value sizes and cluster counts, and the folded per-bit kernel
-//!   of PCA-configured models vs project-then-scan (`predict`,
+//!   across value sizes and cluster counts, and the integer scorer of
+//!   PCA-configured models vs project-then-scan (`predict`,
 //!   `BENCH_predict.json`).
 //! * [`trainbench`] — the retraining benchmark: the packed bit-domain
 //!   training pipeline vs the float featurize-then-Lloyd reference, across

@@ -10,9 +10,11 @@
 //!   scan, across value sizes and cluster counts. PCA is disabled for these
 //!   cases (threshold raised above every measured size) so the float
 //!   baseline is always the full pipeline the packed kernel replaces;
-//! * the folded per-bit kernel of PCA-configured models
-//!   ([`pnw_ml::pca::FoldedPredictor`]) against project + PCA-space scan, on
-//!   784 B image values at K = 10 ([`measure_pca_case`]).
+//! * the integer scorer of PCA-configured models
+//!   ([`pnw_ml::pca::FoldedPredictor`]: the basis folded into the centroids
+//!   as `i8` weights, each value word dotted with K rows) against project +
+//!   PCA-space scan, on 784 B image values at K = 10
+//!   ([`measure_pca_case`]).
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -180,9 +182,10 @@ pub struct PcaPredictResult {
     pub components: usize,
     /// Timed iterations per path.
     pub iters: u64,
-    /// Mean set bits per probe value — the folded kernel's cost driver.
+    /// Mean set bits per probe value — the projection's cost driver (the
+    /// integer scorer's cost is words × K, whatever the set bits).
     pub set_bits: f64,
-    /// Folded per-bit kernel (K lanes per set bit), nanoseconds per
+    /// Integer scorer (K dot products per value word), nanoseconds per
     /// prediction.
     pub folded_ns: f64,
     /// Byte-domain projection (`components` lanes per set bit) followed by
@@ -194,7 +197,7 @@ pub struct PcaPredictResult {
 
 /// `n` 784 B image values, Digits and Fashion alternating — sparse strokes
 /// and dense textures, the two ends of the set-bit range the per-bit
-/// kernels' cost tracks.
+/// projection's cost tracks.
 pub fn image_values(n: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut digits = TemplateImages::new(ImageStyle::Digits, seed);
     let mut fashion = TemplateImages::new(ImageStyle::Fashion, seed);
@@ -312,7 +315,7 @@ pub fn run(scale: Scale, iters: Option<u64>) -> Report {
         "project_scan_ns": num(r.project_scan_ns, 1),
         "speedup": num(r.speedup, 2),
     }];
-    println!("PCA-configured model — folded per-bit kernel vs project + PCA-space scan, ns/op");
+    println!("PCA-configured model — integer scorer vs project + PCA-space scan, ns/op");
     println!("{}", rows_table(&pca).render());
 
     Report::new("predict", scale)

@@ -17,8 +17,8 @@
 //!   time, never on the op hot path.
 //!
 //! Every model predicts the same way — K affine scores over the value's
-//! bits, argmin wins — and nothing on either path expands a value into
-//! floats. What differs with [`PnwConfig::uses_pca`] is the table layout
+//! bits, argmin wins, ties to the lower index — and nothing on either path
+//! expands a value into floats. What differs with [`PnwConfig::uses_pca`] is the table layout
 //! and the training route:
 //!
 //! * **At or below the PCA threshold** the samples are packed into `u64`
@@ -28,10 +28,14 @@
 //! * **Above it** the PCA basis is fit on a packed subsample (AND-popcount
 //!   Gram matrix), the training set is projected straight from its bytes,
 //!   K-means runs in PCA space, and the basis is then *folded into the
-//!   centroids* ([`pnw_ml::pca::FoldedPredictor`]: `K` floats per value
-//!   bit, one stripe add per set bit). A byte LUT over a 784 B value would
-//!   be 8 MB at K = 10 and miss cache on every lookup; the per-bit table is
-//!   400 KB.
+//!   centroids* and quantized ([`pnw_ml::pca::FoldedPredictor`]: `K` `i8`
+//!   weights per value bit and `K` `i32` biases under one scale per model;
+//!   each 64-bit value word meets its `K` rows in integer dot products, so
+//!   a prediction costs words × K whatever the value's set bits). A byte
+//!   LUT over a 784 B value would be 8 MB at K = 10 and miss cache on every
+//!   lookup; the word table is 62 KB. Its integer scores are exact on every
+//!   compiled kernel path and within `(set_bits + 1) / 2` of the scaled
+//!   float scores, less one constant of the value.
 //!
 //! A run reads its values through a `ZoneSource`: a snapshot already taken,
 //! or the live data zone. [`ModelManager::train`] and the store's
@@ -87,11 +91,13 @@ impl PredictScratch {
     /// [`ModelSnapshot::predict_into`] call), lower = nearer.
     ///
     /// For models at or below the PCA threshold these are the squared
-    /// distances to each centroid. For PCA-configured models they are the
-    /// squared PCA-space distances **minus `‖y‖²`**, a constant of the
-    /// value that the folded kernel never computes: the argmin, the ranking
-    /// and every difference `d[a] − d[b]` are those of the true distances,
-    /// the absolute numbers are not (and can be negative).
+    /// distances to each centroid. For PCA-configured models they are
+    /// integers, **scaled**: `s ×` the squared PCA-space distance, less a
+    /// constant of the value the folded kernel never computes (`‖y‖²` and
+    /// the fold's shifts), to within `(set_bits + 1) / 2`, where `s` is
+    /// the model's [`FoldedPredictor::scale`]. Their argmin, ranking and
+    /// differences follow the true distances up to that bound; the
+    /// absolute numbers do not.
     pub fn distances(&self) -> &[f32] {
         &self.dist
     }
@@ -102,7 +108,7 @@ impl PredictScratch {
 enum Scorer {
     /// Byte LUT — values at or below the PCA threshold.
     Lut(PackedPredictor),
-    /// Per-bit table — values above it.
+    /// Quantized per-word table — values above it.
     Bits(FoldedPredictor),
 }
 
@@ -192,7 +198,7 @@ impl ModelSnapshot {
 
     /// Whether predictions gather from the byte LUT
     /// ([`PackedPredictor`]) — false for PCA-configured models, which score
-    /// through the per-bit folded table ([`FoldedPredictor`]).
+    /// through the quantized folded table ([`FoldedPredictor`]).
     pub fn uses_packed(&self) -> bool {
         matches!(self.scorer, Scorer::Lut(_))
     }

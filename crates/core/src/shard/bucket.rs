@@ -105,6 +105,13 @@ pub(crate) fn value_addr(bucket_addr: usize) -> usize {
     bucket_addr + HDR_BYTES
 }
 
+/// [`value_addr`] of an address an index entry names, which may be any
+/// `u64`: `None` when the value's first byte is past the address space.
+#[inline]
+pub(crate) fn checked_value_addr(bucket_addr: u64) -> Option<usize> {
+    usize::try_from(bucket_addr).ok()?.checked_add(HDR_BYTES)
+}
+
 /// Whether an expiry-zone deadline has passed at `now()` (0 never does).
 /// The clock is read only for a nonzero deadline, so a store without TTL,
 /// or a key without one, never pays for it.

@@ -67,7 +67,7 @@ use crate::model::{ModelSnapshot, PredictScratch};
 use crate::pool::DynamicAddressPool;
 
 pub(crate) use bucket::{
-    deadline_passed, value_addr, BucketLayout, Header, EXPIRY_BYTES, HDR_BYTES,
+    checked_value_addr, deadline_passed, value_addr, BucketLayout, Header, EXPIRY_BYTES, HDR_BYTES,
 };
 pub(crate) use read::ReadView;
 pub(crate) use seqlock::ShardSync;

@@ -11,7 +11,8 @@ use pnw_index::IndexReader;
 use pnw_nvm_sim::{CellView, NvmError};
 
 use super::{
-    deadline_passed, value_addr, BucketLayout, Header, ShardSync, EXPIRY_BYTES, HDR_BYTES,
+    checked_value_addr, deadline_passed, value_addr, BucketLayout, Header, ShardSync, EXPIRY_BYTES,
+    HDR_BYTES,
 };
 use crate::clock::now_unix_ms;
 use crate::error::PnwError;
@@ -124,11 +125,11 @@ impl ReadView {
                 None => found = Snapshot::Stray(addr),
             }
         }
-        let Ok(base) = usize::try_from(addr) else {
+        let Some(at) = checked_value_addr(addr) else {
             return Snapshot::OffDevice(addr);
         };
-        if !self.view.read_into(value_addr(base), out)
-            || (self.integrity && !self.view.read_into(base, hdr))
+        if !self.view.read_into(at, out)
+            || (self.integrity && !self.view.read_into(at - HDR_BYTES, hdr))
         {
             return Snapshot::OffDevice(addr);
         }
@@ -178,7 +179,9 @@ impl ReadView {
             };
             return match snapshot {
                 Snapshot::Absent => Ok(false),
-                Snapshot::OffDevice(addr) => out_of_bounds(addr + HDR_BYTES as u64, out.len()),
+                Snapshot::OffDevice(addr) => {
+                    out_of_bounds(addr.saturating_add(HDR_BYTES as u64), out.len())
+                }
                 // A consistent snapshot that fails its seal is media
                 // corruption, not a torn read.
                 _ if !sealed() => {

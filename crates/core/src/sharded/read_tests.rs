@@ -101,3 +101,49 @@ fn a_get_through_an_entry_that_names_no_bucket_raises_the_typed_error() {
         }
     }
 }
+
+#[test]
+fn an_entry_at_the_top_of_the_address_space_is_out_of_bounds_not_a_wrapped_read() {
+    // The value would start 16 bytes on, past `u64::MAX`: the answer is the
+    // typed error (its address saturated), in a debug and a release build
+    // alike, not an overflow panic or the bytes at the wrapped address.
+    let addr = u64::MAX - 8;
+    for integrity in [true, false] {
+        for ttl in [true, false] {
+            let mut cfg = PnwConfig::new(16, VALUE)
+                .with_clusters(1)
+                .with_index(IndexPlacement::Nvm)
+                .with_integrity(integrity);
+            if ttl {
+                cfg = cfg.with_ttl();
+            }
+            let mut engine = ShardEngine::new(cfg.clone());
+            let store = ShardedPnwStore::new(cfg);
+            engine.put(KEY, &[1; VALUE]).unwrap();
+            store.put(KEY, &[1; VALUE]).unwrap();
+            engine.aim_index_entry(KEY, addr);
+            store.shards[0]
+                .hold(&store.model)
+                .aim_index_entry(KEY, addr);
+            let case = format!("integrity {integrity}, ttl {ttl}");
+            let expected = NvmError::OutOfBounds {
+                addr: usize::MAX,
+                len: VALUE,
+                size: engine.device().size(),
+            };
+            let mut out = [0u8; VALUE];
+            assert_eq!(
+                engine.get_into(KEY, &mut out),
+                Err(StoreError::Nvm(expected.clone())),
+                "engine, {case}"
+            );
+            assert_eq!(
+                store.get_into(KEY, &mut out),
+                Err(StoreError::Nvm(expected.clone())),
+                "store, {case}"
+            );
+            assert_eq!(out, [0; VALUE], "nothing was read, {case}");
+            assert!(expected.to_string().contains(&format!("at {}", usize::MAX)));
+        }
+    }
+}

@@ -13,8 +13,9 @@
 //!   (Householder tridiagonalization + implicit-shift QL), reporting the
 //!   explained-variance-ratio curve of Figure 3; for bit-valued data the
 //!   fit (AND-popcount Gram matrix), the projection and the prediction
-//!   (basis folded into the centroids: K floats per value bit) all run
-//!   straight from the packed bytes.
+//!   (basis folded into the centroids and quantized: K `i8` weights per
+//!   value bit, scored word by word in integers) all run straight from the
+//!   packed bytes.
 //! * [`elbow`] — SSE-vs-K curves and knee detection (Figure 4).
 //! * [`featurize`] — the bit-per-dimension encoding of §V-A.1: *"each memory
 //!   location is encoded as a vector of bits, each of which is used as a

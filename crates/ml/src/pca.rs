@@ -25,17 +25,22 @@
 //!   `o = −Wμ`.
 //! * **Predict** — [`FoldedPredictor`] folds the basis into the PCA-space
 //!   centroids: `‖y − c_k‖² = ‖y‖² + b_k − 2⟨g_k, x⟩` with `g_k = Wᵀc_k`
-//!   (one float per value bit) and `b_k = ‖c_k‖² − 2 c_k·o`. `‖y‖²` is the
+//!   (one weight per value bit) and `b_k = ‖c_k‖² − 2 c_k·o`. `‖y‖²` is the
 //!   same for every k, so the argmin and the nearest-first ranking need only
-//!   the K affine scores `b_k − 2⟨g_k, x⟩` — K lanes per set bit instead of
-//!   `n_components` lanes plus a K × `n_components` scan.
+//!   the K affine scores `b_k − 2⟨g_k, x⟩`. The fold quantizes them: `i8`
+//!   weights and `i32` biases under one scale per model, scored word by
+//!   word in exact integer dot products ([`crate::simd`]'s word-dot kernel)
+//!   — K rows of 64 bytes per value word instead of `n_components` float
+//!   lanes per set bit plus a K × `n_components` scan.
 //!
-//! Both affine maps share one table layout and one kernel
-//! ([`crate::simd`]'s per-set-bit accumulation).
+//! Training's projections (the sample, [`Pca::refresh_packed`]) stay in
+//! f32 through the per-set-bit accumulation; nothing on a store's
+//! operation path scores through it.
 
 use crate::linalg::sym_eigen;
 use crate::matrix::Matrix;
 use crate::packedmatrix::PackedMatrix;
+use crate::simd;
 
 /// A fitted PCA projection.
 #[derive(Debug, Clone)]
@@ -414,9 +419,8 @@ fn axes_from_gram(
 }
 
 /// Row stride of a per-bit table with `n` outputs: padded to whole 8-lane
-/// SIMD registers. A single output stays unpadded — that is the untrained
-/// placeholder model (one all-zero score), which is never worth 8× the
-/// memory.
+/// SIMD registers. A single output stays unpadded: a one-axis basis is
+/// never worth 8× the memory.
 fn padded_lanes(n: usize) -> usize {
     if n <= 1 {
         n
@@ -434,7 +438,8 @@ fn padded_lanes(n: usize) -> usize {
 /// sparse datasets (bags-of-words, access samples) and a constant win in
 /// allocations for everything. The table holds one row per bit-feature,
 /// padded to whole SIMD registers, so each set bit adds one contiguous
-/// stripe ([`crate::simd`]'s per-set-bit kernel).
+/// stripe ([`crate::simd`]'s per-set-bit kernel). Training projects
+/// through it; prediction scores through its fold, [`FoldedPredictor`].
 #[derive(Debug, Clone)]
 pub struct BitProjector {
     input_bytes: usize,
@@ -492,7 +497,7 @@ impl BitProjector {
     }
 
     /// Projects a raw byte value into a caller-provided buffer — the
-    /// allocation-free variant the store's per-shard scratch uses.
+    /// allocation-free variant a training run's projection loop uses.
     ///
     /// # Panics
     /// Panics if `bytes` does not match the fitted dimensionality or
@@ -514,6 +519,20 @@ impl BitProjector {
         out
     }
 
+    /// The constant term of the map, `o` (`−W·mean` for a PCA basis).
+    pub fn offset(&self) -> &[f32] {
+        &self.offset
+    }
+
+    /// Bit `j`'s row of the map, `W[:, j]`: what the bit adds to each
+    /// output when it is set.
+    ///
+    /// # Panics
+    /// Panics if `j` is not a bit of the input.
+    pub fn bit_weights(&self, j: usize) -> &[f32] {
+        &self.table[j * self.lanes..][..self.n_components()]
+    }
+
     /// Folds centroids living in this projection's output space back onto
     /// the value bits (see the module docs): the result scores a raw value
     /// against every centroid without projecting it.
@@ -524,43 +543,79 @@ impl BitProjector {
         let nc = self.n_components();
         assert_eq!(centroids.cols(), nc, "centroids are not in projected space");
         // b_k = ‖c_k‖² − 2 c_k·o
-        let bias = (0..centroids.rows())
+        let bias: Vec<f64> = (0..centroids.rows())
             .map(|k| {
-                let b: f64 = centroids
+                centroids
                     .row(k)
                     .iter()
                     .zip(&self.offset)
                     .map(|(&x, &o)| f64::from(x) * (f64::from(x) - 2.0 * f64::from(o)))
-                    .sum();
-                b as f32
+                    .sum()
             })
             .collect();
         // weight(j, k) = −2·g_k[j] = −2·Σ_c W[c][j]·c_k[c]; the factor is
         // folded in here so a score is one accumulation, no epilogue.
-        FoldedPredictor(BitProjector::new(self.input_bytes * 8, bias, |j, k| {
-            let g: f64 = self.table[j * self.lanes..][..nc]
+        FoldedPredictor::quantize(self.input_bytes * 8, &bias, |j, k| {
+            let g: f64 = self
+                .bit_weights(j)
                 .iter()
                 .zip(centroids.row(k))
                 .map(|(&w, &c)| f64::from(w) * f64::from(c))
                 .sum();
-            (-2.0 * g) as f32
-        }))
+            -2.0 * g
+        })
     }
 }
 
+/// Bound on a [`FoldedPredictor`] score's magnitude: every integer up to
+/// 2²⁴ is an `f32`, so the scores land in f32 scratch without rounding.
+const SCORE_LIMIT: f64 = (1u32 << 24) as f64 - 1.0;
+
 /// K-means prediction over a value's bits with the feature map folded into
-/// the centroids: K affine scores `b_k − 2⟨g_k, x⟩`, each the squared
-/// distance to centroid k in the model's feature space **minus the
-/// per-value constant** `‖y‖²` (see the module docs). Argmin, ranking and
-/// pairwise score differences are those of the true distances; absolute
-/// values are not, and may be negative.
+/// the centroids, scored in integers. Cluster k's float score is
+/// `S_k = b_k + Σ_{set bits j} w_jk`, the squared distance to centroid k in
+/// the model's feature space **minus the per-value constant** `‖y‖²` (see
+/// the module docs). Its integer score is
+/// `round(s·(b_k − min b)) + Σ_{set j} round(s·(w_jk − m_j))`, with `i8`
+/// weights and `i32` biases.
 ///
-/// The per-bit counterpart of the byte-LUT
-/// [`PackedPredictor`](crate::packed::PackedPredictor): `K` floats per value
-/// *bit* instead of `256·K` per value byte, so it stays cache-sized for
-/// large values, at a cost that tracks the value's set-bit count.
+/// * **Shifts.** `min b` is the smallest bias and `m_j` the midrange of bit
+///   j's weights over the clusters. Both add the same amount to every
+///   score of a value, so neither moves the argmin; centring each bit
+///   shrinks the largest `|weight|` the `i8` range must hold (about 1.7×
+///   on image models), so the scale can grow by as much.
+/// * **Scale.** One `s` per model, the largest that keeps every weight in
+///   `±127` and the worst-case `|score|` (every weight of one sign set)
+///   below 2²⁴, so each score is an exact `f32`.
+/// * **Error.** Each weight and bias is within ½ of its scaled value, so a
+///   score is within `(set_bits + 1) / 2` of `s·(S_k − min b − Σ_{set j}
+///   m_j)`, and any two scores' difference within `set_bits + 1` of
+///   `s·(S_a − S_b)`: an argmin moves only between clusters whose float
+///   scores are within `(set_bits + 1) / s` of each other.
+/// * **Exactness.** The sums are integer, so every compiled kernel path
+///   ([`crate::simd`]'s word-dot: AVX-512 VNNI, AVX2, portable) returns the
+///   same scores; ties go to the lower index.
+///
+/// The per-word counterpart of the byte-LUT
+/// [`PackedPredictor`](crate::packed::PackedPredictor): `K` rows of 64
+/// bytes per value *word* instead of `256·K` floats per value byte, so it
+/// stays cache-sized for large values (62 KB at 784 B and K = 10), at a
+/// cost of words × K whatever the value's content.
 #[derive(Debug, Clone)]
-pub struct FoldedPredictor(BitProjector);
+pub struct FoldedPredictor {
+    input_bytes: usize,
+    k: usize,
+    /// `words × k` rows of 64 weights, word-major: row `w·k + c` holds
+    /// cluster c's weights for the bits of value word w (tail bits zero).
+    table: Vec<i8>,
+    /// `round(s·(b_k − min b))`, all ≥ 0.
+    bias: Vec<i32>,
+    scale: f64,
+}
+
+/// Clusters scored per kernel call: the size of the stack buffer
+/// [`FoldedPredictor::scores_into`] sums in.
+const SCORE_CHUNK: usize = 64;
 
 impl FoldedPredictor {
     /// The fold of the identity map: centroids over the raw bit features
@@ -569,36 +624,120 @@ impl FoldedPredictor {
     /// # Panics
     /// Panics if the feature dimensionality is not a whole number of bytes.
     pub fn over_bits(centroids: &Matrix) -> Self {
-        let norms = (0..centroids.rows())
-            .map(|k| centroids.row(k).iter().map(|&v| v * v).sum())
+        let norms: Vec<f64> = (0..centroids.rows())
+            .map(|k| centroids.row(k).iter().map(|&v| f64::from(v).powi(2)).sum())
             .collect();
-        FoldedPredictor(BitProjector::new(centroids.cols(), norms, |j, k| {
-            -2.0 * centroids.get(k, j)
-        }))
+        FoldedPredictor::quantize(centroids.cols(), &norms, |j, k| {
+            -2.0 * f64::from(centroids.get(k, j))
+        })
+    }
+
+    /// Quantizes the float scores `bias[k] + Σ_{set bits j} weight(j, k)`
+    /// over `dims` bit-features (see the type docs).
+    ///
+    /// # Panics
+    /// Panics if `dims` is not a whole number of bytes, or is too wide for
+    /// any scale to keep the scores below 2²⁴ (over 2²⁵ bits).
+    fn quantize(dims: usize, bias: &[f64], weight: impl Fn(usize, usize) -> f64) -> Self {
+        assert_eq!(dims % 8, 0, "bit features are byte-aligned");
+        let k = bias.len();
+        // Each rounding adds at most ½ to a score's magnitude.
+        let headroom = SCORE_LIMIT - (dims + 1) as f64 / 2.0;
+        assert!(
+            headroom > 0.0,
+            "{dims}-bit values are too wide to score exactly"
+        );
+        let mut weights: Vec<f64> = (0..dims)
+            .flat_map(|j| (0..k).map(move |c| (j, c)))
+            .map(|(j, c)| weight(j, c))
+            .collect();
+        for row in weights.chunks_exact_mut(k.max(1)) {
+            let (lo, hi) = row
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &w| {
+                    (lo.min(w), hi.max(w))
+                });
+            let mid = (lo + hi) / 2.0;
+            row.iter_mut().for_each(|w| *w -= mid);
+        }
+        let shift = bias.iter().copied().fold(f64::INFINITY, f64::min);
+        let largest = weights.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+        // A score's worst case: its bias plus every weight, all one sign.
+        let reach = (0..k)
+            .map(|c| {
+                let spread: f64 = weights.iter().skip(c).step_by(k).map(|w| w.abs()).sum();
+                bias[c] - shift + spread
+            })
+            .fold(0.0f64, f64::max);
+        let scale = [127.0 / largest, headroom / reach]
+            .into_iter()
+            .filter(|s| s.is_finite())
+            .fold(f64::INFINITY, f64::min);
+        // One cluster (the untrained placeholder): its centred weights and
+        // shifted bias are all zero, and any scale is exact.
+        let scale = if scale.is_finite() { scale } else { 1.0 };
+
+        let words = (dims / 8).div_ceil(8);
+        let mut table = vec![0i8; words * k * simd::WORD_BITS];
+        for (j, row) in weights.chunks_exact(k.max(1)).enumerate() {
+            let (word, bit) = (j / simd::WORD_BITS, j % simd::WORD_BITS);
+            for (c, &w) in row.iter().enumerate() {
+                table[(word * k + c) * simd::WORD_BITS + bit] =
+                    (w * scale).round().clamp(-127.0, 127.0) as i8;
+            }
+        }
+        FoldedPredictor {
+            input_bytes: dims / 8,
+            k,
+            table,
+            bias: bias
+                .iter()
+                .map(|&b| ((b - shift) * scale).round() as i32)
+                .collect(),
+            scale,
+        }
     }
 
     /// Number of clusters.
     pub fn k(&self) -> usize {
-        self.0.n_components()
+        self.k
     }
 
     /// Expected input length in bytes.
     pub fn input_bytes(&self) -> usize {
-        self.0.input_bytes
+        self.input_bytes
     }
 
-    /// DRAM held by the per-bit table and the biases, in bytes.
+    /// DRAM held by the weight table and the biases, in bytes.
     pub fn table_bytes(&self) -> usize {
-        self.0.table_bytes()
+        self.table.len() + self.bias.len() * std::mem::size_of::<i32>()
     }
 
-    /// Writes the K scores of `bytes` into `out` and returns the argmin
-    /// cluster (ties toward the lower index). Performs no allocation.
+    /// The model's scale `s`: any two scores of a value differ by `s ×`
+    /// their float scores' difference, to within `set_bits + 1`.
+    pub fn scale(&self) -> f64 {
+        self.scale
+    }
+
+    /// Writes the K integer scores of `bytes` into `out` (exact `f32`s) and
+    /// returns the argmin cluster (ties toward the lower index). Performs no
+    /// allocation.
     ///
     /// # Panics
     /// Panics if `bytes.len() != input_bytes` or `out.len() != k`.
     pub fn scores_into(&self, bytes: &[u8], out: &mut [f32]) -> usize {
-        self.0.project_into(bytes, out);
+        assert_eq!(bytes.len(), self.input_bytes, "dimension mismatch");
+        assert_eq!(out.len(), self.k, "output buffer mismatch");
+        let mut sums = [0i32; SCORE_CHUNK];
+        for (i, out) in out.chunks_mut(SCORE_CHUNK).enumerate() {
+            let first = i * SCORE_CHUNK;
+            let sums = &mut sums[..out.len()];
+            sums.copy_from_slice(&self.bias[first..first + out.len()]);
+            simd::word_dot(&self.table, self.k, first, bytes, sums);
+            for (o, &s) in out.iter_mut().zip(sums.iter()) {
+                *o = s as f32;
+            }
+        }
         let mut best = (0usize, f32::INFINITY);
         for (c, &s) in out.iter().enumerate() {
             if s < best.1 {
@@ -776,6 +915,39 @@ mod tests {
         }
     }
 
+    /// Slack for the f64 references' own rounding, in score units: far
+    /// below the quantization bound, far above an f64 sum's error.
+    const F64_SLACK: f64 = 1e-6;
+
+    /// How far apart the scores' errors against `s ×` their f64 float
+    /// scores spread. Each score is within `(set_bits + 1) / 2` of `s ×`
+    /// its float score less one constant of the value, so the spread is at
+    /// most `set_bits + 1`.
+    fn error_spread(scale: f64, scores: &[f32], reference: &[f64]) -> f64 {
+        let errors = scores
+            .iter()
+            .zip(reference)
+            .map(|(&q, &r)| f64::from(q) - scale * r);
+        let (lo, hi) = errors.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), e| {
+            (lo.min(e), hi.max(e))
+        });
+        hi - lo
+    }
+
+    /// The float score of `over_bits(centroids)` for cluster `k` in f64:
+    /// `‖x − c_k‖² − popcount(x)`.
+    fn over_bits_reference(centroids: &Matrix, k: usize, v: &[u8]) -> f64 {
+        centroids
+            .row(k)
+            .iter()
+            .enumerate()
+            .map(|(j, &c)| {
+                let x = f64::from(v[j / 8] >> (j % 8) & 1);
+                (x - f64::from(c)).powi(2) - x
+            })
+            .sum()
+    }
+
     #[test]
     fn over_bits_scores_are_packed_distances_minus_popcount() {
         use crate::packed::{popcount_bytes, PackedPredictor};
@@ -788,20 +960,28 @@ mod tests {
             let folded = FoldedPredictor::over_bits(&centroids);
             let packed = PackedPredictor::from_centroids(&centroids);
             assert_eq!((folded.k(), folded.input_bytes()), (k, 13));
+            // The largest centred weight takes the whole i8 range; one
+            // cluster's centred weights are all zero.
+            let largest = folded.table.iter().map(|w| w.unsigned_abs()).max();
+            assert_eq!(largest, Some(if k == 1 { 0 } else { 127 }));
             let (mut scores, mut dist) = (vec![0.0f32; k], vec![0.0f32; k]);
             for _ in 0..50 {
                 let v: Vec<u8> = (0..13).map(|_| rng.gen()).collect();
                 let a = folded.scores_into(&v, &mut scores);
                 let b = packed.distances_into(&v, &mut dist);
-                let pop = popcount_bytes(&v) as f32;
-                for (s, d) in scores.iter().zip(&dist) {
-                    assert!(
-                        (s + pop - d).abs() <= 1e-3 * (1.0 + d),
-                        "{s} + {pop} vs {d}"
-                    );
-                }
-                dist.sort_by(f32::total_cmp);
-                if k == 1 || dist[1] - dist[0] > 1e-3 * (1.0 + dist[0]) {
+                let bound = (popcount_bytes(&v) as f64 + 1.0) / 2.0 + F64_SLACK;
+                let reference: Vec<f64> = (0..k)
+                    .map(|c| over_bits_reference(&centroids, c, &v))
+                    .collect();
+                let spread = error_spread(folded.scale(), &scores, &reference);
+                assert!(spread <= 2.0 * bound, "{scores:?} vs {reference:?}");
+                let mut order: Vec<usize> = (0..k).collect();
+                order.sort_by(|&x, &y| reference[x].total_cmp(&reference[y]));
+                let margin = order
+                    .get(1)
+                    .map_or(f64::INFINITY, |&o| reference[o] - reference[order[0]]);
+                if folded.scale() * margin > 2.0 * bound {
+                    assert_eq!(a, order[0]);
                     assert_eq!(a, b);
                 }
             }
@@ -810,13 +990,43 @@ mod tests {
 
     #[test]
     fn single_output_tables_stay_unpadded() {
-        // The untrained placeholder of a 784 B store: 4 bytes per value bit.
+        // The untrained placeholder of a 784 B store: one byte per value
+        // bit, one bias, and an all-zero score.
         let placeholder = FoldedPredictor::over_bits(&Matrix::zeros(1, 784 * 8));
-        assert_eq!(placeholder.table_bytes(), (784 * 8 + 1) * 4);
-        assert_eq!(placeholder.scores_into(&[0xFF; 784], &mut [7.0]), 0);
-        // K = 10 pads to two 8-lane registers per bit.
+        assert_eq!(placeholder.table_bytes(), 784 * 8 + 4);
+        let mut score = [7.0];
+        assert_eq!(placeholder.scores_into(&[0xFF; 784], &mut score), 0);
+        assert_eq!(score, [0.0]);
+        // K = 10: ten rows of 64 bytes per value word, no padding — 62 KB.
         let trained = FoldedPredictor::over_bits(&Matrix::zeros(10, 784 * 8));
-        assert_eq!(trained.table_bytes(), (784 * 8 * 16 + 10) * 4);
+        assert_eq!(trained.table_bytes(), 784 * 8 * 10 + 10 * 4);
+        // A tail word is padded to a whole row.
+        let odd = FoldedPredictor::over_bits(&Matrix::zeros(3, 13 * 8));
+        assert_eq!(odd.table_bytes(), 2 * 3 * 64 + 3 * 4);
+    }
+
+    #[test]
+    fn scores_stay_exact_f32s_at_the_largest_bias_spread() {
+        // One centroid at zero and two far out on either side: the bias
+        // spread, not the i8 range, sets the scale, and the extreme scores
+        // (every bit set, none set) still sit inside 2²⁴.
+        let (bits, far) = (784 * 8, 1.0e4f32);
+        let centroids = Matrix::from_rows(&[vec![0.0; bits], vec![far; bits], vec![-far; bits]]);
+        let folded = FoldedPredictor::over_bits(&centroids);
+        assert!(folded.scale() < 127.0 / (2.0 * f64::from(far)));
+        let mut scores = [0.0f32; 3];
+        for (v, set) in [(vec![0xFFu8; 784], bits), (vec![0u8; 784], 0)] {
+            folded.scores_into(&v, &mut scores);
+            assert!(scores.iter().all(|s| s.abs() < 16_777_216.0), "{scores:?}");
+            let reference: Vec<f64> = (0..3)
+                .map(|c| over_bits_reference(&centroids, c, &v))
+                .collect();
+            let spread = error_spread(folded.scale(), &scores, &reference);
+            assert!(spread <= set as f64 + 1.0 + 2.0 * F64_SLACK, "{scores:?}");
+        }
+        // The worst case — cluster 2 with every bit set — uses the range.
+        folded.scores_into(&[0xFF; 784], &mut scores);
+        assert!(scores[2] > 8_388_608.0, "{scores:?}");
     }
 
     #[test]

@@ -81,8 +81,7 @@ impl std::fmt::Display for NvmError {
         match self {
             NvmError::OutOfBounds { addr, len, size } => write!(
                 f,
-                "access [{addr}, {}) out of bounds for device of {size} bytes",
-                addr + len
+                "access of {len} bytes at {addr} out of bounds for device of {size} bytes"
             ),
             NvmError::Crashed => write!(f, "device is in crashed state"),
             NvmError::Io(kind) => write!(f, "backing-file I/O error: {kind}"),
