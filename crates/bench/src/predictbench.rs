@@ -217,8 +217,11 @@ pub fn image_values(n: usize, seed: u64) -> Vec<Vec<u8>> {
 /// predicted through both paths over a rotating probe set.
 ///
 /// # Panics
-/// Panics if the two paths disagree on more than 1% of the probes (they
-/// may differ on genuine near-ties only).
+/// Panics if the two paths pick different clusters for a probe whose float
+/// distances to them lie further apart than the integer scorer's
+/// quantization allows: `s ×` the margin within `set_bits + 1` score units
+/// (twice the per-score bound `(set_bits + 1)/2`, see
+/// [`pnw_ml::pca::FoldedPredictor::scale`]).
 pub fn measure_pca_case(samples: usize, k: usize, iters: u64, seed: u64) -> PcaPredictResult {
     let iters = iters.max(1);
     let policy = PcaPolicy::default();
@@ -238,18 +241,18 @@ pub fn measure_pca_case(samples: usize, k: usize, iters: u64, seed: u64) -> PcaP
     let probes = image_values(64, seed ^ 0xBEEF);
     let mut features = vec![0.0f32; projector.n_components()];
     let mut dist = vec![0.0f32; kmeans.k()];
-    let disagree = probes
-        .iter()
-        .filter(|v| {
-            projector.project_into(v, &mut features);
-            kmeans.distances_into(&features, &mut dist) != folded.scores_into(v, &mut dist)
-        })
-        .count();
-    assert!(
-        disagree * 100 <= probes.len(),
-        "{disagree} of {} probes",
-        probes.len()
-    );
+    let mut scores = vec![0.0f32; kmeans.k()];
+    for (i, v) in probes.iter().enumerate() {
+        projector.project_into(v, &mut features);
+        let best = kmeans.distances_into(&features, &mut dist);
+        let got = folded.scores_into(v, &mut scores);
+        let gap = folded.scale() * (f64::from(dist[got]) - f64::from(dist[best]));
+        assert!(
+            gap <= popcount_bytes(v) as f64 + 1.0,
+            "probe {i}: the integer scorer picks cluster {got}, project-then-scan {best}, \
+             {gap} score units apart, past the quantization bound"
+        );
+    }
 
     let mut sink = 0usize;
     let folded_ns = time_ns(&probes, iters, &mut sink, |v| {

@@ -25,10 +25,29 @@
 //! on the data. A write stores every covered word back and adds its dirty
 //! flag to its wear counter; per-bit wear, wear-induced stuck-at latching
 //! and the stuck-bit overlay run only for dirty words, and are compiled in
-//! only when one of them is on. The kernel is compiled twice: with
-//! hardware `popcnt`, chosen at run time by `is_x86_feature_detected!`,
-//! and for the baseline target (the workspace builds for baseline x86-64,
-//! where a popcount is otherwise a sequence of shifts and adds).
+//! only when one of them is on.
+//!
+//! The kernel is compiled three times, and `is_x86_feature_detected!`
+//! picks the first this CPU runs:
+//!
+//! * with AVX-512 (F, BW, VL and VPOPCNTDQ): the loop cuts its whole words
+//!   into runs that end at each line end and on both sides of the word the
+//!   tail starts in, so a run is at most one line under one tail mask, and
+//!   here a run takes one masked 8-lane step (a longer line's run, one per
+//!   eight words) — load, XOR, `vpopcntq` into the total and the tail,
+//!   `vptestmq` for the dirty lanes (their count is the words written, any
+//!   one dirties the line), and for a write a saturating add of 1 to the
+//!   dirty lanes' wear counters and a store of the dirty lanes' words. The
+//!   partial head and tail words, and every word of a write with per-bit
+//!   wear or stuck bits on, stay on the scalar step;
+//! * with hardware `popcnt`;
+//! * for the baseline target (the workspace builds for baseline x86-64,
+//!   where a popcount is otherwise a sequence of shifts and adds).
+//!
+//! All three give the same stats, cells, wear and latched bits. Before it
+//! runs, a write prefetches every cache line of its cells and of their wear
+//! counters, so that on a device larger than the cache the misses of a
+//! bucket's lines overlap instead of stalling the steps one line at a time.
 
 use crate::backing::{DeviceBacking, FileBacking};
 use crate::fault::{FaultState, StuckAtConfig};
@@ -638,12 +657,16 @@ impl NvmDevice {
     ) -> (WriteStats, WriteStats) {
         let words = words_of(&job);
         let (word_writes, bit_flips) = self.wear.counters_mut();
+        // SAFETY: `&mut self` makes this the unique writer and no byte
+        // view of the cells is live; concurrent CellView readers are
+        // volatile and seqlock-validated.
+        let cells = unsafe { &mut self.data.words_mut()[words.clone()] };
+        let word_writes = &mut word_writes[words.clone()];
+        prefetch(cells);
+        prefetch(word_writes);
         kernel.run(Program::<EXTRAS> {
-            // SAFETY: `&mut self` makes this the unique writer and no byte
-            // view of the cells is live; concurrent CellView readers are
-            // volatile and seqlock-validated.
-            words: unsafe { &mut self.data.words_mut()[words.clone()] },
-            word_writes: &mut word_writes[words.clone()],
+            words: cells,
+            word_writes,
             bit_flips,
             fault: &mut self.fault,
             first: words.start,
@@ -839,6 +862,27 @@ fn hamming_with(kernel: Kernel, a: &[u8], b: &[u8]) -> u64 {
     kernel.run(Bytes { old: a, new: b })
 }
 
+/// Asks the CPU for every 64-byte cache line of `s` at once, so that a
+/// write to cells out of cache waits for its misses together rather than
+/// one run at a time.
+#[inline(always)]
+fn prefetch<T>(s: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const CACHE_LINE: usize = 64;
+        let first = s.as_ptr().cast::<i8>();
+        let lead = first as usize % CACHE_LINE;
+        for at in (0..std::mem::size_of_val(s) + lead).step_by(CACHE_LINE) {
+            // SAFETY: SSE is baseline on x86-64, and a prefetch never
+            // faults, whatever the address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_sub(lead).wrapping_add(at)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = s;
+}
+
 /// Zero-pads a sub-8-byte chunk into one little-endian `u64` (a byte at a
 /// time: a variable-length copy would be a `memcpy` call).
 #[inline]
@@ -859,8 +903,13 @@ fn byte_mask(lo: usize, hi: usize) -> u64 {
 /// Which compilation of the word-diff kernel runs a pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kernel {
-    /// Compiled with the hardware `popcnt` instruction. Only
-    /// [`Kernel::detect`] picks it, and only on a CPU that has it.
+    /// Compiled with AVX-512 F, BW, VL and VPOPCNTDQ (and `popcnt`), with
+    /// a whole-word run in masked 8-lane steps. Only on a CPU that has
+    /// them all.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    Avx512,
+    /// Compiled with the hardware `popcnt` instruction. Only on a CPU that
+    /// has it.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     Popcnt,
     /// Compiled for the baseline target, whose popcount may be a
@@ -869,14 +918,43 @@ enum Kernel {
 }
 
 impl Kernel {
+    /// Every compilation, fastest first. Only [`Kernel::available`] hands
+    /// one out to run.
+    const ALL: [Kernel; 3] = [Kernel::Avx512, Kernel::Popcnt, Kernel::Portable];
+
     /// The fastest compilation this CPU runs.
     #[inline]
     fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("popcnt") {
-            return Kernel::Popcnt;
+        Kernel::available()
+            .next()
+            .expect("the portable compilation runs anywhere")
+    }
+
+    /// Every compilation this CPU runs, fastest first.
+    #[inline]
+    fn available() -> impl Iterator<Item = Kernel> {
+        Kernel::ALL.into_iter().filter(|k| k.runs_here())
+    }
+
+    /// Whether this CPU has the instructions this compilation uses.
+    #[inline]
+    fn runs_here(self) -> bool {
+        use std::arch::is_x86_feature_detected as has;
+        match self {
+            Kernel::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Popcnt => has!("popcnt"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => {
+                has!("avx512f")
+                    && has!("avx512bw")
+                    && has!("avx512vl")
+                    && has!("avx512vpopcntdq")
+                    && has!("popcnt")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
         }
-        Kernel::Portable
     }
 
     /// Runs `pass` through this compilation of [`word_diff`].
@@ -884,7 +962,11 @@ impl Kernel {
     fn run<'a, P: Pass<'a>>(self, pass: P) -> P::Out {
         match self {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: only `detect` makes `Popcnt`, once it found the feature.
+            // SAFETY: only `available` hands out `Avx512`, once `runs_here`
+            // found every feature it is compiled with.
+            Kernel::Avx512 => unsafe { word_diff_avx512(pass) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as for `Avx512`, with `popcnt`.
             Kernel::Popcnt => unsafe { word_diff_popcnt(pass) },
             _ => word_diff_portable(pass),
         }
@@ -896,7 +978,7 @@ impl Kernel {
 /// carry a second copy of the loop it never runs on a CPU with `popcnt`.
 #[inline(never)]
 fn word_diff_portable<'a, P: Pass<'a>>(pass: P) -> P::Out {
-    word_diff(pass)
+    word_diff::<P, false>(pass)
 }
 
 /// [`word_diff`] compiled with hardware `popcnt`. The whole pass, its
@@ -908,7 +990,18 @@ fn word_diff_portable<'a, P: Pass<'a>>(pass: P) -> P::Out {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
 unsafe fn word_diff_popcnt<'a, P: Pass<'a>>(pass: P) -> P::Out {
-    word_diff(pass)
+    word_diff::<P, false>(pass)
+}
+
+/// [`word_diff`] compiled with AVX-512, its whole-word runs in 8-lane
+/// steps ([`WordDiff::lanes`]); inlined whole like [`word_diff_popcnt`].
+///
+/// # Safety
+/// The CPU must support every feature this function enables.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vpopcntdq,popcnt")]
+unsafe fn word_diff_avx512<'a, P: Pass<'a>>(pass: P) -> P::Out {
+    word_diff::<P, true>(pass)
 }
 
 /// The device words a job's payload covers (none for an empty one).
@@ -947,9 +1040,27 @@ trait Pass<'a> {
     #[inline(always)]
     fn program(&mut self, _i: usize, _word: u64, _charged: u64, _dirty: u64) {}
 
+    /// Whether the AVX-512 compilation takes this pass's whole-word runs
+    /// in vector steps ([`Pass::run`]) rather than word by word.
+    const LINE_RUNS: bool = true;
+
+    /// The whole words from word `i` on that the payload's `new[bytes]`
+    /// covers, as one vector step takes them.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    fn run(&mut self, i: usize, bytes: std::ops::Range<usize>) -> Run<'_>;
+
     /// The result, from the flips, words and lines of the whole payload
     /// and of its tail.
     fn finish(self, total: WriteStats, tail: WriteStats) -> Self::Out;
+}
+
+/// A whole-word run as a pass hands it to the vector step: a dry run's
+/// old words, or a write's cells (the old words, and where the new ones
+/// go) with their wear counters.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Run<'r> {
+    Read(&'r [u8]),
+    Write(&'r mut [u64], &'r mut [u32]),
 }
 
 /// [`NvmDevice::diff_stats`]: a dry run over the device's words.
@@ -969,6 +1080,14 @@ impl<'a> Pass<'a> for Preview<'a> {
     #[inline(always)]
     fn old(&self, i: usize, _: std::ops::Range<usize>, _: usize) -> u64 {
         u64::from_le(self.words[i])
+    }
+
+    #[inline(always)]
+    fn run(&mut self, i: usize, bytes: std::ops::Range<usize>) -> Run<'_> {
+        let words = &self.words[i..i + bytes.len() / WORD_BYTES];
+        // SAFETY: the same memory, as bytes: `u8` has no alignment and no
+        // invalid values, and nothing writes the words while they are read.
+        Run::Read(unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), bytes.len()) })
     }
 
     #[inline(always)]
@@ -1008,6 +1127,11 @@ impl<'a> Pass<'a> for Bytes<'a> {
             Ok(whole) => u64::from_le_bytes(whole),
             Err(_) => tail_word(b) << (at * 8),
         }
+    }
+
+    #[inline(always)]
+    fn run(&mut self, _: usize, bytes: std::ops::Range<usize>) -> Run<'_> {
+        Run::Read(&self.old[bytes])
     }
 
     #[inline(always)]
@@ -1053,6 +1177,15 @@ impl<'a, const EXTRAS: bool> Pass<'a> for Program<'a, EXTRAS> {
         self.words[i] = word.to_le();
     }
 
+    // The extras take each dirty word in turn: only the scalar step has one.
+    const LINE_RUNS: bool = !EXTRAS;
+
+    #[inline(always)]
+    fn run(&mut self, i: usize, bytes: std::ops::Range<usize>) -> Run<'_> {
+        let words = i..i + bytes.len() / WORD_BYTES;
+        Run::Write(&mut self.words[words.clone()], &mut self.word_writes[words])
+    }
+
     #[inline(always)]
     fn finish(self, total: WriteStats, tail: WriteStats) -> (WriteStats, WriteStats) {
         (total, tail)
@@ -1082,10 +1215,11 @@ impl<const EXTRAS: bool> Program<'_, EXTRAS> {
 /// The word-diff kernel: the one loop that diffs a payload against the
 /// words it covers, for a write ([`Program`]), its preview ([`Preview`])
 /// and [`hamming`] ([`Bytes`]). A partial head word, the whole words in
-/// runs, then a partial tail word each take [`WordDiff::step`]; a line's
-/// dirty flag is counted as the line closes.
+/// runs, then a partial tail word each take [`WordDiff::step`] — with
+/// `LANES`, a run takes [`WordDiff::lanes`] instead — and a line's dirty
+/// flag is counted as the line closes.
 #[inline(always)]
-fn word_diff<'a, P: Pass<'a>>(mut pass: P) -> P::Out {
+fn word_diff<'a, P: Pass<'a>, const LANES: bool>(mut pass: P) -> P::Out {
     let job = pass.job();
     let new = job.new;
     let mut diff = WordDiff::new(&job);
@@ -1119,13 +1253,13 @@ fn word_diff<'a, P: Pass<'a>>(mut pass: P) -> P::Out {
         match i.cmp(&diff.split_word) {
             Ordering::Less => {
                 run = run.min(diff.split_word - i);
-                diff.words(&mut pass, i, new, at..at + run * WORD_BYTES, 0);
+                diff.words::<P, LANES>(&mut pass, i, new, at..at + run * WORD_BYTES, 0);
             }
             Ordering::Equal if diff.split_mask != u64::MAX => {
                 run = 1;
-                diff.words(&mut pass, i, new, at..at + WORD_BYTES, diff.split_mask);
+                diff.words::<P, LANES>(&mut pass, i, new, at..at + WORD_BYTES, diff.split_mask);
             }
-            _ => diff.words(&mut pass, i, new, at..at + run * WORD_BYTES, u64::MAX),
+            _ => diff.words::<P, LANES>(&mut pass, i, new, at..at + run * WORD_BYTES, u64::MAX),
         }
         (i, at, whole) = (i + run, at + run * WORD_BYTES, whole - run);
         left -= run;
@@ -1175,9 +1309,10 @@ impl WordDiff {
     }
 
     /// Whole words from word `i` on, the payload's `new[bytes]` (whole
-    /// words of one line), each under the same tail mask.
+    /// words of one line), each under the same tail mask. With `LANES`, in
+    /// vector steps.
     #[inline(always)]
-    fn words<'a, P: Pass<'a>>(
+    fn words<'a, P: Pass<'a>, const LANES: bool>(
         &mut self,
         pass: &mut P,
         i: usize,
@@ -1185,6 +1320,14 @@ impl WordDiff {
         bytes: std::ops::Range<usize>,
         tail_mask: u64,
     ) {
+        #[cfg(target_arch = "x86_64")]
+        if LANES && P::LINE_RUNS {
+            let run = pass.run(i, bytes.clone());
+            // SAFETY: only `word_diff_avx512` sets `LANES`, and it runs only
+            // on a CPU with the features it is compiled with.
+            unsafe { self.lanes(run, &new[bytes], tail_mask) };
+            return;
+        }
         let at = bytes.start;
         for (j, chunk) in new[bytes].chunks_exact(WORD_BYTES).enumerate() {
             let word = u64::from_le_bytes(chunk.try_into().unwrap());
@@ -1217,6 +1360,68 @@ impl WordDiff {
         self.line |= dirty;
         self.tail_line |= tail_dirty;
         pass.program(i, (old & !mask) | (new & mask), charged, dirty);
+    }
+
+    /// The whole words of one run, `new` over `run`'s old words, in masked
+    /// steps of eight lanes: [`WordDiff::step`] on up to eight words at
+    /// once, with the same counts. A write adds 1, saturating, to each
+    /// dirty lane's wear counter and stores the dirty lanes' words (a clean
+    /// lane's word is its old one).
+    ///
+    /// # Safety
+    /// The CPU runs AVX-512 F, VL and VPOPCNTDQ.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn lanes(&mut self, run: Run<'_>, new: &[u8], tail_mask: u64) {
+        use std::arch::x86_64::*;
+        let n = new.len() / WORD_BYTES;
+        // Every lane a step reads or writes is below `n`: the lengths the
+        // pointers below are good for.
+        let (old, write) = match run {
+            Run::Read(old) => {
+                assert_eq!(old.len(), new.len());
+                (old.as_ptr(), None)
+            }
+            Run::Write(cells, wear) => {
+                assert!(cells.len() == n && wear.len() == n);
+                let cells = cells.as_mut_ptr();
+                (cells.cast_const().cast(), Some((cells, wear.as_mut_ptr())))
+            }
+        };
+        // SAFETY: the caller's features; each load and store is masked to
+        // the lanes of words `at..n`.
+        unsafe {
+            let raw = _mm512_set1_epi64(self.raw as i64);
+            let tail_mask = _mm512_set1_epi64(tail_mask as i64);
+            let ones = _mm256_set1_epi32(-1);
+            let (mut flips, mut tail_flips) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+            for at in (0..n).step_by(8) {
+                let lanes: __mmask8 = u8::MAX >> (8 - (n - at).min(8));
+                let from = at * WORD_BYTES;
+                let was = _mm512_maskz_loadu_epi64(lanes, old.add(from).cast());
+                let word = _mm512_maskz_loadu_epi64(lanes, new.as_ptr().add(from).cast());
+                let charged = _mm512_maskz_or_epi64(lanes, _mm512_xor_si512(was, word), raw);
+                let tail = _mm512_and_si512(charged, tail_mask);
+                flips = _mm512_add_epi64(flips, _mm512_popcnt_epi64(charged));
+                tail_flips = _mm512_add_epi64(tail_flips, _mm512_popcnt_epi64(tail));
+                let dirty = _mm512_test_epi64_mask(charged, charged);
+                let tail_dirty = _mm512_test_epi64_mask(tail, tail);
+                self.total.words_written += u64::from(dirty.count_ones());
+                self.tail.words_written += u64::from(tail_dirty.count_ones());
+                self.line |= u64::from(dirty != 0);
+                self.tail_line |= u64::from(tail_dirty != 0);
+                if let Some((cells, wear)) = write {
+                    // `count - (-1)` under the dirty lanes not at `u32::MAX`.
+                    let count = _mm256_maskz_loadu_epi32(dirty, wear.add(at).cast());
+                    let bump = _mm256_mask_cmpneq_epu32_mask(dirty, count, ones);
+                    let count = _mm256_sub_epi32(count, ones);
+                    _mm256_mask_storeu_epi32(wear.add(at).cast(), bump, count);
+                    _mm512_mask_storeu_epi64(cells.add(at).cast(), dirty, word);
+                }
+            }
+            self.total.bit_flips += _mm512_reduce_add_epi64(flips) as u64;
+            self.tail.bit_flips += _mm512_reduce_add_epi64(tail_flips) as u64;
+        }
     }
 
     /// Word `i`, of which the payload covers only `new[bytes]`, from its
@@ -1415,31 +1620,62 @@ mod tests {
         assert_eq!(hamming(&a, &b), 11);
     }
 
-    /// The two compilations of the word-diff kernel agree on everything a
-    /// pass leaves: both `WriteStats`, the cells, word and bit wear, the
-    /// stuck bits latched, the preview and the Hamming distance — for every
-    /// length 0..=1024 at every start offset mod 8, in both modes, with
-    /// stuck bits armed and latching on.
+    /// Every compilation of the word-diff kernel this CPU runs agrees with
+    /// the portable one on everything a pass leaves: both `WriteStats`, the
+    /// cells, word and bit wear, the stuck bits latched, the preview and
+    /// the Hamming distance — for every length 0..=1024 at every start
+    /// offset mod 8, in both modes, at any split, through one torn write,
+    /// on lines of 32, 64 and 128 B with the per-word extras off (the
+    /// AVX-512 compilation's line-run step), and on 64 B lines with them on
+    /// (bit wear, stuck bits armed, latching). Prints the compilations it
+    /// compared and those this CPU cannot run.
     #[test]
-    fn the_portable_kernel_matches_the_dispatched_one() {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("popcnt") {
-            assert_eq!(Kernel::detect(), Kernel::Popcnt);
-        }
+    fn every_compilation_matches_the_portable_one() {
+        let (ran, skipped): (Vec<Kernel>, Vec<Kernel>) = Kernel::ALL
+            .into_iter()
+            .partition(|&k| Kernel::available().any(|a| a == k));
+        println!(
+            "word-diff compilations compared with Portable: {ran:?}; \
+             skipped, not on this CPU: {skipped:?}"
+        );
+        std::thread::scope(|s| {
+            for (line_bytes, extras) in [(32, false), (64, false), (128, false), (64, true)] {
+                s.spawn(move || matches_the_portable_kernel(line_bytes, extras));
+            }
+        });
+    }
+
+    /// The device's stuck bits, by word.
+    fn stuck(d: &NvmDevice) -> Vec<(usize, crate::fault::StuckWord)> {
+        let mut words: Vec<_> = d.fault.stuck_words().collect();
+        words.sort_by_key(|&(w, _)| w);
+        words
+    }
+
+    /// One lockstep run of [`every_compilation_matches_the_portable_one`]:
+    /// a device per compilation, the portable one's first.
+    fn matches_the_portable_kernel(line_bytes: usize, extras: bool) {
+        let mut kernels: Vec<Kernel> = Kernel::available().collect();
+        kernels.rotate_right(1);
+        assert_eq!(kernels[0], Kernel::Portable);
         let cfg = || {
-            NvmConfig::default()
-                .with_size(2048)
-                .with_bit_wear(true)
-                .with_stuck_at(StuckAtConfig {
+            let mut cfg = NvmConfig::default().with_size(2048).with_bit_wear(extras);
+            cfg.geometry = Geometry::new(WORD_BYTES, line_bytes);
+            if extras {
+                cfg = cfg.with_stuck_at(StuckAtConfig {
                     endurance_writes: Some(40),
                     latch_probability: 0.5,
                     ..Default::default()
-                })
+                });
+            }
+            cfg
         };
-        let (mut fast, mut portable) = (NvmDevice::new(cfg()), NvmDevice::new(cfg()));
-        for d in [&mut fast, &mut portable] {
-            d.arm_stuck_bit(3, 5, true).unwrap();
-            d.arm_stuck_bit(100, 63, false).unwrap();
+        let mut devs: Vec<NvmDevice> = kernels.iter().map(|_| NvmDevice::new(cfg())).collect();
+        if extras {
+            for d in &mut devs {
+                d.arm_stuck_bit(3, 5, true).unwrap();
+                d.arm_stuck_bit(100, 63, false).unwrap();
+            }
         }
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
@@ -1448,10 +1684,11 @@ mod tests {
             x ^= x << 17;
             x
         };
+        let case = format!("{line_bytes} B lines, extras {extras}");
         for len in 0..=1024usize {
             for offset in 0..8 {
                 let addr = (next() as usize % (2048 - 1024 - 8)) / 8 * 8 + offset;
-                let old = fast.peek(addr, len).unwrap().to_vec();
+                let old = devs[0].peek(addr, len).unwrap().to_vec();
                 // Every other payload is the old bytes with a few bits
                 // flipped (mostly clean words), the rest fresh bytes.
                 let new: Vec<u8> = if offset % 2 == 0 {
@@ -1473,31 +1710,70 @@ mod tests {
                     WriteMode::Diff
                 };
                 let split = next() as usize % (len + 2);
-                let kernels = [Kernel::detect(), Kernel::Portable];
-                let [h, hp] = kernels.map(|k| hamming_with(k, &old, &new));
-                assert_eq!(h, hp, "hamming, {len} B at {addr}");
-                let [p, pp] = [(&fast, kernels[0]), (&portable, kernels[1])]
-                    .map(|(d, k)| d.diff_stats_with(k, addr, &new).unwrap());
-                assert_eq!(p, pp, "preview, {len} B at {addr}");
-                assert_eq!(p.bit_flips, h, "the preview charges the distance");
-                let w = fast
-                    .write_with(kernels[0], addr, &new, mode, split)
-                    .unwrap();
-                let wp = portable
-                    .write_with(kernels[1], addr, &new, mode, split)
-                    .unwrap();
-                assert_eq!(w, wp, "{mode:?} write of {len} B at {addr}, split {split}");
-                if mode == WriteMode::Diff {
-                    assert_eq!(w.0, p, "the write charges its preview");
+                let torn = len == 517 && offset == 3;
+                let mut want = None;
+                for (&k, d) in kernels.iter().zip(&mut devs) {
+                    let h = hamming_with(k, &old, &new);
+                    let p = d.diff_stats_with(k, addr, &new).unwrap();
+                    assert_eq!(p.bit_flips, h, "the preview charges the distance");
+                    if torn {
+                        d.arm_torn_write(40);
+                    }
+                    let w = d.write_with(k, addr, &new, mode, split).unwrap();
+                    if torn {
+                        assert!(d.is_crashed());
+                        d.recover();
+                    } else if mode == WriteMode::Diff {
+                        assert_eq!(w.0, p, "the write charges its preview");
+                    }
+                    let want = *want.get_or_insert((h, p, w));
+                    assert_eq!(
+                        (h, p, w),
+                        want,
+                        "{k:?}: distance, preview and {mode:?} write of {len} B at {addr}, \
+                         split {split}, {case}"
+                    );
                 }
             }
-            assert_eq!(fast.to_image(), portable.to_image(), "cells after {len} B");
+            for (k, d) in kernels.iter().zip(&devs) {
+                assert_eq!(
+                    d.to_image(),
+                    devs[0].to_image(),
+                    "{k:?}: cells after {len} B, {case}"
+                );
+            }
         }
-        assert_eq!(fast.wear().word_writes(), portable.wear().word_writes());
-        assert_eq!(fast.wear().bit_flips(), portable.wear().bit_flips());
-        assert_eq!(fast.stats(), portable.stats());
-        assert!(fast.stuck_bit_count() > 2, "latching fired");
-        assert_eq!(fast.stuck_bit_count(), portable.stuck_bit_count());
+        for (k, d) in kernels.iter().zip(&devs) {
+            let (d0, case) = (&devs[0], format!("{k:?}, {case}"));
+            assert_eq!(d.wear().word_writes(), d0.wear().word_writes(), "{case}");
+            assert_eq!(d.wear().bit_flips(), d0.wear().bit_flips(), "{case}");
+            assert_eq!(d.stats(), d0.stats(), "{case}");
+            assert_eq!(d.stuck_bit_count(), d0.stuck_bit_count(), "{case}");
+            assert_eq!(stuck(d), stuck(d0), "{case}");
+        }
+        if extras {
+            assert!(devs[0].stuck_bit_count() > 2, "latching fired");
+        }
+    }
+
+    /// A word's wear counter stops at `u32::MAX` on every compilation, with
+    /// the extras off and on.
+    #[test]
+    fn wear_counters_saturate_on_every_compilation() {
+        for kernel in Kernel::available() {
+            for bit_wear in [false, true] {
+                let mut d =
+                    NvmDevice::new(NvmConfig::default().with_size(128).with_bit_wear(bit_wear));
+                d.wear.counters_mut().0[3] = u32::MAX - 1;
+                for fill in [0x5Au8, 0xA5] {
+                    d.write_with(kernel, 0, &[fill; 64], WriteMode::Diff, 16)
+                        .unwrap();
+                }
+                let writes = d.wear().word_writes();
+                assert_eq!(writes[3], u32::MAX, "{kernel:?}, bit wear {bit_wear}");
+                assert_eq!(writes[..8], [2, 2, 2, u32::MAX, 2, 2, 2, 2]);
+            }
+        }
     }
 
     #[test]

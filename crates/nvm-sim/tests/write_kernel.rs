@@ -442,3 +442,39 @@ fn pinned_bucket_size_cases() {
     };
     check(&case).unwrap();
 }
+
+/// Whole bucket images at both line phases a bucket start takes — an 80 B
+/// bucket at line offset 0 and 32, an 800 B one at 0 and 32 — fresh,
+/// sparse and unchanged, split after the header, with bit wear and stuck
+/// bits off (so a CPU with AVX-512 takes the line-run step), on a plain
+/// and a file-backed device.
+#[test]
+fn pinned_bucket_images_at_both_line_phases() {
+    let w = |addr, len, payload| WriteCase {
+        addr,
+        len,
+        split: HEADER,
+        raw: false,
+        payload,
+        bytes: (0..BIG_LEN).map(|i| (i * 11 + 5) as u8).collect(),
+        tear: None,
+    };
+    let mut writes = Vec::new();
+    for (addr, len) in [(0, 80), (160, 80), (0, 800), (800, 800)] {
+        assert!(addr % LINE == 0 || addr % LINE == 32);
+        for payload in [Payload::Fresh, Payload::Sparse, Payload::Same] {
+            writes.push(w(addr, len, payload));
+        }
+    }
+    for file_backed in [false, true] {
+        let case = Case {
+            size: BIG,
+            bit_wear: false,
+            file_backed,
+            image: (0..BIG).map(|i| (i * 13) as u8).collect(),
+            stuck: Vec::new(),
+            writes: writes.clone(),
+        };
+        check(&case).unwrap();
+    }
+}
