@@ -939,6 +939,7 @@ impl Kernel {
     /// Whether this CPU has the instructions this compilation uses.
     #[inline]
     fn runs_here(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
         use std::arch::is_x86_feature_detected as has;
         match self {
             Kernel::Portable => true,
@@ -1042,6 +1043,7 @@ trait Pass<'a> {
 
     /// Whether the AVX-512 compilation takes this pass's whole-word runs
     /// in vector steps ([`Pass::run`]) rather than word by word.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     const LINE_RUNS: bool = true;
 
     /// The whole words from word `i` on that the payload's `new[bytes]`
