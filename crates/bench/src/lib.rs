@@ -18,11 +18,10 @@
 //!   trait.
 //! * [`ablations`] — design-choice ablations (`ablations`): bit flips per
 //!   choice, plus the time side of PCA on/off and the update policy.
-//! * [`predictbench`] — the prediction-kernel microbenchmark: packed
-//!   bit-domain LUT path vs the reference float featurize-then-scan path,
-//!   across value sizes and cluster counts, and the integer scorer of
-//!   PCA-configured models vs project-then-scan (`predict`,
-//!   `BENCH_predict.json`).
+//! * [`predictbench`] — the prediction microbenchmark: the store's integer
+//!   word-table scorer vs the reference float featurize-then-scan path,
+//!   across value sizes and cluster counts, and on PCA-configured models vs
+//!   project-then-scan (`predict`, `BENCH_predict.json`).
 //! * [`trainbench`] — the retraining benchmark: the packed bit-domain
 //!   training pipeline vs the float featurize-then-Lloyd reference, across
 //!   value sizes, cluster counts and sample counts, and the packed vs

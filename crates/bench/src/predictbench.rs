@@ -1,18 +1,19 @@
 //! Bit-domain-vs-float prediction microbenchmark.
 //!
 //! The paper budgets 5–6 µs of model latency per PUT (§VI-D, Figure 6);
-//! the bit-domain kernels replace the float paths on that budget's critical
-//! path. This module measures each kernel against the float path it
+//! the store's one scorer ([`pnw_ml::pca::FoldedPredictor`]: the feature
+//! map folded into the centroids as `i8` weights, each value word dotted
+//! with K rows in integers) replaces the float paths on that budget's
+//! critical path. This module measures it against the float path it
 //! replaced on the *same trained model*, reporting ns/op — the numbers
 //! `pnw-bench predict` records in `BENCH_predict.json`:
 //!
-//! * the byte-LUT kernel ([`pnw_ml::packed`]) against featurize + dense
-//!   scan, across value sizes and cluster counts. PCA is disabled for these
-//!   cases (threshold raised above every measured size) so the float
-//!   baseline is always the full pipeline the packed kernel replaces;
-//! * the integer scorer of PCA-configured models
-//!   ([`pnw_ml::pca::FoldedPredictor`]: the basis folded into the centroids
-//!   as `i8` weights, each value word dotted with K rows) against project +
+//! * models over the raw bits against featurize + dense scan, across value
+//!   sizes and cluster counts — 4 B at K = 10 and 30 are Figure 6's
+//!   many-cluster panels. PCA is disabled for these cases (threshold raised
+//!   above every measured size) so the float baseline is always the full
+//!   pipeline the scorer replaces;
+//! * PCA-configured models (the basis folded in) against project +
 //!   PCA-space scan, on 784 B image values at K = 10
 //!   ([`measure_pca_case`]).
 
@@ -24,9 +25,9 @@ use pnw_core::model::stride_sample;
 use pnw_core::{ModelManager, ModelSnapshot, PcaPolicy, PnwConfig, PredictScratch};
 use pnw_ml::featurize::bits_to_features;
 use pnw_ml::kmeans::{KMeans, KMeansConfig};
-use pnw_ml::packed::{popcount_bytes, PackedPredictor};
 use pnw_ml::packedmatrix::PackedMatrix;
 use pnw_ml::pca::Pca;
+use pnw_ml::simd::popcount_bytes;
 use pnw_workloads::{ImageStyle, TemplateImages, Workload as _};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -43,9 +44,10 @@ pub struct PredictCase {
 }
 
 /// The default sweep: value sizes around the paper's small-item regime
-/// with a K sweep at 64 B (the acceptance point is 64 B / K = 16).
+/// with a K sweep at 64 B (the acceptance point is 64 B / K = 16), and the
+/// 4 B values of Figure 6's `Normal` and `Uniform` panels at K = 10 and 30.
 pub fn default_cases() -> Vec<PredictCase> {
-    [(8, 16), (64, 4), (64, 16), (64, 64), (256, 16)]
+    [(4, 10), (4, 30), (8, 16), (64, 4), (64, 16), (64, 64), (256, 16)]
         .into_iter()
         .map(|(value_size, k)| PredictCase { value_size, k })
         .collect()
@@ -61,20 +63,13 @@ pub struct PredictResult {
     pub k: usize,
     /// Timed iterations per path.
     pub iters: u64,
-    /// Packed LUT kernel (runtime-dispatched SIMD), nanoseconds per
-    /// prediction.
+    /// The store's scorer (the word table over the raw bits, the fastest
+    /// compilation this CPU runs), nanoseconds per prediction.
     pub packed_ns: f64,
-    /// The same packed LUT tables forced onto the scalar fallback kernel,
-    /// nanoseconds per prediction — isolates the SIMD gather's gain from
-    /// the bit-domain reformulation itself.
-    pub packed_scalar_ns: f64,
     /// Float featurize + dense scan, nanoseconds per prediction.
     pub float_ns: f64,
     /// `float_ns / packed_ns`.
     pub speedup: f64,
-    /// `packed_scalar_ns / packed_ns` — 1.0 on hosts where no SIMD kernel
-    /// is compiled in or detected.
-    pub simd_speedup: f64,
 }
 
 /// Deterministic value generator: `families` byte-fill patterns plus a
@@ -106,9 +101,7 @@ pub fn trained_model(case: PredictCase, seed: u64) -> Arc<ModelSnapshot> {
         });
     let mut m = ModelManager::new(&cfg);
     m.train(&gen_values(512, case.value_size, case.k.max(4), seed ^ 0xFEED));
-    let m = m.snapshot();
-    assert!(m.uses_packed(), "bench model must be bit-domain");
-    m
+    m.snapshot()
 }
 
 /// ns per call of `predict` over `iters` probes drawn in rotation, after an
@@ -144,14 +137,6 @@ pub fn measure_case(case: PredictCase, iters: u64, seed: u64) -> PredictResult {
         m.predict_into(v, &mut scratch)
     });
 
-    // Same LUT tables, scalar accumulator forced: what the packed path
-    // costs on a host without usable vector units.
-    let packed = PackedPredictor::from_centroids(m.kmeans().centroids());
-    let mut dist = vec![0.0f32; m.k()];
-    let packed_scalar_ns = time_ns(&probes, iters, &mut sink, |v| {
-        packed.distances_into_scalar(v, &mut dist)
-    });
-
     // Reference float path: featurize into a fresh feature vector, dense
     // K×d scan — exactly what every PUT paid before the packed kernel.
     let float_ns = time_ns(&probes, iters, &mut sink, |v| {
@@ -164,10 +149,8 @@ pub fn measure_case(case: PredictCase, iters: u64, seed: u64) -> PredictResult {
         k: m.k(),
         iters,
         packed_ns,
-        packed_scalar_ns,
         float_ns,
         speedup: float_ns / packed_ns.max(1e-9),
-        simd_speedup: packed_scalar_ns / packed_ns.max(1e-9),
     }
 }
 
@@ -245,7 +228,7 @@ pub fn measure_pca_case(samples: usize, k: usize, iters: u64, seed: u64) -> PcaP
     for (i, v) in probes.iter().enumerate() {
         projector.project_into(v, &mut features);
         let best = kmeans.distances_into(&features, &mut dist);
-        let got = folded.scores_into(v, &mut scores);
+        let got = folded.distances_into(v, &mut scores);
         let gap = folded.scale() * (f64::from(dist[got]) - f64::from(dist[best]));
         assert!(
             gap <= popcount_bytes(v) as f64 + 1.0,
@@ -256,7 +239,7 @@ pub fn measure_pca_case(samples: usize, k: usize, iters: u64, seed: u64) -> PcaP
 
     let mut sink = 0usize;
     let folded_ns = time_ns(&probes, iters, &mut sink, |v| {
-        folded.scores_into(v, &mut dist)
+        folded.distances_into(v, &mut dist)
     });
     // What every PCA-configured PUT paid before the fold.
     let project_scan_ns = time_ns(&probes, iters, &mut sink, |v| {
@@ -283,7 +266,7 @@ pub fn run_sweep(cases: &[PredictCase], iters: u64, seed: u64) -> Vec<PredictRes
     cases.iter().map(|&c| measure_case(c, iters, seed)).collect()
 }
 
-/// The whole benchmark: runs the byte-LUT sweep (`iters` timed
+/// The whole benchmark: runs the raw-bit sweep (`iters` timed
 /// predictions per path and case, by default 20 000 quick / 200 000 full)
 /// and the PCA-configured case at a quarter of that, prints both result
 /// tables and returns them as the `predict` report.
@@ -297,14 +280,12 @@ pub fn run(scale: Scale, iters: Option<u64>) -> Report {
                 "k": r.k,
                 "iters": r.iters,
                 "packed_ns": num(r.packed_ns, 1),
-                "packed_scalar_ns": num(r.packed_scalar_ns, 1),
                 "float_ns": num(r.float_ns, 1),
                 "speedup": num(r.speedup, 2),
-                "simd_speedup": num(r.simd_speedup, 2),
             }
         })
         .collect();
-    println!("Prediction kernel — packed LUT (SIMD and scalar) vs float featurize+scan, ns/op");
+    println!("Prediction — the word-table scorer over the raw bits vs float featurize+scan, ns/op");
     println!("{}", rows_table(&results).render());
 
     let r = measure_pca_case(scale.pick(512, 4096), 10, iters / 4, 0xACE5);
@@ -337,10 +318,8 @@ mod tests {
         assert_eq!(r.value_size, 16);
         assert_eq!(r.k, 4);
         assert!(r.packed_ns > 0.0);
-        assert!(r.packed_scalar_ns > 0.0);
         assert!(r.float_ns > 0.0);
         assert!(r.speedup > 0.0);
-        assert!(r.simd_speedup > 0.0);
     }
 
     #[test]

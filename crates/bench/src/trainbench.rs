@@ -1,14 +1,16 @@
 //! Packed-vs-float retraining benchmark.
 //!
-//! PR 3 moved *prediction* into the packed bit domain; this harness
-//! measures the same move on the *training* side: the old pipeline
+//! Prediction runs in the packed bit domain; this harness measures the
+//! same move on the *training* side: the old pipeline
 //! (featurize every sampled value into one `f32` per bit — a 32× memory
 //! blow-up — then dense float Lloyd iterations) against the packed pipeline
-//! ([`pnw_ml::packedmatrix::PackedMatrix`]: per-iteration byte LUTs for the
-//! assignment step, integer bit-count accumulators for the centroid
-//! update, Hamming-popcount k-means++ seeding). Both paths run the same
-//! algorithm from the same seed, so the comparison is representation-only;
-//! the recorded `inertia_ratio` guards against quality drift.
+//! ([`pnw_ml::packedmatrix::PackedMatrix`]: the store's integer word-table
+//! scorer, rebuilt once per iteration, for the assignment step; integer
+//! bit-count accumulators for the centroid update and a closed-form SSE;
+//! Hamming-popcount k-means++ seeding). Both paths run the same
+//! algorithm from the same seed; the packed one assigns through the
+//! quantized scorer, so a near-tie may go the other way, and the recorded
+//! `inertia_ratio` guards against quality drift.
 //!
 //! PCA-configured models get their own row ([`measure_pca_case`]): the
 //! packed route (AND-popcount Gram fit on a packed subsample, byte-domain

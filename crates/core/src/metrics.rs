@@ -57,8 +57,8 @@ pub struct TrainPhases {
     pub project: Duration,
     /// K selection and Lloyd iterations.
     pub kmeans: Duration,
-    /// Building the prediction table: the fold of the basis into the
-    /// centroids, or the byte LUT.
+    /// Building the prediction table: the word table of the centroids,
+    /// with the PCA basis folded in for a PCA-configured model.
     pub table_build: Duration,
     /// The label pass of a background run: predicting every active
     /// bucket's stored content under the new model, lock-free, on the
@@ -201,12 +201,13 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
-    /// Mean prediction latency per PUT.
+    /// Mean prediction latency per PUT, over every PUT however many.
     pub fn mean_predict_latency(&self) -> Duration {
         if self.puts == 0 {
             Duration::ZERO
         } else {
-            self.predict_total / self.puts.min(u32::MAX as u64) as u32
+            let ns = self.predict_total.as_nanos() / u128::from(self.puts);
+            Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
         }
     }
 
@@ -258,6 +259,13 @@ mod tests {
         };
         assert!((s.availability() - 0.75).abs() < 1e-12);
         assert_eq!(s.mean_predict_latency(), Duration::from_micros(5));
+        // Past 2³² PUTs the mean still divides by the whole count.
+        let s = StoreSnapshot {
+            predict_total: Duration::from_nanos(1 << 40),
+            puts: 1 << 33,
+            ..s
+        };
+        assert_eq!(s.mean_predict_latency(), Duration::from_nanos(128));
     }
 
     #[test]

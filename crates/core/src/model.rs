@@ -16,26 +16,26 @@
 //!   background worker owns it outright and runs it one training run at a
 //!   time, never on the op hot path.
 //!
-//! Every model predicts the same way — K affine scores over the value's
-//! bits, argmin wins, ties to the lower index — and nothing on either path
-//! expands a value into floats. What differs with [`PnwConfig::uses_pca`] is the table layout
-//! and the training route:
+//! Every model predicts the same way, through one scorer
+//! ([`pnw_ml::pca::FoldedPredictor`]): K affine scores over the value's
+//! bits, argmin wins, ties to the lower index. The feature map is folded
+//! into the centroids and quantized — `K` `i8` weights per value bit and
+//! `K` `i32` biases under one scale per model — and each 64-bit value word
+//! meets its `K` rows in integer dot products, so a prediction costs
+//! words × K whatever the value's set bits, and nothing on either path
+//! expands a value into floats. The scores are exact on every compiled
+//! kernel path and within `(set_bits + 1) / 2` of the scaled float scores,
+//! less one constant of the value. What differs with
+//! [`PnwConfig::uses_pca`] is the feature map and the training route:
 //!
 //! * **At or below the PCA threshold** the samples are packed into `u64`
-//!   words ([`pnw_ml::packedmatrix`]), K-means runs on the words, and
-//!   prediction gathers from a byte LUT ([`pnw_ml::packed`]: `256·K` floats
-//!   per value byte, one stripe add per byte).
+//!   words ([`pnw_ml::packedmatrix`]), K-means runs on the words — its
+//!   assignment step scoring through the same word table — and the table
+//!   folds the identity map: the centroids over the raw bits.
 //! * **Above it** the PCA basis is fit on a packed subsample (AND-popcount
 //!   Gram matrix), the training set is projected straight from its bytes,
 //!   K-means runs in PCA space, and the basis is then *folded into the
-//!   centroids* and quantized ([`pnw_ml::pca::FoldedPredictor`]: `K` `i8`
-//!   weights per value bit and `K` `i32` biases under one scale per model;
-//!   each 64-bit value word meets its `K` rows in integer dot products, so
-//!   a prediction costs words × K whatever the value's set bits). A byte
-//!   LUT over a 784 B value would be 8 MB at K = 10 and miss cache on every
-//!   lookup; the word table is 62 KB. Its integer scores are exact on every
-//!   compiled kernel path and within `(set_bits + 1) / 2` of the scaled
-//!   float scores, less one constant of the value.
+//!   centroids*. The table is 62 KB for a 784 B value at K = 10.
 //!
 //! A run reads its values through a `ZoneSource`: a snapshot already taken,
 //! or the live data zone. [`ModelManager::train`] and the store's
@@ -58,7 +58,6 @@ use std::time::{Duration, Instant};
 
 use pnw_ml::kmeans::{KMeans, KMeansConfig, TrainSet};
 use pnw_ml::matrix::Matrix;
-use pnw_ml::packed::PackedPredictor;
 use pnw_ml::packedmatrix::PackedMatrix;
 use pnw_ml::pca::{FoldedPredictor, Pca, RefreshScratch};
 
@@ -90,38 +89,25 @@ impl PredictScratch {
     /// Per-cluster scores from the last prediction (empty before the first
     /// [`ModelSnapshot::predict_into`] call), lower = nearer.
     ///
-    /// For models at or below the PCA threshold these are the squared
-    /// distances to each centroid. For PCA-configured models they are
-    /// integers, **scaled**: `s ×` the squared PCA-space distance, less a
-    /// constant of the value the folded kernel never computes (`‖y‖²` and
-    /// the fold's shifts), to within `(set_bits + 1) / 2`, where `s` is
-    /// the model's [`FoldedPredictor::scale`]. Their argmin, ranking and
-    /// differences follow the true distances up to that bound; the
-    /// absolute numbers do not.
+    /// They are integers, **scaled**: `s ×` the squared distance to each
+    /// centroid in the model's feature space (the raw bits, or PCA space),
+    /// less a constant of the value the scorer never computes (the
+    /// popcount or `‖y‖²`, and the fold's shifts), to within
+    /// `(set_bits + 1) / 2`, where `s` is the model's
+    /// [`FoldedPredictor::scale`]. Their argmin, ranking and differences
+    /// follow the true distances up to that bound; the absolute numbers do
+    /// not.
     pub fn distances(&self) -> &[f32] {
         &self.dist
     }
 }
 
-/// The score table of one snapshot. Which kernel a store uses follows
-/// [`PnwConfig::uses_pca`] and nothing else.
-enum Scorer {
-    /// Byte LUT — values at or below the PCA threshold.
-    Lut(PackedPredictor),
-    /// Quantized per-word table — values above it.
-    Bits(FoldedPredictor),
-}
-
 /// The model that has learned nothing: one all-zeros centroid over the raw
 /// bits, so predictions are total (matching a store whose cells are all
-/// zero), scored by the kernel the store's value size calls for.
-fn zero_model(value_bits: usize, per_bit: bool) -> (KMeans, Scorer) {
+/// zero).
+fn zero_model(value_bits: usize) -> (KMeans, FoldedPredictor) {
     let zero = Matrix::zeros(1, value_bits);
-    let scorer = if per_bit {
-        Scorer::Bits(FoldedPredictor::over_bits(&zero))
-    } else {
-        Scorer::Lut(PackedPredictor::from_centroids(&zero))
-    };
+    let scorer = FoldedPredictor::from_centroids(&zero);
     (KMeans::from_centroids(zero, 0), scorer)
 }
 
@@ -152,8 +138,8 @@ impl TrainedModel {
 pub struct ModelSnapshot {
     value_bits: usize,
     kmeans: KMeans,
-    /// Built once by the training run, read-only afterwards.
-    scorer: Scorer,
+    /// The word table, built once by the training run, read-only afterwards.
+    scorer: FoldedPredictor,
     trained: bool,
     /// Install counter: 0 for the untrained placeholder, then one per
     /// completed (re)train. Monotonic per store.
@@ -165,7 +151,7 @@ impl ModelSnapshot {
     /// predictions are total from the first operation.
     pub fn untrained(cfg: &PnwConfig) -> Self {
         let value_bits = cfg.value_size * 8;
-        let (kmeans, scorer) = zero_model(value_bits, cfg.uses_pca());
+        let (kmeans, scorer) = zero_model(value_bits);
         ModelSnapshot {
             value_bits,
             kmeans,
@@ -196,15 +182,8 @@ impl ModelSnapshot {
         self.kmeans.dims()
     }
 
-    /// Whether predictions gather from the byte LUT
-    /// ([`PackedPredictor`]) — false for PCA-configured models, which score
-    /// through the quantized folded table ([`FoldedPredictor`]).
-    pub fn uses_packed(&self) -> bool {
-        matches!(self.scorer, Scorer::Lut(_))
-    }
-
     /// The fitted K-means model — the reference float path the equivalence
-    /// tests and the predict microbench compare the bit-domain kernels
+    /// tests and the predict microbench compare the bit-domain scorer
     /// against. Its centroids live in [`ModelSnapshot::feature_dims`] space.
     pub fn kmeans(&self) -> &KMeans {
         &self.kmeans
@@ -222,17 +201,14 @@ impl ModelSnapshot {
     /// Predicts the cluster for a value with zero heap allocation
     /// (buffers in `scratch` are reused across calls).
     ///
-    /// Either kernel reads the raw bytes and leaves the per-cluster scores
-    /// in `scratch` (see [`PredictScratch::distances`]), so a fallback
-    /// ranking costs one argsort, not a second scan
+    /// The scorer reads the raw bytes and leaves the per-cluster scores in
+    /// `scratch` (see [`PredictScratch::distances`]), so a fallback ranking
+    /// costs one argsort, not a second scan
     /// ([`ModelSnapshot::ranked_after_predict`]).
     pub fn predict_into(&self, value: &[u8], scratch: &mut PredictScratch) -> usize {
         debug_assert_eq!(value.len() * 8, self.value_bits);
         scratch.dist.resize(self.kmeans.k(), 0.0);
-        match &self.scorer {
-            Scorer::Lut(lut) => lut.distances_into(value, &mut scratch.dist),
-            Scorer::Bits(folded) => folded.scores_into(value, &mut scratch.dist),
-        }
+        self.scorer.distances_into(value, &mut scratch.dist)
     }
 
     /// Ranks all clusters nearest-first from the scores the last
@@ -471,7 +447,7 @@ fn fit<S: ZoneSource + ?Sized>(
     let mut phases = TrainPhases::default();
     let (mut basis, mut basis_fit) = (None, BasisFit::None);
     let (kmeans, scorer) = if capped.is_empty() {
-        zero_model(p.value_bits, p.use_pca)
+        zero_model(p.value_bits)
     } else if p.use_pca {
         // Fit the basis on a packed subsample (the eigensolve is cubic),
         // project every sample straight from its bytes as it is read,
@@ -514,7 +490,7 @@ fn fit<S: ZoneSource + ?Sized>(
         phases.kmeans = t.elapsed();
 
         let t = Instant::now();
-        let scorer = Scorer::Bits(projector.fold(kmeans.centroids()));
+        let scorer = projector.fold(kmeans.centroids());
         phases.table_build = t.elapsed();
         basis = Some(pca);
         (kmeans, scorer)
@@ -529,7 +505,7 @@ fn fit<S: ZoneSource + ?Sized>(
         phases.kmeans = t.elapsed();
 
         let t = Instant::now();
-        let scorer = Scorer::Lut(PackedPredictor::from_centroids(kmeans.centroids()));
+        let scorer = FoldedPredictor::from_centroids(kmeans.centroids());
         phases.table_build = t.elapsed();
         (kmeans, scorer)
     };
@@ -626,6 +602,49 @@ mod tests {
         PnwConfig::new(64, 4).with_clusters(2)
     }
 
+    /// Asserts that `m` scores `v` through the word table of its own
+    /// centroids, that each score is within the quantization bound
+    /// `(set_bits + 1) / 2` of `s ×` the f64 squared distance less one
+    /// constant of the value, and that the predicted cluster is the float
+    /// argmin wherever the float margin exceeds twice that bound.
+    fn assert_within_bound(m: &ModelSnapshot, v: &[u8]) {
+        let mut scratch = PredictScratch::new();
+        let got = m.predict_into(v, &mut scratch);
+        let table = FoldedPredictor::from_centroids(m.kmeans().centroids());
+        let mut scores = vec![0.0f32; m.k()];
+        assert_eq!(table.distances_into(v, &mut scores), got);
+        assert_eq!(scratch.distances(), &scores[..], "a stale or foreign table");
+        let x = bits_to_features(v);
+        let reference: Vec<f64> = m
+            .kmeans()
+            .centroids()
+            .iter_rows()
+            .map(|c| {
+                c.iter()
+                    .zip(&x)
+                    .map(|(&c, &x)| (f64::from(c) - f64::from(x)).powi(2))
+                    .sum()
+            })
+            .collect();
+        let bound = (f64::from(v.iter().map(|b| b.count_ones()).sum::<u32>()) + 1.0) / 2.0 + 1e-6;
+        let errors = scores
+            .iter()
+            .zip(&reference)
+            .map(|(&q, &r)| f64::from(q) - table.scale() * r);
+        let (lo, hi) = errors.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), e| {
+            (lo.min(e), hi.max(e))
+        });
+        assert!(hi - lo <= 2.0 * bound, "{scores:?} vs {reference:?}");
+        let mut order: Vec<usize> = (0..m.k()).collect();
+        order.sort_by(|&a, &b| reference[a].total_cmp(&reference[b]).then(a.cmp(&b)));
+        let margin = order
+            .get(1)
+            .map_or(f64::INFINITY, |&o| reference[o] - reference[order[0]]);
+        if table.scale() * margin > 2.0 * bound {
+            assert_eq!(got, order[0], "value {v:?}");
+        }
+    }
+
     /// The store moves its manager onto its worker thread and shares
     /// snapshots behind `Arc`s across every thread.
     #[test]
@@ -686,7 +705,7 @@ mod tests {
 
     /// A zone fit — the store's background retrain, here with no thread —
     /// installs in the manager and hands back what the new model predicts
-    /// for every value, through the byte LUT it built.
+    /// for every value, through the word table it built.
     #[test]
     fn background_training_installs() {
         let mut m = ModelManager::new(&small_cfg());
@@ -696,10 +715,10 @@ mod tests {
         assert_eq!((m.retrains(), m.snapshot().epoch()), (1, 1));
         assert_eq!(m.train_stats().labelled, zone.0.len());
         let model = m.snapshot();
-        assert!(model.uses_packed());
         assert_eq!(labels.len(), 1);
         for (v, &l) in zone.0.iter().zip(&labels[0]) {
-            assert_eq!(l as usize, model.kmeans().predict(&bits_to_features(v)));
+            assert_eq!(l as usize, model.predict(v));
+            assert_within_bound(&model, v);
         }
     }
 
@@ -762,17 +781,8 @@ mod tests {
         let values: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i, !i, i ^ 0x3C, i / 3]).collect();
         m.train(&values);
         let m = m.snapshot();
-        assert!(m.uses_packed());
-        let mut scratch = PredictScratch::new();
         for v in &values {
-            let packed = m.predict_into(v, &mut scratch);
-            let float = m.kmeans().predict(&bits_to_features(v));
-            assert_eq!(packed, float, "value {v:?}");
-            // Scratch distances match the float scan within tolerance.
-            for (c, &d) in scratch.distances().iter().enumerate() {
-                let r = pnw_ml::matrix::sq_dist(m.kmeans().centroid(c), &bits_to_features(v));
-                assert!((d - r).abs() <= 1e-3 * (1.0 + r), "c{c}: {d} vs {r}");
-            }
+            assert_within_bound(&m, v);
         }
     }
 
@@ -822,15 +832,10 @@ mod tests {
         let cfg = PnwConfig::new(32, 256).with_clusters(2);
         let mut m = ModelManager::new(&cfg);
         let placeholder = m.snapshot();
-        assert!(
-            !placeholder.uses_packed(),
-            "the kernel follows uses_pca() from the placeholder on"
-        );
         assert_eq!(placeholder.predict(&[0xA5; 256]), 0);
         let values = two_macro_patterns();
         m.train(&values);
         let m = m.snapshot();
-        assert!(!m.uses_packed());
         let mut scratch = PredictScratch::new();
         for v in values.iter().take(8) {
             let c = m.predict_into(v, &mut scratch);
@@ -906,7 +911,7 @@ mod tests {
         m.snapshot()
             .predict_into(&[0xFF, 0xFF, 0xFF, 0xFF], &mut scratch);
         // Retrain on *only* the low family: the swapped-in model must drive
-        // predictions (stale LUTs would keep the old separation).
+        // predictions (a stale table would keep the old separation).
         m.train(&low);
         let m = m.snapshot();
         for v in &both {

@@ -12,9 +12,9 @@
 //! Training is generic over [`TrainSet`]: the dense float [`Matrix`] (the
 //! reference path, and the only choice after PCA projection) or the
 //! bit-packed [`PackedMatrix`](crate::packedmatrix::PackedMatrix), which
-//! runs the whole fit in the packed bit domain (LUT distances, integer
-//! bit-count centroid accumulators) without ever materializing the 32×
-//! larger float tensor.
+//! runs the whole fit in the packed bit domain (the store's integer
+//! word-table scorer, integer bit-count centroid accumulators) without ever
+//! materializing the 32× larger float tensor.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -270,9 +270,8 @@ impl KMeans {
 
     /// Squared distance from `x` to every centroid, written into `out`;
     /// returns the argmin cluster. The allocation-free float scan — the
-    /// reference the bit-domain predictors ([`crate::packed`] over raw bit
-    /// features, [`crate::pca::FoldedPredictor`] over PCA space) are tested
-    /// against.
+    /// reference the bit-domain scorer ([`crate::pca::FoldedPredictor`],
+    /// over the raw bits or PCA space) is tested against.
     ///
     /// # Panics
     /// Panics if `out.len() != self.k()`.

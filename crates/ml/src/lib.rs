@@ -12,24 +12,25 @@
 //! * [`pca`] — principal component analysis via a symmetric eigensolver
 //!   (Householder tridiagonalization + implicit-shift QL), reporting the
 //!   explained-variance-ratio curve of Figure 3; for bit-valued data the
-//!   fit (AND-popcount Gram matrix), the projection and the prediction
-//!   (basis folded into the centroids and quantized: K `i8` weights per
-//!   value bit, scored word by word in integers) all run straight from the
-//!   packed bytes.
+//!   fit (AND-popcount Gram matrix), the projection and the prediction run
+//!   straight from the packed bytes. Prediction is the one scorer every
+//!   model uses, [`FoldedPredictor`]: the feature map (the PCA basis, or
+//!   the identity for a model over the raw bits) folded into the centroids
+//!   and quantized to K `i8` weights per value bit, scored word by word in
+//!   exact integer dot products. `‖x−c‖² = ‖c‖² + popcount(x) − 2⟨c,x⟩`
+//!   on 0/1 inputs, and `popcount(x)` is the same for every cluster, so the
+//!   argmin needs only `‖c‖² − 2⟨c,x⟩`: zero featurization, zero
+//!   allocation on the PUT hot path.
 //! * [`elbow`] — SSE-vs-K curves and knee detection (Figure 4).
 //! * [`featurize`] — the bit-per-dimension encoding of §V-A.1: *"each memory
 //!   location is encoded as a vector of bits, each of which is used as a
 //!   feature/dimension"*.
-//! * [`packed`] — the bit-domain prediction kernel: per-centroid packed
-//!   lookup tables turn `‖x−c‖²` into `‖c‖² + popcount(x) − 2⟨c,x⟩`, so the
-//!   PUT hot path predicts straight from the raw bytes with zero
-//!   featurization and zero allocation.
 //! * [`packedmatrix`] — the same identity on the *training* side: a
 //!   samples × bits set stored as `u64` words, fit without ever expanding
-//!   to the 32× larger float tensor (per-iteration byte LUTs for the
-//!   assignment step, integer bit-count accumulators for the centroid
-//!   update). [`kmeans::TrainSet`] is the seam: `KMeans::fit_set` accepts
-//!   either representation.
+//!   to the 32× larger float tensor (the word table, rebuilt once per Lloyd
+//!   iteration, for the assignment step; integer bit-count accumulators for
+//!   the centroid update and the closed-form SSE). [`kmeans::TrainSet`] is
+//!   the seam: `KMeans::fit_set` accepts either representation.
 //! * [`matrix`] / [`linalg`] — the minimal dense-matrix layer underneath.
 //!
 //! ```
@@ -63,7 +64,6 @@ pub mod featurize;
 pub mod kmeans;
 pub mod linalg;
 pub mod matrix;
-pub mod packed;
 pub mod packedmatrix;
 pub mod pca;
 pub mod simd;
@@ -72,6 +72,8 @@ pub use elbow::{elbow_point, sse_curve};
 pub use featurize::{bits_to_features, features_to_bits};
 pub use kmeans::{KMeans, KMeansConfig, TrainSet};
 pub use matrix::Matrix;
-pub use packed::PackedPredictor;
 pub use packedmatrix::PackedMatrix;
+/// [`FoldedPredictor`] under the name the benchmark's per-layer ledger
+/// (`benchmark/src/layers.rs`) times it by.
+pub use pca::FoldedPredictor as PackedPredictor;
 pub use pca::{BitProjector, FoldedPredictor, Pca, RefreshScratch};

@@ -4,18 +4,28 @@
 //! per bit before fitting — a 32× memory blow-up (100k × 64 B samples
 //! become a 205 MB tensor) that is pure overhead when the inputs are bits.
 //! [`PackedMatrix`] keeps the training set packed, eight value bytes per
-//! word, and implements the training-side counterpart of the prediction
-//! identity from [`crate::packed`]:
+//! word, and trains through the store's one scorer: on 0/1 inputs
+//! `‖x − c‖² = ‖c‖² + popcount(x) − 2⟨c, x⟩`, and `popcount(x)` is the
+//! same for every cluster.
 //!
-//! * **Assignment** — per-iteration byte LUTs for `⟨c, x⟩` (built once per
-//!   Lloyd iteration at `K · positions · 256` adds, amortized over N ≫ that
-//!   samples) plus per-row popcounts cached at construction turn each
-//!   sample-to-centroid distance into `value_len` lookups and adds.
+//! * **Assignment** — the word table of the iteration's centroids
+//!   ([`FoldedPredictor::from_centroids`], built once per Lloyd iteration
+//!   at K weights per bit, amortized over N ≫ that samples) scores each
+//!   row in integer dot products, words × K, exactly as a PUT predicts.
+//!   The table's scores are within a known bound of the float ones, so a
+//!   row whose runner-up lies inside that bound — a near-tie — is settled
+//!   by the exact sparse distances of the clusters involved: the labels
+//!   are the float argmin's, and a quantization error never steers Lloyd's
+//!   trajectory.
 //! * **Centroid update** — features are 0/1, so the per-cluster feature
 //!   sums are *bit counts*: integer accumulators incremented by iterating
 //!   the set bits of each word (`trailing_zeros` / clear-lowest-bit), then
 //!   converted to `f32` once per iteration. No float adds in the inner
 //!   loop, and integer partials merge exactly across worker threads.
+//! * **SSE** — in closed form, in f64, from what the pass already holds:
+//!   `Σᵢ popcount(xᵢ) − 2·Σ_k ⟨c_k, B_k⟩ + Σ_k n_k‖c_k‖²`, with `B_k` the
+//!   bit counts of cluster k's `n_k` rows (popcounts cached per row at
+//!   construction).
 //! * **Seeding** — k-means++ needs sample-to-sample distances, which on
 //!   0/1 data are Hamming distances: one XOR + popcount per word pair, and
 //!   exactly the integer the float path's `sq_dist` computes — so packed
@@ -26,7 +36,7 @@
 
 use crate::kmeans::{Assignment, TrainSet};
 use crate::matrix::Matrix;
-use crate::packed::PackedPredictor;
+use crate::pca::FoldedPredictor;
 
 /// A samples × bits 0/1 matrix stored packed: each row is
 /// `ceil(bytes / 8)` little-endian `u64` words (LSB-first bit order within
@@ -170,6 +180,22 @@ impl PackedMatrix {
     fn count_bits_into(&self, i: usize, bitcounts: &mut [u32]) {
         self.for_each_set_bit(i, |j| bitcounts[j] += 1);
     }
+
+    /// Row `i`'s nearest centroid, given its word-table `scores` and their
+    /// argmin `best`. Two scores differ by `s ×` their float scores'
+    /// difference to within `popcount + 1`, so only a cluster scored that
+    /// close to `best` can be nearer; when there is one, the candidates'
+    /// exact distances settle it, ties to the lower index.
+    fn settle(&self, i: usize, best: usize, scores: &[f32], centroids: &Matrix) -> usize {
+        let reach = f64::from(scores[best]) + f64::from(self.popcounts[i]) + 1.0;
+        let near = (0..scores.len()).filter(|&c| f64::from(scores[c]) <= reach);
+        if near.clone().count() == 1 {
+            return best;
+        }
+        near.map(|c| (c, self.dist_to_centroid(i, centroids.row(c))))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map_or(best, |(c, _)| c)
+    }
 }
 
 impl TrainSet for PackedMatrix {
@@ -202,35 +228,43 @@ impl TrainSet for PackedMatrix {
         norm + self.popcounts[i] as f32 - 2.0 * dot
     }
 
-    /// The packed assignment pass: one LUT build per call (per Lloyd
-    /// iteration), then popcount-based distances and integer bit-count
-    /// centroid accumulators, parallelized over contiguous row chunks.
+    /// The packed assignment pass: the word table built once per call (per
+    /// Lloyd iteration) scores every row, a near-tie inside its bound
+    /// settled exactly; integer bit-count centroid accumulators,
+    /// parallelized over contiguous row chunks; the SSE in closed form from
+    /// those counts.
     fn assign(&self, centroids: &Matrix, threads: usize, labels: &mut [usize]) -> Assignment {
         let n = self.rows;
         let k = centroids.rows();
         let d = self.dims();
         debug_assert_eq!(centroids.cols(), d);
         let threads = threads.max(1).min(n.max(1));
-        // Rebuilt once per iteration: K · positions · 256 adds, amortized
-        // over the N samples scanned below.
-        let lut = PackedPredictor::from_centroids(centroids);
+        let table = FoldedPredictor::from_centroids(centroids);
+        let norms: Vec<f64> = centroids
+            .iter_rows()
+            .map(|row| row.iter().map(|&x| f64::from(x).powi(2)).sum())
+            .collect();
 
-        let run_chunk = |start: usize, label_chunk: &mut [usize]| -> (Assignment, Vec<u32>) {
-            let mut a = Assignment::zeros(k, d);
+        let run_chunk = |start: usize, label_chunk: &mut [usize]| -> (Vec<usize>, Vec<u32>) {
+            let mut counts = vec![0usize; k];
             let mut bitcounts = vec![0u32; k * d];
-            let mut dist = vec![0.0f32; k];
+            let mut scores = vec![0.0f32; k];
+            let mut value = vec![0u8; self.words_per_row * 8];
             for (off, l) in label_chunk.iter_mut().enumerate() {
                 let i = start + off;
-                let c = lut.distances_from_words(self.row_words(i), self.popcounts[i], &mut dist);
+                for (bytes, w) in value.chunks_exact_mut(8).zip(self.row_words(i)) {
+                    bytes.copy_from_slice(&w.to_le_bytes());
+                }
+                let best = table.distances_into(&value[..self.bytes_per_row], &mut scores);
+                let c = self.settle(i, best, &scores, centroids);
                 *l = c;
-                a.counts[c] += 1;
-                a.sse += dist[c];
+                counts[c] += 1;
                 self.count_bits_into(i, &mut bitcounts[c * d..(c + 1) * d]);
             }
-            (a, bitcounts)
+            (counts, bitcounts)
         };
 
-        let (mut merged, bitcounts) = if threads == 1 || n < 256 {
+        let (counts, bitcounts) = if threads == 1 || n < 256 {
             run_chunk(0, labels)
         } else {
             let chunk = n.div_ceil(threads);
@@ -246,10 +280,9 @@ impl TrainSet for PackedMatrix {
                     partials.push(h.join().expect("packed kmeans worker panicked"));
                 }
             });
-            let (mut merged, mut bitcounts) = (Assignment::zeros(k, d), vec![0u32; k * d]);
-            for (a, bc) in partials {
-                merged.sse += a.sse;
-                for (m, c) in merged.counts.iter_mut().zip(&a.counts) {
+            let (mut counts, mut bitcounts) = (vec![0usize; k], vec![0u32; k * d]);
+            for (cs, bc) in partials {
+                for (m, c) in counts.iter_mut().zip(&cs) {
                     *m += c;
                 }
                 // Integer partials merge exactly — no float association
@@ -258,15 +291,30 @@ impl TrainSet for PackedMatrix {
                     *m += b;
                 }
             }
-            (merged, bitcounts)
+            (counts, bitcounts)
         };
 
+        // Σᵢ‖xᵢ − c_{lᵢ}‖² = Σ pop − 2·Σ_k⟨c_k, B_k⟩ + Σ_k n_k‖c_k‖².
+        let mut sse: f64 = self.popcounts.iter().map(|&p| f64::from(p)).sum();
+        for (c, (row, bits)) in centroids
+            .iter_rows()
+            .zip(bitcounts.chunks_exact(d.max(1)))
+            .enumerate()
+        {
+            let dot: f64 = row
+                .iter()
+                .zip(bits)
+                .map(|(&x, &b)| f64::from(x) * f64::from(b))
+                .sum();
+            sse += counts[c] as f64 * norms[c] - 2.0 * dot;
+        }
         // Bit counts *are* the 0/1 feature sums; one exact conversion per
         // iteration.
-        for (s, &b) in merged.sums.iter_mut().zip(&bitcounts) {
-            *s = b as f32;
+        Assignment {
+            counts,
+            sums: bitcounts.into_iter().map(|b| b as f32).collect(),
+            sse: sse as f32,
         }
-        merged
     }
 }
 
@@ -335,45 +383,82 @@ mod tests {
         }
     }
 
+    /// Fill-byte families with one random bit flipped per value: decisive
+    /// margins at every width, one byte included.
+    fn flipped_families(n: usize, bytes: usize, families: usize, seed: u64) -> Vec<Vec<u8>> {
+        let mut noise = family_values(n, 1, 1, seed).into_iter();
+        (0..n)
+            .map(|i| {
+                let mut v = vec![((i % families) * 255 / families) as u8; bytes];
+                let bit = usize::from(noise.next().unwrap()[0]) % (bytes * 8);
+                v[bit / 8] ^= 1 << (bit % 8);
+                v
+            })
+            .collect()
+    }
+
+    /// Whether two SSEs agree to f32 rounding of an `n`-term sum.
+    fn same_sse(a: f32, b: f32, n: usize) -> bool {
+        (a - b).abs() <= n as f32 * f32::EPSILON * b.abs().max(1.0)
+    }
+
+    /// The packed pass is the float pass (`KMeans::sse`'s): the same
+    /// labels, counts and sums — bit counts, so identical across thread
+    /// counts — and the closed-form SSE to f32 rounding, at widths from one
+    /// byte to 64 with and without a tail word.
     #[test]
     fn assignment_matches_float_assignment() {
-        let values = family_values(64, 6, 4, 11);
-        let packed = PackedMatrix::from_values(&values);
-        let floats = featurize_values(&values);
-        let centroids = {
+        for bytes in [1usize, 2, 3, 7, 8, 9, 16, 31, 64] {
+            let values = flipped_families(600, bytes, 4, bytes as u64);
+            let packed = PackedMatrix::from_values(&values);
+            let floats = featurize_values(&values);
             // A fitted float model's centroids: fractional, realistic.
-            KMeans::fit(&floats, &KMeansConfig::new(4).with_seed(5))
-                .centroids()
-                .clone()
-        };
-        let mut pl = vec![0usize; 64];
-        let mut fl = vec![0usize; 64];
-        let pa = packed.assign(&centroids, 1, &mut pl);
-        let fa = TrainSet::assign(&floats, &centroids, 1, &mut fl);
-        assert_eq!(pl, fl);
-        assert_eq!(pa.counts, fa.counts);
-        for (p, f) in pa.sums.iter().zip(&fa.sums) {
-            // Bit counts are exact; float sums of 0/1 are exact too.
-            assert_eq!(p, f);
+            let model = KMeans::fit(&floats, &KMeansConfig::new(4).with_seed(3));
+            let mut fl = vec![0usize; 600];
+            let fa = TrainSet::assign(&floats, model.centroids(), 1, &mut fl);
+            assert_eq!(fa.sse, model.sse(&floats));
+            for threads in [1, 4] {
+                let mut pl = vec![0usize; 600];
+                let pa = packed.assign(model.centroids(), threads, &mut pl);
+                assert_eq!(pl, fl, "{bytes} B, {threads} threads");
+                assert_eq!((&pa.counts, &pa.sums), (&fa.counts, &fa.sums));
+                assert!(
+                    same_sse(pa.sse, fa.sse, 600),
+                    "{bytes} B: {} vs {}",
+                    pa.sse,
+                    fa.sse
+                );
+            }
         }
-        assert!((pa.sse - fa.sse).abs() <= 1e-2 * (1.0 + fa.sse));
     }
 
     #[test]
-    fn threaded_assignment_is_exact_vs_single() {
-        let values = family_values(600, 9, 5, 23);
+    fn closed_form_sse_holds_through_an_empty_cluster_repair() {
+        // Three distinct values and K = 5: k-means++ draws duplicate
+        // centres, the duplicates' clusters come back empty, and the fit
+        // repairs them.
+        let values: Vec<Vec<u8>> = (0..90)
+            .map(|i| vec![[0x00u8, 0x5A, 0xFF][i % 3]; 5])
+            .collect();
         let packed = PackedMatrix::from_values(&values);
-        let centroids = KMeans::fit_set(&packed, &KMeansConfig::new(5).with_seed(2))
-            .centroids()
-            .clone();
-        let mut l1 = vec![0usize; 600];
-        let mut l4 = vec![0usize; 600];
-        let a1 = packed.assign(&centroids, 1, &mut l1);
-        let a4 = packed.assign(&centroids, 4, &mut l4);
-        assert_eq!(l1, l4);
-        assert_eq!(a1.counts, a4.counts);
-        // Integer accumulators: sums are bit-identical across thread counts.
-        assert_eq!(a1.sums, a4.sums);
+        let floats = featurize_values(&values);
+        let mut centroids = floats.select_rows(&[0, 1, 2, 2, 0]);
+        let mut labels = vec![0usize; 90];
+        let a = packed.assign(&centroids, 1, &mut labels);
+        assert_eq!(a.counts, vec![30, 30, 30, 0, 0]);
+        assert_eq!(a.sse, 0.0);
+        // Fractional centroids, the two duplicates still empty.
+        centroids.row_mut(0)[0] = 0.25;
+        centroids.row_mut(4)[0] = 0.5;
+        centroids.row_mut(3)[7] = 0.75;
+        let a = packed.assign(&centroids, 4, &mut labels);
+        assert_eq!(a.counts, vec![30, 30, 30, 0, 0]);
+        let float_sse = KMeans::from_centroids(centroids.clone(), 0).sse(&floats);
+        assert!(same_sse(a.sse, float_sse, 90), "{} vs {float_sse}", a.sse);
+
+        let model = KMeans::fit_set(&packed, &KMeansConfig::new(5).with_seed(1));
+        assert_eq!(model.k(), 5);
+        assert!(same_sse(model.inertia, model.sse(&floats), 90));
     }
 
     #[test]
@@ -381,9 +466,8 @@ mod tests {
         let empty = PackedMatrix::from_values::<&[u8]>(&[]);
         assert_eq!(empty.rows(), 0);
         assert_eq!(empty.dims(), 0);
-        let r = std::panic::catch_unwind(|| {
-            PackedMatrix::from_values(&[vec![0u8; 2], vec![0u8; 3]])
-        });
+        let r =
+            std::panic::catch_unwind(|| PackedMatrix::from_values(&[vec![0u8; 2], vec![0u8; 3]]));
         assert!(r.is_err(), "ragged values must be rejected");
     }
 

@@ -31,7 +31,10 @@
 //!   weights and `i32` biases under one scale per model, scored word by
 //!   word in exact integer dot products ([`crate::simd`]'s word-dot kernel)
 //!   — K rows of 64 bytes per value word instead of `n_components` float
-//!   lanes per set bit plus a K × `n_components` scan.
+//!   lanes per set bit plus a K × `n_components` scan. A model over the raw
+//!   bits is the fold of the identity map
+//!   ([`FoldedPredictor::from_centroids`]), so every model predicts, and
+//!   K-means over packed bits assigns, through this one scorer.
 //!
 //! Training's projections (the sample, [`Pca::refresh_packed`]) stay in
 //! f32 through the per-set-bit accumulation; nothing on a store's
@@ -572,7 +575,8 @@ impl BitProjector {
 const SCORE_LIMIT: f64 = (1u32 << 24) as f64 - 1.0;
 
 /// K-means prediction over a value's bits with the feature map folded into
-/// the centroids, scored in integers. Cluster k's float score is
+/// the centroids, scored in integers — the one scorer of every model, and
+/// of the packed training set's assignment step. Cluster k's float score is
 /// `S_k = b_k + Σ_{set bits j} w_jk`, the squared distance to centroid k in
 /// the model's feature space **minus the per-value constant** `‖y‖²` (see
 /// the module docs). Its integer score is
@@ -596,11 +600,9 @@ const SCORE_LIMIT: f64 = (1u32 << 24) as f64 - 1.0;
 ///   ([`crate::simd`]'s word-dot: AVX-512 VNNI, AVX2, portable) returns the
 ///   same scores; ties go to the lower index.
 ///
-/// The per-word counterpart of the byte-LUT
-/// [`PackedPredictor`](crate::packed::PackedPredictor): `K` rows of 64
-/// bytes per value *word* instead of `256·K` floats per value byte, so it
-/// stays cache-sized for large values (62 KB at 784 B and K = 10), at a
-/// cost of words × K whatever the value's content.
+/// The table is `K` rows of 64 bytes per value *word*, so it stays
+/// cache-sized for large values (62 KB at 784 B and K = 10), at a cost of
+/// words × K whatever the value's content.
 #[derive(Debug, Clone)]
 pub struct FoldedPredictor {
     input_bytes: usize,
@@ -614,16 +616,17 @@ pub struct FoldedPredictor {
 }
 
 /// Clusters scored per kernel call: the size of the stack buffer
-/// [`FoldedPredictor::scores_into`] sums in.
+/// [`FoldedPredictor::distances_into`] sums in.
 const SCORE_CHUNK: usize = 64;
 
 impl FoldedPredictor {
     /// The fold of the identity map: centroids over the raw bit features
-    /// themselves (`g_k = c_k`, `b_k = ‖c_k‖²`).
+    /// themselves (`g_k = c_k`, `b_k = ‖c_k‖²`), so a score is the squared
+    /// distance `‖x − c_k‖²` less the value's popcount, scaled.
     ///
     /// # Panics
     /// Panics if the feature dimensionality is not a whole number of bytes.
-    pub fn over_bits(centroids: &Matrix) -> Self {
+    pub fn from_centroids(centroids: &Matrix) -> Self {
         let norms: Vec<f64> = (0..centroids.rows())
             .map(|k| centroids.row(k).iter().map(|&v| f64::from(v).powi(2)).sum())
             .collect();
@@ -725,8 +728,8 @@ impl FoldedPredictor {
     ///
     /// # Panics
     /// Panics if `bytes.len() != input_bytes` or `out.len() != k`.
-    pub fn scores_into(&self, bytes: &[u8], out: &mut [f32]) -> usize {
-        assert_eq!(bytes.len(), self.input_bytes, "dimension mismatch");
+    pub fn distances_into(&self, bytes: &[u8], out: &mut [f32]) -> usize {
+        assert_eq!(bytes.len(), self.input_bytes, "value length mismatch");
         assert_eq!(out.len(), self.k, "output buffer mismatch");
         let mut sums = [0i32; SCORE_CHUNK];
         for (i, out) in out.chunks_mut(SCORE_CHUNK).enumerate() {
@@ -934,9 +937,9 @@ mod tests {
         hi - lo
     }
 
-    /// The float score of `over_bits(centroids)` for cluster `k` in f64:
-    /// `‖x − c_k‖² − popcount(x)`.
-    fn over_bits_reference(centroids: &Matrix, k: usize, v: &[u8]) -> f64 {
+    /// The float score of `from_centroids(centroids)` for cluster `k` in
+    /// f64: `‖x − c_k‖² − popcount(x)`.
+    fn bits_reference(centroids: &Matrix, k: usize, v: &[u8]) -> f64 {
         centroids
             .row(k)
             .iter()
@@ -949,30 +952,26 @@ mod tests {
     }
 
     #[test]
-    fn over_bits_scores_are_packed_distances_minus_popcount() {
-        use crate::packed::{popcount_bytes, PackedPredictor};
+    fn scores_over_bits_are_distances_less_popcount_within_the_bound() {
         let mut rng = StdRng::seed_from_u64(9);
         for k in [1usize, 2, 10] {
             let rows: Vec<Vec<f32>> = (0..k)
                 .map(|_| (0..13 * 8).map(|_| rng.gen::<f32>()).collect())
                 .collect();
             let centroids = Matrix::from_rows(&rows);
-            let folded = FoldedPredictor::over_bits(&centroids);
-            let packed = PackedPredictor::from_centroids(&centroids);
+            let folded = FoldedPredictor::from_centroids(&centroids);
             assert_eq!((folded.k(), folded.input_bytes()), (k, 13));
             // The largest centred weight takes the whole i8 range; one
             // cluster's centred weights are all zero.
             let largest = folded.table.iter().map(|w| w.unsigned_abs()).max();
             assert_eq!(largest, Some(if k == 1 { 0 } else { 127 }));
-            let (mut scores, mut dist) = (vec![0.0f32; k], vec![0.0f32; k]);
+            let mut scores = vec![0.0f32; k];
             for _ in 0..50 {
                 let v: Vec<u8> = (0..13).map(|_| rng.gen()).collect();
-                let a = folded.scores_into(&v, &mut scores);
-                let b = packed.distances_into(&v, &mut dist);
-                let bound = (popcount_bytes(&v) as f64 + 1.0) / 2.0 + F64_SLACK;
-                let reference: Vec<f64> = (0..k)
-                    .map(|c| over_bits_reference(&centroids, c, &v))
-                    .collect();
+                let a = folded.distances_into(&v, &mut scores);
+                let bound = (simd::popcount_bytes(&v) as f64 + 1.0) / 2.0 + F64_SLACK;
+                let reference: Vec<f64> =
+                    (0..k).map(|c| bits_reference(&centroids, c, &v)).collect();
                 let spread = error_spread(folded.scale(), &scores, &reference);
                 assert!(spread <= 2.0 * bound, "{scores:?} vs {reference:?}");
                 let mut order: Vec<usize> = (0..k).collect();
@@ -982,26 +981,55 @@ mod tests {
                     .map_or(f64::INFINITY, |&o| reference[o] - reference[order[0]]);
                 if folded.scale() * margin > 2.0 * bound {
                     assert_eq!(a, order[0]);
-                    assert_eq!(a, b);
                 }
             }
         }
     }
 
     #[test]
+    fn bit_centroids_score_their_hamming_distances() {
+        // Centroids that are themselves 0/1 vectors: every weight is ±1
+        // before the scale, so the scores are the Hamming distances less
+        // the popcount, scaled, exactly.
+        let centroids = Matrix::from_rows(&[
+            crate::featurize::bits_to_features(&[0x0F, 0x00]),
+            crate::featurize::bits_to_features(&[0xF0, 0xFF]),
+        ]);
+        let folded = FoldedPredictor::from_centroids(&centroids);
+        let mut scores = [0.0f32; 2];
+        assert_eq!(folded.distances_into(&[0x0F, 0x01], &mut scores), 0);
+        // Hamming 1 against centroid 0, 15 against centroid 1.
+        let gap = f64::from(scores[1] - scores[0]);
+        assert!((gap - 14.0 * folded.scale()).abs() <= 0.5, "{scores:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "byte-aligned")]
+    fn rejects_non_byte_dims() {
+        FoldedPredictor::from_centroids(&Matrix::zeros(2, 12));
+    }
+
+    #[test]
+    #[should_panic(expected = "value length mismatch")]
+    fn rejects_wrong_value_len() {
+        let folded = FoldedPredictor::from_centroids(&Matrix::zeros(1, 16));
+        folded.distances_into(&[0u8; 3], &mut [0.0]);
+    }
+
+    #[test]
     fn single_output_tables_stay_unpadded() {
         // The untrained placeholder of a 784 B store: one byte per value
         // bit, one bias, and an all-zero score.
-        let placeholder = FoldedPredictor::over_bits(&Matrix::zeros(1, 784 * 8));
+        let placeholder = FoldedPredictor::from_centroids(&Matrix::zeros(1, 784 * 8));
         assert_eq!(placeholder.table_bytes(), 784 * 8 + 4);
         let mut score = [7.0];
-        assert_eq!(placeholder.scores_into(&[0xFF; 784], &mut score), 0);
+        assert_eq!(placeholder.distances_into(&[0xFF; 784], &mut score), 0);
         assert_eq!(score, [0.0]);
         // K = 10: ten rows of 64 bytes per value word, no padding — 62 KB.
-        let trained = FoldedPredictor::over_bits(&Matrix::zeros(10, 784 * 8));
+        let trained = FoldedPredictor::from_centroids(&Matrix::zeros(10, 784 * 8));
         assert_eq!(trained.table_bytes(), 784 * 8 * 10 + 10 * 4);
         // A tail word is padded to a whole row.
-        let odd = FoldedPredictor::over_bits(&Matrix::zeros(3, 13 * 8));
+        let odd = FoldedPredictor::from_centroids(&Matrix::zeros(3, 13 * 8));
         assert_eq!(odd.table_bytes(), 2 * 3 * 64 + 3 * 4);
     }
 
@@ -1012,20 +1040,18 @@ mod tests {
         // (every bit set, none set) still sit inside 2²⁴.
         let (bits, far) = (784 * 8, 1.0e4f32);
         let centroids = Matrix::from_rows(&[vec![0.0; bits], vec![far; bits], vec![-far; bits]]);
-        let folded = FoldedPredictor::over_bits(&centroids);
+        let folded = FoldedPredictor::from_centroids(&centroids);
         assert!(folded.scale() < 127.0 / (2.0 * f64::from(far)));
         let mut scores = [0.0f32; 3];
         for (v, set) in [(vec![0xFFu8; 784], bits), (vec![0u8; 784], 0)] {
-            folded.scores_into(&v, &mut scores);
+            folded.distances_into(&v, &mut scores);
             assert!(scores.iter().all(|s| s.abs() < 16_777_216.0), "{scores:?}");
-            let reference: Vec<f64> = (0..3)
-                .map(|c| over_bits_reference(&centroids, c, &v))
-                .collect();
+            let reference: Vec<f64> = (0..3).map(|c| bits_reference(&centroids, c, &v)).collect();
             let spread = error_spread(folded.scale(), &scores, &reference);
             assert!(spread <= set as f64 + 1.0 + 2.0 * F64_SLACK, "{scores:?}");
         }
         // The worst case — cluster 2 with every bit set — uses the range.
-        folded.scores_into(&[0xFF; 784], &mut scores);
+        folded.distances_into(&[0xFF; 784], &mut scores);
         assert!(scores[2] > 8_388_608.0, "{scores:?}");
     }
 

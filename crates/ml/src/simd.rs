@@ -1,28 +1,27 @@
 //! Vectorized inner kernels for the packed bit-domain paths.
 //!
-//! Four kernels dominate prediction and training: the LUT-gather
-//! accumulation of [`crate::packed::PackedPredictor`] (one K-float stripe
-//! add per value byte), the integer word-dot scorer of
-//! [`crate::pca::FoldedPredictor`] (each 64-bit value word against K rows
-//! of 64 `i8` weights, `word_dot`), the per-set-bit f32 accumulation
-//! behind [`crate::pca::BitProjector`] (one stripe add per set value *bit*;
-//! training's projections only), and `u64` popcounts. All are vectorized
-//! here with `std::arch::x86_64` intrinsics behind **runtime** feature
-//! detection — the workspace stays dependency-free and portable, and every
-//! dispatch falls back to the scalar reference on non-x86 targets or older
-//! CPUs.
+//! Three kernels dominate prediction and training: the integer word-dot
+//! scorer of [`crate::pca::FoldedPredictor`] (each 64-bit value word
+//! against K rows of 64 `i8` weights, `word_dot`) — every model's
+//! prediction and the packed training set's assignment step — the
+//! per-set-bit f32 accumulation behind [`crate::pca::BitProjector`] (one
+//! stripe add per set value *bit*; training's projections only), and `u64`
+//! popcounts. All are vectorized here with `std::arch::x86_64` intrinsics
+//! behind **runtime** feature detection — the workspace stays
+//! dependency-free and portable, and every dispatch falls back to the
+//! scalar reference on non-x86 targets or older CPUs.
 //!
-//! **Bit-for-bit contract:** each SIMD float kernel performs, per output
-//! lane, exactly the same sequence of f32 additions as its scalar
-//! reference — the LUT kernels one chain in byte-position order, the
-//! per-bit kernel four chains filled in a fixed rotation and combined in a
-//! fixed order — so SIMD and scalar results are identical to the last bit
-//! (property-tested in [`crate::packed`] and below). The word-dot scorer
-//! and the popcounts are integer and exact by construction: every compiled
-//! path returns the same sums, whatever order it adds them in.
+//! **Bit-for-bit contract:** the per-bit float kernel performs, per output
+//! lane, exactly the same sequence of f32 additions as its scalar reference
+//! — four chains filled in a fixed rotation and combined in a fixed order —
+//! so SIMD and scalar results are identical to the last bit (property-tested
+//! below). The word-dot scorer and the popcounts are integer and exact by
+//! construction: every compiled path returns the same sums, whatever order
+//! it adds them in.
 
-/// Whether the vectorized (AVX2) LUT kernels are active on this CPU.
-/// `false` means every call takes the scalar reference path.
+/// Whether this CPU runs a vectorized compilation (AVX2 or wider) of the
+/// word-dot scorer and the per-bit kernel. `false` means every call takes
+/// the portable path.
 pub fn simd_active() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -31,98 +30,6 @@ pub fn simd_active() -> bool {
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
-    }
-}
-
-/// Scalar reference for the LUT-gather accumulation: for each byte of
-/// `bytes`, adds the K-float LUT stripe for that (position, byte) pair
-/// into `out`. `out` must be zeroed (or hold a running sum) on entry.
-#[inline(always)]
-pub(crate) fn lut_accumulate_scalar(lut: &[f32], k: usize, bytes: &[u8], out: &mut [f32]) {
-    for (pos, &b) in bytes.iter().enumerate() {
-        let row = &lut[(pos * 256 + b as usize) * k..][..k];
-        for (acc, &w) in out.iter_mut().zip(row) {
-            *acc += w;
-        }
-    }
-}
-
-/// LUT-gather accumulation with runtime SIMD dispatch. Semantically (and
-/// bit-for-bit) identical to [`lut_accumulate_scalar`].
-///
-/// `lut` must hold at least `(bytes.len() * 256) * k` floats and
-/// `out.len()` must equal `k` (guaranteed by the callers' asserts).
-#[inline]
-pub(crate) fn lut_accumulate(lut: &[f32], k: usize, bytes: &[u8], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            debug_assert_eq!(out.len(), k);
-            debug_assert!(lut.len() >= bytes.len() * 256 * k);
-            // SAFETY: AVX2 confirmed at runtime; slice bounds checked above
-            // (callers assert them in release builds too).
-            unsafe {
-                match k {
-                    4 => return lut_accumulate_sse_k4(lut, bytes, out),
-                    8 => return lut_accumulate_avx2::<1>(lut, k, bytes, out),
-                    16 => return lut_accumulate_avx2::<2>(lut, k, bytes, out),
-                    24 => return lut_accumulate_avx2::<3>(lut, k, bytes, out),
-                    32 => return lut_accumulate_avx2::<4>(lut, k, bytes, out),
-                    64 => return lut_accumulate_avx2::<8>(lut, k, bytes, out),
-                    _ => {}
-                }
-            }
-        }
-    }
-    lut_accumulate_scalar(lut, k, bytes, out);
-}
-
-/// K = 4 specialization: one 128-bit lane holds the whole stripe, so each
-/// byte costs one load + one add. SSE2 is baseline on x86_64.
-///
-/// # Safety
-/// `lut` must hold `bytes.len() * 256 * 4` floats; `out.len() == 4`.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn lut_accumulate_sse_k4(lut: &[f32], bytes: &[u8], out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    unsafe {
-        let base = lut.as_ptr();
-        let mut acc = _mm_loadu_ps(out.as_ptr());
-        for (pos, &b) in bytes.iter().enumerate() {
-            let row = base.add((pos * 256 + b as usize) * 4);
-            acc = _mm_add_ps(acc, _mm_loadu_ps(row));
-        }
-        _mm_storeu_ps(out.as_mut_ptr(), acc);
-    }
-}
-
-/// Generic AVX2 kernel for `k = 8 * N`: N 256-bit accumulators, each lane
-/// a per-centroid chain of adds in byte-position order (same order as the
-/// scalar reference, hence bit-identical).
-///
-/// # Safety
-/// Caller must verify AVX2 at runtime; `lut` must hold
-/// `bytes.len() * 256 * k` floats; `out.len() == k == 8 * N`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lut_accumulate_avx2<const N: usize>(lut: &[f32], k: usize, bytes: &[u8], out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    unsafe {
-        let base = lut.as_ptr();
-        let mut acc = [_mm256_setzero_ps(); N];
-        for (i, a) in acc.iter_mut().enumerate() {
-            *a = _mm256_loadu_ps(out.as_ptr().add(i * 8));
-        }
-        for (pos, &b) in bytes.iter().enumerate() {
-            let row = base.add((pos * 256 + b as usize) * k);
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_add_ps(*a, _mm256_loadu_ps(row.add(i * 8)));
-            }
-        }
-        for (i, a) in acc.iter().enumerate() {
-            _mm256_storeu_ps(out.as_mut_ptr().add(i * 8), *a);
-        }
     }
 }
 
@@ -809,31 +716,14 @@ mod tests {
     fn hamming_words_matches_naive() {
         let a: Vec<u64> = (0..13u64).map(|i| i.wrapping_mul(0xABCD_EF01)).collect();
         let b: Vec<u64> = (0..13u64).map(|i| i.wrapping_mul(0x1234_5678)).collect();
-        let naive: u64 = a.iter().zip(&b).map(|(&x, &y)| (x ^ y).count_ones() as u64).sum();
+        let naive: u64 = a
+            .iter()
+            .zip(&b)
+            .map(|(&x, &y)| (x ^ y).count_ones() as u64)
+            .sum();
         assert_eq!(hamming_words(&a, &b), naive);
     }
 
-    #[test]
-    fn lut_accumulate_simd_is_bit_identical_to_scalar() {
-        // Every dispatched K, plus off-path Ks, on widths with tails.
-        for &k in &[1usize, 3, 4, 5, 8, 16, 24, 32, 40, 64] {
-            for &n in &[1usize, 7, 8, 13, 64] {
-                let lut: Vec<f32> = (0..n * 256 * k)
-                    .map(|i| ((i as u32).wrapping_mul(2654435761) as f32) * 1e-9)
-                    .collect();
-                let bytes: Vec<u8> = (0..n).map(|i| (i * 89 + 17) as u8).collect();
-                let mut simd = vec![0.0f32; k];
-                let mut scalar = vec![0.0f32; k];
-                lut_accumulate(&lut, k, &bytes, &mut simd);
-                lut_accumulate_scalar(&lut, k, &bytes, &mut scalar);
-                assert_eq!(
-                    simd.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                    scalar.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                    "k={k} n={n}"
-                );
-            }
-        }
-    }
     #[test]
     fn word_dot_is_exact_at_its_overflow_bound() {
         // Every weight ±127, every bit set, the entry sum at the documented
