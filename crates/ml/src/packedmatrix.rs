@@ -433,6 +433,25 @@ mod tests {
     }
 
     #[test]
+    fn threaded_assignment_is_exact_vs_single() {
+        let values = family_values(600, 9, 5, 23);
+        let packed = PackedMatrix::from_values(&values);
+        let centroids = KMeans::fit_set(&packed, &KMeansConfig::new(5).with_seed(2))
+            .centroids()
+            .clone();
+        let mut l1 = vec![0usize; 600];
+        let mut l4 = vec![0usize; 600];
+        let a1 = packed.assign(&centroids, 1, &mut l1);
+        let a4 = packed.assign(&centroids, 4, &mut l4);
+        assert_eq!(l1, l4);
+        assert_eq!(a1.counts, a4.counts);
+        // Integer accumulators: sums are bit-identical across thread counts,
+        // and so is the SSE taken from them.
+        assert_eq!(a1.sums, a4.sums);
+        assert_eq!(a1.sse.to_bits(), a4.sse.to_bits());
+    }
+
+    #[test]
     fn closed_form_sse_holds_through_an_empty_cluster_repair() {
         // Three distinct values and K = 5: k-means++ draws duplicate
         // centres, the duplicates' clusters come back empty, and the fit

@@ -952,7 +952,7 @@ mod tests {
     }
 
     #[test]
-    fn scores_over_bits_are_distances_less_popcount_within_the_bound() {
+    fn over_bits_scores_are_packed_distances_minus_popcount() {
         let mut rng = StdRng::seed_from_u64(9);
         for k in [1usize, 2, 10] {
             let rows: Vec<Vec<f32>> = (0..k)
@@ -984,36 +984,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bit_centroids_score_their_hamming_distances() {
-        // Centroids that are themselves 0/1 vectors: every weight is ±1
-        // before the scale, so the scores are the Hamming distances less
-        // the popcount, scaled, exactly.
-        let centroids = Matrix::from_rows(&[
-            crate::featurize::bits_to_features(&[0x0F, 0x00]),
-            crate::featurize::bits_to_features(&[0xF0, 0xFF]),
-        ]);
-        let folded = FoldedPredictor::from_centroids(&centroids);
-        let mut scores = [0.0f32; 2];
-        assert_eq!(folded.distances_into(&[0x0F, 0x01], &mut scores), 0);
-        // Hamming 1 against centroid 0, 15 against centroid 1.
-        let gap = f64::from(scores[1] - scores[0]);
-        assert!((gap - 14.0 * folded.scale()).abs() <= 0.5, "{scores:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "byte-aligned")]
-    fn rejects_non_byte_dims() {
-        FoldedPredictor::from_centroids(&Matrix::zeros(2, 12));
-    }
-
-    #[test]
-    #[should_panic(expected = "value length mismatch")]
-    fn rejects_wrong_value_len() {
-        let folded = FoldedPredictor::from_centroids(&Matrix::zeros(1, 16));
-        folded.distances_into(&[0u8; 3], &mut [0.0]);
     }
 
     #[test]

@@ -496,7 +496,7 @@ fn pca_model_predicts_identically_through_scratch() {
 /// Retraining swaps centroids; the word table must be rebuilt with them
 /// (a stale table would keep predicting under the old geometry).
 #[test]
-fn retrain_rebuilds_the_table_and_stays_equivalent() {
+fn retrain_rebuilds_luts_and_stays_equivalent() {
     let cfg = PnwConfig::new(256, 8).with_clusters(2).with_seed(5);
     let mut m = ModelManager::new(&cfg);
     let first = random_values(64, 8, 2, 1);
@@ -519,7 +519,7 @@ fn retrain_rebuilds_the_table_and_stays_equivalent() {
 /// A background retrain builds its model through the same fit, so the
 /// model the store's worker installs must have rebuilt its table too.
 #[test]
-fn background_install_rebuilds_the_table() {
+fn background_install_rebuilds_luts() {
     let cfg = PnwConfig::new(256, 8).with_clusters(3).with_seed(9);
     let store = PnwStore::new(cfg);
     let values = random_values(96, 8, 3, 3);
