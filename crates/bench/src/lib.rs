@@ -1,4 +1,4 @@
-//! # pnw-bench — the paper-reproduction and scenario harness
+//! # pnw-bench — the paper-reproduction harness
 //!
 //! One binary, `pnw-bench <subcommand>` (`src/main.rs` parses the
 //! arguments once and dispatches), over one module per concern. Store
@@ -26,12 +26,6 @@
 //!   training pipeline vs the float featurize-then-Lloyd reference, across
 //!   value sizes, cluster counts and sample counts, and the packed vs
 //!   float PCA route (`train`, `BENCH_train.json`).
-//! * [`scenario`] — the scenario engine: declarative phased workloads
-//!   (per-phase key distribution, op mix, value-pattern family, TTL,
-//!   arrival rate, burst/quiesce) replayed against any `Store` backend
-//!   with windowed time-series metrics — flips/PUT, retrains, model
-//!   epoch, prediction latency, TTL expiry/eviction per window
-//!   (`scenario`, `BENCH_scenario.json`).
 //! * [`scrub`] — integrity and scrubbing overhead on wear-out media
 //!   (`scrub`, `BENCH_scrub.json`).
 //! * [`report`] — the one JSON report writer and artifact stamp.
@@ -44,7 +38,6 @@ pub mod figures;
 pub mod predictbench;
 pub mod replace;
 pub mod report;
-pub mod scenario;
 pub mod scrub;
 pub mod table;
 pub mod trainbench;

@@ -1,4 +1,4 @@
-//! `pnw-bench` — the paper-reproduction and scenario harness, one binary:
+//! `pnw-bench` — the paper-reproduction harness, one binary:
 //! `cargo run --release -p pnw-bench -- <subcommand> [--quick] [flags]`.
 //! See `USAGE` for the subcommands. The arguments are parsed once, here;
 //! the library modules take the [`Scale`] and their own parameters.
@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pnw_bench::{ablations, figures, predictbench, scenario, scrub, trainbench, Scale};
+use pnw_bench::{ablations, figures, predictbench, scrub, trainbench, Scale};
 use pnw_workloads::DatasetKind;
 
 const USAGE: &str = "\
@@ -19,22 +19,14 @@ usage: pnw-bench <subcommand> [--quick] [flags]
   ablations        design-choice ablations
   predict          prediction-kernel microbench    [--iters N] [--out PATH]
   train            retraining benchmark            [--out PATH]
-  scenario         phased-workload replay          [--scenario drift|cctv|all] [--out PATH]
   scrub            integrity / scrub overhead      [--threads N] [--ops N] [--out PATH]
 
 --quick shrinks a run to seconds. Without --out, a full predict / train /
-scenario / scrub run writes BENCH_<subcommand>.json in the working
-directory; a --quick run prints the report instead.";
+scrub run writes BENCH_<subcommand>.json in the working directory; a
+--quick run prints the report instead.";
 
 /// The paper's numbered figures (Figure 5 is a diagram).
 const FIGS: [u32; 10] = [3, 4, 6, 7, 8, 9, 10, 11, 12, 13];
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Which {
-    Drift,
-    Cctv,
-    All,
-}
 
 #[derive(Debug, PartialEq)]
 enum Cmd {
@@ -44,7 +36,6 @@ enum Cmd {
     Ablations,
     Predict { iters: Option<u64> },
     Train,
-    Scenario(Which),
     Scrub { threads: usize, ops: Option<usize> },
 }
 
@@ -67,7 +58,7 @@ fn parse(argv: &[String]) -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a {
             "--quick" => flags.push((a, "")),
-            "--out" | "--iters" | "--scenario" | "--threads" | "--ops" => {
+            "--out" | "--iters" | "--threads" | "--ops" => {
                 flags.push((a, it.next().ok_or_else(|| format!("{a} needs a value"))?))
             }
             _ if a.starts_with('-') => return Err(format!("unknown flag '{a}'")),
@@ -87,7 +78,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         ["ablations"] => Cmd::Ablations,
         ["predict"] => Cmd::Predict { iters: None },
         ["train"] => Cmd::Train,
-        ["scenario"] => Cmd::Scenario(Which::All),
         ["scrub"] => Cmd::Scrub {
             threads: 4,
             ops: None,
@@ -106,18 +96,10 @@ fn parse(argv: &[String]) -> Result<Args, String> {
     for (flag, v) in flags {
         match (flag, &mut cmd) {
             ("--quick", _) => scale = Scale::Quick,
-            ("--out", Cmd::Predict { .. } | Cmd::Train | Cmd::Scenario(_) | Cmd::Scrub { .. }) => {
+            ("--out", Cmd::Predict { .. } | Cmd::Train | Cmd::Scrub { .. }) => {
                 out = Some(PathBuf::from(v))
             }
             ("--iters", Cmd::Predict { iters }) => *iters = Some(number(flag, v)?),
-            ("--scenario", Cmd::Scenario(which)) => {
-                *which = match v {
-                    "drift" => Which::Drift,
-                    "cctv" => Which::Cctv,
-                    "all" => Which::All,
-                    _ => return Err(format!("unknown scenario '{v}' (drift|cctv|all)")),
-                }
-            }
             ("--threads", Cmd::Scrub { threads, .. }) => *threads = number(flag, v)?,
             ("--ops", Cmd::Scrub { ops, .. }) => *ops = Some(number(flag, v)?),
             _ => return Err(format!("{flag} does not apply to '{}'", positional[0])),
@@ -235,14 +217,6 @@ fn run(Args { cmd, scale, out }: Args) -> Result<(), String> {
         }
         Cmd::Predict { iters } => Some(("predict", predictbench::run(scale, iters))),
         Cmd::Train => Some(("train", trainbench::run(scale))),
-        Cmd::Scenario(which) => {
-            let specs = match which {
-                Which::Drift => vec![scenario::drift(scale)],
-                Which::Cctv => vec![scenario::cctv(scale)],
-                Which::All => vec![scenario::drift(scale), scenario::cctv(scale)],
-            };
-            Some(("scenario", scenario::run(&specs, scale)))
-        }
         Cmd::Scrub { threads, ops } => Some(("scrub", scrub::run(scale, threads, ops))),
     };
     let Some((name, report)) = report else {
@@ -313,11 +287,6 @@ mod tests {
             )
         );
         assert_eq!(ok("train --quick"), (Cmd::Train, Quick, None));
-        assert_eq!(ok("scenario"), (Cmd::Scenario(Which::All), Full, None));
-        assert_eq!(
-            ok("scenario --scenario cctv --out x.json"),
-            (Cmd::Scenario(Which::Cctv), Full, Some("x.json".into()))
-        );
         assert_eq!(
             ok("scrub --threads 2 --ops 100"),
             (
@@ -349,11 +318,8 @@ mod tests {
             "unknown subcommand or arguments 'fig 7 road'"
         );
         assert_eq!(err("table 3"), "no table '3'");
-        assert_eq!(
-            err("scenario --scenario mars"),
-            "unknown scenario 'mars' (drift|cctv|all)"
-        );
-        for gone in ["throughput", "opcost", "server-load"] {
+        assert_eq!(err("train --scenario drift"), "unknown flag '--scenario'");
+        for gone in ["throughput", "opcost", "server-load", "scenario"] {
             assert_eq!(
                 err(gone),
                 format!("unknown subcommand or arguments '{gone}'")

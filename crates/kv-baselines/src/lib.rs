@@ -19,7 +19,7 @@
 //!
 //! All three implement the first-class [`Store`] trait from `pnw-core` —
 //! the same trait [`PnwStore`](pnw_core::PnwStore) implements — so the
-//! Figure 9 harness and the scenario engine drive all four
+//! Figure 9 harness and the store contract tests drive all four
 //! backends uniformly, per-op or via [`Store::apply`] batches, with no
 //! adapter in between. Reads take `&self` (shared store lock +
 //! [`pnw_nvm_sim::NvmDevice::peek`]), so the baselines can be driven

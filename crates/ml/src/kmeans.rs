@@ -263,11 +263,6 @@ impl KMeans {
         nearest(&self.centroids, x).0
     }
 
-    /// Nearest centroid and its squared distance.
-    pub fn predict_with_distance(&self, x: &[f32]) -> (usize, f32) {
-        nearest(&self.centroids, x)
-    }
-
     /// Squared distance from `x` to every centroid, written into `out`;
     /// returns the argmin cluster. The allocation-free float scan — the
     /// reference the bit-domain scorer ([`crate::pca::FoldedPredictor`],

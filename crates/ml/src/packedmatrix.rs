@@ -158,12 +158,6 @@ impl PackedMatrix {
         counts.into_iter().map(|c| c as f32 / n).collect()
     }
 
-    /// DRAM held by the packed rows, in bytes — `1/32` of the float tensor
-    /// the old pipeline materialized.
-    pub fn packed_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<u64>()
-    }
-
     /// Expands the whole set into the dense float matrix (cold paths only:
     /// the elbow sweep and tests).
     pub fn to_matrix(&self) -> Matrix {

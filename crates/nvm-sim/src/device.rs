@@ -172,12 +172,6 @@ impl NvmConfig {
         self
     }
 
-    /// Sets the latency model.
-    pub fn with_latency(mut self, m: LatencyModel) -> Self {
-        self.latency = m;
-        self
-    }
-
     /// Sets the backing (pair with [`NvmDevice::open`] for
     /// [`DeviceBacking::File`]).
     pub fn with_backing(mut self, b: DeviceBacking) -> Self {

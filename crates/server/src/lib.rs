@@ -87,8 +87,3 @@ pub fn install_shutdown_handler() {
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
-
-/// Clears the shutdown flag (tests that simulate repeated signals).
-pub fn reset_shutdown_flag() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
-}

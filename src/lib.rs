@@ -23,7 +23,7 @@
 //! | `pnw-baselines` | FPTree-like, NoveLSM-like, Path-Hashing stores |
 //! | `pnw-workloads` | deterministic stand-ins for the paper's datasets |
 //! | `pnw-server` | socket front end + client: framing, backpressure, drain |
-//! | `pnw-bench` | figure/table reproduction, ablation and scenario harness |
+//! | `pnw-bench` | figure/table reproduction and ablation harness |
 //!
 //! ## Quickstart
 //!

@@ -3,12 +3,13 @@
 //! oracle's op language can state (`common/oracle.rs`) is a short script
 //! checked op by op against a `BTreeMap` reference. Hand-written: overfill
 //! to each backend's own `Full`, bit-for-bit batch accounting, reserve
-//! extension in a batch, the error taxonomy, corruption, concurrency.
+//! extension in a batch, the error taxonomy, corruption, concurrency, ring
+//! retention.
 
 mod common;
 
 use common::oracle::{baselines, check, durable_dir, Backend, Step, Step::*};
-use pnw::core_api::{Batch, IndexPlacement, PnwConfig, PnwStore, Store, StoreError};
+use pnw::core_api::{now_unix_ms, Batch, IndexPlacement, PnwConfig, PnwStore, Store, StoreError};
 
 fn contract_cfg(capacity: usize, value_size: usize) -> PnwConfig {
     PnwConfig::new(capacity, value_size).with_clusters(2.min(capacity)).with_seed(11)
@@ -251,7 +252,7 @@ fn corruption_surfaces_identically_on_both_pnw_frontends() {
     // a bucket the scrubber retired, and a bucket failing its CRC — on
     // both index placements (the NVM one puts the data zone at a non-zero
     // offset).
-    use pnw::core_api::{now_unix_ms, ShardEngine};
+    use pnw::core_api::ShardEngine;
     for index in [IndexPlacement::Dram, IndexPlacement::Nvm] {
         let cfg = cfg.clone().with_ttl().with_index(index);
         let (mut engine, store) = (ShardEngine::new(cfg.clone()), PnwStore::new(cfg));
@@ -394,6 +395,153 @@ fn ttl_expiry_survives_kill_and_reopen() {
     script.extend([PutExpiring(4, 0x44, false), Reopen, Get(1), Scan(0, 10), Get(2), Get(3)]);
     script.extend([Get(4), CloseReopen, Get(1), Get(4)]);
     check(&durable("ttl_kill", contract_cfg(64, 16).with_ttl()), &script);
+}
+
+// ---------------------------------------------------------------------------
+// Ring retention: a full zone makes room for a fresh PUT itself — overdue
+// entries first, then the live entry with the earliest deadline.
+// ---------------------------------------------------------------------------
+
+/// Runs `cell` on a ring-retention store of `capacity` 16-byte values over
+/// `shards` shards, volatile and then durable (in a fresh directory).
+fn ring_cell(tag: &str, capacity: usize, shards: usize, cell: impl Fn(&str, PnwConfig)) {
+    let cfg = contract_cfg(capacity, 16).with_ring_retention().with_shards(shards);
+    cell(&format!("volatile, {shards} shard(s)"), cfg.clone());
+    let dir = durable_dir(&format!("ring_{tag}_{shards}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    cell(&format!("durable, {shards} shard(s)"), cfg.with_path(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A deadline an hour out, `rank` ms after `base`'s.
+fn deadline(base: u64, rank: u64) -> u64 {
+    base + 3_600_000 + rank
+}
+
+/// On one shard each fresh PUT into a full zone evicts exactly the live
+/// key with the earliest deadline — not the oldest write, not the lowest
+/// key — which then reads absent while every other key keeps its value.
+#[test]
+fn ttl_ring_evicts_exactly_the_earliest_deadline() {
+    ring_cell("earliest", 8, 1, |name, cfg| {
+        let store = PnwStore::open(cfg).unwrap();
+        let (base, rank) = (now_unix_ms(), |k: u64| (k * 5 + 3) % 8);
+        for k in 0..8 {
+            store.put_with_expiry(k, &[k as u8; 16], deadline(base, rank(k))).unwrap();
+        }
+        let mut by_deadline: Vec<u64> = (0..8).collect();
+        by_deadline.sort_by_key(|&k| rank(k));
+        for (i, &victim) in by_deadline.iter().enumerate() {
+            let fresh = 100 + i as u64;
+            store.put_with_expiry(fresh, &[fresh as u8; 16], deadline(base, fresh)).unwrap();
+            assert_eq!(store.get(victim).unwrap(), None, "{name}: key {victim} was not evicted");
+            for &k in &by_deadline[i + 1..] {
+                assert_eq!(store.get(k).unwrap(), Some(vec![k as u8; 16]), "{name}: key {k}");
+            }
+            assert_eq!(store.snapshot().scrub.evicted, i as u64 + 1, "{name}");
+            assert_eq!(store.len(), 8, "{name}");
+        }
+    });
+}
+
+/// A full zone holding two overdue entries reclaims both, as expiries,
+/// and evicts no live entry; only once the freed room is used does a
+/// fresh PUT evict, and then the earliest live deadline.
+#[test]
+fn ttl_ring_reclaims_overdue_entries_before_evicting_live_ones() {
+    ring_cell("overdue", 8, 1, |name, cfg| {
+        let store = PnwStore::open(cfg).unwrap();
+        let base = now_unix_ms();
+        for k in 0..8 {
+            let due = if k == 2 || k == 5 { 1 } else { deadline(base, k) };
+            store.put_with_expiry(k, &[k as u8; 16], due).unwrap();
+        }
+        let reclaimed = || {
+            let s = store.snapshot().scrub;
+            (s.expired, s.evicted)
+        };
+        for (fresh, want) in [(100, (2, 0)), (101, (2, 0)), (102, (2, 1))] {
+            store.put_with_expiry(fresh, &[fresh as u8; 16], deadline(base, fresh)).unwrap();
+            assert_eq!(reclaimed(), want, "{name}: (expired, evicted) after PUT {fresh}");
+        }
+        assert_eq!(store.get(0).unwrap(), None, "{name}: key 0 had the earliest live deadline");
+        for k in [1, 3, 4, 6, 7, 100, 101, 102] {
+            assert_eq!(store.get(k).unwrap(), Some(vec![k as u8; 16]), "{name}: key {k}");
+        }
+    });
+}
+
+/// Entries without a deadline are never evicted, though their deadline
+/// (0) sorts first: with one deadline entry among them, a full shard gives
+/// that one up, and after that it answers `Full`.
+#[test]
+fn ttl_ring_never_evicts_entries_without_a_deadline() {
+    for shards in [1, 4] {
+        ring_cell("no_deadline", 8, shards, |name, cfg| {
+            let store = PnwStore::open(cfg).unwrap();
+            store.put_with_expiry(0, &[0; 16], deadline(now_unix_ms(), 0)).unwrap();
+            let (mut stored, mut full) = (Vec::new(), 0);
+            for k in 1..200u64 {
+                match store.put(k, &[k as u8; 16]) {
+                    Ok(_) => stored.push(k),
+                    Err(StoreError::Full) => full += 1,
+                    Err(e) => panic!("{name}: PUT {k}: {e}"),
+                }
+            }
+            assert!(full > 0, "{name}: the zone never filled");
+            assert_eq!(store.snapshot().scrub.evicted, 1, "{name}");
+            assert_eq!(store.get(0).unwrap(), None, "{name}: the deadline entry was evicted");
+            for k in stored {
+                assert_eq!(store.get(k).unwrap(), Some(vec![k as u8; 16]), "{name}: key {k}");
+            }
+            assert_eq!(store.len(), 8, "{name}");
+        });
+    }
+}
+
+/// An evicted key stays absent across a kill (a drop without a
+/// checkpoint: the WAL alone carries the state) and a reopen: eviction
+/// commits a delete, so replay cannot bring the key back.
+#[test]
+fn ttl_ring_eviction_survives_kill_and_reopen() {
+    for shards in [1, 4] {
+        let dir = durable_dir(&format!("ring_kill_{shards}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = contract_cfg(16, 16).with_ring_retention().with_shards(shards).with_path(&dir);
+        let store = PnwStore::open(cfg.clone()).unwrap();
+        let base = now_unix_ms();
+        for k in 0..40 {
+            store.put_with_expiry(k, &[k as u8; 16], deadline(base, k)).unwrap();
+        }
+        let read_all = |s: &PnwStore| (0..40).map(|k| s.get(k).unwrap()).collect::<Vec<_>>();
+        let before = read_all(&store);
+        let evicted = store.snapshot().scrub.evicted;
+        assert!(evicted > 0, "{shards} shard(s): nothing was evicted");
+        assert_eq!(before.iter().filter(|v| v.is_none()).count() as u64, evicted);
+        drop(store);
+        let store = PnwStore::open(cfg).unwrap();
+        assert_eq!(read_all(&store), before, "{shards} shard(s): answers changed across the kill");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// At four shards, with every fifth frame already overdue, the store
+/// never holds more keys than its capacity, and every PUT succeeds.
+#[test]
+fn ttl_ring_keeps_len_within_capacity_at_four_shards() {
+    ring_cell("bounded", 16, 4, |name, cfg| {
+        let store = PnwStore::open(cfg).unwrap();
+        let base = now_unix_ms();
+        for k in 0..160 {
+            let due = if k % 5 == 0 { 1 } else { deadline(base, k) };
+            store.put_with_expiry(k, &[k as u8; 16], due).unwrap();
+            assert!(store.len() <= 16, "{name}: {} keys after PUT {k}", store.len());
+        }
+        let s = store.snapshot().scrub;
+        assert!(s.expired > 0 && s.evicted > 0, "{name}: {s:?}");
+        assert_eq!(store.get(159).unwrap(), Some(vec![159; 16]), "{name}");
+    });
 }
 
 /// Every backend is driveable concurrently through `&dyn Store` — the
